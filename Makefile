@@ -79,7 +79,7 @@ arch-check:
 calibration-check:
 	$(GO) run ./cmd/pathfind calibrate -check
 
-# bench runs the figure benchmark suite and writes BENCH_10.json (ns/op plus
+# bench runs the figure benchmark suite and writes BENCH_13.json (ns/op plus
 # the headline figure metrics, machine-readable). Tune with BENCHTIME=1x for
 # a smoke run or BENCH=Fig12 for a subset.
 bench:
@@ -88,9 +88,9 @@ bench:
 # bench-diff mirrors the CI bench job's regression check: re-run the suite
 # at the baseline's benchtime (1s default, so allocs/op amortizes cold
 # starts the same way the baseline did) and print per-benchmark deltas
-# against the committed BENCH_10.json baseline, failing on allocs/op
-# regressions in the gated (Table1/Table2/ServeThroughput/HBMPIMRate)
-# benchmarks. DIFFOUT=deltas.txt also saves the table; BENCHTIME=2s
+# against the committed BENCH_13.json baseline, failing on allocs/op
+# regressions in the gated (Table1/Table2/ServeThroughput/ServeLoadSweep/
+# HBMPIMRate) benchmarks. DIFFOUT=deltas.txt also saves the table; BENCHTIME=2s
 # steadies ns/op.
 bench-diff:
 	BENCHTIME=$(BENCHTIME) BENCH=$(BENCH) BASELINE=$(BASELINE) DIFFOUT=$(DIFFOUT) ./scripts/bench_diff.sh

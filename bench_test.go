@@ -261,6 +261,40 @@ func BenchmarkServeThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkServeLoadSweep measures the QoS-curve sweep end to end: profile
+// four kernels once, then replay 3 policies x 4 loads (under- to
+// over-load) of a two-tenant, 8000-request Poisson stream. The req/s metric
+// is wall-clock replay throughput over all twelve cells. Two workers, as in
+// the repo benchmark's serve_sweep; allocs/op moves by a handful between
+// runs (worker scheduling), far inside the gate's tolerance.
+func BenchmarkServeLoadSweep(b *testing.B) {
+	opts := upim.ServeOptions{
+		Tenants: []upim.ServeTenant{
+			{Name: "latency", Mix: []string{"VA", "GEMV"}, Weight: 3, SLOClass: "latency"},
+			{Name: "batch", Mix: []string{"BS", "RED"}, Weight: 1, SLOClass: "batch"},
+		},
+		Groups:      2,
+		MaxBatch:    4,
+		Requests:    4000,
+		Seed:        1,
+		Scale:       upim.ScaleTiny,
+		Parallelism: 2,
+	}
+	policies := []string{"fifo", "wfq", "slo"}
+	loads := []float64{0.5, 0.8, 0.95, 1.1}
+	ctx := context.Background()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		if _, err := upim.ServeLoadSweep(ctx, opts, policies, loads); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if elapsed := time.Since(start).Seconds(); elapsed > 0 {
+		served := b.N * len(policies) * len(loads) * len(opts.Tenants) * opts.Requests
+		b.ReportMetric(float64(served)/elapsed, "req/s")
+	}
+}
+
 // BenchmarkSimulationRate measures the simulator's own speed in
 // kilo-instructions per second (the paper reports ~3 KIPS for uPIMulator;
 // Table III's last row). It runs through a long-lived Runner — the steady

@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -173,8 +174,8 @@ func parseTenants(spec string) ([]upim.ServeTenant, error) {
 		t := upim.ServeTenant{Name: name}
 		if mix, w, ok := strings.Cut(rest, ":"); ok {
 			weight, err := strconv.ParseFloat(w, 64)
-			if err != nil || weight <= 0 {
-				return nil, fmt.Errorf("tenant %q: weight %q is not a positive number", name, w)
+			if err != nil || !(weight > 0) || math.IsInf(weight, 0) {
+				return nil, fmt.Errorf("tenant %q: weight %q is not a positive finite number", name, w)
 			}
 			t.Weight = weight
 			rest = mix
@@ -203,8 +204,9 @@ func parseLoads(spec string) ([]float64, error) {
 			continue
 		}
 		v, err := strconv.ParseFloat(part, 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("load %q is not a positive number", part)
+		// Not "v <= 0": NaN must fail too, and ParseFloat accepts "NaN"/"Inf".
+		if err != nil || !(v > 0) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("load %q is not a positive finite number", part)
 		}
 		out = append(out, v)
 	}

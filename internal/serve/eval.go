@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"context"
+
 	"upim/internal/energy"
 	"upim/internal/prim"
 )
@@ -27,17 +29,22 @@ func evalOptions(policy Policy) Options {
 	}.withDefaults()
 }
 
-// evalP99 replays the canned workload against a single-kernel profile.
-func evalP99(p profile, benchmark string, policy Policy) float64 {
-	opts := evalOptions(policy)
-	for i := range opts.Tenants {
-		opts.Tenants[i].Mix = []string{benchmark}
+// evalP99 replays the canned workload against a single-kernel profile:
+// Serve's run path with the profiling step already done.
+func evalP99(prof profile, benchmark string, policy Policy) (float64, error) {
+	p := &prepared{opts: evalOptions(policy), profiles: map[string]profile{benchmark: prof}}
+	for i := range p.opts.Tenants {
+		p.opts.Tenants[i].Mix = []string{benchmark}
 	}
-	profiles := map[string]profile{benchmark: p}
-	tenants := resolveTenants(opts, profiles)
-	reqs := poissonRequests(opts, tenants)
-	res := simulate(opts, tenants, profiles, reqs)
-	return res.Overall.P99MS
+	arr, err := p.arrivals(p.opts.Load)
+	if err != nil {
+		return 0, err
+	}
+	res, err := p.replay(context.TODO(), policy, arr) // EvalP99 takes no context
+	if err != nil {
+		return 0, err
+	}
+	return res.Overall.P99MS, nil
 }
 
 // EvalP99 scores one cycle-exact result as a server: it replays the
@@ -51,7 +58,7 @@ func EvalP99(res *prim.Result, policyName string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return evalP99(profileOf(res, energy.ResolveProfile(nil)), res.Benchmark, p), nil
+	return evalP99(profileOf(res, energy.ResolveProfile(nil)), res.Benchmark, p)
 }
 
 // EvalP99Estimate is EvalP99's analytical-tier counterpart: it scores an
@@ -64,5 +71,5 @@ func EvalP99Estimate(totalSeconds float64, benchmark, policyName string) (float6
 	if err != nil {
 		return 0, err
 	}
-	return evalP99(profile{perS: totalSeconds}, benchmark, p), nil
+	return evalP99(profile{perS: totalSeconds}, benchmark, p)
 }

@@ -1,10 +1,9 @@
 package serve
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"upim/internal/artifact"
 )
@@ -52,75 +51,107 @@ func percentile(sorted []float64, p float64) float64 {
 	return sorted[rank-1]
 }
 
-// metricsOf computes Metrics over recs, judging SLO attainment against
-// target (per-tenant target, or 0 overall to use each record's tenant
-// target via targets).
-func metricsOf(recs []Record, makespan float64, targets map[string]float64) Metrics {
-	var m Metrics
-	var lats []float64
-	var sumLat, sumE float64
-	met := 0
-	for _, r := range recs {
-		m.Requests++
-		if r.Dropped {
-			m.Dropped++
-			continue
+// tally accumulates one Metrics over records visited in ID order. Float
+// sums are order-sensitive, so that order — per tenant and overall — is
+// part of the refdata contract.
+type tally struct {
+	requests, dropped, met int
+	sumLat, sumE           float64
+}
+
+// add counts one record; latency is meaningless for a dropped one.
+func (a *tally) add(r *Record, latency, target float64) {
+	a.requests++
+	if r.Dropped {
+		a.dropped++
+		return
+	}
+	a.sumLat += latency
+	a.sumE += r.EnergyUJ
+	if target > 0 && latency <= target {
+		a.met++
+	}
+}
+
+// metrics finishes the tally given its completed latencies, sorted.
+func (a *tally) metrics(sorted []float64, makespan float64) Metrics {
+	m := Metrics{
+		Requests: a.requests,
+		Dropped:  a.dropped,
+		P50MS:    percentile(sorted, 50) * 1e3,
+		P95MS:    percentile(sorted, 95) * 1e3,
+		P99MS:    percentile(sorted, 99) * 1e3,
+	}
+	if done := len(sorted); done > 0 {
+		m.MeanMS = a.sumLat / float64(done) * 1e3
+		m.EnergyPerReqUJ = a.sumE / float64(done)
+		if makespan > 0 {
+			m.ThroughputRPS = float64(done) / makespan
 		}
-		l := r.Latency()
-		lats = append(lats, l)
-		sumLat += l
-		sumE += r.EnergyUJ
-		if r.SLOMet(targets[r.Tenant]) {
-			met++
-		}
 	}
-	sort.Float64s(lats)
-	done := len(lats)
-	m.P50MS = percentile(lats, 50) * 1e3
-	m.P95MS = percentile(lats, 95) * 1e3
-	m.P99MS = percentile(lats, 99) * 1e3
-	if done > 0 {
-		m.MeanMS = sumLat / float64(done) * 1e3
-		m.EnergyPerReqUJ = sumE / float64(done)
-	}
-	if makespan > 0 {
-		m.ThroughputRPS = float64(done) / makespan
-	}
-	if m.Requests > 0 {
-		m.SLOAttained = float64(met) / float64(m.Requests)
+	if a.requests > 0 {
+		m.SLOAttained = float64(a.met) / float64(a.requests)
 	}
 	return m
 }
 
 // computeMetrics produces per-tenant metrics (in tenant order) and the
-// overall aggregate.
-func computeMetrics(tenants []tenant, records []Record) ([]TenantMetrics, Metrics) {
-	targets := make(map[string]float64, len(tenants))
-	for _, t := range tenants {
-		targets[t.Name] = t.SLOTarget
+// overall aggregate in one pass over records, where owner[id] is record
+// id's tenant index and makespan the last finish time. Each tenant's
+// latencies are sorted once; the overall percentiles come from merging
+// those sorted slices.
+func computeMetrics(tenants []tenant, owner []int32, records []Record, makespan float64) ([]TenantMetrics, Metrics) {
+	counts := make([]int, len(tenants))
+	for _, ti := range owner {
+		counts[ti]++
 	}
-	var makespan float64
-	for _, r := range records {
-		if !r.Dropped && r.Finish > makespan {
-			makespan = r.Finish
+	per := make([]tally, len(tenants))
+	lats := make([][]float64, len(tenants))
+	for ti, n := range counts {
+		lats[ti] = make([]float64, 0, n)
+	}
+	var all tally
+	for id := range records {
+		r, ti := &records[id], owner[id]
+		l, target := r.Latency(), tenants[ti].SLOTarget
+		per[ti].add(r, l, target)
+		all.add(r, l, target)
+		if !r.Dropped {
+			lats[ti] = append(lats[ti], l)
 		}
 	}
 	out := make([]TenantMetrics, len(tenants))
-	for i, t := range tenants {
-		var recs []Record
-		for _, r := range records {
-			if r.Tenant == t.Name {
-				recs = append(recs, r)
-			}
-		}
-		out[i] = TenantMetrics{
+	for ti, t := range tenants {
+		slices.Sort(lats[ti])
+		out[ti] = TenantMetrics{
 			Tenant:   t.Name,
 			Class:    t.SLOClass,
 			TargetMS: t.SLOTarget * 1e3,
-			Metrics:  metricsOf(recs, makespan, targets),
+			Metrics:  per[ti].metrics(lats[ti], makespan),
 		}
 	}
-	return out, metricsOf(records, makespan, targets)
+	return out, all.metrics(mergeSorted(lats), makespan)
+}
+
+// mergeSorted merges sorted slices into one sorted slice.
+func mergeSorted(parts [][]float64) []float64 {
+	total := 0
+	for _, p := range parts {
+		total += len(p)
+	}
+	heads := slices.Clone(parts)
+	out := make([]float64, 0, total)
+	for len(out) < total {
+		first := -1
+		for i, h := range heads {
+			if len(h) > 0 && (first < 0 || h[0] < heads[first][0]) {
+				first = i
+			}
+		}
+		out = append(out, heads[first][0])
+		heads[first] = heads[first][1:]
+	}
+	return out
 }
 
 // num renders a full-precision numeric cell: the exact value is what
@@ -192,49 +223,4 @@ func (r *Result) SummaryTable() *artifact.Table {
 	}
 	row("overall", "-", r.Overall)
 	return tab
-}
-
-// LoadSweep serves the same workload at every (policy, load) pair and
-// renders the p50/p99-vs-offered-load artifact — the QoS curve the
-// paper's serving argument turns on. Policies are named (fresh instances
-// per run via NewPolicy, so stateful policies never leak accounting
-// across runs).
-func LoadSweep(ctx context.Context, opts Options, policies []string, loads []float64) (*artifact.Table, error) {
-	base := opts.withDefaults()
-	tab := &artifact.Table{
-		Key:   "serve-load",
-		ID:    "Serve",
-		Title: "p50/p99 latency vs offered load by policy",
-		Scale: base.Scale.String(),
-		Columns: []artifact.Column{
-			{Name: "policy"}, {Name: "load"}, {Name: "tenant"},
-			{Name: "p50", Unit: "ms"}, {Name: "p99", Unit: "ms"},
-			{Name: "throughput", Unit: "req/s"}, {Name: "energy/req", Unit: "uJ"},
-		},
-	}
-	for _, name := range policies {
-		for _, load := range loads {
-			o := opts
-			o.Load = load
-			// Fresh per-run policy: wfq's served-time state must not carry
-			// from one (policy, load) cell to the next.
-			p, err := NewPolicy(name, opts.Tenants)
-			if err != nil {
-				return nil, err
-			}
-			o.Policy = p
-			res, err := Serve(ctx, o)
-			if err != nil {
-				return nil, fmt.Errorf("serve: load sweep %s@%.2f: %w", name, load, err)
-			}
-			for _, t := range res.Tenants {
-				tab.AddRow(
-					artifact.Str(name), num(load), artifact.Str(t.Tenant),
-					num(t.P50MS), num(t.P99MS),
-					num(t.ThroughputRPS), num(t.EnergyPerReqUJ),
-				)
-			}
-		}
-	}
-	return tab, nil
 }

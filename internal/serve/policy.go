@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -105,6 +106,19 @@ type sloAware struct {
 }
 
 func (*sloAware) Name() string { return "slo" }
+
+// withTenantTargets returns a copy of p whose classes without a target
+// take their tenants' resolved ones. p itself is left as constructed, so
+// one instance passed to several runs never carries targets between them.
+func (p *sloAware) withTenantTargets(tenants []tenant) *sloAware {
+	targets := maps.Clone(p.targets)
+	for _, t := range tenants {
+		if _, have := targets[t.SLOClass]; !have && t.SLOTarget > 0 {
+			targets[t.SLOClass] = t.SLOTarget
+		}
+	}
+	return &sloAware{targets: targets}
+}
 
 func (p *sloAware) Pick(pending []*Request, _ float64) int {
 	best := 0

@@ -18,6 +18,10 @@
 //     scheduler batches same-kind requests, and disjoint rank groups serve
 //     batches one at a time.
 //
+// The profiles do not depend on the offered load or the policy, so a run
+// is "prepare once, replay many": Serve is prepare plus one replay, and
+// LoadSweep is prepare plus one replay per (policy, load) cell.
+//
 // No wall clock is ever read: arrivals, service and completion all happen
 // in virtual seconds, so a serving run is a pure function of its options —
 // repeat runs and runs at any engine parallelism produce byte-identical
@@ -139,8 +143,9 @@ type Options struct {
 	Config config.Config
 	// Scale selects dataset sizes for the profiled kernels.
 	Scale prim.Scale
-	// Parallelism bounds the profiling sweep's worker pool (<= 0 =
-	// GOMAXPROCS). It affects wall-clock time only, never results.
+	// Parallelism bounds the worker pools: the profiling sweep's, and the
+	// (policy, load) cells a LoadSweep replays at once (<= 0 = GOMAXPROCS).
+	// It affects wall-clock time only, never results.
 	Parallelism int
 	// Watchdog bounds each profiled launch's per-DPU cycles (0 = default).
 	Watchdog uint64
@@ -149,6 +154,9 @@ type Options struct {
 	// Profile prices the energy accounting (nil = the committed default).
 	Profile *energy.TechProfile
 }
+
+// defaultLoad is the offered load a non-positive Options.Load means.
+const defaultLoad = 0.7
 
 // withDefaults resolves defaulted options (pure; does not mutate o).
 func (o Options) withDefaults() Options {
@@ -168,7 +176,7 @@ func (o Options) withDefaults() Options {
 		o.Requests = 16
 	}
 	if o.Load <= 0 {
-		o.Load = 0.7
+		o.Load = defaultLoad
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -220,6 +228,71 @@ type Result struct {
 	Makespan float64
 }
 
+// finite reports whether v is an ordinary number (not NaN, not ±Inf).
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// validate rejects options the run cannot serve, before defaults apply.
+// Non-finite numbers are errors rather than defaults: a NaN load or rate
+// makes every arrival NaN, which no event of the virtual-time loop ever
+// reaches.
+func (o Options) validate() error {
+	if len(o.Tenants) == 0 {
+		return fmt.Errorf("serve: no tenants (the request stream needs at least one issuer)")
+	}
+	if !finite(o.Load) {
+		return fmt.Errorf("serve: load %v is not a finite number", o.Load)
+	}
+	seen := make(map[string]bool, len(o.Tenants))
+	for i, tn := range o.Tenants {
+		if tn.Name == "" {
+			return fmt.Errorf("serve: tenant %d has no name", i)
+		}
+		if seen[tn.Name] {
+			return fmt.Errorf("serve: duplicate tenant name %q", tn.Name)
+		}
+		seen[tn.Name] = true
+		if len(tn.Mix) == 0 {
+			return fmt.Errorf("serve: tenant %q has an empty benchmark mix", tn.Name)
+		}
+		for _, b := range tn.Mix {
+			if _, err := prim.ByName(b); err != nil {
+				return fmt.Errorf("serve: tenant %q: %w", tn.Name, err)
+			}
+		}
+		for _, f := range []struct {
+			name string
+			v    float64
+		}{{"rate", tn.Rate}, {"weight", tn.Weight}, {"SLO target", tn.SLOTarget}} {
+			if !finite(f.v) {
+				return fmt.Errorf("serve: tenant %q: %s %v is not a finite number", tn.Name, f.name, f.v)
+			}
+		}
+	}
+	return nil
+}
+
+// prepared is a workload ready to replay: the defaulted, validated options
+// and the cycle-exact kernel profiles. The profiles depend only on
+// Config/GroupDPUs/Scale/Watchdog/Profile — never on Load or Policy — so
+// one prepared value serves every (policy, load) cell of a sweep, read-only.
+type prepared struct {
+	opts     Options
+	profiles map[string]profile
+}
+
+// prepare validates opts and profiles the workload's kernels.
+func prepare(ctx context.Context, opts Options) (*prepared, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
+	opts = opts.withDefaults()
+	profiles, err := profileKernels(ctx, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &prepared{opts: opts, profiles: profiles}, nil
+}
+
 // Serve profiles the workload's kernels cycle-exactly and replays the
 // arrival stream through the scheduler. The returned Result is a pure
 // function of opts: repeat runs — at any Parallelism — are identical.
@@ -227,39 +300,15 @@ func Serve(ctx context.Context, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	opts = opts.withDefaults()
-	if len(opts.Tenants) == 0 {
-		return nil, fmt.Errorf("serve: no tenants (the request stream needs at least one issuer)")
-	}
-	for i, tn := range opts.Tenants {
-		if tn.Name == "" {
-			return nil, fmt.Errorf("serve: tenant %d has no name", i)
-		}
-		if len(tn.Mix) == 0 {
-			return nil, fmt.Errorf("serve: tenant %q has an empty benchmark mix", tn.Name)
-		}
-		for _, b := range tn.Mix {
-			if _, err := prim.ByName(b); err != nil {
-				return nil, fmt.Errorf("serve: tenant %q: %w", tn.Name, err)
-			}
-		}
-	}
-
-	profiles, err := profileKernels(ctx, opts)
+	p, err := prepare(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
-	tenants := resolveTenants(opts, profiles)
-	var reqs []Request
-	if len(opts.Trace) > 0 {
-		reqs, err = traceRequests(opts, tenants)
-	} else {
-		reqs = poissonRequests(opts, tenants)
-	}
+	arr, err := p.arrivals(p.opts.Load)
 	if err != nil {
 		return nil, err
 	}
-	return simulate(opts, tenants, profiles, reqs), nil
+	return p.replay(ctx, p.opts.Policy, arr)
 }
 
 // profileKernels simulates every distinct benchmark of the workload once on
@@ -336,9 +385,10 @@ type tenant struct {
 	meanS float64
 }
 
-// resolveTenants fills derived tenant fields: class, weight, SLO target and
-// Poisson rate.
-func resolveTenants(opts Options, profiles map[string]profile) []tenant {
+// tenantsAt fills derived tenant fields — class, weight, SLO target and
+// Poisson rate — for one offered load (only the derived rates depend on it).
+func (p *prepared) tenantsAt(load float64) []tenant {
+	opts := p.opts
 	out := make([]tenant, len(opts.Tenants))
 	var weightSum float64
 	for _, tn := range opts.Tenants {
@@ -360,7 +410,7 @@ func resolveTenants(opts Options, profiles map[string]profile) []tenant {
 			t.Requests = opts.Requests
 		}
 		for _, b := range t.Mix {
-			t.meanS += profiles[b].service(1)
+			t.meanS += p.profiles[b].service(1)
 		}
 		t.meanS /= float64(len(t.Mix))
 		if t.SLOTarget <= 0 {
@@ -370,7 +420,7 @@ func resolveTenants(opts Options, profiles map[string]profile) []tenant {
 			// The tenant's share of the groups' aggregate capacity at the
 			// target offered load: load * groups * (weight fraction) requests
 			// per mean service time.
-			t.Rate = opts.Load * float64(opts.Groups) * (t.Weight / weightSum) / t.meanS
+			t.Rate = load * float64(opts.Groups) * (t.Weight / weightSum) / t.meanS
 		}
 		out[i] = t
 	}

@@ -3,9 +3,13 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"upim/internal/config"
 	"upim/internal/prim"
@@ -360,5 +364,207 @@ func TestLoadSweep(t *testing.T) {
 	j2, _ := json.Marshal(tab2)
 	if string(j1) != string(j2) {
 		t.Errorf("LoadSweep nondeterministic")
+	}
+}
+
+// TestServeRejectsNonFinite is the regression test for a hang: a NaN load
+// or rate made every arrival NaN, which the event loop never reaches, so
+// Serve spun forever. Every non-finite number is now a validation error;
+// the timeout turns a reintroduced hang into a failure, not a stuck run.
+func TestServeRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		mut  func(*Options)
+		want string
+	}{
+		{"NaN load", func(o *Options) { o.Load = nan }, "load NaN"},
+		{"+Inf load", func(o *Options) { o.Load = inf }, "load +Inf"},
+		{"-Inf load", func(o *Options) { o.Load = -inf }, "load -Inf"},
+		{"NaN rate", func(o *Options) { o.Tenants[0].Rate = nan }, "rate NaN"},
+		{"Inf rate", func(o *Options) { o.Tenants[1].Rate = inf }, "rate +Inf"},
+		{"NaN weight", func(o *Options) { o.Tenants[0].Weight = nan }, "weight NaN"},
+		{"Inf SLO target", func(o *Options) { o.Tenants[1].SLOTarget = inf }, "SLO target +Inf"},
+		{"NaN trace arrival", func(o *Options) {
+			o.Trace = []Request{{Tenant: "alpha", Benchmark: "VA", Arrival: nan}}
+		}, "invalid arrival NaN"},
+		{"Inf trace arrival", func(o *Options) {
+			o.Trace = []Request{{Tenant: "alpha", Benchmark: "VA", Arrival: inf}}
+		}, "invalid arrival +Inf"},
+	}
+	within := func(t *testing.T, name, want string, run func() error) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- run() }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: err = %v, want %q", name, err, want)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: still running after 30s (the non-finite value reached the event loop)", name)
+		}
+	}
+	for _, tc := range cases {
+		opts := testOptions()
+		tc.mut(&opts)
+		within(t, tc.name, tc.want, func() error {
+			_, err := Serve(context.Background(), opts)
+			return err
+		})
+	}
+	for _, load := range []float64{nan, inf} {
+		within(t, "sweep load", "is not a finite number", func() error {
+			_, err := LoadSweep(context.Background(), testOptions(), []string{"fifo"}, []float64{0.5, load})
+			return err
+		})
+	}
+}
+
+// TestDuplicateTenantRejected: metrics and traces address tenants by name,
+// so two tenants may not share one.
+func TestDuplicateTenantRejected(t *testing.T) {
+	opts := testOptions()
+	opts.Tenants[1].Name = opts.Tenants[0].Name
+	if _, err := Serve(context.Background(), opts); err == nil || !strings.Contains(err.Error(), "duplicate tenant name") {
+		t.Errorf("err = %v, want duplicate tenant name", err)
+	}
+}
+
+// TestReusedSLOPolicyKeepsNoTargets is the regression test for a state
+// leak: the run used to write its auto-derived class targets into the
+// caller's SLO-aware policy, so an instance reused for a second, different
+// workload scheduled it by the first one's targets.
+func TestReusedSLOPolicyKeepsNoTargets(t *testing.T) {
+	ctx := context.Background()
+	first := testOptions()
+	first.Groups, first.Load, first.MaxBatch = 1, 2.5, 1
+	// Same classes, mixes swapped: the derived targets change hands.
+	second := first
+	second.Tenants = []Tenant{
+		{Name: "alpha", Mix: []string{"BS"}, Weight: 3, SLOClass: "latency"},
+		{Name: "beta", Mix: []string{"VA", "RED"}, Weight: 1, SLOClass: "batch"},
+	}
+
+	reused := SLOAware(nil)
+	first.Policy = reused
+	if _, err := Serve(ctx, first); err != nil {
+		t.Fatalf("first run: %v", err)
+	}
+	second.Policy = reused
+	got, err := Serve(ctx, second)
+	if err != nil {
+		t.Fatalf("second run, reused policy: %v", err)
+	}
+	second.Policy = SLOAware(nil)
+	want, err := Serve(ctx, second)
+	if err != nil {
+		t.Fatalf("second run, fresh policy: %v", err)
+	}
+	if tableJSON(t, got) != tableJSON(t, want) {
+		t.Errorf("a reused SLO policy scheduled the second workload differently from a fresh one")
+	}
+	// The derived targets must matter here, or the test proves nothing.
+	second.Policy = FIFO()
+	plain, err := Serve(ctx, second)
+	if err != nil {
+		t.Fatalf("second run, fifo: %v", err)
+	}
+	if tableJSON(t, plain) == tableJSON(t, want) {
+		t.Fatalf("slo and fifo schedule this workload identically: pick a more contended one")
+	}
+}
+
+// cancelOnPick cancels its context at the n-th Pick, from inside a run.
+type cancelOnPick struct {
+	Policy
+	n      int
+	cancel context.CancelFunc
+}
+
+func (c *cancelOnPick) Pick(pending []*Request, now float64) int {
+	if c.n--; c.n == 0 {
+		c.cancel()
+	}
+	return c.Policy.Pick(pending, now)
+}
+
+// TestReplayObservesCancel: a single long replay stops at its next coarse
+// context check instead of running to the end of the stream.
+func TestReplayObservesCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := testOptions()
+	opts.Requests = 4 * ctxCheckEvents
+	picker := &cancelOnPick{Policy: FIFO(), n: 10, cancel: cancel}
+	opts.Policy = picker
+	res, err := Serve(ctx, opts)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Serve cancelled mid-replay: res %v, err %v; want context.Canceled", res != nil, err)
+	}
+	if served := -picker.n; served > 2*ctxCheckEvents {
+		t.Errorf("replay made %d more picks after the cancel, want at most ~%d", served, ctxCheckEvents)
+	}
+}
+
+// errAfter is a context that cancels itself at the n-th Err call — a
+// deterministic way to cancel a sweep between two of its cells.
+type errAfter struct {
+	context.Context
+	cancel context.CancelFunc
+	calls  atomic.Int64
+	n      int64
+}
+
+func (c *errAfter) Err() error {
+	if c.calls.Add(1) == c.n {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestLoadSweepCancellation: a pre-cancelled context starts nothing; one
+// cancelled mid-sweep stops the sweep from starting further cells. Both
+// return the context's error, and the sweep's workers are gone on return.
+func TestLoadSweepCancellation(t *testing.T) {
+	policies := []string{"fifo", "wfq", "slo"}
+	loads := []float64{0.5, 0.8, 1.1, 1.4}
+	before := runtime.NumGoroutine()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := LoadSweep(ctx, testOptions(), policies, loads); !errors.Is(err, context.Canceled) {
+		t.Errorf("pre-cancelled LoadSweep: err = %v, want context.Canceled", err)
+	}
+
+	// Mid-sweep: profile under a live context, then sweep under one that
+	// cancels at its 4th Err call. Two workers spend one call each to start
+	// a cell, so the cancel lands while cells 3+ of 12 have yet to start.
+	opts := testOptions()
+	opts.Parallelism = 2
+	p, err := prepare(context.Background(), opts)
+	if err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	inner, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	mid := &errAfter{Context: inner, cancel: cancel, n: 4}
+	if _, err := p.sweep(mid, policies, loads); !errors.Is(err, context.Canceled) {
+		t.Errorf("mid-sweep cancel: err = %v, want context.Canceled", err)
+	}
+	// Every later cell would cost a worker another Err call: 12 cells
+	// started would take at least 12. Each worker sees the cancel on its
+	// next call, and the sweep itself checks once more at the end.
+	if calls := mid.calls.Load(); calls > 4+2+1 {
+		t.Errorf("sweep made %d Err calls: it kept starting cells after the cancel at call 4", calls)
+	}
+
+	// LoadSweep waits for its workers, so none may outlive it; the engine's
+	// profiling goroutines get a moment to wind down.
+	for i := 0; runtime.NumGoroutine() > before && i < 100; i++ {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines before the sweeps, %d after", before, after)
 	}
 }

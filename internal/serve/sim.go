@@ -1,124 +1,122 @@
 package serve
 
-import "math"
+import (
+	"context"
+	"math"
+	"slices"
+)
 
-// group is one disjoint DPU rank group: it serves one batch at a time
-// and is free again at busyUntil.
-type group struct {
-	busyUntil float64
-	// batch holds the in-flight requests' record indices.
-	batch []int
-}
+// ctxCheckEvents is how many events a replay handles between looks at its
+// context: coarse enough to cost nothing, fine enough that a cancelled
+// long replay stops within microseconds.
+const ctxCheckEvents = 4096
 
-// simulate replays the arrival stream through the scheduler in virtual
-// time. The loop is strictly single-threaded and event-driven — the next
-// event is always the earlier of the next arrival and the earliest group
-// completion — so the outcome is a pure function of (requests, profiles,
-// policy), independent of host parallelism and wall clock.
-func simulate(opts Options, tenants []tenant, profiles map[string]profile, reqs []Request) *Result {
+// replay runs one (policy, load) cell: the arrival stream through the
+// scheduler in virtual time. The loop is strictly single-threaded and
+// event-driven — the next event is always the earlier of the next arrival
+// and the earliest group completion — so the outcome is a pure function of
+// (requests, profiles, policy), independent of host parallelism and wall
+// clock. It reads p and arr without writing either, so cells sharing them
+// may run concurrently; the only error is ctx's.
+func (p *prepared) replay(ctx context.Context, policy Policy, arr *arrivals) (*Result, error) {
+	opts, reqs := p.opts, arr.reqs
 	records := make([]Record, len(reqs))
-	for i, r := range reqs {
-		records[i] = Record{Request: r}
+	for i := range reqs {
+		records[i].Request = reqs[i]
 	}
 
-	// Resolve the SLO-aware policy's missing class targets from the
-	// tenants' resolved (possibly auto-derived) targets, so "slo" means
-	// the same thing whether targets were given explicitly or derived.
-	if p, ok := opts.Policy.(*sloAware); ok {
-		for _, t := range tenants {
-			if _, have := p.targets[t.SLOClass]; !have && t.SLOTarget > 0 {
-				p.targets[t.SLOClass] = t.SLOTarget
-			}
-		}
+	// An SLO-aware policy's missing class targets come from the tenants'
+	// resolved (possibly auto-derived) targets, so "slo" means the same
+	// thing whether targets were given explicitly or derived. The filled-in
+	// targets live in a per-run copy: the caller's policy is not touched.
+	if slo, ok := policy.(*sloAware); ok {
+		policy = slo.withTenantTargets(arr.tenants)
 	}
 
-	groups := make([]group, opts.Groups)
-	var pending []*Request // arrival-ordered queue of admitted requests
-	next := 0              // next arrival index into reqs
+	busyUntil := make([]float64, opts.Groups) // per rank group: free again at
+	var pending []*Request                    // arrival-ordered queue of admitted requests
+	batch := make([]int, 0, opts.MaxBatch)    // queue positions of one launch, ascending
+	next := 0                                 // next arrival index into reqs
 	now := 0.0
 	makespan := 0.0
 
 	// dispatch fills every idle group from the pending queue at time now.
 	dispatch := func() {
-		for gi := range groups {
+		for gi := range busyUntil {
 			if len(pending) == 0 {
 				return
 			}
-			g := &groups[gi]
-			if g.busyUntil > now {
+			if busyUntil[gi] > now {
 				continue
 			}
-			pick := opts.Policy.Pick(pending, now)
+			pick := policy.Pick(pending, now)
 			lead := pending[pick]
 			// Extend the picked request into a batch: queued requests of
 			// the same (tenant, benchmark) ride the same launch, in queue
 			// order, up to MaxBatch — one input staging amortized over all.
-			batch := []int{lead.ID}
-			for i := 0; i < len(pending) && len(batch) < opts.MaxBatch; i++ {
-				r := pending[i]
-				if r.ID != lead.ID && r.Tenant == lead.Tenant && r.Benchmark == lead.Benchmark {
-					batch = append(batch, r.ID)
+			batch = batch[:0]
+			for i := 0; i < len(pending) && len(batch) < opts.MaxBatch-1; i++ {
+				if r := pending[i]; i != pick && r.Tenant == lead.Tenant && r.Benchmark == lead.Benchmark {
+					batch = append(batch, i)
 				}
 			}
-			// Remove the batch from the queue, preserving arrival order.
-			inBatch := make(map[int]bool, len(batch))
-			for _, id := range batch {
-				inBatch[id] = true
-			}
-			kept := pending[:0]
-			for _, r := range pending {
-				if !inBatch[r.ID] {
-					kept = append(kept, r)
-				}
-			}
-			pending = kept
+			at, _ := slices.BinarySearch(batch, pick)
+			batch = slices.Insert(batch, at, pick) // within capacity: no allocation
 
-			p := profiles[lead.Benchmark]
+			prof := p.profiles[lead.Benchmark]
 			k := len(batch)
-			svc := p.service(k)
+			svc := prof.service(k)
 			finish := now + svc
-			euj := p.energyPerReq(k)
-			for _, id := range batch {
-				rec := &records[id]
+			euj := prof.energyPerReq(k)
+			for _, i := range batch {
+				rec := &records[pending[i].ID]
 				rec.Start = now
 				rec.Finish = finish
 				rec.Batch = k
 				rec.EnergyUJ = euj
 			}
-			g.busyUntil = finish
-			g.batch = append(g.batch[:0], batch...)
+			// Remove the batch from the queue, preserving arrival order:
+			// everything before its first member stays where it is.
+			w := batch[0]
+			for bi, i := range batch {
+				end := len(pending)
+				if bi+1 < k {
+					end = batch[bi+1]
+				}
+				w += copy(pending[w:], pending[i+1:end])
+			}
+			pending = pending[:w]
+
+			busyUntil[gi] = finish
 			if finish > makespan {
 				makespan = finish
 			}
-			opts.Policy.Served(lead.Tenant, svc)
+			policy.Served(lead.Tenant, svc)
 		}
 	}
 
-	for next < len(reqs) || len(pending) > 0 || anyBusy(groups, now) {
+	for events := 1; next < len(reqs) || len(pending) > 0 || anyBusy(busyUntil, now); events++ {
+		if events%ctxCheckEvents == 0 && ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
 		// Advance virtual time to the next event: the earlier of the next
-		// arrival and the earliest in-flight completion.
+		// arrival and the earliest in-flight completion (a group that frees
+		// at t can serve a request arriving at t).
 		tNext := math.Inf(1)
 		if next < len(reqs) {
 			tNext = reqs[next].Arrival
 		}
-		for gi := range groups {
-			if g := &groups[gi]; g.busyUntil > now && g.busyUntil < tNext {
-				tNext = g.busyUntil
+		for _, t := range busyUntil {
+			if t > now && t < tNext {
+				tNext = t
 			}
 		}
 		now = tNext
 
-		// Completions strictly before new arrivals at the same instant:
-		// a group that frees at t can serve a request arriving at t.
-		for gi := range groups {
-			if g := &groups[gi]; len(g.batch) > 0 && g.busyUntil <= now {
-				g.batch = g.batch[:0]
-			}
-		}
 		// Admit every arrival at this instant (tie-ordered by ID).
 		for next < len(reqs) && reqs[next].Arrival <= now {
 			if opts.MaxQueue > 0 && len(pending) >= opts.MaxQueue {
-				records[reqs[next].ID].Dropped = true
+				records[next].Dropped = true
 			} else {
 				pending = append(pending, &reqs[next])
 			}
@@ -128,21 +126,21 @@ func simulate(opts Options, tenants []tenant, profiles map[string]profile, reqs 
 	}
 
 	res := &Result{
-		PolicyName: opts.Policy.Name(),
+		PolicyName: policy.Name(),
 		Groups:     opts.Groups,
 		GroupDPUs:  opts.GroupDPUs,
-		Load:       opts.Load,
+		Load:       arr.load,
 		Scale:      opts.Scale,
 		Records:    records,
 		Makespan:   makespan,
 	}
-	res.Tenants, res.Overall = computeMetrics(tenants, records)
-	return res
+	res.Tenants, res.Overall = computeMetrics(arr.tenants, arr.owner, records, makespan)
+	return res, nil
 }
 
-func anyBusy(groups []group, now float64) bool {
-	for i := range groups {
-		if groups[i].busyUntil > now {
+func anyBusy(busyUntil []float64, now float64) bool {
+	for _, t := range busyUntil {
+		if t > now {
 			return true
 		}
 	}

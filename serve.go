@@ -77,7 +77,9 @@ func Serve(ctx context.Context, opts ServeOptions) (*ServeResult, error) {
 
 // ServeLoadSweep serves the same workload at every (policy, load) pair
 // and returns the p50/p99-vs-offered-load artifact table — the QoS curve
-// of the serving evaluation.
+// of the serving evaluation. The kernels are profiled once for the whole
+// sweep and the cells replay on up to opts.Parallelism workers; the table
+// is identical to one built from a Serve call per cell.
 func ServeLoadSweep(ctx context.Context, opts ServeOptions, policies []string, loads []float64) (*artifact.Table, error) {
 	return serve.LoadSweep(ctx, opts, policies, loads)
 }
