@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race race cover bench bench-diff fmt vet report refdata pathfind-smoke coord-smoke serve-smoke energy-check arch-check calibration-check
+.PHONY: build test test-race race cover bench bench-diff bench-module fmt vet report refdata pathfind-smoke coord-smoke serve-smoke energy-check arch-check calibration-check
 
 build:
 	$(GO) build ./...
@@ -49,9 +49,11 @@ serve-smoke:
 
 # energy-check mirrors the CI job: regenerate the energy breakdown at tiny
 # scale, validate it against the committed reference at eps 1e-12, and leave
-# the browsable report under energy-report/.
+# the browsable report under energy-report/. An unknown -scale must be an
+# error, never a silent run at the zero scale (tiny).
 energy-check:
 	$(GO) run ./cmd/figures -exp energy -scale tiny -out energy-report -check -eps 1e-12
+	! $(GO) run ./cmd/figures -exp table1 -scale bogus
 
 # arch-check mirrors the CI job: the canonical cross-architecture Pareto
 # frontier run (UPMEM DPU vs HBM-PIM bank-level MAC over GEMV and VA),
@@ -94,6 +96,13 @@ bench:
 # steadies ns/op.
 bench-diff:
 	BENCHTIME=$(BENCHTIME) BENCH=$(BENCH) BASELINE=$(BASELINE) DIFFOUT=$(DIFFOUT) ./scripts/bench_diff.sh
+
+# bench-module builds and tests the separate upim/benchmark module
+# (benchmark/go.mod, `replace upim => ../`): root `go build/test ./...` do
+# not descend into it, so this is what catches a root API change breaking
+# the repo benchmark before the benchmark is next run.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi

@@ -21,7 +21,7 @@ func runExp(b *testing.B, id string, names ...string) *upim.ResultTable {
 	var tab *upim.ResultTable
 	for i := 0; i < b.N; i++ {
 		var err error
-		tab, err = upim.RunExperiment(id, opts)
+		tab, err = upim.RunExperimentContext(context.Background(), id, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

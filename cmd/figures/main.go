@@ -77,10 +77,12 @@ func run() int {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer cancel()
 
-	opts := upim.ExperimentOptions{
-		Scale:       map[string]upim.Scale{"tiny": upim.ScaleTiny, "small": upim.ScaleSmall, "paper": upim.ScalePaper}[*scale],
-		Parallelism: *jobs,
+	sc, err := upim.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "figures:", err)
+		return 2
 	}
+	opts := upim.ExperimentOptions{Scale: sc, Parallelism: *jobs}
 	if *bench != "" {
 		opts.Benchmarks = strings.Split(*bench, ",")
 	}

@@ -32,9 +32,9 @@ func runCalibrate(args []string) int {
 	)
 	fs.Parse(args)
 
-	sc, ok := map[string]upim.Scale{"tiny": upim.ScaleTiny, "small": upim.ScaleSmall, "paper": upim.ScalePaper}[*scale]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "pathfind calibrate: unknown scale %q (want tiny, small or paper)\n", *scale)
+	sc, err := upim.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pathfind calibrate:", err)
 		return 2
 	}
 	opts := upim.FitCalibrationOptions{Name: *name, Scale: sc, Parallelism: *jobs}

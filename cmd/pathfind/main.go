@@ -128,9 +128,9 @@ func run() int {
 	)
 	flag.Parse()
 
-	sc, ok := map[string]upim.Scale{"tiny": upim.ScaleTiny, "small": upim.ScaleSmall, "paper": upim.ScalePaper}[*scale]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "pathfind: unknown scale %q (want tiny, small or paper)\n", *scale)
+	sc, err := upim.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pathfind:", err)
 		return 2
 	}
 	axes, err := upim.ParseAxes(*axesSpec)

@@ -51,9 +51,9 @@ func runServe(args []string) int {
 		handler = upim.NewResultStoreServer(store)
 		fmt.Fprintf(os.Stderr, "pathfind serve: store %s on %s (store only; add -bench for a coordinator)\n", *storeDir, *addr)
 	} else {
-		sc, ok := map[string]upim.Scale{"tiny": upim.ScaleTiny, "small": upim.ScaleSmall, "paper": upim.ScalePaper}[*scale]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "pathfind serve: unknown scale %q (want tiny, small or paper)\n", *scale)
+		sc, err := upim.ParseScale(*scale)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "pathfind serve:", err)
 			return 2
 		}
 		axes, err := upim.ParseAxes(*axesSpec)
@@ -84,7 +84,14 @@ func runServe(args []string) int {
 			handle.Points(), *storeDir, *addr)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: handler}
+	// Fixed bounds on what a slow or idle peer can hold open; request bodies
+	// are capped per route by the handlers.
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           handler,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 

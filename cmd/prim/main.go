@@ -50,10 +50,10 @@ func run() int {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer cancel()
 
-	sc, ok := map[string]upim.Scale{"tiny": upim.ScaleTiny, "small": upim.ScaleSmall, "paper": upim.ScalePaper}[*scale]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "prim: unknown scale %q\n", *scale)
-		return 1
+	sc, err := upim.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "prim:", err)
+		return 2
 	}
 	var prof *upim.TechProfile // nil = the committed default profile
 	if *profile != "" {

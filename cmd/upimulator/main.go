@@ -65,16 +65,10 @@ func main() {
 		upim.WithDPUs(*dpus),
 		upim.WithILP(*ilp),
 	}
-	var sc upim.Scale
-	switch *scale {
-	case "tiny":
-		sc = upim.ScaleTiny
-	case "small":
-		sc = upim.ScaleSmall
-	case "paper":
-		sc = upim.ScalePaper
-	default:
-		fatal(fmt.Errorf("unknown scale %q", *scale))
+	sc, err := upim.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "upimulator:", err)
+		os.Exit(2)
 	}
 	opts = append(opts, upim.WithScale(sc))
 

@@ -57,9 +57,9 @@ func serveMain(args []string) int {
 	)
 	fs.Parse(args)
 
-	sc, ok := map[string]upim.Scale{"tiny": upim.ScaleTiny, "small": upim.ScaleSmall, "paper": upim.ScalePaper}[*scale]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "upimulator serve: unknown scale %q\n", *scale)
+	sc, err := upim.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "upimulator serve:", err)
 		return 2
 	}
 	tn, err := parseTenants(*tenants)

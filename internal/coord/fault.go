@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"upim/internal/engine"
-	"upim/internal/estimate"
 	"upim/internal/explore"
 	"upim/internal/prim"
 )
@@ -120,8 +119,9 @@ func (f *faultRun) corruptPut() (seq int, corrupt bool) {
 }
 
 // faultBackend wraps the run's store backend so CorruptPuts can tear exact
-// writes after they land. Only worker writes route through it — the final
-// merge uses the clean backend, so repairs stick.
+// writes after they land (estimate writes pass through the embedded backend
+// untouched: a torn exact entry is the expensive failure). Only worker writes
+// route through it — the final merge uses the clean backend, so repairs stick.
 type faultBackend struct {
 	explore.Backend
 	faults *faultRun
@@ -156,10 +156,4 @@ func (fb *faultBackend) Put(key string, p engine.Point, res *prim.Result) error 
 		fb.log.point(EventPutCorrupt, fb.worker, -1, -1, key, nil)
 	}
 	return nil
-}
-
-// PutEstimate passes through untouched — fault corruption targets exact
-// writes, where a torn entry is the expensive failure.
-func (fb *faultBackend) PutEstimate(key string, p engine.Point, est *estimate.Estimate) error {
-	return fb.Backend.PutEstimate(key, p, est)
 }

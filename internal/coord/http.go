@@ -1,18 +1,15 @@
 package coord
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 
-	"upim/internal/engine"
 	"upim/internal/explore"
+	"upim/internal/httpjson"
 	"upim/internal/prim"
 )
 
@@ -106,8 +103,8 @@ func NewServer(c *Coordinator, spec SpaceSpec) *Server {
 	s := &Server{c: c, spec: spec, mux: http.NewServeMux()}
 	s.mux.HandleFunc("GET /v1/space", s.handleSpace)
 	s.mux.HandleFunc("POST /v1/lease", s.handleLease)
-	s.mux.HandleFunc("POST /v1/renew", s.handleRenew)
-	s.mux.HandleFunc("POST /v1/complete", s.handleComplete)
+	s.mux.HandleFunc("POST /v1/renew", func(w http.ResponseWriter, r *http.Request) { s.handleLeaseOp(w, r, c.Renew) })
+	s.mux.HandleFunc("POST /v1/complete", func(w http.ResponseWriter, r *http.Request) { s.handleLeaseOp(w, r, c.Complete) })
 	s.mux.HandleFunc("GET /v1/status", s.handleStatus)
 	return s
 }
@@ -124,16 +121,14 @@ func (s *Server) Register(mux *http.ServeMux) {
 	mux.Handle("/v1/status", s)
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
-}
+// maxLeaseBody caps lease-protocol bodies in both directions; the largest
+// honest one is a work unit of a few hundred bytes.
+const maxLeaseBody = 1 << 20
 
-// decodeInto strictly decodes a small JSON request body.
+// decodeInto strictly decodes a small JSON request body, answering 400
+// itself when the body is malformed or oversized.
 func decodeInto(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := httpjson.Decode(w, r, maxLeaseBody, v); err != nil {
 		http.Error(w, "malformed request body: "+err.Error(), http.StatusBadRequest)
 		return false
 	}
@@ -141,7 +136,7 @@ func decodeInto(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 func (s *Server) handleSpace(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.spec)
+	httpjson.Write(w, s.spec)
 }
 
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
@@ -154,18 +149,10 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if u := s.c.Lease(req.Worker); u != nil {
-		writeJSON(w, leaseResponse{Unit: u})
+		httpjson.Write(w, leaseResponse{Unit: u})
 		return
 	}
-	writeJSON(w, leaseResponse{Done: s.c.Done()})
-}
-
-func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
-	s.handleLeaseOp(w, r, s.c.Renew)
-}
-
-func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
-	s.handleLeaseOp(w, r, s.c.Complete)
+	httpjson.Write(w, leaseResponse{Done: s.c.Done()})
 }
 
 func (s *Server) handleLeaseOp(w http.ResponseWriter, r *http.Request, op func(string) error) {
@@ -184,133 +171,37 @@ func (s *Server) handleLeaseOp(w http.ResponseWriter, r *http.Request, op func(s
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.c.Snapshot())
+	httpjson.Write(w, s.c.Snapshot())
 }
 
-// ClientOptions tune a coordination Client, mirroring explore.HTTPStoreOptions.
-type ClientOptions struct {
-	// Timeout bounds each HTTP call (default 30s).
-	Timeout time.Duration
-	// Retries is how many times a failed call is retried (default 3). Only
-	// transport errors and 5xx responses retry; 4xx responses — including the
-	// 409 stale-lease conflict — never do.
-	Retries int
-	// Backoff is the first retry delay, doubling per attempt (default 100ms).
-	Backoff time.Duration
-	// Client overrides the HTTP client (tests).
-	Client *http.Client
-}
+// ClientOptions tune a coordination Client — the same per-call timeout,
+// retry and backoff options as the store client, so one value configures
+// both halves of a remote worker.
+type ClientOptions = httpjson.Options
 
 // Client speaks the lease protocol to a remote coordination Server. It
 // implements LeaseClient.
-type Client struct {
-	base    string
-	hc      *http.Client
-	timeout time.Duration
-	retries int
-	backoff time.Duration
-}
+type Client struct{ c *httpjson.Client }
 
 // DialCoordinator prepares a lease-protocol client for baseURL (no I/O yet).
 func DialCoordinator(baseURL string, opts ClientOptions) (*Client, error) {
-	if !strings.HasPrefix(baseURL, "http://") && !strings.HasPrefix(baseURL, "https://") {
-		return nil, fmt.Errorf("coord: coordinator URL %q must start with http:// or https://", baseURL)
+	c, err := httpjson.Dial(baseURL, maxLeaseBody, opts)
+	if err != nil {
+		return nil, fmt.Errorf("coord: coordinator: %w", err)
 	}
-	if opts.Timeout <= 0 {
-		opts.Timeout = 30 * time.Second
-	}
-	if opts.Retries == 0 {
-		opts.Retries = 3
-	}
-	if opts.Retries < 0 {
-		opts.Retries = 0
-	}
-	if opts.Backoff <= 0 {
-		opts.Backoff = 100 * time.Millisecond
-	}
-	hc := opts.Client
-	if hc == nil {
-		hc = &http.Client{}
-	}
-	return &Client{
-		base:    strings.TrimSuffix(baseURL, "/"),
-		hc:      hc,
-		timeout: opts.Timeout,
-		retries: opts.Retries,
-		backoff: opts.Backoff,
-	}, nil
+	return &Client{c: c}, nil
 }
 
-// errConflict carries a 409 stale-lease response out of the retry loop.
-var errConflict = errors.New("coord: stale lease")
-
-// call runs one JSON round trip with retry/backoff. A nil out discards the
-// response body; status 204 decodes nothing.
+// call runs one lease-protocol round trip. A 409 is the protocol's "your
+// lease is gone" and maps back to ErrLeaseLost; it is a 4xx, so it is never
+// retried.
 func (c *Client) call(method, path string, body, out any) error {
-	var payload []byte
-	if body != nil {
-		var err error
-		if payload, err = json.Marshal(body); err != nil {
-			return fmt.Errorf("coord: encoding %s body: %w", path, err)
-		}
+	err := c.c.Do(method, path, body, out)
+	if httpjson.IsStatus(err, http.StatusConflict) {
+		return ErrLeaseLost
 	}
-	var lastErr error
-	for attempt := 0; attempt <= c.retries; attempt++ {
-		if attempt > 0 {
-			time.Sleep(c.backoff << (attempt - 1))
-		}
-		lastErr = c.once(method, path, payload, out)
-		if lastErr == nil || errors.Is(lastErr, errConflict) {
-			return lastErr
-		}
-		var st errHTTPStatus
-		if errors.As(lastErr, &st) && st >= 400 && st < 500 {
-			break // client errors are not transient
-		}
-	}
-	return lastErr
-}
-
-// errHTTPStatus is a non-2xx response status.
-type errHTTPStatus int
-
-func (e errHTTPStatus) Error() string { return fmt.Sprintf("coord: server returned %d", int(e)) }
-
-func (c *Client) once(method, path string, payload []byte, out any) error {
-	ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
-	defer cancel()
-	var body io.Reader
-	if payload != nil {
-		body = bytes.NewReader(payload)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
-		return err
-	}
-	if payload != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-		_ = resp.Body.Close()
-	}()
-	switch {
-	case resp.StatusCode == http.StatusConflict:
-		return errConflict
-	case resp.StatusCode < 200 || resp.StatusCode >= 300:
-		return errHTTPStatus(resp.StatusCode)
-	}
-	if out == nil {
-		return nil
-	}
-	dec := json.NewDecoder(io.LimitReader(resp.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(out); err != nil {
-		return fmt.Errorf("coord: decoding %s response: %w", path, err)
+		return fmt.Errorf("coord: %w", err)
 	}
 	return nil
 }
@@ -351,20 +242,12 @@ func (c *Client) Lease(worker string) (*WorkUnit, bool, error) {
 
 // Renew implements LeaseClient. A 409 maps back to ErrLeaseLost.
 func (c *Client) Renew(lease string) error {
-	return c.leaseOp("/v1/renew", lease)
+	return c.call(http.MethodPost, "/v1/renew", renewRequest{Lease: lease}, nil)
 }
 
 // Complete implements LeaseClient. A 409 maps back to ErrLeaseLost.
 func (c *Client) Complete(lease string) error {
-	return c.leaseOp("/v1/complete", lease)
-}
-
-func (c *Client) leaseOp(path, lease string) error {
-	err := c.call(http.MethodPost, path, renewRequest{Lease: lease}, nil)
-	if errors.Is(err, errConflict) {
-		return ErrLeaseLost
-	}
-	return err
+	return c.call(http.MethodPost, "/v1/complete", renewRequest{Lease: lease}, nil)
 }
 
 // WorkOptions configure one remote worker process (pathfind work).
@@ -413,12 +296,7 @@ func Work(ctx context.Context, opts WorkOptions) error {
 	if err != nil {
 		return err
 	}
-	store, err := explore.DialStore(opts.Connect, explore.HTTPStoreOptions{
-		Timeout: opts.Client.Timeout,
-		Retries: opts.Client.Retries,
-		Backoff: opts.Client.Backoff,
-		Client:  opts.Client.Client,
-	})
+	store, err := explore.DialStore(opts.Connect, opts.Client)
 	if err != nil {
 		return err
 	}
@@ -437,10 +315,8 @@ func Work(ctx context.Context, opts WorkOptions) error {
 	w := &worker{
 		name:      name,
 		api:       api,
-		backend:   store,
-		eng:       engine.NewWithCache(1, prim.NewBuildCache()),
+		ex:        explore.New(explore.Options{Parallelism: 1, Watchdog: watchdog, Store: store}),
 		pts:       pts,
-		watchdog:  watchdog,
 		log:       log,
 		heartbeat: opts.Heartbeat,
 		poll:      poll,

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"upim/internal/engine"
 	"upim/internal/explore"
 	"upim/internal/prim"
 )
@@ -211,7 +210,6 @@ func Run(ctx context.Context, space *explore.Space, opts Options) (*explore.Expl
 	if cache == nil {
 		cache = prim.NewBuildCache()
 	}
-	eng := engine.NewWithCache(1, cache)
 	track := &tracker{
 		total:      len(pts),
 		outcomes:   make(map[int]explore.Outcome, len(pts)),
@@ -239,16 +237,19 @@ func Run(ctx context.Context, space *explore.Space, opts Options) (*explore.Expl
 					incarnation: inc,
 					name:        name,
 					api:         localLease{c},
-					backend:     newWorkerBackend(opts.Store, faults, log, name),
-					eng:         eng,
-					pts:         pts,
-					watchdog:    opts.Watchdog,
-					plan:        plan,
-					faults:      faults,
-					log:         log,
-					heartbeat:   opts.Heartbeat,
-					poll:        poll,
-					track:       track,
+					ex: explore.New(explore.Options{
+						Parallelism: 1,
+						Watchdog:    opts.Watchdog,
+						Store:       newWorkerBackend(opts.Store, faults, log, name),
+						Cache:       cache,
+					}),
+					pts:       pts,
+					plan:      plan,
+					faults:    faults,
+					log:       log,
+					heartbeat: opts.Heartbeat,
+					poll:      poll,
+					track:     track,
 				}
 				err := w.run(ctx)
 				if errors.Is(err, errWorkerKilled) {

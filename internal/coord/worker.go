@@ -7,8 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"upim/internal/core"
-	"upim/internal/engine"
 	"upim/internal/explore"
 )
 
@@ -42,10 +40,12 @@ type worker struct {
 	incarnation int
 	name        string
 	api         LeaseClient
-	backend     explore.Backend // fault-wrapped when a FaultPlan corrupts writes
-	eng         *engine.Engine
-	pts         []explore.Point
-	watchdog    uint64
+	// ex resolves points through the store, one at a time on the worker's
+	// goroutine (its one-slot engine recycles a single DPU-shell arena across
+	// points and shards). Its store is fault-wrapped when a FaultPlan
+	// corrupts writes.
+	ex  *explore.Explorer
+	pts []explore.Point
 	// plan carries tier-A estimates and band membership for tiered runs;
 	// nil means every point simulates cycle-exactly.
 	plan      *explore.BandPlan
@@ -54,11 +54,6 @@ type worker struct {
 	heartbeat time.Duration // 0: TTL/3 from each unit
 	poll      time.Duration
 	track     *tracker
-	// arena recycles DPU shells across this worker's points. The worker loop
-	// is single-goroutine (one point at a time), satisfying the arena's
-	// single-owner rule; it survives shard boundaries and incarnations reuse
-	// a fresh one.
-	arena *core.Arena
 }
 
 // run is the worker main loop. It returns nil when the coordinator reports
@@ -184,48 +179,22 @@ func (w *worker) shard(ctx context.Context, u *WorkUnit) error {
 	return nil
 }
 
-// point resolves one point of a leased shard through the store: estimate
-// fidelity for out-of-band tiered points, otherwise store hit or cycle-exact
-// simulation. Failures are recorded, not fatal — the shard completes and the
-// final merge surfaces per-point errors, matching the Explore contract.
+// point resolves one point of a leased shard through the store (lookup →
+// simulate → commit, explore.Explorer.Resolve) and reports what happened.
+// Failures are recorded, not fatal — the shard completes and the final merge
+// surfaces per-point errors, matching the Explore contract.
 func (w *worker) point(ctx context.Context, u *WorkUnit, i int) {
-	p := w.pts[i]
-	ep := p.EP
-	if ep.Watchdog == 0 {
-		ep.Watchdog = w.watchdog
+	o := w.ex.Resolve(ctx, w.pts[i], i, w.plan)
+	typ := EventPointSimulated
+	switch {
+	case o.Err != nil:
+		typ = EventPointFailed
+	case o.Cached:
+		typ = EventPointCached
+	case o.Fidelity == explore.FidelityEstimate:
+		typ = EventPointEstimated
 	}
-	key := explore.KeyOf(ep)
-	if w.plan != nil && !w.plan.InBand[i] {
-		o := explore.Outcome{Point: p, Index: i, Key: key, Estimate: w.plan.Estimates[i], Fidelity: explore.FidelityEstimate}
-		if err := w.backend.PutEstimate(key, ep, w.plan.Estimates[i]); err != nil {
-			o.Err, o.Fidelity = err, ""
-			w.log.point(EventPointFailed, w.name, u.Shard, i, key, err)
-		} else {
-			w.log.point(EventPointEstimated, w.name, u.Shard, i, key, nil)
-		}
-		w.track.record(o)
-		return
-	}
-	if res, ok := w.backend.Get(key); ok {
-		w.log.point(EventPointCached, w.name, u.Shard, i, key, nil)
-		w.track.record(explore.Outcome{Point: p, Index: i, Key: key, Result: res, Cached: true, Fidelity: explore.FidelityExact})
-		return
-	}
-	if w.arena == nil {
-		w.arena = core.NewArena()
-	}
-	res, err := w.eng.RunInArena(ctx, ep, w.arena)
-	o := explore.Outcome{Point: p, Index: i, Key: key, Result: res}
-	if err == nil && res != nil {
-		err = w.backend.Put(key, ep, res)
-	}
-	if err != nil {
-		o.Err, o.Result = err, nil
-		w.log.point(EventPointFailed, w.name, u.Shard, i, key, err)
-	} else {
-		o.Fidelity = explore.FidelityExact
-		w.log.point(EventPointSimulated, w.name, u.Shard, i, key, nil)
-	}
+	w.log.point(typ, w.name, u.Shard, i, o.Key, o.Err)
 	w.track.record(o)
 }
 

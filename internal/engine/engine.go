@@ -133,9 +133,9 @@ func (e *Engine) Run(ctx context.Context, p Point) (*prim.Result, error) {
 
 // RunInArena executes a single point drawing DPU shells from arena (nil
 // degrades to plain allocation). The arena is single-owner: callers running
-// a resident point loop — the sweep workers here, the coordinator's worker
-// loop — hold one arena each and pass it to every run, which keeps
-// steady-state execution free of per-point simulator allocations.
+// a resident point loop — the sweep workers here — hold one arena each and
+// pass it to every run, which keeps steady-state execution free of per-point
+// simulator allocations.
 //
 // The point's machine description selects the architecture backend; every
 // backend receives the same uniform workload, so the UPMEM fast path and

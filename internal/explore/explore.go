@@ -54,9 +54,10 @@ type Outcome struct {
 	Index int
 	// Key is the point's content address in the store.
 	Key string
-	// Result is the verified simulation result (nil when Err is set, the
-	// exploration was cancelled before the point ran, or the point was
-	// triaged to estimate fidelity by a two-tier exploration).
+	// Result is the verified simulation result (nil when the simulation
+	// failed, the exploration was cancelled before the point ran, or the
+	// point was triaged to estimate fidelity by a two-tier exploration). A
+	// result that failed to persist stays here beside the store error in Err.
 	Result *prim.Result
 	// Fidelity is FidelityExact when Result is set, FidelityEstimate when the
 	// point carries only a tier-A estimate, "" for failed/skipped points.
@@ -129,67 +130,125 @@ func New(opts Options) *Explorer {
 // first per-point failure (all points are attempted regardless); per-point
 // errors are also recorded on their outcomes.
 func (e *Explorer) Explore(ctx context.Context, space *Space) (*Exploration, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	pts, err := space.Points()
 	if err != nil {
 		return nil, err
+	}
+	return e.run(ctx, space, pts, nil)
+}
+
+// lookup resolves point i as far as the store allows without simulating:
+// its key (the explorer's watchdog defaulted into the point), then — under
+// a band plan — its estimate and, when out of band, the estimate-fidelity
+// write that retires it; otherwise a store hit unless refreshing. It returns
+// the engine point to simulate and done=false when only simulation can
+// finish the outcome.
+func (e *Explorer) lookup(p Point, i int, plan *BandPlan) (o Outcome, ep engine.Point, done bool) {
+	ep = p.EP
+	if ep.Watchdog == 0 {
+		ep.Watchdog = e.watchdog
+	}
+	o = Outcome{Point: p, Index: i, Key: KeyOf(ep)}
+	if plan != nil {
+		o.Estimate = plan.Estimates[i]
+		if !plan.InBand[i] {
+			// Tier A resolves this point. The estimate still persists so the
+			// store records the whole exploration at its actual fidelity.
+			if o.Err = e.store.PutEstimate(o.Key, ep, o.Estimate); o.Err == nil {
+				o.Fidelity = FidelityEstimate
+			}
+			return o, ep, true
+		}
+	}
+	if !e.refresh {
+		if res, ok := e.store.Get(o.Key); ok {
+			o.Result, o.Cached, o.Fidelity = res, true, FidelityExact
+			return o, ep, true
+		}
+	}
+	return o, ep, false
+}
+
+// commit finishes a looked-up outcome with its simulation: a successful
+// result persists, and one that fails to persist is a failed point — its
+// outcome carries the store error and the next run re-simulates it.
+func (e *Explorer) commit(o *Outcome, ep engine.Point, res *prim.Result, err error) {
+	o.Result, o.Err = res, err
+	if err == nil && res != nil {
+		if o.Err = e.store.Put(o.Key, ep, res); o.Err == nil {
+			o.Fidelity = FidelityExact
+		}
+	}
+}
+
+// Resolve runs the whole per-point step — lookup, simulate on a miss, commit
+// — for point i of an enumeration on the caller's goroutine, and returns its
+// outcome. It is the unit Explore and ExploreTiered sweep, exposed for
+// drivers that schedule points themselves (the coordinator's workers); plan
+// is nil for single-fidelity explorations.
+func (e *Explorer) Resolve(ctx context.Context, p Point, i int, plan *BandPlan) Outcome {
+	o, ep, done := e.lookup(p, i, plan)
+	if !done {
+		res, err := e.eng.Run(ctx, ep)
+		e.commit(&o, ep, res, err)
+	}
+	e.emit(o)
+	return o
+}
+
+// run is the one exploration driver: look every point up, sweep the misses
+// concurrently, commit them as they finish. A completed tiered run also
+// fills the plan's predicted-vs-actual accuracy.
+func (e *Explorer) run(ctx context.Context, space *Space, pts []Point, plan *BandPlan) (*Exploration, error) {
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	x := &Exploration{Space: space, Points: pts, Outcomes: make([]Outcome, len(pts))}
 	var missIdx []int
 	var missPts []engine.Point
 	for i, p := range pts {
-		ep := p.EP
-		if ep.Watchdog == 0 {
-			ep.Watchdog = e.watchdog
-		}
-		o := Outcome{Point: p, Index: i, Key: KeyOf(ep)}
-		if !e.refresh {
-			if res, ok := e.store.Get(o.Key); ok {
-				o.Result, o.Cached, o.Fidelity = res, true, FidelityExact
-				x.Hits++
-			}
-		}
+		o, ep, done := e.lookup(p, i, plan)
 		x.Outcomes[i] = o
-		if !o.Cached {
+		if done {
+			e.finish(x, o)
+		} else {
 			missIdx = append(missIdx, i)
 			missPts = append(missPts, ep)
-		} else {
-			e.emit(o)
 		}
 	}
-	if len(missPts) > 0 {
-		for eo := range e.eng.Sweep(ctx, missPts) {
-			o := &x.Outcomes[missIdx[eo.Index]]
-			o.Result, o.Err = eo.Result, eo.Err
-			if o.Err == nil && o.Result != nil {
-				if perr := e.store.Put(o.Key, missPts[eo.Index], o.Result); perr != nil {
-					o.Err = perr
-				}
-			}
-			// A point that simulated but failed to persist counts as failed,
-			// not simulated: its outcome carries the store error and the next
-			// run will re-simulate it.
-			if o.Err != nil {
-				x.Failed++
-			} else if o.Result != nil {
-				o.Fidelity = FidelityExact
-				x.Simulated++
-			}
-			e.emit(*o)
-		}
+	for eo := range e.eng.Sweep(ctx, missPts) {
+		o := &x.Outcomes[missIdx[eo.Index]]
+		e.commit(o, missPts[eo.Index], eo.Result, eo.Err)
+		e.finish(x, *o)
 	}
 	if err := ctx.Err(); err != nil {
 		// Mark the points the cancelled sweep never delivered.
 		for i := range x.Outcomes {
-			if x.Outcomes[i].Result == nil && x.Outcomes[i].Err == nil {
-				x.Outcomes[i].Err = err
+			if o := &x.Outcomes[i]; o.Fidelity == "" && o.Err == nil {
+				o.Err = err
 			}
 		}
 		return x, err
 	}
+	if plan != nil {
+		bandAccuracy(x, plan.Triage)
+	}
 	return x, x.FirstErr()
+}
+
+// finish counts one finished outcome and hands it to the observer.
+func (e *Explorer) finish(x *Exploration, o Outcome) {
+	switch {
+	case o.Err != nil:
+		x.Failed++
+	case o.Cached:
+		x.Hits++
+	case o.Fidelity == FidelityEstimate:
+		x.Estimated++
+	case o.Result != nil:
+		x.Simulated++
+	}
+	e.emit(o)
 }
 
 // CacheStats exposes the kernel build-cache counters.

@@ -1,19 +1,14 @@
 package explore
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"upim/internal/engine"
 	"upim/internal/estimate"
+	"upim/internal/httpjson"
 	"upim/internal/prim"
 )
 
@@ -39,6 +34,11 @@ type wireEntry struct {
 	Result   *prim.Result       `json:"result,omitempty"`
 	Estimate *estimate.Estimate `json:"estimate,omitempty"`
 }
+
+// maxEntryBody caps store entry bodies in both directions: a full result
+// with per-DPU stats is a few hundred KiB, so 64 MiB is far above any honest
+// entry and far below what would hurt the server.
+const maxEntryBody = 64 << 20
 
 // StoreServer serves a Backend over the HTTP store protocol.
 type StoreServer struct {
@@ -83,7 +83,7 @@ func (s *StoreServer) getExact(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no exact entry", http.StatusNotFound)
 		return
 	}
-	writeJSON(w, wireEntry{Result: res})
+	httpjson.Write(w, wireEntry{Result: res})
 }
 
 func (s *StoreServer) getEstimate(w http.ResponseWriter, r *http.Request) {
@@ -96,7 +96,7 @@ func (s *StoreServer) getEstimate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no estimate entry", http.StatusNotFound)
 		return
 	}
-	writeJSON(w, wireEntry{Estimate: est})
+	httpjson.Write(w, wireEntry{Estimate: est})
 }
 
 func (s *StoreServer) putExact(w http.ResponseWriter, r *http.Request) {
@@ -105,7 +105,7 @@ func (s *StoreServer) putExact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var e wireEntry
-	if err := decodeBody(r.Body, &e); err != nil || e.Result == nil {
+	if err := httpjson.Decode(w, r, maxEntryBody, &e); err != nil || e.Result == nil {
 		http.Error(w, "want a JSON body with point and result", http.StatusBadRequest)
 		return
 	}
@@ -122,7 +122,7 @@ func (s *StoreServer) putEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var e wireEntry
-	if err := decodeBody(r.Body, &e); err != nil || e.Estimate == nil {
+	if err := httpjson.Decode(w, r, maxEntryBody, &e); err != nil || e.Estimate == nil {
 		http.Error(w, "want a JSON body with point and estimate", http.StatusBadRequest)
 		return
 	}
@@ -139,49 +139,18 @@ func (s *StoreServer) count(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, struct {
+	httpjson.Write(w, struct {
 		Count int `json:"count"`
 	}{n})
 }
 
 func (s *StoreServer) stats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.backend.Stats())
+	httpjson.Write(w, s.backend.Stats())
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
-}
-
-// decodeBody strictly decodes one JSON value: unknown fields and trailing
-// content are rejected, matching the store's degrade-don't-guess posture.
-func decodeBody(r io.Reader, v any) error {
-	dec := json.NewDecoder(io.LimitReader(r, 64<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if dec.More() {
-		return fmt.Errorf("explore: trailing content after JSON body")
-	}
-	return nil
-}
-
-// HTTPStoreOptions tune an HTTPStore client.
-type HTTPStoreOptions struct {
-	// Timeout bounds every individual HTTP call (default 30s).
-	Timeout time.Duration
-	// Retries is the number of re-attempts after the first failure of a call
-	// (default 3). Transport errors and 5xx responses retry with exponential
-	// backoff; 4xx responses never retry — the request itself is wrong.
-	Retries int
-	// Backoff is the delay before the first retry, doubling per attempt
-	// (default 100ms).
-	Backoff time.Duration
-	// Client overrides the HTTP client (tests); Timeout still applies
-	// per-call via the request context.
-	Client *http.Client
-}
+// HTTPStoreOptions tune an HTTPStore client: per-call timeout, retry count
+// and backoff, and an HTTP client override.
+type HTTPStoreOptions = httpjson.Options
 
 // HTTPStore is the client side of the HTTP store protocol: a Backend whose
 // entries live on a `pathfind serve` store server, shared by every worker
@@ -189,11 +158,7 @@ type HTTPStoreOptions struct {
 // failures with exponential backoff; like every backend, unrecoverable Get
 // failures degrade to misses (re-simulation) while Put failures surface.
 type HTTPStore struct {
-	base    string
-	client  *http.Client
-	timeout time.Duration
-	retries int
-	backoff time.Duration
+	c *httpjson.Client
 
 	hits, misses, puts atomic.Int64
 }
@@ -201,104 +166,24 @@ type HTTPStore struct {
 // DialStore builds an HTTP store client for a base URL like
 // "http://host:9090". No request is issued until the first call.
 func DialStore(baseURL string, opts HTTPStoreOptions) (*HTTPStore, error) {
-	baseURL = strings.TrimSuffix(baseURL, "/")
-	if !strings.HasPrefix(baseURL, "http://") && !strings.HasPrefix(baseURL, "https://") {
-		return nil, fmt.Errorf("explore: store URL %q must start with http:// or https://", baseURL)
+	c, err := httpjson.Dial(baseURL, maxEntryBody, opts)
+	if err != nil {
+		return nil, fmt.Errorf("explore: store: %w", err)
 	}
-	if opts.Timeout <= 0 {
-		opts.Timeout = 30 * time.Second
-	}
-	if opts.Retries < 0 {
-		opts.Retries = 0
-	} else if opts.Retries == 0 {
-		opts.Retries = 3
-	}
-	if opts.Backoff <= 0 {
-		opts.Backoff = 100 * time.Millisecond
-	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{}
-	}
-	return &HTTPStore{
-		base:    baseURL,
-		client:  client,
-		timeout: opts.Timeout,
-		retries: opts.Retries,
-		backoff: opts.Backoff,
-	}, nil
+	return &HTTPStore{c: c}, nil
 }
 
 // URL returns the server base URL.
-func (h *HTTPStore) URL() string { return h.base }
+func (h *HTTPStore) URL() string { return h.c.URL() }
 
-// errStatus marks a non-2xx response; 4xx statuses are permanent.
-type errStatus struct {
-	code int
-	body string
-}
-
-func (e *errStatus) Error() string {
-	return fmt.Sprintf("http %d: %s", e.code, strings.TrimSpace(e.body))
-}
-
-// do issues one HTTP call with per-call timeout and retry/backoff. A nil out
-// skips response decoding. 404 returns (false, nil): a miss, not an error.
+// do issues one store call. 404 returns (false, nil): a miss, not an error.
 func (h *HTTPStore) do(method, path string, body, out any) (bool, error) {
-	var payload []byte
-	if body != nil {
-		var err error
-		if payload, err = json.Marshal(body); err != nil {
-			return false, fmt.Errorf("explore: encoding %s %s: %w", method, path, err)
-		}
-	}
-	var lastErr error
-	for attempt := 0; attempt <= h.retries; attempt++ {
-		if attempt > 0 {
-			time.Sleep(h.backoff << (attempt - 1))
-		}
-		ok, err := h.once(method, path, payload, out)
-		if err == nil {
-			return ok, nil
-		}
-		lastErr = err
-		var se *errStatus
-		if errors.As(err, &se) && se.code >= 400 && se.code < 500 {
-			break // the request is wrong; retrying cannot fix it
-		}
-	}
-	return false, fmt.Errorf("explore: %s %s%s: %w", method, h.base, path, lastErr)
-}
-
-func (h *HTTPStore) once(method, path string, payload []byte, out any) (bool, error) {
-	req, err := http.NewRequest(method, h.base+path, bytes.NewReader(payload))
-	if err != nil {
-		return false, err
-	}
-	if payload != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), h.timeout)
-	defer cancel()
-	resp, err := h.client.Do(req.WithContext(ctx))
-	if err != nil {
-		return false, err
-	}
-	defer resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusNotFound:
-		io.Copy(io.Discard, resp.Body)
+	err := h.c.Do(method, path, body, out)
+	if httpjson.IsStatus(err, http.StatusNotFound) {
 		return false, nil
-	case resp.StatusCode < 200 || resp.StatusCode > 299:
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
-		return false, &errStatus{code: resp.StatusCode, body: string(b)}
 	}
-	if out != nil {
-		if err := decodeBody(resp.Body, out); err != nil {
-			return false, err
-		}
-	} else {
-		io.Copy(io.Discard, resp.Body)
+	if err != nil {
+		return false, fmt.Errorf("explore: %w", err)
 	}
 	return true, nil
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"upim/internal/artifact"
-	"upim/internal/engine"
 	"upim/internal/estimate"
 )
 
@@ -179,85 +178,12 @@ func epsDominates(a, b []float64, eps float64) bool {
 // exploration reproduces the same split, the same fidelity per point, and
 // byte-identical artifact tables.
 func (e *Explorer) ExploreTiered(ctx context.Context, space *Space, topts TieredOptions) (*Exploration, *Triage, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	topts, err := resolveTiered(topts)
+	plan, err := PlanBand(space, topts)
 	if err != nil {
 		return nil, nil, err
 	}
-	pts, err := space.Points()
-	if err != nil {
-		return nil, nil, err
-	}
-	ests, inBand, tri := triage(pts, topts)
-
-	x := &Exploration{Space: space, Points: pts, Outcomes: make([]Outcome, len(pts))}
-	var missIdx []int
-	var missPts []engine.Point
-	for i, p := range pts {
-		ep := p.EP
-		if ep.Watchdog == 0 {
-			ep.Watchdog = e.watchdog
-		}
-		o := Outcome{Point: p, Index: i, Key: KeyOf(ep), Estimate: ests[i]}
-		if !inBand[i] {
-			// Tier A resolves this point. The estimate still persists so the
-			// store records the whole exploration at its actual fidelity.
-			o.Fidelity = FidelityEstimate
-			if perr := e.store.PutEstimate(o.Key, ep, o.Estimate); perr != nil {
-				o.Err = perr
-				o.Fidelity = ""
-				x.Failed++
-			} else {
-				x.Estimated++
-			}
-			x.Outcomes[i] = o
-			e.emit(o)
-			continue
-		}
-		if !e.refresh {
-			if res, ok := e.store.Get(o.Key); ok {
-				o.Result, o.Cached, o.Fidelity = res, true, FidelityExact
-				x.Hits++
-			}
-		}
-		x.Outcomes[i] = o
-		if !o.Cached {
-			missIdx = append(missIdx, i)
-			missPts = append(missPts, ep)
-		} else {
-			e.emit(o)
-		}
-	}
-	if len(missPts) > 0 {
-		for eo := range e.eng.Sweep(ctx, missPts) {
-			o := &x.Outcomes[missIdx[eo.Index]]
-			o.Result, o.Err = eo.Result, eo.Err
-			if o.Err == nil && o.Result != nil {
-				if perr := e.store.Put(o.Key, missPts[eo.Index], o.Result); perr != nil {
-					o.Err = perr
-				}
-			}
-			if o.Err != nil {
-				x.Failed++
-			} else if o.Result != nil {
-				o.Fidelity = FidelityExact
-				x.Simulated++
-			}
-			e.emit(*o)
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		for i := range x.Outcomes {
-			if x.Outcomes[i].Result == nil && x.Outcomes[i].Err == nil && x.Outcomes[i].Fidelity != FidelityEstimate {
-				x.Outcomes[i].Err = err
-			}
-		}
-		return x, tri, err
-	}
-	bandAccuracy(x, tri)
-	return x, tri, x.FirstErr()
+	x, err := e.run(ctx, space, plan.Points, plan)
+	return x, plan.Triage, err
 }
 
 // BandPlan is the full deterministic tier-A plan of a space: every point,
@@ -296,16 +222,11 @@ func PlanBand(space *Space, topts TieredOptions) (*BandPlan, error) {
 // and returns the predicted estimate/simulate split for the space. This is
 // the `pathfind -plan -tier2` guard against launching week-long sweeps.
 func PlanTiered(space *Space, topts TieredOptions) (*Triage, error) {
-	topts, err := resolveTiered(topts)
+	plan, err := PlanBand(space, topts)
 	if err != nil {
 		return nil, err
 	}
-	pts, err := space.Points()
-	if err != nil {
-		return nil, err
-	}
-	_, _, tri := triage(pts, topts)
-	return tri, nil
+	return plan.Triage, nil
 }
 
 // bandAccuracy fills the predicted-vs-actual error fields from the band

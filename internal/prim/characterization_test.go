@@ -17,7 +17,7 @@ func TestSIMTGEMV(t *testing.T) {
 		cfg.Mode = config.ModeSIMT
 		cfg.NumTasklets = 8 * 16
 		cfg.SIMTCoalesce = coalesce
-		res, err := Run("GEMV", cfg, 1, ScaleTiny)
+		res, err := runPoint("GEMV", cfg, 1, ScaleTiny)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func TestDeterminism(t *testing.T) {
 	run := func() *Result {
 		cfg := config.Default()
 		cfg.NumTasklets = 16
-		res, err := Run("HST-L", cfg, 4, ScaleTiny)
+		res, err := runPoint("HST-L", cfg, 4, ScaleTiny)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestCharacterizationShapes(t *testing.T) {
 	cfg := config.Default()
 	cfg.NumTasklets = 16
 	get := func(name string) *Result {
-		res, err := Run(name, cfg, 1, ScaleTiny)
+		res, err := runPoint(name, cfg, 1, ScaleTiny)
 		if err != nil {
 			t.Fatal(err)
 		}

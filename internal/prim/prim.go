@@ -75,7 +75,7 @@ func ParseScale(s string) (Scale, error) {
 	case "paper":
 		return ScalePaper, nil
 	default:
-		return 0, fmt.Errorf("prim: unknown scale %q (want tiny, small or paper)", s)
+		return 0, fmt.Errorf("unknown scale %q (want tiny, small or paper)", s)
 	}
 }
 
@@ -193,14 +193,6 @@ type Spec struct {
 	// Arena, when non-nil, recycles DPU shells across runs. Single-owner:
 	// a sweep worker passes its own arena with every spec it executes.
 	Arena *core.Arena
-}
-
-// Run executes a benchmark under cfg on nDPUs and verifies its output.
-//
-// Deprecated: use RunSpec, which adds cancellation, build caching and a
-// configurable watchdog.
-func Run(name string, cfg config.Config, nDPUs int, scale Scale) (*Result, error) {
-	return RunSpec(context.Background(), Spec{Benchmark: name, Config: cfg, DPUs: nDPUs, Scale: scale})
 }
 
 // RunSpec executes one simulation point and verifies its output against the

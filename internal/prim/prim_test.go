@@ -1,10 +1,17 @@
 package prim
 
 import (
+	"context"
 	"testing"
 
 	"upim/internal/config"
 )
+
+// runPoint executes one benchmark point without a cache, arena or watchdog
+// override.
+func runPoint(name string, cfg config.Config, nDPUs int, scale Scale) (*Result, error) {
+	return RunSpec(context.Background(), Spec{Benchmark: name, Config: cfg, DPUs: nDPUs, Scale: scale})
+}
 
 // TestSuiteMatrix functionally verifies every registered benchmark across
 // modes, thread counts and DPU counts at tiny scale — the repo's stand-in
@@ -21,7 +28,7 @@ func TestSuiteMatrix(t *testing.T) {
 						cfg := config.Default()
 						cfg.Mode = mode
 						cfg.NumTasklets = threads
-						if _, err := Run(b.Name, cfg, dpus, ScaleTiny); err != nil {
+						if _, err := runPoint(b.Name, cfg, dpus, ScaleTiny); err != nil {
 							t.Fatal(err)
 						}
 					})
@@ -59,7 +66,7 @@ func TestOddSizes(t *testing.T) {
 				t.Fatal(err)
 			}
 			_ = obj
-			if _, err := Run(b.Name, cfg, 3, ScaleTiny); err != nil {
+			if _, err := runPoint(b.Name, cfg, 3, ScaleTiny); err != nil {
 				t.Fatal(err)
 			}
 			_ = p
@@ -71,7 +78,7 @@ func TestUnknownBenchmark(t *testing.T) {
 	if _, err := ByName("NOPE"); err == nil {
 		t.Fatal("unknown benchmark must error")
 	}
-	if _, err := Run("NOPE", config.Default(), 1, ScaleTiny); err == nil {
+	if _, err := runPoint("NOPE", config.Default(), 1, ScaleTiny); err == nil {
 		t.Fatal("Run of unknown benchmark must error")
 	}
 }
@@ -79,7 +86,7 @@ func TestUnknownBenchmark(t *testing.T) {
 func TestTaskletCapEnforced(t *testing.T) {
 	cfg := config.Default()
 	cfg.NumTasklets = 24
-	if _, err := Run("VA", cfg, 1, ScaleTiny); err == nil {
+	if _, err := runPoint("VA", cfg, 1, ScaleTiny); err == nil {
 		t.Fatal("tasklet cap must be enforced")
 	}
 }

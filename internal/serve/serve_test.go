@@ -306,7 +306,7 @@ func TestServeValidation(t *testing.T) {
 // TestEvalP99 pins the canned pathfinding goal: deterministic across
 // calls, positive, and policy-sensitive enough to be a real axis.
 func TestEvalP99(t *testing.T) {
-	res, err := prim.Run("VA", config.Default(), 1, prim.ScaleTiny)
+	res, err := prim.RunSpec(context.Background(), prim.Spec{Benchmark: "VA", Config: config.Default(), DPUs: 1, Scale: prim.ScaleTiny})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -147,8 +147,12 @@ func TestRunnerSweep(t *testing.T) {
 func TestRunnerSweepCacheAcrossCalls(t *testing.T) {
 	r := tinyRunner(t)
 	ctx := context.Background()
-	if _, err := r.Run(ctx, "VA"); err != nil {
+	res, err := r.Run(ctx, "VA")
+	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Stats.Instructions == 0 || res.Report.Total() <= 0 {
+		t.Fatal("empty result")
 	}
 	if _, err := r.Run(ctx, "VA"); err != nil {
 		t.Fatal(err)

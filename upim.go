@@ -158,14 +158,13 @@ const (
 	ScalePaper = prim.ScalePaper
 )
 
+// ParseScale is the inverse of Scale.String: "tiny", "small" or "paper";
+// anything else is an error naming the three.
+func ParseScale(s string) (Scale, error) { return prim.ParseScale(s) }
+
 // Result is one verified PrIM run: the benchmark identity, the phase-
 // bucketed timing report, and aggregate plus per-DPU statistics.
 type Result = prim.Result
-
-// BenchmarkResult is one verified PrIM run.
-//
-// Deprecated: use Result.
-type BenchmarkResult = prim.Result
 
 // CacheStats counts a Runner's build-cache activity.
 type CacheStats = prim.CacheStats
@@ -177,17 +176,6 @@ func Benchmarks() []string {
 		out = append(out, b.Name)
 	}
 	return out
-}
-
-// RunBenchmark executes one PrIM workload on n DPUs and verifies its output
-// against the host golden model.
-//
-// Deprecated: use Runner.Run, which adds cancellation, kernel build caching
-// and concurrent sweeps.
-func RunBenchmark(name string, cfg Config, nDPUs int, scale Scale) (*BenchmarkResult, error) {
-	return prim.RunSpec(context.Background(), prim.Spec{
-		Benchmark: name, Config: cfg, DPUs: nDPUs, Scale: scale,
-	})
 }
 
 // ArtifactColumn is a unit-annotated column of a result table.
@@ -238,7 +226,7 @@ func CheckArtifact(tab *ResultTable, eps float64) error {
 // Experiment regenerates one of the paper's tables or figures.
 type Experiment = figures.Experiment
 
-// ExperimentOptions parameterize RunExperiment.
+// ExperimentOptions parameterize RunExperimentContext.
 type ExperimentOptions = figures.Options
 
 // ResultTable is a typed experiment result grid: unit-annotated columns over
@@ -260,11 +248,4 @@ func RunExperimentContext(ctx context.Context, id string, opts ExperimentOptions
 		return nil, err
 	}
 	return e.Run(ctx, opts)
-}
-
-// RunExperiment regenerates one table/figure by ID.
-//
-// Deprecated: use RunExperimentContext.
-func RunExperiment(id string, opts ExperimentOptions) (*ResultTable, error) {
-	return RunExperimentContext(context.Background(), id, opts)
 }

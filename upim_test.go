@@ -60,15 +60,20 @@ func TestFacadeBenchmarksList(t *testing.T) {
 	}
 }
 
-func TestFacadeRunBenchmark(t *testing.T) {
-	cfg := upim.DefaultConfig()
-	cfg.NumTasklets = 4
-	res, err := upim.RunBenchmark("RED", cfg, 2, upim.ScaleTiny)
-	if err != nil {
-		t.Fatal(err)
+// TestParseScale: ParseScale inverts Scale.String and rejects anything else
+// — the zero Scale is tiny, so a lookup that ignored "not found" would run
+// silently at the wrong size.
+func TestParseScale(t *testing.T) {
+	for _, sc := range []upim.Scale{upim.ScaleTiny, upim.ScaleSmall, upim.ScalePaper} {
+		got, err := upim.ParseScale(sc.String())
+		if err != nil || got != sc {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v", sc.String(), got, err, sc)
+		}
 	}
-	if res.Stats.Instructions == 0 || res.Report.Total() <= 0 {
-		t.Fatal("empty result")
+	for _, bad := range []string{"", "bogus", "Tiny", "tiny ", "0"} {
+		if _, err := upim.ParseScale(bad); err == nil || !strings.Contains(err.Error(), "want tiny, small or paper") {
+			t.Errorf("ParseScale(%q) error = %v, want one naming the valid scales", bad, err)
+		}
 	}
 }
 
@@ -78,7 +83,7 @@ func TestFacadeExperiments(t *testing.T) {
 	if len(upim.Experiments()) != 18 {
 		t.Fatalf("expected 18 experiments, got %d", len(upim.Experiments()))
 	}
-	tab, err := upim.RunExperiment("table1", upim.ExperimentOptions{})
+	tab, err := upim.RunExperimentContext(context.Background(), "table1", upim.ExperimentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +92,7 @@ func TestFacadeExperiments(t *testing.T) {
 	if !strings.Contains(sb.String(), "350 MHz") {
 		t.Fatal("Table I missing the DPU frequency")
 	}
-	if _, err := upim.RunExperiment("nope", upim.ExperimentOptions{}); err == nil {
+	if _, err := upim.RunExperimentContext(context.Background(), "nope", upim.ExperimentOptions{}); err == nil {
 		t.Fatal("unknown experiment must error")
 	}
 }
