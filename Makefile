@@ -19,13 +19,19 @@ race: test-race
 cover:
 	$(GO) test -coverprofile=coverage.out -covermode=atomic ./...
 
-# pathfind-smoke mirrors the CI job: a tiny exploration run twice against
-# one store; the resumed run must be fully cached and byte-identical.
+# pathfind-smoke mirrors the CI job: a tiny exploration run three times
+# against one store; the resumed runs must be fully cached and byte-identical,
+# and the last one resolves its hits on eight workers — parallel resolve must
+# be invisible byte for byte.
 pathfind-smoke:
-	rm -rf pfstore pfreport1 pfreport2
+	rm -rf pfstore pfreport1 pfreport2 pfreport8 pf-resume8.log
 	$(GO) run ./cmd/pathfind -bench VA,BS -axes "tasklets=1,4;link=1,2" -scale tiny -store pfstore -pareto -goals energy,cost -energy -out pfreport1
 	$(GO) run ./cmd/pathfind -bench VA,BS -axes "tasklets=1,4;link=1,2" -scale tiny -store pfstore -pareto -goals energy,cost -energy -out pfreport2
 	diff -r pfreport1 pfreport2
+	$(GO) run ./cmd/pathfind -bench VA,BS -axes "tasklets=1,4;link=1,2" -scale tiny -store pfstore -jobs 8 -pareto -goals energy,cost -energy -out pfreport8 2> pf-resume8.log
+	cat pf-resume8.log
+	grep -q ", 0 simulated," pf-resume8.log
+	diff -r pfreport2 pfreport8
 
 # coord-smoke mirrors the CI job: the same tiny exploration run by four
 # coordinated workers through leased shards, then single-process; the
@@ -81,7 +87,7 @@ arch-check:
 calibration-check:
 	$(GO) run ./cmd/pathfind calibrate -check
 
-# bench runs the figure benchmark suite and writes BENCH_13.json (ns/op plus
+# bench runs the figure benchmark suite and writes BENCH_15.json (ns/op plus
 # the headline figure metrics, machine-readable). Tune with BENCHTIME=1x for
 # a smoke run or BENCH=Fig12 for a subset.
 bench:
@@ -90,9 +96,9 @@ bench:
 # bench-diff mirrors the CI bench job's regression check: re-run the suite
 # at the baseline's benchtime (1s default, so allocs/op amortizes cold
 # starts the same way the baseline did) and print per-benchmark deltas
-# against the committed BENCH_13.json baseline, failing on allocs/op
+# against the committed BENCH_15.json baseline, failing on allocs/op
 # regressions in the gated (Table1/Table2/ServeThroughput/ServeLoadSweep/
-# HBMPIMRate) benchmarks. DIFFOUT=deltas.txt also saves the table; BENCHTIME=2s
+# HBMPIMRate/PathfindResume/WriteReport) benchmarks. DIFFOUT=deltas.txt also saves the table; BENCHTIME=2s
 # steadies ns/op.
 bench-diff:
 	BENCHTIME=$(BENCHTIME) BENCH=$(BENCH) BASELINE=$(BASELINE) DIFFOUT=$(DIFFOUT) ./scripts/bench_diff.sh

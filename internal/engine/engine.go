@@ -14,6 +14,7 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"upim/internal/config"
 	"upim/internal/core"
@@ -124,23 +125,25 @@ func (e *Engine) Parallelism() int { return e.parallelism }
 func (e *Engine) CacheStats() prim.CacheStats { return e.cache.Stats() }
 
 // Run executes a single point through the shared build cache, borrowing a
-// DPU-shell arena from the engine's pool for the point's duration.
+// DPU-shell arena from the engine's free list for the point's duration.
 func (e *Engine) Run(ctx context.Context, p Point) (*prim.Result, error) {
-	arena := e.getArena()
-	defer e.putArena(arena)
-	return e.RunInArena(ctx, p, arena)
+	return e.RunInArena(ctx, p, nil)
 }
 
 // RunInArena executes a single point drawing DPU shells from arena (nil
-// degrades to plain allocation). The arena is single-owner: callers running
-// a resident point loop — the sweep workers here — hold one arena each and
-// pass it to every run, which keeps steady-state execution free of per-point
-// simulator allocations.
+// borrows one from the engine's free list for this point). The arena is
+// single-owner: callers running a resident point loop — the pool workers of
+// Each — hold one arena each and pass it to every run, which keeps
+// steady-state execution free of per-point simulator allocations.
 //
 // The point's machine description selects the architecture backend; every
 // backend receives the same uniform workload, so the UPMEM fast path and
 // alternative architectures share this one dispatch site.
 func (e *Engine) RunInArena(ctx context.Context, p Point, arena *core.Arena) (*prim.Result, error) {
+	if arena == nil {
+		arena = e.getArena()
+		defer e.putArena(arena)
+	}
 	wd := e.watchdog
 	if p.Watchdog > 0 {
 		wd = p.Watchdog
@@ -165,6 +168,33 @@ func (e *Engine) RunInArena(ctx context.Context, p Point, arena *core.Arena) (*p
 	})
 }
 
+// Each is the engine's one worker pool: it calls step(i, arena) for every i
+// in [0, n) on at most Parallelism goroutines and returns once they have all
+// finished. Indices are handed out in order; once ctx is cancelled no further
+// index starts. Each worker holds one arena for the whole sweep and passes it
+// to every step it runs, so a long sweep settles into allocation-free steady
+// state. Delivering what a step produces is the step's own business.
+func (e *Engine) Each(ctx context.Context, n int, step func(i int, arena *core.Arena)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(e.parallelism, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			arena := e.getArena()
+			defer e.putArena(arena)
+			for ctx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				step(i, arena)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // Sweep executes every point on a bounded worker pool and streams outcomes
 // as points finish. The channel closes once all points are done or the
 // context is cancelled; after cancellation, no further points start, no
@@ -176,48 +206,20 @@ func (e *Engine) Sweep(ctx context.Context, pts []Point) <-chan Outcome {
 		ctx = context.Background()
 	}
 	out := make(chan Outcome)
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < min(e.parallelism, len(pts)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One arena per worker goroutine for the whole sweep: every point
-			// this worker runs reuses the same DPU shells, so a long sweep
-			// settles into allocation-free steady state.
-			arena := e.getArena()
-			defer e.putArena(arena)
-			for i := range work {
-				res, err := e.RunInArena(ctx, pts[i], arena)
-				// Unconditional ctx check first: a select alone could pick
-				// the send over Done and deliver after cancellation.
-				if ctx.Err() != nil {
-					return
-				}
-				select {
-				case out <- Outcome{Point: pts[i], Index: i, Result: res, Err: err}:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
 	go func() {
-		defer close(work)
-		for i := range pts {
+		defer close(out)
+		e.Each(ctx, len(pts), func(i int, arena *core.Arena) {
+			res, err := e.RunInArena(ctx, pts[i], arena)
+			// Unconditional ctx check first: a select alone could pick the
+			// send over Done and deliver after cancellation.
 			if ctx.Err() != nil {
 				return
 			}
 			select {
-			case work <- i:
+			case out <- Outcome{Point: pts[i], Index: i, Result: res, Err: err}:
 			case <-ctx.Done():
-				return
 			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(out)
+		})
 	}()
 	return out
 }

@@ -17,6 +17,7 @@ package explore
 import (
 	"context"
 
+	"upim/internal/core"
 	"upim/internal/engine"
 	"upim/internal/estimate"
 	"upim/internal/prim"
@@ -137,95 +138,105 @@ func (e *Explorer) Explore(ctx context.Context, space *Space) (*Exploration, err
 	return e.run(ctx, space, pts, nil)
 }
 
-// lookup resolves point i as far as the store allows without simulating:
-// its key (the explorer's watchdog defaulted into the point), then — under
-// a band plan — its estimate and, when out of band, the estimate-fidelity
-// write that retires it; otherwise a store hit unless refreshing. It returns
-// the engine point to simulate and done=false when only simulation can
-// finish the outcome.
-func (e *Explorer) lookup(p Point, i int, plan *BandPlan) (o Outcome, ep engine.Point, done bool) {
-	ep = p.EP
+// begin opens point i's outcome with everything known before the store is
+// consulted: its key (the explorer's watchdog defaulted into the engine
+// point) and, under a band plan, its estimate.
+func (e *Explorer) begin(p Point, i int, plan *BandPlan) (Outcome, engine.Point) {
+	ep := p.EP
 	if ep.Watchdog == 0 {
 		ep.Watchdog = e.watchdog
 	}
-	o = Outcome{Point: p, Index: i, Key: KeyOf(ep)}
+	o := Outcome{Point: p, Index: i, Key: KeyOf(ep)}
 	if plan != nil {
 		o.Estimate = plan.Estimates[i]
-		if !plan.InBand[i] {
-			// Tier A resolves this point. The estimate still persists so the
-			// store records the whole exploration at its actual fidelity.
-			if o.Err = e.store.PutEstimate(o.Key, ep, o.Estimate); o.Err == nil {
-				o.Fidelity = FidelityEstimate
-			}
-			return o, ep, true
+	}
+	return o, ep
+}
+
+// resolve is the whole per-point step: an out-of-band point of a band plan
+// retires with the estimate-fidelity write that keeps the store a record of
+// the whole exploration at its actual fidelity; any other point is a store
+// hit (unless refreshing) or simulates in arena and persists. A result that
+// fails to persist is a failed point — its outcome carries the store error
+// and the next run re-simulates it.
+func (e *Explorer) resolve(ctx context.Context, p Point, i int, plan *BandPlan, arena *core.Arena) Outcome {
+	o, ep := e.begin(p, i, plan)
+	if plan != nil && !plan.InBand[i] {
+		if o.Err = e.store.PutEstimate(o.Key, ep, o.Estimate); o.Err == nil {
+			o.Fidelity = FidelityEstimate
 		}
+		return o
 	}
 	if !e.refresh {
 		if res, ok := e.store.Get(o.Key); ok {
 			o.Result, o.Cached, o.Fidelity = res, true, FidelityExact
-			return o, ep, true
+			return o
 		}
 	}
-	return o, ep, false
-}
-
-// commit finishes a looked-up outcome with its simulation: a successful
-// result persists, and one that fails to persist is a failed point — its
-// outcome carries the store error and the next run re-simulates it.
-func (e *Explorer) commit(o *Outcome, ep engine.Point, res *prim.Result, err error) {
-	o.Result, o.Err = res, err
-	if err == nil && res != nil {
-		if o.Err = e.store.Put(o.Key, ep, res); o.Err == nil {
+	o.Result, o.Err = e.eng.RunInArena(ctx, ep, arena)
+	if o.Err == nil && o.Result != nil {
+		if o.Err = e.store.Put(o.Key, ep, o.Result); o.Err == nil {
 			o.Fidelity = FidelityExact
 		}
 	}
+	return o
 }
 
-// Resolve runs the whole per-point step — lookup, simulate on a miss, commit
-// — for point i of an enumeration on the caller's goroutine, and returns its
+// Resolve runs the per-point step — lookup, simulate on a miss, commit — for
+// point i of an enumeration on the caller's goroutine, and returns its
 // outcome. It is the unit Explore and ExploreTiered sweep, exposed for
 // drivers that schedule points themselves (the coordinator's workers); plan
 // is nil for single-fidelity explorations.
 func (e *Explorer) Resolve(ctx context.Context, p Point, i int, plan *BandPlan) Outcome {
-	o, ep, done := e.lookup(p, i, plan)
-	if !done {
-		res, err := e.eng.Run(ctx, ep)
-		e.commit(&o, ep, res, err)
-	}
+	o := e.resolve(ctx, p, i, plan, nil)
 	e.emit(o)
 	return o
 }
 
-// run is the one exploration driver: look every point up, sweep the misses
-// concurrently, commit them as they finish. A completed tiered run also
-// fills the plan's predicted-vs-actual accuracy.
+// run is the one exploration driver: one sweep of the per-point step over
+// every point on the engine's pool, so store reads, entry decodes and writes
+// run Parallelism at a time beside the simulations. This goroutine only
+// records the outcomes as they arrive, counts them and hands each to the
+// observer — OnOutcome is never entered concurrently. A completed tiered run
+// also fills the plan's predicted-vs-actual accuracy.
 func (e *Explorer) run(ctx context.Context, space *Space, pts []Point, plan *BandPlan) (*Exploration, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	x := &Exploration{Space: space, Points: pts, Outcomes: make([]Outcome, len(pts))}
-	var missIdx []int
-	var missPts []engine.Point
-	for i, p := range pts {
-		o, ep, done := e.lookup(p, i, plan)
-		x.Outcomes[i] = o
-		if done {
-			e.finish(x, o)
-		} else {
-			missIdx = append(missIdx, i)
-			missPts = append(missPts, ep)
+	done := make(chan Outcome)
+	go func() {
+		defer close(done)
+		e.eng.Each(ctx, len(pts), func(i int, arena *core.Arena) {
+			o := e.resolve(ctx, pts[i], i, plan, arena)
+			if o.Fidelity == "" && ctx.Err() != nil {
+				return // interrupted, not finished: left to the marking below
+			}
+			// Never abandoned on cancellation: a point that reached the
+			// store is always a recorded outcome.
+			done <- o
+		})
+	}()
+	for o := range done {
+		x.Outcomes[o.Index] = o
+		switch {
+		case o.Err != nil:
+			x.Failed++
+		case o.Cached:
+			x.Hits++
+		case o.Fidelity == FidelityEstimate:
+			x.Estimated++
+		case o.Result != nil:
+			x.Simulated++
 		}
-	}
-	for eo := range e.eng.Sweep(ctx, missPts) {
-		o := &x.Outcomes[missIdx[eo.Index]]
-		e.commit(o, missPts[eo.Index], eo.Result, eo.Err)
-		e.finish(x, *o)
+		e.emit(o)
 	}
 	if err := ctx.Err(); err != nil {
-		// Mark the points the cancelled sweep never delivered.
-		for i := range x.Outcomes {
-			if o := &x.Outcomes[i]; o.Fidelity == "" && o.Err == nil {
-				o.Err = err
+		// Mark the points the cancelled sweep never finished.
+		for i, p := range pts {
+			if x.Outcomes[i].Key == "" {
+				x.Outcomes[i], _ = e.begin(p, i, plan)
+				x.Outcomes[i].Err = err
 			}
 		}
 		return x, err
@@ -234,21 +245,6 @@ func (e *Explorer) run(ctx context.Context, space *Space, pts []Point, plan *Ban
 		bandAccuracy(x, plan.Triage)
 	}
 	return x, x.FirstErr()
-}
-
-// finish counts one finished outcome and hands it to the observer.
-func (e *Explorer) finish(x *Exploration, o Outcome) {
-	switch {
-	case o.Err != nil:
-		x.Failed++
-	case o.Cached:
-		x.Hits++
-	case o.Fidelity == FidelityEstimate:
-		x.Estimated++
-	case o.Result != nil:
-		x.Simulated++
-	}
-	e.emit(o)
 }
 
 // CacheStats exposes the kernel build-cache counters.

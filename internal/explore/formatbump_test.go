@@ -21,7 +21,7 @@ func fabricateStale(t *testing.T, st *Store, key string, format int, ep engine.P
 	ent := entry{
 		Format:   format,
 		Key:      key,
-		Point:    ep,
+		Point:    storedPoint(ep),
 		Fidelity: FidelityExact,
 		Result:   &prim.Result{Benchmark: ep.Benchmark, Tasklets: 16, DPUs: ep.DPUs},
 	}

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
@@ -63,25 +64,26 @@ func KeyOf(p engine.Point) string {
 		panic(fmt.Sprintf("explore: marshaling point key: %v", err))
 	}
 	sum := sha256.Sum256(data)
-	encBufs.Put(buf)
+	jsonBufs.Put(buf)
 	return hex.EncodeToString(sum[:])
 }
 
-// encBufs pools JSON encode buffers: key hashing and entry writes run once
-// per point in sweep/exploration loops, and reusing the buffer keeps those
-// loops from re-growing a multi-KB encode buffer every point.
-var encBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// jsonBufs pools the buffers entries are encoded into and read back through:
+// key hashing, entry writes and entry reads run once per point in
+// sweep/exploration loops, and reusing the buffer keeps those loops from
+// re-growing a multi-KB buffer every point.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // marshalPooled encodes v into a pooled buffer and returns the buffer plus
 // the canonical bytes. The bytes alias the buffer, which the caller returns
-// to encBufs when done with them. The result is exactly json.Marshal's: the
+// to jsonBufs when done with them. The result is exactly json.Marshal's: the
 // encoder's trailing newline is stripped, keeping content addresses and the
 // on-disk format byte-identical to the pre-pooling ones.
 func marshalPooled(v any) (*bytes.Buffer, []byte, error) {
-	buf := encBufs.Get().(*bytes.Buffer)
+	buf := jsonBufs.Get().(*bytes.Buffer)
 	buf.Reset()
 	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		encBufs.Put(buf)
+		jsonBufs.Put(buf)
 		return nil, nil, err
 	}
 	b := buf.Bytes()
@@ -92,9 +94,9 @@ func marshalPooled(v any) (*bytes.Buffer, []byte, error) {
 // alongside the result for debuggability (a store is greppable without the
 // code that produced it).
 type entry struct {
-	Format int          `json:"format"`
-	Key    string       `json:"key"`
-	Point  engine.Point `json:"point"`
+	Format int         `json:"format"`
+	Key    string      `json:"key"`
+	Point  storedPoint `json:"point"`
 	// Fidelity is FidelityExact or FidelityEstimate; exactly one of Result
 	// and Estimate is set, matching it.
 	Fidelity string             `json:"fidelity"`
@@ -102,15 +104,22 @@ type entry struct {
 	Estimate *estimate.Estimate `json:"estimate,omitempty"`
 }
 
+// storedPoint is engine.Point as an entry carries it: encoded exactly like
+// the engine point, and scanned over, not decoded, when an entry is read back
+// — nothing a read serves comes from it (the key is its content address).
+type storedPoint engine.Point
+
+func (*storedPoint) UnmarshalJSON([]byte) error { return nil }
+
 // StoreStats counts store activity for one process.
 type StoreStats struct {
 	// Hits and Misses count Get outcomes.
 	Hits, Misses int64
 	// Puts counts successfully persisted results.
 	Puts int64
-	// Corrupt counts entries that existed but failed to decode or carried a
-	// stale format/key; they are treated as misses and overwritten by the
-	// next Put.
+	// Corrupt counts entries that existed but could not be read, failed to
+	// decode or carried a stale format/key; they are treated as misses and
+	// overwritten by the next Put.
 	Corrupt int64
 }
 
@@ -176,30 +185,28 @@ func (s *Store) load(key string) (*entry, bool) {
 }
 
 // peek reads and validates the entry for key WITHOUT touching the stats
-// counters: existed reports whether an entry file was present at all (so a
-// counting caller can classify an invalid one as corrupt). Write-side
-// probes — PutEstimate's never-downgrade check — use peek directly, so a
-// corrupt entry that already degraded a Get/GetEstimate to a miss is not
-// double-counted when the retry writes its replacement back.
+// counters: existed reports whether an entry was present at all (so a
+// counting caller can classify an invalid one as corrupt) — only a path that
+// does not exist is a clean miss; any other read failure is an entry that
+// could not be served. Write-side probes — PutEstimate's never-downgrade
+// check — use peek directly, so a corrupt entry that already degraded a
+// Get/GetEstimate to a miss is not double-counted when the retry writes its
+// replacement back.
 func (s *Store) peek(key string) (e *entry, existed, ok bool) {
-	data, err := os.ReadFile(s.path(key))
+	f, err := os.Open(s.path(key))
 	if err != nil {
-		return nil, false, false
+		return nil, !errors.Is(err, fs.ErrNotExist), false
 	}
-	var ent entry
-	if err := json.Unmarshal(data, &ent); err != nil || ent.Format != storeFormat || ent.Key != key {
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	defer jsonBufs.Put(buf)
+	buf.Reset()
+	_, err = buf.ReadFrom(f)
+	f.Close()
+	var ent entry // copies what it keeps, so the buffer can go back to the pool
+	if err != nil || json.Unmarshal(buf.Bytes(), &ent) != nil || ent.Format != storeFormat || ent.Key != key {
 		return nil, true, false
 	}
-	switch ent.Fidelity {
-	case FidelityExact:
-		if ent.Result == nil {
-			break
-		}
-		return &ent, true, true
-	case FidelityEstimate:
-		if ent.Estimate == nil {
-			break
-		}
+	if (ent.Fidelity == FidelityExact && ent.Result != nil) || (ent.Fidelity == FidelityEstimate && ent.Estimate != nil) {
 		return &ent, true, true
 	}
 	return nil, true, false
@@ -254,13 +261,15 @@ func (s *Store) Put(key string, p engine.Point, res *prim.Result) error {
 	if res == nil {
 		return fmt.Errorf("explore: refusing to store a nil result for %s", key)
 	}
-	return s.write(key, entry{Format: storeFormat, Key: key, Point: p, Fidelity: FidelityExact, Result: res})
+	return s.write(key, entry{Format: storeFormat, Key: key, Point: storedPoint(p), Fidelity: FidelityExact, Result: res})
 }
 
 // PutEstimate persists one tier-A estimate atomically under the estimate
 // fidelity tag. It never downgrades: when the key already holds a valid
-// cycle-exact entry, the estimate is discarded and the exact entry kept. A
-// nil store discards the estimate.
+// cycle-exact entry, the estimate is discarded and the exact entry kept. Nor
+// does it rewrite an entry that already holds this very estimate, so a
+// resumed two-tier exploration leaves its store untouched. A nil store
+// discards the estimate.
 func (s *Store) PutEstimate(key string, p engine.Point, est *estimate.Estimate) error {
 	if s == nil {
 		return nil
@@ -271,10 +280,10 @@ func (s *Store) PutEstimate(key string, p engine.Point, est *estimate.Estimate) 
 	// peek, not load: this probe is a write-side check, and counting it
 	// would double-book a corrupt entry the preceding GetEstimate already
 	// booked (and inflate Misses with probes that never served a read).
-	if e, _, ok := s.peek(key); ok && e.Fidelity == FidelityExact {
+	if e, _, ok := s.peek(key); ok && (e.Fidelity == FidelityExact || *e.Estimate == *est) {
 		return nil
 	}
-	return s.write(key, entry{Format: storeFormat, Key: key, Point: p, Fidelity: FidelityEstimate, Estimate: est})
+	return s.write(key, entry{Format: storeFormat, Key: key, Point: storedPoint(p), Fidelity: FidelityEstimate, Estimate: est})
 }
 
 // write atomically persists one entry (temp file + rename).
@@ -283,7 +292,7 @@ func (s *Store) write(key string, e entry) error {
 	if err != nil {
 		return fmt.Errorf("explore: encoding %s: %w", key, err)
 	}
-	defer encBufs.Put(buf)
+	defer jsonBufs.Put(buf)
 	dir := filepath.Dir(s.path(key))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("explore: store: %w", err)

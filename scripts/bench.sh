@@ -1,17 +1,17 @@
 #!/bin/sh
-# bench.sh — run the figure benchmark suite and emit BENCH_13.json, the
+# bench.sh — run the figure benchmark suite and emit BENCH_15.json, the
 # machine-readable perf trajectory record (ns/op + headline figure metrics
 # per benchmark). CI uploads the JSON as an artifact on every push.
 #
 # Environment knobs:
 #   BENCHTIME   passed to -benchtime (default 1s; use 1x for a smoke run)
 #   BENCH       benchmark filter regex (default '.', the whole suite)
-#   OUT         output path (default BENCH_13.json)
+#   OUT         output path (default BENCH_15.json)
 set -eu
 
 BENCHTIME="${BENCHTIME:-1s}"
 BENCH="${BENCH:-.}"
-OUT="${OUT:-BENCH_13.json}"
+OUT="${OUT:-BENCH_15.json}"
 
 cd "$(dirname "$0")/.."
 

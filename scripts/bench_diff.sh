@@ -9,16 +9,16 @@
 #               is generated — shorter settings under-amortize cold-start
 #               allocations and make allocs/op incomparable to the baseline)
 #   BENCH       benchmark filter regex (default '.', the whole suite)
-#   BASELINE    baseline JSON report (default BENCH_13.json)
+#   BASELINE    baseline JSON report (default BENCH_15.json)
 #   DIFFOUT     also write the delta table to this file (default none)
 #   GATE        comma-separated benchmarks whose allocs/op must not regress
 set -eu
 
 BENCHTIME="${BENCHTIME:-1s}"
 BENCH="${BENCH:-.}"
-BASELINE="${BASELINE:-BENCH_13.json}"
+BASELINE="${BASELINE:-BENCH_15.json}"
 DIFFOUT="${DIFFOUT:-}"
-GATE="${GATE:-BenchmarkTable1_Config,BenchmarkTable2_Datasets,BenchmarkServeThroughput,BenchmarkServeLoadSweep,BenchmarkHBMPIMRate}"
+GATE="${GATE:-BenchmarkTable1_Config,BenchmarkTable2_Datasets,BenchmarkServeThroughput,BenchmarkServeLoadSweep,BenchmarkHBMPIMRate,BenchmarkPathfindResume,BenchmarkWriteReport}"
 
 cd "$(dirname "$0")/.."
 
