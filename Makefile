@@ -1,6 +1,10 @@
 GO ?= go
 
-.PHONY: build test test-race race cover bench bench-diff bench-module fmt vet report refdata pathfind-smoke coord-smoke serve-smoke energy-check arch-check calibration-check
+# W is where every smoke, check and report target (and its CI twin) leaves
+# its stores, reports and logs; `make clean` removes it.
+W := .work
+
+.PHONY: build test test-race race cover bench bench-diff bench-module fmt vet loc clean report refdata pathfind-smoke coord-smoke serve-smoke energy-check arch-check calibration-check
 
 build:
 	$(GO) build ./...
@@ -22,44 +26,51 @@ cover:
 # pathfind-smoke mirrors the CI job: a tiny exploration run three times
 # against one store; the resumed runs must be fully cached and byte-identical,
 # and the last one resolves its hits on eight workers — parallel resolve must
-# be invisible byte for byte.
+# be invisible byte for byte. CI runs this target.
 pathfind-smoke:
-	rm -rf pfstore pfreport1 pfreport2 pfreport8 pf-resume8.log
-	$(GO) run ./cmd/pathfind -bench VA,BS -axes "tasklets=1,4;link=1,2" -scale tiny -store pfstore -pareto -goals energy,cost -energy -out pfreport1
-	$(GO) run ./cmd/pathfind -bench VA,BS -axes "tasklets=1,4;link=1,2" -scale tiny -store pfstore -pareto -goals energy,cost -energy -out pfreport2
-	diff -r pfreport1 pfreport2
-	$(GO) run ./cmd/pathfind -bench VA,BS -axes "tasklets=1,4;link=1,2" -scale tiny -store pfstore -jobs 8 -pareto -goals energy,cost -energy -out pfreport8 2> pf-resume8.log
-	cat pf-resume8.log
-	grep -q ", 0 simulated," pf-resume8.log
-	diff -r pfreport2 pfreport8
+	rm -rf $(W)/pfstore $(W)/pfreport1 $(W)/pfreport2 $(W)/pfreport8 $(W)/pf-resume.log $(W)/pf-resume8.log
+	mkdir -p $(W)
+	$(GO) run ./cmd/pathfind -bench VA,BS -axes "tasklets=1,4;link=1,2" -scale tiny -store $(W)/pfstore -pareto -goals energy,cost -energy -out $(W)/pfreport1
+	$(GO) run ./cmd/pathfind -bench VA,BS -axes "tasklets=1,4;link=1,2" -scale tiny -store $(W)/pfstore -pareto -goals energy,cost -energy -out $(W)/pfreport2 2> $(W)/pf-resume.log
+	cat $(W)/pf-resume.log
+	grep -q ", 0 simulated," $(W)/pf-resume.log
+	diff -r $(W)/pfreport1 $(W)/pfreport2
+	$(GO) run ./cmd/pathfind -bench VA,BS -axes "tasklets=1,4;link=1,2" -scale tiny -store $(W)/pfstore -jobs 8 -pareto -goals energy,cost -energy -out $(W)/pfreport8 2> $(W)/pf-resume8.log
+	cat $(W)/pf-resume8.log
+	grep -q ", 0 simulated," $(W)/pf-resume8.log
+	diff -r $(W)/pfreport2 $(W)/pfreport8
 
 # coord-smoke mirrors the CI job: the same tiny exploration run by four
 # coordinated workers through leased shards, then single-process; the
 # artifacts must match byte for byte and the events log must exist.
 coord-smoke:
-	rm -rf coordstore coordreport1 coordreport2 coord-events.jsonl
-	$(GO) run ./cmd/pathfind -coordinator -workers 4 -events coord-events.jsonl -bench VA,BS -axes "tasklets=1,4;link=1,2" -scale tiny -store coordstore -pareto -goals energy,cost -energy -out coordreport1
-	$(GO) run ./cmd/pathfind -bench VA,BS -axes "tasklets=1,4;link=1,2" -scale tiny -store coordstore -pareto -goals energy,cost -energy -out coordreport2
-	diff -r coordreport1 coordreport2
-	test -s coord-events.jsonl
+	rm -rf $(W)/coordstore $(W)/coordreport1 $(W)/coordreport2 $(W)/coord-events.jsonl
+	mkdir -p $(W)
+	$(GO) run ./cmd/pathfind -coordinator -workers 4 -events $(W)/coord-events.jsonl -bench VA,BS -axes "tasklets=1,4;link=1,2" -scale tiny -store $(W)/coordstore -pareto -goals energy,cost -energy -out $(W)/coordreport1
+	$(GO) run ./cmd/pathfind -bench VA,BS -axes "tasklets=1,4;link=1,2" -scale tiny -store $(W)/coordstore -pareto -goals energy,cost -energy -out $(W)/coordreport2
+	diff -r $(W)/coordreport1 $(W)/coordreport2
+	test -s $(W)/coord-events.jsonl
 
 # serve-smoke mirrors the CI job: a tiny multi-tenant serving run (Poisson
 # arrivals, two tenants, weighted-fair + FIFO load sweep) validated against
 # the committed references at eps 1e-12, run at -jobs 1 and -jobs 8; the
 # virtual-time event loop makes the two reports byte-identical.
 serve-smoke:
-	rm -rf servereport1 servereport8
-	$(GO) run ./cmd/upimulator serve -loads 0.5,0.8,1.1 -policies fifo,wfq -jobs 1 -check -eps 1e-12 -out servereport1
-	$(GO) run ./cmd/upimulator serve -loads 0.5,0.8,1.1 -policies fifo,wfq -jobs 8 -check -eps 1e-12 -out servereport8
-	diff -r servereport1 servereport8
+	rm -rf $(W)/servereport1 $(W)/servereport8
+	$(GO) run ./cmd/upimulator serve -loads 0.5,0.8,1.1 -policies fifo,wfq -jobs 1 -check -eps 1e-12 -out $(W)/servereport1
+	$(GO) run ./cmd/upimulator serve -loads 0.5,0.8,1.1 -policies fifo,wfq -jobs 8 -check -eps 1e-12 -out $(W)/servereport8
+	diff -r $(W)/servereport1 $(W)/servereport8
 
-# energy-check mirrors the CI job: regenerate the energy breakdown at tiny
-# scale, validate it against the committed reference at eps 1e-12, and leave
-# the browsable report under energy-report/. An unknown -scale must be an
-# error, never a silent run at the zero scale (tiny).
+# energy-check is the CI job: regenerate the energy breakdown at tiny scale,
+# validate it against the committed reference at eps 1e-12, and leave the
+# browsable report under $(W)/energy-report/. An unknown -scale must be an
+# error, never a silent run at the zero scale (tiny), and so must a -profile
+# that nothing would read.
 energy-check:
-	$(GO) run ./cmd/figures -exp energy -scale tiny -out energy-report -check -eps 1e-12
+	rm -rf $(W)/energy-report
+	$(GO) run ./cmd/figures -exp energy -scale tiny -out $(W)/energy-report -check -eps 1e-12
 	! $(GO) run ./cmd/figures -exp table1 -scale bogus
+	! $(GO) run ./cmd/prim -profile /dev/null
 
 # arch-check mirrors the CI job: the canonical cross-architecture Pareto
 # frontier run (UPMEM DPU vs HBM-PIM bank-level MAC over GEMV and VA),
@@ -69,14 +80,15 @@ energy-check:
 # cross-checked against the crossarch figure experiment, which computes the
 # same frontier through internal/figures.
 arch-check:
-	rm -rf archstore archstore8 archreport1 archreport2 archreport8 arch-resume.log
-	$(GO) run ./cmd/pathfind -bench GEMV,VA -axes "arch=upmem,hbm-pim;dpus=1,2" -scale tiny -store archstore -jobs 1 -pareto -goals time,energy,cost -energy -check -eps 1e-12 -out archreport1
-	$(GO) run ./cmd/pathfind -bench GEMV,VA -axes "arch=upmem,hbm-pim;dpus=1,2" -scale tiny -store archstore -jobs 1 -pareto -goals time,energy,cost -energy -check -eps 1e-12 -out archreport2 2> arch-resume.log
-	cat arch-resume.log
-	grep -q ", 0 simulated," arch-resume.log
-	$(GO) run ./cmd/pathfind -bench GEMV,VA -axes "arch=upmem,hbm-pim;dpus=1,2" -scale tiny -store archstore8 -jobs 8 -pareto -goals time,energy,cost -energy -check -eps 1e-12 -out archreport8
-	diff -r archreport1 archreport2
-	diff -r archreport1 archreport8
+	rm -rf $(W)/archstore $(W)/archstore8 $(W)/archreport1 $(W)/archreport2 $(W)/archreport8 $(W)/arch-resume.log
+	mkdir -p $(W)
+	$(GO) run ./cmd/pathfind -bench GEMV,VA -axes "arch=upmem,hbm-pim;dpus=1,2" -scale tiny -store $(W)/archstore -jobs 1 -pareto -goals time,energy,cost -energy -check -eps 1e-12 -out $(W)/archreport1
+	$(GO) run ./cmd/pathfind -bench GEMV,VA -axes "arch=upmem,hbm-pim;dpus=1,2" -scale tiny -store $(W)/archstore -jobs 1 -pareto -goals time,energy,cost -energy -check -eps 1e-12 -out $(W)/archreport2 2> $(W)/arch-resume.log
+	cat $(W)/arch-resume.log
+	grep -q ", 0 simulated," $(W)/arch-resume.log
+	$(GO) run ./cmd/pathfind -bench GEMV,VA -axes "arch=upmem,hbm-pim;dpus=1,2" -scale tiny -store $(W)/archstore8 -jobs 8 -pareto -goals time,energy,cost -energy -check -eps 1e-12 -out $(W)/archreport8
+	diff -r $(W)/archreport1 $(W)/archreport2
+	diff -r $(W)/archreport1 $(W)/archreport8
 	$(GO) run ./cmd/figures -exp crossarch -scale tiny -check -eps 1e-12
 
 # calibration-check mirrors the CI job: refit the analytical estimator's
@@ -116,8 +128,17 @@ fmt:
 vet:
 	$(GO) vet ./...
 
+# loc prints the line count ROADMAP re-anchors and simplicity PRs quote:
+# tracked non-test Go outside benchmark/, per package directory and in total.
+loc:
+	@./scripts/loc.sh
+
+clean:
+	rm -rf $(W) coverage.out
+
 report:
-	$(GO) run ./cmd/figures -exp all -scale tiny -out report -check
+	rm -rf $(W)/report
+	$(GO) run ./cmd/figures -exp all -scale tiny -out $(W)/report -check
 
 refdata:
 	$(GO) run ./cmd/figures -exp all -scale tiny -writeref internal/figures/refdata

@@ -24,12 +24,10 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 
 	"upim"
-	"upim/internal/figures/refdata"
-	"upim/internal/prof"
+	"upim/internal/cli"
 )
 
 func main() {
@@ -55,7 +53,7 @@ func run() int {
 	flag.Parse()
 
 	if *cpuprof != "" || *memprof != "" {
-		stop, err := prof.Start(*cpuprof, *memprof)
+		stop, err := cli.Profile(*cpuprof, *memprof)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "figures:", err)
 			return 1
@@ -128,47 +126,5 @@ func run() int {
 		}
 	}
 
-	if *out != "" {
-		if err := upim.WriteReport(*out, tables); err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "figures: wrote %d artifacts + index.md to %s\n", len(tables), *out)
-	}
-	if *writeref != "" {
-		if err := os.MkdirAll(*writeref, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			return 1
-		}
-		for _, tab := range tables {
-			path := filepath.Join(*writeref, refdata.FileName(tab.Key, tab.Scale))
-			f, err := os.Create(path)
-			if err == nil {
-				err = tab.WriteJSON(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "figures:", err)
-				return 1
-			}
-		}
-		fmt.Fprintf(os.Stderr, "figures: wrote %d reference artifacts to %s\n", len(tables), *writeref)
-	}
-	if *check {
-		failed := 0
-		for _, tab := range tables {
-			if err := upim.CheckArtifact(tab, *eps); err != nil {
-				fmt.Fprintf(os.Stderr, "figures: check FAILED: %v\n", err)
-				failed++
-			}
-		}
-		if failed > 0 {
-			fmt.Fprintf(os.Stderr, "figures: %d/%d artifacts deviate from the reference\n", failed, len(tables))
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "figures: all %d artifacts match the reference\n", len(tables))
-	}
-	return 0
+	return cli.Report{Out: *out, WriteRef: *writeref, Check: *check, Eps: *eps}.Finish("figures", tables)
 }

@@ -75,12 +75,11 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"time"
 
 	"upim"
-	"upim/internal/figures/refdata"
+	"upim/internal/cli"
 )
 
 const defaultAxes = "tasklets=1,4,16;ilp=base,DRSF;link=1,2,4"
@@ -344,33 +343,8 @@ func run() int {
 	for _, tab := range tables {
 		tab.Fprint(os.Stdout)
 	}
-	if *out != "" {
-		if werr := upim.WriteReport(*out, tables); werr != nil {
-			fmt.Fprintln(os.Stderr, "pathfind:", werr)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "pathfind: wrote %d artifacts + index.md to %s\n", len(tables), *out)
-	}
-	if *writeref != "" {
-		if werr := writeReferences(*writeref, tables); werr != nil {
-			fmt.Fprintln(os.Stderr, "pathfind:", werr)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "pathfind: wrote %d reference artifacts to %s\n", len(tables), *writeref)
-	}
-	if *check {
-		failed := 0
-		for _, tab := range tables {
-			if cerr := upim.CheckArtifact(tab, *eps); cerr != nil {
-				fmt.Fprintln(os.Stderr, "pathfind:", cerr)
-				failed++
-			}
-		}
-		if failed > 0 {
-			fmt.Fprintf(os.Stderr, "pathfind: %d of %d tables deviate from the committed references\n", failed, len(tables))
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "pathfind: all %d tables match the reference\n", len(tables))
+	if code := (cli.Report{Out: *out, WriteRef: *writeref, Check: *check, Eps: *eps}).Finish("pathfind", tables); code != 0 {
+		return code
 	}
 
 	fmt.Fprintf(os.Stderr, "pathfind: %d points: %d cached, %d simulated, %d failed\n",
@@ -394,31 +368,6 @@ func run() int {
 		return 1
 	}
 	return 0
-}
-
-// writeReferences writes each table's reference JSON into dir under the
-// embedded-refdata naming convention, so maintainers regenerate the
-// committed cross-architecture references with
-//
-//	pathfind ...canonical arch-check flags... -writeref internal/figures/refdata
-func writeReferences(dir string, tables []*upim.ResultTable) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for _, tab := range tables {
-		path := filepath.Join(dir, refdata.FileName(tab.Key, tab.Scale))
-		f, err := os.Create(path)
-		if err == nil {
-			err = tab.WriteJSON(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // progressPrinter streams coordinated-exploration progress to stderr: one

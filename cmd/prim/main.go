@@ -16,7 +16,7 @@ import (
 	"os/signal"
 
 	"upim"
-	"upim/internal/prof"
+	"upim/internal/cli"
 )
 
 func main() {
@@ -39,7 +39,7 @@ func run() int {
 	flag.Parse()
 
 	if *cpuprof != "" || *memprof != "" {
-		stop, err := prof.Start(*cpuprof, *memprof)
+		stop, err := cli.Profile(*cpuprof, *memprof)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "prim:", err)
 			return 1
@@ -59,7 +59,7 @@ func run() int {
 	if *profile != "" {
 		if !*energyF {
 			fmt.Fprintln(os.Stderr, "prim: -profile only affects the -energy columns and table; add -energy to use it")
-			return 1
+			return 2
 		}
 		var err error
 		if prof, err = upim.LoadTechProfile(*profile); err != nil {

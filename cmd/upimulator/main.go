@@ -23,20 +23,25 @@ import (
 	"upim"
 )
 
-func main() {
-	if len(os.Args) > 1 && os.Args[1] == "serve" {
-		os.Exit(serveMain(os.Args[2:]))
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run is main with the exit code returned: 2 for a usage error, 1 for a
+// failed run.
+func run(args []string) int {
+	if len(args) > 0 && args[0] == "serve" {
+		return serveMain(args[1:])
 	}
+	fs := flag.NewFlagSet("upimulator", flag.ExitOnError)
 	var (
-		kernel  = flag.String("kernel", "VA", "PrIM benchmark name ("+strings.Join(upim.Benchmarks(), ", ")+")")
-		threads = flag.Int("threads", 16, "tasklets per DPU (1-16 for PrIM kernels)")
-		dpus    = flag.Int("dpus", 1, "number of DPUs")
-		mode    = flag.String("mode", "scratchpad", "memory model: scratchpad, cache or simt (GEMV only)")
-		scale   = flag.String("scale", "small", "dataset scale: tiny, small or paper")
-		ilp     = flag.String("ilp", "", "ILP features, a subset of DRSF (Fig 12)")
-		mmu     = flag.Bool("mmu", false, "enable the case-study 3 MMU")
+		kernel  = fs.String("kernel", "VA", "PrIM benchmark name ("+strings.Join(upim.Benchmarks(), ", ")+")")
+		threads = fs.Int("threads", 16, "tasklets per DPU (1-16 for PrIM kernels)")
+		dpus    = fs.Int("dpus", 1, "number of DPUs")
+		mode    = fs.String("mode", "scratchpad", "memory model: scratchpad, cache or simt (GEMV only)")
+		scale   = fs.String("scale", "small", "dataset scale: tiny, small or paper")
+		ilp     = fs.String("ilp", "", "ILP features, a subset of DRSF (Fig 12)")
+		mmu     = fs.Bool("mmu", false, "enable the case-study 3 MMU")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -57,7 +62,7 @@ func main() {
 		cfg.SIMTCoalesce = true
 		tasklets = 16 * 16
 	default:
-		fatal(fmt.Errorf("unknown mode %q", *mode))
+		return fail(2, fmt.Errorf("unknown mode %q (want scratchpad, cache or simt)", *mode))
 	}
 	opts := []upim.RunnerOption{
 		upim.WithConfig(cfg),
@@ -67,18 +72,17 @@ func main() {
 	}
 	sc, err := upim.ParseScale(*scale)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "upimulator:", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 	opts = append(opts, upim.WithScale(sc))
 
 	r, err := upim.NewRunner(opts...)
 	if err != nil {
-		fatal(err)
+		return fail(1, err)
 	}
 	res, err := r.Run(ctx, *kernel)
 	if err != nil {
-		fatal(err)
+		return fail(1, err)
 	}
 	fmt.Printf("%s: %s mode, %d tasklets x %d DPUs, scale %s — output verified against golden model\n\n",
 		res.Benchmark, res.Mode, res.Tasklets, res.DPUs, sc)
@@ -89,9 +93,10 @@ func main() {
 		res.Report.TransferSeconds[1]*1e3,
 		res.Report.TransferSeconds[2]*1e3,
 		res.Report.Total()*1e3)
+	return 0
 }
 
-func fatal(err error) {
+func fail(code int, err error) int {
 	fmt.Fprintln(os.Stderr, "upimulator:", err)
-	os.Exit(1)
+	return code
 }

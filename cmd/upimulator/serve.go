@@ -7,12 +7,11 @@ import (
 	"math"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
 
 	"upim"
-	"upim/internal/figures/refdata"
+	"upim/internal/cli"
 )
 
 // serveUsage documents the serve subcommand's tenant grammar.
@@ -113,48 +112,7 @@ func serveMain(args []string) int {
 		tab.Fprint(os.Stdout)
 		fmt.Println()
 	}
-	if *out != "" {
-		if err := upim.WriteReport(*out, tables); err != nil {
-			fmt.Fprintln(os.Stderr, "upimulator serve:", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "upimulator serve: wrote %d artifacts to %s\n", len(tables), *out)
-	}
-	if *writeref != "" {
-		if err := os.MkdirAll(*writeref, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "upimulator serve:", err)
-			return 1
-		}
-		for _, tab := range tables {
-			path := filepath.Join(*writeref, refdata.FileName(tab.Key, tab.Scale))
-			f, err := os.Create(path)
-			if err == nil {
-				err = tab.WriteJSON(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "upimulator serve:", err)
-				return 1
-			}
-		}
-		fmt.Fprintf(os.Stderr, "upimulator serve: wrote %d reference artifacts to %s\n", len(tables), *writeref)
-	}
-	if *check {
-		failed := 0
-		for _, tab := range tables {
-			if err := upim.CheckArtifact(tab, *eps); err != nil {
-				fmt.Fprintf(os.Stderr, "upimulator serve: check FAILED: %v\n", err)
-				failed++
-			}
-		}
-		if failed > 0 {
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "upimulator serve: all %d artifacts match the reference\n", len(tables))
-	}
-	return 0
+	return cli.Report{Out: *out, WriteRef: *writeref, Check: *check, Eps: *eps}.Finish("upimulator serve", tables)
 }
 
 // parseTenants parses the -tenants grammar: semicolon-separated

@@ -1,7 +1,9 @@
-// Package prof is the shared -cpuprofile/-memprofile plumbing of the CLIs
-// (cmd/figures, cmd/prim), so perf investigations of the simulator's hot
-// path never require editing code.
-package prof
+// Package cli is the plumbing the commands share: the -cpuprofile/-memprofile
+// pair (cmd/figures, cmd/prim), so perf investigations of the simulator's hot
+// path never require editing code, and the -out/-writeref/-check tail every
+// table-emitting command ends on (cmd/figures, cmd/pathfind, upimulator
+// serve).
+package cli
 
 import (
 	"fmt"
@@ -10,11 +12,11 @@ import (
 	"runtime/pprof"
 )
 
-// Start begins CPU profiling into cpuPath (when non-empty) and returns a
+// Profile begins CPU profiling into cpuPath (when non-empty) and returns a
 // cleanup that stops it and writes a heap profile to memPath (when
 // non-empty). Callers must run the cleanup before exiting — including on
 // error paths — or the CPU profile will be truncated.
-func Start(cpuPath, memPath string) (stop func(), err error) {
+func Profile(cpuPath, memPath string) (stop func(), err error) {
 	var cpuFile *os.File
 	if cpuPath != "" {
 		if cpuFile, err = os.Create(cpuPath); err != nil {

@@ -38,7 +38,7 @@ func init() {
 			}
 		},
 		Build:       buildBFS,
-		Run:         runBFS,
+		Run:         staged(runBFS),
 		MaxTasklets: 16,
 	})
 }
@@ -263,7 +263,7 @@ func buildBFS(mode config.Mode) (*linker.Object, error) {
 	return b.Build()
 }
 
-func runBFS(ctx context.Context, sys *host.System, p Params) error {
+func runBFS(ctx context.Context, x *xfer, p Params) error {
 	n := p.N
 	if n%64 != 0 {
 		return fmt.Errorf("bfs: n must be a multiple of 64")
@@ -271,109 +271,67 @@ func runBFS(ctx context.Context, sys *host.System, p Params) error {
 	g := genGraph(n, p.NNZPerRow, p.Seed)
 	want := goldenBFS(g, n)
 
-	D := sys.NumDPUs()
-	parts := ranges(n, D, 64)
-	bmWords := n / 32 // u32 words per bitmap
-	bmBytes := 4 * bmWords
+	parts := ranges(n, x.sys.NumDPUs(), 64)
+	bm := n / 32 // words per vertex bitmap
 
-	type lay struct{ rpOff, ciOff, frOff, visOff, nxOff uint32 }
-	lays := make([]lay, D)
+	type lay struct{ rp, ci, frontier, visited, next region }
+	lays := make([]lay, len(parts))
+	rp := x.ints(parts[0][1] - parts[0][0] + 2)
 	for d, pr := range parts {
+		var bank mram
 		rows := pr[1] - pr[0]
-		base, limit := g.rowptr[pr[0]], g.rowptr[pr[1]]
-		rp := make([]int32, rows+2)
-		for i := 0; i <= rows; i++ {
-			rp[i] = g.rowptr[pr[0]+i] - base
-		}
-		var l lay
-		l.rpOff = 0
-		l.ciOff = align8(uint32(4 * (rows + 2)))
-		l.frOff = align8(l.ciOff + uint32(4*max(int(limit-base), 1)))
-		l.visOff = align8(l.frOff + uint32(bmBytes))
-		l.nxOff = align8(l.visOff + uint32(bmBytes))
+		base, limit := rebaseRows(rp, g.rowptr, pr[0], pr[1])
+		l := lay{rp: bank.words(rows + 2), ci: bank.words(max(int(limit-base), 1))}
+		l.frontier, l.visited, l.next = bank.words(bm), bank.words(bm), bank.words(bm)
 		lays[d] = l
-		if err := sys.CopyToMRAM(d, l.rpOff, i32sToBytes(rp)); err != nil {
-			return err
-		}
-		if limit > base {
-			if err := sys.CopyToMRAM(d, l.ciOff, i32sToBytes(g.colidx[base:limit])); err != nil {
-				return err
-			}
-		}
+		x.put(d, l.rp, rp[:rows+2])
+		x.put(d, l.ci, g.colidx[base:limit])
 	}
 
-	frontier := make([]uint32, bmWords)
-	visited := make([]uint32, bmWords)
-	setBit := func(bm []uint32, v int) { bm[v/32] |= 1 << (v % 32) }
-	setBit(frontier, 0)
-	setBit(visited, 0)
-	dist := make([]int32, n)
+	// Vertex 0 is the source: bit 0 of word 0.
+	frontier, visited, next, zero := x.ints(bm), x.ints(bm), x.ints(bm), x.ints(bm)
+	frontier[0], visited[0] = 1, 1
+	dist := x.ints(n)
 	for i := range dist {
 		dist[i] = -1
 	}
 	dist[0] = 0
 
-	zero := make([]byte, bmBytes)
-	for level := int32(1); ; level++ {
-		empty := true
-		for _, w := range frontier {
-			if w != 0 {
-				empty = false
-				break
-			}
-		}
-		if empty {
-			break
-		}
+	for level, live := int32(1), true; live; level++ {
 		if level > int32(n) {
 			return fmt.Errorf("bfs: runaway level loop")
 		}
 		if level > 1 {
-			sys.SetPhase(host.PhaseExchange)
+			x.phase(host.PhaseExchange)
 		}
 		for d, pr := range parts {
 			l := lays[d]
-			if err := sys.CopyToMRAM(d, l.frOff, u32sToBytes(frontier)); err != nil {
-				return err
-			}
-			if err := sys.CopyToMRAM(d, l.visOff, u32sToBytes(visited)); err != nil {
-				return err
-			}
-			if err := sys.CopyToMRAM(d, l.nxOff, zero); err != nil {
-				return err
-			}
-			if err := sys.WriteArgs(d,
-				host.MRAMBaseAddr(l.rpOff), host.MRAMBaseAddr(l.ciOff),
-				host.MRAMBaseAddr(l.frOff), host.MRAMBaseAddr(l.visOff),
-				host.MRAMBaseAddr(l.nxOff), uint32(pr[0]), uint32(pr[1])); err != nil {
-				return err
-			}
+			x.put(d, l.frontier, frontier)
+			x.put(d, l.visited, visited)
+			x.put(d, l.next, zero)
+			x.args(d, l.rp.addr(), l.ci.addr(), l.frontier.addr(), l.visited.addr(),
+				l.next.addr(), uint32(pr[0]), uint32(pr[1]))
 		}
-		if err := sys.Launch(ctx); err != nil {
-			return err
-		}
-		sys.SetPhase(host.PhaseExchange)
-		next := make([]uint32, bmWords)
+		x.launch(ctx, host.PhaseExchange)
+		clear(next)
 		for d := range parts {
-			raw, err := sys.ReadMRAM(d, lays[d].nxOff, bmBytes)
-			if err != nil {
-				return err
-			}
-			for i, w := range bytesToU32s(raw) {
+			for i, w := range x.get(d, lays[d].next) {
 				next[i] |= w
 			}
 		}
 		// newFrontier = next &^ visited
+		live = false
 		for i := range next {
 			next[i] &^= visited[i]
 			visited[i] |= next[i]
+			live = live || next[i] != 0
 		}
 		for v := 0; v < n; v++ {
 			if next[v/32]&(1<<(v%32)) != 0 {
 				dist[v] = level
 			}
 		}
-		frontier = next
+		frontier, next = next, frontier
 	}
 	return checkI32s("BFS distances", dist, want)
 }
@@ -435,24 +393,4 @@ func goldenBFS(g *graph, n int) []int32 {
 		}
 	}
 	return dist
-}
-
-func u32sToBytes(v []uint32) []byte {
-	out := make([]byte, 4*len(v))
-	for i, x := range v {
-		out[4*i] = byte(x)
-		out[4*i+1] = byte(x >> 8)
-		out[4*i+2] = byte(x >> 16)
-		out[4*i+3] = byte(x >> 24)
-	}
-	return out
-}
-
-func bytesToU32s(raw []byte) []uint32 {
-	out := make([]uint32, len(raw)/4)
-	for i := range out {
-		out[i] = uint32(raw[4*i]) | uint32(raw[4*i+1])<<8 |
-			uint32(raw[4*i+2])<<16 | uint32(raw[4*i+3])<<24
-	}
-	return out
 }

@@ -35,7 +35,7 @@ func init() {
 			}
 		},
 		Build: buildBS,
-		Run:   runBS,
+		Run:   staged(runBS),
 	})
 }
 
@@ -167,18 +167,17 @@ func buildBS(mode config.Mode) (*linker.Object, error) {
 	return b.Build()
 }
 
-func runBS(ctx context.Context, sys *host.System, p Params) error {
+func runBS(ctx context.Context, x *xfer, p Params) error {
 	n, nq := p.N, p.Queries
 	// Sorted array with strictly increasing values; queries drawn from it.
-	a := make([]int32, n)
+	a := x.ints(n)
 	r := rand.New(rand.NewSource(p.Seed))
 	v := int32(0)
 	for i := range a {
 		v += 1 + r.Int31n(4)
 		a[i] = v
 	}
-	q := make([]int32, nq)
-	want := make([]int32, nq)
+	q, want := x.ints(nq), x.ints(nq)
 	for i := range q {
 		idx := r.Intn(n)
 		q[i] = a[idx]
@@ -187,36 +186,17 @@ func runBS(ctx context.Context, sys *host.System, p Params) error {
 
 	// The array is replicated on every DPU (CPU->DPU volume grows with DPU
 	// count — the paper's reason BS scales sub-linearly); queries partition.
-	slices := ranges(nq, sys.NumDPUs(), 2)
-	aOff := uint32(0)
-	qOff := align8(uint32(4 * n))
+	slices := ranges(nq, x.sys.NumDPUs(), 2)
+	outs := make([]region, len(slices))
 	for d, sl := range slices {
+		var m mram
 		cnt := sl[1] - sl[0]
-		outOff := align8(qOff + uint32(4*cnt))
-		if err := sys.CopyToMRAM(d, aOff, i32sToBytes(a)); err != nil {
-			return err
-		}
-		if err := sys.CopyToMRAM(d, qOff, i32sToBytes(q[sl[0]:sl[1]])); err != nil {
-			return err
-		}
-		if err := sys.WriteArgs(d, host.MRAMBaseAddr(aOff), uint32(n),
-			host.MRAMBaseAddr(qOff), uint32(cnt), host.MRAMBaseAddr(outOff)); err != nil {
-			return err
-		}
+		ra, rq := m.words(n), m.words(cnt)
+		outs[d] = m.words(cnt)
+		x.put(d, ra, a)
+		x.put(d, rq, q[sl[0]:sl[1]])
+		x.args(d, ra.addr(), uint32(n), rq.addr(), uint32(cnt), outs[d].addr())
 	}
-	if err := sys.Launch(ctx); err != nil {
-		return err
-	}
-	sys.SetPhase(host.PhaseOutput)
-	got := make([]int32, 0, nq)
-	for d, sl := range slices {
-		cnt := sl[1] - sl[0]
-		outOff := align8(qOff + uint32(4*cnt))
-		raw, err := sys.ReadMRAM(d, outOff, 4*cnt)
-		if err != nil {
-			return err
-		}
-		got = append(got, bytesToI32s(raw)...)
-	}
-	return checkI32s("BS", got, want)
+	x.launch(ctx, host.PhaseOutput)
+	return checkI32s("BS", x.gather(outs), want)
 }

@@ -32,7 +32,7 @@ func init() {
 			}
 		},
 		Build:        func(m config.Mode) (*linker.Object, error) { return buildGEMVKernel(m, "gemv", false) },
-		Run:          runGEMV,
+		Run:          staged(runGEMV),
 		SupportsSIMT: true,
 	})
 }
@@ -233,58 +233,36 @@ func buildGEMVKernel(mode config.Mode, name string, relu bool) (*linker.Object, 
 	return b.Build()
 }
 
-func runGEMV(ctx context.Context, sys *host.System, p Params) error {
+func runGEMV(ctx context.Context, x *xfer, p Params) error {
 	m, n := p.M, p.N
 	a := randI32s(m*n, 64, p.Seed)
-	x := randI32s(n, 64, p.Seed+1)
-	want := make([]int32, m)
+	v := randI32s(n, 64, p.Seed+1)
+	want := x.ints(m)
 	for r := 0; r < m; r++ {
 		var acc int32
 		for j := 0; j < n; j++ {
-			acc += a[r*n+j] * x[j]
+			acc += a[r*n+j] * v[j]
 		}
 		want[r] = acc
 	}
 
-	slices := ranges(m, sys.NumDPUs(), 2)
-	cfg := sys.Config()
+	slices := ranges(m, x.sys.NumDPUs(), 2)
+	outs := make([]region, len(slices))
+	cfg := x.sys.Config()
 	for d, r := range slices {
+		var bank mram
 		rows := r[1] - r[0]
-		aOff := uint32(0)
-		xOff := align8(aOff + uint32(4*rows*n))
-		yOff := align8(xOff + uint32(4*n))
-		if err := sys.CopyToMRAM(d, aOff, i32sToBytes(a[r[0]*n:r[1]*n])); err != nil {
-			return err
-		}
-		if err := sys.CopyToMRAM(d, xOff, i32sToBytes(x)); err != nil {
-			return err
-		}
-		args := []uint32{
-			host.MRAMBaseAddr(aOff), host.MRAMBaseAddr(xOff),
-			host.MRAMBaseAddr(yOff), uint32(rows), uint32(n),
-		}
+		ra, rv := bank.words(rows*n), bank.words(n)
+		outs[d] = bank.words(rows)
+		x.put(d, ra, a[r[0]*n:r[1]*n])
+		x.put(d, rv, v)
+		args := []uint32{ra.addr(), rv.addr(), outs[d].addr(), uint32(rows), uint32(n)}
 		if cfg.Mode == config.ModeSIMT {
 			w := cfg.SIMTWidth
 			args = append(args, uint32(w), uint32((cfg.NumTasklets+w-1)/w))
 		}
-		if err := sys.WriteArgs(d, args...); err != nil {
-			return err
-		}
+		x.args(d, args...)
 	}
-	if err := sys.Launch(ctx); err != nil {
-		return err
-	}
-	sys.SetPhase(host.PhaseOutput)
-	got := make([]int32, 0, m)
-	for d, r := range slices {
-		rows := r[1] - r[0]
-		xOff := align8(uint32(4 * rows * n))
-		yOff := align8(xOff + uint32(4*n))
-		raw, err := sys.ReadMRAM(d, yOff, 4*rows)
-		if err != nil {
-			return err
-		}
-		got = append(got, bytesToI32s(raw)...)
-	}
-	return checkI32s("GEMV", got, want)
+	x.launch(ctx, host.PhaseOutput)
+	return checkI32s("GEMV", x.gather(outs), want)
 }

@@ -42,14 +42,14 @@ func init() {
 		About:  "histogram, per-tasklet private copies (128K elem., 256 bins)",
 		Params: params(7),
 		Build:  func(m config.Mode) (*linker.Object, error) { return buildHST(m, false) },
-		Run:    runHST,
+		Run:    staged(runHST),
 	})
 	register(&Benchmark{
 		Name:   "HST-L",
 		About:  "histogram, shared copy behind a mutex (128K elem., 256 bins)",
 		Params: params(8),
 		Build:  func(m config.Mode) (*linker.Object, error) { return buildHST(m, true) },
-		Run:    runHST,
+		Run:    staged(runHST),
 	})
 }
 
@@ -265,39 +265,27 @@ var (
 	rBytes16 = kbuild.R(16)
 )
 
-func runHST(ctx context.Context, sys *host.System, p Params) error {
+func runHST(ctx context.Context, x *xfer, p Params) error {
 	n, bins := p.N, p.Bins
 	const shift = 4
 	a := randI32s(n, int32(bins)<<shift, p.Seed)
-	want := make([]int32, bins)
-	for _, x := range a {
-		want[x>>shift]++
+	want := x.ints(bins)
+	for _, v := range a {
+		want[v>>shift]++
 	}
-	slices := ranges(n, sys.NumDPUs(), 2)
+	slices := ranges(n, x.sys.NumDPUs(), 2)
+	outs := make([]region, len(slices))
 	for d, r := range slices {
-		cnt := r[1] - r[0]
-		outOff := align8(uint32(4 * cnt))
-		if err := sys.CopyToMRAM(d, 0, i32sToBytes(a[r[0]:r[1]])); err != nil {
-			return err
-		}
-		if err := sys.WriteArgs(d, host.MRAMBaseAddr(0), uint32(cnt),
-			host.MRAMBaseAddr(outOff), shift); err != nil {
-			return err
-		}
+		var m mram
+		in := m.words(r[1] - r[0])
+		outs[d] = m.words(bins)
+		x.put(d, in, a[r[0]:r[1]])
+		x.args(d, in.addr(), uint32(in.words), outs[d].addr(), shift)
 	}
-	if err := sys.Launch(ctx); err != nil {
-		return err
-	}
-	sys.SetPhase(host.PhaseOutput)
-	got := make([]int32, bins)
-	for d, r := range slices {
-		cnt := r[1] - r[0]
-		outOff := align8(uint32(4 * cnt))
-		raw, err := sys.ReadMRAM(d, outOff, 4*bins)
-		if err != nil {
-			return err
-		}
-		for i, v := range bytesToI32s(raw) {
+	x.launch(ctx, host.PhaseOutput)
+	got := x.ints(bins)
+	for d := range slices {
+		for i, v := range x.get(d, outs[d]) {
 			got[i] += v
 		}
 	}

@@ -28,28 +28,26 @@ func init() {
 			}
 		},
 		Build: func(m config.Mode) (*linker.Object, error) { return buildGEMVKernel(m, "mlp", true) },
-		Run:   runMLP,
+		Run:   staged(runMLP),
 	})
 }
 
-func runMLP(ctx context.Context, sys *host.System, p Params) error {
+func runMLP(ctx context.Context, x *xfer, p Params) error {
 	dim, layers := p.M, p.Layers
 	weights := make([][]int32, layers)
 	for l := range weights {
 		// randI32s results are shared read-only; shift into a copy.
-		base := randI32s(dim*dim, 16, p.Seed+int64(l))
-		w := make([]int32, len(base))
-		for i, v := range base {
-			w[i] = v - 8
+		weights[l] = x.ints(dim * dim)
+		for i, v := range randI32s(dim*dim, 16, p.Seed+int64(l)) {
+			weights[l][i] = v - 8
 		}
-		weights[l] = w
 	}
-	x := randI32s(dim, 16, p.Seed+100)
+	in := randI32s(dim, 16, p.Seed+100)
 
 	// Golden model.
-	want := append([]int32(nil), x...)
+	want := in
 	for l := 0; l < layers; l++ {
-		next := make([]int32, dim)
+		next := x.ints(dim)
 		for r := 0; r < dim; r++ {
 			var acc int32
 			for j := 0; j < dim; j++ {
@@ -64,75 +62,46 @@ func runMLP(ctx context.Context, sys *host.System, p Params) error {
 	}
 
 	// Layout: each DPU holds its row-slice of every layer's weights, the
-	// (broadcast) activation vector, and its y slice. Offsets are computed
-	// from the largest slice so every DPU shares one layout even when the
-	// last DPUs get short (or empty) row ranges.
-	slices := ranges(dim, sys.NumDPUs(), 2)
+	// (broadcast) activation vector, and its y slice. Regions are sized by
+	// the largest slice so every DPU shares one layout even when the last
+	// DPUs get short (or empty) row ranges.
+	slices := ranges(dim, x.sys.NumDPUs(), 2)
 	maxRows := slices[0][1] - slices[0][0]
-	wOff := make([]uint32, layers)
-	off := uint32(0)
-	for l := 0; l < layers; l++ {
-		wOff[l] = off
-		off = align8(off + uint32(4*maxRows*dim))
+	var m mram
+	rw := make([]region, layers)
+	for l := range rw {
+		rw[l] = m.words(maxRows * dim)
 	}
-	xOff := off
-	yOff := align8(xOff + uint32(4*dim))
+	rx, ry := m.words(dim), m.words(maxRows)
+	outs := make([]region, len(slices))
 	for d, r := range slices {
-		for l := 0; l < layers; l++ {
-			if r[1] > r[0] {
-				if err := sys.CopyToMRAM(d, wOff[l], i32sToBytes(weights[l][r[0]*dim:r[1]*dim])); err != nil {
-					return err
-				}
-			}
+		for l := range rw {
+			x.put(d, rw[l], weights[l][r[0]*dim:r[1]*dim])
 		}
-		if err := sys.CopyToMRAM(d, xOff, i32sToBytes(x)); err != nil {
-			return err
-		}
+		x.put(d, rx, in)
+		outs[d] = ry.sub(0, r[1]-r[0])
 	}
 
-	act := x
-	for l := 0; l < layers; l++ {
+	act := in
+	for l := range rw {
 		if l > 0 {
-			sys.SetPhase(host.PhaseExchange)
+			x.phase(host.PhaseExchange)
 		}
-		for d, r := range slices {
-			rows := r[1] - r[0]
+		for d := range slices {
 			if l > 0 {
 				// Broadcast the previous layer's activations.
-				if err := sys.CopyToMRAM(d, xOff, i32sToBytes(act)); err != nil {
-					return err
-				}
+				x.put(d, rx, act)
 			}
-			if err := sys.WriteArgs(d,
-				host.MRAMBaseAddr(wOff[l]), host.MRAMBaseAddr(xOff),
-				host.MRAMBaseAddr(yOff), uint32(rows), uint32(dim)); err != nil {
-				return err
-			}
-		}
-		if err := sys.Launch(ctx); err != nil {
-			return err
+			x.args(d, rw[l].addr(), rx.addr(), ry.addr(), uint32(outs[d].words), uint32(dim))
 		}
 		// Gather the layer output (exchange for inner layers, final output
 		// for the last).
-		if l < layers-1 {
-			sys.SetPhase(host.PhaseExchange)
-		} else {
-			sys.SetPhase(host.PhaseOutput)
+		next := host.PhaseExchange
+		if l == layers-1 {
+			next = host.PhaseOutput
 		}
-		next := make([]int32, 0, dim)
-		for d, r := range slices {
-			rows := r[1] - r[0]
-			if rows == 0 {
-				continue
-			}
-			raw, err := sys.ReadMRAM(d, yOff, 4*rows)
-			if err != nil {
-				return err
-			}
-			next = append(next, bytesToI32s(raw)...)
-			_ = d
-		}
-		act = next
+		x.launch(ctx, next)
+		act = x.gather(outs)
 	}
 	return checkI32s("MLP", act, want)
 }

@@ -48,7 +48,7 @@ func init() {
 			}
 		},
 		Build: buildNW,
-		Run:   runNW,
+		Run:   staged(runNW),
 	})
 }
 
@@ -345,7 +345,7 @@ func nwGolden(s1, s2 []int32, L int) []int32 {
 	return dp
 }
 
-func runNW(ctx context.Context, sys *host.System, p Params) error {
+func runNW(ctx context.Context, x *xfer, p Params) error {
 	L := p.N
 	if L%nwB != 0 {
 		return fmt.Errorf("nw: L=%d must be a multiple of %d", L, nwB)
@@ -357,67 +357,46 @@ func runNW(ctx context.Context, sys *host.System, p Params) error {
 	want := nwGolden(s1, s2, L)
 
 	// Layout (replicated on every DPU).
-	dpOff := uint32(0)
-	colhOff := align8(uint32(4 * (L + 1) * stride))
-	s1Off := align8(colhOff + uint32(4*L))
-	s2Off := align8(s1Off + uint32(4*L))
+	var m mram
+	dp, colh, rs1, rs2 := m.words((L+1)*stride), m.words(L), m.words(L), m.words(L)
 
-	dpInit := make([]int32, (L+1)*stride)
+	dpInit := x.ints(dp.words)
 	for j := 0; j <= L; j++ {
 		dpInit[j] = int32(-j * nwGap)
 	}
 	for i := 0; i <= L; i++ {
 		dpInit[i*stride] = int32(-i * nwGap)
 	}
-	colh := make([]int32, L)
-	for k := range colh {
-		colh[k] = int32(-(k + 1) * nwGap)
+	colhInit := x.ints(L)
+	for k := range colhInit {
+		colhInit[k] = int32(-(k + 1) * nwGap)
 	}
 
-	D := sys.NumDPUs()
+	D := x.sys.NumDPUs()
 	bands := ranges(nb, D, 1)
 	for d := 0; d < D; d++ {
-		if err := sys.CopyToMRAM(d, dpOff, i32sToBytes(dpInit)); err != nil {
-			return err
-		}
-		if err := sys.CopyToMRAM(d, colhOff, i32sToBytes(colh)); err != nil {
-			return err
-		}
-		if err := sys.CopyToMRAM(d, s1Off, i32sToBytes(s1)); err != nil {
-			return err
-		}
-		if err := sys.CopyToMRAM(d, s2Off, i32sToBytes(s2)); err != nil {
-			return err
-		}
+		x.put(d, dp, dpInit)
+		x.put(d, colh, colhInit)
+		x.put(d, rs1, s1)
+		x.put(d, rs2, s2)
 	}
 
-	writeArgs := func(d int, waveLo, waveHi int) error {
-		return sys.WriteArgs(d,
-			host.MRAMBaseAddr(dpOff), host.MRAMBaseAddr(colhOff),
-			host.MRAMBaseAddr(s1Off), host.MRAMBaseAddr(s2Off),
+	writeArgs := func(d int, waveLo, waveHi int) {
+		x.args(d, dp.addr(), colh.addr(), rs1.addr(), rs2.addr(),
 			uint32(L), uint32(stride), uint32(waveLo), uint32(waveHi),
 			uint32(bands[d][0]), uint32(bands[d][1]))
 	}
 
 	if D == 1 {
-		if err := writeArgs(0, 0, 2*nb-2); err != nil {
-			return err
-		}
-		if err := sys.Launch(ctx); err != nil {
-			return err
-		}
+		writeArgs(0, 0, 2*nb-2)
+		x.launch(ctx, host.PhaseOutput)
 	} else {
 		// One launch per wave, with band-boundary row exchange in between.
 		for wave := 0; wave <= 2*nb-2; wave++ {
 			for d := 0; d < D; d++ {
-				if err := writeArgs(d, wave, wave); err != nil {
-					return err
-				}
+				writeArgs(d, wave, wave)
 			}
-			if err := sys.Launch(ctx); err != nil {
-				return err
-			}
-			sys.SetPhase(host.PhaseExchange)
+			x.launch(ctx, host.PhaseExchange)
 			for d := 1; d < D; d++ {
 				bs := bands[d][0]
 				if bands[d][0] >= bands[d][1] || bs == 0 {
@@ -431,33 +410,21 @@ func runNW(ctx context.Context, sys *host.System, p Params) error {
 				}
 				row := bs * nwB // dp row index of the boundary
 				j0 := 1 + bj*nwB
-				ws := max(0, j0-4)
-				seg := 24 // words
-				off := dpOff + uint32(4*(row*stride+ws))
-				raw, err := sys.ReadMRAM(d-1, off, 4*seg)
-				if err != nil {
-					return err
-				}
-				if err := sys.CopyToMRAM(d, off, raw); err != nil {
-					return err
-				}
+				seam := dp.sub(row*stride+max(0, j0-4), 24)
+				x.put(d, seam, x.get(d-1, seam))
 			}
 		}
 	}
 
 	// Verify each DPU's band of the score matrix.
-	sys.SetPhase(host.PhaseOutput)
+	x.phase(host.PhaseOutput)
 	for d := 0; d < D; d++ {
 		lo, hi := bands[d][0], bands[d][1]
 		if lo >= hi {
 			continue
 		}
 		rowLo, rowHi := 1+lo*nwB, 1+hi*nwB-1
-		raw, err := sys.ReadMRAM(d, dpOff+uint32(4*rowLo*stride), 4*(rowHi-rowLo+1)*stride)
-		if err != nil {
-			return err
-		}
-		vals := bytesToI32s(raw)
+		vals := x.get(d, dp.sub(rowLo*stride, (rowHi-rowLo+1)*stride))
 		for i := rowLo; i <= rowHi; i++ {
 			for j := 1; j <= L; j++ {
 				got := vals[(i-rowLo)*stride+j]

@@ -11,7 +11,6 @@ package prim
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -257,66 +256,6 @@ func RunSpec(ctx context.Context, sp Spec) (*Result, error) {
 
 // --- shared host-side helpers -------------------------------------------
 
-// i32sToBytes serializes int32s little-endian into a fresh buffer. Hot
-// paths that serialize in a loop should prefer appendI32s with a reused
-// buffer.
-func i32sToBytes(v []int32) []byte {
-	return appendI32s(make([]byte, 0, 4*len(v)), v)
-}
-
-// appendI32s appends the little-endian serialization of v to dst and
-// returns the extended slice, reusing dst's capacity. The per-DPU staging
-// loops call this with one scratch buffer per run so steady-state input
-// distribution does not allocate.
-func appendI32s(dst []byte, v []int32) []byte {
-	n := len(dst)
-	if cap(dst)-n < 4*len(v) {
-		grown := make([]byte, n, n+4*len(v))
-		copy(grown, dst)
-		dst = grown
-	}
-	dst = dst[:n+4*len(v)]
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(dst[n+4*i:], uint32(x))
-	}
-	return dst
-}
-
-// bytesToI32s deserializes little-endian int32s.
-func bytesToI32s(raw []byte) []int32 {
-	return appendBytesAsI32s(make([]int32, 0, len(raw)/4), raw)
-}
-
-// appendBytesAsI32s appends raw's little-endian int32s to dst, reusing
-// dst's capacity.
-func appendBytesAsI32s(dst []int32, raw []byte) []int32 {
-	for i := 0; i+4 <= len(raw); i += 4 {
-		dst = append(dst, int32(binary.LittleEndian.Uint32(raw[i:])))
-	}
-	return dst
-}
-
-// hostScratch holds one run's host-side staging buffers — golden model,
-// readback, serialization — pooled so steady-state sweep points allocate
-// nothing for workload I/O. Contents are dead once the run returns; only
-// capacity is recycled.
-type hostScratch struct {
-	want []int32
-	got  []int32
-	buf  []byte
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(hostScratch) }}
-
-// growI32 returns a length-n int32 slice, reusing s's storage when it is
-// large enough.
-func growI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
 // randCache memoizes workload input vectors. randI32s is a pure function
 // of (n, bound, seed) and a sweep's steady state regenerates identical
 // inputs at every point, so all runs share one immutable copy and input
@@ -374,6 +313,3 @@ func checkI32s(what string, got, want []int32) error {
 	}
 	return nil
 }
-
-// align8 rounds a byte offset up to the DMA alignment.
-func align8(off uint32) uint32 { return (off + 7) &^ 7 }

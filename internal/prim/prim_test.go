@@ -60,16 +60,9 @@ func TestOddSizes(t *testing.T) {
 			t.Parallel()
 			cfg := config.Default()
 			cfg.NumTasklets = 7 // deliberately awkward
-			p := b.Params(ScaleTiny)
-			obj, err := b.Build(cfg.Mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_ = obj
 			if _, err := runPoint(b.Name, cfg, 3, ScaleTiny); err != nil {
 				t.Fatal(err)
 			}
-			_ = p
 		})
 	}
 }

@@ -31,7 +31,7 @@ func init() {
 			}
 		},
 		Build: buildRED,
-		Run:   runRED,
+		Run:   staged(runRED),
 	})
 }
 
@@ -138,35 +138,25 @@ func buildRED(mode config.Mode) (*linker.Object, error) {
 	return b.Build()
 }
 
-func runRED(ctx context.Context, sys *host.System, p Params) error {
+func runRED(ctx context.Context, x *xfer, p Params) error {
 	n := p.N
 	a := randI32s(n, 1<<16, p.Seed)
 	var want int32
-	for _, x := range a {
-		want += x
+	for _, v := range a {
+		want += v
 	}
-	slices := ranges(n, sys.NumDPUs(), 2)
-	outOff := align8(uint32(4 * (slices[0][1] - slices[0][0])))
+	// One layout for every DPU, sized by the first (largest) slice.
+	slices := ranges(n, x.sys.NumDPUs(), 2)
+	var m mram
+	in, out := m.words(slices[0][1]-slices[0][0]), m.words(1)
 	for d, r := range slices {
-		if err := sys.CopyToMRAM(d, 0, i32sToBytes(a[r[0]:r[1]])); err != nil {
-			return err
-		}
-		if err := sys.WriteArgs(d, host.MRAMBaseAddr(0), uint32(r[1]-r[0]),
-			host.MRAMBaseAddr(outOff)); err != nil {
-			return err
-		}
+		x.put(d, in, a[r[0]:r[1]])
+		x.args(d, in.addr(), uint32(r[1]-r[0]), out.addr())
 	}
-	if err := sys.Launch(ctx); err != nil {
-		return err
-	}
-	sys.SetPhase(host.PhaseOutput)
+	x.launch(ctx, host.PhaseOutput)
 	var got int32
 	for d := range slices {
-		raw, err := sys.ReadMRAM(d, outOff, 4)
-		if err != nil {
-			return err
-		}
-		got += bytesToI32s(raw)[0]
+		got += x.get(d, out)[0]
 	}
 	if got != want {
 		return fmt.Errorf("RED: sum = %d, want %d", got, want)

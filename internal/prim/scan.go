@@ -39,7 +39,7 @@ func init() {
 			}
 		},
 		Build: func(m config.Mode) (*linker.Object, error) { return buildScan(m, true) },
-		Run:   runScan,
+		Run:   staged(runScan),
 	})
 	register(&Benchmark{
 		Name:  "SCAN-RSS",
@@ -55,7 +55,7 @@ func init() {
 			}
 		},
 		Build: func(m config.Mode) (*linker.Object, error) { return buildScan(m, false) },
-		Run:   runScan,
+		Run:   staged(runScan),
 	})
 }
 
@@ -258,48 +258,36 @@ func buildScan(mode config.Mode, ssa bool) (*linker.Object, error) {
 	return b.Build()
 }
 
-func runScan(ctx context.Context, sys *host.System, p Params) error {
+func runScan(ctx context.Context, x *xfer, p Params) error {
 	n := p.N
 	a := randI32s(n, 1<<12, p.Seed)
-	slices := ranges(n, sys.NumDPUs(), 2)
+	slices := ranges(n, x.sys.NumDPUs(), 2)
+	outs := make([]region, len(slices))
 	for d, r := range slices {
-		cnt := r[1] - r[0]
-		outOff := align8(uint32(4 * cnt))
-		if err := sys.CopyToMRAM(d, 0, i32sToBytes(a[r[0]:r[1]])); err != nil {
-			return err
-		}
-		if err := sys.WriteArgs(d, host.MRAMBaseAddr(0), uint32(cnt),
-			host.MRAMBaseAddr(outOff)); err != nil {
-			return err
-		}
-	}
-	if err := sys.Launch(ctx); err != nil {
-		return err
+		var m mram
+		in := m.words(r[1] - r[0])
+		outs[d] = m.words(in.words)
+		x.put(d, in, a[r[0]:r[1]])
+		x.args(d, in.addr(), uint32(in.words), outs[d].addr())
 	}
 	// Multi-DPU: each DPU scanned its slice locally; the host carries the
 	// running base across slices (PrIM's multi-DPU scan does the same).
-	sys.SetPhase(host.PhaseOutput)
+	x.launch(ctx, host.PhaseOutput)
 	var base int32
-	got := make([]int32, 0, n)
-	for d, r := range slices {
-		cnt := r[1] - r[0]
-		outOff := align8(uint32(4 * cnt))
-		raw, err := sys.ReadMRAM(d, outOff, 4*cnt)
-		if err != nil {
-			return err
-		}
-		vals := bytesToI32s(raw)
+	got := x.ints(n)[:0]
+	for d := range slices {
+		vals := x.get(d, outs[d])
 		for _, v := range vals {
 			got = append(got, v+base)
 		}
-		if cnt > 0 {
-			base += vals[cnt-1]
+		if len(vals) > 0 {
+			base += vals[len(vals)-1]
 		}
 	}
-	want := make([]int32, n)
+	want := x.ints(n)
 	var run int32
-	for i, x := range a {
-		run += x
+	for i, v := range a {
+		run += v
 		want[i] = run
 	}
 	return checkI32s("SCAN", got, want)

@@ -33,7 +33,7 @@ func init() {
 			}
 		},
 		Build: buildSEL,
-		Run:   runSEL,
+		Run:   staged(runSEL),
 	})
 }
 
@@ -184,66 +184,42 @@ func buildSEL(mode config.Mode) (*linker.Object, error) {
 	return b.Build()
 }
 
-func runSEL(ctx context.Context, sys *host.System, p Params) error {
-	keep := func(x int32) bool { return x&1 == 0 }
-	return runCompaction(ctx, sys, p, "SEL", keep, nil)
+func runSEL(ctx context.Context, x *xfer, p Params) error {
+	return runCompaction(ctx, x, p, "SEL", 1<<10,
+		func(a []int32, _, i int) bool { return a[i]&1 == 0 })
 }
 
 // runCompaction drives SEL and UNI, which share the dense-per-tasklet output
-// layout. keep decides by value; keepAt (when non-nil) decides by global
-// index with access to the full array and the DPU slice start (UNI's
-// neighbour comparison restarts at slice boundaries).
-func runCompaction(ctx context.Context, sys *host.System, p Params, what string,
-	keep func(int32) bool, keepAt func(a []int32, sliceStart, i int) bool) error {
-	n := p.N
-	a := randI32s(n, 1<<10, p.Seed)
-	nth := sys.Config().NumTasklets
-
-	slices := ranges(n, sys.NumDPUs(), 2)
-	aOff := uint32(0)
+// layout: inputs drawn from [0, bound), and keep deciding by global index
+// with access to the full array and the DPU slice start (UNI's neighbour
+// comparison restarts at slice boundaries; SEL looks at the value alone).
+func runCompaction(ctx context.Context, x *xfer, p Params, what string, bound int32,
+	keep func(a []int32, sliceStart, i int) bool) error {
+	a := randI32s(p.N, bound, p.Seed)
+	slices := ranges(p.N, x.sys.NumDPUs(), 2)
+	type lay struct{ out, counts region }
+	lays := make([]lay, len(slices))
 	for d, r := range slices {
+		var m mram
 		cnt := r[1] - r[0]
-		outOff := align8(aOff + uint32(4*cnt))
-		cntOff := align8(outOff + uint32(4*cnt))
-		if err := sys.CopyToMRAM(d, aOff, i32sToBytes(a[r[0]:r[1]])); err != nil {
-			return err
-		}
-		if err := sys.WriteArgs(d, host.MRAMBaseAddr(aOff), uint32(cnt),
-			host.MRAMBaseAddr(outOff), host.MRAMBaseAddr(cntOff)); err != nil {
-			return err
-		}
+		in := m.words(cnt)
+		lays[d] = lay{out: m.words(cnt), counts: m.words(16)}
+		x.put(d, in, a[r[0]:r[1]])
+		x.args(d, in.addr(), uint32(cnt), lays[d].out.addr(), lays[d].counts.addr())
 	}
-	if err := sys.Launch(ctx); err != nil {
-		return err
-	}
-	sys.SetPhase(host.PhaseOutput)
+	x.launch(ctx, host.PhaseOutput)
+	nth := x.sys.Config().NumTasklets
+	want := x.ints(slices[0][1] - slices[0][0])
 	for d, r := range slices {
-		cnt := r[1] - r[0]
-		outOff := align8(aOff + uint32(4*cnt))
-		cntOff := align8(outOff + uint32(4*cnt))
-		rawCnt, err := sys.ReadMRAM(d, cntOff, 4*16)
-		if err != nil {
-			return err
-		}
-		counts := bytesToI32s(rawCnt)
-		rawOut, err := sys.ReadMRAM(d, outOff, 4*cnt)
-		if err != nil {
-			return err
-		}
-		out := bytesToI32s(rawOut)
+		var counts [16]int32
+		copy(counts[:], x.get(d, lays[d].counts))
+		out := x.get(d, lays[d].out)
 		// Verify each tasklet's dense region against the golden compaction
 		// of its slice.
-		for t, tr := range taskletRanges(cnt, nth) {
-			var want []int32
-			for i := tr[0]; i < tr[1]; i++ {
-				gi := r[0] + i
-				ok := false
-				if keepAt != nil {
-					ok = keepAt(a, r[0], gi)
-				} else {
-					ok = keep(a[gi])
-				}
-				if ok {
+		for t, tr := range taskletRanges(r[1]-r[0], nth) {
+			want = want[:0]
+			for gi := r[0] + tr[0]; gi < r[0]+tr[1]; gi++ {
+				if keep(a, r[0], gi) {
 					want = append(want, a[gi])
 				}
 			}
@@ -251,9 +227,8 @@ func runCompaction(ctx context.Context, sys *host.System, p Params, what string,
 				return fmt.Errorf("%s: dpu %d tasklet %d count = %d, want %d",
 					what, d, t, counts[t], len(want))
 			}
-			got := out[tr[0] : tr[0]+len(want)]
-			if err := checkI32s(fmt.Sprintf("%s dpu %d tasklet %d", what, d, t), got, want); err != nil {
-				return err
+			if err := checkI32s(what, out[tr[0]:tr[0]+len(want)], want); err != nil {
+				return fmt.Errorf("dpu %d tasklet %d: %w", d, t, err)
 			}
 		}
 	}

@@ -31,7 +31,7 @@ func init() {
 			}
 		},
 		Build: buildSpMV,
-		Run:   runSpMV,
+		Run:   staged(runSpMV),
 	})
 }
 
@@ -252,70 +252,47 @@ func genCSR(m, n, nnzPerRow int, seed int64) *csr {
 	return c
 }
 
-func runSpMV(ctx context.Context, sys *host.System, p Params) error {
+// rebaseRows writes the row pointers of CSR rows [lo, hi) into rp relative to
+// the slice's first entry, followed by one zero word (BFS stages it as
+// padding), and returns the slice's bounds in colidx/vals. SpMV and BFS both
+// hand each DPU a row slice this way.
+func rebaseRows(rp, rowptr []int32, lo, hi int) (base, limit int32) {
+	base, limit = rowptr[lo], rowptr[hi]
+	for i := lo; i <= hi; i++ {
+		rp[i-lo] = rowptr[i] - base
+	}
+	rp[hi-lo+1] = 0
+	return base, limit
+}
+
+func runSpMV(ctx context.Context, x *xfer, p Params) error {
 	mtx := genCSR(p.M, p.N, p.NNZPerRow, p.Seed)
-	x := randI32s(p.N, 64, p.Seed+1)
-	want := make([]int32, p.M)
+	vec := randI32s(p.N, 64, p.Seed+1)
+	want := x.ints(p.M)
 	for row := 0; row < p.M; row++ {
 		var acc int32
 		for k := mtx.rowptr[row]; k < mtx.rowptr[row+1]; k++ {
-			acc += mtx.vals[k] * x[mtx.colidx[k]]
+			acc += mtx.vals[k] * vec[mtx.colidx[k]]
 		}
 		want[row] = acc
 	}
 
-	slices := ranges(p.M, sys.NumDPUs(), 2)
-	type lay struct{ rpOff, ciOff, vaOff, xOff, yOff uint32 }
-	lays := make([]lay, sys.NumDPUs())
+	slices := ranges(p.M, x.sys.NumDPUs(), 2)
+	outs := make([]region, len(slices))
+	rp := x.ints(slices[0][1] - slices[0][0] + 2)
 	for d, sl := range slices {
+		var bank mram
 		rows := sl[1] - sl[0]
-		base, limit := mtx.rowptr[sl[0]], mtx.rowptr[sl[1]]
+		base, limit := rebaseRows(rp, mtx.rowptr, sl[0], sl[1])
 		nnz := int(limit - base)
-		// Rebase the row pointers to this DPU's colidx/vals slices.
-		rp := make([]int32, rows+1)
-		for i := 0; i <= rows; i++ {
-			rp[i] = mtx.rowptr[sl[0]+i] - base
-		}
-		var l lay
-		l.rpOff = 0
-		l.ciOff = align8(uint32(4 * (rows + 2)))
-		l.vaOff = align8(l.ciOff + uint32(4*nnz))
-		l.xOff = align8(l.vaOff + uint32(4*nnz))
-		l.yOff = align8(l.xOff + uint32(4*p.N))
-		lays[d] = l
-		if err := sys.CopyToMRAM(d, l.rpOff, i32sToBytes(rp)); err != nil {
-			return err
-		}
-		if nnz > 0 {
-			if err := sys.CopyToMRAM(d, l.ciOff, i32sToBytes(mtx.colidx[base:limit])); err != nil {
-				return err
-			}
-			if err := sys.CopyToMRAM(d, l.vaOff, i32sToBytes(mtx.vals[base:limit])); err != nil {
-				return err
-			}
-		}
-		if err := sys.CopyToMRAM(d, l.xOff, i32sToBytes(x)); err != nil {
-			return err
-		}
-		if err := sys.WriteArgs(d,
-			host.MRAMBaseAddr(l.rpOff), host.MRAMBaseAddr(l.ciOff),
-			host.MRAMBaseAddr(l.vaOff), host.MRAMBaseAddr(l.xOff),
-			host.MRAMBaseAddr(l.yOff), uint32(rows)); err != nil {
-			return err
-		}
+		rrp, rci, rva, rx := bank.words(rows+2), bank.words(nnz), bank.words(nnz), bank.words(p.N)
+		outs[d] = bank.words(rows)
+		x.put(d, rrp, rp[:rows+1])
+		x.put(d, rci, mtx.colidx[base:limit])
+		x.put(d, rva, mtx.vals[base:limit])
+		x.put(d, rx, vec)
+		x.args(d, rrp.addr(), rci.addr(), rva.addr(), rx.addr(), outs[d].addr(), uint32(rows))
 	}
-	if err := sys.Launch(ctx); err != nil {
-		return err
-	}
-	sys.SetPhase(host.PhaseOutput)
-	got := make([]int32, 0, p.M)
-	for d, sl := range slices {
-		rows := sl[1] - sl[0]
-		raw, err := sys.ReadMRAM(d, lays[d].yOff, 4*rows)
-		if err != nil {
-			return err
-		}
-		got = append(got, bytesToI32s(raw)...)
-	}
-	return checkI32s("SpMV", got, want)
+	x.launch(ctx, host.PhaseOutput)
+	return checkI32s("SpMV", x.gather(outs), want)
 }

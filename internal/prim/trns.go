@@ -32,7 +32,7 @@ func init() {
 			}
 		},
 		Build: buildTRNS,
-		Run:   runTRNS,
+		Run:   staged(runTRNS),
 	})
 }
 
@@ -157,48 +157,28 @@ func buildTRNS(mode config.Mode) (*linker.Object, error) {
 	return b.Build()
 }
 
-func runTRNS(ctx context.Context, sys *host.System, p Params) error {
+func runTRNS(ctx context.Context, x *xfer, p Params) error {
 	m, n := p.M, p.N
 	a := randI32s(m*n, 1<<16, p.Seed)
 
 	// Bands of rows per DPU; each DPU locally transposes its band into an
-	// N x bandRows matrix, and the host reassembles columns.
-	slices := ranges(m, sys.NumDPUs(), trnsTile)
-	outFull := make([]int32, n*m)
-	inOff := uint32(0)
+	// N x bandRows matrix, and the host reassembles columns. A DPU left
+	// without rows is told so (zero tiles, both regions at offset 0).
+	slices := ranges(m, x.sys.NumDPUs(), trnsTile)
+	outs := make([]region, len(slices))
+	for d, sl := range slices {
+		var bank mram
+		rows := sl[1] - sl[0]
+		in := bank.words(rows * n)
+		outs[d] = bank.words(rows * n)
+		x.put(d, in, a[sl[0]*n:sl[1]*n])
+		x.args(d, in.addr(), outs[d].addr(), uint32(rows), uint32(n))
+	}
+	x.launch(ctx, host.PhaseOutput)
+	outFull := x.ints(n * m)
 	for d, sl := range slices {
 		rows := sl[1] - sl[0]
-		if rows == 0 {
-			// Idle DPU: zero tiles.
-			if err := sys.WriteArgs(d, host.MRAMBaseAddr(0), host.MRAMBaseAddr(0), 0, uint32(n)); err != nil {
-				return err
-			}
-			continue
-		}
-		outOff := align8(inOff + uint32(4*rows*n))
-		if err := sys.CopyToMRAM(d, inOff, i32sToBytes(a[sl[0]*n:sl[1]*n])); err != nil {
-			return err
-		}
-		if err := sys.WriteArgs(d, host.MRAMBaseAddr(inOff),
-			host.MRAMBaseAddr(outOff), uint32(rows), uint32(n)); err != nil {
-			return err
-		}
-	}
-	if err := sys.Launch(ctx); err != nil {
-		return err
-	}
-	sys.SetPhase(host.PhaseOutput)
-	for d, sl := range slices {
-		rows := sl[1] - sl[0]
-		if rows == 0 {
-			continue
-		}
-		outOff := align8(inOff + uint32(4*rows*n))
-		raw, err := sys.ReadMRAM(d, outOff, 4*rows*n)
-		if err != nil {
-			return err
-		}
-		local := bytesToI32s(raw) // n x rows, row-major
+		local := x.get(d, outs[d]) // n x rows, row-major
 		for j := 0; j < n; j++ {
 			copy(outFull[j*m+sl[0]:j*m+sl[1]], local[j*rows:(j+1)*rows])
 		}

@@ -38,7 +38,7 @@ func init() {
 			}
 		},
 		Build: buildTS,
-		Run:   runTS,
+		Run:   staged(runTS),
 	})
 }
 
@@ -236,7 +236,7 @@ func buildTS(mode config.Mode) (*linker.Object, error) {
 	return b.Build()
 }
 
-func runTS(ctx context.Context, sys *host.System, p Params) error {
+func runTS(ctx context.Context, x *xfer, p Params) error {
 	n, nq, m := p.N, p.Queries, p.Window
 	if nq > tsMaxQueries || m > tsMaxWindow {
 		return fmt.Errorf("ts: params exceed kernel capacity")
@@ -244,60 +244,39 @@ func runTS(ctx context.Context, sys *host.System, p Params) error {
 	s := randI32s(n, 64, p.Seed)
 	q := randI32s(nq*m, 64, p.Seed+1)
 	nw := n - m + 1
-	nth := sys.Config().NumTasklets
+	nth := x.sys.Config().NumTasklets
 
 	// The series is partitioned by window position across DPUs (with window
 	// overlap); queries are replicated.
-	slices := ranges(nw, sys.NumDPUs(), 2)
+	slices := ranges(nw, x.sys.NumDPUs(), 2)
+	outs := make([]region, len(slices))
 	for d, sl := range slices {
-		wcnt := sl[1] - sl[0]
+		var bank mram
 		scnt := 0
-		if wcnt > 0 {
-			scnt = wcnt + m - 1
+		if sl[1] > sl[0] {
+			scnt = sl[1] - sl[0] + m - 1
 		}
-		sOff := uint32(0)
-		qOff := align8(uint32(4 * (scnt + 1)))
-		outOff := align8(qOff + uint32(4*nq*m))
-		if scnt > 0 {
-			if err := sys.CopyToMRAM(d, sOff, i32sToBytes(s[sl[0]:sl[0]+scnt])); err != nil {
-				return err
-			}
-		}
-		if err := sys.CopyToMRAM(d, qOff, i32sToBytes(q)); err != nil {
-			return err
-		}
+		rs, rq := bank.words(scnt+1), bank.words(nq*m)
+		outs[d] = bank.words(nth * nq * 2)
+		x.put(d, rs, s[sl[0]:sl[0]+scnt])
+		x.put(d, rq, q)
 		// Kernel n' = local series length so nWindows' = wcnt.
-		if err := sys.WriteArgs(d, host.MRAMBaseAddr(sOff), uint32(scnt),
-			host.MRAMBaseAddr(qOff), uint32(nq), uint32(m),
-			host.MRAMBaseAddr(outOff)); err != nil {
-			return err
-		}
+		x.args(d, rs.addr(), uint32(scnt), rq.addr(), uint32(nq), uint32(m), outs[d].addr())
 	}
-	if err := sys.Launch(ctx); err != nil {
-		return err
-	}
+	x.launch(ctx, host.PhaseOutput)
 
 	// Merge per-tasklet per-DPU candidates: (dist, global index), preferring
 	// smaller index on ties.
-	sys.SetPhase(host.PhaseOutput)
 	type cand struct{ dist, idx int32 }
 	bestOf := make([]cand, nq)
 	for i := range bestOf {
 		bestOf[i] = cand{math.MaxInt32, -1}
 	}
 	for d, sl := range slices {
-		wcnt := sl[1] - sl[0]
-		if wcnt == 0 {
+		if sl[1] == sl[0] {
 			continue
 		}
-		scnt := wcnt + m - 1
-		qOff := align8(uint32(4 * (scnt + 1)))
-		outOff := align8(qOff + uint32(4*nq*m))
-		raw, err := sys.ReadMRAM(d, outOff, nth*nq*8)
-		if err != nil {
-			return err
-		}
-		vals := bytesToI32s(raw)
+		vals := x.get(d, outs[d])
 		for t := 0; t < nth; t++ {
 			for qi := 0; qi < nq; qi++ {
 				dist := vals[(t*nq+qi)*2]

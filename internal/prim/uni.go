@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"upim/internal/config"
-	"upim/internal/host"
 	"upim/internal/kbuild"
 	"upim/internal/linker"
 )
@@ -33,7 +32,7 @@ func init() {
 			}
 		},
 		Build: buildUNI,
-		Run:   runUNI,
+		Run:   staged(runUNI),
 	})
 }
 
@@ -177,69 +176,12 @@ func buildUNI(mode config.Mode) (*linker.Object, error) {
 	return b.Build()
 }
 
-func runUNI(ctx context.Context, sys *host.System, p Params) error {
-	q := p
-	q.Seed = p.Seed + 77
-	return runUnique(ctx, sys, q, "UNI")
-}
-
-// runUnique drives UNI with runs-friendly data (values in [0,8) so
-// consecutive duplicates are common). The golden rule matches the kernel:
-// within each DPU slice, keep element i iff it is the slice's first element
-// or differs from its predecessor.
-func runUnique(ctx context.Context, sys *host.System, p Params, what string) error {
-	n := p.N
-	a := randI32s(n, 8, p.Seed)
-	nth := sys.Config().NumTasklets
-
-	slices := ranges(n, sys.NumDPUs(), 2)
-	for d, r := range slices {
-		cnt := r[1] - r[0]
-		outOff := align8(uint32(4 * cnt))
-		cntOff := align8(outOff + uint32(4*cnt))
-		if err := sys.CopyToMRAM(d, 0, i32sToBytes(a[r[0]:r[1]])); err != nil {
-			return err
-		}
-		if err := sys.WriteArgs(d, host.MRAMBaseAddr(0), uint32(cnt),
-			host.MRAMBaseAddr(outOff), host.MRAMBaseAddr(cntOff)); err != nil {
-			return err
-		}
-	}
-	if err := sys.Launch(ctx); err != nil {
-		return err
-	}
-	sys.SetPhase(host.PhaseOutput)
-	for d, r := range slices {
-		cnt := r[1] - r[0]
-		outOff := align8(uint32(4 * cnt))
-		cntOff := align8(outOff + uint32(4*cnt))
-		rawCnt, err := sys.ReadMRAM(d, cntOff, 4*16)
-		if err != nil {
-			return err
-		}
-		counts := bytesToI32s(rawCnt)
-		rawOut, err := sys.ReadMRAM(d, outOff, 4*cnt)
-		if err != nil {
-			return err
-		}
-		out := bytesToI32s(rawOut)
-		for t, tr := range taskletRanges(cnt, nth) {
-			var want []int32
-			for i := tr[0]; i < tr[1]; i++ {
-				gi := r[0] + i
-				if gi == r[0] || a[gi] != a[gi-1] {
-					want = append(want, a[gi])
-				}
-			}
-			if int(counts[t]) != len(want) {
-				return fmt.Errorf("%s: dpu %d tasklet %d count = %d, want %d",
-					what, d, t, counts[t], len(want))
-			}
-			got := out[tr[0] : tr[0]+len(want)]
-			if err := checkI32s(fmt.Sprintf("%s dpu %d tasklet %d", what, d, t), got, want); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+// runUNI draws runs-friendly data (values in [0,8), so consecutive duplicates
+// are common). The golden rule matches the kernel: within each DPU slice,
+// keep element i iff it is the slice's first element or differs from its
+// predecessor.
+func runUNI(ctx context.Context, x *xfer, p Params) error {
+	p.Seed += 77
+	return runCompaction(ctx, x, p, "UNI", 8,
+		func(a []int32, sliceStart, i int) bool { return i == sliceStart || a[i] != a[i-1] })
 }

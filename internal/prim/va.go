@@ -31,7 +31,7 @@ func init() {
 			}
 		},
 		Build: buildVA,
-		Run:   runVA,
+		Run:   staged(runVA),
 	})
 }
 
@@ -121,61 +121,26 @@ func buildVA(mode config.Mode) (*linker.Object, error) {
 	return b.Build()
 }
 
-func runVA(ctx context.Context, sys *host.System, p Params) error {
+func runVA(ctx context.Context, x *xfer, p Params) error {
 	n := p.N
 	a := randI32s(n, 1<<20, p.Seed)
 	bv := randI32s(n, 1<<20, p.Seed+1)
-	var (
-		got []int32
-		buf []byte // staging/readback scratch, reused across DPUs
-	)
-	sc := scratchPool.Get().(*hostScratch)
-	sc.want = growI32(sc.want, n)
-	got, buf = sc.got[:0], sc.buf
-	defer func() { sc.got, sc.buf = got, buf; scratchPool.Put(sc) }()
-	want := sc.want
+	want := x.ints(n)
 	for i := range want {
 		want[i] = a[i] + bv[i]
 	}
 
-	slices := ranges(n, sys.NumDPUs(), 2)
-	type layout struct{ aOff, bOff, cOff uint32 }
-	lay := make([]layout, sys.NumDPUs())
+	slices := ranges(n, x.sys.NumDPUs(), 2)
+	outs := make([]region, len(slices))
 	for d, r := range slices {
+		var m mram
 		cnt := r[1] - r[0]
-		l := layout{}
-		l.aOff = 0
-		l.bOff = align8(l.aOff + uint32(4*cnt))
-		l.cOff = align8(l.bOff + uint32(4*cnt))
-		lay[d] = l
-		buf = appendI32s(buf[:0], a[r[0]:r[1]])
-		if err := sys.CopyToMRAM(d, l.aOff, buf); err != nil {
-			return err
-		}
-		buf = appendI32s(buf[:0], bv[r[0]:r[1]])
-		if err := sys.CopyToMRAM(d, l.bOff, buf); err != nil {
-			return err
-		}
-		if err := sys.WriteArgs(d,
-			host.MRAMBaseAddr(l.aOff), host.MRAMBaseAddr(l.bOff),
-			host.MRAMBaseAddr(l.cOff), uint32(cnt)); err != nil {
-			return err
-		}
+		ra, rb := m.words(cnt), m.words(cnt)
+		outs[d] = m.words(cnt)
+		x.put(d, ra, a[r[0]:r[1]])
+		x.put(d, rb, bv[r[0]:r[1]])
+		x.args(d, ra.addr(), rb.addr(), outs[d].addr(), uint32(cnt))
 	}
-	if err := sys.Launch(ctx); err != nil {
-		return err
-	}
-	sys.SetPhase(host.PhaseOutput)
-	for d, r := range slices {
-		cnt := r[1] - r[0]
-		if cap(buf) < 4*cnt {
-			buf = make([]byte, 4*cnt)
-		}
-		buf = buf[:4*cnt]
-		if err := sys.ReadMRAMInto(d, lay[d].cOff, buf); err != nil {
-			return err
-		}
-		got = appendBytesAsI32s(got, buf)
-	}
-	return checkI32s("VA", got, want)
+	x.launch(ctx, host.PhaseOutput)
+	return checkI32s("VA", x.gather(outs), want)
 }
