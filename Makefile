@@ -4,13 +4,21 @@ GO ?= go
 # its stores, reports and logs; `make clean` removes it.
 W := .work
 
-.PHONY: build test test-race race cover bench bench-diff bench-module fmt vet loc clean report refdata pathfind-smoke coord-smoke serve-smoke energy-check arch-check calibration-check
+.PHONY: build test cli-guard test-race race cover bench bench-diff bench-module fmt vet loc clean report refdata pathfind-smoke coord-smoke serve-smoke energy-check arch-check calibration-check
 
 build:
 	$(GO) build ./...
 
-test: fmt vet
+test: fmt vet cli-guard
 	$(GO) test ./...
+
+# cli-guard keeps internal/cli the one command toolkit: a command that
+# re-declares a shared flag, parses a scale or builds its own interrupt
+# context has forked the path cli.Main and the flag groups own. CI runs this
+# target.
+cli-guard:
+	@if grep -rnE 'signal\.NotifyContext|ParseScale\(|"(scale|jobs|eps|writeref|cpuprofile|memprofile)"' --include='*.go' --exclude='*_test.go' cmd; then \
+		echo "cli-guard: the lines above belong in internal/cli (cli.Main, cli.Sim, cli.Report, cli.Prof)"; exit 1; fi
 
 # test-race mirrors the CI race job: the full suite under the race detector,
 # including the coordinator's crash/fault-injection tests, whose concurrent
@@ -70,7 +78,7 @@ energy-check:
 	rm -rf $(W)/energy-report
 	$(GO) run ./cmd/figures -exp energy -scale tiny -out $(W)/energy-report -check -eps 1e-12
 	! $(GO) run ./cmd/figures -exp table1 -scale bogus
-	! $(GO) run ./cmd/prim -profile /dev/null
+	! $(GO) run ./cmd/upimulator -kernel all -profile /dev/null
 
 # arch-check mirrors the CI job: the canonical cross-architecture Pareto
 # frontier run (UPMEM DPU vs HBM-PIM bank-level MAC over GEMV and VA),

@@ -23,108 +23,83 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
 
 	"upim"
 	"upim/internal/cli"
+	figs "upim/internal/figures"
 )
 
-func main() {
-	os.Exit(run())
-}
+func main() { os.Exit(run(os.Args[1:])) }
 
-func run() int {
+func run(args []string) int { return cli.Main("figures", args, figures) }
+
+func figures(fs *flag.FlagSet) func(context.Context) error {
 	var (
-		exp      = flag.String("exp", "all", "experiment id (see -list) or 'all'")
-		scale    = flag.String("scale", "tiny", "dataset scale: tiny, small or paper")
-		bench    = flag.String("bench", "", "comma-separated benchmark subset (default: all 16)")
-		jobs     = flag.Int("jobs", 0, "concurrent simulation points (0 = GOMAXPROCS)")
-		list     = flag.Bool("list", false, "list available experiments")
-		out      = flag.String("out", "", "write a browsable report (CSV+JSON+Markdown+index.md) into this directory")
-		check    = flag.Bool("check", false, "validate results against the committed reference artifacts")
-		eps      = flag.Float64("eps", 0, "relative tolerance for -check (0 = the 1% default)")
-		writeref = flag.String("writeref", "", "write reference JSON artifacts into this directory (maintainers only)")
-		profile  = flag.String("profile", "", "energy TechProfile JSON overriding the committed default (energy experiment)")
-		energyT  = flag.Bool("energy", false, "also run the energy experiment when -exp selects something else")
-		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprof  = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		sim     cli.Sim
+		rep     cli.Report
+		exp     = fs.String("exp", "all", "experiment id (see -list) or 'all'")
+		bench   = fs.String("bench", "", "comma-separated benchmark subset (default: all 16)")
+		list    = fs.Bool("list", false, "list available experiments")
+		profile = fs.String("profile", "", "energy TechProfile JSON overriding the committed default (energy experiment)")
+		energyT = fs.Bool("energy", false, "also run the energy experiment when -exp selects something else")
 	)
-	flag.Parse()
-
-	if *cpuprof != "" || *memprof != "" {
-		stop, err := cli.Profile(*cpuprof, *memprof)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			return 1
+	sim.Register(fs)
+	rep.Register(fs)
+	return func(ctx context.Context) error {
+		if *list {
+			for _, e := range upim.Experiments() {
+				fmt.Printf("%-12s %s\n", e.ID, e.About)
+			}
+			return nil
 		}
-		defer stop()
-	}
-
-	if *list {
+		if (rep.Check || rep.WriteRef != "") && *bench != "" {
+			return cli.Usagef("-check/-writeref compare full-suite tables; drop -bench")
+		}
+		if err := rep.Validate(); err != nil {
+			return err
+		}
+		var all []string
 		for _, e := range upim.Experiments() {
-			fmt.Printf("%-12s %s\n", e.ID, e.About)
+			all = append(all, e.ID)
 		}
-		return 0
-	}
-	if (*check || *writeref != "") && *bench != "" {
-		fmt.Fprintln(os.Stderr, "figures: -check/-writeref compare full-suite tables; drop -bench")
-		return 2
-	}
-
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer cancel()
-
-	sc, err := upim.ParseScale(*scale)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		return 2
-	}
-	opts := upim.ExperimentOptions{Scale: sc, Parallelism: *jobs}
-	if *bench != "" {
-		opts.Benchmarks = strings.Split(*bench, ",")
-	}
-	if *profile != "" {
-		p, err := upim.LoadTechProfile(*profile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			return 2
-		}
-		opts.Profile = p
-		// Only the energy experiment reads the profile; a run that will never
-		// reach it would silently produce default-profile-independent tables
-		// the user believes were recalibrated.
-		if *exp != "all" && *exp != "energy" && !*energyT {
-			fmt.Fprintf(os.Stderr, "figures: -profile only affects the energy experiment; add -energy or -exp energy to use %s\n", p.Name)
-			return 2
-		}
-	}
-
-	var tables []*upim.ResultTable
-	runExp := func(id string) bool {
-		tab, err := upim.RunExperimentContext(ctx, id, opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %s: %v\n", id, err)
-			return false
-		}
-		tab.Fprint(os.Stdout)
-		tables = append(tables, tab)
-		return true
-	}
-	if *exp == "all" {
-		for _, e := range upim.Experiments() {
-			if !runExp(e.ID) {
-				return 1
+		ids := all
+		if *exp != "all" {
+			if _, err := figs.ByID(*exp); err != nil { // resolves paper-numbering aliases too
+				return cli.Usagef("unknown experiment %q (try: %s)", *exp, strings.Join(all, ", "))
+			}
+			ids = []string{*exp}
+			if *energyT && *exp != "energy" {
+				ids = append(ids, "energy")
 			}
 		}
-	} else {
-		if !runExp(*exp) {
-			return 1
+		opts := upim.ExperimentOptions{Scale: sim.Scale, Parallelism: sim.Jobs}
+		if *bench != "" {
+			opts.Benchmarks = strings.Split(*bench, ",")
 		}
-		if *energyT && *exp != "energy" && !runExp("energy") {
-			return 1
+		if *profile != "" {
+			p, err := upim.LoadTechProfile(*profile)
+			if err != nil {
+				return cli.Usage(err)
+			}
+			opts.Profile = p
+			// Only the energy experiment reads the profile; a run that will never
+			// reach it would silently produce default-profile-independent tables
+			// the user believes were recalibrated.
+			if *exp != "all" && *exp != "energy" && !*energyT {
+				return cli.Usagef("-profile only affects the energy experiment; add -energy or -exp energy to use %s", p.Name)
+			}
 		}
-	}
 
-	return cli.Report{Out: *out, WriteRef: *writeref, Check: *check, Eps: *eps}.Finish("figures", tables)
+		var tables []*upim.ResultTable
+		for _, id := range ids {
+			tab, err := upim.RunExperimentContext(ctx, id, opts)
+			if err != nil {
+				return fmt.Errorf("%s: %w", id, err)
+			}
+			tab.Fprint(os.Stdout)
+			tables = append(tables, tab)
+		}
+		return rep.Finish("figures", tables)
+	}
 }

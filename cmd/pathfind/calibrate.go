@@ -6,104 +6,77 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"sort"
 	"strings"
 
 	"upim"
+	"upim/internal/cli"
 )
 
 const defaultArtifact = "internal/estimate/calibration/default.json"
 
-// runCalibrate implements `pathfind calibrate`: refit the analytical
+// calibrate implements `pathfind calibrate`: refit the analytical
 // estimator's calibration against the cycle-exact simulator and rewrite the
 // committed artifact — or, with -check, verify that the committed artifact
 // is byte-identical to a fresh refit and that its measured per-figure errors
 // stay within its committed bounds (the `make calibration-check` CI gate).
-func runCalibrate(args []string) int {
-	fs := flag.NewFlagSet("pathfind calibrate", flag.ExitOnError)
+// Its -out names one artifact file and its -check a byte comparison, so they
+// are its own flags, not cli.Report's.
+func calibrate(fs *flag.FlagSet) func(context.Context) error {
 	var (
-		scale = fs.String("scale", "tiny", "dataset scale of the calibration suite: tiny, small or paper")
+		sim   cli.Sim
 		bench = fs.String("bench", "", "comma-separated benchmark subset (default: all 16)")
 		name  = fs.String("name", "default", "calibration name recorded in the artifact")
-		jobs  = fs.Int("jobs", 0, "concurrent simulation points (0 = GOMAXPROCS)")
 		out   = fs.String("out", defaultArtifact, "artifact path to write (or, with -check, to verify)")
 		check = fs.Bool("check", false, "verify the committed artifact instead of rewriting it: fail on byte drift or a per-figure error over its committed bound")
 	)
-	fs.Parse(args)
-
-	sc, err := upim.ParseScale(*scale)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pathfind calibrate:", err)
-		return 2
-	}
-	opts := upim.FitCalibrationOptions{Name: *name, Scale: sc, Parallelism: *jobs}
-	if *bench != "" {
-		opts.Benchmarks = strings.Split(*bench, ",")
-	}
-
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer cancel()
-
-	fmt.Fprintf(os.Stderr, "pathfind calibrate: running the calibration suite at scale %s...\n", *scale)
-	cal, obs, err := upim.FitCalibration(ctx, opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pathfind calibrate:", err)
-		return 1
-	}
-	fmt.Fprintf(os.Stderr, "pathfind calibrate: fitted %d signatures from %d runs\n", len(cal.Signatures), len(obs))
-
-	if *check {
-		committed, err := upim.LoadCalibration(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pathfind calibrate:", err)
-			return 1
+	sim.Register(fs)
+	return func(ctx context.Context) error {
+		opts := upim.FitCalibrationOptions{Name: *name, Scale: sim.Scale, Parallelism: sim.Jobs}
+		if *bench != "" {
+			opts.Benchmarks = strings.Split(*bench, ",")
 		}
+
+		fmt.Fprintf(os.Stderr, "pathfind calibrate: running the calibration suite at scale %s...\n", sim.Scale)
+		cal, obs, err := upim.FitCalibration(ctx, opts)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "pathfind calibrate: fitted %d signatures from %d runs\n", len(cal.Signatures), len(obs))
 		fresh, err := cal.Marshal()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "pathfind calibrate:", err)
-			return 1
+			return err
 		}
-		disk, err := os.ReadFile(*out)
+		judged := cal // the calibration whose bounds the measured errors are held to
+		if *check {
+			if judged, err = upim.LoadCalibration(*out); err != nil {
+				return err
+			}
+			disk, err := os.ReadFile(*out)
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(fresh, disk) {
+				return fmt.Errorf("%s drifts from a fresh refit — regenerate it with `pathfind calibrate` and commit the result", *out)
+			}
+		} else if err := os.WriteFile(*out, fresh, 0o644); err != nil {
+			return err
+		}
+		errs, err := upim.CalibrationFigureErrors(judged, obs)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "pathfind calibrate:", err)
-			return 1
+			return err
 		}
-		if !bytes.Equal(fresh, disk) {
-			fmt.Fprintf(os.Stderr, "pathfind calibrate: %s drifts from a fresh refit — regenerate it with `pathfind calibrate` and commit the result\n", *out)
-			return 1
+		printFigureErrors(errs, judged)
+		if !*check {
+			fmt.Printf("pathfind calibrate: wrote %s (%d signatures, %d figure bounds)\n", *out, len(cal.Signatures), len(cal.Bounds))
+			return nil
 		}
-		errs, err := upim.CalibrationFigureErrors(committed, obs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pathfind calibrate:", err)
-			return 1
-		}
-		printFigureErrors(errs, committed)
-		if err := upim.CheckCalibrationBounds(committed, errs); err != nil {
-			fmt.Fprintln(os.Stderr, "pathfind calibrate:", err)
-			return 1
+		if err := upim.CheckCalibrationBounds(judged, errs); err != nil {
+			return err
 		}
 		fmt.Printf("pathfind calibrate: %s verified: no drift, every figure within its committed bound\n", *out)
-		return 0
+		return nil
 	}
-
-	data, err := cal.Marshal()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pathfind calibrate:", err)
-		return 1
-	}
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "pathfind calibrate:", err)
-		return 1
-	}
-	errs, err := upim.CalibrationFigureErrors(cal, obs)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pathfind calibrate:", err)
-		return 1
-	}
-	printFigureErrors(errs, cal)
-	fmt.Printf("pathfind calibrate: wrote %s (%d signatures, %d figure bounds)\n", *out, len(cal.Signatures), len(cal.Bounds))
-	return 0
 }
 
 // printFigureErrors renders measured per-figure errors next to the

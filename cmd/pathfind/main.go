@@ -73,8 +73,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/signal"
+	"slices"
 	"strings"
 	"time"
 
@@ -82,292 +83,277 @@ import (
 	"upim/internal/cli"
 )
 
-const defaultAxes = "tasklets=1,4,16;ilp=base,DRSF;link=1,2,4"
+func main() { os.Exit(run(os.Args[1:])) }
 
-func main() {
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "calibrate":
-			os.Exit(runCalibrate(os.Args[2:]))
-		case "serve":
-			os.Exit(runServe(os.Args[2:]))
-		case "work":
-			os.Exit(runWork(os.Args[2:]))
+var subcommands = map[string]cli.Command{"calibrate": calibrate, "serve": serve, "work": work}
+
+func run(args []string) int {
+	if len(args) > 0 {
+		if sub, ok := subcommands[args[0]]; ok {
+			return cli.Main("pathfind "+args[0], args[1:], sub)
 		}
 	}
-	os.Exit(run())
+	return cli.Main("pathfind", args, pathfind)
 }
 
-func run() int {
-	var (
-		bench     = flag.String("bench", "", "comma-separated benchmark subset (default: all 16)")
-		axesSpec  = flag.String("axes", defaultAxes, "design axes: \"name=v1,v2;...\" over tasklets, dpus, freq, link, ilp, mode, policy")
-		scale     = flag.String("scale", "tiny", "dataset scale: tiny, small or paper")
-		dpus      = flag.Int("dpus", 1, "base DPU count (a dpus axis overrides it)")
-		storeDir  = flag.String("store", "", "persistent result store directory (enables resume; empty = no persistence)")
-		resume    = flag.Bool("resume", true, "serve previously finished points from the store; -resume=false re-simulates (and refreshes) every point")
-		pareto    = flag.Bool("pareto", false, "print the per-benchmark Pareto frontier (see -goals) and ranked best configs")
-		goals     = flag.String("goals", "time,cost", "comma-separated Pareto objectives for -pareto: time, kernel, cost, energy, edp, p99")
-		profile   = flag.String("profile", "", "energy TechProfile JSON overriding the committed default (used by the energy/edp goals and -energy)")
-		energyT   = flag.Bool("energy", false, "print the per-point energy breakdown table")
-		top       = flag.Int("top", 3, "designs per benchmark in the best-config ranking")
-		jobs      = flag.Int("jobs", 0, "concurrent simulation points (0 = GOMAXPROCS)")
-		out       = flag.String("out", "", "write a browsable report (CSV+JSON+Markdown+index.md) into this directory")
-		verbose   = flag.Bool("v", false, "log every point as it finishes")
-		tier2     = flag.Bool("tier2", false, "two-tier fidelity: estimate every point analytically, simulate only the estimated Pareto band over the active -goals")
-		band      = flag.Float64("band", 0.25, "ε slack of the tier2 band: points within this relative margin of the estimated frontier are simulated too")
-		calib     = flag.String("calibration", "", "calibration profile JSON for -tier2 (default: the committed artifact)")
-		plan      = flag.Bool("plan", false, "print the feasible point count, axis breakdown and (with -tier2) the predicted estimate/simulate split, then exit without simulating")
-		coordMode = flag.Bool("coordinator", false, "coordinated exploration: shard the space into leased work units drained by -workers workers through the shared -store")
-		workers   = flag.Int("workers", 4, "worker count for -coordinator")
-		events    = flag.String("events", "", "append the machine-readable JSONL coordination events log to this file (-coordinator only)")
-		check     = flag.Bool("check", false, "validate every emitted table against the committed reference artifacts (the cross-architecture regression oracle)")
-		eps       = flag.Float64("eps", 0, "relative tolerance for -check (<= 0 selects the default)")
-		writeref  = flag.String("writeref", "", "write reference JSON artifacts for the emitted tables into this directory (maintainers only)")
-	)
-	flag.Parse()
+// spaceFlags are the flags that name a design space, shared by the
+// exploration and by `pathfind serve`, which coordinates one.
+type spaceFlags struct {
+	bench, axes *string
+	dpus        *int
+	sim         cli.Sim // the caller registers it: -scale alone for the server
+}
 
-	sc, err := upim.ParseScale(*scale)
+func (s *spaceFlags) register(fs *flag.FlagSet) {
+	s.bench = fs.String("bench", "", "comma-separated benchmark subset (default: all 16)")
+	s.axes = fs.String("axes", "tasklets=1,4,16;ilp=base,DRSF;link=1,2,4", "design axes: \"name=v1,v2;...\" over tasklets, dpus, freq, link, ilp, mode, policy")
+	s.dpus = fs.Int("dpus", 1, "base DPU count (a dpus axis overrides it)")
+}
+
+// space builds the design space the flags name.
+func (s *spaceFlags) space() (*upim.DesignSpace, error) {
+	axes, err := upim.ParseAxes(*s.axes)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pathfind:", err)
-		return 2
-	}
-	axes, err := upim.ParseAxes(*axesSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pathfind:", err)
-		return 2
-	}
-	var prof *upim.TechProfile // nil = the committed default profile
-	if *profile != "" {
-		if prof, err = upim.LoadTechProfile(*profile); err != nil {
-			fmt.Fprintln(os.Stderr, "pathfind:", err)
-			return 2
-		}
-	}
-	goalList, err := upim.ParseGoals(*goals, prof)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pathfind:", err)
-		return 2
-	}
-	// Goals are only evaluated by the -pareto frontier and the -tier2 band,
-	// so an explicit -goals without either would be silently ignored. The
-	// same applies to the tier2-only knobs.
-	goalsSet, bandSet := false, false
-	flag.Visit(func(f *flag.Flag) {
-		goalsSet = goalsSet || f.Name == "goals"
-		bandSet = bandSet || f.Name == "band"
-	})
-	if goalsSet && !*pareto && !*tier2 {
-		fmt.Fprintln(os.Stderr, "pathfind: -goals only affects the -pareto frontier and the -tier2 band; add one of them to use it")
-		return 2
-	}
-	if (bandSet || *calib != "") && !*tier2 {
-		fmt.Fprintln(os.Stderr, "pathfind: -band and -calibration only affect -tier2 triage; add -tier2 to use them")
-		return 2
-	}
-	if *eps != 0 && !*check {
-		fmt.Fprintln(os.Stderr, "pathfind: -eps sets the -check tolerance; add -check to use it")
-		return 2
-	}
-	// Likewise a profile only matters to evaluated energy/edp goals and the
-	// -energy table; loading one that nothing reads would silently produce
-	// profile-independent reports the user believes were recalibrated.
-	// (The guard above means any energy/edp goal left in goalList is one
-	// -pareto will actually evaluate.)
-	if prof != nil && !*energyT {
-		usesProfile := false
-		for _, g := range goalList {
-			if g.UsesProfile {
-				usesProfile = true
-				break
-			}
-		}
-		if !usesProfile {
-			fmt.Fprintf(os.Stderr, "pathfind: -profile only affects the energy/edp goals under -pareto and the -energy table; add one of them to use %s\n", prof.Name)
-			return 2
-		}
+		return nil, cli.Usage(err)
 	}
 	benchmarks := upim.Benchmarks()
-	if *bench != "" {
-		benchmarks = strings.Split(*bench, ",")
+	if *s.bench != "" {
+		benchmarks = strings.Split(*s.bench, ",")
 	}
-
 	space := upim.NewDesignSpace(benchmarks, axes...)
-	space.Scale = sc
-	space.DPUs = *dpus
-	pts, err := space.Points()
+	space.Scale = s.sim.Scale
+	space.DPUs = *s.dpus
+	return space, nil
+}
+
+// openEvents opens a JSONL events log for appending. An empty path is no
+// log: a nil writer and a no-op close.
+func openEvents(path string) (io.Writer, func(), error) {
+	if path == "" {
+		return nil, func() {}, nil
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pathfind:", err)
-		return 2
+		return nil, nil, err
 	}
-	if len(pts) == 0 {
-		fmt.Fprintln(os.Stderr, "pathfind: every point of the space is infeasible; relax the axes or benchmarks")
-		return 2
-	}
+	return f, func() { f.Close() }, nil
+}
 
-	var estimator *upim.Estimator
-	if *tier2 {
-		var cal *upim.CalibrationProfile // nil = the committed default
-		if *calib != "" {
-			if cal, err = upim.LoadCalibration(*calib); err != nil {
-				fmt.Fprintln(os.Stderr, "pathfind:", err)
-				return 2
+func pathfind(fs *flag.FlagSet) func(context.Context) error {
+	var (
+		sp        spaceFlags
+		rep       cli.Report
+		storeDir  = fs.String("store", "", "persistent result store directory (enables resume; empty = no persistence)")
+		resume    = fs.Bool("resume", true, "serve previously finished points from the store; -resume=false re-simulates (and refreshes) every point")
+		pareto    = fs.Bool("pareto", false, "print the per-benchmark Pareto frontier (see -goals) and ranked best configs")
+		goals     = fs.String("goals", "time,cost", "comma-separated Pareto objectives for -pareto: time, kernel, cost, energy, edp, p99")
+		profile   = fs.String("profile", "", "energy TechProfile JSON overriding the committed default (used by the energy/edp goals and -energy)")
+		energyT   = fs.Bool("energy", false, "print the per-point energy breakdown table")
+		top       = fs.Int("top", 3, "designs per benchmark in the best-config ranking")
+		verbose   = fs.Bool("v", false, "log every point as it finishes")
+		tier2     = fs.Bool("tier2", false, "two-tier fidelity: estimate every point analytically, simulate only the estimated Pareto band over the active -goals")
+		band      = fs.Float64("band", 0.25, "ε slack of the tier2 band: points within this relative margin of the estimated frontier are simulated too")
+		calib     = fs.String("calibration", "", "calibration profile JSON for -tier2 (default: the committed artifact)")
+		plan      = fs.Bool("plan", false, "print the feasible point count, axis breakdown and (with -tier2) the predicted estimate/simulate split, then exit without simulating")
+		coordMode = fs.Bool("coordinator", false, "coordinated exploration: shard the space into leased work units drained by -workers workers through the shared -store")
+		workers   = fs.Int("workers", 4, "worker count for -coordinator")
+		events    = fs.String("events", "", "append the machine-readable JSONL coordination events log to this file (-coordinator only)")
+	)
+	sp.register(fs)
+	sp.sim.Register(fs)
+	rep.Register(fs)
+	return func(ctx context.Context) error {
+		var prof *upim.TechProfile // nil = the committed default profile
+		if *profile != "" {
+			var err error
+			if prof, err = upim.LoadTechProfile(*profile); err != nil {
+				return cli.Usage(err)
 			}
 		}
-		if estimator, err = upim.NewEstimator(cal, prof); err != nil {
-			fmt.Fprintln(os.Stderr, "pathfind:", err)
-			return 2
-		}
-	}
-	topts := upim.TieredExploreOptions{Estimator: estimator, Band: *band, Goals: goalList}
-
-	if *plan {
-		fmt.Printf("pathfind plan: %d feasible points (%d raw) over %d benchmarks at scale %s\n",
-			len(pts), space.Size(), len(benchmarks), *scale)
-		for _, a := range axes {
-			labels := make([]string, len(a.Levels))
-			for i, l := range a.Levels {
-				labels[i] = l.Label
-			}
-			fmt.Printf("  axis %-9s %d levels: %s\n", a.Name, len(a.Levels), strings.Join(labels, ", "))
-		}
-		if *tier2 {
-			tri, terr := upim.PlanTieredExploration(space, topts)
-			if terr != nil {
-				fmt.Fprintln(os.Stderr, "pathfind:", terr)
-				return 2
-			}
-			fmt.Printf("  tier2: %d estimable, %d unestimable; band %d (%.1f%% of feasible) would simulate, %d resolve by estimate\n",
-				tri.Estimable, tri.Unestimable, tri.Band, 100*float64(tri.Band)/float64(tri.Feasible), tri.EstimateOnly)
-		}
-		return 0
-	}
-	fmt.Fprintf(os.Stderr, "pathfind: exploring %d feasible points (%d raw) over %d benchmarks\n",
-		len(pts), space.Size(), len(benchmarks))
-
-	opts := upim.ExploreOptions{Parallelism: *jobs, Refresh: !*resume}
-	var store upim.StoreBackend
-	if *storeDir != "" {
-		if strings.HasPrefix(*storeDir, "http://") || strings.HasPrefix(*storeDir, "https://") {
-			store, err = upim.DialResultStore(*storeDir, upim.HTTPResultStoreOptions{})
-		} else {
-			store, err = upim.OpenResultStore(*storeDir)
-		}
+		goalList, err := upim.ParseGoals(*goals, prof)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "pathfind:", err)
-			return 1
+			return cli.Usage(err)
 		}
-		opts.Store = store
-	}
-	if *coordMode && store == nil {
-		fmt.Fprintln(os.Stderr, "pathfind: -coordinator requires -store (workers and the merge share results through it)")
-		return 2
-	}
-	if *coordMode && !*resume {
-		fmt.Fprintln(os.Stderr, "pathfind: -resume=false is incompatible with -coordinator (workers depend on serving each other's finished points)")
-		return 2
-	}
-	if *events != "" && !*coordMode {
-		fmt.Fprintln(os.Stderr, "pathfind: -events records the coordination events log; add -coordinator to use it")
-		return 2
-	}
-	if *verbose {
-		opts.OnOutcome = func(o upim.ExploreOutcome) {
-			status := "simulated"
-			switch {
-			case o.Cached:
-				status = "cached"
-			case o.Err != nil:
-				status = "FAILED: " + o.Err.Error()
-			case o.Fidelity == upim.FidelityEstimate:
-				status = "estimated"
-			}
-			fmt.Fprintf(os.Stderr, "pathfind: %s %s: %s\n", o.Point.Benchmark, o.Point.Design, status)
+		// Goals are only evaluated by the -pareto frontier and the -tier2 band,
+		// so an explicit -goals without either would be silently ignored. The
+		// same applies to the tier2-only and coordinator-only knobs.
+		if cli.IsSet(fs, "goals") && !*pareto && !*tier2 {
+			return cli.Usagef("-goals only affects the -pareto frontier and the -tier2 band; add one of them to use it")
 		}
-	}
+		if (cli.IsSet(fs, "band") || *calib != "") && !*tier2 {
+			return cli.Usagef("-band and -calibration only affect -tier2 triage; add -tier2 to use them")
+		}
+		if cli.IsSet(fs, "workers") && !*coordMode {
+			return cli.Usagef("-workers sets the -coordinator worker count; add -coordinator to use it")
+		}
+		if *events != "" && !*coordMode {
+			return cli.Usagef("-events records the coordination events log; add -coordinator to use it")
+		}
+		if err := rep.Validate(); err != nil {
+			return err
+		}
+		// Likewise a profile only matters to evaluated energy/edp goals and the
+		// -energy table; loading one that nothing reads would silently produce
+		// profile-independent reports the user believes were recalibrated.
+		// (The guard above means any energy/edp goal left in goalList is one
+		// -pareto will actually evaluate.)
+		usesProfile := func(g upim.ExploreGoal) bool { return g.UsesProfile }
+		if prof != nil && !*energyT && !slices.ContainsFunc(goalList, usesProfile) {
+			return cli.Usagef("-profile only affects the energy/edp goals under -pareto and the -energy table; add one of them to use %s", prof.Name)
+		}
 
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer cancel()
-
-	var x *upim.Exploration
-	var tri *upim.ExploreTriage
-	switch {
-	case *coordMode:
-		copts := upim.CoordOptions{
-			Workers:     *workers,
-			Parallelism: *jobs,
-			Store:       store,
-			OnProgress:  progressPrinter(),
+		space, err := sp.space()
+		if err != nil {
+			return err
 		}
+		pts, err := space.Points()
+		if err != nil {
+			return cli.Usage(err)
+		}
+		if len(pts) == 0 {
+			return cli.Usagef("every point of the space is infeasible; relax the axes or benchmarks")
+		}
+
+		var estimator *upim.Estimator
 		if *tier2 {
-			copts.Tiered = &topts
-		}
-		if *events != "" {
-			ef, ferr := os.OpenFile(*events, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if ferr != nil {
-				fmt.Fprintln(os.Stderr, "pathfind:", ferr)
-				return 1
+			var cal *upim.CalibrationProfile // nil = the committed default
+			if *calib != "" {
+				if cal, err = upim.LoadCalibration(*calib); err != nil {
+					return cli.Usage(err)
+				}
 			}
-			defer ef.Close()
-			copts.Events = ef
+			if estimator, err = upim.NewEstimator(cal, prof); err != nil {
+				return cli.Usage(err)
+			}
 		}
-		x, tri, err = upim.CoordinatedExplore(ctx, space, copts)
-	case *tier2:
-		x, tri, err = upim.ExploreTiered(ctx, space, opts, topts)
-	default:
-		x, err = upim.Explore(ctx, space, opts)
-	}
-	if x == nil {
-		fmt.Fprintln(os.Stderr, "pathfind:", err)
-		return 1
-	}
-	if errors.Is(err, context.Canceled) {
-		fmt.Fprintf(os.Stderr, "pathfind: interrupted after %d simulated points", x.Simulated)
+		topts := upim.TieredExploreOptions{Estimator: estimator, Band: *band, Goals: goalList}
+
+		if *plan {
+			fmt.Printf("pathfind plan: %d feasible points (%d raw) over %d benchmarks at scale %s\n",
+				len(pts), space.Size(), len(space.Benchmarks), sp.sim.Scale)
+			for _, a := range space.Axes {
+				labels := make([]string, len(a.Levels))
+				for i, l := range a.Levels {
+					labels[i] = l.Label
+				}
+				fmt.Printf("  axis %-9s %d levels: %s\n", a.Name, len(a.Levels), strings.Join(labels, ", "))
+			}
+			if *tier2 {
+				tri, err := upim.PlanTieredExploration(space, topts)
+				if err != nil {
+					return cli.Usage(err)
+				}
+				fmt.Printf("  tier2: %d estimable, %d unestimable; band %d (%.1f%% of feasible) would simulate, %d resolve by estimate\n",
+					tri.Estimable, tri.Unestimable, tri.Band, 100*float64(tri.Band)/float64(tri.Feasible), tri.EstimateOnly)
+			}
+			return nil
+		}
+		fmt.Fprintf(os.Stderr, "pathfind: exploring %d feasible points (%d raw) over %d benchmarks\n",
+			len(pts), space.Size(), len(space.Benchmarks))
+
+		opts := upim.ExploreOptions{Parallelism: sp.sim.Jobs, Refresh: !*resume}
+		var store upim.StoreBackend
+		if *storeDir != "" {
+			if strings.HasPrefix(*storeDir, "http://") || strings.HasPrefix(*storeDir, "https://") {
+				store, err = upim.DialResultStore(*storeDir, upim.HTTPResultStoreOptions{})
+			} else {
+				store, err = upim.OpenResultStore(*storeDir)
+			}
+			if err != nil {
+				return err
+			}
+			opts.Store = store
+		}
+		if *coordMode && store == nil {
+			return cli.Usagef("-coordinator requires -store (workers and the merge share results through it)")
+		}
+		if *coordMode && !*resume {
+			return cli.Usagef("-resume=false is incompatible with -coordinator (workers depend on serving each other's finished points)")
+		}
+		if *verbose {
+			opts.OnOutcome = func(o upim.ExploreOutcome) {
+				status := "simulated"
+				switch {
+				case o.Cached:
+					status = "cached"
+				case o.Err != nil:
+					status = "FAILED: " + o.Err.Error()
+				case o.Fidelity == upim.FidelityEstimate:
+					status = "estimated"
+				}
+				fmt.Fprintf(os.Stderr, "pathfind: %s %s: %s\n", o.Point.Benchmark, o.Point.Design, status)
+			}
+		}
+
+		var x *upim.Exploration
+		var tri *upim.ExploreTriage
+		switch {
+		case *coordMode:
+			copts := upim.CoordOptions{
+				Workers:     *workers,
+				Parallelism: sp.sim.Jobs,
+				Store:       store,
+				OnProgress:  progressPrinter(),
+			}
+			if *tier2 {
+				copts.Tiered = &topts
+			}
+			var closeEvents func()
+			if copts.Events, closeEvents, err = openEvents(*events); err != nil {
+				return err
+			}
+			defer closeEvents()
+			x, tri, err = upim.CoordinatedExplore(ctx, space, copts)
+		case *tier2:
+			x, tri, err = upim.ExploreTiered(ctx, space, opts, topts)
+		default:
+			x, err = upim.Explore(ctx, space, opts)
+		}
+		if x == nil {
+			return err
+		}
+		if errors.Is(err, context.Canceled) {
+			if store == nil {
+				return fmt.Errorf("interrupted after %d simulated points", x.Simulated)
+			}
+			return fmt.Errorf("interrupted after %d simulated points — rerun with the same -store %s to resume", x.Simulated, *storeDir)
+		}
+
+		tables := []*upim.ResultTable{x.SummaryTable()}
+		if tri != nil {
+			tables = append(tables, x.TriageTable(tri))
+		}
+		if *pareto {
+			tables = append(tables, x.ParetoTable(goalList...), x.BestTable(*top))
+		}
+		if *energyT {
+			tables = append(tables, x.EnergyTable(prof))
+		}
+		for _, tab := range tables {
+			tab.Fprint(os.Stdout)
+		}
+		if err := rep.Finish("pathfind", tables); err != nil {
+			return err
+		}
+
+		fmt.Fprintf(os.Stderr, "pathfind: %d points: %d cached, %d simulated, %d failed\n",
+			len(x.Outcomes), x.Hits, x.Simulated, x.Failed)
+		if tri != nil {
+			fmt.Fprintf(os.Stderr, "pathfind: tier2: %d resolved by estimate, band %d/%d feasible (max rel err on band %.2f%%)\n",
+				x.Estimated, tri.Band, tri.Feasible, tri.MaxRelErr*100)
+		}
 		if store != nil {
-			fmt.Fprintf(os.Stderr, " — rerun with the same -store %s to resume", *storeDir)
+			if n, cerr := store.Count(); cerr != nil {
+				fmt.Fprintf(os.Stderr, "pathfind: store %s: %v\n", *storeDir, cerr)
+			} else {
+				fmt.Fprintf(os.Stderr, "pathfind: store %s now holds %d points\n", *storeDir, n)
+			}
+			if st := store.Stats(); st.Corrupt > 0 {
+				fmt.Fprintf(os.Stderr, "pathfind: store: %d corrupt entries degraded to re-simulation — the store repaired them, but check the directory's health\n", st.Corrupt)
+			}
 		}
-		fmt.Fprintln(os.Stderr)
-		return 1
+		return err
 	}
-
-	tables := []*upim.ResultTable{x.SummaryTable()}
-	if tri != nil {
-		tables = append(tables, x.TriageTable(tri))
-	}
-	if *pareto {
-		tables = append(tables, x.ParetoTable(goalList...), x.BestTable(*top))
-	}
-	if *energyT {
-		tables = append(tables, x.EnergyTable(prof))
-	}
-	for _, tab := range tables {
-		tab.Fprint(os.Stdout)
-	}
-	if code := (cli.Report{Out: *out, WriteRef: *writeref, Check: *check, Eps: *eps}).Finish("pathfind", tables); code != 0 {
-		return code
-	}
-
-	fmt.Fprintf(os.Stderr, "pathfind: %d points: %d cached, %d simulated, %d failed\n",
-		len(x.Outcomes), x.Hits, x.Simulated, x.Failed)
-	if tri != nil {
-		fmt.Fprintf(os.Stderr, "pathfind: tier2: %d resolved by estimate, band %d/%d feasible (max rel err on band %.2f%%)\n",
-			x.Estimated, tri.Band, tri.Feasible, tri.MaxRelErr*100)
-	}
-	if store != nil {
-		if n, cerr := store.Count(); cerr != nil {
-			fmt.Fprintf(os.Stderr, "pathfind: store %s: %v\n", *storeDir, cerr)
-		} else {
-			fmt.Fprintf(os.Stderr, "pathfind: store %s now holds %d points\n", *storeDir, n)
-		}
-		if st := store.Stats(); st.Corrupt > 0 {
-			fmt.Fprintf(os.Stderr, "pathfind: store: %d corrupt entries degraded to re-simulation — the store repaired them, but check the directory's health\n", st.Corrupt)
-		}
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pathfind:", err)
-		return 1
-	}
-	return 0
 }
 
 // progressPrinter streams coordinated-exploration progress to stderr: one

@@ -1,0 +1,50 @@
+package main
+
+import (
+	"strings"
+	"testing"
+)
+
+// TestExitCodes: a mistake in the invocation exits 2 before anything is
+// simulated, a run that fails exits 1 (cmd/upimulator pins the same table).
+func TestExitCodes(t *testing.T) {
+	for _, tc := range []struct {
+		args string
+		want int
+	}{
+		{"-h", 0},
+		{"-nosuchflag", 2},
+		{"-scale bogus", 2},
+		{"-axes arch=nosuch", 2},
+		{"-profile /nonexistent.json -energy", 2},
+		{"-bench BFS -axes arch=hbm-pim", 2}, // every point infeasible
+		// Flags nothing in the invocation would read.
+		{"-bench VA -eps 0.5", 2},
+		{"-bench VA -goals time", 2},
+		{"-bench VA -band 0.1", 2},
+		{"-bench VA -workers 2", 2},
+		{"-bench VA -events " + t.TempDir() + "/e.jsonl", 2},
+		{"-bench VA -coordinator", 2}, // needs -store
+		{"-bench NOPE -axes tasklets=1", 2},
+		{"-bench VA -axes tasklets=1 -store /dev/null/store", 1},
+		{"-bench VA -axes tasklets=1,2 -plan", 0},
+		{"-bench VA -axes tasklets=1,2 -scale tiny -pareto", 0},
+
+		{"calibrate -h", 0},
+		{"calibrate -nosuchflag", 2},
+		{"calibrate -scale bogus", 2},
+		{"calibrate -check -bench VA -out /nonexistent.json", 1},
+		{"serve -h", 0},
+		{"serve -nosuchflag", 2},
+		{"serve", 2}, // needs -store
+		{"serve -store " + t.TempDir() + " -bench VA -scale bogus", 2},
+		{"serve -store " + t.TempDir() + " -bench VA -axes arch=nosuch", 2},
+		{"work -h", 0},
+		{"work -nosuchflag", 2},
+		{"work", 2}, // needs -connect
+	} {
+		if got := run(strings.Fields(tc.args)); got != tc.want {
+			t.Errorf("pathfind %s: exit %d, want %d", tc.args, got, tc.want)
+		}
+	}
+}

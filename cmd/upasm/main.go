@@ -6,53 +6,51 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
 	"upim"
+	"upim/internal/cli"
 	"upim/internal/isa"
 )
 
-func main() {
-	var (
-		mode = flag.String("mode", "scratchpad", "link target: scratchpad or cache")
-	)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: upasm [-mode scratchpad|cache] file.S")
-		os.Exit(2)
-	}
-	src, err := os.ReadFile(flag.Arg(0))
-	if err != nil {
-		fatal(err)
-	}
-	obj, err := upim.Assemble(flag.Arg(0), string(src))
-	if err != nil {
-		fatal(err)
-	}
-	cfg := upim.DefaultConfig()
-	if *mode == "cache" {
-		cfg.Mode = upim.ModeCache
-	}
-	prog, err := upim.Link(obj, cfg)
-	if err != nil {
-		fatal(err)
-	}
-	img, err := prog.IRAMImage()
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("%s: %d instructions, %d bytes of IRAM (%d-byte words), %d static bytes in %v\n\n",
-		prog.Name, len(prog.Instrs), len(img), isa.WordBytes, prog.StaticBytes, prog.StaticSpace)
-	for name, sym := range prog.Symbols {
-		fmt.Printf("  %-16s 0x%08x  %d bytes\n", name, sym.Addr, sym.Size)
-	}
-	fmt.Println()
-	fmt.Print(isa.Disassemble(prog.Instrs))
-}
+func main() { os.Exit(cli.Main("upasm", os.Args[1:], upasm)) }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "upasm:", err)
-	os.Exit(1)
+func upasm(fs *flag.FlagSet) func(context.Context) error {
+	mode := fs.String("mode", "scratchpad", "link target: scratchpad or cache")
+	return func(context.Context) error {
+		if fs.NArg() != 1 {
+			return cli.Usagef("want one assembly file: upasm [-mode scratchpad|cache] file.S")
+		}
+		src, err := os.ReadFile(fs.Arg(0))
+		if err != nil {
+			return err
+		}
+		obj, err := upim.Assemble(fs.Arg(0), string(src))
+		if err != nil {
+			return err
+		}
+		cfg := upim.DefaultConfig()
+		if *mode == "cache" {
+			cfg.Mode = upim.ModeCache
+		}
+		prog, err := upim.Link(obj, cfg)
+		if err != nil {
+			return err
+		}
+		img, err := prog.IRAMImage()
+		if err != nil {
+			return err
+		}
+		fmt.Printf("%s: %d instructions, %d bytes of IRAM (%d-byte words), %d static bytes in %v\n\n",
+			prog.Name, len(prog.Instrs), len(img), isa.WordBytes, prog.StaticBytes, prog.StaticSpace)
+		for name, sym := range prog.Symbols {
+			fmt.Printf("  %-16s 0x%08x  %d bytes\n", name, sym.Addr, sym.Size)
+		}
+		fmt.Println()
+		fmt.Print(isa.Disassemble(prog.Instrs))
+		return nil
+	}
 }

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -21,9 +25,90 @@ func TestExitCodes(t *testing.T) {
 		{"-kernel NOPE -scale tiny", 1},
 		{"-dpus 0 -scale tiny", 1},
 		{"-kernel VA -scale tiny -threads 2", 0},
+
+		{"-h", 0},
+		{"-nosuchflag", 2},
+		{"serve -h", 0},
+		{"serve -nosuchflag", 2},
+		// -load is validated like -loads; NaN used to reach the event loop.
+		{"serve -load NaN", 2},
+		{"serve -load Inf", 2},
+		{"serve -load -1", 2},
+		// A bad sweep argument is caught before the single-load run simulates.
+		{"serve -loads 0.5 -policies bogus", 2},
+		// Flags nothing in the invocation would read.
+		{"serve -policies fifo", 2},
+		{"serve -eps 0.5", 2},
+		{"-kernel VA -energy", 2},
+		{"-kernel VA -out " + t.TempDir(), 2},
+		{"-kernel all -profile /dev/null", 2},
+		// An unreadable or invalid profile is a usage error, as in figures.
+		{"-kernel all -energy -profile /nonexistent.json", 2},
+		{"-kernel all -energy -profile /dev/null", 2},
 	} {
 		if got := run(strings.Fields(tc.args)); got != tc.want {
 			t.Errorf("upimulator %s: exit %d, want %d", tc.args, got, tc.want)
 		}
 	}
+}
+
+// TestSuiteGolden pins `upimulator -kernel all` to what cmd/prim printed and
+// exported at the commit that deleted it (testdata/suite*.golden is its
+// stdout, *.out.sha256 the sha256sum listing of its -out directory).
+func TestSuiteGolden(t *testing.T) {
+	for _, tc := range []struct{ golden, args string }{
+		{"suite", "-kernel all -scale tiny"},
+		{"suite_energy", "-kernel all -scale tiny -energy"},
+		{"suite_cache", "-kernel all -scale tiny -mode cache -dpus 2"},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			args := strings.Fields(tc.args)
+			sums, err := os.ReadFile(filepath.Join("testdata", tc.golden+".out.sha256"))
+			out := t.TempDir()
+			if err == nil {
+				args = append(args, "-out", out)
+			}
+			stdout := filepath.Join(t.TempDir(), "stdout")
+			f, err := os.Create(stdout)
+			if err != nil {
+				t.Fatal(err)
+			}
+			saved := os.Stdout
+			os.Stdout = f
+			code := run(args)
+			os.Stdout = saved
+			f.Close()
+			if code != 0 {
+				t.Fatalf("upimulator %s: exit %d", tc.args, code)
+			}
+			got, _ := os.ReadFile(stdout)
+			want, err := os.ReadFile(filepath.Join("testdata", tc.golden+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Errorf("upimulator %s: stdout differs from %s.golden:\n%s", tc.args, tc.golden, got)
+			}
+			if sums != nil && sha256Listing(t, out) != string(sums) {
+				t.Errorf("upimulator %s: -out export differs from %s.out.sha256:\n%s", tc.args, tc.golden, sha256Listing(t, out))
+			}
+		})
+	}
+}
+
+// sha256Listing renders dir the way `sha256sum *` run inside it does.
+func sha256Listing(t *testing.T, dir string) string {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var listing strings.Builder // ReadDir sorts by name, as the shell's * does
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&listing, "%x  %s\n", sha256.Sum256(data), e.Name())
+	}
+	return listing.String()
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
 
@@ -28,91 +27,81 @@ Tenant grammar (-tenants): semicolon-separated "name=BENCH+BENCH[:weight]":
   upimulator serve -loads 0.5,0.7,0.9,1.1 -policies fifo,wfq,slo -out report
 `
 
-// serveMain is the `upimulator serve` entry point.
-func serveMain(args []string) int {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
+// serve is the `upimulator serve` subcommand.
+func serve(fs *flag.FlagSet) func(context.Context) error {
 	fs.Usage = func() {
-		fmt.Fprint(os.Stderr, serveUsage, "\nFlags:\n")
+		fmt.Fprint(fs.Output(), serveUsage, "\nFlags:\n")
 		fs.PrintDefaults()
 	}
 	var (
+		sim      cli.Sim // -jobs bounds the profiling simulations and never affects results
+		rep      cli.Report
+		opts     upim.ServeOptions
 		tenants  = fs.String("tenants", "alpha=VA+RED:3;beta=BS:1", "tenant spec: name=BENCH+BENCH[:weight], semicolon-separated")
 		policy   = fs.String("policy", "fifo", "scheduling policy: "+strings.Join(upim.SchedulingPolicyNames(), ", "))
-		groups   = fs.Int("groups", 2, "disjoint DPU rank groups")
-		gdpus    = fs.Int("groupdpus", 1, "DPUs per rank group")
-		batch    = fs.Int("batch", 4, "max same-kind requests per launch (1 disables batching)")
-		requests = fs.Int("requests", 16, "requests per tenant")
-		load     = fs.Float64("load", 0.7, "offered load as a fraction of aggregate group capacity")
-		seed     = fs.Int64("seed", 1, "arrival-stream seed")
-		scale    = fs.String("scale", "tiny", "dataset scale: tiny, small or paper")
-		jobs     = fs.Int("jobs", 0, "concurrent profiling simulations (0 = GOMAXPROCS; never affects results)")
-		maxQueue = fs.Int("maxqueue", 0, "admission-control queue bound (0 = unbounded)")
 		loads    = fs.String("loads", "", "comma-separated offered loads: also produce the p50/p99-vs-load artifact")
 		policies = fs.String("policies", "fifo,wfq", "policies for the -loads sweep")
-		out      = fs.String("out", "", "write a browsable report (CSV+JSON+Markdown) into this directory")
-		check    = fs.Bool("check", false, "validate artifacts against the committed tiny-scale reference")
-		eps      = fs.Float64("eps", 0, "relative tolerance for -check (0 = the 1% default)")
-		writeref = fs.String("writeref", "", "write reference JSON artifacts into this directory (maintainers only)")
 	)
-	fs.Parse(args)
-
-	sc, err := upim.ParseScale(*scale)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "upimulator serve:", err)
-		return 2
-	}
-	tn, err := parseTenants(*tenants)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "upimulator serve:", err)
-		return 2
-	}
-	pol, err := upim.NewSchedulingPolicy(*policy, tn)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "upimulator serve:", err)
-		return 2
-	}
-
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer cancel()
-
-	opts := upim.ServeOptions{
-		Tenants:     tn,
-		Policy:      pol,
-		Groups:      *groups,
-		GroupDPUs:   *gdpus,
-		MaxBatch:    *batch,
-		Requests:    *requests,
-		Load:        *load,
-		Seed:        *seed,
-		MaxQueue:    *maxQueue,
-		Scale:       sc,
-		Parallelism: *jobs,
-	}
-	res, err := upim.Serve(ctx, opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "upimulator serve:", err)
-		return 1
-	}
-	tables := []*upim.ResultTable{res.RequestTable(), res.SummaryTable()}
-	if *loads != "" {
-		ls, err := parseLoads(*loads)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "upimulator serve:", err)
-			return 2
+	fs.IntVar(&opts.Groups, "groups", 2, "disjoint DPU rank groups")
+	fs.IntVar(&opts.GroupDPUs, "groupdpus", 1, "DPUs per rank group")
+	fs.IntVar(&opts.MaxBatch, "batch", 4, "max same-kind requests per launch (1 disables batching)")
+	fs.IntVar(&opts.Requests, "requests", 16, "requests per tenant")
+	fs.Float64Var(&opts.Load, "load", 0.7, "offered load as a fraction of aggregate group capacity")
+	fs.Int64Var(&opts.Seed, "seed", 1, "arrival-stream seed")
+	fs.IntVar(&opts.MaxQueue, "maxqueue", 0, "admission-control queue bound (0 = unbounded)")
+	sim.Register(fs)
+	rep.Register(fs)
+	return func(ctx context.Context) error {
+		if err := rep.Validate(); err != nil {
+			return err
 		}
-		tab, err := upim.ServeLoadSweep(ctx, opts, strings.Split(*policies, ","), ls)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "upimulator serve:", err)
-			return 1
+		var err error
+		if opts.Tenants, err = parseTenants(*tenants); err != nil {
+			return cli.Usage(err)
 		}
-		tables = append(tables, tab)
-	}
+		if opts.Policy, err = upim.NewSchedulingPolicy(*policy, opts.Tenants); err != nil {
+			return cli.Usage(err)
+		}
+		if !validLoad(opts.Load) {
+			return cli.Usagef("load %v is not a positive finite number", opts.Load)
+		}
+		opts.Scale, opts.Parallelism = sim.Scale, sim.Jobs
+		// The sweep's arguments are checked here, not where the sweep runs:
+		// the single-load run before it already simulates.
+		var sweepLoads []float64
+		sweepPolicies := strings.Split(*policies, ",")
+		if *loads != "" {
+			if sweepLoads, err = parseLoads(*loads); err != nil {
+				return cli.Usage(err)
+			}
+			for _, name := range sweepPolicies {
+				if _, err := upim.NewSchedulingPolicy(name, opts.Tenants); err != nil {
+					return cli.Usage(err)
+				}
+			}
+		} else if cli.IsSet(fs, "policies") {
+			return cli.Usagef("-policies names the policies of the -loads sweep; add -loads to use it")
+		}
 
-	for _, tab := range tables {
-		tab.Fprint(os.Stdout)
-		fmt.Println()
+		res, err := upim.Serve(ctx, opts)
+		if err != nil {
+			return err
+		}
+		tables := []*upim.ResultTable{res.RequestTable(), res.SummaryTable()}
+		if sweepLoads != nil {
+			tab, err := upim.ServeLoadSweep(ctx, opts, sweepPolicies, sweepLoads)
+			if err != nil {
+				return err
+			}
+			tables = append(tables, tab)
+		}
+
+		for _, tab := range tables {
+			tab.Fprint(os.Stdout)
+			fmt.Println()
+		}
+		return rep.Finish("upimulator serve", tables)
 	}
-	return cli.Report{Out: *out, WriteRef: *writeref, Check: *check, Eps: *eps}.Finish("upimulator serve", tables)
 }
 
 // parseTenants parses the -tenants grammar: semicolon-separated
@@ -162,8 +151,7 @@ func parseLoads(spec string) ([]float64, error) {
 			continue
 		}
 		v, err := strconv.ParseFloat(part, 64)
-		// Not "v <= 0": NaN must fail too, and ParseFloat accepts "NaN"/"Inf".
-		if err != nil || !(v > 0) || math.IsInf(v, 0) {
+		if err != nil || !validLoad(v) {
 			return nil, fmt.Errorf("load %q is not a positive finite number", part)
 		}
 		out = append(out, v)
@@ -173,3 +161,8 @@ func parseLoads(spec string) ([]float64, error) {
 	}
 	return out, nil
 }
+
+// validLoad reports whether v is a positive finite offered load. The flag
+// package and ParseFloat both accept "NaN" (which fails v > 0) and "Inf",
+// and a non-finite load spins the event loop forever.
+func validLoad(v float64) bool { return v > 0 && !math.IsInf(v, 0) }

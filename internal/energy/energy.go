@@ -224,7 +224,7 @@ func val(v float64) artifact.Value {
 // BreakdownColumns returns the standard energy-table columns: one per
 // component plus total (all µJ), average power (mW) and EDP (µJ·ms). Every
 // energy artifact in the repo — the figures "energy" experiment, the
-// explorer's energy table, cmd/prim -energy — shares this shape.
+// explorer's energy table, upimulator -kernel all -energy — shares this shape.
 func BreakdownColumns() []artifact.Column {
 	var cols []artifact.Column
 	for _, c := range Components() {
