@@ -4,7 +4,7 @@ GO ?= go
 # its stores, reports and logs; `make clean` removes it.
 W := .work
 
-.PHONY: build test cli-guard test-race race cover bench bench-diff bench-module fmt vet loc clean report refdata pathfind-smoke coord-smoke serve-smoke energy-check arch-check calibration-check
+.PHONY: build test cli-guard test-race race cover bench bench-diff bench-module profile-cold fmt vet loc clean report refdata pathfind-smoke coord-smoke serve-smoke energy-check arch-check calibration-check
 
 build:
 	$(GO) build ./...
@@ -129,6 +129,17 @@ bench-diff:
 # the repo benchmark before the benchmark is next run.
 bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# profile-cold is where a "which layer moved" line in CHANGES.md comes from:
+# the pathfind_cold space of the repo benchmark (4 kernels x 72 designs,
+# -jobs 2, a fresh store) through pathfind's CPU profiler, top 25 by flat
+# time. The profile stays in $(W)/profile-cold/cpu.prof for -list/-peek.
+profile-cold:
+	rm -rf $(W)/profile-cold
+	mkdir -p $(W)/profile-cold
+	$(GO) build -o $(W)/profile-cold/pathfind ./cmd/pathfind
+	$(W)/profile-cold/pathfind -bench VA,BS,GEMV,RED -axes "tasklets=1,4,16;freq=350,700;link=1,4;ilp=base,DR,DRSF;mode=scratchpad,cache" -scale tiny -jobs 2 -store $(W)/profile-cold/store -cpuprofile $(W)/profile-cold/cpu.prof > /dev/null
+	$(GO) tool pprof -top -nodecount 25 $(W)/profile-cold/pathfind $(W)/profile-cold/cpu.prof
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi

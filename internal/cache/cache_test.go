@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -166,6 +168,10 @@ func TestGeometryValidation(t *testing.T) {
 	bad := []config.CacheConfig{
 		{SizeBytes: 0, Ways: 8, LineBytes: 64},
 		{SizeBytes: 100, Ways: 8, LineBytes: 64},
+		// A line size that is not a power of two: line addresses are formed
+		// by masking with LineBytes-1.
+		{SizeBytes: 48 * 8 * 8, Ways: 8, LineBytes: 48},
+		{SizeBytes: 24 * 8, Ways: 8, LineBytes: 24},
 	}
 	for _, cfg := range bad {
 		if _, err := New(cfg, be, &stats.Cache{}); err == nil {
@@ -238,5 +244,235 @@ func TestQuickMatchesReferenceLRU(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refCache is the map-and-modulo cache model this package shipped before its
+// MSHR became an array, its set selection lost its divisions and AccessFrom
+// appeared, kept verbatim as the reference the differential test below holds
+// the live model to.
+type refCache struct {
+	cfg      config.CacheConfig
+	sets     [][]line
+	nsets    uint32
+	backend  Backend
+	st       *stats.Cache
+	useClock uint64
+	inflight map[uint32]Tick
+}
+
+func newRefCache(cfg config.CacheConfig, backend Backend, st *stats.Cache) *refCache {
+	nsets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
+	sets := make([][]line, nsets)
+	for i := range sets {
+		sets[i] = make([]line, cfg.Ways)
+	}
+	return &refCache{cfg: cfg, sets: sets, nsets: uint32(nsets), backend: backend, st: st, inflight: map[uint32]Tick{}}
+}
+
+func (c *refCache) index(addr uint32) (lineAddr, set uint32) {
+	lineAddr = addr &^ uint32(c.cfg.LineBytes-1)
+	idx := lineAddr / uint32(c.cfg.LineBytes)
+	h := idx ^ (idx / c.nsets) ^ (idx / c.nsets / c.nsets)
+	set = h % c.nsets
+	return
+}
+
+func (c *refCache) Access(addr uint32, write bool, now Tick) Tick {
+	c.st.Accesses++
+	for la, done := range c.inflight {
+		if done <= now {
+			delete(c.inflight, la)
+		}
+	}
+	lineAddr, set := c.index(addr)
+	ways := c.sets[set]
+	c.useClock++
+	for i := range ways {
+		if ways[i].valid && ways[i].tag == lineAddr {
+			ways[i].lastUse = c.useClock
+			if write {
+				ways[i].dirty = true
+			}
+			if done, ok := c.inflight[lineAddr]; ok && done > now {
+				if c.cfg.LoadCoalescing {
+					c.st.MSHRMerges++
+					return done
+				}
+				c.st.Misses++
+				done = c.backend.Fill(lineAddr, c.cfg.LineBytes, now)
+				c.inflight[lineAddr] = done
+				return done
+			}
+			c.st.Hits++
+			return now
+		}
+	}
+	if done, ok := c.inflight[lineAddr]; ok && c.cfg.LoadCoalescing {
+		c.st.MSHRMerges++
+		if write {
+			markDirty(ways, lineAddr)
+		}
+		return done
+	}
+	if write && !c.cfg.WriteAllocate {
+		c.st.Misses++
+		c.st.Writebacks++
+		c.backend.Writeback(lineAddr, c.cfg.LineBytes, now)
+		return now
+	}
+	c.st.Misses++
+	victim := pickVictim(ways)
+	if ways[victim].valid {
+		c.st.Evictions++
+		if ways[victim].dirty {
+			c.st.Writebacks++
+			c.backend.Writeback(ways[victim].tag, c.cfg.LineBytes, now)
+		}
+	}
+	done := c.backend.Fill(lineAddr, c.cfg.LineBytes, now)
+	ways[victim] = line{tag: lineAddr, valid: true, dirty: write, lastUse: c.useClock}
+	c.inflight[lineAddr] = done
+	return done
+}
+
+func (c *refCache) FlushDirty(now Tick) {
+	for _, ways := range c.sets {
+		for i := range ways {
+			if ways[i].valid && ways[i].dirty {
+				c.st.Writebacks++
+				c.backend.Writeback(ways[i].tag, c.cfg.LineBytes, now)
+				ways[i].dirty = false
+			}
+		}
+	}
+}
+
+// callLog is a backend that records every call it receives, arguments
+// included, and serves fills after a latency that varies by line — so fills
+// land out of issue order, as they do behind a contended bank.
+type callLog struct{ calls []string }
+
+func (b *callLog) Fill(lineAddr uint32, lineBytes int, now Tick) Tick {
+	b.calls = append(b.calls, fmt.Sprintf("fill %#x %d @%d", lineAddr, lineBytes, now))
+	return now + 40 + Tick(lineAddr>>6%7)*25
+}
+
+func (b *callLog) Writeback(lineAddr uint32, lineBytes int, now Tick) Tick {
+	b.calls = append(b.calls, fmt.Sprintf("wb %#x %d @%d", lineAddr, lineBytes, now))
+	return now
+}
+
+// TestMatchesMapAndModuloReference drives the live cache and the reference
+// with the same seeded access streams — a few interleaved "tasklets", each
+// walking forward with occasional jumps, over a clock that mostly creeps and
+// sometimes leaps past every fill — across {1, 3, 48, 128} sets × load
+// coalescing × write-allocate, and requires the same ready tick on every
+// access, the same counters and the same backend calls in the same order.
+// Odd tasklets go through AccessFrom with their own line reference, even
+// ones through Access.
+func TestMatchesMapAndModuloReference(t *testing.T) {
+	for _, nsets := range []int{1, 3, 48, 128} {
+		for _, coalesce := range []bool{false, true} {
+			for _, allocate := range []bool{false, true} {
+				cfg := config.CacheConfig{
+					SizeBytes: nsets * 4 * 64, Ways: 4, LineBytes: 64,
+					LoadCoalescing: coalesce, WriteAllocate: allocate,
+				}
+				name := fmt.Sprintf("sets%d/coalesce=%v/allocate=%v", nsets, coalesce, allocate)
+				t.Run(name, func(t *testing.T) {
+					for seed := int64(1); seed <= 8; seed++ {
+						var gotLog, wantLog callLog
+						var gotSt, wantSt stats.Cache
+						got, err := New(cfg, &gotLog, &gotSt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want := newRefCache(cfg, &wantLog, &wantSt)
+						r := rand.New(rand.NewSource(seed))
+						const streams = 6
+						var pos [streams]uint32
+						var refs [streams]LineRef
+						for i := range pos {
+							pos[i] = uint32(r.Intn(1 << 16))
+						}
+						now := Tick(0)
+						for i := 0; i < 4000; i++ {
+							k := r.Intn(streams)
+							switch r.Intn(16) {
+							case 0:
+								pos[k] = uint32(r.Intn(1 << 16)) // jump
+							case 1:
+								pos[k] = pos[r.Intn(streams)] // land on another stream's line
+							default:
+								pos[k] += uint32(r.Intn(24))
+							}
+							switch r.Intn(12) {
+							case 0:
+								now += 500 // past every fill in flight
+							case 1, 2, 3:
+								// same tick as the previous access
+							default:
+								now += Tick(r.Intn(30))
+							}
+							write := r.Intn(4) == 0
+							var ready Tick
+							if k%2 == 1 {
+								ready, refs[k] = got.AccessFrom(refs[k], pos[k], write, now)
+							} else {
+								ready = got.Access(pos[k], write, now)
+							}
+							if wantReady := want.Access(pos[k], write, now); ready != wantReady {
+								t.Fatalf("seed %d access %d (%#x write=%v @%d): ready %d, reference %d",
+									seed, i, pos[k], write, now, ready, wantReady)
+							}
+							if _, set := want.index(pos[k]); got.SetIndex(pos[k]) != set {
+								t.Fatalf("seed %d: SetIndex(%#x) = %d, reference %d", seed, pos[k], got.SetIndex(pos[k]), set)
+							}
+						}
+						got.FlushDirty(now)
+						want.FlushDirty(now)
+						if gotSt != wantSt {
+							t.Fatalf("seed %d: counters %+v, reference %+v", seed, gotSt, wantSt)
+						}
+						if !slices.Equal(gotLog.calls, wantLog.calls) {
+							t.Fatalf("seed %d: backend call sequences differ (%d vs %d calls)",
+								seed, len(gotLog.calls), len(wantLog.calls))
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestSetHashReciprocalIsExact checks the multiply-high quotient and the set
+// selection built on it against / and % for every set count 1–512, at the
+// values where a reciprocal that is off by one ulp shows: multiples of the
+// set count and their neighbours, powers of two and their neighbours, and
+// the top of the 32-bit range.
+func TestSetHashReciprocalIsExact(t *testing.T) {
+	for nsets := uint32(1); nsets <= 512; nsets++ {
+		h := newSetHash(nsets)
+		xs := []uint32{0, 1, 2, nsets - 1, nsets, nsets + 1, nsets*nsets - 1, nsets * nsets, nsets*nsets + 1,
+			1<<31 - 1, 1 << 31, 1<<31 + 1, ^uint32(0) - 1, ^uint32(0)}
+		for b := uint(1); b < 32; b++ {
+			xs = append(xs, 1<<b-1, 1<<b, 1<<b+1)
+		}
+		for k := uint32(1); k <= 64; k++ {
+			m := (^uint32(0) / nsets / k) * nsets // a large multiple of nsets
+			xs = append(xs, m-1, m, m+1, k*nsets-1, k*nsets, k*nsets+1)
+		}
+		for _, x := range xs {
+			if !h.pow2 {
+				if got := h.div(x); got != x/nsets {
+					t.Fatalf("nsets=%d: div(%d) = %d, want %d", nsets, x, got, x/nsets)
+				}
+			}
+			want := (x ^ x/nsets ^ x/nsets/nsets) % nsets
+			if got := h.of(x); got != want {
+				t.Fatalf("nsets=%d: of(%d) = %d, want %d", nsets, x, got, want)
+			}
+		}
 	}
 }

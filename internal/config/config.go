@@ -62,6 +62,10 @@ type CacheConfig struct {
 	WriteAllocate bool
 }
 
+func (c CacheConfig) lineIsPow2() bool {
+	return c.LineBytes > 0 && c.LineBytes&(c.LineBytes-1) == 0
+}
+
 // MMUConfig parameterizes the case-study 3 memory-management unit.
 type MMUConfig struct {
 	Enable    bool
@@ -262,10 +266,14 @@ func (c Config) Validate() error {
 		{c.RowBytes > 0 && c.RowBytes%c.BurstBytes == 0, "row size must be a multiple of the burst size"},
 		{c.IssueWidth == 1 || c.IssueWidth == 2, "issue width must be 1 or 2"},
 		{c.Mode != ModeSIMT || c.SIMTWidth > 0, "SIMT width must be positive"},
-		{c.Mode != ModeSIMT || c.NumTasklets%max(c.SIMTWidth, 1) == 0 || true, ""}, // ragged last warp allowed
 		{c.TRCD > 0 && c.TRP > 0 && c.TCL > 0 && c.TBL > 0 && c.TRAS > 0, "DRAM timings must be positive"},
 		{!c.MMU.Enable || (c.MMU.PageBytes > 0 && c.MMU.TLBSize > 0), "MMU needs page size and TLB entries"},
 		{c.CPUToDPUBytesPerSec > 0 && c.DPUToCPUBytesPerSec > 0, "communication bandwidths must be positive"},
+		// Line addresses are formed by masking, and a line is filled and
+		// written back in whole bursts (the rest of the geometry is
+		// cache.New's to check).
+		{c.Mode != ModeCache || (c.ICache.lineIsPow2() && c.DCache.lineIsPow2()), "cache line size must be a power of two"},
+		{c.Mode != ModeCache || c.BurstBytes <= 0 || (c.ICache.LineBytes%c.BurstBytes == 0 && c.DCache.LineBytes%c.BurstBytes == 0), "cache line size must be a multiple of the burst size"},
 	}
 	for _, ch := range checks {
 		if !ch.ok {

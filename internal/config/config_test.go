@@ -82,6 +82,11 @@ func TestValidationCatchesBadConfigs(t *testing.T) {
 		{"zero comm bw", func(c *Config) { c.CPUToDPUBytesPerSec = 0 }, "bandwidth"},
 		{"bad mmu", func(c *Config) { c.MMU.Enable = true; c.MMU.TLBSize = 0 }, "MMU"},
 		{"bad dram timing", func(c *Config) { c.TRCD = 0 }, "timing"},
+		{"icache line not a power of two", func(c *Config) { c.Mode = ModeCache; c.ICache.LineBytes = 48 }, "power of two"},
+		{"dcache line not a power of two", func(c *Config) { c.Mode = ModeCache; c.DCache.LineBytes = 96 }, "power of two"},
+		{"zero cache line", func(c *Config) { c.Mode = ModeCache; c.DCache.LineBytes = 0 }, "power of two"},
+		{"line not burst multiple", func(c *Config) { c.Mode = ModeCache; c.BurstBytes = 128; c.RowBytes = 1024 }, "multiple of the burst"},
+		{"line smaller than a wide burst", func(c *Config) { c.Mode = ModeCache; c.BurstBytes = 24; c.RowBytes = 1008 }, "multiple of the burst"},
 	}
 	for _, c := range cases {
 		cfg := Default()
@@ -90,6 +95,20 @@ func TestValidationCatchesBadConfigs(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.sub) {
 			t.Errorf("%s: err = %v, want substring %q", c.name, err, c.sub)
 		}
+	}
+}
+
+// Cache geometry only binds the organisation that has caches: a scratchpad
+// configuration may carry any (unused) cache section.
+func TestCacheGeometryOnlyCheckedInCacheMode(t *testing.T) {
+	cfg := Default()
+	cfg.ICache.LineBytes = 48
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("scratchpad config rejected for its unused I-cache: %v", err)
+	}
+	cfg.Mode = ModeCache
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("cache-mode config with a 48-byte line accepted")
 	}
 }
 

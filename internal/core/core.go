@@ -18,7 +18,7 @@
 // Functional execution happens at issue: the architectural state is updated
 // immediately and timing is modeled by blocking the issuing tasklet.
 //
-// Two implementation decisions make the model fast enough for sweep-style
+// These implementation decisions make the model fast enough for sweep-style
 // characterization without moving a single simulated cycle:
 //
 //   - Decode-once µop tables (uop.go): at program load every instruction's
@@ -28,15 +28,26 @@
 //     never re-derives it through switch chains.
 //   - Event-driven scheduling: thread states are tracked by incrementally
 //     maintained counters (alive/blocked/issuable) plus a (cycle, id)-ordered
-//     timer queue, so a simulated cycle costs O(state transitions) instead of
-//     O(threads), and idle stretches jump straight to the unified next-event
-//     clock (min of thread timers, the DRAM bank's next decision, and the
-//     watchdog deadline).
+//     timer queue — a 64-cycle wheel of id masks over a heap for far timers
+//     (schedQueue) — so a simulated cycle costs O(state transitions) instead
+//     of O(threads).
+//   - Idle stretches stay in one loop (fastForward): when nothing can issue,
+//     the clock jumps to the unified next-event time (min of thread timers,
+//     the DRAM bank's next decision, and the watchdog deadline), and while
+//     that event is only the bank's — a tasklet waiting out its own DMA —
+//     the bank's decisions are made and the cycles accounted right there,
+//     call for call as Run's loop would, until a thread timer is due.
+//   - The memory side costs per event, not per burst: a DMA enters the bank
+//     as one run per DRAM row it touches (dram.EnqueueRun) with one transfer
+//     record routed by tag, and an instruction fetch from the line the
+//     tasklet's previous fetch used skips the I-cache's set hash and way
+//     search (cache.AccessFrom).
 //
 // The committed tiny-scale reference artifacts (internal/figures/refdata)
 // are the equivalence oracle for any change here: the scheduler is required
 // to reproduce the per-cycle census semantics exactly, including the
-// fractional idle attribution and TLP sampling.
+// fractional idle attribution and TLP sampling. internal/prim's
+// testdata/stats.golden holds every raw counter of a design matrix exactly.
 package core
 
 import (
@@ -85,9 +96,11 @@ type thread struct {
 	// forwarding ("D") is enabled.
 	regReady [isa.NumGPR]uint64
 	// fetchPC/fetchReady memoize the I-cache lookup for the current fetch
-	// in cache mode.
+	// in cache mode; fetchLine is where that fetch found its line, which is
+	// where the next one most likely lands (cache.AccessFrom).
 	fetchPC    int
 	fetchReady uint64
+	fetchLine  cache.LineRef
 	// instret counts instructions retired by this tasklet (PERF source).
 	instret uint64
 }
@@ -184,59 +197,53 @@ func (q *eventQueue) pop() schedEvent {
 // binary heap.
 const wheelSlots = 64
 
+// wheelIDs is how many thread (warp) ids a wheel slot can hold: one bit each.
+const wheelIDs = 64
+
 // schedQueue is the scheduler's timer queue: a 64-slot timing wheel over the
-// next wheelSlots cycles plus an overflow min-heap. It replaces a pure binary
-// heap on the issue hot path: push is an append plus a bit set, and the next
-// event time is one rotate+tzcnt — the heap's sift costs only apply to far
-// timers. Events drain in (cycle, id) order exactly like the heap did: one
-// wheel bucket holds exactly one distinct cycle (window invariant: all
-// pending times lie in [base, base+wheelSlots) for wheel entries), and
-// drainAt merges bucket and overflow entries for the cycle, sorted by id.
+// next wheelSlots cycles plus an overflow min-heap. A wheel slot is a 64-bit
+// mask of the ids armed for its cycle, so push is two ORs, the next event
+// time is one rotate+tzcnt, and a drain walks set bits — which is ascending
+// id order, the same-cycle processing order the refdata oracle holds us to,
+// with nothing to sort. Far timers and ids >= wheelIDs take the heap, whose
+// (cycle, id) order merges into a drain (drainAt).
+//
+// Window invariant: every wheel entry's time lies in [base, base+wheelSlots),
+// so a slot holds exactly one distinct cycle.
+//
+// A mask cannot hold the same (cycle, id) twice. The scheduler never needs
+// it to: a thread or warp has at most one live timer (it is armed when the
+// previous one is drained, or at an issue or completion while none is
+// armed), and push panics if that ever stops being true rather than
+// coalesce two timers into one.
 type schedQueue struct {
-	base     uint64 // all pending events have time >= base
-	occ      uint64 // bit (t & 63) set => bucket for time t non-empty
-	bucketAt [wheelSlots]uint64
-	// Bucket slices are kept at full capacity with the live prefix tracked in
-	// bucketLen, so push and drain are pure integer stores — assigning a
-	// slice header on every event would cost a GC write barrier each time.
-	buckets   [wheelSlots][]int32
-	bucketLen [wheelSlots]int32
-	overflow  eventQueue
-	due       []int32 // drainAt merge scratch, reused
+	base     uint64 // all wheel entries have time >= base
+	occ      uint64 // bit (t & 63) set => slot for time t non-empty
+	slots    [wheelSlots]uint64
+	overflow eventQueue
+	big      []int32 // drainAt scratch for ids >= wheelIDs, reused
 }
 
-// reset empties the queue and re-anchors the window at `base`, keeping all
-// bucket capacity (arena reuse).
+// reset empties the queue and re-anchors the window at `base`, keeping the
+// heap's capacity (arena reuse).
 func (q *schedQueue) reset(base uint64) {
-	q.base = base
-	q.occ = 0
-	for i := range q.bucketLen {
-		q.bucketLen[i] = 0
-	}
-	q.overflow = q.overflow[:0]
+	*q = schedQueue{base: base, overflow: q.overflow[:0], big: q.big[:0]}
 }
 
-// push arms a timer: reconsider thread/warp id at cycle `at` (>= base).
+// push arms a timer: reconsider thread/warp id at cycle `at`.
 func (q *schedQueue) push(at uint64, id int32) {
-	if at-q.base < wheelSlots {
+	if at-q.base < wheelSlots && uint32(id) < wheelIDs {
 		s := at & (wheelSlots - 1)
-		n := int(q.bucketLen[s])
-		if b := q.buckets[s]; n < len(b) {
-			b[n] = id
-		} else {
-			b = append(b[:n], id)
-			q.buckets[s] = b[:cap(b)]
+		bit := uint64(1) << uint(id)
+		if q.slots[s]&bit != 0 {
+			panic(fmt.Sprintf("core: timer for id %d at cycle %d armed twice", id, at))
 		}
-		q.bucketLen[s] = int32(n + 1)
-		q.bucketAt[s] = at
+		q.slots[s] |= bit
 		q.occ |= 1 << s
 		return
 	}
 	q.overflow.push(at, id)
 }
-
-// empty reports whether no timers are armed.
-func (q *schedQueue) empty() bool { return q.occ == 0 && len(q.overflow) == 0 }
 
 // nextAt returns the earliest armed timer's cycle.
 func (q *schedQueue) nextAt() (uint64, bool) {
@@ -251,36 +258,33 @@ func (q *schedQueue) nextAt() (uint64, bool) {
 	return at, at != neverWake
 }
 
-// drainAt removes and returns every id armed for exactly cycle `at`, in
-// ascending id order (the refdata oracle's same-cycle processing order). The
-// returned slice is scratch owned by q, valid until the next drainAt.
-func (q *schedQueue) drainAt(at uint64) []int32 {
-	var due []int32
-	s := at & (wheelSlots - 1)
-	if q.occ&(1<<s) != 0 && q.bucketAt[s] == at {
-		// Alias the bucket's live prefix directly: a push while the caller
-		// processes cycle `at` is always strictly future, and the window
-		// invariant keeps any future time for this slot out of the wheel, so
-		// nothing appends to this bucket before the next drainAt.
-		due = q.buckets[s][:q.bucketLen[s]]
-		q.bucketLen[s] = 0
+// drainAt removes every id armed for exactly cycle `at` and returns them as a
+// mask of the ids below wheelIDs plus a slice of the rest in ascending order:
+// walking the mask's set bits and then the slice visits all of them in
+// ascending id order. The slice is scratch owned by q, valid until the next
+// drainAt.
+func (q *schedQueue) drainAt(at uint64) (mask uint64, big []int32) {
+	// at-q.base >= wheelSlots also covers at < base (timers armed in the
+	// past live in the heap).
+	if s := at & (wheelSlots - 1); at-q.base < wheelSlots && q.occ&(1<<s) != 0 {
+		mask = q.slots[s]
+		q.slots[s] = 0
 		q.occ &^= 1 << s
 	}
-	if len(q.overflow) > 0 && q.overflow[0].at == at {
-		merged := append(q.due[:0], due...)
-		for len(q.overflow) > 0 && q.overflow[0].at == at {
-			merged = append(merged, q.overflow.pop().id)
-		}
-		q.due = merged
-		due = merged
-	}
-	// Insertion sort: the bucket almost always holds one entry.
-	for i := 1; i < len(due); i++ {
-		for j := i; j > 0 && due[j] < due[j-1]; j-- {
-			due[j], due[j-1] = due[j-1], due[j]
+	big = q.big[:0]
+	for len(q.overflow) > 0 && q.overflow[0].at == at {
+		// The heap pops one cycle's ids in ascending order.
+		if id := q.overflow.pop().id; uint32(id) < wheelIDs {
+			if mask&(1<<uint(id)) != 0 {
+				panic(fmt.Sprintf("core: timer for id %d at cycle %d armed twice", id, at))
+			}
+			mask |= 1 << uint(id)
+		} else {
+			big = append(big, id)
 		}
 	}
-	return due
+	q.big = big
+	return mask, big
 }
 
 // advanceTo slides the window start forward to `base` (monotone). Callers
@@ -379,14 +383,13 @@ type DPU struct {
 	rfDebt int
 	rr     int // round-robin scan start
 
-	// DMA/fill completion routing: a slab of typed sink records indexed by
-	// burst tag, with freed slots recycled through a free list — no hashing,
-	// closures or per-burst map churn on the DMA hot path. Completions are
-	// drained from the bank into compBuf and dispatched by a kind switch.
-	sinks     []sinkRec
-	freeSinks []uint64
-	// xfers is the slab of in-flight multi-burst transfers (DMA and SIMT
-	// vector memory) sink records point into.
+	// DMA/fill completion routing: a burst's bank tag names its sink (see
+	// sinkKind) — for DMA and vector bursts together with the slot of its
+	// transfer in xfers, the slab of in-flight multi-burst transfers. Every
+	// burst of a transfer carries the same tag, so issuing a DMA costs one
+	// slot, not one record per burst; no hashing, closures or map churn on
+	// the DMA hot path. Completions are drained from the bank into compBuf
+	// and dispatched by a kind switch.
 	xfers     []xfer
 	freeXfers []int32
 	compBuf   []dram.Completion
@@ -419,24 +422,20 @@ type DPU struct {
 	released bool
 }
 
-// sinkKind selects how a burst completion is routed (see dispatch). Typed
-// records replace per-transfer closures: dispatch is a switch over a tiny
-// struct instead of an indirect call through a captured environment.
-type sinkKind uint8
+// sinkKind selects how a burst completion is routed (see dispatch); it is
+// the high half of the burst's bank tag, the low half being the xfer slot.
+// Typed tags replace per-transfer closures: dispatch is a switch over an
+// integer instead of an indirect call through a captured environment.
+type sinkKind uint32
 
 const (
-	sinkNone   sinkKind = iota
-	sinkEager           // synchronous fill/PTE-walk: record the tick
-	sinkDMA             // scratchpad DMA: cross the link, wake the tasklet
-	sinkVector          // SIMT vector memory: wake the warp
+	sinkEager  sinkKind = iota // synchronous fill/PTE-walk: record the tick
+	sinkDMA                    // scratchpad DMA: cross the link, wake the tasklet
+	sinkVector                 // SIMT vector memory: wake the warp
 )
 
-// sinkRec routes one burst completion: the kind plus the xfer slot it
-// belongs to (unused for sinkEager).
-type sinkRec struct {
-	kind sinkKind
-	xfer int32
-}
+// tag builds the bank tag for a burst of transfer slot xi.
+func (k sinkKind) tag(xi int32) uint64 { return uint64(k)<<32 | uint64(uint32(xi)) }
 
 // xfer tracks one in-flight multi-burst transfer. owner is the tasklet id
 // (sinkDMA) or warp id (sinkVector).
@@ -470,7 +469,7 @@ func New(id int, prog *linker.Program, cfg config.Config) (*DPU, error) {
 
 // reinit (re)initializes a DPU shell in place for a new run, reusing every
 // backing allocation the shell already owns — the thread and warp slabs, the
-// scheduler queue and bitset, the sink/xfer slabs, the memories and the bank
+// scheduler queue and bitset, the xfer slab, the memories and the bank
 // — so an arena-recycled DPU allocates nothing in steady state. Fresh DPUs
 // (New) and recycled ones (NewInArena) share this single code path, which is
 // what makes "a reset DPU is bit-identical to a fresh one" checkable.
@@ -501,8 +500,6 @@ func (d *DPU) reinit(id int, prog *linker.Program, cfg config.Config) error {
 	// record drops them (see ARCHITECTURE.md "Memory discipline").
 	d.st = stats.DPU{}
 	d.trace = nil
-	d.sinks = d.sinks[:0]
-	d.freeSinks = d.freeSinks[:0]
 	d.xfers = d.xfers[:0]
 	d.freeXfers = d.freeXfers[:0]
 	d.compBuf = d.compBuf[:0]
@@ -627,8 +624,18 @@ func (d *DPU) Program() *linker.Program { return d.prog }
 // nowTick converts the current cycle to ticks.
 func (d *DPU) nowTick() Tick { return Tick(d.cycle) * d.tpc }
 
-// cycleOf converts a tick to the first cycle boundary at or after it.
+// cycleOf converts a tick to the first cycle boundary at or after it. Nearly
+// every tick asked about lies within a cycle of the clock — a cache hit is
+// ready now, the bank's next decision is a burst time away — so "this cycle"
+// and "the next one" are answered by comparison and only the rest divide.
 func (d *DPU) cycleOf(t Tick) uint64 {
+	now := Tick(d.cycle) * d.tpc
+	if t-now-1 < d.tpc { // now < t <= now+tpc
+		return d.cycle + 1
+	}
+	if now-t < d.tpc { // now-tpc < t <= now
+		return d.cycle
+	}
 	return uint64((t + d.tpc - 1) / d.tpc)
 }
 
@@ -720,7 +727,7 @@ func (d *DPU) Run(ctx context.Context, maxCycles uint64) error {
 		// Idle fast-forward: when nothing can issue and no RF debt remains,
 		// jump to the next event instead of ticking through dead cycles.
 		if issuable == 0 && d.rfDebt == 0 {
-			d.fastForward(deadline, memN, revN)
+			d.fastForward(deadline, nextCtxCheck, memN, revN)
 		}
 	}
 	return fmt.Errorf("core: dpu %d exceeded the %d-cycle watchdog (deadlock or runaway kernel?): %w", d.id, maxCycles, ErrWatchdogExpired)
@@ -736,28 +743,36 @@ func (d *DPU) processDue() {
 		if !ok || at > d.cycle {
 			break
 		}
-		for _, id := range d.sched.drainAt(at) {
-			t := d.threads[id]
-			switch t.state {
-			case threadStopped:
-				// Stale timer of a stopped thread; drop it.
-			case threadBlocked:
-				if t.wakeAt == neverWake {
-					continue // superseded; the completion sink re-arms the timer
-				}
-				if t.wakeAt > d.cycle {
-					d.sched.push(t.wakeAt, id) // stall was extended; re-arm
-					continue
-				}
-				t.state = threadRunning
-				d.blockedN--
-				d.admit(t)
-			default:
-				d.admit(t)
-			}
+		mask, big := d.sched.drainAt(at)
+		for ; mask != 0; mask &= mask - 1 {
+			d.timerDue(d.threads[bits.TrailingZeros64(mask)])
+		}
+		for _, id := range big {
+			d.timerDue(d.threads[id])
 		}
 	}
 	d.sched.advanceTo(d.cycle + 1)
+}
+
+// timerDue reconsiders one thread whose timer fired.
+func (d *DPU) timerDue(t *thread) {
+	switch t.state {
+	case threadStopped:
+		// Stale timer of a stopped thread; drop it.
+	case threadBlocked:
+		if t.wakeAt == neverWake {
+			return // superseded; the completion sink re-arms the timer
+		}
+		if t.wakeAt > d.cycle {
+			d.sched.push(t.wakeAt, int32(t.id)) // stall was extended; re-arm
+			return
+		}
+		t.state = threadRunning
+		d.blockedN--
+		d.admit(t)
+	default:
+		d.admit(t)
+	}
 }
 
 // admit classifies a running thread at the current cycle: it services a
@@ -766,7 +781,8 @@ func (d *DPU) processDue() {
 // the cycle its current instruction becomes ready.
 func (d *DPU) admit(t *thread) {
 	if d.icache != nil && t.fetchPC != int(t.pc) {
-		ready := d.icache.Access(d.iramBacking(t.pc), false, d.nowTick())
+		var ready Tick
+		ready, t.fetchLine = d.icache.AccessFrom(t.fetchLine, d.iramBacking(t.pc), false, d.nowTick())
 		t.fetchPC = int(t.pc)
 		t.fetchReady = d.cycleOf(ready)
 		if t.fetchReady > d.cycle {
@@ -839,32 +855,55 @@ func (d *DPU) issueOne() bool {
 	return true
 }
 
-// fastForward jumps the clock to the unified next-event time — the earliest
-// scheduler timer, the bank's next decision, or the deadline — bulk-
-// accounting the skipped idle cycles.
-func (d *DPU) fastForward(deadline uint64, memN, revN int) {
-	next, _ := d.sched.nextAt()
-	if at, ok := d.bank.NextDecisionAt(); ok {
-		if c := d.cycleOf(at); c < next {
-			next = c
-		}
-	}
-	if next == neverWake {
-		d.faultErr = fmt.Errorf("core: dpu %d deadlocked at cycle %d (all threads blocked with no pending events)", d.id, d.cycle)
-		return
-	}
-	if next > deadline {
-		next = deadline
-	}
-	if next <= d.cycle {
-		return
-	}
-	skip := next - d.cycle
+// fastForward runs the clock through an idle stretch: nothing is issuable and
+// no RF debt is owed, so until a thread timer fires no thread changes state,
+// memN and revN stand, and the only thing that can be due is a bank decision.
+// It jumps to the next event — the earliest thread timer, the bank's next
+// decision, or the watchdog deadline — bulk-accounting the skipped cycles,
+// and when that event is a bank decision it spends the cycle on it exactly
+// as Run's loop would and goes on, without the trip through Run. "Exactly"
+// includes how the stretch is cut into AttributeIdle calls — one per jump,
+// one per bank cycle, never merged or split: Idle[] is a float sum that
+// reaches the artifacts. It returns to Run when a thread timer is due, the
+// deadline is reached, or the clock has passed pollAt (a context poll is
+// owed; the jump that crosses pollAt is not cut short, only followed by the
+// return).
+func (d *DPU) fastForward(deadline, pollAt uint64, memN, revN int) {
 	width := float64(d.cfg.IssueWidth)
-	d.st.IssueSlots += float64(skip) * width
-	d.st.AttributeIdle(float64(skip)*width, memN, revN)
-	d.st.RecordTLP(0, skip, d.cfg.TimelineWindow)
-	d.cycle = next
+	window := d.cfg.TimelineWindow
+	for {
+		timer, _ := d.sched.nextAt()
+		next := timer
+		if at, ok := d.bank.NextDecisionAt(); ok {
+			if c := d.cycleOf(at); c < next {
+				next = c
+			}
+		}
+		if next == neverWake {
+			d.faultErr = fmt.Errorf("core: dpu %d deadlocked at cycle %d (all threads blocked with no pending events)", d.id, d.cycle)
+			return
+		}
+		if next > deadline {
+			next = deadline
+		}
+		if next > d.cycle {
+			skip := next - d.cycle
+			d.st.IssueSlots += float64(skip) * width
+			d.st.AttributeIdle(float64(skip)*width, memN, revN)
+			d.st.RecordTLP(0, skip, window)
+			d.cycle = next
+		}
+		if timer <= d.cycle || d.cycle >= deadline || d.cycle >= pollAt {
+			return
+		}
+		// Only the bank is due at this cycle.
+		d.advanceBank(d.nowTick())
+		d.sched.advanceTo(d.cycle + 1)
+		d.st.RecordTLP(0, 1, window)
+		d.st.AttributeIdle(width, memN, revN)
+		d.st.IssueSlots += width
+		d.cycle++
+	}
 }
 
 // finish closes out the kernel: drains the bank, flushes dirty cache lines
@@ -908,19 +947,6 @@ func (d *DPU) iramBacking(pc uint16) uint32 {
 // (top-1MB) so the three reserved regions never collide.
 func (d *DPU) ptBase() uint32 { return uint32(d.cfg.MRAMBytes - 3<<20) }
 
-// addSink registers a burst completion record and returns its tag,
-// recycling freed slab slots.
-func (d *DPU) addSink(s sinkRec) uint64 {
-	if n := len(d.freeSinks); n > 0 {
-		tag := d.freeSinks[n-1]
-		d.freeSinks = d.freeSinks[:n-1]
-		d.sinks[tag] = s
-		return tag
-	}
-	d.sinks = append(d.sinks, s)
-	return uint64(len(d.sinks) - 1)
-}
-
 // advanceBank drains the bank's scheduling decisions up to now and dispatches
 // each completion to its sink, in scheduling order. Dispatching after the
 // drain (instead of during, as a callback would) is behavior-preserving:
@@ -937,8 +963,7 @@ func (d *DPU) advanceBank(now Tick) {
 // immediate full drain (used for cache fills and PTE walks, which need a
 // completion time at call time).
 func (d *DPU) enqueueEager(addr uint32, write bool, now Tick) Tick {
-	tag := d.addSink(sinkRec{kind: sinkEager})
-	d.bank.Enqueue(addr, write, now, tag)
+	d.bank.Enqueue(addr, write, now, sinkEager.tag(0))
 	d.advanceBank(^Tick(0))
 	return d.eagerDone
 }
@@ -953,14 +978,12 @@ func (d *DPU) runEager() {
 // tick; DMA bursts cross the MRAM<->WRAM link and wake their tasklet when the
 // transfer's last burst clears it; vector bursts wake their warp.
 func (d *DPU) dispatch(tag uint64, completeAt Tick) {
-	s := d.sinks[tag]
-	d.sinks[tag] = sinkRec{}
-	d.freeSinks = append(d.freeSinks, tag)
-	switch s.kind {
+	xi := int32(uint32(tag))
+	switch sinkKind(tag >> 32) {
 	case sinkEager:
 		d.eagerDone = completeAt
 	case sinkDMA:
-		x := &d.xfers[s.xfer]
+		x := &d.xfers[xi]
 		done := d.link.Reserve(completeAt, d.cfg.BurstBytes)
 		if done > x.lastDone {
 			x.lastDone = done
@@ -972,10 +995,10 @@ func (d *DPU) dispatch(tag uint64, completeAt Tick) {
 			if t.state == threadBlocked {
 				d.sched.push(t.wakeAt, int32(t.id))
 			}
-			d.freeXfers = append(d.freeXfers, s.xfer)
+			d.freeXfers = append(d.freeXfers, xi)
 		}
 	case sinkVector:
-		x := &d.xfers[s.xfer]
+		x := &d.xfers[xi]
 		if completeAt > x.lastDone {
 			x.lastDone = completeAt
 		}
@@ -986,7 +1009,7 @@ func (d *DPU) dispatch(tag uint64, completeAt Tick) {
 			if w.blocked {
 				d.sched.push(w.wakeAt, int32(w.id))
 			}
-			d.freeXfers = append(d.freeXfers, s.xfer)
+			d.freeXfers = append(d.freeXfers, xi)
 		}
 	}
 }

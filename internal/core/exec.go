@@ -405,13 +405,15 @@ func (d *DPU) execDMA(t *thread, u *uop) {
 	d.st.DMABytes += uint64(n)
 
 	// Timing: translate per touched page (MMU), then stream bursts through
-	// the bank; data crosses the MRAM<->WRAM link in burst grains. The
-	// transfer record lives in the DPU's xfer slab; completions route to it
-	// through sinkDMA records (see dispatch).
+	// the bank, one run per physically contiguous segment; data crosses the
+	// MRAM<->WRAM link in burst grains. The transfer record lives in the
+	// DPU's xfer slab; every burst's completion routes to it by tag (see
+	// dispatch).
 	now := d.nowTick()
 	bb := d.cfg.BurstBytes
 	nBursts := (n + bb - 1) / bb
 	xi := d.allocXfer(int32(t.id), int32(nBursts))
+	tag := sinkDMA.tag(xi)
 
 	pageBytes := uint32(0)
 	if d.mmu != nil {
@@ -436,9 +438,7 @@ func (d *DPU) execDMA(t *thread, u *uop) {
 			physBase = paddr
 			transReady = ready
 		}
-		for b := segStart; b < segEnd; b += bb {
-			d.bank.Enqueue(physBase+uint32(b-segStart), !isLoad, max(now, transReady), d.addSink(sinkRec{kind: sinkDMA, xfer: xi}))
-		}
+		d.bank.EnqueueRun(physBase, (segEnd-segStart+bb-1)/bb, !isLoad, max(now, transReady), tag)
 		segStart = segEnd
 	}
 	// The tasklet blocks until the final burst clears the link; the wake

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"upim/internal/isa"
 	"upim/internal/mem"
@@ -139,26 +140,34 @@ func (d *DPU) processDueWarps() {
 		if !ok || at > d.cycle {
 			break
 		}
-		for _, id := range d.sched.drainAt(at) {
-			w := d.warps[id]
-			if w.aliveLanes == 0 {
-				continue // stale timer of a finished warp
-			}
-			if w.blocked {
-				if w.wakeAt == neverWake {
-					continue // the vector-memory sink re-arms the timer
-				}
-				if w.wakeAt > d.cycle {
-					d.sched.push(w.wakeAt, id)
-					continue
-				}
-				w.blocked = false
-				d.blockedN--
-			}
-			d.admitWarp(w)
+		mask, big := d.sched.drainAt(at)
+		for ; mask != 0; mask &= mask - 1 {
+			d.warpTimerDue(d.warps[bits.TrailingZeros64(mask)])
+		}
+		for _, id := range big {
+			d.warpTimerDue(d.warps[id])
 		}
 	}
 	d.sched.advanceTo(d.cycle + 1)
+}
+
+// warpTimerDue reconsiders one warp whose timer fired.
+func (d *DPU) warpTimerDue(w *warp) {
+	if w.aliveLanes == 0 {
+		return // stale timer of a finished warp
+	}
+	if w.blocked {
+		if w.wakeAt == neverWake {
+			return // the vector-memory sink re-arms the timer
+		}
+		if w.wakeAt > d.cycle {
+			d.sched.push(w.wakeAt, int32(w.id))
+			return
+		}
+		w.blocked = false
+		d.blockedN--
+	}
+	d.admitWarp(w)
 }
 
 // admitWarp marks a live, unblocked warp issuable, or re-arms its timer for
@@ -393,9 +402,9 @@ func (d *DPU) executeVectorMem(w *warp, u *uop, active []*thread) {
 		return
 	}
 	d.st.CoalescedRequests += uint64(len(bursts))
-	xi := d.allocXfer(int32(w.id), int32(len(bursts)))
+	tag := sinkVector.tag(d.allocXfer(int32(w.id), int32(len(bursts))))
 	for _, b := range bursts {
-		d.bank.Enqueue(b, isStore, now, d.addSink(sinkRec{kind: sinkVector, xfer: xi}))
+		d.bank.Enqueue(b, isStore, now, tag)
 	}
 	w.blocked = true
 	w.wakeAt = neverWake

@@ -10,27 +10,36 @@ import (
 // Tick aliases the simulator time unit.
 type Tick = config.Tick
 
-// Burst is one bank transaction moving cfg.BurstBytes of data. Bursts live in
-// a slab owned by the Bank and are referenced by slot index: the enqueue/
-// service hot path never heap-allocates, which matters because a DMA-heavy
-// kernel enqueues millions of bursts per simulated second.
-type Burst struct {
-	Addr    uint32 // MRAM bank offset
-	Write   bool
-	Arrival Tick
-	Tag     uint64 // caller-owned identifier returned on completion
-
-	row    uint32
-	issued bool
+// run is a queued train of bursts: n bank transactions of cfg.BurstBytes each,
+// at consecutive addresses inside one DRAM row, that entered the queue
+// together (one DMA's share of a row, or a single burst). A run occupies one
+// slab slot and one entry in the global and row FIFOs however long it is, and
+// counts down as its bursts are serviced (the timing model looks at a
+// burst's row, never its column, so the run need not remember where in the
+// row it is). This is FR-FCFS over individual bursts, written down once per
+// train: bursts that share an
+// arrival tick and a row and sit next to each other in both queues are picked
+// in address order by every rule the scheduler has — oldest first, oldest row
+// hit first, the starvation cap — so the queue head's *current* burst is
+// always the burst a per-burst queue would have at its head.
+//
+// Runs live in a slab owned by the Bank and are referenced by slot index: the
+// enqueue/service hot path never heap-allocates.
+type run struct {
+	n       int32 // bursts not yet serviced; the run is done at zero
+	write   bool
+	arrival Tick
+	tag     uint64 // caller-owned identifier returned with every completion
+	row     uint32
 	// refs counts the queues (global FIFO + row FIFO) still holding this
 	// slot; the slot is recycled when both have skipped past it.
 	refs uint8
 }
 
-// Completion reports one scheduled burst: the caller's tag and the tick its
-// data is available. Advance appends completions to a caller-owned buffer in
-// scheduling order — a plain slice the caller ranges over, instead of a
-// per-burst callback through a function pointer.
+// Completion reports one scheduled burst: the tag its run was enqueued with
+// and the tick its data is available. Advance appends completions to a
+// caller-owned buffer in scheduling order — a plain slice the caller ranges
+// over, instead of a per-burst callback through a function pointer.
 type Completion struct {
 	Tag        uint64
 	CompleteAt Tick
@@ -55,12 +64,12 @@ type Bank struct {
 	// younger row hits (in ticks).
 	starvationCap Tick
 
-	// Request bookkeeping: bursts in a slab with a free list, a global FIFO
+	// Request bookkeeping: runs in a slab with a free list, a global FIFO
 	// plus per-row FIFOs of slot indices, both with lazy deletion, so FR-FCFS
 	// picks are O(1) amortized even with thousands of queued bursts.
-	slab      []Burst
+	slab      []run
 	freeSlots []int32
-	pending   int
+	pending   int // queued bursts (not runs)
 	globalQ   fifo
 	// rowDir directly indexes a row's FIFO in rows[:nRows] (-1 = none): one
 	// entry per DRAM row, so the enqueue/pick path never hashes. Row FIFOs
@@ -69,16 +78,24 @@ type Bank struct {
 	rows   []fifo
 	nRows  int
 
-	// nextDecision memoizes NextDecisionAt between state changes: the DPU's
-	// event clock polls it every cycle, so the poll must be a field read, not
-	// a queue walk. Invalidated by Enqueue and by every serviced decision.
-	nextDecision      Tick
-	nextDecisionValid bool
+	// The next scheduling decision, memoized between state changes: the DPU's
+	// event clock polls NextDecisionAt every cycle, and a DMA train has
+	// Advance make one decision per call, so neither may walk the queues.
+	// nextAt is the decision point and nextOldest the oldest pending run;
+	// nextPick is the run the decision picks when that is already known —
+	// the run in service, continuing — and -1 when pick must be asked.
+	// Enqueueing changes none of the three (the queues are FIFOs, and the
+	// memo is only valid while a run is pending); a refresh and a finished
+	// run invalidate it.
+	nextValid  bool
+	nextAt     Tick
+	nextOldest int32
+	nextPick   int32
 
 	st *stats.DRAM
 }
 
-// fifo is a queue of burst-slab indices with lazy deletion.
+// fifo is a queue of run-slab indices with lazy deletion.
 type fifo struct {
 	items []int32
 	head  int
@@ -91,20 +108,20 @@ func (f *fifo) reset() {
 	f.head = 0
 }
 
-// peekPending returns the slot of the oldest unscheduled burst in f with
-// Arrival <= t, or -1. Already-serviced entries are skipped and unreferenced
-// (recycling their slots once no queue holds them).
+// peekPending returns the slot of the oldest run in f that still has bursts
+// to service and Arrival <= t, or -1. Finished runs are skipped and
+// unreferenced (recycling their slots once no queue holds them).
 func (b *Bank) peekPending(f *fifo, t Tick) int32 {
 	items, slab := f.items, b.slab
 	for f.head < len(items) {
 		i := items[f.head]
-		bu := &slab[i]
-		if bu.issued {
+		r := &slab[i]
+		if r.n == 0 {
 			f.head++
 			b.unref(i)
 			continue
 		}
-		if bu.Arrival > t {
+		if r.arrival > t {
 			return -1
 		}
 		return i
@@ -113,12 +130,12 @@ func (b *Bank) peekPending(f *fifo, t Tick) int32 {
 	return -1
 }
 
-// unref drops one queue reference from a serviced burst, recycling the slot
+// unref drops one queue reference from a finished run, recycling the slot
 // when the last reference goes.
 func (b *Bank) unref(i int32) {
-	bu := &b.slab[i]
-	bu.refs--
-	if bu.refs == 0 {
+	r := &b.slab[i]
+	r.refs--
+	if r.refs == 0 {
 		b.freeSlots = append(b.freeSlots, i)
 	}
 }
@@ -172,8 +189,7 @@ func (b *Bank) Reset(cfg config.Config, st *stats.DRAM) {
 	for i := range b.rowDir {
 		b.rowDir[i] = -1
 	}
-	b.nextDecision = 0
-	b.nextDecisionValid = false
+	b.nextValid = false
 	b.st = st
 }
 
@@ -183,25 +199,41 @@ func (b *Bank) BurstBytes() int { return b.burstBytes }
 // Pending reports the number of enqueued, not-yet-scheduled bursts.
 func (b *Bank) Pending() int { return b.pending }
 
-// Enqueue adds one burst to the request queue. Arrival must be
-// non-decreasing across calls for FR-FCFS fairness to be meaningful
-// (the simulator enqueues in simulation-time order).
+// Enqueue adds one burst to the request queue: the run of one. Arrival must
+// be non-decreasing across calls for FR-FCFS fairness to be meaningful (the
+// simulator enqueues in simulation-time order).
 func (b *Bank) Enqueue(addr uint32, write bool, arrival Tick, tag uint64) {
+	b.enqueueRow(addr/b.rowBytes, 1, write, arrival, tag)
+}
+
+// EnqueueRun adds n bursts at addr, addr+BurstBytes, ... to the request
+// queue, exactly as n Enqueue calls in address order would, as one queue
+// entry per DRAM row touched. Every burst's Completion carries tag.
+func (b *Bank) EnqueueRun(addr uint32, n int, write bool, arrival Tick, tag uint64) {
+	bb := uint32(b.burstBytes)
+	for n > 0 {
+		row := addr / b.rowBytes
+		// Bursts whose first byte lies in this row.
+		inRow := int(((row+1)*b.rowBytes - addr + bb - 1) / bb)
+		inRow = min(inRow, n)
+		b.enqueueRow(row, int32(inRow), write, arrival, tag)
+		addr += uint32(inRow) * bb
+		n -= inRow
+	}
+}
+
+// enqueueRow queues n bursts that all lie in row as one run.
+func (b *Bank) enqueueRow(row uint32, n int32, write bool, arrival Tick, tag uint64) {
 	var slot int32
-	if n := len(b.freeSlots); n > 0 {
-		slot = b.freeSlots[n-1]
-		b.freeSlots = b.freeSlots[:n-1]
+	if k := len(b.freeSlots); k > 0 {
+		slot = b.freeSlots[k-1]
+		b.freeSlots = b.freeSlots[:k-1]
 	} else {
-		b.slab = append(b.slab, Burst{})
+		b.slab = append(b.slab, run{})
 		slot = int32(len(b.slab) - 1)
 	}
-	row := addr / b.rowBytes
-	b.slab[slot] = Burst{
-		Addr: addr, Write: write, Arrival: arrival, Tag: tag,
-		row: row, refs: 2,
-	}
-	b.pending++
-	b.nextDecisionValid = false
+	b.slab[slot] = run{n: n, write: write, arrival: arrival, tag: tag, row: row, refs: 2}
+	b.pending += int(n)
 	b.globalQ.push(slot)
 
 	ri := b.rowDir[row]
@@ -222,19 +254,23 @@ func (b *Bank) Enqueue(addr uint32, write bool, arrival Tick, tag uint64) {
 // made (the bank's contribution to the DPU's next-event clock), or
 // (0, false) when the queue is empty.
 func (b *Bank) NextDecisionAt() (Tick, bool) {
-	if b.pending == 0 {
+	if b.pending == 0 || (!b.nextValid && !b.findNext()) {
 		return 0, false
 	}
-	if b.nextDecisionValid {
-		return b.nextDecision, true
-	}
+	return b.nextAt, true
+}
+
+// findNext fills the decision memo from the queues; false means nothing is
+// pending.
+func (b *Bank) findNext() bool {
 	oldest := b.peekPending(&b.globalQ, ^Tick(0))
 	if oldest < 0 {
-		return 0, false
+		return false // only lazily-deleted entries remained
 	}
-	b.nextDecision = max(b.cmdReadyAt, b.slab[oldest].Arrival)
-	b.nextDecisionValid = true
-	return b.nextDecision, true
+	b.nextAt = max(b.cmdReadyAt, b.slab[oldest].arrival)
+	b.nextOldest, b.nextPick = oldest, -1
+	b.nextValid = true
+	return true
 }
 
 // Advance makes every scheduling decision whose decision point is <= now,
@@ -243,11 +279,10 @@ func (b *Bank) NextDecisionAt() (Tick, bool) {
 // extended buffer; pass a reused slice to keep the drain allocation-free.
 func (b *Bank) Advance(now Tick, out []Completion) []Completion {
 	for b.pending > 0 {
-		oldest := b.peekPending(&b.globalQ, ^Tick(0))
-		if oldest < 0 {
-			break // only lazily-deleted entries remained
+		if !b.nextValid && !b.findNext() {
+			break
 		}
-		t := max(b.cmdReadyAt, b.slab[oldest].Arrival)
+		t := b.nextAt
 		if t > now {
 			break
 		}
@@ -257,12 +292,31 @@ func (b *Bank) Advance(now Tick, out []Completion) []Completion {
 			b.openRow = -1
 			b.cmdReadyAt = start + b.tRFC
 			b.nextRefreshAt += b.tREFI
-			b.nextDecisionValid = false
+			b.nextValid = false
 			b.st.Refreshes++
 			continue
 		}
-		pick := b.pick(t, oldest)
-		out = b.service(pick, t, out)
+		oldest, pick := b.nextOldest, b.nextPick
+		if pick < 0 {
+			pick = b.pick(t, oldest)
+		}
+		r := &b.slab[pick]
+		out = b.service(r, t, out)
+		if r.n == 0 {
+			b.nextValid = false
+			continue
+		}
+		// The picked run has bursts left, and that settles the next decision
+		// without another walk: the oldest run is still the oldest, and the
+		// picked run owns the open row at the head of its row FIFO, so every
+		// policy picks it again — until the oldest run has waited past the
+		// starvation cap, when pick must be asked (it answers "the oldest").
+		arrival := b.slab[oldest].arrival
+		b.nextAt = max(b.cmdReadyAt, arrival)
+		b.nextPick = -1
+		if b.nextAt-arrival <= b.starvationCap {
+			b.nextPick = pick
+		}
 	}
 	return out
 }
@@ -271,7 +325,7 @@ func (b *Bank) Advance(now Tick, out []Completion) []Completion {
 // has arrived, unless the globally oldest request has waited past the cap
 // (or FR-FCFS is disabled), in which case strict FCFS order applies.
 func (b *Bank) pick(t Tick, oldest int32) int32 {
-	if !b.frfcfs || t-b.slab[oldest].Arrival > b.starvationCap {
+	if !b.frfcfs || t-b.slab[oldest].arrival > b.starvationCap {
 		return oldest
 	}
 	if b.openRow >= 0 {
@@ -284,11 +338,11 @@ func (b *Bank) pick(t Tick, oldest int32) int32 {
 	return oldest
 }
 
-func (b *Bank) service(slot int32, t Tick, out []Completion) []Completion {
-	burst := &b.slab[slot]
+// service schedules the next burst of r at decision tick t.
+func (b *Bank) service(r *run, t Tick, out []Completion) []Completion {
 	var complete Tick
 	switch {
-	case b.openRow == int64(burst.row):
+	case b.openRow == int64(r.row):
 		// Row hit: column command, data after tCL, bus busy tBL.
 		complete = t + b.tCL + b.tBL
 		b.cmdReadyAt = t + b.tBL
@@ -298,7 +352,7 @@ func (b *Bank) service(slot int32, t Tick, out []Completion) []Completion {
 		b.lastActivateAt = t
 		complete = t + b.tRCD + b.tCL + b.tBL
 		b.cmdReadyAt = complete - b.tCL
-		b.openRow = int64(burst.row)
+		b.openRow = int64(r.row)
 		b.st.RowEmpty++
 	default:
 		// Row conflict: wait out tRAS, precharge, activate, access.
@@ -309,20 +363,19 @@ func (b *Bank) service(slot int32, t Tick, out []Completion) []Completion {
 		b.lastActivateAt = pre + b.tRP
 		complete = pre + b.tRP + b.tRCD + b.tCL + b.tBL
 		b.cmdReadyAt = complete - b.tCL
-		b.openRow = int64(burst.row)
+		b.openRow = int64(r.row)
 		b.st.RowMisses++
 	}
-	if burst.Write {
+	if r.write {
 		b.st.WriteBursts++
 		b.st.BytesWritten += uint64(b.burstBytes)
 	} else {
 		b.st.ReadBursts++
 		b.st.BytesRead += uint64(b.burstBytes)
 	}
-	burst.issued = true
+	r.n--
 	b.pending--
-	b.nextDecisionValid = false
-	return append(out, Completion{Tag: burst.Tag, CompleteAt: complete})
+	return append(out, Completion{Tag: r.tag, CompleteAt: complete})
 }
 
 // Drain asserts the queue is empty (used at end of kernel to catch lost

@@ -13,7 +13,7 @@ import (
 	"upim/internal/config"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/ledger.golden")
+var update = flag.Bool("update", false, "rewrite the testdata golden of every golden test that runs (select one with -run)")
 
 // TestTransferLedgerGolden pins what a host program is to the rest of the
 // simulator: the exact sequence of transfers and launches it issues. Every
@@ -49,9 +49,15 @@ func TestTransferLedgerGolden(t *testing.T) {
 			}
 		}
 	}
-	const path = "testdata/ledger.golden"
+	checkGolden(t, "testdata/ledger.golden", out.Bytes())
+}
+
+// checkGolden compares got with the golden file line by line, or rewrites
+// the file under -update.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
 	if *update {
-		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -60,14 +66,14 @@ func TestTransferLedgerGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotLines := strings.Split(out.String(), "\n")
+	gotLines := strings.Split(string(got), "\n")
 	wantLines := strings.Split(string(want), "\n")
 	if len(gotLines) != len(wantLines) {
-		t.Fatalf("ledger has %d lines, golden %d", len(gotLines), len(wantLines))
+		t.Fatalf("%s: %d lines, golden has %d", path, len(gotLines), len(wantLines))
 	}
 	for i := range wantLines {
 		if gotLines[i] != wantLines[i] {
-			t.Errorf("ledger line %d drifted:\n got %s\nwant %s", i+1, gotLines[i], wantLines[i])
+			t.Errorf("%s line %d drifted:\n got %s\nwant %s", path, i+1, gotLines[i], wantLines[i])
 		}
 	}
 }

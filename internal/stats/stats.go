@@ -242,14 +242,22 @@ func (s *DPU) recordTimeline(issuable int, count uint64, window int) {
 // dependency-waiting (revN) thread counts observed that cycle — the paper's
 // Fig 6 attribution rule. With no waiting threads the leftover slots are a
 // revolver artifact of the just-issued thread itself.
+//
+// When only one kind of thread is waiting the whole amount goes to its bucket
+// with no arithmetic: slots is always a whole number of issue slots, so
+// slots*n/n is exactly slots and the other bucket's share is exactly zero.
 func (s *DPU) AttributeIdle(slots float64, memN, revN int) {
-	tot := memN + revN
-	if tot == 0 {
+	if memN == 0 {
 		s.Idle[IdleRevolver] += slots
 		return
 	}
-	s.Idle[IdleMemory] += slots * float64(memN) / float64(tot)
-	s.Idle[IdleRevolver] += slots * float64(revN) / float64(tot)
+	if revN == 0 {
+		s.Idle[IdleMemory] += slots
+		return
+	}
+	tot := float64(memN + revN)
+	s.Idle[IdleMemory] += slots * float64(memN) / tot
+	s.Idle[IdleRevolver] += slots * float64(revN) / tot
 }
 
 // Breakdown returns the issue-slot breakdown as fractions that sum to ~1:

@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -205,6 +207,50 @@ func TestAttributeIdleProportions(t *testing.T) {
 	s2.AttributeIdle(2, 0, 0)
 	if s2.Idle[IdleRevolver] != 2 || s2.Idle[IdleMemory] != 0 {
 		t.Fatalf("idle split with no waiters = %v", s2.Idle)
+	}
+}
+
+// TestAttributeIdleMatchesTwoDivisions holds AttributeIdle, which skips the
+// arithmetic when only one kind of thread is waiting, to the two-division
+// formula it is an exact shortcut for — by bit pattern, on running sums, for
+// whole slot counts up to 2^40 (the core only ever passes whole slots).
+func TestAttributeIdleMatchesTwoDivisions(t *testing.T) {
+	reference := func(idle *[NumIdleReasons]float64, slots float64, memN, revN int) {
+		tot := memN + revN
+		if tot == 0 {
+			idle[IdleRevolver] += slots
+			return
+		}
+		idle[IdleMemory] += slots * float64(memN) / float64(tot)
+		idle[IdleRevolver] += slots * float64(revN) / float64(tot)
+	}
+	r := rand.New(rand.NewSource(19))
+	slotValues := []float64{1, 2, 3, 7, 1 << 20, 1<<40 - 1, 1 << 40}
+	for i := 0; i < 2000; i++ {
+		slotValues = append(slotValues, float64(r.Int63n(1<<40)+1))
+	}
+	var got DPU
+	var want [NumIdleReasons]float64
+	for _, slots := range slotValues {
+		for memN := 0; memN <= 24; memN++ {
+			for revN := 0; memN+revN <= 24; revN++ {
+				// A fresh pair as well as the running sums: the shortcut must
+				// hold whatever is already in the buckets.
+				var g DPU
+				var w [NumIdleReasons]float64
+				g.AttributeIdle(slots, memN, revN)
+				reference(&w, slots, memN, revN)
+				got.AttributeIdle(slots, memN, revN)
+				reference(&want, slots, memN, revN)
+				for k := range w {
+					if math.Float64bits(g.Idle[k]) != math.Float64bits(w[k]) ||
+						math.Float64bits(got.Idle[k]) != math.Float64bits(want[k]) {
+						t.Fatalf("slots=%v memN=%d revN=%d: idle %v / sum %v, reference %v / sum %v",
+							slots, memN, revN, g.Idle, got.Idle, w, want)
+					}
+				}
+			}
+		}
 	}
 }
 
