@@ -6,10 +6,13 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 
 	"upim"
 	"upim/internal/cli"
@@ -46,7 +49,13 @@ func upasm(fs *flag.FlagSet) func(context.Context) error {
 		}
 		fmt.Printf("%s: %d instructions, %d bytes of IRAM (%d-byte words), %d static bytes in %v\n\n",
 			prog.Name, len(prog.Instrs), len(img), isa.WordBytes, prog.StaticBytes, prog.StaticSpace)
-		for name, sym := range prog.Symbols {
+		// Address order (then name): ranging the map would print the same
+		// program differently from run to run.
+		names := slices.SortedFunc(maps.Keys(prog.Symbols), func(a, b string) int {
+			return cmp.Or(cmp.Compare(prog.Symbols[a].Addr, prog.Symbols[b].Addr), cmp.Compare(a, b))
+		})
+		for _, name := range names {
+			sym := prog.Symbols[name]
 			fmt.Printf("  %-16s 0x%08x  %d bytes\n", name, sym.Addr, sym.Size)
 		}
 		fmt.Println()

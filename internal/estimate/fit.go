@@ -52,10 +52,7 @@ type suitePoint struct {
 // figure axes, which is what makes per-figure error bounds meaningful.
 func suite(b *prim.Benchmark, scale prim.Scale) []suitePoint {
 	base := config.Default()
-	maxT := b.MaxTasklets
-	if maxT == 0 {
-		maxT = 16
-	}
+	maxT := b.TaskletLimit()
 	var ladder []int
 	for _, t := range []int{1, 2, 4, 8, 16} {
 		if t <= maxT {

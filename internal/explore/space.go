@@ -166,11 +166,7 @@ func (s *Space) feasible(b *prim.Benchmark, p Point) bool {
 	if cfg.Mode == config.ModeSIMT && !b.SupportsSIMT {
 		return false
 	}
-	maxT := b.MaxTasklets
-	if maxT == 0 {
-		maxT = 16
-	}
-	if cfg.Mode != config.ModeSIMT && cfg.NumTasklets > maxT {
+	if cfg.Mode != config.ModeSIMT && cfg.NumTasklets > b.TaskletLimit() {
 		return false
 	}
 	if cfg.Validate() != nil {

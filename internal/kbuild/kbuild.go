@@ -2,6 +2,7 @@ package kbuild
 
 import (
 	"fmt"
+	"strconv"
 
 	"upim/internal/isa"
 	"upim/internal/linker"
@@ -81,7 +82,7 @@ func (b *Builder) ref(label string) uint16 {
 // Gensym returns a fresh unique label with the given prefix.
 func (b *Builder) Gensym(prefix string) string {
 	b.gensym++
-	return fmt.Sprintf(".%s_%d", prefix, b.gensym)
+	return "." + prefix + "_" + strconv.Itoa(b.gensym)
 }
 
 // Label binds a label to the next instruction.
@@ -232,29 +233,17 @@ func (b *Builder) Sh(val, base Reg, off int32) { b.mem(isa.OpSH, val, base, off)
 func (b *Builder) Sb(val, base Reg, off int32) { b.mem(isa.OpSB, val, base, off) }
 
 // Ldma stages MRAM->WRAM: wram/mram hold byte addresses, lenReg the length.
-func (b *Builder) Ldma(wram, mram, lenReg Reg) {
-	b.emit(isa.Instruction{Op: isa.OpLDMA, Rd: b.checkReg(wram), Ra: b.checkReg(mram), Rb: b.checkReg(lenReg)})
-}
+// Sdma writes WRAM->MRAM; the *i variants take a constant length.
+func (b *Builder) Ldma(wram, mram, lenReg Reg)        { b.alu(isa.OpLDMA, wram, mram, lenReg) }
+func (b *Builder) Sdma(wram, mram, lenReg Reg)        { b.alu(isa.OpSDMA, wram, mram, lenReg) }
+func (b *Builder) Ldmai(wram, mram Reg, length int32) { b.dmai(isa.OpLDMA, wram, mram, length) }
+func (b *Builder) Sdmai(wram, mram Reg, length int32) { b.dmai(isa.OpSDMA, wram, mram, length) }
 
-// Ldmai stages MRAM->WRAM with a constant length.
-func (b *Builder) Ldmai(wram, mram Reg, length int32) {
+func (b *Builder) dmai(op isa.Opcode, wram, mram Reg, length int32) {
 	if length <= 0 || length > 2048 || length%8 != 0 {
 		b.panicf("DMA length %d invalid", length)
 	}
-	b.emit(isa.Instruction{Op: isa.OpLDMA, Rd: b.checkReg(wram), Ra: b.checkReg(mram), UseImm: true, Imm: length})
-}
-
-// Sdma writes WRAM->MRAM with a register length.
-func (b *Builder) Sdma(wram, mram, lenReg Reg) {
-	b.emit(isa.Instruction{Op: isa.OpSDMA, Rd: b.checkReg(wram), Ra: b.checkReg(mram), Rb: b.checkReg(lenReg)})
-}
-
-// Sdmai writes WRAM->MRAM with a constant length.
-func (b *Builder) Sdmai(wram, mram Reg, length int32) {
-	if length <= 0 || length > 2048 || length%8 != 0 {
-		b.panicf("DMA length %d invalid", length)
-	}
-	b.emit(isa.Instruction{Op: isa.OpSDMA, Rd: b.checkReg(wram), Ra: b.checkReg(mram), UseImm: true, Imm: length})
+	b.emit(isa.Instruction{Op: op, Rd: b.checkReg(wram), Ra: b.checkReg(mram), UseImm: true, Imm: length})
 }
 
 // Br emits a register compare-and-branch of the given Jcc opcode.
@@ -402,20 +391,7 @@ func (b *Builder) Wait(bar *Barrier, t1, t2, t3 Reg) {
 // ceil(n/NTH) blocking (the PrIM partitioning idiom). start/end/tmp must be
 // distinct registers; n is left untouched.
 func (b *Builder) TaskletRange(start, end, n, tmp Reg) {
-	clamp := b.Gensym("range_clamp")
-	b.Add(tmp, n, NTH)
-	b.Subi(tmp, tmp, 1)
-	b.Div(tmp, tmp, NTH) // chunk = ceil(n / NTH)
-	b.Mul(start, tmp, ID)
-	b.Add(end, start, tmp)
-	b.Jle(end, n, clamp)
-	b.Mov(end, n)
-	b.Label(clamp)
-	// A tasklet entirely past the end gets an empty range.
-	clamp2 := b.Gensym("range_clamp")
-	b.Jle(start, n, clamp2)
-	b.Mov(start, n)
-	b.Label(clamp2)
+	b.taskletRange(start, end, n, tmp, 0)
 }
 
 // TaskletRangeAligned is TaskletRange with the chunk size rounded up to
@@ -425,21 +401,30 @@ func (b *Builder) TaskletRangeAligned(start, end, n, tmp Reg, alignItems int32) 
 	if alignItems <= 0 || alignItems&(alignItems-1) != 0 {
 		b.panicf("alignment %d is not a power of two", alignItems)
 	}
-	clamp := b.Gensym("range_clamp")
+	b.taskletRange(start, end, n, tmp, alignItems)
+}
+
+// taskletRange is the one partitioning body; roundUp is 0 for the unaligned
+// form, which skips the round-up pair.
+func (b *Builder) taskletRange(start, end, n, tmp Reg, roundUp int32) {
+	b.distinct("TaskletRange", start, end, tmp)
+	clampTo := func(r Reg) {
+		ok := b.Gensym("range_clamp")
+		b.Jle(r, n, ok)
+		b.Mov(r, n)
+		b.Label(ok)
+	}
 	b.Add(tmp, n, NTH)
 	b.Subi(tmp, tmp, 1)
-	b.Div(tmp, tmp, NTH)
-	b.Addi(tmp, tmp, alignItems-1)
-	b.Andi(tmp, tmp, -alignItems) // chunk = roundUp(ceil(n/NTH), align)
+	b.Div(tmp, tmp, NTH) // chunk = ceil(n / NTH)
+	if roundUp > 0 {
+		b.Addi(tmp, tmp, roundUp-1)
+		b.Andi(tmp, tmp, -roundUp) // chunk = roundUp(chunk, align)
+	}
 	b.Mul(start, tmp, ID)
 	b.Add(end, start, tmp)
-	b.Jle(end, n, clamp)
-	b.Mov(end, n)
-	b.Label(clamp)
-	clamp2 := b.Gensym("range_clamp")
-	b.Jle(start, n, clamp2)
-	b.Mov(start, n)
-	b.Label(clamp2)
+	clampTo(end)
+	clampTo(start) // a tasklet entirely past the end gets an empty range
 }
 
 // Build resolves labels and returns the unlinked object.

@@ -37,9 +37,8 @@ func init() {
 				return Params{N: 16 << 10, NNZPerRow: 7, Seed: 16}
 			}
 		},
-		Build:       buildBFS,
-		Run:         staged(runBFS),
-		MaxTasklets: 16,
+		Build: buildBFS,
+		Run:   staged(runBFS),
 	})
 }
 
@@ -50,13 +49,7 @@ func buildBFS(mode config.Mode) (*linker.Object, error) {
 	rRP, rCI, rFr, rVis, rNx := kbuild.R(0), kbuild.R(1), kbuild.R(2), kbuild.R(3), kbuild.R(4)
 	rVLo, rVHi := kbuild.R(5), kbuild.R(6)
 	lock := b.AllocLock()
-	b.LoadArg(rRP, 0)
-	b.LoadArg(rCI, 1)
-	b.LoadArg(rFr, 2)
-	b.LoadArg(rVis, 3)
-	b.LoadArg(rNx, 4)
-	b.LoadArg(rVLo, 5)
-	b.LoadArg(rVHi, 6)
+	b.LoadArgs(0, rRP, rCI, rFr, rVis, rNx, rVLo, rVHi)
 
 	rS, rE, rTmp := kbuild.R(7), kbuild.R(8), kbuild.R(9)
 	b.Sub(rTmp, rVHi, rVLo)
@@ -64,36 +57,28 @@ func buildBFS(mode config.Mode) (*linker.Object, error) {
 
 	switch mode {
 	case config.ModeScratchpad:
-		fbuf := b.Static("fbuf", 16*256, 8) // 64 frontier words per chunk
-		wbuf := b.Static("wbuf", 16*16, 8)  // aligned RMW staging
+		fbuf := b.TaskletStatic("fbuf", 256) // 64 frontier words per chunk
+		wbuf := b.TaskletStatic("wbuf", 16)  // aligned RMW staging
 		rCur, rWords, pF := kbuild.R(10), kbuild.R(11), kbuild.R(12)
 		rFw, rBit, rV := kbuild.R(13), kbuild.R(14), kbuild.R(15)
 		pFW, rWIdx, pWB := kbuild.R(16), kbuild.R(17), kbuild.R(18)
 
-		b.MoviSym(pWB, wbuf, 0)
-		b.Lsli(rTmp, kbuild.ID, 4)
-		b.Add(pWB, pWB, rTmp)
+		b.TaskletSlot(pWB, wbuf, 4, rTmp)
 		b.Mov(rCur, rS) // local vertex cursor (multiple of 64)
 
 		b.Label("chunk")
 		b.Jge(rCur, rE, "fin")
 		// words this chunk: ceil(min(2048, e-cur)/32) rounded to even.
-		b.Sub(rWords, rE, rCur)
-		b.Jlti(rWords, 2048, "wsized")
-		b.Movi(rWords, 2048)
-		b.Label("wsized")
+		b.ClampSub(rWords, rE, rCur, 2048)
 		b.Addi(rWords, rWords, 31)
 		b.Lsri(rWords, rWords, 5)
 		b.Addi(rWords, rWords, 1)
 		b.Andi(rWords, rWords, -2)
 		// Stage frontier words for [vLo+cur, ...).
-		b.MoviSym(pF, fbuf, 0)
-		b.Muli(rTmp, kbuild.ID, 256)
-		b.Add(pF, pF, rTmp)
+		b.TaskletPtr(pF, fbuf, 256, rTmp)
 		b.Add(rTmp, rVLo, rCur)
 		b.Lsri(rTmp, rTmp, 5)
-		b.Lsli(rTmp, rTmp, 2)
-		b.Add(rTmp, rFr, rTmp)
+		b.Index(rTmp, rFr, rTmp, 2)
 		b.Lsli(rV, rWords, 2)
 		b.Ldma(pF, rTmp, rV)
 		// Scan the staged words.
@@ -133,34 +118,28 @@ func buildBFS(mode config.Mode) (*linker.Object, error) {
 		b.Label("visit")
 		// rowptr[v], rowptr[v+1] via an aligned 16B stage into wbuf.
 		b.Andi(rTmp, rV, -2)
-		b.Lsli(rTmp, rTmp, 2)
-		b.Add(rTmp, rRP, rTmp)
+		b.Index(rTmp, rRP, rTmp, 2)
 		b.Ldmai(pWB, rTmp, 16)
 		b.Andi(rTmp, rV, 1)
-		b.Lsli(rTmp, rTmp, 2)
-		b.Add(rTmp, pWB, rTmp)
+		b.Index(rTmp, pWB, rTmp, 2)
 		b.Lw(rK, rTmp, 0)
 		b.Lw(rKE, rTmp, 4)
 		b.Label("edges")
 		b.Jge(rK, rKE, "visit_done")
 		// u = colidx[k] via an aligned 8B stage.
 		b.Andi(rTmp, rK, -2)
-		b.Lsli(rTmp, rTmp, 2)
-		b.Add(rTmp, rCI, rTmp)
+		b.Index(rTmp, rCI, rTmp, 2)
 		b.Ldmai(pWB, rTmp, 8)
 		b.Andi(rTmp, rK, 1)
-		b.Lsli(rTmp, rTmp, 2)
-		b.Add(rTmp, pWB, rTmp)
+		b.Index(rTmp, pWB, rTmp, 2)
 		b.Lw(rU, rTmp, 0)
 		// visited probe: 8B DMA of the word holding bit u.
 		b.Lsri(rTmp, rU, 6)
-		b.Lsli(rTmp, rTmp, 3)
-		b.Add(rTmp, rVis, rTmp)
+		b.Index(rTmp, rVis, rTmp, 3)
 		b.Ldmai(pWB, rTmp, 8)
 		b.Lsri(rTmp, rU, 5)
 		b.Andi(rTmp, rTmp, 1)
-		b.Lsli(rTmp, rTmp, 2)
-		b.Add(rTmp, pWB, rTmp)
+		b.Index(rTmp, pWB, rTmp, 2)
 		b.Lw(rT2, rTmp, 0)
 		b.Andi(rTmp, rU, 31)
 		b.Lsr(rT2, rT2, rTmp)
@@ -176,8 +155,7 @@ func buildBFS(mode config.Mode) (*linker.Object, error) {
 		b.Andi(rTmp, rTmp, 1)
 		b.Lsli(rV, rTmp, 2)
 		b.Lsri(rTmp, rU, 6)
-		b.Lsli(rTmp, rTmp, 3)
-		b.Add(rU, rNx, rTmp)
+		b.IndexVia(rU, rNx, rTmp, 3, rTmp)
 		b.AcquireSpin(lock)
 		b.Ldmai(pWB, rU, 8)
 		b.Add(rV, pWB, rV)
@@ -201,8 +179,7 @@ func buildBFS(mode config.Mode) (*linker.Object, error) {
 		// Load the frontier word for vertex vLo+cur directly.
 		b.Add(rTmp, rVLo, rCur)
 		b.Lsri(rTmp, rTmp, 5)
-		b.Lsli(rTmp, rTmp, 2)
-		b.Add(rTmp, rFr, rTmp)
+		b.Index(rTmp, rFr, rTmp, 2)
 		b.Lw(rFw, rTmp, 0)
 		b.Movi(rBit, 0)
 		b.Label("bits")
@@ -222,19 +199,16 @@ func buildBFS(mode config.Mode) (*linker.Object, error) {
 		b.Stop()
 
 		b.Label("visit")
-		b.Lsli(rTmp, rV, 2)
-		b.Add(rTmp, rRP, rTmp)
+		b.Index(rTmp, rRP, rV, 2)
 		b.Lw(rK, rTmp, 0)
 		b.Lw(rKE, rTmp, 4)
 		b.Label("edges")
 		b.Jge(rK, rKE, "visit_done")
-		b.Lsli(rTmp, rK, 2)
-		b.Add(rTmp, rCI, rTmp)
+		b.Index(rTmp, rCI, rK, 2)
 		b.Lw(rU, rTmp, 0)
 		// visited test
 		b.Lsri(rTmp, rU, 5)
-		b.Lsli(rTmp, rTmp, 2)
-		b.Add(rTmp, rVis, rTmp)
+		b.Index(rTmp, rVis, rTmp, 2)
 		b.Lw(rT2, rTmp, 0)
 		b.Andi(rTmp, rU, 31)
 		b.Lsr(rT2, rT2, rTmp)
@@ -242,8 +216,7 @@ func buildBFS(mode config.Mode) (*linker.Object, error) {
 		// set next bit under the mutex
 		b.AcquireSpin(lock)
 		b.Lsri(rTmp, rU, 5)
-		b.Lsli(rTmp, rTmp, 2)
-		b.Add(rT2, rNx, rTmp)
+		b.IndexVia(rT2, rNx, rTmp, 2, rTmp)
 		b.Lw(rTmp, rT2, 0)
 		b.Movi(kbuild.R(18), 1)
 		b.Andi(kbuild.R(19), rU, 31)

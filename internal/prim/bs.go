@@ -18,7 +18,10 @@ import (
 // an on-demand cache, which fetches only the 64B line each probe touches.
 // BS is the suite's memory-bound, low-TLP workload (Fig 5/6/7).
 
-const bsProbeBytes = 256
+const (
+	bsProbeBytes   = 256
+	bsChunkQueries = 64 // queries per staging chunk
+)
 
 func init() {
 	register(&Benchmark{
@@ -43,96 +46,72 @@ func buildBS(mode config.Mode) (*linker.Object, error) {
 	b := kbuild.New("bs-" + mode.String())
 	rA, rN, rQ, rNQ, rOut := kbuild.R(0), kbuild.R(1), kbuild.R(2), kbuild.R(3), kbuild.R(4)
 	rQS, rQE, rTmp := kbuild.R(5), kbuild.R(6), kbuild.R(7)
-	b.LoadArg(rA, 0)
-	b.LoadArg(rN, 1)
-	b.LoadArg(rQ, 2)
-	b.LoadArg(rNQ, 3)
-	b.LoadArg(rOut, 4)
+	b.LoadArgs(0, rA, rN, rQ, rNQ, rOut)
 	b.TaskletRangeAligned(rQS, rQE, rNQ, rTmp, 2)
 
 	rLo, rHi, rMid, rVal, rQv := kbuild.R(8), kbuild.R(9), kbuild.R(10), kbuild.R(11), kbuild.R(12)
 
 	switch mode {
 	case config.ModeScratchpad:
-		qbuf := b.Static("qbuf", 16*64*4, 8) // 64 queries per staging chunk
-		pbuf := b.Static("pbuf", 16*bsProbeBytes, 8)
-		obuf := b.Static("obuf", 16*64*4, 8)
+		qbuf := b.TaskletStatic("qbuf", bsChunkQueries*4)
+		pbuf := b.TaskletStatic("pbuf", bsProbeBytes)
+		obuf := b.TaskletStatic("obuf", bsChunkQueries*4)
 		pQ, pP, pO := kbuild.R(13), kbuild.R(14), kbuild.R(15)
 		rChunk, rQi, rBytes, rBlk := kbuild.R(16), kbuild.R(17), kbuild.R(18), kbuild.R(19)
 		rCurBlk := kbuild.R(20)
-		b.MoviSym(pQ, qbuf, 0)
-		b.Muli(rTmp, kbuild.ID, 64*4)
-		b.Add(pQ, pQ, rTmp)
-		b.MoviSym(pP, pbuf, 0)
-		b.Muli(rTmp, kbuild.ID, bsProbeBytes)
-		b.Add(pP, pP, rTmp)
-		b.MoviSym(pO, obuf, 0)
-		b.Muli(rTmp, kbuild.ID, 64*4)
-		b.Add(pO, pO, rTmp)
+		b.TaskletPtr(pQ, qbuf, bsChunkQueries*4, rTmp)
+		b.TaskletPtr(pP, pbuf, bsProbeBytes, rTmp)
+		b.TaskletPtr(pO, obuf, bsChunkQueries*4, rTmp)
 
-		b.Label("chunk")
-		b.Jge(rQS, rQE, "done")
-		b.Sub(rChunk, rQE, rQS)
-		b.Jlti(rChunk, 64, "sized")
-		b.Movi(rChunk, 64)
-		b.Label("sized")
-		b.Lsli(rBytes, rChunk, 2)
-		b.Lsli(rTmp, rQS, 2)
-		b.Add(rTmp, rQ, rTmp)
-		b.Ldma(pQ, rTmp, rBytes)
-		b.Movi(rQi, 0)
-		b.Label("query")
-		b.Lsli(rTmp, rQi, 2)
-		b.Add(rTmp, pQ, rTmp)
-		b.Lw(rQv, rTmp, 0)
-		// Lower bound over [0, n).
-		b.Movi(rLo, 0)
-		b.Mov(rHi, rN)
-		b.Movi(rCurBlk, -1) // no block staged yet
-		b.Label("probe")
-		b.Jge(rLo, rHi, "found")
-		b.Add(rMid, rLo, rHi)
-		b.Lsri(rMid, rMid, 1)
-		// Stage the fixed 256B block containing a[mid] (static overfetch),
-		// unless the previous probe already staged it — once the search
-		// range narrows into one block, the remaining probes run from WRAM
-		// (PrIM's BS does the same block-local finish).
-		b.Lsli(rBlk, rMid, 2)
-		b.Andi(rBlk, rBlk, -bsProbeBytes)
-		b.Jeq(rBlk, rCurBlk, "staged")
-		b.Add(rTmp, rA, rBlk)
-		b.Ldmai(pP, rTmp, bsProbeBytes)
-		b.Mov(rCurBlk, rBlk)
-		b.Label("staged")
-		b.Lsli(rTmp, rMid, 2)
-		b.Sub(rTmp, rTmp, rBlk)
-		b.Add(rTmp, pP, rTmp)
-		b.Lw(rVal, rTmp, 0)
-		b.Jge(rVal, rQv, "goleft")
-		b.Addi(rLo, rMid, 1)
-		b.Jump("probe")
-		b.Label("goleft")
-		b.Mov(rHi, rMid)
-		b.Jump("probe")
-		b.Label("found")
-		b.Lsli(rTmp, rQi, 2)
-		b.Add(rTmp, pO, rTmp)
-		b.Sw(rLo, rTmp, 0)
-		b.Addi(rQi, rQi, 1)
-		b.Jlt(rQi, rChunk, "query")
-		// Flush results for this chunk.
-		b.Lsli(rTmp, rQS, 2)
-		b.Add(rTmp, rOut, rTmp)
-		b.Sdma(pO, rTmp, rBytes)
-		b.Add(rQS, rQS, rChunk)
-		b.Jump("chunk")
-		b.Label("done")
+		b.ChunkLoop(rQS, rQE, rChunk, bsChunkQueries, func() {
+			b.StageWords(pQ, rQ, rQS, rChunk, rBytes, rTmp)
+			b.Movi(rQi, 0)
+			b.Label("query")
+			b.Index(rTmp, pQ, rQi, 2)
+			b.Lw(rQv, rTmp, 0)
+			// Lower bound over [0, n).
+			b.Movi(rLo, 0)
+			b.Mov(rHi, rN)
+			b.Movi(rCurBlk, -1) // no block staged yet
+			b.Label("probe")
+			b.Jge(rLo, rHi, "found")
+			b.Add(rMid, rLo, rHi)
+			b.Lsri(rMid, rMid, 1)
+			// Stage the fixed 256B block containing a[mid] (static overfetch),
+			// unless the previous probe already staged it — once the search
+			// range narrows into one block, the remaining probes run from WRAM
+			// (PrIM's BS does the same block-local finish).
+			b.Lsli(rBlk, rMid, 2)
+			b.Andi(rBlk, rBlk, -bsProbeBytes)
+			b.Jeq(rBlk, rCurBlk, "staged")
+			b.Add(rTmp, rA, rBlk)
+			b.Ldmai(pP, rTmp, bsProbeBytes)
+			b.Mov(rCurBlk, rBlk)
+			b.Label("staged")
+			b.Lsli(rTmp, rMid, 2)
+			b.Sub(rTmp, rTmp, rBlk)
+			b.Add(rTmp, pP, rTmp)
+			b.Lw(rVal, rTmp, 0)
+			b.Jge(rVal, rQv, "goleft")
+			b.Addi(rLo, rMid, 1)
+			b.Jump("probe")
+			b.Label("goleft")
+			b.Mov(rHi, rMid)
+			b.Jump("probe")
+			b.Label("found")
+			b.Index(rTmp, pO, rQi, 2)
+			b.Sw(rLo, rTmp, 0)
+			b.Addi(rQi, rQi, 1)
+			b.Jlt(rQi, rChunk, "query")
+			// Flush results for this chunk.
+			b.Index(rTmp, rOut, rQS, 2)
+			b.Sdma(pO, rTmp, rBytes)
+		}, nil)
 		b.Stop()
 
 	case config.ModeCache:
 		pQ, pO := kbuild.R(13), kbuild.R(14)
-		b.Lsli(rTmp, rQS, 2)
-		b.Add(pQ, rQ, rTmp)
+		b.IndexVia(pQ, rQ, rQS, 2, rTmp)
 		b.Add(pO, rOut, rTmp)
 		b.Label("query")
 		b.Jge(rQS, rQE, "done")
@@ -143,8 +122,7 @@ func buildBS(mode config.Mode) (*linker.Object, error) {
 		b.Jge(rLo, rHi, "found")
 		b.Add(rMid, rLo, rHi)
 		b.Lsri(rMid, rMid, 1)
-		b.Lsli(rTmp, rMid, 2)
-		b.Add(rTmp, rA, rTmp)
+		b.Index(rTmp, rA, rMid, 2)
 		b.Lw(rVal, rTmp, 0) // on-demand 64B line fill
 		b.Jge(rVal, rQv, "goleft")
 		b.Addi(rLo, rMid, 1)

@@ -42,11 +42,7 @@ func init() {
 func buildGEMVKernel(mode config.Mode, name string, relu bool) (*linker.Object, error) {
 	b := kbuild.New(name + "-" + mode.String())
 	rA, rX, rY, rM, rN := kbuild.R(0), kbuild.R(1), kbuild.R(2), kbuild.R(3), kbuild.R(4)
-	b.LoadArg(rA, 0)
-	b.LoadArg(rX, 1)
-	b.LoadArg(rY, 2)
-	b.LoadArg(rM, 3)
-	b.LoadArg(rN, 4)
+	b.LoadArgs(0, rA, rX, rY, rM, rN)
 
 	// applyAct optionally applies relu + >>6 quantization to acc.
 	applyAct := func(acc kbuild.Reg) {
@@ -65,8 +61,8 @@ func buildGEMVKernel(mode config.Mode, name string, relu bool) (*linker.Object, 
 		// Row staging is 1KB per tasklet (supports N <= 256 columns), keeping
 		// statics + 16 tasklet stacks inside the 64KB WRAM.
 		xbuf := b.Static("xbuf", 2048, 8)
-		rowbuf := b.Static("rowbuf", 16*1024, 8)
-		ybuf := b.Static("ybuf", 16*32*4, 8)
+		rowbuf := b.TaskletStatic("rowbuf", 1024)
+		ybuf := b.TaskletStatic("ybuf", 32*4)
 		bar := b.NewBarrier("bar")
 		rs, re, rTmp := kbuild.R(5), kbuild.R(6), kbuild.R(7)
 		rN4, pXbuf, pRow, pYbuf := kbuild.R(8), kbuild.R(9), kbuild.R(10), kbuild.R(11)
@@ -82,12 +78,8 @@ func buildGEMVKernel(mode config.Mode, name string, relu bool) (*linker.Object, 
 		b.Wait(bar, kbuild.R(9), kbuild.R(10), kbuild.R(11))
 
 		b.MoviSym(pXbuf, xbuf, 0)
-		b.MoviSym(pRow, rowbuf, 0)
-		b.Muli(rTmp, kbuild.ID, 1024)
-		b.Add(pRow, pRow, rTmp)
-		b.MoviSym(pYbuf, ybuf, 0)
-		b.Muli(rTmp, kbuild.ID, 32*4)
-		b.Add(pYbuf, pYbuf, rTmp)
+		b.TaskletPtr(pRow, rowbuf, 1024, rTmp)
+		b.TaskletPtr(pYbuf, ybuf, 32*4, rTmp)
 
 		b.TaskletRangeAligned(rs, re, rM, rTmp, 2)
 		b.Mov(rRow, rs)
@@ -111,24 +103,13 @@ func buildGEMVKernel(mode config.Mode, name string, relu bool) (*linker.Object, 
 		b.Addi(px, px, 4)
 		b.Jlt(pa, pend, "dot")
 		applyAct(acc)
-		b.Lsli(rTmp, rYCnt, 2)
-		b.Add(rTmp, pYbuf, rTmp)
-		b.Sw(acc, rTmp, 0)
-		b.Addi(rYCnt, rYCnt, 1)
-		b.Addi(rRow, rRow, 1)
-		b.Jlti(rYCnt, 32, "rowloop")
-		// Flush 32 accumulated y values.
-		b.Lsli(rTmp, rFlush, 2)
-		b.Add(rTmp, rY, rTmp)
-		b.Sdmai(pYbuf, rTmp, 32*4)
-		b.Mov(rFlush, rRow)
-		b.Movi(rYCnt, 0)
-		b.Jump("rowloop")
+		// Buffer y[row]; flush every 32 rows (the buffer pointer is resident).
+		b.PushResult(kbuild.ResultBuffer{Acc: acc, Cnt: rYCnt, Row: rRow, Flush: rFlush, Out: rY, N: 32,
+			Buf: func(_, _ kbuild.Reg) kbuild.Reg { return pYbuf }}, rTmp, rTmp, rTmp, "rowloop")
 		b.Label("tail")
 		b.Jeqi(rYCnt, 0, "done")
 		b.Lsli(va, rYCnt, 2)
-		b.Lsli(rTmp, rFlush, 2)
-		b.Add(rTmp, rY, rTmp)
+		b.Index(rTmp, rY, rFlush, 2)
 		b.Sdma(pYbuf, rTmp, va)
 		b.Label("done")
 		b.Stop()
@@ -156,8 +137,7 @@ func buildGEMVKernel(mode config.Mode, name string, relu bool) (*linker.Object, 
 		b.Addi(px, px, 4)
 		b.Jlt(pa, pend, "dot")
 		applyAct(acc)
-		b.Lsli(rTmp, rRow, 2)
-		b.Add(pw, rY, rTmp)
+		b.IndexVia(pw, rY, rRow, 2, rTmp)
 		b.Sw(acc, pw, 0)
 		b.Addi(rRow, rRow, 1)
 		b.Jump("rowloop")
@@ -173,8 +153,7 @@ func buildGEMVKernel(mode config.Mode, name string, relu bool) (*linker.Object, 
 		rW, rNW := kbuild.R(5), kbuild.R(6)
 		rWarp, rLane, rRow, rK, acc := kbuild.R(7), kbuild.R(8), kbuild.R(9), kbuild.R(10), kbuild.R(11)
 		t, t2, va, vx := kbuild.R(12), kbuild.R(13), kbuild.R(14), kbuild.R(15)
-		b.LoadArg(rW, 5)
-		b.LoadArg(rNW, 6)
+		b.LoadArgs(5, rW, rNW)
 		b.Div(rWarp, kbuild.ID, rW)
 		b.Rem(rLane, kbuild.ID, rW)
 		b.Mov(rRow, rWarp)
@@ -186,11 +165,9 @@ func buildGEMVKernel(mode config.Mode, name string, relu bool) (*linker.Object, 
 		b.Jge(rK, rN, "reduce")
 		b.Mul(t, rRow, rN)
 		b.Add(t, t, rK)
-		b.Lsli(t, t, 2)
-		b.Add(t, rA, t)
+		b.Index(t, rA, t, 2)
 		b.Lw(va, t, 0) // A[row*N+k] via the coalescer
-		b.Lsli(t2, rK, 2)
-		b.Add(t2, rX, t2)
+		b.Index(t2, rX, rK, 2)
 		b.Lw(vx, t2, 0) // x[k] via the coalescer
 		b.Mul(t, va, vx)
 		b.Add(acc, acc, t)
@@ -200,16 +177,13 @@ func buildGEMVKernel(mode config.Mode, name string, relu bool) (*linker.Object, 
 		// Lane-halving tree reduction through WRAM: every step, lanes below
 		// the offset pull their partner's partial; lockstep execution makes
 		// the store-then-load sequence race-free within the warp.
-		b.MoviSym(t, pbuf, 0)
-		b.Lsli(t2, kbuild.ID, 2)
-		b.Add(t, t, t2) // &pbuf[ID]
+		b.TaskletSlot(t, pbuf, 2, t2) // &pbuf[ID]
 		b.Lsri(rK, rW, 1)
 		b.Label("tree")
 		b.Jeqi(rK, 0, "treedone")
 		b.Sw(acc, t, 0)
 		b.Jge(rLane, rK, "treenext")
-		b.Lsli(t2, rK, 2)
-		b.Add(t2, t, t2)
+		b.Index(t2, t, rK, 2)
 		b.Lw(va, t2, 0)
 		b.Add(acc, acc, va)
 		b.Label("treenext")
@@ -218,8 +192,7 @@ func buildGEMVKernel(mode config.Mode, name string, relu bool) (*linker.Object, 
 		b.Label("treedone")
 		b.Jnei(rLane, 0, "skipsum")
 		applyAct(acc)
-		b.Lsli(t, rRow, 2)
-		b.Add(t, rY, t)
+		b.Index(t, rY, rRow, 2)
 		b.Sw(acc, t, 0) // y[row] direct store
 		b.Label("skipsum")
 		b.Add(rRow, rRow, rNW)

@@ -62,10 +62,7 @@ func buildHST(mode config.Mode, large bool) (*linker.Object, error) {
 	rA, rN, rOut, rShift := kbuild.R(0), kbuild.R(1), kbuild.R(2), kbuild.R(3)
 	rStart, rEnd, rTmp := kbuild.R(4), kbuild.R(5), kbuild.R(6)
 	bar := b.NewBarrier("bar")
-	b.LoadArg(rA, 0)
-	b.LoadArg(rN, 1)
-	b.LoadArg(rOut, 2)
-	b.LoadArg(rShift, 3)
+	b.LoadArgs(0, rA, rN, rOut, rShift)
 
 	var hist, priv string
 	var lock int
@@ -73,11 +70,14 @@ func buildHST(mode config.Mode, large bool) (*linker.Object, error) {
 		hist = b.Static("hist", hstBins*4, 8)
 		lock = b.AllocLock()
 	} else {
-		priv = b.Static("priv", 16*hstBins*4, 8)
+		priv = b.TaskletStatic("priv", hstBins*4)
 		hist = b.Static("hist", hstBins*4, 8)
 	}
 
 	pH, rBin, rX, rC := kbuild.R(7), kbuild.R(8), kbuild.R(9), kbuild.R(10)
+	// rBytes is the staged chunk's size, then the HST-S ship length; rLd and
+	// rStep are HST-S merge temporaries in the (then dead) walk registers.
+	rBytes, rLd, rStep := kbuild.R(16), kbuild.R(18), kbuild.R(19)
 
 	// Zero this tasklet's private copy (HST-S) or a slice of the shared one
 	// (HST-L), then synchronize.
@@ -86,8 +86,7 @@ func buildHST(mode config.Mode, large bool) (*linker.Object, error) {
 		b.Movi(rTmp, hstBins)
 		b.TaskletRangeAligned(rBs, rBe, rTmp, rBin, 2)
 		b.MoviSym(pH, hist, 0)
-		b.Lsli(rTmp, rBs, 2)
-		b.Add(pH, pH, rTmp)
+		b.IndexVia(pH, pH, rBs, 2, rTmp)
 		b.Label("zloop")
 		b.Jge(rBs, rBe, "zdone")
 		b.Sw(kbuild.Zero, pH, 0)
@@ -96,9 +95,7 @@ func buildHST(mode config.Mode, large bool) (*linker.Object, error) {
 		b.Jump("zloop")
 		b.Label("zdone")
 	} else {
-		b.MoviSym(pH, priv, 0)
-		b.Muli(rTmp, kbuild.ID, hstBins*4)
-		b.Add(pH, pH, rTmp)
+		b.TaskletPtr(pH, priv, hstBins*4, rTmp)
 		b.Movi(rBin, hstBins)
 		b.Label("zloop")
 		b.Sw(kbuild.Zero, pH, 0)
@@ -108,72 +105,51 @@ func buildHST(mode config.Mode, large bool) (*linker.Object, error) {
 	b.Wait(bar, kbuild.R(11), kbuild.R(12), kbuild.R(13))
 	b.TaskletRangeAligned(rStart, rEnd, rN, rTmp, 2)
 
-	// update emits the per-element bin increment for the current mode.
-	update := func(base string) {
+	// update emits the per-element bin increment: into the shared histogram
+	// under the mutex (HST-L), or into this tasklet's private copy (HST-S).
+	update := func() {
 		b.Lsr(rBin, rX, rShift)
 		b.Lsli(rBin, rBin, 2)
-		b.MoviSym(rTmp, base, 0)
-		if !large {
+		if large {
+			b.MoviSym(rTmp, hist, 0)
+			b.Add(rTmp, rTmp, rBin)
+			b.AcquireSpin(lock)
+		} else {
+			b.MoviSym(rTmp, priv, 0)
 			b.Add(rTmp, rTmp, rBin)
 			b.Muli(rBin, kbuild.ID, hstBins*4)
 			b.Add(rTmp, rTmp, rBin)
-			b.Lw(rC, rTmp, 0)
-			b.Addi(rC, rC, 1)
-			b.Sw(rC, rTmp, 0)
-			return
 		}
-		b.Add(rTmp, rTmp, rBin)
-		b.AcquireSpin(lock)
 		b.Lw(rC, rTmp, 0)
 		b.Addi(rC, rC, 1)
 		b.Sw(rC, rTmp, 0)
-		b.Release(lock)
-	}
-	target := hist
-	if !large {
-		target = priv
+		if large {
+			b.Release(lock)
+		}
 	}
 
 	switch mode {
 	case config.ModeScratchpad:
-		buf := b.Static("buf", 16*hstChunkElems*4, 8)
-		pBuf, rElems, rBytes, rMram := kbuild.R(14), kbuild.R(15), kbuild.R(16), kbuild.R(17)
+		buf := b.TaskletStatic("buf", hstChunkElems*4)
+		pBuf, rElems, rMram := kbuild.R(14), kbuild.R(15), kbuild.R(17)
 		pX, pEndW := kbuild.R(18), kbuild.R(19)
-		b.MoviSym(pBuf, buf, 0)
-		b.Muli(rTmp, kbuild.ID, hstChunkElems*4)
-		b.Add(pBuf, pBuf, rTmp)
-		b.Label("chunk")
-		b.Jge(rStart, rEnd, "merge")
-		b.Sub(rElems, rEnd, rStart)
-		b.Jlti(rElems, hstChunkElems, "sized")
-		b.Movi(rElems, hstChunkElems)
-		b.Label("sized")
-		b.Lsli(rBytes, rElems, 2)
-		b.Lsli(rMram, rStart, 2)
-		b.Add(rMram, rA, rMram)
-		b.Ldma(pBuf, rMram, rBytes)
-		b.Mov(pX, pBuf)
-		b.Add(pEndW, pBuf, rBytes)
-		b.Label("inner")
-		b.Lw(rX, pX, 0)
-		update(target)
-		b.Addi(pX, pX, 4)
-		b.Jlt(pX, pEndW, "inner")
-		b.Add(rStart, rStart, rElems)
-		b.Jump("chunk")
+		b.TaskletPtr(pBuf, buf, hstChunkElems*4, rTmp)
+		b.StagedLoop(kbuild.Stage{Cur: rStart, End: rEnd, Src: rA, Elems: rElems, Bytes: rBytes,
+			Mram: rMram, Buf: pBuf, PX: pX, PEnd: pEndW, N: hstChunkElems}, func() {
+			b.Label("inner")
+			b.Lw(rX, pX, 0)
+			update()
+			b.Addi(pX, pX, 4)
+			b.Jlt(pX, pEndW, "inner")
+		}, nil)
 
 	case config.ModeCache:
 		pX, pEndW := kbuild.R(14), kbuild.R(15)
-		b.Lsli(rTmp, rStart, 2)
-		b.Add(pX, rA, rTmp)
-		b.Lsli(rTmp, rEnd, 2)
-		b.Add(pEndW, rA, rTmp)
-		b.Label("loop")
-		b.Jge(pX, pEndW, "merge")
-		b.Lw(rX, pX, 0)
-		update(target)
-		b.Addi(pX, pX, 4)
-		b.Jump("loop")
+		b.PtrRange(rStart, rEnd, rTmp, pEndW, pX, rA)
+		b.WalkWords(pEndW, func() {
+			b.Lw(rX, pX, 0)
+			update()
+		}, pX)
 
 	default:
 		return nil, fmt.Errorf("hst: unsupported mode %v", mode)
@@ -186,21 +162,13 @@ func buildHST(mode config.Mode, large bool) (*linker.Object, error) {
 	if large {
 		// Tasklet 0 ships the shared histogram out.
 		b.Jnei(kbuild.ID, 0, "done")
+		b.MoviSym(pH, hist, 0)
 		if mode == config.ModeScratchpad {
-			b.MoviSym(pH, hist, 0)
 			b.Sdmai(pH, rOut, hstBins*4)
 		} else {
-			b.MoviSym(pH, hist, 0)
 			b.Movi(rBin, hstBins)
-			b.Label("out")
-			b.Lw(rX, pH, 0)
-			b.Sw(rX, rOut, 0)
-			b.Addi(pH, pH, 4)
-			b.Addi(rOut, rOut, 4)
-			b.AddiBr(rBin, rBin, -1, kbuild.CondNZ, "out")
+			b.CopyWords(pH, rOut, rBin, rX)
 		}
-		b.Label("done")
-		b.Stop()
 	} else {
 		// Each tasklet reduces a slice of bins across all private copies and
 		// writes that slice out.
@@ -209,20 +177,18 @@ func buildHST(mode config.Mode, large bool) (*linker.Object, error) {
 		b.Label("mloop")
 		b.Jge(rBs, rBe, "ship")
 		b.MoviSym(rTmp, priv, 0)
-		b.Lsli(rBin, rBs, 2)
-		b.Add(rTmp, rTmp, rBin)
+		b.IndexVia(rTmp, rTmp, rBs, 2, rBin)
 		b.Movi(rC, 0)
 		b.Movi(rX, 0)
 		b.Label("tsum")
-		b.Lw(pX16, rTmp, 0)
-		b.Add(rC, rC, pX16)
-		b.Movi(pEndW16, hstBins*4)
-		b.Add(rTmp, rTmp, pEndW16)
+		b.Lw(rLd, rTmp, 0)
+		b.Add(rC, rC, rLd)
+		b.Movi(rStep, hstBins*4)
+		b.Add(rTmp, rTmp, rStep)
 		b.Addi(rX, rX, 1)
 		b.Jlt(rX, kbuild.NTH, "tsum")
 		b.MoviSym(rTmp, hist, 0)
-		b.Lsli(rBin, rBs, 2)
-		b.Add(rTmp, rTmp, rBin)
+		b.IndexVia(rTmp, rTmp, rBs, 2, rBin)
 		b.Sw(rC, rTmp, 0)
 		b.Addi(rBs, rBs, 1)
 		b.Jump("mloop")
@@ -233,37 +199,21 @@ func buildHST(mode config.Mode, large bool) (*linker.Object, error) {
 		b.Sub(rTmp, rBe, rBs)
 		b.Jeqi(rTmp, 0, "done")
 		if mode == config.ModeScratchpad {
-			b.Lsli(rBytes16, rTmp, 2)
-			b.MoviSym(pH, hist, 0)
-			b.Lsli(rBin, rBs, 2)
-			b.Add(pH, pH, rBin)
-			b.Add(rOut, rOut, rBin)
-			b.Sdma(pH, rOut, rBytes16)
-		} else {
-			b.MoviSym(pH, hist, 0)
-			b.Lsli(rBin, rBs, 2)
-			b.Add(pH, pH, rBin)
-			b.Add(rOut, rOut, rBin)
-			b.Label("cship")
-			b.Lw(rX, pH, 0)
-			b.Sw(rX, rOut, 0)
-			b.Addi(pH, pH, 4)
-			b.Addi(rOut, rOut, 4)
-			b.AddiBr(rTmp, rTmp, -1, kbuild.CondNZ, "cship")
+			b.Lsli(rBytes, rTmp, 2) // the DMA below wants bytes
 		}
-		b.Label("done")
-		b.Stop()
+		b.MoviSym(pH, hist, 0)
+		b.IndexVia(pH, pH, rBs, 2, rBin)
+		b.Add(rOut, rOut, rBin)
+		if mode == config.ModeScratchpad {
+			b.Sdma(pH, rOut, rBytes)
+		} else {
+			b.CopyWords(pH, rOut, rTmp, rX)
+		}
 	}
+	b.Label("done")
+	b.Stop()
 	return b.Build()
 }
-
-// Register aliases used by the HST-S merge epilogue (reusing the staging
-// registers that are dead after the scan loop).
-var (
-	pX16     = kbuild.R(18)
-	pEndW16  = kbuild.R(19)
-	rBytes16 = kbuild.R(16)
-)
 
 func runHST(ctx context.Context, x *xfer, p Params) error {
 	n, bins := p.N, p.Bins

@@ -99,194 +99,16 @@ func buildNW(mode config.Mode) (*linker.Object, error) {
 	b.Lsli(rJ0, rBj, 4)
 	b.Addi(rJ0, rJ0, 1)
 
-	switch mode {
-	case config.ModeScratchpad:
-		top := b.Static("top", 16*96, 8)
-		colb := b.Static("colb", 16*64, 8)
-		blk := b.Static("blk", 16*nwB*(nwB+2)*4, 8)
-		s1b := b.Static("s1b", 16*64, 8)
-		s2b := b.Static("s2b", 16*64, 8)
-		rFs, rStride := kbuild.R(10), kbuild.R(11)
-		pTop, pCol, pS1, pS2, pBlk := kbuild.R(14), kbuild.R(15), kbuild.R(16), kbuild.R(17), kbuild.R(18)
-		t1, t2 := kbuild.R(12), kbuild.R(13)
-
-		// fs: top-halo fetch column (j0-3, or 0 for the first block column).
-		b.Movi(rFs, 0)
-		b.Jeqi(rBj, 0, "fs_ok")
-		b.Subi(rFs, rJ0, 3)
-		b.Label("fs_ok")
-		b.LoadArg(rStride, 5)
-
-		// Stage top halo (80B), left column (64B), sequence slices (64B).
-		stage := func(bufSym string, bufStep int32, dst kbuild.Reg) {
-			b.MoviSym(dst, bufSym, 0)
-			b.Muli(t1, kbuild.ID, bufStep)
-			b.Add(dst, dst, t1)
-		}
-		stage(top, 96, pTop)
-		b.Subi(t1, rI0, 1)
-		b.Mul(t1, t1, rStride)
-		b.Add(t1, t1, rFs)
-		b.Lsli(t1, t1, 2)
-		b.LoadArg(t2, 0)
-		b.Add(t1, t2, t1)
-		b.Ldmai(pTop, t1, 80)
-
-		stage(colb, 64, pCol)
-		b.LoadArg(t1, 1)
-		b.Lsli(t2, rBi, 6)
-		b.Add(t1, t1, t2)
-		b.Ldmai(pCol, t1, 64)
-
-		stage(s1b, 64, pS1)
-		b.LoadArg(t1, 2)
-		b.Subi(t2, rI0, 1)
-		b.Lsli(t2, t2, 2)
-		b.Add(t1, t1, t2)
-		b.Ldmai(pS1, t1, 64)
-
-		stage(s2b, 64, pS2)
-		b.LoadArg(t1, 3)
-		b.Subi(t2, rJ0, 1)
-		b.Lsli(t2, t2, 2)
-		b.Add(t1, t1, t2)
-		b.Ldmai(pS2, t1, 64)
-
-		stage(blk, nwB*(nwB+2)*4, pBlk)
-
-		// Cell loops. Row r state: pCur (r19), pU (r13), left (r21), s1
-		// char (r22), pW (r3), c counter (r4); temps r5, r6, r1.
-		rR := kbuild.R(19)
-		rLeft, rC1 := kbuild.R(21), kbuild.R(22)
-		pW, rCc, rUp, rDg, rT := kbuild.R(3), kbuild.R(4), kbuild.R(5), kbuild.R(6), kbuild.R(1)
-		pCur, pU := kbuild.R(20), kbuild.R(13)
-		b.Movi(rR, 0)
-		b.Label("rowloop")
-		b.Muli(pCur, rR, (nwB+2)*4)
-		b.Add(pCur, pBlk, pCur)
-		// pU: row 0 reads the top halo; later rows read the previous row.
-		b.Jnei(rR, 0, "row_gen")
-		b.Sub(pU, rJ0, rFs)
-		b.Lsli(pU, pU, 2)
-		b.Add(pU, pTop, pU)
-		b.Jump("row_set")
-		b.Label("row_gen")
-		b.Addi(pU, pCur, -(nwB+2)*4+4)
-		b.Label("row_set")
-		// left = colb[r]; blk[r][0] = left (the aligned-writeback halo word).
-		b.Lsli(rT, rR, 2)
-		b.Add(rT, pCol, rT)
-		b.Lw(rLeft, rT, 0)
-		b.Sw(rLeft, pCur, 0)
-		// s1 character for this row.
-		b.Lsli(rT, rR, 2)
-		b.Add(rT, pS1, rT)
-		b.Lw(rC1, rT, 0)
-		b.Movi(rCc, 0)
-		b.Addi(pW, pCur, 4)
-		b.Label("cloop")
-		b.Lw(rUp, pU, 0)
-		b.Lw(rDg, pU, -4)
-		// match/mismatch on s2[c].
-		b.Lsli(rT, rCc, 2)
-		b.Add(rT, pS2, rT)
-		b.Lw(rT, rT, 0)
-		b.Sub(rT, rC1, rT)
-		b.Jeqi(rT, 0, "match")
-		b.Addi(rDg, rDg, nwMismatch)
-		b.Jump("scored")
-		b.Label("match")
-		b.Addi(rDg, rDg, nwMatch)
-		b.Label("scored")
-		b.Subi(rUp, rUp, nwGap)
-		// score = max(diag', up', left-gap)
-		b.Jge(rDg, rUp, "m1")
-		b.Mov(rDg, rUp)
-		b.Label("m1")
-		b.Subi(rT, rLeft, nwGap)
-		b.Jge(rDg, rT, "m2")
-		b.Mov(rDg, rT)
-		b.Label("m2")
-		b.Sw(rDg, pW, 0)
-		b.Mov(rLeft, rDg)
-		b.Addi(pW, pW, 4)
-		b.Addi(pU, pU, 4)
-		b.Addi(rCc, rCc, 1)
-		b.Jlti(rCc, nwB, "cloop")
-		b.Addi(rR, rR, 1)
-		b.Jlti(rR, nwB, "rowloop")
-
-		// Write back the B rows (B+2 words each) into the score matrix.
-		b.Movi(rR, 0)
-		b.Label("wbloop")
-		b.Muli(t1, rR, (nwB+2)*4)
-		b.Add(t1, pBlk, t1)
-		b.Add(t2, rI0, rR)
-		b.Mul(t2, t2, rStride)
-		b.Add(t2, t2, rJ0)
-		b.Subi(t2, t2, 1)
-		b.Lsli(t2, t2, 2)
-		b.LoadArg(rT, 0)
-		b.Add(t2, rT, t2)
-		b.Sdmai(t1, t2, (nwB+2)*4)
-		b.Addi(rR, rR, 1)
-		b.Jlti(rR, nwB, "wbloop")
-
-		// Publish my right edge as the next column halo for block (bi,bj+1).
-		b.Movi(rR, 0)
-		b.Label("chloop")
-		b.Muli(t1, rR, (nwB+2)*4)
-		b.Add(t1, pBlk, t1)
-		b.Lw(t2, t1, nwB*4)
-		b.Lsli(t1, rR, 2)
-		b.Add(t1, pCol, t1)
-		b.Sw(t2, t1, 0)
-		b.Addi(rR, rR, 1)
-		b.Jlti(rR, nwB, "chloop")
-		b.LoadArg(t1, 1)
-		b.Lsli(t2, rBi, 6)
-		b.Add(t1, t1, t2)
-		b.Sdmai(pCol, t1, 64)
-		b.Ret()
-
-	case config.ModeCache:
-		// Direct-addressing block body: halos come straight from the score
-		// matrix through the D-cache; colh is not needed.
-		rStride, pDP, pS1, pS2 := kbuild.R(10), kbuild.R(11), kbuild.R(16), kbuild.R(17)
-		rR, rLeft, rC1 := kbuild.R(19), kbuild.R(21), kbuild.R(22)
-		pW, rCc, rUp, rDg, rT := kbuild.R(3), kbuild.R(4), kbuild.R(5), kbuild.R(6), kbuild.R(1)
-		pUp := kbuild.R(13)
-		b.LoadArg(rStride, 5)
-		b.LoadArg(pDP, 0)
-		b.LoadArg(pS1, 2)
-		b.LoadArg(pS2, 3)
-		b.Movi(rR, 0)
-		b.Label("rowloop")
-		// Row base pointers: pW = &dp[i0+r][j0], pUp = &dp[i0+r-1][j0].
-		b.Add(rT, rI0, rR)
-		b.Mul(rT, rT, rStride)
-		b.Add(rT, rT, rJ0)
-		b.Lsli(rT, rT, 2)
-		b.Add(pW, pDP, rT)
-		b.Lsli(rT, rStride, 2)
-		b.Sub(pUp, pW, rT)
-		// left = dp[i0+r][j0-1]
-		b.Lw(rLeft, pW, -4)
-		// s1 char
-		b.Add(rT, rI0, rR)
-		b.Subi(rT, rT, 1)
-		b.Lsli(rT, rT, 2)
-		b.Add(rT, pS1, rT)
-		b.Lw(rC1, rT, 0)
-		b.Movi(rCc, 0)
-		b.Label("cloop")
-		b.Lw(rUp, pUp, 0)
-		b.Lw(rDg, pUp, -4)
-		b.Add(rT, rJ0, rCc)
-		b.Subi(rT, rT, 1)
-		b.Lsli(rT, rT, 2)
-		b.Add(rT, pS2, rT)
-		b.Lw(rT, rT, 0)
+	// Cell-loop state shared by both block bodies: row counter rR, the cell
+	// to the left (rLeft), this row's s1 character (rC1), the write pointer
+	// pW, column counter rCc, the up and diagonal neighbours loaded through
+	// pUp (the row above), and the temp rT.
+	rR, rLeft, rC1 := kbuild.R(19), kbuild.R(21), kbuild.R(22)
+	pW, rCc, rUp, rDg, rT, pUp := kbuild.R(3), kbuild.R(4), kbuild.R(5), kbuild.R(6), kbuild.R(1), kbuild.R(13)
+	// score closes the cell loops: with rT = s2[c], rUp and rDg loaded, it
+	// writes max(diag+match/mismatch, up-gap, left-gap) and steps the column
+	// loop ("cloop") and the row loop ("rowloop").
+	score := func() {
 		b.Sub(rT, rC1, rT)
 		b.Jeqi(rT, 0, "match")
 		b.Addi(rDg, rDg, nwMismatch)
@@ -310,6 +132,150 @@ func buildNW(mode config.Mode) (*linker.Object, error) {
 		b.Jlti(rCc, nwB, "cloop")
 		b.Addi(rR, rR, 1)
 		b.Jlti(rR, nwB, "rowloop")
+	}
+
+	switch mode {
+	case config.ModeScratchpad:
+		top := b.TaskletStatic("top", 96)
+		colb := b.TaskletStatic("colb", 64)
+		blk := b.TaskletStatic("blk", nwB*(nwB+2)*4)
+		s1b := b.TaskletStatic("s1b", 64)
+		s2b := b.TaskletStatic("s2b", 64)
+		rFs, rStride := kbuild.R(10), kbuild.R(11)
+		pTop, pCol, pS1, pS2, pBlk := kbuild.R(14), kbuild.R(15), kbuild.R(16), kbuild.R(17), kbuild.R(18)
+		t1, t2 := kbuild.R(12), kbuild.R(13)
+
+		// fs: top-halo fetch column (j0-3, or 0 for the first block column).
+		b.Movi(rFs, 0)
+		b.Jeqi(rBj, 0, "fs_ok")
+		b.Subi(rFs, rJ0, 3)
+		b.Label("fs_ok")
+		b.LoadArg(rStride, 5)
+
+		// Stage top halo (80B), left column (64B), sequence slices (64B).
+		b.TaskletPtr(pTop, top, 96, t1)
+		b.Subi(t1, rI0, 1)
+		b.Mul(t1, t1, rStride)
+		b.Add(t1, t1, rFs)
+		b.Lsli(t1, t1, 2)
+		b.LoadArg(t2, 0)
+		b.Add(t1, t2, t1)
+		b.Ldmai(pTop, t1, 80)
+
+		b.TaskletPtr(pCol, colb, 64, t1)
+		b.LoadArg(t1, 1)
+		b.IndexVia(t1, t1, rBi, 6, t2)
+		b.Ldmai(pCol, t1, 64)
+
+		b.TaskletPtr(pS1, s1b, 64, t1)
+		b.LoadArg(t1, 2)
+		b.Subi(t2, rI0, 1)
+		b.IndexVia(t1, t1, t2, 2, t2)
+		b.Ldmai(pS1, t1, 64)
+
+		b.TaskletPtr(pS2, s2b, 64, t1)
+		b.LoadArg(t1, 3)
+		b.Subi(t2, rJ0, 1)
+		b.IndexVia(t1, t1, t2, 2, t2)
+		b.Ldmai(pS2, t1, 64)
+
+		b.TaskletPtr(pBlk, blk, nwB*(nwB+2)*4, t1)
+
+		// Cell loops over the staged block; pCur is the row's base in blk.
+		pCur := kbuild.R(20)
+		b.Movi(rR, 0)
+		b.Label("rowloop")
+		b.Muli(pCur, rR, (nwB+2)*4)
+		b.Add(pCur, pBlk, pCur)
+		// pUp: row 0 reads the top halo; later rows read the previous row.
+		b.Jnei(rR, 0, "row_gen")
+		b.Sub(pUp, rJ0, rFs)
+		b.Index(pUp, pTop, pUp, 2)
+		b.Jump("row_set")
+		b.Label("row_gen")
+		b.Addi(pUp, pCur, -(nwB+2)*4+4)
+		b.Label("row_set")
+		// left = colb[r]; blk[r][0] = left (the aligned-writeback halo word).
+		b.Index(rT, pCol, rR, 2)
+		b.Lw(rLeft, rT, 0)
+		b.Sw(rLeft, pCur, 0)
+		// s1 character for this row.
+		b.Index(rT, pS1, rR, 2)
+		b.Lw(rC1, rT, 0)
+		b.Movi(rCc, 0)
+		b.Addi(pW, pCur, 4)
+		b.Label("cloop")
+		b.Lw(rUp, pUp, 0)
+		b.Lw(rDg, pUp, -4)
+		// match/mismatch on s2[c].
+		b.Index(rT, pS2, rCc, 2)
+		b.Lw(rT, rT, 0)
+		score()
+
+		// Write back the B rows (B+2 words each) into the score matrix.
+		b.Movi(rR, 0)
+		b.Label("wbloop")
+		b.Muli(t1, rR, (nwB+2)*4)
+		b.Add(t1, pBlk, t1)
+		b.Add(t2, rI0, rR)
+		b.Mul(t2, t2, rStride)
+		b.Add(t2, t2, rJ0)
+		b.Subi(t2, t2, 1)
+		b.Lsli(t2, t2, 2)
+		b.LoadArg(rT, 0)
+		b.Add(t2, rT, t2)
+		b.Sdmai(t1, t2, (nwB+2)*4)
+		b.Addi(rR, rR, 1)
+		b.Jlti(rR, nwB, "wbloop")
+
+		// Publish my right edge as the next column halo for block (bi,bj+1).
+		b.Movi(rR, 0)
+		b.Label("chloop")
+		b.Muli(t1, rR, (nwB+2)*4)
+		b.Add(t1, pBlk, t1)
+		b.Lw(t2, t1, nwB*4)
+		b.Index(t1, pCol, rR, 2)
+		b.Sw(t2, t1, 0)
+		b.Addi(rR, rR, 1)
+		b.Jlti(rR, nwB, "chloop")
+		b.LoadArg(t1, 1)
+		b.IndexVia(t1, t1, rBi, 6, t2)
+		b.Sdmai(pCol, t1, 64)
+		b.Ret()
+
+	case config.ModeCache:
+		// Direct-addressing block body: halos come straight from the score
+		// matrix through the D-cache; colh is not needed.
+		rStride, pDP, pS1, pS2 := kbuild.R(10), kbuild.R(11), kbuild.R(16), kbuild.R(17)
+		b.LoadArg(rStride, 5)
+		b.LoadArg(pDP, 0)
+		b.LoadArg(pS1, 2)
+		b.LoadArg(pS2, 3)
+		b.Movi(rR, 0)
+		b.Label("rowloop")
+		// Row base pointers: pW = &dp[i0+r][j0], pUp = &dp[i0+r-1][j0].
+		b.Add(rT, rI0, rR)
+		b.Mul(rT, rT, rStride)
+		b.Add(rT, rT, rJ0)
+		b.IndexVia(pW, pDP, rT, 2, rT)
+		b.Lsli(rT, rStride, 2)
+		b.Sub(pUp, pW, rT)
+		// left = dp[i0+r][j0-1]
+		b.Lw(rLeft, pW, -4)
+		// s1 char
+		b.Add(rT, rI0, rR)
+		b.Subi(rT, rT, 1)
+		b.Index(rT, pS1, rT, 2)
+		b.Lw(rC1, rT, 0)
+		b.Movi(rCc, 0)
+		b.Label("cloop")
+		b.Lw(rUp, pUp, 0)
+		b.Lw(rDg, pUp, -4)
+		b.Add(rT, rJ0, rCc)
+		b.Subi(rT, rT, 1)
+		b.Index(rT, pS2, rT, 2)
+		b.Lw(rT, rT, 0)
+		score()
 		b.Ret()
 
 	default:

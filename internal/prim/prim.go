@@ -21,6 +21,7 @@ import (
 	"upim/internal/core"
 	"upim/internal/energy"
 	"upim/internal/host"
+	"upim/internal/kbuild"
 	"upim/internal/linker"
 	"upim/internal/stats"
 )
@@ -105,10 +106,20 @@ type Benchmark struct {
 	// verifies results against the golden model. Cancelling ctx aborts
 	// in-flight launches.
 	Run func(ctx context.Context, sys *host.System, p Params) error
-	// MaxTasklets bounds NumTasklets for WRAM-footprint reasons (0 = 16).
+	// MaxTasklets bounds NumTasklets for WRAM-footprint reasons (0 =
+	// kbuild.MaxTasklets, what every per-tasklet static is sized for).
 	MaxTasklets int
 	// SupportsSIMT marks benchmarks with a SIMT kernel variant.
 	SupportsSIMT bool
+}
+
+// TaskletLimit is the largest scalar NumTasklets the benchmark's kernels are
+// laid out for; a run above it is refused with ErrTooManyTasklets.
+func (b *Benchmark) TaskletLimit() int {
+	if b.MaxTasklets == 0 {
+		return kbuild.MaxTasklets
+	}
+	return b.MaxTasklets
 }
 
 var registry []*Benchmark
@@ -208,11 +219,7 @@ func RunSpec(ctx context.Context, sp Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	maxT := b.MaxTasklets
-	if maxT == 0 {
-		maxT = 16
-	}
-	if cfg.Mode != config.ModeSIMT && cfg.NumTasklets > maxT {
+	if maxT := b.TaskletLimit(); cfg.Mode != config.ModeSIMT && cfg.NumTasklets > maxT {
 		return nil, fmt.Errorf("%w: %s supports at most %d tasklets (WRAM footprint), got %d",
 			ErrTooManyTasklets, name, maxT, cfg.NumTasklets)
 	}

@@ -39,98 +39,64 @@ func buildRED(mode config.Mode) (*linker.Object, error) {
 	b := kbuild.New("red-" + mode.String())
 	rA, rN, rOut := kbuild.R(0), kbuild.R(1), kbuild.R(2)
 	rStart, rEnd, rTmp, rSum := kbuild.R(3), kbuild.R(4), kbuild.R(5), kbuild.R(6)
-	partials := b.Static("partials", 16*4, 8)
+	partials := b.TaskletStatic("partials", 4)
 	bar := b.NewBarrier("bar")
-	b.LoadArg(rA, 0)
-	b.LoadArg(rN, 1)
-	b.LoadArg(rOut, 2)
+	b.LoadArgs(0, rA, rN, rOut)
 	b.TaskletRangeAligned(rStart, rEnd, rN, rTmp, 2)
 	b.Movi(rSum, 0)
 
+	// reduce is the tail of both modes: publish the partial, synchronize,
+	// and tasklet 0 sums the partials (through rLd, counting in rI) and
+	// stores the result.
+	reduce := func(rLd, rI, w1, w2, w3 kbuild.Reg, store func()) {
+		b.PublishAndWait(partials, rSum, rTmp, rI, bar, w1, w2, w3, "done")
+		b.MoviSym(rTmp, partials, 0)
+		b.Movi(rSum, 0)
+		b.Movi(rI, 0)
+		b.Label("final")
+		b.Lw(rLd, rTmp, 0)
+		b.Add(rSum, rSum, rLd)
+		b.Addi(rTmp, rTmp, 4)
+		b.Addi(rI, rI, 1)
+		b.Jlt(rI, kbuild.NTH, "final")
+		store()
+		b.Label("done")
+		b.Stop()
+	}
+
 	switch mode {
 	case config.ModeScratchpad:
-		buf := b.Static("buf", 16*redChunkElems*4, 8)
+		buf := b.TaskletStatic("buf", redChunkElems*4)
 		stage := b.Static("stage", 8, 8)
 		pBuf, rElems, rBytes, rMram := kbuild.R(7), kbuild.R(8), kbuild.R(9), kbuild.R(10)
 		pX, pEndW, rX := kbuild.R(11), kbuild.R(12), kbuild.R(13)
-		b.MoviSym(pBuf, buf, 0)
-		b.Muli(rTmp, kbuild.ID, redChunkElems*4)
-		b.Add(pBuf, pBuf, rTmp)
-		b.Label("chunk")
-		b.Jge(rStart, rEnd, "reduce")
-		b.Sub(rElems, rEnd, rStart)
-		b.Jlti(rElems, redChunkElems, "sized")
-		b.Movi(rElems, redChunkElems)
-		b.Label("sized")
-		b.Lsli(rBytes, rElems, 2)
-		b.Lsli(rMram, rStart, 2)
-		b.Add(rMram, rA, rMram)
-		b.Ldma(pBuf, rMram, rBytes)
-		b.Mov(pX, pBuf)
-		b.Add(pEndW, pBuf, rBytes)
-		b.Label("inner")
-		b.Lw(rX, pX, 0)
-		b.Add(rSum, rSum, rX)
-		b.Addi(pX, pX, 4)
-		b.Jlt(pX, pEndW, "inner")
-		b.Add(rStart, rStart, rElems)
-		b.Jump("chunk")
-		// Publish partial, synchronize, tasklet 0 reduces and stores.
-		b.Label("reduce")
-		b.MoviSym(rTmp, partials, 0)
-		b.Lsli(rX, kbuild.ID, 2)
-		b.Add(rTmp, rTmp, rX)
-		b.Sw(rSum, rTmp, 0)
-		b.Wait(bar, kbuild.R(14), kbuild.R(15), kbuild.R(16))
-		b.Jnei(kbuild.ID, 0, "done")
-		b.MoviSym(rTmp, partials, 0)
-		b.Movi(rSum, 0)
-		b.Movi(rX, 0) // t counter
-		b.Label("final")
-		b.Lw(rElems, rTmp, 0)
-		b.Add(rSum, rSum, rElems)
-		b.Addi(rTmp, rTmp, 4)
-		b.Addi(rX, rX, 1)
-		b.Jlt(rX, kbuild.NTH, "final")
-		b.MoviSym(rTmp, stage, 0)
-		b.Sw(rSum, rTmp, 0)
-		b.Movi(rX, 0)
-		b.Sw(rX, rTmp, 4)
-		b.Sdmai(rTmp, rOut, 8)
-		b.Label("done")
-		b.Stop()
+		b.TaskletPtr(pBuf, buf, redChunkElems*4, rTmp)
+		b.StagedLoop(kbuild.Stage{Cur: rStart, End: rEnd, Src: rA, Elems: rElems, Bytes: rBytes,
+			Mram: rMram, Buf: pBuf, PX: pX, PEnd: pEndW, N: redChunkElems}, func() {
+			b.Label("inner")
+			b.Lw(rX, pX, 0)
+			b.Add(rSum, rSum, rX)
+			b.Addi(pX, pX, 4)
+			b.Jlt(pX, pEndW, "inner")
+		}, nil)
+		reduce(rElems, rX, kbuild.R(14), kbuild.R(15), kbuild.R(16), func() {
+			b.MoviSym(rTmp, stage, 0)
+			b.Sw(rSum, rTmp, 0)
+			b.Movi(rX, 0)
+			b.Sw(rX, rTmp, 4)
+			b.Sdmai(rTmp, rOut, 8)
+		})
 
 	case config.ModeCache:
 		pX, pEndW, rX := kbuild.R(7), kbuild.R(8), kbuild.R(9)
-		b.Lsli(rTmp, rStart, 2)
-		b.Add(pX, rA, rTmp)
-		b.Lsli(rTmp, rEnd, 2)
-		b.Add(pEndW, rA, rTmp)
-		b.Label("loop")
-		b.Jge(pX, pEndW, "reduce")
-		b.Lw(rX, pX, 0)
-		b.Add(rSum, rSum, rX)
-		b.Addi(pX, pX, 4)
-		b.Jump("loop")
-		b.Label("reduce")
-		b.MoviSym(rTmp, partials, 0)
-		b.Lsli(rX, kbuild.ID, 2)
-		b.Add(rTmp, rTmp, rX)
-		b.Sw(rSum, rTmp, 0)
-		b.Wait(bar, kbuild.R(10), kbuild.R(11), kbuild.R(12))
-		b.Jnei(kbuild.ID, 0, "done")
-		b.MoviSym(rTmp, partials, 0)
-		b.Movi(rSum, 0)
-		b.Movi(rX, 0)
-		b.Label("final")
-		b.Lw(pX, rTmp, 0)
-		b.Add(rSum, rSum, pX)
-		b.Addi(rTmp, rTmp, 4)
-		b.Addi(rX, rX, 1)
-		b.Jlt(rX, kbuild.NTH, "final")
-		b.Sw(rSum, rOut, 0) // direct store through the D-cache
-		b.Label("done")
-		b.Stop()
+		b.PtrRange(rStart, rEnd, rTmp, pEndW, pX, rA)
+		b.WalkWords(pEndW, func() {
+			b.Lw(rX, pX, 0)
+			b.Add(rSum, rSum, rX)
+		}, pX)
+		reduce(pX, rX, kbuild.R(10), kbuild.R(11), kbuild.R(12), func() {
+			b.Sw(rSum, rOut, 0) // direct store through the D-cache
+		})
 
 	default:
 		return nil, fmt.Errorf("red: unsupported mode %v", mode)

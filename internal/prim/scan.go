@@ -67,24 +67,17 @@ func buildScan(mode config.Mode, ssa bool) (*linker.Object, error) {
 	b := kbuild.New("scan-" + variant + "-" + mode.String())
 	rA, rN, rOut := kbuild.R(0), kbuild.R(1), kbuild.R(2)
 	rStart, rEnd, rTmp, rCarry := kbuild.R(3), kbuild.R(4), kbuild.R(5), kbuild.R(6)
-	partials := b.Static("partials", 16*4, 8)
+	partials := b.TaskletStatic("partials", 4)
 	bar := b.NewBarrier("bar")
-	b.LoadArg(rA, 0)
-	b.LoadArg(rN, 1)
-	b.LoadArg(rOut, 2)
+	b.LoadArgs(0, rA, rN, rOut)
 	b.TaskletRangeAligned(rStart, rEnd, rN, rTmp, 2)
 	b.Movi(rCarry, 0)
 
-	// publishAndScanPartials: partials[ID] = carry; barrier; tasklet 0
-	// exclusive-scans partials in place; barrier.
+	// publish: partials[ID] = carry; barrier; tasklet 0 exclusive-scans
+	// partials in place; barrier; every tasklet reloads its offset.
 	publish := func(t1, t2, t3 kbuild.Reg) {
-		b.MoviSym(rTmp, partials, 0)
-		b.Lsli(t1, kbuild.ID, 2)
-		b.Add(rTmp, rTmp, t1)
-		b.Sw(rCarry, rTmp, 0)
-		b.Wait(bar, t1, t2, t3)
 		skip := b.Gensym("noscan")
-		b.Jnei(kbuild.ID, 0, skip)
+		b.PublishAndWait(partials, rCarry, rTmp, t1, bar, t1, t2, t3, skip)
 		b.MoviSym(rTmp, partials, 0)
 		b.Movi(t1, 0) // running total
 		b.Movi(t2, 0) // index
@@ -98,163 +91,96 @@ func buildScan(mode config.Mode, ssa bool) (*linker.Object, error) {
 		b.Jlt(t2, kbuild.NTH, loop)
 		b.Label(skip)
 		b.Wait(bar, t1, t2, t3)
-		// Reload my offset into rCarry.
-		b.MoviSym(rTmp, partials, 0)
-		b.Lsli(t1, kbuild.ID, 2)
-		b.Add(rTmp, rTmp, t1)
+		b.TaskletSlot(rTmp, partials, 2, t1)
 		b.Lw(rCarry, rTmp, 0)
 	}
 
 	switch mode {
 	case config.ModeScratchpad:
-		buf := b.Static("buf", 16*scanChunkElems*4, 8)
+		buf := b.TaskletStatic("buf", scanChunkElems*4)
 		pBuf, rElems, rBytes, rMram := kbuild.R(7), kbuild.R(8), kbuild.R(9), kbuild.R(10)
 		pX, pEndW, rX, rCur := kbuild.R(11), kbuild.R(12), kbuild.R(13), kbuild.R(14)
-		b.MoviSym(pBuf, buf, 0)
-		b.Muli(rTmp, kbuild.ID, scanChunkElems*4)
-		b.Add(pBuf, pBuf, rTmp)
+		b.TaskletPtr(pBuf, buf, scanChunkElems*4, rTmp)
 
-		// chunkPass stages chunks of [cur, end) and runs body per chunk.
-		chunkPass := func(name string, src kbuild.Reg, writeBack bool, dst kbuild.Reg, body func()) {
+		// pass stages this tasklet's slice of src chunk by chunk, runs elem
+		// on each staged word (loaded into rX through pX) and, with
+		// writeBack, stores the chunk to the same words of out.
+		pass := func(src kbuild.Reg, writeBack bool, elem func()) {
 			b.Mov(rCur, rStart)
-			top := name + "_top"
-			done := name + "_done"
-			sized := name + "_sized"
-			b.Label(top)
-			b.Jge(rCur, rEnd, done)
-			b.Sub(rElems, rEnd, rCur)
-			b.Jlti(rElems, scanChunkElems, sized)
-			b.Movi(rElems, scanChunkElems)
-			b.Label(sized)
-			b.Lsli(rBytes, rElems, 2)
-			b.Lsli(rMram, rCur, 2)
-			b.Add(rMram, src, rMram)
-			b.Ldma(pBuf, rMram, rBytes)
-			b.Mov(pX, pBuf)
-			b.Add(pEndW, pBuf, rBytes)
-			body()
-			if writeBack {
-				b.Lsli(rMram, rCur, 2)
-				b.Add(rMram, dst, rMram)
-				b.Sdma(pBuf, rMram, rBytes)
-			}
-			b.Add(rCur, rCur, rElems)
-			b.Jump(top)
-			b.Label(done)
+			b.StagedLoop(kbuild.Stage{Cur: rCur, End: rEnd, Src: src, Elems: rElems, Bytes: rBytes,
+				Mram: rMram, Buf: pBuf, PX: pX, PEnd: pEndW, N: scanChunkElems}, func() {
+				loop := b.Gensym("elem")
+				b.Label(loop)
+				b.Lw(rX, pX, 0)
+				elem()
+				b.Addi(pX, pX, 4)
+				b.Jlt(pX, pEndW, loop)
+				if writeBack {
+					b.Index(rMram, rOut, rCur, 2)
+					b.Sdma(pBuf, rMram, rBytes)
+				}
+			}, nil)
+		}
+		reduce := func() { b.Add(rCarry, rCarry, rX) }
+		scan := func() {
+			reduce()
+			b.Sw(rCarry, pX, 0)
 		}
 
 		if ssa {
 			// Pass 1: local scan into out; carry accumulates the total.
-			chunkPass("p1", rA, true, rOut, func() {
-				loop := b.Gensym("scan")
-				b.Label(loop)
-				b.Lw(rX, pX, 0)
-				b.Add(rCarry, rCarry, rX)
-				b.Sw(rCarry, pX, 0)
-				b.Addi(pX, pX, 4)
-				b.Jlt(pX, pEndW, loop)
-			})
+			pass(rA, true, scan)
 			publish(kbuild.R(15), kbuild.R(16), kbuild.R(17))
 			// Pass 2: add the slice offset to out (tasklet 0 skips: offset 0).
 			b.Jeqi(rCarry, 0, "fin")
-			chunkPass("p2", rOut, true, rOut, func() {
-				loop := b.Gensym("addoff")
-				b.Label(loop)
-				b.Lw(rX, pX, 0)
+			pass(rOut, true, func() {
 				b.Add(rX, rX, rCarry)
 				b.Sw(rX, pX, 0)
-				b.Addi(pX, pX, 4)
-				b.Jlt(pX, pEndW, loop)
 			})
 		} else {
 			// Pass 1: reduce only.
-			chunkPass("p1", rA, false, rOut, func() {
-				loop := b.Gensym("red")
-				b.Label(loop)
-				b.Lw(rX, pX, 0)
-				b.Add(rCarry, rCarry, rX)
-				b.Addi(pX, pX, 4)
-				b.Jlt(pX, pEndW, loop)
-			})
+			pass(rA, false, reduce)
 			publish(kbuild.R(15), kbuild.R(16), kbuild.R(17))
 			// Pass 2: scan with carry-in, single write pass.
-			chunkPass("p2", rA, true, rOut, func() {
-				loop := b.Gensym("scan")
-				b.Label(loop)
-				b.Lw(rX, pX, 0)
-				b.Add(rCarry, rCarry, rX)
-				b.Sw(rCarry, pX, 0)
-				b.Addi(pX, pX, 4)
-				b.Jlt(pX, pEndW, loop)
-			})
+			pass(rA, true, scan)
 		}
-		b.Label("fin")
-		b.Stop()
 
 	case config.ModeCache:
 		pX, pW, pEndW, rX := kbuild.R(7), kbuild.R(8), kbuild.R(9), kbuild.R(10)
+		// scan is the direct local scan of a into out, carry running.
+		scan := func() {
+			b.PtrRange(rStart, rEnd, rTmp, pEndW, pX, rA, pW, rOut)
+			b.WalkWords(pEndW, func() {
+				b.Lw(rX, pX, 0)
+				b.Add(rCarry, rCarry, rX)
+				b.Sw(rCarry, pW, 0)
+			}, pX, pW)
+		}
 		if ssa {
-			// Pass 1: direct local scan into out.
-			b.Lsli(rTmp, rStart, 2)
-			b.Add(pX, rA, rTmp)
-			b.Add(pW, rOut, rTmp)
-			b.Lsli(rTmp, rEnd, 2)
-			b.Add(pEndW, rA, rTmp)
-			b.Label("p1")
-			b.Jge(pX, pEndW, "p1done")
-			b.Lw(rX, pX, 0)
-			b.Add(rCarry, rCarry, rX)
-			b.Sw(rCarry, pW, 0)
-			b.Addi(pX, pX, 4)
-			b.Addi(pW, pW, 4)
-			b.Jump("p1")
-			b.Label("p1done")
+			scan()
 			publish(kbuild.R(12), kbuild.R(13), kbuild.R(14))
 			b.Jeqi(rCarry, 0, "fin")
-			b.Lsli(rTmp, rStart, 2)
-			b.Add(pW, rOut, rTmp)
-			b.Lsli(rTmp, rEnd, 2)
-			b.Add(pEndW, rOut, rTmp)
-			b.Label("p2")
-			b.Jge(pW, pEndW, "fin")
-			b.Lw(rX, pW, 0)
-			b.Add(rX, rX, rCarry)
-			b.Sw(rX, pW, 0)
-			b.Addi(pW, pW, 4)
-			b.Jump("p2")
+			b.PtrRange(rStart, rEnd, rTmp, pEndW, pW, rOut)
+			b.WalkWords(pEndW, func() {
+				b.Lw(rX, pW, 0)
+				b.Add(rX, rX, rCarry)
+				b.Sw(rX, pW, 0)
+			}, pW)
 		} else {
-			b.Lsli(rTmp, rStart, 2)
-			b.Add(pX, rA, rTmp)
-			b.Lsli(rTmp, rEnd, 2)
-			b.Add(pEndW, rA, rTmp)
-			b.Label("p1")
-			b.Jge(pX, pEndW, "p1done")
-			b.Lw(rX, pX, 0)
-			b.Add(rCarry, rCarry, rX)
-			b.Addi(pX, pX, 4)
-			b.Jump("p1")
-			b.Label("p1done")
+			b.PtrRange(rStart, rEnd, rTmp, pEndW, pX, rA)
+			b.WalkWords(pEndW, func() {
+				b.Lw(rX, pX, 0)
+				b.Add(rCarry, rCarry, rX)
+			}, pX)
 			publish(kbuild.R(12), kbuild.R(13), kbuild.R(14))
-			b.Lsli(rTmp, rStart, 2)
-			b.Add(pX, rA, rTmp)
-			b.Add(pW, rOut, rTmp)
-			b.Lsli(rTmp, rEnd, 2)
-			b.Add(pEndW, rA, rTmp)
-			b.Label("p2")
-			b.Jge(pX, pEndW, "fin")
-			b.Lw(rX, pX, 0)
-			b.Add(rCarry, rCarry, rX)
-			b.Sw(rCarry, pW, 0)
-			b.Addi(pX, pX, 4)
-			b.Addi(pW, pW, 4)
-			b.Jump("p2")
+			scan()
 		}
-		b.Label("fin")
-		b.Stop()
 
 	default:
 		return nil, fmt.Errorf("scan: unsupported mode %v", mode)
 	}
+	b.Label("fin")
+	b.Stop()
 	return b.Build()
 }
 

@@ -16,7 +16,8 @@ import (
 // stitches slices together (the same per-partition layout PrIM's multi-DPU
 // SEL hands back to the host).
 
-const selChunkElems = 128
+// compactChunkElems is the staging chunk of both compaction kernels.
+const compactChunkElems = 128
 
 func init() {
 	register(&Benchmark{
@@ -37,150 +38,146 @@ func init() {
 	})
 }
 
-// emitSelUniCounts publishes per-tasklet kept-counts: counts staged in WRAM,
-// barrier, tasklet 0 DMAs all of them out (cache mode stores directly).
-func emitSelUniCounts(b *kbuild.Builder, mode config.Mode, bar *kbuild.Barrier,
-	cnts string, rCnt, rCntOut kbuild.Reg) {
-	rTmp, rX := kbuild.R(20), kbuild.R(21)
-	b.MoviSym(rTmp, cnts, 0)
-	b.Lsli(rX, kbuild.ID, 2)
-	b.Add(rTmp, rTmp, rX)
-	b.Sw(rCnt, rTmp, 0)
-	b.Wait(bar, kbuild.R(19), kbuild.R(20), kbuild.R(21))
-	b.Jnei(kbuild.ID, 0, "cnt_done")
-	if mode == config.ModeScratchpad {
-		b.MoviSym(rTmp, cnts, 0)
-		b.Sdmai(rTmp, rCntOut, 16*4)
-	} else {
-		// Direct stores of NTH words.
-		b.MoviSym(rTmp, cnts, 0)
-		b.Movi(rX, 0)
-		b.Label("cnt_loop")
-		b.Lw(kbuild.R(19), rTmp, 0)
-		b.Sw(kbuild.R(19), rCntOut, 0)
-		b.Addi(rTmp, rTmp, 4)
-		b.Addi(rCntOut, rCntOut, 4)
-		b.Addi(rX, rX, 1)
-		b.Jlt(rX, kbuild.NTH, "cnt_loop")
-	}
-	b.Label("cnt_done")
+// compactRegs names the registers a compaction's predicate and
+// prev-seeding closures may use: the input base and this tasklet's word
+// range, the scratch tmp, the element x under test and the pointer pX it was
+// loaded through, the previous element prev (UNI), and — free until the
+// first element is written — the scratch pW and, in scratchpad mode, mram.
+type compactRegs struct {
+	a, start, end, tmp, mram, pX, pW, x, prev kbuild.Reg
 }
 
 func buildSEL(mode config.Mode) (*linker.Object, error) {
-	b := kbuild.New("sel-" + mode.String())
+	return buildCompaction("sel", mode, func(b *kbuild.Builder, r compactRegs, skip string) {
+		b.AndiBr(r.tmp, r.x, 1, kbuild.CondNZ, skip) // odd -> dropped
+	}, nil)
+}
+
+// buildCompaction lowers SEL and UNI, which differ in the predicate only.
+// Each tasklet walks its slice, keeps the elements drop does not branch to
+// skip for, and packs them densely at out+start*4; drop sees the element in
+// r.x. A non-nil seedPrev makes the kernel track the previous element in
+// r.prev: seedPrev initializes it before the first element, and every
+// element (kept or not) is moved into it afterwards. Per-tasklet kept-counts
+// are published at the end: staged in WRAM, barrier, tasklet 0 ships all of
+// them (one DMA in scratchpad mode, direct stores in cache mode).
+func buildCompaction(name string, mode config.Mode,
+	drop func(b *kbuild.Builder, r compactRegs, skip string),
+	seedPrev func(b *kbuild.Builder, mode config.Mode, r compactRegs)) (*linker.Object, error) {
+	b := kbuild.New(name + "-" + mode.String())
 	rA, rN, rOut, rCntOut := kbuild.R(0), kbuild.R(1), kbuild.R(2), kbuild.R(3)
 	rStart, rEnd, rTmp, rCnt := kbuild.R(4), kbuild.R(5), kbuild.R(6), kbuild.R(7)
-	cnts := b.Static("cnts", 16*4, 8)
+	cnts := b.TaskletStatic("cnts", 4)
 	bar := b.NewBarrier("bar")
-	b.LoadArg(rA, 0)
-	b.LoadArg(rN, 1)
-	b.LoadArg(rOut, 2)
-	b.LoadArg(rCntOut, 3)
+	b.LoadArgs(0, rA, rN, rOut, rCntOut)
 	b.TaskletRangeAligned(rStart, rEnd, rN, rTmp, 2)
 	b.Movi(rCnt, 0)
+	r := compactRegs{a: rA, start: rStart, end: rEnd, tmp: rTmp}
 
 	switch mode {
 	case config.ModeScratchpad:
-		inBuf := b.Static("inBuf", 16*selChunkElems*4, 8)
-		outBuf := b.Static("outBuf", 16*(selChunkElems+2)*4, 8)
+		inBuf := b.TaskletStatic("inBuf", compactChunkElems*4)
+		outBuf := b.TaskletStatic("outBuf", (compactChunkElems+2)*4)
 		pIn, pOut0 := kbuild.R(8), kbuild.R(9)
 		rElems, rBytes, rMram := kbuild.R(10), kbuild.R(11), kbuild.R(12)
 		pX, pEndW, rX, pW := kbuild.R(13), kbuild.R(14), kbuild.R(15), kbuild.R(16)
 		rWPos, rFlushed := kbuild.R(17), kbuild.R(18)
-		b.MoviSym(pIn, inBuf, 0)
-		b.Muli(rTmp, kbuild.ID, selChunkElems*4)
-		b.Add(pIn, pIn, rTmp)
-		b.MoviSym(pOut0, outBuf, 0)
-		b.Muli(rTmp, kbuild.ID, (selChunkElems+2)*4)
-		b.Add(pOut0, pOut0, rTmp)
+		r.mram, r.pX, r.pW, r.x, r.prev = rMram, pX, pW, rX, kbuild.R(19)
+		b.TaskletPtr(pIn, inBuf, compactChunkElems*4, rTmp)
+		b.TaskletPtr(pOut0, outBuf, (compactChunkElems+2)*4, rTmp)
 		b.Movi(rWPos, 0)    // pending elements in outBuf
 		b.Movi(rFlushed, 0) // elements already written to MRAM
-
-		b.Label("chunk")
-		b.Jge(rStart, rEnd, "tail")
-		b.Sub(rElems, rEnd, rStart)
-		b.Jlti(rElems, selChunkElems, "sized")
-		b.Movi(rElems, selChunkElems)
-		b.Label("sized")
-		b.Lsli(rBytes, rElems, 2)
-		b.Lsli(rMram, rStart, 2)
-		b.Add(rMram, rA, rMram)
-		b.Ldma(pIn, rMram, rBytes)
-		b.Mov(pX, pIn)
-		b.Add(pEndW, pIn, rBytes)
-		b.Label("inner")
-		b.Lw(rX, pX, 0)
-		b.AndiBr(rTmp, rX, 1, kbuild.CondNZ, "skip") // odd -> dropped
-		b.Lsli(rTmp, rWPos, 2)
-		b.Add(pW, pOut0, rTmp)
-		b.Sw(rX, pW, 0)
-		b.Addi(rWPos, rWPos, 1)
-		b.Label("skip")
-		b.Addi(pX, pX, 4)
-		b.Jlt(pX, pEndW, "inner")
-		b.Add(rStart, rStart, rElems)
-		// Flush an even number of pending elements.
-		b.Andi(rTmp, rWPos, -2)
-		b.Jeqi(rTmp, 0, "chunk")
-		b.Lsli(rBytes, rTmp, 2)
-		// MRAM target: out + (tasklet base + flushed)*4. Tasklet base is the
-		// original start; recompute it from n (rElems is free here).
-		b.LoadArg(rElems, 1)
-		b.TaskletRangeAligned(rMram, pX, rElems, pEndW, 2)
-		b.Add(rMram, rMram, rFlushed)
-		b.Lsli(rMram, rMram, 2)
-		b.Add(rMram, rOut, rMram)
-		b.Sdma(pOut0, rMram, rBytes)
-		b.Add(rFlushed, rFlushed, rTmp)
-		// Move a trailing odd element to the buffer head.
-		b.Sub(rWPos, rWPos, rTmp)
-		b.Jeqi(rWPos, 0, "chunk")
-		b.Lsli(rTmp, rTmp, 2)
-		b.Add(pW, pOut0, rTmp)
-		b.Lw(rX, pW, 0)
-		b.Sw(rX, pOut0, 0)
-		b.Jump("chunk")
+		if seedPrev != nil {
+			seedPrev(b, mode, r)
+		}
+		// flushOut writes rBytes of outBuf to out + (tasklet base +
+		// flushed)*4. The tasklet base is the original start; recompute it
+		// from n (rElems, pX and pEndW are free between chunks).
+		flushOut := func() {
+			b.LoadArg(rElems, 1)
+			b.TaskletRangeAligned(rMram, pX, rElems, pEndW, 2)
+			b.Add(rMram, rMram, rFlushed)
+			b.Index(rMram, rOut, rMram, 2)
+			b.Sdma(pOut0, rMram, rBytes)
+		}
+		b.StagedLoop(kbuild.Stage{Cur: rStart, End: rEnd, Src: rA, Elems: rElems, Bytes: rBytes,
+			Mram: rMram, Buf: pIn, PX: pX, PEnd: pEndW, N: compactChunkElems}, func() {
+			b.Label("inner")
+			b.Lw(rX, pX, 0)
+			drop(b, r, "skip")
+			b.IndexVia(pW, pOut0, rWPos, 2, rTmp)
+			b.Sw(rX, pW, 0)
+			b.Addi(rWPos, rWPos, 1)
+			b.Label("skip")
+			if seedPrev != nil {
+				b.Mov(r.prev, rX)
+			}
+			b.Addi(pX, pX, 4)
+			b.Jlt(pX, pEndW, "inner")
+		}, func(top string) {
+			// Flush an even number of pending elements.
+			b.Andi(rTmp, rWPos, -2)
+			b.Jeqi(rTmp, 0, top)
+			b.Lsli(rBytes, rTmp, 2)
+			flushOut()
+			b.Add(rFlushed, rFlushed, rTmp)
+			// Move a trailing odd element to the buffer head.
+			b.Sub(rWPos, rWPos, rTmp)
+			b.Jeqi(rWPos, 0, top)
+			b.IndexVia(pW, pOut0, rTmp, 2, rTmp)
+			b.Lw(rX, pW, 0)
+			b.Sw(rX, pOut0, 0)
+		})
 		// Tail: flush the final (possibly odd, padded to even) element(s).
-		b.Label("tail")
 		b.Add(rCnt, rFlushed, rWPos)
 		b.Jeqi(rWPos, 0, "publish")
 		b.Addi(rTmp, rWPos, 1)
 		b.Andi(rTmp, rTmp, -2) // round up to even
 		b.Lsli(rBytes, rTmp, 2)
-		b.LoadArg(rElems, 1)
-		b.TaskletRangeAligned(rMram, pX, rElems, pEndW, 2)
-		b.Add(rMram, rMram, rFlushed)
-		b.Lsli(rMram, rMram, 2)
-		b.Add(rMram, rOut, rMram)
-		b.Sdma(pOut0, rMram, rBytes)
-		b.Label("publish")
-		emitSelUniCounts(b, mode, bar, cnts, rCnt, rCntOut)
-		b.Stop()
+		flushOut()
 
 	case config.ModeCache:
 		pX, pEndW, pW, rX := kbuild.R(8), kbuild.R(9), kbuild.R(10), kbuild.R(11)
-		b.Lsli(rTmp, rStart, 2)
-		b.Add(pX, rA, rTmp)
-		b.Add(pW, rOut, rTmp)
-		b.Lsli(rTmp, rEnd, 2)
-		b.Add(pEndW, rA, rTmp)
-		b.Label("loop")
-		b.Jge(pX, pEndW, "publish")
-		b.Lw(rX, pX, 0)
-		b.AndiBr(rTmp, rX, 1, kbuild.CondNZ, "skip")
-		b.Sw(rX, pW, 0)
-		b.Addi(pW, pW, 4)
-		b.Addi(rCnt, rCnt, 1)
-		b.Label("skip")
-		b.Addi(pX, pX, 4)
-		b.Jump("loop")
-		b.Label("publish")
-		emitSelUniCounts(b, mode, bar, cnts, rCnt, rCntOut)
-		b.Stop()
+		r.pX, r.pW, r.x, r.prev = pX, pW, rX, kbuild.R(12)
+		b.PtrRange(rStart, rEnd, rTmp, pEndW, pX, rA, pW, rOut)
+		if seedPrev != nil {
+			seedPrev(b, mode, r)
+		}
+		b.WalkWords(pEndW, func() {
+			b.Lw(rX, pX, 0)
+			drop(b, r, "skip")
+			b.Sw(rX, pW, 0)
+			b.Addi(pW, pW, 4)
+			b.Addi(rCnt, rCnt, 1)
+			b.Label("skip")
+			if seedPrev != nil {
+				b.Mov(r.prev, rX)
+			}
+		}, pX)
 
 	default:
-		return nil, fmt.Errorf("sel: unsupported mode %v", mode)
+		return nil, fmt.Errorf("%s: unsupported mode %v", name, mode)
 	}
+
+	b.Label("publish")
+	pC, rI := kbuild.R(20), kbuild.R(21)
+	b.PublishAndWait(cnts, rCnt, pC, rI, bar, kbuild.R(19), kbuild.R(20), kbuild.R(21), "cnt_done")
+	b.MoviSym(pC, cnts, 0)
+	if mode == config.ModeScratchpad {
+		b.Sdmai(pC, rCntOut, kbuild.MaxTasklets*4)
+	} else {
+		// Direct stores of NTH words.
+		b.Movi(rI, 0)
+		b.Label("cnt_loop")
+		b.Lw(kbuild.R(19), pC, 0)
+		b.Sw(kbuild.R(19), rCntOut, 0)
+		b.Addi(pC, pC, 4)
+		b.Addi(rCntOut, rCntOut, 4)
+		b.Addi(rI, rI, 1)
+		b.Jlt(rI, kbuild.NTH, "cnt_loop")
+	}
+	b.Label("cnt_done")
+	b.Stop()
 	return b.Build()
 }
 

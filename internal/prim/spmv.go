@@ -39,31 +39,24 @@ func buildSpMV(mode config.Mode) (*linker.Object, error) {
 	b := kbuild.New("spmv-" + mode.String())
 	rRP, rCI, rVA, rX, rY, rM := kbuild.R(0), kbuild.R(1), kbuild.R(2), kbuild.R(3), kbuild.R(4), kbuild.R(5)
 	rs, re, rTmp := kbuild.R(6), kbuild.R(7), kbuild.R(8)
-	b.LoadArg(rRP, 0)
-	b.LoadArg(rCI, 1)
-	b.LoadArg(rVA, 2)
-	b.LoadArg(rX, 3)
-	b.LoadArg(rY, 4)
-	b.LoadArg(rM, 5)
+	b.LoadArgs(0, rRP, rCI, rVA, rX, rY, rM)
 	b.TaskletRangeAligned(rs, re, rM, rTmp, 2)
 
 	rRow, rS, rE, acc := kbuild.R(9), kbuild.R(10), kbuild.R(11), kbuild.R(12)
 
 	switch mode {
 	case config.ModeScratchpad:
-		rpb := b.Static("rpb", 16*16, 8)
-		cbuf := b.Static("cbuf", 16*512, 8)
-		vbuf := b.Static("vbuf", 16*512, 8)
-		xb := b.Static("xb", 16*8, 8)
-		ybuf := b.Static("ybuf", 16*32*4, 8)
+		rpb := b.TaskletStatic("rpb", 16)
+		cbuf := b.TaskletStatic("cbuf", 512)
+		vbuf := b.TaskletStatic("vbuf", 512)
+		xb := b.TaskletStatic("xb", 8)
+		ybuf := b.TaskletStatic("ybuf", 32*4)
 		const segElemsMax = 128
 		rCur, rSeg := kbuild.R(13), kbuild.R(14)
 		p1, p2, c, v := kbuild.R(15), kbuild.R(16), kbuild.R(17), kbuild.R(18)
 		pEnd, rYCnt, rFlush, pXB := kbuild.R(19), kbuild.R(20), kbuild.R(21), kbuild.R(22)
 
-		b.MoviSym(pXB, xb, 0)
-		b.Lsli(rTmp, kbuild.ID, 3)
-		b.Add(pXB, pXB, rTmp)
+		b.TaskletSlot(pXB, xb, 3, rTmp)
 		b.Mov(rRow, rs)
 		b.Movi(rYCnt, 0)
 		b.Mov(rFlush, rs)
@@ -72,103 +65,70 @@ func buildSpMV(mode config.Mode) (*linker.Object, error) {
 		b.Jge(rRow, re, "tail")
 		// Fetch rowptr[row], rowptr[row+1] with one aligned 16B stage.
 		b.Andi(rTmp, rRow, -2)
-		b.Lsli(rTmp, rTmp, 2)
-		b.Add(rTmp, rRP, rTmp)
-		b.MoviSym(p1, rpb, 0)
-		b.Lsli(p2, kbuild.ID, 4)
-		b.Add(p1, p1, p2)
+		b.Index(rTmp, rRP, rTmp, 2)
+		b.TaskletSlot(p1, rpb, 4, p2)
 		b.Ldmai(p1, rTmp, 16)
 		b.Andi(rTmp, rRow, 1)
-		b.Lsli(rTmp, rTmp, 2)
-		b.Add(p1, p1, rTmp)
+		b.IndexVia(p1, p1, rTmp, 2, rTmp)
 		b.Lw(rS, p1, 0)
 		b.Lw(rE, p1, 4)
 		b.Movi(acc, 0)
 		b.Mov(rCur, rS)
 
-		b.Label("seg")
-		b.Jge(rCur, rE, "rowdone")
-		b.Sub(rSeg, rE, rCur)
-		b.Jlti(rSeg, segElemsMax, "seg_sz")
-		b.Movi(rSeg, segElemsMax)
-		b.Label("seg_sz")
-		b.Andi(rTmp, rCur, -2) // aligned start element
-		b.Sub(p1, rCur, rTmp)  // head skip (0/1)
-		b.Add(p2, rSeg, p1)
-		b.Addi(p2, p2, 1)
-		b.Andi(p2, p2, -2)
-		b.Lsli(p2, p2, 2) // fetch bytes
-		b.Lsli(rTmp, rTmp, 2)
-		// Stage colidx segment.
-		b.MoviSym(c, cbuf, 0)
-		b.Muli(v, kbuild.ID, 512)
-		b.Add(c, c, v)
-		b.Add(v, rCI, rTmp)
-		b.Ldma(c, v, p2)
-		// Stage vals segment.
-		b.MoviSym(v, vbuf, 0)
-		b.Muli(pEnd, kbuild.ID, 512)
-		b.Add(v, v, pEnd)
-		b.Add(pEnd, rVA, rTmp)
-		b.Ldma(v, pEnd, p2)
-		// Cursors p1 = &col[head], p2 = &val[head]; pEnd bounds p1.
-		b.Lsli(p1, p1, 2)
-		b.Add(p2, v, p1)
-		b.MoviSym(v, cbuf, 0)
-		b.Muli(pEnd, kbuild.ID, 512)
-		b.Add(v, v, pEnd)
-		b.Add(p1, v, p1)
-		b.Lsli(pEnd, rSeg, 2)
-		b.Add(pEnd, p1, pEnd)
-		b.Add(rCur, rCur, rSeg)
+		// The row's non-zeros in segments: the DMA window is widened to an
+		// even start element, so the staging stays with this kernel.
+		b.ChunkLoop(rCur, rE, rSeg, segElemsMax, func() {
+			b.Andi(rTmp, rCur, -2) // aligned start element
+			b.Sub(p1, rCur, rTmp)  // head skip (0/1)
+			b.Add(p2, rSeg, p1)
+			b.Addi(p2, p2, 1)
+			b.Andi(p2, p2, -2)
+			b.Lsli(p2, p2, 2) // fetch bytes
+			b.Lsli(rTmp, rTmp, 2)
+			// Stage colidx segment.
+			b.TaskletPtr(c, cbuf, 512, v)
+			b.Add(v, rCI, rTmp)
+			b.Ldma(c, v, p2)
+			// Stage vals segment.
+			b.TaskletPtr(v, vbuf, 512, pEnd)
+			b.Add(pEnd, rVA, rTmp)
+			b.Ldma(v, pEnd, p2)
+			// Cursors p1 = &col[head], p2 = &val[head]; pEnd bounds p1.
+			b.IndexVia(p2, v, p1, 2, p1)
+			b.TaskletPtr(v, cbuf, 512, pEnd)
+			b.Add(p1, v, p1)
+			b.Index(pEnd, p1, rSeg, 2)
+		}, func(string) {
+			b.Label("elem")
+			b.Lw(c, p1, 0)
+			b.Lw(v, p2, 0)
+			// Gather x[c] with an aligned 8B DMA.
+			b.Andi(rTmp, c, -2)
+			b.Index(rTmp, rX, rTmp, 2)
+			b.Ldmai(pXB, rTmp, 8)
+			b.Andi(c, c, 1)
+			b.Index(c, pXB, c, 2)
+			b.Lw(c, c, 0)
+			b.Mul(rTmp, v, c)
+			b.Add(acc, acc, rTmp)
+			b.Addi(p1, p1, 4)
+			b.Addi(p2, p2, 4)
+			b.Jlt(p1, pEnd, "elem")
+		})
 
-		b.Label("elem")
-		b.Lw(c, p1, 0)
-		b.Lw(v, p2, 0)
-		// Gather x[c] with an aligned 8B DMA.
-		b.Andi(rTmp, c, -2)
-		b.Lsli(rTmp, rTmp, 2)
-		b.Add(rTmp, rX, rTmp)
-		b.Ldmai(pXB, rTmp, 8)
-		b.Andi(c, c, 1)
-		b.Lsli(c, c, 2)
-		b.Add(c, pXB, c)
-		b.Lw(c, c, 0)
-		b.Mul(rTmp, v, c)
-		b.Add(acc, acc, rTmp)
-		b.Addi(p1, p1, 4)
-		b.Addi(p2, p2, 4)
-		b.Jlt(p1, pEnd, "elem")
-		b.Jump("seg")
-
-		b.Label("rowdone")
-		// ybuf[yCnt] = acc; flush every 32 rows.
-		b.MoviSym(rTmp, ybuf, 0)
-		b.Muli(rS, kbuild.ID, 32*4)
-		b.Add(rTmp, rTmp, rS)
-		b.Lsli(rS, rYCnt, 2)
-		b.Add(rTmp, rTmp, rS)
-		b.Sw(acc, rTmp, 0)
-		b.Addi(rYCnt, rYCnt, 1)
-		b.Addi(rRow, rRow, 1)
-		b.Jlti(rYCnt, 32, "rowloop")
-		b.Lsli(rTmp, rFlush, 2)
-		b.Add(rTmp, rY, rTmp)
-		b.MoviSym(rS, ybuf, 0)
-		b.Muli(rE, kbuild.ID, 32*4)
-		b.Add(rS, rS, rE)
-		b.Sdmai(rS, rTmp, 32*4)
-		b.Mov(rFlush, rRow)
-		b.Movi(rYCnt, 0)
-		b.Jump("rowloop")
+		// ybuf[yCnt] = acc; flush every 32 rows. No register is left to keep
+		// the buffer pointer resident, so it is recomputed at each use.
+		yPtr := func(p, tmp kbuild.Reg) kbuild.Reg {
+			b.TaskletPtr(p, ybuf, 32*4, tmp)
+			return p
+		}
+		b.PushResult(kbuild.ResultBuffer{Acc: acc, Cnt: rYCnt, Row: rRow, Flush: rFlush, Out: rY, N: 32,
+			Buf: yPtr}, rTmp, rS, rE, "rowloop")
 
 		b.Label("tail")
 		b.Jeqi(rYCnt, 0, "done")
-		b.Lsli(rTmp, rFlush, 2)
-		b.Add(rTmp, rY, rTmp)
-		b.MoviSym(rS, ybuf, 0)
-		b.Muli(rE, kbuild.ID, 32*4)
-		b.Add(rS, rS, rE)
+		b.Index(rTmp, rY, rFlush, 2)
+		yPtr(rS, rE)
 		b.Lsli(rE, rYCnt, 2)
 		b.Sdma(rS, rTmp, rE)
 		b.Label("done")
@@ -179,23 +139,19 @@ func buildSpMV(mode config.Mode) (*linker.Object, error) {
 		b.Mov(rRow, rs)
 		b.Label("rowloop")
 		b.Jge(rRow, re, "done")
-		b.Lsli(rTmp, rRow, 2)
-		b.Add(rTmp, rRP, rTmp)
+		b.Index(rTmp, rRP, rRow, 2)
 		b.Lw(rS, rTmp, 0)
 		b.Lw(rE, rTmp, 4)
 		b.Movi(acc, 0)
-		b.Lsli(p1, rS, 2)
-		b.Add(p2, rVA, p1)
+		b.IndexVia(p2, rVA, rS, 2, p1)
 		b.Add(p1, rCI, p1)
 		b.Sub(pEnd, rE, rS)
-		b.Lsli(pEnd, pEnd, 2)
-		b.Add(pEnd, p1, pEnd)
+		b.Index(pEnd, p1, pEnd, 2)
 		b.Label("elem")
 		b.Jge(p1, pEnd, "rowdone")
 		b.Lw(c, p1, 0)
 		b.Lw(v, p2, 0)
-		b.Lsli(c, c, 2)
-		b.Add(c, rX, c)
+		b.Index(c, rX, c, 2)
 		b.Lw(c, c, 0)
 		b.Mul(rTmp, v, c)
 		b.Add(acc, acc, rTmp)
@@ -203,8 +159,7 @@ func buildSpMV(mode config.Mode) (*linker.Object, error) {
 		b.Addi(p2, p2, 4)
 		b.Jump("elem")
 		b.Label("rowdone")
-		b.Lsli(rTmp, rRow, 2)
-		b.Add(pw, rY, rTmp)
+		b.IndexVia(pw, rY, rRow, 2, rTmp)
 		b.Sw(acc, pw, 0)
 		b.Addi(rRow, rRow, 1)
 		b.Jump("rowloop")

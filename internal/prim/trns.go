@@ -43,51 +43,44 @@ func buildTRNS(mode config.Mode) (*linker.Object, error) {
 	rTPR, rTiles, rT, rI0, rJ0, rTmp := kbuild.R(4), kbuild.R(5), kbuild.R(6), kbuild.R(7), kbuild.R(8), kbuild.R(9)
 	ctr := b.Static("ctr", 8, 8)
 	lock := b.AllocLock()
-	b.LoadArg(rIn, 0)
-	b.LoadArg(rOut, 1)
-	b.LoadArg(rM, 2)
-	b.LoadArg(rN, 3)
+	b.LoadArgs(0, rIn, rOut, rM, rN)
 	b.Lsri(rTPR, rN, 2) // tiles per row
 	b.Lsri(rTiles, rM, 2)
 	b.Mul(rTiles, rTiles, rTPR)
 
-	grab := func() {
-		// t = ctr++ under the mutex (the shared work queue).
+	// nextTile opens the work loop: t = ctr++ under the mutex (the shared
+	// work queue), done when the tiles ran out, else (i0, j0) = t's origin.
+	nextTile := func() {
+		b.Label("work")
 		b.MoviSym(rTmp, ctr, 0)
 		b.AcquireSpin(lock)
 		b.Lw(rT, rTmp, 0)
 		b.Addi(kbuild.R(10), rT, 1)
 		b.Sw(kbuild.R(10), rTmp, 0)
 		b.Release(lock)
-	}
-
-	switch mode {
-	case config.ModeScratchpad:
-		tile := b.Static("tile", 16*trnsTile*trnsTile*4, 8)
-		tileT := b.Static("tileT", 16*trnsTile*trnsTile*4, 8)
-		pT, pTT, rAddr, rV := kbuild.R(11), kbuild.R(12), kbuild.R(13), kbuild.R(14)
-		rRow := kbuild.R(15)
-		b.MoviSym(pT, tile, 0)
-		b.Muli(rTmp, kbuild.ID, trnsTile*trnsTile*4)
-		b.Add(pT, pT, rTmp)
-		b.MoviSym(pTT, tileT, 0)
-		b.Muli(rTmp, kbuild.ID, trnsTile*trnsTile*4)
-		b.Add(pTT, pTT, rTmp)
-
-		b.Label("work")
-		grab()
 		b.Jge(rT, rTiles, "done")
 		b.Div(rI0, rT, rTPR)
 		b.Rem(rJ0, rT, rTPR)
 		b.Lsli(rI0, rI0, 2)
 		b.Lsli(rJ0, rJ0, 2)
+	}
+
+	switch mode {
+	case config.ModeScratchpad:
+		tile := b.TaskletStatic("tile", trnsTile*trnsTile*4)
+		tileT := b.TaskletStatic("tileT", trnsTile*trnsTile*4)
+		pT, pTT, rAddr, rV := kbuild.R(11), kbuild.R(12), kbuild.R(13), kbuild.R(14)
+		rRow := kbuild.R(15)
+		b.TaskletPtr(pT, tile, trnsTile*trnsTile*4, rTmp)
+		b.TaskletPtr(pTT, tileT, trnsTile*trnsTile*4, rTmp)
+
+		nextTile()
 		// Stage the 4 tile rows (16B each).
 		for r := int32(0); r < trnsTile; r++ {
 			b.Addi(rRow, rI0, r)
 			b.Mul(rAddr, rRow, rN)
 			b.Add(rAddr, rAddr, rJ0)
-			b.Lsli(rAddr, rAddr, 2)
-			b.Add(rAddr, rIn, rAddr)
+			b.Index(rAddr, rIn, rAddr, 2)
 			if r > 0 {
 				b.Addi(rV, pT, r*trnsTile*4)
 				b.Ldmai(rV, rAddr, trnsTile*4)
@@ -107,8 +100,7 @@ func buildTRNS(mode config.Mode) (*linker.Object, error) {
 			b.Addi(rRow, rJ0, c)
 			b.Mul(rAddr, rRow, rM)
 			b.Add(rAddr, rAddr, rI0)
-			b.Lsli(rAddr, rAddr, 2)
-			b.Add(rAddr, rOut, rAddr)
+			b.Index(rAddr, rOut, rAddr, 2)
 			if c > 0 {
 				b.Addi(rV, pTT, c*trnsTile*4)
 				b.Sdmai(rV, rAddr, trnsTile*4)
@@ -116,44 +108,33 @@ func buildTRNS(mode config.Mode) (*linker.Object, error) {
 				b.Sdmai(pTT, rAddr, trnsTile*4)
 			}
 		}
-		b.Jump("work")
-		b.Label("done")
-		b.Stop()
 
 	case config.ModeCache:
 		rAddr, rV, rRow, rSrc := kbuild.R(11), kbuild.R(12), kbuild.R(13), kbuild.R(14)
-		b.Label("work")
-		grab()
-		b.Jge(rT, rTiles, "done")
-		b.Div(rI0, rT, rTPR)
-		b.Rem(rJ0, rT, rTPR)
-		b.Lsli(rI0, rI0, 2)
-		b.Lsli(rJ0, rJ0, 2)
+		nextTile()
 		for r := int32(0); r < trnsTile; r++ {
 			for c := int32(0); c < trnsTile; c++ {
 				b.Addi(rRow, rI0, r)
 				b.Mul(rSrc, rRow, rN)
 				b.Add(rSrc, rSrc, rJ0)
 				b.Addi(rSrc, rSrc, c)
-				b.Lsli(rSrc, rSrc, 2)
-				b.Add(rSrc, rIn, rSrc)
+				b.Index(rSrc, rIn, rSrc, 2)
 				b.Lw(rV, rSrc, 0)
 				b.Addi(rRow, rJ0, c)
 				b.Mul(rAddr, rRow, rM)
 				b.Add(rAddr, rAddr, rI0)
 				b.Addi(rAddr, rAddr, r)
-				b.Lsli(rAddr, rAddr, 2)
-				b.Add(rAddr, rOut, rAddr)
+				b.Index(rAddr, rOut, rAddr, 2)
 				b.Sw(rV, rAddr, 0)
 			}
 		}
-		b.Jump("work")
-		b.Label("done")
-		b.Stop()
 
 	default:
 		return nil, fmt.Errorf("trns: unsupported mode %v", mode)
 	}
+	b.Jump("work")
+	b.Label("done")
+	b.Stop()
 	return b.Build()
 }
 

@@ -48,13 +48,8 @@ func buildTS(mode config.Mode) (*linker.Object, error) {
 	// [dist,idx] pairs at out + (ID*nq + q)*8)
 	rS, rN, rQ, rNQ, rM, rOut := kbuild.R(0), kbuild.R(1), kbuild.R(2), kbuild.R(3), kbuild.R(4), kbuild.R(5)
 	rWS, rWE, rTmp := kbuild.R(6), kbuild.R(7), kbuild.R(8)
-	best := b.Static("best", 16*tsMaxQueries*8, 8)
-	b.LoadArg(rS, 0)
-	b.LoadArg(rN, 1)
-	b.LoadArg(rQ, 2)
-	b.LoadArg(rNQ, 3)
-	b.LoadArg(rM, 4)
-	b.LoadArg(rOut, 5)
+	best := b.TaskletStatic("best", tsMaxQueries*8)
+	b.LoadArgs(0, rS, rN, rQ, rNQ, rM, rOut)
 	// DPUs handed an empty series slice (n < m) bail out immediately.
 	b.Jge(rN, rM, "active")
 	b.Stop()
@@ -67,15 +62,12 @@ func buildTS(mode config.Mode) (*linker.Object, error) {
 
 	// Initialize my best[] to +inf.
 	pB, rQi := kbuild.R(9), kbuild.R(10)
-	b.MoviSym(pB, best, 0)
-	b.Muli(rTmp, kbuild.ID, tsMaxQueries*8)
-	b.Add(pB, pB, rTmp)
+	b.TaskletPtr(pB, best, tsMaxQueries*8, rTmp)
 	b.Movi(rQi, 0)
 	b.Movi(rTmp, math.MaxInt32)
 	b.Label("init")
 	b.Jge(rQi, rNQ, "init_done")
-	b.Lsli(kbuild.R(11), rQi, 3)
-	b.Add(kbuild.R(11), pB, kbuild.R(11))
+	b.Index(kbuild.R(11), pB, rQi, 3)
 	b.Sw(rTmp, kbuild.R(11), 0)
 	b.Sw(kbuild.Zero, kbuild.R(11), 4)
 	b.Addi(rQi, rQi, 1)
@@ -85,7 +77,7 @@ func buildTS(mode config.Mode) (*linker.Object, error) {
 	switch mode {
 	case config.ModeScratchpad:
 		qbuf := b.Static("qbuf", tsMaxQueries*tsMaxWindow*4, 8)
-		sbuf := b.Static("sbuf", 16*(tsChunkElems+tsMaxWindow)*4, 8)
+		sbuf := b.TaskletStatic("sbuf", (tsChunkElems+tsMaxWindow)*4)
 		bar := b.NewBarrier("bar")
 		// Tasklet 0 stages all queries once.
 		b.Jnei(kbuild.ID, 0, "qwait")
@@ -100,73 +92,59 @@ func buildTS(mode config.Mode) (*linker.Object, error) {
 		rCur, rElems, rBytes := kbuild.R(12), kbuild.R(13), kbuild.R(14)
 		rW, rDist, pQw, pSw, rJ := kbuild.R(15), kbuild.R(16), kbuild.R(17), kbuild.R(18), kbuild.R(19)
 		rD, rSv, rBest := kbuild.R(20), kbuild.R(21), kbuild.R(22)
-		b.MoviSym(pSb, sbuf, 0)
-		b.Muli(rTmp, kbuild.ID, (tsChunkElems+tsMaxWindow)*4)
-		b.Add(pSb, pSb, rTmp)
+		b.TaskletPtr(pSb, sbuf, (tsChunkElems+tsMaxWindow)*4, rTmp)
 
 		b.Mov(rCur, rWS)
-		b.Label("chunk")
-		b.Jge(rCur, rWE, "publish")
-		b.Sub(rElems, rWE, rCur)
-		b.Jlti(rElems, tsChunkElems, "sized")
-		b.Movi(rElems, tsChunkElems)
-		b.Label("sized")
-		// Stage elems + window series values (rounded up to even).
-		b.Add(rBytes, rElems, rM)
-		b.Addi(rBytes, rBytes, 1)
-		b.Andi(rBytes, rBytes, -2)
-		b.Lsli(rBytes, rBytes, 2)
-		b.Lsli(rTmp, rCur, 2)
-		b.Add(rTmp, rS, rTmp)
-		b.Ldma(pSb, rTmp, rBytes)
-		// for q in [0,nq): for w in [0,elems): dist over window.
-		b.Movi(rQi, 0)
-		b.Label("qloop")
-		b.Jge(rQi, rNQ, "chunk_next")
-		b.Mul(pQw, rQi, rM)
-		b.Lsli(pQw, pQw, 2)
-		b.MoviSym(rTmp, qbuf, 0)
-		b.Add(pQw, rTmp, pQw) // &q[qi][0]
-		b.Movi(rW, 0)
-		b.Label("wloop")
-		b.Jge(rW, rElems, "qnext")
-		b.Movi(rDist, 0)
-		b.Lsli(pSw, rW, 2)
-		b.Add(pSw, pSb, pSw) // &s[w]
-		b.Movi(rJ, 0)
-		b.Label("jloop")
-		b.Lw(rSv, pSw, 0)
-		b.Lsli(rD, rJ, 2)
-		b.Add(rD, pQw, rD)
-		b.Lw(rD, rD, 0)
-		b.Sub(rD, rSv, rD)
-		b.Mul(rD, rD, rD)
-		b.Add(rDist, rDist, rD)
-		b.Addi(pSw, pSw, 4)
-		b.Addi(rJ, rJ, 1)
-		b.Jlt(rJ, rM, "jloop")
-		// Track min.
-		b.Lsli(rTmp, rQi, 3)
-		b.Add(rTmp, pB, rTmp)
-		b.Lw(rBest, rTmp, 0)
-		b.Jge(rDist, rBest, "wnext")
-		b.Sw(rDist, rTmp, 0)
-		b.Add(rSv, rCur, rW)
-		b.Sw(rSv, rTmp, 4)
-		b.Label("wnext")
-		b.Addi(rW, rW, 1)
-		b.Jump("wloop")
-		b.Label("qnext")
-		b.Addi(rQi, rQi, 1)
-		b.Jump("qloop")
-		b.Label("chunk_next")
-		b.Add(rCur, rCur, rElems)
-		b.Jump("chunk")
+		b.ChunkLoop(rCur, rWE, rElems, tsChunkElems, func() {
+			// Stage elems + window series values (rounded up to even).
+			b.Add(rBytes, rElems, rM)
+			b.Addi(rBytes, rBytes, 1)
+			b.Andi(rBytes, rBytes, -2)
+			b.Lsli(rBytes, rBytes, 2)
+			b.Index(rTmp, rS, rCur, 2)
+			b.Ldma(pSb, rTmp, rBytes)
+			// for q in [0,nq): for w in [0,elems): dist over window.
+			b.Movi(rQi, 0)
+			b.Label("qloop")
+			b.Jge(rQi, rNQ, "chunk_next")
+			b.Mul(pQw, rQi, rM)
+			b.Lsli(pQw, pQw, 2)
+			b.MoviSym(rTmp, qbuf, 0)
+			b.Add(pQw, rTmp, pQw) // &q[qi][0]
+			b.Movi(rW, 0)
+			b.Label("wloop")
+			b.Jge(rW, rElems, "qnext")
+			b.Movi(rDist, 0)
+			b.Index(pSw, pSb, rW, 2) // &s[w]
+			b.Movi(rJ, 0)
+			b.Label("jloop")
+			b.Lw(rSv, pSw, 0)
+			b.Index(rD, pQw, rJ, 2)
+			b.Lw(rD, rD, 0)
+			b.Sub(rD, rSv, rD)
+			b.Mul(rD, rD, rD)
+			b.Add(rDist, rDist, rD)
+			b.Addi(pSw, pSw, 4)
+			b.Addi(rJ, rJ, 1)
+			b.Jlt(rJ, rM, "jloop")
+			// Track min.
+			b.Index(rTmp, pB, rQi, 3)
+			b.Lw(rBest, rTmp, 0)
+			b.Jge(rDist, rBest, "wnext")
+			b.Sw(rDist, rTmp, 0)
+			b.Add(rSv, rCur, rW)
+			b.Sw(rSv, rTmp, 4)
+			b.Label("wnext")
+			b.Addi(rW, rW, 1)
+			b.Jump("wloop")
+			b.Label("qnext")
+			b.Addi(rQi, rQi, 1)
+			b.Jump("qloop")
+			b.Label("chunk_next")
+		}, nil)
 		// Publish my per-query bests.
-		b.Label("publish")
 		b.Mul(rTmp, rNQ, kbuild.ID)
-		b.Lsli(rTmp, rTmp, 3)
-		b.Add(rTmp, rOut, rTmp)
+		b.Index(rTmp, rOut, rTmp, 3)
 		b.Lsli(rBytes, rNQ, 3)
 		b.Sdma(pB, rTmp, rBytes)
 		b.Stop()
@@ -182,10 +160,8 @@ func buildTS(mode config.Mode) (*linker.Object, error) {
 		b.Label("qloop")
 		b.Jge(rQi, rNQ, "wnext")
 		b.Mul(pQw, rQi, rM)
-		b.Lsli(pQw, pQw, 2)
-		b.Add(pQw, rQ, pQw)
-		b.Lsli(pSw, rCur, 2)
-		b.Add(pSw, rS, pSw)
+		b.Index(pQw, rQ, pQw, 2)
+		b.Index(pSw, rS, rCur, 2)
 		b.Movi(rDist, 0)
 		b.Movi(rJ, 0)
 		b.Label("jloop")
@@ -198,8 +174,7 @@ func buildTS(mode config.Mode) (*linker.Object, error) {
 		b.Addi(pQw, pQw, 4)
 		b.Addi(rJ, rJ, 1)
 		b.Jlt(rJ, rM, "jloop")
-		b.Lsli(rW, rQi, 3)
-		b.Add(pW, pB, rW)
+		b.IndexVia(pW, pB, rQi, 3, rW)
 		b.Lw(rBest, pW, 0)
 		b.Jge(rDist, rBest, "qnext")
 		b.Sw(rDist, pW, 0)
@@ -213,13 +188,11 @@ func buildTS(mode config.Mode) (*linker.Object, error) {
 		b.Label("publish")
 		// Direct stores of my per-query bests.
 		b.Mul(rTmp, rNQ, kbuild.ID)
-		b.Lsli(rTmp, rTmp, 3)
-		b.Add(rTmp, rOut, rTmp)
+		b.Index(rTmp, rOut, rTmp, 3)
 		b.Movi(rQi, 0)
 		b.Label("pub")
 		b.Jge(rQi, rNQ, "fin")
-		b.Lsli(rW, rQi, 3)
-		b.Add(pW, pB, rW)
+		b.IndexVia(pW, pB, rQi, 3, rW)
 		b.Lw(rD, pW, 0)
 		b.Sw(rD, rTmp, 0)
 		b.Lw(rD, pW, 4)

@@ -39,80 +39,60 @@ func buildVA(mode config.Mode) (*linker.Object, error) {
 	b := kbuild.New("va-" + mode.String())
 	rA, rB, rC, rN := kbuild.R(0), kbuild.R(1), kbuild.R(2), kbuild.R(3)
 	rStart, rEnd, rTmp := kbuild.R(4), kbuild.R(5), kbuild.R(6)
-	b.LoadArg(rA, 0)
-	b.LoadArg(rB, 1)
-	b.LoadArg(rC, 2)
-	b.LoadArg(rN, 3)
+	b.LoadArgs(0, rA, rB, rC, rN)
+	b.TaskletRangeAligned(rStart, rEnd, rN, rTmp, 2)
 
 	switch mode {
 	case config.ModeScratchpad:
-		bufA := b.Static("bufA", 16*vaChunkElems*4, 8)
-		bufB := b.Static("bufB", 16*vaChunkElems*4, 8)
+		bufA := b.TaskletStatic("bufA", vaChunkElems*4)
+		bufB := b.TaskletStatic("bufB", vaChunkElems*4)
 		pA, pB := kbuild.R(7), kbuild.R(8)
 		rElems, rBytes, rOff, rMram := kbuild.R(9), kbuild.R(10), kbuild.R(11), kbuild.R(12)
 		pX, pY, pEndW, rX, rY := kbuild.R(13), kbuild.R(14), kbuild.R(15), kbuild.R(16), kbuild.R(17)
 
-		b.TaskletRangeAligned(rStart, rEnd, rN, rTmp, 2)
+		// One scaled ID serves both buffer pointers.
 		b.Muli(rTmp, kbuild.ID, vaChunkElems*4)
 		b.MoviSym(pA, bufA, 0)
 		b.Add(pA, pA, rTmp)
 		b.MoviSym(pB, bufB, 0)
 		b.Add(pB, pB, rTmp)
 
-		b.Label("chunk")
-		b.Jge(rStart, rEnd, "done")
-		b.Sub(rElems, rEnd, rStart)
-		b.Jlti(rElems, vaChunkElems, "sized")
-		b.Movi(rElems, vaChunkElems)
-		b.Label("sized")
-		b.Lsli(rBytes, rElems, 2)
-		b.Lsli(rOff, rStart, 2)
-		// Stage A and B chunks.
-		b.Add(rMram, rA, rOff)
-		b.Ldma(pA, rMram, rBytes)
-		b.Add(rMram, rB, rOff)
-		b.Ldma(pB, rMram, rBytes)
-		// c[i] = a[i] + b[i] over the staged chunk.
-		b.Mov(pX, pA)
-		b.Mov(pY, pB)
-		b.Add(pEndW, pA, rBytes)
-		b.Label("inner")
-		b.Lw(rX, pX, 0)
-		b.Lw(rY, pY, 0)
-		b.Add(rX, rX, rY)
-		b.Sw(rX, pX, 0)
-		b.Addi(pX, pX, 4)
-		b.Addi(pY, pY, 4)
-		b.Jlt(pX, pEndW, "inner")
-		// Write the result chunk.
-		b.Add(rMram, rC, rOff)
-		b.Sdma(pA, rMram, rBytes)
-		b.Add(rStart, rStart, rElems)
-		b.Jump("chunk")
-		b.Label("done")
+		b.ChunkLoop(rStart, rEnd, rElems, vaChunkElems, func() {
+			b.Lsli(rBytes, rElems, 2)
+			b.Lsli(rOff, rStart, 2)
+			// Stage A and B chunks at the shared byte offset rOff.
+			b.Add(rMram, rA, rOff)
+			b.Ldma(pA, rMram, rBytes)
+			b.Add(rMram, rB, rOff)
+			b.Ldma(pB, rMram, rBytes)
+			// c[i] = a[i] + b[i] over the staged chunk.
+			b.Mov(pX, pA)
+			b.Mov(pY, pB)
+			b.Add(pEndW, pA, rBytes)
+			b.Label("inner")
+			b.Lw(rX, pX, 0)
+			b.Lw(rY, pY, 0)
+			b.Add(rX, rX, rY)
+			b.Sw(rX, pX, 0)
+			b.Addi(pX, pX, 4)
+			b.Addi(pY, pY, 4)
+			b.Jlt(pX, pEndW, "inner")
+			// Write the result chunk.
+			b.Add(rMram, rC, rOff)
+			b.Sdma(pA, rMram, rBytes)
+		}, nil)
 		b.Stop()
 
 	case config.ModeCache:
 		pA, pB, pC, pEnd := kbuild.R(7), kbuild.R(8), kbuild.R(9), kbuild.R(10)
 		rX, rY := kbuild.R(11), kbuild.R(12)
-		b.TaskletRangeAligned(rStart, rEnd, rN, rTmp, 2)
-		b.Lsli(rTmp, rStart, 2)
-		b.Add(pA, rA, rTmp)
-		b.Add(pB, rB, rTmp)
-		b.Add(pC, rC, rTmp)
-		b.Lsli(rTmp, rEnd, 2)
-		b.Add(pEnd, rA, rTmp)
-		b.Label("loop")
-		b.Jge(pA, pEnd, "done")
-		b.Lw(rX, pA, 0)
-		b.Lw(rY, pB, 0)
-		b.Add(rX, rX, rY)
-		b.Sw(rX, pC, 0)
-		b.Addi(pA, pA, 4)
-		b.Addi(pB, pB, 4)
-		b.Addi(pC, pC, 4)
-		b.Jump("loop")
-		b.Label("done")
+		b.PtrRange(rStart, rEnd, rTmp, pEnd, pA, rA, pB, rB, pC, rC)
+		b.WalkWords(pEnd, func() {
+			b.Lw(rX, pA, 0)
+			b.Lw(rY, pB, 0)
+			b.Add(rX, rX, rY)
+			b.Sw(rX, pC, 0)
+		}, pA, pB, pC)
 		b.Stop()
 
 	default:

@@ -92,9 +92,15 @@ func TestRunnerRunTypedErrors(t *testing.T) {
 	if _, err := simt.Run(ctx, "VA"); !errors.Is(err, upim.ErrUnsupportedMode) {
 		t.Errorf("SIMT VA: got %v, want ErrUnsupportedMode", err)
 	}
-	many := tinyRunner(t, upim.WithTasklets(24))
-	if _, err := many.Run(ctx, "VA"); !errors.Is(err, upim.ErrTooManyTasklets) {
-		t.Errorf("24 tasklets: got %v, want ErrTooManyTasklets", err)
+	// Every per-tasklet static is sized for 16 tasklets: one more must be
+	// refused for every benchmark and memory mode, not overrun a buffer.
+	for _, mode := range []upim.Mode{upim.ModeScratchpad, upim.ModeCache} {
+		many := tinyRunner(t, upim.WithTasklets(17), upim.WithMode(mode))
+		for _, name := range upim.Benchmarks() {
+			if _, err := many.Run(ctx, name); !errors.Is(err, upim.ErrTooManyTasklets) {
+				t.Errorf("%s %v at 17 tasklets: got %v, want ErrTooManyTasklets", name, mode, err)
+			}
+		}
 	}
 }
 
