@@ -4,7 +4,7 @@ GO ?= go
 # its stores, reports and logs; `make clean` removes it.
 W := .work
 
-.PHONY: build test cli-guard test-race race cover bench bench-diff bench-module profile-cold fmt vet loc clean report refdata pathfind-smoke coord-smoke serve-smoke examples-smoke energy-check arch-check calibration-check
+.PHONY: build test cli-guard test-race race cover bench-module profile-cold fmt vet loc clean report refdata pathfind-smoke coord-smoke serve-smoke examples-smoke energy-check arch-check calibration-check
 
 build:
 	$(GO) build ./...
@@ -117,22 +117,6 @@ arch-check:
 # error stays within its committed bound.
 calibration-check:
 	$(GO) run ./cmd/pathfind calibrate -check
-
-# bench runs the figure benchmark suite and writes BENCH_15.json (ns/op plus
-# the headline figure metrics, machine-readable). Tune with BENCHTIME=1x for
-# a smoke run or BENCH=Fig12 for a subset.
-bench:
-	BENCHTIME=$(BENCHTIME) BENCH=$(BENCH) OUT=$(OUT) ./scripts/bench.sh
-
-# bench-diff mirrors the CI bench job's regression check: re-run the suite
-# at the baseline's benchtime (1s default, so allocs/op amortizes cold
-# starts the same way the baseline did) and print per-benchmark deltas
-# against the committed BENCH_15.json baseline, failing on allocs/op
-# regressions in the gated (Table1/Table2/ServeThroughput/ServeLoadSweep/
-# HBMPIMRate/PathfindResume/WriteReport) benchmarks. DIFFOUT=deltas.txt also saves the table; BENCHTIME=2s
-# steadies ns/op.
-bench-diff:
-	BENCHTIME=$(BENCHTIME) BENCH=$(BENCH) BASELINE=$(BASELINE) DIFFOUT=$(DIFFOUT) ./scripts/bench_diff.sh
 
 # bench-module builds and tests the separate upim/benchmark module
 # (benchmark/go.mod, `replace upim => ../`): root `go build/test ./...` do

@@ -1,9 +1,9 @@
 // Determinism is a load-bearing property of this simulator: the committed
-// refdata oracle (figures -check) and the perf trajectory (BENCH_3.json)
-// both assume a (benchmark, config, DPUs, scale) point always produces
-// identical statistics. These tests pin that down at the public API level,
-// including across sweep-engine parallelism, which must only change wall
-// clock, never results.
+// refdata oracle (figures -check) and the repo benchmark's digests
+// (benchmark/run.sh) both assume a (benchmark, config, DPUs, scale) point
+// always produces identical statistics. These tests pin that down at the
+// public API level, including across sweep-engine parallelism, which must
+// only change wall clock, never results.
 package upim_test
 
 import (

@@ -233,14 +233,7 @@ func (d *DPU) execute(t *thread) {
 		return
 
 	case uopPERF:
-		switch u.imm {
-		case 0:
-			d.writeDst(t, u, u.rd, uint32(d.cycle))
-		case 1:
-			d.writeDst(t, u, u.rd, uint32(t.instret))
-		default:
-			d.writeDst(t, u, u.rd, 0)
-		}
+		d.writeDst(t, u, u.rd, d.perfCounter(t, u.imm))
 
 	case uopFAULT:
 		d.faultPC(t, fmt.Errorf("software fault %d (r%d=%d)", u.imm, u.rd, d.read(t, u.rd)))
@@ -261,6 +254,19 @@ func (d *DPU) writeDst(t *thread, u *uop, r isa.RegID, v uint32) {
 	if d.cfg.Forwarding && r.IsGPR() {
 		t.regReady[r] = d.cycle + d.fwdLat[u.latSel]
 	}
+}
+
+// perfCounter is what PERF reads under a selector: 0 the DPU's cycle, 1 the
+// tasklet's retired instructions, the PERF itself included; the rest of the
+// 8-bit selector space reads zero. Both engines read it here.
+func (d *DPU) perfCounter(t *thread, sel int32) uint32 {
+	switch sel {
+	case 0:
+		return uint32(d.cycle)
+	case 1:
+		return uint32(t.instret)
+	}
+	return 0
 }
 
 func (d *DPU) execMem(t *thread, u *uop) {

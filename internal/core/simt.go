@@ -260,6 +260,7 @@ func (d *DPU) executeVector(w *warp, pc uint16, active []*thread) {
 
 	for _, t := range active {
 		nextPC := pc + 1
+		t.instret++ // before the µop, as execute counts: PERF 1 includes itself
 		switch u.kind {
 		case uopALU:
 			b := uint32(u.imm)
@@ -301,20 +302,14 @@ func (d *DPU) executeVector(w *warp, pc uint16, active []*thread) {
 			nextPC = uint16(dest)
 		case uopSTOP:
 			t.state = threadStopped
-			t.instret++
 			continue
 		case uopPERF:
-			if u.imm == 0 {
-				d.write(t, u.rd, uint32(d.cycle))
-			} else {
-				d.write(t, u.rd, uint32(t.instret))
-			}
+			d.write(t, u.rd, d.perfCounter(t, u.imm))
 		case uopFAULT:
 			d.fault(t, d.prog.Instrs[pc], fmt.Errorf("software fault %d", u.imm))
 			return
 		}
 		t.pc = nextPC
-		t.instret++
 	}
 }
 

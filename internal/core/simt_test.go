@@ -189,3 +189,53 @@ func TestSIMTRejectsDMAAndLocks(t *testing.T) {
 		t.Fatalf("err = %v, want SIMT DMA rejection", err)
 	}
 }
+
+// TestSIMTMatchesScalarOnRegisterOps is the differential oracle for the two
+// copies of register-only µop semantics (execute and executeVector): one
+// straight-line program through every µop kind the vector engine runs
+// lane by lane must leave each tasklet with the same GPRs and the same
+// retired-instruction count in scratchpad mode and as one 16-lane warp.
+func TestSIMTMatchesScalarOnRegisterOps(t *testing.T) {
+	b := kbuild.New("regops")
+	r := kbuild.R
+	b.Muli(r(0), kbuild.ID, 7)
+	b.AndiBr(r(1), kbuild.ID, 1, kbuild.CondZ, "even") // ALU with a condition: odd lanes diverge
+	b.Addi(r(0), r(0), 100)
+	b.Label("even")
+	b.Mov(r(2), r(0))
+	b.Movi(r(3), 40)
+	b.Jlt(r(2), r(3), "small") // Jcc, register operand
+	b.Sub(r(2), r(2), r(3))
+	b.Label("small")
+	b.Jgei(r(2), 21, "big") // Jcc, immediate operand
+	b.Lsli(r(2), r(2), 3)
+	b.Label("big")
+	b.Call("leaf")
+	b.Perf(r(4), 0) // the cycle counter is where the engines differ by design:
+	b.Movi(r(4), 0) // read it, then keep it out of the comparison
+	b.Perf(r(5), 1)
+	b.Perf(r(6), 2) // not a counter: reads zero
+	b.Stop()
+	b.Label("leaf")
+	b.Xor(r(7), r(2), kbuild.ID)
+	b.Ret() // JREG through r23
+	obj := b.MustBuild()
+
+	const tasklets = 16
+	scalar := config.Default()
+	scalar.NumTasklets = tasklets
+	vector := simtConfig(tasklets)
+	want, got := buildRun(t, obj, scalar, nil), buildRun(t, obj, vector, nil)
+	if got.Stats().VectorIssues == 0 {
+		t.Fatal("the SIMT run issued no vector instruction")
+	}
+	for i, w := range want.threads {
+		g := got.threads[i]
+		if g.regs != w.regs {
+			t.Errorf("tasklet %d GPRs:\n simt   %v\n scalar %v", i, g.regs, w.regs)
+		}
+		if g.instret != w.instret {
+			t.Errorf("tasklet %d retired %d instructions under SIMT, %d scalar", i, g.instret, w.instret)
+		}
+	}
+}

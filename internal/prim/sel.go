@@ -211,9 +211,10 @@ func runCompaction(ctx context.Context, x *xfer, p Params, what string, bound in
 		var counts [16]int32
 		copy(counts[:], x.get(d, lays[d].counts))
 		out := x.get(d, lays[d].out)
-		// Verify each tasklet's dense region against the golden compaction
-		// of its slice.
-		for t, tr := range taskletRanges(r[1]-r[0], nth) {
+		// Verify each tasklet's dense region (the kernel's
+		// TaskletRangeAligned split, 2 items) against the golden
+		// compaction of its slice.
+		for t, tr := range ranges(r[1]-r[0], nth, 2) {
 			want = want[:0]
 			for gi := r[0] + tr[0]; gi < r[0]+tr[1]; gi++ {
 				if keep(a, r[0], gi) {
@@ -230,18 +231,4 @@ func runCompaction(ctx context.Context, x *xfer, p Params, what string, bound in
 		}
 	}
 	return nil
-}
-
-// taskletRanges mirrors kbuild.TaskletRangeAligned's partitioning on the
-// host side (ceil(n/NTH) rounded up to 2).
-func taskletRanges(n, tasklets int) [][2]int {
-	out := make([][2]int, tasklets)
-	chunk := (n + tasklets - 1) / tasklets
-	chunk = (chunk + 1) &^ 1
-	for t := 0; t < tasklets; t++ {
-		lo := min(t*chunk, n)
-		hi := min(lo+chunk, n)
-		out[t] = [2]int{lo, hi}
-	}
-	return out
 }
