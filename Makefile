@@ -4,7 +4,7 @@ GO ?= go
 # its stores, reports and logs; `make clean` removes it.
 W := .work
 
-.PHONY: build test cli-guard test-race race cover bench-module profile-cold fmt vet loc clean report refdata pathfind-smoke coord-smoke serve-smoke examples-smoke energy-check arch-check calibration-check
+.PHONY: build test cli-guard test-race race cover bench-module profile-cold profile-figures fmt vet loc clean report refdata pathfind-smoke coord-smoke serve-smoke examples-smoke energy-check arch-check calibration-check
 
 build:
 	$(GO) build ./...
@@ -135,6 +135,16 @@ profile-cold:
 	$(GO) build -o $(W)/profile-cold/pathfind ./cmd/pathfind
 	$(W)/profile-cold/pathfind -bench VA,BS,GEMV,RED -axes "tasklets=1,4,16;freq=350,700;link=1,4;ilp=base,DR,DRSF;mode=scratchpad,cache" -scale tiny -jobs 2 -store $(W)/profile-cold/store -cpuprofile $(W)/profile-cold/cpu.prof > /dev/null
 	$(GO) tool pprof -top -nodecount 25 $(W)/profile-cold/pathfind $(W)/profile-cold/cpu.prof
+
+# profile-figures is profile-cold's twin for the slowest workload,
+# figures_tiny: every experiment at tiny scale, -jobs 2, through figures' CPU
+# profiler. The profile stays in $(W)/profile-figures/cpu.prof.
+profile-figures:
+	rm -rf $(W)/profile-figures
+	mkdir -p $(W)/profile-figures
+	$(GO) build -o $(W)/profile-figures/figures ./cmd/figures
+	$(W)/profile-figures/figures -exp all -scale tiny -jobs 2 -cpuprofile $(W)/profile-figures/cpu.prof > /dev/null
+	$(GO) tool pprof -top -nodecount 25 $(W)/profile-figures/figures $(W)/profile-figures/cpu.prof
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi

@@ -25,6 +25,10 @@ func TestExitCodes(t *testing.T) {
 		{"-kernel NOPE -scale tiny", 1},
 		{"-dpus 0 -scale tiny", 1},
 		{"-kernel VA -scale tiny -threads 2", 0},
+		// What the SIMT engine would ignore is refused (config.Validate).
+		{"-kernel GEMV -mode simt", 0},
+		{"-kernel GEMV -mode simt -ilp D", 1},
+		{"-kernel GEMV -mode simt -mmu", 1},
 
 		{"-h", 0},
 		{"-nosuchflag", 2},
@@ -60,6 +64,7 @@ func TestSuiteGolden(t *testing.T) {
 		{"suite", "-kernel all -scale tiny"},
 		{"suite_energy", "-kernel all -scale tiny -energy"},
 		{"suite_cache", "-kernel all -scale tiny -mode cache -dpus 2"},
+		{"simt", "-kernel GEMV -scale tiny -mode simt"}, // the one-kernel summary with its SIMT line
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
 			args := strings.Fields(tc.args)

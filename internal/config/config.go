@@ -31,7 +31,8 @@ const (
 	ModeCache
 	// ModeSIMT is the case-study 1 design: tasklets are ganged into warps
 	// executing on a vector unit; loads/stores address MRAM directly through
-	// an optional address coalescer.
+	// an optional address coalescer. It models the baseline pipeline: the
+	// ILP features other than frequency, and the MMU, are refused with it.
 	ModeSIMT
 )
 
@@ -247,6 +248,11 @@ func (c Config) WithILP(features string) Config {
 	return c
 }
 
+// simtBaselineOnly opens the message for an ILP or MMU feature combined with
+// ModeSIMT: the vector engine would ignore it, so the combination is refused
+// rather than simulated as something it is not.
+const simtBaselineOnly = "the SIMT vector engine models the baseline in-order pipeline; "
+
 // Validate checks internal consistency; every simulator entry point calls it.
 func (c Config) Validate() error {
 	checks := []struct {
@@ -266,6 +272,10 @@ func (c Config) Validate() error {
 		{c.RowBytes > 0 && c.RowBytes%c.BurstBytes == 0, "row size must be a multiple of the burst size"},
 		{c.IssueWidth == 1 || c.IssueWidth == 2, "issue width must be 1 or 2"},
 		{c.Mode != ModeSIMT || c.SIMTWidth > 0, "SIMT width must be positive"},
+		{c.Mode != ModeSIMT || !c.Forwarding, simtBaselineOnly + "Forwarding is not modelled"},
+		{c.Mode != ModeSIMT || !c.UnifiedRF, simtBaselineOnly + "UnifiedRF is not modelled"},
+		{c.Mode != ModeSIMT || c.IssueWidth == 1, simtBaselineOnly + "IssueWidth other than 1 is not modelled"},
+		{c.Mode != ModeSIMT || !c.MMU.Enable, simtBaselineOnly + "MMU.Enable is not modelled"},
 		{c.TRCD > 0 && c.TRP > 0 && c.TCL > 0 && c.TBL > 0 && c.TRAS > 0, "DRAM timings must be positive"},
 		{!c.MMU.Enable || (c.MMU.PageBytes > 0 && c.MMU.TLBSize > 0), "MMU needs page size and TLB entries"},
 		{c.CPUToDPUBytesPerSec > 0 && c.DPUToCPUBytesPerSec > 0, "communication bandwidths must be positive"},

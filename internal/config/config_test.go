@@ -87,6 +87,11 @@ func TestValidationCatchesBadConfigs(t *testing.T) {
 		{"zero cache line", func(c *Config) { c.Mode = ModeCache; c.DCache.LineBytes = 0 }, "power of two"},
 		{"line not burst multiple", func(c *Config) { c.Mode = ModeCache; c.BurstBytes = 128; c.RowBytes = 1024 }, "multiple of the burst"},
 		{"line smaller than a wide burst", func(c *Config) { c.Mode = ModeCache; c.BurstBytes = 24; c.RowBytes = 1008 }, "multiple of the burst"},
+		// What the vector engine would silently ignore is refused by name.
+		{"simt + forwarding", func(c *Config) { c.Mode = ModeSIMT; c.Forwarding = true }, "pipeline; Forwarding is not modelled"},
+		{"simt + unified RF", func(c *Config) { c.Mode = ModeSIMT; c.UnifiedRF = true }, "pipeline; UnifiedRF is not modelled"},
+		{"simt + superscalar", func(c *Config) { c.Mode = ModeSIMT; c.IssueWidth = 2 }, "pipeline; IssueWidth other than 1 is not modelled"},
+		{"simt + mmu", func(c *Config) { c.Mode = ModeSIMT; c.MMU.Enable = true }, "pipeline; MMU.Enable is not modelled"},
 	}
 	for _, c := range cases {
 		cfg := Default()

@@ -13,7 +13,9 @@
 //     superscalar, frequency scaling — Fig 12);
 //   - the cache-centric organisation (I/D caches in front of a DRAM-backed
 //     flat space — Fig 14(b)) and the MMU of case study 3;
-//   - a SIMT vector-engine organisation (Fig 11) in simt.go.
+//   - the SIMT vector-engine organisation (Fig 11): the same pipeline
+//     issuing a vector — warps as the scheduler's units, the interpreter run
+//     per active lane, and a coalescer in front of the bank (simt.go).
 //
 // Functional execution happens at issue: the architectural state is updated
 // immediately and timing is modeled by blocking the issuing tasklet.
@@ -26,17 +28,19 @@
 //     RF-conflict parity, memory access shape — is precomputed into a flat
 //     µop slice shared by all DPUs running the program, so the issue path
 //     never re-derives it through switch chains.
-//   - Event-driven scheduling: thread states are tracked by incrementally
-//     maintained counters (alive/blocked/issuable) plus a (cycle, id)-ordered
-//     timer queue — a 64-cycle wheel of id masks over a heap for far timers
-//     (schedQueue) — so a simulated cycle costs O(state transitions) instead
-//     of O(threads).
+//   - Event-driven scheduling: what is scheduled is a unit — a thread, or a
+//     warp under SIMT — and one run loop serves every organisation. Unit
+//     states are tracked by incrementally maintained counters
+//     (alive/blocked/issuable) plus a (cycle, id)-ordered timer queue — a
+//     64-cycle wheel of id masks over a heap for far timers (schedQueue) —
+//     so a simulated cycle costs O(state transitions) instead of O(units).
 //   - Idle stretches stay in one loop (fastForward): when nothing can issue,
-//     the clock jumps to the unified next-event time (min of thread timers,
+//     the clock jumps to the unified next-event time (min of unit timers,
 //     the DRAM bank's next decision, and the watchdog deadline), and while
-//     that event is only the bank's — a tasklet waiting out its own DMA —
-//     the bank's decisions are made and the cycles accounted right there,
-//     call for call as Run's loop would, until a thread timer is due.
+//     that event is only the bank's — a tasklet waiting out its own DMA, a
+//     warp its vector load — the bank's decisions are made and the cycles
+//     accounted right there, call for call as Run's loop would, until a
+//     unit's timer is due.
 //   - The memory side costs per event, not per burst: a DMA enters the bank
 //     as one run per DRAM row it touches (dram.EnqueueRun) with one transfer
 //     record routed by tag, and an instruction fetch from the line the
@@ -72,26 +76,37 @@ type Tick = config.Tick
 
 const neverWake = math.MaxUint64
 
-type threadState uint8
+type unitState uint8
 
 const (
-	threadRunning threadState = iota
-	threadBlocked             // waiting on memory (DMA, cache fill, fault)
-	threadStopped
+	unitRunning unitState = iota
+	unitBlocked           // waiting on memory (DMA, cache fill, fault, vector load/store)
+	unitStopped
 )
 
-type thread struct {
+// unit is the scheduling record of one schedulable unit — a tasklet, or under
+// SIMT a warp (simt.go). It is all the run loop, the timer queue and the
+// completion sinks know of what they schedule; what a unit does with its
+// issue slot is its owner's business (execute, executeVector).
+type unit struct {
 	id    int
-	pc    uint16
-	regs  [isa.NumGPR]uint32
-	state threadState
+	state unitState
 
-	// wakeAt is the cycle a blocked thread becomes schedulable again;
+	// wakeAt is the cycle a blocked unit becomes schedulable again;
 	// neverWake while the completion time is not yet known.
 	wakeAt uint64
 	// nextIssueAt enforces the revolver distance (or back-to-back issue
 	// under forwarding).
 	nextIssueAt uint64
+}
+
+type thread struct {
+	// unit schedules the tasklet. A SIMT lane is scheduled through its warp:
+	// of its own record only id and the stopped state are live.
+	unit
+	pc   uint16
+	regs [isa.NumGPR]uint32
+
 	// regReady tracks per-register producer completion cycles when data
 	// forwarding ("D") is enabled.
 	regReady [isa.NumGPR]uint64
@@ -136,7 +151,7 @@ type IssueEvent struct {
 const traceMaxPrealloc = 1 << 20
 
 // schedEvent is one entry of the scheduler's timer queue: at cycle `at`,
-// reconsider thread (or warp, in SIMT mode) `id`.
+// reconsider unit `id`.
 type schedEvent struct {
 	at uint64
 	id int32
@@ -147,7 +162,7 @@ func (e schedEvent) before(o schedEvent) bool {
 }
 
 // eventQueue is a binary min-heap ordered by (at, id). The id tiebreak makes
-// same-cycle processing follow thread-index order — exactly the order the
+// same-cycle processing follow unit-index order — exactly the order the
 // per-cycle census used to touch shared state (I-cache fetches) in, which
 // the refdata oracle holds us to.
 type eventQueue []schedEvent
@@ -197,7 +212,7 @@ func (q *eventQueue) pop() schedEvent {
 // binary heap.
 const wheelSlots = 64
 
-// wheelIDs is how many thread (warp) ids a wheel slot can hold: one bit each.
+// wheelIDs is how many unit ids a wheel slot can hold: one bit each.
 const wheelIDs = 64
 
 // schedQueue is the scheduler's timer queue: a 64-slot timing wheel over the
@@ -212,7 +227,7 @@ const wheelIDs = 64
 // so a slot holds exactly one distinct cycle.
 //
 // A mask cannot hold the same (cycle, id) twice. The scheduler never needs
-// it to: a thread or warp has at most one live timer (it is armed when the
+// it to: a unit has at most one live timer (it is armed when the
 // previous one is drained, or at an issue or completion while none is
 // armed), and push panics if that ever stops being true rather than
 // coalesce two timers into one.
@@ -230,7 +245,7 @@ func (q *schedQueue) reset(base uint64) {
 	*q = schedQueue{base: base, overflow: q.overflow[:0], big: q.big[:0]}
 }
 
-// push arms a timer: reconsider thread/warp id at cycle `at`.
+// push arms a timer: reconsider unit id at cycle `at`.
 func (q *schedQueue) push(at uint64, id int32) {
 	if at-q.base < wheelSlots && uint32(id) < wheelIDs {
 		s := at & (wheelSlots - 1)
@@ -295,8 +310,8 @@ func (q *schedQueue) advanceTo(base uint64) {
 	}
 }
 
-// bitset tracks the issuable thread (or warp) set; nextFrom implements the
-// round-robin pick in O(words) instead of a per-thread scan.
+// bitset tracks the issuable unit set; nextFrom implements the round-robin
+// pick in O(words) instead of a per-unit scan.
 type bitset struct {
 	words []uint64
 	n     int
@@ -367,16 +382,18 @@ type DPU struct {
 
 	// fwdLat holds the forwarding latencies indexed by µop latency selector.
 	fwdLat [numLatSels]uint64
+	// issueGap is the distance to a unit's next issue: the revolver's, or one
+	// cycle under forwarding.
+	issueGap uint64
 
-	// Event-driven scheduler state. In scalar modes the counters and the
-	// issuable set are over threads; in SIMT mode, over warps.
+	// Event-driven scheduler state, over units (see unitAt).
 	sched     schedQueue
 	issuable  bitset
 	issuableN int // members of the issuable set
-	aliveN    int // non-stopped threads (warps with live lanes)
-	blockedN  int // blocked threads (warps)
-	// issuableLanesN sums the active-lane counts of issuable warps (SIMT
-	// TLP accounting).
+	aliveN    int // non-stopped units
+	blockedN  int // blocked units
+	// issuableLanesN sums the active-lane counts of issuable warps: the TLP
+	// sample under SIMT, where parallelism is counted in lanes.
 	issuableLanesN int
 
 	// rfDebt counts issue slots still owed to the odd/even RF hazard.
@@ -398,12 +415,12 @@ type DPU struct {
 	eagerDone Tick
 	// dmaBuf is the reusable staging buffer for DMA functional copies.
 	dmaBuf []byte
-	// vecBursts/vecSeen are executeVectorMem scratch (SIMT mode).
+	// vecBursts gathers the bank requests of the vector load/store being
+	// issued (SIMT mode; see laneRequest).
 	vecBursts []uint32
-	vecSeen   map[uint32]bool
 
-	// SIMT state (built lazily when Mode == ModeSIMT); warps point into
-	// warpSlab, reused like threadSlab.
+	// SIMT state (empty in the scalar modes); warps point into warpSlab,
+	// reused like threadSlab.
 	warps    []*warp
 	warpSlab []warp
 
@@ -431,14 +448,14 @@ type sinkKind uint32
 const (
 	sinkEager  sinkKind = iota // synchronous fill/PTE-walk: record the tick
 	sinkDMA                    // scratchpad DMA: cross the link, wake the tasklet
-	sinkVector                 // SIMT vector memory: wake the warp
+	sinkVector                 // SIMT vector memory: straight from the bank, wake the warp
 )
 
 // tag builds the bank tag for a burst of transfer slot xi.
 func (k sinkKind) tag(xi int32) uint64 { return uint64(k)<<32 | uint64(uint32(xi)) }
 
-// xfer tracks one in-flight multi-burst transfer. owner is the tasklet id
-// (sinkDMA) or warp id (sinkVector).
+// xfer tracks one in-flight multi-burst transfer. owner is the id of the unit
+// waiting for it.
 type xfer struct {
 	owner     int32
 	remaining int32
@@ -490,6 +507,10 @@ func (d *DPU) reinit(id int, prog *linker.Program, cfg config.Config) error {
 		latALU:    uint64(cfg.FwdLatALU),
 		latMulDiv: uint64(cfg.FwdLatMulDiv),
 		latLoad:   uint64(cfg.FwdLatLoad),
+	}
+	d.issueGap = uint64(cfg.RevolverCycles)
+	if cfg.Forwarding {
+		d.issueGap = 1
 	}
 	d.cycle = 0
 	d.rfDebt, d.rr = 0, 0
@@ -564,9 +585,9 @@ func (d *DPU) load() error {
 }
 
 // resetThreads rebuilds the architectural thread state and re-seeds the
-// scheduler: every thread (or warp) gets a timer at the current cycle, so
-// the first loop iteration classifies them exactly like the old per-cycle
-// census did — including cache-mode initial I-fetches in thread order.
+// scheduler: every unit gets a timer at the current cycle, so the first loop
+// iteration classifies them exactly like the old per-cycle census did —
+// including cache-mode initial I-fetches in thread order.
 func (d *DPU) resetThreads() {
 	n := d.cfg.NumTasklets
 	if cap(d.threadSlab) < n {
@@ -578,22 +599,32 @@ func (d *DPU) resetThreads() {
 	}
 	for i := 0; i < n; i++ {
 		t := &d.threadSlab[i]
-		*t = thread{id: i, fetchPC: -1}
+		*t = thread{unit: unit{id: i}, fetchPC: -1}
 		// ABI: r22 = stack pointer (per-tasklet stack carved from the top of
 		// WRAM), r23 = link register.
 		t.regs[22] = uint32(d.cfg.WRAMBytes - i*d.cfg.StackBytes)
 		d.threads[i] = t
 	}
+	d.warps = d.warps[:0]
 	if d.cfg.Mode == config.ModeSIMT {
 		d.buildWarps()
-		return
+		n = len(d.warps)
 	}
 	d.sched.reset(d.cycle)
 	d.issuable.reset(n)
-	d.aliveN, d.blockedN, d.issuableN = n, 0, 0
+	d.aliveN, d.blockedN, d.issuableN, d.issuableLanesN = n, 0, 0, 0
 	for i := 0; i < n; i++ {
 		d.sched.push(d.cycle, int32(i))
 	}
+}
+
+// unitAt returns the scheduling record of unit i: thread i's, or under SIMT
+// (warps is non-empty exactly then) warp i's.
+func (d *DPU) unitAt(i int) *unit {
+	if len(d.warps) > 0 {
+		return &d.warps[i].unit
+	}
+	return &d.threads[i].unit
 }
 
 // ID returns the DPU's system-wide index.
@@ -659,7 +690,9 @@ const ctxCheckInterval = 1 << 13
 
 // Run executes the kernel to completion (all tasklets stopped), bounded by
 // a budget of maxCycles beyond the current clock as a runaway/deadlock
-// watchdog. Cancelling ctx aborts the run with ctx.Err().
+// watchdog. Cancelling ctx aborts the run with ctx.Err(). The loop schedules
+// units and is the same for every organisation; the vector engine differs in
+// what a unit issues (issueOne) and in counting parallelism in lanes.
 func (d *DPU) Run(ctx context.Context, maxCycles uint64) error {
 	if d.released {
 		panic("core: Run on a released DPU shell (its storage belongs to the arena and may be recycled)")
@@ -670,9 +703,6 @@ func (d *DPU) Run(ctx context.Context, maxCycles uint64) error {
 	deadline := d.cycle + maxCycles
 	if d.cfg.TraceIssues && d.trace == nil {
 		d.trace = make([]IssueEvent, 0, min(maxCycles*uint64(d.cfg.IssueWidth), traceMaxPrealloc))
-	}
-	if d.cfg.Mode == config.ModeSIMT {
-		return d.runSIMT(ctx, deadline)
 	}
 	width := d.cfg.IssueWidth
 	nextCtxCheck := d.cycle + ctxCheckInterval
@@ -700,7 +730,11 @@ func (d *DPU) Run(ctx context.Context, maxCycles uint64) error {
 		}
 		issuable, memN := d.issuableN, d.blockedN
 		revN := d.aliveN - memN - issuable
-		d.st.RecordTLP(issuable, 1, d.cfg.TimelineWindow)
+		tlp := issuable
+		if len(d.warps) > 0 {
+			tlp = d.issuableLanesN
+		}
+		d.st.RecordTLP(tlp, 1, d.cfg.TimelineWindow)
 
 		slots := width
 		for slots > 0 && d.rfDebt > 0 {
@@ -734,9 +768,9 @@ func (d *DPU) Run(ctx context.Context, maxCycles uint64) error {
 }
 
 // processDue drains the timer queue up to the current cycle, waking blocked
-// threads and admitting running ones into the issuable set. It replaces the
-// per-cycle wakeThreads/census scans: each thread is touched only when its
-// own state can change.
+// units and admitting running ones into the issuable set. It replaces the
+// per-cycle wakeThreads/census scans: each unit is touched only when its own
+// state can change.
 func (d *DPU) processDue() {
 	for {
 		at, ok := d.sched.nextAt()
@@ -745,71 +779,76 @@ func (d *DPU) processDue() {
 		}
 		mask, big := d.sched.drainAt(at)
 		for ; mask != 0; mask &= mask - 1 {
-			d.timerDue(d.threads[bits.TrailingZeros64(mask)])
+			d.timerDue(d.unitAt(bits.TrailingZeros64(mask)))
 		}
 		for _, id := range big {
-			d.timerDue(d.threads[id])
+			d.timerDue(d.unitAt(int(id)))
 		}
 	}
 	d.sched.advanceTo(d.cycle + 1)
 }
 
-// timerDue reconsiders one thread whose timer fired.
-func (d *DPU) timerDue(t *thread) {
-	switch t.state {
-	case threadStopped:
-		// Stale timer of a stopped thread; drop it.
-	case threadBlocked:
-		if t.wakeAt == neverWake {
+// timerDue reconsiders one unit whose timer fired.
+func (d *DPU) timerDue(u *unit) {
+	switch u.state {
+	case unitStopped:
+		// Stale timer of a stopped unit; drop it.
+	case unitBlocked:
+		if u.wakeAt == neverWake {
 			return // superseded; the completion sink re-arms the timer
 		}
-		if t.wakeAt > d.cycle {
-			d.sched.push(t.wakeAt, int32(t.id)) // stall was extended; re-arm
+		if u.wakeAt > d.cycle {
+			d.sched.push(u.wakeAt, int32(u.id)) // stall was extended; re-arm
 			return
 		}
-		t.state = threadRunning
+		u.state = unitRunning
 		d.blockedN--
-		d.admit(t)
+		d.admit(u)
 	default:
-		d.admit(t)
+		d.admit(u)
 	}
 }
 
-// admit classifies a running thread at the current cycle: it services a
+// admit classifies a running unit at the current cycle: it services a
 // pending I-fetch (cache mode) at exactly the cycle the per-cycle census
-// used to, then either marks the thread issuable or re-arms its timer for
-// the cycle its current instruction becomes ready.
-func (d *DPU) admit(t *thread) {
-	if d.icache != nil && t.fetchPC != int(t.pc) {
-		var ready Tick
-		ready, t.fetchLine = d.icache.AccessFrom(t.fetchLine, d.iramBacking(t.pc), false, d.nowTick())
-		t.fetchPC = int(t.pc)
-		t.fetchReady = d.cycleOf(ready)
-		if t.fetchReady > d.cycle {
-			t.state = threadBlocked
-			t.wakeAt = t.fetchReady
-			d.blockedN++
-			d.sched.push(t.wakeAt, int32(t.id))
-			return
+// used to, then either marks the unit issuable or re-arms its timer for the
+// cycle its current instruction becomes ready. The I-cache and forwarding
+// exist in the scalar organisations only (Config.Validate), where unit id
+// is thread id.
+func (d *DPU) admit(u *unit) {
+	if d.icache != nil {
+		if t := d.threads[u.id]; t.fetchPC != int(t.pc) {
+			var ready Tick
+			ready, t.fetchLine = d.icache.AccessFrom(t.fetchLine, d.iramBacking(t.pc), false, d.nowTick())
+			t.fetchPC = int(t.pc)
+			t.fetchReady = d.cycleOf(ready)
+			if t.fetchReady > d.cycle {
+				d.blockUntil(u, t.fetchReady)
+				return
+			}
 		}
 	}
-	if at := d.readyAt(t); at > d.cycle {
-		d.sched.push(at, int32(t.id))
+	if at := d.readyAt(u); at > d.cycle {
+		d.sched.push(at, int32(u.id))
 		return
 	}
-	d.issuable.set(t.id)
+	d.issuable.set(u.id)
 	d.issuableN++
+	if len(d.warps) > 0 {
+		d.issuableLanesN += len(d.warps[u.id].active)
+	}
 }
 
-// readyAt returns the earliest cycle a running thread may issue its current
+// readyAt returns the earliest cycle a running unit may issue its current
 // instruction: the revolver/forwarding spacing plus, under forwarding, the
 // producer latencies of the µop's source registers.
-func (d *DPU) readyAt(t *thread) uint64 {
-	at := t.nextIssueAt
+func (d *DPU) readyAt(u *unit) uint64 {
+	at := u.nextIssueAt
 	if d.cfg.Forwarding {
-		u := &d.uops[t.pc]
-		for i := uint8(0); i < u.nSrc; i++ {
-			if r := t.regReady[u.src[i]]; r > at {
+		t := d.threads[u.id]
+		uop := &d.uops[t.pc]
+		for i := uint8(0); i < uop.nSrc; i++ {
+			if r := t.regReady[uop.src[i]]; r > at {
 				at = r
 			}
 		}
@@ -817,54 +856,78 @@ func (d *DPU) readyAt(t *thread) uint64 {
 	return at
 }
 
-// scheduleAfterIssue re-arms a still-running thread's timer after it issued:
+// scheduleAfterIssue re-arms a still-running unit's timer after it issued:
 // in cache mode a changed PC is fetched at the next cycle boundary (when the
-// census used to see it); otherwise the thread sleeps until its ready time.
-func (d *DPU) scheduleAfterIssue(t *thread) {
-	if d.icache != nil && t.fetchPC != int(t.pc) {
-		d.sched.push(d.cycle+1, int32(t.id))
-		return
+// census used to see it); otherwise the unit sleeps until its ready time.
+func (d *DPU) scheduleAfterIssue(u *unit) {
+	if d.icache != nil {
+		if t := d.threads[u.id]; t.fetchPC != int(t.pc) {
+			d.sched.push(d.cycle+1, int32(u.id))
+			return
+		}
 	}
-	d.sched.push(d.readyAt(t), int32(t.id))
+	d.sched.push(d.readyAt(u), int32(u.id))
 }
 
-// issueOne picks the next issuable thread round-robin and executes one
-// instruction, folding the resulting state transition back into the
-// scheduler counters. It reports whether anything issued.
+// issueOne picks the next issuable unit round-robin and issues its
+// instruction — a tasklet's on the scalar pipeline, a warp's across its
+// active lanes on the vector unit; this branch is where the organisations
+// part — then folds the resulting state transition back into the scheduler
+// counters. It reports whether anything issued.
 func (d *DPU) issueOne() bool {
 	i := d.issuable.nextFrom(d.rr)
 	if i < 0 {
 		return false
 	}
 	d.rr = i + 1
-	if d.rr == len(d.threads) {
+	if d.rr == d.issuable.n {
 		d.rr = 0
 	}
-	t := d.threads[i]
 	d.issuable.clear(i)
 	d.issuableN--
-	d.execute(t)
-	switch t.state {
-	case threadRunning:
-		d.scheduleAfterIssue(t)
-	case threadStopped:
+	var u *unit
+	if len(d.warps) > 0 {
+		w := d.warps[i]
+		u = &w.unit
+		d.issuableLanesN -= len(w.active)
+		d.executeVector(w)
+	} else {
+		t := d.threads[i]
+		u = &t.unit
+		uop := &d.uops[t.pc]
+		rfConflict := !d.cfg.UnifiedRF && uop.rfConflict()
+		if rfConflict {
+			d.rfDebt++
+		}
+		if d.cfg.TraceIssues {
+			d.traceIssue(t.id, t.pc, uop.op, rfConflict)
+		}
+		d.execute(t, uop)
+	}
+	// The pipeline rule every organisation inherits: revolver (or
+	// forwarding) spacing to the unit's next issue.
+	u.nextIssueAt = d.cycle + d.issueGap
+	switch u.state {
+	case unitRunning:
+		d.scheduleAfterIssue(u)
+	case unitStopped:
 		d.aliveN--
-		// Blocked threads are accounted at their block site, which also
-		// arms the wake timer once the completion time is known.
+		// Blocked units are accounted at their block site, which also arms
+		// the wake timer once the completion time is known.
 	}
 	return true
 }
 
 // fastForward runs the clock through an idle stretch: nothing is issuable and
-// no RF debt is owed, so until a thread timer fires no thread changes state,
+// no RF debt is owed, so until a unit's timer fires no unit changes state,
 // memN and revN stand, and the only thing that can be due is a bank decision.
-// It jumps to the next event — the earliest thread timer, the bank's next
+// It jumps to the next event — the earliest unit timer, the bank's next
 // decision, or the watchdog deadline — bulk-accounting the skipped cycles,
 // and when that event is a bank decision it spends the cycle on it exactly
 // as Run's loop would and goes on, without the trip through Run. "Exactly"
 // includes how the stretch is cut into AttributeIdle calls — one per jump,
 // one per bank cycle, never merged or split: Idle[] is a float sum that
-// reaches the artifacts. It returns to Run when a thread timer is due, the
+// reaches the artifacts. It returns to Run when a unit timer is due, the
 // deadline is reached, or the clock has passed pollAt (a context poll is
 // owed; the jump that crosses pollAt is not cut short, only followed by the
 // return).
@@ -880,7 +943,7 @@ func (d *DPU) fastForward(deadline, pollAt uint64, memN, revN int) {
 			}
 		}
 		if next == neverWake {
-			d.faultErr = fmt.Errorf("core: dpu %d deadlocked at cycle %d (all threads blocked with no pending events)", d.id, d.cycle)
+			d.faultErr = fmt.Errorf("core: dpu %d deadlocked at cycle %d (every live thread blocked with no pending events)", d.id, d.cycle)
 			return
 		}
 		if next > deadline {
@@ -922,16 +985,12 @@ func (d *DPU) finish() {
 	d.st.Cycles = d.cycle
 }
 
-// fault records a fatal simulation fault.
-func (d *DPU) fault(t *thread, in isa.Instruction, err error) {
-	if d.faultErr == nil {
-		d.faultErr = &FaultError{DPU: d.id, Tasklet: t.id, PC: t.pc, Instr: in, Err: err}
-	}
-}
-
-// faultPC records a fault against the thread's current instruction.
+// faultPC records a fatal simulation fault against the thread's current
+// instruction; the first one stands.
 func (d *DPU) faultPC(t *thread, err error) {
-	d.fault(t, d.prog.Instrs[t.pc], err)
+	if d.faultErr == nil {
+		d.faultErr = &FaultError{DPU: d.id, Tasklet: t.id, PC: t.pc, Instr: d.prog.Instrs[t.pc], Err: err}
+	}
 }
 
 // --- memory-system glue -----------------------------------------------
@@ -975,42 +1034,31 @@ func (d *DPU) runEager() {
 }
 
 // dispatch routes one burst completion by sink kind: eager drains record the
-// tick; DMA bursts cross the MRAM<->WRAM link and wake their tasklet when the
-// transfer's last burst clears it; vector bursts wake their warp.
+// tick; a transfer's bursts — a DMA's after crossing the MRAM<->WRAM link, a
+// vector load/store's as the bank completes them — wake the owning unit when
+// the last one is through.
 func (d *DPU) dispatch(tag uint64, completeAt Tick) {
-	xi := int32(uint32(tag))
-	switch sinkKind(tag >> 32) {
-	case sinkEager:
+	kind := sinkKind(tag >> 32)
+	if kind == sinkEager {
 		d.eagerDone = completeAt
-	case sinkDMA:
-		x := &d.xfers[xi]
-		done := d.link.Reserve(completeAt, d.cfg.BurstBytes)
-		if done > x.lastDone {
-			x.lastDone = done
+		return
+	}
+	if kind == sinkDMA {
+		completeAt = d.link.Reserve(completeAt, d.cfg.BurstBytes)
+	}
+	xi := int32(uint32(tag))
+	x := &d.xfers[xi]
+	if completeAt > x.lastDone {
+		x.lastDone = completeAt
+	}
+	x.remaining--
+	if x.remaining == 0 {
+		u := d.unitAt(int(x.owner))
+		u.wakeAt = d.cycleOf(x.lastDone) + 1
+		if u.state == unitBlocked {
+			d.sched.push(u.wakeAt, int32(u.id))
 		}
-		x.remaining--
-		if x.remaining == 0 {
-			t := d.threads[x.owner]
-			t.wakeAt = d.cycleOf(x.lastDone) + 1
-			if t.state == threadBlocked {
-				d.sched.push(t.wakeAt, int32(t.id))
-			}
-			d.freeXfers = append(d.freeXfers, xi)
-		}
-	case sinkVector:
-		x := &d.xfers[xi]
-		if completeAt > x.lastDone {
-			x.lastDone = completeAt
-		}
-		x.remaining--
-		if x.remaining == 0 {
-			w := d.warps[x.owner]
-			w.wakeAt = d.cycleOf(x.lastDone) + 1
-			if w.blocked {
-				d.sched.push(w.wakeAt, int32(w.id))
-			}
-			d.freeXfers = append(d.freeXfers, xi)
-		}
+		d.freeXfers = append(d.freeXfers, xi)
 	}
 }
 

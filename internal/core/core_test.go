@@ -491,22 +491,21 @@ func TestWatchdogCatchesInfiniteLoop(t *testing.T) {
 
 	// A deadline that falls inside an idle stretch — one tasklet blocked on
 	// its DMA while the bank works through the bursts, sixteen queued behind
-	// a saturated link — must land on the deadline exactly, whichever cycle
-	// of the stretch it is: the bulk jump is clamped to it and the bank-only
-	// cycles stop at it.
-	for _, tasklets := range []int{1, 16} {
-		cfg.NumTasklets = tasklets
+	// a saturated link, one warp waiting out a vector load — must land on the
+	// deadline exactly, whichever cycle of the stretch it is: the bulk jump
+	// is clamped to it and the bank-only cycles stop at it.
+	for name, build := range idlePoints(t) {
 		for _, budget := range []uint64{1, 40, 41, 100, 777, 1000, 5000, 5001} {
-			d := buildDPU(t, dmaKernel(64), cfg, func(d *DPU) { writeArgs(t, d, mem.MRAMBase) })
+			d := build()
 			err := d.Run(context.Background(), budget)
 			if !errors.Is(err, ErrWatchdogExpired) {
-				t.Fatalf("%d tasklets, budget %d: err = %v, want ErrWatchdogExpired", tasklets, budget, err)
+				t.Fatalf("%s, budget %d: err = %v, want ErrWatchdogExpired", name, budget, err)
 			}
 			if d.Cycles() != budget {
-				t.Fatalf("%d tasklets, budget %d: watchdog fired at cycle %d", tasklets, budget, d.Cycles())
+				t.Fatalf("%s, budget %d: watchdog fired at cycle %d", name, budget, d.Cycles())
 			}
 			if slots := d.Stats().IssueSlots; slots != float64(budget) {
-				t.Fatalf("%d tasklets, budget %d: %v issue slots accounted", tasklets, budget, slots)
+				t.Fatalf("%s, budget %d: %v issue slots accounted", name, budget, slots)
 			}
 		}
 	}

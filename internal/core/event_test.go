@@ -129,8 +129,8 @@ func (q *schedQueue) liveTimers(perID []int) {
 }
 
 // TestAtMostOneLiveTimer is the premise of the mask wheel, checked cycle by
-// cycle: a thread (a warp, under SIMT) never has two timers armed at once, so
-// no two live timers can share a (cycle, id) and a mask loses nothing. The
+// cycle: a unit (a thread, or a warp under SIMT) never has two timers armed at
+// once, so no two live timers can share a (cycle, id) and a mask loses nothing. The
 // kernels cover every site that arms a timer: revolver and forwarding
 // re-issue, RF debt, DMA completions, MMU walks stacked on cache misses,
 // I-fetch misses, spinning on locks, and vector memory.
@@ -233,103 +233,129 @@ func (c *pollCtx) Err() error {
 	return nil
 }
 
-// TestCancellationInsideIdleStretch: kernels that spend nearly all their time
-// inside fastForward — one tasklet waiting on its own DMAs, and sixteen
-// saturating the link — still poll the context every ctxCheckInterval cycles
-// or so, and a cancellation ends the run at the poll that sees it.
-func TestCancellationInsideIdleStretch(t *testing.T) {
-	for _, tasklets := range []int{1, 16} {
+// idlePoints build DPUs whose kernels spend nearly all their time inside
+// fastForward, in each organisation: one tasklet waiting on its own DMAs,
+// sixteen saturating the link, and one warp waiting out its vector loads.
+func idlePoints(t *testing.T) map[string]func() *DPU {
+	dma := func(tasklets int) func() *DPU {
 		cfg := config.Default()
 		cfg.NumTasklets = tasklets
-		d := buildDPU(t, dmaKernel(64), cfg, func(d *DPU) { writeArgs(t, d, mem.MRAMBase) })
+		return func() *DPU {
+			return buildDPU(t, dmaKernel(64), cfg, func(d *DPU) { writeArgs(t, d, mem.MRAMBase) })
+		}
+	}
+	return map[string]func() *DPU{
+		"1 tasklet":   dma(1),
+		"16 tasklets": dma(16),
+		"1 warp": func() *DPU {
+			return buildDPU(t, simtSumKernel(), simtConfig(16), func(d *DPU) {
+				writeArgs(t, d, mem.MRAMBase, 16384, mem.MRAMBase+1<<20)
+			})
+		},
+	}
+}
+
+// TestCancellationInsideIdleStretch: kernels that spend nearly all their time
+// inside fastForward still poll the context every ctxCheckInterval cycles or
+// so, and a cancellation ends the run at the poll that sees it.
+func TestCancellationInsideIdleStretch(t *testing.T) {
+	for name, build := range idlePoints(t) {
+		d := build()
 		ctx := &pollCtx{Context: context.Background(), d: d, cancelAt: 4}
 		err := d.Run(ctx, testWatchdog)
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("%d tasklets: err = %v, want context.Canceled", tasklets, err)
+			t.Fatalf("%s: err = %v, want context.Canceled", name, err)
 		}
 		if len(ctx.polls) != ctx.cancelAt {
-			t.Fatalf("%d tasklets: %d polls, want the run to end at poll %d", tasklets, len(ctx.polls), ctx.cancelAt)
+			t.Fatalf("%s: %d polls, want the run to end at poll %d", name, len(ctx.polls), ctx.cancelAt)
 		}
 		prev := uint64(0)
 		for i, at := range ctx.polls {
 			if at-prev > 2*ctxCheckInterval {
-				t.Fatalf("%d tasklets: poll %d at cycle %d, %d cycles after the previous one (limit %d)",
-					tasklets, i, at, at-prev, 2*ctxCheckInterval)
+				t.Fatalf("%s: poll %d at cycle %d, %d cycles after the previous one (limit %d)",
+					name, i, at, at-prev, 2*ctxCheckInterval)
 			}
 			prev = at
 		}
 		if d.Cycles() != prev {
-			t.Fatalf("%d tasklets: run ended at cycle %d, the cancelling poll was at %d", tasklets, d.Cycles(), prev)
+			t.Fatalf("%s: run ended at cycle %d, the cancelling poll was at %d", name, d.Cycles(), prev)
 		}
 
 		// The same through a real cancelled context.
-		d = buildDPU(t, dmaKernel(64), cfg, func(d *DPU) { writeArgs(t, d, mem.MRAMBase) })
+		d = build()
 		cancelled, cancel := context.WithCancel(context.Background())
 		cancel()
 		if err := d.Run(cancelled, testWatchdog); !errors.Is(err, context.Canceled) {
-			t.Fatalf("%d tasklets: err = %v, want context.Canceled", tasklets, err)
+			t.Fatalf("%s: err = %v, want context.Canceled", name, err)
 		}
 		if d.Cycles() > 2*ctxCheckInterval {
-			t.Fatalf("%d tasklets: cancelled run went on for %d cycles (limit %d)", tasklets, d.Cycles(), 2*ctxCheckInterval)
+			t.Fatalf("%s: cancelled run went on for %d cycles (limit %d)", name, d.Cycles(), 2*ctxCheckInterval)
 		}
 	}
+}
+
+// stuckDPU builds a state no kernel can reach (the core always arms a wake-up
+// for a unit it blocks): every unit — tasklet or warp — blocked forever with
+// no timer armed.
+func stuckDPU(t *testing.T, cfg config.Config) *DPU {
+	b := kbuild.New("stuck")
+	b.Stop()
+	d := buildDPU(t, b.MustBuild(), cfg, nil)
+	d.sched.reset(d.cycle)
+	for i := 0; i < d.aliveN; i++ {
+		u := d.unitAt(i)
+		u.state = unitBlocked
+		u.wakeAt = neverWake
+	}
+	d.blockedN = d.aliveN
+	return d
+}
+
+// bothOrganisations is the scalar pipeline and the vector engine at n units.
+func bothOrganisations(n int) map[string]config.Config {
+	scalar := config.Default()
+	scalar.NumTasklets = n
+	return map[string]config.Config{"scalar": scalar, "simt": simtConfig(n * scalar.SIMTWidth)}
 }
 
 // TestPollOwedInsideOneStretch pins the poll to the stretch itself. A DMA is
-// at most 2 KiB, so in the kernels above a thread timer ends every stretch
+// at most 2 KiB, so in the kernels above a unit's timer ends every stretch
 // well inside ctxCheckInterval and Run polls on the way back in; here one
-// stretch is made far longer than the interval — a blocked thread with no
+// stretch is made far longer than the interval — a blocked unit with no
 // timer and a bank queue of 100 000 bursts nobody waits for — and the polls
 // must still come every ctxCheckInterval cycles, from inside it.
 func TestPollOwedInsideOneStretch(t *testing.T) {
-	cfg := config.Default()
-	cfg.NumTasklets = 1
-	b := kbuild.New("stuck")
-	b.Stop()
-	d := buildDPU(t, b.MustBuild(), cfg, nil)
-	d.sched.reset(d.cycle)
-	d.threads[0].state = threadBlocked
-	d.threads[0].wakeAt = neverWake
-	d.blockedN = 1
-	d.bank.EnqueueRun(0, 100_000, false, 0, sinkEager.tag(0))
+	for name, cfg := range bothOrganisations(1) {
+		d := stuckDPU(t, cfg)
+		d.bank.EnqueueRun(0, 100_000, false, 0, sinkEager.tag(0))
 
-	ctx := &pollCtx{Context: context.Background(), d: d, cancelAt: 5}
-	if err := d.Run(ctx, testWatchdog); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	// A poll comes ctxCheckInterval cycles after the previous one, or a
-	// cycle later when a bank-idle cycle was being jumped at that moment.
-	prev := uint64(0)
-	for i, at := range ctx.polls {
-		if gap := at - prev; gap < ctxCheckInterval || gap > ctxCheckInterval+1 {
-			t.Fatalf("poll %d at cycle %d, %d after the previous one (polls: %v)", i, at, gap, ctx.polls)
+		ctx := &pollCtx{Context: context.Background(), d: d, cancelAt: 5}
+		if err := d.Run(ctx, testWatchdog); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", name, err)
 		}
-		prev = at
+		// A poll comes ctxCheckInterval cycles after the previous one, or a
+		// cycle later when a bank-idle cycle was being jumped at that moment.
+		prev := uint64(0)
+		for i, at := range ctx.polls {
+			if gap := at - prev; gap < ctxCheckInterval || gap > ctxCheckInterval+1 {
+				t.Fatalf("%s: poll %d at cycle %d, %d after the previous one (polls: %v)", name, i, at, gap, ctx.polls)
+			}
+			prev = at
+		}
 	}
 }
 
-// TestDeadlockIsAFaultNotAHang: with every live thread blocked and nothing
+// TestDeadlockIsAFaultNotAHang: with every live unit blocked and nothing
 // armed or queued that could wake one, the idle stretch has no end; the run
 // must stop with the deadlock fault.
 func TestDeadlockIsAFaultNotAHang(t *testing.T) {
-	cfg := config.Default()
-	cfg.NumTasklets = 2
-	b := kbuild.New("stuck")
-	b.Stop()
-	d := buildDPU(t, b.MustBuild(), cfg, nil)
-	// A state no kernel can reach (the core always arms a wake-up for a
-	// thread it blocks): both threads blocked forever, no timer, empty bank.
-	d.sched.reset(d.cycle)
-	for _, th := range d.threads {
-		th.state = threadBlocked
-		th.wakeAt = neverWake
-	}
-	d.blockedN = len(d.threads)
-	err := d.Run(context.Background(), testWatchdog)
-	if err == nil || !strings.Contains(err.Error(), "deadlocked") {
-		t.Fatalf("err = %v, want the deadlock fault", err)
-	}
-	if errors.Is(err, ErrWatchdogExpired) {
-		t.Fatalf("deadlock reported as a watchdog expiry: %v", err)
+	for name, cfg := range bothOrganisations(2) {
+		err := stuckDPU(t, cfg).Run(context.Background(), testWatchdog)
+		if err == nil || !strings.Contains(err.Error(), "deadlocked") {
+			t.Fatalf("%s: err = %v, want the deadlock fault", name, err)
+		}
+		if errors.Is(err, ErrWatchdogExpired) {
+			t.Fatalf("%s: deadlock reported as a watchdog expiry: %v", name, err)
+		}
 	}
 }

@@ -129,32 +129,19 @@ func signExtendVal(v uint32, size int) uint32 {
 	}
 }
 
-// execute issues one instruction of thread t at the current cycle,
+// traceIssue appends one issue to the trace (Config.TraceIssues).
+func (d *DPU) traceIssue(tasklet int, pc uint16, op isa.Opcode, rfConflict bool) {
+	d.trace = append(d.trace, IssueEvent{Cycle: d.cycle, Tasklet: tasklet, PC: pc, Op: op, RFConflict: rfConflict})
+}
+
+// execute runs µop u, the instruction at t's PC, for one thread — a tasklet
+// issuing on the scalar pipeline or one active lane of a vector issue —
 // performing its functional effects and applying its timing consequences.
 // All static instruction properties come from the decode-once µop table.
-func (d *DPU) execute(t *thread) {
-	u := &d.uops[t.pc]
+func (d *DPU) execute(t *thread, u *uop) {
 	d.st.Instructions++
 	d.st.Mix[u.class]++
 	t.instret++
-
-	rfConflict := !d.cfg.UnifiedRF && u.rfConflict()
-	if rfConflict {
-		d.rfDebt++
-	}
-	if d.cfg.TraceIssues {
-		d.trace = append(d.trace, IssueEvent{
-			Cycle: d.cycle, Tasklet: t.id, PC: t.pc, Op: u.op, RFConflict: rfConflict,
-		})
-	}
-
-	// Revolver (or forwarding) spacing for the next issue of this thread.
-	if d.cfg.Forwarding {
-		t.nextIssueAt = d.cycle + 1
-	} else {
-		t.nextIssueAt = d.cycle + uint64(d.cfg.RevolverCycles)
-	}
-
 	nextPC := t.pc + 1
 
 	switch u.kind {
@@ -229,7 +216,7 @@ func (d *DPU) execute(t *thread) {
 		}
 
 	case uopSTOP:
-		t.state = threadStopped
+		t.state = unitStopped
 		return
 
 	case uopPERF:
@@ -244,9 +231,6 @@ func (d *DPU) execute(t *thread) {
 	t.pc = nextPC
 }
 
-// execMem handles loads/stores. WRAM-space accesses are single-cycle; in
-// cache mode, MRAM-space accesses go through the D-cache (functional data is
-// read/written immediately; the tasklet stalls for the miss latency).
 // writeDst commits a result register write, updating the forwarding-ready
 // tick for GPR destinations.
 func (d *DPU) writeDst(t *thread, u *uop, r isa.RegID, v uint32) {
@@ -258,7 +242,7 @@ func (d *DPU) writeDst(t *thread, u *uop, r isa.RegID, v uint32) {
 
 // perfCounter is what PERF reads under a selector: 0 the DPU's cycle, 1 the
 // tasklet's retired instructions, the PERF itself included; the rest of the
-// 8-bit selector space reads zero. Both engines read it here.
+// 8-bit selector space reads zero.
 func (d *DPU) perfCounter(t *thread, sel int32) uint32 {
 	switch sel {
 	case 0:
@@ -269,94 +253,111 @@ func (d *DPU) perfCounter(t *thread, sel int32) uint32 {
 	return 0
 }
 
+// execMem handles loads/stores: the organisation's address-side timing, the
+// functional access (the same everywhere, done at once), then its data-side
+// timing. WRAM-space accesses are single-cycle. MRAM-space accesses are
+// translated (MMU) and go through the D-cache in cache mode — the tasklet
+// stalls for the walk and the miss — and are the lane's request to the
+// coalescer under SIMT; the scratchpad-centric model has none (DMA only).
 func (d *DPU) execMem(t *thread, u *uop) {
 	addr := d.read(t, u.ra) + uint32(u.imm)
-	size := int(u.memSiz)
 	space := mem.Classify(addr, d.cfg.WRAMBytes)
-
-	switch space {
-	case mem.SpaceWRAM:
-		if u.isStore() {
-			if err := d.wram.Store(addr, size, d.read(t, u.rd)); err != nil {
-				d.faultPC(t, err)
-				return
-			}
-			d.st.WRAMWrites++
-		} else {
-			v, err := d.wram.Load(addr, size)
-			if err != nil {
-				d.faultPC(t, err)
-				return
-			}
-			if u.signExt() {
-				v = signExtendVal(v, size)
-			}
-			d.writeDst(t, u, u.rd, v)
-			d.st.WRAMReads++
-		}
-	case mem.SpaceMRAM:
-		if d.cfg.Mode != config.ModeCache {
+	if space == mem.SpaceMRAM {
+		if d.cfg.Mode == config.ModeScratchpad {
 			d.faultPC(t, fmt.Errorf("load/store to MRAM space 0x%08x under the scratchpad-centric model (use DMA)", addr))
 			return
 		}
-		off := addr - mem.MRAMBase
+		addr -= mem.MRAMBase
 		if d.mmu != nil {
-			poff, ready, err := d.mmu.Translate(off, d.nowTick())
+			paddr, ready, err := d.mmu.Translate(addr, d.nowTick())
 			if err != nil {
 				d.faultPC(t, err)
 				return
 			}
-			off = poff
+			addr = paddr
 			if c := d.cycleOf(ready); c > d.cycle {
 				// Translation stall; the access proceeds functionally and
 				// the thread pays the walk latency.
-				d.blockUntil(t, c)
+				d.blockUntil(&t.unit, c)
 			}
 		}
-		if u.isStore() {
-			if err := d.mram.Store(off, size, uint64(d.read(t, u.rd))); err != nil {
-				d.faultPC(t, err)
-				return
-			}
+	}
+
+	size, isStore := int(u.memSiz), u.isStore()
+	var v uint32
+	var err error
+	switch space {
+	case mem.SpaceWRAM:
+		if isStore {
+			err = d.wram.Store(addr, size, d.read(t, u.rd))
+			d.st.WRAMWrites++
 		} else {
-			v64, err := d.mram.Load(off, size)
-			if err != nil {
-				d.faultPC(t, err)
-				return
-			}
-			v := uint32(v64)
-			if u.signExt() {
-				v = signExtendVal(v, size)
-			}
-			d.writeDst(t, u, u.rd, v)
+			v, err = d.wram.Load(addr, size)
+			d.st.WRAMReads++
 		}
-		ready := d.dcache.Access(off, u.isStore(), d.nowTick())
-		if c := d.cycleOf(ready); c > d.cycle {
-			d.blockUntil(t, c)
+	case mem.SpaceMRAM:
+		if isStore {
+			err = d.mram.Store(addr, size, uint64(d.read(t, u.rd)))
+		} else {
+			var v64 uint64
+			v64, err = d.mram.Load(addr, size)
+			v = uint32(v64)
 		}
 	default:
-		d.faultPC(t, fmt.Errorf("load/store to %v space at 0x%08x", space, addr))
+		err = fmt.Errorf("load/store to %v space at 0x%08x", space, addr)
+	}
+	if err != nil {
+		d.faultPC(t, err)
+		return
+	}
+	if !isStore {
+		if u.signExt() {
+			v = signExtendVal(v, size)
+		}
+		d.writeDst(t, u, u.rd, v)
+	}
+
+	if space != mem.SpaceMRAM {
+		return
+	}
+	if d.cfg.Mode == config.ModeSIMT {
+		d.laneRequest(addr)
+		return
+	}
+	ready := d.dcache.Access(addr, isStore, d.nowTick())
+	if c := d.cycleOf(ready); c > d.cycle {
+		d.blockUntil(&t.unit, c)
 	}
 }
 
-// blockUntil parks the thread until the given cycle and arms its wake timer;
-// when the thread is already blocked by an earlier stall of the same
-// instruction, the later wake-up wins (the earlier timer is re-armed lazily
-// when it pops).
-func (d *DPU) blockUntil(t *thread, cycle uint64) {
-	if t.state == threadBlocked {
-		if t.wakeAt != neverWake {
-			t.wakeAt = max(t.wakeAt, cycle)
+// blockUntil parks the unit until the given cycle and arms its wake timer;
+// when it is already blocked by an earlier stall of the same instruction,
+// the later wake-up wins (the earlier timer is re-armed lazily when it pops).
+func (d *DPU) blockUntil(u *unit, cycle uint64) {
+	if u.state == unitBlocked {
+		if u.wakeAt != neverWake {
+			u.wakeAt = max(u.wakeAt, cycle)
 			return
 		}
-		t.wakeAt = cycle
-		d.sched.push(cycle, int32(t.id))
+		u.wakeAt = cycle
+		d.sched.push(cycle, int32(u.id))
 		return
 	}
-	t.state = threadBlocked
-	t.wakeAt = cycle
+	u.state = unitBlocked
+	u.wakeAt = cycle
 	d.blockedN++
-	d.sched.push(cycle, int32(t.id))
+	d.sched.push(cycle, int32(u.id))
+}
+
+// blockOnBank parks a unit on the transfer it just handed to the bank: the
+// wake cycle becomes known, and dispatch arms the timer, once the bank
+// schedules the transfer's last burst.
+func (d *DPU) blockOnBank(u *unit) {
+	if u.state != unitBlocked {
+		u.state = unitBlocked
+		u.wakeAt = neverWake
+		d.blockedN++
+	}
 }
 
 // execDMA issues an MRAM<->WRAM DMA: functional copy now, timing through the
@@ -447,11 +448,6 @@ func (d *DPU) execDMA(t *thread, u *uop) {
 		d.bank.EnqueueRun(physBase, (segEnd-segStart+bb-1)/bb, !isLoad, max(now, transReady), tag)
 		segStart = segEnd
 	}
-	// The tasklet blocks until the final burst clears the link; the wake
-	// cycle becomes known once the bank schedules that burst.
-	if t.state != threadBlocked {
-		t.state = threadBlocked
-		t.wakeAt = neverWake
-		d.blockedN++
-	}
+	// The tasklet blocks until the final burst clears the link.
+	d.blockOnBank(&t.unit)
 }

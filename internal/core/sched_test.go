@@ -155,9 +155,9 @@ func TestSchedulerInvariantsCacheMode(t *testing.T) {
 // (IssueSlots is one warp slot per cycle there).
 func TestSchedulerInvariantsSIMT(t *testing.T) {
 	for _, coalesce := range []bool{false, true} {
-		d := runSIMTSum(t, coalesce)
+		d := simtSumRun(t, coalesce)
 		checkSlotInvariants(t, d.Stats(), 1)
-		d2 := runSIMTSum(t, coalesce)
+		d2 := simtSumRun(t, coalesce)
 		countersEqual(t, d.Stats(), d2.Stats(), "SIMT repeat run")
 	}
 }

@@ -88,7 +88,7 @@ func simtSumKernel() *linker.Object {
 	return b.MustBuild()
 }
 
-func runSIMTSum(t *testing.T, coalesce bool) *DPU {
+func simtSumRun(t *testing.T, coalesce bool) *DPU {
 	t.Helper()
 	cfg := simtConfig(32)
 	cfg.SIMTCoalesce = coalesce
@@ -106,8 +106,8 @@ func runSIMTSum(t *testing.T, coalesce bool) *DPU {
 }
 
 func TestSIMTCoalescingReducesRequestsAndTime(t *testing.T) {
-	plain := runSIMTSum(t, false)
-	coal := runSIMTSum(t, true)
+	plain := simtSumRun(t, false)
+	coal := simtSumRun(t, true)
 
 	// Functional equivalence.
 	want := make([]byte, 4*32)
@@ -190,11 +190,12 @@ func TestSIMTRejectsDMAAndLocks(t *testing.T) {
 	}
 }
 
-// TestSIMTMatchesScalarOnRegisterOps is the differential oracle for the two
-// copies of register-only µop semantics (execute and executeVector): one
-// straight-line program through every µop kind the vector engine runs
-// lane by lane must leave each tasklet with the same GPRs and the same
-// retired-instruction count in scratchpad mode and as one 16-lane warp.
+// TestSIMTMatchesScalarOnRegisterOps holds the vector engine to the scalar
+// pipeline lane for lane (one interpreter, execute, serves both — this is
+// what keeps it so): one program through every µop kind the vector engine
+// runs, WRAM loads and stores included, must leave each tasklet with the same
+// GPRs and the same retired-instruction count in scratchpad mode and as one
+// 16-lane warp.
 func TestSIMTMatchesScalarOnRegisterOps(t *testing.T) {
 	b := kbuild.New("regops")
 	r := kbuild.R
@@ -210,6 +211,21 @@ func TestSIMTMatchesScalarOnRegisterOps(t *testing.T) {
 	b.Jgei(r(2), 21, "big") // Jcc, immediate operand
 	b.Lsli(r(2), r(2), 3)
 	b.Label("big")
+	// Loads and stores to WRAM, a word slot per tasklet: every width, with
+	// the top bit set so the sign-extending loads differ from the others.
+	b.MoviSym(r(8), b.Static("slots", 4*16, 8), 0)
+	b.Lsli(r(9), kbuild.ID, 2)
+	b.Add(r(8), r(8), r(9))
+	b.Movi(r(9), -0x7f7f8000) // 0x80808000
+	b.Or(r(9), r(9), r(2))
+	b.Sw(r(9), r(8), 0)
+	b.Lw(r(10), r(8), 0)
+	b.Lb(r(11), r(8), 3)
+	b.Lbu(r(12), r(8), 3)
+	b.Lh(r(13), r(8), 2)
+	b.Sb(kbuild.ID, r(8), 1)
+	b.Sh(r(9), r(8), 2)
+	b.Lhu(r(14), r(8), 0)
 	b.Call("leaf")
 	b.Perf(r(4), 0) // the cycle counter is where the engines differ by design:
 	b.Movi(r(4), 0) // read it, then keep it out of the comparison

@@ -128,6 +128,24 @@ func TestSpaceFiltersInvalidConfigs(t *testing.T) {
 	if len(pts) != 0 {
 		t.Fatalf("user constraint ignored: %d points", len(pts))
 	}
+
+	// An ILP feature the SIMT engine does not model is an invalid config, not
+	// a second store key and hardware cost for the same simulated machine.
+	simt, err := ParseAxes("mode=scratchpad,simt;ilp=base,D")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err = NewSpace([]string{"GEMV"}, simt...).Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var designs []string
+	for _, p := range pts {
+		designs = append(designs, p.Design)
+	}
+	if want := "mode=scratchpad ilp=base|mode=scratchpad ilp=D|mode=simt ilp=base"; strings.Join(designs, "|") != want {
+		t.Fatalf("designs = %q, want %q", designs, want)
+	}
 }
 
 func TestSpaceErrors(t *testing.T) {

@@ -31,8 +31,10 @@ func rawStats(out *bytes.Buffer, s *stats.DPU) {
 // figure cell within 1e-12 (the refdata oracle) or the aggregate counters at
 // the default configuration (the transfer ledger). The matrix is VA, BS,
 // GEMV, RED × scratchpad/cache × base/DRSF × 1/16 tasklets × link x1/x4 on
-// one DPU, plus one MMU, one SIMT and one 4-DPU point; each point's per-DPU
-// records are hashed into one line of testdata/stats.golden. Regenerate
+// one DPU, plus one MMU, one SIMT and one 4-DPU point, then the SIMT matrix
+// (GEMV, the one benchmark with a SIMT host, × 1/4/16 warps × coalescer
+// off/on × DRAM clock x1/x4/x16 — Fig 11's four SIMT designs are its 16-warp
+// rows, its base the scalar t16 row above); each point's per-DPU records are hashed into one line of testdata/stats.golden. Regenerate
 // (-update) only for a change that is meant to move simulated statistics.
 func TestRawStatsGolden(t *testing.T) {
 	type point struct {
@@ -72,6 +74,21 @@ func TestRawStatsGolden(t *testing.T) {
 		point{"GEMV simt t64 coalesce", "GEMV", simt, 1},
 		point{"BS scratchpad d4", "BS", config.Default(), 4},
 	)
+	for _, warps := range []int{1, 4, 16} {
+		for _, coalesce := range []bool{false, true} {
+			for _, dram := range []int{1, 4, 16} {
+				cfg := config.Default()
+				cfg.Mode = config.ModeSIMT
+				cfg.NumTasklets = warps * cfg.SIMTWidth
+				cfg.SIMTCoalesce = coalesce
+				cfg.DRAMFreqMHz *= dram
+				pts = append(pts, point{
+					fmt.Sprintf("GEMV simt w%d coalesce=%v dram%d", warps, coalesce, dram),
+					"GEMV", cfg, 1,
+				})
+			}
+		}
+	}
 
 	var out, raw bytes.Buffer
 	for _, p := range pts {

@@ -402,7 +402,15 @@ func (s *DPU) Summary() string {
 	issued, mem, rev, rf := s.Breakdown()
 	fmt.Fprintf(&b, "issue slots      issued %.1f%%  idle(mem) %.1f%%  idle(revolver) %.1f%%  idle(RF) %.1f%%\n",
 		issued*100, mem*100, rev*100, rf*100)
-	fmt.Fprintf(&b, "avg issuable     %.2f threads\n", s.AvgIssuable())
+	if s.VectorIssues > 0 {
+		// Fig 11: the vector unit's parallelism is counted in lanes, and the
+		// "AC" step is the request reduction shown here.
+		fmt.Fprintf(&b, "avg issuable     %.2f lanes\n", s.AvgIssuable())
+		fmt.Fprintf(&b, "SIMT             %d vector issues, %.2f active lanes/issue; %d lane requests -> %d bank requests after coalescing\n",
+			s.VectorIssues, float64(s.Instructions)/float64(s.VectorIssues), s.UncoalescedRequests, s.CoalescedRequests)
+	} else {
+		fmt.Fprintf(&b, "avg issuable     %.2f threads\n", s.AvgIssuable())
+	}
 	mix := s.MixFractions()
 	fmt.Fprintf(&b, "instruction mix ")
 	for c := 0; c < isa.NumClasses; c++ {
