@@ -4,7 +4,7 @@ GO ?= go
 # its stores, reports and logs; `make clean` removes it.
 W := .work
 
-.PHONY: build test cli-guard test-race race cover bench-module profile-cold profile-figures fmt vet loc clean report refdata pathfind-smoke coord-smoke serve-smoke examples-smoke energy-check arch-check calibration-check
+.PHONY: build test cli-guard test-race race cover bench-module profile-cold profile-resume profile-figures fmt vet loc clean report refdata pathfind-smoke coord-smoke serve-smoke examples-smoke energy-check arch-check calibration-check store-compat
 
 build:
 	$(GO) build ./...
@@ -47,6 +47,14 @@ pathfind-smoke:
 	cat $(W)/pf-resume8.log
 	grep -q ", 0 simulated," $(W)/pf-resume8.log
 	diff -r $(W)/pfreport2 $(W)/pfreport8
+
+# store-compat is the result store's backward-compatibility check: the store
+# committed under internal/explore/testdata/legacystore was written by the
+# last build that kept one JSON file per point (commit ba20999), and today's
+# build must resume over it with nothing simulated, nothing written into it,
+# and the committed report reproduced byte for byte. CI runs this target.
+store-compat:
+	$(GO) test ./internal/explore -run '^TestLegacyStoreResumes$$' -count=1 -v
 
 # coord-smoke mirrors the CI job: the same tiny exploration run by four
 # coordinated workers through leased shards, then single-process; the
@@ -135,6 +143,23 @@ profile-cold:
 	$(GO) build -o $(W)/profile-cold/pathfind ./cmd/pathfind
 	$(W)/profile-cold/pathfind -bench VA,BS,GEMV,RED -axes "tasklets=1,4,16;freq=350,700;link=1,4;ilp=base,DR,DRSF;mode=scratchpad,cache" -scale tiny -jobs 2 -store $(W)/profile-cold/store -cpuprofile $(W)/profile-cold/cpu.prof > /dev/null
 	$(GO) tool pprof -top -nodecount 25 $(W)/profile-cold/pathfind $(W)/profile-cold/cpu.prof
+
+# profile-resume is profile-cold's twin for the resumed run: the same space
+# populated into a store (unprofiled), then a resumed pathfind -jobs 2 over it
+# through the CPU profiler — zero simulations, so what is left is the store's
+# read path, key hashing and the tables. One resumed pass is some 15 ms of
+# CPU, a sample or two; thirty run back to back and merged into one profile
+# ($(W)/profile-resume/cpu.prof) make shares of 10 %+ readable.
+profile-resume:
+	rm -rf $(W)/profile-resume
+	mkdir -p $(W)/profile-resume
+	$(GO) build -o $(W)/profile-resume/pathfind ./cmd/pathfind
+	$(W)/profile-resume/pathfind -bench VA,BS,GEMV,RED -axes "tasklets=1,4,16;freq=350,700;link=1,4;ilp=base,DR,DRSF;mode=scratchpad,cache" -scale tiny -jobs 2 -store $(W)/profile-resume/store > /dev/null
+	for i in $$(seq 10 39); do \
+		$(W)/profile-resume/pathfind -bench VA,BS,GEMV,RED -axes "tasklets=1,4,16;freq=350,700;link=1,4;ilp=base,DR,DRSF;mode=scratchpad,cache" -scale tiny -jobs 2 -store $(W)/profile-resume/store -pareto -energy -out $(W)/profile-resume/report -cpuprofile $(W)/profile-resume/cpu$$i.prof > /dev/null 2> $(W)/profile-resume/resume.log || exit 1; \
+		grep -q ", 0 simulated," $(W)/profile-resume/resume.log || { cat $(W)/profile-resume/resume.log; exit 1; }; done
+	$(GO) tool pprof -proto $(W)/profile-resume/cpu??.prof > $(W)/profile-resume/cpu.prof
+	$(GO) tool pprof -top -nodecount 25 $(W)/profile-resume/pathfind $(W)/profile-resume/cpu.prof
 
 # profile-figures is profile-cold's twin for the slowest workload,
 # figures_tiny: every experiment at tiny scale, -jobs 2, through figures' CPU

@@ -131,7 +131,7 @@ func TestWarmRunHostAllocs(t *testing.T) {
 		}},
 		// What a rerun over a populated store costs after enumeration:
 		// reopen the store, 72 hits, four tables, WriteReport.
-		{"ExploreResumed/2-workers", 10416, func() error { // 9469 + 10 %
+		{"ExploreResumed/2-workers", 9180, func() error { // 8345 + 10 %
 			store, err := upim.OpenResultStore(storeDir)
 			if err != nil {
 				return err

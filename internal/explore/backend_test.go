@@ -42,6 +42,13 @@ func TestLocalStoreConformance(t *testing.T) {
 			return s
 		},
 		Corrupt: corruptLocal,
+		Peer: func(t *testing.T, b explore.Backend) explore.Backend {
+			s, err := explore.OpenStore(b.(*explore.Store).Dir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		},
 	})
 }
 
@@ -50,24 +57,28 @@ func TestLocalStoreConformance(t *testing.T) {
 // client must observe the degradation purely through the wire.
 func httpHarness(t *testing.T) storetest.Harness {
 	servers := map[explore.Backend]*explore.Store{}
+	// serve opens its own handle on dir, serves it, and dials it.
+	serve := func(t *testing.T, dir string) explore.Backend {
+		st, err := explore.OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(explore.NewStoreServer(st))
+		t.Cleanup(srv.Close)
+		client, err := explore.DialStore(srv.URL, explore.HTTPStoreOptions{
+			Timeout: 5 * time.Second,
+			Backoff: time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers[client] = st
+		return client
+	}
 	return storetest.Harness{
-		New: func(t *testing.T) explore.Backend {
-			dir, err := explore.OpenStore(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv := httptest.NewServer(explore.NewStoreServer(dir))
-			t.Cleanup(srv.Close)
-			client, err := explore.DialStore(srv.URL, explore.HTTPStoreOptions{
-				Timeout: 5 * time.Second,
-				Backoff: time.Millisecond,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			servers[client] = dir
-			return client
-		},
+		New: func(t *testing.T) explore.Backend { return serve(t, t.TempDir()) },
+		// Two servers sharing one directory, each with its own clients.
+		Peer: func(t *testing.T, b explore.Backend) explore.Backend { return serve(t, servers[b].Dir()) },
 		Corrupt: func(t *testing.T, b explore.Backend, key string) {
 			t.Helper()
 			if err := servers[b].CorruptEntry(key); err != nil {

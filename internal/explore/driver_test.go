@@ -3,6 +3,7 @@ package explore
 import (
 	"context"
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -187,9 +188,9 @@ func TestUnreadableEntryIsCorruptNotAbsent(t *testing.T) {
 
 // TestResumedTieredRunWritesNothing pins PutEstimate's no-rewrite rule end
 // to end: a resumed two-tier pass over an unchanged store leaves every
-// entry's bytes and mtime untouched and performs no Put, while an estimate
-// that did change (another calibration) still overwrites, and an exact entry
-// is still never downgraded.
+// file's bytes and mtime untouched, creates none and performs no Put, while
+// an estimate that did change (another calibration) still supersedes the
+// stored one, and an exact entry is still never downgraded.
 func TestResumedTieredRunWritesNothing(t *testing.T) {
 	ctx := context.Background()
 	space := NewSpace([]string{"VA"}, Tasklets(1, 4, 16), LinkScale(1, 2), ILP("base", "DRSF"))
@@ -213,21 +214,27 @@ func TestResumedTieredRunWritesNothing(t *testing.T) {
 	}
 	snapshot := func() map[string]file {
 		files := map[string]file{}
-		for _, o := range first.Outcomes {
-			path := filepath.Join(dir, o.Key[:2], o.Key+".json")
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
 			data, err := os.ReadFile(path)
 			if err != nil {
-				t.Fatal(err)
+				return err
 			}
-			info, err := os.Stat(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			files[o.Key] = file{data, info.ModTime()}
+			info, err := d.Info()
+			files[path] = file{data, info.ModTime()}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 		return files
 	}
 	before := snapshot()
+	if len(before) != 1 {
+		t.Fatalf("one handle wrote %d files, want its one segment", len(before))
+	}
 	// Far enough past the filesystem's timestamp granularity that a rewrite
 	// could not hide behind an equal mtime.
 	time.Sleep(20 * time.Millisecond)
@@ -246,9 +253,13 @@ func TestResumedTieredRunWritesNothing(t *testing.T) {
 	if puts := reopened.Stats().Puts; puts != 0 {
 		t.Fatalf("resumed pass over an unchanged store performed %d entry writes", puts)
 	}
-	for key, was := range snapshot() {
-		if string(was.data) != string(before[key].data) || !was.mtime.Equal(before[key].mtime) {
-			t.Fatalf("entry %s was rewritten by the resumed pass", key)
+	after := snapshot()
+	if len(after) != len(before) {
+		t.Fatalf("the resumed pass left %d files where there were %d", len(after), len(before))
+	}
+	for path, is := range after {
+		if was := before[path]; string(is.data) != string(was.data) || !is.mtime.Equal(was.mtime) {
+			t.Fatalf("%s was written by the resumed pass", path)
 		}
 	}
 

@@ -6,8 +6,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -274,7 +272,7 @@ func TestStoreCorruptEntryIsAMiss(t *testing.T) {
 	if err := st.Put(key, ep, &prim.Result{Benchmark: "VA"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, key[:2], key+".json"), []byte("{truncated"), 0o644); err != nil {
+	if err := st.CorruptEntry(key); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := st.Get(key); ok {
@@ -282,6 +280,14 @@ func TestStoreCorruptEntryIsAMiss(t *testing.T) {
 	}
 	if st.Stats().Corrupt != 1 {
 		t.Fatalf("stats = %+v", st.Stats())
+	}
+	// A handle that indexes the damaged record afresh refuses it too.
+	reopened, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := reopened.Get(key); ok || reopened.Stats().Corrupt != 1 {
+		t.Fatalf("reopened store: served=%v stats=%+v", ok, reopened.Stats())
 	}
 	// A nil store is inert.
 	var nilStore *Store

@@ -14,17 +14,23 @@ import (
 	"upim/internal/prim"
 )
 
-// fabricateStale writes a syntactically valid entry for key carrying an old
-// store format version, as a pre-bump process would have left it on disk.
-func fabricateStale(t *testing.T, st *Store, key string, format int, ep engine.Point) {
+// writtenLegacyEntry is the per-file JSON envelope exactly as the builds
+// before the segment layout wrote it (legacyEntry is what the store still
+// decodes of it: everything but the point).
+type writtenLegacyEntry struct {
+	Format   int                `json:"format"`
+	Key      string             `json:"key"`
+	Point    engine.Point       `json:"point"`
+	Fidelity string             `json:"fidelity"`
+	Result   *prim.Result       `json:"result,omitempty"`
+	Estimate *estimate.Estimate `json:"estimate,omitempty"`
+}
+
+// writeLegacy leaves ent at dir/<key[:2]>/<key>.json, where a pre-segment
+// build would have: the format-bump and tampering tests write legacy files on
+// purpose, which keeps the store's fallback reader covered.
+func writeLegacy(t *testing.T, st *Store, key string, ent any) {
 	t.Helper()
-	ent := entry{
-		Format:   format,
-		Key:      key,
-		Point:    storedPoint(ep),
-		Fidelity: FidelityExact,
-		Result:   &prim.Result{Benchmark: ep.Benchmark, Tasklets: 16, DPUs: ep.DPUs},
-	}
 	data, err := json.Marshal(ent)
 	if err != nil {
 		t.Fatal(err)
@@ -36,6 +42,19 @@ func fabricateStale(t *testing.T, st *Store, key string, format int, ep engine.P
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// fabricateStale writes a syntactically valid entry for key carrying an old
+// store format version, as a pre-bump process would have left it on disk.
+func fabricateStale(t *testing.T, st *Store, key string, format int, ep engine.Point) {
+	t.Helper()
+	writeLegacy(t, st, key, writtenLegacyEntry{
+		Format:   format,
+		Key:      key,
+		Point:    ep,
+		Fidelity: FidelityExact,
+		Result:   &prim.Result{Benchmark: ep.Benchmark, Tasklets: 16, DPUs: ep.DPUs},
+	})
 }
 
 // TestStoreFormatBumpDegrades pins the format-4 bump contract: entries
@@ -66,7 +85,7 @@ func TestStoreFormatBumpDegrades(t *testing.T) {
 		}
 	}
 
-	// A fresh Put overwrites the stale entry and serves normally again.
+	// A fresh Put supersedes the stale entry and serves normally again.
 	if err := st.Put(key, ep, &prim.Result{Benchmark: "VA", Tasklets: 16, DPUs: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +153,8 @@ func TestKeysAreArchitectureDisjoint(t *testing.T) {
 }
 
 // TestStaleEntryNeverServedCrossArchitecture tampers an UPMEM result onto
-// an hbm-pim point's key path: the embedded key no longer matches, so the
-// store treats it as corrupt and the exploration re-simulates on the
+// an hbm-pim point's legacy key path: the embedded key no longer matches, so
+// the store treats it as corrupt and the exploration re-simulates on the
 // right backend instead of serving a UPMEM result as HBM-PIM.
 func TestStaleEntryNeverServedCrossArchitecture(t *testing.T) {
 	st, err := OpenStore(t.TempDir())
@@ -143,24 +162,13 @@ func TestStaleEntryNeverServedCrossArchitecture(t *testing.T) {
 		t.Fatal(err)
 	}
 	up := engine.Point{Benchmark: "GEMV", Config: config.Default(), DPUs: 1, Scale: prim.ScaleTiny}
-	if err := st.Put(KeyOf(up), up, &prim.Result{Benchmark: "GEMV", Tasklets: 16, DPUs: 1}); err != nil {
-		t.Fatal(err)
-	}
-
 	hbm := up
 	hbm.Machine = machine.HBMPIM()
 	hbmKey := KeyOf(hbm)
-	raw, err := os.ReadFile(filepath.Join(st.Dir(), KeyOf(up)[:2], KeyOf(up)+".json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(st.Dir(), hbmKey[:2], hbmKey+".json")
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeLegacy(t, st, hbmKey, writtenLegacyEntry{
+		Format: storeFormat, Key: KeyOf(up), Point: up, Fidelity: FidelityExact,
+		Result: &prim.Result{Benchmark: "GEMV", Tasklets: 16, DPUs: 1},
+	})
 
 	if _, ok := st.Get(hbmKey); ok {
 		t.Fatal("a UPMEM entry copied onto an hbm-pim key was served")

@@ -10,18 +10,22 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"upim/internal/engine"
 	"upim/internal/estimate"
 	"upim/internal/prim"
 )
 
-// storeFormat versions the on-disk entry layout AND the semantic meaning of
-// a key: bump it whenever the simulator changes in a way that invalidates
-// previously stored results (a new stats counter, a timing-model fix, ...).
+// storeFormat versions the semantic meaning of a key (and the legacy
+// per-file entry envelope; the segment layout carries its own version in the
+// segment header): bump it whenever the simulator changes in a way that
+// invalidates previously stored results (a new stats counter, a timing-model
+// fix, ...).
 // Entries from other formats are never returned, so stale stores degrade to
 // re-simulation instead of serving wrong numbers.
 //
@@ -68,17 +72,17 @@ func KeyOf(p engine.Point) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// jsonBufs pools the buffers entries are encoded into and read back through:
-// key hashing, entry writes and entry reads run once per point in
-// sweep/exploration loops, and reusing the buffer keeps those loops from
-// re-growing a multi-KB buffer every point.
+// jsonBufs pools the buffers points are hashed from and legacy entries are
+// read back through: key hashing runs once per point in sweep/exploration
+// loops, and reusing the buffer keeps those loops from re-growing it every
+// point.
 var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // marshalPooled encodes v into a pooled buffer and returns the buffer plus
 // the canonical bytes. The bytes alias the buffer, which the caller returns
 // to jsonBufs when done with them. The result is exactly json.Marshal's: the
-// encoder's trailing newline is stripped, keeping content addresses and the
-// on-disk format byte-identical to the pre-pooling ones.
+// encoder's trailing newline is stripped, keeping content addresses
+// byte-identical to the pre-pooling ones.
 func marshalPooled(v any) (*bytes.Buffer, []byte, error) {
 	buf := jsonBufs.Get().(*bytes.Buffer)
 	buf.Reset()
@@ -90,13 +94,15 @@ func marshalPooled(v any) (*bytes.Buffer, []byte, error) {
 	return buf, b[:len(b)-1], nil
 }
 
-// entry is the on-disk envelope of one stored result. Point is stored
-// alongside the result for debuggability (a store is greppable without the
-// code that produced it).
-type entry struct {
-	Format int         `json:"format"`
-	Key    string      `json:"key"`
-	Point  storedPoint `json:"point"`
+// legacyEntry is the envelope of one result as every commit before the
+// segment layout stored it: one JSON file per point at
+// dir/<key[:2]>/<key>.json. The store still reads these — a directory an
+// earlier build populated resumes with no simulation — and never writes
+// them. The file also carries the point, which a read scans over like any
+// other field it does not name.
+type legacyEntry struct {
+	Format int    `json:"format"`
+	Key    string `json:"key"`
 	// Fidelity is FidelityExact or FidelityEstimate; exactly one of Result
 	// and Estimate is set, matching it.
 	Fidelity string             `json:"fidelity"`
@@ -104,38 +110,47 @@ type entry struct {
 	Estimate *estimate.Estimate `json:"estimate,omitempty"`
 }
 
-// storedPoint is engine.Point as an entry carries it: encoded exactly like
-// the engine point, and scanned over, not decoded, when an entry is read back
-// — nothing a read serves comes from it (the key is its content address).
-type storedPoint engine.Point
-
-func (*storedPoint) UnmarshalJSON([]byte) error { return nil }
-
 // StoreStats counts store activity for one process.
 type StoreStats struct {
 	// Hits and Misses count Get outcomes.
 	Hits, Misses int64
 	// Puts counts successfully persisted results.
 	Puts int64
-	// Corrupt counts entries that existed but could not be read, failed to
-	// decode or carried a stale format/key; they are treated as misses and
-	// overwritten by the next Put.
+	// Corrupt counts entries that existed but could not be read, failed
+	// their checksum or to decode, or carried a stale format/key — and
+	// segments with a torn tail or another build's schema, once each. They
+	// are treated as misses and superseded by the next Put.
 	Corrupt int64
 }
 
-// Store is a persistent, content-addressed result store: one JSON file per
-// simulation point under dir/<key[:2]>/<key>.json, written atomically
-// (temp file + rename) so a killed exploration never leaves a truncated
-// entry behind. Results survive across processes, so resumed or repeated
-// explorations — even ones sharing only some points — never re-simulate a
-// finished point. All methods are safe for concurrent use.
+// Store is a persistent, content-addressed result store: packed records in
+// append-only segment files under dir/seg (segment.go), one segment per
+// handle that ever wrote, resolved through an in-memory index built by
+// scanning record headers when the store is opened. A record is appended
+// with a single write and checksummed, so a killed exploration leaves at
+// worst a torn tail that every reader skips. Results survive across
+// processes, so resumed or repeated explorations — even ones sharing only
+// some points — never re-simulate a finished point. All methods are safe for
+// concurrent use, within one handle and across handles on one directory.
 type Store struct {
-	dir string
+	dir, segDir string
+
+	// mu guards the index and the segment list; a record, once indexed, is
+	// read without it (segments only grow).
+	mu    sync.RWMutex
+	idx   map[storeKey]loc
+	segs  []*segment      // in scan order
+	known map[string]bool // segment file names in segs
+	own   *segment        // this handle's segment; nil until its first write
+	// dirMtime is the segment directory's mtime as of the last listing, taken
+	// at listed.
+	dirMtime, listed time.Time
 
 	hits, misses, puts, corrupt atomic.Int64
 }
 
-// OpenStore opens (creating if needed) a result store rooted at dir.
+// OpenStore opens (creating if needed) a result store rooted at dir and
+// indexes every segment in it.
 func OpenStore(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("explore: store directory must not be empty")
@@ -143,7 +158,9 @@ func OpenStore(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("explore: opening store: %w", err)
 	}
-	return &Store{dir: dir}, nil
+	s := &Store{dir: dir, segDir: filepath.Join(dir, segDirName), idx: map[storeKey]loc{}, known: map[string]bool{}}
+	s.refresh()
+	return s, nil
 }
 
 // Dir returns the store root.
@@ -162,38 +179,21 @@ func (s *Store) Stats() StoreStats {
 	}
 }
 
-// path maps a key to its entry file.
-func (s *Store) path(key string) string {
+// legacyPath maps a key to its pre-segment entry file.
+func (s *Store) legacyPath(key string) string {
 	return filepath.Join(s.dir, key[:2], key+".json")
 }
 
-// load reads and validates the entry for key, counting the outcome in the
-// read-side stats. Undecodable entries, stale formats, mismatched keys and
-// unknown fidelity values all count as corrupt and report a miss, so a
-// stale or damaged store re-simulates rather than failing the exploration —
-// and, crucially, an entry whose fidelity this code does not recognize is
-// never served at all.
-func (s *Store) load(key string) (*entry, bool) {
-	e, existed, ok := s.peek(key)
-	if !ok {
-		if existed {
-			s.corrupt.Add(1)
-		}
-		s.misses.Add(1)
-	}
-	return e, ok
-}
-
-// peek reads and validates the entry for key WITHOUT touching the stats
-// counters: existed reports whether an entry was present at all (so a
-// counting caller can classify an invalid one as corrupt) — only a path that
-// does not exist is a clean miss; any other read failure is an entry that
-// could not be served. Write-side probes — PutEstimate's never-downgrade
-// check — use peek directly, so a corrupt entry that already degraded a
-// Get/GetEstimate to a miss is not double-counted when the retry writes its
-// replacement back.
-func (s *Store) peek(key string) (e *entry, existed, ok bool) {
-	f, err := os.Open(s.path(key))
+// peekLegacy reads and validates the legacy entry for key WITHOUT touching
+// the stats counters: existed reports whether an entry was present at all (so
+// a counting caller can classify an invalid one as corrupt) — only a path
+// that does not exist is a clean miss; any other read failure is an entry
+// that could not be served. Undecodable entries, stale formats, mismatched
+// keys and unknown fidelity values are all invalid, so a stale or damaged
+// store re-simulates rather than failing the exploration — and, crucially, an
+// entry whose fidelity this code does not recognize is never served at all.
+func (s *Store) peekLegacy(key string) (e *legacyEntry, existed, ok bool) {
+	f, err := os.Open(s.legacyPath(key))
 	if err != nil {
 		return nil, !errors.Is(err, fs.ErrNotExist), false
 	}
@@ -202,7 +202,7 @@ func (s *Store) peek(key string) (e *entry, existed, ok bool) {
 	buf.Reset()
 	_, err = buf.ReadFrom(f)
 	f.Close()
-	var ent entry // copies what it keeps, so the buffer can go back to the pool
+	var ent legacyEntry // copies what it keeps, so the buffer can go back to the pool
 	if err != nil || json.Unmarshal(buf.Bytes(), &ent) != nil || ent.Format != storeFormat || ent.Key != key {
 		return nil, true, false
 	}
@@ -210,6 +210,36 @@ func (s *Store) peek(key string) (e *entry, existed, ok bool) {
 		return &ent, true, true
 	}
 	return nil, true, false
+}
+
+// load serves key at one fidelity, counting the outcome in the read-side
+// stats: from the segment index, else — the key in no segment — from the
+// legacy tree, where legacy picks the wanted payload out of a valid entry
+// (nil when the entry holds the other fidelity). A record of the other
+// fidelity is a clean miss; one that cannot be served counts as corrupt.
+func load[T any](s *Store, key string, fid byte, pl *plan, legacy func(*legacyEntry) *T) (*T, bool) {
+	k, ok := parseKey(key)
+	if !ok {
+		s.misses.Add(1)
+		return nil, false
+	}
+	if l, ok := s.lookup(k); ok {
+		if l.fid == fid {
+			if v := new(T); s.read(k, l, pl, reflect.ValueOf(v).Elem()) {
+				s.hits.Add(1)
+				return v, true
+			}
+		}
+	} else if e, existed, ok := s.peekLegacy(key); ok {
+		if v := legacy(e); v != nil {
+			s.hits.Add(1)
+			return v, true
+		}
+	} else if existed {
+		s.corrupt.Add(1)
+	}
+	s.misses.Add(1)
+	return nil, false
 }
 
 // Get returns the stored cycle-exact result for key, or ok=false when the
@@ -220,16 +250,7 @@ func (s *Store) Get(key string) (*prim.Result, bool) {
 	if s == nil {
 		return nil, false
 	}
-	e, ok := s.load(key)
-	if !ok {
-		return nil, false
-	}
-	if e.Fidelity != FidelityExact {
-		s.misses.Add(1)
-		return nil, false
-	}
-	s.hits.Add(1)
-	return e.Result, true
+	return load(s, key, fidExact, resultPlan, func(e *legacyEntry) *prim.Result { return e.Result })
 }
 
 // GetEstimate returns the stored tier-A estimate for key, or ok=false when
@@ -239,21 +260,12 @@ func (s *Store) GetEstimate(key string) (*estimate.Estimate, bool) {
 	if s == nil {
 		return nil, false
 	}
-	e, ok := s.load(key)
-	if !ok {
-		return nil, false
-	}
-	if e.Fidelity != FidelityEstimate {
-		s.misses.Add(1)
-		return nil, false
-	}
-	s.hits.Add(1)
-	return e.Estimate, true
+	return load(s, key, fidEstimate, estimatePlan, func(e *legacyEntry) *estimate.Estimate { return e.Estimate })
 }
 
-// Put persists one cycle-exact result atomically, overwriting any previous
-// entry for the key (including an estimate — exact always upgrades). A nil
-// store discards the result.
+// Put persists one cycle-exact result with a single appended record, which
+// supersedes any previous entry for the key (including an estimate — exact
+// always upgrades). A nil store discards the result.
 func (s *Store) Put(key string, p engine.Point, res *prim.Result) error {
 	if s == nil {
 		return nil
@@ -261,15 +273,22 @@ func (s *Store) Put(key string, p engine.Point, res *prim.Result) error {
 	if res == nil {
 		return fmt.Errorf("explore: refusing to store a nil result for %s", key)
 	}
-	return s.write(key, entry{Format: storeFormat, Key: key, Point: storedPoint(p), Fidelity: FidelityExact, Result: res})
+	k, rec, err := frame(key, fidExact, &p, resultPlan, reflect.ValueOf(res).Elem())
+	if err != nil {
+		return err
+	}
+	defer recBufs.Put(rec)
+	return s.append(k, fidExact, *rec)
 }
 
-// PutEstimate persists one tier-A estimate atomically under the estimate
-// fidelity tag. It never downgrades: when the key already holds a valid
-// cycle-exact entry, the estimate is discarded and the exact entry kept. Nor
-// does it rewrite an entry that already holds this very estimate, so a
-// resumed two-tier exploration leaves its store untouched. A nil store
-// discards the estimate.
+// PutEstimate persists one tier-A estimate under the estimate fidelity tag.
+// It never downgrades: when the key already holds a valid cycle-exact entry,
+// the estimate is discarded and the exact entry kept — and an exact record
+// that lands in another handle's segment a moment later still wins, because
+// every index resolves exact over estimate whatever order the two were
+// written in. Nor does it write again an entry that already holds this very
+// estimate, so a resumed two-tier exploration leaves its store untouched. A
+// nil store discards the estimate.
 func (s *Store) PutEstimate(key string, p engine.Point, est *estimate.Estimate) error {
 	if s == nil {
 		return nil
@@ -277,80 +296,91 @@ func (s *Store) PutEstimate(key string, p engine.Point, est *estimate.Estimate) 
 	if est == nil {
 		return fmt.Errorf("explore: refusing to store a nil estimate for %s", key)
 	}
-	// peek, not load: this probe is a write-side check, and counting it
+	k, rec, err := frame(key, fidEstimate, &p, estimatePlan, reflect.ValueOf(est).Elem())
+	if err != nil {
+		return err
+	}
+	defer recBufs.Put(rec)
+	// These probes are write-side checks and touch no counter: counting them
 	// would double-book a corrupt entry the preceding GetEstimate already
 	// booked (and inflate Misses with probes that never served a read).
-	if e, _, ok := s.peek(key); ok && (e.Fidelity == FidelityExact || *e.Estimate == *est) {
+	if l, ok := s.lookup(k); ok {
+		// The same key frames the same point, so equal bytes are an equal
+		// estimate.
+		if l.fid == fidExact || holds(k, l, *rec) {
+			return nil
+		}
+	} else if e, _, ok := s.peekLegacy(key); ok && (e.Fidelity == FidelityExact || *e.Estimate == *est) {
 		return nil
 	}
-	return s.write(key, entry{Format: storeFormat, Key: key, Point: storedPoint(p), Fidelity: FidelityEstimate, Estimate: est})
+	return s.append(k, fidEstimate, *rec)
 }
 
-// write atomically persists one entry (temp file + rename).
-func (s *Store) write(key string, e entry) error {
-	buf, data, err := marshalPooled(e)
-	if err != nil {
-		return fmt.Errorf("explore: encoding %s: %w", key, err)
-	}
-	defer jsonBufs.Put(buf)
-	dir := filepath.Dir(s.path(key))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("explore: store: %w", err)
-	}
-	tmp, err := os.CreateTemp(dir, "."+key+".tmp*")
-	if err != nil {
-		return fmt.Errorf("explore: store: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("explore: store: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("explore: store: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), s.path(key)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("explore: store: %w", err)
-	}
-	s.puts.Add(1)
-	return nil
-}
-
-// CorruptEntry overwrites the on-disk entry for key with undecodable bytes —
-// fault-injection support (coord.FaultPlan, the storetest conformance suite)
-// for proving that damaged entries degrade to re-simulation. It fails when
-// the key has no entry to corrupt.
+// CorruptEntry damages the stored record for key in place — one payload byte
+// is inverted, so its checksum fails — fault-injection support
+// (coord.FaultPlan, the storetest conformance suite) for proving that damaged
+// entries degrade to re-simulation. It fails when no segment holds the key.
 func (s *Store) CorruptEntry(key string) error {
-	path := s.path(key)
-	if _, err := os.Stat(path); err != nil {
+	k, _ := parseKey(key)
+	l, ok := s.lookup(k)
+	if !ok {
+		return fmt.Errorf("explore: corrupting %s: no record", key)
+	}
+	// The handle's own descriptor appends wherever it is asked to write.
+	f, err := os.OpenFile(l.seg.path, os.O_RDWR, 0)
+	if err != nil {
 		return fmt.Errorf("explore: corrupting %s: %w", key, err)
 	}
-	if err := os.WriteFile(path, []byte("{corrupted by fault injection"), 0o644); err != nil {
+	defer f.Close()
+	var b [1]byte
+	at := l.off + int64(l.n) - 1
+	if _, err = f.ReadAt(b[:], at); err == nil {
+		b[0] = ^b[0]
+		_, err = f.WriteAt(b[:], at)
+	}
+	if err != nil {
 		return fmt.Errorf("explore: corrupting %s: %w", key, err)
 	}
 	return nil
 }
 
-// Count walks the store and returns how many entries it holds on disk (all
-// processes' contributions, not just this one's).
+// Count returns how many distinct keys the store holds on disk (all
+// processes' contributions, not just this one's): the index after a refresh,
+// plus the legacy entries no segment has superseded.
 func (s *Store) Count() (int, error) {
 	if s == nil {
 		return 0, nil
 	}
-	n := 0
-	err := filepath.WalkDir(s.dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() && strings.HasSuffix(path, ".json") && !strings.HasPrefix(d.Name(), ".") {
-			n++
-		}
-		return nil
-	})
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.refresh()
+	n := len(s.idx)
+	// Legacy entries live one level down, in directories named by two hex
+	// digits; a store no earlier build wrote has none, and pays one listing.
+	top, err := os.ReadDir(s.dir)
 	if err != nil {
 		return 0, fmt.Errorf("explore: counting store entries: %w", err)
+	}
+	for _, d := range top {
+		if !d.IsDir() || len(d.Name()) != 2 {
+			continue
+		}
+		files, err := os.ReadDir(filepath.Join(s.dir, d.Name()))
+		if err != nil {
+			return 0, fmt.Errorf("explore: counting store entries: %w", err)
+		}
+		for _, f := range files {
+			name, isEntry := strings.CutSuffix(f.Name(), ".json")
+			if f.IsDir() || !isEntry || strings.HasPrefix(name, ".") {
+				continue
+			}
+			if k, ok := parseKey(name); ok {
+				if _, superseded := s.idx[k]; superseded {
+					continue
+				}
+			}
+			n++
+		}
 	}
 	return n, nil
 }

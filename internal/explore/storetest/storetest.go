@@ -1,8 +1,9 @@
 // Package storetest is the conformance suite every explore.Backend must
-// pass: fidelity isolation, never-downgrade, corrupt-entry degradation and
-// concurrent Put/Get. The local-dir store and the HTTP backend both run it
-// (explore's backend tests); a new backend earns its place in the explorer
-// by passing Run against its own constructor.
+// pass: fidelity isolation, never-downgrade (within a handle and across
+// handles), corrupt-entry degradation and concurrent Put/Get. The local-dir
+// store and the HTTP backend both run it (explore's backend tests); a new
+// backend earns its place in the explorer by passing Run against its own
+// constructor.
 package storetest
 
 import (
@@ -30,6 +31,11 @@ type Harness struct {
 	// nil falls back to b.Stats().Corrupt. Used by the corrupt-accounting
 	// subtest, which needs the counter of whichever process does the reads.
 	CorruptCount func(t *testing.T, b explore.Backend) int64
+	// Peer opens another, independent handle onto the entries b holds — the
+	// view a second process sharing the store would have (for remote
+	// backends: a second server over the same entries, and its client). nil
+	// skips the cross-handle subtest.
+	Peer func(t *testing.T, b explore.Backend) explore.Backend
 }
 
 // testKey fabricates a valid-shaped content address: deterministic 64-char
@@ -159,6 +165,34 @@ func Run(t *testing.T, h Harness) {
 		sameJSON(t, want, got)
 		if _, ok := b.GetEstimate(key); ok {
 			t.Fatal("PutEstimate downgraded an exact entry")
+		}
+	})
+
+	t.Run("ExactBeatsEstimateAcrossHandles", func(t *testing.T) {
+		if h.Peer == nil {
+			t.Skip("harness has no second handle")
+		}
+		a := h.New(t)
+		// Opened before a's Put: whatever view of the entries it keeps is
+		// stale by the time it writes.
+		stale := h.Peer(t, a)
+		key := testKey(12)
+		want := testResult(12)
+		if err := a.Put(key, testPoint(12), want); err != nil {
+			t.Fatal(err)
+		}
+		if err := stale.PutEstimate(key, testPoint(12), testEstimate(12)); err != nil {
+			t.Fatal(err)
+		}
+		for name, b := range map[string]explore.Backend{"writer": a, "stale": stale, "late": h.Peer(t, a)} {
+			got, ok := b.Get(key)
+			if !ok {
+				t.Fatalf("%s handle: exact entry lost to another handle's PutEstimate", name)
+			}
+			sameJSON(t, want, got)
+			if _, ok := b.GetEstimate(key); ok {
+				t.Fatalf("%s handle: another handle's PutEstimate downgraded an exact entry", name)
+			}
 		}
 	})
 

@@ -3,7 +3,6 @@ package explore
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -326,24 +325,14 @@ func TestStoreFidelityTags(t *testing.T) {
 		t.Fatal("estimate downgraded a cycle-exact entry")
 	}
 
-	// Unknown fidelity (a future format's tag) is corrupt: never served.
-	path := filepath.Join(st.Dir(), key[:2], key+".json")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ent map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &ent); err != nil {
-		t.Fatal(err)
-	}
-	ent["fidelity"] = json.RawMessage(`"speculative"`)
-	tampered, err := json.Marshal(ent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, tampered, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// Unknown fidelity (a future format's tag) is corrupt: never served. The
+	// tampering is done to a legacy per-file entry, under a key no segment
+	// holds, so the fallback reader is what refuses it; a segment record with
+	// an unknown fidelity byte is TestSegmentScanSkipsWhatItCannotServe's.
+	ep.Watchdog = 12345
+	key = KeyOf(ep)
+	ent := writtenLegacyEntry{Format: storeFormat, Key: key, Point: ep, Fidelity: "speculative", Result: res}
+	writeLegacy(t, st, key, ent)
 	before := st.Stats().Corrupt
 	if _, ok := st.Get(key); ok {
 		t.Fatal("unknown-fidelity entry served")
@@ -355,16 +344,15 @@ func TestStoreFidelityTags(t *testing.T) {
 		t.Fatalf("corrupt counter = %d, want %d", st.Stats().Corrupt, before+2)
 	}
 
-	// A stale format version likewise degrades to a miss (re-simulation).
-	ent["fidelity"] = json.RawMessage(`"exact"`)
-	ent["format"] = json.RawMessage(`2`)
-	stale, err := json.Marshal(ent)
-	if err != nil {
-		t.Fatal(err)
+	// The same entry under its true fidelity is served — the reader works —
+	// and a stale format version likewise degrades to a miss (re-simulation).
+	ent.Fidelity = FidelityExact
+	writeLegacy(t, st, key, ent)
+	if _, ok := st.Get(key); !ok {
+		t.Fatal("valid legacy entry not served")
 	}
-	if err := os.WriteFile(path, stale, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	ent.Format = 2
+	writeLegacy(t, st, key, ent)
 	if _, ok := st.Get(key); ok {
 		t.Fatal("stale-format entry served")
 	}
