@@ -1,9 +1,7 @@
 // Command pathfind is the design-space exploration front end — the paper's
-// pathfinding methodology as a tool. It sweeps typed design axes (tasklets,
-// DPUs, frequency, MRAM-link scale, the ILP feature ladder, memory-hierarchy
-// mode) over a set of benchmarks, runs every feasible point concurrently,
-// and extracts Pareto frontiers (-goals: any subset of time, kernel, cost,
-// energy, edp, p99), ranked best configurations, and per-point energy
+// pathfinding methodology as a tool. It sweeps typed design axes over a set
+// of benchmarks, runs every feasible point concurrently, and extracts
+// Pareto frontiers (-goals), ranked best configurations, and per-point energy
 // breakdowns (-energy, parameterized by a -profile TechProfile JSON). The
 // p99 goal scores each point as a server: its tail latency under a canned
 // two-tenant open-loop workload, scheduled by the point's policy axis level
@@ -54,15 +52,12 @@
 //	pathfind -coordinator -workers 4 -store ./pfstore -events events.jsonl -bench VA -pareto
 //	pathfind calibrate -check
 //
-// Axis grammar: semicolon-separated "name=v1,v2,..." with axes arch (upmem,
-// hbm-pim — which machine description and backend simulates the point),
-// tasklets, dpus, freq (MHz), link (bandwidth multiplier), ilp (subsets of
-// DRSF or "base"), mode (scratchpad, cache, simt), policy (fifo, wfq, slo —
-// host software, scored by the p99 goal, free on the simulated point so all
-// its levels share one store entry). Infeasible combinations (e.g. SIMT on a
-// benchmark without a SIMT kernel, or a graph benchmark on the bank-level
-// MAC backend) are constrained out. The canonical cross-architecture
-// frontier run is regression-checked against committed references:
+// Axis grammar: semicolon-separated "name=v1,v2,..." (explore.ParseAxes;
+// `pathfind -h` lists the axes and goals). Infeasible combinations (e.g.
+// SIMT on a benchmark without a SIMT kernel, or a graph benchmark on the
+// bank-level MAC backend) are constrained out. The canonical
+// cross-architecture frontier run is regression-checked against committed
+// references:
 //
 //	pathfind -bench GEMV,VA -axes "arch=upmem,hbm-pim;dpus=1,2" -scale tiny \
 //	         -pareto -goals time,energy,cost -energy -check
@@ -81,6 +76,7 @@ import (
 
 	"upim"
 	"upim/internal/cli"
+	"upim/internal/explore"
 )
 
 func main() { os.Exit(run(os.Args[1:])) }
@@ -96,6 +92,9 @@ func run(args []string) int {
 	return cli.Main("pathfind", args, pathfind)
 }
 
+// axisVocab and goalVocab are the -axes and -goals vocabularies.
+var axisVocab, goalVocab = explore.Vocabulary()
+
 // spaceFlags are the flags that name a design space, shared by the
 // exploration and by `pathfind serve`, which coordinates one.
 type spaceFlags struct {
@@ -106,7 +105,7 @@ type spaceFlags struct {
 
 func (s *spaceFlags) register(fs *flag.FlagSet) {
 	s.bench = fs.String("bench", "", "comma-separated benchmark subset (default: all 16)")
-	s.axes = fs.String("axes", "tasklets=1,4,16;ilp=base,DRSF;link=1,2,4", "design axes: \"name=v1,v2;...\" over tasklets, dpus, freq, link, ilp, mode, policy")
+	s.axes = fs.String("axes", "tasklets=1,4,16;ilp=base,DRSF;link=1,2,4", "design axes: \"name=v1,v2;...\" over "+axisVocab)
 	s.dpus = fs.Int("dpus", 1, "base DPU count (a dpus axis overrides it)")
 }
 
@@ -146,7 +145,7 @@ func pathfind(fs *flag.FlagSet) func(context.Context) error {
 		storeDir  = fs.String("store", "", "persistent result store directory (enables resume; empty = no persistence)")
 		resume    = fs.Bool("resume", true, "serve previously finished points from the store; -resume=false re-simulates (and refreshes) every point")
 		pareto    = fs.Bool("pareto", false, "print the per-benchmark Pareto frontier (see -goals) and ranked best configs")
-		goals     = fs.String("goals", "time,cost", "comma-separated Pareto objectives for -pareto: time, kernel, cost, energy, edp, p99")
+		goals     = fs.String("goals", "time,cost", "comma-separated Pareto objectives for -pareto: "+goalVocab)
 		profile   = fs.String("profile", "", "energy TechProfile JSON overriding the committed default (used by the energy/edp goals and -energy)")
 		energyT   = fs.Bool("energy", false, "print the per-point energy breakdown table")
 		top       = fs.Int("top", 3, "designs per benchmark in the best-config ranking")

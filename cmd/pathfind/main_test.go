@@ -1,9 +1,23 @@
 package main
 
 import (
+	"flag"
 	"strings"
 	"testing"
 )
+
+// TestAxesUsage: the -axes help names every axis ParseAxes accepts.
+func TestAxesUsage(t *testing.T) {
+	fs := flag.NewFlagSet("pathfind", flag.ContinueOnError)
+	var sp spaceFlags
+	sp.register(fs)
+	usage := fs.Lookup("axes").Usage
+	for _, axis := range []string{"arch", "tasklets", "dpus", "freq", "link", "ilp", "mode", "policy"} {
+		if !strings.Contains(usage, axis) {
+			t.Errorf("-axes usage %q does not name the %s axis", usage, axis)
+		}
+	}
+}
 
 // TestExitCodes: a mistake in the invocation exits 2 before anything is
 // simulated, a run that fails exits 1 (cmd/upimulator pins the same table).

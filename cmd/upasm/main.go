@@ -16,16 +16,22 @@ import (
 
 	"upim"
 	"upim/internal/cli"
+	"upim/internal/config"
 	"upim/internal/isa"
 )
 
 func main() { os.Exit(cli.Main("upasm", os.Args[1:], upasm)) }
 
 func upasm(fs *flag.FlagSet) func(context.Context) error {
-	mode := fs.String("mode", "scratchpad", "link target: scratchpad or cache")
+	mode := fs.String("mode", "scratchpad", "link target: scratchpad, cache or simt")
 	return func(context.Context) error {
 		if fs.NArg() != 1 {
-			return cli.Usagef("want one assembly file: upasm [-mode scratchpad|cache] file.S")
+			return cli.Usagef("want one assembly file: upasm [-mode scratchpad|cache|simt] file.S")
+		}
+		cfg := upim.DefaultConfig()
+		var err error
+		if cfg.Mode, err = config.ParseMode(*mode); err != nil {
+			return cli.Usage(err)
 		}
 		src, err := os.ReadFile(fs.Arg(0))
 		if err != nil {
@@ -34,10 +40,6 @@ func upasm(fs *flag.FlagSet) func(context.Context) error {
 		obj, err := upim.Assemble(fs.Arg(0), string(src))
 		if err != nil {
 			return err
-		}
-		cfg := upim.DefaultConfig()
-		if *mode == "cache" {
-			cfg.Mode = upim.ModeCache
 		}
 		prog, err := upim.Link(obj, cfg)
 		if err != nil {

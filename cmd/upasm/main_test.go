@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"upim/internal/cli"
@@ -29,6 +30,43 @@ loop:
 	sw r3, r4, 0
 	stop
 `
+
+// bigStatics fits WRAM on its own but not beside 16 tasklet stacks, so it
+// links only where the stacks are not carved out: cache mode remaps the
+// statics to MRAM, and SIMT kernels keep their locals in the vector RF.
+const bigStatics = `.alloc big 40960
+	stop
+`
+
+// TestExitCodes: -mode takes the memory modes' own names, a name that is
+// not one is a usage error, and the program links under the mode named.
+func TestExitCodes(t *testing.T) {
+	t.Chdir(t.TempDir())
+	for name, src := range map[string]string{"three.S": threeSymbols, "big.S": bigStatics} {
+		if err := os.WriteFile(name, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		args string
+		want int
+	}{
+		{"three.S", 0},
+		{"-mode bogus three.S", 2},
+		{"-mode simt three.S", 0},
+		{"", 2},
+		{"-nosuchflag three.S", 2},
+		{"nosuch.S", 1},
+		{"big.S", 1}, // WRAM overflow
+		{"-mode scratchpad big.S", 1},
+		{"-mode cache big.S", 0},
+		{"-mode simt big.S", 0},
+	} {
+		if got := cli.Main("upasm", strings.Fields(tc.args), upasm); got != tc.want {
+			t.Errorf("upasm %s: exit %d, want %d", tc.args, got, tc.want)
+		}
+	}
+}
 
 // TestOutputGolden assembles a three-symbol program twice and pins upasm's
 // stdout: the symbol table is printed in address order, so the same input

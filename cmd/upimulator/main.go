@@ -30,6 +30,7 @@ import (
 
 	"upim"
 	"upim/internal/cli"
+	"upim/internal/config"
 )
 
 func main() { os.Exit(run(os.Args[1:])) }
@@ -51,7 +52,7 @@ func simulate(fs *flag.FlagSet) func(context.Context) error {
 		threads = fs.Int("threads", 16, "tasklets per DPU (1-16 for PrIM kernels)")
 		dpus    = fs.Int("dpus", 1, "number of DPUs")
 		mode    = fs.String("mode", "scratchpad", "memory model: scratchpad, cache or simt (GEMV only)")
-		ilp     = fs.String("ilp", "", "ILP features, a subset of DRSF (Fig 12)")
+		ilp     = fs.String("ilp", "", "ILP features, a subset of DRSF or base (Fig 12)")
 		mmu     = fs.Bool("mmu", false, "enable the case-study 3 MMU")
 		energyF = fs.Bool("energy", false, "suite: print per-benchmark energy, power and EDP (and add an energy breakdown table to -out)")
 		profile = fs.String("profile", "", "suite: energy TechProfile JSON overriding the committed default")
@@ -65,18 +66,19 @@ func simulate(fs *flag.FlagSet) func(context.Context) error {
 			cfg.MMU.Prefault = false
 		}
 		tasklets := *threads
-		switch *mode {
-		case "scratchpad":
-			cfg.Mode = upim.ModeScratchpad
-		case "cache":
-			cfg.Mode = upim.ModeCache
-		case "simt":
-			cfg.Mode = upim.ModeSIMT
+		var err error
+		if cfg.Mode, err = config.ParseMode(*mode); err != nil {
+			return cli.Usage(err)
+		}
+		if cfg.Mode == upim.ModeSIMT {
 			cfg.SIMTCoalesce = true
 			tasklets = 16 * 16
-		default:
-			return cli.Usagef("unknown mode %q (want scratchpad, cache or simt)", *mode)
 		}
+		features, err := config.ParseILP(*ilp)
+		if err != nil {
+			return cli.Usage(err)
+		}
+		cfg = cfg.WithILP(features)
 		suite := *kernel == "all"
 		if !suite && (*energyF || *profile != "" || rep.Out != "") {
 			return cli.Usagef("-energy, -profile and -out only affect the suite run; add -kernel all to use them")
@@ -86,7 +88,6 @@ func simulate(fs *flag.FlagSet) func(context.Context) error {
 			if !*energyF {
 				return cli.Usagef("-profile only affects the -energy columns and table; add -energy to use it")
 			}
-			var err error
 			if prof, err = upim.LoadTechProfile(*profile); err != nil {
 				return cli.Usage(err)
 			}
@@ -95,7 +96,6 @@ func simulate(fs *flag.FlagSet) func(context.Context) error {
 			upim.WithConfig(cfg),
 			upim.WithTasklets(tasklets),
 			upim.WithDPUs(*dpus),
-			upim.WithILP(*ilp),
 			upim.WithScale(sim.Scale),
 		}
 		if sim.Jobs > 0 {

@@ -17,6 +17,8 @@ func TestExitCodes(t *testing.T) {
 		want int
 	}{
 		{"-mode bogus", 2},
+		{"-ilp Q", 2},
+		{"-ilp DD", 2},
 		{"-scale bogus", 2},
 		{"serve -scale bogus", 2},
 		{"serve -policy bogus", 2},
@@ -73,20 +75,10 @@ func TestSuiteGolden(t *testing.T) {
 			if err == nil {
 				args = append(args, "-out", out)
 			}
-			stdout := filepath.Join(t.TempDir(), "stdout")
-			f, err := os.Create(stdout)
-			if err != nil {
-				t.Fatal(err)
-			}
-			saved := os.Stdout
-			os.Stdout = f
-			code := run(args)
-			os.Stdout = saved
-			f.Close()
+			code, got := capture(t, args)
 			if code != 0 {
 				t.Fatalf("upimulator %s: exit %d", tc.args, code)
 			}
-			got, _ := os.ReadFile(stdout)
 			want, err := os.ReadFile(filepath.Join("testdata", tc.golden+".golden"))
 			if err != nil {
 				t.Fatal(err)
@@ -99,6 +91,43 @@ func TestSuiteGolden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestILPBase: -ilp takes the ilp axis's vocabulary, where "base" is the
+// empty ladder rung, so -ilp base runs exactly what -ilp "" runs.
+func TestILPBase(t *testing.T) {
+	args := []string{"-kernel", "VA", "-scale", "tiny", "-threads", "2", "-ilp"}
+	code, empty := capture(t, append(args, ""))
+	if code != 0 {
+		t.Fatalf("-ilp \"\": exit %d", code)
+	}
+	code, base := capture(t, append(args, "base"))
+	if code != 0 {
+		t.Fatalf("-ilp base: exit %d", code)
+	}
+	if string(base) != string(empty) {
+		t.Errorf("-ilp base prints\n%s\nwhile -ilp \"\" prints\n%s", base, empty)
+	}
+}
+
+// capture runs upimulator with args and returns its exit code and stdout.
+func capture(t *testing.T, args []string) (int, []byte) {
+	t.Helper()
+	stdout := filepath.Join(t.TempDir(), "stdout")
+	f, err := os.Create(stdout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = f
+	code := run(args)
+	os.Stdout = saved
+	f.Close()
+	out, err := os.ReadFile(stdout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, out
 }
 
 // sha256Listing renders dir the way `sha256sum *` run inside it does.

@@ -1,6 +1,9 @@
 package config
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Tick is the simulator base time unit (1/134,400 MHz ~ 7.44 ps).
 type Tick = uint64
@@ -47,6 +50,16 @@ func (m Mode) String() string {
 	default:
 		return fmt.Sprintf("mode?%d", int(m))
 	}
+}
+
+// ParseMode is the inverse of Mode.String.
+func ParseMode(s string) (Mode, error) {
+	for m := ModeScratchpad; m <= ModeSIMT; m++ {
+		if m.String() == s {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("config: unknown mode %q (want scratchpad, cache or simt)", s)
 }
 
 // CacheConfig parameterizes one set-associative cache.
@@ -228,9 +241,28 @@ func Default() Config {
 	}
 }
 
-// WithILP returns a copy of c with the requested additive Fig 12 features:
-// the string is a subset of "DRSF" (order-insensitive).
+// ParseILP validates a Fig 12 feature set — a subset of "DRSF" (forwarding,
+// unified RF, 2-way issue, doubled clock), each letter at most once, in any
+// order — and returns it with "base", the empty set's name, normalised to "".
+func ParseILP(s string) (string, error) {
+	if s == "base" {
+		return "", nil
+	}
+	for i, f := range s {
+		if !strings.ContainsRune("DRSF", f) || strings.ContainsRune(s[:i], f) {
+			return "", fmt.Errorf("config: ILP features %q: feature %q is unknown or repeated (want a subset of DRSF, or \"base\")", s, string(f))
+		}
+	}
+	return s, nil
+}
+
+// WithILP returns a copy of c with the requested additive Fig 12 features
+// (see ParseILP); it panics on a set ParseILP rejects.
 func (c Config) WithILP(features string) Config {
+	features, err := ParseILP(features)
+	if err != nil {
+		panic(err.Error())
+	}
 	for _, f := range features {
 		switch f {
 		case 'D':
@@ -241,8 +273,6 @@ func (c Config) WithILP(features string) Config {
 			c.IssueWidth = 2
 		case 'F':
 			c.FreqMHz *= 2
-		default:
-			panic(fmt.Sprintf("config: unknown ILP feature %q", string(f)))
 		}
 	}
 	return c

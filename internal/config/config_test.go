@@ -62,6 +62,33 @@ func TestWithILPPanicsOnUnknown(t *testing.T) {
 	Default().WithILP("X")
 }
 
+func TestParseMode(t *testing.T) {
+	for _, m := range []Mode{ModeScratchpad, ModeCache, ModeSIMT} {
+		if got, err := ParseMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v", m, got, err)
+		}
+	}
+	for _, s := range []string{"", "bogus", "SIMT", "mode?3"} {
+		if _, err := ParseMode(s); err == nil || !strings.Contains(err.Error(), "scratchpad, cache or simt") {
+			t.Errorf("ParseMode(%q) error = %v, want the mode vocabulary", s, err)
+		}
+	}
+}
+
+func TestParseILP(t *testing.T) {
+	for in, want := range map[string]string{"": "", "base": "", "D": "D", "FD": "FD", "DRSF": "DRSF"} {
+		if got, err := ParseILP(in); err != nil || got != want {
+			t.Errorf("ParseILP(%q) = %q, %v; want %q", in, got, err, want)
+		}
+	}
+	for in, want := range map[string]string{"X": `feature "X"`, "DD": `feature "D"`, "Dbase": `feature "b"`, "d": `feature "d"`, "DRSFD": `feature "D"`} {
+		_, err := ParseILP(in)
+		if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "DRSF") {
+			t.Errorf("ParseILP(%q) error = %v, want it to name %s and the DRSF vocabulary", in, err, want)
+		}
+	}
+}
+
 func TestValidationCatchesBadConfigs(t *testing.T) {
 	cases := []struct {
 		name   string

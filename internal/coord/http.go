@@ -224,9 +224,9 @@ func (c *Client) Status() (Status, error) {
 	return st, nil
 }
 
-// Lease implements LeaseClient: it requests the next shard, re-validating
-// the unit on the way in (DecodeWorkUnit-strength checks — a worker never
-// trusts a wire unit).
+// Lease implements LeaseClient: it requests the next shard, decoding the
+// body strictly and re-validating the unit on the way in — a worker never
+// trusts a wire unit (FuzzLeaseCodec holds this boundary to its contract).
 func (c *Client) Lease(worker string) (*WorkUnit, bool, error) {
 	var resp leaseResponse
 	if err := c.call(http.MethodPost, "/v1/lease", leaseRequest{Worker: worker}, &resp); err != nil {

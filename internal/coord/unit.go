@@ -1,8 +1,6 @@
 package coord
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"regexp"
 )
@@ -28,7 +26,7 @@ type WorkUnit struct {
 	Total int `json:"total"`
 }
 
-// leasePattern is the only lease shape the codec accepts.
+// leasePattern is the only lease shape a worker accepts.
 var leasePattern = regexp.MustCompile(`^s[0-9]{1,9}\.g[0-9]{1,9}$`)
 
 // Validate checks the unit's internal consistency — the decode-side firewall
@@ -47,35 +45,4 @@ func (u *WorkUnit) Validate() error {
 		return fmt.Errorf("coord: work unit: malformed lease %q", u.Lease)
 	}
 	return nil
-}
-
-// EncodeWorkUnit renders a unit into its canonical wire form (one JSON
-// object, no trailing newline).
-func EncodeWorkUnit(u *WorkUnit) ([]byte, error) {
-	if u == nil {
-		return nil, fmt.Errorf("coord: encoding a nil work unit")
-	}
-	if err := u.Validate(); err != nil {
-		return nil, err
-	}
-	return json.Marshal(u)
-}
-
-// DecodeWorkUnit parses and validates one wire-form work unit. The decode is
-// strict — unknown fields, trailing content, and out-of-range values are all
-// rejected, and no input can panic (FuzzLeaseCodec pins this down).
-func DecodeWorkUnit(data []byte) (*WorkUnit, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var u WorkUnit
-	if err := dec.Decode(&u); err != nil {
-		return nil, fmt.Errorf("coord: decoding work unit: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("coord: decoding work unit: trailing content")
-	}
-	if err := u.Validate(); err != nil {
-		return nil, err
-	}
-	return &u, nil
 }

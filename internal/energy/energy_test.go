@@ -184,6 +184,17 @@ func TestProfileLoadRejections(t *testing.T) {
 	}
 }
 
+// TestProfileLoadTrailing: whatever follows the profile is refused,
+// including a stray closing bracket.
+func TestProfileLoadTrailing(t *testing.T) {
+	for _, tail := range []string{"}", "]", " {}", "x"} {
+		_, err := energy.Load(strings.NewReader(`{"name": "n", "format": 1}` + tail))
+		if err == nil || !strings.Contains(err.Error(), "trailing content") {
+			t.Errorf("tail %q: error = %v, want trailing content", tail, err)
+		}
+	}
+}
+
 func TestClassKeyCoversMix(t *testing.T) {
 	p := energy.Default()
 	for c := 0; c < isa.NumClasses; c++ {

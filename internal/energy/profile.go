@@ -3,12 +3,12 @@ package energy
 import (
 	"bytes"
 	"embed"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"sync"
 
+	"upim/internal/httpjson"
 	"upim/internal/isa"
 )
 
@@ -106,9 +106,7 @@ func embedded(path string) *TechProfile {
 		panic("energy: embedded profile " + path + " missing: " + err.Error())
 	}
 	p := &TechProfile{PipelinePJ: map[string]float64{}}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(p); err != nil {
+	if err := httpjson.DecodeStrict(bytes.NewReader(data), p); err != nil {
 		panic("energy: embedded profile " + path + " invalid: " + err.Error())
 	}
 	if err := p.Validate(); err != nil {
@@ -169,16 +167,11 @@ func Load(r io.Reader) (*TechProfile, error) {
 	p := Default()
 	p.Name = ""  // overrides must declare their own identity...
 	p.Format = 0 // ...and the schema format they were written against
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(p); err != nil {
-		return nil, fmt.Errorf("energy: decoding profile: %w", err)
-	}
 	// One JSON object per profile: silently dropping trailing content (say,
 	// an accidental duplicate object after editing) would discard the very
 	// calibration the user meant to apply.
-	if dec.More() {
-		return nil, fmt.Errorf("energy: profile has trailing content after the JSON object")
+	if err := httpjson.DecodeStrict(r, p); err != nil {
+		return nil, fmt.Errorf("energy: decoding profile: %w", err)
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err

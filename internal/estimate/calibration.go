@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"upim/internal/config"
+	"upim/internal/httpjson"
 	"upim/internal/isa"
 	"upim/internal/prim"
 	"upim/internal/stats"
@@ -262,16 +263,11 @@ func (c *Calibration) clone() *Calibration {
 // fields, format mismatches, trailing content, negative coefficients and
 // malformed signatures are all errors.
 func Load(r io.Reader) (*Calibration, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	c := &Calibration{}
-	if err := dec.Decode(c); err != nil {
-		return nil, fmt.Errorf("estimate: decoding calibration: %w", err)
-	}
 	// One JSON object per calibration file: trailing content means the file
 	// is not the artifact `pathfind calibrate` wrote.
-	if dec.More() {
-		return nil, fmt.Errorf("estimate: calibration has trailing content after the JSON object")
+	c := &Calibration{}
+	if err := httpjson.DecodeStrict(r, c); err != nil {
+		return nil, fmt.Errorf("estimate: decoding calibration: %w", err)
 	}
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -363,10 +359,8 @@ func (c *Calibration) Validate() error {
 }
 
 func (s *Signature) validate() error {
-	switch s.Mode {
-	case config.ModeScratchpad.String(), config.ModeCache.String(), config.ModeSIMT.String():
-	default:
-		return fmt.Errorf("unknown mode %q", s.Mode)
+	if _, err := config.ParseMode(s.Mode); err != nil {
+		return err
 	}
 	if s.Benchmark == "" {
 		return fmt.Errorf("empty benchmark name")

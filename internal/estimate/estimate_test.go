@@ -16,13 +16,11 @@ import (
 // modeFor maps a signature's mode string back to a config.Mode.
 func modeFor(t *testing.T, s string) config.Mode {
 	t.Helper()
-	for _, m := range []config.Mode{config.ModeScratchpad, config.ModeCache, config.ModeSIMT} {
-		if m.String() == s {
-			return m
-		}
+	m, err := config.ParseMode(s)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("unknown mode %q", s)
-	return 0
+	return m
 }
 
 // anchorPoint reconstructs the engine.Point a signature was captured at.

@@ -66,6 +66,17 @@ func TestLoadRejects(t *testing.T) {
 	}
 }
 
+// TestLoadTrailing: whatever follows the artifact is refused, including a
+// stray closing bracket.
+func TestLoadTrailing(t *testing.T) {
+	for _, tail := range []string{"}", "]", " {}", "x"} {
+		_, err := Load(bytes.NewReader(append(committedArtifact(t), tail...)))
+		if err == nil || !strings.Contains(err.Error(), "trailing content") {
+			t.Errorf("tail %q: error = %v, want trailing content", tail, err)
+		}
+	}
+}
+
 func TestLoadRoundTrip(t *testing.T) {
 	cal, err := Load(bytes.NewReader(committedArtifact(t)))
 	if err != nil {

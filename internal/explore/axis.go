@@ -1,8 +1,12 @@
 package explore
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
+	"strconv"
+	"strings"
 
 	"upim/internal/config"
 	"upim/internal/engine"
@@ -22,6 +26,10 @@ type Level struct {
 	Label string
 	Cost  float64
 	Apply func(*engine.Point)
+
+	// value is the spec value ParseAxes reads the level back from when it
+	// is not the label (a link level labelled "x4" is spec value "4").
+	value string
 }
 
 // Axis is one named design dimension: an ordered list of levels, the first
@@ -44,208 +52,144 @@ func NewAxis(name string, levels ...Level) Axis {
 	return Axis{Name: name, Levels: levels}
 }
 
-// Tasklets sweeps the number of threads launched per DPU. Under ModeSIMT
-// the value counts warps: Space.Points multiplies it by the configured SIMT
-// width to get lanes once every axis has applied (matching the paper's
-// Fig 11 setup, independent of axis order). A software knob, so every level
-// costs 0.
-func Tasklets(counts ...int) Axis {
-	a := Axis{Name: "tasklets"}
-	for _, n := range counts {
-		if n < 1 {
-			panic(fmt.Sprintf("explore: Tasklets(%d): need at least one tasklet", n))
-		}
-		n := n
-		a.Levels = append(a.Levels, Level{
-			Label: fmt.Sprint(n),
-			Apply: func(p *engine.Point) { p.Config.NumTasklets = n },
-		})
-	}
-	return mustLevels(a)
+type builtin struct {
+	name, about string
+	level       func(v string) (Level, error) // the Level is unused on error
 }
 
-// DPUs sweeps the DPU allocation size. Cost is log2(n): doubling the chip
-// count adds 1.
-func DPUs(counts ...int) Axis {
-	a := Axis{Name: "dpus"}
-	for _, n := range counts {
-		if n < 1 {
-			panic(fmt.Sprintf("explore: DPUs(%d): need at least one DPU", n))
-		}
-		n := n
-		a.Levels = append(a.Levels, Level{
-			Label: fmt.Sprint(n),
-			Cost:  math.Log2(float64(n)),
-			Apply: func(p *engine.Point) { p.DPUs = n },
-		})
-	}
-	return mustLevels(a)
+// builtins declares each built-in axis once, in the order usage text and
+// errors list them: its name, what it sweeps, and how one spec value
+// becomes its Level — label, cost and mutation. ParseAxes and the typed
+// constructors both build through it.
+var builtins = []builtin{
+	{"arch", "architecture backend", archLevel},
+	{"tasklets", "threads per DPU, warps under simt", counted("%d", free, func(p *engine.Point, n int) { p.Config.NumTasklets = n })},
+	{"dpus", "DPU allocation size", counted("%d", doublings, func(p *engine.Point, n int) { p.DPUs = n })},
+	{"freq", "DPU clock in MHz", counted("%d", freqCost, func(p *engine.Point, f int) { p.Config.FreqMHz = f })},
+	{"link", "MRAM-WRAM link width multiplier", counted("x%d", doublings, func(p *engine.Point, s int) { p.Config.LinkBytesPerCycle *= s })},
+	{"ilp", "Fig 12 features, a subset of DRSF or base", ilpLevel},
+	{"mode", "memory organisation", modeLevel},
+	{"policy", "serving scheduler of the p99 goal", policyLevel},
 }
 
-// FrequencyMHz sweeps the DPU core clock. Frequencies must divide the
-// simulator tick clock (config.TickFrequencyMHz); cost is log2(f/350), so
-// the paper's 700 MHz "F" point costs 1.
-func FrequencyMHz(mhz ...int) Axis {
-	a := Axis{Name: "freq"}
-	for _, f := range mhz {
-		if f <= 0 || config.TickFrequencyMHz%f != 0 {
-			panic(fmt.Sprintf("explore: FrequencyMHz(%d): frequency must divide the %d MHz tick clock", f, config.TickFrequencyMHz))
+// buildAxis builds the named built-in axis, one level per value.
+func buildAxis[T any](name string, values []T) (Axis, error) {
+	i := slices.IndexFunc(builtins, func(b builtin) bool { return b.name == name })
+	if i < 0 {
+		names := make([]string, len(builtins))
+		for j, b := range builtins {
+			names[j] = b.name
 		}
-		f := f
-		a.Levels = append(a.Levels, Level{
-			Label: fmt.Sprint(f),
-			Cost:  math.Log2(float64(f) / float64(config.LinkReferenceFreqMHz)),
-			Apply: func(p *engine.Point) { p.Config.FreqMHz = f },
-		})
+		return Axis{}, fmt.Errorf("explore: unknown axis %q (want %s)", name, strings.Join(names, ", "))
 	}
-	return mustLevels(a)
-}
-
-// LinkScale sweeps the MRAM-to-WRAM link bandwidth as a multiplier over the
-// Table I width (the paper's Fig 13 axis). Cost is log2(scale).
-func LinkScale(scales ...int) Axis {
-	a := Axis{Name: "link"}
-	for _, s := range scales {
-		if s < 1 {
-			panic(fmt.Sprintf("explore: LinkScale(%d): scale must be positive", s))
-		}
-		s := s
-		a.Levels = append(a.Levels, Level{
-			Label: fmt.Sprintf("x%d", s),
-			Cost:  math.Log2(float64(s)),
-			Apply: func(p *engine.Point) { p.Config.LinkBytesPerCycle *= s },
-		})
+	if len(values) == 0 {
+		return Axis{}, fmt.Errorf("explore: axis %q has no levels", name)
 	}
-	return mustLevels(a)
-}
-
-// ILP sweeps the additive Fig 12 feature ladder. Each variant is a subset of
-// "DRSF" (each letter at most once); "" or "base" is the baseline. Cost is
-// the number of enabled features.
-func ILP(variants ...string) Axis {
-	a := Axis{Name: "ilp"}
-	for _, v := range variants {
-		features, err := ilpFeatures(v)
+	a := Axis{Name: name}
+	for _, v := range values {
+		l, err := builtins[i].level(fmt.Sprint(v))
 		if err != nil {
-			panic("explore: " + err.Error())
+			return Axis{}, fmt.Errorf("explore: axis %q: %w", name, err)
 		}
-		label := "base"
-		if features != "" {
-			label = features
-		}
-		a.Levels = append(a.Levels, Level{
-			Label: label,
-			Cost:  float64(len(features)),
-			Apply: func(p *engine.Point) { p.Config = p.Config.WithILP(features) },
-		})
+		a.Levels = append(a.Levels, l)
 	}
-	return mustLevels(a)
+	return a, nil
 }
 
-// ilpFeatures validates one ILP variant spec and normalizes "base" to "".
-func ilpFeatures(v string) (string, error) {
-	if v == "base" {
-		return "", nil
-	}
-	seen := make(map[rune]bool, len(v))
-	for _, f := range v {
-		switch f {
-		case 'D', 'R', 'S', 'F':
-			if seen[f] {
-				return "", fmt.Errorf("ILP variant %q repeats feature %q", v, string(f))
-			}
-			seen[f] = true
-		default:
-			return "", fmt.Errorf("ILP variant %q: unknown feature %q (want a subset of DRSF, or \"base\")", v, string(f))
-		}
-	}
-	return v, nil
-}
-
-// Modes sweeps the memory-hierarchy variant: the scratchpad baseline (cost
-// 0), the case-study 4 cache hierarchy (cost 1), or the case-study 1 SIMT
-// vector engine (cost 2). Under SIMT the tasklet count names warps, not
-// lanes — Space.Points performs the SIMT-width lane expansion after all
-// axes have applied, so axis declaration order cannot change the lane
-// count; benchmarks without a kernel variant for a mode are constrained
-// out of the space.
-func Modes(modes ...config.Mode) Axis {
-	a := Axis{Name: "mode"}
-	for _, m := range modes {
-		var cost float64
-		switch m {
-		case config.ModeScratchpad:
-		case config.ModeCache:
-			cost = 1
-		case config.ModeSIMT:
-			cost = 2
-		default:
-			panic(fmt.Sprintf("explore: Modes(%v): unknown mode", m))
-		}
-		m := m
-		a.Levels = append(a.Levels, Level{
-			Label: m.String(),
-			Cost:  cost,
-			Apply: func(p *engine.Point) { p.Config.Mode = m },
-		})
-	}
-	return mustLevels(a)
-}
-
-// Archs sweeps the architecture backend a point runs on, by committed
-// machine-description name (machine.Names: "upmem", "hbm-pim"). The
-// "upmem" level keeps the point on the native cycle-exact core (nil
-// description, cost 0 — the scalar DPU is the baseline); every other level
-// attaches its architecture's machine description, which joins the point's
-// content address, and costs log2 of the description's per-site MAC lane
-// count, the same each-doubling-costs-1 convention as the other axes. The
-// description is shared read-only across all points of the sweep.
-func Archs(names ...string) Axis {
-	a := Axis{Name: "arch"}
-	for _, n := range names {
-		if n == machine.ArchUPMEM {
-			a.Levels = append(a.Levels, Level{
-				Label: n,
-				Apply: func(p *engine.Point) { p.Machine = nil },
-			})
-			continue
-		}
-		desc, err := machine.Named(n)
-		if err != nil {
-			panic("explore: " + err.Error())
-		}
-		a.Levels = append(a.Levels, Level{
-			Label: n,
-			Cost:  desc.ArchCost(),
-			Apply: func(p *engine.Point) { p.Machine = desc },
-		})
-	}
-	return mustLevels(a)
-}
-
-// Policies sweeps the serving scheduler policy GoalP99 scores a point
-// under (see serve.NewPolicy for the vocabulary: fifo, wfq, slo). The
-// policy is host software — it never changes the simulated point, so
-// Apply is a no-op and every level costs 0. All levels of this axis share
-// one simulation: the point's store key is policy-independent, so a sweep
-// over N policies simulates once and serves N-1 levels from the store.
-func Policies(names ...string) Axis {
-	a := Axis{Name: "policy"}
-	for _, n := range names {
-		if _, err := serve.NewPolicy(n, nil); err != nil {
-			panic("explore: " + err.Error())
-		}
-		a.Levels = append(a.Levels, Level{
-			Label: n,
-			Apply: func(*engine.Point) {},
-		})
-	}
-	return mustLevels(a)
-}
-
-func mustLevels(a Axis) Axis {
-	if len(a.Levels) == 0 {
-		panic(fmt.Sprintf("explore: axis %q has no levels", a.Name))
+// must is a typed constructor's contract: a bad value panics.
+func must(a Axis, err error) Axis {
+	if err != nil {
+		panic(err.Error())
 	}
 	return a
+}
+
+// Tasklets sweeps the threads launched per DPU, a free software knob. Under
+// ModeSIMT it counts warps: Space.Points multiplies it by the SIMT width
+// after every axis has applied, so axis order cannot change the lanes.
+func Tasklets(counts ...int) Axis { return must(buildAxis("tasklets", counts)) }
+
+// DPUs sweeps the DPU allocation size. Cost is log2(n).
+func DPUs(counts ...int) Axis { return must(buildAxis("dpus", counts)) }
+
+// FrequencyMHz sweeps the DPU clock, which must divide the tick clock. Cost
+// is log2(f/350), so the paper's 700 MHz "F" point costs 1.
+func FrequencyMHz(mhz ...int) Axis { return must(buildAxis("freq", mhz)) }
+
+// LinkScale sweeps the MRAM-to-WRAM link bandwidth as a multiplier over the
+// Table I width (Fig 13), labelled "x1", "x2", .... Cost is log2(scale).
+func LinkScale(scales ...int) Axis { return must(buildAxis("link", scales)) }
+
+// ILP sweeps the additive Fig 12 feature ladder (config.ParseILP; "" or
+// "base" is the baseline). Cost is the number of enabled features.
+func ILP(variants ...string) Axis { return must(buildAxis("ilp", variants)) }
+
+// Modes sweeps the memory organisation: the scratchpad baseline (cost 0),
+// the case-study 4 cache hierarchy (1) or the case-study 1 SIMT vector
+// engine (2). Benchmarks without a kernel for a mode are constrained out.
+func Modes(modes ...config.Mode) Axis { return must(buildAxis("mode", modes)) }
+
+// Archs sweeps the architecture backend by machine-description name
+// (machine.Names). "upmem" keeps the point on the native cycle-exact core
+// at cost 0; any other level attaches its description — shared read-only
+// by every point, and part of the point's content address — at a cost of
+// log2 of its per-site MAC lanes.
+func Archs(names ...string) Axis { return must(buildAxis("arch", names)) }
+
+// Policies sweeps the serving scheduler GoalP99 scores a point under
+// (serve.NewPolicy). Host software: free, with a no-op Apply, so all levels
+// share one store key and a sweep over N policies simulates once.
+func Policies(names ...string) Axis { return must(buildAxis("policy", names)) }
+
+// counted declares an integer axis: a positive spec value n is labelled
+// by format, priced by cost (which may also refuse it) and set by apply.
+func counted(format string, cost func(int) (float64, error), apply func(*engine.Point, int)) func(string) (Level, error) {
+	return func(v string) (Level, error) {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 1 {
+			return Level{}, fmt.Errorf("%q is not a positive integer", v)
+		}
+		c, err := cost(n)
+		return Level{Label: fmt.Sprintf(format, n), Cost: c, value: strconv.Itoa(n),
+			Apply: func(p *engine.Point) { apply(p, n) }}, err
+	}
+}
+
+func free(int) (float64, error)        { return 0, nil }
+func doublings(n int) (float64, error) { return math.Log2(float64(n)), nil }
+
+func freqCost(f int) (float64, error) {
+	if config.TickFrequencyMHz%f != 0 {
+		return 0, fmt.Errorf("%d MHz does not divide the %d MHz tick clock (350 and its multiples/divisors work)",
+			f, config.TickFrequencyMHz)
+	}
+	return math.Log2(float64(f) / float64(config.LinkReferenceFreqMHz)), nil
+}
+
+func archLevel(name string) (Level, error) {
+	if name == machine.ArchUPMEM {
+		return Level{Label: name, Apply: func(p *engine.Point) { p.Machine = nil }}, nil
+	}
+	desc, err := machine.Named(name)
+	if err != nil {
+		return Level{}, err
+	}
+	return Level{Label: name, Cost: desc.ArchCost(), Apply: func(p *engine.Point) { p.Machine = desc }}, nil
+}
+
+func ilpLevel(v string) (Level, error) {
+	features, err := config.ParseILP(v)
+	return Level{Label: cmp.Or(features, "base"), Cost: float64(len(features)),
+		Apply: func(p *engine.Point) { p.Config = p.Config.WithILP(features) }}, err
+}
+
+func modeLevel(v string) (Level, error) {
+	m, err := config.ParseMode(v)
+	cost := [...]float64{config.ModeScratchpad: 0, config.ModeCache: 1, config.ModeSIMT: 2}[m]
+	return Level{Label: m.String(), Cost: cost, Apply: func(p *engine.Point) { p.Config.Mode = m }}, err
+}
+
+func policyLevel(name string) (Level, error) {
+	_, err := serve.NewPolicy(name, nil)
+	return Level{Label: name, Apply: func(*engine.Point) {}}, err
 }

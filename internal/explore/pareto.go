@@ -174,7 +174,7 @@ func Pareto(outs []Outcome, goals ...Goal) []Outcome {
 	for i := range ok {
 		dominated := false
 		for j := range ok {
-			if i != j && dominates(vals[j], vals[i]) {
+			if i != j && dominates(vals[j], vals[i], 0) {
 				dominated = true
 				break
 			}
@@ -186,15 +186,23 @@ func Pareto(outs []Outcome, goals ...Goal) []Outcome {
 	return front
 }
 
-// dominates reports whether a is no worse than b everywhere and strictly
-// better somewhere (minimization).
-func dominates(a, b []float64) bool {
+// dominates reports whether a still dominates b when inflated by the
+// relative slack eps: a*(1+eps) no worse than b everywhere, strictly better
+// somewhere (minimization; negative values pass the slack through sign-
+// safely by inflating toward b). eps 0 is plain Pareto dominance.
+func dominates(a, b []float64, eps float64) bool {
 	better := false
 	for g := range a {
-		if a[g] > b[g] {
+		av := a[g]
+		if av >= 0 {
+			av *= 1 + eps
+		} else {
+			av /= 1 + eps
+		}
+		if av > b[g] {
 			return false
 		}
-		if a[g] < b[g] {
+		if av < b[g] {
 			better = true
 		}
 	}

@@ -1,14 +1,11 @@
 package explore
 
 import (
+	"cmp"
 	"fmt"
-	"strconv"
 	"strings"
 
-	"upim/internal/config"
 	"upim/internal/energy"
-	"upim/internal/machine"
-	"upim/internal/serve"
 )
 
 // ParseAxes parses a CLI axis specification into typed axes. The grammar is
@@ -16,11 +13,10 @@ import (
 //
 //	tasklets=1,4,16;ilp=base,D,DRSF;link=1,2,4;mode=scratchpad,cache
 //
-// Known axes: arch (architecture backend: upmem, hbm-pim), tasklets, dpus,
-// freq (MHz), link (bandwidth multiplier), ilp (subsets of DRSF, "base"
-// for none), mode (scratchpad, cache, simt) and policy (serving scheduler:
-// fifo, wfq, slo — a host-software axis for the p99 goal). Axes are
-// applied to each point in specification order.
+// The names are the built-in axes Vocabulary lists, and each value is
+// whatever the matching typed constructor (Archs, Tasklets, DPUs,
+// FrequencyMHz, LinkScale, ILP, Modes, Policies) takes, spelled as text.
+// Axes are applied to each point in specification order.
 func ParseAxes(spec string) ([]Axis, error) {
 	var axes []Axis
 	for _, part := range strings.Split(spec, ";") {
@@ -53,77 +49,6 @@ func ParseAxes(spec string) ([]Axis, error) {
 	return axes, nil
 }
 
-func buildAxis(name string, values []string) (Axis, error) {
-	switch name {
-	case "tasklets", "dpus", "freq", "link":
-		ints := make([]int, len(values))
-		for i, v := range values {
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 1 {
-				return Axis{}, fmt.Errorf("explore: axis %q: %q is not a positive integer", name, v)
-			}
-			ints[i] = n
-		}
-		switch name {
-		case "tasklets":
-			return Tasklets(ints...), nil
-		case "dpus":
-			return DPUs(ints...), nil
-		case "link":
-			return LinkScale(ints...), nil
-		default: // freq
-			for _, f := range ints {
-				if config.TickFrequencyMHz%f != 0 {
-					return Axis{}, fmt.Errorf("explore: axis \"freq\": %d MHz does not divide the %d MHz tick clock (350 and its multiples/divisors work)",
-						f, config.TickFrequencyMHz)
-				}
-			}
-			return FrequencyMHz(ints...), nil
-		}
-	case "ilp":
-		for _, v := range values {
-			if _, err := ilpFeatures(v); err != nil {
-				return Axis{}, fmt.Errorf("explore: axis \"ilp\": %w", err)
-			}
-		}
-		return ILP(values...), nil
-	case "arch":
-		for _, v := range values {
-			if v == machine.ArchUPMEM {
-				continue
-			}
-			if _, err := machine.Named(v); err != nil {
-				return Axis{}, fmt.Errorf("explore: axis \"arch\": %w", err)
-			}
-		}
-		return Archs(values...), nil
-	case "policy":
-		for _, v := range values {
-			if _, err := serve.NewPolicy(v, nil); err != nil {
-				return Axis{}, fmt.Errorf("explore: axis \"policy\": %w", err)
-			}
-		}
-		return Policies(values...), nil
-	case "mode":
-		modes := make([]config.Mode, len(values))
-		for i, v := range values {
-			switch v {
-			case "scratchpad":
-				modes[i] = config.ModeScratchpad
-			case "cache":
-				modes[i] = config.ModeCache
-			case "simt":
-				modes[i] = config.ModeSIMT
-			default:
-				return Axis{}, fmt.Errorf("explore: axis \"mode\": unknown mode %q (want scratchpad, cache or simt)", v)
-			}
-		}
-		return Modes(modes...), nil
-	default:
-		return Axis{}, fmt.Errorf("explore: unknown axis %q (want arch, tasklets, dpus, freq, link, ilp, mode or policy)", name)
-	}
-}
-
 // FormatAxes renders axes back into the ParseAxes grammar. For the built-in
 // axes this is a true inverse: ParseAxes(FormatAxes(axes)) reconstructs the
 // same names, level labels and costs — the round-trip property FuzzParseAxes
@@ -134,31 +59,54 @@ func FormatAxes(axes []Axis) string {
 	for i, a := range axes {
 		vals := make([]string, len(a.Levels))
 		for j, l := range a.Levels {
-			v := l.Label
-			// LinkScale displays "x4" for the spec value "4".
-			if a.Name == "link" {
-				v = strings.TrimPrefix(v, "x")
-			}
-			vals[j] = v
+			vals[j] = cmp.Or(l.value, l.Label)
 		}
 		parts[i] = a.Name + "=" + strings.Join(vals, ",")
 	}
 	return strings.Join(parts, ";")
 }
 
-// goalNamesList is the -goals vocabulary in display order.
-const goalNamesList = "time, kernel, cost, energy, edp, p99"
+// goals is the -goals vocabulary in display order: each name and its
+// objective (GoalTime, GoalKernelTime, ...) under an energy profile.
+var goals = []struct {
+	name string
+	goal func(*energy.TechProfile) Goal
+}{
+	{"time", func(*energy.TechProfile) Goal { return GoalTime() }},
+	{"kernel", func(*energy.TechProfile) Goal { return GoalKernelTime() }},
+	{"cost", func(*energy.TechProfile) Goal { return GoalCost() }},
+	{"energy", GoalEnergy},
+	{"edp", GoalEDP},
+	{"p99", func(*energy.TechProfile) Goal { return GoalP99() }},
+}
+
+// Vocabulary describes the words ParseAxes and ParseGoals accept, for a
+// command's usage text: each built-in axis with what it sweeps, and the
+// goal names, each list in display order.
+func Vocabulary() (axes, goalNames string) {
+	a := make([]string, len(builtins))
+	for i, b := range builtins {
+		a[i] = b.name + " (" + b.about + ")"
+	}
+	return strings.Join(a, ", "), goalList()
+}
+
+// goalList lists the goal names as "time, kernel, ...".
+func goalList() string {
+	names := make([]string, len(goals))
+	for i, g := range goals {
+		names[i] = g.name
+	}
+	return strings.Join(names, ", ")
+}
 
 // ParseGoals parses a comma-separated CLI goal specification — e.g.
-// "time,cost" or "energy,cost" — into Pareto objectives. Known goals: time
-// (end-to-end ms), kernel (kernel-only ms), cost (unitless hardware cost),
-// energy (total µJ), edp (energy-delay product, µJ·ms) and p99 (served
-// tail latency, ms — see GoalP99); energy and edp are computed under
-// profile p (nil = the committed default). Errors name
-// the full valid vocabulary. Duplicate goals are rejected — a repeated
-// objective never changes a frontier.
+// "time,cost" or "energy,cost" — into the Pareto objectives the goals
+// table names; energy and edp are computed under profile p (nil = the
+// committed default). Errors name the full valid vocabulary. Duplicate
+// goals are rejected — a repeated objective never changes a frontier.
 func ParseGoals(spec string, p *energy.TechProfile) ([]Goal, error) {
-	var goals []Goal
+	var out []Goal
 	seen := map[string]bool{}
 	for _, part := range strings.Split(spec, ",") {
 		name := strings.ToLower(strings.TrimSpace(part))
@@ -169,25 +117,19 @@ func ParseGoals(spec string, p *energy.TechProfile) ([]Goal, error) {
 			return nil, fmt.Errorf("explore: goal %q repeated (a duplicate objective never changes a frontier)", name)
 		}
 		seen[name] = true
-		switch name {
-		case "time":
-			goals = append(goals, GoalTime())
-		case "kernel":
-			goals = append(goals, GoalKernelTime())
-		case "cost":
-			goals = append(goals, GoalCost())
-		case "energy":
-			goals = append(goals, GoalEnergy(p))
-		case "edp":
-			goals = append(goals, GoalEDP(p))
-		case "p99":
-			goals = append(goals, GoalP99())
-		default:
-			return nil, fmt.Errorf("explore: unknown goal %q (want a comma-separated subset of: %s)", name, goalNamesList)
+		var goal func(*energy.TechProfile) Goal
+		for _, g := range goals {
+			if g.name == name {
+				goal = g.goal
+			}
 		}
+		if goal == nil {
+			return nil, fmt.Errorf("explore: unknown goal %q (want a comma-separated subset of: %s)", name, goalList())
+		}
+		out = append(out, goal(p))
 	}
-	if len(goals) == 0 {
-		return nil, fmt.Errorf("explore: empty goal specification (want a comma-separated subset of: %s)", goalNamesList)
+	if len(out) == 0 {
+		return nil, fmt.Errorf("explore: empty goal specification (want a comma-separated subset of: %s)", goalList())
 	}
-	return goals, nil
+	return out, nil
 }

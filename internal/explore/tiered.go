@@ -124,7 +124,7 @@ func triage(pts []Point, topts TieredOptions) ([]*estimate.Estimate, []bool, *Tr
 		}
 		dominated := false
 		for _, j := range byBench[pts[i].Benchmark] {
-			if j != i && epsDominates(vals[j], vals[i], topts.Band) {
+			if j != i && dominates(vals[j], vals[i], topts.Band) {
 				dominated = true
 				break
 			}
@@ -139,29 +139,6 @@ func triage(pts []Point, topts TieredOptions) ([]*estimate.Estimate, []bool, *Tr
 		}
 	}
 	return ests, inBand, tri
-}
-
-// epsDominates reports whether a still dominates b when inflated by the
-// relative slack eps: a*(1+eps) no worse than b everywhere, strictly better
-// somewhere (minimization; negative values pass the slack through sign-
-// safely by inflating toward b).
-func epsDominates(a, b []float64, eps float64) bool {
-	better := false
-	for g := range a {
-		av := a[g]
-		if av >= 0 {
-			av *= 1 + eps
-		} else {
-			av /= 1 + eps
-		}
-		if av > b[g] {
-			return false
-		}
-		if av < b[g] {
-			better = true
-		}
-	}
-	return better
 }
 
 // ExploreTiered runs the space in two fidelity tiers: tier A estimates every

@@ -159,7 +159,7 @@ func (c *Client) once(method, path string, payload []byte, out any) error {
 	if out == nil {
 		return nil
 	}
-	return decode(io.LimitReader(resp.Body, c.maxBody), out)
+	return DecodeStrict(io.LimitReader(resp.Body, c.maxBody), out)
 }
 
 // Write sends v as a JSON response body.
@@ -172,21 +172,24 @@ func Write(w http.ResponseWriter, v any) {
 // An oversized body is an error, not a silent truncation: MaxBytesReader
 // stops reading at the cap and closes the connection after the reply.
 func Decode(w http.ResponseWriter, r *http.Request, maxBody int64, v any) error {
-	return decode(http.MaxBytesReader(w, r.Body, maxBody), v)
+	return DecodeStrict(http.MaxBytesReader(w, r.Body, maxBody), v)
 }
 
-// decode reads exactly one JSON value: unknown fields and trailing content
-// are rejected, matching the store's degrade-don't-guess posture.
-func decode(r io.Reader, v any) error {
+// DecodeStrict reads exactly one JSON value into v: unknown fields and
+// trailing content are rejected, matching the store's degrade-don't-guess
+// posture. Every strict JSON input — HTTP bodies, machine descriptions,
+// calibrations, energy profiles — goes through it.
+func DecodeStrict(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
-	// Token rather than More: a read error past the value (the body cap
-	// tripping on trailing bytes) must reject too, and More would hide it.
+	// Token rather than More: More reports no more content before a stray
+	// '}' or ']', and it hides a read error past the value (the body cap
+	// tripping on trailing bytes).
 	if _, err := dec.Token(); err != io.EOF {
-		return errors.New("trailing content after JSON body")
+		return errors.New("trailing content after the JSON value")
 	}
 	return nil
 }

@@ -21,6 +21,7 @@ import (
 	"sort"
 
 	"upim/internal/config"
+	"upim/internal/httpjson"
 )
 
 // DescFormat versions the Desc JSON schema. Decode rejects descriptions
@@ -182,14 +183,9 @@ func (d *Desc) Encode(w io.Writer) error {
 // format mismatches and inconsistent values are all errors, so a stale or
 // hand-mangled machine file never silently selects a different machine.
 func Decode(r io.Reader) (*Desc, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	d := &Desc{}
-	if err := dec.Decode(d); err != nil {
+	if err := httpjson.DecodeStrict(r, d); err != nil {
 		return nil, fmt.Errorf("machine: decoding description: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("machine: description has trailing content after the JSON object")
 	}
 	if err := d.Validate(); err != nil {
 		return nil, err

@@ -92,6 +92,21 @@ func TestDecodeStrict(t *testing.T) {
 	}
 }
 
+// TestDecodeTrailing: whatever follows the description is refused,
+// including a stray closing bracket.
+func TestDecodeTrailing(t *testing.T) {
+	var buf bytes.Buffer
+	if err := machine.HBMPIM().Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, tail := range []string{"}", "]", " {}", "x"} {
+		_, err := machine.Decode(strings.NewReader(buf.String() + tail))
+		if err == nil || !strings.Contains(err.Error(), "trailing content") {
+			t.Errorf("tail %q: error = %v, want trailing content", tail, err)
+		}
+	}
+}
+
 func TestCloneIsDeep(t *testing.T) {
 	d := machine.UPMEM()
 	c := d.Clone()

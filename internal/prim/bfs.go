@@ -37,7 +37,7 @@ func init() {
 				return Params{N: 16 << 10, NNZPerRow: 7, Seed: 16}
 			}
 		},
-		Build: buildBFS,
+		build: buildBFS,
 		Run:   staged(runBFS),
 	})
 }
@@ -229,9 +229,6 @@ func buildBFS(mode config.Mode) (*linker.Object, error) {
 		b.Jump("edges")
 		b.Label("visit_done")
 		b.Ret()
-
-	default:
-		return nil, fmt.Errorf("bfs: unsupported mode %v", mode)
 	}
 	return b.Build()
 }

@@ -2,7 +2,6 @@ package prim
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"sort"
 
@@ -37,7 +36,7 @@ func init() {
 				return Params{N: 32 << 10, Queries: 4 << 10, Seed: 11}
 			}
 		},
-		Build: buildBS,
+		build: buildBS,
 		Run:   staged(runBS),
 	})
 }
@@ -138,9 +137,6 @@ func buildBS(mode config.Mode) (*linker.Object, error) {
 		b.Jump("query")
 		b.Label("done")
 		b.Stop()
-
-	default:
-		return nil, fmt.Errorf("bs: unsupported mode %v", mode)
 	}
 	return b.Build()
 }

@@ -2,7 +2,6 @@ package prim
 
 import (
 	"context"
-	"fmt"
 
 	"upim/internal/config"
 	"upim/internal/host"
@@ -31,7 +30,7 @@ func init() {
 				return Params{M: 2048, N: 64, Seed: 9}
 			}
 		},
-		Build:        func(m config.Mode) (*linker.Object, error) { return buildGEMVKernel(m, "gemv", false) },
+		build:        func(m config.Mode) (*linker.Object, error) { return buildGEMVKernel(m, "gemv", false) },
 		Run:          staged(runGEMV),
 		SupportsSIMT: true,
 	})
@@ -191,7 +190,6 @@ func buildGEMVKernel(mode config.Mode, name string, relu bool) (*linker.Object, 
 		b.Jump("tree")
 		b.Label("treedone")
 		b.Jnei(rLane, 0, "skipsum")
-		applyAct(acc)
 		b.Index(t, rY, rRow, 2)
 		b.Sw(acc, t, 0) // y[row] direct store
 		b.Label("skipsum")
@@ -199,9 +197,6 @@ func buildGEMVKernel(mode config.Mode, name string, relu bool) (*linker.Object, 
 		b.Jump("rowloop")
 		b.Label("fin")
 		b.Stop()
-
-	default:
-		return nil, fmt.Errorf("%s: unsupported mode %v", name, mode)
 	}
 	return b.Build()
 }

@@ -2,7 +2,6 @@ package prim
 
 import (
 	"context"
-	"fmt"
 
 	"upim/internal/config"
 	"upim/internal/host"
@@ -41,14 +40,14 @@ func init() {
 		Name:   "HST-S",
 		About:  "histogram, per-tasklet private copies (128K elem., 256 bins)",
 		Params: params(7),
-		Build:  func(m config.Mode) (*linker.Object, error) { return buildHST(m, false) },
+		build:  func(m config.Mode) (*linker.Object, error) { return buildHST(m, false) },
 		Run:    staged(runHST),
 	})
 	register(&Benchmark{
 		Name:   "HST-L",
 		About:  "histogram, shared copy behind a mutex (128K elem., 256 bins)",
 		Params: params(8),
-		Build:  func(m config.Mode) (*linker.Object, error) { return buildHST(m, true) },
+		build:  func(m config.Mode) (*linker.Object, error) { return buildHST(m, true) },
 		Run:    staged(runHST),
 	})
 }
@@ -150,9 +149,6 @@ func buildHST(mode config.Mode, large bool) (*linker.Object, error) {
 			b.Lw(rX, pX, 0)
 			update()
 		}, pX)
-
-	default:
-		return nil, fmt.Errorf("hst: unsupported mode %v", mode)
 	}
 
 	// Merge + writeback.

@@ -27,7 +27,7 @@ func init() {
 				return Params{M: 1024, Layers: 3, Seed: 10}
 			}
 		},
-		Build: func(m config.Mode) (*linker.Object, error) { return buildGEMVKernel(m, "mlp", true) },
+		build: func(m config.Mode) (*linker.Object, error) { return buildGEMVKernel(m, "mlp", true) },
 		Run:   staged(runMLP),
 	})
 }

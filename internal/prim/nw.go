@@ -47,7 +47,7 @@ func init() {
 				return Params{N: 256, Seed: 15}
 			}
 		},
-		Build: buildNW,
+		build: buildNW,
 		Run:   staged(runNW),
 	})
 }
@@ -277,9 +277,6 @@ func buildNW(mode config.Mode) (*linker.Object, error) {
 		b.Lw(rT, rT, 0)
 		score()
 		b.Ret()
-
-	default:
-		return nil, fmt.Errorf("nw: unsupported mode %v", mode)
 	}
 	return b.Build()
 }

@@ -14,8 +14,7 @@ import (
 // static names and declaration order decide RF-bank conflicts and the WRAM
 // layout, so a refactor of a build*/emit* function (or of a kbuild frame
 // helper) owes the same object bit for bit. One line per built object — 16
-// benchmarks × scratchpad/cache, plus the GEMV and MLP SIMT kernels = 34 —
-// holding its name, mode, instruction count, static count, total static
+// benchmarks × scratchpad/cache, plus the GEMV SIMT kernel = 33 — holding its name, mode, instruction count, static count, total static
 // bytes and the SHA-256 of the %+v of the *linker.Object. Regenerate
 // (-run ObjectsGolden -update) only for a change meant to emit different
 // code; ledger.golden, stats.golden and the figure refdata move with it.
@@ -38,23 +37,23 @@ func TestObjectsGolden(t *testing.T) {
 			n++
 		}
 	}
-	if n != 34 {
-		t.Fatalf("built %d objects, want 34", n)
+	if n != 33 {
+		t.Fatalf("built %d objects, want 33", n)
 	}
 	checkGolden(t, "testdata/objects.golden", out.Bytes())
 }
 
 // objectModes lists the modes b has a kernel for: both memory models, plus
-// SIMT for the GEMV kernel and its MLP reuse.
+// SIMT where SupportsSIMT says so.
 func objectModes(b *Benchmark) []config.Mode {
 	modes := []config.Mode{config.ModeScratchpad, config.ModeCache}
-	if b.Name == "GEMV" || b.Name == "MLP" {
+	if b.SupportsSIMT {
 		modes = append(modes, config.ModeSIMT)
 	}
 	return modes
 }
 
-// BenchmarkBuildAllObjects is the cold build of the golden's 34 objects
+// BenchmarkBuildAllObjects is the cold build of the golden's 33 objects
 // through a fresh BuildCache: what the frame helpers may not make slower.
 func BenchmarkBuildAllObjects(b *testing.B) {
 	b.ReportAllocs()

@@ -99,9 +99,8 @@ type Benchmark struct {
 	About string
 	// Params returns dataset sizes for a scale.
 	Params func(Scale) Params
-	// Build lowers the kernel for a mode. ModeSIMT is only supported where
-	// noted (GEMV).
-	Build func(mode config.Mode) (*linker.Object, error)
+	// build lowers the kernel for a mode Build lets through.
+	build func(mode config.Mode) (*linker.Object, error)
 	// Run distributes data, launches (possibly repeatedly), retrieves and
 	// verifies results against the golden model. Cancelling ctx aborts
 	// in-flight launches.
@@ -111,6 +110,24 @@ type Benchmark struct {
 	MaxTasklets int
 	// SupportsSIMT marks benchmarks with a SIMT kernel variant.
 	SupportsSIMT bool
+}
+
+// Build lowers the benchmark's kernel for a mode. Every benchmark has a
+// scratchpad and a cache kernel, and a SIMT one exactly when SupportsSIMT
+// says so — Build decides, not the emitters — so any other request fails
+// with ErrUnsupportedMode.
+func (b *Benchmark) Build(mode config.Mode) (*linker.Object, error) {
+	if err := b.hasKernel(mode); err != nil {
+		return nil, err
+	}
+	return b.build(mode)
+}
+
+func (b *Benchmark) hasKernel(mode config.Mode) error {
+	if mode == config.ModeScratchpad || mode == config.ModeCache || (mode == config.ModeSIMT && b.SupportsSIMT) {
+		return nil
+	}
+	return fmt.Errorf("%w: %s has no %v kernel variant", ErrUnsupportedMode, b.Name, mode)
 }
 
 // TaskletLimit is the largest scalar NumTasklets the benchmark's kernels are
@@ -223,8 +240,8 @@ func RunSpec(ctx context.Context, sp Spec) (*Result, error) {
 		return nil, fmt.Errorf("%w: %s supports at most %d tasklets (WRAM footprint), got %d",
 			ErrTooManyTasklets, name, maxT, cfg.NumTasklets)
 	}
-	if cfg.Mode == config.ModeSIMT && !b.SupportsSIMT {
-		return nil, fmt.Errorf("%w: %s has no SIMT kernel variant", ErrUnsupportedMode, name)
+	if err := b.hasKernel(cfg.Mode); err != nil {
+		return nil, err
 	}
 	prog, err := sp.Cache.program(b, cfg)
 	if err != nil {

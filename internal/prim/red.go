@@ -30,7 +30,7 @@ func init() {
 				return Params{N: 512 << 10, Seed: 2}
 			}
 		},
-		Build: buildRED,
+		build: buildRED,
 		Run:   staged(runRED),
 	})
 }
@@ -97,9 +97,6 @@ func buildRED(mode config.Mode) (*linker.Object, error) {
 		reduce(pX, rX, kbuild.R(10), kbuild.R(11), kbuild.R(12), func() {
 			b.Sw(rSum, rOut, 0) // direct store through the D-cache
 		})
-
-	default:
-		return nil, fmt.Errorf("red: unsupported mode %v", mode)
 	}
 	return b.Build()
 }

@@ -2,7 +2,6 @@ package prim
 
 import (
 	"context"
-	"fmt"
 
 	"upim/internal/config"
 	"upim/internal/host"
@@ -38,7 +37,7 @@ func init() {
 				return Params{N: 256 << 10, Seed: 5}
 			}
 		},
-		Build: func(m config.Mode) (*linker.Object, error) { return buildScan(m, true) },
+		build: func(m config.Mode) (*linker.Object, error) { return buildScan(m, true) },
 		Run:   staged(runScan),
 	})
 	register(&Benchmark{
@@ -54,7 +53,7 @@ func init() {
 				return Params{N: 256 << 10, Seed: 6}
 			}
 		},
-		Build: func(m config.Mode) (*linker.Object, error) { return buildScan(m, false) },
+		build: func(m config.Mode) (*linker.Object, error) { return buildScan(m, false) },
 		Run:   staged(runScan),
 	})
 }
@@ -175,9 +174,6 @@ func buildScan(mode config.Mode, ssa bool) (*linker.Object, error) {
 			publish(kbuild.R(12), kbuild.R(13), kbuild.R(14))
 			scan()
 		}
-
-	default:
-		return nil, fmt.Errorf("scan: unsupported mode %v", mode)
 	}
 	b.Label("fin")
 	b.Stop()

@@ -33,7 +33,7 @@ func init() {
 				return Params{N: 512 << 10, Seed: 3}
 			}
 		},
-		Build: buildSEL,
+		build: buildSEL,
 		Run:   staged(runSEL),
 	})
 }
@@ -154,9 +154,6 @@ func buildCompaction(name string, mode config.Mode,
 				b.Mov(r.prev, rX)
 			}
 		}, pX)
-
-	default:
-		return nil, fmt.Errorf("%s: unsupported mode %v", name, mode)
 	}
 
 	b.Label("publish")

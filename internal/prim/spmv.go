@@ -2,7 +2,6 @@ package prim
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 
 	"upim/internal/config"
@@ -30,7 +29,7 @@ func init() {
 				return Params{M: 12 << 10, N: 12 << 10, NNZPerRow: 7, Seed: 13}
 			}
 		},
-		Build: buildSpMV,
+		build: buildSpMV,
 		Run:   staged(runSpMV),
 	})
 }
@@ -165,9 +164,6 @@ func buildSpMV(mode config.Mode) (*linker.Object, error) {
 		b.Jump("rowloop")
 		b.Label("done")
 		b.Stop()
-
-	default:
-		return nil, fmt.Errorf("spmv: unsupported mode %v", mode)
 	}
 	return b.Build()
 }

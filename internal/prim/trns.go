@@ -31,7 +31,7 @@ func init() {
 				return Params{M: 512, N: 256, Seed: 14}
 			}
 		},
-		Build: buildTRNS,
+		build: buildTRNS,
 		Run:   staged(runTRNS),
 	})
 }
@@ -128,9 +128,6 @@ func buildTRNS(mode config.Mode) (*linker.Object, error) {
 				b.Sw(rV, rAddr, 0)
 			}
 		}
-
-	default:
-		return nil, fmt.Errorf("trns: unsupported mode %v", mode)
 	}
 	b.Jump("work")
 	b.Label("done")

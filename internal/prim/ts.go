@@ -37,7 +37,7 @@ func init() {
 				return Params{N: 2 << 10, Queries: 64, Window: 8, Seed: 12}
 			}
 		},
-		Build: buildTS,
+		build: buildTS,
 		Run:   staged(runTS),
 	})
 }
@@ -202,9 +202,6 @@ func buildTS(mode config.Mode) (*linker.Object, error) {
 		b.Jump("pub")
 		b.Label("fin")
 		b.Stop()
-
-	default:
-		return nil, fmt.Errorf("ts: unsupported mode %v", mode)
 	}
 	return b.Build()
 }

@@ -28,7 +28,7 @@ func init() {
 				return Params{N: 512 << 10, Seed: 4}
 			}
 		},
-		Build: buildUNI,
+		build: buildUNI,
 		Run:   staged(runUNI),
 	})
 }

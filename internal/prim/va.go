@@ -2,7 +2,6 @@ package prim
 
 import (
 	"context"
-	"fmt"
 
 	"upim/internal/config"
 	"upim/internal/host"
@@ -30,7 +29,7 @@ func init() {
 				return Params{N: 1 << 20, Seed: 1}
 			}
 		},
-		Build: buildVA,
+		build: buildVA,
 		Run:   staged(runVA),
 	})
 }
@@ -94,9 +93,6 @@ func buildVA(mode config.Mode) (*linker.Object, error) {
 			b.Sw(rX, pC, 0)
 		}, pA, pB, pC)
 		b.Stop()
-
-	default:
-		return nil, fmt.Errorf("va: unsupported mode %v", mode)
 	}
 	return b.Build()
 }

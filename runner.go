@@ -3,7 +3,6 @@ package upim
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"upim/internal/config"
 	"upim/internal/engine"
@@ -76,19 +75,14 @@ func WithTasklets(n int) RunnerOption {
 }
 
 // WithILP enables the additive Fig 12 ILP features: a subset of "DRSF"
-// (D=forwarding, R=unified RF, S=2-way issue, F=700 MHz). Each feature may
-// appear at most once — "FF" would double the clock twice.
+// (D=forwarding, R=unified RF, S=2-way issue, F=700 MHz), or "base" for
+// none. Each feature may appear at most once — "FF" would double the clock
+// twice.
 func WithILP(features string) RunnerOption {
 	return func(r *Runner) error {
-		seen := make(map[rune]bool, len(features))
-		for _, f := range features {
-			if !strings.ContainsRune("DRSF", f) {
-				return fmt.Errorf("upim: WithILP(%q): unknown feature %q (want a subset of DRSF)", features, string(f))
-			}
-			if seen[f] {
-				return fmt.Errorf("upim: WithILP(%q): feature %q repeated (want a subset of DRSF)", features, string(f))
-			}
-			seen[f] = true
+		features, err := config.ParseILP(features)
+		if err != nil {
+			return fmt.Errorf("upim: WithILP: %w", err)
 		}
 		r.cfg = r.cfg.WithILP(features)
 		return nil

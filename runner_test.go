@@ -59,6 +59,14 @@ func TestRunnerOptionApplication(t *testing.T) {
 	if r.Parallelism() != 3 {
 		t.Fatalf("parallelism = %d, want 3", r.Parallelism())
 	}
+	// "base" names the empty ladder rung, as on the ilp axis.
+	base, err := upim.NewRunner(upim.WithILP("base"))
+	if err != nil {
+		t.Fatalf("WithILP(\"base\"): %v", err)
+	}
+	if base.Config() != upim.DefaultConfig() {
+		t.Fatalf("WithILP(\"base\") changed the config: %+v", base.Config())
+	}
 }
 
 func TestRunnerOptionErrors(t *testing.T) {
