@@ -4,7 +4,7 @@ GO ?= go
 # its stores, reports and logs; `make clean` removes it.
 W := .work
 
-.PHONY: build test cli-guard test-race race cover bench-module profile-cold profile-resume profile-figures fmt vet loc clean report refdata pathfind-smoke coord-smoke serve-smoke examples-smoke energy-check arch-check calibration-check store-compat
+.PHONY: build test cli-guard test-race race cover bench-module profile-cold profile-resume profile-figures fmt vet loc clean report refdata pathfind-smoke coord-smoke serve-smoke energy-check arch-check calibration-check store-compat
 
 build:
 	$(GO) build ./...
@@ -76,17 +76,6 @@ serve-smoke:
 	$(GO) run ./cmd/upimulator serve -loads 0.5,0.8,1.1 -policies fifo,wfq -jobs 1 -check -eps 1e-12 -out $(W)/servereport1
 	$(GO) run ./cmd/upimulator serve -loads 0.5,0.8,1.1 -policies fifo,wfq -jobs 8 -check -eps 1e-12 -out $(W)/servereport8
 	diff -r $(W)/servereport1 $(W)/servereport8
-
-# examples-smoke runs every worked example under examples/ to completion,
-# two minutes each at most. They compile in `go build ./...` but no test runs
-# them; each verifies its own results and log.Fatals on a mismatch, so exit 0
-# is the check. Output goes to $(W)/examples/<name>.log, shown on failure.
-# CI runs this target.
-examples-smoke:
-	mkdir -p $(W)/examples
-	@for dir in examples/*/; do ex=$$(basename $$dir); echo "go run ./examples/$$ex"; \
-		timeout 120 $(GO) run ./examples/$$ex > $(W)/examples/$$ex.log 2>&1 || \
-		{ cat $(W)/examples/$$ex.log; echo "examples-smoke: $$ex failed"; exit 1; }; done
 
 # energy-check is the CI job: regenerate the energy breakdown at tiny scale,
 # validate it against the committed reference at eps 1e-12, and leave the

@@ -59,11 +59,6 @@ type CoordStatus = coord.Status
 // CoordEvent is one line of the machine-readable coordination events log.
 type CoordEvent = coord.Event
 
-// FaultPlan deterministically injects worker deaths, dropped or delayed
-// lease renewals, and corrupted store writes into a coordinated exploration
-// — the crash-test harness behind the byte-identity guarantees.
-type FaultPlan = coord.FaultPlan
-
 // CoordinatedExplore explores the space with opts.Workers coordinated
 // workers sharing opts.Store, returning the same Exploration (and, when
 // opts.Tiered is set, Triage) a single-process Explore/ExploreTiered over
@@ -72,22 +67,21 @@ func CoordinatedExplore(ctx context.Context, space *DesignSpace, opts CoordOptio
 	return coord.Run(ctx, space, opts)
 }
 
-// ParseCoordEvents reads back a JSONL coordination events log, tolerating a
-// truncated final line.
+// ParseCoordEvents reads back a JSONL coordination events log, tolerating
+// the torn line a killed run leaves, also when a rerun appended to the same
+// log.
 func ParseCoordEvents(r io.Reader) ([]CoordEvent, error) { return coord.ParseEvents(r) }
 
 // CoordinatorOptions tune a served Coordinator (shard size, lease TTL).
 type CoordinatorOptions = coord.CoordinatorOptions
 
-// WorkUnit is one leased shard as handed to a worker.
-type WorkUnit = coord.WorkUnit
-
 // ServeCoordinator builds the HTTP handler for one coordinated exploration
 // served to remote workers: the lease protocol for the space plus the result
-// store, composed on one mux so `pathfind work -connect URL` needs a single
-// address. The exploration's watchdog travels in the spec so workers compute
-// identical store keys. Spaces with programmatic Constrain filters cannot be
-// served (constraints do not serialize) and are refused.
+// store under /v1/, composed on one mux so `pathfind work -connect URL` needs
+// a single address (the lease routes are more specific, so they win). The
+// exploration's watchdog travels in the spec so workers compute identical
+// store keys. Spaces with programmatic Constrain filters cannot be served
+// (constraints do not serialize) and are refused.
 func ServeCoordinator(space *DesignSpace, backend StoreBackend, watchdog uint64, copts CoordinatorOptions, events io.Writer) (http.Handler, *CoordHandle, error) {
 	spec, err := coord.SpecFor(space, watchdog)
 	if err != nil {
@@ -103,11 +97,7 @@ func ServeCoordinator(space *DesignSpace, backend StoreBackend, watchdog uint64,
 	c := coord.NewCoordinator(len(pts), copts)
 	mux := http.NewServeMux()
 	coord.NewServer(c, spec).Register(mux)
-	ss := explore.NewStoreServer(backend)
-	mux.Handle("/v1/exact/", ss)
-	mux.Handle("/v1/estimate/", ss)
-	mux.Handle("/v1/count", ss)
-	mux.Handle("/v1/stats", ss)
+	mux.Handle("/v1/", explore.NewStoreServer(backend))
 	return mux, &CoordHandle{c: c, points: len(pts)}, nil
 }
 

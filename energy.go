@@ -23,17 +23,6 @@ type TechProfile = energy.TechProfile
 // with totals, average power and EDP derivations.
 type EnergyReport = energy.Report
 
-// EnergyComponent is one bucket of the energy breakdown (pipeline, rf,
-// wram, iram, link, dram, cache, host, leakage).
-type EnergyComponent = energy.Component
-
-// EnergyComponents lists every breakdown bucket in display order.
-func EnergyComponents() []EnergyComponent { return energy.Components() }
-
-// DefaultTechProfile returns a copy of the committed default profile —
-// mutate it or marshal it as a starting point for custom profiles.
-func DefaultTechProfile() *TechProfile { return energy.Default() }
-
 // LoadTechProfile reads a profile from a JSON file as a field-by-field
 // override of the default: a user profile only names the parameters it
 // changes. Unknown fields and format mismatches are errors.
@@ -51,14 +40,14 @@ func EnergyOf(res *Result, p *TechProfile) EnergyReport { return res.Energy(p) }
 func EnergyTable(title string, results []*Result, p *TechProfile) *ResultTable {
 	p = energy.ResolveProfile(p)
 	t := &ResultTable{Key: "energy", ID: "Energy", Title: title}
-	t.Columns = append(t.Columns, ArtifactColumn{Name: "benchmark"}, ArtifactColumn{Name: "mode"},
-		ArtifactColumn{Name: "tasklets"}, ArtifactColumn{Name: "DPUs"})
+	t.Columns = append(t.Columns, artifact.Column{Name: "benchmark"}, artifact.Column{Name: "mode"},
+		artifact.Column{Name: "tasklets"}, artifact.Column{Name: "DPUs"})
 	t.Columns = append(t.Columns, energy.BreakdownColumns()...)
 	for _, res := range results {
 		if res == nil {
 			continue
 		}
-		row := []ArtifactValue{
+		row := []artifact.Value{
 			artifact.Str(res.Benchmark), artifact.Str(res.Mode.String()),
 			artifact.Int(res.Tasklets), artifact.Int(res.DPUs),
 		}

@@ -13,10 +13,6 @@ import (
 // before cycle-exact simulation validates the survivors. See
 // internal/estimate and the ARCHITECTURE.md "Two-tier fidelity" section.
 
-// Estimate is one design point's analytical prediction: kernel cycles,
-// modeled times and the event-level energy breakdown.
-type Estimate = estimate.Estimate
-
 // CalibrationProfile is the versioned parameter set of the analytical
 // estimator: fitted non-negative least-squares weights, the workload
 // signature table, and the committed per-figure relative-error bounds CI
@@ -34,10 +30,6 @@ type CalibrationObservation = estimate.Observation
 // FitCalibrationOptions configure FitCalibration.
 type FitCalibrationOptions = estimate.FitOptions
 
-// DefaultCalibration returns a copy of the committed default calibration
-// (fitted against the tiny-scale reference workloads).
-func DefaultCalibration() *CalibrationProfile { return estimate.Default() }
-
 // LoadCalibration reads a calibration artifact from a JSON file. Loading is
 // strict — unknown fields, format mismatches, negative coefficients and
 // trailing content are all errors — because the artifact is machine-
@@ -50,13 +42,6 @@ func LoadCalibration(path string) (*CalibrationProfile, error) { return estimate
 // it.
 func NewEstimator(cal *CalibrationProfile, prof *TechProfile) (*Estimator, error) {
 	return estimate.New(cal, prof)
-}
-
-// EstimateDesignPoint predicts one design point analytically. The error
-// matches estimate.ErrNoSignature when the calibration does not cover the
-// point's workload (such points must be simulated).
-func EstimateDesignPoint(est *Estimator, p DesignPoint) (*Estimate, error) {
-	return est.Estimate(p.EP)
 }
 
 // FitCalibration simulates the calibration suite cycle-exactly, fits the

@@ -17,11 +17,6 @@ import (
 // first conventionally the baseline.
 type DesignAxis = explore.Axis
 
-// DesignLevel is one setting of an axis: a label, a unitless hardware cost
-// (0 = baseline, +1 per doubled resource or added feature) and the mutation
-// it applies to a simulation point.
-type DesignLevel = explore.Level
-
 // DesignSpace is the constrained Cartesian product of axis levels over a
 // base configuration and a set of benchmarks.
 type DesignSpace = explore.Space
@@ -46,9 +41,6 @@ type ExploreGoal = explore.Goal
 // ResultStore is the persistent content-addressed result store behind
 // resumable explorations.
 type ResultStore = explore.Store
-
-// ResultStoreStats counts store activity for one process.
-type ResultStoreStats = explore.StoreStats
 
 // NewDesignSpace builds a design space over the Table I base configuration
 // at ScaleSmall; mutate the exported fields to change base config, scale or
@@ -80,8 +72,6 @@ var (
 	// for different architectures never share a store entry, and energy
 	// goals price each under its own default TechProfile.
 	AxisArchs = explore.Archs
-	// NewDesignAxis builds a custom axis from explicit levels.
-	NewDesignAxis = explore.NewAxis
 )
 
 // ParseAxes parses a CLI-style axis spec
@@ -89,9 +79,11 @@ var (
 func ParseAxes(spec string) ([]DesignAxis, error) { return explore.ParseAxes(spec) }
 
 // OpenResultStore opens (creating if needed) a persistent result store
-// rooted at dir. Entries are one JSON file per simulation point, keyed by a
-// content hash of the full point (benchmark, config, DPUs, scale, watchdog)
-// and written atomically, so a killed exploration never corrupts its store.
+// rooted at dir. Results are keyed by a content hash of the full point
+// (benchmark, config, DPUs, scale, watchdog, machine) and packed into
+// append-only segment files, one per writing handle; each record is one
+// checksummed write, so a killed exploration leaves at worst a torn tail
+// that readers skip.
 func OpenResultStore(dir string) (*ResultStore, error) { return explore.OpenStore(dir) }
 
 // PointKey returns the content address Explore uses for one design point's
@@ -135,10 +127,6 @@ var (
 func ParseGoals(spec string, p *TechProfile) ([]ExploreGoal, error) {
 	return explore.ParseGoals(spec, p)
 }
-
-// FormatAxes renders axes back into the ParseAxes grammar (a true inverse
-// for the built-in axes).
-func FormatAxes(axes []DesignAxis) string { return explore.FormatAxes(axes) }
 
 // ParetoFront returns the non-dominated outcomes under the goals (default:
 // total time vs hardware cost). Group by benchmark before calling —

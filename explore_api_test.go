@@ -2,6 +2,8 @@ package upim_test
 
 import (
 	"context"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"upim"
@@ -54,5 +56,41 @@ func TestExplorePublicAPI(t *testing.T) {
 	}
 	if x2.Hits != 4 || x2.Simulated != 0 {
 		t.Fatalf("resume = %d hits, %d simulated", x2.Hits, x2.Simulated)
+	}
+}
+
+// TestServeCoordinatorRoutes: one address serves both protocols — the store
+// mounted under /v1/ and the coordinator's more specific lease routes.
+func TestServeCoordinatorRoutes(t *testing.T) {
+	space := upim.NewDesignSpace([]string{"VA"}, upim.AxisTasklets(1, 2))
+	store, err := upim.OpenResultStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, handle, err := upim.ServeCoordinator(space, store, 0, upim.CoordinatorOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		method, path string
+		code         int
+		body         string
+	}{
+		{"GET", "/v1/count", 200, `"count":0`},
+		{"GET", "/v1/stats", 200, `"Hits":0`},
+		{"GET", "/v1/exact/" + strings.Repeat("0", 64), 404, ""},
+		{"GET", "/v1/status", 200, `"points":2`},
+		{"GET", "/v1/space", 200, `"benchmarks":["VA"]`},
+		{"GET", "/v1/lease", 405, ""},
+		{"GET", "/v1/nosuch", 404, ""},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, nil))
+		if rec.Code != tc.code || !strings.Contains(rec.Body.String(), tc.body) {
+			t.Errorf("%s %s = %d %q, want %d containing %q", tc.method, tc.path, rec.Code, rec.Body, tc.code, tc.body)
+		}
+	}
+	if handle.Points() != 2 || handle.Done() {
+		t.Errorf("handle: %d points, done %v; want 2, not done", handle.Points(), handle.Done())
 	}
 }

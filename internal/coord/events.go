@@ -2,6 +2,7 @@ package coord
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -110,24 +111,34 @@ func (l *Log) point(typ, worker string, shard, point int, key string, err error)
 	l.emit(e)
 }
 
-// ParseEvents reads back a JSONL events log. A truncated final line (a
-// killed process mid-write) is tolerated; any other malformed line is an
-// error.
+// ParseEvents reads back a JSONL events log. A line torn by a killed
+// process mid-write is dropped when it is the final line, and also when a
+// rerun appending to the same file (`pathfind -events` opens it O_APPEND)
+// wrote its first event onto it: that event starts a fresh Log at seq 1,
+// and Log always encodes "seq" first, so it is recovered whole from the
+// line's last `{"seq":`. Any other malformed line is an error.
 func ParseEvents(r io.Reader) ([]Event, error) {
 	var events []Event
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	for sc.Scan() {
+	for n := 1; sc.Scan(); n++ {
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
 		var e Event
-		if err := json.Unmarshal(line, &e); err != nil {
+		err := json.Unmarshal(line, &e)
+		if i := bytes.LastIndex(line, []byte(`{"seq":`)); err != nil && i > 0 {
+			var appended Event
+			if json.Unmarshal(line[i:], &appended) == nil && appended.Seq == 1 {
+				e, err = appended, nil
+			}
+		}
+		if err != nil {
 			if !sc.Scan() { // final line: tolerate the tear
 				return events, nil
 			}
-			return nil, fmt.Errorf("coord: events log line %d: %w", len(events)+1, err)
+			return nil, fmt.Errorf("coord: events log line %d: %w", n, err)
 		}
 		events = append(events, e)
 	}

@@ -7,7 +7,7 @@
 // Adding it in front of MRAM accesses quantifies the address-translation
 // overhead the paper reports as 0.8% average / 14.1% max — the evidence
 // behind its argument that PIM can afford virtual memory, and with it the
-// multi-tenant isolation that commercial deployment requires (see
-// examples/serving). The `mmu` experiment in internal/figures
-// regenerates the study.
+// multi-tenant isolation that commercial deployment requires (internal/serve
+// profiles its tenants' kernels with the MMU on). The `mmu` experiment in
+// internal/figures regenerates the study.
 package mmu

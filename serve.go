@@ -25,10 +25,6 @@ type ServeTenant = serve.Tenant
 // ServeRequest is one arrival of the workload (also the trace-entry type).
 type ServeRequest = serve.Request
 
-// ServeRecord is one request's completed lifecycle: arrival, start,
-// finish, batch size, energy share and drop flag.
-type ServeRecord = serve.Record
-
 // ServeOptions parameterize one serving run.
 type ServeOptions = serve.Options
 
@@ -37,25 +33,10 @@ type ServeOptions = serve.Options
 // RequestTable and SummaryTable.
 type ServeResult = serve.Result
 
-// ServeMetrics summarize a set of completed requests (latency
-// percentiles, throughput, energy per request, SLO attainment).
-type ServeMetrics = serve.Metrics
-
 // SchedulingPolicy decides which pending request a freed DPU rank group
 // serves next. Implementations must be deterministic — see the package
 // documentation's determinism invariant.
 type SchedulingPolicy = serve.Policy
-
-// Built-in scheduling policies.
-var (
-	// PolicyFIFO serves requests strictly in arrival order.
-	PolicyFIFO = serve.FIFO
-	// PolicyWeightedFair serves the tenant with the least served time per
-	// weight ("wfq").
-	PolicyWeightedFair = serve.WeightedFair
-	// PolicySLOAware serves the tightest deadline first ("slo").
-	PolicySLOAware = serve.SLOAware
-)
 
 // NewSchedulingPolicy constructs a built-in policy by name ("fifo",
 // "wfq", "slo") with parameters derived from the tenant set.

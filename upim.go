@@ -34,8 +34,8 @@
 //
 // Energy and power come from an event-level model (EnergyOf, EnergyReport):
 // every joule is a deterministic, linear function of a run's event counters
-// under a JSON-loadable TechProfile (DefaultTechProfile, LoadTechProfile),
-// so energy is bit-identical across sweep parallelism and store resumes.
+// under a JSON-loadable TechProfile (LoadTechProfile), so energy is
+// bit-identical across sweep parallelism and store resumes.
 //
 // Every run is cancellable through its context, including mid-kernel;
 // failures surface the typed errors ErrUnknownBenchmark, ErrUnsupportedMode,
@@ -46,7 +46,6 @@
 //
 //   - Assemble/Link turn UPMEM-style assembly into loadable DPU programs
 //     (the paper's custom lexer/parser/assembler/linker).
-//   - NewKernel starts the typed kernel builder used by the PrIM suite.
 //   - NewSystem allocates a host plus a set of simulated DPUs for running
 //     hand-written kernels; System.Launch(ctx) executes them.
 //
@@ -66,7 +65,6 @@ import (
 	"upim/internal/engine"
 	"upim/internal/figures"
 	"upim/internal/host"
-	"upim/internal/kbuild"
 	"upim/internal/linker"
 	"upim/internal/mem"
 	"upim/internal/prim"
@@ -115,12 +113,6 @@ func Assemble(name, src string) (*Object, error) { return asm.Assemble(name, src
 
 // Link lays out and validates an Object for a configuration.
 func Link(obj *Object, cfg Config) (*Program, error) { return linker.Link(obj, cfg) }
-
-// KernelBuilder is the typed macro-assembler for writing kernels in Go.
-type KernelBuilder = kbuild.Builder
-
-// NewKernel starts a kernel builder.
-func NewKernel(name string) *KernelBuilder { return kbuild.New(name) }
 
 // System is a host CPU plus a set of simulated DPUs.
 type System = host.System
@@ -178,20 +170,6 @@ func Benchmarks() []string {
 	return out
 }
 
-// ArtifactColumn is a unit-annotated column of a result table.
-type ArtifactColumn = artifact.Column
-
-// ArtifactValue is one typed table cell: a number that keeps both its exact
-// value and display formatting, or a plain string.
-type ArtifactValue = artifact.Value
-
-// Series is a named (x, y) sequence with axis metadata, extracted from a
-// result table via ResultTable.Series.
-type Series = artifact.Series
-
-// Axis is one Series plot axis.
-type Axis = artifact.Axis
-
 // SuiteTable assembles RunSuite/Sweep results into an exportable artifact
 // table — identity columns, phase timings in ms, and every stats counter —
 // ready for WriteCSV/WriteJSON/WriteMarkdown/Fprint. Nil results (cancelled
@@ -204,14 +182,6 @@ func SuiteTable(title string, results []*Result) *ResultTable {
 // index.md into dir — the same browsable report `cmd/figures -out` emits.
 func WriteReport(dir string, tables []*ResultTable) error {
 	return artifact.WriteReport(dir, tables)
-}
-
-// CompareTables checks got against a reference table cell-by-cell: string
-// cells must match exactly, numeric cells within the relative epsilon. It
-// backs `cmd/figures -check` and is exported so library users can build the
-// same tolerance-based regression oracles over their own sweeps.
-func CompareTables(got, want *ResultTable, eps float64) error {
-	return artifact.Compare(got, want, eps)
 }
 
 // CheckArtifact validates a regenerated experiment table against the
