@@ -4,7 +4,7 @@ GO ?= go
 # its stores, reports and logs; `make clean` removes it.
 W := .work
 
-.PHONY: build test cli-guard test-race race cover bench-module profile-cold profile-resume profile-figures fmt vet loc clean report refdata pathfind-smoke coord-smoke serve-smoke energy-check arch-check calibration-check store-compat
+.PHONY: build test cli-guard test-race race cover fuzz-smoke bench-module profile-cold profile-resume profile-figures fmt vet loc clean report refdata pathfind-smoke coord-smoke serve-smoke energy-check arch-check calibration-check store-compat
 
 build:
 	$(GO) build ./...
@@ -114,6 +114,20 @@ arch-check:
 # error stays within its committed bound.
 calibration-check:
 	$(GO) run ./cmd/pathfind calibrate -check
+
+# fuzz-smoke runs every Fuzz* target in the module past its seed corpus for a
+# fixed 5 s each. Targets are found with `go test -list`, so a new one is
+# picked up without editing this file; -fuzzminimizetime 0 keeps the budget
+# for fuzzing, not for minimising multi-KB inputs. The target list is left in
+# $(W)/fuzz-targets.txt. CI runs this target.
+fuzz-smoke:
+	mkdir -p $(W)
+	$(GO) test -list '^Fuzz' ./... > $(W)/fuzz-targets.txt
+	awk '/^Fuzz/ {f[n++] = $$1} /^ok/ {for (i = 0; i < n; i++) print $$2, f[i]; n = 0}' $(W)/fuzz-targets.txt | \
+	while read pkg fz; do \
+		echo "== $$pkg $$fz"; \
+		$(GO) test $$pkg -run '^$$' -fuzz "^$$fz$$" -fuzztime 5s -fuzzminimizetime 0 || exit 1; \
+	done
 
 # bench-module builds and tests the separate upim/benchmark module
 # (benchmark/go.mod, `replace upim => ../`): root `go build/test ./...` do

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -22,4 +24,41 @@ func TestParseNonFinite(t *testing.T) {
 			t.Errorf("parseTenants(%q) = %v, want an error", bad, got)
 		}
 	}
+}
+
+// FuzzParseTenants holds the -tenants grammar to the shape the serving model
+// relies on, for any input: no panic, and an accepted spec has at least one
+// tenant, each named by a trimmed, non-empty string without '=' or ';', with
+// a mix of trimmed, non-empty entries without '+', and a weight that is 0
+// (unset) or positive and finite.
+func FuzzParseTenants(f *testing.F) {
+	// The flag default (also the usage example), then specs that must fail.
+	for _, seed := range []string{"alpha=VA+RED:3;beta=BS:1", "a=VA:NaN", "a=VA:Inf", "a=VA:0"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		tenants, err := parseTenants(spec)
+		if err != nil {
+			return
+		}
+		if len(tenants) == 0 {
+			t.Fatalf("parseTenants(%q) accepted no tenants", spec)
+		}
+		for _, tn := range tenants {
+			if tn.Name == "" || tn.Name != strings.TrimSpace(tn.Name) || strings.ContainsAny(tn.Name, "=;") {
+				t.Fatalf("parseTenants(%q): tenant name %q", spec, tn.Name)
+			}
+			if len(tn.Mix) == 0 {
+				t.Fatalf("parseTenants(%q): tenant %q has an empty mix", spec, tn.Name)
+			}
+			for _, b := range tn.Mix {
+				if b == "" || b != strings.TrimSpace(b) || strings.Contains(b, "+") {
+					t.Fatalf("parseTenants(%q): tenant %q mix entry %q", spec, tn.Name, b)
+				}
+			}
+			if tn.Weight < 0 || math.IsNaN(tn.Weight) || math.IsInf(tn.Weight, 0) {
+				t.Fatalf("parseTenants(%q): tenant %q weight %v", spec, tn.Name, tn.Weight)
+			}
+		}
+	})
 }

@@ -4,8 +4,7 @@
 // Table: a grid of typed cells (numeric values that keep their display
 // formatting, or plain strings) under unit-annotated columns. Tables render
 // to CSV and JSON for downstream tooling, to Markdown for browsable reports,
-// and to aligned console text for the CLI; Series extracts line-chart views
-// with axis metadata from table columns.
+// and to aligned console text for the CLI.
 //
 // Because cells carry their numeric value separately from their display
 // text, tables can be diffed numerically: Compare checks two tables
@@ -21,7 +20,7 @@ import (
 )
 
 // Column describes one table column: a name plus an optional unit ("ms",
-// "KB", "threads") used by renderers and axis metadata.
+// "KB", "threads") used by renderers.
 type Column struct {
 	Name string `json:"name"`
 	Unit string `json:"unit,omitempty"`

@@ -175,35 +175,6 @@ func TestCompare(t *testing.T) {
 	})
 }
 
-func TestSeries(t *testing.T) {
-	tab := &Table{
-		Key:     "scaling",
-		Columns: []Column{{Name: "benchmark"}, {Name: "DPUs"}, {Name: "total", Unit: "ms"}},
-	}
-	tab.AddRow(Str("VA"), Int(1), Num(8))
-	tab.AddRow(Str("VA"), Int(16), Num(1))
-	tab.AddRow(Str("BS"), Int(1), Num(4))
-	tab.AddRow(Str("BS"), Int(16), Num(2))
-	tab.AddRow(Str("avg"), Str("-"), Num(3)) // non-numeric x: skipped
-
-	series, err := tab.Series("benchmark", "DPUs", "total")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(series) != 2 || series[0].Name != "VA" || series[1].Name != "BS" {
-		t.Fatalf("series grouping: %+v", series)
-	}
-	if series[0].Y.Unit != "ms" || series[0].X.Label != "DPUs" {
-		t.Fatalf("axis metadata: %+v", series[0])
-	}
-	if len(series[0].Xs) != 2 || series[0].Xs[1] != 16 || series[0].Ys[1] != 1 {
-		t.Fatalf("points: %+v", series[0])
-	}
-	if _, err := tab.Series("benchmark", "nope", "total"); err == nil {
-		t.Fatal("unknown column must error")
-	}
-}
-
 func TestWriteReport(t *testing.T) {
 	dir := t.TempDir()
 	tabs := []*Table{demoTable()}

@@ -52,13 +52,7 @@ type suitePoint struct {
 // figure axes, which is what makes per-figure error bounds meaningful.
 func suite(b *prim.Benchmark, scale prim.Scale) []suitePoint {
 	base := config.Default()
-	maxT := b.TaskletLimit()
-	var ladder []int
-	for _, t := range []int{1, 2, 4, 8, 16} {
-		if t <= maxT {
-			ladder = append(ladder, t)
-		}
-	}
+	ladder := []int{1, 2, 4, 8, 16}
 	point := func(cfg config.Config) engine.Point {
 		return engine.Point{Benchmark: b.Name, Config: cfg, DPUs: 1, Scale: scale}
 	}
@@ -87,7 +81,7 @@ func suite(b *prim.Benchmark, scale prim.Scale) []suitePoint {
 
 	// Timing probes at the widest anchor: these share the anchor's workload
 	// signature and exercise the analytic scalings the weights absorb.
-	probeT := min(16, maxT)
+	probeT := ladder[len(ladder)-1]
 	for _, mode := range []config.Mode{config.ModeScratchpad, config.ModeCache} {
 		anchor := base
 		anchor.Mode = mode

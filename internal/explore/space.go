@@ -163,13 +163,7 @@ func (s *Space) feasible(b *prim.Benchmark, p Point) bool {
 			return false
 		}
 	}
-	if cfg.Mode == config.ModeSIMT && !b.SupportsSIMT {
-		return false
-	}
-	if cfg.Mode != config.ModeSIMT && cfg.NumTasklets > b.TaskletLimit() {
-		return false
-	}
-	if cfg.Validate() != nil {
+	if b.Check(cfg) != nil || cfg.Validate() != nil {
 		return false
 	}
 	for _, keep := range s.keep {

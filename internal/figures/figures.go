@@ -633,7 +633,10 @@ func Table2(_ context.Context, o Options) (*Table, error) {
 	t := newTable("table2", "Table II", fmt.Sprintf("PrIM datasets at scale %q", o.Scale), o,
 		cols("benchmark", "description", "parameters")...)
 	for _, b := range prim.Benchmarks() {
-		p := b.Params(o.Scale)
+		p, err := b.Params(o.Scale)
+		if err != nil {
+			return nil, err
+		}
 		t.AddStrings(b.Name, b.About, fmt.Sprintf("%+v", p))
 	}
 	return t, nil

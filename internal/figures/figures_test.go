@@ -3,6 +3,7 @@ package figures
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"upim/internal/prim"
@@ -38,6 +39,15 @@ func TestEveryExperimentRuns(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTable2ScaleOutOfRange: Table II at a Scale past paper is an error
+// naming the three scales, not paper sizes stamped "scale?3".
+func TestTable2ScaleOutOfRange(t *testing.T) {
+	_, err := Table2(context.Background(), Options{Scale: prim.Scale(3)})
+	if err == nil || !strings.Contains(err.Error(), "want tiny, small or paper") {
+		t.Fatalf("want an unknown-scale error, got %v", err)
 	}
 }
 

@@ -103,11 +103,7 @@ func (backend) Arch() string { return machine.ArchHBMPIM }
 func (backend) Describe() *machine.Desc { return machine.HBMPIM() }
 
 func (backend) Supports(benchmark string) bool {
-	b, err := prim.ByName(benchmark)
-	if err != nil {
-		return false
-	}
-	_, ok := shapeOf(benchmark, b.Params(prim.ScaleTiny))
+	_, ok := shapeOf(benchmark, prim.Params{})
 	return ok
 }
 
@@ -171,7 +167,11 @@ func (b backend) Run(ctx context.Context, w machine.Workload) (*prim.Result, err
 	if err != nil {
 		return nil, err
 	}
-	sh, ok := shapeOf(w.Benchmark, bench.Params(w.Scale))
+	p, err := bench.Params(w.Scale)
+	if err != nil {
+		return nil, fmt.Errorf("hbmpim: %w", err)
+	}
+	sh, ok := shapeOf(w.Benchmark, p)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s has no bank-level MAC mapping", prim.ErrUnsupportedMode, w.Benchmark)
 	}

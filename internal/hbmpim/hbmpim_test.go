@@ -115,6 +115,16 @@ func TestUnsupportedBenchmark(t *testing.T) {
 	}
 }
 
+// TestScaleOutOfRange: a Scale past paper is an error naming the three
+// scales, not a run at paper sizes.
+func TestScaleOutOfRange(t *testing.T) {
+	_, err := engine.New(1).Run(context.Background(),
+		engine.Point{Benchmark: "GEMV", Config: config.Default(), DPUs: 1, Scale: prim.Scale(3), Machine: machine.HBMPIM()})
+	if err == nil || !strings.Contains(err.Error(), "want tiny, small or paper") {
+		t.Fatalf("want an unknown-scale error, got %v", err)
+	}
+}
+
 func TestTooManySites(t *testing.T) {
 	d := machine.HBMPIM()
 	_, err := engine.New(1).Run(context.Background(),

@@ -23,25 +23,6 @@ import (
 // why BFS is the one workload whose instruction mix has more DMA than
 // WRAM load/store instructions (Fig 9).
 
-func init() {
-	register(&Benchmark{
-		Name:  "BFS",
-		About: "breadth-first search (2K vertices, 15K edges in Table II)",
-		Params: func(s Scale) Params {
-			switch s {
-			case ScaleTiny:
-				return Params{N: 1024, NNZPerRow: 6, Seed: 16}
-			case ScaleSmall:
-				return Params{N: 2048, NNZPerRow: 7, Seed: 16}
-			default:
-				return Params{N: 16 << 10, NNZPerRow: 7, Seed: 16}
-			}
-		},
-		build: buildBFS,
-		Run:   staged(runBFS),
-	})
-}
-
 func buildBFS(mode config.Mode) (*linker.Object, error) {
 	b := kbuild.New("bfs-" + mode.String())
 	// args: 0=rowptr(local) 1=colidx(local) 2=frontier 3=visited 4=next

@@ -22,25 +22,6 @@ const (
 	bsChunkQueries = 64 // queries per staging chunk
 )
 
-func init() {
-	register(&Benchmark{
-		Name:  "BS",
-		About: "binary search (32K elem., 4K queries single-DPU in Table II)",
-		Params: func(s Scale) Params {
-			switch s {
-			case ScaleTiny:
-				return Params{N: 4 << 10, Queries: 512, Seed: 11}
-			case ScaleSmall:
-				return Params{N: 32 << 10, Queries: 2 << 10, Seed: 11}
-			default:
-				return Params{N: 32 << 10, Queries: 4 << 10, Seed: 11}
-			}
-		},
-		build: buildBS,
-		Run:   staged(runBS),
-	})
-}
-
 func buildBS(mode config.Mode) (*linker.Object, error) {
 	b := kbuild.New("bs-" + mode.String())
 	rA, rN, rQ, rNQ, rOut := kbuild.R(0), kbuild.R(1), kbuild.R(2), kbuild.R(3), kbuild.R(4)

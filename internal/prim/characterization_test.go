@@ -123,7 +123,7 @@ func TestCharacterizationShapes(t *testing.T) {
 // TestScaleParams sanity-checks every benchmark's dataset ladder.
 func TestScaleParams(t *testing.T) {
 	for _, b := range Benchmarks() {
-		tiny, small, paper := b.Params(ScaleTiny), b.Params(ScaleSmall), b.Params(ScalePaper)
+		tiny, small, paper := b.sizes[ScaleTiny], b.sizes[ScaleSmall], b.sizes[ScalePaper]
 		weight := func(p Params) int {
 			w := p.N + p.M*max(p.N, 1) + p.Queries
 			return w

@@ -16,26 +16,6 @@ import (
 // consecutive lanes touch consecutive addresses — the pattern the address
 // coalescer ("AC") exploits.
 
-func init() {
-	register(&Benchmark{
-		Name:  "GEMV",
-		About: "dense matrix-vector multiply (2K x 64 single-DPU in Table II)",
-		Params: func(s Scale) Params {
-			switch s {
-			case ScaleTiny:
-				return Params{M: 128, N: 64, Seed: 9}
-			case ScaleSmall:
-				return Params{M: 1024, N: 64, Seed: 9}
-			default:
-				return Params{M: 2048, N: 64, Seed: 9}
-			}
-		},
-		build:        func(m config.Mode) (*linker.Object, error) { return buildGEMVKernel(m, "gemv", false) },
-		Run:          staged(runGEMV),
-		SupportsSIMT: true,
-	})
-}
-
 // buildGEMVKernel lowers y = (relu? relu(A.x)>>6 : A.x) for any mode. MLP
 // reuses it with relu=true as its per-layer kernel.
 func buildGEMVKernel(mode config.Mode, name string, relu bool) (*linker.Object, error) {

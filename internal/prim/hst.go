@@ -23,35 +23,6 @@ const (
 	hstChunkElems = 128
 )
 
-func init() {
-	params := func(seed int64) func(Scale) Params {
-		return func(s Scale) Params {
-			switch s {
-			case ScaleTiny:
-				return Params{N: 8 << 10, Bins: hstBins, Seed: seed}
-			case ScaleSmall:
-				return Params{N: 64 << 10, Bins: hstBins, Seed: seed}
-			default:
-				return Params{N: 128 << 10, Bins: hstBins, Seed: seed}
-			}
-		}
-	}
-	register(&Benchmark{
-		Name:   "HST-S",
-		About:  "histogram, per-tasklet private copies (128K elem., 256 bins)",
-		Params: params(7),
-		build:  func(m config.Mode) (*linker.Object, error) { return buildHST(m, false) },
-		Run:    staged(runHST),
-	})
-	register(&Benchmark{
-		Name:   "HST-L",
-		About:  "histogram, shared copy behind a mutex (128K elem., 256 bins)",
-		Params: params(8),
-		build:  func(m config.Mode) (*linker.Object, error) { return buildHST(m, true) },
-		Run:    staged(runHST),
-	})
-}
-
 func buildHST(mode config.Mode, large bool) (*linker.Object, error) {
 	variant := "s"
 	if large {

@@ -2,9 +2,8 @@ package prim
 
 import (
 	"context"
-	"upim/internal/config"
+
 	"upim/internal/host"
-	"upim/internal/linker"
 )
 
 // MLP: a 3-layer perceptron with quantized integer arithmetic — each layer
@@ -12,25 +11,6 @@ import (
 // epilogue. Layers are separate kernel launches; activations travel through
 // the host between layers (gather + broadcast), which is what puts MLP's
 // DPU-to-DPU bars in Fig 10 even at one DPU.
-
-func init() {
-	register(&Benchmark{
-		Name:  "MLP",
-		About: "3-layer perceptron (3 layers, 256 neurons in Table II)",
-		Params: func(s Scale) Params {
-			switch s {
-			case ScaleTiny:
-				return Params{M: 64, Layers: 3, Seed: 10}
-			case ScaleSmall:
-				return Params{M: 256, Layers: 3, Seed: 10}
-			default:
-				return Params{M: 1024, Layers: 3, Seed: 10}
-			}
-		},
-		build: func(m config.Mode) (*linker.Object, error) { return buildGEMVKernel(m, "mlp", true) },
-		Run:   staged(runMLP),
-	})
-}
 
 func runMLP(ctx context.Context, x *xfer, p Params) error {
 	dim, layers := p.M, p.Layers

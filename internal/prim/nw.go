@@ -33,25 +33,6 @@ const (
 	nwMismatch = -1
 )
 
-func init() {
-	register(&Benchmark{
-		Name:  "NW",
-		About: "Needleman-Wunsch alignment (256-gene sequences in Table II)",
-		Params: func(s Scale) Params {
-			switch s {
-			case ScaleTiny:
-				return Params{N: 64, Seed: 15}
-			case ScaleSmall:
-				return Params{N: 128, Seed: 15}
-			default:
-				return Params{N: 256, Seed: 15}
-			}
-		},
-		build: buildNW,
-		Run:   staged(runNW),
-	})
-}
-
 func buildNW(mode config.Mode) (*linker.Object, error) {
 	b := kbuild.New("nw-" + mode.String())
 	// args: 0=dp 1=colh 2=s1 3=s2 4=L 5=strideWords 6=waveLo 7=waveHi

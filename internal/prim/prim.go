@@ -14,7 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
+	"strconv"
 	"sync"
 
 	"upim/internal/config"
@@ -50,33 +51,32 @@ const (
 	ScalePaper
 )
 
+// scales names every Scale, indexed by it: the one table String, ParseScale
+// and Benchmark.Params read.
+var scales = [...]string{"tiny", "small", "paper"}
+
+func (s Scale) valid() bool { return s >= 0 && int(s) < len(scales) }
+
 func (s Scale) String() string {
-	switch s {
-	case ScaleTiny:
-		return "tiny"
-	case ScaleSmall:
-		return "small"
-	case ScalePaper:
-		return "paper"
-	default:
-		return fmt.Sprintf("scale?%d", int(s))
+	if s.valid() {
+		return scales[s]
 	}
+	return fmt.Sprintf("scale?%d", int(s))
 }
 
 // ParseScale is the inverse of Scale.String: it maps "tiny", "small" or
 // "paper" back to the scale constant — the wire form the coordinator's space
 // spec and the CLIs share.
 func ParseScale(s string) (Scale, error) {
-	switch s {
-	case "tiny":
-		return ScaleTiny, nil
-	case "small":
-		return ScaleSmall, nil
-	case "paper":
-		return ScalePaper, nil
-	default:
-		return 0, fmt.Errorf("unknown scale %q (want tiny, small or paper)", s)
+	if i := slices.Index(scales[:], s); i >= 0 {
+		return Scale(i), nil
 	}
+	return 0, unknownScale(strconv.Quote(s))
+}
+
+// unknownScale is the error for a scale outside the table; what names it.
+func unknownScale(what string) error {
+	return fmt.Errorf("unknown scale %s (want %s, %s or %s)", what, scales[0], scales[1], scales[2])
 }
 
 // Params carries per-benchmark dataset knobs. Meaning varies by benchmark;
@@ -92,24 +92,30 @@ type Params struct {
 	Seed      int64
 }
 
-// Benchmark is one PrIM workload.
+// Benchmark is one PrIM workload: a row of Table II (the suite).
 type Benchmark struct {
 	Name string
 	// About is a one-line description (Table II row).
 	About string
-	// Params returns dataset sizes for a scale.
-	Params func(Scale) Params
+	// sizes holds the datasets, indexed by Scale; Params reads them.
+	sizes [len(scales)]Params
 	// build lowers the kernel for a mode Build lets through.
 	build func(mode config.Mode) (*linker.Object, error)
-	// Run distributes data, launches (possibly repeatedly), retrieves and
-	// verifies results against the golden model. Cancelling ctx aborts
-	// in-flight launches.
-	Run func(ctx context.Context, sys *host.System, p Params) error
-	// MaxTasklets bounds NumTasklets for WRAM-footprint reasons (0 =
-	// kbuild.MaxTasklets, what every per-tasklet static is sized for).
-	MaxTasklets int
+	// host distributes data, launches (possibly repeatedly), retrieves and
+	// verifies results against the golden model through x. Cancelling ctx
+	// aborts in-flight launches.
+	host func(ctx context.Context, x *xfer, p Params) error
 	// SupportsSIMT marks benchmarks with a SIMT kernel variant.
 	SupportsSIMT bool
+}
+
+// Params returns the benchmark's dataset sizes at scale s. A scale outside
+// tiny, small and paper is an error.
+func (b *Benchmark) Params(s Scale) (Params, error) {
+	if !s.valid() {
+		return Params{}, unknownScale(strconv.Itoa(int(s)))
+	}
+	return b.sizes[s], nil
 }
 
 // Build lowers the benchmark's kernel for a mode. Every benchmark has a
@@ -130,47 +136,16 @@ func (b *Benchmark) hasKernel(mode config.Mode) error {
 	return fmt.Errorf("%w: %s has no %v kernel variant", ErrUnsupportedMode, b.Name, mode)
 }
 
-// TaskletLimit is the largest scalar NumTasklets the benchmark's kernels are
-// laid out for; a run above it is refused with ErrTooManyTasklets.
-func (b *Benchmark) TaskletLimit() int {
-	if b.MaxTasklets == 0 {
-		return kbuild.MaxTasklets
+// Check decides whether the benchmark can run under cfg: a scalar tasklet
+// count above kbuild.MaxTasklets, what every per-tasklet static is sized
+// for, fails with ErrTooManyTasklets, then a mode without a kernel with
+// ErrUnsupportedMode. RunSpec and the explorer's feasibility both ask it.
+func (b *Benchmark) Check(cfg config.Config) error {
+	if cfg.Mode != config.ModeSIMT && cfg.NumTasklets > kbuild.MaxTasklets {
+		return fmt.Errorf("%w: %s supports at most %d tasklets (WRAM footprint), got %d",
+			ErrTooManyTasklets, b.Name, kbuild.MaxTasklets, cfg.NumTasklets)
 	}
-	return b.MaxTasklets
-}
-
-var registry []*Benchmark
-
-func register(b *Benchmark) { registry = append(registry, b) }
-
-// Benchmarks lists the suite in PrIM's canonical order.
-func Benchmarks() []*Benchmark {
-	out := append([]*Benchmark(nil), registry...)
-	sort.Slice(out, func(i, j int) bool { return order(out[i].Name) < order(out[j].Name) })
-	return out
-}
-
-// order gives PrIM's Table II ordering.
-func order(name string) int {
-	for i, n := range []string{
-		"BFS", "BS", "GEMV", "HST-L", "HST-S", "MLP", "NW", "RED",
-		"SCAN-RSS", "SCAN-SSA", "SEL", "SpMV", "TRNS", "TS", "UNI", "VA",
-	} {
-		if n == name {
-			return i
-		}
-	}
-	return 99
-}
-
-// ByName looks a benchmark up. The error matches ErrUnknownBenchmark.
-func ByName(name string) (*Benchmark, error) {
-	for _, b := range registry {
-		if b.Name == name {
-			return b, nil
-		}
-	}
-	return nil, fmt.Errorf("%w: %q", ErrUnknownBenchmark, name)
+	return b.hasKernel(cfg.Mode)
 }
 
 // Result captures one run's outputs for the figure drivers.
@@ -236,12 +211,12 @@ func RunSpec(ctx context.Context, sp Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if maxT := b.TaskletLimit(); cfg.Mode != config.ModeSIMT && cfg.NumTasklets > maxT {
-		return nil, fmt.Errorf("%w: %s supports at most %d tasklets (WRAM footprint), got %d",
-			ErrTooManyTasklets, name, maxT, cfg.NumTasklets)
-	}
-	if err := b.hasKernel(cfg.Mode); err != nil {
+	if err := b.Check(cfg); err != nil {
 		return nil, err
+	}
+	p, err := b.Params(sp.Scale)
+	if err != nil {
+		return nil, fmt.Errorf("prim: %s: %w", name, err)
 	}
 	prog, err := sp.Cache.program(b, cfg)
 	if err != nil {
@@ -258,8 +233,10 @@ func RunSpec(ctx context.Context, sp Spec) (*Result, error) {
 	if sp.Watchdog > 0 {
 		sys.SetWatchdog(sp.Watchdog)
 	}
-	p := b.Params(sp.Scale)
-	if err := b.Run(ctx, sys, p); err != nil {
+	x := scratchPool.Get().(*xfer)
+	err = x.run(ctx, sys, b.host, p)
+	scratchPool.Put(x)
+	if err != nil {
 		return nil, fmt.Errorf("prim: %s (%v, %d tasklets, %d DPUs): %w",
 			name, cfg.Mode, cfg.NumTasklets, sp.DPUs, err)
 	}

@@ -1,7 +1,11 @@
 package prim
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"upim/internal/config"
@@ -67,6 +71,23 @@ func TestOddSizes(t *testing.T) {
 	}
 }
 
+// TestSizesGolden pins every benchmark's dataset sizes at every scale — the
+// Table II rows. Refdata reaches only the tiny column; a mistyped small or
+// paper size would pass everything else.
+func TestSizesGolden(t *testing.T) {
+	var out bytes.Buffer
+	for _, b := range Benchmarks() {
+		for _, s := range []Scale{ScaleTiny, ScaleSmall, ScalePaper} {
+			p, err := b.Params(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&out, "%s %v %+v\n", b.Name, s, p)
+		}
+	}
+	checkGolden(t, "testdata/sizes.golden", out.Bytes())
+}
+
 func TestUnknownBenchmark(t *testing.T) {
 	if _, err := ByName("NOPE"); err == nil {
 		t.Fatal("unknown benchmark must error")
@@ -89,21 +110,21 @@ func TestRegistryComplete(t *testing.T) {
 		"BFS", "BS", "GEMV", "HST-L", "HST-S", "MLP", "NW", "RED",
 		"SCAN-RSS", "SCAN-SSA", "SEL", "SpMV", "TRNS", "TS", "UNI", "VA",
 	}
-	have := map[string]bool{}
+	var have []string
 	for _, b := range Benchmarks() {
-		have[b.Name] = true
+		have = append(have, b.Name)
 	}
-	missing := 0
-	for _, n := range want {
-		if !have[n] {
-			t.Logf("missing benchmark: %s", n)
-			missing++
+	if !slices.Equal(have, want) {
+		t.Fatalf("suite lists %v, want %v (Table II, in name order)", have, want)
+	}
+}
+
+// TestScaleOutOfRange: a Scale past the table is an error naming the three
+// scales — not paper sizes, and not a panic.
+func TestScaleOutOfRange(t *testing.T) {
+	for _, s := range []Scale{-1, 3} {
+		if _, err := runPoint("NW", config.Default(), 1, s); err == nil || !strings.Contains(err.Error(), "want tiny, small or paper") {
+			t.Errorf("RunSpec at scale %d: err = %v, want an unknown-scale error", int(s), err)
 		}
-	}
-	if missing > 0 {
-		t.Fatalf("%d of %d PrIM benchmarks missing", missing, len(want))
-	}
-	if len(registry) != len(want) {
-		t.Fatalf("registry has %d entries, want %d", len(registry), len(want))
 	}
 }

@@ -16,25 +16,6 @@ import (
 
 const redChunkElems = 128
 
-func init() {
-	register(&Benchmark{
-		Name:  "RED",
-		About: "sum reduction (512K elem. single-DPU in Table II)",
-		Params: func(s Scale) Params {
-			switch s {
-			case ScaleTiny:
-				return Params{N: 8 << 10, Seed: 2}
-			case ScaleSmall:
-				return Params{N: 128 << 10, Seed: 2}
-			default:
-				return Params{N: 512 << 10, Seed: 2}
-			}
-		},
-		build: buildRED,
-		Run:   staged(runRED),
-	})
-}
-
 func buildRED(mode config.Mode) (*linker.Object, error) {
 	b := kbuild.New("red-" + mode.String())
 	rA, rN, rOut := kbuild.R(0), kbuild.R(1), kbuild.R(2)

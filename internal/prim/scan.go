@@ -23,41 +23,6 @@ import (
 
 const scanChunkElems = 128
 
-func init() {
-	register(&Benchmark{
-		Name:  "SCAN-SSA",
-		About: "prefix sum, scan-scan-add (256K elem. single-DPU in Table II)",
-		Params: func(s Scale) Params {
-			switch s {
-			case ScaleTiny:
-				return Params{N: 8 << 10, Seed: 5}
-			case ScaleSmall:
-				return Params{N: 64 << 10, Seed: 5}
-			default:
-				return Params{N: 256 << 10, Seed: 5}
-			}
-		},
-		build: func(m config.Mode) (*linker.Object, error) { return buildScan(m, true) },
-		Run:   staged(runScan),
-	})
-	register(&Benchmark{
-		Name:  "SCAN-RSS",
-		About: "prefix sum, reduce-scan-scan (256K elem. single-DPU in Table II)",
-		Params: func(s Scale) Params {
-			switch s {
-			case ScaleTiny:
-				return Params{N: 8 << 10, Seed: 6}
-			case ScaleSmall:
-				return Params{N: 64 << 10, Seed: 6}
-			default:
-				return Params{N: 256 << 10, Seed: 6}
-			}
-		},
-		build: func(m config.Mode) (*linker.Object, error) { return buildScan(m, false) },
-		Run:   staged(runScan),
-	})
-}
-
 func buildScan(mode config.Mode, ssa bool) (*linker.Object, error) {
 	variant := "rss"
 	if ssa {

@@ -19,25 +19,6 @@ import (
 // compactChunkElems is the staging chunk of both compaction kernels.
 const compactChunkElems = 128
 
-func init() {
-	register(&Benchmark{
-		Name:  "SEL",
-		About: "stream compaction (512K elem. single-DPU in Table II)",
-		Params: func(s Scale) Params {
-			switch s {
-			case ScaleTiny:
-				return Params{N: 8 << 10, Seed: 3}
-			case ScaleSmall:
-				return Params{N: 128 << 10, Seed: 3}
-			default:
-				return Params{N: 512 << 10, Seed: 3}
-			}
-		},
-		build: buildSEL,
-		Run:   staged(runSEL),
-	})
-}
-
 // compactRegs names the registers a compaction's predicate and
 // prev-seeding closures may use: the input base and this tasklet's word
 // range, the scratch tmp, the element x under test and the pointer pX it was

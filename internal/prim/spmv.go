@@ -15,25 +15,6 @@ import (
 // gathered with one small DMA per non-zero — the irregular access pattern
 // that makes SpMV (with BS) the suite's memory-bound outlier in Fig 5/6.
 
-func init() {
-	register(&Benchmark{
-		Name:  "SpMV",
-		About: "CSR sparse matrix-vector multiply (12K x 12K, 80K nnz in Table II)",
-		Params: func(s Scale) Params {
-			switch s {
-			case ScaleTiny:
-				return Params{M: 512, N: 512, NNZPerRow: 6, Seed: 13}
-			case ScaleSmall:
-				return Params{M: 4 << 10, N: 4 << 10, NNZPerRow: 7, Seed: 13}
-			default:
-				return Params{M: 12 << 10, N: 12 << 10, NNZPerRow: 7, Seed: 13}
-			}
-		},
-		build: buildSpMV,
-		Run:   staged(runSpMV),
-	})
-}
-
 func buildSpMV(mode config.Mode) (*linker.Object, error) {
 	b := kbuild.New("spmv-" + mode.String())
 	rRP, rCI, rVA, rX, rY, rM := kbuild.R(0), kbuild.R(1), kbuild.R(2), kbuild.R(3), kbuild.R(4), kbuild.R(5)

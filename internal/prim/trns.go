@@ -17,25 +17,6 @@ import (
 
 const trnsTile = 4
 
-func init() {
-	register(&Benchmark{
-		Name:  "TRNS",
-		About: "tiled matrix transpose (128K elem. single-DPU in Table II)",
-		Params: func(s Scale) Params {
-			switch s {
-			case ScaleTiny:
-				return Params{M: 64, N: 64, Seed: 14}
-			case ScaleSmall:
-				return Params{M: 256, N: 256, Seed: 14}
-			default:
-				return Params{M: 512, N: 256, Seed: 14}
-			}
-		},
-		build: buildTRNS,
-		Run:   staged(runTRNS),
-	})
-}
-
 func buildTRNS(mode config.Mode) (*linker.Object, error) {
 	b := kbuild.New("trns-" + mode.String())
 	// args: 0=in 1=out 2=M(rows) 3=N(cols); M,N multiples of 4.

@@ -23,25 +23,6 @@ const (
 	tsMaxQueries = 64
 )
 
-func init() {
-	register(&Benchmark{
-		Name:  "TS",
-		About: "time-series motif search (2K elem., 64 queries in Table II)",
-		Params: func(s Scale) Params {
-			switch s {
-			case ScaleTiny:
-				return Params{N: 512, Queries: 8, Window: 8, Seed: 12}
-			case ScaleSmall:
-				return Params{N: 2 << 10, Queries: 32, Window: 8, Seed: 12}
-			default:
-				return Params{N: 2 << 10, Queries: 64, Window: 8, Seed: 12}
-			}
-		},
-		build: buildTS,
-		Run:   staged(runTS),
-	})
-}
-
 func buildTS(mode config.Mode) (*linker.Object, error) {
 	b := kbuild.New("ts-" + mode.String())
 	// args: 0=series 1=n 2=queries 3=nq 4=window 5=out (per tasklet x query

@@ -14,25 +14,6 @@ import (
 // This is the paper's poster child for scratchpad-friendly streaming
 // (Fig 15/16: UNI prefers the scratchpad over the cache).
 
-func init() {
-	register(&Benchmark{
-		Name:  "UNI",
-		About: "unique / consecutive-duplicate removal (512K elem. in Table II)",
-		Params: func(s Scale) Params {
-			switch s {
-			case ScaleTiny:
-				return Params{N: 8 << 10, Seed: 4}
-			case ScaleSmall:
-				return Params{N: 128 << 10, Seed: 4}
-			default:
-				return Params{N: 512 << 10, Seed: 4}
-			}
-		},
-		build: buildUNI,
-		Run:   staged(runUNI),
-	})
-}
-
 func buildUNI(mode config.Mode) (*linker.Object, error) {
 	return buildCompaction("uni", mode, func(b *kbuild.Builder, r compactRegs, skip string) {
 		b.SubBr(r.tmp, r.x, r.prev, kbuild.CondZ, skip) // duplicate of prev

@@ -15,25 +15,6 @@ import (
 
 const vaChunkElems = 128
 
-func init() {
-	register(&Benchmark{
-		Name:  "VA",
-		About: "element-wise vector addition (1M elem. single-DPU in Table II)",
-		Params: func(s Scale) Params {
-			switch s {
-			case ScaleTiny:
-				return Params{N: 4 << 10, Seed: 1}
-			case ScaleSmall:
-				return Params{N: 64 << 10, Seed: 1}
-			default:
-				return Params{N: 1 << 20, Seed: 1}
-			}
-		},
-		build: buildVA,
-		Run:   staged(runVA),
-	})
-}
-
 func buildVA(mode config.Mode) (*linker.Object, error) {
 	b := kbuild.New("va-" + mode.String())
 	rA, rB, rC, rN := kbuild.R(0), kbuild.R(1), kbuild.R(2), kbuild.R(3)

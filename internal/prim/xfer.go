@@ -54,22 +54,17 @@ type xfer struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(xfer) }}
 
-// staged adapts a host program written against xfer to Benchmark.Run. A
-// transfer or launch error wins over whatever the program returned: past the
-// first failure get yields zeros, so the program's own verdict is noise.
-func staged(prog func(context.Context, *xfer, Params) error) func(context.Context, *host.System, Params) error {
-	return func(ctx context.Context, sys *host.System, p Params) error {
-		x := scratchPool.Get().(*xfer)
-		x.sys, x.err, x.used = sys, nil, 0
-		defer func() {
-			x.sys = nil
-			scratchPool.Put(x)
-		}()
-		if err := prog(ctx, x, p); x.err == nil {
-			return err
-		}
-		return x.err
+// run executes host program prog on sys. A transfer or launch error wins
+// over whatever prog returned: past the first failure get yields zeros, so
+// prog's own verdict is noise.
+func (x *xfer) run(ctx context.Context, sys *host.System, prog func(context.Context, *xfer, Params) error, p Params) error {
+	x.sys, x.err, x.used = sys, nil, 0
+	err := prog(ctx, x, p)
+	if x.err != nil {
+		err = x.err
 	}
+	x.sys = nil
+	return err
 }
 
 // ints returns a zeroed n-element slice that lives until the run returns

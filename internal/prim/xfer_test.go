@@ -26,7 +26,7 @@ func hostRun(t *testing.T, name string, cfg config.Config, dpus int, p Params) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sys, b.Run(context.Background(), sys, p)
+	return sys, new(xfer).run(context.Background(), sys, b.host, p)
 }
 
 // TestTransferErrorSticks: a host whose first input overruns MRAM reports
@@ -36,7 +36,7 @@ func TestTransferErrorSticks(t *testing.T) {
 	cfg := config.Default()
 	cfg.MRAMBytes = 4 << 10 // VA's first 16 KiB vector does not fit
 	b, _ := ByName("VA")
-	sys, err := hostRun(t, "VA", cfg, 1, b.Params(ScaleTiny))
+	sys, err := hostRun(t, "VA", cfg, 1, b.sizes[ScaleTiny])
 	var access *mem.AccessError
 	if !errors.As(err, &access) {
 		t.Fatalf("err = %v, want the MRAM range error of the first put", err)

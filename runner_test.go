@@ -3,6 +3,7 @@ package upim_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"upim"
@@ -109,6 +110,18 @@ func TestRunnerRunTypedErrors(t *testing.T) {
 				t.Errorf("%s %v at 17 tasklets: got %v, want ErrTooManyTasklets", name, mode, err)
 			}
 		}
+	}
+}
+
+// TestRunnerScaleOutOfRange: a Scale past paper is an error naming the three
+// scales. It used to simulate NW at paper sizes and stamp tables "scale?3".
+func TestRunnerScaleOutOfRange(t *testing.T) {
+	r, err := upim.NewRunner(upim.WithScale(upim.Scale(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(context.Background(), "NW"); err == nil || !strings.Contains(err.Error(), "want tiny, small or paper") {
+		t.Fatalf("Run at scale 3: got %v, want an unknown-scale error", err)
 	}
 }
 

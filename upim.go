@@ -202,8 +202,7 @@ type ExperimentOptions = figures.Options
 // ResultTable is a typed experiment result grid: unit-annotated columns over
 // cells that keep exact numeric values alongside display formatting. It
 // renders to aligned console text (Fprint), CSV (WriteCSV), JSON
-// (WriteJSON/DecodeTable round-trip) and Markdown (WriteMarkdown), and
-// extracts line-chart series with axis metadata (Series).
+// (WriteJSON/DecodeTable round-trip) and Markdown (WriteMarkdown).
 type ResultTable = figures.Table
 
 // Experiments lists every reproducible table/figure.
