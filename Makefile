@@ -4,7 +4,7 @@ GO ?= go
 # its stores, reports and logs; `make clean` removes it.
 W := .work
 
-.PHONY: build test cli-guard test-race race cover fuzz-smoke bench-module profile-cold profile-resume profile-figures fmt vet loc clean report refdata pathfind-smoke coord-smoke serve-smoke energy-check arch-check calibration-check store-compat
+.PHONY: build test cli-guard test-race race coord-soak cover fuzz-smoke bench-module profile-cold profile-resume profile-figures fmt vet loc clean report refdata pathfind-smoke coord-smoke serve-smoke energy-check arch-check calibration-check store-compat
 
 build:
 	$(GO) build ./...
@@ -21,12 +21,19 @@ cli-guard:
 		echo "cli-guard: the lines above belong in internal/cli (cli.Main, cli.Sim, cli.Report, cli.Prof)"; exit 1; fi
 
 # test-race mirrors the CI race job: the full suite under the race detector,
-# including the coordinator's crash/fault-injection tests, whose concurrent
-# workers + lease reclaim are exactly the code the detector is for.
+# including the coordinator's crash test, whose concurrent workers + lease
+# reclaim are exactly the code the detector is for.
 test-race:
 	$(GO) test -race ./...
 
 race: test-race
+
+# coord-soak is the CI race job's second step: the crash test (four served
+# workers killed mid-shard, a torn store write, byte-identical artifacts) 50
+# times at GOMAXPROCS 1 and 4 under the race detector. Its kill schedule is
+# sequenced by the test, not by timers, so one failure in 100 is a bug.
+coord-soak:
+	$(GO) test -race -cpu 1,4 -count 50 -run '^TestCrashResumeByteIdentical$$' ./internal/coord
 
 cover:
 	$(GO) test -coverprofile=coverage.out -covermode=atomic ./...

@@ -149,7 +149,7 @@ func pathfind(fs *flag.FlagSet) func(context.Context) error {
 		profile   = fs.String("profile", "", "energy TechProfile JSON overriding the committed default (used by the energy/edp goals and -energy)")
 		energyT   = fs.Bool("energy", false, "print the per-point energy breakdown table")
 		top       = fs.Int("top", 3, "designs per benchmark in the best-config ranking")
-		verbose   = fs.Bool("v", false, "log every point as it finishes")
+		verbose   = fs.Bool("v", false, "log every point as it finishes (a -coordinator run logs them with -events)")
 		tier2     = fs.Bool("tier2", false, "two-tier fidelity: estimate every point analytically, simulate only the estimated Pareto band over the active -goals")
 		band      = fs.Float64("band", 0.25, "ε slack of the tier2 band: points within this relative margin of the estimated frontier are simulated too")
 		calib     = fs.String("calibration", "", "calibration profile JSON for -tier2 (default: the committed artifact)")
@@ -187,6 +187,9 @@ func pathfind(fs *flag.FlagSet) func(context.Context) error {
 		}
 		if *events != "" && !*coordMode {
 			return cli.Usagef("-events records the coordination events log; add -coordinator to use it")
+		}
+		if *verbose && *coordMode {
+			return cli.Usagef("-v logs points of an uncoordinated run; a coordinated run logs them with -events")
 		}
 		if err := rep.Validate(); err != nil {
 			return err
@@ -347,7 +350,14 @@ func pathfind(fs *flag.FlagSet) func(context.Context) error {
 			} else {
 				fmt.Fprintf(os.Stderr, "pathfind: store %s now holds %d points\n", *storeDir, n)
 			}
-			if st := store.Stats(); st.Corrupt > 0 {
+			// An HTTP client sees a corrupt entry only as a miss; the server's
+			// store counts it. A server that cannot answer leaves nothing to
+			// warn of; Count above reports an unreachable one.
+			st := store.Stats()
+			if hs, ok := store.(*upim.HTTPResultStore); ok {
+				st, _ = hs.ServerStats()
+			}
+			if st.Corrupt > 0 {
 				fmt.Fprintf(os.Stderr, "pathfind: store: %d corrupt entries degraded to re-simulation — the store repaired them, but check the directory's health\n", st.Corrupt)
 			}
 		}

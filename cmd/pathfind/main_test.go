@@ -1,9 +1,15 @@
 package main
 
 import (
+	"context"
 	"flag"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"upim"
 )
 
 // TestAxesUsage: the -axes help names every axis ParseAxes accepts.
@@ -39,6 +45,7 @@ func TestExitCodes(t *testing.T) {
 		{"-bench VA -workers 2", 2},
 		{"-bench VA -events " + t.TempDir() + "/e.jsonl", 2},
 		{"-bench VA -coordinator", 2}, // needs -store
+		{"-bench VA -axes tasklets=1 -coordinator -workers 1 -v -store " + t.TempDir(), 2}, // -events logs points
 		{"-bench NOPE -axes tasklets=1", 2},
 		{"-bench VA -axes tasklets=1 -store /dev/null/store", 1},
 		{"-bench VA -axes tasklets=1,2 -plan", 0},
@@ -60,5 +67,58 @@ func TestExitCodes(t *testing.T) {
 		if got := run(strings.Fields(tc.args)); got != tc.want {
 			t.Errorf("pathfind %s: exit %d, want %d", tc.args, got, tc.want)
 		}
+	}
+}
+
+// runStderr runs the command with os.Stderr captured.
+func runStderr(t *testing.T, args ...string) (code int, stderr string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "stderr")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stderr
+	os.Stderr = f
+	code = run(args)
+	os.Stderr = saved
+	f.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, string(data)
+}
+
+// TestHTTPStoreCorruptWarning: a corrupt entry in a store served over HTTP
+// reaches the client as a miss, so the end-of-run warning must take its
+// count from the server's store.
+func TestHTTPStoreCorruptWarning(t *testing.T) {
+	axes, err := upim.ParseAxes("tasklets=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	space := upim.NewDesignSpace([]string{"VA"}, axes...)
+	space.Scale = upim.ScaleTiny
+	store, err := upim.OpenResultStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := upim.Explore(context.Background(), space, upim.ExploreOptions{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.CorruptEntry(x.Outcomes[0].Key); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(upim.NewResultStoreServer(store))
+	defer srv.Close()
+
+	code, stderr := runStderr(t, "-bench", "VA", "-axes", "tasklets=1", "-scale", "tiny", "-store", srv.URL)
+	if code != 0 {
+		t.Fatalf("pathfind over the HTTP store: exit %d\n%s", code, stderr)
+	}
+	if !strings.Contains(stderr, "1 simulated") || !strings.Contains(stderr, "1 corrupt entries") {
+		t.Fatalf("stderr does not report the re-simulated corrupt entry:\n%s", stderr)
 	}
 }

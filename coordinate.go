@@ -78,34 +78,22 @@ type CoordinatorOptions = coord.CoordinatorOptions
 // ServeCoordinator builds the HTTP handler for one coordinated exploration
 // served to remote workers: the lease protocol for the space plus the result
 // store under /v1/, composed on one mux so `pathfind work -connect URL` needs
-// a single address (the lease routes are more specific, so they win). The
-// exploration's watchdog travels in the spec so workers compute identical
-// store keys. Spaces with programmatic Constrain filters cannot be served
-// (constraints do not serialize) and are refused.
+// a single address. The exploration's watchdog travels in the spec so
+// workers compute identical store keys. Spaces with programmatic Constrain
+// filters cannot be served (constraints do not serialize) and are refused.
 func ServeCoordinator(space *DesignSpace, backend StoreBackend, watchdog uint64, copts CoordinatorOptions, events io.Writer) (http.Handler, *CoordHandle, error) {
-	spec, err := coord.SpecFor(space, watchdog)
-	if err != nil {
-		return nil, nil, err
-	}
-	pts, err := space.Points()
-	if err != nil {
-		return nil, nil, err
-	}
 	if events != nil {
 		copts.Events = coord.NewLog(events)
 	}
-	c := coord.NewCoordinator(len(pts), copts)
-	mux := http.NewServeMux()
-	coord.NewServer(c, spec).Register(mux)
-	mux.Handle("/v1/", explore.NewStoreServer(backend))
-	return mux, &CoordHandle{c: c, points: len(pts)}, nil
+	h, c, err := coord.Handler(space, backend, watchdog, copts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return h, &CoordHandle{c}, nil
 }
 
 // CoordHandle observes a served coordination run.
-type CoordHandle struct {
-	c      *coord.Coordinator
-	points int
-}
+type CoordHandle struct{ c *coord.Coordinator }
 
 // Status snapshots lease-level progress.
 func (h *CoordHandle) Status() CoordStatus { return h.c.Snapshot() }
@@ -114,7 +102,7 @@ func (h *CoordHandle) Status() CoordStatus { return h.c.Snapshot() }
 func (h *CoordHandle) Done() bool { return h.c.Done() }
 
 // Points is the total point count of the served space.
-func (h *CoordHandle) Points() int { return h.points }
+func (h *CoordHandle) Points() int { return h.c.Snapshot().Points }
 
 // WorkOptions configure one remote worker process.
 type WorkOptions = coord.WorkOptions

@@ -137,9 +137,6 @@ func NewCoordinator(totalPoints int, opts CoordinatorOptions) *Coordinator {
 	return c
 }
 
-// TTL returns the lease time-to-live workers must renew within.
-func (c *Coordinator) TTL() time.Duration { return c.ttl }
-
 // leaseID renders the fenced lease name for a shard grant.
 func leaseID(shard, gen int) string { return fmt.Sprintf("s%d.g%d", shard, gen) }
 

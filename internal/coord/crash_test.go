@@ -3,17 +3,20 @@ package coord
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"io/fs"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"upim/internal/artifact"
+	"upim/internal/engine"
 	"upim/internal/explore"
 	"upim/internal/prim"
 )
@@ -96,11 +99,75 @@ func referenceArtifacts(t *testing.T, ctx context.Context, space *explore.Space)
 	return refDir
 }
 
-// TestCrashResumeByteIdentical is the fault-injection acceptance test: four
-// coordinated workers explore the space, every worker is killed once
-// mid-shard, one store write is corrupted — and the run still produces
-// byte-identical artifacts to a single-process exploration, with zero
-// duplicate simulations beyond the one the injected corruption forces.
+// serve starts the multi-process topology inside the test: the coordinator
+// and the result store on one httptest server, composed by Handler exactly
+// as `pathfind serve` composes them.
+func serve(t *testing.T, space *explore.Space, backend explore.Backend, copts CoordinatorOptions) (*httptest.Server, *Coordinator) {
+	t.Helper()
+	h, c, err := Handler(space, backend, 0, copts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(h)
+	t.Cleanup(srv.Close)
+	return srv, c
+}
+
+// faultStore is the served store with two faults the crash test drives from
+// outside: it tears the tornAt-th exact Put after it lands, and, while a
+// hold is armed, it stops the next Put until the test releases it.
+type faultStore struct {
+	*explore.Store
+	tornAt int
+
+	mu      sync.Mutex
+	puts    int
+	torn    string        // the key whose entry was torn
+	arrived chan struct{} // armed hold: closed when the held Put arrives
+	release chan struct{} // armed hold: the held Put lands once this closes
+}
+
+// holdNextPut arms the hold for the next Put.
+func (s *faultStore) holdNextPut() (arrived <-chan struct{}, release chan<- struct{}) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.arrived, s.release = make(chan struct{}), make(chan struct{})
+	return s.arrived, s.release
+}
+
+func (s *faultStore) Put(key string, p engine.Point, res *prim.Result) error {
+	s.mu.Lock()
+	arrived, release := s.arrived, s.release
+	s.arrived, s.release = nil, nil
+	s.mu.Unlock()
+	if arrived != nil {
+		close(arrived)
+		<-release
+	}
+	if err := s.Store.Put(key, p, res); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.puts++; s.puts == s.tornAt {
+		s.torn = key
+		return s.Store.CorruptEntry(key)
+	}
+	return nil
+}
+
+// TestCrashResumeByteIdentical is the crash acceptance test, over the served
+// topology: remote workers (Work) lease shards over HTTP and write through
+// the HTTP store. Four workers are killed one after another, each with its
+// first point simulated and stored and its second never started, and one
+// stored entry is torn. Their successors drain the space, and the artifacts
+// are byte-identical to a single-process exploration, with no simulation
+// repeated beyond the one the torn entry forces.
+//
+// Nothing races a timer. A worker dies when the test cancels it, which it
+// does while the store holds that worker's first Put. The coordinator's
+// clock stands still until all four are dead, then jumps past the TTL: the
+// dead workers' leases expire then, and no live worker's lease ever does.
 func TestCrashResumeByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	space := crashSpace()
@@ -118,36 +185,80 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events bytes.Buffer
-	var progress []Progress
-	var progressMu sync.Mutex
-	x, _, err := Run(ctx, space, Options{
-		Workers:   4,
-		ShardSize: 2, // 8 shards: every worker leases one before any finishes
-		TTL:       150 * time.Millisecond,
-		Heartbeat: 30 * time.Millisecond,
-		Poll:      5 * time.Millisecond,
-		Store:     store,
-		Faults: &FaultPlan{
-			// Every worker dies after its first point — mid-shard, since
-			// shards hold two.
-			KillAfterPoints: map[int]int{0: 1, 1: 1, 2: 1, 3: 1},
-			// The third successful store write is torn after landing; the
-			// damage must be detected and repaired, not trusted.
-			CorruptPuts: []int{3},
-		},
-		Events: &events,
-		OnProgress: func(p Progress) {
-			progressMu.Lock()
-			progress = append(progress, p)
-			progressMu.Unlock()
-		},
+	faulty := &faultStore{Store: store, tornAt: 3}
+	const ttl = 150 * time.Millisecond
+	var skew atomic.Int64
+	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	var coordEvents bytes.Buffer
+	srv, c := serve(t, space, faulty, CoordinatorOptions{
+		ShardSize: 2, // 8 shards: each killed worker leaves one half done
+		TTL:       ttl,
+		Now:       func() time.Time { return epoch.Add(time.Duration(skew.Load())) },
+		Events:    NewLog(&coordEvents),
 	})
+	work := func(ctx context.Context, name string, events *bytes.Buffer) error {
+		return Work(ctx, WorkOptions{
+			Connect: srv.URL,
+			Name:    name,
+			Poll:    5 * time.Millisecond,
+			Events:  events,
+			Client:  ClientOptions{Timeout: 10 * time.Second, Backoff: 5 * time.Millisecond},
+		})
+	}
+
+	// Kill w0..w3 one at a time, each while the store holds its first Put.
+	logs := map[string]*bytes.Buffer{}
+	for i := range 4 {
+		name, log := fmt.Sprintf("w%d", i), &bytes.Buffer{}
+		logs[name] = log
+		wctx, kill := context.WithCancel(ctx)
+		arrived, release := faulty.holdNextPut()
+		done := make(chan error, 1)
+		go func() { done <- work(wctx, name, log) }()
+		select {
+		case <-arrived:
+		case err := <-done:
+			kill()
+			t.Fatalf("worker %s returned before its first Put: %v", name, err)
+		}
+		kill()
+		close(release)
+		if err := <-done; !errors.Is(err, context.Canceled) {
+			t.Fatalf("killed worker %s returned %v, want context.Canceled", name, err)
+		}
+	}
+
+	// The dead workers' leases expire; their successors drain the space.
+	skew.Store(int64(2 * ttl))
+	errs := make([]error, 4)
+	var wg sync.WaitGroup
+	for i := range errs {
+		name, log := fmt.Sprintf("w%d.r1", i), &bytes.Buffer{}
+		logs[name] = log
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = work(ctx, name, log)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("successor w%d.r1: %v", i, err)
+		}
+	}
+	if !c.Done() {
+		t.Fatal("coordinator not done after every successor returned")
+	}
+	srv.Close() // every handler has returned: the coordinator's log is complete
+
+	// The merge over the store the workers filled.
+	x, err := explore.New(explore.Options{Store: store}).Explore(ctx, space)
 	if err != nil {
-		t.Fatalf("coordinated run: %v", err)
+		t.Fatal(err)
 	}
 	if len(x.Outcomes) != total || x.Failed != 0 {
-		t.Fatalf("coordinated run: %d outcomes, %d failed", len(x.Outcomes), x.Failed)
+		t.Fatalf("merge: %d outcomes, %d failed", len(x.Outcomes), x.Failed)
 	}
 
 	// The artifacts are byte-identical to the single-process oracle.
@@ -155,75 +266,142 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 	writeArtifacts(t, x, gotDir)
 	compareDirs(t, refDir, gotDir)
 
-	// The injected corruption was detected (counted) — not silently trusted.
-	if store.Stats().Corrupt < 1 {
-		t.Errorf("store corrupt counter = %d, want >= 1 (the torn write must be detected)", store.Stats().Corrupt)
+	// The torn write was detected (counted), not silently trusted.
+	if got := store.Stats().Corrupt; got < 1 {
+		t.Errorf("store corrupt counter = %d, want >= 1 (the torn write must be detected)", got)
 	}
 
-	evs, err := ParseEvents(&events)
+	workerEvs := map[string][]Event{}
+	for name, log := range logs {
+		if workerEvs[name], err = ParseEvents(log); err != nil {
+			t.Fatal(err)
+		}
+	}
+	coordEvs, err := ParseEvents(&coordEvents)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Every worker was killed exactly once and respawned.
-	kills := map[string]int{}
-	respawns := map[string]bool{}
-	for _, e := range evs {
+	// Each killed worker leased one shard, worked half of it, never completed
+	// it, lost it to expiry, and a successor completed it.
+	granted := map[string][]int{} // worker -> shards granted
+	expired := map[int]string{}   // shard -> worker whose lease expired
+	completed := map[int]string{} // shard -> worker that completed it
+	for _, e := range coordEvs {
 		switch e.Type {
-		case EventWorkerKill:
-			kills[e.Worker]++
-		case EventWorkerStart:
-			if strings.Contains(e.Worker, ".r") {
-				respawns[strings.SplitN(e.Worker, ".", 2)[0]] = true
+		case EventLeaseGrant:
+			granted[e.Worker] = append(granted[e.Worker], e.Shard)
+		case EventLeaseExpire:
+			if prev, ok := expired[e.Shard]; ok {
+				t.Errorf("shard %d expired twice (%s, then %s)", e.Shard, prev, e.Worker)
+			}
+			expired[e.Shard] = e.Worker
+		case EventLeaseComplete:
+			completed[e.Shard] = e.Worker
+		}
+	}
+	if len(expired) != 4 {
+		t.Errorf("%d leases expired, want exactly the 4 killed workers': %v", len(expired), expired)
+	}
+	for i := range 4 {
+		name := fmt.Sprintf("w%d", i)
+		if len(granted[name]) != 1 {
+			t.Errorf("killed worker %s was granted shards %v, want exactly one", name, granted[name])
+			continue
+		}
+		shard := granted[name][0]
+		if expired[shard] != name {
+			t.Errorf("shard %d of killed worker %s: lease expired for %q", shard, name, expired[shard])
+		}
+		if w := completed[shard]; !strings.HasSuffix(w, ".r1") {
+			t.Errorf("shard %d of killed worker %s was completed by %q, want a successor", shard, name, w)
+		}
+		points := 0
+		for _, e := range workerEvs[name] {
+			if strings.HasPrefix(e.Type, "point_") {
+				points++
+			}
+		}
+		if points != 1 {
+			t.Errorf("killed worker %s resolved %d points of its two-point shard, want 1", name, points)
+		}
+	}
+
+	// Every key is simulated exactly once, except the torn key, which is
+	// simulated exactly once more.
+	simsByKey := map[string]int{}
+	for _, evs := range workerEvs {
+		for _, e := range evs {
+			if e.Type == EventPointSimulated {
+				simsByKey[e.Key]++
 			}
 		}
 	}
-	for _, w := range []string{"w0", "w1", "w2", "w3"} {
-		if kills[w] != 1 {
-			t.Errorf("worker %s killed %d times, want exactly once", w, kills[w])
-		}
-		if !respawns[w] {
-			t.Errorf("worker %s was never respawned after its kill", w)
+	for _, o := range x.Outcomes {
+		if !o.Cached {
+			simsByKey[o.Key]++
 		}
 	}
-
-	// Zero duplicate simulations: every key simulates exactly once, except
-	// the corrupted key, which must re-simulate exactly once more.
-	simsByKey := map[string]int{}
-	corrupted := map[string]bool{}
-	for _, e := range evs {
-		switch e.Type {
-		case EventPointSimulated, EventMergeSimulated:
-			simsByKey[e.Key]++
-		case EventPutCorrupt:
-			corrupted[e.Key] = true
-		}
-	}
-	if len(corrupted) != 1 {
-		t.Fatalf("corrupted %d keys, want exactly 1", len(corrupted))
+	if faulty.torn == "" {
+		t.Fatal("no store write was torn")
 	}
 	if len(simsByKey) != total {
-		t.Errorf("events cover %d distinct simulated keys, want %d", len(simsByKey), total)
+		t.Errorf("%d distinct keys simulated, want %d", len(simsByKey), total)
 	}
 	for key, n := range simsByKey {
 		want := 1
-		if corrupted[key] {
+		if key == faulty.torn {
 			want = 2
 		}
 		if n != want {
-			t.Errorf("key %.12s... simulated %d times, want %d (corrupted: %v)", key, n, want, corrupted[key])
+			t.Errorf("key %.12s... simulated %d times, want %d (torn: %v)", key, n, want, key == faulty.torn)
 		}
 	}
+}
 
-	// Progress streamed and ended on a complete, all-done snapshot.
-	progressMu.Lock()
-	defer progressMu.Unlock()
-	if len(progress) == 0 {
+// TestRunFinalProgress pins the progress in-process Run streams: its final
+// snapshot has every point done, every shard complete, and the store's
+// corrupt-entry count, here from an entry torn before the run.
+func TestRunFinalProgress(t *testing.T) {
+	ctx := context.Background()
+	space := crashSpace()
+	pts, err := space.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := explore.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := explore.New(explore.Options{Store: store}).Resolve(ctx, pts[0], 0, nil)
+	if o.Err != nil {
+		t.Fatal(o.Err)
+	}
+	if err := store.CorruptEntry(o.Key); err != nil {
+		t.Fatal(err)
+	}
+	var last Progress
+	snapshots := 0
+	x, _, err := Run(ctx, space, Options{
+		Workers:   4,
+		ShardSize: 2,
+		Store:     store,
+		OnProgress: func(p Progress) {
+			last = p
+			snapshots++
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x.Failed != 0 {
+		t.Fatalf("%d points failed", x.Failed)
+	}
+	if snapshots == 0 {
 		t.Fatal("no progress snapshots streamed")
 	}
-	last := progress[len(progress)-1]
-	if last.Done != total || !last.Coordination.AllDone || last.Corrupt < 1 {
-		t.Errorf("final progress = %+v, want all %d points done with the corruption surfaced", last, total)
+	if last.Done != len(pts) || !last.Coordination.AllDone || last.Corrupt < 1 {
+		t.Errorf("final progress = %+v, want all %d points done with the corruption surfaced", last, len(pts))
 	}
 }
 
@@ -284,20 +462,7 @@ func TestHTTPWorkersByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := SpecFor(space, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewCoordinator(len(pts), CoordinatorOptions{ShardSize: 3, TTL: 5 * time.Second})
-	mux := http.NewServeMux()
-	NewServer(c, spec).Register(mux)
-	ss := explore.NewStoreServer(store)
-	mux.Handle("/v1/exact/", ss)
-	mux.Handle("/v1/estimate/", ss)
-	mux.Handle("/v1/count", ss)
-	mux.Handle("/v1/stats", ss)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
+	srv, c := serve(t, space, store, CoordinatorOptions{ShardSize: 3, TTL: 5 * time.Second})
 
 	copts := ClientOptions{Timeout: 10 * time.Second, Backoff: 5 * time.Millisecond}
 	var wg sync.WaitGroup

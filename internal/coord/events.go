@@ -13,13 +13,10 @@ import (
 // Event types of the machine-readable events log, one JSON object per line.
 // Lease events trace the state machine; point events trace per-point work
 // (Key carries the point's content address, so "no point simulated twice"
-// is checkable by grepping the log); fault events mark injected failures so
-// a forced re-simulation is distinguishable from a duplicated one.
+// is checkable by grepping the log).
 const (
 	EventWorkerStart = "worker_start"
-	// EventWorkerKill marks a fault-injected worker death (FaultPlan).
-	EventWorkerKill = "worker_kill"
-	EventWorkerExit = "worker_exit"
+	EventWorkerExit  = "worker_exit"
 
 	EventLeaseGrant    = "lease_grant"
 	EventLeaseRenew    = "lease_renew"
@@ -29,8 +26,6 @@ const (
 	// EventLeaseReject marks a renew/complete with a stale lease (the
 	// double-claim / zombie-worker case).
 	EventLeaseReject = "lease_reject"
-	// EventRenewDropped marks a fault-injected dropped renewal.
-	EventRenewDropped = "renew_dropped"
 	// EventLeaseLost is a worker-side event: it noticed its lease is gone and
 	// abandoned the shard's remaining points.
 	EventLeaseLost = "lease_lost"
@@ -39,16 +34,12 @@ const (
 	EventPointSimulated = "point_simulated"
 	EventPointEstimated = "point_estimated"
 	EventPointFailed    = "point_failed"
-	// EventPutCorrupt marks a fault-injected corrupted store write: the
-	// point's entry is damaged on purpose, and its later re-simulation is
-	// forced, not duplicated.
-	EventPutCorrupt = "put_corrupt"
 
 	EventMergeStart = "merge_start"
 	// EventMergeSimulated marks a point the final merge had to re-simulate —
 	// a worker failure, a reclaimed half-done shard killed before the store
-	// write, or a corrupt entry. Zero of these outside injected faults is
-	// the no-duplicate-work invariant.
+	// write, or a corrupt entry. Zero of these on a healthy run is the
+	// no-duplicate-work invariant.
 	EventMergeSimulated = "merge_simulated"
 	EventMergeDone      = "merge_done"
 )
@@ -59,8 +50,8 @@ type Event struct {
 	Seq  int64     `json:"seq"`
 	Time time.Time `json:"time"`
 	Type string    `json:"type"`
-	// Worker names the acting worker ("w2", "w2.r1" after a respawn, "merge"
-	// for the final merge pass); empty for coordinator-internal events.
+	// Worker names the acting worker ("w2", "merge" for the final merge
+	// pass); empty for coordinator-internal events.
 	Worker string `json:"worker,omitempty"`
 	Shard  int    `json:"shard"`
 	Lease  string `json:"lease,omitempty"`
@@ -158,8 +149,8 @@ type Progress struct {
 	// resolved during the worker phase.
 	Cached, Simulated, Estimated, Failed int
 	// MergeSimulated counts points the final merge re-simulated (corrupt or
-	// missing entries); nonzero values outside injected faults mean workers
-	// lost finished work.
+	// missing entries); nonzero values mean finished work was lost or
+	// damaged.
 	MergeSimulated int
 	// Corrupt is the store backend's corrupt-entry counter: entries that
 	// existed but failed to decode and silently degraded to re-simulation.

@@ -90,8 +90,7 @@ type renewRequest struct {
 //
 // Stale-lease rejections map to 409 Conflict so clients can distinguish
 // "your lease is gone" (give up the shard) from transport failures (retry).
-// Compose it with an explore.StoreServer on one mux to serve both the lease
-// protocol and the result store from a single address.
+// Handler composes it with the result store on one address.
 type Server struct {
 	c    *Coordinator
 	spec SpaceSpec
@@ -111,14 +110,36 @@ func NewServer(c *Coordinator, spec SpaceSpec) *Server {
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Register attaches the coordination routes to an external mux (alongside,
-// e.g., an explore.StoreServer's routes).
+// Register attaches the coordination routes to an external mux.
 func (s *Server) Register(mux *http.ServeMux) {
 	mux.Handle("/v1/space", s)
 	mux.Handle("/v1/lease", s)
 	mux.Handle("/v1/renew", s)
 	mux.Handle("/v1/complete", s)
 	mux.Handle("/v1/status", s)
+}
+
+// Handler serves one coordinated exploration to remote workers: a
+// Coordinator over the space's points speaking the lease protocol, and the
+// backend's result store under /v1/, on one mux so `pathfind work -connect
+// URL` needs a single address (the lease routes are more specific, so they
+// win). The exploration's watchdog travels in the spec so workers compute
+// identical store keys. Spaces with programmatic Constrain filters cannot be
+// served (constraints do not serialize) and are refused.
+func Handler(space *explore.Space, backend explore.Backend, watchdog uint64, opts CoordinatorOptions) (http.Handler, *Coordinator, error) {
+	spec, err := SpecFor(space, watchdog)
+	if err != nil {
+		return nil, nil, err
+	}
+	pts, err := space.Points()
+	if err != nil {
+		return nil, nil, err
+	}
+	c := NewCoordinator(len(pts), opts)
+	mux := http.NewServeMux()
+	NewServer(c, spec).Register(mux)
+	mux.Handle("/v1/", explore.NewStoreServer(backend))
+	return mux, c, nil
 }
 
 // maxLeaseBody caps lease-protocol bodies in both directions; the largest
@@ -179,7 +200,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // both halves of a remote worker.
 type ClientOptions = httpjson.Options
 
-// Client speaks the lease protocol to a remote coordination Server. It
+// Client speaks the lease protocol to a served Coordinator (Handler). It
 // implements LeaseClient.
 type Client struct{ c *httpjson.Client }
 
@@ -215,15 +236,6 @@ func (c *Client) Spec() (SpaceSpec, error) {
 	return spec, nil
 }
 
-// Status fetches a coordination snapshot.
-func (c *Client) Status() (Status, error) {
-	var st Status
-	if err := c.call(http.MethodGet, "/v1/status", nil, &st); err != nil {
-		return Status{}, err
-	}
-	return st, nil
-}
-
 // Lease implements LeaseClient: it requests the next shard, decoding the
 // body strictly and re-validating the unit on the way in — a worker never
 // trusts a wire unit (FuzzLeaseCodec holds this boundary to its contract).
@@ -256,11 +268,9 @@ type WorkOptions struct {
 	Connect string
 	// Name identifies this worker in leases and events (default "worker").
 	Name string
-	// Heartbeat and Poll mirror Options; zero picks the same defaults.
-	Heartbeat time.Duration
-	Poll      time.Duration
-	// Watchdog overrides the served spec's watchdog when nonzero.
-	Watchdog uint64
+	// Poll is how long an idle worker waits between lease attempts
+	// (default 100ms).
+	Poll time.Duration
 	// Events, when non-nil, receives this worker's JSONL events.
 	Events io.Writer
 	// Client tunes the lease and store HTTP clients.
@@ -300,10 +310,6 @@ func Work(ctx context.Context, opts WorkOptions) error {
 	if err != nil {
 		return err
 	}
-	watchdog := spec.Watchdog
-	if opts.Watchdog != 0 {
-		watchdog = opts.Watchdog
-	}
 	poll := opts.Poll
 	if poll <= 0 {
 		poll = 100 * time.Millisecond
@@ -313,13 +319,12 @@ func Work(ctx context.Context, opts WorkOptions) error {
 		log = NewLog(opts.Events)
 	}
 	w := &worker{
-		name:      name,
-		api:       api,
-		ex:        explore.New(explore.Options{Parallelism: 1, Watchdog: watchdog, Store: store}),
-		pts:       pts,
-		log:       log,
-		heartbeat: opts.Heartbeat,
-		poll:      poll,
+		name: name,
+		api:  api,
+		ex:   explore.New(explore.Options{Parallelism: 1, Watchdog: spec.Watchdog, Store: store}),
+		pts:  pts,
+		log:  log,
+		poll: poll,
 	}
 	return w.run(ctx)
 }

@@ -107,12 +107,7 @@ func TestOversizedBodiesRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCoordinator(4, CoordinatorOptions{ShardSize: 2, TTL: time.Minute})
-	mux := http.NewServeMux()
-	NewServer(c, SpaceSpec{}).Register(mux)
-	mux.Handle("/v1/exact/", explore.NewStoreServer(store))
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
+	srv, c := serve(t, crashSpace(), store, CoordinatorOptions{ShardSize: 2, TTL: time.Minute})
 
 	ep := engine.Point{Benchmark: "VA", Config: config.Default(), DPUs: 1, Scale: prim.ScaleTiny}
 	res, err := prim.RunSpec(context.Background(), prim.Spec{Benchmark: ep.Benchmark, Config: ep.Config, DPUs: ep.DPUs, Scale: ep.Scale})

@@ -21,29 +21,15 @@ type Options struct {
 	// ShardSize is the number of points per leased shard (default: about
 	// four shards per worker, capped at 64 points).
 	ShardSize int
-	// TTL is the lease time-to-live (default 10s); Heartbeat the renewal
-	// interval (default TTL/3); Poll how long an idle worker waits between
-	// lease attempts (default 20ms).
-	TTL       time.Duration
-	Heartbeat time.Duration
-	Poll      time.Duration
 	// Parallelism bounds the final merge's sweep pool (<= 0: GOMAXPROCS).
 	Parallelism int
-	// Watchdog bounds each point's per-DPU launch cycles (part of store
-	// keys, exactly as in explore.Options).
-	Watchdog uint64
 	// Store is the shared result backend — required: coordination without a
 	// store would make the final merge redo every point.
 	Store explore.Backend
-	// Cache shares kernel builds across workers and the merge; nil allocates
-	// a private cache.
-	Cache *prim.BuildCache
 	// Tiered, when non-nil, runs the exploration in two fidelity tiers: the
 	// coordinator derives the deterministic band plan once and workers
 	// resolve out-of-band points at estimate fidelity.
 	Tiered *explore.TieredOptions
-	// Faults injects deterministic failures (tests); nil injects nothing.
-	Faults *FaultPlan
 	// Events, when non-nil, receives the machine-readable JSONL events log.
 	Events io.Writer
 	// OnProgress, when non-nil, observes live progress snapshots as points
@@ -163,7 +149,7 @@ func (t *tracker) computePareto() int {
 // corrupt. Because the merge is exactly the single-process path, a
 // coordinated exploration yields byte-identical artifacts to an
 // uncoordinated one over the same space — the resume contract extended to N
-// workers, which the crash/fault-injection tests pin down.
+// workers, which the crash tests pin down.
 //
 // The returned Triage is nil unless opts.Tiered ran the space in two
 // fidelity tiers. The error is ctx.Err() after a cancellation, otherwise
@@ -196,20 +182,12 @@ func Run(ctx context.Context, space *explore.Space, opts Options) (*explore.Expl
 	if shardSize <= 0 {
 		shardSize = max(1, min(64, (len(pts)+workers*4-1)/(workers*4)))
 	}
-	poll := opts.Poll
-	if poll <= 0 {
-		poll = 20 * time.Millisecond
-	}
 	var log *Log
 	if opts.Events != nil {
 		log = NewLog(opts.Events)
 	}
-	c := NewCoordinator(len(pts), CoordinatorOptions{ShardSize: shardSize, TTL: opts.TTL, Events: log})
-	faults := newFaultRun(opts.Faults)
-	cache := opts.Cache
-	if cache == nil {
-		cache = prim.NewBuildCache()
-	}
+	c := NewCoordinator(len(pts), CoordinatorOptions{ShardSize: shardSize, Events: log})
+	cache := prim.NewBuildCache()
 	track := &tracker{
 		total:      len(pts),
 		outcomes:   make(map[int]explore.Outcome, len(pts)),
@@ -219,51 +197,28 @@ func Run(ctx context.Context, space *explore.Space, opts Options) (*explore.Expl
 		onProgress: opts.OnProgress,
 	}
 
-	// Workers drain the coordinator; a fault-killed incarnation respawns
-	// like a crashed process under a supervisor, with the fault spent.
-	errc := make(chan error, workers)
+	errs := make([]error, workers)
 	var wg sync.WaitGroup
-	for id := 0; id < workers; id++ {
+	for id := range errs {
+		w := &worker{
+			name:  fmt.Sprintf("w%d", id),
+			api:   localLease{c},
+			ex:    explore.New(explore.Options{Parallelism: 1, Store: opts.Store, Cache: cache}),
+			pts:   pts,
+			plan:  plan,
+			log:   log,
+			poll:  20 * time.Millisecond,
+			track: track,
+		}
 		wg.Add(1)
-		go func(id int) {
+		go func() {
 			defer wg.Done()
-			for inc := 0; ; inc++ {
-				name := fmt.Sprintf("w%d", id)
-				if inc > 0 {
-					name = fmt.Sprintf("w%d.r%d", id, inc)
-				}
-				w := &worker{
-					id:          id,
-					incarnation: inc,
-					name:        name,
-					api:         localLease{c},
-					ex: explore.New(explore.Options{
-						Parallelism: 1,
-						Watchdog:    opts.Watchdog,
-						Store:       newWorkerBackend(opts.Store, faults, log, name),
-						Cache:       cache,
-					}),
-					pts:       pts,
-					plan:      plan,
-					faults:    faults,
-					log:       log,
-					heartbeat: opts.Heartbeat,
-					poll:      poll,
-					track:     track,
-				}
-				err := w.run(ctx)
-				if errors.Is(err, errWorkerKilled) {
-					continue
-				}
-				errc <- err
-				return
-			}
-		}(id)
+			errs[id] = w.run(ctx)
+		}()
 	}
 	wg.Wait()
-	close(errc)
 	var workerErr error
-	for werr := range errc {
+	for _, werr := range errs {
 		if werr != nil && !errors.Is(werr, context.Canceled) && workerErr == nil {
 			workerErr = werr
 		}
@@ -276,7 +231,6 @@ func Run(ctx context.Context, space *explore.Space, opts Options) (*explore.Expl
 	log.emit(Event{Type: EventMergeStart, Worker: "merge", Shard: -1, Point: -1})
 	ex := explore.New(explore.Options{
 		Parallelism: opts.Parallelism,
-		Watchdog:    opts.Watchdog,
 		Store:       opts.Store,
 		Cache:       cache,
 		OnOutcome: func(o explore.Outcome) {

@@ -36,29 +36,24 @@ func (l localLease) Complete(lease string) error { return l.c.Complete(lease) }
 // point range through the store, complete, repeat. One worker processes one
 // point at a time — parallelism comes from running N workers.
 type worker struct {
-	id          int
-	incarnation int
-	name        string
-	api         LeaseClient
+	name string
+	api  LeaseClient
 	// ex resolves points through the store, one at a time on the worker's
 	// goroutine (its one-slot engine recycles a single DPU-shell arena across
-	// points and shards). Its store is fault-wrapped when a FaultPlan
-	// corrupts writes.
+	// points and shards).
 	ex  *explore.Explorer
 	pts []explore.Point
 	// plan carries tier-A estimates and band membership for tiered runs;
 	// nil means every point simulates cycle-exactly.
-	plan      *explore.BandPlan
-	faults    *faultRun
-	log       *Log
-	heartbeat time.Duration // 0: TTL/3 from each unit
-	poll      time.Duration
-	track     *tracker
+	plan  *explore.BandPlan
+	log   *Log
+	poll  time.Duration
+	track *tracker
 }
 
 // run is the worker main loop. It returns nil when the coordinator reports
-// all shards done, errWorkerKilled when the fault plan kills this
-// incarnation, or the first unrecoverable error.
+// all shards done, ctx.Err() once the context is cancelled, or the first
+// unrecoverable error.
 func (w *worker) run(ctx context.Context) error {
 	w.log.emit(Event{Type: EventWorkerStart, Worker: w.name, Shard: -1, Point: -1})
 	for {
@@ -92,15 +87,13 @@ func (w *worker) run(ctx context.Context) error {
 	}
 }
 
-// shard processes one leased work unit under a heartbeat.
+// shard processes one leased work unit under a heartbeat. A cancelled
+// worker stops where it is, like a crashed process: no more points, no more
+// renewals, no completion — the lease expires and the shard re-queues.
 func (w *worker) shard(ctx context.Context, u *WorkUnit) error {
 	hbCtx, stopHeartbeat := context.WithCancel(ctx)
 	defer stopHeartbeat()
-	hb := w.heartbeat
-	if hb <= 0 {
-		hb = time.Duration(u.TTLMillis) * time.Millisecond / 3
-	}
-	hb = max(hb, time.Millisecond)
+	hb := max(time.Duration(u.TTLMillis)*time.Millisecond/3, time.Millisecond)
 
 	// The heartbeat renews the lease until the shard is done or the lease is
 	// lost. Losing the lease closes lost, and the point loop abandons the
@@ -120,14 +113,6 @@ func (w *worker) shard(ctx context.Context, u *WorkUnit) error {
 				return
 			case <-t.C:
 			}
-			drop, delay := w.faults.renewalFault(w.id)
-			if delay > 0 && !sleepCtx(hbCtx, delay) {
-				return
-			}
-			if drop {
-				w.log.emit(Event{Type: EventRenewDropped, Worker: w.name, Shard: u.Shard, Lease: u.Lease, Point: -1})
-				continue
-			}
 			if err := w.api.Renew(u.Lease); err != nil {
 				w.log.emit(Event{Type: EventLeaseLost, Worker: w.name, Shard: u.Shard, Lease: u.Lease, Point: -1, Err: err.Error()})
 				close(lost)
@@ -136,30 +121,17 @@ func (w *worker) shard(ctx context.Context, u *WorkUnit) error {
 		}
 	}()
 
-	abandoned, killed := false, false
-	for i := u.Start; i < u.End && !abandoned && !killed; i++ {
+	abandoned := false
+	for i := u.Start; i < u.End && !abandoned && ctx.Err() == nil; i++ {
 		select {
 		case <-lost:
 			abandoned = true
-			continue
-		case <-ctx.Done():
-			return ctx.Err()
 		default:
-		}
-		w.point(ctx, u, i)
-		if w.faults.pointProcessed(w.id, w.incarnation) {
-			// Fault-injected death: stop everything at once — no more
-			// points, no more renewals, no completion. The lease expires and
-			// the shard is reclaimed, exactly like a crashed process.
-			w.log.emit(Event{Type: EventWorkerKill, Worker: w.name, Shard: u.Shard, Lease: u.Lease, Point: i})
-			killed = true
+			w.point(ctx, u, i)
 		}
 	}
 	stopHeartbeat()
 	hbWG.Wait()
-	if killed {
-		return errWorkerKilled
-	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}

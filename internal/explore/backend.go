@@ -44,15 +44,6 @@ type Backend interface {
 	Count() (int, error)
 }
 
-// Corrupter is the optional fault-injection face of a backend: CorruptEntry
-// overwrites the stored entry for key with undecodable bytes, simulating a
-// torn or tampered write. The local Store implements it; coord.FaultPlan and
-// the conformance suite use it to prove corrupt entries degrade to
-// re-simulation instead of serving wrong numbers.
-type Corrupter interface {
-	CorruptEntry(key string) error
-}
-
 // noStore is the nil-store backend: every Get misses, every Put discards.
 // Explorer substitutes it when Options.Store is nil so persistence stays
 // optional without nil checks on the hot path.

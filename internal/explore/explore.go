@@ -247,9 +247,6 @@ func (e *Explorer) run(ctx context.Context, space *Space, pts []Point, plan *Ban
 	return x, x.FirstErr()
 }
 
-// CacheStats exposes the kernel build-cache counters.
-func (e *Explorer) CacheStats() prim.CacheStats { return e.eng.CacheStats() }
-
 func (e *Explorer) emit(o Outcome) {
 	if e.onOutcome != nil {
 		e.onOutcome(o)

@@ -173,9 +173,6 @@ func DialStore(baseURL string, opts HTTPStoreOptions) (*HTTPStore, error) {
 	return &HTTPStore{c: c}, nil
 }
 
-// URL returns the server base URL.
-func (h *HTTPStore) URL() string { return h.c.URL() }
-
 // do issues one store call. 404 returns (false, nil): a miss, not an error.
 func (h *HTTPStore) do(method, path string, body, out any) (bool, error) {
 	err := h.c.Do(method, path, body, out)
@@ -241,7 +238,7 @@ func (h *HTTPStore) PutEstimate(key string, p engine.Point, est *estimate.Estima
 
 // Stats snapshots this client's counters (not the server store's — use
 // ServerStats for those). Corrupt entries are only observable server-side:
-// they surface here as misses.
+// they surface here as misses, and Corrupt stays 0.
 func (h *HTTPStore) Stats() StoreStats {
 	return StoreStats{Hits: h.hits.Load(), Misses: h.misses.Load(), Puts: h.puts.Load()}
 }

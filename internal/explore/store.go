@@ -317,8 +317,8 @@ func (s *Store) PutEstimate(key string, p engine.Point, est *estimate.Estimate) 
 }
 
 // CorruptEntry damages the stored record for key in place — one payload byte
-// is inverted, so its checksum fails — fault-injection support
-// (coord.FaultPlan, the storetest conformance suite) for proving that damaged
+// is inverted, so its checksum fails — fault-injection support for tests
+// (the storetest conformance suite, coord's crash test) proving that damaged
 // entries degrade to re-simulation. It fails when no segment holds the key.
 func (s *Store) CorruptEntry(key string) error {
 	k, _ := parseKey(key)

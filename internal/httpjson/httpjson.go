@@ -82,9 +82,6 @@ func Dial(baseURL string, maxBody int64, opts Options) (*Client, error) {
 	return c, nil
 }
 
-// URL returns the server base URL.
-func (c *Client) URL() string { return c.base }
-
 // StatusError is a non-2xx response: the status code and the (truncated)
 // error text the server sent with it.
 type StatusError struct {

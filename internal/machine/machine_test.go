@@ -155,3 +155,43 @@ func TestBackendRegistry(t *testing.T) {
 		t.Fatal("BackendFor should reject unknown architectures")
 	}
 }
+
+// FuzzMachineDecode holds the strict machine-description decoder to three
+// properties: no input panics, a description it accepts passes Validate, and
+// Encode of an accepted description is a fixed point of Decode.
+func FuzzMachineDecode(f *testing.F) {
+	encode := func(d *machine.Desc) []byte {
+		var buf bytes.Buffer
+		if err := d.Encode(&buf); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	f.Add(encode(machine.UPMEM()))
+	f.Add(encode(machine.HBMPIM()))
+	f.Add(append(encode(machine.HBMPIM()), '}'))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := machine.Decode(bytes.NewReader(data))
+		if err != nil {
+			return // refused input: only the no-panic guarantee applies
+		}
+		if err := d.Validate(); err != nil {
+			t.Fatalf("Decode accepted a description that fails Validate: %v", err)
+		}
+		var a bytes.Buffer
+		if err := d.Encode(&a); err != nil {
+			t.Fatalf("accepted description does not encode: %v", err)
+		}
+		again, err := machine.Decode(bytes.NewReader(a.Bytes()))
+		if err != nil {
+			t.Fatalf("encoded description does not decode: %v\n%s", err, a.Bytes())
+		}
+		var b bytes.Buffer
+		if err := again.Encode(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("Encode is not a fixed point:\n%s\n->\n%s", a.Bytes(), b.Bytes())
+		}
+	})
+}
