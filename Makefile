@@ -4,7 +4,7 @@ GO ?= go
 # its stores, reports and logs; `make clean` removes it.
 W := .work
 
-.PHONY: build test cli-guard test-race race coord-soak cover fuzz-smoke bench-module profile-cold profile-resume profile-figures fmt vet loc clean report refdata pathfind-smoke coord-smoke serve-smoke energy-check arch-check calibration-check store-compat
+.PHONY: build test pairs cli-guard test-race race coord-soak cover fuzz-smoke bench-module profile-cold profile-resume profile-figures fmt vet loc clean report refdata pathfind-smoke coord-smoke serve-smoke energy-check arch-check calibration-check store-compat
 
 build:
 	$(GO) build ./...
@@ -180,6 +180,19 @@ profile-figures:
 	$(GO) build -o $(W)/profile-figures/figures ./cmd/figures
 	$(W)/profile-figures/figures -exp all -scale tiny -jobs 2 -cpuprofile $(W)/profile-figures/cpu.prof > /dev/null
 	$(GO) tool pprof -top -nodecount 25 $(W)/profile-figures/figures $(W)/profile-figures/cpu.prof
+
+# pairs is how a claimed gain is measured: N pairs of runs of one benchmark
+# workload, PARENT (extracted with git archive into .work/pairs/parent) and
+# the working tree alternately, then each side's quartiles of every
+# end-to-end metric, the wins per metric and the failed counts
+# (scripts/pairs.sh). Here W names the workload, given on the command line:
+# make pairs PARENT=<rev> W=figures_tiny N=10 SEED=1
+PARENT ?= HEAD
+N ?= 10
+SEED ?= 1
+pairs:
+	@test "$(origin W)" = "command line" || { echo "usage: make pairs PARENT=<rev> W=<workload> [N=10] [SEED=1]"; exit 2; }
+	./scripts/pairs.sh $(PARENT) $(W) $(N) $(SEED)
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi

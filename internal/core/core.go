@@ -34,6 +34,9 @@
 //     (alive/blocked/issuable) plus a (cycle, id)-ordered timer queue — a
 //     64-cycle wheel of id masks over a heap for far timers (schedQueue) —
 //     so a simulated cycle costs O(state transitions) instead of O(units).
+//     A unit whose next issue cycle is known when it issues sleeps on a
+//     ready timer, and the ready timers due in a cycle join the issuable
+//     set as one mask; only wakes and I-fetches are reconsidered per unit.
 //   - Idle stretches stay in one loop (fastForward): when nothing can issue,
 //     the clock jumps to the unified next-event time (min of unit timers,
 //     the DRAM bank's next decision, and the watchdog deadline), and while
@@ -223,18 +226,27 @@ const wheelIDs = 64
 // with nothing to sort. Far timers and ids >= wheelIDs take the heap, whose
 // (cycle, id) order merges into a drain (drainAt).
 //
+// A slot holds two masks, one per kind of timer. slots holds the timers
+// whose firing has something to decide — a blocked unit's wake, a cache-mode
+// I-fetch — and each is visited in id order (timerDue). ready holds the
+// timers of running units whose issue cycle was known when they were armed
+// (pushReady); the scheduler admits a whole ready mask at once. A ready
+// timer that does not fit the wheel goes to the heap and is drained as an
+// ordinary one: timerDue admits the unit all the same.
+//
 // Window invariant: every wheel entry's time lies in [base, base+wheelSlots),
 // so a slot holds exactly one distinct cycle.
 //
-// A mask cannot hold the same (cycle, id) twice. The scheduler never needs
-// it to: a unit has at most one live timer (it is armed when the
-// previous one is drained, or at an issue or completion while none is
-// armed), and push panics if that ever stops being true rather than
-// coalesce two timers into one.
+// The masks cannot hold the same (cycle, id) twice, in one mask or across
+// both. The scheduler never needs them to: a unit has at most one live timer
+// (it is armed when the previous one is drained, or at an issue or
+// completion while none is armed), and arming panics if that ever stops
+// being true rather than coalesce two timers into one.
 type schedQueue struct {
 	base     uint64 // all wheel entries have time >= base
-	occ      uint64 // bit (t & 63) set => slot for time t non-empty
+	occ      uint64 // bit (t & 63) set => slot for time t non-empty, in either mask
 	slots    [wheelSlots]uint64
+	ready    [wheelSlots]uint64
 	overflow eventQueue
 	big      []int32 // drainAt scratch for ids >= wheelIDs, reused
 }
@@ -246,14 +258,21 @@ func (q *schedQueue) reset(base uint64) {
 }
 
 // push arms a timer: reconsider unit id at cycle `at`.
-func (q *schedQueue) push(at uint64, id int32) {
+func (q *schedQueue) push(at uint64, id int32) { q.arm(&q.slots, at, id) }
+
+// pushReady arms a ready timer: running unit id becomes issuable at cycle
+// `at`, with nothing left to decide until then.
+func (q *schedQueue) pushReady(at uint64, id int32) { q.arm(&q.ready, at, id) }
+
+// arm sets id's bit in masks' slot for `at`, or hands the timer to the heap.
+func (q *schedQueue) arm(masks *[wheelSlots]uint64, at uint64, id int32) {
 	if at-q.base < wheelSlots && uint32(id) < wheelIDs {
 		s := at & (wheelSlots - 1)
 		bit := uint64(1) << uint(id)
-		if q.slots[s]&bit != 0 {
+		if (q.slots[s]|q.ready[s])&bit != 0 {
 			panic(fmt.Sprintf("core: timer for id %d at cycle %d armed twice", id, at))
 		}
-		q.slots[s] |= bit
+		masks[s] |= bit
 		q.occ |= 1 << s
 		return
 	}
@@ -273,24 +292,24 @@ func (q *schedQueue) nextAt() (uint64, bool) {
 	return at, at != neverWake
 }
 
-// drainAt removes every id armed for exactly cycle `at` and returns them as a
-// mask of the ids below wheelIDs plus a slice of the rest in ascending order:
-// walking the mask's set bits and then the slice visits all of them in
-// ascending id order. The slice is scratch owned by q, valid until the next
-// drainAt.
-func (q *schedQueue) drainAt(at uint64) (mask uint64, big []int32) {
+// drainAt removes every id armed for exactly cycle `at`. It returns the
+// wheel's ready timers as the mask ready, and the rest as a mask of the ids
+// below wheelIDs plus a slice of the others in ascending order: walking
+// mask's set bits and then the slice visits all of them in ascending id
+// order. The slice is scratch owned by q, valid until the next drainAt.
+func (q *schedQueue) drainAt(at uint64) (mask, ready uint64, big []int32) {
 	// at-q.base >= wheelSlots also covers at < base (timers armed in the
 	// past live in the heap).
 	if s := at & (wheelSlots - 1); at-q.base < wheelSlots && q.occ&(1<<s) != 0 {
-		mask = q.slots[s]
-		q.slots[s] = 0
+		mask, ready = q.slots[s], q.ready[s]
+		q.slots[s], q.ready[s] = 0, 0
 		q.occ &^= 1 << s
 	}
 	big = q.big[:0]
 	for len(q.overflow) > 0 && q.overflow[0].at == at {
 		// The heap pops one cycle's ids in ascending order.
 		if id := q.overflow.pop().id; uint32(id) < wheelIDs {
-			if mask&(1<<uint(id)) != 0 {
+			if (mask|ready)&(1<<uint(id)) != 0 {
 				panic(fmt.Sprintf("core: timer for id %d at cycle %d armed twice", id, at))
 			}
 			mask |= 1 << uint(id)
@@ -299,7 +318,7 @@ func (q *schedQueue) drainAt(at uint64) (mask uint64, big []int32) {
 		}
 	}
 	q.big = big
-	return mask, big
+	return mask, ready, big
 }
 
 // advanceTo slides the window start forward to `base` (monotone). Callers
@@ -770,14 +789,18 @@ func (d *DPU) Run(ctx context.Context, maxCycles uint64) error {
 // processDue drains the timer queue up to the current cycle, waking blocked
 // units and admitting running ones into the issuable set. It replaces the
 // per-cycle wakeThreads/census scans: each unit is touched only when its own
-// state can change.
+// state can change, and a unit whose ready timer fires is not touched at all
+// (admitReady).
 func (d *DPU) processDue() {
 	for {
 		at, ok := d.sched.nextAt()
 		if !ok || at > d.cycle {
 			break
 		}
-		mask, big := d.sched.drainAt(at)
+		mask, ready, big := d.sched.drainAt(at)
+		if ready != 0 {
+			d.admitReady(ready)
+		}
 		for ; mask != 0; mask &= mask - 1 {
 			d.timerDue(d.unitAt(bits.TrailingZeros64(mask)))
 		}
@@ -829,13 +852,30 @@ func (d *DPU) admit(u *unit) {
 		}
 	}
 	if at := d.readyAt(u); at > d.cycle {
-		d.sched.push(at, int32(u.id))
+		d.sched.pushReady(at, int32(u.id))
 		return
 	}
 	d.issuable.set(u.id)
 	d.issuableN++
 	if len(d.warps) > 0 {
 		d.issuableLanesN += len(d.warps[u.id].active)
+	}
+}
+
+// admitReady makes the units of a fired ready mask issuable in one step. A
+// ready timer is armed for a running unit at the cycle readyAt gave, with its
+// I-fetch (if any) done, and that answer cannot move before the timer fires:
+// pc, nextIssueAt, regReady and a warp's active lanes change only at the
+// unit's own issue, and a unit with a live timer is not issuable. So admit
+// would only set the bit, and the order the bits are set in is invisible.
+// Ready masks hold ids below wheelIDs, the issuable set's first word.
+func (d *DPU) admitReady(ready uint64) {
+	d.issuable.words[0] |= ready
+	d.issuableN += bits.OnesCount64(ready)
+	if len(d.warps) > 0 {
+		for ; ready != 0; ready &= ready - 1 {
+			d.issuableLanesN += len(d.warps[bits.TrailingZeros64(ready)].active)
+		}
 	}
 }
 
@@ -858,7 +898,8 @@ func (d *DPU) readyAt(u *unit) uint64 {
 
 // scheduleAfterIssue re-arms a still-running unit's timer after it issued:
 // in cache mode a changed PC is fetched at the next cycle boundary (when the
-// census used to see it); otherwise the unit sleeps until its ready time.
+// census used to see it); otherwise the unit sleeps on a ready timer until
+// its ready time.
 func (d *DPU) scheduleAfterIssue(u *unit) {
 	if d.icache != nil {
 		if t := d.threads[u.id]; t.fetchPC != int(t.pc) {
@@ -866,7 +907,7 @@ func (d *DPU) scheduleAfterIssue(u *unit) {
 			return
 		}
 	}
-	d.sched.push(d.readyAt(u), int32(u.id))
+	d.sched.pushReady(d.readyAt(u), int32(u.id))
 }
 
 // issueOne picks the next issuable unit round-robin and issues its

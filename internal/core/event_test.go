@@ -14,21 +14,29 @@ import (
 	"upim/internal/mem"
 )
 
-// drainIDs flattens one drainAt into the order the scheduler visits it.
-func drainIDs(q *schedQueue, at uint64) []int32 {
-	mask, big := q.drainAt(at)
-	var ids []int32
-	for ; mask != 0; mask &= mask - 1 {
-		ids = append(ids, int32(bits.TrailingZeros64(mask)))
+// drainIDs flattens one drainAt into ascending id order — the union of both
+// masks, then the heap's ids beyond them — and returns the ready mask beside
+// it. Both masks holding one id is a failure.
+func drainIDs(t *testing.T, q *schedQueue, at uint64) ([]int32, uint64) {
+	t.Helper()
+	mask, ready, big := q.drainAt(at)
+	if mask&ready != 0 {
+		t.Fatalf("drain of %d: ids %#x in both masks", at, mask&ready)
 	}
-	return append(ids, big...)
+	var ids []int32
+	for m := mask | ready; m != 0; m &= m - 1 {
+		ids = append(ids, int32(bits.TrailingZeros64(m)))
+	}
+	return append(ids, big...), ready
 }
 
 // TestWheelMatchesHeap drives the mask wheel and the plain (cycle, id) heap it
-// is an accelerator for with the same timer scripts — near timers, far timers
-// beyond the wheel's horizon, timers armed in the past, ids above the mask
-// width, a clock that both creeps and jumps to the next event — and requires
-// the same ids in the same order out of every drain.
+// is an accelerator for with the same timer scripts — near timers, some of
+// them ready timers, far timers beyond the wheel's horizon, timers armed in
+// the past, ids above the mask width, a clock that both creeps and jumps to
+// the next event — and requires the same ids in the same order out of every
+// drain, each in the mask it was armed into: a ready timer on the wheel comes
+// back in the ready mask, and every other timer outside it.
 func TestWheelMatchesHeap(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -36,6 +44,7 @@ func TestWheelMatchesHeap(t *testing.T) {
 		var ref eventQueue
 		cycle := uint64(r.Intn(1000))
 		q.reset(cycle)
+		// live maps an armed timer to whether it must drain as a ready timer.
 		live := map[schedEvent]bool{}
 		maxID := int32(24)
 		if seed%2 == 0 {
@@ -44,6 +53,7 @@ func TestWheelMatchesHeap(t *testing.T) {
 		for step := 0; step < 3000; step++ {
 			for n := r.Intn(4); n > 0; n-- {
 				var at uint64
+				near := false
 				switch r.Intn(10) {
 				case 0:
 					at = cycle + uint64(wheelSlots+r.Intn(400)) // far: heap
@@ -51,13 +61,20 @@ func TestWheelMatchesHeap(t *testing.T) {
 					at = cycle - min(cycle, uint64(r.Intn(3))) // now or past
 				default:
 					at = cycle + 1 + uint64(r.Intn(14))
+					near = true
 				}
 				e := schedEvent{at, r.Int31n(maxID)}
-				if live[e] {
+				if _, ok := live[e]; ok {
 					continue // the scheduler never arms one (cycle, id) twice
 				}
-				live[e] = true
-				q.push(e.at, e.id)
+				if near && r.Intn(2) == 0 {
+					// Wider ids and times past the window take the heap.
+					live[e] = e.id < wheelIDs && e.at-q.base < wheelSlots
+					q.pushReady(e.at, e.id)
+				} else {
+					q.push(e.at, e.id)
+					live[e] = false
+				}
 				ref.push(e.at, e.id)
 			}
 			// processDue's loop.
@@ -75,12 +92,16 @@ func TestWheelMatchesHeap(t *testing.T) {
 				if at > cycle {
 					break
 				}
-				got := drainIDs(&q, at)
+				got, ready := drainIDs(t, &q, at)
 				for i := 0; len(ref) > 0 && ref[0].at == at; i++ {
 					e := ref.pop()
+					wantReady := live[e]
 					delete(live, e)
 					if i >= len(got) || got[i] != e.id {
 						t.Fatalf("seed %d cycle %d: drain of %d = %v, heap pops id %d at position %d", seed, cycle, at, got, e.id, i)
+					}
+					if gotReady := e.id < wheelIDs && ready&(1<<uint(e.id)) != 0; gotReady != wantReady {
+						t.Fatalf("seed %d cycle %d: id %d drained at %d with ready = %v, armed with ready = %v", seed, cycle, e.id, at, gotReady, wantReady)
 					}
 					if i == len(got)-1 && len(ref) > 0 && ref[0].at == at {
 						t.Fatalf("seed %d: drain of %d = %v is missing ids", seed, at, got)
@@ -96,15 +117,27 @@ func TestWheelMatchesHeap(t *testing.T) {
 	}
 }
 
-// TestWheelRefusesToCoalesce: a mask slot cannot hold one (cycle, id) twice,
-// so arming it twice must be loud — through the wheel and through the heap's
-// merge into a drain.
+// TestWheelRefusesToCoalesce: a wheel slot cannot hold one (cycle, id) twice,
+// so arming it twice must be loud — through either mask, across the two, and
+// through the heap's merge into a drain.
 func TestWheelRefusesToCoalesce(t *testing.T) {
 	mustPanic(t, "same near timer twice", func() {
 		var q schedQueue
 		q.reset(100)
 		q.push(105, 3)
 		q.push(105, 3)
+	})
+	mustPanic(t, "ready timer, then a wake", func() {
+		var q schedQueue
+		q.reset(100)
+		q.pushReady(105, 3)
+		q.push(105, 3)
+	})
+	mustPanic(t, "wake, then a ready timer", func() {
+		var q schedQueue
+		q.reset(100)
+		q.push(105, 3)
+		q.pushReady(105, 3)
 	})
 	mustPanic(t, "far timer meeting a near one", func() {
 		var q schedQueue
@@ -116,11 +149,13 @@ func TestWheelRefusesToCoalesce(t *testing.T) {
 	})
 }
 
-// liveTimers counts the armed timers per id.
+// liveTimers counts the armed timers of both kinds per id.
 func (q *schedQueue) liveTimers(perID []int) {
-	for _, m := range q.slots {
-		for ; m != 0; m &= m - 1 {
-			perID[bits.TrailingZeros64(m)]++
+	for s := range q.slots {
+		for _, m := range []uint64{q.slots[s], q.ready[s]} {
+			for ; m != 0; m &= m - 1 {
+				perID[bits.TrailingZeros64(m)]++
+			}
 		}
 	}
 	for _, e := range q.overflow {
@@ -130,7 +165,8 @@ func (q *schedQueue) liveTimers(perID []int) {
 
 // TestAtMostOneLiveTimer is the premise of the mask wheel, checked cycle by
 // cycle: a unit (a thread, or a warp under SIMT) never has two timers armed at
-// once, so no two live timers can share a (cycle, id) and a mask loses nothing. The
+// once — of either kind, wake or ready — so no two live timers can share a
+// (cycle, id) and a mask loses nothing. The
 // kernels cover every site that arms a timer: revolver and forwarding
 // re-issue, RF debt, DMA completions, MMU walks stacked on cache misses,
 // I-fetch misses, spinning on locks, and vector memory.

@@ -73,7 +73,9 @@ type Bank struct {
 	globalQ   fifo
 	// rowDir directly indexes a row's FIFO in rows[:nRows] (-1 = none): one
 	// entry per DRAM row, so the enqueue/pick path never hashes. Row FIFOs
-	// are recycled (capacity and all) across Reset.
+	// are recycled (capacity and all) across Reset. Between runs every entry
+	// of rowDir's capacity reads -1: it is filled once when allocated, and
+	// Reset clears only the entries of the rows the last run touched.
 	rowDir []int32
 	rows   []fifo
 	nRows  int
@@ -95,10 +97,12 @@ type Bank struct {
 	st *stats.DRAM
 }
 
-// fifo is a queue of run-slab indices with lazy deletion.
+// fifo is a queue of run-slab indices with lazy deletion. A row FIFO records
+// its row, the rowDir entry Reset clears.
 type fifo struct {
 	items []int32
 	head  int
+	row   uint32
 }
 
 func (f *fifo) push(i int32) { f.items = append(f.items, i) }
@@ -176,18 +180,21 @@ func (b *Bank) Reset(cfg config.Config, st *stats.DRAM) {
 	b.freeSlots = b.freeSlots[:0]
 	b.pending = 0
 	b.globalQ.reset()
+	// Clear the touched rows before resizing: a shrinking directory must not
+	// hide an entry the next growth would uncover.
 	for i := 0; i < b.nRows; i++ {
+		b.rowDir[b.rows[i].row] = -1
 		b.rows[i].reset()
 	}
 	b.nRows = 0
 	nDirRows := (cfg.MRAMBytes + cfg.RowBytes - 1) / cfg.RowBytes
 	if cap(b.rowDir) < nDirRows {
 		b.rowDir = make([]int32, nDirRows)
+		for i := range b.rowDir {
+			b.rowDir[i] = -1
+		}
 	} else {
 		b.rowDir = b.rowDir[:nDirRows]
-	}
-	for i := range b.rowDir {
-		b.rowDir[i] = -1
 	}
 	b.nextValid = false
 	b.st = st
@@ -246,6 +253,7 @@ func (b *Bank) enqueueRow(row uint32, n int32, write bool, arrival Tick, tag uin
 		}
 		b.nRows++
 		b.rowDir[row] = ri
+		b.rows[ri].row = row
 	}
 	b.rows[ri].push(slot)
 }

@@ -248,6 +248,75 @@ func TestQuickTimingInvariants(t *testing.T) {
 	}
 }
 
+// serveStream serves a seeded stream of DMA-shaped runs over eight rows of
+// b's directory — the last row among them, so a stream touches the top of
+// whatever directory cfg gives — and returns its completions in scheduling
+// order.
+func serveStream(b *Bank, cfg config.Config, seed int64) []Completion {
+	r := rand.New(rand.NewSource(seed))
+	nRows := cfg.MRAMBytes / cfg.RowBytes
+	pool := []int{nRows - 1}
+	for len(pool) < 8 {
+		pool = append(pool, r.Intn(nRows))
+	}
+	var out []Completion
+	var now Tick
+	for i := 0; i < 300; i++ {
+		addr := pool[r.Intn(len(pool))]*cfg.RowBytes + r.Intn(cfg.RowBytes/cfg.BurstBytes)*cfg.BurstBytes
+		n := min(1+r.Intn(64), (cfg.MRAMBytes-addr)/cfg.BurstBytes) // a run may cross rows, not the end of MRAM
+		b.EnqueueRun(uint32(addr), n, r.Intn(4) == 0, now, uint64(i))
+		now += Tick(r.Intn(4000))
+		out = b.Advance(now, out)
+	}
+	return b.Advance(^Tick(0), out)
+}
+
+// TestResetAcrossRowGeometries: Reset clears only the directory entries of
+// the rows the last run touched, so a directory that shrinks and then grows
+// back over rows a run touched before the shrink is where a missed entry
+// would surface. After a multi-row stream the bank is reset under a smaller
+// directory, a larger one and the original; after each reset every entry of
+// the directory's capacity must read -1, and the next seeded stream must
+// complete, burst for burst and counter for counter, as on a NewBank.
+func TestResetAcrossRowGeometries(t *testing.T) {
+	base := config.Default()
+	small := base
+	small.MRAMBytes = base.MRAMBytes / 8
+	large := base
+	large.RowBytes = base.RowBytes / 2
+	var st stats.DRAM
+	b := NewBank(base, &st)
+	serveStream(b, base, 1)
+	for i, cfg := range []config.Config{small, large, base} {
+		var resetSt, freshSt stats.DRAM
+		b.Reset(cfg, &resetSt)
+		if want := cfg.MRAMBytes / cfg.RowBytes; len(b.rowDir) != want {
+			t.Fatalf("reset %d: directory of %d rows, want %d", i, len(b.rowDir), want)
+		}
+		for row, ri := range b.rowDir[:cap(b.rowDir)] {
+			if ri != -1 {
+				t.Fatalf("reset %d: directory entry %d (of capacity %d) reads %d, want -1", i, row, cap(b.rowDir), ri)
+			}
+		}
+		seed := int64(i + 2)
+		got, want := serveStream(b, cfg, seed), serveStream(NewBank(cfg, &freshSt), cfg, seed)
+		if len(got) != len(want) {
+			t.Fatalf("reset %d: %d completions, a new bank's %d", i, len(got), len(want))
+		}
+		for k := range got {
+			if got[k] != want[k] {
+				t.Fatalf("reset %d: completion %d = %+v, a new bank's %+v", i, k, got[k], want[k])
+			}
+		}
+		if resetSt != freshSt {
+			t.Fatalf("reset %d: counters %+v, a new bank's %+v", i, resetSt, freshSt)
+		}
+		if resetSt.RowHits == 0 || resetSt.RowMisses == 0 {
+			t.Fatalf("reset %d: the stream must both hit and miss open rows: %+v", i, resetSt)
+		}
+	}
+}
+
 func TestLinkSerializesAtConfiguredBandwidth(t *testing.T) {
 	cfg := config.Default()
 	l := NewLink(cfg)

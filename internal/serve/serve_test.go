@@ -2,10 +2,13 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -172,15 +175,34 @@ func TestSLOAwarePick(t *testing.T) {
 	}
 }
 
+// goodTrace is a trace testOptions' tenants accept.
+var goodTrace = []Request{
+	{Tenant: "alpha", Benchmark: "VA", Arrival: 0},
+	{Tenant: "beta", Benchmark: "BS", Arrival: 0.001},
+	{Tenant: "alpha", Benchmark: "RED", Arrival: 0.002},
+}
+
+// badTraces are traces testOptions' tenants reject, each with the text its
+// error must carry.
+var badTraces = []struct {
+	name  string
+	trace []Request
+	want  string
+}{
+	{"unknown tenant", []Request{{Tenant: "ghost", Benchmark: "VA"}}, "unknown tenant"},
+	{"foreign benchmark", []Request{{Tenant: "beta", Benchmark: "VA"}}, "not in tenant"},
+	{"negative arrival", []Request{{Tenant: "alpha", Benchmark: "VA", Arrival: -1}}, "invalid arrival"},
+	{"out of order", []Request{
+		{Tenant: "alpha", Benchmark: "VA", Arrival: 2},
+		{Tenant: "alpha", Benchmark: "VA", Arrival: 1},
+	}, "time-ordered"},
+}
+
 // TestTraceMode replays an explicit trace and checks validation errors.
 func TestTraceMode(t *testing.T) {
 	ctx := context.Background()
 	opts := testOptions()
-	opts.Trace = []Request{
-		{Tenant: "alpha", Benchmark: "VA", Arrival: 0},
-		{Tenant: "beta", Benchmark: "BS", Arrival: 0.001},
-		{Tenant: "alpha", Benchmark: "RED", Arrival: 0.002},
-	}
+	opts.Trace = goodTrace
 	r, err := Serve(ctx, opts)
 	if err != nil {
 		t.Fatalf("trace serve: %v", err)
@@ -197,26 +219,86 @@ func TestTraceMode(t *testing.T) {
 		t.Errorf("trace classes not inherited from tenants: %+v", r.Records[:2])
 	}
 
-	bad := []struct {
-		name  string
-		trace []Request
-		want  string
-	}{
-		{"unknown tenant", []Request{{Tenant: "ghost", Benchmark: "VA"}}, "unknown tenant"},
-		{"foreign benchmark", []Request{{Tenant: "beta", Benchmark: "VA"}}, "not in tenant"},
-		{"negative arrival", []Request{{Tenant: "alpha", Benchmark: "VA", Arrival: -1}}, "invalid arrival"},
-		{"out of order", []Request{
-			{Tenant: "alpha", Benchmark: "VA", Arrival: 2},
-			{Tenant: "alpha", Benchmark: "VA", Arrival: 1},
-		}, "time-ordered"},
-	}
-	for _, tc := range bad {
+	for _, tc := range badTraces {
 		opts := testOptions()
 		opts.Trace = tc.trace
 		if _, err := Serve(ctx, opts); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// FuzzServeTrace holds trace validation to what the replay relies on, over
+// testOptions' tenants and any trace: one entry per eight bytes of arrivals
+// (a float64 bit pattern, so NaN, ±Inf, -0 and negatives come up), its
+// tenant and benchmark the matching lines of tenants and benches. No input
+// panics. An accepted trace has finite, non-negative, non-decreasing
+// arrivals, known tenants, benchmarks in their tenant's mix and IDs equal to
+// their index. A rejected trace's error names an entry k: the entries before
+// k are accepted on their own, and the trace up to k is not.
+func FuzzServeTrace(f *testing.F) {
+	seed := func(trace []Request) {
+		var tenants, benches []string
+		var arrivals []byte
+		for _, r := range trace {
+			tenants = append(tenants, r.Tenant)
+			benches = append(benches, r.Benchmark)
+			arrivals = binary.LittleEndian.AppendUint64(arrivals, math.Float64bits(r.Arrival))
+		}
+		f.Add(strings.Join(tenants, "\n"), strings.Join(benches, "\n"), arrivals)
+	}
+	seed(goodTrace)
+	for _, tc := range badTraces {
+		seed(tc.trace)
+	}
+	var tenants []tenant
+	for _, tn := range testOptions().Tenants {
+		tenants = append(tenants, tenant{Tenant: tn})
+	}
+	f.Fuzz(func(t *testing.T, tenantCol, benchCol string, arrivals []byte) {
+		names, benches := strings.Split(tenantCol, "\n"), strings.Split(benchCol, "\n")
+		trace := make([]Request, len(arrivals)/8)
+		for i := range trace {
+			trace[i].Arrival = math.Float64frombits(binary.LittleEndian.Uint64(arrivals[8*i:]))
+			if i < len(names) {
+				trace[i].Tenant = names[i]
+			}
+			if i < len(benches) {
+				trace[i].Benchmark = benches[i]
+			}
+		}
+		reqs, owner, err := traceRequests(trace, tenants)
+		if err != nil {
+			var k int
+			if _, scanErr := fmt.Sscanf(err.Error(), "serve: trace entry %d:", &k); scanErr != nil || k < 0 || k >= len(trace) {
+				t.Fatalf("error %q names no entry of a %d-entry trace", err, len(trace))
+			}
+			if _, _, err := traceRequests(trace[:k], tenants); err != nil {
+				t.Fatalf("error names entry %d, but the entries before it are rejected too: %v", k, err)
+			}
+			if _, _, err := traceRequests(trace[:k+1], tenants); err == nil {
+				t.Fatalf("error names entry %d, but the trace up to it is accepted", k)
+			}
+			return
+		}
+		if len(reqs) != len(trace) || len(owner) != len(trace) {
+			t.Fatalf("%d entries in, %d requests and %d owners out", len(trace), len(reqs), len(owner))
+		}
+		last := 0.0
+		for i, r := range reqs {
+			if r.ID != i {
+				t.Fatalf("request %d has ID %d", i, r.ID)
+			}
+			if math.IsNaN(r.Arrival) || math.IsInf(r.Arrival, 0) || r.Arrival < last {
+				t.Fatalf("request %d arrives at %v after %v", i, r.Arrival, last)
+			}
+			last = r.Arrival
+			tn := tenants[owner[i]].Tenant
+			if tn.Name != r.Tenant || !slices.Contains(tn.Mix, r.Benchmark) {
+				t.Fatalf("request %d (%s, %s) owned by tenant %q with mix %v", i, r.Tenant, r.Benchmark, tn.Name, tn.Mix)
+			}
+		}
+	})
 }
 
 // TestAdmissionControl pins MaxQueue: overflow arrivals are dropped,
