@@ -4,12 +4,12 @@ GO ?= go
 # its stores, reports and logs; `make clean` removes it.
 W := .work
 
-.PHONY: build test pairs cli-guard test-race race coord-soak cover fuzz-smoke bench-module profile-cold profile-resume profile-figures fmt vet loc clean report refdata pathfind-smoke coord-smoke serve-smoke energy-check arch-check calibration-check store-compat
+.PHONY: build test pairs cli-guard pool-guard test-race race coord-soak cover fuzz-smoke bench-module profile-cold profile-resume profile-figures fmt vet loc clean report refdata pathfind-smoke coord-smoke serve-smoke energy-check arch-check calibration-check store-compat
 
 build:
 	$(GO) build ./...
 
-test: fmt vet cli-guard
+test: fmt vet cli-guard pool-guard
 	$(GO) test ./...
 
 # cli-guard keeps internal/cli the one command toolkit: a command that
@@ -19,6 +19,17 @@ test: fmt vet cli-guard
 cli-guard:
 	@if grep -rnE 'signal\.NotifyContext|ParseScale\(|"(scale|jobs|eps|writeref|cpuprofile|memprofile)"' --include='*.go' --exclude='*_test.go' cmd; then \
 		echo "cli-guard: the lines above belong in internal/cli (cli.Main, cli.Sim, cli.Report, cli.Prof)"; exit 1; fi
+
+# pool-guard keeps engine.Each the one index pool: a sweep that spins its own
+# workers bypasses the one place a per-point span or a pool change goes. The
+# goroutine fan-outs that are not index pools are allowed where they live: a
+# launch's per-DPU batches (internal/host), lease workers and heartbeats
+# (internal/coord) and the concurrent-writer conformance suite
+# (internal/explore/storetest). CI runs this target.
+pool-guard:
+	@if grep -rnE 'sync\.WaitGroup|runtime\.GOMAXPROCS' --include='*.go' --exclude='*_test.go' --exclude-dir=$(W) --exclude-dir=benchmark . | \
+		grep -vE '^\./internal/(engine|host|coord|explore/storetest)/'; then \
+		echo "pool-guard: the lines above run a worker pool outside internal/engine; use engine.Each"; exit 1; fi
 
 # test-race mirrors the CI race job: the full suite under the race detector,
 # including the coordinator's crash test, whose concurrent workers + lease

@@ -1,8 +1,10 @@
-// Package engine is the concurrent sweep engine behind upim.Runner and the
-// figure drivers: it executes many simulation points — (benchmark, config,
-// #DPUs, scale) tuples — on a bounded worker pool, streams results as they
-// finish, and shares one build cache so every unique kernel is assembled and
-// linked exactly once per sweep, no matter how many points reuse it.
+// Package engine is the worker pool and build cache behind every sweep:
+// upim.Runner, the figure drivers, exploration, serving and calibration all
+// run their points on Each, which bounds concurrency and hands each worker one
+// DPU-shell arena, while the shared build cache assembles and links every
+// unique kernel exactly once, no matter how many points reuse it. Streaming
+// results as they finish is the caller's business (upim.Runner.Sweep);
+// SweepAll collects them in input order.
 //
 // Sweep-style characterization is the workhorse methodology of both the
 // source paper and PrIM (Gómez-Luna et al.), so the engine is deliberately
@@ -33,8 +35,8 @@ type Point struct {
 	Config    config.Config
 	DPUs      int
 	Scale     prim.Scale
-	// Watchdog bounds this point's per-DPU launch cycles (0 = the engine's
-	// watchdog, or the host default).
+	// Watchdog bounds this point's per-DPU launch cycles (0 = the host
+	// default).
 	Watchdog uint64
 	// Machine selects the architecture backend the point runs on; nil is
 	// the native cycle-exact UPMEM core. The description participates in
@@ -44,8 +46,7 @@ type Point struct {
 }
 
 // Outcome is the result of one point. Index identifies the originating
-// point in the Sweep input slice (outcomes stream in completion order, not
-// submission order).
+// point in the SweepAll input slice.
 type Outcome struct {
 	Point  Point
 	Index  int
@@ -56,7 +57,6 @@ type Outcome struct {
 // Engine runs simulation points concurrently with shared kernel builds.
 type Engine struct {
 	parallelism int
-	watchdog    uint64
 	cache       *prim.BuildCache
 	// arenas is an explicit free list of DPU-shell arenas: every Run
 	// borrows one for the duration of the point, so repeated runs on one
@@ -114,10 +114,6 @@ func NewWithCache(parallelism int, cache *prim.BuildCache) *Engine {
 	}
 }
 
-// SetWatchdog bounds each launch's per-DPU cycles for all subsequent runs
-// (0 restores the host default).
-func (e *Engine) SetWatchdog(cycles uint64) { e.watchdog = cycles }
-
 // Parallelism returns the worker-pool bound.
 func (e *Engine) Parallelism() int { return e.parallelism }
 
@@ -144,10 +140,6 @@ func (e *Engine) RunInArena(ctx context.Context, p Point, arena *core.Arena) (*p
 		arena = e.getArena()
 		defer e.putArena(arena)
 	}
-	wd := e.watchdog
-	if p.Watchdog > 0 {
-		wd = p.Watchdog
-	}
 	arch := ""
 	if p.Machine != nil {
 		arch = p.Machine.Arch
@@ -162,7 +154,7 @@ func (e *Engine) RunInArena(ctx context.Context, p Point, arena *core.Arena) (*p
 		Desc:      p.Machine,
 		Sites:     p.DPUs,
 		Scale:     p.Scale,
-		Watchdog:  wd,
+		Watchdog:  p.Watchdog,
 		Cache:     e.cache,
 		Arena:     arena,
 	})
@@ -195,51 +187,25 @@ func (e *Engine) Each(ctx context.Context, n int, step func(i int, arena *core.A
 	wg.Wait()
 }
 
-// Sweep executes every point on a bounded worker pool and streams outcomes
-// as points finish. The channel closes once all points are done or the
-// context is cancelled; after cancellation, no further points start, no
-// further outcomes are delivered, and the stream ends early (SweepAll marks
-// the undelivered points with ctx.Err()). The caller must drain the channel
-// or cancel ctx — abandoning it mid-stream leaks the pool's goroutines.
-func (e *Engine) Sweep(ctx context.Context, pts []Point) <-chan Outcome {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	out := make(chan Outcome)
-	go func() {
-		defer close(out)
-		e.Each(ctx, len(pts), func(i int, arena *core.Arena) {
-			res, err := e.RunInArena(ctx, pts[i], arena)
-			// Unconditional ctx check first: a select alone could pick the
-			// send over Done and deliver after cancellation.
-			if ctx.Err() != nil {
-				return
-			}
-			select {
-			case out <- Outcome{Point: pts[i], Index: i, Result: res, Err: err}:
-			case <-ctx.Done():
-			}
-		})
-	}()
-	return out
-}
-
-// SweepAll runs Sweep to completion and returns the outcomes reordered to
-// match the input points (outcome i corresponds to pts[i]). The error is
-// the first point failure in input order, or ctx.Err() if the sweep was
-// cancelled; points skipped by cancellation carry ctx.Err() in their slot.
+// SweepAll runs every point on Each and returns the outcomes in input order
+// (outcome i corresponds to pts[i]). A point that finishes after ctx is
+// cancelled is dropped, and every point that did not finish carries ctx.Err()
+// in its slot. The error is the first point failure in input order, or
+// ctx.Err() if the sweep was cancelled.
 func (e *Engine) SweepAll(ctx context.Context, pts []Point) ([]Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	outs := make([]Outcome, len(pts))
-	seen := make([]bool, len(pts))
-	for o := range e.Sweep(ctx, pts) {
-		outs[o.Index] = o
-		seen[o.Index] = true
-	}
+	done := make([]bool, len(pts))
+	e.Each(ctx, len(pts), func(i int, arena *core.Arena) {
+		res, err := e.RunInArena(ctx, pts[i], arena)
+		if ctx.Err() == nil {
+			outs[i], done[i] = Outcome{Point: pts[i], Index: i, Result: res, Err: err}, true
+		}
+	})
 	for i := range outs {
-		if !seen[i] {
+		if !done[i] {
 			outs[i] = Outcome{Point: pts[i], Index: i, Err: ctx.Err()}
 		}
 	}

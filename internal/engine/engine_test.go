@@ -81,23 +81,6 @@ func TestSweepPointErrorDoesNotPoisonOthers(t *testing.T) {
 	}
 }
 
-func TestSweepCancelledBeforeStart(t *testing.T) {
-	e := New(2)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var pts []Point
-	for i := 0; i < 8; i++ {
-		pts = append(pts, tinyPoint("VA", 1, 4))
-	}
-	n := 0
-	for range e.Sweep(ctx, pts) {
-		n++
-	}
-	if n != 0 {
-		t.Fatalf("pre-cancelled sweep delivered %d outcomes, want 0", n)
-	}
-}
-
 func TestSweepAllMarksSkippedPoints(t *testing.T) {
 	e := New(1)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -449,6 +449,26 @@ func TestLoadSweep(t *testing.T) {
 	}
 }
 
+// TestLoadSweepLabelsReplayedLoad: a non-positive load replays at the
+// default, and its rows name the default, as Serve's Result.Load does. The
+// rows used to print the raw 0 beside identical latencies labelled 0.7.
+func TestLoadSweepLabelsReplayedLoad(t *testing.T) {
+	opts := testOptions()
+	opts.Requests = 6
+	tab, err := LoadSweep(context.Background(), opts, []string{"fifo"}, []float64{0, defaultLoad})
+	if err != nil {
+		t.Fatalf("LoadSweep: %v", err)
+	}
+	if len(tab.Rows) != 2*len(opts.Tenants) {
+		t.Fatalf("rows = %d, want %d", len(tab.Rows), 2*len(opts.Tenants))
+	}
+	for i, row := range tab.Rows {
+		if load := row[1]; load.Num != defaultLoad || load.Text != "0.7" {
+			t.Errorf("row %d load = %q (%v), want the replayed %v", i, load.Text, load.Num, defaultLoad)
+		}
+	}
+}
+
 // TestServeRejectsNonFinite is the regression test for a hang: a NaN load
 // or rate made every arrival NaN, which the event loop never reaches, so
 // Serve spun forever. Every non-finite number is now a validation error;

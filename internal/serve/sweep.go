@@ -3,11 +3,11 @@ package serve
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"upim/internal/artifact"
+	"upim/internal/core"
+	"upim/internal/engine"
 )
 
 // LoadSweep serves the same workload at every (policy, load) pair and
@@ -19,8 +19,10 @@ import (
 // The sweep prepares once and replays many: the kernels are profiled once,
 // each load's arrival stream is generated once and shared by that load's
 // policies, and the cells — pure functions of those read-only inputs — run
-// on up to Options.Parallelism workers. Rows are assembled in (policy,
-// load) order, so the table never depends on the worker count.
+// on the engine's worker pool, Options.Parallelism wide. Rows are assembled
+// in (policy, load) order, so the table never depends on the worker count.
+// A row's load is the load its cell replayed: a non-positive entry means
+// the default.
 func LoadSweep(ctx context.Context, opts Options, policies []string, loads []float64) (*artifact.Table, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -46,6 +48,7 @@ func (p *prepared) sweep(ctx context.Context, policies []string, loads []float64
 	}
 	// One lazily generated stream per load, whichever cell needs it first.
 	gens := make([]func() (*arrivals, error), len(loads))
+	replayed := make([]float64, len(loads))
 	for i, load := range loads {
 		if !finite(load) {
 			return nil, fmt.Errorf("serve: load sweep: load %v is not a finite number", load)
@@ -53,53 +56,37 @@ func (p *prepared) sweep(ctx context.Context, policies []string, loads []float64
 		if load <= 0 {
 			load = defaultLoad
 		}
+		replayed[i] = load
 		gens[i] = sync.OnceValues(func() (*arrivals, error) { return p.arrivals(load) })
 	}
 	cells := make([]cell, 0, len(policies)*len(loads))
 	for _, name := range policies {
-		for i, load := range loads {
+		for i := range loads {
 			policy, err := NewPolicy(name, p.opts.Tenants)
 			if err != nil {
 				return nil, err
 			}
-			cells = append(cells, cell{name: name, load: load, policy: policy, gen: gens[i]})
+			cells = append(cells, cell{name: name, load: replayed[i], policy: policy, gen: gens[i]})
 		}
 	}
 
-	workers := p.opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, len(cells))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// No cell starts once ctx is done; a running one stops at its
-			// next context check.
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= len(cells) {
-					return
-				}
-				c := &cells[i]
-				arr, err := c.gen()
-				if err != nil {
-					c.err = err
-					continue
-				}
-				res, err := p.replay(ctx, c.policy, arr)
-				if err != nil {
-					c.err = err
-					continue
-				}
-				c.rows = res.Tenants
-			}
-		}()
-	}
-	wg.Wait()
+	// No cell starts once ctx is done; a running one stops at its next
+	// context check. A replay builds no DPU, so the worker's arena goes
+	// unused.
+	engine.New(p.opts.Parallelism).Each(ctx, len(cells), func(i int, _ *core.Arena) {
+		c := &cells[i]
+		arr, err := c.gen()
+		if err != nil {
+			c.err = err
+			return
+		}
+		res, err := p.replay(ctx, c.policy, arr)
+		if err != nil {
+			c.err = err
+			return
+		}
+		c.rows = res.Tenants
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("serve: load sweep: %w", err)
 	}

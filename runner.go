@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"upim/internal/config"
+	"upim/internal/core"
 	"upim/internal/engine"
 )
 
@@ -123,7 +124,6 @@ func NewRunner(opts ...RunnerOption) (*Runner, error) {
 		return nil, err
 	}
 	r.eng = engine.New(r.parallelism)
-	r.eng.SetWatchdog(r.watchdog)
 	return r, nil
 }
 
@@ -231,41 +231,45 @@ func (r *Runner) RunSuite(ctx context.Context, names ...string) ([]*Result, erro
 
 // Sweep executes every point concurrently on the Runner's bounded worker
 // pool, sharing kernel builds through the Runner's cache, and streams
-// results as points finish. The channel closes when all points are done or
-// ctx is cancelled; after cancellation, queued points never start and the
-// stream ends early. The caller must drain the channel or cancel ctx —
-// abandoning it mid-stream (e.g. breaking out of the range on the first
-// error with a background context) leaks the pool's goroutines.
+// results as points finish. Points whose options do not resolve are
+// delivered first, carrying that error. The channel closes when all points
+// are done or ctx is cancelled; after cancellation, queued points never
+// start, nothing more is delivered, and the stream ends early. The caller
+// must drain the channel or cancel ctx — abandoning it mid-stream (e.g.
+// breaking out of the range on the first error with a background context)
+// leaks the pool's goroutines.
 func (r *Runner) Sweep(ctx context.Context, points []Point) <-chan SweepResult {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	out := make(chan SweepResult)
+	// send delivers sr unless ctx is done. The unconditional check comes
+	// first: a select alone could pick the send over Done and deliver after
+	// cancellation.
+	send := func(sr SweepResult) {
+		if ctx.Err() == nil {
+			select {
+			case out <- sr:
+			case <-ctx.Done():
+			}
+		}
+	}
 	go func() {
 		defer close(out)
 		eps := make([]engine.Point, 0, len(points))
 		idx := make([]int, 0, len(points))
 		for i, p := range points {
-			ep, err := r.point(p)
-			if err != nil {
-				select {
-				case out <- SweepResult{Point: p, Index: i, Err: err}:
-				case <-ctx.Done():
-					return
-				}
-				continue
-			}
-			eps = append(eps, ep)
-			idx = append(idx, i)
-		}
-		for o := range r.eng.Sweep(ctx, eps) {
-			i := idx[o.Index]
-			select {
-			case out <- SweepResult{Point: points[i], Index: i, Result: o.Result, Err: o.Err}:
-			case <-ctx.Done():
-				return
+			if ep, err := r.point(p); err != nil {
+				send(SweepResult{Point: p, Index: i, Err: err})
+			} else {
+				eps, idx = append(eps, ep), append(idx, i)
 			}
 		}
+		r.eng.Each(ctx, len(eps), func(j int, arena *core.Arena) {
+			res, err := r.eng.RunInArena(ctx, eps[j], arena)
+			i := idx[j]
+			send(SweepResult{Point: points[i], Index: i, Result: res, Err: err})
+		})
 	}()
 	return out
 }

@@ -211,6 +211,46 @@ func TestRunnerSweepCancellation(t *testing.T) {
 	}
 }
 
+// TestRunnerSweepCancelledBeforeStart: a sweep whose context is already
+// cancelled delivers nothing — not a result, not an option-resolution error.
+func TestRunnerSweepCancelledBeforeStart(t *testing.T) {
+	r := tinyRunner(t, upim.WithParallelism(2))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	points := []upim.Point{{Benchmark: "VA", Options: []upim.RunnerOption{upim.WithILP("Z")}}}
+	for i := 0; i < 8; i++ {
+		points = append(points, upim.Point{Benchmark: "VA"})
+	}
+	n := 0
+	for range r.Sweep(ctx, points) {
+		n++
+	}
+	if n != 0 {
+		t.Fatalf("pre-cancelled sweep delivered %d outcomes, want 0", n)
+	}
+}
+
+// TestRunnerSweepPointWatchdogDefault: a point's WithWatchdog(0) restores the
+// documented 2e9-cycle default even on a Runner with a tighter watchdog of
+// its own, while a plain point inherits the Runner's.
+func TestRunnerSweepPointWatchdogDefault(t *testing.T) {
+	r := tinyRunner(t, upim.WithWatchdog(1000))
+	points := []upim.Point{
+		{Benchmark: "VA"},
+		{Benchmark: "VA", Options: []upim.RunnerOption{upim.WithWatchdog(0)}},
+	}
+	got := make([]upim.SweepResult, len(points))
+	for sr := range r.Sweep(context.Background(), points) {
+		got[sr.Index] = sr
+	}
+	if !errors.Is(got[0].Err, upim.ErrWatchdogExpired) {
+		t.Fatalf("plain point on a 1000-cycle Runner returned %v, want ErrWatchdogExpired", got[0].Err)
+	}
+	if got[1].Err != nil || got[1].Result == nil {
+		t.Fatalf("WithWatchdog(0) point returned %v, want the 2e9-cycle default to let it finish", got[1].Err)
+	}
+}
+
 // TestRunnerSweepPointOverrides checks per-point option overrides apply to
 // that point only.
 func TestRunnerSweepPointOverrides(t *testing.T) {
