@@ -182,9 +182,11 @@ profile-resume:
 	$(GO) tool pprof -proto $(W)/profile-resume/cpu??.prof > $(W)/profile-resume/cpu.prof
 	$(GO) tool pprof -top -nodecount 25 $(W)/profile-resume/pathfind $(W)/profile-resume/cpu.prof
 
-# profile-figures is profile-cold's twin for the slowest workload,
-# figures_tiny: every experiment at tiny scale, -jobs 2, through figures' CPU
-# profiler. The profile stays in $(W)/profile-figures/cpu.prof.
+# profile-figures is profile-cold's twin for the figure suite: every
+# experiment at tiny scale, -jobs 2, as the one deduplicated sweep the figures
+# CLI runs, through its CPU profiler. figures_tiny times the experiments one
+# by one instead, so a point two figures read runs twice there and once here.
+# The profile stays in $(W)/profile-figures/cpu.prof.
 profile-figures:
 	rm -rf $(W)/profile-figures
 	mkdir -p $(W)/profile-figures
@@ -219,9 +221,14 @@ loc:
 clean:
 	rm -rf $(W) coverage.out
 
+# report regenerates every figure at tiny scale, checks it against the
+# references, and writes the browsable report to $(W)/report; a second run on
+# one worker must write the same report byte for byte. CI runs this target.
 report:
-	rm -rf $(W)/report
+	rm -rf $(W)/report $(W)/report1
 	$(GO) run ./cmd/figures -exp all -scale tiny -out $(W)/report -check
+	$(GO) run ./cmd/figures -exp all -scale tiny -jobs 1 -out $(W)/report1 > /dev/null
+	diff -r $(W)/report $(W)/report1
 
 refdata:
 	$(GO) run ./cmd/figures -exp all -scale tiny -writeref internal/figures/refdata

@@ -3,7 +3,9 @@
 // aligned text tables, export as a browsable report (-out: per-figure
 // CSV + JSON + Markdown plus an index.md mapping artifacts to paper figure
 // numbers), and validate against the committed tiny-scale reference results
-// (-check), turning the whole figure suite into a regression oracle.
+// (-check), turning the whole figure suite into a regression oracle. The
+// selected experiments run as one sweep, so a point two figures read is
+// simulated once.
 //
 // Usage:
 //
@@ -59,18 +61,20 @@ func figures(fs *flag.FlagSet) func(context.Context) error {
 		if err := rep.Validate(); err != nil {
 			return err
 		}
-		var all []string
-		for _, e := range upim.Experiments() {
-			all = append(all, e.ID)
-		}
-		ids := all
+		exps := figs.Experiments()
 		if *exp != "all" {
-			if _, err := figs.ByID(*exp); err != nil { // resolves paper-numbering aliases too
+			e, err := figs.ByID(*exp) // resolves paper-numbering aliases too
+			if err != nil {
+				var all []string
+				for _, e := range exps {
+					all = append(all, e.ID)
+				}
 				return cli.Usagef("unknown experiment %q (try: %s)", *exp, strings.Join(all, ", "))
 			}
-			ids = []string{*exp}
-			if *energyT && *exp != "energy" {
-				ids = append(ids, "energy")
+			exps = []figs.Experiment{e}
+			if *energyT && e.ID != "energy" {
+				energy, _ := figs.ByID("energy") // a registered ID cannot fail
+				exps = append(exps, energy)
 			}
 		}
 		opts := upim.ExperimentOptions{Scale: sim.Scale, Parallelism: sim.Jobs}
@@ -91,14 +95,14 @@ func figures(fs *flag.FlagSet) func(context.Context) error {
 			}
 		}
 
-		var tables []*upim.ResultTable
-		for _, id := range ids {
-			tab, err := upim.RunExperimentContext(ctx, id, opts)
-			if err != nil {
-				return fmt.Errorf("%s: %w", id, err)
+		tables, err := figs.Run(ctx, opts, exps...)
+		for _, tab := range tables {
+			if tab != nil {
+				tab.Fprint(os.Stdout)
 			}
-			tab.Fprint(os.Stdout)
-			tables = append(tables, tab)
+		}
+		if err != nil {
+			return err
 		}
 		return rep.Finish("figures", tables)
 	}

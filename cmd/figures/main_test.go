@@ -1,6 +1,8 @@
 package main
 
 import (
+	"context"
+	"flag"
 	"strings"
 	"testing"
 )
@@ -27,5 +29,20 @@ func TestExitCodes(t *testing.T) {
 		if got := run(strings.Fields(tc.args)); got != tc.want {
 			t.Errorf("figures %s: exit %d, want %d", tc.args, got, tc.want)
 		}
+	}
+}
+
+// TestUnknownExperimentUsage pins the usage message of an unknown -exp: it
+// names every experiment, in registry order.
+func TestUnknownExperimentUsage(t *testing.T) {
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	body := figures(fs)
+	if err := fs.Parse([]string{"-exp", "nope"}); err != nil {
+		t.Fatal(err)
+	}
+	const want = `unknown experiment "nope" (try: table1, table2, validation, fig5, fig6, fig7, fig8, fig9, fig10, ` +
+		`fig11, fig12, fig13, mmu, fig15, fig16, table3, energy, crossarch)`
+	if err := body(context.Background()); err == nil || err.Error() != want {
+		t.Fatalf("got %v\nwant %s", err, want)
 	}
 }

@@ -1,7 +1,6 @@
 package figures
 
 import (
-	"context"
 	"strings"
 	"testing"
 
@@ -16,7 +15,7 @@ import (
 // the committed reference, then perturbs one numeric cell and requires the
 // check to fail — the end-to-end path behind `cmd/figures -check`.
 func TestCheckAgainstReference(t *testing.T) {
-	tab, err := Fig11(context.Background(), Options{Scale: prim.ScaleTiny})
+	tab, err := runOne("fig11", Options{Scale: prim.ScaleTiny})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +41,7 @@ func TestCheckAgainstReference(t *testing.T) {
 // energy model is a pure function of deterministic counters, so it is held
 // to the same exactness bar as the timing refdata.
 func TestEnergyGoldenEps1e12(t *testing.T) {
-	tab, err := EnergyExperiment(context.Background(), Options{Scale: prim.ScaleTiny})
+	tab, err := runOne("energy", Options{Scale: prim.ScaleTiny})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +52,7 @@ func TestEnergyGoldenEps1e12(t *testing.T) {
 	// reference — proving -check catches profile drift, not just code drift.
 	p := energy.Default()
 	p.LeakageMW *= 2
-	shifted, err := EnergyExperiment(context.Background(), Options{Scale: prim.ScaleTiny, Profile: p})
+	shifted, err := runOne("energy", Options{Scale: prim.ScaleTiny, Profile: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +64,7 @@ func TestEnergyGoldenEps1e12(t *testing.T) {
 // TestCheckConfigTables validates the simulation-free tables, including a
 // textual perturbation (epsilon must not forgive changed strings).
 func TestCheckConfigTables(t *testing.T) {
-	tab, err := Table1(context.Background(), Options{})
+	tab, err := runOne("table1", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +78,7 @@ func TestCheckConfigTables(t *testing.T) {
 }
 
 func TestCheckMissingReference(t *testing.T) {
-	tab, err := Table2(context.Background(), Options{Scale: prim.ScalePaper})
+	tab, err := runOne("table2", Options{Scale: prim.ScalePaper})
 	if err != nil {
 		t.Fatal(err)
 	}

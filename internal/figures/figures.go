@@ -1,15 +1,16 @@
 // Package figures regenerates the paper's evaluation artifacts. Every table
-// and figure is an Experiment whose driver declares the simulation points it
-// needs — (benchmark, config, #DPUs) tuples — and hands them to the shared
-// concurrent sweep engine, which runs them on a bounded worker pool with a
-// shared kernel build cache. Experiments are cancellable through their
-// context.
+// and figure is an Experiment that declares the simulation points it reads —
+// (benchmark, config, #DPUs) tuples — and a projection from their results to
+// its table. Run unions the points of every experiment it is given,
+// simulates each distinct point once on the shared sweep engine (a bounded
+// worker pool with a shared kernel build cache), and projects every table
+// from that one result set. Runs are cancellable through their context.
 //
-// Drivers return artifact.Table values: typed grids whose numeric cells keep
-// their exact values alongside the display formatting, so the same result
-// renders to the CLI, exports to CSV/JSON/Markdown (cmd/figures -out), and
-// validates against the embedded reference results (Check, cmd/figures
-// -check).
+// Projections return artifact.Table values: typed grids whose numeric cells
+// keep their exact values alongside the display formatting, so the same
+// result renders to the CLI, exports to CSV/JSON/Markdown (cmd/figures
+// -out), and validates against the embedded reference results (Check,
+// cmd/figures -check).
 package figures
 
 import (
@@ -21,9 +22,9 @@ import (
 	"upim/internal/config"
 	"upim/internal/energy"
 	"upim/internal/engine"
+	"upim/internal/explore"
 	"upim/internal/isa"
 	"upim/internal/prim"
-	"upim/internal/stats"
 )
 
 // Table is the typed experiment result grid (see internal/artifact).
@@ -43,9 +44,14 @@ type Options struct {
 	Profile *energy.TechProfile
 }
 
-func (o Options) names() []string {
+// names returns the selected benchmarks; with no selection, defaults, or
+// the whole suite when none are given.
+func (o Options) names(defaults ...string) []string {
 	if len(o.Benchmarks) > 0 {
 		return o.Benchmarks
+	}
+	if len(defaults) > 0 {
+		return defaults
 	}
 	var out []string
 	for _, b := range prim.Benchmarks() {
@@ -57,7 +63,7 @@ func (o Options) names() []string {
 // engineFor returns the sweep engine experiments run on: the shared
 // default-width engine, or one bounded to Options.Parallelism. Either way
 // the engine is backed by sharedCache, so kernel builds are reused across
-// figures within a process (e.g. `figures -exp all`).
+// runs within a process.
 func (o Options) engineFor() *engine.Engine {
 	if o.Parallelism > 0 {
 		return engine.NewWithCache(o.Parallelism, sharedCache)
@@ -70,11 +76,68 @@ var (
 	sharedEngine = engine.NewWithCache(0, sharedCache)
 )
 
-// Experiment is a registered figure/table generator.
+// Experiment is a registered figure/table. Plan declares the points the
+// table reads, in the order its projection expects their results, and the
+// projection that builds the table from them.
 type Experiment struct {
 	ID    string
 	About string
-	Run   func(context.Context, Options) (*Table, error)
+	Plan  func(Options) ([]engine.Point, projection)
+}
+
+// projection builds an experiment's table from the results of its declared
+// points, in declaration order.
+type projection func([]*prim.Result) (*Table, error)
+
+// Run regenerates the experiments' tables, in order, from one sweep: their
+// points are unioned, each distinct point (by explore.KeyOf) is simulated
+// once, and every projection reads its own points' results. A failed point
+// fails only the experiments that declared it: their tables are nil, and
+// the first such experiment's error, prefixed with its ID, is returned
+// beside the other tables.
+func Run(ctx context.Context, o Options, exps ...Experiment) ([]*Table, error) {
+	type plan struct {
+		project projection
+		at      []int // each declared point's index in pts
+	}
+	plans := make([]plan, len(exps))
+	var pts []engine.Point
+	index := map[string]int{}
+	for i, e := range exps {
+		declared, project := e.Plan(o)
+		plans[i].project = project
+		for _, p := range declared {
+			k := explore.KeyOf(p)
+			j, ok := index[k]
+			if !ok {
+				j, index[k] = len(pts), len(pts)
+				pts = append(pts, p)
+			}
+			plans[i].at = append(plans[i].at, j)
+		}
+	}
+	var outs []engine.Outcome
+	if len(pts) > 0 { // a point-free run pays for no sweep
+		outs, _ = o.engineFor().SweepAll(ctx, pts)
+	}
+	tables := make([]*Table, len(exps))
+	var first error
+	for i, pl := range plans {
+		results := make([]*prim.Result, len(pl.at))
+		var err error
+		for j, at := range pl.at {
+			if results[j], err = outs[at].Result, outs[at].Err; err != nil {
+				break
+			}
+		}
+		if err == nil {
+			tables[i], err = pl.project(results)
+		}
+		if err != nil && first == nil {
+			first = fmt.Errorf("%s: %w", exps[i].ID, err)
+		}
+	}
+	return tables, first
 }
 
 // aliases maps paper figure numbers onto canonical experiment IDs where the
@@ -83,24 +146,24 @@ type Experiment struct {
 var aliases = map[string]string{"fig14": "mmu"}
 
 var experiments = []Experiment{
-	{"table1", "simulator configuration (paper Table I)", Table1},
-	{"table2", "PrIM benchmark datasets (paper Table II)", Table2},
-	{"validation", "functional cross-validation sweep (Section III-C)", Validation},
-	{"fig5", "compute and DRAM-read-bandwidth utilization vs threads", Fig5},
-	{"fig6", "issue-slot latency breakdown", Fig6},
-	{"fig7", "issuable-thread histogram at 16 threads", Fig7},
-	{"fig8", "TLP timeline for BS / GEMV / SCAN-SSA", Fig8},
-	{"fig9", "instruction mix", Fig9},
-	{"fig10", "multi-DPU strong scaling latency breakdown and speedup", Fig10},
-	{"fig11", "SIMT case study on GEMV", Fig11},
-	{"fig12", "ILP ablation (D/R/S/F)", Fig12},
-	{"fig13", "MRAM-to-WRAM bandwidth scaling", Fig13},
-	{"mmu", "case study 3 (paper Fig 14; figures -exp fig14 works too): MMU translation overhead", MMUStudy},
-	{"fig15", "cache-centric vs scratchpad-centric performance", Fig15},
-	{"fig16", "DRAM bytes read and runtime: BS and UNI, cache vs scratchpad", Fig16},
-	{"table3", "simulator comparison (paper Table III)", Table3},
-	{"energy", "event-level energy breakdown per benchmark (internal/energy)", EnergyExperiment},
-	{"crossarch", "cross-architecture Pareto frontier: UPMEM DPU vs HBM-PIM bank-level MAC", CrossArch},
+	{"table1", "simulator configuration (paper Table I)", fixed(table1)},
+	{"table2", "PrIM benchmark datasets (paper Table II)", table2},
+	{"validation", "functional cross-validation sweep (Section III-C)", validation},
+	{"fig5", "compute and DRAM-read-bandwidth utilization vs threads", fig5},
+	{"fig6", "issue-slot latency breakdown", fig6},
+	{"fig7", "issuable-thread histogram at 16 threads", fig7},
+	{"fig8", "TLP timeline for BS / GEMV / SCAN-SSA", fig8},
+	{"fig9", "instruction mix", fig9},
+	{"fig10", "multi-DPU strong scaling latency breakdown and speedup", fig10},
+	{"fig11", "SIMT case study on GEMV", fig11},
+	{"fig12", "ILP ablation (D/R/S/F)", fig12},
+	{"fig13", "MRAM-to-WRAM bandwidth scaling", fig13},
+	{"mmu", "case study 3 (paper Fig 14; figures -exp fig14 works too): MMU translation overhead", mmuStudy},
+	{"fig15", "cache-centric vs scratchpad-centric performance", fig15},
+	{"fig16", "DRAM bytes read and runtime: BS and UNI, cache vs scratchpad", fig16},
+	{"table3", "simulator comparison (paper Table III)", fixed(table3)},
+	{"energy", "event-level energy breakdown per benchmark (internal/energy)", energyStudy},
+	{"crossarch", "cross-architecture Pareto frontier: UPMEM DPU vs HBM-PIM bank-level MAC", crossArch},
 }
 
 // Experiments lists all registered experiments.
@@ -129,6 +192,11 @@ func ids() string {
 	return fmt.Sprint(out)
 }
 
+// fixed plans a table that reads no points and no options.
+func fixed(project projection) func(Options) ([]engine.Point, projection) {
+	return func(Options) ([]engine.Point, projection) { return nil, project }
+}
+
 func baseCfg(threads int) config.Config {
 	cfg := config.Default()
 	cfg.NumTasklets = threads
@@ -151,213 +219,190 @@ func pt(name string, cfg config.Config, dpus int, scale prim.Scale) engine.Point
 	return engine.Point{Benchmark: name, Config: cfg, DPUs: dpus, Scale: scale}
 }
 
-// sweep runs every declared point concurrently and returns the results in
-// declaration order, failing on the first point error.
-func sweep(ctx context.Context, o Options, pts []engine.Point) ([]*prim.Result, error) {
-	outs, err := o.engineFor().SweepAll(ctx, pts)
-	if err != nil {
-		return nil, err
+// grid declares the baseline point (scratchpad, 1 DPU) of every selected
+// benchmark at each thread count, benchmark-major.
+func grid(o Options, threads ...int) []engine.Point {
+	var pts []engine.Point
+	for _, name := range o.names() {
+		for _, th := range threads {
+			pts = append(pts, pt(name, baseCfg(th), 1, o.Scale))
+		}
 	}
-	res := make([]*prim.Result, len(outs))
-	for i, out := range outs {
-		res[i] = out.Result
-	}
-	return res, nil
+	return pts
 }
+
+// pairs declares, per benchmark and thread count, a scratchpad point on
+// dpus DPUs followed by its cache-mode twin.
+func pairs(o Options, names []string, dpus int, threads []int) []engine.Point {
+	var pts []engine.Point
+	for _, name := range names {
+		for _, th := range threads {
+			cached := baseCfg(th)
+			cached.Mode = config.ModeCache
+			pts = append(pts, pt(name, baseCfg(th), dpus, o.Scale), pt(name, cached, dpus, o.Scale))
+		}
+	}
+	return pts
+}
+
+// seconds is a run's kernel time at the clock it ran under.
+func seconds(res *prim.Result) float64 { return res.Config.CyclesToSeconds(res.Stats.Cycles) }
 
 var sweepThreads = []int{1, 4, 16}
 
 // ---- Section IV characterization ---------------------------------------
 
-// Fig5 reports compute utilization (IPC / peak) and DRAM read bandwidth
+// fig5 reports compute utilization (IPC / peak) and DRAM read bandwidth
 // utilization (vs the ~600 MB/s the paper normalizes against).
-func Fig5(ctx context.Context, o Options) (*Table, error) {
-	t := newTable("fig5", "Figure 5", "compute (IPC) and memory (DRAM read BW) utilization, 1/4/16 threads", o,
-		cols("benchmark", "threads", "compute util", "memory util", "IPC")...)
-	var pts []engine.Point
-	for _, name := range o.names() {
-		for _, th := range sweepThreads {
-			pts = append(pts, pt(name, baseCfg(th), 1, o.Scale))
+func fig5(o Options) ([]engine.Point, projection) {
+	return grid(o, sweepThreads...), func(results []*prim.Result) (*Table, error) {
+		t := newTable("fig5", "Figure 5", "compute (IPC) and memory (DRAM read BW) utilization, 1/4/16 threads", o,
+			cols("benchmark", "threads", "compute util", "memory util", "IPC")...)
+		for _, res := range results {
+			// Peak read bandwidth reference: the 700 MB/s theoretical MRAM->WRAM
+			// link (the paper normalizes against the ~600 MB/s measured on
+			// hardware; we use the modeled ceiling so the utilization is bounded
+			// by 100%).
+			peakBytesPerCycle := float64(res.Config.LinkBytesPerCycle)
+			t.AddRow(
+				artifact.Str(res.Benchmark), artifact.Int(res.Tasklets),
+				artifact.Pct(res.Stats.ComputeUtilization(1)),
+				artifact.Pct(res.Stats.MemoryReadBandwidthUtilization(peakBytesPerCycle)),
+				artifact.Num(res.Stats.IPC()),
+			)
 		}
+		return t, nil
 	}
-	results, err := sweep(ctx, o, pts)
-	if err != nil {
-		return nil, err
-	}
-	for i, res := range results {
-		// Peak read bandwidth reference: the 700 MB/s theoretical MRAM->WRAM
-		// link (the paper normalizes against the ~600 MB/s measured on
-		// hardware; we use the modeled ceiling so the utilization is bounded
-		// by 100%).
-		peakBytesPerCycle := float64(pts[i].Config.LinkBytesPerCycle)
-		t.AddRow(
-			artifact.Str(res.Benchmark), artifact.Int(res.Tasklets),
-			artifact.Pct(res.Stats.ComputeUtilization(1)),
-			artifact.Pct(res.Stats.MemoryReadBandwidthUtilization(peakBytesPerCycle)),
-			artifact.Num(res.Stats.IPC()),
-		)
-	}
-	return t, nil
 }
 
-// Fig6 reports the issue-slot breakdown.
-func Fig6(ctx context.Context, o Options) (*Table, error) {
-	t := newTable("fig6", "Figure 6", "issue-slot breakdown: issuable vs idle(memory/revolver/RF)", o,
-		cols("benchmark", "threads", "issuable", "idle(mem)", "idle(revolver)", "idle(RF)")...)
-	var pts []engine.Point
-	for _, name := range o.names() {
-		for _, th := range sweepThreads {
-			pts = append(pts, pt(name, baseCfg(th), 1, o.Scale))
+// fig6 reports the issue-slot breakdown.
+func fig6(o Options) ([]engine.Point, projection) {
+	return grid(o, sweepThreads...), func(results []*prim.Result) (*Table, error) {
+		t := newTable("fig6", "Figure 6", "issue-slot breakdown: issuable vs idle(memory/revolver/RF)", o,
+			cols("benchmark", "threads", "issuable", "idle(mem)", "idle(revolver)", "idle(RF)")...)
+		for _, res := range results {
+			issued, mem, rev, rf := res.Stats.Breakdown()
+			t.AddRow(
+				artifact.Str(res.Benchmark), artifact.Int(res.Tasklets),
+				artifact.Pct(issued), artifact.Pct(mem), artifact.Pct(rev), artifact.Pct(rf),
+			)
 		}
+		return t, nil
 	}
-	results, err := sweep(ctx, o, pts)
-	if err != nil {
-		return nil, err
-	}
-	for _, res := range results {
-		issued, mem, rev, rf := res.Stats.Breakdown()
-		t.AddRow(
-			artifact.Str(res.Benchmark), artifact.Int(res.Tasklets),
-			artifact.Pct(issued), artifact.Pct(mem), artifact.Pct(rev), artifact.Pct(rf),
-		)
-	}
-	return t, nil
 }
 
-// Fig7 reports the issuable-thread histogram and average at 16 threads.
-func Fig7(ctx context.Context, o Options) (*Table, error) {
-	t := newTable("fig7", "Figure 7", "issuable threads per cycle, 16 threads", o,
-		cols("benchmark", "0", "1~4", "5~8", "9~12", "13~16", "17~24", "avg")...)
-	var pts []engine.Point
-	for _, name := range o.names() {
-		pts = append(pts, pt(name, baseCfg(16), 1, o.Scale))
-	}
-	results, err := sweep(ctx, o, pts)
-	if err != nil {
-		return nil, err
-	}
-	for _, res := range results {
-		row := []artifact.Value{artifact.Str(res.Benchmark)}
-		var total uint64
-		for _, c := range res.Stats.TLPHist {
-			total += c
+// fig7 reports the issuable-thread histogram and average at 16 threads.
+func fig7(o Options) ([]engine.Point, projection) {
+	return grid(o, 16), func(results []*prim.Result) (*Table, error) {
+		t := newTable("fig7", "Figure 7", "issuable threads per cycle, 16 threads", o,
+			cols("benchmark", "0", "1~4", "5~8", "9~12", "13~16", "17~24", "avg")...)
+		for _, res := range results {
+			row := []artifact.Value{artifact.Str(res.Benchmark)}
+			var total uint64
+			for _, c := range res.Stats.TLPHist {
+				total += c
+			}
+			for _, c := range res.Stats.TLPHist {
+				row = append(row, artifact.Pct(float64(c)/float64(max(total, 1))))
+			}
+			row = append(row, artifact.Num(res.Stats.AvgIssuable()))
+			t.AddRow(row...)
 		}
-		for _, c := range res.Stats.TLPHist {
-			row = append(row, artifact.Pct(float64(c)/float64(max(total, 1))))
-		}
-		row = append(row, artifact.Num(res.Stats.AvgIssuable()))
-		t.AddRow(row...)
+		return t, nil
 	}
-	return t, nil
 }
 
-// Fig8 samples the TLP timeline for the paper's three exemplars.
-func Fig8(ctx context.Context, o Options) (*Table, error) {
-	colList := []artifact.Column{{Name: "benchmark"}}
-	for i := 0; i < 16; i++ {
-		colList = append(colList, col(fmt.Sprintf("t%d", i), "threads"))
-	}
-	t := newTable("fig8", "Figure 8", "issuable threads over time (normalized run, 16 samples)", o, colList...)
-	names := []string{"BS", "GEMV", "SCAN-SSA"}
-	if len(o.Benchmarks) > 0 {
-		names = o.Benchmarks
-	}
+// fig8 samples the TLP timeline for the paper's three exemplars.
+func fig8(o Options) ([]engine.Point, projection) {
 	var pts []engine.Point
-	for _, name := range names {
+	for _, name := range o.names("BS", "GEMV", "SCAN-SSA") {
 		cfg := baseCfg(16)
 		cfg.TimelineWindow = 2000
 		pts = append(pts, pt(name, cfg, 1, o.Scale))
 	}
-	results, err := sweep(ctx, o, pts)
-	if err != nil {
-		return nil, err
-	}
-	for _, res := range results {
-		var series []float32
-		for _, d := range res.PerDPU {
-			if len(d.Timeline) > 0 {
-				series = d.Timeline
-				break
-			}
-		}
-		row := []artifact.Value{artifact.Str(res.Benchmark)}
+	return pts, func(results []*prim.Result) (*Table, error) {
+		colList := []artifact.Column{{Name: "benchmark"}}
 		for i := 0; i < 16; i++ {
-			if len(series) == 0 {
-				row = append(row, artifact.Str("-"))
-				continue
-			}
-			idx := i * len(series) / 16
-			row = append(row, artifact.Num(float64(series[idx])))
+			colList = append(colList, col(fmt.Sprintf("t%d", i), "threads"))
 		}
-		t.AddRow(row...)
+		t := newTable("fig8", "Figure 8", "issuable threads over time (normalized run, 16 samples)", o, colList...)
+		for _, res := range results {
+			var series []float32
+			for _, d := range res.PerDPU {
+				if len(d.Timeline) > 0 {
+					series = d.Timeline
+					break
+				}
+			}
+			row := []artifact.Value{artifact.Str(res.Benchmark)}
+			for i := 0; i < 16; i++ {
+				if len(series) == 0 {
+					row = append(row, artifact.Str("-"))
+					continue
+				}
+				idx := i * len(series) / 16
+				row = append(row, artifact.Num(float64(series[idx])))
+			}
+			t.AddRow(row...)
+		}
+		return t, nil
 	}
-	return t, nil
 }
 
-// Fig9 reports the instruction mix.
-func Fig9(ctx context.Context, o Options) (*Table, error) {
-	t := newTable("fig9", "Figure 9", "instruction mix (single DPU, 16 threads)", o,
-		cols("benchmark", "arith", "arith+branch", "mul/div", "ld/st", "DMA", "sync", "etc")...)
-	var pts []engine.Point
-	for _, name := range o.names() {
-		pts = append(pts, pt(name, baseCfg(16), 1, o.Scale))
-	}
-	results, err := sweep(ctx, o, pts)
-	if err != nil {
-		return nil, err
-	}
-	for _, res := range results {
-		mix := res.Stats.MixFractions()
-		row := []artifact.Value{artifact.Str(res.Benchmark)}
-		for c := 0; c < isa.NumClasses; c++ {
-			row = append(row, artifact.Pct(mix[c]))
+// fig9 reports the instruction mix.
+func fig9(o Options) ([]engine.Point, projection) {
+	return grid(o, 16), func(results []*prim.Result) (*Table, error) {
+		t := newTable("fig9", "Figure 9", "instruction mix (single DPU, 16 threads)", o,
+			cols("benchmark", "arith", "arith+branch", "mul/div", "ld/st", "DMA", "sync", "etc")...)
+		for _, res := range results {
+			mix := res.Stats.MixFractions()
+			row := []artifact.Value{artifact.Str(res.Benchmark)}
+			for c := 0; c < isa.NumClasses; c++ {
+				row = append(row, artifact.Pct(mix[c]))
+			}
+			t.AddRow(row...)
 		}
-		t.AddRow(row...)
+		return t, nil
 	}
-	return t, nil
 }
 
 var fig10DPUs = []int{1, 16, 64}
 
-// Fig10 reports multi-DPU strong scaling.
-func Fig10(ctx context.Context, o Options) (*Table, error) {
-	t := newTable("fig10", "Figure 10", "strong scaling over 1/16/64 DPUs: phase times (ms) and speedup", o,
-		artifact.Column{Name: "benchmark"}, artifact.Column{Name: "DPUs"},
-		col("kernel", "ms"), col("CPU-to-DPU", "ms"), col("DPU-to-CPU", "ms"),
-		col("DPU-to-DPU", "ms"), col("total", "ms"), artifact.Column{Name: "speedup"})
+// fig10 reports multi-DPU strong scaling.
+func fig10(o Options) ([]engine.Point, projection) {
 	var pts []engine.Point
 	for _, name := range o.names() {
 		for _, dpus := range fig10DPUs {
 			pts = append(pts, pt(name, baseCfg(16), dpus, o.Scale))
 		}
 	}
-	results, err := sweep(ctx, o, pts)
-	if err != nil {
-		return nil, err
-	}
-	for i, res := range results {
-		total := res.Report.Total()
-		base := results[i-i%len(fig10DPUs)].Report.Total()
+	return pts, func(results []*prim.Result) (*Table, error) {
+		t := newTable("fig10", "Figure 10", "strong scaling over 1/16/64 DPUs: phase times (ms) and speedup", o,
+			artifact.Column{Name: "benchmark"}, artifact.Column{Name: "DPUs"},
+			col("kernel", "ms"), col("CPU-to-DPU", "ms"), col("DPU-to-CPU", "ms"),
+			col("DPU-to-DPU", "ms"), col("total", "ms"), artifact.Column{Name: "speedup"})
 		ms := func(s float64) artifact.Value { return artifact.Num(s * 1e3) }
-		t.AddRow(
-			artifact.Str(res.Benchmark), artifact.Int(res.DPUs),
-			ms(res.Report.KernelSeconds),
-			ms(res.Report.TransferSeconds[0]),
-			ms(res.Report.TransferSeconds[1]),
-			ms(res.Report.TransferSeconds[2]),
-			ms(total),
-			artifact.Num(base/total),
-		)
+		for i, res := range results {
+			total := res.Report.Total()
+			base := results[i-i%len(fig10DPUs)].Report.Total()
+			t.AddRow(
+				artifact.Str(res.Benchmark), artifact.Int(res.DPUs),
+				ms(res.Report.KernelSeconds),
+				ms(res.Report.TransferSeconds[0]),
+				ms(res.Report.TransferSeconds[1]),
+				ms(res.Report.TransferSeconds[2]),
+				ms(total),
+				artifact.Num(base/total),
+			)
+		}
+		return t, nil
 	}
-	return t, nil
 }
 
 // ---- case studies --------------------------------------------------------
 
-// Fig11 runs the SIMT case study on GEMV.
-func Fig11(ctx context.Context, o Options) (*Table, error) {
-	t := newTable("fig11", "Figure 11", "SIMT vector execution on GEMV (max IPC 16)", o,
-		cols("design", "IPC", "issuable", "idle(mem)", "idle(revolver)", "speedup")...)
+// fig11 runs the SIMT case study on GEMV.
+func fig11(o Options) ([]engine.Point, projection) {
 	type design struct {
 		name   string
 		mutate func(*config.Config)
@@ -392,32 +437,25 @@ func Fig11(ctx context.Context, o Options) (*Table, error) {
 		d.mutate(&cfg)
 		pts = append(pts, pt("GEMV", cfg, 1, o.Scale))
 	}
-	results, err := sweep(ctx, o, pts)
-	if err != nil {
-		return nil, err
+	return pts, func(results []*prim.Result) (*Table, error) {
+		t := newTable("fig11", "Figure 11", "SIMT vector execution on GEMV (max IPC 16)", o,
+			cols("design", "IPC", "issuable", "idle(mem)", "idle(revolver)", "speedup")...)
+		for i, res := range results {
+			issued, mem, rev, _ := res.Stats.Breakdown()
+			t.AddRow(
+				artifact.Str(designs[i].name), artifact.Num(res.Stats.IPC()),
+				artifact.Pct(issued), artifact.Pct(mem), artifact.Pct(rev),
+				artifact.Num(seconds(results[0])/seconds(res)),
+			)
+		}
+		return t, nil
 	}
-	secs := make([]float64, len(results))
-	for i, res := range results {
-		secs[i] = pts[i].Config.CyclesToSeconds(res.Stats.Cycles)
-	}
-	for i, res := range results {
-		issued, mem, rev, _ := res.Stats.Breakdown()
-		t.AddRow(
-			artifact.Str(designs[i].name), artifact.Num(res.Stats.IPC()),
-			artifact.Pct(issued), artifact.Pct(mem), artifact.Pct(rev),
-			artifact.Num(secs[0]/secs[i]),
-		)
-	}
-	return t, nil
 }
 
 // ilpVariants is the additive Fig 12 feature ladder.
 var ilpVariants = []string{"", "D", "DR", "DRS", "DRSF"}
 
 func ilpLabel(v string) string {
-	if v == "" {
-		return "Base"
-	}
 	label := "Base"
 	for _, f := range v {
 		label += "+" + string(f)
@@ -425,40 +463,34 @@ func ilpLabel(v string) string {
 	return label
 }
 
-// Fig12 runs the ILP ablation.
-func Fig12(ctx context.Context, o Options) (*Table, error) {
-	t := newTable("fig12", "Figure 12", "ILP ablation at 16 threads: D=forwarding R=unified RF S=2-way F=700MHz", o,
-		cols("benchmark", "design", "issuable", "idle(mem)", "idle(revolver)", "idle(RF)", "speedup")...)
+// fig12 runs the ILP ablation.
+func fig12(o Options) ([]engine.Point, projection) {
 	var pts []engine.Point
 	for _, name := range o.names() {
 		for _, v := range ilpVariants {
 			pts = append(pts, pt(name, baseCfg(16).WithILP(v), 1, o.Scale))
 		}
 	}
-	results, err := sweep(ctx, o, pts)
-	if err != nil {
-		return nil, err
+	return pts, func(results []*prim.Result) (*Table, error) {
+		t := newTable("fig12", "Figure 12", "ILP ablation at 16 threads: D=forwarding R=unified RF S=2-way F=700MHz", o,
+			cols("benchmark", "design", "issuable", "idle(mem)", "idle(revolver)", "idle(RF)", "speedup")...)
+		for i, res := range results {
+			base := seconds(results[i-i%len(ilpVariants)])
+			issued, mem, rev, rf := res.Stats.Breakdown()
+			t.AddRow(
+				artifact.Str(res.Benchmark), artifact.Str(ilpLabel(ilpVariants[i%len(ilpVariants)])),
+				artifact.Pct(issued), artifact.Pct(mem), artifact.Pct(rev), artifact.Pct(rf),
+				artifact.Num(base/seconds(res)),
+			)
+		}
+		return t, nil
 	}
-	for i, res := range results {
-		sec := pts[i].Config.CyclesToSeconds(res.Stats.Cycles)
-		baseIdx := i - i%len(ilpVariants)
-		base := pts[baseIdx].Config.CyclesToSeconds(results[baseIdx].Stats.Cycles)
-		issued, mem, rev, rf := res.Stats.Breakdown()
-		t.AddRow(
-			artifact.Str(res.Benchmark), artifact.Str(ilpLabel(ilpVariants[i%len(ilpVariants)])),
-			artifact.Pct(issued), artifact.Pct(mem), artifact.Pct(rev), artifact.Pct(rf),
-			artifact.Num(base/sec),
-		)
-	}
-	return t, nil
 }
 
 var fig13LinkScales = []int{1, 2, 4}
 
-// Fig13 scales the MRAM-to-WRAM link bandwidth.
-func Fig13(ctx context.Context, o Options) (*Table, error) {
-	t := newTable("fig13", "Figure 13", "speedup from scaling the MRAM-to-WRAM link x1/x2/x4", o,
-		cols("benchmark", "design", "x1", "x2", "x4")...)
+// fig13 scales the MRAM-to-WRAM link bandwidth.
+func fig13(o Options) ([]engine.Point, projection) {
 	ilps := []string{"", "DRSF"}
 	var pts []engine.Point
 	for _, name := range o.names() {
@@ -470,213 +502,174 @@ func Fig13(ctx context.Context, o Options) (*Table, error) {
 			}
 		}
 	}
-	results, err := sweep(ctx, o, pts)
-	if err != nil {
-		return nil, err
-	}
-	n := len(fig13LinkScales)
-	for i := 0; i < len(results); i += n {
-		base := pts[i].Config.CyclesToSeconds(results[i].Stats.Cycles)
-		row := []artifact.Value{
-			artifact.Str(results[i].Benchmark),
-			artifact.Str(ilpLabel(ilps[(i/n)%len(ilps)])),
+	return pts, func(results []*prim.Result) (*Table, error) {
+		t := newTable("fig13", "Figure 13", "speedup from scaling the MRAM-to-WRAM link x1/x2/x4", o,
+			cols("benchmark", "design", "x1", "x2", "x4")...)
+		n := len(fig13LinkScales)
+		for i := 0; i < len(results); i += n {
+			row := []artifact.Value{
+				artifact.Str(results[i].Benchmark),
+				artifact.Str(ilpLabel(ilps[(i/n)%len(ilps)])),
+			}
+			for _, res := range results[i : i+n] {
+				row = append(row, artifact.Num(seconds(results[i])/seconds(res)))
+			}
+			t.AddRow(row...)
 		}
-		for j := i; j < i+n; j++ {
-			sec := pts[j].Config.CyclesToSeconds(results[j].Stats.Cycles)
-			row = append(row, artifact.Num(base/sec))
-		}
-		t.AddRow(row...)
+		return t, nil
 	}
-	return t, nil
 }
 
-// MMUStudy quantifies address-translation overhead (case study 3).
-func MMUStudy(ctx context.Context, o Options) (*Table, error) {
-	t := newTable("mmu", "Figure 14 (case study 3)", "MMU overhead: 16-entry TLB, 4KB pages, demand paging", o,
-		cols("benchmark", "slowdown", "TLB hit rate", "walks", "faults")...)
+// mmuStudy quantifies address-translation overhead (case study 3).
+func mmuStudy(o Options) ([]engine.Point, projection) {
 	var pts []engine.Point
 	for _, name := range o.names() {
-		pts = append(pts, pt(name, baseCfg(16), 1, o.Scale))
 		cfg := baseCfg(16)
 		cfg.MMU.Enable = true
 		cfg.MMU.Prefault = false // outputs are demand-faulted on first touch
-		pts = append(pts, pt(name, cfg, 1, o.Scale))
+		pts = append(pts, pt(name, baseCfg(16), 1, o.Scale), pt(name, cfg, 1, o.Scale))
 	}
-	results, err := sweep(ctx, o, pts)
-	if err != nil {
-		return nil, err
+	return pts, func(results []*prim.Result) (*Table, error) {
+		t := newTable("mmu", "Figure 14 (case study 3)", "MMU overhead: 16-entry TLB, 4KB pages, demand paging", o,
+			cols("benchmark", "slowdown", "TLB hit rate", "walks", "faults")...)
+		var worst, sum float64
+		n := 0
+		for i := 0; i < len(results); i += 2 {
+			base, res := results[i], results[i+1]
+			over := float64(res.Stats.Cycles)/float64(base.Stats.Cycles) - 1
+			hits := float64(res.Stats.MMU.TLBHits)
+			hitRate := hits / max(hits+float64(res.Stats.MMU.TLBMisses), 1)
+			t.AddRow(
+				artifact.Str(res.Benchmark), artifact.Pct(over), artifact.Pct(hitRate),
+				artifact.Int(res.Stats.MMU.TableWalks), artifact.Int(res.Stats.MMU.PageFaults),
+			)
+			sum += over
+			worst = max(worst, over)
+			n++
+		}
+		t.AddRow(artifact.Str("average"), artifact.Pct(sum/float64(max(n, 1))), artifact.Str(""), artifact.Str(""), artifact.Str(""))
+		t.AddRow(artifact.Str("max"), artifact.Pct(worst), artifact.Str(""), artifact.Str(""), artifact.Str(""))
+		return t, nil
 	}
-	var worst, sum float64
-	n := 0
-	for i := 0; i < len(results); i += 2 {
-		base, res := results[i], results[i+1]
-		over := float64(res.Stats.Cycles)/float64(base.Stats.Cycles) - 1
-		hits := float64(res.Stats.MMU.TLBHits)
-		hitRate := hits / max(hits+float64(res.Stats.MMU.TLBMisses), 1)
-		t.AddRow(
-			artifact.Str(res.Benchmark), artifact.Pct(over), artifact.Pct(hitRate),
-			artifact.Int(res.Stats.MMU.TableWalks), artifact.Int(res.Stats.MMU.PageFaults),
-		)
-		sum += over
-		worst = max(worst, over)
-		n++
-	}
-	t.AddRow(artifact.Str("average"), artifact.Pct(sum/float64(max(n, 1))), artifact.Str(""), artifact.Str(""), artifact.Str(""))
-	t.AddRow(artifact.Str("max"), artifact.Pct(worst), artifact.Str(""), artifact.Str(""), artifact.Str(""))
-	return t, nil
 }
 
-// Fig15 compares the cache-centric and scratchpad-centric designs.
-func Fig15(ctx context.Context, o Options) (*Table, error) {
-	t := newTable("fig15", "Figure 15", "cache-centric speedup over scratchpad-centric (>1 favours caches)", o,
-		artifact.Column{Name: "benchmark"}, artifact.Column{Name: "threads"},
-		col("scratchpad", "ms"), col("cache", "ms"), artifact.Column{Name: "cache speedup"})
-	var pts []engine.Point
-	for _, name := range o.names() {
-		for _, th := range sweepThreads {
-			pts = append(pts, pt(name, baseCfg(th), 1, o.Scale))
-			cfg := baseCfg(th)
-			cfg.Mode = config.ModeCache
-			pts = append(pts, pt(name, cfg, 1, o.Scale))
+// fig15 compares the cache-centric and scratchpad-centric designs.
+func fig15(o Options) ([]engine.Point, projection) {
+	return pairs(o, o.names(), 1, sweepThreads), func(results []*prim.Result) (*Table, error) {
+		t := newTable("fig15", "Figure 15", "cache-centric speedup over scratchpad-centric (>1 favours caches)", o,
+			artifact.Column{Name: "benchmark"}, artifact.Column{Name: "threads"},
+			col("scratchpad", "ms"), col("cache", "ms"), artifact.Column{Name: "cache speedup"})
+		for i := 0; i < len(results); i += 2 {
+			spad := results[i]
+			sSec, cSec := seconds(spad), seconds(results[i+1])
+			t.AddRow(
+				artifact.Str(spad.Benchmark), artifact.Int(spad.Tasklets),
+				artifact.Num(sSec*1e3), artifact.Num(cSec*1e3), artifact.Num(sSec/cSec),
+			)
 		}
+		return t, nil
 	}
-	results, err := sweep(ctx, o, pts)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < len(results); i += 2 {
-		spad, cached := results[i], results[i+1]
-		sSec := pts[i].Config.CyclesToSeconds(spad.Stats.Cycles)
-		cSec := pts[i+1].Config.CyclesToSeconds(cached.Stats.Cycles)
-		t.AddRow(
-			artifact.Str(spad.Benchmark), artifact.Int(spad.Tasklets),
-			artifact.Num(sSec*1e3), artifact.Num(cSec*1e3), artifact.Num(sSec/cSec),
-		)
-	}
-	return t, nil
 }
 
-// Fig16 compares DRAM bytes read and runtime for BS and UNI.
-func Fig16(ctx context.Context, o Options) (*Table, error) {
-	t := newTable("fig16", "Figure 16", "DRAM bytes read and runtime vs threads: scratchpad vs cache", o,
-		artifact.Column{Name: "benchmark"}, artifact.Column{Name: "threads"},
-		col("bytes (spad)", "B"), col("bytes (cache)", "B"),
-		artifact.Column{Name: "byte ratio"}, artifact.Column{Name: "time ratio (spad/cache)"})
-	names := []string{"BS", "UNI"}
-	if len(o.Benchmarks) > 0 {
-		names = o.Benchmarks
-	}
-	var pts []engine.Point
-	for _, name := range names {
-		for _, th := range []int{1, 2, 4, 8, 16} {
-			pts = append(pts, pt(name, baseCfg(th), 1, o.Scale))
-			cfg := baseCfg(th)
-			cfg.Mode = config.ModeCache
-			pts = append(pts, pt(name, cfg, 1, o.Scale))
+// fig16 compares DRAM bytes read and runtime for BS and UNI.
+func fig16(o Options) ([]engine.Point, projection) {
+	return pairs(o, o.names("BS", "UNI"), 1, []int{1, 2, 4, 8, 16}), func(results []*prim.Result) (*Table, error) {
+		t := newTable("fig16", "Figure 16", "DRAM bytes read and runtime vs threads: scratchpad vs cache", o,
+			artifact.Column{Name: "benchmark"}, artifact.Column{Name: "threads"},
+			col("bytes (spad)", "B"), col("bytes (cache)", "B"),
+			artifact.Column{Name: "byte ratio"}, artifact.Column{Name: "time ratio (spad/cache)"})
+		for i := 0; i < len(results); i += 2 {
+			spad, cached := results[i], results[i+1]
+			sb := float64(spad.Stats.DRAM.BytesRead)
+			cb := float64(cached.Stats.DRAM.BytesRead)
+			t.AddRow(
+				artifact.Str(spad.Benchmark), artifact.Int(spad.Tasklets),
+				artifact.Raw(fmt.Sprintf("%.0fK", sb/1024), sb),
+				artifact.Raw(fmt.Sprintf("%.0fK", cb/1024), cb),
+				artifact.Num(sb/max(cb, 1)),
+				artifact.Num(float64(spad.Stats.Cycles)/float64(max(cached.Stats.Cycles, 1))),
+			)
 		}
+		return t, nil
 	}
-	results, err := sweep(ctx, o, pts)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < len(results); i += 2 {
-		spad, cached := results[i], results[i+1]
-		sb := float64(spad.Stats.DRAM.BytesRead)
-		cb := float64(cached.Stats.DRAM.BytesRead)
-		t.AddRow(
-			artifact.Str(spad.Benchmark), artifact.Int(spad.Tasklets),
-			artifact.Raw(fmt.Sprintf("%.0fK", sb/1024), sb),
-			artifact.Raw(fmt.Sprintf("%.0fK", cb/1024), cb),
-			artifact.Num(sb/max(cb, 1)),
-			artifact.Num(float64(spad.Stats.Cycles)/float64(max(cached.Stats.Cycles, 1))),
-		)
-	}
-	return t, nil
 }
 
 // ---- tables and validation ----------------------------------------------
 
-// Table1 prints the default configuration (paper Table I). It is
+// table1 prints the default configuration (paper Table I). It is
 // scale-independent, so its table carries no Scale stamp.
-func Table1(_ context.Context, _ Options) (*Table, error) {
+func table1([]*prim.Result) (*Table, error) {
 	cfg := config.Default()
+	params := [...][2]string{
+		{"Operating frequency", fmt.Sprintf("%d MHz", cfg.FreqMHz)},
+		{"Number of pipeline stages", fmt.Sprint(cfg.PipelineStages)},
+		{"Revolver scheduling cycles", fmt.Sprint(cfg.RevolverCycles)},
+		{"WRAM / IRAM size", fmt.Sprintf("%d KB / %d KB", cfg.WRAMBytes>>10, cfg.IRAMBytes>>10)},
+		{"WRAM access width", fmt.Sprintf("%d B per clock", cfg.WRAMBytesPerCycle)},
+		{"Atomic memory size", fmt.Sprintf("%d bits", cfg.AtomicLocks)},
+		{"MRAM size", fmt.Sprintf("%d MB", cfg.MRAMBytes>>20)},
+		{"DDR specification", fmt.Sprintf("DDR4-2400 (%d MHz command clock)", cfg.DRAMFreqMHz)},
+		{"Memory scheduling policy", "FR-FCFS"},
+		{"Row buffer size", fmt.Sprintf("%d B", cfg.RowBytes)},
+		{"tRCD, tRAS, tRP, tCL, tBL", fmt.Sprintf("%d, %d, %d, %d, %d cycles",
+			cfg.TRCD, cfg.TRAS, cfg.TRP, cfg.TCL, cfg.TBL)},
+		{"MRAM-WRAM link", fmt.Sprintf("%d B per DPU cycle (%d MB/s)",
+			cfg.LinkBytesPerCycle, cfg.LinkBytesPerCycle*cfg.FreqMHz)},
+		{"CPU->DPU bandwidth", fmt.Sprintf("%.3f GB/s per DPU", cfg.CPUToDPUBytesPerSec/1e9)},
+		{"CPU<-DPU bandwidth", fmt.Sprintf("%.3f GB/s per DPU", cfg.DPUToCPUBytesPerSec/1e9)},
+		{"General-purpose registers", fmt.Sprint(int(isa.NumGPR))},
+		{"Maximum number of threads", fmt.Sprint(cfg.MaxTasklets)},
+		{"Stack size (per thread)", fmt.Sprintf("%d KB", cfg.StackBytes>>10)},
+		{"Heap size", fmt.Sprintf("%d KB", cfg.HeapBytes>>10)},
+	}
 	t := &Table{
 		Key: "table1", ID: "Table I", Title: "uPIMulator default configuration",
-		Columns: cols("parameter", "value"),
+		Columns: cols("parameter", "value"), Rows: make([][]artifact.Value, 0, len(params)),
 	}
-	add := func(k, v string) { t.AddStrings(k, v) }
-	add("Operating frequency", fmt.Sprintf("%d MHz", cfg.FreqMHz))
-	add("Number of pipeline stages", fmt.Sprint(cfg.PipelineStages))
-	add("Revolver scheduling cycles", fmt.Sprint(cfg.RevolverCycles))
-	add("WRAM / IRAM size", fmt.Sprintf("%d KB / %d KB", cfg.WRAMBytes>>10, cfg.IRAMBytes>>10))
-	add("WRAM access width", fmt.Sprintf("%d B per clock", cfg.WRAMBytesPerCycle))
-	add("Atomic memory size", fmt.Sprintf("%d bits", cfg.AtomicLocks))
-	add("MRAM size", fmt.Sprintf("%d MB", cfg.MRAMBytes>>20))
-	add("DDR specification", fmt.Sprintf("DDR4-2400 (%d MHz command clock)", cfg.DRAMFreqMHz))
-	add("Memory scheduling policy", "FR-FCFS")
-	add("Row buffer size", fmt.Sprintf("%d B", cfg.RowBytes))
-	add("tRCD, tRAS, tRP, tCL, tBL", fmt.Sprintf("%d, %d, %d, %d, %d cycles",
-		cfg.TRCD, cfg.TRAS, cfg.TRP, cfg.TCL, cfg.TBL))
-	add("MRAM-WRAM link", fmt.Sprintf("%d B per DPU cycle (%d MB/s)",
-		cfg.LinkBytesPerCycle, cfg.LinkBytesPerCycle*cfg.FreqMHz))
-	add("CPU->DPU bandwidth", fmt.Sprintf("%.3f GB/s per DPU", cfg.CPUToDPUBytesPerSec/1e9))
-	add("CPU<-DPU bandwidth", fmt.Sprintf("%.3f GB/s per DPU", cfg.DPUToCPUBytesPerSec/1e9))
-	add("General-purpose registers", fmt.Sprint(int(isa.NumGPR)))
-	add("Maximum number of threads", fmt.Sprint(cfg.MaxTasklets))
-	add("Stack size (per thread)", fmt.Sprintf("%d KB", cfg.StackBytes>>10))
-	add("Heap size", fmt.Sprintf("%d KB", cfg.HeapBytes>>10))
-	return t, nil
-}
-
-// Table2 prints the benchmark datasets for a scale.
-func Table2(_ context.Context, o Options) (*Table, error) {
-	t := newTable("table2", "Table II", fmt.Sprintf("PrIM datasets at scale %q", o.Scale), o,
-		cols("benchmark", "description", "parameters")...)
-	for _, b := range prim.Benchmarks() {
-		p, err := b.Params(o.Scale)
-		if err != nil {
-			return nil, err
-		}
-		t.AddStrings(b.Name, b.About, fmt.Sprintf("%+v", p))
+	for _, p := range params {
+		t.AddStrings(p[0], p[1])
 	}
 	return t, nil
 }
 
-// Validation runs the whole suite in both memory models and reports the
-// functional cross-check results — this repo's stand-in for the paper's
-// validation against real UPMEM hardware. Unlike the other experiments it
-// reports per-point failures in the table rather than failing fast.
-func Validation(ctx context.Context, o Options) (*Table, error) {
-	t := newTable("validation", "Validation", "functional cross-validation vs host golden models", o,
-		cols("benchmark", "mode", "threads", "DPUs", "result", "instructions")...)
-	var pts []engine.Point
-	for _, name := range o.names() {
-		for _, mode := range []config.Mode{config.ModeScratchpad, config.ModeCache} {
-			cfg := baseCfg(16)
-			cfg.Mode = mode
-			pts = append(pts, pt(name, cfg, 4, o.Scale))
+// table2 prints the benchmark datasets for a scale.
+func table2(o Options) ([]engine.Point, projection) {
+	return nil, func([]*prim.Result) (*Table, error) {
+		bs := prim.Benchmarks()
+		t := newTable("table2", "Table II", fmt.Sprintf("PrIM datasets at scale %q", o.Scale), o,
+			cols("benchmark", "description", "parameters")...)
+		t.Rows = make([][]artifact.Value, 0, len(bs))
+		for _, b := range bs {
+			p, err := b.Params(o.Scale)
+			if err != nil {
+				return nil, err
+			}
+			t.AddStrings(b.Name, b.About, fmt.Sprintf("%+v", p))
 		}
+		return t, nil
 	}
-	outs, firstErr := o.engineFor().SweepAll(ctx, pts)
-	for i, out := range outs {
-		status := "PASS"
-		instr := uint64(0)
-		if out.Err != nil {
-			status = "FAIL: " + out.Err.Error()
-		} else {
-			instr = out.Result.Stats.Instructions
-		}
-		t.AddRow(
-			artifact.Str(pts[i].Benchmark), artifact.Str(pts[i].Config.Mode.String()),
-			artifact.Int(16), artifact.Int(4), artifact.Str(status), artifact.Int(instr),
-		)
-	}
-	return t, firstErr
 }
 
-// Table3 reproduces the simulator-comparison table with this repo's row. It
+// validation runs the whole suite on four DPUs in both memory models — each
+// run verified against its host golden model, this repo's stand-in for the
+// paper's validation against real UPMEM hardware.
+func validation(o Options) ([]engine.Point, projection) {
+	return pairs(o, o.names(), 4, []int{16}), func(results []*prim.Result) (*Table, error) {
+		t := newTable("validation", "Validation", "functional cross-validation vs host golden models", o,
+			cols("benchmark", "mode", "threads", "DPUs", "result", "instructions")...)
+		for _, res := range results {
+			t.AddRow(
+				artifact.Str(res.Benchmark), artifact.Str(res.Mode.String()),
+				artifact.Int(res.Tasklets), artifact.Int(res.DPUs), artifact.Str("PASS"), artifact.Int(res.Stats.Instructions),
+			)
+		}
+		return t, nil
+	}
+}
+
+// table3 reproduces the simulator-comparison table with this repo's row. It
 // is scale-independent, so its table carries no Scale stamp.
-func Table3(_ context.Context, _ Options) (*Table, error) {
+func table3([]*prim.Result) (*Table, error) {
 	t := &Table{
 		Key: "table3", ID: "Table III", Title: "PIM simulator comparison (paper's survey + this reproduction)",
 		Columns: cols("simulator", "ISA", "frontend", "linker customization", "validated vs", "multithreaded"),
@@ -689,6 +682,3 @@ func Table3(_ context.Context, _ Options) (*Table, error) {
 	t.AddStrings("uPIMulator-Go (this repo)", "UPMEM-style", "execution", "yes", "host golden models", "yes (per-DPU goroutines)")
 	return t, nil
 }
-
-// Breakdown re-exports the stats type used by bench reporters.
-type Breakdown = stats.DPU

@@ -1,11 +1,14 @@
 package figures
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
+	"upim/internal/explore"
 	"upim/internal/prim"
 )
 
@@ -14,16 +17,92 @@ func fastOpts() Options {
 	return Options{Scale: prim.ScaleTiny, Benchmarks: []string{"VA"}}
 }
 
+// runOne regenerates one experiment's table, as RunExperimentContext does.
+func runOne(id string, o Options) (*Table, error) {
+	e, err := ByID(id)
+	if err != nil {
+		return nil, err
+	}
+	tables, err := Run(context.Background(), o, e)
+	return tables[0], err
+}
+
+// TestRunDedupes pins what one Run saves on `figures -exp all -scale tiny`
+// without simulating anything: the experiments declare 564 points, only 325
+// of them distinct, and Run simulates each distinct point once.
+func TestRunDedupes(t *testing.T) {
+	o := Options{Scale: prim.ScaleTiny}
+	declared, distinct := 0, map[string]bool{}
+	for _, e := range Experiments() {
+		pts, _ := e.Plan(o)
+		declared += len(pts)
+		for _, p := range pts {
+			distinct[explore.KeyOf(p)] = true
+		}
+	}
+	if declared != 564 || len(distinct) != 325 {
+		t.Fatalf("experiments declare %d points, %d distinct; want 564 and 325", declared, len(distinct))
+	}
+}
+
+// TestRunMatchesPerExperiment: every table of one Run over all experiments
+// is byte-identical to the same experiment run alone, so sharing a point's
+// result between projections changes nothing.
+func TestRunMatchesPerExperiment(t *testing.T) {
+	o := Options{Scale: prim.ScaleTiny, Benchmarks: []string{"VA", "BS"}}
+	tables, err := Run(context.Background(), o, Experiments()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range Experiments() {
+		alone, err := runOne(e.ID, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var joint, single bytes.Buffer
+		if err := tables[i].WriteJSON(&joint); err != nil {
+			t.Fatal(err)
+		}
+		if err := alone.WriteJSON(&single); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(joint.Bytes(), single.Bytes()) {
+			t.Errorf("%s: the table from one Run over all experiments differs from the experiment run alone", e.ID)
+		}
+	}
+}
+
+// TestRunFailsOnlyItsExperiment: a point that fails fails only the
+// experiments that declared it. fig11 ignores the benchmark selection, so it
+// still matches its reference; fig5 has no table and names itself in the
+// error.
+func TestRunFailsOnlyItsExperiment(t *testing.T) {
+	fig11, err := ByID("fig11")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig5, err := ByID("fig5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables, err := Run(context.Background(), Options{Scale: prim.ScaleTiny, Benchmarks: []string{"NOPE"}}, fig11, fig5)
+	if err == nil || !strings.HasPrefix(err.Error(), "fig5:") || !errors.Is(err, prim.ErrUnknownBenchmark) {
+		t.Fatalf("want a fig5: error matching prim.ErrUnknownBenchmark, got %v", err)
+	}
+	if tables[1] != nil {
+		t.Error("the failed experiment must have no table")
+	}
+	if err := Check(tables[0], 1e-12); err != nil {
+		t.Errorf("fig11 must still match its reference: %v", err)
+	}
+}
+
 func TestEveryExperimentRuns(t *testing.T) {
 	for _, e := range Experiments() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			opts := fastOpts()
-			if e.ID == "fig16" || e.ID == "fig8" {
-				opts.Benchmarks = []string{"VA"}
-			}
-			tab, err := e.Run(context.Background(), opts)
+			tab, err := runOne(e.ID, fastOpts())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -45,7 +124,7 @@ func TestEveryExperimentRuns(t *testing.T) {
 // TestTable2ScaleOutOfRange: Table II at a Scale past paper is an error
 // naming the three scales, not paper sizes stamped "scale?3".
 func TestTable2ScaleOutOfRange(t *testing.T) {
-	_, err := Table2(context.Background(), Options{Scale: prim.Scale(3)})
+	_, err := runOne("table2", Options{Scale: prim.Scale(3)})
 	if err == nil || !strings.Contains(err.Error(), "want tiny, small or paper") {
 		t.Fatalf("want an unknown-scale error, got %v", err)
 	}
@@ -65,7 +144,7 @@ func TestByIDUnknown(t *testing.T) {
 func TestShapeInvariants(t *testing.T) {
 	t.Run("fig5-bounds", func(t *testing.T) {
 		t.Parallel()
-		tab, err := Fig5(context.Background(), Options{Scale: prim.ScaleTiny, Benchmarks: []string{"BS", "TS"}})
+		tab, err := runOne("fig5", Options{Scale: prim.ScaleTiny, Benchmarks: []string{"BS", "TS"}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +163,7 @@ func TestShapeInvariants(t *testing.T) {
 	})
 	t.Run("fig9-hstl-sync", func(t *testing.T) {
 		t.Parallel()
-		tab, err := Fig9(context.Background(), Options{Scale: prim.ScaleTiny, Benchmarks: []string{"HST-L", "HST-S"}})
+		tab, err := runOne("fig9", Options{Scale: prim.ScaleTiny, Benchmarks: []string{"HST-L", "HST-S"}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +185,7 @@ func TestShapeInvariants(t *testing.T) {
 	})
 	t.Run("fig11-ladder", func(t *testing.T) {
 		t.Parallel()
-		tab, err := Fig11(context.Background(), Options{Scale: prim.ScaleTiny})
+		tab, err := runOne("fig11", Options{Scale: prim.ScaleTiny})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +200,7 @@ func TestShapeInvariants(t *testing.T) {
 	})
 	t.Run("fig12-ts-monotone", func(t *testing.T) {
 		t.Parallel()
-		tab, err := Fig12(context.Background(), Options{Scale: prim.ScaleTiny, Benchmarks: []string{"TS"}})
+		tab, err := runOne("fig12", Options{Scale: prim.ScaleTiny, Benchmarks: []string{"TS"}})
 		if err != nil {
 			t.Fatal(err)
 		}

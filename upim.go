@@ -216,5 +216,6 @@ func RunExperimentContext(ctx context.Context, id string, opts ExperimentOptions
 	if err != nil {
 		return nil, err
 	}
-	return e.Run(ctx, opts)
+	tables, err := figures.Run(ctx, opts, e)
+	return tables[0], err
 }
