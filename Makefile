@@ -4,7 +4,7 @@ GO ?= go
 # its stores, reports and logs; `make clean` removes it.
 W := .work
 
-.PHONY: build test pairs cli-guard pool-guard test-race race coord-soak cover fuzz-smoke bench-module profile-cold profile-resume profile-figures fmt vet loc clean report refdata pathfind-smoke coord-smoke serve-smoke energy-check arch-check calibration-check store-compat
+.PHONY: build test pairs cli-guard pool-guard test-race race coord-soak cover fuzz-smoke bench-module profile-cold profile-resume profile-figures fmt vet loc clean report refdata pathfind-smoke coord-smoke serve-smoke energy-check arch-check calibration-check
 
 build:
 	$(GO) build ./...
@@ -65,14 +65,6 @@ pathfind-smoke:
 	cat $(W)/pf-resume8.log
 	grep -q ", 0 simulated," $(W)/pf-resume8.log
 	diff -r $(W)/pfreport2 $(W)/pfreport8
-
-# store-compat is the result store's backward-compatibility check: the store
-# committed under internal/explore/testdata/legacystore was written by the
-# last build that kept one JSON file per point (commit ba20999), and today's
-# build must resume over it with nothing simulated, nothing written into it,
-# and the committed report reproduced byte for byte. CI runs this target.
-store-compat:
-	$(GO) test ./internal/explore -run '^TestLegacyStoreResumes$$' -count=1 -v
 
 # coord-smoke mirrors the CI job: the same tiny exploration run by four
 # coordinated workers through leased shards, then single-process; the

@@ -152,12 +152,13 @@ func TestLookupsRunOnThePool(t *testing.T) {
 }
 
 // TestUnreadableEntryIsCorruptNotAbsent pins the read-error classification:
-// only a path that does not exist is a clean miss. An entry that is there but
-// cannot be read — a directory squatting on its path stands in for EACCES,
-// EIO or EMFILE, which a root sandbox cannot provoke — misses AND counts as
-// corrupt, so the CLI's store-health line can fire.
+// only a key no segment holds is a clean miss. A record the index holds but
+// that cannot be read back — its segment cut below it after this handle
+// scanned it stands in for EIO or a file truncated by hand — misses AND
+// counts as corrupt, once, so the CLI's store-health line can fire.
 func TestUnreadableEntryIsCorruptNotAbsent(t *testing.T) {
-	st, err := OpenStore(t.TempDir())
+	dir := t.TempDir()
+	writer, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,24 +166,37 @@ func TestUnreadableEntryIsCorruptNotAbsent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := KeyOf(pts[0].EP)
-	if _, ok := st.Get(key); ok {
-		t.Fatal("an empty store served a result")
+	ep := pts[0].EP
+	key := KeyOf(ep)
+	if err := writer.Put(key, ep, &prim.Result{Benchmark: ep.Benchmark, DPUs: ep.DPUs}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st.Get(KeyOf(pts[1].EP)); ok {
+		t.Fatal("a key never put was served")
 	}
 	if got := st.Stats(); got.Misses != 1 || got.Corrupt != 0 {
 		t.Fatalf("absent entry: %+v, want one clean miss", got)
 	}
-	if err := os.MkdirAll(filepath.Join(st.Dir(), key[:2], key+".json"), 0o755); err != nil {
+	k, _ := parseKey(key)
+	l, ok := st.lookup(k)
+	if !ok {
+		t.Fatal("the put record is not indexed")
+	}
+	if err := os.Truncate(l.seg.path, l.off+recHeaderLen); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := st.Get(key); ok {
-		t.Fatal("a directory was served as an entry")
+		t.Fatal("a truncated record was served")
 	}
-	if _, ok := st.GetEstimate(key); ok {
-		t.Fatal("a directory was served as an estimate entry")
+	if _, ok := st.Get(key); ok {
+		t.Fatal("a truncated record was served on the second read")
 	}
-	if got := st.Stats(); got.Misses != 3 || got.Corrupt != 2 {
-		t.Fatalf("unreadable entry: %+v, want 3 misses of which 2 corrupt", got)
+	if got := st.Stats(); got.Misses != 3 || got.Corrupt != 1 {
+		t.Fatalf("unreadable entry: %+v, want 3 misses of which 1 corrupt", got)
 	}
 }
 

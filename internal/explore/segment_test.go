@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"upim/internal/artifact"
 	"upim/internal/engine"
 	"upim/internal/estimate"
 	"upim/internal/prim"
@@ -40,64 +39,6 @@ func treeOf(t *testing.T, dir string) map[string]int64 {
 		t.Fatal(err)
 	}
 	return files
-}
-
-// TestLegacyStoreResumes opens the committed store a pre-segment build wrote
-// (testdata/legacystore: one JSON file per point, VA and BS at 1 and 16
-// tasklets with and without the ILP features, seven exact entries and one
-// estimate, written by `pathfind -tier2 -band 2 ... -pareto -energy -out` at
-// commit ba20999) and repeats that exploration over it: every point is
-// served, nothing is simulated, nothing is written into the fixture, and the
-// report is the committed one byte for byte.
-func TestLegacyStoreResumes(t *testing.T) {
-	const fixture = "testdata/legacystore"
-	before := treeOf(t, fixture)
-	st, err := OpenStore(filepath.Join(fixture, "store"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	space := NewSpace([]string{"VA", "BS"}, Tasklets(1, 16), ILP("base", "DRSF"))
-	space.Scale = prim.ScaleTiny
-	x, tri, err := New(Options{Parallelism: 2, Store: st}).ExploreTiered(context.Background(), space, TieredOptions{Band: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x.Hits != 7 || x.Estimated != 1 || x.Simulated != 0 || x.Failed != 0 {
-		t.Fatalf("resumed over the legacy store: %d hits, %d estimated, %d simulated, %d failed; want 7, 1, 0, 0",
-			x.Hits, x.Estimated, x.Simulated, x.Failed)
-	}
-	if got := st.Stats(); got.Corrupt != 0 || got.Puts != 0 {
-		t.Fatalf("stats over the legacy store: %+v", got)
-	}
-	if n, err := st.Count(); err != nil || n != 8 {
-		t.Fatalf("Count = %d, %v; want the 8 legacy entries", n, err)
-	}
-	report := t.TempDir()
-	tables := []*artifact.Table{x.SummaryTable(), x.TriageTable(tri), x.ParetoTable(GoalTime(), GoalCost()), x.BestTable(3), x.EnergyTable(nil)}
-	if err := artifact.WriteReport(report, tables); err != nil {
-		t.Fatal(err)
-	}
-	want := treeOf(t, filepath.Join(fixture, "report"))
-	for path := range want {
-		name := filepath.Base(path)
-		a, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(filepath.Join(report, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Errorf("%s differs from the report the writing build produced", name)
-		}
-	}
-	if got := treeOf(t, report); len(got) != len(want) {
-		t.Errorf("report has %d files, the committed one %d", len(got), len(want))
-	}
-	if after := treeOf(t, fixture); !reflect.DeepEqual(after, before) {
-		t.Fatalf("reading the fixture changed it:\nbefore %v\nafter  %v", before, after)
-	}
 }
 
 func fabKey(i int) string { return fmt.Sprintf("%064x", 0x5e600000+i) }

@@ -5,13 +5,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,13 +18,12 @@ import (
 	"upim/internal/prim"
 )
 
-// storeFormat versions the semantic meaning of a key (and the legacy
-// per-file entry envelope; the segment layout carries its own version in the
-// segment header): bump it whenever the simulator changes in a way that
-// invalidates previously stored results (a new stats counter, a timing-model
-// fix, ...).
-// Entries from other formats are never returned, so stale stores degrade to
-// re-simulation instead of serving wrong numbers.
+// storeFormat versions the semantic meaning of a key (the segment layout
+// carries its own version in the segment header): bump it whenever the
+// simulator changes in a way that invalidates previously stored results (a
+// new stats counter, a timing-model fix, ...). The format is hashed into
+// every key, so an old format's records become unreachable and stale stores
+// degrade to re-simulation instead of serving wrong numbers.
 //
 // Format history: 2 added the energy-model event counters (rf_reads,
 // rf_writes, cache array accesses) and Result.Config, which the energy
@@ -72,10 +68,9 @@ func KeyOf(p engine.Point) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// jsonBufs pools the buffers points are hashed from and legacy entries are
-// read back through: key hashing runs once per point in sweep/exploration
-// loops, and reusing the buffer keeps those loops from re-growing it every
-// point.
+// jsonBufs pools the buffers KeyOf hashes points from: key hashing runs once
+// per point in sweep/exploration loops, and reusing the buffer keeps those
+// loops from re-growing it every point.
 var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // marshalPooled encodes v into a pooled buffer and returns the buffer plus
@@ -94,32 +89,16 @@ func marshalPooled(v any) (*bytes.Buffer, []byte, error) {
 	return buf, b[:len(b)-1], nil
 }
 
-// legacyEntry is the envelope of one result as every commit before the
-// segment layout stored it: one JSON file per point at
-// dir/<key[:2]>/<key>.json. The store still reads these — a directory an
-// earlier build populated resumes with no simulation — and never writes
-// them. The file also carries the point, which a read scans over like any
-// other field it does not name.
-type legacyEntry struct {
-	Format int    `json:"format"`
-	Key    string `json:"key"`
-	// Fidelity is FidelityExact or FidelityEstimate; exactly one of Result
-	// and Estimate is set, matching it.
-	Fidelity string             `json:"fidelity"`
-	Result   *prim.Result       `json:"result,omitempty"`
-	Estimate *estimate.Estimate `json:"estimate,omitempty"`
-}
-
 // StoreStats counts store activity for one process.
 type StoreStats struct {
 	// Hits and Misses count Get outcomes.
 	Hits, Misses int64
 	// Puts counts successfully persisted results.
 	Puts int64
-	// Corrupt counts entries that existed but could not be read, failed
-	// their checksum or to decode, or carried a stale format/key — and
-	// segments with a torn tail or another build's schema, once each. They
-	// are treated as misses and superseded by the next Put.
+	// Corrupt counts indexed records that could not be read, failed their
+	// checksum or to decode, or carried an unknown fidelity — and segments
+	// with a torn tail or another build's schema, once each. They are
+	// treated as misses and superseded by the next Put.
 	Corrupt int64
 }
 
@@ -179,64 +158,18 @@ func (s *Store) Stats() StoreStats {
 	}
 }
 
-// legacyPath maps a key to its pre-segment entry file.
-func (s *Store) legacyPath(key string) string {
-	return filepath.Join(s.dir, key[:2], key+".json")
-}
-
-// peekLegacy reads and validates the legacy entry for key WITHOUT touching
-// the stats counters: existed reports whether an entry was present at all (so
-// a counting caller can classify an invalid one as corrupt) — only a path
-// that does not exist is a clean miss; any other read failure is an entry
-// that could not be served. Undecodable entries, stale formats, mismatched
-// keys and unknown fidelity values are all invalid, so a stale or damaged
-// store re-simulates rather than failing the exploration — and, crucially, an
-// entry whose fidelity this code does not recognize is never served at all.
-func (s *Store) peekLegacy(key string) (e *legacyEntry, existed, ok bool) {
-	f, err := os.Open(s.legacyPath(key))
-	if err != nil {
-		return nil, !errors.Is(err, fs.ErrNotExist), false
-	}
-	buf := jsonBufs.Get().(*bytes.Buffer)
-	defer jsonBufs.Put(buf)
-	buf.Reset()
-	_, err = buf.ReadFrom(f)
-	f.Close()
-	var ent legacyEntry // copies what it keeps, so the buffer can go back to the pool
-	if err != nil || json.Unmarshal(buf.Bytes(), &ent) != nil || ent.Format != storeFormat || ent.Key != key {
-		return nil, true, false
-	}
-	if (ent.Fidelity == FidelityExact && ent.Result != nil) || (ent.Fidelity == FidelityEstimate && ent.Estimate != nil) {
-		return &ent, true, true
-	}
-	return nil, true, false
-}
-
-// load serves key at one fidelity, counting the outcome in the read-side
-// stats: from the segment index, else — the key in no segment — from the
-// legacy tree, where legacy picks the wanted payload out of a valid entry
-// (nil when the entry holds the other fidelity). A record of the other
-// fidelity is a clean miss; one that cannot be served counts as corrupt.
-func load[T any](s *Store, key string, fid byte, pl *plan, legacy func(*legacyEntry) *T) (*T, bool) {
-	k, ok := parseKey(key)
-	if !ok {
-		s.misses.Add(1)
-		return nil, false
-	}
-	if l, ok := s.lookup(k); ok {
-		if l.fid == fid {
+// load serves key at one fidelity from the segment index, counting the
+// outcome in the read-side stats. A key no segment holds, or a record of the
+// other fidelity, is a clean miss; one that cannot be served counts as
+// corrupt.
+func load[T any](s *Store, key string, fid byte, pl *plan) (*T, bool) {
+	if k, ok := parseKey(key); ok {
+		if l, ok := s.lookup(k); ok && l.fid == fid {
 			if v := new(T); s.read(k, l, pl, reflect.ValueOf(v).Elem()) {
 				s.hits.Add(1)
 				return v, true
 			}
 		}
-	} else if e, existed, ok := s.peekLegacy(key); ok {
-		if v := legacy(e); v != nil {
-			s.hits.Add(1)
-			return v, true
-		}
-	} else if existed {
-		s.corrupt.Add(1)
 	}
 	s.misses.Add(1)
 	return nil, false
@@ -250,7 +183,7 @@ func (s *Store) Get(key string) (*prim.Result, bool) {
 	if s == nil {
 		return nil, false
 	}
-	return load(s, key, fidExact, resultPlan, func(e *legacyEntry) *prim.Result { return e.Result })
+	return load[prim.Result](s, key, fidExact, resultPlan)
 }
 
 // GetEstimate returns the stored tier-A estimate for key, or ok=false when
@@ -260,7 +193,7 @@ func (s *Store) GetEstimate(key string) (*estimate.Estimate, bool) {
 	if s == nil {
 		return nil, false
 	}
-	return load(s, key, fidEstimate, estimatePlan, func(e *legacyEntry) *estimate.Estimate { return e.Estimate })
+	return load[estimate.Estimate](s, key, fidEstimate, estimatePlan)
 }
 
 // Put persists one cycle-exact result with a single appended record, which
@@ -301,16 +234,11 @@ func (s *Store) PutEstimate(key string, p engine.Point, est *estimate.Estimate) 
 		return err
 	}
 	defer recBufs.Put(rec)
-	// These probes are write-side checks and touch no counter: counting them
-	// would double-book a corrupt entry the preceding GetEstimate already
-	// booked (and inflate Misses with probes that never served a read).
-	if l, ok := s.lookup(k); ok {
-		// The same key frames the same point, so equal bytes are an equal
-		// estimate.
-		if l.fid == fidExact || holds(k, l, *rec) {
-			return nil
-		}
-	} else if e, _, ok := s.peekLegacy(key); ok && (e.Fidelity == FidelityExact || *e.Estimate == *est) {
+	// This probe is a write-side check and touches no counter: counting it
+	// would double-book a corrupt record the preceding GetEstimate already
+	// booked (and inflate Misses with probes that never served a read). The
+	// same key frames the same point, so equal bytes are an equal estimate.
+	if l, ok := s.lookup(k); ok && (l.fid == fidExact || holds(k, l, *rec)) {
 		return nil
 	}
 	return s.append(k, fidEstimate, *rec)
@@ -344,9 +272,8 @@ func (s *Store) CorruptEntry(key string) error {
 	return nil
 }
 
-// Count returns how many distinct keys the store holds on disk (all
-// processes' contributions, not just this one's): the index after a refresh,
-// plus the legacy entries no segment has superseded.
+// Count returns how many distinct keys the store's segments hold (all
+// processes' contributions, not just this one's): the index after a refresh.
 func (s *Store) Count() (int, error) {
 	if s == nil {
 		return 0, nil
@@ -354,33 +281,5 @@ func (s *Store) Count() (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.refresh()
-	n := len(s.idx)
-	// Legacy entries live one level down, in directories named by two hex
-	// digits; a store no earlier build wrote has none, and pays one listing.
-	top, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0, fmt.Errorf("explore: counting store entries: %w", err)
-	}
-	for _, d := range top {
-		if !d.IsDir() || len(d.Name()) != 2 {
-			continue
-		}
-		files, err := os.ReadDir(filepath.Join(s.dir, d.Name()))
-		if err != nil {
-			return 0, fmt.Errorf("explore: counting store entries: %w", err)
-		}
-		for _, f := range files {
-			name, isEntry := strings.CutSuffix(f.Name(), ".json")
-			if f.IsDir() || !isEntry || strings.HasPrefix(name, ".") {
-				continue
-			}
-			if k, ok := parseKey(name); ok {
-				if _, superseded := s.idx[k]; superseded {
-					continue
-				}
-			}
-			n++
-		}
-	}
-	return n, nil
+	return len(s.idx), nil
 }

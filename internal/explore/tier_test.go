@@ -277,9 +277,9 @@ func TestPlanTieredMatchesExploration(t *testing.T) {
 }
 
 // TestStoreFidelityTags pins the store's fidelity semantics: estimates are
-// never served as exact, exact always upgrades, estimates never downgrade,
-// and unknown fidelity values (a newer or tampered store) degrade to
-// re-simulation.
+// never served as exact, exact always upgrades, and estimates never
+// downgrade. A record of unknown fidelity (a newer or tampered store) is
+// TestSegmentScanSkipsWhatItCannotServe's.
 func TestStoreFidelityTags(t *testing.T) {
 	st, err := OpenStore(t.TempDir())
 	if err != nil {
@@ -323,37 +323,5 @@ func TestStoreFidelityTags(t *testing.T) {
 	}
 	if _, ok := st.Get(key); !ok {
 		t.Fatal("estimate downgraded a cycle-exact entry")
-	}
-
-	// Unknown fidelity (a future format's tag) is corrupt: never served. The
-	// tampering is done to a legacy per-file entry, under a key no segment
-	// holds, so the fallback reader is what refuses it; a segment record with
-	// an unknown fidelity byte is TestSegmentScanSkipsWhatItCannotServe's.
-	ep.Watchdog = 12345
-	key = KeyOf(ep)
-	ent := writtenLegacyEntry{Format: storeFormat, Key: key, Point: ep, Fidelity: "speculative", Result: res}
-	writeLegacy(t, st, key, ent)
-	before := st.Stats().Corrupt
-	if _, ok := st.Get(key); ok {
-		t.Fatal("unknown-fidelity entry served")
-	}
-	if _, ok := st.GetEstimate(key); ok {
-		t.Fatal("unknown-fidelity entry served as estimate")
-	}
-	if st.Stats().Corrupt != before+2 {
-		t.Fatalf("corrupt counter = %d, want %d", st.Stats().Corrupt, before+2)
-	}
-
-	// The same entry under its true fidelity is served — the reader works —
-	// and a stale format version likewise degrades to a miss (re-simulation).
-	ent.Fidelity = FidelityExact
-	writeLegacy(t, st, key, ent)
-	if _, ok := st.Get(key); !ok {
-		t.Fatal("valid legacy entry not served")
-	}
-	ent.Format = 2
-	writeLegacy(t, st, key, ent)
-	if _, ok := st.Get(key); ok {
-		t.Fatal("stale-format entry served")
 	}
 }
