@@ -21,8 +21,9 @@ import (
 // arena and the buffer pools — and is committed as measured. A row at
 // parallelism 1 fails when its ceiling is lowered by one. The two rows on
 // two workers are not exact, because the workers reorder pool traffic
-// (ServeLoadSweep read 1038-1170 over 240 calls there, the resumed
-// exploration 9467-9477), and carry 10 % over a typical reading. A change
+// (ServeLoadSweep read 1038-1170 over 240 calls there; the resumed
+// exploration reads 2748 on a 2-vCPU Xeon since its tables stopped copying
+// outcomes), and carry 10 % over a typical reading. A change
 // that allocates more on purpose raises its row in the same diff. Not under
 // the race detector, where sync.Pool drops items at random.
 func TestWarmRunHostAllocs(t *testing.T) {
@@ -120,18 +121,18 @@ func TestWarmRunHostAllocs(t *testing.T) {
 			}
 			return x.FirstErr()
 		}},
-		{"Serve/wfq", 311, func() error {
+		{"Serve/wfq", 308, func() error {
 			_, err := upim.Serve(ctx, serve)
 			return err
 		}},
-		{"WriteReport", 3098, func() error { return upim.WriteReport(report, coldTables) }},
+		{"WriteReport", 87, func() error { return upim.WriteReport(report, coldTables) }},
 		{"ServeLoadSweep/2-workers", 1240, func() error { // 1127 + 10 %
 			_, err := upim.ServeLoadSweep(ctx, sweep, []string{"fifo", "wfq", "slo"}, []float64{0.5, 0.8, 0.95, 1.1})
 			return err
 		}},
 		// What a rerun over a populated store costs after enumeration:
 		// reopen the store, 72 hits, four tables, WriteReport.
-		{"ExploreResumed/2-workers", 9180, func() error { // 8345 + 10 %
+		{"ExploreResumed/2-workers", 3020, func() error { // 2748 + 10 %
 			store, err := upim.OpenResultStore(storeDir)
 			if err != nil {
 				return err

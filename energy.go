@@ -51,7 +51,7 @@ func EnergyTable(title string, results []*Result, p *TechProfile) *ResultTable {
 			artifact.Str(res.Benchmark), artifact.Str(res.Mode.String()),
 			artifact.Int(res.Tasklets), artifact.Int(res.DPUs),
 		}
-		row = append(row, energy.BreakdownRow(res.Energy(p), res.Report.Total())...)
+		row = energy.AppendBreakdownRow(row, res.Energy(p), res.Report.Total())
 		t.AddRow(row...)
 	}
 	return t

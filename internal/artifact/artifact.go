@@ -31,7 +31,16 @@ func (c Column) Label() string {
 	if c.Unit == "" {
 		return c.Name
 	}
-	return fmt.Sprintf("%s (%s)", c.Name, c.Unit)
+	return c.Name + " (" + c.Unit + ")"
+}
+
+// appendLabel appends Label's text with esc applied to the name and the unit.
+func (c Column) appendLabel(b []byte, esc func([]byte, string) []byte) []byte {
+	b = esc(b, c.Name)
+	if c.Unit == "" {
+		return b
+	}
+	return append(esc(append(b, " ("...), c.Unit), ')')
 }
 
 // Cols builds unit-less columns from names.
@@ -60,7 +69,13 @@ func Str(s string) Value { return Value{Text: s} }
 
 // Int makes an integer cell.
 func Int[T ~int | ~int64 | ~uint64 | ~uint32 | ~uint](n T) Value {
-	return Value{Text: fmt.Sprint(n), Num: float64(n), Numeric: true}
+	var text string
+	if n < 0 {
+		text = strconv.FormatInt(int64(n), 10)
+	} else {
+		text = strconv.FormatUint(uint64(n), 10)
+	}
+	return Value{Text: text, Num: float64(n), Numeric: true}
 }
 
 // Num makes a float cell with the tables' standard precision: whole numbers
@@ -71,19 +86,26 @@ func Num(v float64) Value {
 	case v == 0:
 		text = "0"
 	case v >= 100:
-		text = fmt.Sprintf("%.0f", v)
+		text = decimal(v, 0, "")
 	case v >= 10:
-		text = fmt.Sprintf("%.1f", v)
+		text = decimal(v, 1, "")
 	default:
-		text = fmt.Sprintf("%.2f", v)
+		text = decimal(v, 2, "")
 	}
 	return Value{Text: text, Num: v, Numeric: true}
+}
+
+// decimal spells v with prec decimals and a suffix, as fmt's %.<prec>f does,
+// into a stack buffer: the text string is the only allocation.
+func decimal(v float64, prec int, suffix string) string {
+	var buf [32]byte
+	return string(append(strconv.AppendFloat(buf[:0], v, 'f', prec, 64), suffix...))
 }
 
 // Pct makes a percentage cell from a fraction: Pct(0.123) displays "12.3%"
 // and compares as 0.123.
 func Pct(v float64) Value {
-	return Value{Text: fmt.Sprintf("%.1f%%", v*100), Num: v, Numeric: true}
+	return Value{Text: decimal(v*100, 1, "%"), Num: v, Numeric: true}
 }
 
 // Raw makes a numeric cell with custom display text, e.g.
@@ -127,15 +149,6 @@ func (v *Value) UnmarshalJSON(data []byte) error {
 	}
 	*v = Value{Text: jv.Text, Num: jv.V, Numeric: true}
 	return nil
-}
-
-// csv renders the machine-readable CSV form: the exact number for numeric
-// cells, the text for string cells.
-func (v Value) csv() string {
-	if v.Numeric {
-		return strconv.FormatFloat(v.Num, 'g', -1, 64)
-	}
-	return v.Text
 }
 
 // Table is one experiment's result grid.

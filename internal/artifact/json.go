@@ -1,7 +1,6 @@
 package artifact
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -17,11 +16,7 @@ import (
 // committed references, so the form is pinned by a differential test against
 // the Encoder. Nothing is written when a cell cannot be encoded (NaN, ±Inf).
 func (t *Table) WriteJSON(w io.Writer) error {
-	var b []byte
-	if buf, ok := w.(*bytes.Buffer); ok {
-		b = buf.AvailableBuffer() // render in place, no second copy
-	}
-	b, err := t.appendJSON(b)
+	b, err := t.appendJSON(scratch(w))
 	if err != nil {
 		return err
 	}

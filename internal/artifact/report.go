@@ -1,9 +1,7 @@
 package artifact
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,50 +11,60 @@ import (
 // Markdown files named by Table.Key, plus an index.md mapping each artifact
 // to its paper figure/table number. The directory is created if needed;
 // existing files are overwritten, so regenerating a report is idempotent.
-// Every file is rendered in memory first and written with one call, so a
-// table that fails to render leaves the previous report's file in place
-// instead of a truncated one.
+// Every file is rendered into one reused buffer first and written with one
+// call, so a table that fails to render leaves the previous report's file in
+// place instead of a truncated one.
 func WriteReport(dir string, tables []*Table) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("artifact: creating report dir: %w", err)
 	}
-	var index strings.Builder
-	index.WriteString("# uPIMulator-Go artifact report\n\n")
-	index.WriteString("Generated by `cmd/figures -out`. Each experiment links the paper\n")
-	index.WriteString("artifact it reproduces to its exported data files.\n\n")
-	index.WriteString("| experiment | paper artifact | scale | title | data |\n")
-	index.WriteString("|---|---|---|---|---|\n")
 	renderers := []struct {
 		ext    string
-		render func(*Table, io.Writer) error
+		render func(*Table, []byte) ([]byte, error)
 	}{
 		// JSON first: it is the one form that can refuse a table (a NaN or
 		// Inf cell), and must do so before any of the table's files changes.
-		{".json", (*Table).WriteJSON},
-		{".csv", (*Table).WriteCSV},
-		{".md", (*Table).WriteMarkdown},
+		{".json", (*Table).appendJSON},
+		{".csv", func(t *Table, b []byte) ([]byte, error) { return t.appendCSV(b), nil }},
+		{".md", func(t *Table, b []byte) ([]byte, error) { return t.appendMarkdown(b), nil }},
 	}
-	var buf bytes.Buffer // one render buffer for every file of the report
+	var buf []byte
 	for _, t := range tables {
 		key := fileKey(t.Key)
 		for _, r := range renderers {
 			path := filepath.Join(dir, key+r.ext)
-			buf.Reset()
-			if err := r.render(t, &buf); err != nil {
+			var err error
+			if buf, err = r.render(t, buf[:0]); err != nil {
 				return fmt.Errorf("artifact: rendering %s: %w", path, err)
 			}
-			if err := writeFile(path, buf.Bytes()); err != nil {
+			if err := writeFile(path, buf); err != nil {
 				return fmt.Errorf("artifact: %w", err)
 			}
 		}
+	}
+	return writeFile(filepath.Join(dir, "index.md"), appendIndex(buf[:0], tables))
+}
+
+// appendIndex renders index.md: one row per table linking its files.
+func appendIndex(b []byte, tables []*Table) []byte {
+	b = append(b, "# uPIMulator-Go artifact report\n\n"+
+		"Generated by `cmd/figures -out`. Each experiment links the paper\n"+
+		"artifact it reproduces to its exported data files.\n\n"+
+		"| experiment | paper artifact | scale | title | data |\n"+
+		"|---|---|---|---|---|\n"...)
+	for _, t := range tables {
+		key := fileKey(t.Key)
 		scale := t.Scale
 		if scale == "" {
 			scale = "-"
 		}
-		fmt.Fprintf(&index, "| [%s](%s.md) | %s | %s | %s | [csv](%s.csv) · [json](%s.json) |\n",
-			key, key, mdEscape(t.ID), scale, mdEscape(t.Title), key, key)
+		b = append(append(append(append(append(b, "| ["...), key...), "]("...), key...), ".md) | "...)
+		b = append(appendMD(b, t.ID), " | "...)
+		b = append(append(b, scale...), " | "...)
+		b = append(appendMD(b, t.Title), " | [csv]("...)
+		b = append(append(append(append(b, key...), ".csv) · [json]("...), key...), ".json) |\n"...)
 	}
-	return writeFile(filepath.Join(dir, "index.md"), []byte(index.String()))
+	return b
 }
 
 // writeFile makes data the contents of path: overwrite in place, then cut to

@@ -19,7 +19,7 @@
 // Compute one report with Kernel (per-DPU event energy), HostTransfer (the
 // CPU<->DPU channel) or OfRun (a whole verified run); Report breaks the
 // total down per Component and derives average power and energy-delay
-// product. BreakdownColumns/BreakdownRow render reports through the
+// product. BreakdownColumns/AppendBreakdownRow render reports through the
 // artifact pipeline, which is how the figures "energy" experiment, the
 // explorer's energy tables and the CLIs all emit the same table shape.
 package energy

@@ -2,6 +2,7 @@ package energy
 
 import (
 	"fmt"
+	"strconv"
 
 	"upim/internal/artifact"
 	"upim/internal/config"
@@ -46,15 +47,6 @@ func (c Component) String() string {
 		return componentNames[c]
 	}
 	return fmt.Sprintf("component?%d", int(c))
-}
-
-// Components lists every breakdown bucket in display order.
-func Components() []Component {
-	out := make([]Component, NumComponents)
-	for i := range out {
-		out[i] = Component(i)
-	}
-	return out
 }
 
 // Report is one energy accounting: picojoules per component under a named
@@ -218,7 +210,8 @@ func Delta(after, before *stats.DPU) stats.DPU {
 // val renders an energy-table number: compact %.4g display over the exact
 // value, stable across magnitudes from nanojoule components to joule totals.
 func val(v float64) artifact.Value {
-	return artifact.Raw(fmt.Sprintf("%.4g", v), v)
+	var buf [32]byte // the text string is the only allocation
+	return artifact.Raw(string(strconv.AppendFloat(buf[:0], v, 'g', 4, 64)), v)
 }
 
 // BreakdownColumns returns the standard energy-table columns: one per
@@ -226,8 +219,8 @@ func val(v float64) artifact.Value {
 // energy artifact in the repo — the figures "energy" experiment, the
 // explorer's energy table, upimulator -kernel all -energy — shares this shape.
 func BreakdownColumns() []artifact.Column {
-	var cols []artifact.Column
-	for _, c := range Components() {
+	cols := make([]artifact.Column, 0, NumComponents+3)
+	for c := range NumComponents {
 		cols = append(cols, artifact.Column{Name: c.String(), Unit: "uJ"})
 	}
 	return append(cols,
@@ -237,11 +230,11 @@ func BreakdownColumns() []artifact.Column {
 	)
 }
 
-// BreakdownRow renders one report against BreakdownColumns. totalSeconds is
-// the modeled duration power and EDP derive from (a run's end-to-end time).
-func BreakdownRow(r Report, totalSeconds float64) []artifact.Value {
-	var row []artifact.Value
-	for _, c := range Components() {
+// AppendBreakdownRow appends one report's cells under BreakdownColumns to
+// row. totalSeconds is the modeled duration power and EDP derive from (a
+// run's end-to-end time).
+func AppendBreakdownRow(row []artifact.Value, r Report, totalSeconds float64) []artifact.Value {
+	for c := range NumComponents {
 		row = append(row, val(r.PJ[c]*1e-6))
 	}
 	return append(row,

@@ -12,6 +12,7 @@ import (
 	"upim/internal/isa"
 	"upim/internal/kbuild"
 	"upim/internal/linker"
+	"upim/internal/prim"
 	"upim/internal/stats"
 )
 
@@ -70,7 +71,7 @@ func TestBulkEqualsStepwise(t *testing.T) {
 	if bulk.TotalPJ() <= 0 {
 		t.Fatal("kernel produced no energy — the step kernel exercised nothing")
 	}
-	for _, c := range energy.Components() {
+	for c := range energy.NumComponents {
 		got, want := stepSum.PJ[c], bulk.PJ[c]
 		if rel := math.Abs(got - want); rel > 1e-12*math.Max(math.Abs(want), 1) {
 			t.Errorf("component %v: stepwise %v vs bulk %v", c, got, want)
@@ -135,7 +136,7 @@ func TestReportDerivations(t *testing.T) {
 
 func TestBreakdownShape(t *testing.T) {
 	cols := energy.BreakdownColumns()
-	row := energy.BreakdownRow(energy.Report{}, 0.5)
+	row := energy.AppendBreakdownRow(nil, energy.Report{}, 0.5)
 	if len(cols) != len(row) {
 		t.Fatalf("breakdown row has %d cells under %d columns", len(row), len(cols))
 	}
@@ -202,5 +203,55 @@ func TestClassKeyCoversMix(t *testing.T) {
 		if _, ok := p.PipelinePJ[key]; !ok {
 			t.Errorf("default profile missing pipeline class %q", key)
 		}
+	}
+}
+
+// TestSharedProfileStaysReadOnly pins the profile a nil resolves to: it is
+// parsed once and shared by every pricing call, so what Default and
+// DefaultFor hand out must be copies. A caller that mutates its copy — a
+// pipeline class, the leakage, the name — changes neither the next nil-profile
+// price of a result of either architecture, nor ResolveProfile(nil), nor what
+// Load overrides.
+func TestSharedProfileStaysReadOnly(t *testing.T) {
+	var st stats.DPU
+	st.Cycles, st.Instructions = 10000, 4000
+	st.Mix[isa.ClassArith], st.RFReads, st.WRAMReads, st.DMABytes = 3000, 5000, 700, 4096
+	st.DRAM.BytesRead, st.DRAM.RowMisses = 4096, 3
+	price := func() [2]energy.Report {
+		var out [2]energy.Report
+		for i, arch := range []string{"", "hbm-pim"} {
+			res := &prim.Result{Arch: arch, Config: config.Default(), PerDPU: []stats.DPU{st, st}}
+			res.Report.BytesIn, res.Report.BytesOut = 1024, 512
+			out[i] = res.Energy(nil)
+		}
+		return out
+	}
+	const override = `{"name": "custom", "format": 1, "rf_read_pj": 7}`
+	load := func() *energy.TechProfile {
+		p, err := energy.Load(strings.NewReader(override))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	wantPrice, wantResolved, wantLoaded := price(), *energy.ResolveProfile(nil), load()
+	wantArith := wantResolved.PipelinePJ["arith"]
+
+	for _, p := range []*energy.TechProfile{energy.Default(), energy.DefaultFor("hbm-pim"), energy.ResolveProfile(energy.Default())} {
+		p.PipelinePJ["arith"] *= 1000
+		p.LeakageMW += 5000
+		p.Name = "mutated"
+	}
+
+	if got := price(); got != wantPrice {
+		t.Errorf("nil-profile energy moved after mutating a copy:\n got %+v\nwant %+v", got, wantPrice)
+	}
+	got := energy.ResolveProfile(nil)
+	if got.Name != wantResolved.Name || got.LeakageMW != wantResolved.LeakageMW || got.PipelinePJ["arith"] != wantArith {
+		t.Errorf("ResolveProfile(nil) moved after mutating a copy: %+v", got)
+	}
+	loaded := load()
+	if loaded.LeakageMW != wantLoaded.LeakageMW || loaded.PipelinePJ["arith"] != wantLoaded.PipelinePJ["arith"] || loaded.RFReadPJ != 7 {
+		t.Errorf("Load's base moved after mutating a copy: %+v", loaded)
 	}
 }

@@ -89,18 +89,16 @@ type TechProfile struct {
 //go:embed profiles/*.json
 var profileFS embed.FS
 
+// The committed defaults, parsed and validated once. Every nil-profile
+// pricing call reads them in place, so nothing may write through these
+// pointers: Default and DefaultFor hand out copies for callers that mutate.
 var (
-	embeddedMu       sync.Mutex
-	embeddedProfiles = map[string]*TechProfile{}
+	upmemDefault  = sync.OnceValue(func() *TechProfile { return embedded("profiles/default.json") })
+	hbmpimDefault = sync.OnceValue(func() *TechProfile { return embedded("profiles/hbmpim.json") })
 )
 
-// embedded parses (once) and returns the committed profile at path.
+// embedded parses and validates the committed profile at path.
 func embedded(path string) *TechProfile {
-	embeddedMu.Lock()
-	defer embeddedMu.Unlock()
-	if p, ok := embeddedProfiles[path]; ok {
-		return p
-	}
 	data, err := profileFS.ReadFile(path)
 	if err != nil {
 		panic("energy: embedded profile " + path + " missing: " + err.Error())
@@ -112,37 +110,39 @@ func embedded(path string) *TechProfile {
 	if err := p.Validate(); err != nil {
 		panic("energy: embedded profile " + path + " invalid: " + err.Error())
 	}
-	embeddedProfiles[path] = p
 	return p
 }
 
 // Default returns a copy of the committed default profile. Mutating the copy
-// is safe; the embedded original is parsed once and never exposed.
-func Default() *TechProfile {
-	return embedded("profiles/default.json").clone()
-}
+// is safe; the embedded original is parsed once and shared, read-only, by
+// ResolveProfile and ResolveProfileFor.
+func Default() *TechProfile { return upmemDefault().clone() }
 
 // DefaultFor returns a copy of the committed default profile for an
-// architecture backend: the UPMEM profile for "" or "upmem" (results
-// predating multiple backends carry no architecture), the bank-level MAC
-// profile for "hbm-pim", and the UPMEM default for anything unrecognized —
-// an unknown architecture's energy is better priced under the committed
-// baseline than dropped to zero.
-func DefaultFor(arch string) *TechProfile {
-	if arch == "hbm-pim" {
-		return embedded("profiles/hbmpim.json").clone()
-	}
-	return Default()
-}
+// architecture backend (see ResolveProfileFor for which one).
+func DefaultFor(arch string) *TechProfile { return ResolveProfileFor(nil, arch).clone() }
 
 // ResolveProfile resolves a nil profile to the committed default — the
 // convention every energy entry point follows, so callers can plumb an
-// optional *TechProfile straight through.
-func ResolveProfile(p *TechProfile) *TechProfile {
-	if p == nil {
-		return Default()
+// optional *TechProfile straight through. The default is the shared,
+// read-only original, not a copy: price with it, never write to it.
+func ResolveProfile(p *TechProfile) *TechProfile { return ResolveProfileFor(p, "") }
+
+// ResolveProfileFor is ResolveProfile for a result of an architecture
+// backend: a nil p resolves to the UPMEM profile for "" or "upmem" (results
+// predating multiple backends carry no architecture), the bank-level MAC
+// profile for "hbm-pim", and the UPMEM default for anything unrecognized —
+// an unknown architecture's energy is better priced under the committed
+// baseline than dropped to zero. Like ResolveProfile it returns the shared
+// original, read-only.
+func ResolveProfileFor(p *TechProfile, arch string) *TechProfile {
+	switch {
+	case p != nil:
+		return p
+	case arch == "hbm-pim":
+		return hbmpimDefault()
 	}
-	return p
+	return upmemDefault()
 }
 
 func (p *TechProfile) clone() *TechProfile {

@@ -327,6 +327,35 @@ func TestParetoFrontier(t *testing.T) {
 	}
 }
 
+// TestBestTableClampsTop pins BestTable's handling of the ranking depth k,
+// which pathfind's -top passes through unchecked: k below 1 ranks one design
+// per benchmark, k past the successes ranks every success, and neither
+// panics.
+func TestBestTableClampsTop(t *testing.T) {
+	mk := func(bench, design string, total float64) Outcome {
+		return Outcome{
+			Point:  Point{Benchmark: bench, Design: design},
+			Result: &prim.Result{Report: host.Report{KernelSeconds: total}},
+		}
+	}
+	x := &Exploration{
+		Space: &Space{Benchmarks: []string{"VA", "BS"}},
+		Outcomes: []Outcome{
+			mk("VA", "slow", 3), mk("BS", "only", 2), mk("VA", "fast", 1),
+			{Point: Point{Benchmark: "VA"}, Err: errors.New("boom")},
+		},
+	}
+	for _, tc := range []struct{ k, rows int }{{-1, 2}, {0, 2}, {1, 2}, {2, 3}, {10, 3}} {
+		best := x.BestTable(tc.k)
+		if len(best.Rows) != tc.rows {
+			t.Errorf("BestTable(%d): %d rows, want %d", tc.k, len(best.Rows), tc.rows)
+		}
+		if got := best.Rows[0][2].Text; got != "fast" {
+			t.Errorf("BestTable(%d): VA's first design = %q, want %q", tc.k, got, "fast")
+		}
+	}
+}
+
 func TestExplorerServesRepeatRunsFromStore(t *testing.T) {
 	st, err := OpenStore(t.TempDir())
 	if err != nil {

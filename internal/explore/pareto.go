@@ -154,27 +154,40 @@ func policyOf(p Point) string {
 // benchmarks should group first — dominance across different workloads is
 // meaningless.
 func Pareto(outs []Outcome, goals ...Goal) []Outcome {
+	group := make([]*Outcome, len(outs))
+	for i := range outs {
+		group[i] = &outs[i]
+	}
+	front := frontier(group, goals)
+	if len(front) == 0 {
+		return nil
+	}
+	out := make([]Outcome, len(front))
+	for i, o := range front {
+		out[i] = *o
+	}
+	return out
+}
+
+// frontier is Pareto over pointers: it filters, evaluates and compares the
+// outcomes in place and returns the frontier's pointers in input order.
+func frontier(group []*Outcome, goals []Goal) []*Outcome {
 	if len(goals) == 0 {
 		goals = []Goal{GoalTime(), GoalCost()}
 	}
-	var ok []Outcome
-	for _, o := range outs {
-		if o.Result != nil && o.Err == nil {
-			ok = append(ok, o)
-		}
-	}
-	vals := make([][]float64, len(ok))
+	ok := succeeded(group)
+	g := len(goals)
+	vals := make([]float64, len(ok)*g)
 	for i, o := range ok {
-		vals[i] = make([]float64, len(goals))
-		for g, goal := range goals {
-			vals[i][g] = goal.Value(o)
+		for k, goal := range goals {
+			vals[i*g+k] = goal.Value(*o)
 		}
 	}
-	var front []Outcome
+	var front []*Outcome
 	for i := range ok {
 		dominated := false
 		for j := range ok {
-			if i != j && dominates(vals[j], vals[i], 0) {
+			if i != j && dominates(vals[j*g:(j+1)*g], vals[i*g:(i+1)*g], 0) {
 				dominated = true
 				break
 			}
@@ -184,6 +197,18 @@ func Pareto(outs []Outcome, goals ...Goal) []Outcome {
 		}
 	}
 	return front
+}
+
+// succeeded returns the outcomes of group that carry a result and no error,
+// in order.
+func succeeded(group []*Outcome) []*Outcome {
+	ok := make([]*Outcome, 0, len(group))
+	for _, o := range group {
+		if o.Result != nil && o.Err == nil {
+			ok = append(ok, o)
+		}
+	}
+	return ok
 }
 
 // dominates reports whether a still dominates b when inflated by the

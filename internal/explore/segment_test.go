@@ -459,7 +459,7 @@ func FuzzSegmentScan(f *testing.F) {
 	})
 }
 
-var update = flag.Bool("update", false, "rewrite testdata/vocab.golden and the seed corpora under testdata/fuzz")
+var update = flag.Bool("update", false, "rewrite testdata/vocab.golden, testdata/report.golden and the seed corpora under testdata/fuzz")
 
 // TestFuzzSeedCorpora keeps the committed seeds of FuzzSegmentScan and
 // FuzzRecordCodec real: they are cut from a segment a Store wrote while a

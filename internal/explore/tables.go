@@ -1,7 +1,7 @@
 package explore
 
 import (
-	"sort"
+	"slices"
 
 	"upim/internal/artifact"
 	"upim/internal/energy"
@@ -34,7 +34,8 @@ func (x *Exploration) SummaryTable() *artifact.Table {
 		artifact.Column{Name: "status"},
 	)
 	for _, o := range x.Outcomes {
-		row := []artifact.Value{artifact.Str(o.Point.Benchmark)}
+		row := make([]artifact.Value, 0, len(t.Columns))
+		row = append(row, artifact.Str(o.Point.Benchmark))
 		for _, l := range o.Point.Labels {
 			row = append(row, artifact.Str(l))
 		}
@@ -102,20 +103,21 @@ func (x *Exploration) ParetoTable(goals ...Goal) *artifact.Table {
 		t.Columns = append(t.Columns, artifact.Column{Name: g.Name, Unit: g.Unit})
 	}
 	t.Columns = append(t.Columns, artifact.Column{Name: "speedup vs base"})
-	for _, bench := range x.benchOrder() {
-		group := x.benchOutcomes(bench)
+	for i, group := range x.benchGroups() {
+		bench := x.benchOrder()[i]
 		base := baseTime(group)
-		front := Pareto(group, goals...)
-		sort.SliceStable(front, func(i, j int) bool {
-			if front[i].Point.Cost != front[j].Point.Cost {
-				return front[i].Point.Cost < front[j].Point.Cost
+		front := frontier(group, goals)
+		slices.SortStableFunc(front, func(a, b *Outcome) int {
+			if a.Point.Cost != b.Point.Cost {
+				return cmpFloat(a.Point.Cost, b.Point.Cost)
 			}
-			return front[i].Result.Report.Total() < front[j].Result.Report.Total()
+			return cmpFloat(a.Result.Report.Total(), b.Result.Report.Total())
 		})
 		for _, o := range front {
-			row := []artifact.Value{artifact.Str(bench), artifact.Str(o.Point.Design)}
+			row := make([]artifact.Value, 0, len(t.Columns))
+			row = append(row, artifact.Str(bench), artifact.Str(o.Point.Design))
 			for _, g := range goals {
-				row = append(row, artifact.Num(g.Value(o)))
+				row = append(row, artifact.Num(g.Value(*o)))
 			}
 			row = append(row, artifact.Num(base/o.Result.Report.Total()))
 			t.AddRow(row...)
@@ -136,20 +138,14 @@ func (x *Exploration) BestTable(k int) *artifact.Table {
 		artifact.Column{Name: "total", Unit: "ms"},
 		artifact.Column{Name: "speedup vs base"},
 	)
-	for _, bench := range x.benchOrder() {
-		group := x.benchOutcomes(bench)
-		var ok []Outcome
-		for _, o := range group {
-			if o.Result != nil && o.Err == nil {
-				ok = append(ok, o)
-			}
-		}
+	for i, group := range x.benchGroups() {
+		bench := x.benchOrder()[i]
+		ok := succeeded(group)
 		base := baseTime(group)
-		sort.SliceStable(ok, func(i, j int) bool {
-			return ok[i].Result.Report.Total() < ok[j].Result.Report.Total()
+		slices.SortStableFunc(ok, func(a, b *Outcome) int {
+			return cmpFloat(a.Result.Report.Total(), b.Result.Report.Total())
 		})
-		for rank := 0; rank < min(k, len(ok)); rank++ {
-			o := ok[rank]
+		for rank, o := range ok[:min(k, len(ok))] {
 			total := o.Result.Report.Total()
 			t.AddRow(
 				artifact.Str(bench), artifact.Int(rank+1), artifact.Str(o.Point.Design),
@@ -158,6 +154,18 @@ func (x *Exploration) BestTable(k int) *artifact.Table {
 		}
 	}
 	return t
+}
+
+// cmpFloat orders a before b exactly when a < b: under a stable sort, equal
+// and unordered (NaN) values both keep their input order.
+func cmpFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case b < a:
+		return 1
+	}
+	return 0
 }
 
 // EnergyTable renders every successful point's per-component energy
@@ -178,9 +186,9 @@ func (x *Exploration) EnergyTable(p *energy.TechProfile) *artifact.Table {
 		if o.Result == nil || o.Err != nil {
 			continue
 		}
-		row := []artifact.Value{artifact.Str(o.Point.Benchmark), artifact.Str(o.Point.Design)}
-		row = append(row, energy.BreakdownRow(o.Result.Energy(p), o.Result.Report.Total())...)
-		t.AddRow(row...)
+		row := make([]artifact.Value, 0, len(t.Columns))
+		row = append(row, artifact.Str(o.Point.Benchmark), artifact.Str(o.Point.Design))
+		t.AddRow(energy.AppendBreakdownRow(row, o.Result.Energy(p), o.Result.Report.Total())...)
 	}
 	return t
 }
@@ -193,20 +201,23 @@ func (x *Exploration) newTable(key, id, title string) *artifact.Table {
 // benchOrder lists the space's benchmarks in declaration order.
 func (x *Exploration) benchOrder() []string { return x.Space.Benchmarks }
 
-// benchOutcomes returns one benchmark's outcomes in point order.
-func (x *Exploration) benchOutcomes(bench string) []Outcome {
-	var out []Outcome
-	for _, o := range x.Outcomes {
-		if o.Point.Benchmark == bench {
-			out = append(out, o)
+// benchGroups splits the outcomes by benchmark: group i points at
+// benchOrder()[i]'s outcomes in point order, without copying them.
+func (x *Exploration) benchGroups() [][]*Outcome {
+	groups := make([][]*Outcome, len(x.benchOrder()))
+	for i, bench := range x.benchOrder() {
+		for j := range x.Outcomes {
+			if x.Outcomes[j].Point.Benchmark == bench {
+				groups[i] = append(groups[i], &x.Outcomes[j])
+			}
 		}
 	}
-	return out
+	return groups
 }
 
 // baseTime returns the benchmark's reference total time: its first
 // successful point in space order (the all-baseline design when feasible).
-func baseTime(group []Outcome) float64 {
+func baseTime(group []*Outcome) float64 {
 	for _, o := range group {
 		if o.Result != nil && o.Err == nil {
 			return o.Result.Report.Total()

@@ -22,7 +22,7 @@ func energyStudy(o Options) ([]engine.Point, projection) {
 		t := newTable("energy", "Energy", "energy breakdown per benchmark (16 threads, profile "+p.Name+")", o, colList...)
 		for _, res := range results {
 			row := []artifact.Value{artifact.Str(res.Benchmark)}
-			row = append(row, energy.BreakdownRow(res.Energy(p), res.Report.Total())...)
+			row = energy.AppendBreakdownRow(row, res.Energy(p), res.Report.Total())
 			t.AddRow(row...)
 		}
 		return t, nil

@@ -175,9 +175,7 @@ type Result struct {
 // record, so results loaded back from a pathfinding store yield
 // bit-identical reports to the run that produced them.
 func (r *Result) Energy(p *energy.TechProfile) energy.Report {
-	if p == nil {
-		p = energy.DefaultFor(r.Arch)
-	}
+	p = energy.ResolveProfileFor(p, r.Arch)
 	return energy.OfRun(p, r.Config, r.PerDPU, r.Report.BytesIn, r.Report.BytesOut)
 }
 
