@@ -4,7 +4,7 @@ GO ?= go
 # its stores, reports and logs; `make clean` removes it.
 W := .work
 
-.PHONY: build test pairs cli-guard pool-guard test-race race coord-soak cover fuzz-smoke bench-module profile-cold profile-resume profile-figures fmt vet loc clean report refdata pathfind-smoke coord-smoke serve-smoke energy-check arch-check calibration-check
+.PHONY: build test pairs cli-guard pool-guard test-race race coord-soak cover fuzz-smoke bench-module profile-cold profile-resume profile-figures profile-serve fmt vet loc clean report refdata pathfind-smoke coord-smoke serve-smoke energy-check arch-check calibration-check
 
 build:
 	$(GO) build ./...
@@ -187,6 +187,20 @@ profile-figures:
 	$(GO) build -o $(W)/profile-figures/figures ./cmd/figures
 	$(W)/profile-figures/figures -exp all -scale tiny -jobs 2 -cpuprofile $(W)/profile-figures/cpu.prof > /dev/null
 	$(GO) tool pprof -top -nodecount 25 $(W)/profile-figures/figures $(W)/profile-figures/cpu.prof
+
+# profile-serve is profile-cold's twin for the serve path: upimulator serve at
+# the repo benchmark's serve_sweep shape (two tenants over four kernels, 25 000
+# requests each, 3 policies x 4 loads, -jobs 2) through its CPU profiler. The
+# command also serves and prints one single-load run, whose 50 000-row request
+# table would dominate the profile, so pprof is focused on the replay, the
+# sweep's cells and the engine's profiling workers. The profile stays in
+# $(W)/profile-serve/cpu.prof.
+profile-serve:
+	rm -rf $(W)/profile-serve
+	mkdir -p $(W)/profile-serve
+	$(GO) build -o $(W)/profile-serve/upimulator ./cmd/upimulator
+	$(W)/profile-serve/upimulator serve -tenants "latency=VA+GEMV:3;batch=BS+RED:1" -requests 25000 -loads 0.5,0.8,0.95,1.1 -policies fifo,wfq,slo -jobs 2 -cpuprofile $(W)/profile-serve/cpu.prof > /dev/null
+	$(GO) tool pprof -top -nodecount 25 -focus 'serve\.\(\*prepared\)|engine\.' $(W)/profile-serve/upimulator $(W)/profile-serve/cpu.prof
 
 # pairs is how a claimed gain is measured: N pairs of runs of one benchmark
 # workload, PARENT (extracted with git archive into .work/pairs/parent) and

@@ -21,7 +21,7 @@ import (
 // arena and the buffer pools — and is committed as measured. A row at
 // parallelism 1 fails when its ceiling is lowered by one. The two rows on
 // two workers are not exact, because the workers reorder pool traffic
-// (ServeLoadSweep read 1038-1170 over 240 calls there; the resumed
+// (ServeLoadSweep reads 1008-1129 over 24 calls there; the resumed
 // exploration reads 2748 on a 2-vCPU Xeon since its tables stopped copying
 // outcomes), and carry 10 % over a typical reading. A change
 // that allocates more on purpose raises its row in the same diff. Not under
@@ -66,16 +66,6 @@ func TestWarmRunHostAllocs(t *testing.T) {
 	}
 	serve := upim.ServeOptions{Tenants: tenants, Policy: wfq, Groups: 2, MaxBatch: 4,
 		Requests: 24, Load: 0.8, Seed: 1, Scale: upim.ScaleTiny, Parallelism: 1}
-
-	// The shape of the repo benchmark's serve_sweep: four kernels profiled
-	// once, 3 policies x 4 loads replayed on two workers.
-	sweep := upim.ServeOptions{
-		Tenants: []upim.ServeTenant{
-			{Name: "latency", Mix: []string{"VA", "GEMV"}, Weight: 3, SLOClass: "latency"},
-			{Name: "batch", Mix: []string{"BS", "RED"}, Weight: 1, SLOClass: "batch"},
-		},
-		Groups: 2, MaxBatch: 4, Requests: 4000, Seed: 1, Scale: upim.ScaleTiny, Parallelism: 2,
-	}
 
 	// A 72-point exploration in a populated store and the four tables a
 	// `pathfind -pareto -goals time,energy,cost -energy` run renders from it.
@@ -126,10 +116,7 @@ func TestWarmRunHostAllocs(t *testing.T) {
 			return err
 		}},
 		{"WriteReport", 87, func() error { return upim.WriteReport(report, coldTables) }},
-		{"ServeLoadSweep/2-workers", 1240, func() error { // 1127 + 10 %
-			_, err := upim.ServeLoadSweep(ctx, sweep, []string{"fifo", "wfq", "slo"}, []float64{0.5, 0.8, 0.95, 1.1})
-			return err
-		}},
+		{"ServeLoadSweep/2-workers", 1228, func() error { return serveSweep(ctx) }}, // 1116 + 10 %
 		// What a rerun over a populated store costs after enumeration:
 		// reopen the store, 72 hits, four tables, WriteReport.
 		{"ExploreResumed/2-workers", 3020, func() error { // 2748 + 10 %
@@ -169,5 +156,51 @@ func TestWarmRunHostAllocs(t *testing.T) {
 				t.Errorf("%.0f allocs per warm call, ceiling %.0f", got, row.ceiling)
 			}
 		})
+	}
+}
+
+// The shape of the repo benchmark's serve_sweep: four kernels profiled once,
+// 3 policies x 4 loads of 4 000 requests per tenant replayed on two workers.
+const (
+	serveSweepCells    = 3 * 4
+	serveSweepRequests = 2 * 4000 // per cell
+)
+
+func serveSweep(ctx context.Context) error {
+	opts := upim.ServeOptions{
+		Tenants: []upim.ServeTenant{
+			{Name: "latency", Mix: []string{"VA", "GEMV"}, Weight: 3, SLOClass: "latency"},
+			{Name: "batch", Mix: []string{"BS", "RED"}, Weight: 1, SLOClass: "batch"},
+		},
+		Groups: 2, MaxBatch: 4, Requests: serveSweepRequests / 2, Seed: 1, Scale: upim.ScaleTiny, Parallelism: 2,
+	}
+	_, err := upim.ServeLoadSweep(ctx, opts, []string{"fifo", "wfq", "slo"}, []float64{0.5, 0.8, 0.95, 1.1})
+	return err
+}
+
+// TestWarmServeLoadSweepBytes is the memory half of the serving contract:
+// the heap bytes one warm serve_sweep-shaped ServeLoadSweep allocates per
+// replayed request. An allocation count misses a buffer that grows, and a
+// load sweep's bytes scale with its requests. A cell allocates pointer-free
+// outcomes and one latency buffer per replay, and builds no Records; that
+// reads 83.2 B a request on a 2-vCPU Xeon, and the ceiling is the reading
+// plus 10 %.
+func TestWarmServeLoadSweepBytes(t *testing.T) {
+	const ceiling = 92.0 // bytes per replayed request
+	ctx := context.Background()
+	if err := serveSweep(ctx); err != nil { // warm: kernels built, pools filled
+		t.Fatal(err)
+	}
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := serveSweep(ctx); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	perRequest := float64(after.TotalAlloc-before.TotalAlloc) / (serveSweepCells * serveSweepRequests)
+	if perRequest > ceiling {
+		t.Errorf("%.1f bytes per replayed request, ceiling %.0f", perRequest, ceiling)
 	}
 }

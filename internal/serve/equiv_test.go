@@ -6,9 +6,11 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -83,31 +85,29 @@ func TestLoadSweepMatchesPerCellServe(t *testing.T) {
 
 // stableSortMerge is the merge mergeStreams replaced, kept as its
 // reference: a stable sort of the concatenated streams by (arrival, tenant
-// index).
-func stableSortMerge(streams [][]Request) ([]Request, []int32) {
+// index), read off as each arrival's tenant.
+func stableSortMerge(streams [][]draw) []int32 {
 	type tagged struct {
-		Request
-		tenant int
+		draw
+		tenant int32
 	}
 	var all []tagged
 	for ti, s := range streams {
-		for _, r := range s {
-			all = append(all, tagged{r, ti})
+		for _, d := range s {
+			all = append(all, tagged{d, int32(ti)})
 		}
 	}
 	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].Arrival != all[j].Arrival {
-			return all[i].Arrival < all[j].Arrival
+		if all[i].at != all[j].at {
+			return all[i].at < all[j].at
 		}
 		return all[i].tenant < all[j].tenant
 	})
-	reqs := make([]Request, len(all))
 	owner := make([]int32, len(all))
-	for i, r := range all {
-		reqs[i], owner[i] = r.Request, int32(r.tenant)
-		reqs[i].ID = i
+	for i, d := range all {
+		owner[i] = d.tenant
 	}
-	return reqs, owner
+	return owner
 }
 
 // TestMergeStreamsMatchesStableSort drives both merges over streams whose
@@ -116,31 +116,106 @@ func stableSortMerge(streams [][]Request) ([]Request, []int32) {
 func TestMergeStreamsMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 200; trial++ {
-		streams := make([][]Request, 1+rng.Intn(4))
+		streams := make([][]draw, 1+rng.Intn(4))
 		for ti := range streams {
 			now := 0.0
 			for i, n := 0, rng.Intn(12); i < n; i++ {
 				now += float64(rng.Intn(3)) // gaps of 0 tie within the tenant too
-				streams[ti] = append(streams[ti], Request{
-					Tenant:    string(rune('a' + ti)),
-					Benchmark: []string{"VA", "BS"}[rng.Intn(2)],
-					Arrival:   now,
-					ID:        -1 - i, // scrambled: the merge must assign IDs itself
-				})
+				streams[ti] = append(streams[ti], draw{at: now, mix: int32(rng.Intn(2))})
 			}
 		}
-		wantReqs, wantOwner := stableSortMerge(streams)
-		gotReqs, gotOwner := mergeStreams(streams) // consumes streams
-		if len(gotReqs) != len(wantReqs) {
-			t.Fatalf("trial %d: merged %d requests, want %d", trial, len(gotReqs), len(wantReqs))
+		want := stableSortMerge(streams)
+		got := mergeStreams(streams)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: merged tenants %v, want %v", trial, got, want)
 		}
-		for i := range wantReqs {
-			if gotReqs[i] != wantReqs[i] || gotOwner[i] != wantOwner[i] {
-				t.Fatalf("trial %d: position %d = %+v (tenant %d), want %+v (tenant %d)",
-					trial, i, gotReqs[i], gotOwner[i], wantReqs[i], wantOwner[i])
+	}
+}
+
+// refPoissonRequests is the generator arrivals.poisson replaced, kept as
+// its reference: each tenant's stream drawn as whole Requests, then merged
+// by copying them.
+func refPoissonRequests(seed int64, tenants []tenant) ([]Request, []int32) {
+	var streams [][]Request
+	for _, t := range tenants {
+		rng := rand.New(rand.NewSource(tenantSeed(seed, t.Name)))
+		s := make([]Request, t.Requests)
+		now := 0.0
+		for i := range s {
+			now += rng.ExpFloat64() / t.Rate
+			s[i] = Request{Tenant: t.Name, Class: t.SLOClass, Benchmark: t.Mix[rng.Intn(len(t.Mix))], Arrival: now}
+		}
+		streams = append(streams, s)
+	}
+	var reqs []Request
+	var owner []int32
+	for {
+		first := -1
+		for ti, s := range streams {
+			if len(s) > 0 && (first < 0 || s[0].Arrival < streams[first][0].Arrival) {
+				first = ti
+			}
+		}
+		if first < 0 {
+			return reqs, owner
+		}
+		r := streams[first][0]
+		r.ID = len(reqs)
+		reqs, owner = append(reqs, r), append(owner, int32(first))
+		streams[first] = streams[first][1:]
+	}
+}
+
+// TestPoissonMatchesReference: the pointer-free generator writes the
+// reference's requests and owners, and each request's kernel index names
+// its benchmark.
+func TestPoissonMatchesReference(t *testing.T) {
+	kernels := []string{"BS", "GEMV", "RED", "VA"}
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 50; trial++ {
+		a := &arrivals{tenants: make([]tenant, 1+rng.Intn(4))}
+		for ti := range a.tenants {
+			tn := tenant{Tenant: Tenant{
+				Name:     string(rune('a' + ti)),
+				SLOClass: []string{"latency", "batch"}[rng.Intn(2)],
+				Rate:     float64(1 + rng.Intn(1000)),
+				Requests: rng.Intn(300),
+			}}
+			for _, k := range rng.Perm(len(kernels))[:1+rng.Intn(len(kernels))] {
+				tn.Mix = append(tn.Mix, kernels[k])
+				tn.kernels = append(tn.kernels, int32(k))
+			}
+			a.tenants[ti] = tn
+		}
+		seed := rng.Int63()
+		wantReqs, wantOwner := refPoissonRequests(seed, a.tenants)
+		a.poisson(seed)
+		if !slices.Equal(a.reqs, wantReqs) || !slices.Equal(a.owner, wantOwner) {
+			t.Fatalf("trial %d: the generated stream differs from the reference", trial)
+		}
+		for id, r := range a.reqs {
+			if kernels[a.kernel[id]] != r.Benchmark {
+				t.Fatalf("trial %d: request %d runs %s but carries kernel %d", trial, id, r.Benchmark, a.kernel[id])
 			}
 		}
 	}
+}
+
+// percentile is the nearest-rank p-th percentile (0 < p <= 100) of sorted,
+// or 0 when sorted is empty: the sort-based reference the metrics'
+// selection is held to.
+func percentile(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	rank := int(math.Ceil(float64(len(sorted)) * p / 100))
+	if rank < 1 {
+		rank = 1
+	}
+	if rank > len(sorted) {
+		rank = len(sorted)
+	}
+	return sorted[rank-1]
 }
 
 // naiveMetrics is the filter-copy-sort computation computeMetrics
@@ -220,52 +295,96 @@ func sameBits(t *testing.T, what string, got, want Metrics) {
 	}
 }
 
+// metricsTrial is one seeded set of records for TestComputeMetricsMatchesNaive:
+// n requests over 1-4 tenants, one tenant (or none) dropping everything and
+// one in five of the rest dropped. gap draws the time to the next arrival,
+// service a completed request's (wait, service) pair.
+func metricsTrial(rng *rand.Rand, n int, gap func() float64, service func() (wait, svc float64)) ([]tenant, []Record, []int32, float64) {
+	tenants := make([]tenant, 1+rng.Intn(4))
+	for ti := range tenants {
+		tenants[ti] = tenant{Tenant: Tenant{
+			Name:      string(rune('a' + ti)),
+			SLOClass:  "c",
+			SLOTarget: rng.Float64() * 0.02,
+		}}
+	}
+	allDropped := rng.Intn(len(tenants) + 1) // one tenant (or none) completes nothing
+	records := make([]Record, n)
+	owner := make([]int32, n)
+	makespan := 0.0
+	now := 0.0
+	for id := range records {
+		ti := rng.Intn(len(tenants))
+		now += gap()
+		r := Record{Request: Request{ID: id, Tenant: tenants[ti].Name, Arrival: now}}
+		if ti == allDropped || rng.Intn(5) == 0 {
+			r.Dropped = true
+		} else {
+			wait, svc := service()
+			r.Start = now + wait
+			r.Finish = r.Start + svc
+			r.Batch = 1 + rng.Intn(4)
+			r.EnergyUJ = rng.Float64() * 50
+			makespan = math.Max(makespan, r.Finish)
+		}
+		records[id], owner[id] = r, int32(ti)
+	}
+	return tenants, records, owner, makespan
+}
+
 // TestComputeMetricsMatchesNaive: the single indexed pass is bit-equal to
 // the reference over seeded random records — interleaved tenants, drops,
-// a tenant with no completions, repeated latencies.
+// a tenant with no completions, repeated latencies — and over records up to
+// 50 000 long whose latencies are all equal or take only two values, where
+// an order statistic's partition has the most ties to get wrong.
 func TestComputeMetricsMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 100; trial++ {
-		tenants := make([]tenant, 1+rng.Intn(4))
-		for ti := range tenants {
-			tenants[ti] = tenant{Tenant: Tenant{
-				Name:      string(rune('a' + ti)),
-				SLOClass:  "c",
-				SLOTarget: rng.Float64() * 0.02,
-			}}
-		}
-		allDropped := rng.Intn(len(tenants) + 1) // one tenant (or none) completes nothing
-		n := rng.Intn(400)
-		records := make([]Record, n)
-		owner := make([]int32, n)
-		makespan := 0.0
-		now := 0.0
-		for id := range records {
-			ti := rng.Intn(len(tenants))
-			now += rng.ExpFloat64() * 1e-3
-			r := Record{Request: Request{ID: id, Tenant: tenants[ti].Name, Arrival: now}}
-			if ti == allDropped || rng.Intn(5) == 0 {
-				r.Dropped = true
-			} else {
-				r.Start = now + float64(rng.Intn(4))*1e-3 // few distinct waits: ties in the sort
-				r.Finish = r.Start + float64(1+rng.Intn(3))*2.5e-3
-				r.Batch = 1 + rng.Intn(4)
-				r.EnergyUJ = rng.Float64() * 50
-				makespan = math.Max(makespan, r.Finish)
-			}
-			records[id], owner[id] = r, int32(ti)
-		}
+	check := func(what string, tenants []tenant, records []Record, owner []int32, makespan float64) {
+		t.Helper()
 		wantT, wantAll := naiveMetrics(tenants, records, makespan)
-		gotT, gotAll := computeMetrics(tenants, owner, records, makespan)
+		arr := &arrivals{tenants: tenants, reqs: make([]Request, len(records)), owner: owner}
+		outs := make([]outcome, len(records))
+		for id, r := range records {
+			arr.reqs[id] = r.Request
+			outs[id] = outcome{start: r.Start, finish: r.Finish, energyUJ: r.EnergyUJ, batch: int32(r.Batch), dropped: r.Dropped}
+		}
+		gotT, gotAll := computeMetrics(arr, outs, makespan)
 		sameBits(t, "overall", gotAll, wantAll)
 		for ti := range tenants {
 			if gotT[ti].Tenant != wantT[ti].Tenant || gotT[ti].Class != wantT[ti].Class || gotT[ti].TargetMS != wantT[ti].TargetMS {
-				t.Errorf("trial %d: tenant %d identity = %+v, want %+v", trial, ti, gotT[ti], wantT[ti])
+				t.Errorf("%s: tenant %d identity = %+v, want %+v", what, ti, gotT[ti], wantT[ti])
 			}
 			sameBits(t, "tenant "+tenants[ti].Name, gotT[ti].Metrics, wantT[ti].Metrics)
 		}
 		if t.Failed() {
-			t.Fatalf("trial %d (%d records, %d tenants) diverged", trial, n, len(tenants))
+			t.Fatalf("%s (%d records, %d tenants) diverged", what, len(records), len(tenants))
+		}
+	}
+
+	rng := rand.New(rand.NewSource(29))
+	expGap := func() float64 { return rng.ExpFloat64() * 1e-3 }
+	for trial := 0; trial < 100; trial++ {
+		tenants, records, owner, makespan := metricsTrial(rng, rng.Intn(400), expGap, func() (float64, float64) {
+			// Few distinct waits and services: ties in the order.
+			return float64(rng.Intn(4)) * 1e-3, float64(1+rng.Intn(3)) * 2.5e-3
+		})
+		check(fmt.Sprintf("trial %d", trial), tenants, records, owner, makespan)
+	}
+
+	// On a dyadic grid the arithmetic is exact, so with no wait every
+	// latency is its service bit for bit: all equal, or two values.
+	gridGap := func() float64 { return float64(rng.Intn(3)) / 1024 }
+	for _, c := range []struct {
+		name    string
+		gap     func() float64
+		service func() (float64, float64)
+	}{
+		{"all-equal", gridGap, func() (float64, float64) { return 0, 1.0 / 256 }},
+		{"two-values", gridGap, func() (float64, float64) { return 0, float64(1+rng.Intn(2)) / 256 }},
+		{"distinct", expGap, func() (float64, float64) { return rng.ExpFloat64() * 1e-3, rng.ExpFloat64() * 2.5e-3 }},
+	} {
+		for _, n := range []int{1, 2, 3, 5, 17, 100, 1000, 50000} {
+			tenants, records, owner, makespan := metricsTrial(rng, n, c.gap, c.service)
+			check(fmt.Sprintf("%s n=%d", c.name, n), tenants, records, owner, makespan)
 		}
 	}
 }

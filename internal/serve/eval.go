@@ -32,7 +32,7 @@ func evalOptions(policy Policy) Options {
 // evalP99 replays the canned workload against a single-kernel profile:
 // Serve's run path with the profiling step already done.
 func evalP99(prof profile, benchmark string, policy Policy) (float64, error) {
-	p := &prepared{opts: evalOptions(policy), profiles: map[string]profile{benchmark: prof}}
+	p := &prepared{opts: evalOptions(policy), kernels: []string{benchmark}, profiles: []profile{prof}}
 	for i := range p.opts.Tenants {
 		p.opts.Tenants[i].Mix = []string{benchmark}
 	}
@@ -40,11 +40,12 @@ func evalP99(prof profile, benchmark string, policy Policy) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	res, err := p.replay(context.TODO(), policy, arr) // EvalP99 takes no context
+	outs, makespan, err := p.replay(context.TODO(), policy, arr) // EvalP99 takes no context
 	if err != nil {
 		return 0, err
 	}
-	return res.Overall.P99MS, nil
+	_, overall := computeMetrics(arr, outs, makespan)
+	return overall.P99MS, nil
 }
 
 // EvalP99 scores one cycle-exact result as a server: it replays the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // tenantSeed derives a per-tenant RNG seed from the run seed and the
@@ -25,9 +26,10 @@ type arrivals struct {
 	load float64
 	// tenants are resolved at this load (derived rates depend on it).
 	tenants []tenant
-	// reqs is the stream in ID (arrival) order; owner[id] indexes tenants.
-	reqs  []Request
-	owner []int32
+	// reqs is the stream in ID (arrival) order; owner[id] indexes tenants
+	// and kernel[id] the prepared kernels.
+	reqs          []Request
+	owner, kernel []int32
 }
 
 // arrivals builds the stream for one offered load: the explicit trace when
@@ -35,108 +37,111 @@ type arrivals struct {
 func (p *prepared) arrivals(load float64) (*arrivals, error) {
 	a := &arrivals{load: load, tenants: p.tenantsAt(load)}
 	if len(p.opts.Trace) > 0 {
-		var err error
-		if a.reqs, a.owner, err = traceRequests(p.opts.Trace, a.tenants); err != nil {
+		if err := a.trace(p.opts.Trace); err != nil {
 			return nil, err
 		}
 		return a, nil
 	}
-	a.reqs, a.owner = poissonRequests(p.opts.Seed, a.tenants)
+	a.poisson(p.opts.Seed)
 	return a, nil
 }
 
-// poissonRequests generates every tenant's open-loop Poisson arrival
-// stream and merges them into one globally-ordered request sequence.
-// Each tenant draws from its own seeded RNG, so streams are independent
-// and the merged order is a pure function of (seed, tenants).
-func poissonRequests(seed int64, tenants []tenant) ([]Request, []int32) {
+// draw is one generated arrival before the merge: its time and its index
+// into the tenant's mix.
+type draw struct {
+	at  float64
+	mix int32
+}
+
+// poisson generates every tenant's open-loop Poisson arrival stream and
+// merges them into one globally-ordered request sequence. Each tenant
+// draws from its own seeded RNG, so streams are independent and the merged
+// order is a pure function of (seed, tenants).
+func (a *arrivals) poisson(seed int64) {
 	total := 0
-	for _, t := range tenants {
+	for _, t := range a.tenants {
 		total += t.Requests
 	}
 	// The per-tenant streams sit back to back in one buffer.
-	buf := make([]Request, total)
-	streams := make([][]Request, len(tenants))
-	for ti, t := range tenants {
+	buf := make([]draw, total)
+	streams := make([][]draw, len(a.tenants))
+	for ti, t := range a.tenants {
 		rng := rand.New(rand.NewSource(tenantSeed(seed, t.Name)))
 		streams[ti], buf = buf[:t.Requests], buf[t.Requests:]
 		now := 0.0
 		for i := range streams[ti] {
 			// Exponential inter-arrival gap at the tenant's rate.
 			now += rng.ExpFloat64() / t.Rate
-			streams[ti][i] = Request{
-				Tenant:    t.Name,
-				Class:     t.SLOClass,
-				Benchmark: t.Mix[rng.Intn(len(t.Mix))],
-				Arrival:   now,
-			}
+			streams[ti][i] = draw{at: now, mix: int32(rng.Intn(len(t.Mix)))}
 		}
 	}
-	return mergeStreams(streams)
+	a.owner = mergeStreams(streams)
+	a.reqs = make([]Request, total)
+	a.kernel = make([]int32, total)
+	for id, ti := range a.owner {
+		t, d := &a.tenants[ti], streams[ti][0]
+		streams[ti] = streams[ti][1:]
+		a.reqs[id] = Request{ID: id, Tenant: t.Name, Class: t.SLOClass, Benchmark: t.Mix[d.mix], Arrival: d.at}
+		a.kernel[id] = t.kernels[d.mix]
+	}
 }
 
 // mergeStreams merges per-tenant streams, each already time-ordered, by
 // arrival time with ties broken by tenant order — what a stable sort of
-// their concatenation yields, in one linear pass. It consumes streams and
-// assigns IDs in merged order.
-func mergeStreams(streams [][]Request) (reqs []Request, owner []int32) {
+// their concatenation yields, in one linear pass. owner[id] is the tenant
+// of the id-th arrival, which is the next unmerged draw of its stream.
+func mergeStreams(streams [][]draw) (owner []int32) {
 	total := 0
 	for _, s := range streams {
 		total += len(s)
 	}
-	reqs = make([]Request, total)
 	owner = make([]int32, total)
-	for id := range reqs {
-		first := -1
+	heads := make([]int, len(streams))
+	for id := range owner {
+		first, at := -1, 0.0
 		for ti, s := range streams {
-			if len(s) > 0 && (first < 0 || s[0].Arrival < streams[first][0].Arrival) {
-				first = ti
+			if h := heads[ti]; h < len(s) && (first < 0 || s[h].at < at) {
+				first, at = ti, s[h].at
 			}
 		}
-		reqs[id] = streams[first][0]
-		reqs[id].ID = id
 		owner[id] = int32(first)
-		streams[first] = streams[first][1:]
+		heads[first]++
 	}
-	return reqs, owner
+	return owner
 }
 
-// traceRequests validates an explicit trace and normalizes its IDs. The
-// trace replaces generation entirely: arrivals, tenants and benchmarks
-// come verbatim from the caller.
-func traceRequests(trace []Request, tenants []tenant) ([]Request, []int32, error) {
-	byName := make(map[string]int, len(tenants))
-	for i := range tenants {
-		byName[tenants[i].Name] = i
+// trace validates an explicit trace and takes it as the stream with IDs
+// normalized. The trace replaces generation entirely: arrivals, tenants and
+// benchmarks come verbatim from the caller.
+func (a *arrivals) trace(trace []Request) error {
+	byName := make(map[string]int, len(a.tenants))
+	for i := range a.tenants {
+		byName[a.tenants[i].Name] = i
 	}
-	reqs := make([]Request, len(trace))
-	owner := make([]int32, len(trace))
+	a.reqs = make([]Request, len(trace))
+	a.owner = make([]int32, len(trace))
+	a.kernel = make([]int32, len(trace))
 	last := math.Inf(-1)
 	for i, r := range trace {
 		ti, ok := byName[r.Tenant]
 		if !ok {
-			return nil, nil, fmt.Errorf("serve: trace entry %d: unknown tenant %q", i, r.Tenant)
+			return fmt.Errorf("serve: trace entry %d: unknown tenant %q", i, r.Tenant)
 		}
-		t := &tenants[ti]
-		owner[i] = int32(ti)
-		inMix := false
-		for _, b := range t.Mix {
-			if b == r.Benchmark {
-				inMix = true
-				break
-			}
+		t := &a.tenants[ti]
+		a.owner[i] = int32(ti)
+		j := slices.Index(t.Mix, r.Benchmark)
+		if j < 0 {
+			return fmt.Errorf("serve: trace entry %d: benchmark %q not in tenant %q's mix", i, r.Benchmark, r.Tenant)
 		}
-		if !inMix {
-			return nil, nil, fmt.Errorf("serve: trace entry %d: benchmark %q not in tenant %q's mix", i, r.Benchmark, r.Tenant)
-		}
+		a.kernel[i] = t.kernels[j]
 		if r.Arrival < 0 || !finite(r.Arrival) {
-			return nil, nil, fmt.Errorf("serve: trace entry %d: invalid arrival %v", i, r.Arrival)
+			return fmt.Errorf("serve: trace entry %d: invalid arrival %v", i, r.Arrival)
 		}
 		if r.Arrival < last {
-			return nil, nil, fmt.Errorf("serve: trace entry %d: arrival %v precedes entry %d (trace must be time-ordered)", i, r.Arrival, i-1)
+			return fmt.Errorf("serve: trace entry %d: arrival %v precedes entry %d (trace must be time-ordered)", i, r.Arrival, i-1)
 		}
 		last = r.Arrival
-		reqs[i] = Request{
+		a.reqs[i] = Request{
 			ID:        i,
 			Tenant:    r.Tenant,
 			Class:     t.SLOClass,
@@ -144,8 +149,8 @@ func traceRequests(trace []Request, tenants []tenant) ([]Request, []int32, error
 			Arrival:   r.Arrival,
 		}
 		if r.Class != "" {
-			reqs[i].Class = r.Class
+			a.reqs[i].Class = r.Class
 		}
 	}
-	return reqs, owner, nil
+	return nil
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"upim/internal/artifact"
@@ -34,24 +35,73 @@ type TenantMetrics struct {
 	Metrics
 }
 
-// percentile returns the nearest-rank p-th percentile (0 < p <= 100) of
-// sorted, or 0 when sorted is empty.
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	// Nearest-rank: ceil(p/100 * n), 1-based.
-	rank := int(math.Ceil(float64(len(sorted)) * p / 100))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
+// nearestRank returns the 0-based position of the nearest-rank p-th
+// percentile (0 < p <= 100) among n > 0 sorted values: ceil(p/100 * n),
+// 1-based.
+func nearestRank(n int, p float64) int {
+	rank := int(math.Ceil(float64(n) * p / 100))
+	return min(max(rank, 1), n) - 1
 }
 
-// tally accumulates one Metrics over records visited in ID order. Float
+// nthElement permutes a so that a[k] holds the value sorted(a)[k] would,
+// nothing before it larger and nothing after it smaller, and returns that
+// value (quickselect; a holds no NaN). A value is what an order statistic
+// is, so the answer is the sort's to the bit. Each round is a Hoare
+// partition of the range holding position k around a median-of-three
+// pivot; both scans stop at values equal to the pivot, so ties split
+// evenly. A range that keeps failing to shrink is sorted instead, which
+// bounds the worst case at n log n.
+func nthElement(a []float64, k int) float64 {
+	lo, hi := 0, len(a)-1
+	for rounds := 2 * bits.Len(uint(len(a))); lo < hi; rounds-- {
+		if rounds == 0 {
+			slices.Sort(a[lo : hi+1])
+			break
+		}
+		x, y, z := a[lo], a[lo+(hi-lo)/2], a[hi]
+		pivot := max(min(x, y), min(max(x, y), z))
+		// Afterwards a[lo:j+1] <= pivot, a[i:hi+1] >= pivot and j < i;
+		// anything between equals the pivot.
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < pivot {
+				i++
+			}
+			for a[j] > pivot {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		if j < k {
+			lo = i
+		}
+		if k < i {
+			hi = j
+		}
+	}
+	return a[k]
+}
+
+// percentiles returns the nearest-rank p50, p95 and p99 of lats, or zeros
+// when lats is empty. It selects them in rank order, each on the part the
+// one before left above it, and permutes lats.
+func percentiles(lats []float64) (p50, p95, p99 float64) {
+	n := len(lats)
+	if n == 0 {
+		return 0, 0, 0
+	}
+	k50, k95, k99 := nearestRank(n, 50), nearestRank(n, 95), nearestRank(n, 99)
+	p50 = nthElement(lats, k50)
+	p95 = nthElement(lats[k50:], k95-k50)
+	p99 = nthElement(lats[k95:], k99-k95)
+	return p50, p95, p99
+}
+
+// tally accumulates one Metrics over outcomes visited in ID order. Float
 // sums are order-sensitive, so that order — per tenant and overall — is
 // part of the refdata contract.
 type tally struct {
@@ -59,30 +109,30 @@ type tally struct {
 	sumLat, sumE           float64
 }
 
-// add counts one record; latency is meaningless for a dropped one.
-func (a *tally) add(r *Record, latency, target float64) {
+// done counts the completed requests so far.
+func (a *tally) done() int { return a.requests - a.dropped }
+
+// add counts one outcome; latency is meaningless for a dropped one.
+func (a *tally) add(o *outcome, latency, target float64) {
 	a.requests++
-	if r.Dropped {
+	if o.dropped {
 		a.dropped++
 		return
 	}
 	a.sumLat += latency
-	a.sumE += r.EnergyUJ
+	a.sumE += o.energyUJ
 	if target > 0 && latency <= target {
 		a.met++
 	}
 }
 
-// metrics finishes the tally given its completed latencies, sorted.
-func (a *tally) metrics(sorted []float64, makespan float64) Metrics {
-	m := Metrics{
-		Requests: a.requests,
-		Dropped:  a.dropped,
-		P50MS:    percentile(sorted, 50) * 1e3,
-		P95MS:    percentile(sorted, 95) * 1e3,
-		P99MS:    percentile(sorted, 99) * 1e3,
-	}
-	if done := len(sorted); done > 0 {
+// metrics finishes the tally given its completed latencies, which it
+// permutes.
+func (a *tally) metrics(lats []float64, makespan float64) Metrics {
+	m := Metrics{Requests: a.requests, Dropped: a.dropped}
+	p50, p95, p99 := percentiles(lats)
+	m.P50MS, m.P95MS, m.P99MS = p50*1e3, p95*1e3, p99*1e3
+	if done := len(lats); done > 0 {
 		m.MeanMS = a.sumLat / float64(done) * 1e3
 		m.EnergyPerReqUJ = a.sumE / float64(done)
 		if makespan > 0 {
@@ -96,62 +146,47 @@ func (a *tally) metrics(sorted []float64, makespan float64) Metrics {
 }
 
 // computeMetrics produces per-tenant metrics (in tenant order) and the
-// overall aggregate in one pass over records, where owner[id] is record
-// id's tenant index and makespan the last finish time. Each tenant's
-// latencies are sorted once; the overall percentiles come from merging
-// those sorted slices.
-func computeMetrics(tenants []tenant, owner []int32, records []Record, makespan float64) ([]TenantMetrics, Metrics) {
-	counts := make([]int, len(tenants))
-	for _, ti := range owner {
-		counts[ti]++
+// overall aggregate in one pass over a replay's outcomes, where makespan is
+// the last finish time. The completed latencies go to one buffer, tenant
+// after tenant: each tenant's percentiles are selected on its part, the
+// overall ones on the whole.
+func computeMetrics(arr *arrivals, outs []outcome, makespan float64) ([]TenantMetrics, Metrics) {
+	tenants := arr.tenants
+	// Tenant ti's latencies are written from at[ti], room for all its
+	// requests; the parts close up once the drops are known.
+	at := make([]int, len(tenants)+1)
+	for _, ti := range arr.owner {
+		at[ti+1]++
 	}
+	for ti := range tenants {
+		at[ti+1] += at[ti]
+	}
+	lats := make([]float64, len(outs))
 	per := make([]tally, len(tenants))
-	lats := make([][]float64, len(tenants))
-	for ti, n := range counts {
-		lats[ti] = make([]float64, 0, n)
-	}
 	var all tally
-	for id := range records {
-		r, ti := &records[id], owner[id]
-		l, target := r.Latency(), tenants[ti].SLOTarget
-		per[ti].add(r, l, target)
-		all.add(r, l, target)
-		if !r.Dropped {
-			lats[ti] = append(lats[ti], l)
+	for id := range outs {
+		o, ti := &outs[id], arr.owner[id]
+		l, target := o.finish-arr.reqs[id].Arrival, tenants[ti].SLOTarget
+		if !o.dropped {
+			lats[at[ti]+per[ti].done()] = l
 		}
+		per[ti].add(o, l, target)
+		all.add(o, l, target)
 	}
 	out := make([]TenantMetrics, len(tenants))
+	done := 0
 	for ti, t := range tenants {
-		slices.Sort(lats[ti])
+		part := lats[done : done+per[ti].done()]
+		copy(part, lats[at[ti]:])
+		done += len(part)
 		out[ti] = TenantMetrics{
 			Tenant:   t.Name,
 			Class:    t.SLOClass,
 			TargetMS: t.SLOTarget * 1e3,
-			Metrics:  per[ti].metrics(lats[ti], makespan),
+			Metrics:  per[ti].metrics(part, makespan),
 		}
 	}
-	return out, all.metrics(mergeSorted(lats), makespan)
-}
-
-// mergeSorted merges sorted slices into one sorted slice.
-func mergeSorted(parts [][]float64) []float64 {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	heads := slices.Clone(parts)
-	out := make([]float64, 0, total)
-	for len(out) < total {
-		first := -1
-		for i, h := range heads {
-			if len(h) > 0 && (first < 0 || h[0] < heads[first][0]) {
-				first = i
-			}
-		}
-		out = append(out, heads[first][0])
-		heads[first] = heads[first][1:]
-	}
-	return out
+	return out, all.metrics(lats[:done], makespan)
 }
 
 // num renders a full-precision numeric cell: the exact value is what

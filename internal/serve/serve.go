@@ -33,7 +33,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"upim/internal/config"
 	"upim/internal/energy"
@@ -276,8 +276,11 @@ func (o Options) validate() error {
 // Config/GroupDPUs/Scale/Watchdog/Profile — never on Load or Policy — so
 // one prepared value serves every (policy, load) cell of a sweep, read-only.
 type prepared struct {
-	opts     Options
-	profiles map[string]profile
+	opts Options
+	// kernels names the workload's distinct benchmarks, sorted; a request's
+	// kernel index points into it and into profiles.
+	kernels  []string
+	profiles []profile
 }
 
 // prepare validates opts and profiles the workload's kernels.
@@ -286,11 +289,12 @@ func prepare(ctx context.Context, opts Options) (*prepared, error) {
 		return nil, err
 	}
 	opts = opts.withDefaults()
-	profiles, err := profileKernels(ctx, opts)
-	if err != nil {
+	p := &prepared{opts: opts}
+	var err error
+	if p.kernels, p.profiles, err = profileKernels(ctx, opts); err != nil {
 		return nil, err
 	}
-	return &prepared{opts: opts, profiles: profiles}, nil
+	return p, nil
 }
 
 // Serve profiles the workload's kernels cycle-exactly and replays the
@@ -308,23 +312,45 @@ func Serve(ctx context.Context, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.replay(ctx, p.opts.Policy, arr)
+	outs, makespan, err := p.replay(ctx, p.opts.Policy, arr)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{
+		PolicyName: p.opts.Policy.Name(),
+		Groups:     p.opts.Groups,
+		GroupDPUs:  p.opts.GroupDPUs,
+		Load:       arr.load,
+		Scale:      p.opts.Scale,
+		Records:    make([]Record, len(outs)),
+		Makespan:   makespan,
+	}
+	// The records join each arrival with its outcome.
+	for id := range outs {
+		o := &outs[id]
+		res.Records[id] = Record{
+			Request:  arr.reqs[id],
+			Start:    o.start,
+			Finish:   o.finish,
+			Batch:    int(o.batch),
+			EnergyUJ: o.energyUJ,
+			Dropped:  o.dropped,
+		}
+	}
+	res.Tenants, res.Overall = computeMetrics(arr, outs, makespan)
+	return res, nil
 }
 
 // profileKernels simulates every distinct benchmark of the workload once on
-// a rank group, through the shared engine (arenas + build cache).
-func profileKernels(ctx context.Context, opts Options) (map[string]profile, error) {
-	seen := map[string]bool{}
+// a rank group, through the shared engine (arenas + build cache), and
+// returns their sorted names and, index for index, their profiles.
+func profileKernels(ctx context.Context, opts Options) ([]string, []profile, error) {
 	var names []string
 	for _, tn := range opts.Tenants {
-		for _, b := range tn.Mix {
-			if !seen[b] {
-				seen[b] = true
-				names = append(names, b)
-			}
-		}
+		names = append(names, tn.Mix...)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
+	names = slices.Compact(names)
 	pts := make([]engine.Point, len(names))
 	for i, b := range names {
 		pts[i] = engine.Point{
@@ -342,14 +368,14 @@ func profileKernels(ctx context.Context, opts Options) (map[string]profile, erro
 	eng := engine.NewWithCache(opts.Parallelism, cache)
 	outs, err := eng.SweepAll(ctx, pts)
 	if err != nil {
-		return nil, fmt.Errorf("serve: profiling %s: %w", outs[firstErr(outs)].Point.Benchmark, err)
+		return nil, nil, fmt.Errorf("serve: profiling %s: %w", outs[firstErr(outs)].Point.Benchmark, err)
 	}
 	prof := energy.ResolveProfile(opts.Profile)
-	profiles := make(map[string]profile, len(names))
+	profiles := make([]profile, len(names))
 	for i, o := range outs {
-		profiles[names[i]] = profileOf(o.Result, prof)
+		profiles[i] = profileOf(o.Result, prof)
 	}
-	return profiles, nil
+	return names, profiles, nil
 }
 
 // profileOf splits one cycle-exact result into the batch-shared input part
@@ -381,6 +407,8 @@ func firstErr(outs []engine.Outcome) int {
 // kernel profiles.
 type tenant struct {
 	Tenant
+	// kernels resolves Mix, entry for entry, to kernel indices.
+	kernels []int32
 	// meanS is the tenant's mean unbatched service time over its mix.
 	meanS float64
 }
@@ -409,8 +437,11 @@ func (p *prepared) tenantsAt(load float64) []tenant {
 		if t.Requests <= 0 {
 			t.Requests = opts.Requests
 		}
-		for _, b := range t.Mix {
-			t.meanS += p.profiles[b].service(1)
+		t.kernels = make([]int32, len(t.Mix))
+		for j, b := range t.Mix {
+			k, _ := slices.BinarySearch(p.kernels, b) // every mix entry was profiled
+			t.kernels[j] = int32(k)
+			t.meanS += p.profiles[k].service(1)
 		}
 		t.meanS /= float64(len(t.Mix))
 		if t.SLOTarget <= 0 {

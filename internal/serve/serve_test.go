@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
@@ -251,9 +252,19 @@ func FuzzServeTrace(f *testing.F) {
 	for _, tc := range badTraces {
 		seed(tc.trace)
 	}
+	// Each tenant's mix resolves to kernels numbered in mix order, from
+	// 10 for the first tenant, 20 for the second.
 	var tenants []tenant
-	for _, tn := range testOptions().Tenants {
-		tenants = append(tenants, tenant{Tenant: tn})
+	for ti, tn := range testOptions().Tenants {
+		t := tenant{Tenant: tn}
+		for j := range tn.Mix {
+			t.kernels = append(t.kernels, int32(10*(ti+1)+j))
+		}
+		tenants = append(tenants, t)
+	}
+	accept := func(trace []Request) (*arrivals, error) {
+		a := &arrivals{tenants: tenants}
+		return a, a.trace(trace)
 	}
 	f.Fuzz(func(t *testing.T, tenantCol, benchCol string, arrivals []byte) {
 		names, benches := strings.Split(tenantCol, "\n"), strings.Split(benchCol, "\n")
@@ -267,22 +278,23 @@ func FuzzServeTrace(f *testing.F) {
 				trace[i].Benchmark = benches[i]
 			}
 		}
-		reqs, owner, err := traceRequests(trace, tenants)
+		a, err := accept(trace)
 		if err != nil {
 			var k int
 			if _, scanErr := fmt.Sscanf(err.Error(), "serve: trace entry %d:", &k); scanErr != nil || k < 0 || k >= len(trace) {
 				t.Fatalf("error %q names no entry of a %d-entry trace", err, len(trace))
 			}
-			if _, _, err := traceRequests(trace[:k], tenants); err != nil {
+			if _, err := accept(trace[:k]); err != nil {
 				t.Fatalf("error names entry %d, but the entries before it are rejected too: %v", k, err)
 			}
-			if _, _, err := traceRequests(trace[:k+1], tenants); err == nil {
+			if _, err := accept(trace[:k+1]); err == nil {
 				t.Fatalf("error names entry %d, but the trace up to it is accepted", k)
 			}
 			return
 		}
-		if len(reqs) != len(trace) || len(owner) != len(trace) {
-			t.Fatalf("%d entries in, %d requests and %d owners out", len(trace), len(reqs), len(owner))
+		reqs, owner := a.reqs, a.owner
+		if len(reqs) != len(trace) || len(owner) != len(trace) || len(a.kernel) != len(trace) {
+			t.Fatalf("%d entries in, %d requests, %d owners and %d kernels out", len(trace), len(reqs), len(owner), len(a.kernel))
 		}
 		last := 0.0
 		for i, r := range reqs {
@@ -293,9 +305,10 @@ func FuzzServeTrace(f *testing.F) {
 				t.Fatalf("request %d arrives at %v after %v", i, r.Arrival, last)
 			}
 			last = r.Arrival
-			tn := tenants[owner[i]].Tenant
-			if tn.Name != r.Tenant || !slices.Contains(tn.Mix, r.Benchmark) {
-				t.Fatalf("request %d (%s, %s) owned by tenant %q with mix %v", i, r.Tenant, r.Benchmark, tn.Name, tn.Mix)
+			tn := tenants[owner[i]]
+			if j := slices.Index(tn.Mix, r.Benchmark); tn.Name != r.Tenant || j < 0 || tn.kernels[j] != a.kernel[i] {
+				t.Fatalf("request %d (%s, %s, kernel %d) owned by tenant %q with mix %v, kernels %v",
+					i, r.Tenant, r.Benchmark, a.kernel[i], tn.Name, tn.Mix, tn.kernels)
 			}
 		}
 	})
@@ -325,24 +338,70 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
+// TestPercentile: selection reads the nearest-rank percentile of values in
+// any order, and the three metrics' ranks come out of one buffer.
 func TestPercentile(t *testing.T) {
-	sorted := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	cases := []struct {
+	for _, tc := range []struct {
 		p    float64
 		want float64
 	}{
 		{50, 5}, {95, 10}, {99, 10}, {100, 10}, {10, 1},
-	}
-	for _, tc := range cases {
-		if got := percentile(sorted, tc.p); got != tc.want {
+	} {
+		shuffled := []float64{7, 3, 10, 1, 9, 5, 2, 8, 6, 4}
+		if got := nthElement(shuffled, nearestRank(len(shuffled), tc.p)); got != tc.want {
 			t.Errorf("percentile(%v) = %v, want %v", tc.p, got, tc.want)
 		}
 	}
-	if got := percentile(nil, 50); got != 0 {
-		t.Errorf("percentile(nil) = %v, want 0", got)
+	if p50, p95, p99 := percentiles(nil); p50 != 0 || p95 != 0 || p99 != 0 {
+		t.Errorf("percentiles(nil) = %v, %v, %v, want 0s", p50, p95, p99)
 	}
-	if got := percentile([]float64{42}, 99); got != 42 {
-		t.Errorf("percentile(single, 99) = %v, want 42", got)
+	if p50, p95, p99 := percentiles([]float64{42}); p50 != 42 || p95 != 42 || p99 != 42 {
+		t.Errorf("percentiles(single) = %v, %v, %v, want 42s", p50, p95, p99)
+	}
+	lats := make([]float64, 200)
+	for i := range lats {
+		lats[i] = float64((i * 37) % 200) // 0..199, scrambled
+	}
+	if p50, p95, p99 := percentiles(lats); p50 != 99 || p95 != 189 || p99 != 197 {
+		t.Errorf("percentiles(0..199) = %v, %v, %v, want 99, 189, 197", p50, p95, p99)
+	}
+}
+
+// TestNthElementMatchesSort: selection agrees with a sort at every position,
+// and leaves nothing larger before it or smaller after it, over random,
+// tied, sorted and reversed values, and over a permutation that defeats the
+// median-of-three pivot for twelve rounds, the budget at 32 values, so that
+// selecting position 15 ends in the sort fallback.
+func TestNthElementMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	inputs := [][]float64{
+		{0, 17, 27, 13, 31, 29, 20, 7, 10, 1, 25, 12, 26, 14, 15, 28, 30, 3, 11, 4, 21, 16, 9, 24, 2, 22, 18, 8, 6, 5, 23, 19},
+	}
+	for _, n := range []int{1, 2, 3, 7, 16, 33, 100} {
+		for _, distinct := range []int{1, 2, 5, n} {
+			a := make([]float64, n)
+			for i := range a {
+				a[i] = float64(rng.Intn(distinct))
+			}
+			inputs = append(inputs, a)
+		}
+		up, down := make([]float64, n), make([]float64, n)
+		for i := range up {
+			up[i], down[n-1-i] = float64(i), float64(i)
+		}
+		inputs = append(inputs, up, down)
+	}
+	for _, in := range inputs {
+		sorted := slices.Sorted(slices.Values(in))
+		for k := range in {
+			a := slices.Clone(in)
+			if got := nthElement(a, k); got != sorted[k] {
+				t.Fatalf("nthElement(%v, %d) = %v, want %v", in, k, got, sorted[k])
+			}
+			if slices.Max(a[:k+1]) != a[k] || slices.Min(a[k:]) != a[k] {
+				t.Fatalf("nthElement(%v, %d) left %v: not partitioned around position %d", in, k, a, k)
+			}
+		}
 	}
 }
 
@@ -466,6 +525,32 @@ func TestLoadSweepLabelsReplayedLoad(t *testing.T) {
 		if load := row[1]; load.Num != defaultLoad || load.Text != "0.7" {
 			t.Errorf("row %d load = %q (%v), want the replayed %v", i, load.Text, load.Num, defaultLoad)
 		}
+	}
+}
+
+// TestLoadSweepLabelsReplayedPolicy: an empty policy name replays fifo, and
+// its rows name fifo, as Serve's Result.PolicyName does, not a blank policy
+// beside fifo's latencies.
+func TestLoadSweepLabelsReplayedPolicy(t *testing.T) {
+	opts := testOptions()
+	opts.Requests = 6
+	tab, err := LoadSweep(context.Background(), opts, []string{"", "fifo"}, []float64{0.5})
+	if err != nil {
+		t.Fatalf("LoadSweep: %v", err)
+	}
+	n := len(opts.Tenants)
+	if len(tab.Rows) != 2*n {
+		t.Fatalf("rows = %d, want %d", len(tab.Rows), 2*n)
+	}
+	for i, row := range tab.Rows {
+		if policy := row[0].Text; policy != "fifo" {
+			t.Errorf("row %d policy = %q, want the replayed fifo", i, policy)
+		}
+	}
+	empty, _ := json.Marshal(tab.Rows[:n])
+	fifo, _ := json.Marshal(tab.Rows[n:])
+	if string(empty) != string(fifo) {
+		t.Errorf("the empty name's rows differ from fifo's:\n got %s\nwant %s", empty, fifo)
 	}
 }
 

@@ -11,19 +11,28 @@ import (
 // long replay stops within microseconds.
 const ctxCheckEvents = 4096
 
+// outcome is what the replay decides for one request: when its batch ran,
+// how large the batch was and its share of the batch's energy, or that
+// admission control dropped it. It holds no pointers, so a cell's outcomes
+// cost the collector nothing; Serve joins them with the arrivals into
+// Records, and the metrics read them directly.
+type outcome struct {
+	start, finish, energyUJ float64
+	batch                   int32
+	dropped                 bool
+}
+
 // replay runs one (policy, load) cell: the arrival stream through the
 // scheduler in virtual time. The loop is strictly single-threaded and
 // event-driven — the next event is always the earlier of the next arrival
 // and the earliest group completion — so the outcome is a pure function of
 // (requests, profiles, policy), independent of host parallelism and wall
 // clock. It reads p and arr without writing either, so cells sharing them
-// may run concurrently; the only error is ctx's.
-func (p *prepared) replay(ctx context.Context, policy Policy, arr *arrivals) (*Result, error) {
+// may run concurrently; the only error is ctx's. It returns one outcome per
+// request, in ID order, and the makespan.
+func (p *prepared) replay(ctx context.Context, policy Policy, arr *arrivals) ([]outcome, float64, error) {
 	opts, reqs := p.opts, arr.reqs
-	records := make([]Record, len(reqs))
-	for i := range reqs {
-		records[i].Request = reqs[i]
-	}
+	outs := make([]outcome, len(reqs))
 
 	// An SLO-aware policy's missing class targets come from the tenants'
 	// resolved (possibly auto-derived) targets, so "slo" means the same
@@ -51,29 +60,25 @@ func (p *prepared) replay(ctx context.Context, policy Policy, arr *arrivals) (*R
 			}
 			pick := policy.Pick(pending, now)
 			lead := pending[pick]
+			owner, kernel := arr.owner[lead.ID], arr.kernel[lead.ID]
 			// Extend the picked request into a batch: queued requests of
 			// the same (tenant, benchmark) ride the same launch, in queue
 			// order, up to MaxBatch — one input staging amortized over all.
 			batch = batch[:0]
 			for i := 0; i < len(pending) && len(batch) < opts.MaxBatch-1; i++ {
-				if r := pending[i]; i != pick && r.Tenant == lead.Tenant && r.Benchmark == lead.Benchmark {
+				if id := pending[i].ID; i != pick && arr.owner[id] == owner && arr.kernel[id] == kernel {
 					batch = append(batch, i)
 				}
 			}
 			at, _ := slices.BinarySearch(batch, pick)
 			batch = slices.Insert(batch, at, pick) // within capacity: no allocation
 
-			prof := p.profiles[lead.Benchmark]
+			prof := &p.profiles[kernel]
 			k := len(batch)
 			svc := prof.service(k)
-			finish := now + svc
-			euj := prof.energyPerReq(k)
+			o := outcome{start: now, finish: now + svc, energyUJ: prof.energyPerReq(k), batch: int32(k)}
 			for _, i := range batch {
-				rec := &records[pending[i].ID]
-				rec.Start = now
-				rec.Finish = finish
-				rec.Batch = k
-				rec.EnergyUJ = euj
+				outs[pending[i].ID] = o
 			}
 			// Remove the batch from the queue, preserving arrival order:
 			// everything before its first member stays where it is.
@@ -87,9 +92,9 @@ func (p *prepared) replay(ctx context.Context, policy Policy, arr *arrivals) (*R
 			}
 			pending = pending[:w]
 
-			busyUntil[gi] = finish
-			if finish > makespan {
-				makespan = finish
+			busyUntil[gi] = o.finish
+			if o.finish > makespan {
+				makespan = o.finish
 			}
 			policy.Served(lead.Tenant, svc)
 		}
@@ -97,7 +102,7 @@ func (p *prepared) replay(ctx context.Context, policy Policy, arr *arrivals) (*R
 
 	for events := 1; next < len(reqs) || len(pending) > 0 || anyBusy(busyUntil, now); events++ {
 		if events%ctxCheckEvents == 0 && ctx.Err() != nil {
-			return nil, ctx.Err()
+			return nil, 0, ctx.Err()
 		}
 		// Advance virtual time to the next event: the earlier of the next
 		// arrival and the earliest in-flight completion (a group that frees
@@ -116,7 +121,7 @@ func (p *prepared) replay(ctx context.Context, policy Policy, arr *arrivals) (*R
 		// Admit every arrival at this instant (tie-ordered by ID).
 		for next < len(reqs) && reqs[next].Arrival <= now {
 			if opts.MaxQueue > 0 && len(pending) >= opts.MaxQueue {
-				records[next].Dropped = true
+				outs[next].dropped = true
 			} else {
 				pending = append(pending, &reqs[next])
 			}
@@ -125,17 +130,7 @@ func (p *prepared) replay(ctx context.Context, policy Policy, arr *arrivals) (*R
 		dispatch()
 	}
 
-	res := &Result{
-		PolicyName: policy.Name(),
-		Groups:     opts.Groups,
-		GroupDPUs:  opts.GroupDPUs,
-		Load:       arr.load,
-		Scale:      opts.Scale,
-		Records:    records,
-		Makespan:   makespan,
-	}
-	res.Tenants, res.Overall = computeMetrics(arr.tenants, arr.owner, records, makespan)
-	return res, nil
+	return outs, makespan, nil
 }
 
 func anyBusy(busyUntil []float64, now float64) bool {

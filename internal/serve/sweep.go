@@ -21,8 +21,8 @@ import (
 // policies, and the cells — pure functions of those read-only inputs — run
 // on the engine's worker pool, Options.Parallelism wide. Rows are assembled
 // in (policy, load) order, so the table never depends on the worker count.
-// A row's load is the load its cell replayed: a non-positive entry means
-// the default.
+// A row names the policy and the load its cell replayed: an empty name means
+// fifo and a non-positive load the default.
 func LoadSweep(ctx context.Context, opts Options, policies []string, loads []float64) (*artifact.Table, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -37,12 +37,11 @@ func LoadSweep(ctx context.Context, opts Options, policies []string, loads []flo
 // sweep replays every (policy, load) cell of the prepared workload.
 func (p *prepared) sweep(ctx context.Context, policies []string, loads []float64) (*artifact.Table, error) {
 	type cell struct {
-		name   string
 		load   float64
 		policy Policy
 		gen    func() (*arrivals, error)
-		// rows are the cell's per-tenant metrics: all the table keeps of a
-		// Result, so a cell's records are garbage as soon as it finishes.
+		// rows are the cell's per-tenant metrics, all the table keeps of its
+		// replay.
 		rows []TenantMetrics
 		err  error
 	}
@@ -66,7 +65,7 @@ func (p *prepared) sweep(ctx context.Context, policies []string, loads []float64
 			if err != nil {
 				return nil, err
 			}
-			cells = append(cells, cell{name: name, load: replayed[i], policy: policy, gen: gens[i]})
+			cells = append(cells, cell{load: replayed[i], policy: policy, gen: gens[i]})
 		}
 	}
 
@@ -80,12 +79,12 @@ func (p *prepared) sweep(ctx context.Context, policies []string, loads []float64
 			c.err = err
 			return
 		}
-		res, err := p.replay(ctx, c.policy, arr)
+		outs, makespan, err := p.replay(ctx, c.policy, arr)
 		if err != nil {
 			c.err = err
 			return
 		}
-		c.rows = res.Tenants
+		c.rows, _ = computeMetrics(arr, outs, makespan)
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("serve: load sweep: %w", err)
@@ -105,11 +104,11 @@ func (p *prepared) sweep(ctx context.Context, policies []string, loads []float64
 	for i := range cells {
 		c := &cells[i]
 		if c.err != nil {
-			return nil, fmt.Errorf("serve: load sweep %s@%.2f: %w", c.name, c.load, c.err)
+			return nil, fmt.Errorf("serve: load sweep %s@%.2f: %w", c.policy.Name(), c.load, c.err)
 		}
 		for _, t := range c.rows {
 			tab.AddRow(
-				artifact.Str(c.name), num(c.load), artifact.Str(t.Tenant),
+				artifact.Str(c.policy.Name()), num(c.load), artifact.Str(t.Tenant),
 				num(t.P50MS), num(t.P99MS),
 				num(t.ThroughputRPS), num(t.EnergyPerReqUJ),
 			)

@@ -1,0 +1,168 @@
+package serve
+
+import (
+	"cmp"
+	"context"
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+
+	"upim/internal/prim"
+)
+
+// TestServeMatchesQueueingTheory holds the event loop to closed-form
+// queueing theory and to the two invariants any scheduler must keep.
+//
+// One rank group, FIFO and no batching make a tenant's stream an M/G/1
+// queue: Poisson arrivals at rate λ, service S drawn uniformly from the
+// mix's profiled times. Its mean wait is Pollaczek–Khinchine's
+// Wq = λE[S²]/(2(1−ρ)), ρ = λE[S], which for a one-kernel mix (a
+// deterministic S) is M/D/1's ρS/(2(1−ρ)). The simulated mean wait must
+// land within three standard errors of it, the error estimated by batch
+// means: twenty consecutive batches of requests, whose means are nearly
+// independent where single waits are not.
+func TestServeMatchesQueueingTheory(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		mix  []string
+		load float64
+	}{
+		{[]string{"VA"}, 0.3}, {[]string{"VA"}, 0.5}, {[]string{"VA"}, 0.8},
+		{[]string{"VA", "RED"}, 0.3}, {[]string{"VA", "RED"}, 0.5}, {[]string{"VA", "RED"}, 0.8},
+	} {
+		t.Run(fmt.Sprintf("%v@%v", tc.mix, tc.load), func(t *testing.T) {
+			opts := Options{
+				Tenants:  []Tenant{{Name: "t", Mix: tc.mix}},
+				Groups:   1,
+				MaxBatch: 1,
+				Requests: 20000,
+				Load:     tc.load,
+				Seed:     1,
+				Scale:    prim.ScaleTiny,
+			}
+			res, err := Serve(ctx, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Each kernel's service time, read back from its records.
+			svc := map[string]float64{}
+			for _, r := range res.Records {
+				svc[r.Benchmark] = r.Finish - r.Start
+			}
+			var es, es2 float64
+			for _, b := range tc.mix {
+				es += svc[b] / float64(len(tc.mix))
+				es2 += svc[b] * svc[b] / float64(len(tc.mix))
+			}
+			lambda := tc.load / es // the derived rate: ρ = load on one group
+			rho := lambda * es
+			want := lambda * es2 / (2 * (1 - rho))
+
+			const batches = 20
+			per := len(res.Records) / batches
+			var means []float64
+			for b := 0; b < batches; b++ {
+				sum := 0.0
+				for _, r := range res.Records[b*per : (b+1)*per] {
+					sum += r.Start - r.Arrival
+				}
+				means = append(means, sum/float64(per))
+			}
+			mean, sd := meanSD(means)
+			se := sd / math.Sqrt(batches)
+			t.Logf("Wq = %.4g s, theory %.4g s (%+.1f %%), standard error %.3g s", mean, want, 100*(mean-want)/want, se)
+			if math.Abs(mean-want) > 3*se {
+				t.Errorf("mean wait %.6g s is %.1f standard errors from theory's %.6g s", mean, math.Abs(mean-want)/se, want)
+			}
+		})
+	}
+
+	// Every policy, several groups, batching and admission drops: each
+	// arrival is completed or dropped exactly once, and no group idles while
+	// a request waits.
+	for _, name := range PolicyNames() {
+		t.Run("conservation/"+name, func(t *testing.T) {
+			opts := testOptions()
+			opts.Groups = 3
+			opts.Requests = 400
+			opts.Load = 1.2
+			opts.MaxQueue = 12
+			var err error
+			if opts.Policy, err = NewPolicy(name, opts.Tenants); err != nil {
+				t.Fatal(err)
+			}
+			res, err := Serve(ctx, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Overall.Dropped == 0 {
+				t.Fatal("nothing dropped: admission control is not exercised")
+			}
+			if n := opts.Requests * len(opts.Tenants); len(res.Records) != n || res.Overall.Requests != n {
+				t.Fatalf("%d records, %d requests counted, want %d arrivals", len(res.Records), res.Overall.Requests, n)
+			}
+			checkConservation(t, res, opts.Groups)
+		})
+	}
+}
+
+// meanSD returns the mean and sample standard deviation of xs.
+func meanSD(xs []float64) (mean, sd float64) {
+	for _, x := range xs {
+		mean += x
+	}
+	mean /= float64(len(xs))
+	for _, x := range xs {
+		sd += (x - mean) * (x - mean)
+	}
+	return mean, math.Sqrt(sd / float64(len(xs)-1))
+}
+
+// checkConservation fails unless res's records are each completed or
+// dropped exactly once, and every instant a request waits ([Arrival,
+// Start)) finds all groups busy. A batch of k requests shares one Start and
+// Finish, so each member holds 1/k of a group: counted in units of the
+// least common multiple of the batch sizes, the busy groups are exact.
+func checkConservation(t *testing.T, res *Result, groups int) {
+	t.Helper()
+	const unit = 12 // lcm(1, 2, 3, 4): batches of up to four
+	type event struct {
+		at          float64
+		wait, units int
+	}
+	var events []event
+	for id, r := range res.Records {
+		switch {
+		case r.ID != id:
+			t.Fatalf("record %d carries ID %d", id, r.ID)
+		case r.Dropped:
+			if r.Start != 0 || r.Finish != 0 || r.Batch != 0 {
+				t.Fatalf("dropped request %d was served: %+v", id, r)
+			}
+		case r.Start < r.Arrival || r.Finish <= r.Start || r.Batch < 1 || unit%r.Batch != 0:
+			t.Fatalf("request %d is neither completed nor dropped: %+v", id, r)
+		default:
+			events = append(events,
+				event{r.Arrival, 1, 0}, event{r.Start, -1, unit / r.Batch}, event{r.Finish, 0, -unit / r.Batch})
+		}
+	}
+	slices.SortFunc(events, func(a, b event) int { return cmp.Compare(a.at, b.at) })
+	waiting, busy := 0, 0
+	for i, e := range events {
+		waiting += e.wait
+		busy += e.units
+		if i+1 < len(events) && events[i+1].at == e.at {
+			continue // the state holds from the last event at this instant on
+		}
+		if busy%unit != 0 || busy/unit > groups {
+			t.Fatalf("at %v s, %d/%d groups busy", e.at, busy, unit)
+		}
+		if waiting > 0 && busy/unit < groups {
+			t.Fatalf("at %v s, %d requests wait while %d of %d groups are busy", e.at, waiting, busy/unit, groups)
+		}
+	}
+	if waiting != 0 || busy != 0 {
+		t.Fatalf("after the last event %d requests wait and %d/%d groups are busy", waiting, busy, unit)
+	}
+}
