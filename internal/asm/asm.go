@@ -246,155 +246,52 @@ func (a *assembler) target(line int, raw, s string) (uint16, error) {
 	return uint16(v), nil
 }
 
+// instruction parses one instruction's operands in the order op.Operands
+// gives them; the cond and target that may follow are written together or
+// not at all.
 func (a *assembler) instruction(line int, raw string, fields []string) error {
 	op, ok := isa.OpcodeByName(fields[0])
 	if !ok {
 		return a.errf(line, raw, "unknown mnemonic %q", fields[0])
 	}
-	args := fields[1:]
-	in := isa.Instruction{Op: op}
-	want := func(n ...int) error {
-		for _, w := range n {
-			if len(args) == w {
-				return nil
-			}
-		}
-		return a.errf(line, raw, "%s: wrong operand count %d", op, len(args))
+	args, ops := fields[1:], op.Operands()
+	if n := len(args); n != len(ops) && (n > len(ops) || ops[n].Field != isa.FieldCond) {
+		return a.errf(line, raw, "%s: wrong operand count %d", op, n)
 	}
-	var err error
-	switch op.Format() {
-	case isa.FmtRRR:
-		if op == isa.OpMOV {
-			if err = want(2, 4); err != nil {
-				return err
+	in := isa.Instruction{Op: op}
+	for i, s := range args {
+		var err error
+		switch o := ops[i]; o.Field {
+		case isa.FieldRd:
+			in.Rd, err = a.reg(line, raw, s)
+		case isa.FieldRa:
+			in.Ra, err = a.reg(line, raw, s)
+		case isa.FieldRb:
+			in.Rb, in.Imm, in.UseImm, err = a.regOrImm(line, raw, s)
+		case isa.FieldCond:
+			var ok bool
+			if in.Cond, ok = isa.CondByName(s); !ok {
+				err = a.errf(line, raw, "unknown condition %q", s)
 			}
-		} else if err = want(3, 5); err != nil {
-			return err
-		}
-		if in.Rd, err = a.reg(line, raw, args[0]); err != nil {
-			return err
-		}
-		if in.Ra, err = a.reg(line, raw, args[1]); err != nil {
-			return err
-		}
-		rest := args[2:]
-		if op != isa.OpMOV {
-			if in.Rb, in.Imm, in.UseImm, err = a.regOrImm(line, raw, args[2]); err != nil {
-				return err
+		case isa.FieldTarget:
+			in.Target, err = a.target(line, raw, s)
+		case isa.FieldImm:
+			v, perr := parseInt(s)
+			switch {
+			case perr == nil:
+				in.Imm = int32(v)
+			case op != isa.OpMOVI:
+				err = a.errf(line, raw, "bad %s %q", o.Name, s)
+			case a.statics[s]:
+				// Symbol reference: leave zero, emit fixup.
+				a.obj.Fixups = append(a.obj.Fixups, linker.Fixup{
+					Index: len(a.obj.Instrs), Symbol: s,
+				})
+			default:
+				err = a.errf(line, raw, "%s operand %q is neither immediate nor symbol", op, s)
 			}
-			rest = args[3:]
 		}
-		if len(rest) == 2 {
-			c, ok := isa.CondByName(rest[0])
-			if !ok {
-				return a.errf(line, raw, "unknown condition %q", rest[0])
-			}
-			in.Cond = c
-			if in.Target, err = a.target(line, raw, rest[1]); err != nil {
-				return err
-			}
-		} else if len(rest) != 0 {
-			return a.errf(line, raw, "%s: trailing operands", op)
-		}
-	case isa.FmtRI32:
-		if err = want(2); err != nil {
-			return err
-		}
-		if in.Rd, err = a.reg(line, raw, args[0]); err != nil {
-			return err
-		}
-		if v, perr := parseInt(args[1]); perr == nil {
-			in.Imm = int32(v)
-		} else if a.statics[args[1]] {
-			// Symbol reference: leave zero, emit fixup.
-			a.obj.Fixups = append(a.obj.Fixups, linker.Fixup{
-				Index: len(a.obj.Instrs), Symbol: args[1],
-			})
-		} else {
-			return a.errf(line, raw, "movi operand %q is neither immediate nor symbol", args[1])
-		}
-	case isa.FmtMem:
-		if err = want(3); err != nil {
-			return err
-		}
-		if in.Rd, err = a.reg(line, raw, args[0]); err != nil {
-			return err
-		}
-		if in.Ra, err = a.reg(line, raw, args[1]); err != nil {
-			return err
-		}
-		v, perr := parseInt(args[2])
-		if perr != nil {
-			return a.errf(line, raw, "bad displacement %q", args[2])
-		}
-		in.Imm = int32(v)
-	case isa.FmtDMA:
-		if err = want(3); err != nil {
-			return err
-		}
-		if in.Rd, err = a.reg(line, raw, args[0]); err != nil {
-			return err
-		}
-		if in.Ra, err = a.reg(line, raw, args[1]); err != nil {
-			return err
-		}
-		if in.Rb, in.Imm, in.UseImm, err = a.regOrImm(line, raw, args[2]); err != nil {
-			return err
-		}
-	case isa.FmtJcc:
-		if err = want(3); err != nil {
-			return err
-		}
-		if in.Ra, err = a.reg(line, raw, args[0]); err != nil {
-			return err
-		}
-		if in.Rb, in.Imm, in.UseImm, err = a.regOrImm(line, raw, args[1]); err != nil {
-			return err
-		}
-		if in.Target, err = a.target(line, raw, args[2]); err != nil {
-			return err
-		}
-	case isa.FmtCtl:
-		if err = want(1); err != nil {
-			return err
-		}
-		if op == isa.OpJREG {
-			if in.Ra, err = a.reg(line, raw, args[0]); err != nil {
-				return err
-			}
-		} else if in.Target, err = a.target(line, raw, args[0]); err != nil {
-			return err
-		}
-	case isa.FmtSync:
-		if op == isa.OpACQUIRE {
-			if err = want(2); err != nil {
-				return err
-			}
-			if in.Target, err = a.target(line, raw, args[1]); err != nil {
-				return err
-			}
-		} else if err = want(1); err != nil {
-			return err
-		}
-		v, perr := parseInt(args[0])
-		if perr != nil {
-			return a.errf(line, raw, "bad lock index %q", args[0])
-		}
-		in.Imm = int32(v)
-	case isa.FmtNone:
-		if op == isa.OpPERF || op == isa.OpFAULT {
-			if err = want(2); err != nil {
-				return err
-			}
-			if in.Rd, err = a.reg(line, raw, args[0]); err != nil {
-				return err
-			}
-			v, perr := parseInt(args[1])
-			if perr != nil {
-				return a.errf(line, raw, "bad selector %q", args[1])
-			}
-			in.Imm = int32(v)
-		} else if err = want(0); err != nil {
+		if err != nil {
 			return err
 		}
 	}

@@ -112,24 +112,27 @@ spin:	acquire 7, spin
 	}
 }
 
+// syntaxErrorCases are sources the assembler must reject, each with a piece
+// of the reason it must give; errors.golden holds their full text.
+var syntaxErrorCases = []struct {
+	name, src, wantSub string
+}{
+	{"unknown op", "frob r1, r2, r3\nstop", "unknown mnemonic"},
+	{"unknown reg", "add r1, r2, r99\nstop", "neither register nor immediate"},
+	{"bad reg dest", "add r99, r2, r3\nstop", "unknown register"},
+	{"dup label", "a:\na:\nstop", "duplicate label"},
+	{"bad target", "jump nowhere\nstop", "bad branch target"},
+	{"operand count", "add r1, r2\nstop", "wrong operand count"},
+	{"bad directive", ".frob x 1\nstop", "unknown directive"},
+	{"alloc args", ".alloc x\nstop", ".alloc wants"},
+	{"bad cond", "add r1, r2, r3, frob, 0\nstop", "unknown condition"},
+	{"movi junk", "movi r1, junksym\nstop", "neither immediate nor symbol"},
+	{"imm overflow", "add r1, r2, 99999\nstop", "out of 14-bit signed range"},
+	{"empty", "; nothing\n", "no instructions"},
+}
+
 func TestSyntaxErrors(t *testing.T) {
-	cases := []struct {
-		name, src, wantSub string
-	}{
-		{"unknown op", "frob r1, r2, r3\nstop", "unknown mnemonic"},
-		{"unknown reg", "add r1, r2, r99\nstop", "neither register nor immediate"},
-		{"bad reg dest", "add r99, r2, r3\nstop", "unknown register"},
-		{"dup label", "a:\na:\nstop", "duplicate label"},
-		{"bad target", "jump nowhere\nstop", "bad branch target"},
-		{"operand count", "add r1, r2\nstop", "wrong operand count"},
-		{"bad directive", ".frob x 1\nstop", "unknown directive"},
-		{"alloc args", ".alloc x\nstop", ".alloc wants"},
-		{"bad cond", "add r1, r2, r3, frob, 0\nstop", "unknown condition"},
-		{"movi junk", "movi r1, junksym\nstop", "neither immediate nor symbol"},
-		{"imm overflow", "add r1, r2, 99999\nstop", "out of 14-bit signed range"},
-		{"empty", "; nothing\n", "no instructions"},
-	}
-	for _, c := range cases {
+	for _, c := range syntaxErrorCases {
 		if _, err := Assemble(c.name, c.src); err == nil || !strings.Contains(err.Error(), c.wantSub) {
 			t.Errorf("%s: err = %v, want substring %q", c.name, err, c.wantSub)
 		}

@@ -2,80 +2,39 @@ package isa
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
 // String renders the instruction in the textual assembly syntax accepted by
 // internal/asm, with numeric branch targets.
 func (in Instruction) String() string {
-	var b strings.Builder
-	b.WriteString(in.Op.String())
-	arg := func(parts ...string) {
-		if b.Len() == len(in.Op.String()) {
-			b.WriteByte(' ')
-		} else {
-			b.WriteString(", ")
+	b := []byte(in.Op.String())
+	for i, o := range in.Op.Operands() {
+		if o.Field == FieldCond && in.Cond == CondNone {
+			break
 		}
-		for _, p := range parts {
-			b.WriteString(p)
+		if i == 0 {
+			b = append(b, ' ')
+		} else {
+			b = append(b, ", "...)
+		}
+		switch f, _ := o.holds(&in); f {
+		case FieldRd:
+			b = append(b, in.Rd.String()...)
+		case FieldRa:
+			b = append(b, in.Ra.String()...)
+		case FieldRb:
+			b = append(b, in.Rb.String()...)
+		case FieldImm:
+			b = strconv.AppendInt(b, int64(in.Imm), 10)
+		case FieldCond:
+			b = append(b, in.Cond.String()...)
+		case FieldTarget:
+			b = strconv.AppendUint(b, uint64(in.Target), 10)
 		}
 	}
-	switch in.Op.Format() {
-	case FmtRRR:
-		arg(in.Rd.String())
-		arg(in.Ra.String())
-		if in.Op != OpMOV {
-			if in.UseImm {
-				arg(fmt.Sprint(in.Imm))
-			} else {
-				arg(in.Rb.String())
-			}
-		}
-		if in.Cond != CondNone {
-			arg(in.Cond.String())
-			arg(fmt.Sprint(in.Target))
-		}
-	case FmtRI32:
-		arg(in.Rd.String())
-		arg(fmt.Sprint(in.Imm))
-	case FmtMem:
-		arg(in.Rd.String())
-		arg(in.Ra.String())
-		arg(fmt.Sprint(in.Imm))
-	case FmtDMA:
-		arg(in.Rd.String())
-		arg(in.Ra.String())
-		if in.UseImm {
-			arg(fmt.Sprint(in.Imm))
-		} else {
-			arg(in.Rb.String())
-		}
-	case FmtJcc:
-		arg(in.Ra.String())
-		if in.UseImm {
-			arg(fmt.Sprint(in.Imm))
-		} else {
-			arg(in.Rb.String())
-		}
-		arg(fmt.Sprint(in.Target))
-	case FmtCtl:
-		if in.Op == OpJREG {
-			arg(in.Ra.String())
-		} else {
-			arg(fmt.Sprint(in.Target))
-		}
-	case FmtSync:
-		arg(fmt.Sprint(in.Imm))
-		if in.Op == OpACQUIRE {
-			arg(fmt.Sprint(in.Target))
-		}
-	case FmtNone:
-		if in.Op == OpPERF || in.Op == OpFAULT {
-			arg(in.Rd.String())
-			arg(fmt.Sprint(in.Imm))
-		}
-	}
-	return b.String()
+	return string(b)
 }
 
 // Disassemble renders a whole program, one instruction per line, prefixed

@@ -1,6 +1,9 @@
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Word is one encoded instruction: 48 bits, the IRAM fetch granularity.
 type Word [WordBytes]byte
@@ -8,8 +11,8 @@ type Word [WordBytes]byte
 // WordBytes is the size of an encoded instruction in bytes.
 const WordBytes = 6
 
-// Field widths of the 48-bit encoding. The packing is format-specific but
-// every format starts with a 7-bit opcode.
+// Field widths of the 48-bit encoding. Every word starts with a 7-bit
+// opcode; rows in layout.go places the fields after it.
 const (
 	opBits     = 7
 	regBits    = 5
@@ -32,46 +35,6 @@ const (
 	PerfImmBits = 8
 )
 
-type bitPacker struct {
-	v   uint64
-	pos uint
-}
-
-func (p *bitPacker) put(val uint64, bits uint) {
-	p.v |= (val & (1<<bits - 1)) << p.pos
-	p.pos += bits
-}
-
-type bitUnpacker struct {
-	v   uint64
-	pos uint
-}
-
-func (u *bitUnpacker) get(bits uint) uint64 {
-	val := (u.v >> u.pos) & (1<<bits - 1)
-	u.pos += bits
-	return val
-}
-
-func (u *bitUnpacker) getSigned(bits uint) int32 {
-	raw := u.get(bits)
-	sign := uint64(1) << (bits - 1)
-	if raw&sign != 0 {
-		raw |= ^uint64(0) << bits
-	}
-	return int32(int64(raw))
-}
-
-func fitsSigned(v int32, bits uint) bool {
-	min := -(int32(1) << (bits - 1))
-	max := int32(1)<<(bits-1) - 1
-	return v >= min && v <= max
-}
-
-func fitsUnsigned(v int32, bits uint) bool {
-	return v >= 0 && uint64(v) <= 1<<bits-1
-}
-
 // EncodeErr describes an instruction that cannot be represented in the
 // 48-bit encoding (field overflow or malformed operands).
 type EncodeErr struct {
@@ -88,7 +51,8 @@ func encErr(in Instruction, format string, args ...any) error {
 }
 
 // Validate checks that the instruction is canonical and encodable: all field
-// values in range, and fields unused by the opcode's format left zero.
+// values in range, and fields no live slot of the opcode's layout holds left
+// zero.
 func (in Instruction) Validate() error {
 	if !in.Op.Valid() {
 		return encErr(in, "invalid opcode %d", uint8(in.Op))
@@ -99,298 +63,74 @@ func (in Instruction) Validate() error {
 	if in.Target > MaxTarget {
 		return encErr(in, "target %d exceeds %d", in.Target, MaxTarget)
 	}
-	checkReg := func(name string, r RegID) error {
-		if !r.Valid() {
-			return encErr(in, "invalid %s register %d", name, uint8(r))
-		}
-		return nil
+	live := in.live()
+	if live&(1<<FieldRd) != 0 && !in.Rd.Valid() {
+		return encErr(in, "invalid rd register %d", uint8(in.Rd))
 	}
-	zero := func(cond bool, what string) error {
-		if !cond {
-			return encErr(in, "non-canonical: %s must be zero for %s format", what, in.Op)
-		}
-		return nil
+	if live&(1<<FieldRa) != 0 && !in.Ra.Valid() {
+		return encErr(in, "invalid ra register %d", uint8(in.Ra))
 	}
-	switch in.Op.Format() {
-	case FmtRRR:
-		if err := checkReg("rd", in.Rd); err != nil {
-			return err
-		}
-		if err := checkReg("ra", in.Ra); err != nil {
-			return err
-		}
-		if in.Op == OpMOV {
-			if err := zero(in.Rb == 0 && in.Imm == 0 && !in.UseImm, "rb/imm"); err != nil {
-				return err
-			}
-			break
-		}
-		if in.UseImm {
-			if !fitsSigned(in.Imm, RRRImmBits) {
-				return encErr(in, "imm %d out of %d-bit signed range", in.Imm, RRRImmBits)
-			}
-			if err := zero(in.Rb == 0, "rb"); err != nil {
-				return err
-			}
-		} else {
-			if err := checkReg("rb", in.Rb); err != nil {
-				return err
-			}
-			if err := zero(in.Imm == 0, "imm"); err != nil {
-				return err
-			}
-		}
-		if in.Cond == CondNone {
-			if err := zero(in.Target == 0, "target"); err != nil {
-				return err
-			}
-		}
-	case FmtRI32:
-		if err := checkReg("rd", in.Rd); err != nil {
-			return err
-		}
-		if err := zero(in.Ra == 0 && in.Rb == 0 && !in.UseImm && in.Cond == CondNone && in.Target == 0, "ra/rb/cond/target"); err != nil {
-			return err
-		}
-	case FmtMem:
-		if err := checkReg("rd", in.Rd); err != nil {
-			return err
-		}
-		if err := checkReg("ra", in.Ra); err != nil {
-			return err
-		}
-		if !fitsSigned(in.Imm, MemImmBits) {
-			return encErr(in, "displacement %d out of %d-bit signed range", in.Imm, MemImmBits)
-		}
-		if err := zero(in.Rb == 0 && !in.UseImm && in.Cond == CondNone && in.Target == 0, "rb/cond/target"); err != nil {
-			return err
-		}
-	case FmtDMA:
-		if err := checkReg("rd", in.Rd); err != nil {
-			return err
-		}
-		if err := checkReg("ra", in.Ra); err != nil {
-			return err
-		}
-		if in.UseImm {
-			if !fitsUnsigned(in.Imm, DMAImmBits) {
-				return encErr(in, "DMA length %d out of %d-bit unsigned range", in.Imm, DMAImmBits)
-			}
-			if err := zero(in.Rb == 0, "rb"); err != nil {
-				return err
-			}
-		} else {
-			if err := checkReg("rb", in.Rb); err != nil {
-				return err
-			}
-			if err := zero(in.Imm == 0, "imm"); err != nil {
-				return err
-			}
-		}
-		if err := zero(in.Cond == CondNone && in.Target == 0, "cond/target"); err != nil {
-			return err
-		}
-	case FmtJcc:
-		if err := checkReg("ra", in.Ra); err != nil {
-			return err
-		}
-		if in.UseImm {
-			if !fitsSigned(in.Imm, JccImmBits) {
-				return encErr(in, "imm %d out of %d-bit signed range", in.Imm, JccImmBits)
-			}
-			if err := zero(in.Rb == 0, "rb"); err != nil {
-				return err
-			}
-		} else {
-			if err := checkReg("rb", in.Rb); err != nil {
-				return err
-			}
-			if err := zero(in.Imm == 0, "imm"); err != nil {
-				return err
-			}
-		}
-		if err := zero(in.Rd == 0 && in.Cond == CondNone, "rd/cond"); err != nil {
-			return err
-		}
-	case FmtCtl:
-		if in.Op == OpJREG {
-			if err := checkReg("ra", in.Ra); err != nil {
-				return err
-			}
-			if err := zero(in.Target == 0, "target"); err != nil {
-				return err
-			}
-		} else if err := zero(in.Ra == 0, "ra"); err != nil {
-			return err
-		}
-		if err := zero(in.Rd == 0 && in.Rb == 0 && !in.UseImm && in.Imm == 0 && in.Cond == CondNone, "rd/rb/imm/cond"); err != nil {
-			return err
-		}
-	case FmtSync:
-		if !fitsUnsigned(in.Imm, lockBits) {
-			return encErr(in, "lock index %d out of %d-bit range", in.Imm, lockBits)
-		}
-		if in.Op == OpRELEASE {
-			if err := zero(in.Target == 0, "target"); err != nil {
-				return err
-			}
-		}
-		if err := zero(in.Rd == 0 && in.Ra == 0 && in.Rb == 0 && !in.UseImm && in.Cond == CondNone, "regs/cond"); err != nil {
-			return err
-		}
-	case FmtNone:
-		switch in.Op {
-		case OpPERF, OpFAULT:
-			if err := checkReg("rd", in.Rd); err != nil {
-				return err
-			}
-			if !fitsUnsigned(in.Imm, PerfImmBits) {
-				return encErr(in, "selector %d out of %d-bit range", in.Imm, PerfImmBits)
-			}
-		default:
-			if err := zero(in.Rd == 0 && in.Imm == 0, "rd/imm"); err != nil {
-				return err
-			}
-		}
-		if err := zero(in.Ra == 0 && in.Rb == 0 && !in.UseImm && in.Cond == CondNone && in.Target == 0, "ra/rb/cond/target"); err != nil {
-			return err
-		}
+	if live&(1<<FieldRb) != 0 && !in.Rb.Valid() {
+		return encErr(in, "invalid rb register %d", uint8(in.Rb))
+	}
+	if o := &layouts[in.Op].imm; live&(1<<FieldImm) != 0 && !o.fits(in.Imm) {
+		return encErr(in, "%s %d out of %d-bit %s", o.Name, in.Imm, o.bits, o.rng)
+	}
+	set := bit(in.Rd != 0)<<FieldRd | bit(in.Ra != 0)<<FieldRa | bit(in.Rb != 0)<<FieldRb |
+		bit(in.Imm != 0)<<FieldImm | bit(in.Cond != 0)<<FieldCond |
+		bit(in.Target != 0)<<FieldTarget | bit(in.UseImm)<<fieldUseImm
+	if extra := set &^ live; extra != 0 {
+		return encErr(in, "non-canonical: %s must be zero for %s", fieldNames[bits.TrailingZeros8(extra)], in.Op)
 	}
 	return nil
 }
 
-// Encode packs the instruction into its 48-bit word. The instruction must be
-// canonical (see Validate).
-func (in Instruction) Encode() (Word, error) {
-	var w Word
-	if err := in.Validate(); err != nil {
-		return w, err
-	}
-	var p bitPacker
-	p.put(uint64(in.Op), opBits)
-	switch in.Op.Format() {
-	case FmtRRR:
-		p.put(uint64(in.Rd), regBits)
-		p.put(uint64(in.Ra), regBits)
-		p.put(boolBit(in.UseImm), 1)
-		p.put(uint64(in.Cond), condBits)
-		p.put(uint64(in.Target), targetBits)
-		if in.UseImm {
-			p.put(uint64(uint32(in.Imm)), RRRImmBits)
-		} else {
-			p.put(uint64(in.Rb), regBits)
-		}
-	case FmtRI32:
-		p.put(uint64(in.Rd), regBits)
-		p.put(uint64(uint32(in.Imm)), 32)
-	case FmtMem:
-		p.put(uint64(in.Rd), regBits)
-		p.put(uint64(in.Ra), regBits)
-		p.put(uint64(uint32(in.Imm)), MemImmBits)
-	case FmtDMA:
-		p.put(uint64(in.Rd), regBits)
-		p.put(uint64(in.Ra), regBits)
-		p.put(boolBit(in.UseImm), 1)
-		if in.UseImm {
-			p.put(uint64(uint32(in.Imm)), DMAImmBits)
-		} else {
-			p.put(uint64(in.Rb), regBits)
-		}
-	case FmtJcc:
-		p.put(uint64(in.Ra), regBits)
-		p.put(boolBit(in.UseImm), 1)
-		p.put(uint64(in.Target), targetBits)
-		if in.UseImm {
-			p.put(uint64(uint32(in.Imm)), JccImmBits)
-		} else {
-			p.put(uint64(in.Rb), regBits)
-		}
-	case FmtCtl:
-		if in.Op == OpJREG {
-			p.put(uint64(in.Ra), regBits)
-		} else {
-			p.put(uint64(in.Target), targetBits)
-		}
-	case FmtSync:
-		p.put(uint64(uint32(in.Imm)), lockBits)
-		p.put(uint64(in.Target), targetBits)
-	case FmtNone:
-		p.put(uint64(in.Rd), regBits)
-		p.put(uint64(uint32(in.Imm)), PerfImmBits)
-	}
-	for i := 0; i < WordBytes; i++ {
-		w[i] = byte(p.v >> (8 * i))
-	}
-	return w, nil
-}
-
-func boolBit(b bool) uint64 {
+func bit(b bool) uint8 {
 	if b {
 		return 1
 	}
 	return 0
 }
 
+// Encode packs the instruction into its 48-bit word: the opcode, then the
+// layout's slots in bit order. The instruction must be canonical (see
+// Validate).
+func (in Instruction) Encode() (Word, error) {
+	var w Word
+	if err := in.Validate(); err != nil {
+		return w, err
+	}
+	v, pos := uint64(in.Op), uint(opBits)
+	for _, o := range layouts[in.Op].bits {
+		f, n := o.holds(&in)
+		v |= (in.get(f) & (1<<n - 1)) << pos
+		pos += n
+	}
+	for i := range w {
+		w[i] = byte(v >> (8 * i))
+	}
+	return w, nil
+}
+
 // Decode unpacks a 48-bit word into its canonical Instruction.
 func Decode(w Word) (Instruction, error) {
-	var u bitUnpacker
-	for i := 0; i < WordBytes; i++ {
-		u.v |= uint64(w[i]) << (8 * i)
+	var v uint64
+	for i, b := range w {
+		v |= uint64(b) << (8 * i)
 	}
-	var in Instruction
-	in.Op = Opcode(u.get(opBits))
+	in := Instruction{Op: Opcode(v & (1<<opBits - 1))}
 	if !in.Op.Valid() {
 		return in, fmt.Errorf("isa: decode: invalid opcode %d", uint8(in.Op))
 	}
-	switch in.Op.Format() {
-	case FmtRRR:
-		in.Rd = RegID(u.get(regBits))
-		in.Ra = RegID(u.get(regBits))
-		in.UseImm = u.get(1) == 1
-		in.Cond = Cond(u.get(condBits))
-		in.Target = uint16(u.get(targetBits))
-		if in.UseImm {
-			in.Imm = u.getSigned(RRRImmBits)
-		} else {
-			in.Rb = RegID(u.get(regBits))
+	pos := uint(opBits)
+	for _, o := range layouts[in.Op].bits {
+		f, n := o.holds(&in)
+		raw := v >> pos & (1<<n - 1)
+		if f == FieldImm && o.signed {
+			raw = uint64(int64(raw<<(64-n)) >> (64 - n))
 		}
-	case FmtRI32:
-		in.Rd = RegID(u.get(regBits))
-		in.Imm = int32(uint32(u.get(32)))
-	case FmtMem:
-		in.Rd = RegID(u.get(regBits))
-		in.Ra = RegID(u.get(regBits))
-		in.Imm = u.getSigned(MemImmBits)
-	case FmtDMA:
-		in.Rd = RegID(u.get(regBits))
-		in.Ra = RegID(u.get(regBits))
-		in.UseImm = u.get(1) == 1
-		if in.UseImm {
-			in.Imm = int32(u.get(DMAImmBits))
-		} else {
-			in.Rb = RegID(u.get(regBits))
-		}
-	case FmtJcc:
-		in.Ra = RegID(u.get(regBits))
-		in.UseImm = u.get(1) == 1
-		in.Target = uint16(u.get(targetBits))
-		if in.UseImm {
-			in.Imm = u.getSigned(JccImmBits)
-		} else {
-			in.Rb = RegID(u.get(regBits))
-		}
-	case FmtCtl:
-		if in.Op == OpJREG {
-			in.Ra = RegID(u.get(regBits))
-		} else {
-			in.Target = uint16(u.get(targetBits))
-		}
-	case FmtSync:
-		in.Imm = int32(u.get(lockBits))
-		in.Target = uint16(u.get(targetBits))
-	case FmtNone:
-		in.Rd = RegID(u.get(regBits))
-		in.Imm = int32(u.get(PerfImmBits))
+		in.set(f, raw)
+		pos += n
 	}
 	if err := in.Validate(); err != nil {
 		return in, fmt.Errorf("isa: decode produced non-canonical instruction: %w", err)

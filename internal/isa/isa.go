@@ -228,18 +228,20 @@ func (op Opcode) String() string {
 func (op Opcode) Valid() bool { return op < NumOpcodes }
 
 // Format describes how an instruction's operand fields are interpreted and
-// packed into the 48-bit encoding.
+// packed into the 48-bit encoding. A format's slots, in bit order with their
+// widths, are its row of rows in layout.go; the comments give the operands
+// as the assembly text writes them.
 type Format uint8
 
 const (
-	FmtRRR  Format = iota // rd, ra, rb|imm13 [, cond, target]
-	FmtRI32               // rd, imm32 (MOVI)
-	FmtMem                // rd, ra, imm16 (loads/stores)
-	FmtDMA                // rd(wram), ra(mram), rb|imm13 length
-	FmtJcc                // ra, rb|imm22, target
+	FmtRRR  Format = iota // rd, ra, rb|imm [, cond, target]
+	FmtRI32               // rd, imm (MOVI)
+	FmtMem                // rd, ra, displacement (loads/stores)
+	FmtDMA                // rd(wram), ra(mram), rb|length
+	FmtJcc                // ra, rb|imm, target
 	FmtCtl                // target (JUMP/CALL) or ra (JREG)
-	FmtSync               // imm8 lock, target (ACQUIRE) / imm8 (RELEASE)
-	FmtNone               // no operands (NOP/STOP) or rd+imm8 (PERF/FAULT)
+	FmtSync               // lock, target (ACQUIRE) / lock (RELEASE)
+	FmtNone               // no operands (NOP/STOP) or rd, selector (PERF/FAULT)
 )
 
 // FormatOf returns the encoding format of an opcode.
@@ -457,17 +459,7 @@ func (in Instruction) RFConflict() bool {
 }
 
 // CanBranch reports whether the instruction may redirect control flow to its
-// Target field.
+// Target field: whether its layout's target slot is live.
 func (in Instruction) CanBranch() bool {
-	switch in.Op.Format() {
-	case FmtRRR:
-		return in.Cond != CondNone
-	case FmtJcc:
-		return true
-	case FmtCtl:
-		return in.Op != OpJREG
-	case FmtSync:
-		return in.Op == OpACQUIRE
-	}
-	return false
+	return in.Op.Valid() && in.live()&(1<<FieldTarget) != 0
 }

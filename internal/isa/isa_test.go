@@ -205,6 +205,7 @@ func TestEncodeRejectsOverflow(t *testing.T) {
 		{Op: OpADD, Rd: 29, Ra: 0, Rb: 2},                           // invalid register
 		{Op: OpADD, Rd: 1, Ra: 0, Rb: 2, UseImm: true},              // rb and imm both set
 		{Op: OpMOVI, Rd: 1, Imm: 5, Target: 3},                      // non-canonical target
+		{Op: OpMOV, Rd: 1, Ra: 2, Target: 5},                        // target without a cond
 	}
 	for _, in := range bad {
 		if _, err := in.Encode(); err == nil {
@@ -213,11 +214,14 @@ func TestEncodeRejectsOverflow(t *testing.T) {
 	}
 }
 
-func TestDecodeRejectsInvalidOpcode(t *testing.T) {
-	var w Word
-	w[0] = 0x7F // opcode 127
-	if _, err := Decode(w); err == nil {
-		t.Fatal("Decode of invalid opcode succeeded")
+func TestDecodeRejects(t *testing.T) {
+	for _, w := range []Word{
+		{0x7F},                   // opcode 127
+		{0xA2, 0x20, 0xA0, 0x00}, // mov r1, r2 with target 5 and no cond
+	} {
+		if in, err := Decode(w); err == nil {
+			t.Errorf("Decode(%x) = %s, want an error", w, in)
+		}
 	}
 }
 
