@@ -4,7 +4,7 @@ GO ?= go
 # its stores, reports and logs; `make clean` removes it.
 W := .work
 
-.PHONY: build test pairs cli-guard pool-guard test-race race coord-soak cover fuzz-smoke bench-module profile-cold profile-resume profile-figures profile-serve fmt vet loc clean report refdata pathfind-smoke coord-smoke serve-smoke energy-check arch-check calibration-check
+.PHONY: build test pairs cli-guard pool-guard test-race race coord-soak cover fuzz-smoke bench-module profile-cold profile-resume profile-figures profile-serve fmt vet loc clean report refdata paper-smoke pathfind-smoke coord-smoke serve-smoke energy-check arch-check calibration-check
 
 build:
 	$(GO) build ./...
@@ -65,6 +65,19 @@ pathfind-smoke:
 	cat $(W)/pf-resume8.log
 	grep -q ", 0 simulated," $(W)/pf-resume8.log
 	diff -r $(W)/pfreport2 $(W)/pfreport8
+
+# paper-smoke mirrors the CI job: every benchmark at the paper's Table II
+# sizes, one point per benchmark per mode (scratchpad and cache, and GEMV's
+# SIMT) at 1 and 16 tasklets, each checked against its golden model. Any
+# failure — at launch or in the check — fails the target, and so does a point
+# missing from the space: a dataset a kernel cannot stage is refused by
+# Benchmark.Check before launch, which would drop it silently here. The 66 is
+# 16 benchmarks x 2 modes x 2 tasklet counts, plus GEMV's 2 SIMT points.
+paper-smoke:
+	mkdir -p $(W)
+	$(GO) run ./cmd/pathfind -scale paper -axes "tasklets=1,16;mode=scratchpad,cache,simt" -jobs 2 > /dev/null 2> $(W)/paper-smoke.log
+	cat $(W)/paper-smoke.log
+	grep -q "^pathfind: 66 points: 0 cached, 66 simulated, 0 failed$$" $(W)/paper-smoke.log
 
 # coord-smoke mirrors the CI job: the same tiny exploration run by four
 # coordinated workers through leased shards, then single-process; the
@@ -157,24 +170,20 @@ profile-cold:
 	$(W)/profile-cold/pathfind -bench VA,BS,GEMV,RED -axes "tasklets=1,4,16;freq=350,700;link=1,4;ilp=base,DR,DRSF;mode=scratchpad,cache" -scale tiny -jobs 2 -store $(W)/profile-cold/store -cpuprofile $(W)/profile-cold/cpu.prof > /dev/null
 	$(GO) tool pprof -top -nodecount 25 $(W)/profile-cold/pathfind $(W)/profile-cold/cpu.prof
 
-# profile-resume is profile-cold's twin for the resumed run: the same space
-# populated into a store (unprofiled), then a resumed pathfind -jobs 2 over it
-# through the CPU profiler — zero simulations, so what is left is the store's
-# read path, key hashing, the tables and the report. It asks for the goals the
-# benchmark's pathfind_resume renders (time, energy, cost), so the frontier
-# prices energy as that workload does. One resumed pass is some 15 ms of
-# CPU, a sample or two; thirty run back to back and merged into one profile
-# ($(W)/profile-resume/cpu.prof) make shares of 10 %+ readable.
+# profile-resume is profile-cold's twin for the resumed run, in one process:
+# BenchmarkResumedPathfind (resume_bench_test.go) populates a store with the
+# pathfind_cold space once, then runs 240 resumed passes shaped like the repo
+# benchmark's pathfind_resume — open the store, explore (every point a hit),
+# the four tables of `pathfind -pareto -goals time,energy,cost -energy`, the
+# report — under the CPU profiler. The populating simulation is left out of
+# the view (-ignore prim.RunSpec) and shares are of what remains, some 2.5 s
+# of samples on 2 vCPU, so a 1 % layer is about 25 samples. The profile
+# stays in $(W)/profile-resume/cpu.prof, beside the test binary pprof needs.
 profile-resume:
 	rm -rf $(W)/profile-resume
 	mkdir -p $(W)/profile-resume
-	$(GO) build -o $(W)/profile-resume/pathfind ./cmd/pathfind
-	$(W)/profile-resume/pathfind -bench VA,BS,GEMV,RED -axes "tasklets=1,4,16;freq=350,700;link=1,4;ilp=base,DR,DRSF;mode=scratchpad,cache" -scale tiny -jobs 2 -store $(W)/profile-resume/store > /dev/null
-	for i in $$(seq 10 39); do \
-		$(W)/profile-resume/pathfind -bench VA,BS,GEMV,RED -axes "tasklets=1,4,16;freq=350,700;link=1,4;ilp=base,DR,DRSF;mode=scratchpad,cache" -scale tiny -jobs 2 -store $(W)/profile-resume/store -pareto -goals time,energy,cost -energy -out $(W)/profile-resume/report -cpuprofile $(W)/profile-resume/cpu$$i.prof > /dev/null 2> $(W)/profile-resume/resume.log || exit 1; \
-		grep -q ", 0 simulated," $(W)/profile-resume/resume.log || { cat $(W)/profile-resume/resume.log; exit 1; }; done
-	$(GO) tool pprof -proto $(W)/profile-resume/cpu??.prof > $(W)/profile-resume/cpu.prof
-	$(GO) tool pprof -top -nodecount 25 $(W)/profile-resume/pathfind $(W)/profile-resume/cpu.prof
+	$(GO) test -run '^$$' -bench '^BenchmarkResumedPathfind$$' -benchtime 240x -o $(W)/profile-resume/upim.test -cpuprofile $(W)/profile-resume/cpu.prof .
+	$(GO) tool pprof -top -nodecount 25 -relative_percentages -ignore 'prim\.RunSpec' $(W)/profile-resume/upim.test $(W)/profile-resume/cpu.prof
 
 # profile-figures is profile-cold's twin for the figure suite: every
 # experiment at tiny scale, -jobs 2, as the one deduplicated sweep the figures

@@ -22,8 +22,8 @@ import (
 // parallelism 1 fails when its ceiling is lowered by one. The two rows on
 // two workers are not exact, because the workers reorder pool traffic
 // (ServeLoadSweep reads 1008-1129 over 24 calls there; the resumed
-// exploration reads 2748 on a 2-vCPU Xeon since its tables stopped copying
-// outcomes), and carry 10 % over a typical reading. A change
+// exploration reads 2664 on a 2-vCPU Xeon since its keys stopped
+// allocating), and carry 10 % over a typical reading. A change
 // that allocates more on purpose raises its row in the same diff. Not under
 // the race detector, where sync.Pool drops items at random.
 func TestWarmRunHostAllocs(t *testing.T) {
@@ -104,7 +104,7 @@ func TestWarmRunHostAllocs(t *testing.T) {
 		{"Run/SEL", 16, run(tiny, "SEL")},   // verification walks per-tasklet regions
 		{"Experiment/table1", 50, experiment("table1")},
 		{"Experiment/table2", 59, experiment("table2")},
-		{"Explore/hbm-pim", 99, func() error {
+		{"Explore/hbm-pim", 93, func() error {
 			x, err := upim.Explore(ctx, hbm, upim.ExploreOptions{Parallelism: 1})
 			if err != nil {
 				return err
@@ -115,11 +115,11 @@ func TestWarmRunHostAllocs(t *testing.T) {
 			_, err := upim.Serve(ctx, serve)
 			return err
 		}},
-		{"WriteReport", 87, func() error { return upim.WriteReport(report, coldTables) }},
+		{"WriteReport", 75, func() error { return upim.WriteReport(report, coldTables) }},
 		{"ServeLoadSweep/2-workers", 1228, func() error { return serveSweep(ctx) }}, // 1116 + 10 %
 		// What a rerun over a populated store costs after enumeration:
 		// reopen the store, 72 hits, four tables, WriteReport.
-		{"ExploreResumed/2-workers", 3020, func() error { // 2748 + 10 %
+		{"ExploreResumed/2-workers", 2930, func() error { // 2664 + 10 %
 			store, err := upim.OpenResultStore(storeDir)
 			if err != nil {
 				return err

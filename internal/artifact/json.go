@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"unicode/utf8"
 )
@@ -16,7 +17,7 @@ import (
 // committed references, so the form is pinned by a differential test against
 // the Encoder. Nothing is written when a cell cannot be encoded (NaN, ±Inf).
 func (t *Table) WriteJSON(w io.Writer) error {
-	b, err := t.appendJSON(scratch(w))
+	b, _, err := t.appendJSONCSV(scratch(w), nil)
 	if err != nil {
 		return err
 	}
@@ -24,42 +25,78 @@ func (t *Table) WriteJSON(w io.Writer) error {
 	return err
 }
 
-func (t *Table) appendJSON(b []byte) ([]byte, error) {
-	b = appendJSONString(append(b, "{\n  \"key\": "...), t.Key)
-	b = appendJSONString(append(b, ",\n  \"id\": "...), t.ID)
-	b = appendJSONString(append(b, ",\n  \"title\": "...), t.Title)
+// appendJSONCSV appends t's JSON form to j and its CSV form to c in one walk
+// over the cells, so each numeric cell's shortest digits are found once and
+// spelled both ways. The CSV form is whole whatever the cells hold; err names
+// the first cell JSON cannot carry (NaN, ±Inf), and j is then not to be used.
+//
+// The CSV form is what encoding/csv's Writer writes under its defaults (comma
+// separator, LF line ends): a header row of column labels, then one record
+// per row, a numeric cell as its shortest 'g' spelling, which never needs
+// quoting.
+func (t *Table) appendJSONCSV(j, c []byte) (_, _ []byte, err error) {
+	j = AppendJSONString(append(j, "{\n  \"key\": "...), t.Key)
+	j = AppendJSONString(append(j, ",\n  \"id\": "...), t.ID)
+	j = AppendJSONString(append(j, ",\n  \"title\": "...), t.Title)
 	if t.Scale != "" {
-		b = appendJSONString(append(b, ",\n  \"scale\": "...), t.Scale)
+		j = AppendJSONString(append(j, ",\n  \"scale\": "...), t.Scale)
 	}
-	b = append(b, ",\n  \"columns\": "...)
-	for i, c := range t.Columns {
-		b = appendJSONString(append(element(b, i, "    "), "{\n      \"name\": "...), c.Name)
-		if c.Unit != "" {
-			b = appendJSONString(append(b, ",\n      \"unit\": "...), c.Unit)
+	j = append(j, ",\n  \"columns\": "...)
+	for i, col := range t.Columns {
+		j = AppendJSONString(append(element(j, i, "    "), "{\n      \"name\": "...), col.Name)
+		if col.Unit != "" {
+			j = AppendJSONString(append(j, ",\n      \"unit\": "...), col.Unit)
 		}
-		b = append(b, "\n    }"...)
+		j = append(j, "\n    }"...)
+		if i > 0 {
+			c = append(c, ',')
+		}
+		c = appendCSVField(c, col.Label())
 	}
-	b = closeArray(b, len(t.Columns), t.Columns == nil, "  ")
-	b = append(b, ",\n  \"rows\": "...)
+	j = closeArray(j, len(t.Columns), t.Columns == nil, "  ")
+	c = append(c, '\n')
+	j = append(j, ",\n  \"rows\": "...)
+	j0, c0 := len(j), len(c)
 	for i, row := range t.Rows {
-		b = element(b, i, "    ")
-		for j, v := range row {
-			b = element(b, j, "      ")
-			if !v.Numeric {
-				b = appendJSONString(b, v.Text)
-				continue
-			}
-			if math.IsInf(v.Num, 0) || math.IsNaN(v.Num) {
-				return nil, fmt.Errorf("artifact: table %s row %d column %d: JSON cannot carry %v", t.Key, i, j, v.Num)
-			}
-			b = appendJSONFloat(append(b, "{\n        \"v\": "...), v.Num)
-			b = appendJSONString(append(b, ",\n        \"text\": "...), v.Text)
-			b = append(b, "\n      }"...)
+		if i == 1 {
+			j, c = roomForRows(j, j0, len(t.Rows)), roomForRows(c, c0, len(t.Rows))
 		}
-		b = closeArray(b, len(row), row == nil, "    ")
+		j = element(j, i, "    ")
+		for k, v := range row {
+			j = element(j, k, "      ")
+			if k > 0 {
+				c = append(c, ',')
+			}
+			switch {
+			case !v.Numeric:
+				j = AppendJSONString(j, v.Text)
+				c = appendCSVField(c, v.Text)
+			case math.IsInf(v.Num, 0) || math.IsNaN(v.Num):
+				if err == nil {
+					err = fmt.Errorf("artifact: table %s row %d column %d: JSON cannot carry %v", t.Key, i, k, v.Num)
+				}
+				c = strconv.AppendFloat(c, v.Num, 'g', -1, 64)
+			default:
+				ds := digitsOf(v.Num)
+				c = ds.appendG(c)
+				j = ds.appendES6(append(j, "{\n        \"v\": "...))
+				j = AppendJSONString(append(j, ",\n        \"text\": "...), v.Text)
+				j = append(j, "\n      }"...)
+			}
+		}
+		j = closeArray(j, len(row), row == nil, "    ")
+		c = append(c, '\n')
 	}
-	b = closeArray(b, len(t.Rows), t.Rows == nil, "  ")
-	return append(b, "\n}\n"...), nil
+	j = closeArray(j, len(t.Rows), t.Rows == nil, "  ")
+	return append(j, "\n}\n"...), c, err
+}
+
+// roomForRows grows b, which holds the first of n rows from start on, to fit
+// the rest at a quarter more than the first's size. A table's rows are alike,
+// so a large table's buffer grows once here; append alone would grow it a
+// quarter at a time, copying it whole each time.
+func roomForRows(b []byte, start, n int) []byte {
+	return slices.Grow(b, (len(b)-start)*(n-1)*5/4)
 }
 
 // element opens element i of an array whose elements sit at indent.
@@ -84,26 +121,120 @@ func closeArray(b []byte, n int, isNil bool, indent string) []byte {
 	return append(b, "[]"...)
 }
 
-// appendJSONFloat appends a finite f as encoding/json does: ES6 number
-// formatting — plain decimals between 1e-6 and 1e21, exponents outside, the
-// exponent not padded to two digits.
-func appendJSONFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1] // e-09 is written e-9
-		b = b[:n-1]
-	}
-	return b
+// Every numeric cell of a report is spelled twice, as JSON's number and as
+// CSV's, and both spellings place the same digits: the shortest decimal that
+// reads back as the float. Finding those digits is what formatting a float
+// costs, so appendJSONCSV finds them once per cell and spells both forms from
+// them; the point keys of internal/explore spell their floats here too.
+
+// digits is a finite float's shortest round-tripping decimal: ±0.d[:nd] ×
+// 10^dp, no leading or trailing zero digit, nd = 0 for zero.
+type digits struct {
+	d   [17]byte
+	nd  uint8
+	dp  int16
+	neg bool
 }
 
-// appendJSONString appends s quoted as encoding/json does with HTML escaping
+// digitsOf finds f's shortest digits, read off strconv's shortest 'e' form
+// (d[.ddd]e±dd[d]). A NaN or an infinity has none and reads as zero.
+func digitsOf(f float64) (ds digits) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return ds
+	}
+	var buf [32]byte
+	b := strconv.AppendFloat(buf[:0], f, 'e', -1, 64)
+	if b[0] == '-' {
+		ds.neg, b = true, b[1:]
+	}
+	i := 0
+	for ; b[i] != 'e'; i++ {
+		if b[i] != '.' {
+			ds.d[ds.nd] = b[i]
+			ds.nd++
+		}
+	}
+	exp := 0
+	for _, c := range b[i+2:] {
+		exp = exp*10 + int(c-'0')
+	}
+	if b[i+1] == '-' {
+		exp = -exp
+	}
+	if ds.d[0] == '0' {
+		ds.nd = 0 // ±0
+		return ds
+	}
+	ds.dp = int16(exp + 1)
+	return ds
+}
+
+// AppendJSONFloat appends a finite f as encoding/json does.
+func AppendJSONFloat(b []byte, f float64) []byte { return digitsOf(f).appendES6(b) }
+
+// appendES6 spells ds as encoding/json spells a float64 — ES6 number
+// formatting: plain decimals between 1e-6 and 1e21, an exponent outside it,
+// not padded to two digits.
+func (ds digits) appendES6(b []byte) []byte {
+	if exp := int(ds.dp) - 1; ds.nd > 0 && (exp < -6 || exp >= 21) {
+		return ds.appendExp(b, false)
+	}
+	return ds.appendFixed(b)
+}
+
+// appendG spells ds as strconv's shortest 'g' does: plain decimals for
+// exponents from -4 to 5, an exponent of at least two digits outside.
+func (ds digits) appendG(b []byte) []byte {
+	if exp := int(ds.dp) - 1; ds.nd > 0 && (exp < -4 || exp >= 6) {
+		return ds.appendExp(b, true)
+	}
+	return ds.appendFixed(b)
+}
+
+const zeros = "000000000000000000000000"
+
+// appendFixed spells ds in plain decimals, as strconv's shortest 'f' does.
+func (ds digits) appendFixed(b []byte) []byte {
+	if ds.neg {
+		b = append(b, '-')
+	}
+	d, dp := ds.d[:ds.nd], int(ds.dp)
+	switch {
+	case len(d) == 0:
+		return append(b, '0')
+	case dp <= 0:
+		return append(append(append(b, "0."...), zeros[:-dp]...), d...)
+	case dp >= len(d):
+		return append(append(b, d...), zeros[:dp-len(d)]...)
+	}
+	return append(append(append(b, d[:dp]...), '.'), d[dp:]...)
+}
+
+// appendExp spells ds as d[.ddd]e±x, the exponent padded to two digits when
+// pad is set.
+func (ds digits) appendExp(b []byte, pad bool) []byte {
+	if ds.neg {
+		b = append(b, '-')
+	}
+	b = append(b, ds.d[0])
+	if ds.nd > 1 {
+		b = append(append(b, '.'), ds.d[1:ds.nd]...)
+	}
+	exp, sign := int(ds.dp)-1, byte('+')
+	if exp < 0 {
+		exp, sign = -exp, '-'
+	}
+	b = append(b, 'e', sign)
+	if pad && exp < 10 {
+		b = append(b, '0')
+	}
+	return strconv.AppendInt(b, int64(exp), 10)
+}
+
+// AppendJSONString appends s quoted as encoding/json does with HTML escaping
 // on: ", \ and control bytes escaped, <, > and & as \u00XX, U+2028/U+2029
 // escaped, invalid UTF-8 replaced by \ufffd.
-func appendJSONString(b []byte, s string) []byte {
+func AppendJSONString(b []byte, s string) []byte {
 	const hex = "0123456789abcdef"
 	b = append(b, '"')
 	start := 0

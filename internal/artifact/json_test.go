@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 )
 
@@ -36,6 +38,38 @@ func checkJSON(t *testing.T, tab *Table) {
 		}
 		if !bytes.Equal(w.Bytes(), want) {
 			t.Fatalf("WriteJSON differs from encoding/json (table %+v):\n--- got ---\n%s\n--- want ---\n%s", tab, w.Bytes(), want)
+		}
+	}
+}
+
+// TestDigitsSpellLikeStrconv holds the two spellings made from one float's
+// digits to what they replaced — encoding/json's number and strconv's
+// shortest 'g' — over the awkward floats, the edges of both exponent rules
+// and a million random bit patterns.
+func TestDigitsSpellLikeStrconv(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	floats := append([]float64{}, awkwardFloats...)
+	for _, edge := range []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e5, 1e6, 1e7, 1e20, 1e21, 1e22} {
+		floats = append(floats, edge, -edge, math.Nextafter(edge, 0), math.Nextafter(edge, math.Inf(1)))
+	}
+	for i := 0; i < 1_000_000; i++ {
+		if f := math.Float64frombits(rng.Uint64()); !math.IsNaN(f) && !math.IsInf(f, 0) {
+			floats = append(floats, f)
+		}
+		// Numbers a table holds: a few digits at modest exponents.
+		floats = append(floats, math.Round(rng.NormFloat64()*1e6)/math.Pow(10, float64(rng.Intn(12))))
+	}
+	for _, f := range floats {
+		ds := digitsOf(f)
+		want, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ds.appendES6(nil); !bytes.Equal(got, want) {
+			t.Fatalf("%v (%#x): JSON spelling %s, encoding/json %s", f, math.Float64bits(f), got, want)
+		}
+		if got, want := ds.appendG(nil), strconv.AppendFloat(nil, f, 'g', -1, 64); !bytes.Equal(got, want) {
+			t.Fatalf("%v (%#x): 'g' spelling %s, strconv %s", f, math.Float64bits(f), got, want)
 		}
 	}
 }

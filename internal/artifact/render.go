@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"io"
 	"slices"
-	"strconv"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -106,35 +105,9 @@ func endLine(b []byte, start int) []byte {
 // WriteCSV renders the machine-readable CSV form: a header row of column
 // labels, then one record per row with exact numbers for numeric cells.
 func (t *Table) WriteCSV(w io.Writer) error {
-	_, err := w.Write(t.appendCSV(scratch(w)))
+	_, b, _ := t.appendJSONCSV(nil, scratch(w))
+	_, err := w.Write(b)
 	return err
-}
-
-// appendCSV renders what encoding/csv's Writer writes under its defaults
-// (comma separator, LF line ends). A numeric cell is its shortest 'g'
-// spelling, which never needs quoting.
-func (t *Table) appendCSV(b []byte) []byte {
-	for i, c := range t.Columns {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = appendCSVField(b, c.Label())
-	}
-	b = append(b, '\n')
-	for _, row := range t.Rows {
-		for i, c := range row {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			if c.Numeric {
-				b = strconv.AppendFloat(b, c.Num, 'g', -1, 64)
-			} else {
-				b = appendCSVField(b, c.Text)
-			}
-		}
-		b = append(b, '\n')
-	}
-	return b
 }
 
 // appendCSVField appends one field as encoding/csv does: quoted when it holds

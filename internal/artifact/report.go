@@ -11,38 +11,35 @@ import (
 // Markdown files named by Table.Key, plus an index.md mapping each artifact
 // to its paper figure/table number. The directory is created if needed;
 // existing files are overwritten, so regenerating a report is idempotent.
-// Every file is rendered into one reused buffer first and written with one
-// call, so a table that fails to render leaves the previous report's file in
+// Every file is rendered into a buffer reused from table to table first and
+// written with one call, so a table that fails to render leaves the previous report's file in
 // place instead of a truncated one.
 func WriteReport(dir string, tables []*Table) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("artifact: creating report dir: %w", err)
 	}
-	renderers := []struct {
-		ext    string
-		render func(*Table, []byte) ([]byte, error)
-	}{
-		// JSON first: it is the one form that can refuse a table (a NaN or
-		// Inf cell), and must do so before any of the table's files changes.
-		{".json", (*Table).appendJSON},
-		{".csv", func(t *Table, b []byte) ([]byte, error) { return t.appendCSV(b), nil }},
-		{".md", func(t *Table, b []byte) ([]byte, error) { return t.appendMarkdown(b), nil }},
-	}
-	var buf []byte
+	var j, c []byte
 	for _, t := range tables {
-		key := fileKey(t.Key)
-		for _, r := range renderers {
-			path := filepath.Join(dir, key+r.ext)
-			var err error
-			if buf, err = r.render(t, buf[:0]); err != nil {
-				return fmt.Errorf("artifact: rendering %s: %w", path, err)
-			}
-			if err := writeFile(path, buf); err != nil {
-				return fmt.Errorf("artifact: %w", err)
-			}
+		path := filepath.Join(dir, fileKey(t.Key))
+		// JSON and CSV come from one walk, and JSON is the one form that can
+		// refuse a table (a NaN or Inf cell): it does so before any of the
+		// table's files changes.
+		var err error
+		if j, c, err = t.appendJSONCSV(j[:0], c[:0]); err != nil {
+			return fmt.Errorf("artifact: rendering %s.json: %w", path, err)
+		}
+		if err := writeFile(path+".json", j); err != nil {
+			return fmt.Errorf("artifact: %w", err)
+		}
+		if err := writeFile(path+".csv", c); err != nil {
+			return fmt.Errorf("artifact: %w", err)
+		}
+		j = t.appendMarkdown(j[:0])
+		if err := writeFile(path+".md", j); err != nil {
+			return fmt.Errorf("artifact: %w", err)
 		}
 	}
-	return writeFile(filepath.Join(dir, "index.md"), appendIndex(buf[:0], tables))
+	return writeFile(filepath.Join(dir, "index.md"), appendIndex(j[:0], tables))
 }
 
 // appendIndex renders index.md: one row per table linking its files.

@@ -144,6 +144,16 @@ func TestSpaceFiltersInvalidConfigs(t *testing.T) {
 	if want := "mode=scratchpad ilp=base|mode=scratchpad ilp=D|mode=simt ilp=base"; strings.Join(designs, "|") != want {
 		t.Fatalf("designs = %q, want %q", designs, want)
 	}
+
+	// A scale outside the table does not excuse a point from the tasklet cap.
+	s = NewSpace([]string{"VA"}, Tasklets(1, 24))
+	s.Scale = prim.Scale(7)
+	if pts, err = s.Points(); err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) != 1 || pts[0].EP.Config.NumTasklets != 1 {
+		t.Fatalf("24 scalar tasklets at an unknown scale kept: %+v", pts)
+	}
 }
 
 func TestSpaceErrors(t *testing.T) {
@@ -185,8 +195,8 @@ func TestKeyOfDiscriminates(t *testing.T) {
 	}
 }
 
-// TestKeyOfMatchesPlainMarshal pins the pooled encoder to json.Marshal's
-// byte form: content addresses must not change when the encode path does, or
+// TestKeyOfMatchesPlainMarshal pins the key appender to json.Marshal's byte
+// form: content addresses must not change when the encode path does, or
 // every existing store silently loses its entries.
 func TestKeyOfMatchesPlainMarshal(t *testing.T) {
 	p := engine.Point{Benchmark: "VA", Config: config.Default(), DPUs: 2, Scale: prim.ScaleSmall, Watchdog: 7}
@@ -202,7 +212,7 @@ func TestKeyOfMatchesPlainMarshal(t *testing.T) {
 	if want := hex.EncodeToString(sum[:]); KeyOf(p) != want {
 		t.Fatalf("KeyOf = %s, want the json.Marshal-based address %s", KeyOf(p), want)
 	}
-	// Concurrent hashing exercises the buffer pool (go test -race).
+	// Concurrent hashing shares nothing (go test -race).
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -210,7 +220,7 @@ func TestKeyOfMatchesPlainMarshal(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 200; j++ {
 				if KeyOf(p) != hex.EncodeToString(sum[:]) {
-					panic("pooled KeyOf diverged")
+					panic("concurrent KeyOf diverged")
 				}
 			}
 		}()

@@ -10,7 +10,6 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync"
 	"time"
@@ -102,7 +101,7 @@ var recBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // frame encodes one record for key into a pooled buffer, and returns the key
 // in binary with it.
-func frame(key string, fid byte, p *engine.Point, pl *plan, v reflect.Value) (storeKey, *[]byte, error) {
+func frame(key string, fid byte, p *engine.Point, pl *plan, v any) (storeKey, *[]byte, error) {
 	k, ok := parseKey(key)
 	if !ok {
 		return k, nil, fmt.Errorf("explore: malformed store key %q", key)
@@ -110,7 +109,7 @@ func frame(key string, fid byte, p *engine.Point, pl *plan, v reflect.Value) (st
 	buf := recBufs.Get().(*[]byte)
 	b := append((*buf)[:0], make([]byte, recPrefixLen)...)
 	b = append(append(b, k[:]...), fid, 0, 0, 0, 0)
-	b = pointPlan.encode(b, reflect.ValueOf(p).Elem())
+	b = pointPlan.encode(b, p)
 	le.PutUint32(b[recHeaderLen:], uint32(len(b)-recHeaderLen-4))
 	b = pl.encode(b, v)
 	*buf = b
@@ -256,10 +255,10 @@ func readRecord(k storeKey, l loc, buf *[]byte) ([]byte, bool) {
 	return b, true
 }
 
-// read decodes the value of the record at l into dst. A record that fails
+// read decodes the value of the record at l into *dst. A record that fails
 // any check is booked corrupt and dropped from the index, so the reads after
 // it are clean misses until a Put repairs the key.
-func (s *Store) read(k storeKey, l loc, pl *plan, dst reflect.Value) bool {
+func (s *Store) read(k storeKey, l loc, pl *plan, dst any) bool {
 	buf := recBufs.Get().(*[]byte)
 	defer recBufs.Put(buf)
 	if b, ok := readRecord(k, l, buf); ok {

@@ -103,7 +103,7 @@ func TestExactBeatsEstimateAcrossHandles(t *testing.T) {
 
 	// An estimate that did land beside an exact record — the interleaving the
 	// check cannot exclude — loses in every handle all the same.
-	k, rec, err := frame(fabKey(1), fidEstimate, new(engine.Point), estimatePlan, reflect.ValueOf(fabEstimate(1)).Elem())
+	k, rec, err := frame(fabKey(1), fidEstimate, new(engine.Point), estimatePlan, fabEstimate(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestWriterProcess(t *testing.T) {
 		}
 	}
 	if spec[3] == "torn" {
-		_, rec, err := frame(fabKey(hi), fidExact, new(engine.Point), resultPlan, reflect.ValueOf(fabResult(hi)).Elem())
+		_, rec, err := frame(fabKey(hi), fidExact, new(engine.Point), resultPlan, fabResult(hi))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,9 +293,9 @@ func segmentOf(fp [8]byte, recs ...[]byte) []byte {
 // value but fidEstimate frames a result).
 func fabRecord(t testing.TB, i int, fid byte) []byte {
 	p := fabPoint(i)
-	pl, v := resultPlan, reflect.ValueOf(fabResult(i)).Elem()
+	pl, v := resultPlan, any(fabResult(i))
 	if fid == fidEstimate {
-		pl, v = estimatePlan, reflect.ValueOf(fabEstimate(i)).Elem()
+		pl, v = estimatePlan, fabEstimate(i)
 	}
 	_, rec, err := frame(fabKey(i), fid, &p, pl, v)
 	if err != nil {

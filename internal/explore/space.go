@@ -163,7 +163,10 @@ func (s *Space) feasible(b *prim.Benchmark, p Point) bool {
 			return false
 		}
 	}
-	if b.Check(cfg) != nil || cfg.Validate() != nil {
+	// A scale outside the table has zero sizes, which pass the dataset rule:
+	// such a point fails when it runs, not here.
+	ds, _ := b.Params(p.EP.Scale)
+	if b.Check(cfg, ds) != nil || cfg.Validate() != nil {
 		return false
 	}
 	for _, keep := range s.keep {

@@ -1,14 +1,9 @@
 package explore
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,48 +41,6 @@ const (
 	// that was never validated by simulation.
 	FidelityEstimate = "estimate"
 )
-
-// KeyOf returns the content address of a simulation point: a SHA-256 over
-// the store format version and the point's canonical JSON — benchmark,
-// full hardware configuration, DPU count, dataset scale and watchdog. Two
-// points share a key exactly when the simulator would produce identical
-// results for them (the simulator is deterministic), which is what lets
-// interrupted or repeated explorations reuse each other's finished points.
-func KeyOf(p engine.Point) string {
-	rec := struct {
-		Format int          `json:"format"`
-		Point  engine.Point `json:"point"`
-	}{storeFormat, p}
-	buf, data, err := marshalPooled(rec)
-	if err != nil {
-		// engine.Point is plain data; Marshal cannot fail on it.
-		panic(fmt.Sprintf("explore: marshaling point key: %v", err))
-	}
-	sum := sha256.Sum256(data)
-	jsonBufs.Put(buf)
-	return hex.EncodeToString(sum[:])
-}
-
-// jsonBufs pools the buffers KeyOf hashes points from: key hashing runs once
-// per point in sweep/exploration loops, and reusing the buffer keeps those
-// loops from re-growing it every point.
-var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// marshalPooled encodes v into a pooled buffer and returns the buffer plus
-// the canonical bytes. The bytes alias the buffer, which the caller returns
-// to jsonBufs when done with them. The result is exactly json.Marshal's: the
-// encoder's trailing newline is stripped, keeping content addresses
-// byte-identical to the pre-pooling ones.
-func marshalPooled(v any) (*bytes.Buffer, []byte, error) {
-	buf := jsonBufs.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		jsonBufs.Put(buf)
-		return nil, nil, err
-	}
-	b := buf.Bytes()
-	return buf, b[:len(b)-1], nil
-}
 
 // StoreStats counts store activity for one process.
 type StoreStats struct {
@@ -165,7 +118,7 @@ func (s *Store) Stats() StoreStats {
 func load[T any](s *Store, key string, fid byte, pl *plan) (*T, bool) {
 	if k, ok := parseKey(key); ok {
 		if l, ok := s.lookup(k); ok && l.fid == fid {
-			if v := new(T); s.read(k, l, pl, reflect.ValueOf(v).Elem()) {
+			if v := new(T); s.read(k, l, pl, v) {
 				s.hits.Add(1)
 				return v, true
 			}
@@ -206,7 +159,7 @@ func (s *Store) Put(key string, p engine.Point, res *prim.Result) error {
 	if res == nil {
 		return fmt.Errorf("explore: refusing to store a nil result for %s", key)
 	}
-	k, rec, err := frame(key, fidExact, &p, resultPlan, reflect.ValueOf(res).Elem())
+	k, rec, err := frame(key, fidExact, &p, resultPlan, res)
 	if err != nil {
 		return err
 	}
@@ -229,7 +182,7 @@ func (s *Store) PutEstimate(key string, p engine.Point, est *estimate.Estimate) 
 	if est == nil {
 		return fmt.Errorf("explore: refusing to store a nil estimate for %s", key)
 	}
-	k, rec, err := frame(key, fidEstimate, &p, estimatePlan, reflect.ValueOf(est).Elem())
+	k, rec, err := frame(key, fidEstimate, &p, estimatePlan, est)
 	if err != nil {
 		return err
 	}

@@ -16,6 +16,12 @@ import (
 // consecutive lanes touch consecutive addresses — the pattern the address
 // coalescer ("AC") exploits.
 
+// gemvMaxCols is the widest row the scratchpad kernel stages: a row goes
+// whole into a 1 KB per-tasklet buffer by one DMA (x into a 2 KB static), so
+// at most 256 words, and an even count of them (a DMA moves multiples of 8
+// bytes). Benchmark.Check refuses wider rows before launch.
+const gemvMaxCols = 256
+
 // buildGEMVKernel lowers y = (relu? relu(A.x)>>6 : A.x) for any mode. MLP
 // reuses it with relu=true as its per-layer kernel.
 func buildGEMVKernel(mode config.Mode, name string, relu bool) (*linker.Object, error) {
@@ -37,10 +43,10 @@ func buildGEMVKernel(mode config.Mode, name string, relu bool) (*linker.Object, 
 
 	switch mode {
 	case config.ModeScratchpad:
-		// Row staging is 1KB per tasklet (supports N <= 256 columns), keeping
+		// Row staging is 1KB per tasklet (N <= gemvMaxCols columns), keeping
 		// statics + 16 tasklet stacks inside the 64KB WRAM.
-		xbuf := b.Static("xbuf", 2048, 8)
-		rowbuf := b.TaskletStatic("rowbuf", 1024)
+		xbuf := b.Static("xbuf", 8*gemvMaxCols, 8)
+		rowbuf := b.TaskletStatic("rowbuf", 4*gemvMaxCols)
 		ybuf := b.TaskletStatic("ybuf", 32*4)
 		bar := b.NewBarrier("bar")
 		rs, re, rTmp := kbuild.R(5), kbuild.R(6), kbuild.R(7)
@@ -57,7 +63,7 @@ func buildGEMVKernel(mode config.Mode, name string, relu bool) (*linker.Object, 
 		b.Wait(bar, kbuild.R(9), kbuild.R(10), kbuild.R(11))
 
 		b.MoviSym(pXbuf, xbuf, 0)
-		b.TaskletPtr(pRow, rowbuf, 1024, rTmp)
+		b.TaskletPtr(pRow, rowbuf, 4*gemvMaxCols, rTmp)
 		b.TaskletPtr(pYbuf, ybuf, 32*4, rTmp)
 
 		b.TaskletRangeAligned(rs, re, rM, rTmp, 2)

@@ -37,6 +37,9 @@ var (
 	// ErrTooManyTasklets reports a tasklet count above a benchmark's
 	// WRAM-footprint limit.
 	ErrTooManyTasklets = errors.New("prim: too many tasklets")
+	// ErrDatasetTooLarge reports a dataset a benchmark's kernel cannot
+	// stage in WRAM.
+	ErrDatasetTooLarge = errors.New("prim: dataset too large for the kernel")
 )
 
 // Scale selects dataset sizes.
@@ -107,6 +110,9 @@ type Benchmark struct {
 	host func(ctx context.Context, x *xfer, p Params) error
 	// SupportsSIMT marks benchmarks with a SIMT kernel variant.
 	SupportsSIMT bool
+	// rowCols, when set, is the width of the rows the scratchpad kernel
+	// stages whole (the GEMV kernel's, which MLP reuses).
+	rowCols func(Params) int
 }
 
 // Params returns the benchmark's dataset sizes at scale s. A scale outside
@@ -136,16 +142,27 @@ func (b *Benchmark) hasKernel(mode config.Mode) error {
 	return fmt.Errorf("%w: %s has no %v kernel variant", ErrUnsupportedMode, b.Name, mode)
 }
 
-// Check decides whether the benchmark can run under cfg: a scalar tasklet
-// count above kbuild.MaxTasklets, what every per-tasklet static is sized
-// for, fails with ErrTooManyTasklets, then a mode without a kernel with
-// ErrUnsupportedMode. RunSpec and the explorer's feasibility both ask it.
-func (b *Benchmark) Check(cfg config.Config) error {
+// Check decides whether the benchmark can run under cfg on dataset p: a
+// scalar tasklet count above kbuild.MaxTasklets, what every per-tasklet
+// static is sized for, fails with ErrTooManyTasklets, a mode without a
+// kernel with ErrUnsupportedMode, then a dataset the kernel cannot stage
+// with ErrDatasetTooLarge. RunSpec asks it before anything launches, and the
+// explorer's feasibility asks it too.
+func (b *Benchmark) Check(cfg config.Config, p Params) error {
 	if cfg.Mode != config.ModeSIMT && cfg.NumTasklets > kbuild.MaxTasklets {
 		return fmt.Errorf("%w: %s supports at most %d tasklets (WRAM footprint), got %d",
 			ErrTooManyTasklets, b.Name, kbuild.MaxTasklets, cfg.NumTasklets)
 	}
-	return b.hasKernel(cfg.Mode)
+	if err := b.hasKernel(cfg.Mode); err != nil {
+		return err
+	}
+	if b.rowCols != nil && cfg.Mode == config.ModeScratchpad {
+		if n := b.rowCols(p); n > gemvMaxCols || n%2 != 0 {
+			return fmt.Errorf("%w: %s stages whole rows by DMA, an even %d columns at most, got %d",
+				ErrDatasetTooLarge, b.Name, gemvMaxCols, n)
+		}
+	}
+	return nil
 }
 
 // Result captures one run's outputs for the figure drivers.
@@ -209,12 +226,12 @@ func RunSpec(ctx context.Context, sp Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := b.Check(cfg); err != nil {
+	p, perr := b.Params(sp.Scale)
+	if err := b.Check(cfg, p); err != nil {
 		return nil, err
 	}
-	p, err := b.Params(sp.Scale)
-	if err != nil {
-		return nil, fmt.Errorf("prim: %s: %w", name, err)
+	if perr != nil {
+		return nil, fmt.Errorf("prim: %s: %w", name, perr)
 	}
 	prog, err := sp.Cache.program(b, cfg)
 	if err != nil {

@@ -3,6 +3,7 @@ package prim
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -102,6 +103,42 @@ func TestTaskletCapEnforced(t *testing.T) {
 	cfg.NumTasklets = 24
 	if _, err := runPoint("VA", cfg, 1, ScaleTiny); err == nil {
 		t.Fatal("tasklet cap must be enforced")
+	}
+}
+
+// TestStagingRefusedBeforeLaunch: the scratchpad GEMV kernel (GEMV's and
+// MLP's) stages a whole row by one DMA, so a row wider than its buffer must
+// be refused by Check with ErrDatasetTooLarge — never reach a launch — and
+// MLP's paper row, with every other row of the two, must be one it stages.
+func TestStagingRefusedBeforeLaunch(t *testing.T) {
+	cfg := config.Default()
+	cfg.NumTasklets = 1
+	res, err := runPoint("MLP", cfg, 1, ScalePaper)
+	if err != nil {
+		t.Fatalf("MLP at paper scale on the scratchpad kernel: %v", err)
+	}
+	if res.Stats.DMAs == 0 {
+		t.Error("MLP at paper scale ran without a DMA")
+	}
+	for _, name := range []string{"GEMV", "MLP"} {
+		b, _ := ByName(name)
+		for s := ScaleTiny; s <= ScalePaper; s++ {
+			p, _ := b.Params(s)
+			if err := b.Check(cfg, p); err != nil {
+				t.Errorf("%s at %v: %v", name, s, err)
+			}
+		}
+		for _, cols := range []int{2 * gemvMaxCols, gemvMaxCols + 2, 63} {
+			p := Params{M: cols, N: cols, Layers: 1}
+			if err := b.Check(cfg, p); !errors.Is(err, ErrDatasetTooLarge) {
+				t.Errorf("%s with %d-column rows: Check = %v, want ErrDatasetTooLarge", name, cols, err)
+			}
+			cache := cfg
+			cache.Mode = config.ModeCache
+			if err := b.Check(cache, p); err != nil {
+				t.Errorf("%s with %d-column rows on the cache kernel, which stages nothing: %v", name, cols, err)
+			}
+		}
 	}
 }
 

@@ -17,8 +17,9 @@ var suite = []*Benchmark{
 	{Name: "BS", About: "binary search (32K elem., 4K queries single-DPU in Table II)", build: buildBS, host: runBS,
 		sizes: [3]Params{{N: 4 << 10, Queries: 512, Seed: 11}, {N: 32 << 10, Queries: 2 << 10, Seed: 11}, {N: 32 << 10, Queries: 4 << 10, Seed: 11}}},
 	{Name: "GEMV", About: "dense matrix-vector multiply (2K x 64 single-DPU in Table II)", host: runGEMV, SupportsSIMT: true,
-		build: func(m config.Mode) (*linker.Object, error) { return buildGEMVKernel(m, "gemv", false) },
-		sizes: [3]Params{{M: 128, N: 64, Seed: 9}, {M: 1024, N: 64, Seed: 9}, {M: 2048, N: 64, Seed: 9}}},
+		build:   func(m config.Mode) (*linker.Object, error) { return buildGEMVKernel(m, "gemv", false) },
+		rowCols: func(p Params) int { return p.N },
+		sizes:   [3]Params{{M: 128, N: 64, Seed: 9}, {M: 1024, N: 64, Seed: 9}, {M: 2048, N: 64, Seed: 9}}},
 	{Name: "HST-L", About: "histogram, shared copy behind a mutex (128K elem., 256 bins)", host: runHST,
 		build: func(m config.Mode) (*linker.Object, error) { return buildHST(m, true) },
 		sizes: [3]Params{{N: 8 << 10, Bins: hstBins, Seed: 8}, {N: 64 << 10, Bins: hstBins, Seed: 8}, {N: 128 << 10, Bins: hstBins, Seed: 8}}},
@@ -26,8 +27,12 @@ var suite = []*Benchmark{
 		build: func(m config.Mode) (*linker.Object, error) { return buildHST(m, false) },
 		sizes: [3]Params{{N: 8 << 10, Bins: hstBins, Seed: 7}, {N: 64 << 10, Bins: hstBins, Seed: 7}, {N: 128 << 10, Bins: hstBins, Seed: 7}}},
 	{Name: "MLP", About: "3-layer perceptron (3 layers, 256 neurons in Table II)", host: runMLP,
-		build: func(m config.Mode) (*linker.Object, error) { return buildGEMVKernel(m, "mlp", true) },
-		sizes: [3]Params{{M: 64, Layers: 3, Seed: 10}, {M: 256, Layers: 3, Seed: 10}, {M: 1024, Layers: 3, Seed: 10}}},
+		build:   func(m config.Mode) (*linker.Object, error) { return buildGEMVKernel(m, "mlp", true) },
+		rowCols: func(p Params) int { return p.M },
+		// Paper scale is Table II's 256 neurons a layer, as About gives it. A
+		// wider layer is more than the scratchpad kernel stages, and Check
+		// refuses it before launch.
+		sizes: [3]Params{{M: 64, Layers: 3, Seed: 10}, {M: 256, Layers: 3, Seed: 10}, {M: 256, Layers: 3, Seed: 10}}},
 	{Name: "NW", About: "Needleman-Wunsch alignment (256-gene sequences in Table II)", build: buildNW, host: runNW,
 		sizes: [3]Params{{N: 64, Seed: 15}, {N: 128, Seed: 15}, {N: 256, Seed: 15}}},
 	{Name: "RED", About: "sum reduction (512K elem. single-DPU in Table II)", build: buildRED, host: runRED,

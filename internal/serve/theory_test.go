@@ -21,7 +21,8 @@ import (
 // deterministic S) is M/D/1's ρS/(2(1−ρ)). The simulated mean wait must
 // land within three standard errors of it, the error estimated by batch
 // means: twenty consecutive batches of requests, whose means are nearly
-// independent where single waits are not.
+// independent where single waits are not. The same records must obey
+// Little's law, L = λW, under the same kind of bound (checkLittle).
 func TestServeMatchesQueueingTheory(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -75,6 +76,7 @@ func TestServeMatchesQueueingTheory(t *testing.T) {
 			if math.Abs(mean-want) > 3*se {
 				t.Errorf("mean wait %.6g s is %.1f standard errors from theory's %.6g s", mean, math.Abs(mean-want)/se, want)
 			}
+			checkLittle(t, res.Records, lambda)
 		})
 	}
 
@@ -104,6 +106,58 @@ func TestServeMatchesQueueingTheory(t *testing.T) {
 			}
 			checkConservation(t, res, opts.Groups)
 		})
+	}
+}
+
+// checkLittle holds arrival-ordered records to Little's law, L = λW: L the
+// time-averaged number of requests in the system, read off the records'
+// arrival and finish times; W their mean time in it; λ the offered rate. In
+// each of twenty batches of consecutive requests, L over the batch's
+// arrival window less λ times the batch's mean sojourn has mean zero; the
+// twenty differences must average within three standard errors of it.
+func checkLittle(t *testing.T, recs []Record, lambda float64) {
+	t.Helper()
+	// The number in the system steps up at each arrival and down at each
+	// finish; area is its integral from 0 to each window boundary.
+	type step struct {
+		at float64
+		d  int
+	}
+	steps := make([]step, 0, 2*len(recs))
+	for _, r := range recs {
+		steps = append(steps, step{r.Arrival, 1}, step{r.Finish, -1})
+	}
+	slices.SortFunc(steps, func(a, b step) int { return cmp.Compare(a.at, b.at) })
+	const batches = 20
+	per := len(recs) / (batches + 1)
+	area := make([]float64, batches+1)
+	var sum, last float64
+	n, i := 0, 0
+	for b := range area {
+		x := recs[b*per].Arrival
+		for ; i < len(steps) && steps[i].at <= x; i++ {
+			sum += float64(n) * (steps[i].at - last)
+			last, n = steps[i].at, n+steps[i].d
+		}
+		area[b] = sum + float64(n)*(x-last)
+	}
+	var gaps []float64
+	var avgL, avgW float64
+	for b := 0; b < batches; b++ {
+		l := (area[b+1] - area[b]) / (recs[(b+1)*per].Arrival - recs[b*per].Arrival)
+		w := 0.0
+		for _, r := range recs[b*per : (b+1)*per] {
+			w += r.Finish - r.Arrival
+		}
+		w /= float64(per)
+		gaps = append(gaps, l-lambda*w)
+		avgL, avgW = avgL+l/batches, avgW+w/batches
+	}
+	mean, sd := meanSD(gaps)
+	se := sd / math.Sqrt(batches)
+	t.Logf("L = %.4g, λW = %.4g (%+.2f %%), standard error %.3g", avgL, lambda*avgW, 100*mean/(lambda*avgW), se)
+	if math.Abs(mean) > 3*se {
+		t.Errorf("L − λW = %.4g is %.1f standard errors from zero", mean, math.Abs(mean)/se)
 	}
 }
 
