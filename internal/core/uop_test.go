@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"upim/internal/isa"
@@ -11,66 +13,241 @@ import (
 	"upim/internal/config"
 )
 
-// TestUopDecodeMatchesISA cross-checks the decode-once µop metadata against
-// the isa package's dynamic derivations for randomized instructions of every
-// opcode — the µop table must be a pure cache of those switch chains.
-func TestUopDecodeMatchesISA(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	for op := isa.Opcode(0); op < isa.NumOpcodes; op++ {
-		for trial := 0; trial < 32; trial++ {
-			in := isa.Instruction{
-				Op:     op,
-				Rd:     isa.RegID(r.Intn(int(isa.NumRegs))),
-				Ra:     isa.RegID(r.Intn(int(isa.NumRegs))),
-				Rb:     isa.RegID(r.Intn(int(isa.NumRegs))),
-				Imm:    int32(r.Intn(1 << 12)),
-				UseImm: r.Intn(2) == 0,
-				Cond:   isa.Cond(r.Intn(int(isa.NumConds))),
-				Target: uint16(r.Intn(1 << 13)),
-			}
-			u := decodeUop(in)
+// The parent's µop decoder, copied as the reference the table-driven
+// decodeUop is held to (names carry a ref prefix): kindOf's dispatch kind
+// from the opcode's format, and the forwarding-latency selector from the
+// class.
 
-			if u.op != in.Op {
-				t.Fatalf("%s: op %v", op, u.op)
-			}
-			if u.class != in.Class() {
-				t.Fatalf("%s: class %v, want %v", in, u.class, in.Class())
-			}
-			if u.rfConflict() != in.RFConflict() {
-				t.Fatalf("%s: rfConflict %v, want %v", in, u.rfConflict(), in.RFConflict())
-			}
-			if u.useImm() != in.UseImm {
-				t.Fatalf("%s: useImm %v", in, u.useImm())
-			}
-			var buf [3]isa.RegID
-			srcs := in.SrcRegs(buf[:0])
-			if int(u.nSrc) != len(srcs) {
-				t.Fatalf("%s: nSrc %d, want %d", in, u.nSrc, len(srcs))
-			}
-			for i, s := range srcs {
-				if u.src[i] != s {
-					t.Fatalf("%s: src[%d] = %v, want %v", in, i, u.src[i], s)
+type refUopKind uint8
+
+const (
+	refUopALU     refUopKind = iota // FmtRRR arithmetic/logic (optional cond+target)
+	refUopMOV                       // register move (optional cond+target)
+	refUopMOVI                      // 32-bit immediate load
+	refUopMem                       // WRAM/flat-space load/store
+	refUopDMA                       // MRAM<->WRAM DMA
+	refUopJcc                       // compare-and-branch
+	refUopJUMP                      //
+	refUopCALL                      //
+	refUopJREG                      //
+	refUopACQUIRE                   //
+	refUopRELEASE                   //
+	refUopSTOP                      //
+	refUopPERF                      //
+	refUopFAULT                     //
+	refUopNOP                       //
+)
+
+const (
+	refLatALU = iota
+	refLatMulDiv
+	refLatLoad
+)
+
+type refUop struct {
+	op     isa.Opcode
+	kind   refUopKind
+	class  isa.Class
+	flags  uint8
+	rd     isa.RegID
+	ra     isa.RegID
+	rb     isa.RegID
+	cond   isa.Cond
+	src    [3]isa.RegID
+	nSrc   uint8
+	memSiz uint8
+	latSel uint8
+	target uint16
+	imm    int32
+}
+
+func refKindOf(op isa.Opcode) refUopKind {
+	switch op.Format() {
+	case isa.FmtRRR:
+		if op == isa.OpMOV {
+			return refUopMOV
+		}
+		return refUopALU
+	case isa.FmtRI32:
+		return refUopMOVI
+	case isa.FmtMem:
+		return refUopMem
+	case isa.FmtDMA:
+		return refUopDMA
+	case isa.FmtJcc:
+		return refUopJcc
+	case isa.FmtCtl:
+		switch op {
+		case isa.OpJUMP:
+			return refUopJUMP
+		case isa.OpCALL:
+			return refUopCALL
+		default:
+			return refUopJREG
+		}
+	case isa.FmtSync:
+		if op == isa.OpACQUIRE {
+			return refUopACQUIRE
+		}
+		return refUopRELEASE
+	default:
+		switch op {
+		case isa.OpSTOP:
+			return refUopSTOP
+		case isa.OpPERF:
+			return refUopPERF
+		case isa.OpFAULT:
+			return refUopFAULT
+		default:
+			return refUopNOP
+		}
+	}
+}
+
+func refDecodeUop(in isa.Instruction) refUop {
+	u := refUop{
+		op:     in.Op,
+		kind:   refKindOf(in.Op),
+		class:  in.Class(),
+		rd:     in.Rd,
+		ra:     in.Ra,
+		rb:     in.Rb,
+		cond:   in.Cond,
+		target: in.Target,
+		imm:    in.Imm,
+	}
+	if in.UseImm {
+		u.flags |= uopFlagUseImm
+	}
+	var buf [3]isa.RegID
+	srcs := in.SrcRegs(buf[:0])
+	u.nSrc = uint8(copy(u.src[:], srcs))
+	if in.RFConflict() {
+		u.flags |= uopFlagRFConflict
+	}
+	if size, signExt := in.MemAccess(); size != 0 {
+		u.memSiz = uint8(size)
+		if signExt {
+			u.flags |= uopFlagSignExt
+		}
+		if in.IsStore() {
+			u.flags |= uopFlagStore
+		}
+	}
+	switch u.class {
+	case isa.ClassMulDiv:
+		u.latSel = refLatMulDiv
+	case isa.ClassLoadStore:
+		u.latSel = refLatLoad
+	default:
+		u.latSel = refLatALU
+	}
+	return u
+}
+
+// uopDiff reports how µop u parts from the reference ref, or "" when they
+// agree field for field: the forwarding latency u's writes wait as lat
+// reads it against the reference's, given distinct latencies in refLat, and
+// the sources as a multiset (readyAt takes their max and the RF rule is
+// symmetric); reordered says whether their order differs.
+func uopDiff(u *uop, ref refUop, lat func(*uop) uint64, refLat [3]uint64) (diff string, reordered bool) {
+	switch {
+	case u.op != ref.op:
+		return fmt.Sprintf("op %v, reference %v", u.op, ref.op), false
+	case u.kind != uopKind(ref.kind):
+		return fmt.Sprintf("kind %d, reference %d", u.kind, ref.kind), false
+	case u.class != ref.class:
+		return fmt.Sprintf("class %v, reference %v", u.class, ref.class), false
+	case u.flags != ref.flags:
+		return fmt.Sprintf("flags %b, reference %b", u.flags, ref.flags), false
+	case u.rd != ref.rd || u.ra != ref.ra || u.rb != ref.rb || u.cond != ref.cond:
+		return fmt.Sprintf("rd/ra/rb/cond %v %v %v %v, reference %v %v %v %v", u.rd, u.ra, u.rb, u.cond, ref.rd, ref.ra, ref.rb, ref.cond), false
+	case u.memSiz != ref.memSiz:
+		return fmt.Sprintf("memSiz %d, reference %d", u.memSiz, ref.memSiz), false
+	case lat(u) != refLat[ref.latSel]:
+		return fmt.Sprintf("forwarding latency %d, reference %d", lat(u), refLat[ref.latSel]), false
+	case u.target != ref.target || u.imm != ref.imm:
+		return fmt.Sprintf("target/imm %d %d, reference %d %d", u.target, u.imm, ref.target, ref.imm), false
+	case u.nSrc != ref.nSrc:
+		return fmt.Sprintf("nSrc %d, reference %d", u.nSrc, ref.nSrc), false
+	}
+	src, rsrc := u.src[:u.nSrc], ref.src[:ref.nSrc]
+	if slices.Equal(src, rsrc) && u.src == ref.src {
+		return "", false
+	}
+	sorted, rsorted := slices.Clone(src), slices.Clone(rsrc)
+	slices.Sort(sorted)
+	slices.Sort(rsorted)
+	if !slices.Equal(sorted, rsorted) || slices.ContainsFunc(u.src[u.nSrc:], func(r isa.RegID) bool { return r != 0 }) {
+		return fmt.Sprintf("src %v, reference %v", u.src, ref.src), false
+	}
+	return "", true
+}
+
+// uopRegs are the registers TestUopMatchesReference puts in every register
+// field: two of each parity, equal and distinct, and the four special
+// registers.
+var uopRegs = []isa.RegID{0, 1, 2, 3, isa.Zero, isa.ID, isa.NTasklets, isa.DPUID}
+
+// TestUopMatchesReference holds decodeUop to the parent's decoder
+// (refDecodeUop) field for field: every opcode x cond x UseImm x (rd, ra,
+// rb) over uopRegs, then a million random instructions over all fields. The
+// forwarding latency is read from a DPU whose three latencies differ, so a
+// µop on the wrong one shows. Sources may differ in order only; the count of
+// reordered µops is logged.
+func TestUopMatchesReference(t *testing.T) {
+	cfg := config.Default()
+	cfg.Forwarding = true
+	cfg.FwdLatALU, cfg.FwdLatMulDiv, cfg.FwdLatLoad = 3, 5, 7
+	prog, err := linker.Link(counterKernel(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(0, prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refLat := [3]uint64{refLatALU: 3, refLatMulDiv: 5, refLatLoad: 7}
+	lat := func(u *uop) uint64 { return d.fwdLat[u.latSel] }
+	var n, reordered int
+	check := func(in isa.Instruction) {
+		n++
+		u := decodeUop(in)
+		diff, re := uopDiff(&u, refDecodeUop(in), lat, refLat)
+		if diff != "" {
+			t.Fatalf("%+v: %s", in, diff)
+		}
+		if re {
+			reordered++
+		}
+	}
+	for op := isa.Opcode(0); op < isa.NumOpcodes; op++ {
+		for c := isa.Cond(0); c < isa.NumConds; c++ {
+			for _, imm := range []bool{false, true} {
+				for _, rd := range uopRegs {
+					for _, ra := range uopRegs {
+						for _, rb := range uopRegs {
+							check(isa.Instruction{Op: op, Rd: rd, Ra: ra, Rb: rb, UseImm: imm, Cond: c})
+						}
+					}
 				}
-			}
-			size, signExt := in.MemAccess()
-			if int(u.memSiz) != size || u.signExt() != signExt {
-				t.Fatalf("%s: mem access (%d,%v), want (%d,%v)", in, u.memSiz, u.signExt(), size, signExt)
-			}
-			if u.isStore() != in.IsStore() {
-				t.Fatalf("%s: isStore %v", in, u.isStore())
-			}
-			wantLat := uint8(latALU)
-			switch in.Class() {
-			case isa.ClassMulDiv:
-				wantLat = latMulDiv
-			case isa.ClassLoadStore:
-				wantLat = latLoad
-			}
-			if u.latSel != wantLat {
-				t.Fatalf("%s: latSel %d, want %d", in, u.latSel, wantLat)
 			}
 		}
 	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 1_000_000; i++ {
+		check(isa.Instruction{
+			Op:     isa.Opcode(r.Intn(isa.NumOpcodes)),
+			Rd:     isa.RegID(r.Intn(32)),
+			Ra:     isa.RegID(r.Intn(32)),
+			Rb:     isa.RegID(r.Intn(32)),
+			Imm:    int32(r.Uint32()),
+			UseImm: r.Intn(2) == 0,
+			Cond:   isa.Cond(r.Intn(isa.NumConds + 1)),
+			Target: uint16(r.Uint32()),
+		})
+	}
+	t.Logf("%d instructions, %d µops with sources in another order", n, reordered)
 }
 
 // TestUopTableSharedAcrossDPUs checks the decode-once property: two DPUs

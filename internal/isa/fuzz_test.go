@@ -6,9 +6,10 @@ import (
 )
 
 // FuzzDecode holds Decode to the reference decoder (ref_test.go) on any
-// 6-byte word, the mov fix aside, and an accepted word to its re-encoding on
-// every bit its layout reads: the bits past them are ignored by Decode and
-// left zero by Encode.
+// 6-byte word, the mov fix aside, the decoded instruction's opcode-table
+// answers to the reference's (opcodeTableDiff), and an accepted word to its
+// re-encoding on every bit its layout reads: the bits past them are ignored
+// by Decode and left zero by Encode.
 func FuzzDecode(f *testing.F) {
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 16; i++ {
@@ -27,6 +28,9 @@ func FuzzDecode(f *testing.F) {
 		want, rerr := refDecode(w)
 		if in != want {
 			t.Fatalf("%x: Decode = %+v, reference %+v", w, in, want)
+		}
+		if diff, _ := opcodeTableDiff(in); diff != "" {
+			t.Fatalf("%x: %+v: %s", w, in, diff)
 		}
 		if err != nil && rerr == nil && movTargetFix(want) {
 			return

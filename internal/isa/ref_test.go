@@ -82,7 +82,7 @@ func refValidate(in Instruction) error {
 		}
 		return nil
 	}
-	switch in.Op.Format() {
+	switch refFormat(in.Op) {
 	case FmtRRR:
 		if err := checkReg("rd", in.Rd); err != nil {
 			return err
@@ -237,7 +237,7 @@ func refEncode(in Instruction) (Word, error) {
 	}
 	var p refPacker
 	p.put(uint64(in.Op), opBits)
-	switch in.Op.Format() {
+	switch refFormat(in.Op) {
 	case FmtRRR:
 		p.put(uint64(in.Rd), regBits)
 		p.put(uint64(in.Ra), regBits)
@@ -303,7 +303,7 @@ func refDecode(w Word) (Instruction, error) {
 	if !in.Op.Valid() {
 		return in, fmt.Errorf("isa: decode: invalid opcode %d", uint8(in.Op))
 	}
-	switch in.Op.Format() {
+	switch refFormat(in.Op) {
 	case FmtRRR:
 		in.Rd = RegID(u.get(regBits))
 		in.Ra = RegID(u.get(regBits))
@@ -361,9 +361,9 @@ func refDecode(w Word) (Instruction, error) {
 
 func refString(in Instruction) string {
 	var b strings.Builder
-	b.WriteString(in.Op.String())
+	b.WriteString(refOpString(in.Op))
 	arg := func(parts ...string) {
-		if b.Len() == len(in.Op.String()) {
+		if b.Len() == len(refOpString(in.Op)) {
 			b.WriteByte(' ')
 		} else {
 			b.WriteString(", ")
@@ -372,7 +372,7 @@ func refString(in Instruction) string {
 			b.WriteString(p)
 		}
 	}
-	switch in.Op.Format() {
+	switch refFormat(in.Op) {
 	case FmtRRR:
 		arg(in.Rd.String())
 		arg(in.Ra.String())
@@ -428,4 +428,154 @@ func refString(in Instruction) string {
 		}
 	}
 	return b.String()
+}
+
+// A reference model of the opcode table: the per-opcode switch chains it
+// replaced, copied from the parent (names carry a ref prefix).
+// TestOpcodeTableMatchesReference and FuzzDecode hold the table-driven
+// String, Format, Class, IsStore, MemAccess, SrcRegs and RFConflict to them.
+
+var refOpNames = [NumOpcodes]string{
+	OpADD: "add", OpSUB: "sub", OpAND: "and", OpOR: "or", OpXOR: "xor",
+	OpLSL: "lsl", OpLSR: "lsr", OpASR: "asr",
+	OpMUL: "mul", OpMULH: "mulh", OpDIV: "div", OpREM: "rem",
+	OpLW: "lw", OpLH: "lh", OpLHU: "lhu", OpLB: "lb", OpLBU: "lbu",
+	OpSW: "sw", OpSH: "sh", OpSB: "sb",
+	OpLDMA: "ldma", OpSDMA: "sdma",
+	OpJEQ: "jeq", OpJNE: "jne", OpJLT: "jlt", OpJLE: "jle",
+	OpJGT: "jgt", OpJGE: "jge", OpJLTU: "jltu", OpJGEU: "jgeu",
+	OpJUMP: "jump", OpJREG: "jreg", OpCALL: "call",
+	OpMOVI: "movi", OpMOV: "mov",
+	OpACQUIRE: "acquire", OpRELEASE: "release",
+	OpNOP: "nop", OpSTOP: "stop", OpPERF: "perf", OpFAULT: "fault",
+}
+
+func refOpString(op Opcode) string {
+	if int(op) < len(refOpNames) {
+		return refOpNames[op]
+	}
+	return fmt.Sprintf("op?%d", uint8(op))
+}
+
+func refFormat(op Opcode) Format {
+	switch op {
+	case OpADD, OpSUB, OpAND, OpOR, OpXOR, OpLSL, OpLSR, OpASR,
+		OpMUL, OpMULH, OpDIV, OpREM, OpMOV:
+		return FmtRRR
+	case OpMOVI:
+		return FmtRI32
+	case OpLW, OpLH, OpLHU, OpLB, OpLBU, OpSW, OpSH, OpSB:
+		return FmtMem
+	case OpLDMA, OpSDMA:
+		return FmtDMA
+	case OpJEQ, OpJNE, OpJLT, OpJLE, OpJGT, OpJGE, OpJLTU, OpJGEU:
+		return FmtJcc
+	case OpJUMP, OpJREG, OpCALL:
+		return FmtCtl
+	case OpACQUIRE, OpRELEASE:
+		return FmtSync
+	default:
+		return FmtNone
+	}
+}
+
+func refClass(in Instruction) Class {
+	switch refFormat(in.Op) {
+	case FmtRRR:
+		switch in.Op {
+		case OpMUL, OpMULH, OpDIV, OpREM:
+			return ClassMulDiv
+		case OpMOV:
+			if in.Cond != CondNone {
+				return ClassArithBranch
+			}
+			return ClassEtc
+		}
+		if in.Cond != CondNone {
+			return ClassArithBranch
+		}
+		return ClassArith
+	case FmtRI32:
+		return ClassEtc
+	case FmtMem:
+		return ClassLoadStore
+	case FmtDMA:
+		return ClassDMA
+	case FmtJcc:
+		return ClassArithBranch
+	case FmtSync:
+		return ClassSync
+	default:
+		return ClassEtc
+	}
+}
+
+func refIsStore(in Instruction) bool {
+	switch in.Op {
+	case OpSW, OpSH, OpSB:
+		return true
+	}
+	return false
+}
+
+func refMemAccess(in Instruction) (size int, signExtend bool) {
+	switch in.Op {
+	case OpLW, OpSW:
+		return 4, false
+	case OpLH:
+		return 2, true
+	case OpLHU, OpSH:
+		return 2, false
+	case OpLB:
+		return 1, true
+	case OpLBU, OpSB:
+		return 1, false
+	}
+	return 0, false
+}
+
+func refSrcRegs(in Instruction, dst []RegID) []RegID {
+	add := func(r RegID) {
+		if r.IsGPR() {
+			dst = append(dst, r)
+		}
+	}
+	switch refFormat(in.Op) {
+	case FmtRRR:
+		if in.Op == OpMOV {
+			add(in.Ra)
+			break
+		}
+		add(in.Ra)
+		if !in.UseImm {
+			add(in.Rb)
+		}
+	case FmtMem:
+		add(in.Ra) // address base
+		if refIsStore(in) {
+			add(in.Rd) // store data operand
+		}
+	case FmtDMA:
+		add(in.Rd)
+		add(in.Ra)
+		if !in.UseImm {
+			add(in.Rb)
+		}
+	case FmtJcc:
+		add(in.Ra)
+		if !in.UseImm {
+			add(in.Rb)
+		}
+	case FmtCtl:
+		if in.Op == OpJREG {
+			add(in.Ra)
+		}
+	}
+	return dst
+}
+
+func refRFConflict(in Instruction) bool {
+	var buf [2]RegID
+	srcs := refSrcRegs(in, buf[:0])
+	return len(srcs) == 2 && srcs[0] != srcs[1] && srcs[0].Parity() == srcs[1].Parity()
 }
