@@ -4,12 +4,12 @@ GO ?= go
 # its stores, reports and logs; `make clean` removes it.
 W := .work
 
-.PHONY: build test pairs cli-guard pool-guard test-race race coord-soak cover fuzz-smoke bench-module profile-cold profile-resume profile-figures profile-serve fmt vet loc clean report refdata paper-smoke pathfind-smoke coord-smoke serve-smoke energy-check arch-check calibration-check
+.PHONY: build test pairs cli-guard pool-guard op-guard test-race race coord-soak cover fuzz-smoke bench-module profile-cold profile-resume profile-figures profile-serve fmt vet loc clean report refdata paper-smoke pathfind-smoke coord-smoke serve-smoke energy-check arch-check calibration-check
 
 build:
 	$(GO) build ./...
 
-test: fmt vet cli-guard pool-guard
+test: fmt vet cli-guard pool-guard op-guard
 	$(GO) test ./...
 
 # cli-guard keeps internal/cli the one command toolkit: a command that
@@ -30,6 +30,16 @@ pool-guard:
 	@if grep -rnE 'sync\.WaitGroup|runtime\.GOMAXPROCS' --include='*.go' --exclude='*_test.go' --exclude-dir=$(W) --exclude-dir=benchmark . | \
 		grep -vE '^\./internal/(engine|host|coord|explore/storetest)/'; then \
 		echo "pool-guard: the lines above run a worker pool outside internal/engine; use engine.Each"; exit 1; fi
+
+# op-guard keeps the opcode table (internal/isa) the one place that says what
+# an opcode is — mnemonic, format, mix class, memory access, sources: a
+# `case isa.Op…` arm anywhere else grows back the per-opcode switch chains
+# the table replaced. The core's interpreter (internal/core/exec.go) is
+# allowed: what each opcode does is its job. CI runs this target.
+op-guard:
+	@if grep -rnE 'case isa\.Op' --include='*.go' --exclude='*_test.go' --exclude-dir=$(W) . | \
+		grep -vE '^\./internal/(isa/|core/exec\.go:)'; then \
+		echo "op-guard: the lines above switch on opcodes; per-opcode facts belong in the opcode table (internal/isa)"; exit 1; fi
 
 # test-race mirrors the CI race job: the full suite under the race detector,
 # including the coordinator's crash test, whose concurrent workers + lease

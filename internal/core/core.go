@@ -24,10 +24,9 @@
 // characterization without moving a single simulated cycle:
 //
 //   - Decode-once µop tables (uop.go): at program load every instruction's
-//     static metadata — dispatch kind, mix class, source/dest registers,
-//     RF-conflict parity, memory access shape — is precomputed into a flat
-//     µop slice shared by all DPUs running the program, so the issue path
-//     never re-derives it through switch chains.
+//     static metadata — mix class, source registers, RF-conflict parity,
+//     memory access shape — is precomputed into a flat µop slice shared by
+//     all DPUs running the program, so the issue path never re-derives it.
 //   - Event-driven scheduling: what is scheduled is a unit — a thread, or a
 //     warp under SIMT — and one run loop serves every organisation. Unit
 //     states are tracked by incrementally maintained counters
@@ -399,8 +398,8 @@ type DPU struct {
 	cycle      uint64
 	tpc        Tick // ticks per DPU cycle
 
-	// fwdLat holds the forwarding latencies indexed by µop latency selector.
-	fwdLat [numLatSels]uint64
+	// fwdLat holds the forwarding latencies indexed by mix class.
+	fwdLat [isa.NumClasses]uint64
 	// issueGap is the distance to a unit's next issue: the revolver's, or one
 	// cycle under forwarding.
 	issueGap uint64
@@ -522,11 +521,11 @@ func (d *DPU) reinit(id int, prog *linker.Program, cfg config.Config) error {
 	d.prog = prog
 	d.uops = uopsFor(prog)
 	d.tpc = cfg.DPUTicksPerCycle()
-	d.fwdLat = [numLatSels]uint64{
-		latALU:    uint64(cfg.FwdLatALU),
-		latMulDiv: uint64(cfg.FwdLatMulDiv),
-		latLoad:   uint64(cfg.FwdLatLoad),
+	for c := range d.fwdLat {
+		d.fwdLat[c] = uint64(cfg.FwdLatALU)
 	}
+	d.fwdLat[isa.ClassMulDiv] = uint64(cfg.FwdLatMulDiv)
+	d.fwdLat[isa.ClassLoadStore] = uint64(cfg.FwdLatLoad)
 	d.issueGap = uint64(cfg.RevolverCycles)
 	if cfg.Forwarding {
 		d.issueGap = 1

@@ -130,13 +130,43 @@ func TestRevolverSingleThreadIPC(t *testing.T) {
 	}
 }
 
+// saturationLoops are the hot loops of TestElevenThreadsSaturatePipeline:
+// one instruction of each kind per iteration, then the decrement-and-branch,
+// with r1 (odd) and r2 (even, a WRAM address) as sources so that neither
+// has an RF conflict.
+var saturationLoops = []struct {
+	name string
+	body func(b *kbuild.Builder, r1, r2 kbuild.Reg)
+}{
+	{"add", func(b *kbuild.Builder, r1, r2 kbuild.Reg) { b.Add(r1, r1, r2) }},
+	{"mul", func(b *kbuild.Builder, r1, r2 kbuild.Reg) { b.Mul(r1, r1, r2) }},
+	{"lw", func(b *kbuild.Builder, r1, r2 kbuild.Reg) { b.Lw(r1, r2, 0) }},
+}
+
+// TestElevenThreadsSaturatePipeline checks the revolver's issue curve, the
+// tasklet saturation PrIM measures: with T tasklets and no hazard, IPC is
+// min(T, 11)/11 for an add, a mul and a WRAM load loop alike, every class
+// taking one issue slot.
 func TestElevenThreadsSaturatePipeline(t *testing.T) {
-	for _, n := range []int{11, 16, 24} {
-		cfg := config.Default()
-		cfg.NumTasklets = n
-		d := buildRun(t, loopKernel(2000), cfg, nil)
-		if ipc := d.Stats().IPC(); ipc < 0.97 {
-			t.Errorf("%d threads: IPC = %.3f, want ~1.0", n, ipc)
+	for _, loop := range saturationLoops {
+		b := kbuild.New(loop.name)
+		buf := b.Static("buf", 8, 8)
+		r0, r1, r2 := kbuild.R(0), kbuild.R(1), kbuild.R(2)
+		b.Movi(r0, 2000)
+		b.MoviSym(r2, buf, 0)
+		b.Label("loop")
+		loop.body(b, r1, r2)
+		b.AddiBr(r0, r0, -1, kbuild.CondNZ, "loop")
+		b.Stop()
+		obj := b.MustBuild()
+		for n := 1; n <= 24; n++ {
+			cfg := config.Default()
+			cfg.NumTasklets = n
+			ipc := buildRun(t, obj, cfg, nil).Stats().IPC()
+			want := float64(min(n, cfg.RevolverCycles)) / float64(cfg.RevolverCycles)
+			if n < cfg.RevolverCycles && (ipc < want*0.95 || ipc > want*1.05) || n >= cfg.RevolverCycles && ipc < 0.97 {
+				t.Errorf("%s loop, %d tasklets: IPC = %.3f, want %.3f", loop.name, n, ipc, want)
+			}
 		}
 	}
 }
@@ -452,7 +482,16 @@ func TestFaults(t *testing.T) {
 			b.Ldma(kbuild.R(1), kbuild.R(0), kbuild.R(2))
 			b.Stop()
 			return b.MustBuild()
-		}, "multiple of 8"},
+		}, "DMA length 12 must be a positive multiple of 8 <= 2048"},
+		{"dma too long", func() *linker.Object {
+			b := kbuild.New("f")
+			b.Movi(kbuild.R(0), int32(mem.MRAMBase))
+			b.Movi(kbuild.R(1), 1024)
+			b.Movi(kbuild.R(2), 2056)
+			b.Sdma(kbuild.R(1), kbuild.R(0), kbuild.R(2))
+			b.Stop()
+			return b.MustBuild()
+		}, "DMA length 2056 must be a positive multiple of 8 <= 2048"},
 		{"software fault", func() *linker.Object {
 			b := kbuild.New("f")
 			b.Fault(kbuild.R(0), 3)

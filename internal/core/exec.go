@@ -144,35 +144,24 @@ func (d *DPU) execute(t *thread, u *uop) {
 	t.instret++
 	nextPC := t.pc + 1
 
-	switch u.kind {
-	case uopALU:
-		b := uint32(u.imm)
-		if !u.useImm() {
-			b = d.read(t, u.rb)
-		}
-		result := aluOp(u.op, d.read(t, u.ra), b)
-		d.writeDst(t, u, u.rd, result)
-		if u.cond.Eval(int32(result)) {
-			nextPC = u.target
-		}
-
-	case uopMOV:
+	switch u.op {
+	case isa.OpMOV:
 		result := d.read(t, u.ra)
 		d.writeDst(t, u, u.rd, result)
 		if u.cond.Eval(int32(result)) {
 			nextPC = u.target
 		}
 
-	case uopMOVI:
+	case isa.OpMOVI:
 		d.writeDst(t, u, u.rd, uint32(u.imm))
 
-	case uopMem:
+	case isa.OpLW, isa.OpLH, isa.OpLHU, isa.OpLB, isa.OpLBU, isa.OpSW, isa.OpSH, isa.OpSB:
 		d.execMem(t, u)
 
-	case uopDMA:
+	case isa.OpLDMA, isa.OpSDMA:
 		d.execDMA(t, u)
 
-	case uopJcc:
+	case isa.OpJEQ, isa.OpJNE, isa.OpJLT, isa.OpJLE, isa.OpJGT, isa.OpJGE, isa.OpJLTU, isa.OpJGEU:
 		b := uint32(u.imm)
 		if !u.useImm() {
 			b = d.read(t, u.rb)
@@ -181,14 +170,14 @@ func (d *DPU) execute(t *thread, u *uop) {
 			nextPC = u.target
 		}
 
-	case uopJUMP:
+	case isa.OpJUMP:
 		nextPC = u.target
 
-	case uopCALL:
+	case isa.OpCALL:
 		d.writeDst(t, u, isa.RegID(23), uint32(t.pc)+1)
 		nextPC = u.target
 
-	case uopJREG:
+	case isa.OpJREG:
 		dest := d.read(t, u.ra)
 		if dest >= uint32(len(d.uops)) {
 			d.faultPC(t, fmt.Errorf("jreg to %d beyond program end %d", dest, len(d.uops)))
@@ -196,7 +185,7 @@ func (d *DPU) execute(t *thread, u *uop) {
 		}
 		nextPC = uint16(dest)
 
-	case uopACQUIRE:
+	case isa.OpACQUIRE:
 		ok, err := d.atomic.TryAcquire(int(u.imm), t.id)
 		if err != nil {
 			d.faultPC(t, err)
@@ -209,24 +198,35 @@ func (d *DPU) execute(t *thread, u *uop) {
 			nextPC = u.target
 		}
 
-	case uopRELEASE:
+	case isa.OpRELEASE:
 		if err := d.atomic.Release(int(u.imm), t.id); err != nil {
 			d.faultPC(t, err)
 			return
 		}
 
-	case uopSTOP:
+	case isa.OpSTOP:
 		t.state = unitStopped
 		return
 
-	case uopPERF:
+	case isa.OpPERF:
 		d.writeDst(t, u, u.rd, d.perfCounter(t, u.imm))
 
-	case uopFAULT:
+	case isa.OpFAULT:
 		d.faultPC(t, fmt.Errorf("software fault %d (r%d=%d)", u.imm, u.rd, d.read(t, u.rd)))
 		return
 
-	case uopNOP:
+	case isa.OpNOP:
+
+	default: // the ALU ops aluOp names
+		b := uint32(u.imm)
+		if !u.useImm() {
+			b = d.read(t, u.rb)
+		}
+		result := aluOp(u.op, d.read(t, u.ra), b)
+		d.writeDst(t, u, u.rd, result)
+		if u.cond.Eval(int32(result)) {
+			nextPC = u.target
+		}
 	}
 	t.pc = nextPC
 }
@@ -236,7 +236,7 @@ func (d *DPU) execute(t *thread, u *uop) {
 func (d *DPU) writeDst(t *thread, u *uop, r isa.RegID, v uint32) {
 	d.write(t, r, v)
 	if d.cfg.Forwarding && r.IsGPR() {
-		t.regReady[r] = d.cycle + d.fwdLat[u.latSel]
+		t.regReady[r] = d.cycle + d.fwdLat[u.class]
 	}
 }
 
@@ -373,8 +373,8 @@ func (d *DPU) execDMA(t *thread, u *uop) {
 		d.faultPC(t, fmt.Errorf("DMA instructions are only defined under the scratchpad-centric model (mode %v)", d.cfg.Mode))
 		return
 	}
-	if length <= 0 || length%8 != 0 || length > 2048 {
-		d.faultPC(t, fmt.Errorf("DMA length %d must be a positive multiple of 8 <= 2048", length))
+	if !isa.DMALengthOK(length) {
+		d.faultPC(t, fmt.Errorf("DMA length %d must be a positive multiple of 8 <= %d", length, isa.MaxDMABytes))
 		return
 	}
 	if wramAddr%8 != 0 || mramAddr%8 != 0 {
@@ -391,7 +391,7 @@ func (d *DPU) execDMA(t *thread, u *uop) {
 
 	// Functional copy at issue (transfer-atomic semantics; see package doc).
 	if cap(d.dmaBuf) < n {
-		d.dmaBuf = make([]byte, 2048) // DMA length is capped at 2048 above
+		d.dmaBuf = make([]byte, isa.MaxDMABytes)
 	}
 	buf := d.dmaBuf[:n]
 	var err error

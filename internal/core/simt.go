@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"slices"
+
+	"upim/internal/isa"
 )
 
 // The SIMT organisation (case study 1, Fig 11) is the same pipeline issuing
@@ -81,8 +83,8 @@ func (d *DPU) executeVector(w *warp) {
 	if d.cfg.TraceIssues {
 		d.traceIssue(w.lanes[0].id, w.minPC, u.op, false)
 	}
-	switch u.kind {
-	case uopDMA, uopACQUIRE, uopRELEASE:
+	switch u.class {
+	case isa.ClassDMA, isa.ClassSync:
 		d.faultPC(w.active[0], fmt.Errorf("%s is not supported by the SIMT vector engine", u.op))
 		return
 	}

@@ -5,29 +5,6 @@ import (
 	"upim/internal/linker"
 )
 
-// uopKind is the precomputed execute-dispatch index: one jump replaces the
-// two-level Opcode→Format→Opcode switch chains the interpreter used to walk
-// on every issue.
-type uopKind uint8
-
-const (
-	uopALU     uopKind = iota // FmtRRR arithmetic/logic (optional cond+target)
-	uopMOV                    // register move (optional cond+target)
-	uopMOVI                   // 32-bit immediate load
-	uopMem                    // WRAM/flat-space load/store
-	uopDMA                    // MRAM<->WRAM DMA
-	uopJcc                    // compare-and-branch
-	uopJUMP                   //
-	uopCALL                   //
-	uopJREG                   //
-	uopACQUIRE                //
-	uopRELEASE                //
-	uopSTOP                   //
-	uopPERF                   //
-	uopFAULT                  //
-	uopNOP                    //
-)
-
 // uop flag bits.
 const (
 	uopFlagRFConflict = 1 << iota // reads two distinct same-parity GPRs
@@ -36,21 +13,12 @@ const (
 	uopFlagUseImm                 // rb slot holds an immediate
 )
 
-// Forwarding-latency selectors (index into DPU.fwdLat).
-const (
-	latALU = iota
-	latMulDiv
-	latLoad
-	numLatSels
-)
-
-// uop is one instruction's decode-once static metadata: everything the issue
-// and scheduling hot paths used to re-derive from isa.Instruction through
-// switch chains (Class, SrcRegs, RFConflict, Format, load sizes) is
-// precomputed here at program load, so the per-issue cost is a table read.
+// uop is one instruction's decode-once static metadata: what the issue and
+// scheduling hot paths read of an isa.Instruction — its opcode-table row
+// (class, access width, store), its GPR sources and their RF conflict — is
+// copied here at program load, so the per-issue cost is a field read.
 type uop struct {
 	op     isa.Opcode
-	kind   uopKind
 	class  isa.Class
 	flags  uint8
 	rd     isa.RegID
@@ -59,8 +27,7 @@ type uop struct {
 	cond   isa.Cond
 	src    [3]isa.RegID // GPR sources (up to 3: a DMA reads rd, ra and rb)
 	nSrc   uint8
-	memSiz uint8 // access width in bytes for uopMem (0 otherwise)
-	latSel uint8
+	memSiz uint8 // access width in bytes for a load/store (0 otherwise)
 	target uint16
 	imm    int32
 }
@@ -70,55 +37,10 @@ func (u *uop) isStore() bool    { return u.flags&uopFlagStore != 0 }
 func (u *uop) signExt() bool    { return u.flags&uopFlagSignExt != 0 }
 func (u *uop) useImm() bool     { return u.flags&uopFlagUseImm != 0 }
 
-// kindOf maps an opcode to its dispatch kind.
-func kindOf(op isa.Opcode) uopKind {
-	switch op.Format() {
-	case isa.FmtRRR:
-		if op == isa.OpMOV {
-			return uopMOV
-		}
-		return uopALU
-	case isa.FmtRI32:
-		return uopMOVI
-	case isa.FmtMem:
-		return uopMem
-	case isa.FmtDMA:
-		return uopDMA
-	case isa.FmtJcc:
-		return uopJcc
-	case isa.FmtCtl:
-		switch op {
-		case isa.OpJUMP:
-			return uopJUMP
-		case isa.OpCALL:
-			return uopCALL
-		default:
-			return uopJREG
-		}
-	case isa.FmtSync:
-		if op == isa.OpACQUIRE {
-			return uopACQUIRE
-		}
-		return uopRELEASE
-	default:
-		switch op {
-		case isa.OpSTOP:
-			return uopSTOP
-		case isa.OpPERF:
-			return uopPERF
-		case isa.OpFAULT:
-			return uopFAULT
-		default:
-			return uopNOP
-		}
-	}
-}
-
 // decodeUop lowers one instruction into its µop.
 func decodeUop(in isa.Instruction) uop {
 	u := uop{
 		op:     in.Op,
-		kind:   kindOf(in.Op),
 		class:  in.Class(),
 		rd:     in.Rd,
 		ra:     in.Ra,
@@ -144,14 +66,6 @@ func decodeUop(in isa.Instruction) uop {
 		if in.IsStore() {
 			u.flags |= uopFlagStore
 		}
-	}
-	switch u.class {
-	case isa.ClassMulDiv:
-		u.latSel = latMulDiv
-	case isa.ClassLoadStore:
-		u.latSel = latLoad
-	default:
-		u.latSel = latALU
 	}
 	return u
 }

@@ -13,7 +13,7 @@ import (
 	"upim/internal/config"
 )
 
-// The parent's µop decoder, copied as the reference the table-driven
+// The µop decoder the opcode table replaced, kept as the reference
 // decodeUop is held to (names carry a ref prefix): kindOf's dispatch kind
 // from the opcode's format, and the forwarding-latency selector from the
 // class.
@@ -146,16 +146,15 @@ func refDecodeUop(in isa.Instruction) refUop {
 }
 
 // uopDiff reports how µop u parts from the reference ref, or "" when they
-// agree field for field: the forwarding latency u's writes wait as lat
-// reads it against the reference's, given distinct latencies in refLat, and
-// the sources as a multiset (readyAt takes their max and the RF rule is
-// symmetric); reordered says whether their order differs.
+// agree field for field. The reference's kind has no counterpart: execute
+// switches on the opcode, which op pins. Its latency selector is compared as
+// the forwarding latency it picks (lat reads u's, refLat holds distinct
+// ones), and the sources as a multiset (readyAt takes their max and the RF
+// rule is symmetric); reordered says whether their order differs.
 func uopDiff(u *uop, ref refUop, lat func(*uop) uint64, refLat [3]uint64) (diff string, reordered bool) {
 	switch {
 	case u.op != ref.op:
 		return fmt.Sprintf("op %v, reference %v", u.op, ref.op), false
-	case u.kind != uopKind(ref.kind):
-		return fmt.Sprintf("kind %d, reference %d", u.kind, ref.kind), false
 	case u.class != ref.class:
 		return fmt.Sprintf("class %v, reference %v", u.class, ref.class), false
 	case u.flags != ref.flags:
@@ -189,7 +188,7 @@ func uopDiff(u *uop, ref refUop, lat func(*uop) uint64, refLat [3]uint64) (diff 
 // registers.
 var uopRegs = []isa.RegID{0, 1, 2, 3, isa.Zero, isa.ID, isa.NTasklets, isa.DPUID}
 
-// TestUopMatchesReference holds decodeUop to the parent's decoder
+// TestUopMatchesReference holds decodeUop to the kind-based decoder
 // (refDecodeUop) field for field: every opcode x cond x UseImm x (rd, ra,
 // rb) over uopRegs, then a million random instructions over all fields. The
 // forwarding latency is read from a DPU whose three latencies differ, so a
@@ -208,7 +207,7 @@ func TestUopMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	refLat := [3]uint64{refLatALU: 3, refLatMulDiv: 5, refLatLoad: 7}
-	lat := func(u *uop) uint64 { return d.fwdLat[u.latSel] }
+	lat := func(u *uop) uint64 { return d.fwdLat[u.class] }
 	var n, reordered int
 	check := func(in isa.Instruction) {
 		n++
@@ -276,34 +275,9 @@ func TestUopTableSharedAcrossDPUs(t *testing.T) {
 	}
 }
 
-// TestUopKindCoversAllOpcodes pins the dispatch mapping: every opcode lands
-// on the µop kind matching its format-level semantics.
-func TestUopKindCoversAllOpcodes(t *testing.T) {
-	for op := isa.Opcode(0); op < isa.NumOpcodes; op++ {
-		kind := kindOf(op)
-		switch op.Format() {
-		case isa.FmtRRR:
-			if op == isa.OpMOV && kind != uopMOV {
-				t.Fatalf("%s -> %d", op, kind)
-			}
-			if op != isa.OpMOV && kind != uopALU {
-				t.Fatalf("%s -> %d", op, kind)
-			}
-		case isa.FmtMem:
-			if kind != uopMem {
-				t.Fatalf("%s -> %d", op, kind)
-			}
-		case isa.FmtDMA:
-			if kind != uopDMA {
-				t.Fatalf("%s -> %d", op, kind)
-			}
-		case isa.FmtJcc:
-			if kind != uopJcc {
-				t.Fatalf("%s -> %d", op, kind)
-			}
-		}
-	}
-	// A kernel built through the real toolchain decodes without gaps.
+// TestUopsForLinkedProgram checks that a kernel built through the real
+// toolchain decodes without gaps.
+func TestUopsForLinkedProgram(t *testing.T) {
 	b := kbuild.New("probe")
 	b.Movi(kbuild.R(0), 1)
 	b.Stop()

@@ -162,7 +162,7 @@ const (
 	OpSB  // store byte
 
 	// DMA between MRAM and WRAM. rd = WRAM address register, ra = MRAM
-	// address register, rb/imm = length in bytes (8B-aligned, <= 2048).
+	// address register, rb/imm = length in bytes (DMALengthOK).
 	OpLDMA // MRAM -> WRAM ("mram_read")
 	OpSDMA // WRAM -> MRAM ("mram_write")
 
@@ -202,24 +202,9 @@ const (
 	NumOpcodes = iota
 )
 
-var opNames = [NumOpcodes]string{
-	OpADD: "add", OpSUB: "sub", OpAND: "and", OpOR: "or", OpXOR: "xor",
-	OpLSL: "lsl", OpLSR: "lsr", OpASR: "asr",
-	OpMUL: "mul", OpMULH: "mulh", OpDIV: "div", OpREM: "rem",
-	OpLW: "lw", OpLH: "lh", OpLHU: "lhu", OpLB: "lb", OpLBU: "lbu",
-	OpSW: "sw", OpSH: "sh", OpSB: "sb",
-	OpLDMA: "ldma", OpSDMA: "sdma",
-	OpJEQ: "jeq", OpJNE: "jne", OpJLT: "jlt", OpJLE: "jle",
-	OpJGT: "jgt", OpJGE: "jge", OpJLTU: "jltu", OpJGEU: "jgeu",
-	OpJUMP: "jump", OpJREG: "jreg", OpCALL: "call",
-	OpMOVI: "movi", OpMOV: "mov",
-	OpACQUIRE: "acquire", OpRELEASE: "release",
-	OpNOP: "nop", OpSTOP: "stop", OpPERF: "perf", OpFAULT: "fault",
-}
-
 func (op Opcode) String() string {
-	if int(op) < len(opNames) {
-		return opNames[op]
+	if op.Valid() {
+		return ops[op].name
 	}
 	return fmt.Sprintf("op?%d", uint8(op))
 }
@@ -244,28 +229,9 @@ const (
 	FmtNone               // no operands (NOP/STOP) or rd, selector (PERF/FAULT)
 )
 
-// FormatOf returns the encoding format of an opcode.
-func (op Opcode) Format() Format {
-	switch op {
-	case OpADD, OpSUB, OpAND, OpOR, OpXOR, OpLSL, OpLSR, OpASR,
-		OpMUL, OpMULH, OpDIV, OpREM, OpMOV:
-		return FmtRRR
-	case OpMOVI:
-		return FmtRI32
-	case OpLW, OpLH, OpLHU, OpLB, OpLBU, OpSW, OpSH, OpSB:
-		return FmtMem
-	case OpLDMA, OpSDMA:
-		return FmtDMA
-	case OpJEQ, OpJNE, OpJLT, OpJLE, OpJGT, OpJGE, OpJLTU, OpJGEU:
-		return FmtJcc
-	case OpJUMP, OpJREG, OpCALL:
-		return FmtCtl
-	case OpACQUIRE, OpRELEASE:
-		return FmtSync
-	default:
-		return FmtNone
-	}
-}
+// Format returns the encoding format of an opcode; FmtNone for an undefined
+// one.
+func (op Opcode) Format() Format { return op.info().format }
 
 // Class buckets instructions for the instruction-mix characterization
 // (paper Fig 9).
@@ -309,143 +275,48 @@ type Instruction struct {
 	Target uint16 // branch target, instruction index (13 bits encoded)
 }
 
-// Class returns the instruction-mix class, accounting for merged
-// arithmetic+branch forms (an ALU op with a live condition is classified as
-// "arithmetic with branch", as are the compare-and-branch opcodes).
+// Class returns the instruction-mix class: the opcode's row, save that an
+// ALU op or mov with a live condition is "arithmetic with branch", as are
+// the compare-and-branch opcodes.
 func (in Instruction) Class() Class {
-	switch in.Op.Format() {
-	case FmtRRR:
-		switch in.Op {
-		case OpMUL, OpMULH, OpDIV, OpREM:
-			return ClassMulDiv
-		case OpMOV:
-			if in.Cond != CondNone {
-				return ClassArithBranch
-			}
-			return ClassEtc
-		}
-		if in.Cond != CondNone {
-			return ClassArithBranch
-		}
-		return ClassArith
-	case FmtRI32:
-		return ClassEtc
-	case FmtMem:
-		return ClassLoadStore
-	case FmtDMA:
-		return ClassDMA
-	case FmtJcc:
+	c := in.Op.info().class
+	if in.Cond != CondNone && (c == ClassArith || in.Op == OpMOV) {
 		return ClassArithBranch
-	case FmtSync:
-		return ClassSync
-	default:
-		return ClassEtc
 	}
+	return c
 }
 
 // IsStore reports whether the instruction writes WRAM via the store port.
-func (in Instruction) IsStore() bool {
-	switch in.Op {
-	case OpSW, OpSH, OpSB:
-		return true
-	}
-	return false
-}
-
-// IsLoad reports whether the instruction reads WRAM via the load port.
-func (in Instruction) IsLoad() bool {
-	switch in.Op {
-	case OpLW, OpLH, OpLHU, OpLB, OpLBU:
-		return true
-	}
-	return false
-}
+func (in Instruction) IsStore() bool { return in.Op.info().store }
 
 // MemAccess returns the access width in bytes and whether the loaded value
 // is sign-extended for load/store opcodes, or (0, false) for every other
 // opcode. It is the decode-time source of truth consumed by the core's µop
 // tables.
 func (in Instruction) MemAccess() (size int, signExtend bool) {
-	switch in.Op {
-	case OpLW, OpSW:
-		return 4, false
-	case OpLH:
-		return 2, true
-	case OpLHU, OpSH:
-		return 2, false
-	case OpLB:
-		return 1, true
-	case OpLBU, OpSB:
-		return 1, false
-	}
-	return 0, false
+	r := in.Op.info()
+	return int(r.size), r.signExt
 }
 
 // SrcRegs appends the GPR indices this instruction reads to dst and returns
-// it. Special registers are excluded: they live outside the odd/even split
-// register file and cannot conflict.
+// it, in field order: rd where the opcode's row reads it, then ra and rb
+// where a live slot of its layout holds them. Special registers are
+// excluded: they live outside the odd/even split register file and cannot
+// conflict.
 func (in Instruction) SrcRegs(dst []RegID) []RegID {
-	add := func(r RegID) {
-		if r.IsGPR() {
+	if !in.Op.Valid() {
+		return dst
+	}
+	add := func(r RegID, read bool) {
+		if read && r.IsGPR() {
 			dst = append(dst, r)
 		}
 	}
-	switch in.Op.Format() {
-	case FmtRRR:
-		if in.Op == OpMOV {
-			add(in.Ra)
-			break
-		}
-		add(in.Ra)
-		if !in.UseImm {
-			add(in.Rb)
-		}
-	case FmtMem:
-		add(in.Ra) // address base
-		if in.IsStore() {
-			add(in.Rd) // store data operand
-		}
-	case FmtDMA:
-		add(in.Rd)
-		add(in.Ra)
-		if !in.UseImm {
-			add(in.Rb)
-		}
-	case FmtJcc:
-		add(in.Ra)
-		if !in.UseImm {
-			add(in.Rb)
-		}
-	case FmtCtl:
-		if in.Op == OpJREG {
-			add(in.Ra)
-		}
-	}
+	live := in.live()
+	add(in.Rd, ops[in.Op].rdSrc)
+	add(in.Ra, live&(1<<FieldRa) != 0)
+	add(in.Rb, live&(1<<FieldRb) != 0)
 	return dst
-}
-
-// DstReg returns the GPR written by the instruction, or (0,false) when it
-// writes none.
-func (in Instruction) DstReg() (RegID, bool) {
-	switch in.Op.Format() {
-	case FmtRRR, FmtRI32:
-		if in.Rd.IsGPR() {
-			return in.Rd, true
-		}
-	case FmtMem:
-		if in.IsLoad() && in.Rd.IsGPR() {
-			return in.Rd, true
-		}
-	case FmtCtl:
-		if in.Op == OpCALL {
-			return RegID(23), true
-		}
-	case FmtNone:
-		if in.Op == OpPERF && in.Rd.IsGPR() {
-			return in.Rd, true
-		}
-	}
-	return 0, false
 }
 
 // RFConflict reports whether the instruction reads two distinct GPRs that
@@ -463,3 +334,10 @@ func (in Instruction) RFConflict() bool {
 func (in Instruction) CanBranch() bool {
 	return in.Op.Valid() && in.live()&(1<<FieldTarget) != 0
 }
+
+// MaxDMABytes is the longest transfer one DMA instruction moves.
+const MaxDMABytes = 2048
+
+// DMALengthOK reports whether a DMA instruction may move n bytes: a positive
+// multiple of 8, at most MaxDMABytes.
+func DMALengthOK(n int32) bool { return n > 0 && n%8 == 0 && n <= MaxDMABytes }

@@ -138,21 +138,6 @@ func TestRFConflict(t *testing.T) {
 	}
 }
 
-func TestDstReg(t *testing.T) {
-	if d, ok := (Instruction{Op: OpADD, Rd: 5, Ra: 1, Rb: 2}).DstReg(); !ok || d != 5 {
-		t.Error("ADD dst wrong")
-	}
-	if _, ok := (Instruction{Op: OpSW, Rd: 5, Ra: 1}).DstReg(); ok {
-		t.Error("SW must not report a dst")
-	}
-	if d, ok := (Instruction{Op: OpCALL, Target: 9}).DstReg(); !ok || d != 23 {
-		t.Error("CALL must link into r23")
-	}
-	if _, ok := (Instruction{Op: OpADD, Rd: Zero, Ra: 1, Rb: 2}).DstReg(); ok {
-		t.Error("writing zero register is not a real dst")
-	}
-}
-
 func TestEncodeDecodeExamples(t *testing.T) {
 	prog := []Instruction{
 		{Op: OpMOVI, Rd: 0, Imm: -123456789},
@@ -325,9 +310,6 @@ func TestQuickSrcRegsAreGPRs(t *testing.T) {
 				return false
 			}
 		}
-		if d, ok := in.DstReg(); ok && !d.IsGPR() {
-			return false
-		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -371,6 +353,14 @@ func TestMemAccess(t *testing.T) {
 		}
 		if size, _ := (Instruction{Op: op}).MemAccess(); size != 0 {
 			t.Errorf("%s: non-memory opcode reports access size %d", op, size)
+		}
+	}
+}
+
+func TestDMALengthOK(t *testing.T) {
+	for n, want := range map[int32]bool{-8: false, 0: false, 4: false, 8: true, 12: false, 2040: true, 2048: true, 2056: false} {
+		if got := DMALengthOK(n); got != want {
+			t.Errorf("DMALengthOK(%d) = %v, want %v", n, got, want)
 		}
 	}
 }

@@ -95,6 +95,73 @@ var overrides = map[Opcode][]Operand{
 	OpSTOP:    {rd.reserved(), selector.reserved()},
 }
 
+// opInfo is what an opcode is beyond its operand slots: its mnemonic,
+// format, base mix class (Instruction.Class), memory access and whether rd
+// is a source.
+type opInfo struct {
+	name    string
+	format  Format
+	class   Class
+	size    uint8 // a load/store's access width in bytes; 0 for any other opcode
+	signExt bool  // the loaded value is sign-extended
+	store   bool  // writes memory through the store port
+	rdSrc   bool  // rd is read, not written: a store's data, a DMA's WRAM address
+}
+
+// ops is the opcode table: one row per opcode.
+var ops = [NumOpcodes]opInfo{
+	OpADD:     {name: "add", format: FmtRRR, class: ClassArith},
+	OpSUB:     {name: "sub", format: FmtRRR, class: ClassArith},
+	OpAND:     {name: "and", format: FmtRRR, class: ClassArith},
+	OpOR:      {name: "or", format: FmtRRR, class: ClassArith},
+	OpXOR:     {name: "xor", format: FmtRRR, class: ClassArith},
+	OpLSL:     {name: "lsl", format: FmtRRR, class: ClassArith},
+	OpLSR:     {name: "lsr", format: FmtRRR, class: ClassArith},
+	OpASR:     {name: "asr", format: FmtRRR, class: ClassArith},
+	OpMUL:     {name: "mul", format: FmtRRR, class: ClassMulDiv},
+	OpMULH:    {name: "mulh", format: FmtRRR, class: ClassMulDiv},
+	OpDIV:     {name: "div", format: FmtRRR, class: ClassMulDiv},
+	OpREM:     {name: "rem", format: FmtRRR, class: ClassMulDiv},
+	OpLW:      {name: "lw", format: FmtMem, class: ClassLoadStore, size: 4},
+	OpLH:      {name: "lh", format: FmtMem, class: ClassLoadStore, size: 2, signExt: true},
+	OpLHU:     {name: "lhu", format: FmtMem, class: ClassLoadStore, size: 2},
+	OpLB:      {name: "lb", format: FmtMem, class: ClassLoadStore, size: 1, signExt: true},
+	OpLBU:     {name: "lbu", format: FmtMem, class: ClassLoadStore, size: 1},
+	OpSW:      {name: "sw", format: FmtMem, class: ClassLoadStore, size: 4, store: true, rdSrc: true},
+	OpSH:      {name: "sh", format: FmtMem, class: ClassLoadStore, size: 2, store: true, rdSrc: true},
+	OpSB:      {name: "sb", format: FmtMem, class: ClassLoadStore, size: 1, store: true, rdSrc: true},
+	OpLDMA:    {name: "ldma", format: FmtDMA, class: ClassDMA, rdSrc: true},
+	OpSDMA:    {name: "sdma", format: FmtDMA, class: ClassDMA, rdSrc: true},
+	OpJEQ:     {name: "jeq", format: FmtJcc, class: ClassArithBranch},
+	OpJNE:     {name: "jne", format: FmtJcc, class: ClassArithBranch},
+	OpJLT:     {name: "jlt", format: FmtJcc, class: ClassArithBranch},
+	OpJLE:     {name: "jle", format: FmtJcc, class: ClassArithBranch},
+	OpJGT:     {name: "jgt", format: FmtJcc, class: ClassArithBranch},
+	OpJGE:     {name: "jge", format: FmtJcc, class: ClassArithBranch},
+	OpJLTU:    {name: "jltu", format: FmtJcc, class: ClassArithBranch},
+	OpJGEU:    {name: "jgeu", format: FmtJcc, class: ClassArithBranch},
+	OpJUMP:    {name: "jump", format: FmtCtl, class: ClassEtc},
+	OpJREG:    {name: "jreg", format: FmtCtl, class: ClassEtc},
+	OpCALL:    {name: "call", format: FmtCtl, class: ClassEtc},
+	OpMOVI:    {name: "movi", format: FmtRI32, class: ClassEtc},
+	OpMOV:     {name: "mov", format: FmtRRR, class: ClassEtc},
+	OpACQUIRE: {name: "acquire", format: FmtSync, class: ClassSync},
+	OpRELEASE: {name: "release", format: FmtSync, class: ClassSync},
+	OpNOP:     {name: "nop", format: FmtNone, class: ClassEtc},
+	OpSTOP:    {name: "stop", format: FmtNone, class: ClassEtc},
+	OpPERF:    {name: "perf", format: FmtNone, class: ClassEtc},
+	OpFAULT:   {name: "fault", format: FmtNone, class: ClassEtc},
+}
+
+// info returns op's row; an undefined opcode reads as one with no operands,
+// class etc.
+func (op Opcode) info() opInfo {
+	if op.Valid() {
+		return ops[op]
+	}
+	return opInfo{format: FmtNone, class: ClassEtc}
+}
+
 // layouts[op] is op's layout, worked out once so that no lookup allocates:
 // its slots in bit order, its operands in text order, the fields they hold
 // whatever the instruction says (1<<Field), and its immediate operand.

@@ -431,7 +431,7 @@ func refString(in Instruction) string {
 }
 
 // A reference model of the opcode table: the per-opcode switch chains it
-// replaced, copied from the parent (names carry a ref prefix).
+// replaced (names carry a ref prefix).
 // TestOpcodeTableMatchesReference and FuzzDecode hold the table-driven
 // String, Format, Class, IsStore, MemAccess, SrcRegs and RFConflict to them.
 

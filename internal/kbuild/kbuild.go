@@ -240,7 +240,7 @@ func (b *Builder) Ldmai(wram, mram Reg, length int32) { b.dmai(isa.OpLDMA, wram,
 func (b *Builder) Sdmai(wram, mram Reg, length int32) { b.dmai(isa.OpSDMA, wram, mram, length) }
 
 func (b *Builder) dmai(op isa.Opcode, wram, mram Reg, length int32) {
-	if length <= 0 || length > 2048 || length%8 != 0 {
+	if !isa.DMALengthOK(length) {
 		b.panicf("DMA length %d invalid", length)
 	}
 	b.emit(isa.Instruction{Op: op, Rd: b.checkReg(wram), Ra: b.checkReg(mram), UseImm: true, Imm: length})
