@@ -89,16 +89,38 @@ paper-smoke:
 	cat $(W)/paper-smoke.log
 	grep -q "^pathfind: 66 points: 0 cached, 66 simulated, 0 failed$$" $(W)/paper-smoke.log
 
-# coord-smoke mirrors the CI job: the same tiny exploration run by four
-# coordinated workers through leased shards, then single-process; the
-# artifacts must match byte for byte and the events log must exist.
+# coord-smoke mirrors the CI job: the served topology in real processes (it
+# ran the in-process `pathfind -coordinator` before that path was retired).
+# One pathfind binary serves the coordinator and the store on a fixed
+# loopback port; once /v1/status answers, two `pathfind work` processes drain
+# its leased shards, and the server must exit on its own after the last one.
+# A single-process run over the served store then merges the exploration: it
+# must simulate nothing, and its report must match a fresh single-process run
+# byte for byte. The server's and each worker's events logs must be
+# non-empty.
 coord-smoke:
-	rm -rf $(W)/coordstore $(W)/coordreport1 $(W)/coordreport2 $(W)/coord-events.jsonl
-	mkdir -p $(W)
-	$(GO) run ./cmd/pathfind -coordinator -workers 4 -events $(W)/coord-events.jsonl -bench VA,BS -axes "tasklets=1,4;link=1,2" -scale tiny -store $(W)/coordstore -pareto -goals energy,cost -energy -out $(W)/coordreport1
-	$(GO) run ./cmd/pathfind -bench VA,BS -axes "tasklets=1,4;link=1,2" -scale tiny -store $(W)/coordstore -pareto -goals energy,cost -energy -out $(W)/coordreport2
-	diff -r $(W)/coordreport1 $(W)/coordreport2
-	test -s $(W)/coord-events.jsonl
+	rm -rf $(W)/coord
+	mkdir -p $(W)/coord/events
+	$(GO) build -o $(W)/coord/pathfind ./cmd/pathfind
+	@set -e; pf=$(W)/coord/pathfind; addr=127.0.0.1:17345; ev=$(W)/coord/events; \
+	$$pf serve -addr $$addr -store $(W)/coord/store -shard 2 -bench VA,BS -axes "tasklets=1,4;link=1,2" -scale tiny -events $$ev/serve.jsonl & srv=$$!; \
+	trap 'kill $$srv 2>/dev/null || true' EXIT; \
+	for i in $$(seq 50); do curl -sf http://$$addr/v1/status > /dev/null && break; sleep 0.2; done; \
+	curl -sf http://$$addr/v1/status; echo; \
+	$$pf work -connect http://$$addr -name w0 -events $$ev/w0.jsonl & w0=$$!; \
+	$$pf work -connect http://$$addr -name w1 -events $$ev/w1.jsonl & w1=$$!; \
+	wait $$w0; wait $$w1; \
+	for i in $$(seq 50); do kill -0 $$srv 2>/dev/null || break; sleep 0.2; done; \
+	if kill -0 $$srv 2>/dev/null; then echo "coord-smoke: the server is still up after every shard is done"; exit 1; fi; \
+	wait $$srv
+	$(W)/coord/pathfind -bench VA,BS -axes "tasklets=1,4;link=1,2" -scale tiny -store $(W)/coord/store -pareto -goals energy,cost -energy -out $(W)/coord/merged 2> $(W)/coord/merge.log
+	cat $(W)/coord/merge.log
+	grep -q ", 0 simulated," $(W)/coord/merge.log
+	$(W)/coord/pathfind -bench VA,BS -axes "tasklets=1,4;link=1,2" -scale tiny -pareto -goals energy,cost -energy -out $(W)/coord/fresh > /dev/null
+	diff -r $(W)/coord/merged $(W)/coord/fresh
+	test -s $(W)/coord/events/serve.jsonl
+	test -s $(W)/coord/events/w0.jsonl
+	test -s $(W)/coord/events/w1.jsonl
 
 # serve-smoke mirrors the CI job: a tiny multi-tenant serving run (Poisson
 # arrivals, two tenants, weighted-fair + FIFO load sweep) validated against

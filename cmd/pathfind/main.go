@@ -25,20 +25,17 @@
 // (with -tier2) the predicted estimate/simulate split, then exits without
 // simulating anything.
 //
-// With -coordinator, the exploration runs as a sharded multi-worker system:
-// -workers N workers drain leased shards of the point enumeration through
-// the shared store, live progress streams to stderr (and, with -events, to a
-// machine-readable JSONL log), and dead workers lose their leases so their
-// shards re-queue. The artifacts are byte-identical to an uncoordinated run.
 // -store also accepts an http(s):// URL pointing at a store server.
 //
 // The `serve` subcommand serves a result store — and, given space flags, a
 // lease-protocol coordinator over that space — over HTTP; `work -connect URL`
 // runs one remote worker process against it. Together they spread one
-// exploration across processes and machines:
+// exploration across processes and machines, and a resumed run over the
+// served store merges it, byte-identical to a single-process run:
 //
 //	pathfind serve -addr :7070 -store ./pfstore -bench VA,BS -scale tiny
 //	pathfind work -connect http://host:7070 -name w0   # on each machine
+//	pathfind -store ./pfstore -bench VA,BS -scale tiny -pareto   # the merge
 //
 // The `calibrate` subcommand refits the estimator's calibration artifact
 // against the cycle-exact simulator and rewrites (or, with -check, verifies)
@@ -49,7 +46,6 @@
 //	pathfind -bench VA,BS -axes "tasklets=1,4,16;ilp=base,D,DRSF;link=1,2,4" \
 //	         -scale tiny -store ./pfstore -pareto -goals energy,cost -energy -out ./report
 //	pathfind -tier2 -band 0.25 -bench VA -axes "tasklets=1,4,16;freq=350,700;link=1,2,4" -pareto
-//	pathfind -coordinator -workers 4 -store ./pfstore -events events.jsonl -bench VA -pareto
 //	pathfind calibrate -check
 //
 // Axis grammar: semicolon-separated "name=v1,v2,..." (explore.ParseAxes;
@@ -68,11 +64,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"slices"
 	"strings"
-	"time"
 
 	"upim"
 	"upim/internal/cli"
@@ -125,38 +119,22 @@ func (s *spaceFlags) space() (*upim.DesignSpace, error) {
 	return space, nil
 }
 
-// openEvents opens a JSONL events log for appending. An empty path is no
-// log: a nil writer and a no-op close.
-func openEvents(path string) (io.Writer, func(), error) {
-	if path == "" {
-		return nil, func() {}, nil
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, func() { f.Close() }, nil
-}
-
 func pathfind(fs *flag.FlagSet) func(context.Context) error {
 	var (
-		sp        spaceFlags
-		rep       cli.Report
-		storeDir  = fs.String("store", "", "persistent result store directory (enables resume; empty = no persistence)")
-		resume    = fs.Bool("resume", true, "serve previously finished points from the store; -resume=false re-simulates (and refreshes) every point")
-		pareto    = fs.Bool("pareto", false, "print the per-benchmark Pareto frontier (see -goals) and ranked best configs")
-		goals     = fs.String("goals", "time,cost", "comma-separated Pareto objectives for -pareto: "+goalVocab)
-		profile   = fs.String("profile", "", "energy TechProfile JSON overriding the committed default (used by the energy/edp goals and -energy)")
-		energyT   = fs.Bool("energy", false, "print the per-point energy breakdown table")
-		top       = fs.Int("top", 3, "designs per benchmark in the best-config ranking")
-		verbose   = fs.Bool("v", false, "log every point as it finishes (a -coordinator run logs them with -events)")
-		tier2     = fs.Bool("tier2", false, "two-tier fidelity: estimate every point analytically, simulate only the estimated Pareto band over the active -goals")
-		band      = fs.Float64("band", 0.25, "ε slack of the tier2 band: points within this relative margin of the estimated frontier are simulated too")
-		calib     = fs.String("calibration", "", "calibration profile JSON for -tier2 (default: the committed artifact)")
-		plan      = fs.Bool("plan", false, "print the feasible point count, axis breakdown and (with -tier2) the predicted estimate/simulate split, then exit without simulating")
-		coordMode = fs.Bool("coordinator", false, "coordinated exploration: shard the space into leased work units drained by -workers workers through the shared -store")
-		workers   = fs.Int("workers", 4, "worker count for -coordinator")
-		events    = fs.String("events", "", "append the machine-readable JSONL coordination events log to this file (-coordinator only)")
+		sp       spaceFlags
+		rep      cli.Report
+		storeDir = fs.String("store", "", "persistent result store directory (enables resume; empty = no persistence)")
+		resume   = fs.Bool("resume", true, "serve previously finished points from the store; -resume=false re-simulates (and refreshes) every point")
+		pareto   = fs.Bool("pareto", false, "print the per-benchmark Pareto frontier (see -goals) and ranked best configs")
+		goals    = fs.String("goals", "time,cost", "comma-separated Pareto objectives for -pareto: "+goalVocab)
+		profile  = fs.String("profile", "", "energy TechProfile JSON overriding the committed default (used by the energy/edp goals and -energy)")
+		energyT  = fs.Bool("energy", false, "print the per-point energy breakdown table")
+		top      = fs.Int("top", 3, "designs per benchmark in the best-config ranking")
+		verbose  = fs.Bool("v", false, "log every point as it finishes")
+		tier2    = fs.Bool("tier2", false, "two-tier fidelity: estimate every point analytically, simulate only the estimated Pareto band over the active -goals")
+		band     = fs.Float64("band", 0.25, "ε slack of the tier2 band: points within this relative margin of the estimated frontier are simulated too")
+		calib    = fs.String("calibration", "", "calibration profile JSON for -tier2 (default: the committed artifact)")
+		plan     = fs.Bool("plan", false, "print the feasible point count, axis breakdown and (with -tier2) the predicted estimate/simulate split, then exit without simulating")
 	)
 	sp.register(fs)
 	sp.sim.Register(fs)
@@ -175,21 +153,12 @@ func pathfind(fs *flag.FlagSet) func(context.Context) error {
 		}
 		// Goals are only evaluated by the -pareto frontier and the -tier2 band,
 		// so an explicit -goals without either would be silently ignored. The
-		// same applies to the tier2-only and coordinator-only knobs.
+		// same applies to the tier2-only knobs.
 		if cli.IsSet(fs, "goals") && !*pareto && !*tier2 {
 			return cli.Usagef("-goals only affects the -pareto frontier and the -tier2 band; add one of them to use it")
 		}
 		if (cli.IsSet(fs, "band") || *calib != "") && !*tier2 {
 			return cli.Usagef("-band and -calibration only affect -tier2 triage; add -tier2 to use them")
-		}
-		if cli.IsSet(fs, "workers") && !*coordMode {
-			return cli.Usagef("-workers sets the -coordinator worker count; add -coordinator to use it")
-		}
-		if *events != "" && !*coordMode {
-			return cli.Usagef("-events records the coordination events log; add -coordinator to use it")
-		}
-		if *verbose && *coordMode {
-			return cli.Usagef("-v logs points of an uncoordinated run; a coordinated run logs them with -events")
 		}
 		if err := rep.Validate(); err != nil {
 			return err
@@ -266,12 +235,6 @@ func pathfind(fs *flag.FlagSet) func(context.Context) error {
 			}
 			opts.Store = store
 		}
-		if *coordMode && store == nil {
-			return cli.Usagef("-coordinator requires -store (workers and the merge share results through it)")
-		}
-		if *coordMode && !*resume {
-			return cli.Usagef("-resume=false is incompatible with -coordinator (workers depend on serving each other's finished points)")
-		}
 		if *verbose {
 			opts.OnOutcome = func(o upim.ExploreOutcome) {
 				status := "simulated"
@@ -289,26 +252,9 @@ func pathfind(fs *flag.FlagSet) func(context.Context) error {
 
 		var x *upim.Exploration
 		var tri *upim.ExploreTriage
-		switch {
-		case *coordMode:
-			copts := upim.CoordOptions{
-				Workers:     *workers,
-				Parallelism: sp.sim.Jobs,
-				Store:       store,
-				OnProgress:  progressPrinter(),
-			}
-			if *tier2 {
-				copts.Tiered = &topts
-			}
-			var closeEvents func()
-			if copts.Events, closeEvents, err = openEvents(*events); err != nil {
-				return err
-			}
-			defer closeEvents()
-			x, tri, err = upim.CoordinatedExplore(ctx, space, copts)
-		case *tier2:
+		if *tier2 {
 			x, tri, err = upim.ExploreTiered(ctx, space, opts, topts)
-		default:
+		} else {
 			x, err = upim.Explore(ctx, space, opts)
 		}
 		if x == nil {
@@ -362,20 +308,5 @@ func pathfind(fs *flag.FlagSet) func(context.Context) error {
 			}
 		}
 		return err
-	}
-}
-
-// progressPrinter streams coordinated-exploration progress to stderr: one
-// line per snapshot, throttled to twice a second so N workers cannot flood
-// the terminal, always printing the final (all-done) snapshot.
-func progressPrinter() func(upim.CoordProgress) {
-	var last time.Time
-	return func(p upim.CoordProgress) {
-		done := p.Done == p.Total && p.Coordination.AllDone
-		if !done && time.Since(last) < 500*time.Millisecond {
-			return
-		}
-		last = time.Now()
-		fmt.Fprintln(os.Stderr, "pathfind:", p)
 	}
 }

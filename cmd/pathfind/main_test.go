@@ -42,10 +42,12 @@ func TestExitCodes(t *testing.T) {
 		{"-bench VA -eps 0.5", 2},
 		{"-bench VA -goals time", 2},
 		{"-bench VA -band 0.1", 2},
+		// The coordinator is served (serve/work), not a flag of the
+		// exploration: these flags are undefined.
 		{"-bench VA -workers 2", 2},
 		{"-bench VA -events " + t.TempDir() + "/e.jsonl", 2},
-		{"-bench VA -coordinator", 2}, // needs -store
-		{"-bench VA -axes tasklets=1 -coordinator -workers 1 -v -store " + t.TempDir(), 2}, // -events logs points
+		{"-bench VA -coordinator", 2},
+		{"-bench VA -axes tasklets=1 -coordinator -workers 1 -store " + t.TempDir(), 2},
 		{"-bench NOPE -axes tasklets=1", 2},
 		{"-bench VA -axes tasklets=1 -store /dev/null/store", 1},
 		{"-bench VA -axes tasklets=1,2 -plan", 0},

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"time"
@@ -111,6 +112,19 @@ func serve(fs *flag.FlagSet) func(context.Context) error {
 			}
 		}
 	}
+}
+
+// openEvents opens a JSONL events log for appending. An empty path is no
+// log: a nil writer and a no-op close.
+func openEvents(path string) (io.Writer, func(), error) {
+	if path == "" {
+		return nil, func() {}, nil
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, nil, err
+	}
+	return f, func() { f.Close() }, nil
 }
 
 func shutdown(srv *http.Server) {

@@ -9,16 +9,15 @@ import (
 	"upim/internal/explore"
 )
 
-// Coordination — sharded multi-worker exploration. A coordinator slices the
-// deterministic point enumeration of a DesignSpace into leased work units,
-// workers drain them through a shared StoreBackend under heartbeat renewal,
-// dead workers lose their leases and their shards re-queue, and a final
-// merge pass over the populated store assembles the Exploration — so a
-// coordinated run emits byte-identical artifacts to a single-process one
-// over the same space. Run in-process (CoordinatedExplore), or serve the
-// lease protocol and the store over HTTP (ServeCoordinator + Work) to spread
-// one exploration across processes and machines. See cmd/pathfind
-// (-coordinator, serve, work) for the CLI front end.
+// Coordination — sharded multi-worker exploration. A served coordinator
+// (ServeCoordinator) slices the deterministic point enumeration of a
+// DesignSpace into leased work units and serves them beside the result
+// store; worker processes (Work) drain them through the shared store under
+// heartbeat renewal, dead workers lose their leases and their shards
+// re-queue, and a resumed Explore over the populated store assembles the
+// Exploration — so a coordinated run emits byte-identical artifacts to a
+// single-process one over the same space. See cmd/pathfind (serve, work)
+// for the CLI front end.
 
 // StoreBackend is the pluggable result-store interface explorations read and
 // write through: the local content-addressed directory store (ResultStore)
@@ -46,26 +45,11 @@ func DialResultStore(baseURL string, opts HTTPResultStoreOptions) (*HTTPResultSt
 // NewResultStoreServer wraps a backend in its HTTP server handler.
 func NewResultStoreServer(b StoreBackend) *ResultStoreServer { return explore.NewStoreServer(b) }
 
-// CoordOptions parameterize a coordinated exploration.
-type CoordOptions = coord.Options
-
-// CoordProgress is one live snapshot of a coordinated exploration (streamed
-// to CoordOptions.OnProgress).
-type CoordProgress = coord.Progress
-
 // CoordStatus is the lease-level coordination snapshot.
 type CoordStatus = coord.Status
 
 // CoordEvent is one line of the machine-readable coordination events log.
 type CoordEvent = coord.Event
-
-// CoordinatedExplore explores the space with opts.Workers coordinated
-// workers sharing opts.Store, returning the same Exploration (and, when
-// opts.Tiered is set, Triage) a single-process Explore/ExploreTiered over
-// the same space would: the artifacts are byte-identical by construction.
-func CoordinatedExplore(ctx context.Context, space *DesignSpace, opts CoordOptions) (*Exploration, *ExploreTriage, error) {
-	return coord.Run(ctx, space, opts)
-}
 
 // ParseCoordEvents reads back a JSONL coordination events log, tolerating
 // the torn line a killed run leaves, also when a rerun appended to the same
@@ -79,8 +63,9 @@ type CoordinatorOptions = coord.CoordinatorOptions
 // served to remote workers: the lease protocol for the space plus the result
 // store under /v1/, composed on one mux so `pathfind work -connect URL` needs
 // a single address. The exploration's watchdog travels in the spec so
-// workers compute identical store keys. Spaces with programmatic Constrain
-// filters cannot be served (constraints do not serialize) and are refused.
+// workers compute identical store keys. Only spaces a worker can rebuild
+// from the wire spec are served: a space with programmatic Constrain
+// filters, a mutated Base config or a custom axis is refused.
 func ServeCoordinator(space *DesignSpace, backend StoreBackend, watchdog uint64, copts CoordinatorOptions, events io.Writer) (http.Handler, *CoordHandle, error) {
 	if events != nil {
 		copts.Events = coord.NewLog(events)

@@ -1,8 +1,10 @@
 // Package coord turns exploration into a coordinated, fault-tolerant
 // multi-worker system: a Coordinator shards the deterministic point
-// enumeration of an explore.Space into leased work units, hands leases to N
-// workers with expiry and heartbeat renewal, reclaims shards from dead or
-// stalled workers, and merges results through the explore store so the
+// enumeration of an explore.Space into leased work units, serves them over
+// HTTP beside the result store (Handler), and hands leases to worker
+// processes (Work) with expiry and heartbeat renewal, reclaiming shards from
+// dead or stalled workers. The workers write through the shared store, and a
+// resumed single-process exploration over it assembles the artifacts, so the
 // byte-identical-resume contract remains the correctness oracle.
 //
 // # Shard determinism
@@ -34,8 +36,8 @@
 // already in the content-addressed store (harmless, deduplicated by key),
 // but it cannot mark work done that the coordinator no longer credits to
 // it. Correctness never depends on lease bookkeeping: the store is the
-// source of truth, and the final merge re-simulates anything missing or
-// corrupt. Leases only bound wasted work.
+// source of truth, and the resumed exploration that merges a run
+// re-simulates anything missing or corrupt. Leases only bound wasted work.
 package coord
 
 import (

@@ -359,92 +359,6 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRunFinalProgress pins the progress in-process Run streams: its final
-// snapshot has every point done, every shard complete, and the store's
-// corrupt-entry count, here from an entry torn before the run.
-func TestRunFinalProgress(t *testing.T) {
-	ctx := context.Background()
-	space := crashSpace()
-	pts, err := space.Points()
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := explore.OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := explore.New(explore.Options{Store: store}).Resolve(ctx, pts[0], 0, nil)
-	if o.Err != nil {
-		t.Fatal(o.Err)
-	}
-	if err := store.CorruptEntry(o.Key); err != nil {
-		t.Fatal(err)
-	}
-	var last Progress
-	snapshots := 0
-	x, _, err := Run(ctx, space, Options{
-		Workers:   4,
-		ShardSize: 2,
-		Store:     store,
-		OnProgress: func(p Progress) {
-			last = p
-			snapshots++
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x.Failed != 0 {
-		t.Fatalf("%d points failed", x.Failed)
-	}
-	if snapshots == 0 {
-		t.Fatal("no progress snapshots streamed")
-	}
-	if last.Done != len(pts) || !last.Coordination.AllDone || last.Corrupt < 1 {
-		t.Errorf("final progress = %+v, want all %d points done with the corruption surfaced", last, len(pts))
-	}
-}
-
-// TestCoordinatedTieredByteIdentical pins the two-tier coordinated path:
-// workers resolve out-of-band points at estimate fidelity from the shared
-// band plan, and the artifacts still match a single-process ExploreTiered.
-func TestCoordinatedTieredByteIdentical(t *testing.T) {
-	ctx := context.Background()
-	space := crashSpace()
-	topts := explore.TieredOptions{Band: 0.25}
-
-	refStore, err := explore.OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, refTri, err := explore.New(explore.Options{Parallelism: 4, Store: refStore}).ExploreTiered(ctx, space, topts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refDir := t.TempDir()
-	writeArtifacts(t, ref, refDir)
-
-	store, err := explore.OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, tri, err := Run(ctx, space, Options{
-		Workers:   3,
-		ShardSize: 2,
-		Store:     store,
-		Tiered:    &topts,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tri == nil || tri.Band != refTri.Band || tri.EstimateOnly != refTri.EstimateOnly {
-		t.Fatalf("coordinated triage %+v, reference %+v", tri, refTri)
-	}
-	gotDir := t.TempDir()
-	writeArtifacts(t, x, gotDir)
-	compareDirs(t, refDir, gotDir)
-}
-
 // TestHTTPWorkersByteIdentical runs the full multi-process topology
 // in-process: a served coordinator + store on one address, remote workers
 // speaking the lease protocol and the HTTP store, and a final merge over the
@@ -540,5 +454,34 @@ func TestSpaceSpecRoundTrip(t *testing.T) {
 	constrained := crashSpace().Constrain(func(p explore.Point) bool { return p.Cost < 2 })
 	if _, err := SpecFor(constrained, 0); err == nil {
 		t.Fatal("SpecFor accepted a constrained space")
+	}
+}
+
+// TestSpecForRefusesUnreproducibleSpaces: a worker rebuilds the space from
+// the spec alone, so a space whose points the spec does not reproduce key for
+// key is refused — even when the rebuilt space has the same point count and
+// every shard range would check out.
+func TestSpecForRefusesUnreproducibleSpaces(t *testing.T) {
+	fast := crashSpace()
+	fast.Base.FreqMHz = 700
+	// Parses back as tasklets=1,4 but runs 2 and 8 tasklets.
+	relabelled := explore.NewSpace([]string{"VA"}, explore.NewAxis("tasklets",
+		explore.Level{Label: "1", Apply: func(p *engine.Point) { p.Config.NumTasklets = 2 }},
+		explore.Level{Label: "4", Apply: func(p *engine.Point) { p.Config.NumTasklets = 8 }}))
+	relabelled.Scale = prim.ScaleTiny
+	// Does not parse back at all.
+	custom := explore.NewSpace([]string{"VA"}, explore.NewAxis("stack",
+		explore.Level{Label: "small", Apply: func(p *engine.Point) { p.Config.StackBytes = 512 }}))
+	custom.Scale = prim.ScaleTiny
+
+	for _, tc := range []struct {
+		name  string
+		space *explore.Space
+	}{{"mutated base", fast}, {"relabelled axis", relabelled}, {"custom axis", custom}} {
+		t.Run(tc.name, func(t *testing.T) {
+			if spec, err := SpecFor(tc.space, 0); err == nil {
+				t.Fatalf("SpecFor served %+v, which rebuilds a different space", spec)
+			}
+		})
 	}
 }

@@ -32,16 +32,7 @@ const (
 
 	EventPointCached    = "point_cached"
 	EventPointSimulated = "point_simulated"
-	EventPointEstimated = "point_estimated"
 	EventPointFailed    = "point_failed"
-
-	EventMergeStart = "merge_start"
-	// EventMergeSimulated marks a point the final merge had to re-simulate —
-	// a worker failure, a reclaimed half-done shard killed before the store
-	// write, or a corrupt entry. Zero of these on a healthy run is the
-	// no-duplicate-work invariant.
-	EventMergeSimulated = "merge_simulated"
-	EventMergeDone      = "merge_done"
 )
 
 // Event is one line of the events log. Shard and Point use -1 for "not
@@ -50,8 +41,8 @@ type Event struct {
 	Seq  int64     `json:"seq"`
 	Time time.Time `json:"time"`
 	Type string    `json:"type"`
-	// Worker names the acting worker ("w2", "merge" for the final merge
-	// pass); empty for coordinator-internal events.
+	// Worker names the acting worker ("w2"); empty for coordinator-internal
+	// events.
 	Worker string `json:"worker,omitempty"`
 	Shard  int    `json:"shard"`
 	Lease  string `json:"lease,omitempty"`
@@ -137,43 +128,4 @@ func ParseEvents(r io.Reader) ([]Event, error) {
 		return nil, fmt.Errorf("coord: reading events log: %w", err)
 	}
 	return events, nil
-}
-
-// Progress is one live snapshot of a coordinated exploration, streamed to
-// OnProgress as points resolve: how much of the space is done, the fidelity
-// split, the work the store saved or lost, and the current frontier size.
-type Progress struct {
-	// Total points in the space; Done points resolved so far (any fidelity).
-	Total, Done int
-	// Cached/Simulated/Estimated/Failed split Done by how each point
-	// resolved during the worker phase.
-	Cached, Simulated, Estimated, Failed int
-	// MergeSimulated counts points the final merge re-simulated (corrupt or
-	// missing entries); nonzero values mean finished work was lost or
-	// damaged.
-	MergeSimulated int
-	// Corrupt is the store backend's corrupt-entry counter: entries that
-	// existed but failed to decode and silently degraded to re-simulation.
-	// Surfaced here so a damaged store is visible, not silent.
-	Corrupt int64
-	// ParetoSize is the current total Pareto-frontier size across benchmarks
-	// under the default time/cost goals — the live "is the frontier still
-	// moving" readout.
-	ParetoSize int
-	// Coordination is the lease-level view.
-	Coordination Status
-}
-
-// String renders the one-line terminal form.
-func (p Progress) String() string {
-	s := fmt.Sprintf("%d/%d points (%d cached, %d simulated, %d estimated, %d failed) | shards %d/%d done, %d leased | pareto %d",
-		p.Done, p.Total, p.Cached, p.Simulated, p.Estimated, p.Failed,
-		p.Coordination.Done, p.Coordination.Shards, p.Coordination.Leased, p.ParetoSize)
-	if p.Corrupt > 0 {
-		s += fmt.Sprintf(" | %d corrupt entries re-simulated", p.Corrupt)
-	}
-	if p.MergeSimulated > 0 {
-		s += fmt.Sprintf(" | %d merge re-simulations", p.MergeSimulated)
-	}
-	return s
 }

@@ -15,9 +15,10 @@ import (
 
 // SpaceSpec is the serializable description of a design space the lease
 // protocol ships to remote workers. It covers spaces over the default base
-// configuration; programmatic Constrain filters and mutated base configs
-// cannot travel over the wire — a worker handed such a space would enumerate
-// different point indices than the coordinator, so SpecFor refuses them.
+// configuration and the built-in axes; programmatic Constrain filters,
+// mutated base configs and custom axes cannot travel over the wire — a
+// worker handed such a space would simulate different points than the
+// coordinator sharded, so SpecFor refuses them.
 type SpaceSpec struct {
 	Benchmarks []string `json:"benchmarks"`
 	// Axes is the FormatAxes form of the space's design axes; empty means an
@@ -31,17 +32,41 @@ type SpaceSpec struct {
 }
 
 // SpecFor captures a space (plus the exploration watchdog) as a wire spec.
+// It rebuilds the space from the spec, as a worker will, and refuses unless
+// every point comes back with the same store key in the same order.
 func SpecFor(space *explore.Space, watchdog uint64) (SpaceSpec, error) {
 	if space.Constrained() {
 		return SpaceSpec{}, fmt.Errorf("coord: constrained spaces cannot be served to remote workers (constraints are functions and do not serialize); filter with axis levels instead")
 	}
-	return SpaceSpec{
+	spec := SpaceSpec{
 		Benchmarks: space.Benchmarks,
 		Axes:       explore.FormatAxes(space.Axes),
 		Scale:      space.Scale.String(),
 		DPUs:       space.DPUs,
 		Watchdog:   watchdog,
-	}, nil
+	}
+	want, err := space.Points()
+	if err != nil {
+		return SpaceSpec{}, err
+	}
+	back, err := spec.Space()
+	if err != nil {
+		return SpaceSpec{}, err
+	}
+	got, err := back.Points()
+	if err != nil {
+		return SpaceSpec{}, err
+	}
+	if len(got) != len(want) {
+		return SpaceSpec{}, fmt.Errorf("coord: the space spec rebuilds %d points, not %d", len(got), len(want))
+	}
+	for i := range want {
+		if explore.KeyOf(got[i].EP) != explore.KeyOf(want[i].EP) {
+			return SpaceSpec{}, fmt.Errorf("coord: point %d (%s %s) is a different simulation once rebuilt from the space spec; only spaces over the default base config and built-in axes can be served to remote workers",
+				i, want[i].Benchmark, want[i].Design)
+		}
+	}
+	return spec, nil
 }
 
 // Space reconstructs the explore.Space a spec describes.
@@ -124,8 +149,8 @@ func (s *Server) Register(mux *http.ServeMux) {
 // backend's result store under /v1/, on one mux so `pathfind work -connect
 // URL` needs a single address (the lease routes are more specific, so they
 // win). The exploration's watchdog travels in the spec so workers compute
-// identical store keys. Spaces with programmatic Constrain filters cannot be
-// served (constraints do not serialize) and are refused.
+// identical store keys. A space its spec cannot rebuild point for point is
+// refused (SpecFor).
 func Handler(space *explore.Space, backend explore.Backend, watchdog uint64, opts CoordinatorOptions) (http.Handler, *Coordinator, error) {
 	spec, err := SpecFor(space, watchdog)
 	if err != nil {
@@ -280,8 +305,7 @@ type WorkOptions struct {
 // Work runs one remote worker against a serving coordinator: fetch the space
 // spec, enumerate the same points locally, open the HTTP store at the same
 // address, and drain shards until the coordinator reports all work done.
-// Remote workers run exact-fidelity only — tiered band planning stays with
-// the in-process coordinator.
+// Workers run exact fidelity only.
 func Work(ctx context.Context, opts WorkOptions) error {
 	if ctx == nil {
 		ctx = context.Background()

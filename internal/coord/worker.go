@@ -10,27 +10,15 @@ import (
 	"upim/internal/explore"
 )
 
-// LeaseClient is a worker's view of a coordinator — in-process (localLease)
-// or across HTTP (Client). Lease returns (nil, false, nil) when no shard is
-// available right now and the worker should poll again; (nil, true, nil)
-// once every shard has completed.
+// LeaseClient is a worker's view of a coordinator: Client speaks it across
+// HTTP. Lease returns (nil, false, nil) when no shard is available right now
+// and the worker should poll again; (nil, true, nil) once every shard has
+// completed.
 type LeaseClient interface {
 	Lease(worker string) (u *WorkUnit, done bool, err error)
 	Renew(lease string) error
 	Complete(lease string) error
 }
-
-// localLease adapts an in-process Coordinator to the LeaseClient interface.
-type localLease struct{ c *Coordinator }
-
-func (l localLease) Lease(worker string) (*WorkUnit, bool, error) {
-	if u := l.c.Lease(worker); u != nil {
-		return u, false, nil
-	}
-	return nil, l.c.Done(), nil
-}
-func (l localLease) Renew(lease string) error    { return l.c.Renew(lease) }
-func (l localLease) Complete(lease string) error { return l.c.Complete(lease) }
 
 // worker drains shards from a coordinator: lease, heartbeat, process the
 // point range through the store, complete, repeat. One worker processes one
@@ -41,14 +29,10 @@ type worker struct {
 	// ex resolves points through the store, one at a time on the worker's
 	// goroutine (its one-slot engine recycles a single DPU-shell arena across
 	// points and shards).
-	ex  *explore.Explorer
-	pts []explore.Point
-	// plan carries tier-A estimates and band membership for tiered runs;
-	// nil means every point simulates cycle-exactly.
-	plan  *explore.BandPlan
-	log   *Log
-	poll  time.Duration
-	track *tracker
+	ex   *explore.Explorer
+	pts  []explore.Point
+	log  *Log
+	poll time.Duration
 }
 
 // run is the worker main loop. It returns nil when the coordinator reports
@@ -152,22 +136,20 @@ func (w *worker) shard(ctx context.Context, u *WorkUnit) error {
 }
 
 // point resolves one point of a leased shard through the store (lookup →
-// simulate → commit, explore.Explorer.Resolve) and reports what happened.
-// Failures are recorded, not fatal — the shard completes and the final merge
-// surfaces per-point errors, matching the Explore contract.
+// simulate → commit, explore.Explorer.Resolve) and logs what happened.
+// Failures are recorded, not fatal — the shard completes and the resumed
+// exploration that merges the run surfaces per-point errors, matching the
+// Explore contract.
 func (w *worker) point(ctx context.Context, u *WorkUnit, i int) {
-	o := w.ex.Resolve(ctx, w.pts[i], i, w.plan)
+	o := w.ex.Resolve(ctx, w.pts[i], i)
 	typ := EventPointSimulated
 	switch {
 	case o.Err != nil:
 		typ = EventPointFailed
 	case o.Cached:
 		typ = EventPointCached
-	case o.Fidelity == explore.FidelityEstimate:
-		typ = EventPointEstimated
 	}
 	w.log.point(typ, w.name, u.Shard, i, o.Key, o.Err)
-	w.track.record(o)
 }
 
 // sleepCtx sleeps d or until ctx cancels; false means cancelled.

@@ -312,6 +312,54 @@ func TestDMAStreamingBandwidth(t *testing.T) {
 	}
 }
 
+// dmaOnceKernel is one tasklet's single DMA of size bytes between MRAM (its
+// address the first argument) and a WRAM buffer; size 0 is the same kernel
+// without the DMA.
+func dmaOnceKernel(store bool, size int32) *linker.Object {
+	b := kbuild.New("dmaonce")
+	buf := b.Static("buf", 2048, 8)
+	r0, r1 := kbuild.R(0), kbuild.R(1)
+	b.LoadArg(r0, 0)
+	b.MoviSym(r1, buf, 0)
+	switch {
+	case size == 0:
+	case store:
+		b.Sdmai(r1, r0, size)
+	default:
+		b.Ldmai(r1, r0, size)
+	}
+	b.Stop()
+	return b.MustBuild()
+}
+
+// TestDMALatencyClosedForm holds one DMA's latency to the closed form PrIM
+// measures on hardware, α + β·size: a fixed 12 cycles for the DRAM access,
+// then the bytes at the link's width, for every legal size in both
+// directions. Latency is the kernel's cycles minus those of the same kernel
+// without the DMA.
+func TestDMALatencyClosedForm(t *testing.T) {
+	const alpha = 12
+	for _, link := range []int{2, 4} {
+		cfg := config.Default()
+		cfg.NumTasklets = 1
+		cfg.LinkBytesPerCycle = link
+		run := func(store bool, size int32) uint64 {
+			return buildRun(t, dmaOnceKernel(store, size), cfg, func(d *DPU) {
+				writeArgs(t, d, mem.MRAMBase)
+			}).Cycles()
+		}
+		base := run(false, 0)
+		for _, store := range []bool{false, true} {
+			for size := int32(8); size <= 2048; size += 8 {
+				got := run(store, size) - base
+				if want := uint64(alpha + int(size)/link); got != want {
+					t.Errorf("link %d B/cycle, store %v, %d B: latency %d cycles, want %d", link, store, size, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestDMACopiesData(t *testing.T) {
 	b := kbuild.New("dmacopy")
 	buf := b.Static("buf", 256, 8)

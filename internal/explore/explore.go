@@ -141,7 +141,7 @@ func (e *Explorer) Explore(ctx context.Context, space *Space) (*Exploration, err
 // begin opens point i's outcome with everything known before the store is
 // consulted: its key (the explorer's watchdog defaulted into the engine
 // point) and, under a band plan, its estimate.
-func (e *Explorer) begin(p Point, i int, plan *BandPlan) (Outcome, engine.Point) {
+func (e *Explorer) begin(p Point, i int, plan *bandPlan) (Outcome, engine.Point) {
 	ep := p.EP
 	if ep.Watchdog == 0 {
 		ep.Watchdog = e.watchdog
@@ -159,7 +159,7 @@ func (e *Explorer) begin(p Point, i int, plan *BandPlan) (Outcome, engine.Point)
 // hit (unless refreshing) or simulates in arena and persists. A result that
 // fails to persist is a failed point — its outcome carries the store error
 // and the next run re-simulates it.
-func (e *Explorer) resolve(ctx context.Context, p Point, i int, plan *BandPlan, arena *core.Arena) Outcome {
+func (e *Explorer) resolve(ctx context.Context, p Point, i int, plan *bandPlan, arena *core.Arena) Outcome {
 	o, ep := e.begin(p, i, plan)
 	if plan != nil && !plan.InBand[i] {
 		if o.Err = e.store.PutEstimate(o.Key, ep, o.Estimate); o.Err == nil {
@@ -184,11 +184,10 @@ func (e *Explorer) resolve(ctx context.Context, p Point, i int, plan *BandPlan, 
 
 // Resolve runs the per-point step — lookup, simulate on a miss, commit — for
 // point i of an enumeration on the caller's goroutine, and returns its
-// outcome. It is the unit Explore and ExploreTiered sweep, exposed for
-// drivers that schedule points themselves (the coordinator's workers); plan
-// is nil for single-fidelity explorations.
-func (e *Explorer) Resolve(ctx context.Context, p Point, i int, plan *BandPlan) Outcome {
-	o := e.resolve(ctx, p, i, plan, nil)
+// outcome. It is the unit Explore sweeps, exposed for drivers that schedule
+// points themselves (the coordinator's workers).
+func (e *Explorer) Resolve(ctx context.Context, p Point, i int) Outcome {
+	o := e.resolve(ctx, p, i, nil, nil)
 	e.emit(o)
 	return o
 }
@@ -199,7 +198,7 @@ func (e *Explorer) Resolve(ctx context.Context, p Point, i int, plan *BandPlan) 
 // records the outcomes as they arrive, counts them and hands each to the
 // observer — OnOutcome is never entered concurrently. A completed tiered run
 // also fills the plan's predicted-vs-actual accuracy.
-func (e *Explorer) run(ctx context.Context, space *Space, pts []Point, plan *BandPlan) (*Exploration, error) {
+func (e *Explorer) run(ctx context.Context, space *Space, pts []Point, plan *bandPlan) (*Exploration, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}

@@ -155,7 +155,7 @@ func triage(pts []Point, topts TieredOptions) ([]*estimate.Estimate, []bool, *Tr
 // exploration reproduces the same split, the same fidelity per point, and
 // byte-identical artifact tables.
 func (e *Explorer) ExploreTiered(ctx context.Context, space *Space, topts TieredOptions) (*Exploration, *Triage, error) {
-	plan, err := PlanBand(space, topts)
+	plan, err := planBand(space, topts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -163,13 +163,12 @@ func (e *Explorer) ExploreTiered(ctx context.Context, space *Space, topts Tiered
 	return x, plan.Triage, err
 }
 
-// BandPlan is the full deterministic tier-A plan of a space: every point,
+// bandPlan is the full deterministic tier-A plan of a space: every point,
 // its estimate (nil where unestimable), its band membership, and the triage
 // counts, index-aligned with Space.Points(). The plan is a pure function of
 // (space, calibration, goals, slack) — never of store contents — which is
-// what lets a coordinator and each of its workers derive the identical plan
-// independently and still agree on every point's fidelity.
-type BandPlan struct {
+// what lets a resumed run reproduce every point's fidelity.
+type bandPlan struct {
 	Points    []Point
 	Estimates []*estimate.Estimate
 	// InBand marks the points that must simulate cycle-exactly; the rest
@@ -177,12 +176,10 @@ type BandPlan struct {
 	// estimate — unestimable points are forced into the band).
 	InBand []bool
 	Triage *Triage
-	// Options are the resolved tiered options the plan was computed under.
-	Options TieredOptions
 }
 
-// PlanBand computes the tier-A plan without simulating or touching a store.
-func PlanBand(space *Space, topts TieredOptions) (*BandPlan, error) {
+// planBand computes the tier-A plan without simulating or touching a store.
+func planBand(space *Space, topts TieredOptions) (*bandPlan, error) {
 	topts, err := resolveTiered(topts)
 	if err != nil {
 		return nil, err
@@ -192,14 +189,14 @@ func PlanBand(space *Space, topts TieredOptions) (*BandPlan, error) {
 		return nil, err
 	}
 	ests, inBand, tri := triage(pts, topts)
-	return &BandPlan{Points: pts, Estimates: ests, InBand: inBand, Triage: tri, Options: topts}, nil
+	return &bandPlan{Points: pts, Estimates: ests, InBand: inBand, Triage: tri}, nil
 }
 
 // PlanTiered performs tier-A triage only — no simulation, no store access —
 // and returns the predicted estimate/simulate split for the space. This is
 // the `pathfind -plan -tier2` guard against launching week-long sweeps.
 func PlanTiered(space *Space, topts TieredOptions) (*Triage, error) {
-	plan, err := PlanBand(space, topts)
+	plan, err := planBand(space, topts)
 	if err != nil {
 		return nil, err
 	}
