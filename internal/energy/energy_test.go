@@ -63,7 +63,7 @@ func TestBulkEqualsStepwise(t *testing.T) {
 			t.Fatal(err)
 		}
 		cur := *sys.DPU(0).Stats()
-		delta := energy.Delta(&cur, &prev)
+		delta := delta(&cur, &prev)
 		stepSum = stepSum.Add(energy.Kernel(nil, cfg, &delta))
 		prev = cur
 	}
