@@ -180,33 +180,6 @@ func OfRun(p *TechProfile, cfg config.Config, perDPU []stats.DPU, bytesIn, bytes
 	return r
 }
 
-// Delta returns the energy-relevant counter difference after - before: a
-// record whose Kernel energy is the energy spent between the two snapshots
-// of the same DPU. Only the counters the model reads are populated.
-func Delta(after, before *stats.DPU) stats.DPU {
-	var d stats.DPU
-	d.Cycles = after.Cycles - before.Cycles
-	d.Instructions = after.Instructions - before.Instructions
-	d.VectorIssues = after.VectorIssues - before.VectorIssues
-	for c := range d.Mix {
-		d.Mix[c] = after.Mix[c] - before.Mix[c]
-	}
-	d.RFReads = after.RFReads - before.RFReads
-	d.RFWrites = after.RFWrites - before.RFWrites
-	d.WRAMReads = after.WRAMReads - before.WRAMReads
-	d.WRAMWrites = after.WRAMWrites - before.WRAMWrites
-	d.DMABytes = after.DMABytes - before.DMABytes
-	d.DRAM.BytesRead = after.DRAM.BytesRead - before.DRAM.BytesRead
-	d.DRAM.BytesWritten = after.DRAM.BytesWritten - before.DRAM.BytesWritten
-	d.DRAM.RowHits = after.DRAM.RowHits - before.DRAM.RowHits
-	d.DRAM.RowMisses = after.DRAM.RowMisses - before.DRAM.RowMisses
-	d.DRAM.RowEmpty = after.DRAM.RowEmpty - before.DRAM.RowEmpty
-	d.DRAM.Refreshes = after.DRAM.Refreshes - before.DRAM.Refreshes
-	d.ICache.Accesses = after.ICache.Accesses - before.ICache.Accesses
-	d.DCache.Accesses = after.DCache.Accesses - before.DCache.Accesses
-	return d
-}
-
 // val renders an energy-table number: compact %.4g display over the exact
 // value, stable across magnitudes from nanojoule components to joule totals.
 func val(v float64) artifact.Value {

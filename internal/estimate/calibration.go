@@ -11,8 +11,8 @@ import (
 	"sync"
 
 	"upim/internal/config"
+	"upim/internal/host"
 	"upim/internal/httpjson"
-	"upim/internal/isa"
 	"upim/internal/prim"
 	"upim/internal/stats"
 )
@@ -21,11 +21,11 @@ import (
 // the weights were fitted for: bump it whenever the feature construction in
 // features() changes meaning, so a stale calibration artifact fails loudly
 // instead of silently mispredicting under new semantics.
-const CalibrationFormat = 1
+const CalibrationFormat = 2
 
-// Signature is one workload's counter record at a cycle-exact anchor run:
-// the per-(benchmark, mode, tasklets, scale, DPUs) invariants the estimator
-// extrapolates from. All counters are rank aggregates (anchors run on one
+// Signature is one workload's record at a cycle-exact anchor run: the
+// per-(benchmark, mode, tasklets, scale, DPUs) invariants the estimator
+// extrapolates from. The counters are rank aggregates (anchors run on one
 // DPU, so aggregate == per-DPU).
 type Signature struct {
 	// Identity — the exact-match lookup key of the signature.
@@ -41,49 +41,17 @@ type Signature struct {
 	FreqMHz           int `json:"freq_mhz"`
 	LinkBytesPerCycle int `json:"link_bytes_per_cycle"`
 
-	// Issue-slot breakdown (slots; the anchor issues one slot per cycle, so
-	// Issued+IdleMemory+IdleRevolver+IdleRF == Cycles at the anchor).
-	Cycles       float64 `json:"cycles"`
-	Instructions float64 `json:"instructions"`
-	VectorIssues float64 `json:"vector_issues"`
-	Issued       float64 `json:"issued"`
-	IdleMemory   float64 `json:"idle_memory"`
-	IdleRevolver float64 `json:"idle_revolver"`
-	IdleRF       float64 `json:"idle_rf"`
-
-	// Mix is the per-class instruction count (isa.Class order, the Fig 9
-	// buckets) — it weights the forwarding-latency model and prices pipeline
-	// energy.
-	Mix []float64 `json:"mix"`
-
-	// Event counters the energy model reads (see internal/energy).
-	RFReads          float64 `json:"rf_reads"`
-	RFWrites         float64 `json:"rf_writes"`
-	WRAMReads        float64 `json:"wram_reads"`
-	WRAMWrites       float64 `json:"wram_writes"`
-	DMAs             float64 `json:"dmas"`
-	DMABytes         float64 `json:"dma_bytes"`
-	DRAMBytesRead    float64 `json:"dram_bytes_read"`
-	DRAMBytesWritten float64 `json:"dram_bytes_written"`
-	DRAMRowHits      float64 `json:"dram_row_hits"`
-	DRAMRowMisses    float64 `json:"dram_row_misses"`
-	DRAMRowEmpty     float64 `json:"dram_row_empty"`
-	DRAMRefreshes    float64 `json:"dram_refreshes"`
-	ICacheAccesses   float64 `json:"icache_accesses"`
-	DCacheAccesses   float64 `json:"dcache_accesses"`
-
-	// TLPHist is the issuable-thread histogram (stats.TLPBins Fig 7 bins) —
-	// it models how much an issue-width increase can actually exploit.
-	TLPHist     []float64 `json:"tlp_hist"`
-	AvgIssuable float64   `json:"avg_issuable"`
-	Launches    float64   `json:"launches"`
-
-	// Host-side transfer model: volumes and the modeled transfer time, which
-	// is invariant across the core-side timing axes.
-	BytesIn         float64 `json:"bytes_in"`
-	BytesOut        float64 `json:"bytes_out"`
-	KernelSeconds   float64 `json:"kernel_seconds"`
-	TransferSeconds float64 `json:"transfer_seconds"`
+	// Stats is the anchor's counter record exactly as the simulator wrote
+	// it: the issue-slot breakdown (the anchor issues one slot per cycle, so
+	// Issued plus the Idle buckets == Cycles), the Fig 9 instruction mix that
+	// weights the forwarding-latency model, the Fig 7 issuable-thread
+	// histogram that bounds what a wider issue slot can exploit, and the
+	// event counters the energy model prices.
+	Stats stats.DPU `json:"stats"`
+	// Report is the anchor's host-side model: launches, transfer volumes and
+	// the per-phase transfer time, which is invariant across the core-side
+	// timing axes.
+	Report host.Report `json:"report"`
 }
 
 // key returns the exact-match lookup identity.
@@ -98,60 +66,19 @@ type sigKey struct {
 	dpus        int
 }
 
-// SignatureOf extracts a workload signature from a verified anchor result.
-func SignatureOf(res *prim.Result, scale prim.Scale) Signature {
-	st := &res.Stats
-	sig := Signature{
-		Benchmark: res.Benchmark,
-		Mode:      res.Config.Mode.String(),
-		Tasklets:  res.Config.NumTasklets,
-		Scale:     scale.String(),
-		DPUs:      res.DPUs,
-
+// signatureOf extracts a workload signature from a verified anchor result.
+func signatureOf(res *prim.Result, scale prim.Scale) Signature {
+	return Signature{
+		Benchmark:         res.Benchmark,
+		Mode:              res.Config.Mode.String(),
+		Tasklets:          res.Config.NumTasklets,
+		Scale:             scale.String(),
+		DPUs:              res.DPUs,
 		FreqMHz:           res.Config.FreqMHz,
 		LinkBytesPerCycle: res.Config.LinkBytesPerCycle,
-
-		Cycles:       float64(st.Cycles),
-		Instructions: float64(st.Instructions),
-		VectorIssues: float64(st.VectorIssues),
-		Issued:       st.Issued,
-		IdleMemory:   st.Idle[stats.IdleMemory],
-		IdleRevolver: st.Idle[stats.IdleRevolver],
-		IdleRF:       st.Idle[stats.IdleRF],
-
-		Mix: make([]float64, isa.NumClasses),
-
-		RFReads:          float64(st.RFReads),
-		RFWrites:         float64(st.RFWrites),
-		WRAMReads:        float64(st.WRAMReads),
-		WRAMWrites:       float64(st.WRAMWrites),
-		DMAs:             float64(st.DMAs),
-		DMABytes:         float64(st.DMABytes),
-		DRAMBytesRead:    float64(st.DRAM.BytesRead),
-		DRAMBytesWritten: float64(st.DRAM.BytesWritten),
-		DRAMRowHits:      float64(st.DRAM.RowHits),
-		DRAMRowMisses:    float64(st.DRAM.RowMisses),
-		DRAMRowEmpty:     float64(st.DRAM.RowEmpty),
-		DRAMRefreshes:    float64(st.DRAM.Refreshes),
-		ICacheAccesses:   float64(st.ICache.Accesses),
-		DCacheAccesses:   float64(st.DCache.Accesses),
-
-		TLPHist:     make([]float64, stats.TLPBins),
-		AvgIssuable: st.AvgIssuable(),
-		Launches:    float64(res.Report.Launches),
-
-		BytesIn:         float64(res.Report.BytesIn),
-		BytesOut:        float64(res.Report.BytesOut),
-		KernelSeconds:   res.Report.KernelSeconds,
-		TransferSeconds: res.Report.Total() - res.Report.KernelSeconds,
+		Stats:             res.Stats,
+		Report:            res.Report,
 	}
-	for c := 0; c < isa.NumClasses; c++ {
-		sig.Mix[c] = float64(st.Mix[c])
-	}
-	for b := 0; b < stats.TLPBins; b++ {
-		sig.TLPHist[b] = float64(st.TLPHist[b])
-	}
-	return sig
 }
 
 // Weights are the globally fitted non-negative least-squares coefficients
@@ -237,23 +164,14 @@ func Default() *Calibration {
 	return defaultCal.clone()
 }
 
-// ResolveCalibration resolves a nil calibration to the committed default.
-func ResolveCalibration(c *Calibration) *Calibration {
-	if c == nil {
-		return Default()
-	}
-	return c
-}
-
 func (c *Calibration) clone() *Calibration {
 	out := *c
 	out.Scales = append([]string(nil), c.Scales...)
 	out.Bounds = append([]FigureBound(nil), c.Bounds...)
-	out.Signatures = make([]Signature, len(c.Signatures))
-	for i := range c.Signatures {
-		out.Signatures[i] = c.Signatures[i]
-		out.Signatures[i].Mix = append([]float64(nil), c.Signatures[i].Mix...)
-		out.Signatures[i].TLPHist = append([]float64(nil), c.Signatures[i].TLPHist...)
+	out.Signatures = append([]Signature(nil), c.Signatures...)
+	for i := range out.Signatures {
+		st := &out.Signatures[i].Stats
+		st.Timeline = append([]float32(nil), st.Timeline...)
 	}
 	return &out
 }
@@ -374,45 +292,26 @@ func (s *Signature) validate() error {
 	if s.FreqMHz <= 0 || s.LinkBytesPerCycle <= 0 {
 		return fmt.Errorf("anchor frequency and link width must be positive")
 	}
-	if len(s.Mix) != isa.NumClasses {
-		return fmt.Errorf("mix has %d classes, want %d", len(s.Mix), isa.NumClasses)
-	}
-	if len(s.TLPHist) != stats.TLPBins {
-		return fmt.Errorf("tlp_hist has %d bins, want %d", len(s.TLPHist), stats.TLPBins)
-	}
-	for b, v := range s.TLPHist {
-		if v < 0 || v != v {
-			return fmt.Errorf("tlp_hist bin %d is negative or NaN", b)
-		}
-	}
-	if s.Cycles < 1 {
+	if s.Stats.Cycles < 1 {
 		return fmt.Errorf("anchor cycle count must be at least 1")
 	}
+	if s.Report.Launches < 0 {
+		return fmt.Errorf("launch count is negative")
+	}
+	// The unsigned counters cannot be negative; the slot buckets and the
+	// phase seconds are floats and can.
+	st, r := &s.Stats, &s.Report
 	for _, f := range []struct {
 		name string
-		v    float64
+		vs   []float64
 	}{
-		{"instructions", s.Instructions}, {"vector_issues", s.VectorIssues},
-		{"issued", s.Issued}, {"idle_memory", s.IdleMemory},
-		{"idle_revolver", s.IdleRevolver}, {"idle_rf", s.IdleRF},
-		{"rf_reads", s.RFReads}, {"rf_writes", s.RFWrites},
-		{"wram_reads", s.WRAMReads}, {"wram_writes", s.WRAMWrites},
-		{"dmas", s.DMAs}, {"dma_bytes", s.DMABytes},
-		{"dram_bytes_read", s.DRAMBytesRead}, {"dram_bytes_written", s.DRAMBytesWritten},
-		{"dram_row_hits", s.DRAMRowHits}, {"dram_row_misses", s.DRAMRowMisses},
-		{"dram_row_empty", s.DRAMRowEmpty}, {"dram_refreshes", s.DRAMRefreshes},
-		{"icache_accesses", s.ICacheAccesses}, {"dcache_accesses", s.DCacheAccesses},
-		{"avg_issuable", s.AvgIssuable}, {"launches", s.Launches},
-		{"bytes_in", s.BytesIn}, {"bytes_out", s.BytesOut},
-		{"kernel_seconds", s.KernelSeconds}, {"transfer_seconds", s.TransferSeconds},
+		{"IssueSlots", []float64{st.IssueSlots}}, {"Issued", []float64{st.Issued}}, {"Idle", st.Idle[:]},
+		{"KernelSeconds", []float64{r.KernelSeconds}}, {"TransferSeconds", r.TransferSeconds[:]},
 	} {
-		if f.v < 0 || f.v != f.v {
-			return fmt.Errorf("%s is negative or NaN", f.name)
-		}
-	}
-	for c, v := range s.Mix {
-		if v < 0 || v != v {
-			return fmt.Errorf("mix class %d is negative or NaN", c)
+		for _, v := range f.vs {
+			if !(v >= 0) {
+				return fmt.Errorf("%s is negative or NaN", f.name)
+			}
 		}
 	}
 	return nil

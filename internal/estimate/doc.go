@@ -5,14 +5,14 @@
 // that makes million-point design-space explorations tractable.
 //
 // The model works from workload signatures: per-(benchmark, mode, tasklets,
-// scale, DPUs) counter records — instruction mix, issue-slot breakdown,
-// MRAM/WRAM traffic, DMA bytes, TLP — captured from one cycle-exact anchor
-// run each. Estimating a point transforms the anchor's issue/idle slot
-// buckets analytically across the timing axes (frequency, MRAM-link width,
-// the ILP feature ladder, issue width) and combines them under globally
-// fitted non-negative least-squares weights; energy reuses internal/energy's
-// linear event model over the signature counters with the predicted cycle
-// count, so the estimator and the simulator price events identically.
+// scale, DPUs) records of one cycle-exact anchor run each, holding the
+// run's stats.DPU and host.Report exactly as the simulator wrote them.
+// Estimating a point transforms the anchor's issue/idle slot buckets
+// analytically across the timing axes (frequency, MRAM-link width, the ILP
+// feature ladder, issue width) and combines them under globally fitted
+// non-negative least-squares weights; energy reuses internal/energy's linear
+// event model over the anchor's counters with the predicted cycle count, so
+// the estimator and the simulator price events identically.
 //
 // Calibration is a versioned, committed JSON artifact
 // (calibration/default.json): Fit simulates a tiny-scale calibration suite

@@ -60,7 +60,9 @@ type Estimator struct {
 // be the same one any energy/EDP goals are evaluated under — the two-tier
 // explorer enforces this.
 func New(cal *Calibration, prof *energy.TechProfile) (*Estimator, error) {
-	cal = ResolveCalibration(cal)
+	if cal == nil {
+		cal = Default()
+	}
 	if err := cal.Validate(); err != nil {
 		return nil, err
 	}
@@ -75,9 +77,6 @@ func New(cal *Calibration, prof *energy.TechProfile) (*Estimator, error) {
 	}
 	return e, nil
 }
-
-// Calibration returns the estimator's calibration.
-func (e *Estimator) Calibration() *Calibration { return e.cal }
 
 // ProfileName returns the energy TechProfile estimates are priced under.
 func (e *Estimator) ProfileName() string { return e.prof.Name }
@@ -104,13 +103,6 @@ func (e *Estimator) lookup(p engine.Point) (*Signature, bool) {
 	return s, ok
 }
 
-// Estimable reports whether the calibration covers the point's workload
-// signature (benchmark, mode, tasklet count, scale, DPU count).
-func (e *Estimator) Estimable(p engine.Point) bool {
-	_, ok := e.lookup(p)
-	return ok
-}
-
 // Estimate predicts the point's kernel cycles, modeled times and energy.
 // The error is ErrNoSignature when the calibration does not cover the
 // point's workload (match with errors.Is).
@@ -135,9 +127,9 @@ func (e *Estimator) Estimate(p engine.Point) (*Estimate, error) {
 	// The prediction can never undercut the structural floor: every issue —
 	// scalar instruction, or warp issue under SIMT, where one slot retires a
 	// whole warp's lanes — needs an issue slot.
-	issues := sig.Instructions
+	issues := float64(sig.Stats.Instructions)
 	if sig.Mode == config.ModeSIMT.String() {
-		issues = sig.VectorIssues
+		issues = float64(sig.Stats.VectorIssues)
 	}
 	if floor := issues / x.iw; cycles < floor {
 		cycles = floor
@@ -147,15 +139,16 @@ func (e *Estimator) Estimate(p engine.Point) (*Estimate, error) {
 	}
 
 	kernelSec := cycles / (float64(cfg.FreqMHz) * 1e6)
+	transferSec := sig.Report.Total() - sig.Report.KernelSeconds
 	est := &Estimate{
 		Calibration:     e.cal.Name,
 		KernelCycles:    cycles,
 		KernelSeconds:   kernelSec,
-		TransferSeconds: sig.TransferSeconds,
-		TotalSeconds:    kernelSec + sig.TransferSeconds,
+		TransferSeconds: transferSec,
+		TotalSeconds:    kernelSec + transferSec,
 	}
 	st := sig.pseudoStats(cycles)
-	est.Energy = energy.OfRun(e.prof, cfg, []stats.DPU{st}, uint64(sig.BytesIn), uint64(sig.BytesOut))
+	est.Energy = energy.OfRun(e.prof, cfg, []stats.DPU{st}, sig.Report.BytesIn, sig.Report.BytesOut)
 	return est, nil
 }
 
@@ -176,7 +169,8 @@ func features(sig *Signature, cfg config.Config, coverIssue float64) featureVec 
 	if iw < 1 {
 		iw = 1
 	}
-	issue := sig.Issued / sig.issueGain(iw, cfg)
+	st := &sig.Stats
+	issue := st.Issued / sig.issueGain(iw, cfg)
 
 	// Memory waits follow an interval model. Raw demand has a bandwidth part
 	// — the MRAM link occupancy, whose absolute bandwidth is anchored to the
@@ -196,10 +190,10 @@ func features(sig *Signature, cfg config.Config, coverIssue float64) featureVec 
 	linkAnchor := sig.linkBytes() / float64(sig.LinkBytesPerCycle) *
 		float64(sig.FreqMHz) / config.LinkReferenceFreqMHz
 	cover := linkAnchor
-	if sig.Issued > 0 {
-		cover = linkAnchor * (1 - coverIssue + coverIssue*issue/sig.Issued)
+	if st.Issued > 0 {
+		cover = linkAnchor * (1 - coverIssue + coverIssue*issue/st.Issued)
 	}
-	mem := math.Max(linkNow+sig.IdleMemory*fRatio-cover, 0)
+	mem := math.Max(linkNow+st.Idle[stats.IdleMemory]*fRatio-cover, 0)
 
 	// Dependency waits: forwarding replaces the revolver distance with the
 	// producer's forwarding latency, weighted by the signature's instruction
@@ -221,9 +215,9 @@ func features(sig *Signature, cfg config.Config, coverIssue float64) featureVec 
 		iw:       iw,
 		issue:    issue,
 		mem:      mem,
-		rev:      sig.IdleRevolver * revScale,
-		rf:       sig.IdleRF * rfScale,
-		launches: sig.Launches,
+		rev:      st.Idle[stats.IdleRevolver] * revScale,
+		rf:       st.Idle[stats.IdleRF] * rfScale,
+		launches: float64(sig.Report.Launches),
 	}
 }
 
@@ -251,13 +245,14 @@ func (s *Signature) issueGain(iw float64, cfg config.Config) float64 {
 	}
 	tasklets := math.Max(float64(s.Tasklets), 1)
 	weight, gain := 0.0, 0.0
-	for b := 1; b < stats.TLPBins && b < len(s.TLPHist); b++ {
+	for b := 1; b < stats.TLPBins; b++ {
 		rep := math.Min(tlpReps[b], tasklets)
 		if !cfg.UnifiedRF {
 			rep = 1 + (rep-1)/2
 		}
-		weight += s.TLPHist[b]
-		gain += s.TLPHist[b] * math.Min(rep, iw)
+		n := float64(s.Stats.TLPHist[b])
+		weight += n
+		gain += n * math.Min(rep, iw)
 	}
 	if weight == 0 {
 		return 1
@@ -273,13 +268,14 @@ func (s *Signature) issueGain(iw float64, cfg config.Config) float64 {
 // the signature's memory mode — the same routing convention the energy
 // model's Link component uses.
 func (s *Signature) linkBytes() float64 {
+	d := &s.Stats.DRAM
 	switch s.Mode {
 	case config.ModeCache.String():
-		return s.DRAMBytesRead
+		return float64(d.BytesRead)
 	case config.ModeSIMT.String():
-		return s.DRAMBytesRead + s.DRAMBytesWritten
+		return float64(d.BytesRead) + float64(d.BytesWritten)
 	default: // scratchpad: explicit DMA staging
-		return s.DMABytes
+		return float64(s.Stats.DMABytes)
 	}
 }
 
@@ -296,9 +292,9 @@ func (s *Signature) fwdLatency(cfg config.Config) float64 {
 		}
 	}
 	total, weighted := 0.0, 0.0
-	for c := 0; c < isa.NumClasses && c < len(s.Mix); c++ {
-		total += s.Mix[c]
-		weighted += s.Mix[c] * lat(isa.Class(c))
+	for c, n := range s.Stats.Mix {
+		total += float64(n)
+		weighted += float64(n) * lat(isa.Class(c))
 	}
 	if total == 0 {
 		return float64(cfg.FwdLatALU)
@@ -307,29 +303,10 @@ func (s *Signature) fwdLatency(cfg config.Config) float64 {
 }
 
 // pseudoStats builds the counter record the energy model prices: the
-// signature's event counters with the predicted cycle count (leakage
-// integrates predicted time, events are workload invariants).
+// anchor's counters with the predicted cycle count (leakage integrates
+// predicted time, events are workload invariants).
 func (s *Signature) pseudoStats(cycles float64) stats.DPU {
-	var st stats.DPU
+	st := s.Stats
 	st.Cycles = uint64(math.Round(cycles))
-	st.Instructions = uint64(math.Round(s.Instructions))
-	st.VectorIssues = uint64(math.Round(s.VectorIssues))
-	for c := 0; c < isa.NumClasses && c < len(s.Mix); c++ {
-		st.Mix[c] = uint64(math.Round(s.Mix[c]))
-	}
-	st.RFReads = uint64(math.Round(s.RFReads))
-	st.RFWrites = uint64(math.Round(s.RFWrites))
-	st.WRAMReads = uint64(math.Round(s.WRAMReads))
-	st.WRAMWrites = uint64(math.Round(s.WRAMWrites))
-	st.DMAs = uint64(math.Round(s.DMAs))
-	st.DMABytes = uint64(math.Round(s.DMABytes))
-	st.DRAM.BytesRead = uint64(math.Round(s.DRAMBytesRead))
-	st.DRAM.BytesWritten = uint64(math.Round(s.DRAMBytesWritten))
-	st.DRAM.RowHits = uint64(math.Round(s.DRAMRowHits))
-	st.DRAM.RowMisses = uint64(math.Round(s.DRAMRowMisses))
-	st.DRAM.RowEmpty = uint64(math.Round(s.DRAMRowEmpty))
-	st.DRAM.Refreshes = uint64(math.Round(s.DRAMRefreshes))
-	st.ICache.Accesses = uint64(math.Round(s.ICacheAccesses))
-	st.DCache.Accesses = uint64(math.Round(s.DCacheAccesses))
 	return st
 }

@@ -80,10 +80,11 @@ func TestAnchorExactness(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s/%s/t%d: %v", sig.Benchmark, sig.Mode, sig.Tasklets, err)
 		}
-		rel := math.Abs(e.KernelCycles-sig.Cycles) / sig.Cycles
+		cycles := float64(sig.Stats.Cycles)
+		rel := math.Abs(e.KernelCycles-cycles) / cycles
 		if rel > bound {
 			t.Errorf("%s/%s/t%d: anchor prediction %.1f vs measured %.0f cycles (rel err %.4f > bound %.4f)",
-				sig.Benchmark, sig.Mode, sig.Tasklets, e.KernelCycles, sig.Cycles, rel, bound)
+				sig.Benchmark, sig.Mode, sig.Tasklets, e.KernelCycles, cycles, rel, bound)
 		}
 	}
 }
@@ -93,8 +94,7 @@ func TestEstimateDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sig := &est.Calibration().Signatures[0]
-	p := anchorPoint(t, sig)
+	p := anchorPoint(t, &Default().Signatures[0])
 	p.Config = p.Config.WithILP("DRSF")
 	p.Config.FreqMHz *= 2
 	a, err := est.Estimate(p)
@@ -119,16 +119,12 @@ func TestEstimateNoSignature(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := engine.Point{Benchmark: "no-such-benchmark", Config: config.Default(), DPUs: 1, Scale: prim.ScaleTiny}
-	if est.Estimable(p) {
-		t.Fatal("unknown benchmark reported estimable")
-	}
 	if _, err := est.Estimate(p); !errors.Is(err, ErrNoSignature) {
 		t.Fatalf("want ErrNoSignature, got %v", err)
 	}
 	// Known benchmark at an uncalibrated tasklet count is likewise a miss,
 	// not a silent extrapolation.
-	sig := &est.Calibration().Signatures[0]
-	q := anchorPoint(t, sig)
+	q := anchorPoint(t, &Default().Signatures[0])
 	q.Config.NumTasklets = 3
 	if _, err := est.Estimate(q); !errors.Is(err, ErrNoSignature) {
 		t.Fatalf("uncovered tasklet count: want ErrNoSignature, got %v", err)

@@ -149,7 +149,7 @@ func Fit(ctx context.Context, opts FitOptions) (*Calibration, []Observation, err
 	for i, sp := range plan {
 		res := outs[i].Result
 		if sp.anchor {
-			cal.Signatures = append(cal.Signatures, SignatureOf(res, opts.Scale))
+			cal.Signatures = append(cal.Signatures, signatureOf(res, opts.Scale))
 		}
 		obs[i] = Observation{
 			Figure: sp.fig,

