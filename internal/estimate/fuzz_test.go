@@ -40,14 +40,14 @@ func TestLoadRejects(t *testing.T) {
 		want string
 	}{
 		{"unknown field", mutate(t, `"name": "default"`, `"name": "default", "surprise": 1`), "unknown field"},
-		{"negative weight", mutate(t, `"issue":`, `"issue": -1, "was_issue":`), ""},
-		{"nan via string", mutate(t, `"issue":`, `"issue": "NaN", "was_issue":`), ""},
+		{"negative weight", mutate(t, `"issue": `, `"issue": -`), "negative or NaN"},
+		{"nan via string", mutate(t, `"issue": `, `"issue": "NaN", "was_issue": `), "cannot unmarshal string"},
 		{"cover share above one", mutate(t, `"mem_cover_issue": 0`, `"mem_cover_issue": 1.5`), "outside [0, 1]"},
 		{"stale format", mutate(t, `"format": 2`, `"format": 1`), "declares format"},
 		{"trailing content", append(committedArtifact(t), []byte("{}\n")...), "trailing content"},
 		{"trailing garbage", append(committedArtifact(t), []byte("not json")...), ""},
 		{"empty name", mutate(t, `"name": "default"`, `"name": ""`), "needs a name"},
-		{"negative bound", mutate(t, `"max_rel_err":`, `"max_rel_err": -0.1, "was_bound":`), ""},
+		{"negative bound", mutate(t, `"max_rel_err": `, `"max_rel_err": -`), "negative or NaN"},
 		{"negative counter", mutate(t, `"Cycles": `, `"Cycles": -`), "cannot unmarshal"},
 		{"negative slot bucket", mutate(t, `"Issued": `, `"Issued": -`), "Issued is negative"},
 		{"truncated", committedArtifact(t)[:100], ""},

@@ -43,6 +43,9 @@ func TestEstimatesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(pts) != 512 {
+		t.Fatalf("space has %d points, want 512", len(pts))
+	}
 	est, err := estimate.New(nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -65,9 +68,6 @@ func TestEstimatesGolden(t *testing.T) {
 			fmt.Fprintf(&buf, " %016x", math.Float64bits(e.Energy.PJ[c]))
 		}
 		buf.WriteByte('\n')
-	}
-	if len(pts) != 512 {
-		t.Fatalf("space has %d points, want 512", len(pts))
 	}
 
 	path := filepath.Join("testdata", "estimates.golden")
