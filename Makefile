@@ -4,12 +4,12 @@ GO ?= go
 # its stores, reports and logs; `make clean` removes it.
 W := .work
 
-.PHONY: build test pairs cli-guard pool-guard op-guard test-race race coord-soak cover fuzz-smoke bench-module profile-cold profile-resume profile-figures profile-serve fmt vet loc clean report refdata paper-smoke pathfind-smoke coord-smoke serve-smoke energy-check arch-check calibration-check
+.PHONY: build test pairs cli-guard pool-guard op-guard fma-guard test-race race coord-soak cover fuzz-smoke bench-module profile-cold profile-resume profile-figures profile-serve fmt vet loc clean report refdata paper-smoke pathfind-smoke coord-smoke serve-smoke energy-check arch-check calibration-check
 
 build:
 	$(GO) build ./...
 
-test: fmt vet cli-guard pool-guard op-guard
+test: fmt vet cli-guard pool-guard op-guard fma-guard
 	$(GO) test ./...
 
 # cli-guard keeps internal/cli the one command toolkit: a command that
@@ -40,6 +40,18 @@ op-guard:
 	@if grep -rnE 'case isa\.Op' --include='*.go' --exclude='*_test.go' --exclude-dir=$(W) . | \
 		grep -vE '^\./internal/(isa/|core/exec\.go:)'; then \
 		echo "op-guard: the lines above switch on opcodes; per-opcode facts belong in the opcode table (internal/isa)"; exit 1; fi
+
+# fma-guard keeps float results the same bits on every GOARCH. Go may fuse
+# x*y + z into one rounding; amd64 never does, arm64 (like ppc64le, riscv64
+# and s390x) does, so a fused site gives an arm64 machine different bits
+# from the goldens. Cross-compiling the module for arm64 with -S needs no
+# emulator; any fused op in module code fails. Round the product with an
+# explicit conversion, float64(x*y) + z. The compiler's output replays from
+# the build cache, so a warm run is quick. CI runs this target.
+fma-guard:
+	@if { GOARCH=arm64 $(GO) build -o /dev/null -gcflags='upim/...=-S' ./... 2>&1 || echo 'fma-guard: the arm64 build failed'; } | \
+		grep -E 'FMADDD|FMSUBD|FNMADDD|FNMSUBD|^fma-guard:'; then \
+		echo "fma-guard: the lines above fuse a multiply-add on arm64; round the product with float64(x*y)"; exit 1; fi
 
 # test-race mirrors the CI race job: the full suite under the race detector,
 # including the coordinator's crash test, whose concurrent workers + lease

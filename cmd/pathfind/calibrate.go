@@ -15,10 +15,10 @@ import (
 
 const defaultArtifact = "internal/estimate/calibration/default.json"
 
-// calibrate implements `pathfind calibrate`: refit the analytical
-// estimator's calibration against the cycle-exact simulator and rewrite the
+// calibrate implements `pathfind calibrate`: rerun the analytical
+// estimator's calibration suite on the cycle-exact simulator and rewrite the
 // committed artifact — or, with -check, verify that the committed artifact
-// is byte-identical to a fresh refit and that its measured per-figure errors
+// is byte-identical to a fresh run and that its measured per-figure errors
 // stay within its committed bounds (the `make calibration-check` CI gate).
 // Its -out names one artifact file and its -check a byte comparison, so they
 // are its own flags, not cli.Report's.
@@ -42,7 +42,7 @@ func calibrate(fs *flag.FlagSet) func(context.Context) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "pathfind calibrate: fitted %d signatures from %d runs\n", len(cal.Signatures), len(obs))
+		fmt.Fprintf(os.Stderr, "pathfind calibrate: recorded %d signatures from %d runs\n", len(cal.Signatures), len(obs))
 		fresh, err := cal.Marshal()
 		if err != nil {
 			return err
@@ -57,7 +57,7 @@ func calibrate(fs *flag.FlagSet) func(context.Context) error {
 				return err
 			}
 			if !bytes.Equal(fresh, disk) {
-				return fmt.Errorf("%s drifts from a fresh refit — regenerate it with `pathfind calibrate` and commit the result", *out)
+				return fmt.Errorf("%s drifts from a fresh calibration run — regenerate it with `pathfind calibrate` and commit the result", *out)
 			}
 		} else if err := os.WriteFile(*out, fresh, 0o644); err != nil {
 			return err

@@ -37,8 +37,8 @@
 //	pathfind work -connect http://host:7070 -name w0   # on each machine
 //	pathfind -store ./pfstore -bench VA,BS -scale tiny -pareto   # the merge
 //
-// The `calibrate` subcommand refits the estimator's calibration artifact
-// against the cycle-exact simulator and rewrites (or, with -check, verifies)
+// The `calibrate` subcommand reruns the estimator's calibration suite on
+// the cycle-exact simulator and rewrites (or, with -check, verifies)
 // internal/estimate/calibration/default.json.
 //
 // Usage:

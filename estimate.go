@@ -8,15 +8,16 @@ import (
 
 // Two-tier fidelity — the analytical fast path of the pathfinding
 // methodology. An Estimator predicts a design point's kernel cycles,
-// end-to-end time and energy in microseconds from a fitted
+// end-to-end time and energy in microseconds from a recorded
 // CalibrationProfile, letting ExploreTiered triage a large design space
 // before cycle-exact simulation validates the survivors. See
 // internal/estimate and the ARCHITECTURE.md "Two-tier fidelity" section.
 
 // CalibrationProfile is the versioned parameter set of the analytical
-// estimator: fitted non-negative least-squares weights, the workload
-// signature table, and the committed per-figure relative-error bounds CI
-// re-checks (`make calibration-check`).
+// estimator: the workload signature table (one cycle-exact anchor run per
+// workload, whose issue-slot buckets the model rescales and sums) and the
+// committed per-figure relative-error bounds CI re-checks (`make
+// calibration-check`).
 type CalibrationProfile = estimate.Calibration
 
 // Estimator predicts performance and energy for design points under one
@@ -31,7 +32,7 @@ type CalibrationObservation = estimate.Observation
 type FitCalibrationOptions = estimate.FitOptions
 
 // LoadCalibration reads a calibration artifact from a JSON file. Loading is
-// strict — unknown fields, format mismatches, negative coefficients and
+// strict — unknown fields, format mismatches, negative bounds and
 // trailing content are all errors — because the artifact is machine-
 // generated (`pathfind calibrate`), not hand-edited.
 func LoadCalibration(path string) (*CalibrationProfile, error) { return estimate.LoadFile(path) }
@@ -44,9 +45,9 @@ func NewEstimator(cal *CalibrationProfile, prof *TechProfile) (*Estimator, error
 	return estimate.New(cal, prof)
 }
 
-// FitCalibration simulates the calibration suite cycle-exactly, fits the
-// estimator weights by non-negative least squares, and derives the
-// per-figure error bounds — producing the artifact committed at
+// FitCalibration simulates the calibration suite cycle-exactly, records the
+// anchor runs' workload signatures, and measures the per-figure error bounds
+// over probes nothing is fitted to — producing the artifact committed at
 // internal/estimate/calibration/default.json. Deterministic: the same
 // simulator and options reproduce the artifact byte-for-byte.
 func FitCalibration(ctx context.Context, opts FitCalibrationOptions) (*CalibrationProfile, []CalibrationObservation, error) {

@@ -78,7 +78,7 @@ func numEqual(a, b, eps float64) bool {
 	if math.IsNaN(a) || math.IsNaN(b) {
 		return math.IsNaN(a) && math.IsNaN(b)
 	}
-	return math.Abs(a-b) <= eps*math.Max(math.Abs(a), math.Abs(b))+1e-12
+	return math.Abs(a-b) <= float64(eps*math.Max(math.Abs(a), math.Abs(b)))+1e-12
 }
 
 // rowLabel names a row by its leading cell for readable diff messages.

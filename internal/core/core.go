@@ -991,8 +991,9 @@ func (d *DPU) fastForward(deadline, pollAt uint64, memN, revN int) {
 		}
 		if next > d.cycle {
 			skip := next - d.cycle
-			d.st.IssueSlots += float64(skip) * width
-			d.st.AttributeIdle(float64(skip)*width, memN, revN)
+			slots := float64(float64(skip) * width)
+			d.st.IssueSlots += slots
+			d.st.AttributeIdle(slots, memN, revN)
 			d.st.RecordTLP(0, skip, window)
 			d.cycle = next
 		}

@@ -424,7 +424,7 @@ func (l *Link) Reset(cfg config.Config) {
 // byte clears the link.
 func (l *Link) Reserve(ready Tick, bytes int) Tick {
 	start := max(l.freeAt, ready)
-	dur := Tick(float64(bytes)*l.ticksPerByte + 0.5)
+	dur := Tick(float64(float64(bytes)*l.ticksPerByte) + 0.5)
 	if dur == 0 {
 		dur = 1
 	}

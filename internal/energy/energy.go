@@ -78,7 +78,7 @@ func (r Report) TotalPJ() float64 {
 
 // MicroJoules returns the summed energy in microjoules (the unit the
 // artifact tables display).
-func (r Report) MicroJoules() float64 { return r.TotalPJ() * 1e-6 }
+func (r Report) MicroJoules() float64 { return float64(r.TotalPJ() * 1e-6) }
 
 // Joules returns the summed energy in joules.
 func (r Report) Joules() float64 { return r.TotalPJ() * 1e-12 }
@@ -115,10 +115,10 @@ func Kernel(p *TechProfile, cfg config.Config, st *stats.DPU) Report {
 	r := Report{Profile: p.Name}
 
 	for c := 0; c < isa.NumClasses; c++ {
-		r.PJ[Pipeline] += float64(st.Mix[c]) * p.PipelinePJ[classKeys[c]]
+		r.PJ[Pipeline] += float64(float64(st.Mix[c]) * p.PipelinePJ[classKeys[c]])
 	}
-	r.PJ[RegFile] = float64(st.RFReads)*p.RFReadPJ + float64(st.RFWrites)*p.RFWritePJ
-	r.PJ[WRAM] = float64(st.WRAMReads)*p.WRAMReadPJ + float64(st.WRAMWrites)*p.WRAMWritePJ
+	r.PJ[RegFile] = float64(float64(st.RFReads)*p.RFReadPJ) + float64(float64(st.RFWrites)*p.RFWritePJ)
+	r.PJ[WRAM] = float64(float64(st.WRAMReads)*p.WRAMReadPJ) + float64(float64(st.WRAMWrites)*p.WRAMWritePJ)
 
 	// Instruction fetches: one IRAM word per scalar issue, one per warp
 	// issue under SIMT; in cache mode fetches go through the I-cache and are
@@ -145,14 +145,14 @@ func Kernel(p *TechProfile, cfg config.Config, st *stats.DPU) Report {
 	// DRAM bank events. Precharges happen on row conflicts (precharge +
 	// activate) and refreshes (all-bank precharge).
 	d := &st.DRAM
-	r.PJ[DRAM] = float64(d.Activations())*p.DRAMActivatePJ +
-		float64(d.RowMisses+d.Refreshes)*p.DRAMPrechargePJ +
-		float64(d.BytesRead)*p.DRAMReadPJPerByte +
-		float64(d.BytesWritten)*p.DRAMWritePJPerByte +
-		float64(d.Refreshes)*p.DRAMRefreshPJ
+	r.PJ[DRAM] = float64(float64(d.Activations())*p.DRAMActivatePJ) +
+		float64(float64(d.RowMisses+d.Refreshes)*p.DRAMPrechargePJ) +
+		float64(float64(d.BytesRead)*p.DRAMReadPJPerByte) +
+		float64(float64(d.BytesWritten)*p.DRAMWritePJPerByte) +
+		float64(float64(d.Refreshes)*p.DRAMRefreshPJ)
 
-	r.PJ[CacheArrays] = float64(st.ICache.Accesses)*p.ICacheAccessPJ +
-		float64(st.DCache.Accesses)*p.DCacheAccessPJ
+	r.PJ[CacheArrays] = float64(float64(st.ICache.Accesses)*p.ICacheAccessPJ) +
+		float64(float64(st.DCache.Accesses)*p.DCacheAccessPJ)
 
 	// Static leakage over this record's cycles: 1 mW·s = 1e9 pJ.
 	r.PJ[Leakage] = p.LeakageMW * 1e9 * cfg.CyclesToSeconds(st.Cycles)

@@ -18,10 +18,10 @@ import (
 )
 
 // CalibrationFormat versions the calibration schema AND the estimator model
-// the weights were fitted for: bump it whenever the feature construction in
-// features() changes meaning, so a stale calibration artifact fails loudly
-// instead of silently mispredicting under new semantics.
-const CalibrationFormat = 2
+// its bounds were measured for: bump it whenever predictCycles changes
+// meaning, so a stale calibration artifact fails loudly instead of silently
+// carrying bounds a different model earned.
+const CalibrationFormat = 3
 
 // Signature is one workload's record at a cycle-exact anchor run: the
 // per-(benchmark, mode, tasklets, scale, DPUs) invariants the estimator
@@ -81,35 +81,6 @@ func signatureOf(res *prim.Result, scale prim.Scale) Signature {
 	}
 }
 
-// Weights are the globally fitted non-negative least-squares coefficients
-// combining the analytically transformed slot features into a cycle
-// prediction. An ideal decomposition would make every weight 1 and Fixed 0
-// (the features sum to the anchor's exact cycle count at the anchor
-// configuration); the fit deviates to absorb overlap between the buckets on
-// the probe configurations.
-type Weights struct {
-	// Issue scales the issued-slot feature (instructions / issue width).
-	Issue float64 `json:"issue"`
-	// Memory scales the memory-idle feature (link/DRAM wait slots,
-	// frequency- and link-width-scaled).
-	Memory float64 `json:"memory"`
-	// Revolver scales the dependency-wait feature (revolver or forwarding
-	// distance).
-	Revolver float64 `json:"revolver"`
-	// RegFile scales the odd/even RF structural-hazard feature (zero under
-	// the unified register file).
-	RegFile float64 `json:"rf"`
-	// Fixed is a per-launch overhead in cycles.
-	Fixed float64 `json:"fixed"`
-	// CoverIssue is the fitted fraction of the anchor's memory-latency
-	// hiding that rides on issue work: the anchor hides its whole link
-	// occupancy behind other threads' issuing, and when a wider issue slot
-	// compresses the issue cycles there is proportionally less work to hide
-	// behind. 0 keeps the cover fixed; 1 scales it fully with the issue
-	// feature.
-	CoverIssue float64 `json:"mem_cover_issue"`
-}
-
 // FigureBound is one committed accuracy bound: the maximum relative error
 // of the estimator against cycle-exact simulation over a calibration figure
 // group (the probe points mirroring one paper figure's axis).
@@ -117,13 +88,12 @@ type FigureBound struct {
 	Figure string `json:"figure"`
 	// MaxRelErr bounds max(|est-actual|/actual) over both kernel cycles and
 	// end-to-end time for every observation in the group, with 10% headroom
-	// over the fitted residual (see Fit). CI fails when a refit exceeds it.
+	// over the measured error (see Fit). CI fails when a rerun exceeds it.
 	MaxRelErr float64 `json:"max_rel_err"`
 }
 
-// Calibration is the versioned analytical-model parameter set: fitted
-// weights, the workload signature table, and the per-figure error bounds the
-// fit measured. It is a committed, machine-generated artifact
+// Calibration is the versioned analytical-model parameter set: the workload
+// signature table and the per-figure error bounds measured against it. It is a committed, machine-generated artifact
 // (calibration/default.json, regenerated by `pathfind calibrate`), not a
 // hand-edited file — Load is therefore strict rather than override-style.
 type Calibration struct {
@@ -134,7 +104,6 @@ type Calibration struct {
 	// Scales lists the dataset scales the signature table covers.
 	Scales []string `json:"scales"`
 
-	Weights    Weights       `json:"weights"`
 	Bounds     []FigureBound `json:"bounds"`
 	Signatures []Signature   `json:"signatures"`
 }
@@ -147,8 +116,8 @@ var (
 	defaultCal  *Calibration
 )
 
-// Default returns a copy of the committed default calibration (fitted
-// against the tiny-scale reference workloads; see calibration/default.json).
+// Default returns a copy of the committed default calibration (recorded
+// from the tiny-scale reference workloads; see calibration/default.json).
 func Default() *Calibration {
 	defaultOnce.Do(func() {
 		data, err := calibrationFS.ReadFile("calibration/default.json")
@@ -178,8 +147,8 @@ func (c *Calibration) clone() *Calibration {
 
 // Load reads one complete calibration document. Unlike energy.TechProfile
 // overrides, a calibration is machine-generated, so Load is strict: unknown
-// fields, format mismatches, trailing content, negative coefficients and
-// malformed signatures are all errors.
+// fields, format mismatches, trailing content, negative bounds and malformed
+// signatures are all errors.
 func Load(r io.Reader) (*Calibration, error) {
 	// One JSON object per calibration file: trailing content means the file
 	// is not the artifact `pathfind calibrate` wrote.
@@ -219,8 +188,7 @@ func (c *Calibration) Marshal() ([]byte, error) {
 }
 
 // Validate checks internal consistency: the declared format, a non-empty
-// name, non-negative weights and bounds, and well-formed, duplicate-free
-// signatures.
+// name, non-negative bounds, and well-formed, duplicate-free signatures.
 func (c *Calibration) Validate() error {
 	if c.Format != CalibrationFormat {
 		return fmt.Errorf("estimate: calibration %q declares format %d, this estimator expects %d (regenerate with `pathfind calibrate`)",
@@ -228,21 +196,6 @@ func (c *Calibration) Validate() error {
 	}
 	if c.Name == "" {
 		return fmt.Errorf("estimate: calibration needs a name")
-	}
-	for _, w := range []struct {
-		name string
-		v    float64
-	}{
-		{"issue", c.Weights.Issue}, {"memory", c.Weights.Memory},
-		{"revolver", c.Weights.Revolver}, {"rf", c.Weights.RegFile},
-		{"fixed", c.Weights.Fixed},
-	} {
-		if w.v < 0 || w.v != w.v {
-			return fmt.Errorf("estimate: calibration %q: weight %q is negative or NaN (the fit is non-negative by construction)", c.Name, w.name)
-		}
-	}
-	if !(c.Weights.CoverIssue >= 0 && c.Weights.CoverIssue <= 1) {
-		return fmt.Errorf("estimate: calibration %q: mem_cover_issue %v outside [0, 1]", c.Name, c.Weights.CoverIssue)
 	}
 	seenFig := map[string]bool{}
 	for _, b := range c.Bounds {

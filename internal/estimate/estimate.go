@@ -83,7 +83,7 @@ func (e *Estimator) ProfileName() string { return e.prof.Name }
 
 // lookup finds the signature for a point (exact identity match). Points
 // carrying a machine description run an alternative architecture backend
-// the UPMEM-fitted calibration knows nothing about; they are never
+// the UPMEM calibration knows nothing about; they are never
 // estimable and always go straight to their backend.
 func (e *Estimator) lookup(p engine.Point) (*Signature, bool) {
 	if p.Machine != nil {
@@ -121,23 +121,7 @@ func (e *Estimator) Estimate(p engine.Point) (*Estimate, error) {
 			ErrNoSignature, p.Benchmark, p.Config.Mode, p.Config.NumTasklets, p.Scale, max(p.DPUs, 1))
 	}
 	cfg := p.Config
-	w := e.cal.Weights
-	x := features(sig, cfg, w.CoverIssue)
-	cycles := w.Issue*x.issue + w.Memory*x.mem + w.Revolver*x.rev + w.RegFile*x.rf + w.Fixed*x.launches
-	// The prediction can never undercut the structural floor: every issue —
-	// scalar instruction, or warp issue under SIMT, where one slot retires a
-	// whole warp's lanes — needs an issue slot.
-	issues := float64(sig.Stats.Instructions)
-	if sig.Mode == config.ModeSIMT.String() {
-		issues = float64(sig.Stats.VectorIssues)
-	}
-	if floor := issues / x.iw; cycles < floor {
-		cycles = floor
-	}
-	if cycles < 1 {
-		cycles = 1
-	}
-
+	cycles := predictCycles(sig, cfg)
 	kernelSec := cycles / (float64(cfg.FreqMHz) * 1e6)
 	transferSec := sig.Report.Total() - sig.Report.KernelSeconds
 	est := &Estimate{
@@ -152,24 +136,21 @@ func (e *Estimator) Estimate(p engine.Point) (*Estimate, error) {
 	return est, nil
 }
 
-// featureVec is the transformed slot decomposition the weights combine.
-type featureVec struct {
-	iw                            float64
-	issue, mem, rev, rf, launches float64
-}
-
-// features transforms the anchor's issue-slot buckets to the target
-// configuration. At the anchor configuration every scale factor is 1 and the
-// four slot features sum exactly to the anchor's cycle count (the issue-slot
-// accounting identity), so unit weights reproduce anchors exactly; probe
-// configurations exercise the analytic scalings the fit weighs. coverIssue
-// is Weights.CoverIssue, the fitted issue-riding share of the latency cover.
-func features(sig *Signature, cfg config.Config, coverIssue float64) featureVec {
+// predictCycles transforms the anchor's issue-slot buckets (Fig 6: one
+// issued slot plus memory, revolver and RF idle per cycle) to the target
+// configuration and sums them. At the anchor configuration every scale
+// factor is 1 and the four terms add up to the anchor's cycle count (the
+// issue-slot accounting identity), so anchors are reproduced to rounding;
+// off the anchor the prediction is only as good as the scalings below,
+// which is what the calibration's probe bounds measure.
+func predictCycles(sig *Signature, cfg config.Config) float64 {
 	iw := float64(cfg.IssueWidth)
 	if iw < 1 {
 		iw = 1
 	}
 	st := &sig.Stats
+	// Issuing cycles shrink with a wider issue slot only as far as the
+	// workload's thread-level parallelism allows (the Fig 7 histogram).
 	issue := st.Issued / sig.issueGain(iw, cfg)
 
 	// Memory waits follow an interval model. Raw demand has a bandwidth part
@@ -177,48 +158,41 @@ func features(sig *Signature, cfg config.Config, coverIssue float64) featureVec 
 	// 350 MHz reference clock, so in core cycles it scales with frequency
 	// and inversely with link width — and a latency part, the idle the
 	// anchor could not hide, which is absolute time and scales with
-	// frequency. The anchor hid exactly its link occupancy behind issue
-	// work; that cover shrinks (by the fitted coverIssue share) when a wider
-	// issue slot compresses the issue cycles, and what demand exceeds the
-	// cover is exposed as idle. At the anchor this reduces to IdleMemory
-	// exactly; at 2x frequency exposed idle grows superlinearly (demand
-	// doubles, cover does not), and a wider link collapses it faster than
-	// linearly — both nonlinearities the probe runs exhibit.
+	// frequency. The anchor hid exactly its link occupancy behind other
+	// work; what demand exceeds that cover is exposed as idle. At the anchor
+	// this reduces to IdleMemory exactly; at 2x frequency exposed idle grows
+	// superlinearly (demand doubles, cover does not), and a wider link
+	// collapses it faster than linearly.
 	fRatio := float64(cfg.FreqMHz) / float64(sig.FreqMHz)
 	linkNow := sig.linkBytes() / float64(cfg.LinkBytesPerCycle) *
 		float64(cfg.FreqMHz) / config.LinkReferenceFreqMHz
-	linkAnchor := sig.linkBytes() / float64(sig.LinkBytesPerCycle) *
+	cover := sig.linkBytes() / float64(sig.LinkBytesPerCycle) *
 		float64(sig.FreqMHz) / config.LinkReferenceFreqMHz
-	cover := linkAnchor
-	if st.Issued > 0 {
-		cover = linkAnchor * (1 - coverIssue + coverIssue*issue/st.Issued)
-	}
-	mem := math.Max(linkNow+st.Idle[stats.IdleMemory]*fRatio-cover, 0)
+	mem := math.Max(linkNow+float64(st.Idle[stats.IdleMemory]*fRatio)-cover, 0)
 
 	// Dependency waits: forwarding replaces the revolver distance with the
 	// producer's forwarding latency, weighted by the signature's instruction
-	// mix (loads and mul/div forward later than ALU results).
-	revScale := 1.0
+	// mix (loads and mul/div forward later than ALU results). Waiting cycles
+	// are latency, not slots, and do not shrink with the issue width.
+	rev := st.Idle[stats.IdleRevolver]
 	if cfg.Forwarding && cfg.RevolverCycles > 0 {
-		revScale = math.Min(1, sig.fwdLatency(cfg)/float64(cfg.RevolverCycles))
+		rev = float64(rev * math.Min(1, sig.fwdLatency(cfg)/float64(cfg.RevolverCycles)))
 	}
-
-	rfScale := 1.0
+	// The unified register file removes the odd/even RF hazard.
+	rf := st.Idle[stats.IdleRF]
 	if cfg.UnifiedRF {
-		rfScale = 0
+		rf = 0
 	}
 
-	// Issuing cycles shrink with a wider issue slot only as far as the
-	// workload's thread-level parallelism allows (the Fig 7 histogram);
-	// waiting cycles are latency, not slots, and do not shrink at all.
-	return featureVec{
-		iw:       iw,
-		issue:    issue,
-		mem:      mem,
-		rev:      st.Idle[stats.IdleRevolver] * revScale,
-		rf:       st.Idle[stats.IdleRF] * rfScale,
-		launches: float64(sig.Report.Launches),
+	cycles := issue + mem + rev + rf
+	// The prediction can never undercut the structural floor: every issue —
+	// scalar instruction, or warp issue under SIMT, where one slot retires a
+	// whole warp's lanes — needs an issue slot.
+	issues := float64(st.Instructions)
+	if sig.Mode == config.ModeSIMT.String() {
+		issues = float64(st.VectorIssues)
 	}
+	return max(cycles, issues/iw, 1)
 }
 
 // tlpReps are representative issuable-thread counts per Fig 7 histogram bin
@@ -248,11 +222,11 @@ func (s *Signature) issueGain(iw float64, cfg config.Config) float64 {
 	for b := 1; b < stats.TLPBins; b++ {
 		rep := math.Min(tlpReps[b], tasklets)
 		if !cfg.UnifiedRF {
-			rep = 1 + (rep-1)/2
+			rep = 1 + float64((rep-1)/2)
 		}
 		n := float64(s.Stats.TLPHist[b])
 		weight += n
-		gain += n * math.Min(rep, iw)
+		gain += float64(n * math.Min(rep, iw))
 	}
 	if weight == 0 {
 		return 1
@@ -266,14 +240,16 @@ func (s *Signature) issueGain(iw float64, cfg config.Config) float64 {
 
 // linkBytes returns the traffic that crosses the MRAM<->WRAM datapath under
 // the signature's memory mode — the same routing convention the energy
-// model's Link component uses.
+// model's Link component uses: explicit DMA bytes under the scratchpad
+// model, cache fills under the cache model, and nothing under SIMT, whose
+// vector unit reaches the bank through the coalescer without crossing the
+// link (so a SIMT estimate does not depend on the link width).
 func (s *Signature) linkBytes() float64 {
-	d := &s.Stats.DRAM
 	switch s.Mode {
 	case config.ModeCache.String():
-		return float64(d.BytesRead)
+		return float64(s.Stats.DRAM.BytesRead)
 	case config.ModeSIMT.String():
-		return float64(d.BytesRead) + float64(d.BytesWritten)
+		return 0
 	default: // scratchpad: explicit DMA staging
 		return float64(s.Stats.DMABytes)
 	}
@@ -294,7 +270,7 @@ func (s *Signature) fwdLatency(cfg config.Config) float64 {
 	total, weighted := 0.0, 0.0
 	for c, n := range s.Stats.Mix {
 		total += float64(n)
-		weighted += float64(n) * lat(isa.Class(c))
+		weighted += float64(float64(n) * lat(isa.Class(c)))
 	}
 	if total == 0 {
 		return float64(cfg.FwdLatALU)

@@ -27,7 +27,7 @@ func modeFor(t *testing.T, s string) config.Mode {
 func anchorPoint(t *testing.T, sig *Signature) engine.Point {
 	t.Helper()
 	if sig.Scale != prim.ScaleTiny.String() {
-		t.Fatalf("signature %s/%s has scale %q, the committed calibration is fitted at tiny",
+		t.Fatalf("signature %s/%s has scale %q, the committed calibration is recorded at tiny",
 			sig.Benchmark, sig.Mode, sig.Scale)
 	}
 	cfg := config.Default()
@@ -49,7 +49,7 @@ func TestDefaultCalibration(t *testing.T) {
 		t.Fatalf("committed calibration is empty: %d bounds, %d signatures", len(cal.Bounds), len(cal.Signatures))
 	}
 	// Default returns a defensive copy: mutating it must not poison later calls.
-	cal.Weights.Issue = -1
+	cal.Bounds[0].MaxRelErr = -1
 	cal.Signatures[0].Benchmark = "tampered"
 	if err := Default().Validate(); err != nil {
 		t.Fatalf("Default() shares state with a mutated copy: %v", err)
@@ -57,19 +57,12 @@ func TestDefaultCalibration(t *testing.T) {
 }
 
 // TestAnchorExactness pins the issue-slot accounting identity: at its own
-// anchor configuration, every committed signature's prediction must land
-// within the committed anchor-figure bound of the measured cycle count.
+// anchor configuration, every committed signature's prediction — the plain
+// sum of its slot buckets — must equal the measured cycle count up to
+// floating-point rounding.
 func TestAnchorExactness(t *testing.T) {
+	const bound = 1e-12
 	cal := Default()
-	bound := 0.0
-	for _, b := range cal.Bounds {
-		if b.Figure == "fig5" || b.Figure == "fig11" || b.Figure == "fig15" {
-			bound = math.Max(bound, b.MaxRelErr)
-		}
-	}
-	if bound == 0 {
-		t.Fatal("committed calibration has no anchor-figure bounds")
-	}
 	est, err := New(cal, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -83,9 +76,47 @@ func TestAnchorExactness(t *testing.T) {
 		cycles := float64(sig.Stats.Cycles)
 		rel := math.Abs(e.KernelCycles-cycles) / cycles
 		if rel > bound {
-			t.Errorf("%s/%s/t%d: anchor prediction %.1f vs measured %.0f cycles (rel err %.4f > bound %.4f)",
+			t.Errorf("%s/%s/t%d: anchor prediction %.1f vs measured %.0f cycles (rel err %.3g > %g)",
 				sig.Benchmark, sig.Mode, sig.Tasklets, e.KernelCycles, cycles, rel, bound)
 		}
+	}
+}
+
+// TestSIMTLinkInvariant: the SIMT vector unit reaches the bank through the
+// coalescer without crossing the MRAM<->WRAM link (the core and the energy
+// model both route it so), so a SIMT estimate cannot depend on the link
+// width.
+func TestSIMTLinkInvariant(t *testing.T) {
+	est, err := New(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cal := Default()
+	n := 0
+	for i := range cal.Signatures {
+		sig := &cal.Signatures[i]
+		if sig.Mode != config.ModeSIMT.String() {
+			continue
+		}
+		n++
+		p := anchorPoint(t, sig)
+		var want float64
+		for _, link := range []int{1, 2, 4, 8} {
+			p.Config.LinkBytesPerCycle = link
+			e, err := est.Estimate(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if link == 1 {
+				want = e.KernelCycles
+			} else if e.KernelCycles != want {
+				t.Errorf("%s/simt/t%d: link x%d estimates %.0f cycles, link x1 %.0f",
+					sig.Benchmark, sig.Tasklets, link, e.KernelCycles, want)
+			}
+		}
+	}
+	if n != 3 {
+		t.Fatalf("committed calibration has %d SIMT signatures, want 3", n)
 	}
 }
 

@@ -40,14 +40,13 @@ func TestLoadRejects(t *testing.T) {
 		want string
 	}{
 		{"unknown field", mutate(t, `"name": "default"`, `"name": "default", "surprise": 1`), "unknown field"},
-		{"negative weight", mutate(t, `"issue": `, `"issue": -`), "negative or NaN"},
-		{"nan via string", mutate(t, `"issue": `, `"issue": "NaN", "was_issue": `), "cannot unmarshal string"},
-		{"cover share above one", mutate(t, `"mem_cover_issue": 0`, `"mem_cover_issue": 1.5`), "outside [0, 1]"},
-		{"stale format", mutate(t, `"format": 2`, `"format": 1`), "declares format"},
+		{"weights key", mutate(t, `"bounds": [`, `"weights": {"issue": 1}, "bounds": [`), "unknown field"},
+		{"nan via string", mutate(t, `"max_rel_err": `, `"max_rel_err": "NaN", "was_max_rel_err": `), "cannot unmarshal string"},
+		{"stale format", mutate(t, `"format": 3`, `"format": 2`), "declares format"},
 		{"trailing content", append(committedArtifact(t), []byte("{}\n")...), "trailing content"},
 		{"trailing garbage", append(committedArtifact(t), []byte("not json")...), ""},
 		{"empty name", mutate(t, `"name": "default"`, `"name": ""`), "needs a name"},
-		{"negative bound", mutate(t, `"max_rel_err": `, `"max_rel_err": -`), "negative or NaN"},
+		{"negative bound", mutate(t, `"max_rel_err": 0`, `"max_rel_err": -1`), "negative or NaN"},
 		{"negative counter", mutate(t, `"Cycles": `, `"Cycles": -`), "cannot unmarshal"},
 		{"negative slot bucket", mutate(t, `"Issued": `, `"Issued": -`), "Issued is negative"},
 		{"truncated", committedArtifact(t)[:100], ""},
@@ -98,8 +97,8 @@ func TestLoadRoundTrip(t *testing.T) {
 func FuzzLoadCalibration(f *testing.F) {
 	f.Add(committedArtifact(f))
 	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"name":"x","format":2}`))
-	f.Add([]byte(`{"name":"x","format":2,"weights":{"issue":1e308}}`))
+	f.Add([]byte(`{"name":"x","format":3}`))
+	f.Add([]byte(`{"name":"x","format":3,"bounds":[{"figure":"fig5","max_rel_err":1e308}]}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(``))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -67,7 +67,7 @@ func testEstimate(i int) *estimate.Estimate {
 		KernelCycles:    float64(1000 * (i + 1)),
 		KernelSeconds:   1e-4 * float64(i+1),
 		TransferSeconds: 2e-4,
-		TotalSeconds:    1e-4*float64(i+1) + 2e-4,
+		TotalSeconds:    float64(1e-4*float64(i+1)) + 2e-4,
 	}
 }
 

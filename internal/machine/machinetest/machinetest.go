@@ -78,21 +78,21 @@ func Run(t *testing.T, arch string, pts []engine.Point) {
 		}
 	})
 
-	t.Run("BulkEqualsStepwiseEnergy", func(t *testing.T) {
+	t.Run("BulkEnergyIsHostTransferPlusSiteKernels", func(t *testing.T) {
 		for i, r := range base {
 			prof := energy.DefaultFor(r.Arch)
 			bulk := r.Energy(nil)
-			step := energy.HostTransfer(prof, r.Report.BytesIn, r.Report.BytesOut)
+			sum := energy.HostTransfer(prof, r.Report.BytesIn, r.Report.BytesOut)
 			for j := range r.PerDPU {
-				step = step.Add(energy.Kernel(prof, r.Config, &r.PerDPU[j]))
+				sum = sum.Add(energy.Kernel(prof, r.Config, &r.PerDPU[j]))
 			}
-			if got, want := bulk.TotalPJ(), step.TotalPJ(); !close(got, want) {
-				t.Fatalf("point %d (%s): bulk energy %.6g pJ != stepwise %.6g pJ", i, pts[i].Benchmark, got, want)
+			if got, want := bulk.TotalPJ(), sum.TotalPJ(); !close(got, want) {
+				t.Fatalf("point %d (%s): bulk energy %.6g pJ != host transfer + site kernels %.6g pJ", i, pts[i].Benchmark, got, want)
 			}
 			for c := range bulk.PJ {
-				if !close(bulk.PJ[c], step.PJ[c]) {
-					t.Fatalf("point %d (%s): component %v: bulk %.6g pJ != stepwise %.6g pJ",
-						i, pts[i].Benchmark, energy.Component(c), bulk.PJ[c], step.PJ[c])
+				if !close(bulk.PJ[c], sum.PJ[c]) {
+					t.Fatalf("point %d (%s): component %v: bulk %.6g pJ != host transfer + site kernels %.6g pJ",
+						i, pts[i].Benchmark, energy.Component(c), bulk.PJ[c], sum.PJ[c])
 				}
 			}
 		}
@@ -147,8 +147,8 @@ func marshal(t *testing.T, res []*prim.Result) string {
 }
 
 // close compares energies to within one part in 1e12 — the same epsilon the
-// artifact golden checks use. Bulk and stepwise accounting may legitimately
-// differ by summation order.
+// artifact golden checks use. The bulk report and the per-site sum may
+// legitimately differ by summation order.
 func close(a, b float64) bool {
 	if a == b {
 		return true

@@ -97,7 +97,7 @@ func (m *MMU) Translate(vaddr uint32, now Tick) (paddr uint32, readyAt Tick, err
 		if !m.cfg.Prefault {
 			ppage = vpage // host allocates on demand (identity policy)
 			m.table[vpage] = ppage
-			readyAt += Tick(float64(m.cfg.FaultHandlerNs) * m.ticksNs)
+			readyAt += Tick(float64(float64(m.cfg.FaultHandlerNs) * m.ticksNs))
 		} else {
 			return 0, readyAt, fmt.Errorf("mmu: access to unmapped page %d at 0x%08x with prefault policy", vpage, vaddr)
 		}

@@ -202,7 +202,7 @@ type profile struct {
 }
 
 // service returns the modeled service time of a batch of k requests.
-func (p profile) service(k int) float64 { return p.inS + float64(k)*p.perS }
+func (p profile) service(k int) float64 { return p.inS + float64(float64(k)*p.perS) }
 
 // energyPerReq returns one request's share of a k-batch's energy in µJ.
 func (p profile) energyPerReq(k int) float64 { return p.inUJ/float64(k) + p.perUJ }

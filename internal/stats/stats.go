@@ -227,7 +227,7 @@ func (s *DPU) recordTimeline(issuable int, count uint64, window int) {
 	for count > 0 {
 		room := uint64(window - s.tlCount)
 		step := min(count, room)
-		s.tlAcc += float64(issuable) * float64(step)
+		s.tlAcc += float64(float64(issuable) * float64(step))
 		s.tlCount += int(step)
 		count -= step
 		if s.tlCount == window {
