@@ -17,9 +17,23 @@ import (
 // loads/stores, DMA, lock contention, and forward branches — with the mix
 // drawn from seed. Every tasklet runs the same code (SPMD).
 func randomKernel(r *rand.Rand, iters int32) *linker.Object {
+	return modeKernel(r, iters, config.ModeScratchpad)
+}
+
+// modeKernel is randomKernel for any organisation, drawing the same mix; in
+// the scratchpad organisation it is randomKernel draw for draw. What a mode
+// does not define is replaced by its nearest relative: a DMA becomes an MRAM
+// load or store (through the D-cache, or the vector unit's coalescer), and
+// under SIMT, which has no atomic unit, a locked section becomes a branch on
+// the lane's parity (divergence). SIMT gets room for 128 tasklets.
+func modeKernel(r *rand.Rand, iters int32, mode config.Mode) *linker.Object {
+	n, stride := 24, int32(2048)
+	if mode == config.ModeSIMT {
+		n, stride = 128, 8
+	}
 	b := kbuild.New("sched-rand")
-	warr := b.Static("warr", 4*24, 8)
-	dbuf := b.Static("dbuf", 64*24, 8)
+	warr := b.Static("warr", 4*n, 8)
+	dbuf := b.Static("dbuf", 64*n, 8)
 	lock := b.AllocLock()
 	r0 := kbuild.R(0) // loop counter
 	r1, r2, r3, r4 := kbuild.R(1), kbuild.R(2), kbuild.R(3), kbuild.R(4)
@@ -33,7 +47,7 @@ func randomKernel(r *rand.Rand, iters int32) *linker.Object {
 	b.MoviSym(r8, dbuf, 0)
 	b.Lsli(r1, kbuild.ID, 6)
 	b.Add(r8, r8, r1)
-	b.Movi(r9, 2048)
+	b.Movi(r9, stride)
 	b.Mul(r9, r9, kbuild.ID)
 	b.Movi(r10, int32(mem.MRAMBase))
 	b.Add(r9, r9, r10)
@@ -55,8 +69,23 @@ func randomKernel(r *rand.Rand, iters int32) *linker.Object {
 		case 6:
 			b.Lw(r3, r6, 0)
 		case 7:
-			b.Ldmai(r8, r9, int32(8<<r.Intn(4))) // 8..64 bytes
+			size := int32(8 << r.Intn(4)) // 8..64 bytes
+			switch {
+			case mode == config.ModeScratchpad:
+				b.Ldmai(r8, r9, size)
+			case size < 32:
+				b.Lw(r3, r9, size)
+			default:
+				b.Sw(r1, r9, size)
+			}
 		case 8:
+			if mode == config.ModeSIMT {
+				join := b.Gensym("join")
+				b.AndiBr(r3, kbuild.ID, 1, kbuild.CondZ, join)
+				b.Addi(r1, r1, 7)
+				b.Label(join)
+				break
+			}
 			b.AcquireSpin(lock)
 			b.Lw(r3, r6, 0)
 			b.Release(lock)
