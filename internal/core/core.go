@@ -708,7 +708,7 @@ const ctxCheckInterval = 1 << 13
 
 // Run executes the kernel to completion (all tasklets stopped), bounded by
 // a budget of maxCycles beyond the current clock as a runaway/deadlock
-// watchdog. Cancelling ctx aborts the run with ctx.Err(). The loop schedules
+// watchdog; a budget that reaches past the clock's range is no bound. Cancelling ctx aborts the run with ctx.Err(). The loop schedules
 // units and is the same for every organisation; the vector engine differs in
 // what a unit issues (issueOne) and in counting parallelism in lanes.
 func (d *DPU) Run(ctx context.Context, maxCycles uint64) error {
@@ -719,6 +719,9 @@ func (d *DPU) Run(ctx context.Context, maxCycles uint64) error {
 		ctx = context.Background()
 	}
 	deadline := d.cycle + maxCycles
+	if deadline < d.cycle {
+		deadline = math.MaxUint64
+	}
 	if d.cfg.TraceIssues && d.trace == nil {
 		d.trace = make([]IssueEvent, 0, min(maxCycles*uint64(d.cfg.IssueWidth), traceMaxPrealloc))
 	}

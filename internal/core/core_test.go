@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -561,6 +562,23 @@ func TestFaults(t *testing.T) {
 				t.Fatalf("err %T is not a FaultError", err)
 			}
 		})
+	}
+}
+
+// TestUnboundedWatchdogSurvivesRelaunch: a budget of math.MaxUint64 means
+// no bound, also for a kernel launched again once the clock has moved past
+// zero, where clock + budget no longer fits in a uint64.
+func TestUnboundedWatchdogSurvivesRelaunch(t *testing.T) {
+	cfg := config.Default()
+	cfg.NumTasklets = 4
+	d := buildDPU(t, loopKernel(50), cfg, nil)
+	for launch := 0; launch < 2; launch++ {
+		if launch > 0 {
+			d.Relaunch()
+		}
+		if err := d.Run(context.Background(), math.MaxUint64); err != nil {
+			t.Fatalf("launch %d at cycle %d: %v", launch, d.Cycles(), err)
+		}
 	}
 }
 

@@ -91,7 +91,8 @@ func WithILP(features string) RunnerOption {
 }
 
 // WithWatchdog bounds each launch's per-DPU cycles; exceeding it fails the
-// run with ErrWatchdogExpired (0 = the 2e9-cycle default).
+// run with ErrWatchdogExpired (0 = the 2e9-cycle default; math.MaxUint64
+// means no bound).
 func WithWatchdog(cycles uint64) RunnerOption {
 	return func(r *Runner) error {
 		r.watchdog = cycles
