@@ -264,16 +264,26 @@ func (q *schedQueue) push(at uint64, id int32) { q.arm(&q.slots, at, id) }
 func (q *schedQueue) pushReady(at uint64, id int32) { q.arm(&q.ready, at, id) }
 
 // arm sets id's bit in masks' slot for `at`, or hands the timer to the heap.
+// Its fast path is a near timer of a low id into a free bit; armSlow has the
+// rest, out of line.
 func (q *schedQueue) arm(masks *[wheelSlots]uint64, at uint64, id int32) {
-	if at-q.base < wheelSlots && uint32(id) < wheelIDs {
-		s := at & (wheelSlots - 1)
-		bit := uint64(1) << uint(id)
-		if (q.slots[s]|q.ready[s])&bit != 0 {
-			panic(fmt.Sprintf("core: timer for id %d at cycle %d armed twice", id, at))
-		}
-		masks[s] |= bit
-		q.occ |= 1 << s
+	s := at & (wheelSlots - 1)
+	bit := uint64(1) << (uint32(id) & (wheelIDs - 1))
+	if at-q.base >= wheelSlots || uint32(id) >= wheelIDs || (q.slots[s]|q.ready[s])&bit != 0 {
+		q.armSlow(at, id)
 		return
+	}
+	masks[s] |= bit
+	q.occ |= 1 << s
+}
+
+// armSlow is arm's cold path: a far timer or a high id goes to the heap, and
+// a second timer for one (cycle, id) on the wheel panics.
+//
+//go:noinline
+func (q *schedQueue) armSlow(at uint64, id int32) {
+	if at-q.base < wheelSlots && uint32(id) < wheelIDs {
+		panic(fmt.Sprintf("core: timer for id %d at cycle %d armed twice", id, at))
 	}
 	q.overflow.push(at, id)
 }
@@ -793,11 +803,37 @@ func (d *DPU) Run(ctx context.Context, maxCycles uint64) error {
 // per-cycle wakeThreads/census scans: each unit is touched only when its own
 // state can change, and a unit whose ready timer fires is not touched at all
 // (admitReady).
+//
+// Every timer is drained at its own cycle (Run visits each cycle fastForward
+// does not jump, and a jump stops at the earliest timer), so the wheel holds
+// nothing before the current cycle and the current cycle's slot holds only
+// its timers: they are drained in place. The heap is read only when its head
+// is due, and then the general merge (drainDue) runs instead.
 func (d *DPU) processDue() {
+	q := &d.sched
+	if len(q.overflow) > 0 && q.overflow[0].at <= d.cycle {
+		d.drainDue()
+	} else if s := d.cycle & (wheelSlots - 1); q.occ&(1<<s) != 0 {
+		mask, ready := q.slots[s], q.ready[s]
+		q.slots[s], q.ready[s] = 0, 0
+		q.occ &^= 1 << s
+		if ready != 0 {
+			d.admitReady(ready)
+		}
+		for ; mask != 0; mask &= mask - 1 {
+			d.timerDue(d.unitAt(bits.TrailingZeros64(mask)))
+		}
+	}
+	q.advanceTo(d.cycle + 1)
+}
+
+// drainDue drains every timer up to the current cycle, cycle by cycle in
+// (cycle, id) order, merging the heap's ids into the wheel's.
+func (d *DPU) drainDue() {
 	for {
 		at, ok := d.sched.nextAt()
 		if !ok || at > d.cycle {
-			break
+			return
 		}
 		mask, ready, big := d.sched.drainAt(at)
 		if ready != 0 {
@@ -810,7 +846,6 @@ func (d *DPU) processDue() {
 			d.timerDue(d.unitAt(int(id)))
 		}
 	}
-	d.sched.advanceTo(d.cycle + 1)
 }
 
 // timerDue reconsiders one unit whose timer fired.
@@ -918,15 +953,29 @@ func (d *DPU) scheduleAfterIssue(u *unit) {
 // part — then folds the resulting state transition back into the scheduler
 // counters. It reports whether anything issued.
 func (d *DPU) issueOne() bool {
-	i := d.issuable.nextFrom(d.rr)
-	if i < 0 {
-		return false
+	// Up to 64 units the set is one word, read in place.
+	var i int
+	if d.issuable.n <= 64 {
+		w := d.issuable.words[0]
+		if w == 0 {
+			return false
+		}
+		m := w &^ (1<<uint(d.rr) - 1)
+		if m == 0 {
+			m = w
+		}
+		i = bits.TrailingZeros64(m)
+		d.issuable.words[0] = w &^ (1 << uint(i))
+	} else {
+		if i = d.issuable.nextFrom(d.rr); i < 0 {
+			return false
+		}
+		d.issuable.clear(i)
 	}
 	d.rr = i + 1
 	if d.rr == d.issuable.n {
 		d.rr = 0
 	}
-	d.issuable.clear(i)
 	d.issuableN--
 	var u *unit
 	if len(d.warps) > 0 {

@@ -38,38 +38,6 @@ func (d *DPU) write(t *thread, r isa.RegID, v uint32) {
 	}
 }
 
-// aluOp computes an RRR/RRI arithmetic result.
-func aluOp(op isa.Opcode, a, b uint32) uint32 {
-	switch op {
-	case isa.OpADD:
-		return a + b
-	case isa.OpSUB:
-		return a - b
-	case isa.OpAND:
-		return a & b
-	case isa.OpOR:
-		return a | b
-	case isa.OpXOR:
-		return a ^ b
-	case isa.OpLSL:
-		return a << (b & 31)
-	case isa.OpLSR:
-		return a >> (b & 31)
-	case isa.OpASR:
-		return uint32(int32(a) >> (b & 31))
-	case isa.OpMUL:
-		return uint32(int32(a) * int32(b))
-	case isa.OpMULH:
-		return uint32(uint64(int64(int32(a))*int64(int32(b))) >> 32)
-	case isa.OpDIV:
-		return uint32(divSigned(int32(a), int32(b)))
-	case isa.OpREM:
-		return uint32(remSigned(int32(a), int32(b)))
-	default:
-		panic(fmt.Sprintf("core: aluOp on %s", op))
-	}
-}
-
 // divSigned follows the hardware convention: x/0 = -1 and INT_MIN/-1
 // saturates (no trap).
 func divSigned(a, b int32) int32 {
@@ -138,20 +106,69 @@ func (d *DPU) traceIssue(tasklet int, pc uint16, op isa.Opcode, rfConflict bool)
 // issuing on the scalar pipeline or one active lane of a vector issue —
 // performing its functional effects and applying its timing consequences.
 // All static instruction properties come from the decode-once µop table.
+//
+// The ALU opcodes and MOV, most of what issues, are each a case of one
+// switch that computes the result, and share its commit: the destination
+// write and the optional condition branch, whose Eval is skipped for the
+// µops without one. Every other opcode is executeOther's.
 func (d *DPU) execute(t *thread, u *uop) {
 	d.st.Instructions++
 	d.st.Mix[u.class]++
 	t.instret++
-	nextPC := t.pc + 1
 
+	var result uint32
 	switch u.op {
+	case isa.OpADD:
+		result = d.read(t, u.ra) + d.operandB(t, u)
+	case isa.OpSUB:
+		result = d.read(t, u.ra) - d.operandB(t, u)
+	case isa.OpAND:
+		result = d.read(t, u.ra) & d.operandB(t, u)
+	case isa.OpOR:
+		result = d.read(t, u.ra) | d.operandB(t, u)
+	case isa.OpXOR:
+		result = d.read(t, u.ra) ^ d.operandB(t, u)
+	case isa.OpLSL:
+		result = d.read(t, u.ra) << (d.operandB(t, u) & 31)
+	case isa.OpLSR:
+		result = d.read(t, u.ra) >> (d.operandB(t, u) & 31)
+	case isa.OpASR:
+		result = uint32(int32(d.read(t, u.ra)) >> (d.operandB(t, u) & 31))
+	case isa.OpMUL:
+		result = uint32(int32(d.read(t, u.ra)) * int32(d.operandB(t, u)))
+	case isa.OpMULH:
+		result = uint32(uint64(int64(int32(d.read(t, u.ra)))*int64(int32(d.operandB(t, u)))) >> 32)
+	case isa.OpDIV:
+		result = uint32(divSigned(int32(d.read(t, u.ra)), int32(d.operandB(t, u))))
+	case isa.OpREM:
+		result = uint32(remSigned(int32(d.read(t, u.ra)), int32(d.operandB(t, u))))
 	case isa.OpMOV:
-		result := d.read(t, u.ra)
-		d.writeDst(t, u, u.rd, result)
-		if u.cond.Eval(int32(result)) {
-			nextPC = u.target
-		}
+		result = d.read(t, u.ra)
+	default:
+		d.executeOther(t, u)
+		return
+	}
+	d.writeDst(t, u, u.rd, result)
+	if u.cond != isa.CondNone && u.cond.Eval(int32(result)) {
+		t.pc = u.target
+		return
+	}
+	t.pc++
+}
 
+// operandB is an ALU µop's second operand: its immediate, or rb.
+func (d *DPU) operandB(t *thread, u *uop) uint32 {
+	if u.useImm() {
+		return uint32(u.imm)
+	}
+	return d.read(t, u.rb)
+}
+
+// executeOther runs the µops that are not ALU operations: immediate moves,
+// memory and DMA, branches, synchronisation and the rest.
+func (d *DPU) executeOther(t *thread, u *uop) {
+	nextPC := t.pc + 1
+	switch u.op {
 	case isa.OpMOVI:
 		d.writeDst(t, u, u.rd, uint32(u.imm))
 
@@ -162,10 +179,7 @@ func (d *DPU) execute(t *thread, u *uop) {
 		d.execDMA(t, u)
 
 	case isa.OpJEQ, isa.OpJNE, isa.OpJLT, isa.OpJLE, isa.OpJGT, isa.OpJGE, isa.OpJLTU, isa.OpJGEU:
-		b := uint32(u.imm)
-		if !u.useImm() {
-			b = d.read(t, u.rb)
-		}
+		b := d.operandB(t, u)
 		if jccTaken(u.op, d.read(t, u.ra), b) {
 			nextPC = u.target
 		}
@@ -217,16 +231,8 @@ func (d *DPU) execute(t *thread, u *uop) {
 
 	case isa.OpNOP:
 
-	default: // the ALU ops aluOp names
-		b := uint32(u.imm)
-		if !u.useImm() {
-			b = d.read(t, u.rb)
-		}
-		result := aluOp(u.op, d.read(t, u.ra), b)
-		d.writeDst(t, u, u.rd, result)
-		if u.cond.Eval(int32(result)) {
-			nextPC = u.target
-		}
+	default:
+		panic(fmt.Sprintf("core: execute on %s", u.op))
 	}
 	t.pc = nextPC
 }

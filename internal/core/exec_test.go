@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -12,9 +13,44 @@ import (
 	"upim/internal/linker"
 )
 
+// aluOp computes an RRR/RRI arithmetic result: the ALU as one switch over
+// the opcode, which execute's per-opcode cases replaced. It is the model
+// TestQuickALUAgainstInterpreter holds them to.
+func aluOp(op isa.Opcode, a, b uint32) uint32 {
+	switch op {
+	case isa.OpADD:
+		return a + b
+	case isa.OpSUB:
+		return a - b
+	case isa.OpAND:
+		return a & b
+	case isa.OpOR:
+		return a | b
+	case isa.OpXOR:
+		return a ^ b
+	case isa.OpLSL:
+		return a << (b & 31)
+	case isa.OpLSR:
+		return a >> (b & 31)
+	case isa.OpASR:
+		return uint32(int32(a) >> (b & 31))
+	case isa.OpMUL:
+		return uint32(int32(a) * int32(b))
+	case isa.OpMULH:
+		return uint32(uint64(int64(int32(a))*int64(int32(b))) >> 32)
+	case isa.OpDIV:
+		return uint32(divSigned(int32(a), int32(b)))
+	case isa.OpREM:
+		return uint32(remSigned(int32(a), int32(b)))
+	default:
+		panic(fmt.Sprintf("core: aluOp on %s", op))
+	}
+}
+
 // TestQuickALUAgainstInterpreter cross-checks the DPU's functional execution
-// of random straight-line ALU programs against a direct Go evaluation — the
-// core of the simulator's "functional correctness" claim, property-tested.
+// of random straight-line ALU programs against a direct Go evaluation by
+// aluOp, which the interpreter does not call — the core of the simulator's
+// "functional correctness" claim, property-tested.
 func TestQuickALUAgainstInterpreter(t *testing.T) {
 	ops := []isa.Opcode{
 		isa.OpADD, isa.OpSUB, isa.OpAND, isa.OpOR, isa.OpXOR,
@@ -111,7 +147,7 @@ func TestQuickALUAgainstInterpreter(t *testing.T) {
 				return false
 			}
 			if v != model[i] {
-				t.Logf("seed %d: r%d = %#x, interpreter says %#x", seed, i, v, model[i])
+				t.Logf("seed %d: r%d = %#x, the model says %#x", seed, i, v, model[i])
 				return false
 			}
 		}
