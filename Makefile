@@ -42,16 +42,24 @@ op-guard:
 		echo "op-guard: the lines above switch on opcodes; per-opcode facts belong in the opcode table (internal/isa)"; exit 1; fi
 
 # fma-guard keeps float results the same bits on every GOARCH. Go may fuse
-# x*y + z into one rounding; amd64 never does, arm64 (like ppc64le, riscv64
-# and s390x) does, so a fused site gives an arm64 machine different bits
-# from the goldens. Cross-compiling the module for arm64 with -S needs no
-# emulator; any fused op in module code fails. Round the product with an
-# explicit conversion, float64(x*y) + z. The compiler's output replays from
-# the build cache, so a warm run is quick. CI runs this target.
+# x*y + z into one rounding; amd64 never does, but arm64, ppc64le, riscv64
+# and s390x do, each at its own sites, so a fused site gives such a machine
+# different bits from the goldens. Cross-compiling the module for each of
+# them with -S needs no emulator; any fused op in module code fails. One
+# pattern covers all four spellings: FMADDD, FMSUBD, FNMADDD and FNMSUBD
+# (arm64, riscv64), FMADD, FMSUB, FNMADD and FNMSUB (ppc64le, s390x), and
+# their single-precision forms. Round the product with an explicit
+# conversion, float64(x*y) + z. Each GOARCH costs about 25 s cold; the
+# compiler's output replays from the build cache, so a warm run is quick.
+# CI runs this target.
+FMA_ARCHES = arm64 ppc64le riscv64 s390x
 fma-guard:
-	@if { GOARCH=arm64 $(GO) build -o /dev/null -gcflags='upim/...=-S' ./... 2>&1 || echo 'fma-guard: the arm64 build failed'; } | \
-		grep -E 'FMADDD|FMSUBD|FNMADDD|FNMSUBD|^fma-guard:'; then \
-		echo "fma-guard: the lines above fuse a multiply-add on arm64; round the product with float64(x*y)"; exit 1; fi
+	@found=$$(for arch in $(FMA_ARCHES); do \
+		{ GOARCH=$$arch $(GO) build -o /dev/null -gcflags='upim/...=-S' ./... 2>&1 || echo "fma-guard: the $$arch build failed"; } | \
+			grep -E '\sFN?M(ADD|SUB)[DS]?\s|^fma-guard:' | sed "s|^|$$arch: |"; \
+	done); \
+	if [ -n "$$found" ]; then echo "$$found"; \
+		echo "fma-guard: the lines above fuse a multiply-add; round the product with float64(x*y)"; exit 1; fi
 
 # test-race mirrors the CI race job: the full suite under the race detector,
 # including the coordinator's crash test, whose concurrent workers + lease
