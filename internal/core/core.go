@@ -36,6 +36,12 @@
 //     A unit whose next issue cycle is known when it issues sleeps on a
 //     ready timer, and the ready timers due in a cycle join the issuable
 //     set as one mask; only wakes and I-fetches are reconsidered per unit.
+//   - A cheap ticked cycle: processDue drains the current cycle's wheel
+//     slot in place and reads the heap only when its head is due; the
+//     round-robin pick reads the issuable set's one word in place up to 64
+//     units; arming a timer keeps the heap push and the double-arm panic
+//     out of line; and execute gives each ALU opcode its own case with one
+//     shared commit, which skips the condition test for µops without one.
 //   - Idle stretches stay in one loop (fastForward): when nothing can issue,
 //     the clock jumps to the unified next-event time (min of unit timers,
 //     the DRAM bank's next decision, and the watchdog deadline), and while
@@ -54,6 +60,11 @@
 // to reproduce the per-cycle census semantics exactly, including the
 // fractional idle attribution and TLP sampling. internal/prim's
 // testdata/stats.golden holds every raw counter of a design matrix exactly.
+// On programs nobody chose, the scheduler is held to a reference that ticks
+// every cycle and scans every unit (refCore in refcore_test.go, which shares
+// execute, the bank and the statistics record with it and nothing else of
+// this file): FuzzCoreVsReference requires the same cycles, counters, issue
+// trace and memory.
 package core
 
 import (
@@ -1001,7 +1012,13 @@ func (d *DPU) issueOne() bool {
 	u.nextIssueAt = d.cycle + d.issueGap
 	switch u.state {
 	case unitRunning:
-		d.scheduleAfterIssue(u)
+		if d.icache == nil && !d.cfg.Forwarding {
+			// scheduleAfterIssue's common case, without the call: the unit
+			// is ready again once the revolver distance has passed.
+			d.sched.pushReady(u.nextIssueAt, int32(u.id))
+		} else {
+			d.scheduleAfterIssue(u)
+		}
 	case unitStopped:
 		d.aliveN--
 		// Blocked units are accounted at their block site, which also arms

@@ -107,10 +107,11 @@ func (d *DPU) traceIssue(tasklet int, pc uint16, op isa.Opcode, rfConflict bool)
 // performing its functional effects and applying its timing consequences.
 // All static instruction properties come from the decode-once µop table.
 //
-// The ALU opcodes and MOV, most of what issues, are each a case of one
-// switch that computes the result, and share its commit: the destination
-// write and the optional condition branch, whose Eval is skipped for the
-// µops without one. Every other opcode is executeOther's.
+// Each opcode is a case of one switch. The ALU opcodes and MOV, most of
+// what issues, compute a result and share the commit after the switch: the
+// destination write, then the optional condition branch, whose Eval is
+// skipped for the µops without one. Every other case moves the PC itself
+// and returns.
 func (d *DPU) execute(t *thread, u *uop) {
 	d.st.Instructions++
 	d.st.Mix[u.class]++
@@ -144,52 +145,39 @@ func (d *DPU) execute(t *thread, u *uop) {
 		result = uint32(remSigned(int32(d.read(t, u.ra)), int32(d.operandB(t, u))))
 	case isa.OpMOV:
 		result = d.read(t, u.ra)
-	default:
-		d.executeOther(t, u)
-		return
-	}
-	d.writeDst(t, u, u.rd, result)
-	if u.cond != isa.CondNone && u.cond.Eval(int32(result)) {
-		t.pc = u.target
-		return
-	}
-	t.pc++
-}
 
-// operandB is an ALU µop's second operand: its immediate, or rb.
-func (d *DPU) operandB(t *thread, u *uop) uint32 {
-	if u.useImm() {
-		return uint32(u.imm)
-	}
-	return d.read(t, u.rb)
-}
-
-// executeOther runs the µops that are not ALU operations: immediate moves,
-// memory and DMA, branches, synchronisation and the rest.
-func (d *DPU) executeOther(t *thread, u *uop) {
-	nextPC := t.pc + 1
-	switch u.op {
 	case isa.OpMOVI:
 		d.writeDst(t, u, u.rd, uint32(u.imm))
+		t.pc++
+		return
 
 	case isa.OpLW, isa.OpLH, isa.OpLHU, isa.OpLB, isa.OpLBU, isa.OpSW, isa.OpSH, isa.OpSB:
 		d.execMem(t, u)
+		t.pc++
+		return
 
 	case isa.OpLDMA, isa.OpSDMA:
 		d.execDMA(t, u)
+		t.pc++
+		return
 
 	case isa.OpJEQ, isa.OpJNE, isa.OpJLT, isa.OpJLE, isa.OpJGT, isa.OpJGE, isa.OpJLTU, isa.OpJGEU:
 		b := d.operandB(t, u)
 		if jccTaken(u.op, d.read(t, u.ra), b) {
-			nextPC = u.target
+			t.pc = u.target
+			return
 		}
+		t.pc++
+		return
 
 	case isa.OpJUMP:
-		nextPC = u.target
+		t.pc = u.target
+		return
 
 	case isa.OpCALL:
 		d.writeDst(t, u, isa.RegID(23), uint32(t.pc)+1)
-		nextPC = u.target
+		t.pc = u.target
+		return
 
 	case isa.OpJREG:
 		dest := d.read(t, u.ra)
@@ -197,7 +185,8 @@ func (d *DPU) executeOther(t *thread, u *uop) {
 			d.faultPC(t, fmt.Errorf("jreg to %d beyond program end %d", dest, len(d.uops)))
 			return
 		}
-		nextPC = uint16(dest)
+		t.pc = uint16(dest)
+		return
 
 	case isa.OpACQUIRE:
 		ok, err := d.atomic.TryAcquire(int(u.imm), t.id)
@@ -207,16 +196,20 @@ func (d *DPU) executeOther(t *thread, u *uop) {
 		}
 		if ok {
 			d.st.AcquireOK++
+			t.pc++
 		} else {
 			d.st.AcquireFail++
-			nextPC = u.target
+			t.pc = u.target
 		}
+		return
 
 	case isa.OpRELEASE:
 		if err := d.atomic.Release(int(u.imm), t.id); err != nil {
 			d.faultPC(t, err)
 			return
 		}
+		t.pc++
+		return
 
 	case isa.OpSTOP:
 		t.state = unitStopped
@@ -224,17 +217,34 @@ func (d *DPU) executeOther(t *thread, u *uop) {
 
 	case isa.OpPERF:
 		d.writeDst(t, u, u.rd, d.perfCounter(t, u.imm))
+		t.pc++
+		return
 
 	case isa.OpFAULT:
 		d.faultPC(t, fmt.Errorf("software fault %d (r%d=%d)", u.imm, u.rd, d.read(t, u.rd)))
 		return
 
 	case isa.OpNOP:
+		t.pc++
+		return
 
 	default:
 		panic(fmt.Sprintf("core: execute on %s", u.op))
 	}
-	t.pc = nextPC
+	d.writeDst(t, u, u.rd, result)
+	if u.cond != isa.CondNone && u.cond.Eval(int32(result)) {
+		t.pc = u.target
+		return
+	}
+	t.pc++
+}
+
+// operandB is an ALU or compare µop's second operand: its immediate, or rb.
+func (d *DPU) operandB(t *thread, u *uop) uint32 {
+	if u.useImm() {
+		return uint32(u.imm)
+	}
+	return d.read(t, u.rb)
 }
 
 // writeDst commits a result register write, updating the forwarding-ready
