@@ -476,3 +476,60 @@ func TestSetHashReciprocalIsExact(t *testing.T) {
 		}
 	}
 }
+
+// TestMoreWaysNeverReadMore is LRU's stack-inclusion property as a
+// metamorphic check: with the sets and the line size fixed, every set of a
+// cache with more ways holds the lines the same set of a cache with fewer
+// ways holds, so on one trace of reads and writes, ending with FlushDirty, it
+// never fills more lines and never reads more DRAM bytes. Each fill lands
+// before the next access, so the MSHR plays no part. Seed 0 is Belady's
+// sequence in one set, on which FIFO replacement reads more with four ways
+// than with three.
+func TestMoreWaysNeverReadMore(t *testing.T) {
+	type access struct {
+		addr  uint32
+		write bool
+	}
+	for seed := int64(0); seed <= 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		nsets := []int{1, 4, 16, 48}[r.Intn(4)]
+		lineBytes := []int{32, 64}[r.Intn(2)]
+		lines := nsets * (1 + r.Intn(12)) // the trace's footprint, in lines
+		trace := make([]access, 3000)
+		for i := range trace {
+			// Uniform over the footprint, or skewed toward its low lines.
+			l := r.Intn(lines)
+			if r.Intn(2) == 0 {
+				l = r.Intn(1 + l)
+			}
+			trace[i] = access{uint32(l*lineBytes + r.Intn(lineBytes)), r.Intn(3) == 0}
+		}
+		if seed == 0 {
+			nsets, trace = 1, trace[:0]
+			for _, l := range []int{1, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4, 5} {
+				trace = append(trace, access{addr: uint32(l * lineBytes)})
+			}
+		}
+		prevRead := -1
+		for ways := 1; ways <= 8; ways++ {
+			c, be, st := newCache(t, func(cfg *config.CacheConfig) {
+				cfg.Ways, cfg.LineBytes, cfg.SizeBytes = ways, lineBytes, nsets*ways*lineBytes
+			})
+			now := Tick(0)
+			for _, a := range trace {
+				c.Access(a.addr, a.write, now)
+				now += 2 * be.fillLatency
+			}
+			c.FlushDirty(now)
+			read := len(be.fills) * lineBytes
+			if uint64(len(be.fills)) != st.Misses {
+				t.Fatalf("seed %d, %d ways: %d fills for %d misses", seed, ways, len(be.fills), st.Misses)
+			}
+			if prevRead >= 0 && read > prevRead {
+				t.Fatalf("seed %d (%d sets of %d-byte lines): %d ways read %d DRAM bytes, %d ways read %d",
+					seed, nsets, lineBytes, ways, read, ways-1, prevRead)
+			}
+			prevRead = read
+		}
+	}
+}

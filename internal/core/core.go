@@ -729,9 +729,10 @@ const ctxCheckInterval = 1 << 13
 
 // Run executes the kernel to completion (all tasklets stopped), bounded by
 // a budget of maxCycles beyond the current clock as a runaway/deadlock
-// watchdog; a budget that reaches past the clock's range is no bound. Cancelling ctx aborts the run with ctx.Err(). The loop schedules
-// units and is the same for every organisation; the vector engine differs in
-// what a unit issues (issueOne) and in counting parallelism in lanes.
+// watchdog; a budget that reaches past the clock's range is no bound.
+// Cancelling ctx aborts the run with ctx.Err(). The loop schedules units and
+// is the same for every organisation; the vector engine differs in what a
+// unit issues (issueOne) and in counting parallelism in lanes.
 func (d *DPU) Run(ctx context.Context, maxCycles uint64) error {
 	if d.released {
 		panic("core: Run on a released DPU shell (its storage belongs to the arena and may be recycled)")
@@ -944,20 +945,6 @@ func (d *DPU) readyAt(u *unit) uint64 {
 	return at
 }
 
-// scheduleAfterIssue re-arms a still-running unit's timer after it issued:
-// in cache mode a changed PC is fetched at the next cycle boundary (when the
-// census used to see it); otherwise the unit sleeps on a ready timer until
-// its ready time.
-func (d *DPU) scheduleAfterIssue(u *unit) {
-	if d.icache != nil {
-		if t := d.threads[u.id]; t.fetchPC != int(t.pc) {
-			d.sched.push(d.cycle+1, int32(u.id))
-			return
-		}
-	}
-	d.sched.pushReady(d.readyAt(u), int32(u.id))
-}
-
 // issueOne picks the next issuable unit round-robin and issues its
 // instruction — a tasklet's on the scalar pipeline, a warp's across its
 // active lanes on the vector unit; this branch is where the organisations
@@ -1012,12 +999,13 @@ func (d *DPU) issueOne() bool {
 	u.nextIssueAt = d.cycle + d.issueGap
 	switch u.state {
 	case unitRunning:
-		if d.icache == nil && !d.cfg.Forwarding {
-			// scheduleAfterIssue's common case, without the call: the unit
-			// is ready again once the revolver distance has passed.
-			d.sched.pushReady(u.nextIssueAt, int32(u.id))
+		// Re-arm the unit's timer: in cache mode a changed PC is fetched at
+		// the next cycle boundary (when the census used to see it);
+		// otherwise the unit sleeps on a ready timer until its ready time.
+		if d.icache != nil && d.threads[i].fetchPC != int(d.threads[i].pc) {
+			d.sched.push(d.cycle+1, int32(i))
 		} else {
-			d.scheduleAfterIssue(u)
+			d.sched.pushReady(d.readyAt(u), int32(i))
 		}
 	case unitStopped:
 		d.aliveN--

@@ -13,8 +13,8 @@ import (
 	"upim/internal/linker"
 )
 
-// aluOp computes an RRR/RRI arithmetic result: the ALU as one switch over
-// the opcode, which execute's per-opcode cases replaced. It is the model
+// aluOp computes an RRR/RRI arithmetic result with one switch over the
+// opcode, apart from execute's per-opcode cases: it is the model
 // TestQuickALUAgainstInterpreter holds them to.
 func aluOp(op isa.Opcode, a, b uint32) uint32 {
 	switch op {

@@ -398,43 +398,34 @@ func at(s []IssueEvent, i int) any {
 	return "(end)"
 }
 
-// FuzzCoreVsReference holds the fast core to the reference on
-// modeKernel programs (randomKernel's shape) across tasklet counts, ILP
-// subsets, organisations, the MMU, relaunches and the TLP timeline. The seed
-// corpus spans every organisation; its SIMT seeds with 70 and 128 one-lane
-// warps are the inputs with more than 64 scheduling units, where the timer
-// heap's id path and the issuable set's second word run.
+// FuzzCoreVsReference holds the fast core to the reference on modeKernel
+// programs (randomKernel's shape) across tasklet counts, ILP subsets,
+// organisations, the MMU, relaunches and the TLP timeline. Its seed corpus is
+// a grid — every organisation, every ILP subset the organisation allows, MMU
+// on and off, at three tasklet counts — plus two SIMT seeds with 70 and 128
+// one-lane warps, the inputs with more than 64 scheduling units, where the
+// timer heap's id path and the issuable set's second word run.
 func FuzzCoreVsReference(f *testing.F) {
 	// seed, units, ilp, mode, width, iters, mmu, window, launches
-	f.Add(int64(1), uint8(15), uint8(0), uint8(0), uint8(0), uint8(40), false, false, uint8(0))
-	f.Add(int64(2), uint8(2), uint8(1), uint8(0), uint8(0), uint8(30), true, true, uint8(1))
-	f.Add(int64(3), uint8(23), uint8(15), uint8(0), uint8(0), uint8(20), true, false, uint8(0))
-	f.Add(int64(4), uint8(10), uint8(6), uint8(1), uint8(0), uint8(20), false, true, uint8(1))
-	f.Add(int64(5), uint8(7), uint8(13), uint8(1), uint8(0), uint8(20), true, false, uint8(0))
-	f.Add(int64(6), uint8(0), uint8(4), uint8(1), uint8(0), uint8(10), true, true, uint8(0))
-	f.Add(int64(7), uint8(40), uint8(8), uint8(2), uint8(4), uint8(20), false, true, uint8(1))
+	for mode := uint8(0); mode < 3; mode++ {
+		for ilp := uint8(0); ilp < 16; ilp++ {
+			if mode == 2 && ilp&7 != 0 {
+				continue // SIMT takes frequency scaling only,
+			}
+			mmus := []bool{false, true}
+			if mode == 2 {
+				mmus = mmus[:1] // and no MMU
+			}
+			for _, units := range []uint8{0, 10, 23} {
+				for _, mmu := range mmus {
+					f.Add(int64(ilp)*31+int64(units), units, ilp, mode, units, uint8(12), mmu, units == 10, units)
+				}
+			}
+		}
+	}
 	f.Add(int64(8), uint8(69), uint8(0), uint8(2), uint8(0), uint8(12), false, false, uint8(0))
 	f.Add(int64(9), uint8(127), uint8(8), uint8(2), uint8(10), uint8(8), false, true, uint8(1))
 	f.Fuzz(func(t *testing.T, seed int64, units, ilp, mode, width, iters uint8, mmu, window bool, launches uint8) {
 		checkCoreVsReference(t, decodeRefPoint(seed, units, ilp, mode, width, iters, mmu, window, launches))
 	})
-}
-
-// TestCoreVsReferenceSweep runs the reference comparison over a fixed grid
-// beyond the fuzz seeds: every organisation, every ILP subset the
-// organisation allows, MMU on and off, at three tasklet counts.
-func TestCoreVsReferenceSweep(t *testing.T) {
-	for mode := uint8(0); mode < 3; mode++ {
-		for ilp := uint8(0); ilp < 16; ilp++ {
-			if mode == 2 && ilp&7 != 0 {
-				continue
-			}
-			for _, units := range []uint8{0, 10, 23} {
-				for _, mmu := range []bool{false, true} {
-					p := decodeRefPoint(int64(ilp)*31+int64(units), units, ilp, mode, units, 12, mmu, units == 10, units)
-					checkCoreVsReference(t, p)
-				}
-			}
-		}
-	}
 }
