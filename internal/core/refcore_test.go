@@ -152,7 +152,7 @@ func (r *refCore) run(maxCycles uint64) error {
 			// Each run of skippable cycles is one AttributeIdle call.
 			r.attribute(float64(skipped)*width, memN, revN)
 			skipped = 0
-			// A bank decision inside a stretch is its cycle alone.
+			// A bank decision among them is a call of its own.
 			if !due {
 				d.advanceBank(now)
 				d.st.RecordTLP(0, 1, window)
@@ -198,8 +198,9 @@ func (r *refCore) run(maxCycles uint64) error {
 				continue
 			}
 			issuable++
-			if tlp++; r.simt {
-				tlp += len(d.warps[i].active) - 1
+			tlp++
+			if r.simt {
+				tlp += len(d.warps[i].active) - 1 // parallelism in lanes
 			}
 		}
 		if alive == 0 {
