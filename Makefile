@@ -76,8 +76,13 @@ race: test-race
 coord-soak:
 	$(GO) test -race -cpu 1,4 -count 50 -run '^TestCrashResumeByteIdentical$$' ./internal/coord
 
+# cover counts a statement as covered when any package's tests execute it
+# (-coverpkg=./...), then prints the functions none of them reach a line of:
+# the 0.0% rows are where dead branches and untested paths show. CI runs the
+# same test step.
 cover:
-	$(GO) test -coverprofile=coverage.out -covermode=atomic ./...
+	$(GO) test -coverprofile=coverage.out -covermode=atomic -coverpkg=./... ./...
+	@$(GO) tool cover -func=coverage.out | grep -E '[[:space:]]0\.0%$$' || true
 
 # pathfind-smoke mirrors the CI job: a tiny exploration run three times
 # against one store; the resumed runs must be fully cached and byte-identical,

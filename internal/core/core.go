@@ -106,7 +106,9 @@ type unit struct {
 	state unitState
 
 	// wakeAt is the cycle a blocked unit becomes schedulable again;
-	// neverWake while the completion time is not yet known.
+	// neverWake while the completion time is not yet known. The run loop
+	// wakes a unit by its one timer and only writes wakeAt; it is the stall
+	// record the per-cycle reference (refCore) wakes units by.
 	wakeAt uint64
 	// nextIssueAt enforces the revolver distance (or back-to-back issue
 	// under forwarding).
@@ -123,12 +125,11 @@ type thread struct {
 	// regReady tracks per-register producer completion cycles when data
 	// forwarding ("D") is enabled.
 	regReady [isa.NumGPR]uint64
-	// fetchPC/fetchReady memoize the I-cache lookup for the current fetch
-	// in cache mode; fetchLine is where that fetch found its line, which is
-	// where the next one most likely lands (cache.AccessFrom).
-	fetchPC    int
-	fetchReady uint64
-	fetchLine  cache.LineRef
+	// fetchPC is the PC of the current fetch's I-cache lookup in cache mode;
+	// fetchLine is where that fetch found its line, which is where the next
+	// one most likely lands (cache.AccessFrom).
+	fetchPC   int
+	fetchLine cache.LineRef
 	// instret counts instructions retired by this tasklet (PERF source).
 	instret uint64
 }
@@ -251,7 +252,8 @@ const wheelIDs = 64
 // both. The scheduler never needs them to: a unit has at most one live timer
 // (it is armed when the previous one is drained, or at an issue or
 // completion while none is armed), and arming panics if that ever stops
-// being true rather than coalesce two timers into one.
+// being true rather than coalesce two timers into one. A blocked unit's one
+// timer fires at its wake cycle, never early, late or after it stopped.
 type schedQueue struct {
 	base     uint64 // all wheel entries have time >= base
 	occ      uint64 // bit (t & 63) set => slot for time t non-empty, in either mask
@@ -860,25 +862,14 @@ func (d *DPU) drainDue() {
 	}
 }
 
-// timerDue reconsiders one unit whose timer fired.
+// timerDue reconsiders one unit whose timer fired: a blocked unit's stall is
+// over, and a running one is due an I-fetch or its ready cycle.
 func (d *DPU) timerDue(u *unit) {
-	switch u.state {
-	case unitStopped:
-		// Stale timer of a stopped unit; drop it.
-	case unitBlocked:
-		if u.wakeAt == neverWake {
-			return // superseded; the completion sink re-arms the timer
-		}
-		if u.wakeAt > d.cycle {
-			d.sched.push(u.wakeAt, int32(u.id)) // stall was extended; re-arm
-			return
-		}
+	if u.state == unitBlocked {
 		u.state = unitRunning
 		d.blockedN--
-		d.admit(u)
-	default:
-		d.admit(u)
 	}
+	d.admit(u)
 }
 
 // admit classifies a running unit at the current cycle: it services a
@@ -893,9 +884,8 @@ func (d *DPU) admit(u *unit) {
 			var ready Tick
 			ready, t.fetchLine = d.icache.AccessFrom(t.fetchLine, d.iramBacking(t.pc), false, d.nowTick())
 			t.fetchPC = int(t.pc)
-			t.fetchReady = d.cycleOf(ready)
-			if t.fetchReady > d.cycle {
-				d.blockUntil(u, t.fetchReady)
+			if c := d.cycleOf(ready); c > d.cycle {
+				d.blockUntil(u, c)
 				return
 			}
 		}
@@ -1067,15 +1057,12 @@ func (d *DPU) fastForward(deadline, pollAt uint64, memN, revN int) {
 	}
 }
 
-// finish closes out the kernel: drains the bank, flushes dirty cache lines
-// (so byte accounting is end-to-end), and freezes counters.
+// finish closes out the kernel: flushes dirty cache lines (so byte
+// accounting is end-to-end) and freezes counters. No transfer outlives its
+// unit and each writeback drains as it is posted, so Drain only checks.
 func (d *DPU) finish() {
-	if d.bank.Pending() > 0 {
-		d.advanceBank(^Tick(0))
-	}
 	if d.dcache != nil {
 		d.dcache.FlushDirty(d.nowTick())
-		d.runEager() // account the writeback traffic
 	}
 	if err := d.bank.Drain(); err != nil && d.faultErr == nil {
 		d.faultErr = err
@@ -1125,16 +1112,11 @@ func (d *DPU) enqueueEager(addr uint32, write bool, now Tick) Tick {
 	return d.eagerDone
 }
 
-func (d *DPU) runEager() {
-	if d.bank.Pending() > 0 {
-		d.advanceBank(^Tick(0))
-	}
-}
-
 // dispatch routes one burst completion by sink kind: eager drains record the
 // tick; a transfer's bursts — a DMA's after crossing the MRAM<->WRAM link, a
-// vector load/store's as the bank completes them — wake the owning unit when
-// the last one is through.
+// vector load/store's as the bank completes them — arm the wake timer of the
+// owning unit, blocked on the transfer since it issued, when the last one is
+// through.
 func (d *DPU) dispatch(tag uint64, completeAt Tick) {
 	kind := sinkKind(tag >> 32)
 	if kind == sinkEager {
@@ -1153,9 +1135,7 @@ func (d *DPU) dispatch(tag uint64, completeAt Tick) {
 	if x.remaining == 0 {
 		u := d.unitAt(int(x.owner))
 		u.wakeAt = d.cycleOf(x.lastDone) + 1
-		if u.state == unitBlocked {
-			d.sched.push(u.wakeAt, int32(u.id))
-		}
+		d.sched.push(u.wakeAt, int32(u.id))
 		d.freeXfers = append(d.freeXfers, xi)
 	}
 }

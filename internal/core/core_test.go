@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -8,7 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"upim/internal/asm"
 	"upim/internal/config"
+	"upim/internal/isa"
 	"upim/internal/kbuild"
 	"upim/internal/linker"
 	"upim/internal/mem"
@@ -98,6 +101,58 @@ func TestSPMDExecution(t *testing.T) {
 	}
 	if d.Stats().Instructions != 24*7 {
 		t.Errorf("instructions = %d, want %d", d.Stats().Instructions, 24*7)
+	}
+}
+
+// staticsSrc reads two initialized words and copies them into a second
+// initialized static, which the host reads back.
+const staticsSrc = `
+.word magic 0xdeadbeef 42
+.word out   0 0
+	movi r0, magic
+	lw   r1, r0, 0
+	lw   r2, r0, 4
+	movi r3, out
+	sw   r1, r3, 0
+	sw   r2, r3, 4
+	stop
+`
+
+// TestInitializedStaticsReachTheDPU runs a .word program: load places the
+// initialized statics in WRAM (scratchpad), or in the MRAM static window and
+// the MMU's page table (cache mode, prefault policy), and the kernel reads
+// the initial words back.
+func TestInitializedStaticsReachTheDPU(t *testing.T) {
+	obj, err := asm.Assemble("statics", staticsSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratchpad := config.Default()
+	scratchpad.NumTasklets = 1
+	cache := scratchpad
+	cache.Mode = config.ModeCache
+	cache.MMU.Enable = true
+	for name, cfg := range map[string]config.Config{"scratchpad": scratchpad, "cache+mmu": cache} {
+		d := buildRun(t, obj, cfg, nil)
+		addr, err := d.Program().SymbolAddr("out")
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := make([]byte, 8)
+		if cfg.Mode == config.ModeScratchpad {
+			err = d.WRAM().ReadBytes(addr-mem.WRAMBase, raw)
+		} else {
+			err = d.MRAM().ReadBytes(addr-mem.MRAMBase, raw)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := u32s(t, raw); got[0] != 0xdeadbeef || got[1] != 42 {
+			t.Errorf("%s: out = %#x, want [0xdeadbeef 0x2a]", name, got)
+		}
+		if cfg.MMU.Enable && (d.Stats().MMU.TableWalks == 0 || d.Stats().MMU.PageFaults != 0) {
+			t.Errorf("%s: MMU stats = %+v, want walks over mapped pages", name, d.Stats().MMU)
+		}
 	}
 }
 
@@ -400,6 +455,50 @@ func TestDMACopiesData(t *testing.T) {
 	}
 }
 
+// TestDMAAcrossAPage runs execDMA's per-page split: a 2 KiB DMA that starts
+// 1 KiB below a 4 KiB page boundary is translated page by page under the
+// MMU. It must read what it reads without the MMU, take no fewer cycles, and
+// walk the page table once per page.
+func TestDMAAcrossAPage(t *testing.T) {
+	const off, size = 3 << 10, 2048
+	src := make([]byte, size)
+	for i := range src {
+		src[i] = byte(i*13 + 5)
+	}
+	run := func(mmu bool) *DPU {
+		cfg := config.Default()
+		cfg.NumTasklets = 1
+		cfg.MMU.Enable = mmu
+		return buildRun(t, dmaOnceKernel(false, size), cfg, func(d *DPU) {
+			if err := d.MRAM().WriteBytes(off, src); err != nil {
+				t.Fatal(err)
+			}
+			if mmu {
+				d.MMU().MapRange(off, size)
+			}
+			writeArgs(t, d, mem.MRAMBase+off)
+		})
+	}
+	plain, paged := run(false), run(true)
+	read := func(d *DPU) []byte {
+		addr, _ := d.Program().SymbolAddr("buf")
+		got := make([]byte, size)
+		if err := d.WRAM().ReadBytes(addr, got); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	if !bytes.Equal(read(plain), src) || !bytes.Equal(read(paged), src) {
+		t.Fatal("the DMA did not copy the source bytes")
+	}
+	if paged.Cycles() < plain.Cycles() {
+		t.Errorf("cycles with the MMU %d, without %d", paged.Cycles(), plain.Cycles())
+	}
+	if w := paged.Stats().MMU.TableWalks; w != 2 {
+		t.Errorf("table walks = %d, want 2 (one per page)", w)
+	}
+}
+
 // mutexKernel: tasklets increment a shared WRAM counter `iters` times under
 // a mutex.
 func mutexKernel(iters int32) *linker.Object {
@@ -497,69 +596,169 @@ func TestBarrierSynchronizes(t *testing.T) {
 	}
 }
 
+// TestFaults runs the interpreter's fault paths. Each faulting program runs
+// on two tasklets, and only tasklet 1 takes the faulting path: the run must
+// end in a *FaultError naming that tasklet, the faulting instruction's PC and
+// the cause. Next to them run edge cases of the interpreter that must not
+// fault and that no kernel in the suite reaches.
 func TestFaults(t *testing.T) {
+	r0, r1, r2 := kbuild.R(0), kbuild.R(1), kbuild.R(2)
+	cacheMode := func(c *config.Config) { c.Mode = config.ModeCache }
 	cases := []struct {
 		name  string
-		build func() *linker.Object
-		sub   string
+		cfg   func(*config.Config)
+		body  func(b *kbuild.Builder) // ends with the faulting instruction
+		pc    uint16
+		cause string
 	}{
-		{"misaligned", func() *linker.Object {
-			b := kbuild.New("f")
-			b.Movi(kbuild.R(0), 2)
-			b.Lw(kbuild.R(1), kbuild.R(0), 0)
-			b.Stop()
-			return b.MustBuild()
-		}, "misaligned"},
-		{"release unheld", func() *linker.Object {
-			b := kbuild.New("f")
+		{"misaligned", nil, func(b *kbuild.Builder) {
+			b.Movi(r0, 2)
+			b.Lw(r1, r0, 0)
+		}, 2, "mem: WRAM access at 0x00000002 (size 4): misaligned"},
+		{"release unheld", nil, func(b *kbuild.Builder) {
 			b.Release(b.AllocLock())
-			b.Stop()
-			return b.MustBuild()
-		}, "release"},
-		{"mram load scratchpad mode", func() *linker.Object {
-			b := kbuild.New("f")
-			b.Movi(kbuild.R(0), int32(mem.MRAMBase))
-			b.Lw(kbuild.R(1), kbuild.R(0), 0)
-			b.Stop()
-			return b.MustBuild()
-		}, "use DMA"},
-		{"dma bad length", func() *linker.Object {
-			b := kbuild.New("f")
-			b.Movi(kbuild.R(0), int32(mem.MRAMBase))
-			b.Movi(kbuild.R(1), 1024)
-			b.Movi(kbuild.R(2), 12) // not a multiple of 8
-			b.Ldma(kbuild.R(1), kbuild.R(0), kbuild.R(2))
-			b.Stop()
-			return b.MustBuild()
-		}, "DMA length 12 must be a positive multiple of 8 <= 2048"},
-		{"dma too long", func() *linker.Object {
-			b := kbuild.New("f")
-			b.Movi(kbuild.R(0), int32(mem.MRAMBase))
-			b.Movi(kbuild.R(1), 1024)
-			b.Movi(kbuild.R(2), 2056)
-			b.Sdma(kbuild.R(1), kbuild.R(0), kbuild.R(2))
-			b.Stop()
-			return b.MustBuild()
-		}, "DMA length 2056 must be a positive multiple of 8 <= 2048"},
-		{"software fault", func() *linker.Object {
-			b := kbuild.New("f")
-			b.Fault(kbuild.R(0), 3)
-			b.Stop()
-			return b.MustBuild()
-		}, "software fault"},
+		}, 1, "mem: atomic access at 0xf0000000 (size 1): release by tasklet 1 but owner is -1"},
+		{"mram load scratchpad mode", nil, func(b *kbuild.Builder) {
+			b.Movi(r0, int32(mem.MRAMBase))
+			b.Lw(r1, r0, 0)
+		}, 2, "load/store to MRAM space 0x08000000 under the scratchpad-centric model (use DMA)"},
+		{"dma bad length", nil, func(b *kbuild.Builder) {
+			b.Movi(r0, int32(mem.MRAMBase))
+			b.Movi(r1, 1024)
+			b.Movi(r2, 12) // not a multiple of 8
+			b.Ldma(r1, r0, r2)
+		}, 4, "DMA length 12 must be a positive multiple of 8 <= 2048"},
+		{"dma too long", nil, func(b *kbuild.Builder) {
+			b.Movi(r0, int32(mem.MRAMBase))
+			b.Movi(r1, 1024)
+			b.Movi(r2, 2056)
+			b.Sdma(r1, r0, r2)
+		}, 4, "DMA length 2056 must be a positive multiple of 8 <= 2048"},
+		{"software fault", nil, func(b *kbuild.Builder) {
+			b.Fault(r0, 3)
+		}, 1, "software fault 3 (r0=0)"},
+		{"jreg past the end", nil, func(b *kbuild.Builder) {
+			b.Movi(r0, 1000)
+			b.Jreg(r0)
+		}, 2, "jreg to 1000 beyond program end 5"},
+		{"acquire out of range", func(c *config.Config) { c.AtomicLocks = 2 }, func(b *kbuild.Builder) {
+			b.AcquireSpin(5)
+		}, 1, "mem: atomic access at 0xf0000005 (size 1): lock index out of range"},
+		{"load from IRAM", nil, func(b *kbuild.Builder) {
+			b.Movi(r0, math.MinInt32) // mem.IRAMBase
+			b.Lw(r1, r0, 0)
+		}, 2, "load/store to IRAM space at 0x80000000"},
+		{"unmapped page under prefault", func(c *config.Config) {
+			cacheMode(c)
+			c.MMU.Enable, c.MMU.Prefault = true, true
+		}, func(b *kbuild.Builder) {
+			b.Movi(r0, int32(mem.MRAMBase+64<<10))
+			b.Lw(r1, r0, 0)
+		}, 2, "mmu: access to unmapped page 16 at 0x00010000 with prefault policy"},
+		{"dma in cache mode", cacheMode, func(b *kbuild.Builder) {
+			b.Movi(r0, int32(mem.MRAMBase))
+			b.Movi(r1, 0)
+			b.Ldmai(r1, r0, 8)
+		}, 3, "DMA instructions are only defined under the scratchpad-centric model (mode cache)"},
+		{"dma misaligned", nil, func(b *kbuild.Builder) {
+			b.Movi(r0, int32(mem.MRAMBase+4))
+			b.Movi(r1, 0)
+			b.Ldmai(r1, r0, 8)
+		}, 3, "DMA addresses must be 8-byte aligned (wram 0x0, mram 0x8000004)"},
+		{"dma to a non-MRAM address", nil, func(b *kbuild.Builder) {
+			b.Movi(r0, 0x100)
+			b.Movi(r1, 0)
+			b.Sdmai(r1, r0, 8)
+		}, 3, "DMA MRAM address 0x00000100 outside MRAM space"},
+		{"dma past the WRAM end", nil, func(b *kbuild.Builder) {
+			b.Movi(r0, int32(mem.MRAMBase))
+			b.Movi(r1, int32(config.Default().WRAMBytes-8))
+			b.Ldmai(r1, r0, 16)
+		}, 3, "mem: WRAM access at 0x0000fff8 (size 16): out of range"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := config.Default()
-			cfg.NumTasklets = 1
-			d := buildDPU(t, c.build(), cfg, nil)
-			err := d.Run(context.Background(), testWatchdog)
-			if err == nil || !strings.Contains(err.Error(), c.sub) {
-				t.Fatalf("err = %v, want substring %q", err, c.sub)
+			cfg.NumTasklets = 2
+			if c.cfg != nil {
+				c.cfg(&cfg)
 			}
+			b := kbuild.New("f")
+			b.Jnei(kbuild.ID, 1, "idle")
+			c.body(b)
+			b.Stop()
+			b.Label("idle")
+			b.Stop()
+			err := buildDPU(t, b.MustBuild(), cfg, nil).Run(context.Background(), testWatchdog)
 			var fe *FaultError
 			if !errors.As(err, &fe) {
-				t.Fatalf("err %T is not a FaultError", err)
+				t.Fatalf("err = %v, want a *FaultError", err)
+			}
+			if fe.Tasklet != 1 || fe.PC != c.pc || errors.Unwrap(fe).Error() != c.cause {
+				t.Fatalf("tasklet %d, pc %d, cause %q; want tasklet 1, pc %d, cause %q",
+					fe.Tasklet, fe.PC, errors.Unwrap(fe), c.pc, c.cause)
+			}
+		})
+	}
+
+	// The edge cases leave their result in r2. The expected values are
+	// literals: the ALU model, aluOp, calls the interpreter's own
+	// divSigned/remSigned.
+	alu := func(op func(b *kbuild.Builder, rd, ra, rb kbuild.Reg), x, y int32) func(*kbuild.Builder) {
+		return func(b *kbuild.Builder) {
+			b.Movi(r0, x)
+			b.Movi(r1, y)
+			op(b, r2, r0, r1)
+		}
+	}
+	branch := func(op isa.Opcode, x, y int32) func(*kbuild.Builder) {
+		return func(b *kbuild.Builder) {
+			b.Movi(r0, x)
+			b.Movi(r1, y)
+			b.Movi(r2, 1) // taken
+			b.Br(op, r0, r1, "done")
+			b.Movi(r2, 0)
+			b.Label("done")
+		}
+	}
+	div, rem := (*kbuild.Builder).Div, (*kbuild.Builder).Rem
+	edges := []struct {
+		name string
+		emit func(*kbuild.Builder)
+		want uint32
+	}{
+		// A nop that left the PC alone would spin until the watchdog.
+		{"nop advances the PC", func(b *kbuild.Builder) { b.Nop(); b.Movi(r2, 7) }, 7},
+		{"jltu 1 < 0xffffffff", branch(isa.OpJLTU, 1, -1), 1},
+		{"jltu 0xffffffff < 1", branch(isa.OpJLTU, -1, 1), 0},
+		{"jgeu 1 >= 0xffffffff", branch(isa.OpJGEU, 1, -1), 0},
+		{"jgeu 0xffffffff >= 1", branch(isa.OpJGEU, -1, 1), 1},
+		{"div by zero", alu(div, 7, 0), 0xffffffff},
+		{"rem by zero", alu(rem, 7, 0), 7},
+		{"MinInt32 / -1", alu(div, math.MinInt32, -1), 0x80000000},
+		{"MinInt32 % -1", alu(rem, math.MinInt32, -1), 0},
+	}
+	for _, e := range edges {
+		t.Run(e.name, func(t *testing.T) {
+			b := kbuild.New("edge")
+			out := b.Static("out", 8, 8)
+			e.emit(b)
+			b.MoviSym(r0, out, 0)
+			b.Sw(r2, r0, 0)
+			b.Stop()
+			cfg := config.Default()
+			cfg.NumTasklets = 1
+			d := buildDPU(t, b.MustBuild(), cfg, nil)
+			if err := d.Run(context.Background(), 10_000); err != nil {
+				t.Fatal(err)
+			}
+			addr, _ := d.Program().SymbolAddr("out")
+			raw := make([]byte, 4)
+			if err := d.WRAM().ReadBytes(addr, raw); err != nil {
+				t.Fatal(err)
+			}
+			if got := u32s(t, raw)[0]; got != e.want {
+				t.Fatalf("r2 = %#x, want %#x", got, e.want)
 			}
 		})
 	}

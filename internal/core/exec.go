@@ -273,11 +273,13 @@ func (d *DPU) perfCounter(t *thread, sel int32) uint32 {
 // functional access (the same everywhere, done at once), then its data-side
 // timing. WRAM-space accesses are single-cycle. MRAM-space accesses are
 // translated (MMU) and go through the D-cache in cache mode — the tasklet
-// stalls for the walk and the miss — and are the lane's request to the
-// coalescer under SIMT; the scratchpad-centric model has none (DMA only).
+// stalls once, until the later of the walk and the miss — and are the lane's
+// request to the coalescer under SIMT; the scratchpad-centric model has none
+// (DMA only).
 func (d *DPU) execMem(t *thread, u *uop) {
 	addr := d.read(t, u.ra) + uint32(u.imm)
 	space := mem.Classify(addr, d.cfg.WRAMBytes)
+	var walked uint64 // the cycle the MMU walk's translation is ready
 	if space == mem.SpaceMRAM {
 		if d.cfg.Mode == config.ModeScratchpad {
 			d.faultPC(t, fmt.Errorf("load/store to MRAM space 0x%08x under the scratchpad-centric model (use DMA)", addr))
@@ -291,11 +293,7 @@ func (d *DPU) execMem(t *thread, u *uop) {
 				return
 			}
 			addr = paddr
-			if c := d.cycleOf(ready); c > d.cycle {
-				// Translation stall; the access proceeds functionally and
-				// the thread pays the walk latency.
-				d.blockUntil(&t.unit, c)
-			}
+			walked = d.cycleOf(ready)
 		}
 	}
 
@@ -341,39 +339,27 @@ func (d *DPU) execMem(t *thread, u *uop) {
 		return
 	}
 	ready := d.dcache.Access(addr, isStore, d.nowTick())
-	if c := d.cycleOf(ready); c > d.cycle {
+	if c := max(walked, d.cycleOf(ready)); c > d.cycle {
 		d.blockUntil(&t.unit, c)
 	}
 }
 
-// blockUntil parks the unit until the given cycle and arms its wake timer;
-// when it is already blocked by an earlier stall of the same instruction,
-// the later wake-up wins (the earlier timer is re-armed lazily when it pops).
+// blockUntil parks a running unit until the given cycle and arms its wake
+// timer, the one timer the unit has until it wakes.
 func (d *DPU) blockUntil(u *unit, cycle uint64) {
-	if u.state == unitBlocked {
-		if u.wakeAt != neverWake {
-			u.wakeAt = max(u.wakeAt, cycle)
-			return
-		}
-		u.wakeAt = cycle
-		d.sched.push(cycle, int32(u.id))
-		return
-	}
 	u.state = unitBlocked
 	u.wakeAt = cycle
 	d.blockedN++
 	d.sched.push(cycle, int32(u.id))
 }
 
-// blockOnBank parks a unit on the transfer it just handed to the bank: the
-// wake cycle becomes known, and dispatch arms the timer, once the bank
-// schedules the transfer's last burst.
+// blockOnBank parks a running unit on the transfer it just handed to the
+// bank: the wake cycle becomes known, and dispatch arms the timer, once the
+// bank schedules the transfer's last burst.
 func (d *DPU) blockOnBank(u *unit) {
-	if u.state != unitBlocked {
-		u.state = unitBlocked
-		u.wakeAt = neverWake
-		d.blockedN++
-	}
+	u.state = unitBlocked
+	u.wakeAt = neverWake
+	d.blockedN++
 }
 
 // execDMA issues an MRAM<->WRAM DMA: functional copy now, timing through the

@@ -29,21 +29,18 @@ import (
 // core's timers as a side effect (blockUntil, dispatch); the reference clears
 // them before each issue and reads a unit's state and wakeAt instead.
 //
-// Idle[] is a float sum, so how idle cycles are grouped into AttributeIdle
-// calls shows in its last bits, and the reference groups them as the seed
-// did: after a cycle with nothing issuable and no RF debt, each run of
-// cycles in which no unit changes state and the bank decides nothing is one
-// call, and each bank decision among them is a call of its own (run). One
-// difference since the seed reaches the statistics and is reproduced on
-// purpose, as one commented line: a unit stalled twice by one instruction is
-// looked at again when the first stall ends, which ends such a run (issue).
+// It differs from a plain per-cycle loop in one listed way. Idle[] is a
+// float sum, so how idle cycles are grouped into AttributeIdle calls shows
+// in its last bits, and the reference groups them as the seed did: after a
+// cycle with nothing issuable and no RF debt, each run of cycles in which
+// no unit changes state and the bank decides nothing is one call, and each
+// bank decision among them is a call of its own (run).
 type refCore struct {
 	d       *DPU
 	simt    bool
 	next    []uint64 // revolver/forwarding spacing: earliest cycle of each unit's next issue
 	fetched []int    // cache mode: the PC each unit's last I-fetch was for, -1 for none
 	ready   []bool   // the census: issuable this cycle and not yet picked
-	recheck []uint64 // the cycle a doubly stalled unit is looked at again (issue)
 	rr      int
 	rfDebt  int
 }
@@ -63,7 +60,6 @@ func (r *refCore) relaunch() {
 	r.next = make([]uint64, n)
 	r.fetched = slices.Repeat([]int{-1}, n)
 	r.ready = make([]bool, n)
-	r.recheck = make([]uint64, n)
 	r.rr, r.rfDebt = 0, 0
 }
 
@@ -101,7 +97,7 @@ func (r *refCore) due() bool {
 	for i := range r.next {
 		switch u := r.unit(i); u.state {
 		case unitBlocked:
-			if u.wakeAt <= r.d.cycle || r.recheck[i] == r.d.cycle {
+			if u.wakeAt <= r.d.cycle {
 				return true
 			}
 		case unitRunning:
@@ -267,11 +263,6 @@ func (r *refCore) issue(i int) {
 			d.trace = append(d.trace, IssueEvent{Cycle: d.cycle, Tasklet: t.id, PC: t.pc, Op: in.Op, RFConflict: conflict})
 		}
 		d.execute(t, &d.uops[t.pc])
-		// core.go blockUntil: a unit stalled twice by one instruction (an MMU
-		// walk, then a later D-cache miss) is looked at when the first ends.
-		if at, ok := d.sched.nextAt(); ok && t.state == unitBlocked && at < t.wakeAt && t.wakeAt != neverWake {
-			r.recheck[i] = at
-		}
 	}
 	r.next[i] = d.cycle + uint64(d.cfg.RevolverCycles)
 	if d.cfg.Forwarding {
@@ -405,7 +396,8 @@ func at(s []IssueEvent, i int) any {
 // a grid — every organisation, every ILP subset the organisation allows, MMU
 // on and off, at three tasklet counts — plus two SIMT seeds with 70 and 128
 // one-lane warps, the inputs with more than 64 scheduling units, where the
-// timer heap's id path and the issuable set's second word run.
+// timer heap's id path and the issuable set's second word run, and one seed
+// in which an instruction stalls twice.
 func FuzzCoreVsReference(f *testing.F) {
 	// seed, units, ilp, mode, width, iters, mmu, window, launches
 	for mode := uint8(0); mode < 3; mode++ {
@@ -426,6 +418,8 @@ func FuzzCoreVsReference(f *testing.F) {
 	}
 	f.Add(int64(8), uint8(69), uint8(0), uint8(2), uint8(0), uint8(12), false, false, uint8(0))
 	f.Add(int64(9), uint8(127), uint8(8), uint8(2), uint8(10), uint8(8), false, true, uint8(1))
+	// Cache mode, MMU with an 8-entry TLB: one access stalls on a walk, then on a later D-cache miss.
+	f.Add(int64(115), uint8(68), uint8(1), uint8(1), uint8(21), uint8(0), true, true, uint8(1))
 	f.Fuzz(func(t *testing.T, seed int64, units, ilp, mode, width, iters uint8, mmu, window bool, launches uint8) {
 		checkCoreVsReference(t, decodeRefPoint(seed, units, ilp, mode, width, iters, mmu, window, launches))
 	})

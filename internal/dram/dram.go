@@ -262,23 +262,23 @@ func (b *Bank) enqueueRow(row uint32, n int32, write bool, arrival Tick, tag uin
 // made (the bank's contribution to the DPU's next-event clock), or
 // (0, false) when the queue is empty.
 func (b *Bank) NextDecisionAt() (Tick, bool) {
-	if b.pending == 0 || (!b.nextValid && !b.findNext()) {
+	if b.pending == 0 {
 		return 0, false
+	}
+	if !b.nextValid {
+		b.findNext()
 	}
 	return b.nextAt, true
 }
 
-// findNext fills the decision memo from the queues; false means nothing is
-// pending.
-func (b *Bank) findNext() bool {
+// findNext fills the decision memo from the queues. It is called only while a
+// burst is pending, and a pending burst is an unfinished run in the global
+// FIFO, so the oldest one is always there to be found.
+func (b *Bank) findNext() {
 	oldest := b.peekPending(&b.globalQ, ^Tick(0))
-	if oldest < 0 {
-		return false // only lazily-deleted entries remained
-	}
 	b.nextAt = max(b.cmdReadyAt, b.slab[oldest].arrival)
 	b.nextOldest, b.nextPick = oldest, -1
 	b.nextValid = true
-	return true
 }
 
 // Advance makes every scheduling decision whose decision point is <= now,
@@ -287,8 +287,8 @@ func (b *Bank) findNext() bool {
 // extended buffer; pass a reused slice to keep the drain allocation-free.
 func (b *Bank) Advance(now Tick, out []Completion) []Completion {
 	for b.pending > 0 {
-		if !b.nextValid && !b.findNext() {
-			break
+		if !b.nextValid {
+			b.findNext()
 		}
 		t := b.nextAt
 		if t > now {
