@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
 	"upim/internal/config"
+	"upim/internal/engine"
 	"upim/internal/machine"
 	"upim/internal/prim"
 )
@@ -49,6 +51,44 @@ func vocabLines(t *testing.T, axes []Axis) []byte {
 		fmt.Fprintf(&out, "%s %s cost=%016x %s\n", p.Benchmark, p.Design, math.Float64bits(p.Cost), KeyOf(p.EP))
 	}
 	return out.Bytes()
+}
+
+// TestVocabularyKeyPartition: two of vocab.golden's points share a store key
+// exactly when their engine.Points are equal. It holds whatever bytes the key
+// hashes, so a change to the key's spelling that keeps it must move
+// vocab.golden's key column and nothing else.
+func TestVocabularyKeyPartition(t *testing.T) {
+	axes, err := ParseAxes(vocabSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSpace([]string{"GEMV", "VA"}, axes...)
+	s.Scale = prim.ScaleTiny
+	pts, err := s.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	byKey := map[string]engine.Point{}
+	var distinct []engine.Point
+	for _, p := range pts {
+		k := KeyOf(p.EP)
+		if q, ok := byKey[k]; ok {
+			if !reflect.DeepEqual(p.EP, q) {
+				t.Fatalf("%s %s shares key %s with a different point", p.Benchmark, p.Design, k)
+			}
+			continue
+		}
+		byKey[k] = p.EP
+		distinct = append(distinct, p.EP)
+	}
+	for i := range distinct {
+		for j := i + 1; j < len(distinct); j++ {
+			if reflect.DeepEqual(distinct[i], distinct[j]) {
+				t.Fatalf("equal points have keys %s and %s", KeyOf(distinct[i]), KeyOf(distinct[j]))
+			}
+		}
+	}
+	t.Logf("%d points, %d keys", len(pts), len(distinct))
 }
 
 // TestVocabularyGolden pins the axis vocabulary end to end: the eight
