@@ -35,17 +35,17 @@ func (t *Table) WriteJSON(w io.Writer) error {
 // per row, a numeric cell as its shortest 'g' spelling, which never needs
 // quoting.
 func (t *Table) appendJSONCSV(j, c []byte) (_, _ []byte, err error) {
-	j = AppendJSONString(append(j, "{\n  \"key\": "...), t.Key)
-	j = AppendJSONString(append(j, ",\n  \"id\": "...), t.ID)
-	j = AppendJSONString(append(j, ",\n  \"title\": "...), t.Title)
+	j = appendJSONString(append(j, "{\n  \"key\": "...), t.Key)
+	j = appendJSONString(append(j, ",\n  \"id\": "...), t.ID)
+	j = appendJSONString(append(j, ",\n  \"title\": "...), t.Title)
 	if t.Scale != "" {
-		j = AppendJSONString(append(j, ",\n  \"scale\": "...), t.Scale)
+		j = appendJSONString(append(j, ",\n  \"scale\": "...), t.Scale)
 	}
 	j = append(j, ",\n  \"columns\": "...)
 	for i, col := range t.Columns {
-		j = AppendJSONString(append(element(j, i, "    "), "{\n      \"name\": "...), col.Name)
+		j = appendJSONString(append(element(j, i, "    "), "{\n      \"name\": "...), col.Name)
 		if col.Unit != "" {
-			j = AppendJSONString(append(j, ",\n      \"unit\": "...), col.Unit)
+			j = appendJSONString(append(j, ",\n      \"unit\": "...), col.Unit)
 		}
 		j = append(j, "\n    }"...)
 		if i > 0 {
@@ -69,7 +69,7 @@ func (t *Table) appendJSONCSV(j, c []byte) (_, _ []byte, err error) {
 			}
 			switch {
 			case !v.Numeric:
-				j = AppendJSONString(j, v.Text)
+				j = appendJSONString(j, v.Text)
 				c = appendCSVField(c, v.Text)
 			case math.IsInf(v.Num, 0) || math.IsNaN(v.Num):
 				if err == nil {
@@ -80,7 +80,7 @@ func (t *Table) appendJSONCSV(j, c []byte) (_, _ []byte, err error) {
 				ds := digitsOf(v.Num)
 				c = ds.appendG(c)
 				j = ds.appendES6(append(j, "{\n        \"v\": "...))
-				j = AppendJSONString(append(j, ",\n        \"text\": "...), v.Text)
+				j = appendJSONString(append(j, ",\n        \"text\": "...), v.Text)
 				j = append(j, "\n      }"...)
 			}
 		}
@@ -125,7 +125,7 @@ func closeArray(b []byte, n int, isNil bool, indent string) []byte {
 // CSV's, and both spellings place the same digits: the shortest decimal that
 // reads back as the float. Finding those digits is what formatting a float
 // costs, so appendJSONCSV finds them once per cell and spells both forms from
-// them; the point keys of internal/explore spell their floats here too.
+// them.
 
 // digits is a finite float's shortest round-tripping decimal: ±0.d[:nd] ×
 // 10^dp, no leading or trailing zero digit, nd = 0 for zero.
@@ -168,9 +168,6 @@ func digitsOf(f float64) (ds digits) {
 	ds.dp = int16(exp + 1)
 	return ds
 }
-
-// AppendJSONFloat appends a finite f as encoding/json does.
-func AppendJSONFloat(b []byte, f float64) []byte { return digitsOf(f).appendES6(b) }
 
 // appendES6 spells ds as encoding/json spells a float64 — ES6 number
 // formatting: plain decimals between 1e-6 and 1e21, an exponent outside it,
@@ -231,10 +228,10 @@ func (ds digits) appendExp(b []byte, pad bool) []byte {
 	return strconv.AppendInt(b, int64(exp), 10)
 }
 
-// AppendJSONString appends s quoted as encoding/json does with HTML escaping
+// appendJSONString appends s quoted as encoding/json does with HTML escaping
 // on: ", \ and control bytes escaped, <, > and & as \u00XX, U+2028/U+2029
 // escaped, invalid UTF-8 replaced by \ufffd.
-func AppendJSONString(b []byte, s string) []byte {
+func appendJSONString(b []byte, s string) []byte {
 	const hex = "0123456789abcdef"
 	b = append(b, '"')
 	start := 0

@@ -104,9 +104,6 @@ func New(cfg config.CacheConfig, backend Backend, st *stats.Cache) (*Cache, erro
 	}, nil
 }
 
-// LineBytes returns the configured line size.
-func (c *Cache) LineBytes() int { return c.cfg.LineBytes }
-
 // setHash selects a line's set. It XOR-folds the upper line-index bits
 // before the modulo (a standard anti-aliasing hash): a plain modulo makes
 // every power-of-2-strided stream — e.g. 16 tasklets whose partitions sit

@@ -163,11 +163,11 @@ func (c *Coordinator) reclaim() {
 	now := c.now()
 	for _, s := range c.shards {
 		if s.state == stateLeased && s.expiry.Before(now) {
-			c.events.emit(Event{Type: EventLeaseExpire, Worker: s.worker, Shard: s.id, Lease: leaseID(s.id, s.gen)})
+			c.events.emit(Event{Type: EventLeaseExpire, Worker: s.worker, Shard: s.id, Point: -1, Lease: leaseID(s.id, s.gen)})
 			s.state = statePending
 			s.worker = ""
 			c.pending = append(c.pending, s.id)
-			c.events.emit(Event{Type: EventLeaseReclaim, Shard: s.id})
+			c.events.emit(Event{Type: EventLeaseReclaim, Shard: s.id, Point: -1})
 		}
 	}
 }
@@ -198,7 +198,7 @@ func (c *Coordinator) Lease(worker string) *WorkUnit {
 		TTLMillis: c.ttl.Milliseconds(),
 		Total:     c.total,
 	}
-	c.events.emit(Event{Type: EventLeaseGrant, Worker: worker, Shard: s.id, Lease: u.Lease})
+	c.events.emit(Event{Type: EventLeaseGrant, Worker: worker, Shard: s.id, Point: -1, Lease: u.Lease})
 	return u
 }
 
@@ -214,11 +214,11 @@ func (c *Coordinator) Renew(lease string) error {
 		return err
 	}
 	if s.state != stateLeased || s.gen != gen {
-		c.events.emit(Event{Type: EventLeaseReject, Shard: s.id, Lease: lease})
+		c.events.emit(Event{Type: EventLeaseReject, Shard: s.id, Point: -1, Lease: lease})
 		return ErrLeaseLost
 	}
 	s.expiry = c.now().Add(c.ttl)
-	c.events.emit(Event{Type: EventLeaseRenew, Worker: s.worker, Shard: s.id, Lease: lease})
+	c.events.emit(Event{Type: EventLeaseRenew, Worker: s.worker, Shard: s.id, Point: -1, Lease: lease})
 	return nil
 }
 
@@ -235,11 +235,11 @@ func (c *Coordinator) Complete(lease string) error {
 		return err
 	}
 	if s.state != stateLeased || s.gen != gen {
-		c.events.emit(Event{Type: EventLeaseReject, Shard: s.id, Lease: lease})
+		c.events.emit(Event{Type: EventLeaseReject, Shard: s.id, Point: -1, Lease: lease})
 		return ErrLeaseLost
 	}
 	s.state = stateDone
-	c.events.emit(Event{Type: EventLeaseComplete, Worker: s.worker, Shard: s.id, Lease: lease})
+	c.events.emit(Event{Type: EventLeaseComplete, Worker: s.worker, Shard: s.id, Point: -1, Lease: lease})
 	s.worker = ""
 	return nil
 }

@@ -485,3 +485,72 @@ func TestSpecForRefusesUnreproducibleSpaces(t *testing.T) {
 		})
 	}
 }
+
+// TestEventPointSlots: in a coordinated run's log every lease event says "no
+// point" (-1) and every point event names its point (>= 0) — which is why -1,
+// not 0, stands for "not applicable". The run covers every lease event the
+// coordinator writes: a zombie's lease expires and is reclaimed and its
+// renewal and completion are rejected, a lease is renewed, and one worker
+// drains the rest.
+func TestEventPointSlots(t *testing.T) {
+	ctx := context.Background()
+	store, err := explore.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ttl = time.Minute
+	var skew atomic.Int64
+	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	var coordEvents, workerEvents bytes.Buffer
+	srv, c := serve(t, crashSpace(), store, CoordinatorOptions{
+		ShardSize: 4,
+		TTL:       ttl,
+		Now:       func() time.Time { return epoch.Add(time.Duration(skew.Load())) },
+		Events:    NewLog(&coordEvents),
+	})
+	zombie := c.Lease("zombie")
+	skew.Store(int64(2 * ttl))
+	if err := c.Renew(zombie.Lease); !errors.Is(err, ErrLeaseLost) {
+		t.Fatalf("the zombie's renewal: %v, want ErrLeaseLost", err)
+	}
+	if err := c.Complete(zombie.Lease); !errors.Is(err, ErrLeaseLost) {
+		t.Fatalf("the zombie's completion: %v, want ErrLeaseLost", err)
+	}
+	if u := c.Lease("w0"); u == nil || c.Renew(u.Lease) != nil || c.Complete(u.Lease) != nil {
+		t.Fatal("a live lease could not be granted, renewed and completed")
+	}
+	err = Work(ctx, WorkOptions{
+		Connect: srv.URL,
+		Name:    "w0",
+		Poll:    5 * time.Millisecond,
+		Events:  &workerEvents,
+		Client:  ClientOptions{Timeout: 10 * time.Second, Backoff: 5 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Close() // every handler has returned: the coordinator's log is complete
+
+	seen := map[string]bool{}
+	for _, log := range []*bytes.Buffer{&coordEvents, &workerEvents} {
+		evs, err := ParseEvents(log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range evs {
+			seen[e.Type] = true
+			if strings.HasPrefix(e.Type, "lease_") && e.Point != -1 {
+				t.Errorf("event %d (%s, shard %d) names point %d, want -1", e.Seq, e.Type, e.Shard, e.Point)
+			}
+			if strings.HasPrefix(e.Type, "point_") && e.Point < 0 {
+				t.Errorf("event %d (%s, shard %d) names point %d", e.Seq, e.Type, e.Shard, e.Point)
+			}
+		}
+	}
+	for _, typ := range []string{EventLeaseGrant, EventLeaseRenew, EventLeaseExpire, EventLeaseReclaim,
+		EventLeaseReject, EventLeaseComplete, EventPointSimulated} {
+		if !seen[typ] {
+			t.Errorf("the run wrote no %s event", typ)
+		}
+	}
+}

@@ -67,9 +67,8 @@ func NewLog(w io.Writer) *Log {
 	return &Log{enc: json.NewEncoder(w), now: time.Now}
 }
 
-// emit stamps and writes one event; -1 fills unset Shard/Point slots when
-// the zero value was not explicitly meaningful (emit sites always set both
-// fields, so zeroes here mean "not applicable").
+// emit stamps and writes one event as given: every emit site sets Shard and
+// Point itself, -1 where one does not apply.
 func (l *Log) emit(e Event) {
 	if l == nil {
 		return

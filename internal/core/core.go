@@ -668,9 +668,6 @@ func (d *DPU) unitAt(i int) *unit {
 	return &d.threads[i].unit
 }
 
-// ID returns the DPU's system-wide index.
-func (d *DPU) ID() int { return d.id }
-
 // Stats exposes the DPU's statistics record.
 func (d *DPU) Stats() *stats.DPU { return &d.st }
 
@@ -713,8 +710,15 @@ func (d *DPU) cycleOf(t Tick) uint64 {
 
 // Relaunch resets the execution state (threads, scheduler) for another
 // kernel invocation while preserving memories, statistics and the clock —
-// the host uses this for iterative workloads (e.g. BFS levels).
+// the host uses this for iterative workloads (e.g. BFS levels). A launch cut
+// short (watchdog, fault) leaves nothing behind: its queued bursts finish in
+// the memory system with no one to wake, and its transfers and fault are
+// forgotten. After a completed launch the bank is already empty.
 func (d *DPU) Relaunch() {
+	d.compBuf = d.bank.Advance(^Tick(0), d.compBuf[:0])[:0]
+	d.xfers = d.xfers[:0]
+	d.freeXfers = d.freeXfers[:0]
+	d.faultErr = nil
 	d.resetThreads()
 	d.rfDebt = 0
 	d.rr = 0

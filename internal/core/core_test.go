@@ -781,6 +781,41 @@ func TestUnboundedWatchdogSurvivesRelaunch(t *testing.T) {
 	}
 }
 
+// TestRelaunchForgetsAbortedLaunch: a launch cut short leaves nothing behind
+// for the next one. A watchdog that expires mid-stream leaves bursts queued at
+// the bank and transfers in flight, a fault leaves its error; Relaunch lets
+// the bursts finish in the memory system and forgets the transfers and the
+// fault, so the next launch keeps one timer per unit and runs clean.
+func TestRelaunchForgetsAbortedLaunch(t *testing.T) {
+	t.Run("watchdog", func(t *testing.T) {
+		cfg := config.Default()
+		cfg.NumTasklets = 4
+		d := buildDPU(t, dmaKernel(2), cfg, func(d *DPU) { writeArgs(t, d, mem.MRAMBase) })
+		if err := d.Run(context.Background(), 500); !errors.Is(err, ErrWatchdogExpired) {
+			t.Fatalf("first launch: %v, want the watchdog", err)
+		}
+		if d.bank.Pending() == 0 {
+			t.Fatal("the watchdog expired with no burst queued")
+		}
+		d.Relaunch()
+		runOneTimerPerUnit(t, "relaunch", d, cfg.NumTasklets)
+	})
+	t.Run("fault", func(t *testing.T) {
+		cfg := config.Default()
+		cfg.NumTasklets = 1
+		d := buildDPU(t, dmaOnceKernel(false, 8), cfg, func(d *DPU) { writeArgs(t, d, mem.MRAMBase+4) })
+		var fe *FaultError
+		if err := d.Run(context.Background(), testWatchdog); !errors.As(err, &fe) {
+			t.Fatalf("first launch: %v, want a *FaultError", err)
+		}
+		writeArgs(t, d, mem.MRAMBase)
+		d.Relaunch()
+		if err := d.Run(context.Background(), testWatchdog); err != nil {
+			t.Fatalf("relaunch with an aligned argument: %v", err)
+		}
+	})
+}
+
 func TestWatchdogCatchesInfiniteLoop(t *testing.T) {
 	b := kbuild.New("inf")
 	b.Label("loop")

@@ -199,26 +199,32 @@ func TestAtMostOneLiveTimer(t *testing.T) {
 	pts = append(pts, point{"simt", simtSumKernel(), simtConfig(64), func(d *DPU) { writeArgs(t, d, mem.MRAMBase, 512, mem.MRAMBase+1<<20) }})
 
 	for _, p := range pts {
-		d := buildDPU(t, p.obj, p.cfg, p.setup)
-		perID := make([]int, p.cfg.NumTasklets)
-		for {
-			err := d.Run(context.Background(), 1)
-			if err == nil {
-				break
+		runOneTimerPerUnit(t, p.name, buildDPU(t, p.obj, p.cfg, p.setup), p.cfg.NumTasklets)
+	}
+}
+
+// runOneTimerPerUnit runs d to the end one cycle at a time, failing at the
+// first cycle where one of its units has two live timers.
+func runOneTimerPerUnit(t *testing.T, name string, d *DPU, units int) {
+	t.Helper()
+	perID := make([]int, units)
+	for {
+		err := d.Run(context.Background(), 1)
+		if err == nil {
+			return
+		}
+		if !errors.Is(err, ErrWatchdogExpired) {
+			t.Fatalf("%s: %v", name, err)
+		}
+		clear(perID)
+		d.sched.liveTimers(perID)
+		for id, n := range perID {
+			if n > 1 {
+				t.Fatalf("%s: cycle %d: id %d has %d live timers", name, d.cycle, id, n)
 			}
-			if !errors.Is(err, ErrWatchdogExpired) {
-				t.Fatalf("%s: %v", p.name, err)
-			}
-			clear(perID)
-			d.sched.liveTimers(perID)
-			for id, n := range perID {
-				if n > 1 {
-					t.Fatalf("%s: cycle %d: id %d has %d live timers", p.name, d.cycle, id, n)
-				}
-			}
-			if d.cycle > testWatchdog {
-				t.Fatalf("%s: did not finish", p.name)
-			}
+		}
+		if d.cycle > testWatchdog {
+			t.Fatalf("%s: did not finish", name)
 		}
 	}
 }

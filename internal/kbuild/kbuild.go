@@ -111,13 +111,6 @@ func (b *Builder) Static(name string, size, align int) string {
 	return name
 }
 
-// StaticInit declares an initialized static allocation.
-func (b *Builder) StaticInit(name string, data []byte, align int) string {
-	b.Static(name, len(data), align)
-	b.statics[len(b.statics)-1].Init = data
-	return name
-}
-
 // AllocLock reserves one atomic-region mutex and returns its index.
 func (b *Builder) AllocLock() int {
 	id := b.nextLck
@@ -160,9 +153,7 @@ func (b *Builder) Mul(rd, ra, rb Reg)         { b.alu(isa.OpMUL, rd, ra, rb) }
 func (b *Builder) Mulh(rd, ra, rb Reg)        { b.alu(isa.OpMULH, rd, ra, rb) }
 func (b *Builder) Muli(rd, ra Reg, imm int32) { b.alui(isa.OpMUL, rd, ra, imm) }
 func (b *Builder) Div(rd, ra, rb Reg)         { b.alu(isa.OpDIV, rd, ra, rb) }
-func (b *Builder) Divi(rd, ra Reg, imm int32) { b.alui(isa.OpDIV, rd, ra, imm) }
 func (b *Builder) Rem(rd, ra, rb Reg)         { b.alu(isa.OpREM, rd, ra, rb) }
-func (b *Builder) Remi(rd, ra Reg, imm int32) { b.alui(isa.OpREM, rd, ra, imm) }
 
 // Mov emits rd = ra.
 func (b *Builder) Mov(rd, ra Reg) {
@@ -181,12 +172,6 @@ func (b *Builder) MoviSym(rd Reg, symbol string, addend int32) {
 	}
 	b.fixups = append(b.fixups, linker.Fixup{Index: len(b.instrs), Symbol: symbol, Addend: addend})
 	b.emit(isa.Instruction{Op: isa.OpMOVI, Rd: b.checkReg(rd)})
-}
-
-// AddBr emits a merged arithmetic+branch: rd = ra+rb, branch on cond.
-func (b *Builder) AddBr(rd, ra, rb Reg, cond isa.Cond, label string) {
-	t := b.ref(label)
-	b.emit(isa.Instruction{Op: isa.OpADD, Rd: b.checkReg(rd), Ra: b.checkReg(ra), Rb: b.checkReg(rb), Cond: cond, Target: t})
 }
 
 // AddiBr emits rd = ra+imm with a branch on cond (the canonical
@@ -270,7 +255,6 @@ func (b *Builder) Bri(op isa.Opcode, ra Reg, imm int32, label string) {
 // Convenience wrappers for the common compare-and-branch forms.
 func (b *Builder) Jeq(ra, rb Reg, l string)       { b.Br(isa.OpJEQ, ra, rb, l) }
 func (b *Builder) Jeqi(ra Reg, i int32, l string) { b.Bri(isa.OpJEQ, ra, i, l) }
-func (b *Builder) Jne(ra, rb Reg, l string)       { b.Br(isa.OpJNE, ra, rb, l) }
 func (b *Builder) Jnei(ra Reg, i int32, l string) { b.Bri(isa.OpJNE, ra, i, l) }
 func (b *Builder) Jlt(ra, rb Reg, l string)       { b.Br(isa.OpJLT, ra, rb, l) }
 func (b *Builder) Jlti(ra Reg, i int32, l string) { b.Bri(isa.OpJLT, ra, i, l) }
@@ -278,8 +262,6 @@ func (b *Builder) Jle(ra, rb Reg, l string)       { b.Br(isa.OpJLE, ra, rb, l) }
 func (b *Builder) Jgt(ra, rb Reg, l string)       { b.Br(isa.OpJGT, ra, rb, l) }
 func (b *Builder) Jge(ra, rb Reg, l string)       { b.Br(isa.OpJGE, ra, rb, l) }
 func (b *Builder) Jgei(ra Reg, i int32, l string) { b.Bri(isa.OpJGE, ra, i, l) }
-func (b *Builder) Jltu(ra, rb Reg, l string)      { b.Br(isa.OpJLTU, ra, rb, l) }
-func (b *Builder) Jgeu(ra, rb Reg, l string)      { b.Br(isa.OpJGEU, ra, rb, l) }
 
 // Jump, Call, Ret, Jreg are the unconditional control forms.
 func (b *Builder) Jump(label string) {

@@ -93,9 +93,6 @@ func (w *WRAM) Reset(size int) {
 	clear(w.data)
 }
 
-// Size returns the scratchpad capacity in bytes.
-func (w *WRAM) Size() int { return len(w.data) }
-
 func (w *WRAM) check(addr uint32, size int) error {
 	if int(addr)+size > len(w.data) {
 		return accessErr(SpaceWRAM, addr, size, "out of range")
@@ -175,9 +172,6 @@ func NewMRAM(size int) *MRAM {
 	n := (size + mramPageBytes - 1) / mramPageBytes
 	return &MRAM{size: size, pages: make([][]byte, n)}
 }
-
-// Size returns the bank capacity in bytes.
-func (m *MRAM) Size() int { return m.size }
 
 // Reset zeroes the bank and resizes it to size, keeping already-materialized
 // pages (zeroed in place) for reuse — a reset MRAM reads all-zeros exactly
@@ -313,9 +307,6 @@ func (a *Atomic) Reset(n int) {
 		a.owner[i] = -1
 	}
 }
-
-// Locks returns the number of locks in the region.
-func (a *Atomic) Locks() int { return len(a.held) }
 
 // TryAcquire attempts to take lock id for tasklet tid; it reports whether the
 // lock was obtained. Re-acquiring a lock the tasklet already holds is an

@@ -120,10 +120,3 @@ func (m *MMU) fillTLB(vpage, ppage uint32) {
 	}
 	m.tlb[victim] = tlbEntry{vpage: vpage, ppage: ppage, valid: true, lastUse: m.clock}
 }
-
-// InvalidateTLB empties the TLB (multi-tenant context switch hook).
-func (m *MMU) InvalidateTLB() {
-	for i := range m.tlb {
-		m.tlb[i].valid = false
-	}
-}
