@@ -22,11 +22,6 @@ import (
 	"upim/internal/core"
 	"upim/internal/machine"
 	"upim/internal/prim"
-
-	// The bank-level MAC backend registers itself with internal/machine;
-	// importing it here makes every engine consumer architecture-capable
-	// without naming the backend.
-	_ "upim/internal/hbmpim"
 )
 
 // Point is one simulation point of a sweep.
@@ -140,24 +135,41 @@ func (e *Engine) RunInArena(ctx context.Context, p Point, arena *core.Arena) (*p
 		arena = e.getArena()
 		defer e.putArena(arena)
 	}
+	be, w, err := p.workload()
+	if err != nil {
+		return nil, err
+	}
+	w.Cache, w.Arena = e.cache, arena
+	return be.Run(ctx, w)
+}
+
+// Check reports whether the point's backend can run it (machine.Backend's
+// Check): the explorer enumerates only the points it accepts.
+func (p Point) Check() error {
+	be, w, err := p.workload()
+	if err != nil {
+		return err
+	}
+	return be.Check(w)
+}
+
+// workload is the one place a point becomes the request its backend gets:
+// the backend of the point's architecture and the workload, less the
+// engine's build cache and arena.
+func (p Point) workload() (machine.Backend, machine.Workload, error) {
 	arch := ""
 	if p.Machine != nil {
 		arch = p.Machine.Arch
 	}
 	be, err := machine.BackendFor(arch)
-	if err != nil {
-		return nil, err
-	}
-	return be.Run(ctx, machine.Workload{
+	return be, machine.Workload{
 		Benchmark: p.Benchmark,
 		Config:    p.Config,
 		Desc:      p.Machine,
 		Sites:     p.DPUs,
 		Scale:     p.Scale,
 		Watchdog:  p.Watchdog,
-		Cache:     e.cache,
-		Arena:     arena,
-	})
+	}, err
 }
 
 // Each is the engine's one worker pool: it calls step(i, arena) for every i

@@ -6,7 +6,6 @@ import (
 
 	"upim/internal/config"
 	"upim/internal/engine"
-	"upim/internal/machine"
 	"upim/internal/prim"
 )
 
@@ -97,14 +96,13 @@ func (s *Space) Points() ([]Point, error) {
 	}
 	var pts []Point
 	for _, name := range s.Benchmarks {
-		b, err := prim.ByName(name)
-		if err != nil {
+		if _, err := prim.ByName(name); err != nil {
 			return nil, err
 		}
 		combo := make([]int, len(s.Axes))
 		for {
 			p := s.instantiate(name, combo)
-			if s.feasible(b, p) {
+			if s.feasible(p) {
 				pts = append(pts, p)
 			}
 			if !advance(combo, s.Axes) {
@@ -147,26 +145,10 @@ func (s *Space) instantiate(bench string, combo []int) Point {
 	return p
 }
 
-// feasible applies the built-in constraints plus any user constraints.
-func (s *Space) feasible(b *prim.Benchmark, p Point) bool {
-	cfg := p.EP.Config
-	// Alternative architecture backends support only the benchmarks they
-	// have a mapping for, and only the baseline memory organisation — the
-	// mode/ILP/link axes describe the UPMEM microarchitecture and have no
-	// meaning on, say, a bank-level MAC machine.
-	if m := p.EP.Machine; m != nil && m.Arch != machine.ArchUPMEM {
-		be, err := machine.BackendFor(m.Arch)
-		if err != nil || !be.Supports(b.Name) {
-			return false
-		}
-		if cfg.Mode != config.ModeScratchpad {
-			return false
-		}
-	}
-	// A scale outside the table has zero sizes, which pass the dataset rule:
-	// such a point fails when it runs, not here.
-	ds, _ := b.Params(p.EP.Scale)
-	if b.Check(cfg, ds) != nil || cfg.Validate() != nil {
+// feasible applies the point's backend's rule (engine.Point.Check) plus any
+// user constraints.
+func (s *Space) feasible(p Point) bool {
+	if p.EP.Check() != nil {
 		return false
 	}
 	for _, keep := range s.keep {

@@ -3,8 +3,6 @@ package machine
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
 
 	"upim/internal/config"
 	"upim/internal/core"
@@ -37,63 +35,66 @@ type Workload struct {
 // store content-addresses results and the resume contract holds artifacts
 // to byte identity. The machinetest conformance suite checks exactly this.
 type Backend interface {
-	// Arch returns the architecture name (ArchUPMEM, ArchHBMPIM, ...).
-	Arch() string
-	// Describe returns a fresh copy of the backend's default machine
-	// description.
-	Describe() *Desc
-	// Supports reports whether the backend can execute a benchmark.
-	Supports(benchmark string) bool
+	// Check is the one rule for what the backend can run: nil, or why not.
+	// Run applies it first, and the explorer enumerates only the points it
+	// accepts.
+	Check(w Workload) error
 	// Run executes one workload and returns its result. The result must be
 	// self-contained: Config, Stats, PerDPU and Report populated so the
 	// energy model and the figure pipeline work unchanged.
 	Run(ctx context.Context, w Workload) (*prim.Result, error)
 }
 
-var (
-	backendMu sync.RWMutex
-	backends  = map[string]Backend{}
-)
+// arches is the table of machines, sorted by name: each architecture's
+// committed description and the backend that runs it. Named, Names and
+// BackendFor all read it.
+var arches = [...]struct {
+	name    string
+	desc    func() *Desc
+	backend Backend
+}{
+	{ArchHBMPIM, HBMPIM, hbmpimBackend{}},
+	{ArchUPMEM, UPMEM, upmemBackend{}},
+}
 
-// Register installs a backend under its architecture name; backends
-// register from init, and a duplicate name is a programming error.
-func Register(b Backend) {
-	backendMu.Lock()
-	defer backendMu.Unlock()
-	if _, dup := backends[b.Arch()]; dup {
-		panic(fmt.Sprintf("machine: backend %q registered twice", b.Arch()))
+// arch returns the table row of an architecture name.
+func arch(name string) (int, error) {
+	for i := range arches {
+		if arches[i].name == name {
+			return i, nil
+		}
 	}
-	backends[b.Arch()] = b
+	return 0, fmt.Errorf("machine: unknown architecture %q (want one of %v)", name, Names())
+}
+
+// Named returns a fresh copy of the committed description for an
+// architecture name.
+func Named(name string) (*Desc, error) {
+	i, err := arch(name)
+	if err != nil {
+		return nil, err
+	}
+	return arches[i].desc(), nil
+}
+
+// Names lists the architecture names, sorted.
+func Names() []string {
+	out := make([]string, len(arches))
+	for i := range arches {
+		out[i] = arches[i].name
+	}
+	return out
 }
 
 // BackendFor returns the backend for an architecture name ("" selects the
 // native UPMEM backend).
-func BackendFor(arch string) (Backend, error) {
-	if arch == "" {
-		arch = ArchUPMEM
+func BackendFor(name string) (Backend, error) {
+	if name == "" {
+		name = ArchUPMEM
 	}
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	b, ok := backends[arch]
-	if !ok {
-		return nil, fmt.Errorf("machine: no backend for architecture %q (have %v)", arch, backendNames())
+	i, err := arch(name)
+	if err != nil {
+		return nil, err
 	}
-	return b, nil
-}
-
-// backendNames lists the registered names sorted; callers hold backendMu.
-func backendNames() []string {
-	out := make([]string, 0, len(backends))
-	for n := range backends {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Backends lists the registered backend names, sorted.
-func Backends() []string {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	return backendNames()
+	return arches[i].backend, nil
 }

@@ -1,5 +1,5 @@
-// Package hbmpim is the bank-level SIMD/MAC execution model behind the
-// "hbm-pim" machine backend: an analytical-but-event-exact model of a
+// The bank-level SIMD/MAC execution model behind the "hbm-pim" machine
+// backend: an analytical-but-event-exact model of a
 // Samsung-HBM-PIM-style architecture where each memory channel hosts
 // processing units that execute MAC commands against all banks in lockstep
 // (or bank group by bank group), streaming operands out of open DRAM rows.
@@ -13,7 +13,8 @@
 // description, site count): deterministic, parallelism-invariant, and
 // therefore safe for the content-addressed store's byte-identical resume
 // contract.
-package hbmpim
+
+package machine
 
 import (
 	"context"
@@ -22,7 +23,6 @@ import (
 	"upim/internal/config"
 	"upim/internal/host"
 	"upim/internal/isa"
-	"upim/internal/machine"
 	"upim/internal/prim"
 	"upim/internal/stats"
 )
@@ -47,7 +47,7 @@ type shape struct {
 // shapeOf maps a PrIM benchmark at a scale to its bank-level shape. Only
 // the dense streaming kernels have an HBM-PIM mapping — the architecture
 // has no scalar control flow, so pointer-chasing and data-dependent
-// workloads (BFS, BS, NW, ...) are unsupported and filtered by Supports.
+// workloads (BFS, BS, NW, ...) are unsupported and refused by Check.
 func shapeOf(benchmark string, p prim.Params) (shape, bool) {
 	switch benchmark {
 	case "GEMV":
@@ -93,18 +93,19 @@ func shapeOf(benchmark string, p prim.Params) (shape, bool) {
 	return shape{}, false
 }
 
-// backend implements machine.Backend for the bank-level MAC model.
-type backend struct{}
+// hbmpimBackend implements Backend for the bank-level MAC model.
+type hbmpimBackend struct{}
 
-func init() { machine.Register(backend{}) }
-
-func (backend) Arch() string { return machine.ArchHBMPIM }
-
-func (backend) Describe() *machine.Desc { return machine.HBMPIM() }
-
-func (backend) Supports(benchmark string) bool {
-	_, ok := shapeOf(benchmark, prim.Params{})
-	return ok
+// Check accepts the benchmarks with a bank-level mapping (shapeOf) in the
+// scratchpad mode, under the UPMEM rule.
+func (hbmpimBackend) Check(w Workload) error {
+	if _, ok := shapeOf(w.Benchmark, prim.Params{}); !ok {
+		return fmt.Errorf("%w: %s has no bank-level MAC mapping", prim.ErrUnsupportedMode, w.Benchmark)
+	}
+	if w.Config.Mode != config.ModeScratchpad {
+		return fmt.Errorf("%w: hbm-pim models no %v mode", prim.ErrUnsupportedMode, w.Config.Mode)
+	}
+	return upmemBackend{}.Check(w)
 }
 
 // ceilDiv is integer ceiling division for positive divisors.
@@ -126,12 +127,12 @@ func siteShare(n, sites, i int) int {
 // `acts` row activations: the first activate pays tRCD, each further row
 // turnaround pays tRP+tRCD, every command occupies one tCCD-spaced slot,
 // and the tail pays CAS latency plus one burst.
-func siteCycles(d *machine.Desc, cmds, wbCmds, acts int) int {
+func siteCycles(d *Desc, cmds, wbCmds, acts int) int {
 	if acts == 0 {
 		return 0
 	}
 	spacing := d.TCCDL
-	if d.CommandMode == machine.CommandBankGroup {
+	if d.CommandMode == CommandBankGroup {
 		// Round-robin over groups: tCCD_S between groups, but a full
 		// rotation issues BankGroups commands per slot position.
 		spacing = d.BankGroups * d.TCCDS
@@ -143,18 +144,21 @@ func siteCycles(d *machine.Desc, cmds, wbCmds, acts int) int {
 // channels; the benchmark's operand stream is block-partitioned across
 // them and each site's command schedule is derived independently, so
 // per-site counters are exactly what a per-site simulation would produce.
-func (b backend) Run(ctx context.Context, w machine.Workload) (*prim.Result, error) {
+func (b hbmpimBackend) Run(ctx context.Context, w Workload) (*prim.Result, error) {
 	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := b.Check(w); err != nil {
 		return nil, err
 	}
 	d := w.Desc
 	if d == nil {
-		d = machine.HBMPIM()
+		d = HBMPIM()
 	}
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	if d.Arch != machine.ArchHBMPIM {
+	if d.Arch != ArchHBMPIM {
 		return nil, fmt.Errorf("hbmpim: backend handed a %q description", d.Arch)
 	}
 	if w.Sites <= 0 {
@@ -163,18 +167,12 @@ func (b backend) Run(ctx context.Context, w machine.Workload) (*prim.Result, err
 	if w.Sites > d.Channels {
 		return nil, fmt.Errorf("hbmpim: %d sites exceed the machine's %d channels", w.Sites, d.Channels)
 	}
-	bench, err := prim.ByName(w.Benchmark)
-	if err != nil {
-		return nil, err
-	}
+	bench, _ := prim.ByName(w.Benchmark) // Check knows the name
 	p, err := bench.Params(w.Scale)
 	if err != nil {
 		return nil, fmt.Errorf("hbmpim: %w", err)
 	}
-	sh, ok := shapeOf(w.Benchmark, p)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s has no bank-level MAC mapping", prim.ErrUnsupportedMode, w.Benchmark)
-	}
+	sh, _ := shapeOf(w.Benchmark, p)
 
 	banks := d.Banks()
 	cmdBytes := banks * d.ColumnBytes // bytes one all-bank command touches
@@ -250,7 +248,7 @@ func (b backend) Run(ctx context.Context, w machine.Workload) (*prim.Result, err
 
 	return &prim.Result{
 		Benchmark: w.Benchmark,
-		Arch:      machine.ArchHBMPIM,
+		Arch:      ArchHBMPIM,
 		Mode:      cfg.Mode,
 		Tasklets:  d.PUsPerRank * d.MACsPerPU,
 		DPUs:      w.Sites,

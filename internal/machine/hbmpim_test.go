@@ -1,4 +1,4 @@
-package hbmpim_test
+package machine_test
 
 import (
 	"context"

@@ -4,7 +4,7 @@
 // MACs/PU), memory levels, DRAM bank organisation and timing, command
 // scheduling granularity and host-link bandwidth — plus the Backend
 // execution interface both architectures implement (the cycle-exact UPMEM
-// core through an adapter, and the internal/hbmpim bank-level MAC model).
+// core through an adapter, and the bank-level MAC model of hbmpim.go).
 //
 // The shape follows UniNDP's hbm-pim.yaml-vs-UPMEM comparison (SNIPPETS.md):
 // one neutral description, several backends, one figure pipeline. A Desc
@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"upim/internal/config"
 	"upim/internal/httpjson"
@@ -118,13 +117,6 @@ func (d *Desc) ArchCost() float64 {
 		return math.Log2(float64(n))
 	}
 	return 0
-}
-
-// Clone returns a deep copy; mutating it never aliases the original.
-func (d *Desc) Clone() *Desc {
-	c := *d
-	c.MemLevels = append([]MemLevel(nil), d.MemLevels...)
-	return &c
 }
 
 // Validate checks the description for internal consistency.
@@ -274,30 +266,4 @@ func HBMPIM() *Desc {
 		HostToSiteBps: 8e9,
 		SiteToHostBps: 8e9,
 	}
-}
-
-// named maps architecture names to their committed descriptions.
-var named = map[string]func() *Desc{
-	ArchUPMEM:  UPMEM,
-	ArchHBMPIM: HBMPIM,
-}
-
-// Named returns a fresh copy of the committed description for an
-// architecture name.
-func Named(name string) (*Desc, error) {
-	f, ok := named[name]
-	if !ok {
-		return nil, fmt.Errorf("machine: unknown architecture %q (want one of %v)", name, Names())
-	}
-	return f(), nil
-}
-
-// Names lists the committed architecture names, sorted.
-func Names() []string {
-	out := make([]string, 0, len(named))
-	for n := range named {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

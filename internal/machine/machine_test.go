@@ -107,16 +107,6 @@ func TestDecodeTrailing(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	d := machine.UPMEM()
-	c := d.Clone()
-	c.MemLevels[0].Bytes = 1
-	c.FreqMHz = 1
-	if d.MemLevels[0].Bytes == 1 || d.FreqMHz == 1 {
-		t.Fatal("Clone aliases the original")
-	}
-}
-
 func TestLanesAndCost(t *testing.T) {
 	if got := machine.UPMEM().Lanes(); got != 1 {
 		t.Fatalf("UPMEM lanes = %d, want 1", got)
@@ -132,24 +122,24 @@ func TestLanesAndCost(t *testing.T) {
 	}
 }
 
+// TestBackendRegistry: every architecture name resolves to both a backend
+// and a description, "" selects the UPMEM backend, and an unknown name
+// fails.
 func TestBackendRegistry(t *testing.T) {
-	names := machine.Backends()
-	want := map[string]bool{machine.ArchUPMEM: true, machine.ArchHBMPIM: true}
-	for _, n := range names {
-		delete(want, n)
+	for _, n := range machine.Names() {
+		if _, err := machine.BackendFor(n); err != nil {
+			t.Errorf("BackendFor(%q): %v", n, err)
+		}
+		if _, err := machine.Named(n); err != nil {
+			t.Errorf("Named(%q): %v", n, err)
+		}
 	}
-	if len(want) > 0 {
-		t.Fatalf("registered backends %v missing %v", names, want)
-	}
-	if _, err := machine.BackendFor(""); err != nil {
-		t.Fatalf("BackendFor(\"\") should select the UPMEM backend: %v", err)
-	}
-	be, err := machine.BackendFor(machine.ArchHBMPIM)
+	upmem, err := machine.BackendFor(machine.ArchUPMEM)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if be.Arch() != machine.ArchHBMPIM {
-		t.Fatalf("BackendFor(hbm-pim) returned %q", be.Arch())
+	if be, err := machine.BackendFor(""); err != nil || be != upmem {
+		t.Fatalf("BackendFor(\"\") = %v, %v; want the UPMEM backend", be, err)
 	}
 	if _, err := machine.BackendFor("tpu"); err == nil {
 		t.Fatal("BackendFor should reject unknown architectures")

@@ -30,34 +30,21 @@ func Run(t *testing.T, arch string, pts []engine.Point) {
 	if len(pts) == 0 {
 		t.Fatal("machinetest: no points to run")
 	}
-	be, err := machine.BackendFor(arch)
-	if err != nil {
+	if _, err := machine.BackendFor(arch); err != nil {
 		t.Fatalf("machinetest: %v", err)
 	}
 
-	t.Run("Describe", func(t *testing.T) {
-		d := be.Describe()
-		if d == nil {
-			t.Fatal("Describe returned nil")
-		}
-		if err := d.Validate(); err != nil {
-			t.Fatalf("Describe returned an invalid description: %v", err)
-		}
-		if want := be.Arch(); d.Arch != want {
-			t.Fatalf("Describe returned arch %q, backend is %q", d.Arch, want)
-		}
-		// The description must be a fresh copy: mutating it must not leak
-		// into the backend's next answer.
-		d.Channels++
-		if be.Describe().Channels == d.Channels {
-			t.Fatal("Describe leaks a shared description (mutation visible on next call)")
-		}
-	})
-
 	t.Run("SupportsDeclaredPoints", func(t *testing.T) {
-		for _, p := range pts {
-			if !be.Supports(p.Benchmark) {
-				t.Fatalf("backend %q does not support benchmark %s of the conformance points", be.Arch(), p.Benchmark)
+		for i, p := range pts {
+			on := ""
+			if p.Machine != nil {
+				on = p.Machine.Arch
+			}
+			if on != arch {
+				t.Fatalf("point %d (%s) runs on %q, not on the backend under test %q", i, p.Benchmark, on, arch)
+			}
+			if err := p.Check(); err != nil {
+				t.Fatalf("backend %q refuses point %d (%s) of the conformance points: %v", arch, i, p.Benchmark, err)
 			}
 		}
 	})

@@ -12,19 +12,26 @@ import (
 // pre-backend engine path.
 type upmemBackend struct{}
 
-func init() { Register(upmemBackend{}) }
-
-func (upmemBackend) Arch() string { return ArchUPMEM }
-
-func (upmemBackend) Describe() *Desc { return UPMEM() }
-
-// Supports reports true for every PrIM benchmark the suite registers.
-func (upmemBackend) Supports(benchmark string) bool {
-	_, err := prim.ByName(benchmark)
-	return err == nil
+// Check accepts a known benchmark whose kernel can run the configuration on
+// its dataset (prim.Benchmark.Check) under a configuration that validates. A
+// scale outside the table has zero sizes, which pass the dataset rule: such a
+// point fails when it runs, not here.
+func (upmemBackend) Check(w Workload) error {
+	b, err := prim.ByName(w.Benchmark)
+	if err != nil {
+		return err
+	}
+	ds, _ := b.Params(w.Scale)
+	if err := b.Check(w.Config, ds); err != nil {
+		return err
+	}
+	return w.Config.Validate()
 }
 
-func (upmemBackend) Run(ctx context.Context, w Workload) (*prim.Result, error) {
+func (u upmemBackend) Run(ctx context.Context, w Workload) (*prim.Result, error) {
+	if err := u.Check(w); err != nil {
+		return nil, err
+	}
 	return prim.RunSpec(ctx, prim.Spec{
 		Benchmark: w.Benchmark,
 		Config:    w.Config,
