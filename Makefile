@@ -174,7 +174,9 @@ energy-check:
 # its own store (must be fully cached and byte-identical); re-run at -jobs 8
 # against a fresh store (parallelism must be invisible byte for byte); and
 # cross-checked against the crossarch figure experiment, which computes the
-# same frontier through internal/figures.
+# same frontier through internal/figures. Last, HBM-PIM's Check must refuse the
+# UPMEM-only link and ILP levels: of the 8 raw points only the 4 UPMEM ones
+# and the default-configuration hbm-pim one are feasible.
 arch-check:
 	rm -rf $(W)/archstore $(W)/archstore8 $(W)/archreport1 $(W)/archreport2 $(W)/archreport8 $(W)/arch-resume.log
 	mkdir -p $(W)
@@ -186,6 +188,7 @@ arch-check:
 	diff -r $(W)/archreport1 $(W)/archreport2
 	diff -r $(W)/archreport1 $(W)/archreport8
 	$(GO) run ./cmd/figures -exp crossarch -scale tiny -check -eps 1e-12
+	$(GO) run ./cmd/pathfind -bench GEMV -axes "arch=upmem,hbm-pim;link=1,4;ilp=base,DRSF" -scale tiny -plan 2>&1 | grep "5 feasible points (8 raw)"
 
 # calibration-check mirrors the CI job: refit the analytical estimator's
 # calibration from scratch against the cycle-exact simulator and verify the

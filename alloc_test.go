@@ -104,7 +104,7 @@ func TestWarmRunHostAllocs(t *testing.T) {
 		{"Run/SEL", 16, run(tiny, "SEL")},   // verification walks per-tasklet regions
 		{"Experiment/table1", 50, experiment("table1")},
 		{"Experiment/table2", 59, experiment("table2")},
-		{"Explore/hbm-pim", 93, func() error {
+		{"Explore/hbm-pim", 81, func() error {
 			x, err := upim.Explore(ctx, hbm, upim.ExploreOptions{Parallelism: 1})
 			if err != nil {
 				return err

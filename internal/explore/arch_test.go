@@ -44,8 +44,8 @@ func TestParseAxesArch(t *testing.T) {
 }
 
 // TestArchFeasibility pins the cross-architecture space rules: benchmarks
-// without a bank-level mapping, and non-baseline memory modes, exist only
-// on the UPMEM levels.
+// without a bank-level mapping, any configuration but the default, and more
+// sites than the machine has channels exist only on the UPMEM levels.
 func TestArchFeasibility(t *testing.T) {
 	s := NewSpace([]string{"GEMV", "BFS"}, Archs(machine.ArchUPMEM, machine.ArchHBMPIM))
 	s.Scale = prim.ScaleTiny
@@ -77,6 +77,38 @@ func TestArchFeasibility(t *testing.T) {
 	for _, p := range pts2 {
 		if p.Labels[0] == "hbm-pim" && p.EP.Config.Mode != config.ModeScratchpad {
 			t.Fatalf("hbm-pim point escaped with mode %v: %s", p.EP.Config.Mode, p.Design)
+		}
+	}
+
+	// The link and ILP axes describe the UPMEM core too: of the hbm-pim
+	// levels only the default link and ILP survive, and more DPUs than
+	// HBM-PIM's channels survive only on the UPMEM levels.
+	for spec, want := range map[string][]string{
+		"arch=upmem,hbm-pim;link=1,4;ilp=base,DRSF": {
+			"arch=upmem link=x1 ilp=base", "arch=upmem link=x1 ilp=DRSF",
+			"arch=upmem link=x4 ilp=base", "arch=upmem link=x4 ilp=DRSF",
+			"arch=hbm-pim link=x1 ilp=base",
+		},
+		"arch=upmem,hbm-pim;dpus=64,65": {
+			"arch=upmem dpus=64", "arch=upmem dpus=65", "arch=hbm-pim dpus=64",
+		},
+	} {
+		axes, err := ParseAxes(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewSpace([]string{"GEMV"}, axes...)
+		s.Scale = prim.ScaleTiny
+		pts, err := s.Points()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, p := range pts {
+			got = append(got, p.Design)
+		}
+		if strings.Join(got, "|") != strings.Join(want, "|") {
+			t.Errorf("%s: points %q, want %q", spec, got, want)
 		}
 	}
 }

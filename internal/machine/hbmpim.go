@@ -17,7 +17,9 @@
 package machine
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
 
 	"upim/internal/config"
@@ -96,16 +98,39 @@ func shapeOf(benchmark string, p prim.Params) (shape, bool) {
 // hbmpimBackend implements Backend for the bank-level MAC model.
 type hbmpimBackend struct{}
 
-// Check accepts the benchmarks with a bank-level mapping (shapeOf) in the
-// scratchpad mode, under the UPMEM rule.
+// ErrTooManySites reports a workload that engages more compute sites than
+// its machine description has channels.
+var ErrTooManySites = errors.New("machine: more sites than channels")
+
+// hbmpimDefault is the description a workload without one runs on; Check
+// and Run only read it.
+var hbmpimDefault = HBMPIM()
+
+// Check accepts a benchmark with a bank-level mapping (shapeOf) on one to
+// Channels sites of a valid HBM-PIM description, under config.Default()
+// only: the model reads no Config field, so a memory mode, ILP feature,
+// link or clock setting would be ignored, not modelled.
 func (hbmpimBackend) Check(w Workload) error {
 	if _, ok := shapeOf(w.Benchmark, prim.Params{}); !ok {
 		return fmt.Errorf("%w: %s has no bank-level MAC mapping", prim.ErrUnsupportedMode, w.Benchmark)
 	}
-	if w.Config.Mode != config.ModeScratchpad {
-		return fmt.Errorf("%w: hbm-pim models no %v mode", prim.ErrUnsupportedMode, w.Config.Mode)
+	if w.Config != config.Default() {
+		return fmt.Errorf("%w: hbm-pim models only the default configuration", prim.ErrUnsupportedMode)
 	}
-	return upmemBackend{}.Check(w)
+	d := cmp.Or(w.Desc, hbmpimDefault)
+	if err := d.Validate(); err != nil {
+		return err
+	}
+	if d.Arch != ArchHBMPIM {
+		return fmt.Errorf("hbmpim: backend handed a %q description", d.Arch)
+	}
+	if w.Sites <= 0 {
+		return fmt.Errorf("hbmpim: need at least one site, got %d", w.Sites)
+	}
+	if w.Sites > d.Channels {
+		return fmt.Errorf("%w: %d sites exceed the machine's %d channels", ErrTooManySites, w.Sites, d.Channels)
+	}
+	return nil
 }
 
 // ceilDiv is integer ceiling division for positive divisors.
@@ -151,23 +176,8 @@ func (b hbmpimBackend) Run(ctx context.Context, w Workload) (*prim.Result, error
 	if err := b.Check(w); err != nil {
 		return nil, err
 	}
-	d := w.Desc
-	if d == nil {
-		d = HBMPIM()
-	}
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	if d.Arch != ArchHBMPIM {
-		return nil, fmt.Errorf("hbmpim: backend handed a %q description", d.Arch)
-	}
-	if w.Sites <= 0 {
-		return nil, fmt.Errorf("hbmpim: need at least one site, got %d", w.Sites)
-	}
-	if w.Sites > d.Channels {
-		return nil, fmt.Errorf("hbmpim: %d sites exceed the machine's %d channels", w.Sites, d.Channels)
-	}
-	bench, _ := prim.ByName(w.Benchmark) // Check knows the name
+	d := cmp.Or(w.Desc, hbmpimDefault)
+	bench, _ := prim.ByName(w.Benchmark) // shapeOf maps suite benchmarks only
 	p, err := bench.Params(w.Scale)
 	if err != nil {
 		return nil, fmt.Errorf("hbmpim: %w", err)

@@ -129,8 +129,28 @@ func TestTooManySites(t *testing.T) {
 	d := machine.HBMPIM()
 	_, err := engine.New(1).Run(context.Background(),
 		engine.Point{Benchmark: "VA", Config: config.Default(), DPUs: d.Channels + 1, Scale: prim.ScaleTiny, Machine: d})
-	if err == nil || !strings.Contains(err.Error(), "exceed") {
-		t.Fatalf("want a sites-exceed-channels error, got %v", err)
+	if !errors.Is(err, machine.ErrTooManySites) || !strings.Contains(err.Error(), "exceed") {
+		t.Fatalf("want ErrTooManySites naming the sites that exceed the channels, got %v", err)
+	}
+}
+
+// TestRefusesUPMEMSettings: the model reads no Config field, so a run under
+// any UPMEM setting but the defaults — here the cache memory mode, an ILP
+// feature and a wider link — fails with ErrUnsupportedMode instead of
+// returning the default configuration's result.
+func TestRefusesUPMEMSettings(t *testing.T) {
+	for name, set := range map[string]func(*config.Config){
+		"cache": func(c *config.Config) { c.Mode = config.ModeCache },
+		"ilp":   func(c *config.Config) { *c = c.WithILP("D") },
+		"link":  func(c *config.Config) { c.LinkBytesPerCycle *= 4 },
+	} {
+		cfg := config.Default()
+		set(&cfg)
+		r, err := engine.New(1).Run(context.Background(),
+			engine.Point{Benchmark: "GEMV", Config: cfg, DPUs: 1, Scale: prim.ScaleTiny, Machine: machine.HBMPIM()})
+		if !errors.Is(err, prim.ErrUnsupportedMode) {
+			t.Errorf("%s: want ErrUnsupportedMode, got result %v and error %v", name, r != nil, err)
+		}
 	}
 }
 

@@ -145,13 +145,14 @@ func (d *Desc) Validate() error {
 		{d.DRAMFreqMHz > 0, "DRAM frequency must be positive"},
 		{d.TRCD > 0 && d.TRP > 0 && d.TCL > 0 && d.TBL > 0, "DRAM timing parameters must be positive"},
 		{d.TCCDL > 0 && d.TCCDS > 0, "command spacing (tCCD_L/tCCD_S) must be positive"},
-		{d.CommandMode == "" || d.CommandMode == CommandAllBank || d.CommandMode == CommandBankGroup,
-			fmt.Sprintf("unknown command mode %q (want %q or %q)", d.CommandMode, CommandAllBank, CommandBankGroup)},
 		{d.HostToSiteBps > 0 && d.SiteToHostBps > 0, "host link bandwidth must be positive"},
 	} {
 		if !c.ok {
 			return fmt.Errorf("machine: %s description: %s", d.Arch, c.what)
 		}
+	}
+	if m := d.CommandMode; m != "" && m != CommandAllBank && m != CommandBankGroup {
+		return fmt.Errorf("machine: %s description: unknown command mode %q (want %q or %q)", d.Arch, m, CommandAllBank, CommandBankGroup)
 	}
 	for _, m := range d.MemLevels {
 		if m.Name == "" || m.Bytes <= 0 || m.BytesPerCycle <= 0 {
