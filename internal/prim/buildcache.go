@@ -20,8 +20,8 @@ import (
 // twice.
 type BuildCache struct {
 	mu    sync.Mutex
-	objs  map[objKey]*objEntry
-	progs map[progKey]*progEntry
+	objs  map[objKey]*entry[*linker.Object]
+	progs map[progKey]*entry[*linker.Program]
 
 	builds atomic.Int64
 	links  atomic.Int64
@@ -31,8 +31,8 @@ type BuildCache struct {
 // NewBuildCache returns an empty cache.
 func NewBuildCache() *BuildCache {
 	return &BuildCache{
-		objs:  make(map[objKey]*objEntry),
-		progs: make(map[progKey]*progEntry),
+		objs:  make(map[objKey]*entry[*linker.Object]),
+		progs: make(map[progKey]*entry[*linker.Program]),
 	}
 }
 
@@ -73,42 +73,45 @@ type progKey struct {
 	stack     int
 }
 
-type objEntry struct {
+// entry is one key's build: done closes once v and err are final.
+type entry[V any] struct {
 	done chan struct{}
-	obj  *linker.Object
+	v    V
 	err  error
 }
 
-type progEntry struct {
-	done chan struct{}
-	prog *linker.Program
-	err  error
+// once returns the value m holds for k, running build for it at most once
+// and counting the build in built. A request that finds the key, built or in
+// flight, counts a hit and waits for it.
+func once[K comparable, V any](c *BuildCache, m map[K]*entry[V], k K, built *atomic.Int64, build func() (V, error)) (V, error) {
+	c.mu.Lock()
+	e, ok := m[k]
+	if ok {
+		c.mu.Unlock()
+		c.hits.Add(1)
+		<-e.done
+		return e.v, e.err
+	}
+	e = &entry[V]{done: make(chan struct{})}
+	m[k] = e
+	c.mu.Unlock()
+
+	e.v, e.err = build()
+	built.Add(1)
+	close(e.done)
+	return e.v, e.err
 }
 
 // object returns the assembled object for (b, mode), building it at most
 // once.
 func (c *BuildCache) object(b *Benchmark, mode config.Mode) (*linker.Object, error) {
-	k := objKey{b.Name, mode}
-	c.mu.Lock()
-	e, ok := c.objs[k]
-	if ok {
-		c.mu.Unlock()
-		c.hits.Add(1)
-		<-e.done
-		return e.obj, e.err
-	}
-	e = &objEntry{done: make(chan struct{})}
-	c.objs[k] = e
-	c.mu.Unlock()
-
-	obj, err := b.Build(mode)
-	c.builds.Add(1)
-	if err != nil {
-		err = fmt.Errorf("build: %w", err)
-	}
-	e.obj, e.err = obj, err
-	close(e.done)
-	return e.obj, e.err
+	return once(c, c.objs, objKey{b.Name, mode}, &c.builds, func() (*linker.Object, error) {
+		obj, err := b.Build(mode)
+		if err != nil {
+			return nil, fmt.Errorf("build: %w", err)
+		}
+		return obj, nil
+	})
 }
 
 // program returns the linked program for (b, cfg), assembling and linking at
@@ -134,20 +137,5 @@ func (c *BuildCache) program(b *Benchmark, cfg config.Config) (*linker.Program, 
 		tasklets:  cfg.NumTasklets,
 		stack:     cfg.StackBytes,
 	}
-	c.mu.Lock()
-	e, ok := c.progs[k]
-	if ok {
-		c.mu.Unlock()
-		c.hits.Add(1)
-		<-e.done
-		return e.prog, e.err
-	}
-	e = &progEntry{done: make(chan struct{})}
-	c.progs[k] = e
-	c.mu.Unlock()
-
-	e.prog, e.err = linker.Link(obj, cfg)
-	c.links.Add(1)
-	close(e.done)
-	return e.prog, e.err
+	return once(c, c.progs, k, &c.links, func() (*linker.Program, error) { return linker.Link(obj, cfg) })
 }
