@@ -27,9 +27,9 @@ type Point struct {
 
 // Space is a design space: the Cartesian product of axis levels over a base
 // configuration, instantiated for every benchmark, minus the combinations
-// that are infeasible (no kernel variant for the mode, tasklet count over
-// the benchmark's WRAM limit, or a configuration that fails validation) or
-// rejected by user constraints.
+// the point's machine backend refuses (machine.Backend.Check: on UPMEM no
+// kernel for the mode, too many tasklets, an invalid configuration) or user
+// constraints reject.
 type Space struct {
 	// Benchmarks are the PrIM workloads to explore.
 	Benchmarks []string

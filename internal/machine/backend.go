@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 
@@ -89,12 +90,46 @@ func Names() []string {
 // BackendFor returns the backend for an architecture name ("" selects the
 // native UPMEM backend).
 func BackendFor(name string) (Backend, error) {
-	if name == "" {
-		name = ArchUPMEM
-	}
-	i, err := arch(name)
+	i, err := arch(cmp.Or(name, ArchUPMEM))
 	if err != nil {
 		return nil, err
 	}
 	return arches[i].backend, nil
+}
+
+// upmemBackend adapts the existing cycle-exact UPMEM core to the Backend
+// interface: it is a thin pass-through to prim.RunSpec, so every figure,
+// store entry and artifact produced through it is bit-identical to the
+// pre-backend engine path.
+type upmemBackend struct{}
+
+// Check accepts a known benchmark whose kernel can run the configuration on
+// its dataset (prim.Benchmark.Check) under a configuration that validates. A
+// scale outside the table has zero sizes, which pass the dataset rule: such a
+// point fails when it runs, not here.
+func (upmemBackend) Check(w Workload) error {
+	b, err := prim.ByName(w.Benchmark)
+	if err != nil {
+		return err
+	}
+	ds, _ := b.Params(w.Scale)
+	if err := b.Check(w.Config, ds); err != nil {
+		return err
+	}
+	return w.Config.Validate()
+}
+
+func (u upmemBackend) Run(ctx context.Context, w Workload) (*prim.Result, error) {
+	if err := u.Check(w); err != nil {
+		return nil, err
+	}
+	return prim.RunSpec(ctx, prim.Spec{
+		Benchmark: w.Benchmark,
+		Config:    w.Config,
+		DPUs:      w.Sites,
+		Scale:     w.Scale,
+		Watchdog:  w.Watchdog,
+		Cache:     w.Cache,
+		Arena:     w.Arena,
+	})
 }

@@ -16,7 +16,6 @@ import (
 
 	"upim/internal/energy"
 	"upim/internal/engine"
-	"upim/internal/machine"
 	"upim/internal/prim"
 	"upim/internal/stats"
 )
@@ -30,10 +29,6 @@ func Run(t *testing.T, arch string, pts []engine.Point) {
 	if len(pts) == 0 {
 		t.Fatal("machinetest: no points to run")
 	}
-	if _, err := machine.BackendFor(arch); err != nil {
-		t.Fatalf("machinetest: %v", err)
-	}
-
 	t.Run("SupportsDeclaredPoints", func(t *testing.T) {
 		for i, p := range pts {
 			on := ""

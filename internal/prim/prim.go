@@ -147,7 +147,7 @@ func (b *Benchmark) hasKernel(mode config.Mode) error {
 // static is sized for, fails with ErrTooManyTasklets, a mode without a
 // kernel with ErrUnsupportedMode, then a dataset the kernel cannot stage
 // with ErrDatasetTooLarge. RunSpec asks it before anything launches, and the
-// explorer's feasibility asks it too.
+// UPMEM backend's Check, which the explorer's feasibility asks, does too.
 func (b *Benchmark) Check(cfg config.Config, p Params) error {
 	if cfg.Mode != config.ModeSIMT && cfg.NumTasklets > kbuild.MaxTasklets {
 		return fmt.Errorf("%w: %s supports at most %d tasklets (WRAM footprint), got %d",
