@@ -49,7 +49,7 @@ func simulate(fs *flag.FlagSet) func(context.Context) error {
 		sim     cli.Sim
 		rep     cli.Report // only -out: the suite has no committed references to check
 		kernel  = fs.String("kernel", "VA", "PrIM benchmark name ("+strings.Join(upim.Benchmarks(), ", ")+"), or all for the suite")
-		threads = fs.Int("threads", 16, "tasklets per DPU (1-16 for PrIM kernels)")
+		threads = fs.Int("threads", 16, "tasklets per DPU (1-16 for PrIM kernels); under -mode simt, warps of 16 lanes")
 		dpus    = fs.Int("dpus", 1, "number of DPUs")
 		mode    = fs.String("mode", "scratchpad", "memory model: scratchpad, cache or simt (GEMV only)")
 		ilp     = fs.String("ilp", "", "ILP features, a subset of DRSF or base (Fig 12)")
@@ -72,7 +72,7 @@ func simulate(fs *flag.FlagSet) func(context.Context) error {
 		}
 		if cfg.Mode == upim.ModeSIMT {
 			cfg.SIMTCoalesce = true
-			tasklets = 16 * 16
+			tasklets *= cfg.SIMTWidth // -threads counts warps, as the tasklets axis does
 		}
 		features, err := config.ParseILP(*ilp)
 		if err != nil {

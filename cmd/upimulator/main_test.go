@@ -110,6 +110,19 @@ func TestILPBase(t *testing.T) {
 	}
 }
 
+// TestSIMTThreadsCountWarps: under -mode simt, -threads counts warps of
+// SIMTWidth lanes, as the explorer's tasklets axis reads it, so four warps
+// launch 64 lanes.
+func TestSIMTThreadsCountWarps(t *testing.T) {
+	code, out := capture(t, strings.Fields("-kernel GEMV -scale tiny -mode simt -threads 4"))
+	if code != 0 {
+		t.Fatalf("exit %d", code)
+	}
+	if first, _, _ := strings.Cut(string(out), "\n"); !strings.Contains(first, " 64 tasklets ") {
+		t.Errorf("-threads 4 under simt prints %q, want 64 tasklets", first)
+	}
+}
+
 // capture runs upimulator with args and returns its exit code and stdout.
 func capture(t *testing.T, args []string) (int, []byte) {
 	t.Helper()

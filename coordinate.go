@@ -63,9 +63,8 @@ type CoordinatorOptions = coord.CoordinatorOptions
 // served to remote workers: the lease protocol for the space plus the result
 // store under /v1/, composed on one mux so `pathfind work -connect URL` needs
 // a single address. The exploration's watchdog travels in the spec so
-// workers compute identical store keys. Only spaces a worker can rebuild
-// from the wire spec are served: a space with programmatic Constrain
-// filters, a mutated Base config or a custom axis is refused.
+// workers compute identical store keys. A space is exactly what its wire
+// spec carries, so every worker rebuilds the points the coordinator shards.
 func ServeCoordinator(space *DesignSpace, backend StoreBackend, watchdog uint64, copts CoordinatorOptions, events io.Writer) (http.Handler, *CoordHandle, error) {
 	if events != nil {
 		copts.Events = coord.NewLog(events)

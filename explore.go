@@ -17,8 +17,8 @@ import (
 // first conventionally the baseline.
 type DesignAxis = explore.Axis
 
-// DesignSpace is the constrained Cartesian product of axis levels over a
-// base configuration and a set of benchmarks.
+// DesignSpace is the Cartesian product of axis levels over the Table I
+// configuration and a set of benchmarks, minus the points a backend refuses.
 type DesignSpace = explore.Space
 
 // DesignPoint is one fully-resolved point of a design space.
@@ -42,9 +42,8 @@ type ExploreGoal = explore.Goal
 // resumable explorations.
 type ResultStore = explore.Store
 
-// NewDesignSpace builds a design space over the Table I base configuration
-// at ScaleSmall; mutate the exported fields to change base config, scale or
-// DPU count, and Constrain to drop points.
+// NewDesignSpace builds a design space over the Table I configuration at
+// ScaleSmall on one DPU; set Scale or DPUs to change either.
 func NewDesignSpace(benchmarks []string, axes ...DesignAxis) *DesignSpace {
 	return explore.NewSpace(benchmarks, axes...)
 }

@@ -5,34 +5,41 @@ import (
 
 	"upim/internal/asm"
 	"upim/internal/config"
-	"upim/internal/engine"
 	"upim/internal/explore"
 	"upim/internal/isa"
 	"upim/internal/linker"
 )
 
-// fuzzAxes mirror the design axes the pathfinding explorer feeds into the
-// toolchain, so the fuzzer links every accepted source under the same
-// configuration variety an exploration produces.
-var fuzzAxes = []explore.Axis{
-	explore.Tasklets(1, 4, 16, 24),
-	explore.FrequencyMHz(175, 350, 700),
-	explore.LinkScale(1, 2, 4),
-	explore.ILP("base", "D", "DR", "DRS", "DRSF"),
-	explore.Modes(config.ModeScratchpad, config.ModeCache, config.ModeSIMT),
-}
-
-// fuzzConfig picks one level per axis from the fuzzer's bytes.
-func fuzzConfig(picks []byte) config.Config {
-	p := engine.Point{Config: config.Default()}
-	for i, a := range fuzzAxes {
-		var pick byte
-		if i < len(picks) {
-			pick = picks[i]
-		}
-		a.Levels[int(pick)%len(a.Levels)].Apply(&p)
+// fuzzConfigs are the configurations an exploration of GEMV (the one
+// benchmark with a kernel in all three memory modes) hands the toolchain
+// over these axes: the feasible points only, SIMT tasklets expanded to
+// lanes, exactly as Space.Points produces them.
+var fuzzConfigs = func() []config.Config {
+	pts, err := explore.NewSpace([]string{"GEMV"},
+		explore.Tasklets(1, 4, 16, 24),
+		explore.FrequencyMHz(175, 350, 700),
+		explore.LinkScale(1, 2, 4),
+		explore.ILP("base", "D", "DR", "DRS", "DRSF"),
+		explore.Modes(config.ModeScratchpad, config.ModeCache, config.ModeSIMT),
+	).Points()
+	if err != nil {
+		panic(err)
 	}
-	return p.Config
+	cfgs := make([]config.Config, len(pts))
+	for i, p := range pts {
+		cfgs[i] = p.EP.Config
+	}
+	return cfgs
+}()
+
+// fuzzConfig picks one configuration from the fuzzer's bytes, read as a
+// big-endian index.
+func fuzzConfig(picks []byte) config.Config {
+	i := 0
+	for _, b := range picks {
+		i = (i<<8 | int(b)) % len(fuzzConfigs)
+	}
+	return fuzzConfigs[i]
 }
 
 // FuzzAssembleLinkRoundTrip feeds arbitrary source through the

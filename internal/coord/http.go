@@ -14,11 +14,8 @@ import (
 )
 
 // SpaceSpec is the serializable description of a design space the lease
-// protocol ships to remote workers. It covers spaces over the default base
-// configuration and the built-in axes; programmatic Constrain filters,
-// mutated base configs and custom axes cannot travel over the wire — a
-// worker handed such a space would simulate different points than the
-// coordinator sharded, so SpecFor refuses them.
+// protocol ships to remote workers: the space's four fields, its axes in
+// the ParseAxes grammar, plus the exploration's watchdog.
 type SpaceSpec struct {
 	Benchmarks []string `json:"benchmarks"`
 	// Axes is the FormatAxes form of the space's design axes; empty means an
@@ -32,12 +29,11 @@ type SpaceSpec struct {
 }
 
 // SpecFor captures a space (plus the exploration watchdog) as a wire spec.
-// It rebuilds the space from the spec, as a worker will, and refuses unless
-// every point comes back with the same store key in the same order.
+// A space holds nothing its spec does not carry — built-in axes, which
+// FormatAxes inverts exactly, over config.Default() — so the projection is
+// the whole space. SpecFor parses the spec back as a worker will, refusing
+// one no worker could rebuild (no benchmarks, a scale outside the table).
 func SpecFor(space *explore.Space, watchdog uint64) (SpaceSpec, error) {
-	if space.Constrained() {
-		return SpaceSpec{}, fmt.Errorf("coord: constrained spaces cannot be served to remote workers (constraints are functions and do not serialize); filter with axis levels instead")
-	}
 	spec := SpaceSpec{
 		Benchmarks: space.Benchmarks,
 		Axes:       explore.FormatAxes(space.Axes),
@@ -45,26 +41,8 @@ func SpecFor(space *explore.Space, watchdog uint64) (SpaceSpec, error) {
 		DPUs:       space.DPUs,
 		Watchdog:   watchdog,
 	}
-	want, err := space.Points()
-	if err != nil {
+	if _, err := spec.Space(); err != nil {
 		return SpaceSpec{}, err
-	}
-	back, err := spec.Space()
-	if err != nil {
-		return SpaceSpec{}, err
-	}
-	got, err := back.Points()
-	if err != nil {
-		return SpaceSpec{}, err
-	}
-	if len(got) != len(want) {
-		return SpaceSpec{}, fmt.Errorf("coord: the space spec rebuilds %d points, not %d", len(got), len(want))
-	}
-	for i := range want {
-		if explore.KeyOf(got[i].EP) != explore.KeyOf(want[i].EP) {
-			return SpaceSpec{}, fmt.Errorf("coord: point %d (%s %s) is a different simulation once rebuilt from the space spec; only spaces over the default base config and built-in axes can be served to remote workers",
-				i, want[i].Benchmark, want[i].Design)
-		}
 	}
 	return spec, nil
 }
@@ -149,8 +127,8 @@ func (s *Server) Register(mux *http.ServeMux) {
 // backend's result store under /v1/, on one mux so `pathfind work -connect
 // URL` needs a single address (the lease routes are more specific, so they
 // win). The exploration's watchdog travels in the spec so workers compute
-// identical store keys. A space its spec cannot rebuild point for point is
-// refused (SpecFor).
+// identical store keys. A spec no worker could parse back is refused
+// (SpecFor).
 func Handler(space *explore.Space, backend explore.Backend, watchdog uint64, opts CoordinatorOptions) (http.Handler, *Coordinator, error) {
 	spec, err := SpecFor(space, watchdog)
 	if err != nil {

@@ -14,8 +14,11 @@ import (
 	"upim/internal/serve"
 )
 
-// Level is one setting of a design axis: a display label, the mutation it
-// applies to a simulation point, and a unitless hardware-cost contribution.
+// Level is one setting of a design axis: a display label, a unitless
+// hardware-cost contribution, and the mutation it applies to a simulation
+// point. Every level comes from the builtins table, through ParseAxes or a
+// typed constructor, so a level's mutation is always what its axis name and
+// spec value say, and FormatAxes can spell it back.
 //
 // Costs follow one convention across all built-in axes so Pareto frontiers
 // over (time, cost) are meaningful: the baseline level costs 0 and each
@@ -25,10 +28,11 @@ import (
 type Level struct {
 	Label string
 	Cost  float64
-	Apply func(*engine.Point)
 
-	// value is the spec value ParseAxes reads the level back from when it
-	// is not the label (a link level labelled "x4" is spec value "4").
+	apply func(*engine.Point)
+	// value is the spec value ParseAxes reads the level back from (a link
+	// level labelled "x4" is spec value "4"). It is fixed when the level is
+	// built, so relabelling a level for display cannot change its spec.
 	value string
 }
 
@@ -40,16 +44,6 @@ type Level struct {
 type Axis struct {
 	Name   string
 	Levels []Level
-}
-
-// NewAxis builds a custom axis from explicit levels. The built-in
-// constructors below cover the paper's pathfinding dimensions; NewAxis is
-// the escape hatch for sweeping any other config.Config field.
-func NewAxis(name string, levels ...Level) Axis {
-	if name == "" || len(levels) == 0 {
-		panic("explore: axis needs a name and at least one level")
-	}
-	return Axis{Name: name, Levels: levels}
 }
 
 type builtin struct {
@@ -91,6 +85,7 @@ func buildAxis[T any](name string, values []T) (Axis, error) {
 		if err != nil {
 			return Axis{}, fmt.Errorf("explore: axis %q: %w", name, err)
 		}
+		l.value = cmp.Or(l.value, l.Label)
 		a.Levels = append(a.Levels, l)
 	}
 	return a, nil
@@ -137,7 +132,7 @@ func Modes(modes ...config.Mode) Axis { return must(buildAxis("mode", modes)) }
 func Archs(names ...string) Axis { return must(buildAxis("arch", names)) }
 
 // Policies sweeps the serving scheduler GoalP99 scores a point under
-// (serve.NewPolicy). Host software: free, with a no-op Apply, so all levels
+// (serve.NewPolicy). Host software: free, with a no-op mutation, so all levels
 // share one store key and a sweep over N policies simulates once.
 func Policies(names ...string) Axis { return must(buildAxis("policy", names)) }
 
@@ -151,7 +146,7 @@ func counted(format string, cost func(int) (float64, error), apply func(*engine.
 		}
 		c, err := cost(n)
 		return Level{Label: fmt.Sprintf(format, n), Cost: c, value: strconv.Itoa(n),
-			Apply: func(p *engine.Point) { apply(p, n) }}, err
+			apply: func(p *engine.Point) { apply(p, n) }}, err
 	}
 }
 
@@ -168,28 +163,28 @@ func freqCost(f int) (float64, error) {
 
 func archLevel(name string) (Level, error) {
 	if name == machine.ArchUPMEM {
-		return Level{Label: name, Apply: func(p *engine.Point) { p.Machine = nil }}, nil
+		return Level{Label: name, apply: func(p *engine.Point) { p.Machine = nil }}, nil
 	}
 	desc, err := machine.Named(name)
 	if err != nil {
 		return Level{}, err
 	}
-	return Level{Label: name, Cost: desc.ArchCost(), Apply: func(p *engine.Point) { p.Machine = desc }}, nil
+	return Level{Label: name, Cost: desc.ArchCost(), apply: func(p *engine.Point) { p.Machine = desc }}, nil
 }
 
 func ilpLevel(v string) (Level, error) {
 	features, err := config.ParseILP(v)
 	return Level{Label: cmp.Or(features, "base"), Cost: float64(len(features)),
-		Apply: func(p *engine.Point) { p.Config = p.Config.WithILP(features) }}, err
+		apply: func(p *engine.Point) { p.Config = p.Config.WithILP(features) }}, err
 }
 
 func modeLevel(v string) (Level, error) {
 	m, err := config.ParseMode(v)
 	cost := [...]float64{config.ModeScratchpad: 0, config.ModeCache: 1, config.ModeSIMT: 2}[m]
-	return Level{Label: m.String(), Cost: cost, Apply: func(p *engine.Point) { p.Config.Mode = m }}, err
+	return Level{Label: m.String(), Cost: cost, apply: func(p *engine.Point) { p.Config.Mode = m }}, err
 }
 
 func policyLevel(name string) (Level, error) {
 	_, err := serve.NewPolicy(name, nil)
-	return Level{Label: name, Apply: func(*engine.Point) {}}, err
+	return Level{Label: name, apply: func(*engine.Point) {}}, err
 }

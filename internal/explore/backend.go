@@ -56,13 +56,9 @@ func (noStore) PutEstimate(string, engine.Point, *estimate.Estimate) error { ret
 func (noStore) Stats() StoreStats                                          { return StoreStats{} }
 func (noStore) Count() (int, error)                                        { return 0, nil }
 
-// resolveBackend maps a nil Options.Store (or a typed-nil *Store, which the
-// pre-interface API accepted) to the no-op backend.
+// resolveBackend maps a nil Options.Store to the no-op backend.
 func resolveBackend(b Backend) Backend {
 	if b == nil {
-		return noStore{}
-	}
-	if s, ok := b.(*Store); ok && s == nil {
 		return noStore{}
 	}
 	return b

@@ -1,8 +1,8 @@
 // Package explore is the pathfinding design-space explorer — the paper's
-// headline methodology turned into a subsystem. A Space is the constrained
-// Cartesian product of typed design axes (tasklets, DPUs, frequency,
-// MRAM-link scale, the ILP feature ladder, memory-hierarchy mode) over a
-// base configuration and a set of benchmarks; an Explorer drives every point
+// headline methodology turned into a subsystem. A Space is the Cartesian
+// product of typed design axes (tasklets, DPUs, frequency, MRAM-link scale,
+// the ILP feature ladder, memory-hierarchy mode) over the default
+// configuration and a set of benchmarks, minus what the backends refuse; an Explorer drives every point
 // of a space through the concurrent sweep engine, backed by a persistent
 // content-addressed result Store so interrupted or repeated explorations
 // resume instantly and a point is never simulated twice — not even across

@@ -1,7 +1,6 @@
 package explore
 
 import (
-	"cmp"
 	"fmt"
 	"strings"
 
@@ -49,17 +48,16 @@ func ParseAxes(spec string) ([]Axis, error) {
 	return axes, nil
 }
 
-// FormatAxes renders axes back into the ParseAxes grammar. For the built-in
-// axes this is a true inverse: ParseAxes(FormatAxes(axes)) reconstructs the
-// same names, level labels and costs — the round-trip property FuzzParseAxes
-// pins down. Custom axes format on a best-effort basis (their labels may not
-// re-parse).
+// FormatAxes renders axes back into the ParseAxes grammar, its exact
+// inverse: every level is built in and keeps the spec value it was built
+// from, so ParseAxes(FormatAxes(axes)) reconstructs the axes as built —
+// names, labels, costs and mutations; FuzzParseAxes pins the round trip.
 func FormatAxes(axes []Axis) string {
 	parts := make([]string, len(axes))
 	for i, a := range axes {
 		vals := make([]string, len(a.Levels))
 		for j, l := range a.Levels {
-			vals[j] = cmp.Or(l.value, l.Label)
+			vals[j] = l.value
 		}
 		parts[i] = a.Name + "=" + strings.Join(vals, ",")
 	}

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"upim/internal/config"
@@ -25,52 +26,35 @@ type Point struct {
 	EP engine.Point
 }
 
-// Space is a design space: the Cartesian product of axis levels over a base
-// configuration, instantiated for every benchmark, minus the combinations
-// the point's machine backend refuses (machine.Backend.Check: on UPMEM no
-// kernel for the mode, too many tasklets, an invalid configuration) or user
-// constraints reject.
+// Space is a design space: the Cartesian product of built-in axis levels
+// over config.Default(), instantiated for every benchmark, minus the
+// combinations the point's machine backend refuses (machine.Backend.Check:
+// on UPMEM no kernel for the mode, too many tasklets, an invalid
+// configuration). Its four fields are all a wire spec needs to rebuild it.
 type Space struct {
 	// Benchmarks are the PrIM workloads to explore.
 	Benchmarks []string
-	// Base is the configuration axes mutate (default: the paper's Table I).
-	Base config.Config
 	// Scale selects dataset sizes for every point.
 	Scale prim.Scale
 	// DPUs is the base allocation size (default 1); a DPUs axis overrides it.
 	DPUs int
 	// Axes are applied in order to each point.
 	Axes []Axis
-
-	keep []func(Point) bool
 }
 
-// NewSpace builds a space over the Table I base configuration at ScaleSmall.
-// Mutate the exported fields to change base config, scale or DPU count.
+// NewSpace builds a space at ScaleSmall on one DPU; set Scale or DPUs to
+// change either.
 func NewSpace(benchmarks []string, axes ...Axis) *Space {
 	return &Space{
 		Benchmarks: benchmarks,
-		Base:       config.Default(),
 		Scale:      prim.ScaleSmall,
 		DPUs:       1,
 		Axes:       axes,
 	}
 }
 
-// Constrain adds a user constraint: points for which keep returns false are
-// dropped from the space. Constraints stack.
-func (s *Space) Constrain(keep func(Point) bool) *Space {
-	s.keep = append(s.keep, keep)
-	return s
-}
-
-// Constrained reports whether user constraints were added via Constrain.
-// Constraints are functions and cannot serialize, so a constrained space
-// cannot be described to remote workers by a wire spec.
-func (s *Space) Constrained() bool { return len(s.keep) > 0 }
-
-// Size returns the unconstrained point count (benchmarks times the product
-// of axis level counts); Points may return fewer after constraints.
+// Size returns the raw point count (benchmarks times the product of axis
+// level counts); Points returns fewer when backends refuse some.
 func (s *Space) Size() int {
 	n := len(s.Benchmarks)
 	for _, a := range s.Axes {
@@ -79,10 +63,11 @@ func (s *Space) Size() int {
 	return n
 }
 
-// Points enumerates the constrained space in deterministic order: benchmarks
-// outermost, then axes row-major in declaration order. It errors on
-// structural problems (no benchmarks, an unknown benchmark, duplicate axis
-// names); infeasible level combinations are silently constrained out.
+// Points enumerates the space's feasible points in deterministic order:
+// benchmarks outermost, then axes row-major in declaration order. It errors
+// on structural problems (no benchmarks, an unknown benchmark, duplicate
+// axis names, a level no built-in axis made); a point its backend refuses
+// (engine.Point.Check) is silently left out.
 func (s *Space) Points() ([]Point, error) {
 	if len(s.Benchmarks) == 0 {
 		return nil, fmt.Errorf("explore: space has no benchmarks")
@@ -93,7 +78,11 @@ func (s *Space) Points() ([]Point, error) {
 			return nil, fmt.Errorf("explore: duplicate axis %q", a.Name)
 		}
 		seen[a.Name] = true
+		if len(a.Levels) == 0 || slices.ContainsFunc(a.Levels, func(l Level) bool { return l.apply == nil }) {
+			return nil, fmt.Errorf("explore: axis %q was not built by ParseAxes or a typed constructor", a.Name)
+		}
 	}
+	base := config.Default()
 	var pts []Point
 	for _, name := range s.Benchmarks {
 		if _, err := prim.ByName(name); err != nil {
@@ -101,8 +90,7 @@ func (s *Space) Points() ([]Point, error) {
 		}
 		combo := make([]int, len(s.Axes))
 		for {
-			p := s.instantiate(name, combo)
-			if s.feasible(p) {
+			if p := s.instantiate(name, base, combo); p.EP.Check() == nil {
 				pts = append(pts, p)
 			}
 			if !advance(combo, s.Axes) {
@@ -113,21 +101,17 @@ func (s *Space) Points() ([]Point, error) {
 	return pts, nil
 }
 
-// instantiate applies one level combination to a fresh base point.
-func (s *Space) instantiate(bench string, combo []int) Point {
-	dpus := s.DPUs
-	if dpus < 1 {
-		dpus = 1
-	}
+// instantiate applies one level combination to a fresh point over base.
+func (s *Space) instantiate(bench string, base config.Config, combo []int) Point {
 	p := Point{
 		Benchmark: bench,
 		Labels:    make([]string, len(combo)),
-		EP:        engine.Point{Benchmark: bench, Config: s.Base, DPUs: dpus, Scale: s.Scale},
+		EP:        engine.Point{Benchmark: bench, Config: base, DPUs: max(s.DPUs, 1), Scale: s.Scale},
 	}
 	parts := make([]string, len(combo))
 	for i, li := range combo {
 		lv := s.Axes[i].Levels[li]
-		lv.Apply(&p.EP)
+		lv.apply(&p.EP)
 		p.Labels[i] = lv.Label
 		p.Cost += lv.Cost
 		parts[i] = s.Axes[i].Name + "=" + lv.Label
@@ -136,27 +120,13 @@ func (s *Space) instantiate(bench string, combo []int) Point {
 	if len(parts) > 0 {
 		p.Design = strings.Join(parts, " ")
 	}
-	// Under SIMT the configured tasklet count — whether from the base config
-	// or a tasklets axis — names warps; expand to lanes only after every
-	// axis has applied, so axis declaration order cannot change the count.
+	// Under SIMT the tasklet count — the default's or a tasklets axis's —
+	// names warps; expand to lanes only after every axis has applied, so
+	// axis declaration order cannot change the count.
 	if p.EP.Config.Mode == config.ModeSIMT {
 		p.EP.Config.NumTasklets *= max(p.EP.Config.SIMTWidth, 1)
 	}
 	return p
-}
-
-// feasible applies the point's backend's rule (engine.Point.Check) plus any
-// user constraints.
-func (s *Space) feasible(p Point) bool {
-	if p.EP.Check() != nil {
-		return false
-	}
-	for _, keep := range s.keep {
-		if !keep(p) {
-			return false
-		}
-	}
-	return true
 }
 
 // advance steps a row-major odometer over the axis levels; false means the

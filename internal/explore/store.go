@@ -101,9 +101,6 @@ func (s *Store) Dir() string { return s.dir }
 
 // Stats snapshots this process's store counters.
 func (s *Store) Stats() StoreStats {
-	if s == nil {
-		return StoreStats{}
-	}
 	return StoreStats{
 		Hits:    s.hits.Load(),
 		Misses:  s.misses.Load(),
@@ -132,31 +129,21 @@ func load[T any](s *Store, key string, fid byte, pl *plan) (*T, bool) {
 // Get returns the stored cycle-exact result for key, or ok=false when the
 // point has not been simulated yet. Estimate-fidelity entries are NOT served
 // here: an estimate is never passed off as cycle-exact (they miss without
-// counting as corrupt). A nil store always misses.
+// counting as corrupt).
 func (s *Store) Get(key string) (*prim.Result, bool) {
-	if s == nil {
-		return nil, false
-	}
 	return load[prim.Result](s, key, fidExact, resultPlan)
 }
 
 // GetEstimate returns the stored tier-A estimate for key, or ok=false when
-// the entry is absent or holds any other fidelity. A nil store always
-// misses.
+// the entry is absent or holds any other fidelity.
 func (s *Store) GetEstimate(key string) (*estimate.Estimate, bool) {
-	if s == nil {
-		return nil, false
-	}
 	return load[estimate.Estimate](s, key, fidEstimate, estimatePlan)
 }
 
 // Put persists one cycle-exact result with a single appended record, which
 // supersedes any previous entry for the key (including an estimate — exact
-// always upgrades). A nil store discards the result.
+// always upgrades).
 func (s *Store) Put(key string, p engine.Point, res *prim.Result) error {
-	if s == nil {
-		return nil
-	}
 	if res == nil {
 		return fmt.Errorf("explore: refusing to store a nil result for %s", key)
 	}
@@ -174,12 +161,8 @@ func (s *Store) Put(key string, p engine.Point, res *prim.Result) error {
 // that lands in another handle's segment a moment later still wins, because
 // every index resolves exact over estimate whatever order the two were
 // written in. Nor does it write again an entry that already holds this very
-// estimate, so a resumed two-tier exploration leaves its store untouched. A
-// nil store discards the estimate.
+// estimate, so a resumed two-tier exploration leaves its store untouched.
 func (s *Store) PutEstimate(key string, p engine.Point, est *estimate.Estimate) error {
-	if s == nil {
-		return nil
-	}
 	if est == nil {
 		return fmt.Errorf("explore: refusing to store a nil estimate for %s", key)
 	}
@@ -229,9 +212,6 @@ func (s *Store) CorruptEntry(key string) error {
 // Count returns how many distinct keys the store's segments hold (all
 // processes' contributions, not just this one's): the index after a refresh.
 func (s *Store) Count() (int, error) {
-	if s == nil {
-		return 0, nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.refresh()

@@ -77,6 +77,69 @@ func TestResultShape(t *testing.T) {
 	}
 }
 
+// TestGEMVFromGeometry derives one site's GEMV from machine.HBMPIM() alone
+// and holds the model to it at every scale, in all-bank and in bank-group
+// mode: an all-bank command moves one FP32 operand per MAC lane, so the peak
+// is Lanes() MACs per command slot (tCCD_L all-bank, BankGroups × tCCD_S
+// round-robin by bank group); the M×N matrix takes ⌈M·N·4 B / (banks ×
+// ColumnBytes)⌉ commands and y its own writeback commands; each row holds
+// RowBytes / ColumnBytes commands' worth of columns, so rows open
+// ⌈commands / (RowBytes / ColumnBytes)⌉ times; and everything past the
+// command slots is row activations plus the CAS tail.
+func TestGEMVFromGeometry(t *testing.T) {
+	const fp32 = 4
+	ceil := func(a, b int) int { return (a + b - 1) / b }
+	gemv, err := prim.ByName("GEMV")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []string{machine.CommandAllBank, machine.CommandBankGroup} {
+		d := machine.HBMPIM()
+		d.CommandMode = mode
+		banks := d.BankGroups * d.BanksPerGroup
+		cmdBytes := banks * d.ColumnBytes
+		if cmdBytes != d.Lanes()*fp32 {
+			t.Fatalf("an all-bank command moves %d B, not one FP32 operand for each of %d lanes", cmdBytes, d.Lanes())
+		}
+		slot := d.TCCDL
+		if mode == machine.CommandBankGroup {
+			slot = d.BankGroups * d.TCCDS
+		}
+		peak := float64(d.Lanes()) / float64(slot) // 128/4 all-bank, 128/8 by bank group
+		for _, scale := range []prim.Scale{prim.ScaleTiny, prim.ScaleSmall, prim.ScalePaper} {
+			p, err := gemv.Params(scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cmds := ceil(p.M*p.N*fp32, cmdBytes)
+			wb := ceil(p.M*fp32, cmdBytes)
+			perRow := d.RowBytes / d.ColumnBytes
+			acts := ceil(cmds, perRow) + ceil(wb, perRow)
+			r := run(t, engine.Point{Benchmark: "GEMV", Config: config.Default(), DPUs: 1, Scale: scale, Machine: d})
+			st, dram := r.Stats, r.Stats.DRAM
+			name := mode + "/" + scale.String()
+			if st.Instructions != uint64(p.M*p.N) {
+				t.Errorf("%s: %d MACs, want M·N = %d", name, st.Instructions, p.M*p.N)
+			}
+			if dram.ReadBursts != uint64(cmds*banks) || st.VectorIssues != uint64(cmds+wb) {
+				t.Errorf("%s: %d read bursts and %d commands, want %d commands (+%d writeback) on %d banks",
+					name, dram.ReadBursts, st.VectorIssues, cmds, wb, banks)
+			}
+			if got := dram.RowEmpty + dram.RowMisses; got != uint64(acts*banks) {
+				t.Errorf("%s: %d row activations, want %d rows on %d banks", name, got, acts, banks)
+			}
+			if rate := float64(st.Instructions) / float64(st.Cycles); rate > peak {
+				t.Errorf("%s: %.2f MACs per cycle beats the %.0f peak", name, rate, peak)
+			}
+			overhead := d.TRCD + (acts-1)*(d.TRP+d.TRCD) + d.TCL + d.TBL
+			if want := uint64((cmds+wb)*slot + overhead); st.Cycles != want {
+				t.Errorf("%s: %d cycles, want %d command slots of %d plus %d for rows and the tail",
+					name, st.Cycles, cmds+wb, slot, overhead)
+			}
+		}
+	}
+}
+
 func TestMoreSitesNeverSlower(t *testing.T) {
 	cfg := config.Default()
 	prev := -1.0
