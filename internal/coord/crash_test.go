@@ -451,6 +451,29 @@ func TestSpaceSpecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSpecForRefusesUnreproducibleSpaces: a worker rebuilds the space from
+// the spec alone, so a space whose axes the spec would spell as a different
+// space is refused — without enumerating its points.
+func TestSpecForRefusesUnreproducibleSpaces(t *testing.T) {
+	// Spells as dpus=2,8 but runs 2 and 8 tasklets.
+	relabelled := explore.NewSpace([]string{"VA"}, explore.Axis{Name: "dpus", Levels: explore.Tasklets(2, 8).Levels})
+	relabelled.Scale = prim.ScaleTiny
+	// Hand-built: no built-in axis made its level, so it does not spell at all.
+	custom := explore.NewSpace([]string{"VA"}, explore.Axis{Name: "stack", Levels: []explore.Level{{Label: "small"}}})
+	custom.Scale = prim.ScaleTiny
+
+	for _, tc := range []struct {
+		name  string
+		space *explore.Space
+	}{{"relabelled axis", relabelled}, {"custom axis", custom}} {
+		t.Run(tc.name, func(t *testing.T) {
+			if spec, err := SpecFor(tc.space, 0); err == nil {
+				t.Fatalf("SpecFor served %+v, which rebuilds a different space", spec)
+			}
+		})
+	}
+}
+
 // TestEventPointSlots: in a coordinated run's log every lease event says "no
 // point" (-1) and every point event names its point (>= 0) — which is why -1,
 // not 0, stands for "not applicable". The run covers every lease event the

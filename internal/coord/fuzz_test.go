@@ -87,7 +87,7 @@ func FuzzLeaseCodec(f *testing.F) {
 // benchmark), a scale (3 is outside the table) and a DPU count survives
 // SpecFor → JSON → SpaceSpec.Space() point for point — benchmark, design,
 // cost and store key — and a space no worker could rebuild (no benchmarks,
-// a scale outside the table) is refused.
+// a scale outside the table, a repeated axis) is refused.
 func FuzzSpaceSpec(f *testing.F) {
 	suite := prim.Benchmarks()
 	pick := func(names ...string) (bits uint32) {
@@ -128,8 +128,12 @@ func FuzzSpaceSpec(f *testing.F) {
 		if space.Size() > 4096 {
 			return // keep one input to milliseconds
 		}
+		names := make(map[string]bool)
+		for _, a := range axes {
+			names[a.Name] = true
+		}
 		spec, err := SpecFor(space, 0)
-		if unbuildable := len(benches) == 0 || space.Scale == 3; unbuildable != (err != nil) {
+		if unbuildable := len(benches) == 0 || space.Scale == 3 || len(names) < len(axes); unbuildable != (err != nil) {
 			t.Fatalf("SpecFor(%q over %v at %v): error %v", axesSpec, benches, space.Scale, err)
 		}
 		if err != nil {

@@ -31,9 +31,14 @@ type SpaceSpec struct {
 // SpecFor captures a space (plus the exploration watchdog) as a wire spec.
 // A space holds nothing its spec does not carry — built-in axes, which
 // FormatAxes inverts exactly, over config.Default() — so the projection is
-// the whole space. SpecFor parses the spec back as a worker will, refusing
-// one no worker could rebuild (no benchmarks, a scale outside the table).
+// the whole space. SpecFor refuses a space that fails explore.Space.Check
+// (a hand-built level, or levels moved under another axis name, would spell
+// a different space) and parses the spec back as a worker will, refusing
+// one no worker could rebuild (a scale outside the table).
 func SpecFor(space *explore.Space, watchdog uint64) (SpaceSpec, error) {
+	if err := space.Check(); err != nil {
+		return SpaceSpec{}, err
+	}
 	spec := SpaceSpec{
 		Benchmarks: space.Benchmarks,
 		Axes:       explore.FormatAxes(space.Axes),

@@ -30,10 +30,12 @@ type Level struct {
 	Cost  float64
 
 	apply func(*engine.Point)
-	// value is the spec value ParseAxes reads the level back from (a link
-	// level labelled "x4" is spec value "4"). It is fixed when the level is
-	// built, so relabelling a level for display cannot change its spec.
-	value string
+	// axis and value are the spec ParseAxes reads the level back from: the
+	// built-in axis that made it and its value there (a link level labelled
+	// "x4" is link value "4"). They are fixed when the level is built, so
+	// relabelling a level for display cannot change its spec, and a level
+	// moved under another axis name is refused (Space.Check).
+	axis, value string
 }
 
 // Axis is one named design dimension: an ordered list of levels, the first
@@ -85,7 +87,7 @@ func buildAxis[T any](name string, values []T) (Axis, error) {
 		if err != nil {
 			return Axis{}, fmt.Errorf("explore: axis %q: %w", name, err)
 		}
-		l.value = cmp.Or(l.value, l.Label)
+		l.axis, l.value = name, cmp.Or(l.value, l.Label)
 		a.Levels = append(a.Levels, l)
 	}
 	return a, nil

@@ -149,8 +149,9 @@ func TestSpaceErrors(t *testing.T) {
 	if _, err := NewSpace([]string{"VA"}, Tasklets(1), Tasklets(2)).Points(); err == nil || !strings.Contains(err.Error(), "duplicate axis") {
 		t.Errorf("duplicate axis error = %v", err)
 	}
-	// A level the builtins table did not make has no mutation to apply.
-	for _, a := range []Axis{{Name: "tasklets"}, {Name: "tasklets", Levels: []Level{{Label: "2"}}}} {
+	// A level the builtins table did not make has no mutation to apply; one
+	// moved under another axis name would run what its name does not say.
+	for _, a := range []Axis{{Name: "tasklets"}, {Name: "tasklets", Levels: []Level{{Label: "2"}}}, {Name: "dpus", Levels: Tasklets(2).Levels}} {
 		if _, err := NewSpace([]string{"VA"}, a).Points(); err == nil || !strings.Contains(err.Error(), "not built by ParseAxes") {
 			t.Errorf("hand-built axis %+v: error = %v", a, err)
 		}

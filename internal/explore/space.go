@@ -63,31 +63,44 @@ func (s *Space) Size() int {
 	return n
 }
 
-// Points enumerates the space's feasible points in deterministic order:
-// benchmarks outermost, then axes row-major in declaration order. It errors
-// on structural problems (no benchmarks, an unknown benchmark, duplicate
-// axis names, a level no built-in axis made); a point its backend refuses
-// (engine.Point.Check) is silently left out.
-func (s *Space) Points() ([]Point, error) {
+// Check reports the space's structural problems without enumerating it: no
+// benchmarks, an unknown benchmark, duplicate axis names, or a level that
+// the built-in axis of its axis's name did not make (a hand-built level, or
+// one moved under another name, which FormatAxes would spell as a different
+// space).
+func (s *Space) Check() error {
 	if len(s.Benchmarks) == 0 {
-		return nil, fmt.Errorf("explore: space has no benchmarks")
+		return fmt.Errorf("explore: space has no benchmarks")
+	}
+	for _, name := range s.Benchmarks {
+		if _, err := prim.ByName(name); err != nil {
+			return err
+		}
 	}
 	seen := make(map[string]bool, len(s.Axes))
 	for _, a := range s.Axes {
 		if seen[a.Name] {
-			return nil, fmt.Errorf("explore: duplicate axis %q", a.Name)
+			return fmt.Errorf("explore: duplicate axis %q", a.Name)
 		}
 		seen[a.Name] = true
-		if len(a.Levels) == 0 || slices.ContainsFunc(a.Levels, func(l Level) bool { return l.apply == nil }) {
-			return nil, fmt.Errorf("explore: axis %q was not built by ParseAxes or a typed constructor", a.Name)
+		if len(a.Levels) == 0 || slices.ContainsFunc(a.Levels, func(l Level) bool { return l.apply == nil || l.axis != a.Name }) {
+			return fmt.Errorf("explore: axis %q was not built by ParseAxes or a typed constructor of that name", a.Name)
 		}
+	}
+	return nil
+}
+
+// Points enumerates the space's feasible points in deterministic order:
+// benchmarks outermost, then axes row-major in declaration order. It errors
+// on structural problems (Check); a point its backend refuses
+// (engine.Point.Check) is silently left out.
+func (s *Space) Points() ([]Point, error) {
+	if err := s.Check(); err != nil {
+		return nil, err
 	}
 	base := config.Default()
 	var pts []Point
 	for _, name := range s.Benchmarks {
-		if _, err := prim.ByName(name); err != nil {
-			return nil, err
-		}
 		combo := make([]int, len(s.Axes))
 		for {
 			if p := s.instantiate(name, base, combo); p.EP.Check() == nil {
