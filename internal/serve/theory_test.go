@@ -220,3 +220,147 @@ func checkConservation(t *testing.T, res *Result, groups int) {
 		t.Fatalf("after the last event %d requests wait and %d/%d groups are busy", waiting, busy, unit)
 	}
 }
+
+// scaleLog records what a Policy is told and answers, call by call: the
+// queued IDs, the time and the pick of every Pick, the tenant and seconds
+// of every Served.
+type scaleLog struct {
+	Policy
+	calls []policyCall
+}
+
+type policyCall struct {
+	ids    []int
+	now    float64
+	pick   int
+	tenant string
+	secs   float64
+}
+
+func (l *scaleLog) Pick(pending []*Request, now float64) int {
+	c := policyCall{now: now, pick: l.Policy.Pick(pending, now)}
+	for _, r := range pending {
+		c.ids = append(c.ids, r.ID)
+	}
+	l.calls = append(l.calls, c)
+	return c.pick
+}
+
+func (l *scaleLog) Served(tenant string, seconds float64) {
+	l.calls = append(l.calls, policyCall{pick: -1, tenant: tenant, secs: seconds})
+	l.Policy.Served(tenant, seconds)
+}
+
+// TestReplayScalesWithTime holds the replay to time-scale invariance: with
+// every profiled time, every arrival and every SLO target doubled, every
+// start, finish and latency doubles exactly, and nothing else moves — the
+// batches, the drops and the whole Pick/Served sequence a policy sees, its
+// times doubled. Doubling is exact in binary floating point, so each sum,
+// product and comparison of the doubled run is the original's, doubled;
+// any difference is the replay reading something that does not scale. The
+// trace is a contended Poisson stream of testOptions' tenants, replayed
+// under fifo, wfq and slo, with and without admission drops.
+func TestReplayScalesWithTime(t *testing.T) {
+	ctx := context.Background()
+	opts := testOptions()
+	opts.Requests = 60
+	opts.MaxBatch = 3
+	opts.Tenants[0].SLOTarget, opts.Tenants[1].SLOTarget = 3e-4, 1e-4
+	base, err := prepare(ctx, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := base.arrivals(1.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// at builds the workload with every time scaled by s.
+	at := func(s float64, maxQueue int) *prepared {
+		p := &prepared{opts: base.opts, kernels: base.kernels, profiles: slices.Clone(base.profiles)}
+		p.opts.MaxQueue = maxQueue
+		for i := range p.profiles {
+			p.profiles[i].inS *= s
+			p.profiles[i].perS *= s
+		}
+		p.opts.Tenants = slices.Clone(p.opts.Tenants)
+		for i := range p.opts.Tenants {
+			p.opts.Tenants[i].SLOTarget *= s
+		}
+		p.opts.Trace = slices.Clone(stream.reqs)
+		for i := range p.opts.Trace {
+			p.opts.Trace[i].Arrival *= s
+		}
+		return p
+	}
+	run := func(p *prepared, name string) ([]outcome, float64, *scaleLog) {
+		t.Helper()
+		arr, err := p.arrivals(p.opts.Load)
+		if err != nil {
+			t.Fatal(err)
+		}
+		policy, err := NewPolicy(name, p.opts.Tenants)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log := &scaleLog{Policy: policy}
+		outs, makespan, err := replayOnce(ctx, p, log, arr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outs, makespan, log
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+	for _, maxQueue := range []int{0, 4} {
+		for _, name := range PolicyNames() {
+			t.Run(fmt.Sprintf("%s/maxqueue=%d", name, maxQueue), func(t *testing.T) {
+				outs, makespan, log := run(at(1, maxQueue), name)
+				outs2, makespan2, log2 := run(at(2, maxQueue), name)
+				batched, dropped := 0, 0
+				for id, o := range outs {
+					o2, arrival := outs2[id], stream.reqs[id].Arrival
+					if o.dropped || o2.dropped {
+						if o.dropped != o2.dropped {
+							t.Fatalf("request %d: dropped %v, doubled %v", id, o.dropped, o2.dropped)
+						}
+						dropped++
+						continue
+					}
+					if !same(o2.start, 2*o.start) || !same(o2.finish, 2*o.finish) ||
+						!same(o2.finish-2*arrival, 2*(o.finish-arrival)) {
+						t.Fatalf("request %d: start/finish %v/%v, doubled %v/%v", id, o.start, o.finish, o2.start, o2.finish)
+					}
+					if o2.batch != o.batch || !same(o2.energyUJ, o.energyUJ) {
+						t.Fatalf("request %d: batch %d and %v uJ, doubled %d and %v uJ", id, o.batch, o.energyUJ, o2.batch, o2.energyUJ)
+					}
+					if o.batch > 1 {
+						batched++
+					}
+				}
+				if !same(makespan2, 2*makespan) {
+					t.Errorf("makespan %v, doubled %v", makespan, makespan2)
+				}
+				if batched == 0 || (dropped > 0) != (maxQueue > 0) {
+					t.Fatalf("%d batched and %d dropped requests under MaxQueue %d: the case does not test what it names",
+						batched, dropped, maxQueue)
+				}
+				if len(log2.calls) != len(log.calls) {
+					t.Fatalf("the policy saw %d calls, doubled %d", len(log.calls), len(log2.calls))
+				}
+				for i, c := range log.calls {
+					c2 := log2.calls[i]
+					if c2.pick != c.pick || !slices.Equal(c2.ids, c.ids) || c2.tenant != c.tenant ||
+						!same(c2.now, 2*c.now) || !same(c2.secs, 2*c.secs) {
+						t.Fatalf("policy call %d: %+v, doubled %+v", i, c, c2)
+					}
+				}
+			})
+		}
+	}
+}
+
+// replayOnce replays one cell of p on its own.
+func replayOnce(ctx context.Context, p *prepared, policy Policy, arr *arrivals) ([]outcome, float64, error) {
+	return p.replay(ctx, policy, arr)
+}
