@@ -150,12 +150,18 @@ coord-smoke:
 # serve-smoke mirrors the CI job: a tiny multi-tenant serving run (Poisson
 # arrivals, two tenants, weighted-fair + FIFO load sweep) validated against
 # the committed references at eps 1e-12, run at -jobs 1 and -jobs 8; the
-# virtual-time event loop makes the two reports byte-identical.
+# virtual-time event loop makes the two reports byte-identical. Then a
+# three-policy sweep under admission control, so slo runs from the CLI and
+# a sweep worker reuses its replay buffers right after a cell that dropped
+# requests: no references, but -jobs 1 and -jobs 8 must agree byte for byte.
 serve-smoke:
-	rm -rf $(W)/servereport1 $(W)/servereport8
+	rm -rf $(W)/servereport1 $(W)/servereport8 $(W)/servequeue1 $(W)/servequeue8
 	$(GO) run ./cmd/upimulator serve -loads 0.5,0.8,1.1 -policies fifo,wfq -jobs 1 -check -eps 1e-12 -out $(W)/servereport1
 	$(GO) run ./cmd/upimulator serve -loads 0.5,0.8,1.1 -policies fifo,wfq -jobs 8 -check -eps 1e-12 -out $(W)/servereport8
 	diff -r $(W)/servereport1 $(W)/servereport8
+	$(GO) run ./cmd/upimulator serve -loads 0.5,1.1,3 -policies fifo,wfq,slo -maxqueue 4 -jobs 1 -out $(W)/servequeue1
+	$(GO) run ./cmd/upimulator serve -loads 0.5,1.1,3 -policies fifo,wfq,slo -maxqueue 4 -jobs 8 -out $(W)/servequeue8
+	diff -r $(W)/servequeue1 $(W)/servequeue8
 
 # energy-check is the CI job: regenerate the energy breakdown at tiny scale,
 # validate it against the committed reference at eps 1e-12, and leave the

@@ -44,6 +44,13 @@ func TestExitCodes(t *testing.T) {
 		{"serve -loads 0.5 -policies bogus", 2},
 		// Flags nothing in the invocation would read.
 		{"serve -policies fifo", 2},
+		// More DPUs than a full server: refused before anything is sized by
+		// them (these used to panic). A batch bound past the stream is the
+		// stream.
+		{"serve -groups 4611686018427387904", 2},
+		{"serve -groupdpus 4611686018427387904", 2},
+		{"serve -groups 1281 -groupdpus 2", 2},
+		{"serve -batch 4611686018427387904", 0},
 		{"serve -eps 0.5", 2},
 		{"-kernel VA -energy", 2},
 		{"-kernel VA -out " + t.TempDir(), 2},

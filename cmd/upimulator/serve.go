@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -11,6 +12,7 @@ import (
 
 	"upim"
 	"upim/internal/cli"
+	serving "upim/internal/serve"
 )
 
 // serveUsage documents the serve subcommand's tenant grammar.
@@ -84,6 +86,9 @@ func serve(fs *flag.FlagSet) func(context.Context) error {
 		}
 
 		res, err := upim.Serve(ctx, opts)
+		if errors.Is(err, serving.ErrTooManyDPUs) { // -groups × -groupdpus, refused before profiling
+			return cli.Usage(err)
+		}
 		if err != nil {
 			return err
 		}

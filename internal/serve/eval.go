@@ -40,12 +40,12 @@ func evalP99(prof profile, benchmark string, policy Policy) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	outs, makespan, err := p.replay(context.TODO(), policy, arr) // EvalP99 takes no context
+	var s scratch
+	outs, makespan, err := p.replay(context.TODO(), policy, arr, &s) // EvalP99 takes no context
 	if err != nil {
 		return 0, err
 	}
-	_, overall := computeMetrics(arr, outs, makespan)
-	return overall.P99MS, nil
+	return s.overallMetrics(arr, outs, makespan).P99MS, nil
 }
 
 // EvalP99 scores one cycle-exact result as a server: it replays the

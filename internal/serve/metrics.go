@@ -145,33 +145,40 @@ func (a *tally) metrics(lats []float64, makespan float64) Metrics {
 	return m
 }
 
-// computeMetrics produces per-tenant metrics (in tenant order) and the
-// overall aggregate in one pass over a replay's outcomes, where makespan is
-// the last finish time. The completed latencies go to one buffer, tenant
-// after tenant: each tenant's percentiles are selected on its part, the
-// overall ones on the whole.
+// computeMetrics produces what Serve reports: per-tenant metrics (in tenant
+// order) and the overall aggregate, where makespan is the last finish time.
 func computeMetrics(arr *arrivals, outs []outcome, makespan float64) ([]TenantMetrics, Metrics) {
+	var s scratch
+	return s.tenantMetrics(arr, outs, makespan), s.overallMetrics(arr, outs, makespan)
+}
+
+// tenantMetrics produces per-tenant metrics, in tenant order, in one pass
+// over a replay's outcomes in ID order. The completed latencies go to one
+// buffer, tenant after tenant, and each tenant's percentiles are selected on
+// its part. The buffer and the tallies are s's.
+func (s *scratch) tenantMetrics(arr *arrivals, outs []outcome, makespan float64) []TenantMetrics {
 	tenants := arr.tenants
 	// Tenant ti's latencies are written from at[ti], room for all its
 	// requests; the parts close up once the drops are known.
-	at := make([]int, len(tenants)+1)
+	at := resize(s.at, len(tenants)+1)
+	clear(at)
 	for _, ti := range arr.owner {
 		at[ti+1]++
 	}
 	for ti := range tenants {
 		at[ti+1] += at[ti]
 	}
-	lats := make([]float64, len(outs))
-	per := make([]tally, len(tenants))
-	var all tally
+	lats := resize(s.lats, len(outs))
+	per := resize(s.per, len(tenants))
+	clear(per)
+	s.at, s.lats, s.per = at, lats, per
 	for id := range outs {
 		o, ti := &outs[id], arr.owner[id]
-		l, target := o.finish-arr.reqs[id].Arrival, tenants[ti].SLOTarget
+		l := o.finish - arr.reqs[id].Arrival
 		if !o.dropped {
 			lats[at[ti]+per[ti].done()] = l
 		}
-		per[ti].add(o, l, target)
-		all.add(o, l, target)
+		per[ti].add(o, l, tenants[ti].SLOTarget)
 	}
 	out := make([]TenantMetrics, len(tenants))
 	done := 0
@@ -186,7 +193,25 @@ func computeMetrics(arr *arrivals, outs []outcome, makespan float64) ([]TenantMe
 			Metrics:  per[ti].metrics(part, makespan),
 		}
 	}
-	return out, all.metrics(lats[:done], makespan)
+	return out
+}
+
+// overallMetrics aggregates every request of a replay in one pass over its
+// outcomes in ID order: the overall sums run over all requests in that
+// order, not over the tenants' sums. The latency buffer is s's.
+func (s *scratch) overallMetrics(arr *arrivals, outs []outcome, makespan float64) Metrics {
+	lats := resize(s.lats, len(outs))
+	s.lats = lats
+	var all tally
+	for id := range outs {
+		o := &outs[id]
+		l := o.finish - arr.reqs[id].Arrival
+		if !o.dropped {
+			lats[all.done()] = l
+		}
+		all.add(o, l, arr.tenants[arr.owner[id]].SLOTarget)
+	}
+	return all.metrics(lats[:all.done()], makespan)
 }
 
 // num renders a full-precision numeric cell: the exact value is what

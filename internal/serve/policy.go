@@ -53,29 +53,51 @@ func WeightedFair(weights map[string]float64) Policy {
 			w[k] = v
 		}
 	}
-	return &weightedFair{weights: w, served: map[string]float64{}}
+	return &weightedFair{weights: w}
 }
 
 type weightedFair struct {
 	weights map[string]float64
-	served  map[string]float64
+	// tenants holds every tenant seen so far, in the order first seen, with
+	// its share looked up once and its served seconds.
+	tenants []wfqTenant
+}
+
+type wfqTenant struct {
+	name          string
+	share, served float64
 }
 
 func (*weightedFair) Name() string { return "wfq" }
 
-func (p *weightedFair) share(tenant string) float64 {
-	if w, ok := p.weights[tenant]; ok {
-		return w
+// tenant returns name's entry, adding it the first time name is seen. A
+// workload has few tenants, so comparing names beats hashing them; equal
+// names in separate memory (a trace's) find the same entry.
+func (p *weightedFair) tenant(name string) *wfqTenant {
+	for i := range p.tenants {
+		if p.tenants[i].name == name {
+			return &p.tenants[i]
+		}
 	}
-	return 1
+	share, ok := p.weights[name]
+	if !ok {
+		share = 1
+	}
+	p.tenants = append(p.tenants, wfqTenant{name: name, share: share})
+	return &p.tenants[len(p.tenants)-1]
+}
+
+// usage is a tenant's served time per unit of share.
+func (p *weightedFair) usage(name string) float64 {
+	t := p.tenant(name)
+	return t.served / t.share
 }
 
 func (p *weightedFair) Pick(pending []*Request, _ float64) int {
 	best := 0
-	bestV := p.served[pending[0].Tenant] / p.share(pending[0].Tenant)
+	bestV := p.usage(pending[0].Tenant)
 	for i := 1; i < len(pending); i++ {
-		v := p.served[pending[i].Tenant] / p.share(pending[i].Tenant)
-		if v < bestV {
+		if v := p.usage(pending[i].Tenant); v < bestV {
 			best, bestV = i, v
 		}
 	}
@@ -83,7 +105,7 @@ func (p *weightedFair) Pick(pending []*Request, _ float64) int {
 }
 
 func (p *weightedFair) Served(tenant string, seconds float64) {
-	p.served[tenant] += seconds
+	p.tenant(tenant).served += seconds
 }
 
 // SLOAware returns an earliest-deadline-first policy: each pending
@@ -103,6 +125,13 @@ func SLOAware(targets map[string]float64) Policy {
 
 type sloAware struct {
 	targets map[string]float64
+	// classes holds every class seen so far with its target looked up once.
+	classes []sloClass
+}
+
+type sloClass struct {
+	name   string
+	target float64
 }
 
 func (*sloAware) Name() string { return "slo" }
@@ -120,12 +149,24 @@ func (p *sloAware) withTenantTargets(tenants []tenant) *sloAware {
 	return &sloAware{targets: targets}
 }
 
+// target returns class's target, 0 without one, comparing names as the
+// weighted-fair policy's tenant does.
+func (p *sloAware) target(class string) float64 {
+	for i := range p.classes {
+		if p.classes[i].name == class {
+			return p.classes[i].target
+		}
+	}
+	t := p.targets[class]
+	p.classes = append(p.classes, sloClass{name: class, target: t})
+	return t
+}
+
 func (p *sloAware) Pick(pending []*Request, _ float64) int {
 	best := 0
-	bestD := pending[0].Arrival + p.targets[pending[0].Class]
+	bestD := pending[0].Arrival + p.target(pending[0].Class)
 	for i := 1; i < len(pending); i++ {
-		d := pending[i].Arrival + p.targets[pending[i].Class]
-		if d < bestD {
+		if d := pending[i].Arrival + p.target(pending[i].Class); d < bestD {
 			best, bestD = i, d
 		}
 	}

@@ -131,7 +131,7 @@ func FuzzPolicyMatchesReference(f *testing.F) {
 			}
 		}
 		classes[n] = "c" + strconv.Itoa(n)
-		// pickName returns one of names, as the same string or a copy.
+		// pickName returns one of pool's strings, as it is or as a copy.
 		pickName := func(pool []string) string {
 			s, k := pool[in.next()%len(pool)], in.next()
 			if k%2 == 1 {
@@ -172,7 +172,11 @@ func FuzzPolicyMatchesReference(f *testing.F) {
 }
 
 // servedTimes is a weighted-fair policy's accumulated served seconds by
-// tenant; a tenant it has not served is absent.
+// tenant; a tenant it has never seen is absent.
 func servedTimes(p *weightedFair) map[string]float64 {
-	return p.served
+	served := map[string]float64{}
+	for _, t := range p.tenants {
+		served[t.name] = t.served
+	}
+	return served
 }

@@ -31,6 +31,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -114,9 +115,11 @@ type Options struct {
 	// group serves one batch at a time.
 	Groups int
 	// GroupDPUs is the rank-group allocation size in DPUs (default 1).
+	// Groups × GroupDPUs may not exceed 2560 DPUs (ErrTooManyDPUs).
 	GroupDPUs int
 	// MaxBatch bounds how many queued same-(tenant, benchmark) requests
-	// one launch may carry (default 4, 1 disables batching).
+	// one launch may carry (default 4, 1 disables batching; a bound above
+	// the request count means the request count).
 	MaxBatch int
 	// Requests is the default per-tenant request count for Poisson
 	// generation (default 16). Ignored in trace mode.
@@ -228,6 +231,16 @@ type Result struct {
 	Makespan float64
 }
 
+// maxServerDPUs bounds Groups × GroupDPUs at a full 20-DIMM UPMEM server.
+// Profiling builds GroupDPUs DPUs per kernel, and the replay keeps a busy
+// time per group and scans them all on every event, so a mistyped count
+// must be refused before either asks for gigabytes.
+const maxServerDPUs = 2560
+
+// ErrTooManyDPUs reports options whose rank groups hold more DPUs than a
+// full UPMEM server.
+var ErrTooManyDPUs = errors.New("serve: more than 2560 DPUs, a full 20-DIMM UPMEM server")
+
 // finite reports whether v is an ordinary number (not NaN, not ±Inf).
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
@@ -241,6 +254,9 @@ func (o Options) validate() error {
 	}
 	if !finite(o.Load) {
 		return fmt.Errorf("serve: load %v is not a finite number", o.Load)
+	}
+	if d := o.withDefaults(); d.GroupDPUs > maxServerDPUs/d.Groups {
+		return fmt.Errorf("%w: %d groups of %d DPUs", ErrTooManyDPUs, d.Groups, d.GroupDPUs)
 	}
 	seen := make(map[string]bool, len(o.Tenants))
 	for i, tn := range o.Tenants {
@@ -312,7 +328,7 @@ func Serve(ctx context.Context, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	outs, makespan, err := p.replay(ctx, p.opts.Policy, arr)
+	outs, makespan, err := p.replay(ctx, p.opts.Policy, arr, new(scratch))
 	if err != nil {
 		return nil, err
 	}

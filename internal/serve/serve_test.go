@@ -434,6 +434,13 @@ func TestServeValidation(t *testing.T) {
 		{"unnamed tenant", func(o *Options) { o.Tenants[0].Name = "" }, "has no name"},
 		{"empty mix", func(o *Options) { o.Tenants[1].Mix = nil }, "empty benchmark mix"},
 		{"unknown benchmark", func(o *Options) { o.Tenants[0].Mix = []string{"NOPE"} }, "NOPE"},
+		// More DPUs than a server holds is refused before anything is sized
+		// by it; these counts used to panic making the replay's or the
+		// profiling's slices.
+		{"groups past a server", func(o *Options) { o.Groups = 1 << 62 }, "2560 DPUs"},
+		{"group DPUs past a server", func(o *Options) { o.GroupDPUs = 1 << 62 }, "2560 DPUs"},
+		{"groups × DPUs overflow", func(o *Options) { o.Groups, o.GroupDPUs = 1<<62, 1<<62 }, "2560 DPUs"},
+		{"groups × DPUs past a server", func(o *Options) { o.Groups, o.GroupDPUs = 1281, 2 }, "1281 groups of 2 DPUs"},
 	}
 	for _, tc := range cases {
 		opts := testOptions()
@@ -441,6 +448,41 @@ func TestServeValidation(t *testing.T) {
 		if _, err := Serve(ctx, opts); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
 		}
+	}
+	opts := testOptions()
+	opts.Groups = 1 << 62
+	if _, err := Serve(ctx, opts); !errors.Is(err, ErrTooManyDPUs) {
+		t.Errorf("err = %v, want ErrTooManyDPUs", err)
+	}
+	// A full server is not past the bound.
+	opts.Groups = maxServerDPUs
+	if _, err := Serve(ctx, opts); err != nil {
+		t.Errorf("%d groups of one DPU: %v", opts.Groups, err)
+	}
+}
+
+// TestServeMaxBatchPastStream: a batch bound past the request count means
+// the request count, however large. The batch buffer is sized by the
+// smaller of the two; sizing it by the bound alone panicked.
+func TestServeMaxBatchPastStream(t *testing.T) {
+	ctx := context.Background()
+	opts := testOptions()
+	opts.Groups, opts.Load = 1, 3 // a long queue, so batches fill
+	opts.MaxBatch = 2 * opts.Requests
+	want, err := Serve(ctx, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.MaxBatch = 1 << 62
+	got, err := Serve(ctx, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tableJSON(t, got) != tableJSON(t, want) {
+		t.Errorf("MaxBatch 1<<62 schedules differently from MaxBatch %d, the stream's length", 2*opts.Requests)
+	}
+	if largest := slices.MaxFunc(want.Records, func(a, b Record) int { return a.Batch - b.Batch }).Batch; largest <= 4 {
+		t.Errorf("largest batch %d: the default bound would schedule the same", largest)
 	}
 }
 

@@ -22,17 +22,41 @@ type outcome struct {
 	dropped                 bool
 }
 
+// scratch is what a cell writes on its way to its result: the replay's
+// outcomes, pending queue, batch and group busy times, and the metrics'
+// latency buffer and tallies. A load sweep's worker keeps one and reuses it
+// for every cell it replays, so a warm cell allocates none of it. Nothing
+// but capacity carries from one use to the next: each use overwrites what
+// it reads.
+type scratch struct {
+	outs      []outcome
+	pending   []*Request
+	batch     []int
+	busyUntil []float64
+	lats      []float64
+	at        []int
+	per       []tally
+}
+
+// resize returns s with length n, reusing its array when it is large
+// enough; the elements are left as they were.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
 // replay runs one (policy, load) cell: the arrival stream through the
 // scheduler in virtual time. The loop is strictly single-threaded and
 // event-driven — the next event is always the earlier of the next arrival
 // and the earliest group completion — so the outcome is a pure function of
 // (requests, profiles, policy), independent of host parallelism and wall
 // clock. It reads p and arr without writing either, so cells sharing them
-// may run concurrently; the only error is ctx's. It returns one outcome per
-// request, in ID order, and the makespan.
-func (p *prepared) replay(ctx context.Context, policy Policy, arr *arrivals) ([]outcome, float64, error) {
+// may run concurrently, each in its own scratch; the only error is ctx's.
+// It returns one outcome per request, in ID order, and the makespan; the
+// outcomes live in s until its next use.
+func (p *prepared) replay(ctx context.Context, policy Policy, arr *arrivals, s *scratch) ([]outcome, float64, error) {
 	opts, reqs := p.opts, arr.reqs
-	outs := make([]outcome, len(reqs))
+	// Every request's outcome is written in full, dispatched or dropped, so
+	// the reused buffer needs no clearing.
+	outs := resize(s.outs, len(reqs))
+	s.outs = outs
 
 	// An SLO-aware policy's missing class targets come from the tenants'
 	// resolved (possibly auto-derived) targets, so "slo" means the same
@@ -42,10 +66,15 @@ func (p *prepared) replay(ctx context.Context, policy Policy, arr *arrivals) ([]
 		policy = slo.withTenantTargets(arr.tenants)
 	}
 
-	busyUntil := make([]float64, opts.Groups) // per rank group: free again at
-	var pending []*Request                    // arrival-ordered queue of admitted requests
-	batch := make([]int, 0, opts.MaxBatch)    // queue positions of one launch, ascending
-	next := 0                                 // next arrival index into reqs
+	busyUntil := resize(s.busyUntil, opts.Groups) // per rank group: free again at
+	clear(busyUntil)
+	pending := s.pending[:0] // arrival-ordered queue of admitted requests
+	// Queue positions of one launch, ascending. A launch holds at most
+	// MaxBatch requests and at most the whole stream, so a larger MaxBatch
+	// means the same as the stream's length.
+	batch := slices.Grow(s.batch[:0], min(opts.MaxBatch, len(reqs)))
+	defer func() { s.busyUntil, s.pending, s.batch = busyUntil, pending, batch }()
+	next := 0 // next arrival index into reqs
 	now := 0.0
 	makespan := 0.0
 
@@ -121,7 +150,7 @@ func (p *prepared) replay(ctx context.Context, policy Policy, arr *arrivals) ([]
 		// Admit every arrival at this instant (tie-ordered by ID).
 		for next < len(reqs) && reqs[next].Arrival <= now {
 			if opts.MaxQueue > 0 && len(pending) >= opts.MaxQueue {
-				outs[next].dropped = true
+				outs[next] = outcome{dropped: true}
 			} else {
 				pending = append(pending, &reqs[next])
 			}

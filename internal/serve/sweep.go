@@ -69,22 +69,34 @@ func (p *prepared) sweep(ctx context.Context, policies []string, loads []float64
 		}
 	}
 
+	// Each running cell holds one scratch and hands it back when done, so
+	// there are never more than there are workers, and a warm cell allocates
+	// only its rows. The table prints per-tenant rows only, so no cell
+	// computes the overall ones.
+	free := make(chan *scratch, len(cells))
 	// No cell starts once ctx is done; a running one stops at its next
 	// context check. A replay builds no DPU, so the worker's arena goes
 	// unused.
 	engine.New(p.opts.Parallelism).Each(ctx, len(cells), func(i int, _ *core.Arena) {
+		var s *scratch
+		select {
+		case s = <-free:
+		default:
+			s = new(scratch)
+		}
+		defer func() { free <- s }()
 		c := &cells[i]
 		arr, err := c.gen()
 		if err != nil {
 			c.err = err
 			return
 		}
-		outs, makespan, err := p.replay(ctx, c.policy, arr)
+		outs, makespan, err := p.replay(ctx, c.policy, arr, s)
 		if err != nil {
 			c.err = err
 			return
 		}
-		c.rows, _ = computeMetrics(arr, outs, makespan)
+		c.rows = s.tenantMetrics(arr, outs, makespan)
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("serve: load sweep: %w", err)

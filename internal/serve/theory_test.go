@@ -362,5 +362,5 @@ func TestReplayScalesWithTime(t *testing.T) {
 
 // replayOnce replays one cell of p on its own.
 func replayOnce(ctx context.Context, p *prepared, policy Policy, arr *arrivals) ([]outcome, float64, error) {
-	return p.replay(ctx, policy, arr)
+	return p.replay(ctx, policy, arr, new(scratch))
 }
