@@ -113,6 +113,9 @@ func (p *weightedFair) Served(tenant string, seconds float64) {
 // tightest deadline goes next (ties: lowest index, i.e. earliest
 // arrival). targets maps SLO class to target seconds; classes without an
 // entry fall back to arrival order among themselves (deadline = arrival).
+// Pick remembers each class's target once it has looked it up, so, like a
+// weighted-fair policy, one instance is for one goroutine at a time; Serve
+// and LoadSweep replay on a copy of their own.
 func SLOAware(targets map[string]float64) Policy {
 	t := make(map[string]float64, len(targets))
 	for k, v := range targets {

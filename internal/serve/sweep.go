@@ -69,10 +69,12 @@ func (p *prepared) sweep(ctx context.Context, policies []string, loads []float64
 		}
 	}
 
-	// Each running cell holds one scratch and hands it back when done, so
-	// there are never more than there are workers, and a warm cell allocates
-	// only its rows. The table prints per-tenant rows only, so no cell
-	// computes the overall ones.
+	// Each running cell takes a scratch from the free list, or makes one
+	// when it is empty, and hands it back when done: there are never more
+	// than there are workers, and a warm cell allocates only its rows. The
+	// list has room for one per cell, so handing one back never blocks. The
+	// table prints per-tenant rows only, so no cell computes the overall
+	// ones.
 	free := make(chan *scratch, len(cells))
 	// No cell starts once ctx is done; a running one stops at its next
 	// context check. A replay builds no DPU, so the worker's arena goes
