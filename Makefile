@@ -4,12 +4,12 @@ GO ?= go
 # its stores, reports and logs; `make clean` removes it.
 W := .work
 
-.PHONY: build test pairs cli-guard pool-guard op-guard fma-guard test-race race coord-soak cover fuzz-smoke bench-module profile-cold profile-resume profile-figures profile-serve fmt vet loc clean report refdata paper-smoke pathfind-smoke coord-smoke serve-smoke energy-check arch-check calibration-check
+.PHONY: build test pairs cli-guard pool-guard arena-guard op-guard fma-guard test-race race coord-soak cover fuzz-smoke bench-module profile-cold profile-resume profile-figures profile-serve fmt vet loc clean report refdata paper-smoke pathfind-smoke coord-smoke serve-smoke energy-check arch-check calibration-check
 
 build:
 	$(GO) build ./...
 
-test: fmt vet cli-guard pool-guard op-guard fma-guard
+test: fmt vet cli-guard pool-guard arena-guard op-guard fma-guard
 	$(GO) test ./...
 
 # cli-guard keeps internal/cli the one command toolkit: a command that
@@ -30,6 +30,16 @@ pool-guard:
 	@if grep -rnE 'sync\.WaitGroup|runtime\.GOMAXPROCS' --include='*.go' --exclude='*_test.go' --exclude-dir=$(W) --exclude-dir=benchmark . | \
 		grep -vE '^\./internal/(engine|host|coord|explore/storetest)/'; then \
 		echo "pool-guard: the lines above run a worker pool outside internal/engine; use engine.Each"; exit 1; fi
+
+# arena-guard keeps DPU-shell reuse behind internal/host: every System
+# borrows its arena from the host's process-wide free list, so no other layer
+# has an arena to hold or pass. A file that names one grows back the plumbing
+# that list replaced. The core defines arenas; the benchmark's shell ladder
+# times them directly. CI runs this target.
+arena-guard:
+	@if grep -rnE 'core\.Arena|NewArena|NewInArena' --include='*.go' --exclude='*_test.go' --exclude-dir=$(W) --exclude-dir=benchmark . | \
+		grep -vE '^\./internal/(core|host)/'; then \
+		echo "arena-guard: the lines above handle DPU-shell arenas; host.NewSystemFromProgram and System.Release own them"; exit 1; fi
 
 # op-guard keeps the opcode table (internal/isa) the one place that says what
 # an opcode is — mnemonic, format, mix class, memory access, sources: a

@@ -16,17 +16,16 @@ import (
 // call of each public entry point may allocate on the Go heap. Allocation
 // counts are the one measurement that repeats across machines and sessions
 // (timings are benchmark/run.sh's job), so the ceilings are the counts
-// themselves: each row was measured with testing.AllocsPerRun at e049771 —
-// whose warm-up call fills the build cache, the input cache, the DPU-shell
-// arena and the buffer pools — and is committed as measured. A row at
-// parallelism 1 fails when its ceiling is lowered by one. The two rows on
-// two workers are not exact, because the workers reorder pool traffic
-// (ServeLoadSweep reads 883-1002 over 24 calls there since each worker
-// reuses its replay buffers; the resumed exploration reads 2664 on a 2-vCPU
-// Xeon since its keys stopped allocating), and carry 10 % over a typical
-// reading. A change
-// that allocates more on purpose raises its row in the same diff. Not under
-// the race detector, where sync.Pool drops items at random.
+// themselves: each row is measured with testing.AllocsPerRun — whose warm-up
+// call fills the build cache, the input cache, the process's DPU-shell free
+// list (internal/host) and the buffer pools — and committed as measured. A
+// row at parallelism 1 fails when its ceiling is lowered by one. The two
+// rows on two workers are not exact, because the workers reorder pool
+// traffic (ServeLoadSweep reads 749-764 on a 2-vCPU Xeon; the resumed
+// exploration reads 2662-2664 there since its keys stopped allocating), and
+// carry 10 % over a typical reading. A change that allocates more on
+// purpose raises its row in the same diff. Not under the race detector,
+// where sync.Pool drops items at random.
 func TestWarmRunHostAllocs(t *testing.T) {
 	ctx := context.Background()
 	newRunner := func(opts ...upim.RunnerOption) *upim.Runner {
@@ -101,23 +100,34 @@ func TestWarmRunHostAllocs(t *testing.T) {
 		call    func() error
 	}{
 		{"Run/VA/16-tasklets", 15, run(sixteen, "VA")},
+		// A new Runner's first run: its engine and build cache are new, its
+		// DPU shells the process's, recycled from the calls before (168 when
+		// each engine kept its own).
+		{"NewRunner+Run/VA", 63, func() error {
+			r, err := upim.NewRunner(upim.WithScale(upim.ScaleTiny))
+			if err != nil {
+				return err
+			}
+			_, err = r.Run(ctx, "VA")
+			return err
+		}},
 		{"Run/GEMV", 15, run(tiny, "GEMV")}, // a multi-buffer host
 		{"Run/SEL", 16, run(tiny, "SEL")},   // verification walks per-tasklet regions
-		{"Experiment/table1", 50, experiment("table1")},
-		{"Experiment/table2", 59, experiment("table2")},
-		{"Explore/hbm-pim", 81, func() error {
+		{"Experiment/table1", 47, experiment("table1")},
+		{"Experiment/table2", 57, experiment("table2")},
+		{"Explore/hbm-pim", 79, func() error {
 			x, err := upim.Explore(ctx, hbm, upim.ExploreOptions{Parallelism: 1})
 			if err != nil {
 				return err
 			}
 			return x.FirstErr()
 		}},
-		{"Serve/wfq", 308, func() error {
+		{"Serve/wfq", 169, func() error {
 			_, err := upim.Serve(ctx, serve)
 			return err
 		}},
 		{"WriteReport", 75, func() error { return upim.WriteReport(report, coldTables) }},
-		{"ServeLoadSweep/2-workers", 1089, func() error { return serveSweep(ctx) }}, // 990 + 10 %
+		{"ServeLoadSweep/2-workers", 840, func() error { return serveSweep(ctx) }}, // 763 + 10 %
 		// What a rerun over a populated store costs after enumeration:
 		// reopen the store, 72 hits, four tables, WriteReport.
 		{"ExploreResumed/2-workers", 2930, func() error { // 2664 + 10 %

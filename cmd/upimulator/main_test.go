@@ -50,6 +50,9 @@ func TestExitCodes(t *testing.T) {
 		{"serve -groups 4611686018427387904", 2},
 		{"serve -groupdpus 4611686018427387904", 2},
 		{"serve -groups 1281 -groupdpus 2", 2},
+		// A request stream past serve's bound likewise; it used to panic
+		// sizing the arrival buffers after profiling.
+		{"serve -requests 4611686018427387904", 2},
 		{"serve -batch 4611686018427387904", 0},
 		{"serve -eps 0.5", 2},
 		{"-kernel VA -energy", 2},

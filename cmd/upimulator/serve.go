@@ -86,7 +86,7 @@ func serve(fs *flag.FlagSet) func(context.Context) error {
 		}
 
 		res, err := upim.Serve(ctx, opts)
-		if errors.Is(err, serving.ErrTooManyDPUs) { // -groups × -groupdpus, refused before profiling
+		if errors.Is(err, serving.ErrTooManyDPUs) || errors.Is(err, serving.ErrTooManyRequests) { // refused before profiling
 			return cli.Usage(err)
 		}
 		if err != nil {

@@ -27,8 +27,7 @@ type worker struct {
 	name string
 	api  LeaseClient
 	// ex resolves points through the store, one at a time on the worker's
-	// goroutine (its one-slot engine recycles a single DPU-shell arena across
-	// points and shards).
+	// goroutine.
 	ex   *explore.Explorer
 	pts  []explore.Point
 	log  *Log

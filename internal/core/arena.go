@@ -5,17 +5,18 @@ import (
 	"upim/internal/linker"
 )
 
-// Arena recycles DPU shells across simulation runs. A sweep worker owns one
-// arena for its whole lifetime: every system it builds draws its DPUs from
-// the arena (NewInArena) and returns them when the run's results have been
-// copied out (Release), so steady-state sweep execution reuses the thread
-// and warp slabs, the scheduler queue and bitset, the burst/sink/xfer slabs,
-// the memories and the bank instead of re-allocating them per point.
+// Arena recycles DPU shells across simulation runs. The host's process-wide
+// free list lends one arena to each system for the system's lifetime: the
+// system draws its DPUs from the arena (NewInArena) and returns them when
+// the run's results have been copied out (Release), so steady-state
+// execution anywhere in the process reuses the thread and warp slabs, the
+// scheduler queue and bitset, the burst/sink/xfer slabs, the memories and
+// the bank instead of re-allocating them per point.
 //
 // Ownership rules (see ARCHITECTURE.md "Memory discipline"):
 //
 //   - An arena is single-owner: it is NOT safe for concurrent use. Each
-//     worker goroutine gets its own.
+//     system gets its own.
 //   - Release must only be called once the caller has stopped using every
 //     reference into the DPU — its Stats(), WRAM(), MRAM() and Trace() views
 //     alias storage the next NewInArena will reuse. Value copies (e.g.

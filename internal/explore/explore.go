@@ -17,7 +17,6 @@ package explore
 import (
 	"context"
 
-	"upim/internal/core"
 	"upim/internal/engine"
 	"upim/internal/estimate"
 	"upim/internal/prim"
@@ -156,10 +155,10 @@ func (e *Explorer) begin(p Point, i int, plan *bandPlan) (Outcome, engine.Point)
 // resolve is the whole per-point step: an out-of-band point of a band plan
 // retires with the estimate-fidelity write that keeps the store a record of
 // the whole exploration at its actual fidelity; any other point is a store
-// hit (unless refreshing) or simulates in arena and persists. A result that
+// hit (unless refreshing) or simulates and persists. A result that
 // fails to persist is a failed point — its outcome carries the store error
 // and the next run re-simulates it.
-func (e *Explorer) resolve(ctx context.Context, p Point, i int, plan *bandPlan, arena *core.Arena) Outcome {
+func (e *Explorer) resolve(ctx context.Context, p Point, i int, plan *bandPlan) Outcome {
 	o, ep := e.begin(p, i, plan)
 	if plan != nil && !plan.InBand[i] {
 		if o.Err = e.store.PutEstimate(o.Key, ep, o.Estimate); o.Err == nil {
@@ -173,7 +172,7 @@ func (e *Explorer) resolve(ctx context.Context, p Point, i int, plan *bandPlan, 
 			return o
 		}
 	}
-	o.Result, o.Err = e.eng.RunInArena(ctx, ep, arena)
+	o.Result, o.Err = e.eng.Run(ctx, ep)
 	if o.Err == nil && o.Result != nil {
 		if o.Err = e.store.Put(o.Key, ep, o.Result); o.Err == nil {
 			o.Fidelity = FidelityExact
@@ -187,7 +186,7 @@ func (e *Explorer) resolve(ctx context.Context, p Point, i int, plan *bandPlan, 
 // outcome. It is the unit Explore sweeps, exposed for drivers that schedule
 // points themselves (the coordinator's workers).
 func (e *Explorer) Resolve(ctx context.Context, p Point, i int) Outcome {
-	o := e.resolve(ctx, p, i, nil, nil)
+	o := e.resolve(ctx, p, i, nil)
 	e.emit(o)
 	return o
 }
@@ -206,8 +205,8 @@ func (e *Explorer) run(ctx context.Context, space *Space, pts []Point, plan *ban
 	done := make(chan Outcome)
 	go func() {
 		defer close(done)
-		e.eng.Each(ctx, len(pts), func(i int, arena *core.Arena) {
-			o := e.resolve(ctx, pts[i], i, plan, arena)
+		e.eng.Each(ctx, len(pts), func(i int) {
+			o := e.resolve(ctx, pts[i], i, plan)
 			if o.Fidelity == "" && ctx.Err() != nil {
 				return // interrupted, not finished: left to the marking below
 			}

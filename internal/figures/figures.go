@@ -60,21 +60,9 @@ func (o Options) names(defaults ...string) []string {
 	return out
 }
 
-// engineFor returns the sweep engine experiments run on: the shared
-// default-width engine, or one bounded to Options.Parallelism. Either way
-// the engine is backed by sharedCache, so kernel builds are reused across
-// runs within a process.
-func (o Options) engineFor() *engine.Engine {
-	if o.Parallelism > 0 {
-		return engine.NewWithCache(o.Parallelism, sharedCache)
-	}
-	return sharedEngine
-}
-
-var (
-	sharedCache  = prim.NewBuildCache()
-	sharedEngine = engine.NewWithCache(0, sharedCache)
-)
+// sharedCache backs every experiment's engine, so kernel builds are reused
+// across runs within a process.
+var sharedCache = prim.NewBuildCache()
 
 // Experiment is a registered figure/table. Plan declares the points the
 // table reads, in the order its projection expects their results, and the
@@ -118,7 +106,7 @@ func Run(ctx context.Context, o Options, exps ...Experiment) ([]*Table, error) {
 	}
 	var outs []engine.Outcome
 	if len(pts) > 0 { // a point-free run pays for no sweep
-		outs, _ = o.engineFor().SweepAll(ctx, pts)
+		outs, _ = engine.NewWithCache(o.Parallelism, sharedCache).SweepAll(ctx, pts)
 	}
 	tables := make([]*Table, len(exps))
 	var first error

@@ -89,6 +89,8 @@ type System struct {
 	// allocate.
 	before []uint64
 	errs   []error
+	// arena is the DPU-shell arena borrowed from arenas until Release.
+	arena *core.Arena
 }
 
 // NewSystem links obj for cfg and allocates n DPUs loaded with the program.
@@ -106,16 +108,9 @@ func NewSystem(obj *linker.Object, cfg config.Config, n int) (*System, error) {
 // NewSystemFromProgram allocates n DPUs loaded with an already-linked
 // program. The program must have been linked for the same mode as cfg; it is
 // never mutated, so one Program may back many concurrent Systems (the sweep
-// engine's build cache relies on this).
+// engine's build cache relies on this). The DPUs are recycled shells when the
+// process's arena free list has them.
 func NewSystemFromProgram(prog *linker.Program, cfg config.Config, n int) (*System, error) {
-	return NewSystemFromProgramInArena(prog, cfg, n, nil)
-}
-
-// NewSystemFromProgramInArena is NewSystemFromProgram drawing the DPUs from
-// an arena (nil degrades to plain allocation). The caller must Release the
-// system once it has copied every result out; see the arena's ownership
-// rules.
-func NewSystemFromProgramInArena(prog *linker.Program, cfg config.Config, n int, arena *core.Arena) (*System, error) {
 	if prog == nil {
 		return nil, fmt.Errorf("host: nil program (link an object first)")
 	}
@@ -130,9 +125,10 @@ func NewSystemFromProgramInArena(prog *linker.Program, cfg config.Config, n int,
 		pendOut:     make([]uint64, n),
 		phase:       PhaseInput,
 		maxKernelCy: 2_000_000_000,
+		arena:       getArena(),
 	}
 	for i := 0; i < n; i++ {
-		d, err := core.NewInArena(arena, i, prog, cfg)
+		d, err := core.NewInArena(s.arena, i, prog, cfg)
 		if err != nil {
 			s.Release()
 			return nil, err
@@ -142,8 +138,8 @@ func NewSystemFromProgramInArena(prog *linker.Program, cfg config.Config, n int,
 	return s, nil
 }
 
-// Release returns every DPU to its arena (a no-op for plainly-allocated
-// systems). The system and any views into its DPUs must not be used
+// Release returns the DPUs' shells to the process's free list for the next
+// system. The system and any views into its DPUs must not be used
 // afterwards; results must be copied out first. Release is idempotent.
 func (s *System) Release() {
 	for i, d := range s.dpus {
@@ -152,6 +148,41 @@ func (s *System) Release() {
 			s.dpus[i] = nil
 		}
 	}
+	if s.arena != nil {
+		putArena(s.arena)
+		s.arena = nil
+	}
+}
+
+// arenas is the process's one free list of DPU-shell arenas: each System
+// owns one from construction to Release, so every run recycles the shells
+// the runs before it left, whichever engine drives it. Not a sync.Pool: the
+// GC empties pools every cycle, and rebuilding a shell costs thousands of
+// allocations. It holds at most as many arenas as were ever borrowed at once.
+var (
+	arenaMu sync.Mutex
+	arenas  []*core.Arena
+)
+
+// getArena pops a recycled arena, or makes an empty one when none is free.
+func getArena() *core.Arena {
+	arenaMu.Lock()
+	defer arenaMu.Unlock()
+	n := len(arenas)
+	if n == 0 {
+		return core.NewArena()
+	}
+	a := arenas[n-1]
+	arenas[n-1] = nil
+	arenas = arenas[:n-1]
+	return a
+}
+
+// putArena returns an arena to the free list.
+func putArena(a *core.Arena) {
+	arenaMu.Lock()
+	defer arenaMu.Unlock()
+	arenas = append(arenas, a)
 }
 
 // NumDPUs returns the allocation size.

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"upim/internal/config"
+	"upim/internal/core"
 	"upim/internal/kbuild"
 	"upim/internal/linker"
 )
@@ -393,5 +394,32 @@ func TestLaunchCancelledBeforeStart(t *testing.T) {
 	}
 	if s.Report().Launches != 0 {
 		t.Fatal("cancelled launch was counted")
+	}
+}
+
+// TestReleasedShellsGoToTheNextSystem: every system draws its DPUs from the
+// process's arena free list, so a released system's shells are the next
+// system's, whoever builds it, while systems alive at once never share one.
+func TestReleasedShellsGoToTheNextSystem(t *testing.T) {
+	a, b := newTestSystem(t, 3), newTestSystem(t, 3)
+	was := map[*core.DPU]bool{a.DPU(0): true, a.DPU(1): true, a.DPU(2): true}
+	for i := 0; i < 3; i++ {
+		if was[b.DPU(i)] {
+			t.Fatal("two live systems hold the same DPU shell")
+		}
+	}
+	a.Release()
+	a.Release() // idempotent: the arena goes back once
+	c := newTestSystem(t, 3)
+	defer c.Release()
+	b.Release()
+	recycled := 0
+	for i := 0; i < 3; i++ {
+		if was[c.DPU(i)] {
+			recycled++
+		}
+	}
+	if recycled != 3 {
+		t.Fatalf("the next system recycled %d of the released system's 3 shells", recycled)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"upim/internal/config"
-	"upim/internal/core"
 	"upim/internal/prim"
 )
 
@@ -26,8 +25,6 @@ type Workload struct {
 	// Cache reuses assembled objects across runs sharing a kernel; only the
 	// UPMEM backend compiles kernels, others ignore it.
 	Cache *prim.BuildCache
-	// Arena recycles DPU shells; only meaningful to the UPMEM backend.
-	Arena *core.Arena
 }
 
 // Backend executes workloads on one architecture. Implementations must be
@@ -130,6 +127,5 @@ func (u upmemBackend) Run(ctx context.Context, w Workload) (*prim.Result, error)
 		Scale:     w.Scale,
 		Watchdog:  w.Watchdog,
 		Cache:     w.Cache,
-		Arena:     w.Arena,
 	})
 }

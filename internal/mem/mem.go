@@ -161,10 +161,12 @@ func (w *WRAM) WriteBytes(addr uint32, src []byte) error {
 const mramPageBytes = 64 << 10
 
 // MRAM is the DPU's 64MB DRAM bank, backed sparsely: pages materialize on
-// first touch so a 2,560-DPU system does not allocate 160GB.
+// first write so a 2,560-DPU system does not allocate 160GB.
 type MRAM struct {
-	size  int
-	pages [][]byte
+	size int
+	// pages holds exactly the pages written since the last Reset (nil
+	// reads all-zeros); spare holds cleared ones for the next writes.
+	pages, spare [][]byte
 }
 
 // NewMRAM creates a bank of the given size (offset-addressed from 0).
@@ -173,29 +175,33 @@ func NewMRAM(size int) *MRAM {
 	return &MRAM{size: size, pages: make([][]byte, n)}
 }
 
-// Reset zeroes the bank and resizes it to size, keeping already-materialized
-// pages (zeroed in place) for reuse — a reset MRAM reads all-zeros exactly
-// like a fresh one, without re-paying the page allocations.
+// Reset zeroes the bank and resizes it to size, clearing only the pages
+// written since the last Reset (past a shrunken size too) and keeping them
+// for reuse: a recycled bank reads like a fresh one, and a long-lived DPU
+// shell pays for what its last run wrote, not for every dataset it held.
 func (m *MRAM) Reset(size int) {
-	n := (size + mramPageBytes - 1) / mramPageBytes
-	if n > cap(m.pages) {
-		pages := make([][]byte, n)
-		copy(pages, m.pages)
-		m.pages = pages
-	} else {
-		m.pages = m.pages[:n]
-	}
-	m.size = size
-	for _, p := range m.pages {
+	pages := m.pages[:cap(m.pages)]
+	for i, p := range pages {
 		if p != nil {
 			clear(p)
+			m.spare, pages[i] = append(m.spare, p), nil
 		}
 	}
+	n := (size + mramPageBytes - 1) / mramPageBytes
+	if n > len(pages) {
+		pages = make([][]byte, n)
+	}
+	m.pages, m.size = pages[:n], size
 }
 
+// page returns page idx for writing, materializing it on first touch.
 func (m *MRAM) page(idx int) []byte {
 	if m.pages[idx] == nil {
-		m.pages[idx] = make([]byte, mramPageBytes)
+		if k := len(m.spare); k > 0 {
+			m.pages[idx], m.spare = m.spare[k-1], m.spare[:k-1]
+		} else {
+			m.pages[idx] = make([]byte, mramPageBytes)
+		}
 	}
 	return m.pages[idx]
 }
@@ -267,7 +273,7 @@ func (m *MRAM) Store(off uint32, size int, val uint64) error {
 // AllocatedBytes reports how much backing storage has materialized (test and
 // footprint introspection).
 func (m *MRAM) AllocatedBytes() int {
-	n := 0
+	n := len(m.spare) * mramPageBytes
 	for _, p := range m.pages {
 		if p != nil {
 			n += len(p)

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -174,6 +175,75 @@ func TestQuickMRAMMatchesFlatModel(t *testing.T) {
 			}
 		}
 		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: after any seeded history of writes, stores and resets —
+// resizes included, shrinking past written pages and growing back over
+// them — an MRAM reads exactly like a fresh bank of its size, and between
+// resets like a flat byte array. Reset clears only the pages written since
+// the last one, so a page it missed would read back stale here.
+func TestQuickMRAMResetReadsFresh(t *testing.T) {
+	const page = mramPageBytes
+	sizes := []int{page - 8, 3*page + 100, 8 * page}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		size := sizes[r.Intn(len(sizes))]
+		m, flat := NewMRAM(size), make([]byte, size)
+		// Offsets cluster at page edges and at the top of the bank, where
+		// the MMU keeps its page table.
+		offset := func(n int) uint32 {
+			switch r.Intn(3) {
+			case 0:
+				return uint32(max(0, min(size-n, r.Intn(size/page+1)*page-r.Intn(16))))
+			case 1:
+				return uint32(size - n - r.Intn(min(size-n, 64)+1))
+			default:
+				return uint32(r.Intn(size - n + 1))
+			}
+		}
+		for i := 0; i < 80; i++ {
+			switch r.Intn(6) {
+			case 0: // reset, often to another size
+				size = sizes[r.Intn(len(sizes))]
+				m.Reset(size)
+				flat = make([]byte, size)
+				got, want := make([]byte, size), make([]byte, size)
+				fresh := NewMRAM(size)
+				if m.ReadBytes(0, got) != nil || fresh.ReadBytes(0, want) != nil || !bytes.Equal(got, want) {
+					return false
+				}
+				if (m.ReadBytes(uint32(size), got[:1]) == nil) != (fresh.ReadBytes(uint32(size), want[:1]) == nil) {
+					return false
+				}
+			case 1, 2:
+				buf := make([]byte, 1+r.Intn(min(size, 300)))
+				r.Read(buf)
+				off := offset(len(buf))
+				if m.WriteBytes(off, buf) != nil {
+					return false
+				}
+				copy(flat[off:], buf)
+			case 3:
+				off := offset(8) &^ 7
+				v := r.Uint64()
+				if m.Store(off, 8, v) != nil {
+					return false
+				}
+				binary.LittleEndian.PutUint64(flat[off:], v)
+			default:
+				buf := make([]byte, 1+r.Intn(min(size, 300)))
+				off := offset(len(buf))
+				if m.ReadBytes(off, buf) != nil || !bytes.Equal(buf, flat[off:int(off)+len(buf)]) {
+					return false
+				}
+			}
+		}
+		got := make([]byte, size)
+		return m.ReadBytes(0, got) == nil && bytes.Equal(got, flat)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

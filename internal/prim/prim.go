@@ -19,7 +19,6 @@ import (
 	"sync"
 
 	"upim/internal/config"
-	"upim/internal/core"
 	"upim/internal/energy"
 	"upim/internal/host"
 	"upim/internal/kbuild"
@@ -207,9 +206,6 @@ type Spec struct {
 	// Cache, when non-nil, reuses assembled objects and linked programs
 	// across runs that share a kernel (sweeps build each kernel once).
 	Cache *BuildCache
-	// Arena, when non-nil, recycles DPU shells across runs. Single-owner:
-	// a sweep worker passes its own arena with every spec it executes.
-	Arena *core.Arena
 }
 
 // RunSpec executes one simulation point and verifies its output against the
@@ -237,7 +233,7 @@ func RunSpec(ctx context.Context, sp Spec) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("prim: %s: %w", name, err)
 	}
-	sys, err := host.NewSystemFromProgramInArena(prog, cfg, sp.DPUs, sp.Arena)
+	sys, err := host.NewSystemFromProgram(prog, cfg, sp.DPUs)
 	if err != nil {
 		return nil, fmt.Errorf("prim: %s: %w", name, err)
 	}

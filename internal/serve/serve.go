@@ -9,7 +9,7 @@
 //
 //   - Profiling: every distinct (benchmark, rank-group) kernel a workload
 //     can issue is simulated once, cycle-exactly, through the shared sweep
-//     engine (arenas, build cache, MMU-enabled configuration). The profile
+//     engine (build cache, MMU-enabled configuration). The profile
 //     captures the phase-bucketed service time and the event-level energy
 //     of one execution.
 //   - Serving: a virtual-time discrete-event loop replays an open-loop
@@ -30,6 +30,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -122,7 +123,8 @@ type Options struct {
 	// the request count means the request count).
 	MaxBatch int
 	// Requests is the default per-tenant request count for Poisson
-	// generation (default 16). Ignored in trace mode.
+	// generation (default 16). Ignored in trace mode. The tenants' counts
+	// may not sum past 2^24 (ErrTooManyRequests).
 	Requests int
 	// Load is the target offered load as a fraction of the rank groups'
 	// aggregate service capacity (default 0.7); it derives per-tenant
@@ -241,6 +243,14 @@ const maxServerDPUs = 2560
 // full UPMEM server.
 var ErrTooManyDPUs = errors.New("serve: more than 2560 DPUs, a full 20-DIMM UPMEM server")
 
+// maxRequests bounds a Poisson stream, summed over its tenants: the
+// generator sizes its buffers by the total, so a mistyped count must be
+// refused before profiling, not panic there.
+const maxRequests = 1 << 24
+
+// ErrTooManyRequests reports a Poisson stream of more than 2^24 requests.
+var ErrTooManyRequests = fmt.Errorf("serve: more than %d requests in all", maxRequests)
+
 // finite reports whether v is an ordinary number (not NaN, not ±Inf).
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
@@ -255,10 +265,11 @@ func (o Options) validate() error {
 	if !finite(o.Load) {
 		return fmt.Errorf("serve: load %v is not a finite number", o.Load)
 	}
-	if d := o.withDefaults(); d.GroupDPUs > maxServerDPUs/d.Groups {
+	d := o.withDefaults()
+	if d.GroupDPUs > maxServerDPUs/d.Groups {
 		return fmt.Errorf("%w: %d groups of %d DPUs", ErrTooManyDPUs, d.Groups, d.GroupDPUs)
 	}
-	seen := make(map[string]bool, len(o.Tenants))
+	seen, requests := make(map[string]bool, len(o.Tenants)), 0
 	for i, tn := range o.Tenants {
 		if tn.Name == "" {
 			return fmt.Errorf("serve: tenant %d has no name", i)
@@ -282,6 +293,13 @@ func (o Options) validate() error {
 			if !finite(f.v) {
 				return fmt.Errorf("serve: tenant %q: %s %v is not a finite number", tn.Name, f.name, f.v)
 			}
+		}
+		if len(o.Trace) == 0 { // a Poisson stream: its total sizes the buffers
+			n := cmp.Or(max(tn.Requests, 0), d.Requests)
+			if n > maxRequests-requests {
+				return fmt.Errorf("%w: tenant %q asks for %d", ErrTooManyRequests, tn.Name, n)
+			}
+			requests += n
 		}
 	}
 	return nil
@@ -358,7 +376,7 @@ func Serve(ctx context.Context, opts Options) (*Result, error) {
 }
 
 // profileKernels simulates every distinct benchmark of the workload once on
-// a rank group, through the shared engine (arenas + build cache), and
+// a rank group, through the shared engine (build cache), and
 // returns their sorted names and, index for index, their profiles.
 func profileKernels(ctx context.Context, opts Options) ([]string, []profile, error) {
 	var names []string

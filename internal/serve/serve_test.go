@@ -441,6 +441,11 @@ func TestServeValidation(t *testing.T) {
 		{"group DPUs past a server", func(o *Options) { o.GroupDPUs = 1 << 62 }, "2560 DPUs"},
 		{"groups × DPUs overflow", func(o *Options) { o.Groups, o.GroupDPUs = 1<<62, 1<<62 }, "2560 DPUs"},
 		{"groups × DPUs past a server", func(o *Options) { o.Groups, o.GroupDPUs = 1281, 2 }, "1281 groups of 2 DPUs"},
+		// A request stream past the bound is refused before profiling; these
+		// counts used to panic sizing the arrival buffers.
+		{"requests past the bound", func(o *Options) { o.Requests = 1 << 62 }, "more than 16777216 requests"},
+		{"one tenant past the bound", func(o *Options) { o.Tenants[1].Requests = 1 << 62 }, `tenant "beta" asks for 4611686018427387904`},
+		{"requests sum overflows", func(o *Options) { o.Tenants[0].Requests, o.Tenants[1].Requests = 1<<62, 1<<62 }, "more than 16777216 requests"},
 	}
 	for _, tc := range cases {
 		opts := testOptions()
@@ -458,6 +463,17 @@ func TestServeValidation(t *testing.T) {
 	opts.Groups = maxServerDPUs
 	if _, err := Serve(ctx, opts); err != nil {
 		t.Errorf("%d groups of one DPU: %v", opts.Groups, err)
+	}
+	// The request bound is on the sum: a stream of exactly maxRequests is
+	// accepted, one more is refused (validated only; neither is generated).
+	opts = testOptions()
+	opts.Tenants[0].Requests, opts.Tenants[1].Requests = maxRequests/2, maxRequests/2
+	if err := opts.validate(); err != nil {
+		t.Errorf("%d requests in all: %v", maxRequests, err)
+	}
+	opts.Tenants[1].Requests++
+	if err := opts.validate(); !errors.Is(err, ErrTooManyRequests) {
+		t.Errorf("%d requests in all: err = %v, want ErrTooManyRequests", maxRequests+1, err)
 	}
 }
 

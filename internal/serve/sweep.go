@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"upim/internal/artifact"
-	"upim/internal/core"
 	"upim/internal/engine"
 )
 
@@ -77,9 +76,8 @@ func (p *prepared) sweep(ctx context.Context, policies []string, loads []float64
 	// ones.
 	free := make(chan *scratch, len(cells))
 	// No cell starts once ctx is done; a running one stops at its next
-	// context check. A replay builds no DPU, so the worker's arena goes
-	// unused.
-	engine.New(p.opts.Parallelism).Each(ctx, len(cells), func(i int, _ *core.Arena) {
+	// context check.
+	engine.New(p.opts.Parallelism).Each(ctx, len(cells), func(i int) {
 		var s *scratch
 		select {
 		case s = <-free:

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"upim/internal/config"
-	"upim/internal/core"
 	"upim/internal/engine"
 )
 
@@ -266,8 +265,8 @@ func (r *Runner) Sweep(ctx context.Context, points []Point) <-chan SweepResult {
 				eps, idx = append(eps, ep), append(idx, i)
 			}
 		}
-		r.eng.Each(ctx, len(eps), func(j int, arena *core.Arena) {
-			res, err := r.eng.RunInArena(ctx, eps[j], arena)
+		r.eng.Each(ctx, len(eps), func(j int) {
+			res, err := r.eng.Run(ctx, eps[j])
 			i := idx[j]
 			send(SweepResult{Point: points[i], Index: i, Result: res, Err: err})
 		})

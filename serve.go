@@ -48,8 +48,7 @@ func NewSchedulingPolicy(name string, tenants []ServeTenant) (SchedulingPolicy, 
 func SchedulingPolicyNames() []string { return serve.PolicyNames() }
 
 // Serve profiles the workload's kernels cycle-exactly (through the sweep
-// engine's arenas and build cache, MMU enabled by default for tenant
-// isolation) and replays the arrival stream through the scheduler in
+// engine's build cache, MMU enabled by default for tenant isolation) and replays the arrival stream through the scheduler in
 // virtual time. The result is a pure function of opts: repeat runs — at
 // any Parallelism — produce byte-identical request tables.
 func Serve(ctx context.Context, opts ServeOptions) (*ServeResult, error) {
