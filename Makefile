@@ -4,12 +4,12 @@ GO ?= go
 # its stores, reports and logs; `make clean` removes it.
 W := .work
 
-.PHONY: build test pairs cli-guard pool-guard arena-guard op-guard fma-guard test-race race coord-soak cover fuzz-smoke bench-module profile-cold profile-resume profile-figures profile-serve fmt vet loc clean report refdata paper-smoke pathfind-smoke coord-smoke serve-smoke energy-check arch-check calibration-check
+.PHONY: build test pairs cli-guard pool-guard arena-guard policy-guard op-guard fma-guard test-race race coord-soak cover fuzz-smoke bench-module profile-cold profile-resume profile-figures profile-serve fmt vet loc clean report refdata paper-smoke pathfind-smoke coord-smoke serve-smoke energy-check arch-check calibration-check
 
 build:
 	$(GO) build ./...
 
-test: fmt vet cli-guard pool-guard arena-guard op-guard fma-guard
+test: fmt vet cli-guard pool-guard arena-guard policy-guard op-guard fma-guard
 	$(GO) test ./...
 
 # cli-guard keeps internal/cli the one command toolkit: a command that
@@ -40,6 +40,16 @@ arena-guard:
 	@if grep -rnE 'core\.Arena|NewArena|NewInArena' --include='*.go' --exclude='*_test.go' --exclude-dir=$(W) --exclude-dir=benchmark . | \
 		grep -vE '^\./internal/(core|host)/'; then \
 		echo "arena-guard: the lines above handle DPU-shell arenas; host.NewSystemFromProgram and System.Release own them"; exit 1; fi
+
+# policy-guard keeps every scheduling policy behind the serve.Policy
+# interface: a request carries its SLO deadline, so no part of a run needs to
+# know which built-in policy it holds. Code that asserts a built-in policy's
+# concrete type treats that policy specially, and the same policy behind a
+# wrapper (a tracing decorator, a test's call log) then schedules differently.
+# CI runs this target.
+policy-guard:
+	@if grep -rnE '\.\(\*?(fifo|weightedFair|sloAware)\)' --include='*.go' --exclude='*_test.go' --exclude-dir=$(W) .; then \
+		echo "policy-guard: the lines above assert a built-in policy's type; a wrapped policy must schedule as the bare one"; exit 1; fi
 
 # op-guard keeps the opcode table (internal/isa) the one place that says what
 # an opcode is — mnemonic, format, mix class, memory access, sources: a

@@ -21,7 +21,7 @@ import (
 // list (internal/host) and the buffer pools — and committed as measured. A
 // row at parallelism 1 fails when its ceiling is lowered by one. The two
 // rows on two workers are not exact, because the workers reorder pool
-// traffic (ServeLoadSweep reads 749-764 on a 2-vCPU Xeon; the resumed
+// traffic (ServeLoadSweep reads 714-731 on a 2-vCPU Xeon; the resumed
 // exploration reads 2662-2664 there since its keys stopped allocating), and
 // carry 10 % over a typical reading. A change that allocates more on
 // purpose raises its row in the same diff. Not under the race detector,
@@ -66,6 +66,13 @@ func TestWarmRunHostAllocs(t *testing.T) {
 	}
 	serve := upim.ServeOptions{Tenants: tenants, Policy: wfq, Groups: 2, MaxBatch: 4,
 		Requests: 24, Load: 0.8, Seed: 1, Scale: upim.ScaleTiny, Parallelism: 1}
+	// The same run through the earliest-deadline scheduler.
+	slo, err := upim.NewSchedulingPolicy("slo", tenants)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveSLO := serve
+	serveSLO.Policy = slo
 
 	// A 72-point exploration in a populated store and the four tables a
 	// `pathfind -pareto -goals time,energy,cost -energy` run renders from it.
@@ -114,7 +121,7 @@ func TestWarmRunHostAllocs(t *testing.T) {
 		{"Run/GEMV", 15, run(tiny, "GEMV")}, // a multi-buffer host
 		{"Run/SEL", 16, run(tiny, "SEL")},   // verification walks per-tasklet regions
 		{"Experiment/table1", 47, experiment("table1")},
-		{"Experiment/table2", 57, experiment("table2")},
+		{"Experiment/table2", 56, experiment("table2")},
 		{"Explore/hbm-pim", 79, func() error {
 			x, err := upim.Explore(ctx, hbm, upim.ExploreOptions{Parallelism: 1})
 			if err != nil {
@@ -126,8 +133,12 @@ func TestWarmRunHostAllocs(t *testing.T) {
 			_, err := upim.Serve(ctx, serve)
 			return err
 		}},
+		{"Serve/slo", 169, func() error {
+			_, err := upim.Serve(ctx, serveSLO)
+			return err
+		}},
 		{"WriteReport", 75, func() error { return upim.WriteReport(report, coldTables) }},
-		{"ServeLoadSweep/2-workers", 840, func() error { return serveSweep(ctx) }}, // 763 + 10 %
+		{"ServeLoadSweep/2-workers", 805, func() error { return serveSweep(ctx) }}, // 731 + 10 %
 		// What a rerun over a populated store costs after enumeration:
 		// reopen the store, 72 hits, four tables, WriteReport.
 		{"ExploreResumed/2-workers", 2930, func() error { // 2664 + 10 %
@@ -194,11 +205,12 @@ func serveSweep(ctx context.Context) error {
 // replayed request. An allocation count misses a buffer that grows, and a
 // load sweep's bytes scale with its requests. A cell builds no Records, and
 // each worker replays its cells in one set of outcome, queue and latency
-// buffers, so what scales is each load's arrival stream; that reads 49.1 B
-// a request on a 2-vCPU Xeon (83.2 when every cell allocated its own
-// buffers), and the ceiling is the reading plus 10 %.
+// buffers, so what scales is each load's arrival stream; that reads 36.2 B
+// a request on a 2-vCPU Xeon (39.0 when the generator buffered every
+// tenant's draws before merging them, 83.2 when every cell allocated its
+// own buffers), and the ceiling is the reading plus 10 %.
 func TestWarmServeLoadSweepBytes(t *testing.T) {
-	const ceiling = 54.0 // bytes per replayed request
+	const ceiling = 40.0 // bytes per replayed request
 	ctx := context.Background()
 	if err := serveSweep(ctx); err != nil { // warm: kernels built, pools filled
 		t.Fatal(err)

@@ -14,17 +14,14 @@
 package machine
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 
 	"upim/internal/config"
-	"upim/internal/httpjson"
 )
 
-// DescFormat versions the Desc JSON schema. Decode rejects descriptions
-// declaring a different format, so a stale machine file fails loudly
+// DescFormat versions the Desc JSON schema. Validate rejects descriptions
+// declaring a different format, so a stale description fails loudly
 // instead of silently zeroing fields added later.
 const DescFormat = 1
 
@@ -160,30 +157,6 @@ func (d *Desc) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Encode writes the description as indented JSON.
-func (d *Desc) Encode(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(d); err != nil {
-		return fmt.Errorf("machine: encoding description: %w", err)
-	}
-	return nil
-}
-
-// Decode reads a description strictly: unknown fields, trailing content,
-// format mismatches and inconsistent values are all errors, so a stale or
-// hand-mangled machine file never silently selects a different machine.
-func Decode(r io.Reader) (*Desc, error) {
-	d := &Desc{}
-	if err := httpjson.DecodeStrict(r, d); err != nil {
-		return nil, fmt.Errorf("machine: decoding description: %w", err)
-	}
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	return d, nil
 }
 
 // UPMEM returns the machine description of the native cycle-exact core,

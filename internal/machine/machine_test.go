@@ -1,7 +1,6 @@
 package machine_test
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -40,70 +39,27 @@ func TestNamedUnknown(t *testing.T) {
 	}
 }
 
-func TestCodecRoundTrip(t *testing.T) {
-	d := machine.HBMPIM()
-	var buf bytes.Buffer
-	if err := d.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := machine.Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, b bytes.Buffer
-	if err := d.Encode(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := got.Encode(&b); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatalf("round trip changed the description:\n%s\nvs\n%s", a.String(), b.String())
-	}
-}
-
-func TestDecodeStrict(t *testing.T) {
-	encode := func(d *machine.Desc) string {
-		var buf bytes.Buffer
-		if err := d.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	valid := encode(machine.HBMPIM())
+// TestValidateRejects: a description with a wrong or missing format, or
+// inconsistent values, fails Validate with an error naming the fault.
+func TestValidateRejects(t *testing.T) {
 	for _, tc := range []struct {
-		name, input, wantErr string
+		name    string
+		mut     func(*machine.Desc)
+		wantErr string
 	}{
-		{"unknown field", strings.Replace(valid, `"arch"`, `"arch_name"`, 1), "unknown field"},
-		{"wrong format", strings.Replace(valid, `"format": 1`, `"format": 99`, 1), "declares format 99"},
-		{"missing format", strings.Replace(valid, `"format": 1`, `"format": 0`, 1), "declares format 0"},
-		{"trailing content", valid + "{}", "trailing content"},
-		{"zero channels", strings.Replace(valid, `"channels": 64`, `"channels": 0`, 1), "channels must be positive"},
-		{"bad command mode", strings.Replace(valid, `"command_mode": "all-bank"`, `"command_mode": "warp"`, 1), "unknown command mode"},
-		{"ragged row", strings.Replace(valid, `"row_bytes": 1024`, `"row_bytes": 1000`, 1), "multiple of the column size"},
-		{"garbage", "{nope", "decoding description"},
+		{"wrong format", func(d *machine.Desc) { d.Format = 99 }, "declares format 99"},
+		{"missing format", func(d *machine.Desc) { d.Format = 0 }, "declares format 0"},
+		{"zero channels", func(d *machine.Desc) { d.Channels = 0 }, "channels must be positive"},
+		{"bad command mode", func(d *machine.Desc) { d.CommandMode = "warp" }, "unknown command mode"},
+		{"ragged row", func(d *machine.Desc) { d.RowBytes = 1000 }, "multiple of the column size"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := machine.Decode(strings.NewReader(tc.input))
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			d := machine.HBMPIM()
+			tc.mut(d)
+			if err := d.Validate(); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("want error containing %q, got %v", tc.wantErr, err)
 			}
 		})
-	}
-}
-
-// TestDecodeTrailing: whatever follows the description is refused,
-// including a stray closing bracket.
-func TestDecodeTrailing(t *testing.T) {
-	var buf bytes.Buffer
-	if err := machine.HBMPIM().Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, tail := range []string{"}", "]", " {}", "x"} {
-		_, err := machine.Decode(strings.NewReader(buf.String() + tail))
-		if err == nil || !strings.Contains(err.Error(), "trailing content") {
-			t.Errorf("tail %q: error = %v, want trailing content", tail, err)
-		}
 	}
 }
 
@@ -144,44 +100,4 @@ func TestBackendRegistry(t *testing.T) {
 	if _, err := machine.BackendFor("tpu"); err == nil {
 		t.Fatal("BackendFor should reject unknown architectures")
 	}
-}
-
-// FuzzMachineDecode holds the strict machine-description decoder to three
-// properties: no input panics, a description it accepts passes Validate, and
-// Encode of an accepted description is a fixed point of Decode.
-func FuzzMachineDecode(f *testing.F) {
-	encode := func(d *machine.Desc) []byte {
-		var buf bytes.Buffer
-		if err := d.Encode(&buf); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	f.Add(encode(machine.UPMEM()))
-	f.Add(encode(machine.HBMPIM()))
-	f.Add(append(encode(machine.HBMPIM()), '}'))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := machine.Decode(bytes.NewReader(data))
-		if err != nil {
-			return // refused input: only the no-panic guarantee applies
-		}
-		if err := d.Validate(); err != nil {
-			t.Fatalf("Decode accepted a description that fails Validate: %v", err)
-		}
-		var a bytes.Buffer
-		if err := d.Encode(&a); err != nil {
-			t.Fatalf("accepted description does not encode: %v", err)
-		}
-		again, err := machine.Decode(bytes.NewReader(a.Bytes()))
-		if err != nil {
-			t.Fatalf("encoded description does not decode: %v\n%s", err, a.Bytes())
-		}
-		var b bytes.Buffer
-		if err := again.Encode(&b); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Fatalf("Encode is not a fixed point:\n%s\n->\n%s", a.Bytes(), b.Bytes())
-		}
-	})
 }

@@ -83,58 +83,10 @@ func TestLoadSweepMatchesPerCellServe(t *testing.T) {
 	}
 }
 
-// stableSortMerge is the merge mergeStreams replaced, kept as its
-// reference: a stable sort of the concatenated streams by (arrival, tenant
-// index), read off as each arrival's tenant.
-func stableSortMerge(streams [][]draw) []int32 {
-	type tagged struct {
-		draw
-		tenant int32
-	}
-	var all []tagged
-	for ti, s := range streams {
-		for _, d := range s {
-			all = append(all, tagged{d, int32(ti)})
-		}
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].at != all[j].at {
-			return all[i].at < all[j].at
-		}
-		return all[i].tenant < all[j].tenant
-	})
-	owner := make([]int32, len(all))
-	for i, d := range all {
-		owner[i] = d.tenant
-	}
-	return owner
-}
-
-// TestMergeStreamsMatchesStableSort drives both merges over streams whose
-// arrivals sit on a coarse grid, so exact ties within and across tenants
-// are the common case, plus empty and single-tenant streams.
-func TestMergeStreamsMatchesStableSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 200; trial++ {
-		streams := make([][]draw, 1+rng.Intn(4))
-		for ti := range streams {
-			now := 0.0
-			for i, n := 0, rng.Intn(12); i < n; i++ {
-				now += float64(rng.Intn(3)) // gaps of 0 tie within the tenant too
-				streams[ti] = append(streams[ti], draw{at: now, mix: int32(rng.Intn(2))})
-			}
-		}
-		want := stableSortMerge(streams)
-		got := mergeStreams(streams)
-		if !slices.Equal(got, want) {
-			t.Fatalf("trial %d: merged tenants %v, want %v", trial, got, want)
-		}
-	}
-}
-
 // refPoissonRequests is the generator arrivals.poisson replaced, kept as
-// its reference: each tenant's stream drawn as whole Requests, then merged
-// by copying them.
+// its reference: each tenant's stream drawn in full as whole Requests, each
+// deadline its arrival plus the tenant's class target, then merged by
+// copying them, ties to the lowest tenant index.
 func refPoissonRequests(seed int64, tenants []tenant) ([]Request, []int32) {
 	var streams [][]Request
 	for _, t := range tenants {
@@ -143,7 +95,8 @@ func refPoissonRequests(seed int64, tenants []tenant) ([]Request, []int32) {
 		now := 0.0
 		for i := range s {
 			now += rng.ExpFloat64() / t.Rate
-			s[i] = Request{Tenant: t.Name, Class: t.SLOClass, Benchmark: t.Mix[rng.Intn(len(t.Mix))], Arrival: now}
+			s[i] = Request{Tenant: t.Name, Class: t.SLOClass, Benchmark: t.Mix[rng.Intn(len(t.Mix))],
+				Arrival: now, deadline: now + t.classTarget}
 		}
 		streams = append(streams, s)
 	}
@@ -166,13 +119,17 @@ func refPoissonRequests(seed int64, tenants []tenant) ([]Request, []int32) {
 	}
 }
 
-// TestPoissonMatchesReference: the pointer-free generator writes the
-// reference's requests and owners, and each request's kernel index names
-// its benchmark.
+// TestPoissonMatchesReference: the lazily merged generator writes the
+// reference's requests, deadlines included, and owners, and each request's
+// kernel index names its benchmark. Every other trial gives its tenants one
+// name and one rate, so they draw the same stream and their arrivals tie
+// across tenants: the merge must break each tie by tenant index.
 func TestPoissonMatchesReference(t *testing.T) {
 	kernels := []string{"BS", "GEMV", "RED", "VA"}
 	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 50; trial++ {
+	ties := 0
+	for trial := 0; trial < 100; trial++ {
+		same := trial%2 == 1
 		a := &arrivals{tenants: make([]tenant, 1+rng.Intn(4))}
 		for ti := range a.tenants {
 			tn := tenant{Tenant: Tenant{
@@ -180,7 +137,10 @@ func TestPoissonMatchesReference(t *testing.T) {
 				SLOClass: []string{"latency", "batch"}[rng.Intn(2)],
 				Rate:     float64(1 + rng.Intn(1000)),
 				Requests: rng.Intn(300),
-			}}
+			}, classTarget: []float64{0, 1e-3, 2.5e-3}[rng.Intn(3)]}
+			if same {
+				tn.Name, tn.Rate = "x", 100
+			}
 			for _, k := range rng.Perm(len(kernels))[:1+rng.Intn(len(kernels))] {
 				tn.Mix = append(tn.Mix, kernels[k])
 				tn.kernels = append(tn.kernels, int32(k))
@@ -197,7 +157,13 @@ func TestPoissonMatchesReference(t *testing.T) {
 			if kernels[a.kernel[id]] != r.Benchmark {
 				t.Fatalf("trial %d: request %d runs %s but carries kernel %d", trial, id, r.Benchmark, a.kernel[id])
 			}
+			if id > 0 && r.Arrival == a.reqs[id-1].Arrival {
+				ties++
+			}
 		}
+	}
+	if ties == 0 {
+		t.Fatal("no two arrivals tied: the tie-breaking goes unchecked")
 	}
 }
 

@@ -36,10 +36,7 @@ func evalP99(prof profile, benchmark string, policy Policy) (float64, error) {
 	for i := range p.opts.Tenants {
 		p.opts.Tenants[i].Mix = []string{benchmark}
 	}
-	arr, err := p.arrivals(p.opts.Load)
-	if err != nil {
-		return 0, err
-	}
+	arr := p.arrivals(p.opts.Load)
 	var s scratch
 	outs, makespan, err := p.replay(context.TODO(), policy, arr, &s) // EvalP99 takes no context
 	if err != nil {
@@ -54,7 +51,7 @@ func evalP99(prof profile, benchmark string, policy Policy) (float64, error) {
 // the same result and policy always yield the same p99 — so it is safe
 // as a pathfinding goal over store-loaded results.
 func EvalP99(res *prim.Result, policyName string) (float64, error) {
-	// wfq/slo parameters derive from the canned tenant set.
+	// wfq's weights derive from the canned tenant set.
 	p, err := NewPolicy(policyName, evalOptions(nil).Tenants)
 	if err != nil {
 		return 0, err

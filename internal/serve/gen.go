@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 )
 
 // tenantSeed derives a per-tenant RNG seed from the run seed and the
@@ -32,125 +30,62 @@ type arrivals struct {
 	owner, kernel []int32
 }
 
-// arrivals builds the stream for one offered load: the explicit trace when
-// there is one, seeded Poisson generation otherwise.
-func (p *prepared) arrivals(load float64) (*arrivals, error) {
+// arrivals builds the stream for one offered load.
+func (p *prepared) arrivals(load float64) *arrivals {
 	a := &arrivals{load: load, tenants: p.tenantsAt(load)}
-	if len(p.opts.Trace) > 0 {
-		if err := a.trace(p.opts.Trace); err != nil {
-			return nil, err
-		}
-		return a, nil
-	}
 	a.poisson(p.opts.Seed)
-	return a, nil
+	return a
 }
 
-// draw is one generated arrival before the merge: its time and its index
-// into the tenant's mix.
-type draw struct {
-	at  float64
-	mix int32
+// stream is one tenant's Poisson generator during the merge: its RNG, the
+// requests it has yet to merge, and the next of them, drawn.
+type stream struct {
+	rng  *rand.Rand
+	left int
+	at   float64
+	mix  int
+}
+
+// draw draws the tenant's next arrival: an exponential gap at its rate,
+// then an index into its mix.
+func (s *stream) draw(t *tenant) {
+	s.at += s.rng.ExpFloat64() / t.Rate
+	s.mix = s.rng.Intn(len(t.Mix))
 }
 
 // poisson generates every tenant's open-loop Poisson arrival stream and
 // merges them into one globally-ordered request sequence. Each tenant
 // draws from its own seeded RNG, so streams are independent and the merged
-// order is a pure function of (seed, tenants).
+// order is a pure function of (seed, tenants). The merge is lazy: a tenant
+// draws its next arrival only once the one before has been merged, and
+// ties go to the lowest tenant index.
 func (a *arrivals) poisson(seed int64) {
 	total := 0
-	for _, t := range a.tenants {
+	streams := make([]stream, len(a.tenants))
+	for ti := range a.tenants {
+		t, s := &a.tenants[ti], &streams[ti]
 		total += t.Requests
-	}
-	// The per-tenant streams sit back to back in one buffer.
-	buf := make([]draw, total)
-	streams := make([][]draw, len(a.tenants))
-	for ti, t := range a.tenants {
-		rng := rand.New(rand.NewSource(tenantSeed(seed, t.Name)))
-		streams[ti], buf = buf[:t.Requests], buf[t.Requests:]
-		now := 0.0
-		for i := range streams[ti] {
-			// Exponential inter-arrival gap at the tenant's rate.
-			now += rng.ExpFloat64() / t.Rate
-			streams[ti][i] = draw{at: now, mix: int32(rng.Intn(len(t.Mix)))}
+		s.rng, s.left = rand.New(rand.NewSource(tenantSeed(seed, t.Name))), t.Requests
+		if s.left > 0 {
+			s.draw(t)
 		}
 	}
-	a.owner = mergeStreams(streams)
 	a.reqs = make([]Request, total)
+	a.owner = make([]int32, total)
 	a.kernel = make([]int32, total)
-	for id, ti := range a.owner {
-		t, d := &a.tenants[ti], streams[ti][0]
-		streams[ti] = streams[ti][1:]
-		a.reqs[id] = Request{ID: id, Tenant: t.Name, Class: t.SLOClass, Benchmark: t.Mix[d.mix], Arrival: d.at}
-		a.kernel[id] = t.kernels[d.mix]
-	}
-}
-
-// mergeStreams merges per-tenant streams, each already time-ordered, by
-// arrival time with ties broken by tenant order — what a stable sort of
-// their concatenation yields, in one linear pass. owner[id] is the tenant
-// of the id-th arrival, which is the next unmerged draw of its stream.
-func mergeStreams(streams [][]draw) (owner []int32) {
-	total := 0
-	for _, s := range streams {
-		total += len(s)
-	}
-	owner = make([]int32, total)
-	heads := make([]int, len(streams))
-	for id := range owner {
-		first, at := -1, 0.0
-		for ti, s := range streams {
-			if h := heads[ti]; h < len(s) && (first < 0 || s[h].at < at) {
-				first, at = ti, s[h].at
+	for id := range a.reqs {
+		first := -1
+		for ti := range streams {
+			if s := &streams[ti]; s.left > 0 && (first < 0 || s.at < streams[first].at) {
+				first = ti
 			}
 		}
-		owner[id] = int32(first)
-		heads[first]++
-	}
-	return owner
-}
-
-// trace validates an explicit trace and takes it as the stream with IDs
-// normalized. The trace replaces generation entirely: arrivals, tenants and
-// benchmarks come verbatim from the caller.
-func (a *arrivals) trace(trace []Request) error {
-	byName := make(map[string]int, len(a.tenants))
-	for i := range a.tenants {
-		byName[a.tenants[i].Name] = i
-	}
-	a.reqs = make([]Request, len(trace))
-	a.owner = make([]int32, len(trace))
-	a.kernel = make([]int32, len(trace))
-	last := math.Inf(-1)
-	for i, r := range trace {
-		ti, ok := byName[r.Tenant]
-		if !ok {
-			return fmt.Errorf("serve: trace entry %d: unknown tenant %q", i, r.Tenant)
-		}
-		t := &a.tenants[ti]
-		a.owner[i] = int32(ti)
-		j := slices.Index(t.Mix, r.Benchmark)
-		if j < 0 {
-			return fmt.Errorf("serve: trace entry %d: benchmark %q not in tenant %q's mix", i, r.Benchmark, r.Tenant)
-		}
-		a.kernel[i] = t.kernels[j]
-		if r.Arrival < 0 || !finite(r.Arrival) {
-			return fmt.Errorf("serve: trace entry %d: invalid arrival %v", i, r.Arrival)
-		}
-		if r.Arrival < last {
-			return fmt.Errorf("serve: trace entry %d: arrival %v precedes entry %d (trace must be time-ordered)", i, r.Arrival, i-1)
-		}
-		last = r.Arrival
-		a.reqs[i] = Request{
-			ID:        i,
-			Tenant:    r.Tenant,
-			Class:     t.SLOClass,
-			Benchmark: r.Benchmark,
-			Arrival:   r.Arrival,
-		}
-		if r.Class != "" {
-			a.reqs[i].Class = r.Class
+		t, s := &a.tenants[first], &streams[first]
+		a.reqs[id] = Request{ID: id, Tenant: t.Name, Class: t.SLOClass, Benchmark: t.Mix[s.mix],
+			Arrival: s.at, deadline: s.at + t.classTarget}
+		a.owner[id], a.kernel[id] = int32(first), t.kernels[s.mix]
+		if s.left--; s.left > 0 {
+			s.draw(t)
 		}
 	}
-	return nil
 }

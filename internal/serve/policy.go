@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"maps"
 	"sort"
 	"strings"
 )
@@ -72,7 +71,7 @@ func (*weightedFair) Name() string { return "wfq" }
 
 // tenant returns name's entry, adding it the first time name is seen. A
 // workload has few tenants, so comparing names beats hashing them; equal
-// names in separate memory (a trace's) find the same entry.
+// names in separate memory find the same entry.
 func (p *weightedFair) tenant(name string) *wfqTenant {
 	for i := range p.tenants {
 		if p.tenants[i].name == name {
@@ -108,75 +107,28 @@ func (p *weightedFair) Served(tenant string, seconds float64) {
 	p.tenant(tenant).served += seconds
 }
 
-// SLOAware returns an earliest-deadline-first policy: each pending
-// request's deadline is its arrival plus its class's target, and the
-// tightest deadline goes next (ties: lowest index, i.e. earliest
-// arrival). targets maps SLO class to target seconds; classes without an
-// entry fall back to arrival order among themselves (deadline = arrival).
-// Pick remembers each class's target once it has looked it up, so, like a
-// weighted-fair policy, one instance is for one goroutine at a time; Serve
-// and LoadSweep replay on a copy of their own.
-func SLOAware(targets map[string]float64) Policy {
-	t := make(map[string]float64, len(targets))
-	for k, v := range targets {
-		if v > 0 {
-			t[k] = v
-		}
-	}
-	return &sloAware{targets: t}
-}
+// SLOAware returns an earliest-deadline-first policy: the pending request
+// with the tightest deadline goes next (ties: lowest index, i.e. earliest
+// arrival). A request's deadline is its arrival plus its class's SLO target
+// (see Tenant.SLOTarget), fixed when the run generates its arrivals, so the
+// policy keeps no state and a wrapper that forwards Pick schedules the same.
+func SLOAware() Policy { return sloAware{} }
 
-type sloAware struct {
-	targets map[string]float64
-	// classes holds every class seen so far with its target looked up once.
-	classes []sloClass
-}
+type sloAware struct{}
 
-type sloClass struct {
-	name   string
-	target float64
-}
+func (sloAware) Name() string { return "slo" }
 
-func (*sloAware) Name() string { return "slo" }
-
-// withTenantTargets returns a copy of p whose classes without a target
-// take their tenants' resolved ones. p itself is left as constructed, so
-// one instance passed to several runs never carries targets between them.
-func (p *sloAware) withTenantTargets(tenants []tenant) *sloAware {
-	targets := maps.Clone(p.targets)
-	for _, t := range tenants {
-		if _, have := targets[t.SLOClass]; !have && t.SLOTarget > 0 {
-			targets[t.SLOClass] = t.SLOTarget
-		}
-	}
-	return &sloAware{targets: targets}
-}
-
-// target returns class's target, 0 without one, comparing names as the
-// weighted-fair policy's tenant does.
-func (p *sloAware) target(class string) float64 {
-	for i := range p.classes {
-		if p.classes[i].name == class {
-			return p.classes[i].target
-		}
-	}
-	t := p.targets[class]
-	p.classes = append(p.classes, sloClass{name: class, target: t})
-	return t
-}
-
-func (p *sloAware) Pick(pending []*Request, _ float64) int {
+func (sloAware) Pick(pending []*Request, _ float64) int {
 	best := 0
-	bestD := pending[0].Arrival + p.target(pending[0].Class)
 	for i := 1; i < len(pending); i++ {
-		if d := pending[i].Arrival + p.target(pending[i].Class); d < bestD {
-			best, bestD = i, d
+		if pending[i].deadline < pending[best].deadline {
+			best = i
 		}
 	}
 	return best
 }
 
-func (*sloAware) Served(string, float64) {}
+func (sloAware) Served(string, float64) {}
 
 // PolicyNames lists the built-in policy vocabulary NewPolicy accepts,
 // sorted — the pathfinding axis and CLI flags validate against it.
@@ -188,10 +140,9 @@ func PolicyNames() []string {
 
 // NewPolicy constructs a built-in policy by name for a tenant set:
 // "fifo", "wfq" (weighted-fair over the tenants' weights) or "slo"
-// (earliest-deadline-first over the tenants' SLO targets). The tenant
-// slice may be nil for fifo; wfq and slo derive their parameters from it
-// (resolved defaults included), so the same name always yields the same
-// policy for the same workload.
+// (earliest-deadline-first). Only wfq reads the tenants, for its weights,
+// so the slice may be nil for fifo and slo: slo orders by deadlines a run
+// sets from its own Options.Tenants, the slice every caller passes here.
 func NewPolicy(name string, tenants []Tenant) (Policy, error) {
 	switch name {
 	case "fifo", "":
@@ -205,17 +156,7 @@ func NewPolicy(name string, tenants []Tenant) (Policy, error) {
 		}
 		return WeightedFair(w), nil
 	case "slo":
-		targets := make(map[string]float64, len(tenants))
-		for _, t := range tenants {
-			class := t.SLOClass
-			if class == "" {
-				class = t.Name
-			}
-			if t.SLOTarget > 0 {
-				targets[class] = t.SLOTarget
-			}
-		}
-		return SLOAware(targets), nil
+		return SLOAware(), nil
 	default:
 		return nil, fmt.Errorf("serve: unknown policy %q (want %s)", name, strings.Join(PolicyNames(), ", "))
 	}

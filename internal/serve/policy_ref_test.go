@@ -50,7 +50,8 @@ func (p *refWeightedFair) Served(tenant string, seconds float64) {
 }
 
 // refSLOAware is the map-based earliest-deadline-first policy the built-in
-// one replaced, kept as its reference: one map lookup per pending request.
+// one replaced, kept as its reference: one map lookup per pending request,
+// each deadline its arrival plus its class's target.
 type refSLOAware struct {
 	targets map[string]float64
 }
@@ -97,11 +98,12 @@ func (b *fuzzBytes) next() int {
 // no target names; then each call: a Served of some tenant for one of a
 // few service times, or a Pick over up to 64 pending requests whose
 // arrivals sit on a coarse grid, so exact ties in served time per weight
-// and in deadline are common. A request's tenant or class string may be a
-// copy in separate memory, as a trace's are, so a policy cannot tell
-// tenants apart by the string's address alone. Every Pick must return the
-// reference's index, and after the sequence each tenant's served time must
-// match the reference's bit for bit.
+// and in deadline are common. Each pending request's deadline is stamped
+// from the reference's targets, as the generator stamps it from the run's.
+// A request's tenant or class string may be a copy in separate memory, so
+// a policy cannot tell tenants apart by the string's address alone. Every
+// Pick must return the reference's index, and after the sequence each
+// tenant's served time must match the reference's bit for bit.
 func FuzzPolicyMatchesReference(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1, 1, 1, 3, 3, 1, 5, 0, 0, 0, 0, 0, 1, 4, 2, 2, 0, 1, 1, 1})
@@ -141,7 +143,7 @@ func FuzzPolicyMatchesReference(f *testing.F) {
 		}
 
 		wfq, refWFQ := WeightedFair(w), newRefWeightedFair(w)
-		slo, refSLO := SLOAware(tg), newRefSLOAware(tg)
+		slo, refSLO := SLOAware(), newRefSLOAware(tg)
 		for calls := 0; len(in) > 0; calls++ {
 			if in.next()%3 == 0 {
 				tenant, s := pickName(names), seconds[in.next()%len(seconds)]
@@ -153,7 +155,9 @@ func FuzzPolicyMatchesReference(f *testing.F) {
 			now := 0.0
 			for i := range pending {
 				now += float64(in.next()%3) * 1e-3
-				pending[i] = &Request{ID: i, Tenant: pickName(names), Class: pickName(classes), Arrival: now}
+				r := &Request{ID: i, Tenant: pickName(names), Class: pickName(classes), Arrival: now}
+				r.deadline = r.Arrival + refSLO.targets[r.Class]
+				pending[i] = r
 			}
 			if got, want := wfq.Pick(pending, now), refWFQ.Pick(pending, now); got != want {
 				t.Fatalf("call %d: wfq picks %d of %d, reference %d", calls, got, len(pending), want)

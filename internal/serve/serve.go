@@ -12,11 +12,10 @@
 //     engine (build cache, MMU-enabled configuration). The profile
 //     captures the phase-bucketed service time and the event-level energy
 //     of one execution.
-//   - Serving: a virtual-time discrete-event loop replays an open-loop
-//     arrival stream (seeded Poisson or an explicit trace) against the
-//     profiled service times. A Policy picks the next request, the
-//     scheduler batches same-kind requests, and disjoint rank groups serve
-//     batches one at a time.
+//   - Serving: a virtual-time discrete-event loop replays a seeded
+//     open-loop Poisson arrival stream against the profiled service times.
+//     A Policy picks the next request, the scheduler batches same-kind
+//     requests, and disjoint rank groups serve batches one at a time.
 //
 // The profiles do not depend on the offered load or the policy, so a run
 // is "prepare once, replay many": Serve is prepare plus one replay, and
@@ -58,15 +57,17 @@ type Tenant struct {
 	// Empty defaults to the tenant name.
 	SLOClass string
 	// SLOTarget is the per-request latency target in virtual seconds
-	// (PolicySLO deadlines, SLO-attainment metrics). <= 0 auto-derives
-	// 3x the tenant's mean unbatched service time.
+	// (SLO-attainment metrics). <= 0 auto-derives 3x the tenant's mean
+	// unbatched service time. A class's target, which SLOAware deadlines
+	// add to each arrival, is the last positive SLOTarget its tenants set,
+	// else the first tenant's derived one.
 	SLOTarget float64
 	// Rate is the tenant's Poisson arrival rate in requests per virtual
 	// second. <= 0 derives the rate from Options.Load and the tenant's
 	// weight (the offered-load knob the load sweep turns).
 	Rate float64
-	// Requests is how many requests the tenant emits (Poisson mode);
-	// <= 0 means Options.Requests.
+	// Requests is how many requests the tenant emits; <= 0 means
+	// Options.Requests.
 	Requests int
 }
 
@@ -81,6 +82,9 @@ type Request struct {
 	Benchmark string
 	// Arrival is the request's arrival time in virtual seconds.
 	Arrival float64
+	// deadline is Arrival plus the SLO target of the request's class, fixed
+	// when the stream is generated: what SLOAware orders by.
+	deadline float64
 }
 
 // Record is one request's completed lifecycle.
@@ -122,9 +126,8 @@ type Options struct {
 	// one launch may carry (default 4, 1 disables batching; a bound above
 	// the request count means the request count).
 	MaxBatch int
-	// Requests is the default per-tenant request count for Poisson
-	// generation (default 16). Ignored in trace mode. The tenants' counts
-	// may not sum past 2^24 (ErrTooManyRequests).
+	// Requests is the default per-tenant request count (default 16). The
+	// tenants' counts may not sum past 2^24 (ErrTooManyRequests).
 	Requests int
 	// Load is the target offered load as a fraction of the rank groups'
 	// aggregate service capacity (default 0.7); it derives per-tenant
@@ -133,11 +136,6 @@ type Options struct {
 	// Seed seeds the arrival generator (default 1). Same seed, same
 	// workload — the determinism contract.
 	Seed int64
-	// Trace, when non-empty, replaces the Poisson generator with explicit
-	// arrivals (trace-driven mode). Entries must carry Tenant (known),
-	// Benchmark (in that tenant's Mix) and a non-decreasing Arrival; IDs
-	// are reassigned in order.
-	Trace []Request
 	// MaxQueue caps the pending queue; arrivals beyond it are dropped by
 	// admission control (0 = unbounded).
 	MaxQueue int
@@ -154,8 +152,6 @@ type Options struct {
 	Parallelism int
 	// Watchdog bounds each profiled launch's per-DPU cycles (0 = default).
 	Watchdog uint64
-	// Cache reuses kernel builds across runs (nil = a private cache).
-	Cache *prim.BuildCache
 	// Profile prices the energy accounting (nil = the committed default).
 	Profile *energy.TechProfile
 }
@@ -243,12 +239,12 @@ const maxServerDPUs = 2560
 // full UPMEM server.
 var ErrTooManyDPUs = errors.New("serve: more than 2560 DPUs, a full 20-DIMM UPMEM server")
 
-// maxRequests bounds a Poisson stream, summed over its tenants: the
+// maxRequests bounds a request stream, summed over its tenants: the
 // generator sizes its buffers by the total, so a mistyped count must be
 // refused before profiling, not panic there.
 const maxRequests = 1 << 24
 
-// ErrTooManyRequests reports a Poisson stream of more than 2^24 requests.
+// ErrTooManyRequests reports a request stream of more than 2^24 requests.
 var ErrTooManyRequests = fmt.Errorf("serve: more than %d requests in all", maxRequests)
 
 // finite reports whether v is an ordinary number (not NaN, not ±Inf).
@@ -294,13 +290,11 @@ func (o Options) validate() error {
 				return fmt.Errorf("serve: tenant %q: %s %v is not a finite number", tn.Name, f.name, f.v)
 			}
 		}
-		if len(o.Trace) == 0 { // a Poisson stream: its total sizes the buffers
-			n := cmp.Or(max(tn.Requests, 0), d.Requests)
-			if n > maxRequests-requests {
-				return fmt.Errorf("%w: tenant %q asks for %d", ErrTooManyRequests, tn.Name, n)
-			}
-			requests += n
+		n := cmp.Or(max(tn.Requests, 0), d.Requests)
+		if n > maxRequests-requests {
+			return fmt.Errorf("%w: tenant %q asks for %d", ErrTooManyRequests, tn.Name, n)
 		}
+		requests += n
 	}
 	return nil
 }
@@ -342,10 +336,7 @@ func Serve(ctx context.Context, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	arr, err := p.arrivals(p.opts.Load)
-	if err != nil {
-		return nil, err
-	}
+	arr := p.arrivals(p.opts.Load)
 	outs, makespan, err := p.replay(ctx, p.opts.Policy, arr, new(scratch))
 	if err != nil {
 		return nil, err
@@ -376,8 +367,8 @@ func Serve(ctx context.Context, opts Options) (*Result, error) {
 }
 
 // profileKernels simulates every distinct benchmark of the workload once on
-// a rank group, through the shared engine (build cache), and
-// returns their sorted names and, index for index, their profiles.
+// a rank group, through a sweep engine, and returns their sorted names and,
+// index for index, their profiles.
 func profileKernels(ctx context.Context, opts Options) ([]string, []profile, error) {
 	var names []string
 	for _, tn := range opts.Tenants {
@@ -395,12 +386,7 @@ func profileKernels(ctx context.Context, opts Options) ([]string, []profile, err
 			Watchdog:  opts.Watchdog,
 		}
 	}
-	cache := opts.Cache
-	if cache == nil {
-		cache = prim.NewBuildCache()
-	}
-	eng := engine.NewWithCache(opts.Parallelism, cache)
-	outs, err := eng.SweepAll(ctx, pts)
+	outs, err := engine.New(opts.Parallelism).SweepAll(ctx, pts)
 	if err != nil {
 		return nil, nil, fmt.Errorf("serve: profiling %s: %w", outs[firstErr(outs)].Point.Benchmark, err)
 	}
@@ -445,9 +431,12 @@ type tenant struct {
 	kernels []int32
 	// meanS is the tenant's mean unbatched service time over its mix.
 	meanS float64
+	// classTarget is the SLO target of the tenant's class: what its
+	// requests' deadlines add to their arrivals.
+	classTarget float64
 }
 
-// tenantsAt fills derived tenant fields — class, weight, SLO target and
+// tenantsAt fills derived tenant fields — class, weight, SLO targets and
 // Poisson rate — for one offered load (only the derived rates depend on it).
 func (p *prepared) tenantsAt(load float64) []tenant {
 	opts := p.opts
@@ -488,6 +477,21 @@ func (p *prepared) tenantsAt(load float64) []tenant {
 			t.Rate = load * float64(opts.Groups) * (t.Weight / weightSum) / t.meanS
 		}
 		out[i] = t
+	}
+	// A class's target is the last positive SLOTarget a tenant of the class
+	// sets, else the first tenant's derived one.
+	for i := range out {
+		set, derived := 0.0, 0.0
+		for j := range out {
+			switch {
+			case out[j].SLOClass != out[i].SLOClass:
+			case opts.Tenants[j].SLOTarget > 0:
+				set = out[j].SLOTarget
+			case derived == 0:
+				derived = out[j].SLOTarget
+			}
+		}
+		out[i].classTarget = cmp.Or(set, derived)
 	}
 	return out
 }

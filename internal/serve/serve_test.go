@@ -2,10 +2,8 @@ package serve
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -165,153 +163,47 @@ func TestWeightedFairPick(t *testing.T) {
 }
 
 func TestSLOAwarePick(t *testing.T) {
-	p := SLOAware(map[string]float64{"lat": 1, "batch": 100})
+	p := SLOAware()
 	reqs := []*Request{
-		{ID: 0, Class: "batch", Arrival: 0},
-		{ID: 1, Class: "lat", Arrival: 5},
+		{ID: 0, Class: "batch", Arrival: 0, deadline: 100},
+		{ID: 1, Class: "lat", Arrival: 5, deadline: 6},
+		{ID: 2, Class: "lat", Arrival: 5, deadline: 6},
 	}
-	// batch deadline 100, lat deadline 6: lat wins despite arriving later.
+	// batch deadline 100, lat deadline 6: lat wins despite arriving later,
+	// and of two equal deadlines the earlier queued one.
 	if got := p.Pick(reqs, 5); got != 1 {
 		t.Errorf("Pick = %d, want 1 (tighter deadline)", got)
 	}
 }
 
-// goodTrace is a trace testOptions' tenants accept.
-var goodTrace = []Request{
-	{Tenant: "alpha", Benchmark: "VA", Arrival: 0},
-	{Tenant: "beta", Benchmark: "BS", Arrival: 0.001},
-	{Tenant: "alpha", Benchmark: "RED", Arrival: 0.002},
-}
+// wrapped is a policy behind a decorator that forwards every call.
+type wrapped struct{ Policy }
 
-// badTraces are traces testOptions' tenants reject, each with the text its
-// error must carry.
-var badTraces = []struct {
-	name  string
-	trace []Request
-	want  string
-}{
-	{"unknown tenant", []Request{{Tenant: "ghost", Benchmark: "VA"}}, "unknown tenant"},
-	{"foreign benchmark", []Request{{Tenant: "beta", Benchmark: "VA"}}, "not in tenant"},
-	{"negative arrival", []Request{{Tenant: "alpha", Benchmark: "VA", Arrival: -1}}, "invalid arrival"},
-	{"out of order", []Request{
-		{Tenant: "alpha", Benchmark: "VA", Arrival: 2},
-		{Tenant: "alpha", Benchmark: "VA", Arrival: 1},
-	}, "time-ordered"},
-}
-
-// TestTraceMode replays an explicit trace and checks validation errors.
-func TestTraceMode(t *testing.T) {
+// TestWrappedSLOMatchesBare is the regression test for a scheduling
+// switch: the run used to fill an SLO policy's class targets only when it
+// was the built-in type itself, so the same policy behind any wrapper
+// ordered a contended queue like fifo. A request now carries its deadline,
+// and the wrapped policy schedules exactly as the bare one does.
+func TestWrappedSLOMatchesBare(t *testing.T) {
 	ctx := context.Background()
-	opts := testOptions()
-	opts.Trace = goodTrace
-	r, err := Serve(ctx, opts)
-	if err != nil {
-		t.Fatalf("trace serve: %v", err)
-	}
-	if len(r.Records) != 3 {
-		t.Fatalf("records = %d, want 3", len(r.Records))
-	}
-	for i, rec := range r.Records {
-		if rec.ID != i {
-			t.Errorf("record %d has ID %d", i, rec.ID)
-		}
-	}
-	if r.Records[0].Class != "latency" || r.Records[1].Class != "batch" {
-		t.Errorf("trace classes not inherited from tenants: %+v", r.Records[:2])
-	}
-
-	for _, tc := range badTraces {
+	run := func(p Policy) string {
+		t.Helper()
 		opts := testOptions()
-		opts.Trace = tc.trace
-		if _, err := Serve(ctx, opts); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
-		}
-	}
-}
-
-// FuzzServeTrace holds trace validation to what the replay relies on, over
-// testOptions' tenants and any trace: one entry per eight bytes of arrivals
-// (a float64 bit pattern, so NaN, ±Inf, -0 and negatives come up), its
-// tenant and benchmark the matching lines of tenants and benches. No input
-// panics. An accepted trace has finite, non-negative, non-decreasing
-// arrivals, known tenants, benchmarks in their tenant's mix and IDs equal to
-// their index. A rejected trace's error names an entry k: the entries before
-// k are accepted on their own, and the trace up to k is not.
-func FuzzServeTrace(f *testing.F) {
-	seed := func(trace []Request) {
-		var tenants, benches []string
-		var arrivals []byte
-		for _, r := range trace {
-			tenants = append(tenants, r.Tenant)
-			benches = append(benches, r.Benchmark)
-			arrivals = binary.LittleEndian.AppendUint64(arrivals, math.Float64bits(r.Arrival))
-		}
-		f.Add(strings.Join(tenants, "\n"), strings.Join(benches, "\n"), arrivals)
-	}
-	seed(goodTrace)
-	for _, tc := range badTraces {
-		seed(tc.trace)
-	}
-	// Each tenant's mix resolves to kernels numbered in mix order, from
-	// 10 for the first tenant, 20 for the second.
-	var tenants []tenant
-	for ti, tn := range testOptions().Tenants {
-		t := tenant{Tenant: tn}
-		for j := range tn.Mix {
-			t.kernels = append(t.kernels, int32(10*(ti+1)+j))
-		}
-		tenants = append(tenants, t)
-	}
-	accept := func(trace []Request) (*arrivals, error) {
-		a := &arrivals{tenants: tenants}
-		return a, a.trace(trace)
-	}
-	f.Fuzz(func(t *testing.T, tenantCol, benchCol string, arrivals []byte) {
-		names, benches := strings.Split(tenantCol, "\n"), strings.Split(benchCol, "\n")
-		trace := make([]Request, len(arrivals)/8)
-		for i := range trace {
-			trace[i].Arrival = math.Float64frombits(binary.LittleEndian.Uint64(arrivals[8*i:]))
-			if i < len(names) {
-				trace[i].Tenant = names[i]
-			}
-			if i < len(benches) {
-				trace[i].Benchmark = benches[i]
-			}
-		}
-		a, err := accept(trace)
+		opts.Groups, opts.Load, opts.MaxBatch = 1, 2.5, 1
+		opts.Policy = p
+		r, err := Serve(ctx, opts)
 		if err != nil {
-			var k int
-			if _, scanErr := fmt.Sscanf(err.Error(), "serve: trace entry %d:", &k); scanErr != nil || k < 0 || k >= len(trace) {
-				t.Fatalf("error %q names no entry of a %d-entry trace", err, len(trace))
-			}
-			if _, err := accept(trace[:k]); err != nil {
-				t.Fatalf("error names entry %d, but the entries before it are rejected too: %v", k, err)
-			}
-			if _, err := accept(trace[:k+1]); err == nil {
-				t.Fatalf("error names entry %d, but the trace up to it is accepted", k)
-			}
-			return
+			t.Fatal(err)
 		}
-		reqs, owner := a.reqs, a.owner
-		if len(reqs) != len(trace) || len(owner) != len(trace) || len(a.kernel) != len(trace) {
-			t.Fatalf("%d entries in, %d requests, %d owners and %d kernels out", len(trace), len(reqs), len(owner), len(a.kernel))
-		}
-		last := 0.0
-		for i, r := range reqs {
-			if r.ID != i {
-				t.Fatalf("request %d has ID %d", i, r.ID)
-			}
-			if math.IsNaN(r.Arrival) || math.IsInf(r.Arrival, 0) || r.Arrival < last {
-				t.Fatalf("request %d arrives at %v after %v", i, r.Arrival, last)
-			}
-			last = r.Arrival
-			tn := tenants[owner[i]]
-			if j := slices.Index(tn.Mix, r.Benchmark); tn.Name != r.Tenant || j < 0 || tn.kernels[j] != a.kernel[i] {
-				t.Fatalf("request %d (%s, %s, kernel %d) owned by tenant %q with mix %v, kernels %v",
-					i, r.Tenant, r.Benchmark, a.kernel[i], tn.Name, tn.Mix, tn.kernels)
-			}
-		}
-	})
+		return tableJSON(t, r)
+	}
+	bare := run(SLOAware())
+	if bare == run(FIFO()) {
+		t.Fatal("slo and fifo schedule this workload identically: pick a more contended one")
+	}
+	if got := run(wrapped{SLOAware()}); got != bare {
+		t.Errorf("a wrapped slo policy scheduled differently from the bare one")
+	}
 }
 
 // TestAdmissionControl pins MaxQueue: overflow arrivals are dropped,
@@ -630,12 +522,6 @@ func TestServeRejectsNonFinite(t *testing.T) {
 		{"Inf rate", func(o *Options) { o.Tenants[1].Rate = inf }, "rate +Inf"},
 		{"NaN weight", func(o *Options) { o.Tenants[0].Weight = nan }, "weight NaN"},
 		{"Inf SLO target", func(o *Options) { o.Tenants[1].SLOTarget = inf }, "SLO target +Inf"},
-		{"NaN trace arrival", func(o *Options) {
-			o.Trace = []Request{{Tenant: "alpha", Benchmark: "VA", Arrival: nan}}
-		}, "invalid arrival NaN"},
-		{"Inf trace arrival", func(o *Options) {
-			o.Trace = []Request{{Tenant: "alpha", Benchmark: "VA", Arrival: inf}}
-		}, "invalid arrival +Inf"},
 	}
 	within := func(t *testing.T, name, want string, run func() error) {
 		t.Helper()
@@ -666,8 +552,8 @@ func TestServeRejectsNonFinite(t *testing.T) {
 	}
 }
 
-// TestDuplicateTenantRejected: metrics and traces address tenants by name,
-// so two tenants may not share one.
+// TestDuplicateTenantRejected: metrics and policies address tenants by
+// name, so two tenants may not share one.
 func TestDuplicateTenantRejected(t *testing.T) {
 	opts := testOptions()
 	opts.Tenants[1].Name = opts.Tenants[0].Name
@@ -691,7 +577,7 @@ func TestReusedSLOPolicyKeepsNoTargets(t *testing.T) {
 		{Name: "beta", Mix: []string{"VA", "RED"}, Weight: 1, SLOClass: "batch"},
 	}
 
-	reused := SLOAware(nil)
+	reused := SLOAware()
 	first.Policy = reused
 	if _, err := Serve(ctx, first); err != nil {
 		t.Fatalf("first run: %v", err)
@@ -701,7 +587,7 @@ func TestReusedSLOPolicyKeepsNoTargets(t *testing.T) {
 	if err != nil {
 		t.Fatalf("second run, reused policy: %v", err)
 	}
-	second.Policy = SLOAware(nil)
+	second.Policy = SLOAware()
 	want, err := Serve(ctx, second)
 	if err != nil {
 		t.Fatalf("second run, fresh policy: %v", err)

@@ -58,14 +58,6 @@ func (p *prepared) replay(ctx context.Context, policy Policy, arr *arrivals, s *
 	outs := resize(s.outs, len(reqs))
 	s.outs = outs
 
-	// An SLO-aware policy's missing class targets come from the tenants'
-	// resolved (possibly auto-derived) targets, so "slo" means the same
-	// thing whether targets were given explicitly or derived. The filled-in
-	// targets live in a per-run copy: the caller's policy is not touched.
-	if slo, ok := policy.(*sloAware); ok {
-		policy = slo.withTenantTargets(arr.tenants)
-	}
-
 	busyUntil := resize(s.busyUntil, opts.Groups) // per rank group: free again at
 	clear(busyUntil)
 	pending := s.pending[:0] // arrival-ordered queue of admitted requests

@@ -38,14 +38,14 @@ func (p *prepared) sweep(ctx context.Context, policies []string, loads []float64
 	type cell struct {
 		load   float64
 		policy Policy
-		gen    func() (*arrivals, error)
+		gen    func() *arrivals
 		// rows are the cell's per-tenant metrics, all the table keeps of its
 		// replay.
 		rows []TenantMetrics
 		err  error
 	}
 	// One lazily generated stream per load, whichever cell needs it first.
-	gens := make([]func() (*arrivals, error), len(loads))
+	gens := make([]func() *arrivals, len(loads))
 	replayed := make([]float64, len(loads))
 	for i, load := range loads {
 		if !finite(load) {
@@ -55,7 +55,7 @@ func (p *prepared) sweep(ctx context.Context, policies []string, loads []float64
 			load = defaultLoad
 		}
 		replayed[i] = load
-		gens[i] = sync.OnceValues(func() (*arrivals, error) { return p.arrivals(load) })
+		gens[i] = sync.OnceValue(func() *arrivals { return p.arrivals(load) })
 	}
 	cells := make([]cell, 0, len(policies)*len(loads))
 	for _, name := range policies {
@@ -86,11 +86,7 @@ func (p *prepared) sweep(ctx context.Context, policies []string, loads []float64
 		}
 		defer func() { free <- s }()
 		c := &cells[i]
-		arr, err := c.gen()
-		if err != nil {
-			c.err = err
-			return
-		}
+		arr := c.gen()
 		outs, makespan, err := p.replay(ctx, c.policy, arr, s)
 		if err != nil {
 			c.err = err

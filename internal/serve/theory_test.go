@@ -252,13 +252,13 @@ func (l *scaleLog) Served(tenant string, seconds float64) {
 }
 
 // TestReplayScalesWithTime holds the replay to time-scale invariance: with
-// every profiled time, every arrival and every SLO target doubled, every
+// every profiled time, every arrival and every deadline doubled, every
 // start, finish and latency doubles exactly, and nothing else moves — the
 // batches, the drops and the whole Pick/Served sequence a policy sees, its
 // times doubled. Doubling is exact in binary floating point, so each sum,
 // product and comparison of the doubled run is the original's, doubled;
 // any difference is the replay reading something that does not scale. The
-// trace is a contended Poisson stream of testOptions' tenants, replayed
+// stream is a contended Poisson stream of testOptions' tenants, replayed
 // under fifo, wfq and slo, with and without admission drops.
 func TestReplayScalesWithTime(t *testing.T) {
 	ctx := context.Background()
@@ -270,35 +270,26 @@ func TestReplayScalesWithTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := base.arrivals(1.4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stream := base.arrivals(1.4)
 
-	// at builds the workload with every time scaled by s.
-	at := func(s float64, maxQueue int) *prepared {
+	// at builds the workload and its stream with every time scaled by s.
+	at := func(s float64, maxQueue int) (*prepared, *arrivals) {
 		p := &prepared{opts: base.opts, kernels: base.kernels, profiles: slices.Clone(base.profiles)}
 		p.opts.MaxQueue = maxQueue
 		for i := range p.profiles {
 			p.profiles[i].inS *= s
 			p.profiles[i].perS *= s
 		}
-		p.opts.Tenants = slices.Clone(p.opts.Tenants)
-		for i := range p.opts.Tenants {
-			p.opts.Tenants[i].SLOTarget *= s
+		arr := *stream
+		arr.reqs = slices.Clone(stream.reqs)
+		for i := range arr.reqs {
+			arr.reqs[i].Arrival *= s
+			arr.reqs[i].deadline *= s
 		}
-		p.opts.Trace = slices.Clone(stream.reqs)
-		for i := range p.opts.Trace {
-			p.opts.Trace[i].Arrival *= s
-		}
-		return p
+		return p, &arr
 	}
-	run := func(p *prepared, name string) ([]outcome, float64, *scaleLog) {
+	run := func(p *prepared, arr *arrivals, name string) ([]outcome, float64, *scaleLog) {
 		t.Helper()
-		arr, err := p.arrivals(p.opts.Load)
-		if err != nil {
-			t.Fatal(err)
-		}
 		policy, err := NewPolicy(name, p.opts.Tenants)
 		if err != nil {
 			t.Fatal(err)
@@ -315,8 +306,10 @@ func TestReplayScalesWithTime(t *testing.T) {
 	for _, maxQueue := range []int{0, 4} {
 		for _, name := range PolicyNames() {
 			t.Run(fmt.Sprintf("%s/maxqueue=%d", name, maxQueue), func(t *testing.T) {
-				outs, makespan, log := run(at(1, maxQueue), name)
-				outs2, makespan2, log2 := run(at(2, maxQueue), name)
+				p, arr := at(1, maxQueue)
+				outs, makespan, log := run(p, arr, name)
+				p2, arr2 := at(2, maxQueue)
+				outs2, makespan2, log2 := run(p2, arr2, name)
 				batched, dropped := 0, 0
 				for id, o := range outs {
 					o2, arrival := outs2[id], stream.reqs[id].Arrival

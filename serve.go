@@ -9,20 +9,21 @@ import (
 
 // Serving — the simulated PIM system evaluated as a server under load
 // rather than a closed sweep (the paper's case study 3 carried to its
-// datacenter conclusion). A seeded open-loop request generator (Poisson
-// or trace-driven) issues PrIM kernels on behalf of co-located tenants; a
-// host-side scheduler batches and places them onto disjoint DPU rank
-// groups under a pluggable policy; every run yields per-request latency
-// and energy records plus p50/p95/p99, throughput and SLO-attainment
-// metrics. The event loop runs in virtual time — no wall clock — so
-// serving runs are deterministic and refdata-pinnable like every other
-// artifact. See cmd/upimulator's serve subcommand for the CLI front end.
+// datacenter conclusion). A seeded open-loop Poisson request generator
+// issues PrIM kernels on behalf of co-located tenants; a host-side
+// scheduler batches and places them onto disjoint DPU rank groups under a
+// pluggable policy; every run yields per-request latency and energy
+// records plus p50/p95/p99, throughput and SLO-attainment metrics. The
+// event loop runs in virtual time — no wall clock — so serving runs are
+// deterministic and refdata-pinnable like every other artifact. See
+// cmd/upimulator's serve subcommand for the CLI front end.
 
 // ServeTenant is one co-located workload: name, kernel mix, weighted-fair
 // share, SLO class/target and arrival rate.
 type ServeTenant = serve.Tenant
 
-// ServeRequest is one arrival of the workload (also the trace-entry type).
+// ServeRequest is one arrival of the workload, as a SchedulingPolicy sees
+// it in the pending queue.
 type ServeRequest = serve.Request
 
 // ServeOptions parameterize one serving run.
@@ -39,7 +40,9 @@ type ServeResult = serve.Result
 type SchedulingPolicy = serve.Policy
 
 // NewSchedulingPolicy constructs a built-in policy by name ("fifo",
-// "wfq", "slo") with parameters derived from the tenant set.
+// "wfq", "slo"). Only wfq reads the tenant set, for its weights; slo orders
+// by deadlines a run sets from its own ServeOptions.Tenants, the set every
+// caller passes here.
 func NewSchedulingPolicy(name string, tenants []ServeTenant) (SchedulingPolicy, error) {
 	return serve.NewPolicy(name, tenants)
 }
