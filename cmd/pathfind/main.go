@@ -133,8 +133,7 @@ func pathfind(fs *flag.FlagSet) func(context.Context) error {
 		verbose  = fs.Bool("v", false, "log every point as it finishes")
 		tier2    = fs.Bool("tier2", false, "two-tier fidelity: estimate every point analytically, simulate only the estimated Pareto band over the active -goals")
 		band     = fs.Float64("band", 0.25, "ε slack of the tier2 band: points within this relative margin of the estimated frontier are simulated too")
-		calib    = fs.String("calibration", "", "calibration profile JSON for -tier2 (default: the committed artifact)")
-		plan     = fs.Bool("plan", false, "print the feasible point count, axis breakdown and (with -tier2) the predicted estimate/simulate split, then exit without simulating")
+		plan     = fs.Bool("plan", false, "print the feasible point count, axis breakdown and (with -tier2) the predicted estimate/simulate split, then exit; -tier2 first resolves the space's anchor points through -store, simulating the ones it lacks")
 	)
 	sp.register(fs)
 	sp.sim.Register(fs)
@@ -157,8 +156,8 @@ func pathfind(fs *flag.FlagSet) func(context.Context) error {
 		if cli.IsSet(fs, "goals") && !*pareto && !*tier2 {
 			return cli.Usagef("-goals only affects the -pareto frontier and the -tier2 band; add one of them to use it")
 		}
-		if (cli.IsSet(fs, "band") || *calib != "") && !*tier2 {
-			return cli.Usagef("-band and -calibration only affect -tier2 triage; add -tier2 to use them")
+		if cli.IsSet(fs, "band") && !*tier2 {
+			return cli.Usagef("-band only affects -tier2 triage; add -tier2 to use it")
 		}
 		if err := rep.Validate(); err != nil {
 			return err
@@ -187,17 +186,27 @@ func pathfind(fs *flag.FlagSet) func(context.Context) error {
 
 		var estimator *upim.Estimator
 		if *tier2 {
-			var cal *upim.CalibrationProfile // nil = the committed default
-			if *calib != "" {
-				if cal, err = upim.LoadCalibration(*calib); err != nil {
-					return cli.Usage(err)
-				}
-			}
-			if estimator, err = upim.NewEstimator(cal, prof); err != nil {
+			if estimator, err = upim.NewEstimator(nil, prof); err != nil {
 				return cli.Usage(err)
 			}
 		}
 		topts := upim.TieredExploreOptions{Estimator: estimator, Band: *band, Goals: goalList}
+
+		// -plan -tier2 resolves the anchors through the store; a plain -plan
+		// reads none.
+		opts := upim.ExploreOptions{Parallelism: sp.sim.Jobs, Refresh: !*resume}
+		var store upim.StoreBackend
+		if *storeDir != "" && (!*plan || *tier2) {
+			if strings.HasPrefix(*storeDir, "http://") || strings.HasPrefix(*storeDir, "https://") {
+				store, err = upim.DialResultStore(*storeDir, upim.HTTPResultStoreOptions{})
+			} else {
+				store, err = upim.OpenResultStore(*storeDir)
+			}
+			if err != nil {
+				return err
+			}
+			opts.Store = store
+		}
 
 		if *plan {
 			fmt.Printf("pathfind plan: %d feasible points (%d raw) over %d benchmarks at scale %s\n",
@@ -210,10 +219,14 @@ func pathfind(fs *flag.FlagSet) func(context.Context) error {
 				fmt.Printf("  axis %-9s %d levels: %s\n", a.Name, len(a.Levels), strings.Join(labels, ", "))
 			}
 			if *tier2 {
-				tri, err := upim.PlanTieredExploration(space, topts)
-				if err != nil {
-					return cli.Usage(err)
+				tri, err := upim.PlanTieredExploration(ctx, space, opts, topts)
+				if err != nil && ctx.Err() == nil {
+					return cli.Usage(err) // the tier2 options, not the run
 				}
+				if err != nil {
+					return err
+				}
+				fmt.Printf("  tier2: %d anchors resolved\n", tri.Anchors)
 				fmt.Printf("  tier2: %d estimable, %d unestimable; band %d (%.1f%% of feasible) would simulate, %d resolve by estimate\n",
 					tri.Estimable, tri.Unestimable, tri.Band, 100*float64(tri.Band)/float64(tri.Feasible), tri.EstimateOnly)
 			}
@@ -221,20 +234,6 @@ func pathfind(fs *flag.FlagSet) func(context.Context) error {
 		}
 		fmt.Fprintf(os.Stderr, "pathfind: exploring %d feasible points (%d raw) over %d benchmarks\n",
 			len(pts), space.Size(), len(space.Benchmarks))
-
-		opts := upim.ExploreOptions{Parallelism: sp.sim.Jobs, Refresh: !*resume}
-		var store upim.StoreBackend
-		if *storeDir != "" {
-			if strings.HasPrefix(*storeDir, "http://") || strings.HasPrefix(*storeDir, "https://") {
-				store, err = upim.DialResultStore(*storeDir, upim.HTTPResultStoreOptions{})
-			} else {
-				store, err = upim.OpenResultStore(*storeDir)
-			}
-			if err != nil {
-				return err
-			}
-			opts.Store = store
-		}
 		if *verbose {
 			opts.OnOutcome = func(o upim.ExploreOutcome) {
 				status := "simulated"

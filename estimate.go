@@ -8,15 +8,14 @@ import (
 
 // Two-tier fidelity — the analytical fast path of the pathfinding
 // methodology. An Estimator predicts a design point's kernel cycles,
-// end-to-end time and energy in microseconds from a recorded
-// CalibrationProfile, letting ExploreTiered triage a large design space
-// before cycle-exact simulation validates the survivors. See
-// internal/estimate and the ARCHITECTURE.md "Two-tier fidelity" section.
+// end-to-end time and energy in microseconds by rescaling the issue-slot
+// buckets of one simulated anchor point (the point at the default clock,
+// link and ILP), letting ExploreTiered triage a large design space before
+// cycle-exact simulation validates the survivors. See internal/estimate and
+// the ARCHITECTURE.md "Two-tier fidelity" section.
 
-// CalibrationProfile is the versioned parameter set of the analytical
-// estimator: the workload signature table (one cycle-exact anchor run per
-// workload, whose issue-slot buckets the model rescales and sums) and the
-// committed per-figure relative-error bounds CI re-checks (`make
+// CalibrationProfile names the analytical estimator's model and carries
+// its committed per-figure relative-error bounds, which CI re-checks (`make
 // calibration-check`).
 type CalibrationProfile = estimate.Calibration
 
@@ -31,23 +30,18 @@ type CalibrationObservation = estimate.Observation
 // FitCalibrationOptions configure FitCalibration.
 type FitCalibrationOptions = estimate.FitOptions
 
-// LoadCalibration reads a calibration artifact from a JSON file. Loading is
-// strict — unknown fields, format mismatches, negative bounds and
-// trailing content are all errors — because the artifact is machine-
-// generated (`pathfind calibrate`), not hand-edited.
-func LoadCalibration(path string) (*CalibrationProfile, error) { return estimate.LoadFile(path) }
-
 // NewEstimator builds an estimator from a calibration (nil = the committed
 // default) and an energy TechProfile (nil = the committed default). Use the
 // same profile any energy/EDP goals are bound to — ExploreTiered enforces
-// it.
+// it. An estimate of a single-DPU UPMEM point at any scale simulates the
+// point's anchor the first time it is needed.
 func NewEstimator(cal *CalibrationProfile, prof *TechProfile) (*Estimator, error) {
 	return estimate.New(cal, prof)
 }
 
-// FitCalibration simulates the calibration suite cycle-exactly, records the
-// anchor runs' workload signatures, and measures the per-figure error bounds
-// over probes nothing is fitted to — producing the artifact committed at
+// FitCalibration simulates the calibration suite cycle-exactly and
+// measures the per-figure error bounds over probes nothing is fitted to —
+// producing the artifact committed at
 // internal/estimate/calibration/default.json. Deterministic: the same
 // simulator and options reproduce the artifact byte-for-byte.
 func FitCalibration(ctx context.Context, opts FitCalibrationOptions) (*CalibrationProfile, []CalibrationObservation, error) {

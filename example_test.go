@@ -401,12 +401,15 @@ func ExampleParetoFront() {
 	// GEMV       tasklets=16 ilp=DRSF link=x4  0.1795         0.05589  0.03071    0.0736     0.0503     0.737      0           8.389      1.333         10.85       66.08       1.781
 }
 
-// Two-tier pathfinding: triage a 108-point space with the calibrated
-// analytical estimator, then spend cycle-exact simulation only on the
-// estimated Pareto band. The plan step predicts the estimate/simulate split
-// without simulating anything; the tiered exploration then simulates about
-// a quarter of the space, and its cycle-exact frontier is checked against
-// an exhaustive exploration of the same space.
+// Two-tier pathfinding: triage a 108-point space with the analytical
+// estimator, then spend cycle-exact simulation only on the estimated Pareto
+// band. Every estimate projects from an anchor, the same design at the
+// default clock, link and ILP, so the space's six anchors simulate first.
+// The plan step resolves them through the store and predicts the
+// estimate/simulate split without simulating anything else; the tiered
+// exploration then finds them there, simulates the rest of the band, and
+// its cycle-exact frontier is checked against an exhaustive exploration of
+// the same space.
 func ExampleExploreTiered() {
 	space := upim.NewDesignSpace([]string{"VA"},
 		upim.AxisTasklets(1, 4, 16),
@@ -428,20 +431,30 @@ func ExampleExploreTiered() {
 		Band:      0.03, // simulate everything within 3% of the estimated frontier
 		Goals:     []upim.ExploreGoal{upim.GoalTime(), upim.GoalCost()},
 	}
-	plan, err := upim.PlanTieredExploration(space, topts)
+	dir, err := os.MkdirTemp("", "upim-tiered-")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("plan: %d feasible points; band of %d (%.0f%%) would simulate, %d resolve by estimate\n",
-		plan.Feasible, plan.Band, 100*float64(plan.Band)/float64(plan.Feasible), plan.EstimateOnly)
-
+	defer os.RemoveAll(dir)
+	store, err := upim.OpenResultStore(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
+	opts := upim.ExploreOptions{Store: store}
 	ctx := context.Background()
-	x, tri, err := upim.ExploreTiered(ctx, space, upim.ExploreOptions{}, topts)
+	plan, err := upim.PlanTieredExploration(ctx, space, opts, topts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("tiered: simulated %d/%d, estimator max rel err on the band %.2f%%\n",
-		x.Simulated, tri.Feasible, tri.MaxRelErr*100)
+	fmt.Printf("plan: %d feasible points, %d anchors; band of %d (%.0f%%) would simulate, %d resolve by estimate\n",
+		plan.Feasible, plan.Anchors, plan.Band, 100*float64(plan.Band)/float64(plan.Feasible), plan.EstimateOnly)
+
+	x, tri, err := upim.ExploreTiered(ctx, space, opts, topts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("tiered: %d anchors from the store, simulated %d more of %d, estimator max rel err on the band %.2f%%\n",
+		x.Hits, x.Simulated, tri.Feasible, tri.MaxRelErr*100)
 
 	// Estimate-fidelity outcomes never rank, so the frontier is cycle-exact;
 	// compare it with paying full price for the whole space.
@@ -459,7 +472,7 @@ func ExampleExploreTiered() {
 	tieredFront := designs(upim.ParetoFront(x.Outcomes, topts.Goals...))
 	fullFront := designs(upim.ParetoFront(full.Outcomes, topts.Goals...))
 	fmt.Printf("frontier: %d designs from %d simulations; exhaustive finds %d from %d\n",
-		len(tieredFront), x.Simulated, len(fullFront), full.Simulated)
+		len(tieredFront), x.Hits+x.Simulated, len(fullFront), full.Simulated)
 	for _, d := range slices.Sorted(maps.Keys(fullFront)) {
 		marker := "MISSED"
 		if tieredFront[d] {
@@ -470,9 +483,9 @@ func ExampleExploreTiered() {
 	fmt.Println()
 	x.TriageTable(tri).Fprint(os.Stdout)
 	// Output:
-	// plan: 108 feasible points; band of 26 (24%) would simulate, 82 resolve by estimate
-	// tiered: simulated 26/108, estimator max rel err on the band 8.33%
-	// frontier: 8 designs from 26 simulations; exhaustive finds 8 from 108
+	// plan: 108 feasible points, 6 anchors; band of 30 (28%) would simulate, 78 resolve by estimate
+	// tiered: 6 anchors from the store, simulated 24 more of 108, estimator max rel err on the band 8.33%
+	// frontier: 8 designs from 30 simulations; exhaustive finds 8 from 108
 	//   VA tasklets=16 freq=350 link=x1 ilp=base mode=scratchpad found
 	//   VA tasklets=16 freq=350 link=x2 ilp=DRSF mode=scratchpad found
 	//   VA tasklets=16 freq=350 link=x4 ilp=DRSF mode=scratchpad found
@@ -484,5 +497,5 @@ func ExampleExploreTiered() {
 	//
 	// == Pathfinding (triage): two-tier fidelity split and band accuracy ==
 	// feasible  estimable  unestimable  band  estimate-only  band max rel err  band mean rel err
-	// 108       108        0            26    82             0.08              0.02
+	// 108       108        0            30    78             0.08              0.02
 }

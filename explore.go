@@ -151,20 +151,24 @@ type TieredExploreOptions = explore.TieredOptions
 // and the estimator's measured accuracy on the simulated band.
 type ExploreTriage = explore.Triage
 
-// ExploreTiered runs the space in two fidelity tiers: every feasible point
-// is estimated analytically (~µs each), and only the estimated ε-Pareto
-// band over the active goals is simulated cycle-exactly through the store.
-// Points outside the band resolve at estimate fidelity and persist under
-// the estimate fidelity tag. Band membership depends only on the space,
-// calibration, goals and slack — never on store contents — so resumed
-// two-tier explorations reproduce byte-identical artifacts.
+// ExploreTiered runs the space in two fidelity tiers: the space's anchor
+// points (each point at the default clock, link and ILP) resolve through the
+// store or simulate first, every feasible point is then estimated
+// analytically from its anchor (~µs each), and only the estimated ε-Pareto
+// band over the active goals, plus the anchors, is simulated cycle-exactly
+// through the store. Points outside the band resolve at estimate fidelity
+// and persist under the estimate fidelity tag. Band membership depends
+// only on the space, calibration, goals, slack and simulator — never on
+// store contents — so resumed two-tier explorations reproduce
+// byte-identical artifacts.
 func ExploreTiered(ctx context.Context, space *DesignSpace, opts ExploreOptions, topts TieredExploreOptions) (*Exploration, *ExploreTriage, error) {
 	return explore.New(opts).ExploreTiered(ctx, space, topts)
 }
 
-// PlanTieredExploration performs tier-A triage only — no simulation, no
-// store access — returning the predicted estimate/simulate split for the
-// space (the `pathfind -plan -tier2` guard).
-func PlanTieredExploration(space *DesignSpace, topts TieredExploreOptions) (*ExploreTriage, error) {
-	return explore.PlanTiered(space, topts)
+// PlanTieredExploration resolves the space's anchors through opts' store
+// (simulating and persisting the ones it lacks) and performs tier-A triage
+// only, returning the predicted estimate/simulate split for the space (the
+// `pathfind -plan -tier2` guard). Nothing else is simulated.
+func PlanTieredExploration(ctx context.Context, space *DesignSpace, opts ExploreOptions, topts TieredExploreOptions) (*ExploreTriage, error) {
+	return explore.New(opts).PlanTiered(ctx, space, topts)
 }

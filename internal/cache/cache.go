@@ -82,6 +82,12 @@ type Cache struct {
 // a power of two; any resulting set count (including non-powers-of-two) is
 // legal.
 func New(cfg config.CacheConfig, backend Backend, st *stats.Cache) (*Cache, error) {
+	return Renew(nil, cfg, backend, st)
+}
+
+// Renew is New building in old's storage (old may be nil): the cache it
+// returns is in exactly the state New's would be, and old is not used again.
+func Renew(old *Cache, cfg config.CacheConfig, backend Backend, st *stats.Cache) (*Cache, error) {
 	if cfg.LineBytes <= 0 || cfg.Ways <= 0 || cfg.SizeBytes <= 0 {
 		return nil, fmt.Errorf("cache: non-positive geometry %+v", cfg)
 	}
@@ -92,16 +98,29 @@ func New(cfg config.CacheConfig, backend Backend, st *stats.Cache) (*Cache, erro
 		return nil, fmt.Errorf("cache: size %d not divisible by ways*line %d", cfg.SizeBytes, cfg.LineBytes*cfg.Ways)
 	}
 	nsets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
-	return &Cache{
+	c := old
+	if c == nil {
+		c = &Cache{}
+	}
+	lines, mshr := c.lines, c.mshr[:0]
+	if n := nsets * cfg.Ways; cap(lines) >= n {
+		lines = lines[:n]
+		clear(lines)
+	} else {
+		lines = make([]line, n)
+	}
+	*c = Cache{
 		cfg:      cfg,
-		lines:    make([]line, nsets*cfg.Ways),
+		lines:    lines,
 		ways:     uint32(cfg.Ways),
 		lineMask: uint32(cfg.LineBytes - 1),
 		lineBits: uint(bits.TrailingZeros32(uint32(cfg.LineBytes))),
 		hash:     newSetHash(uint32(nsets)),
 		backend:  backend, st: st,
+		mshr:    mshr,
 		mshrMin: ^Tick(0),
-	}, nil
+	}
+	return c, nil
 }
 
 // setHash selects a line's set. It XOR-folds the upper line-index bits

@@ -372,6 +372,10 @@ func (b *callLog) Writeback(lineAddr uint32, lineBytes int, now Tick) Tick {
 // Odd tasklets go through AccessFrom with their own line reference, even
 // ones through Access.
 func TestMatchesMapAndModuloReference(t *testing.T) {
+	// Each run after the first rebuilds in the storage of the one before
+	// (Renew), across geometries too, so leftover lines, MSHR entries or
+	// recency would show as a divergence from the fresh reference.
+	var prev *Cache
 	for _, nsets := range []int{1, 3, 48, 128} {
 		for _, coalesce := range []bool{false, true} {
 			for _, allocate := range []bool{false, true} {
@@ -384,10 +388,11 @@ func TestMatchesMapAndModuloReference(t *testing.T) {
 					for seed := int64(1); seed <= 8; seed++ {
 						var gotLog, wantLog callLog
 						var gotSt, wantSt stats.Cache
-						got, err := New(cfg, &gotLog, &gotSt)
+						got, err := Renew(prev, cfg, &gotLog, &gotSt)
 						if err != nil {
 							t.Fatal(err)
 						}
+						prev = got
 						want := newRefCache(cfg, &wantLog, &wantSt)
 						r := rand.New(rand.NewSource(seed))
 						const streams = 6

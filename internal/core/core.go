@@ -413,6 +413,9 @@ type DPU struct {
 	mmu    *mmu.MMU
 	icache *cache.Cache
 	dcache *cache.Cache
+	// cacheMem keeps the I$ and D$ storage across reinits, cache mode or
+	// not, for the next cache-mode run to rebuild in.
+	cacheMem [2]*cache.Cache
 
 	// threads point into threadSlab, a value slab reused across arena
 	// reinits; the slab is only resized before any pointers are taken.
@@ -580,7 +583,8 @@ func (d *DPU) reinit(id int, prog *linker.Program, cfg config.Config) error {
 		d.bank.Reset(cfg, &d.st.DRAM)
 		d.link.Reset(cfg)
 	}
-	// The MMU and caches are small and config-shaped; rebuild them fresh.
+	// The MMU is small and config-shaped; rebuild it fresh. The caches are
+	// config-shaped too, but rebuilt in the storage of the last ones.
 	d.mmu = nil
 	if cfg.MMU.Enable {
 		d.mmu = mmu.New(cfg.MMU, (*ptWalker)(d), &d.st.MMU)
@@ -588,12 +592,13 @@ func (d *DPU) reinit(id int, prog *linker.Program, cfg config.Config) error {
 	d.icache, d.dcache = nil, nil
 	if cfg.Mode == config.ModeCache {
 		var err error
-		if d.icache, err = cache.New(cfg.ICache, (*fillBackend)(d), &d.st.ICache); err != nil {
+		if d.cacheMem[0], err = cache.Renew(d.cacheMem[0], cfg.ICache, (*fillBackend)(d), &d.st.ICache); err != nil {
 			return err
 		}
-		if d.dcache, err = cache.New(cfg.DCache, (*fillBackend)(d), &d.st.DCache); err != nil {
+		if d.cacheMem[1], err = cache.Renew(d.cacheMem[1], cfg.DCache, (*fillBackend)(d), &d.st.DCache); err != nil {
 			return err
 		}
+		d.icache, d.dcache = d.cacheMem[0], d.cacheMem[1]
 	}
 	if err := d.load(); err != nil {
 		return err

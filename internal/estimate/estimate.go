@@ -1,22 +1,25 @@
 package estimate
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"upim/internal/config"
 	"upim/internal/energy"
 	"upim/internal/engine"
 	"upim/internal/isa"
+	"upim/internal/prim"
 	"upim/internal/stats"
 )
 
-// ErrNoSignature reports a point outside the calibration's signature table
-// (unknown benchmark/mode/tasklets/scale/DPUs combination). Such points are
-// not estimable and must be simulated; the two-tier explorer forces them
-// into the simulation band.
-var ErrNoSignature = errors.New("estimate: no calibration signature for point")
+// ErrMultiDPU refuses a point with more than one DPU. A multi-DPU run's
+// Result.Stats is a rank aggregate, not the per-DPU record the model
+// rescales, so such a point has no anchor to project from and must be
+// simulated.
+var ErrMultiDPU = errors.New("estimate: multi-DPU points have no per-DPU anchor")
 
 // Estimate is one point's analytical prediction: kernel cycles, modeled
 // times and the event-level energy breakdown. Estimates are deterministic
@@ -47,12 +50,22 @@ func (e *Estimate) EDPMicroJouleMS() float64 {
 }
 
 // Estimator predicts performance and energy for simulation points under one
-// calibration and one energy TechProfile. It is immutable after New and safe
-// for concurrent use.
+// calibration and one energy TechProfile. It is safe for concurrent use.
 type Estimator struct {
 	cal  *Calibration
 	prof *energy.TechProfile
-	sigs map[sigKey]*Signature
+	// eng simulates the anchors Estimate finds missing; each anchor runs
+	// once and its result is kept in anchors.
+	eng     *engine.Engine
+	mu      sync.Mutex
+	anchors map[engine.Point]*anchorRun
+}
+
+// anchorRun is one memoised anchor simulation.
+type anchorRun struct {
+	once sync.Once
+	res  *prim.Result
+	err  error
 }
 
 // New builds an estimator from a calibration (nil = the committed default)
@@ -66,64 +79,79 @@ func New(cal *Calibration, prof *energy.TechProfile) (*Estimator, error) {
 	if err := cal.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Estimator{
-		cal:  cal,
-		prof: energy.ResolveProfile(prof),
-		sigs: make(map[sigKey]*Signature, len(cal.Signatures)),
-	}
-	for i := range cal.Signatures {
-		s := &cal.Signatures[i]
-		e.sigs[s.key()] = s
-	}
-	return e, nil
+	return &Estimator{
+		cal:     cal,
+		prof:    energy.ResolveProfile(prof),
+		eng:     engine.New(1),
+		anchors: map[engine.Point]*anchorRun{},
+	}, nil
 }
 
 // ProfileName returns the energy TechProfile estimates are priced under.
 func (e *Estimator) ProfileName() string { return e.prof.Name }
 
-// lookup finds the signature for a point (exact identity match). Points
-// carrying a machine description run an alternative architecture backend
-// the UPMEM calibration knows nothing about; they are never
-// estimable and always go straight to their backend.
-func (e *Estimator) lookup(p engine.Point) (*Signature, bool) {
+// AnchorOf returns the point p's estimate projects from: p itself with the
+// timing fields the model extrapolates over — frequency, MRAM-link width,
+// forwarding, the unified register file and issue width — reset to
+// config.Default()'s. Every other field, the scale included, stays p's, so
+// an anchor is an ordinary point any simulator path can resolve. A point
+// has no anchor when it carries a machine description (the model knows
+// only the UPMEM core: prim.ErrUnsupportedArch) or more than one DPU
+// (ErrMultiDPU).
+func AnchorOf(p engine.Point) (engine.Point, error) {
 	if p.Machine != nil {
-		return nil, false
+		return engine.Point{}, fmt.Errorf("%w: the estimator models the UPMEM core, not %s", prim.ErrUnsupportedArch, p.Machine.Arch)
 	}
-	dpus := p.DPUs
-	if dpus < 1 {
-		dpus = 1
+	if p.DPUs > 1 {
+		return engine.Point{}, fmt.Errorf("%w: %s on %d DPUs", ErrMultiDPU, p.Benchmark, p.DPUs)
 	}
-	s, ok := e.sigs[sigKey{
-		bench:    p.Benchmark,
-		mode:     p.Config.Mode.String(),
-		tasklets: p.Config.NumTasklets,
-		scale:    p.Scale.String(),
-		dpus:     dpus,
-	}]
-	return s, ok
+	def := config.Default()
+	p.Config.FreqMHz = def.FreqMHz
+	p.Config.LinkBytesPerCycle = def.LinkBytesPerCycle
+	p.Config.Forwarding = def.Forwarding
+	p.Config.UnifiedRF = def.UnifiedRF
+	p.Config.IssueWidth = def.IssueWidth
+	return p, nil
 }
 
-// Estimate predicts the point's kernel cycles, modeled times and energy.
-// The error is ErrNoSignature when the calibration does not cover the
-// point's workload (match with errors.Is).
-//
-// The model extrapolates the signature's issue-slot breakdown across the
-// timing axes — frequency, MRAM-link width, the ILP ladder (forwarding,
-// unified RF, issue width, the frequency doubler) — and treats every other
-// configuration field as unchanged from the anchor; event counters are
-// carried over unchanged (instruction and traffic counts are properties of
-// the workload, not the clocking), which is also what makes the energy
-// prediction a straight reuse of the simulator's linear event model.
+// Estimate predicts the point's kernel cycles, modeled times and energy,
+// projected from its anchor (see AnchorOf). The anchor is simulated with
+// the estimator's own engine the first time a point needs it and kept; a
+// point without an anchor, or whose anchor fails to simulate, returns that
+// error.
 func (e *Estimator) Estimate(p engine.Point) (*Estimate, error) {
-	sig, ok := e.lookup(p)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s/%s tasklets=%d scale=%s dpus=%d",
-			ErrNoSignature, p.Benchmark, p.Config.Mode, p.Config.NumTasklets, p.Scale, max(p.DPUs, 1))
+	a, err := AnchorOf(p)
+	if err != nil {
+		return nil, err
 	}
+	e.mu.Lock()
+	run := e.anchors[a]
+	if run == nil {
+		run = &anchorRun{}
+		e.anchors[a] = run
+	}
+	e.mu.Unlock()
+	run.once.Do(func() { run.res, run.err = e.eng.Run(context.Background(), a) })
+	if run.err != nil {
+		return nil, run.err
+	}
+	return e.Project(p, run.res), nil
+}
+
+// Project predicts p from anchor, the simulated result of AnchorOf(p).
+//
+// The model extrapolates the anchor's issue-slot breakdown across the
+// timing axes — frequency, MRAM-link width, the ILP ladder (forwarding,
+// unified RF, issue width, the frequency doubler) — every other
+// configuration field being the anchor's own; event counters are carried
+// over unchanged (instruction and traffic counts are properties of the
+// workload, not the clocking), which is also what makes the energy
+// prediction a straight reuse of the simulator's linear event model.
+func (e *Estimator) Project(p engine.Point, anchor *prim.Result) *Estimate {
 	cfg := p.Config
-	cycles := predictCycles(sig, cfg)
+	cycles := predictCycles(anchor, cfg)
 	kernelSec := cycles / (float64(cfg.FreqMHz) * 1e6)
-	transferSec := sig.Report.Total() - sig.Report.KernelSeconds
+	transferSec := anchor.Report.Total() - anchor.Report.KernelSeconds
 	est := &Estimate{
 		Calibration:     e.cal.Name,
 		KernelCycles:    cycles,
@@ -131,9 +159,13 @@ func (e *Estimator) Estimate(p engine.Point) (*Estimate, error) {
 		TransferSeconds: transferSec,
 		TotalSeconds:    kernelSec + transferSec,
 	}
-	st := sig.pseudoStats(cycles)
-	est.Energy = energy.OfRun(e.prof, cfg, []stats.DPU{st}, sig.Report.BytesIn, sig.Report.BytesOut)
-	return est, nil
+	// The energy model prices the anchor's counters at the predicted cycle
+	// count: leakage integrates predicted time, events are workload
+	// invariants.
+	st := anchor.Stats
+	st.Cycles = uint64(math.Round(cycles))
+	est.Energy = energy.OfRun(e.prof, cfg, []stats.DPU{st}, anchor.Report.BytesIn, anchor.Report.BytesOut)
+	return est
 }
 
 // predictCycles transforms the anchor's issue-slot buckets (Fig 6: one
@@ -143,15 +175,15 @@ func (e *Estimator) Estimate(p engine.Point) (*Estimate, error) {
 // issue-slot accounting identity), so anchors are reproduced to rounding;
 // off the anchor the prediction is only as good as the scalings below,
 // which is what the calibration's probe bounds measure.
-func predictCycles(sig *Signature, cfg config.Config) float64 {
+func predictCycles(a *prim.Result, cfg config.Config) float64 {
 	iw := float64(cfg.IssueWidth)
 	if iw < 1 {
 		iw = 1
 	}
-	st := &sig.Stats
+	st := &a.Stats
 	// Issuing cycles shrink with a wider issue slot only as far as the
 	// workload's thread-level parallelism allows (the Fig 7 histogram).
-	issue := st.Issued / sig.issueGain(iw, cfg)
+	issue := st.Issued / issueGain(a, iw, cfg)
 
 	// Memory waits follow an interval model. Raw demand has a bandwidth part
 	// — the MRAM link occupancy, whose absolute bandwidth is anchored to the
@@ -163,20 +195,20 @@ func predictCycles(sig *Signature, cfg config.Config) float64 {
 	// this reduces to IdleMemory exactly; at 2x frequency exposed idle grows
 	// superlinearly (demand doubles, cover does not), and a wider link
 	// collapses it faster than linearly.
-	fRatio := float64(cfg.FreqMHz) / float64(sig.FreqMHz)
-	linkNow := sig.linkBytes() / float64(cfg.LinkBytesPerCycle) *
+	fRatio := float64(cfg.FreqMHz) / float64(a.Config.FreqMHz)
+	linkNow := linkBytes(a) / float64(cfg.LinkBytesPerCycle) *
 		float64(cfg.FreqMHz) / config.LinkReferenceFreqMHz
-	cover := sig.linkBytes() / float64(sig.LinkBytesPerCycle) *
-		float64(sig.FreqMHz) / config.LinkReferenceFreqMHz
+	cover := linkBytes(a) / float64(a.Config.LinkBytesPerCycle) *
+		float64(a.Config.FreqMHz) / config.LinkReferenceFreqMHz
 	mem := math.Max(linkNow+float64(st.Idle[stats.IdleMemory]*fRatio)-cover, 0)
 
 	// Dependency waits: forwarding replaces the revolver distance with the
-	// producer's forwarding latency, weighted by the signature's instruction
+	// producer's forwarding latency, weighted by the anchor's instruction
 	// mix (loads and mul/div forward later than ALU results). Waiting cycles
 	// are latency, not slots, and do not shrink with the issue width.
 	rev := st.Idle[stats.IdleRevolver]
 	if cfg.Forwarding && cfg.RevolverCycles > 0 {
-		rev = float64(rev * math.Min(1, sig.fwdLatency(cfg)/float64(cfg.RevolverCycles)))
+		rev = float64(rev * math.Min(1, fwdLatency(a, cfg)/float64(cfg.RevolverCycles)))
 	}
 	// The unified register file removes the odd/even RF hazard.
 	rf := st.Idle[stats.IdleRF]
@@ -189,14 +221,14 @@ func predictCycles(sig *Signature, cfg config.Config) float64 {
 	// scalar instruction, or warp issue under SIMT, where one slot retires a
 	// whole warp's lanes — needs an issue slot.
 	issues := float64(st.Instructions)
-	if sig.Mode == config.ModeSIMT.String() {
+	if a.Config.Mode == config.ModeSIMT {
 		issues = float64(st.VectorIssues)
 	}
 	return max(cycles, issues/iw, 1)
 }
 
 // tlpReps are representative issuable-thread counts per Fig 7 histogram bin
-// (0, 1~4, 5~8, 9~12, 13~16, 17~24) — bin midpoints, clamped per signature
+// (0, 1~4, 5~8, 9~12, 13~16, 17~24) — bin midpoints, clamped per anchor
 // to its tasklet count.
 var tlpReps = [stats.TLPBins]float64{0, 2.5, 6.5, 10.5, 14.5, 20.5}
 
@@ -213,18 +245,18 @@ var tlpReps = [stats.TLPBins]float64{0, 2.5, 6.5, 10.5, 14.5, 20.5}
 // capped at Tasklets/RevolverCycles no matter how deep the issuable queue
 // looks — which is why S alone buys little and S+D much more, matching the
 // paper's Fig 12 ladder.
-func (s *Signature) issueGain(iw float64, cfg config.Config) float64 {
+func issueGain(a *prim.Result, iw float64, cfg config.Config) float64 {
 	if iw <= 1 {
 		return 1
 	}
-	tasklets := math.Max(float64(s.Tasklets), 1)
+	tasklets := math.Max(float64(a.Config.NumTasklets), 1)
 	weight, gain := 0.0, 0.0
 	for b := 1; b < stats.TLPBins; b++ {
 		rep := math.Min(tlpReps[b], tasklets)
 		if !cfg.UnifiedRF {
 			rep = 1 + float64((rep-1)/2)
 		}
-		n := float64(s.Stats.TLPHist[b])
+		n := float64(a.Stats.TLPHist[b])
 		weight += n
 		gain += float64(n * math.Min(rep, iw))
 	}
@@ -239,24 +271,24 @@ func (s *Signature) issueGain(iw float64, cfg config.Config) float64 {
 }
 
 // linkBytes returns the traffic that crosses the MRAM<->WRAM datapath under
-// the signature's memory mode — the same routing convention the energy
+// the anchor's memory mode — the same routing convention the energy
 // model's Link component uses: explicit DMA bytes under the scratchpad
 // model, cache fills under the cache model, and nothing under SIMT, whose
 // vector unit reaches the bank through the coalescer without crossing the
 // link (so a SIMT estimate does not depend on the link width).
-func (s *Signature) linkBytes() float64 {
-	switch s.Mode {
-	case config.ModeCache.String():
-		return float64(s.Stats.DRAM.BytesRead)
-	case config.ModeSIMT.String():
+func linkBytes(a *prim.Result) float64 {
+	switch a.Config.Mode {
+	case config.ModeCache:
+		return float64(a.Stats.DRAM.BytesRead)
+	case config.ModeSIMT:
 		return 0
 	default: // scratchpad: explicit DMA staging
-		return float64(s.Stats.DMABytes)
+		return float64(a.Stats.DMABytes)
 	}
 }
 
 // fwdLatency returns the mix-weighted forwarding latency in cycles.
-func (s *Signature) fwdLatency(cfg config.Config) float64 {
+func fwdLatency(a *prim.Result, cfg config.Config) float64 {
 	lat := func(c isa.Class) float64 {
 		switch c {
 		case isa.ClassMulDiv:
@@ -268,7 +300,7 @@ func (s *Signature) fwdLatency(cfg config.Config) float64 {
 		}
 	}
 	total, weighted := 0.0, 0.0
-	for c, n := range s.Stats.Mix {
+	for c, n := range a.Stats.Mix {
 		total += float64(n)
 		weighted += float64(float64(n) * lat(isa.Class(c)))
 	}
@@ -276,13 +308,4 @@ func (s *Signature) fwdLatency(cfg config.Config) float64 {
 		return float64(cfg.FwdLatALU)
 	}
 	return weighted / total
-}
-
-// pseudoStats builds the counter record the energy model prices: the
-// anchor's counters with the predicted cycle count (leakage integrates
-// predicted time, events are workload invariants).
-func (s *Signature) pseudoStats(cycles float64) stats.DPU {
-	st := s.Stats
-	st.Cycles = uint64(math.Round(cycles))
-	return st
 }

@@ -6,38 +6,54 @@ import (
 	"errors"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"upim/internal/config"
 	"upim/internal/engine"
+	"upim/internal/machine"
 	"upim/internal/prim"
 )
 
-// modeFor maps a signature's mode string back to a config.Mode.
-func modeFor(t *testing.T, s string) config.Mode {
-	t.Helper()
-	m, err := config.ParseMode(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
+// anchorResult pairs an anchor point with its cycle-exact result.
+type anchorResult struct {
+	p   engine.Point
+	res *prim.Result
 }
 
-// anchorPoint reconstructs the engine.Point a signature was captured at.
-func anchorPoint(t *testing.T, sig *Signature) engine.Point {
+var (
+	suiteAnchorsOnce sync.Once
+	suiteAnchorsRuns []anchorResult
+	suiteAnchorsErr  error
+)
+
+// suiteAnchors simulates, once per test binary, the anchors of the tiny
+// calibration suite of every benchmark: each (mode, tasklets) ladder point
+// at the default timing, SIMT warps included.
+func suiteAnchors(t *testing.T) []anchorResult {
 	t.Helper()
-	if sig.Scale != prim.ScaleTiny.String() {
-		t.Fatalf("signature %s/%s has scale %q, the committed calibration is recorded at tiny",
-			sig.Benchmark, sig.Mode, sig.Scale)
+	suiteAnchorsOnce.Do(func() {
+		var pts []engine.Point
+		for _, b := range prim.Benchmarks() {
+			for _, sp := range suite(b, prim.ScaleTiny) {
+				if a, err := AnchorOf(sp.ep); err == nil && a == sp.ep {
+					pts = append(pts, sp.ep)
+				}
+			}
+		}
+		outs, err := engine.New(0).SweepAll(context.Background(), pts)
+		if err != nil {
+			suiteAnchorsErr = err
+			return
+		}
+		for i, o := range outs {
+			suiteAnchorsRuns = append(suiteAnchorsRuns, anchorResult{pts[i], o.Result})
+		}
+	})
+	if suiteAnchorsErr != nil {
+		t.Fatal(suiteAnchorsErr)
 	}
-	cfg := config.Default()
-	cfg.Mode = modeFor(t, sig.Mode)
-	cfg.NumTasklets = sig.Tasklets
-	if cfg.FreqMHz != sig.FreqMHz || cfg.LinkBytesPerCycle != sig.LinkBytesPerCycle {
-		t.Fatalf("signature %s/%s anchored at %d MHz / %d B/cyc, default config is %d / %d",
-			sig.Benchmark, sig.Mode, sig.FreqMHz, sig.LinkBytesPerCycle, cfg.FreqMHz, cfg.LinkBytesPerCycle)
-	}
-	return engine.Point{Benchmark: sig.Benchmark, Config: cfg, DPUs: sig.DPUs, Scale: prim.ScaleTiny}
+	return suiteAnchorsRuns
 }
 
 func TestDefaultCalibration(t *testing.T) {
@@ -45,39 +61,55 @@ func TestDefaultCalibration(t *testing.T) {
 	if err := cal.Validate(); err != nil {
 		t.Fatalf("committed default calibration invalid: %v", err)
 	}
-	if len(cal.Bounds) == 0 || len(cal.Signatures) == 0 {
-		t.Fatalf("committed calibration is empty: %d bounds, %d signatures", len(cal.Bounds), len(cal.Signatures))
+	if len(cal.Bounds) == 0 {
+		t.Fatal("committed calibration has no bounds")
 	}
 	// Default returns a defensive copy: mutating it must not poison later calls.
 	cal.Bounds[0].MaxRelErr = -1
-	cal.Signatures[0].Benchmark = "tampered"
 	if err := Default().Validate(); err != nil {
 		t.Fatalf("Default() shares state with a mutated copy: %v", err)
 	}
 }
 
-// TestAnchorExactness pins the issue-slot accounting identity: at its own
-// anchor configuration, every committed signature's prediction — the plain
-// sum of its slot buckets — must equal the measured cycle count up to
-// floating-point rounding.
-func TestAnchorExactness(t *testing.T) {
-	const bound = 1e-12
-	cal := Default()
-	est, err := New(cal, nil)
+// TestAnchorOf pins the anchor's definition: the five timing fields the
+// model extrapolates over return to their defaults, and nothing else moves.
+func TestAnchorOf(t *testing.T) {
+	p := engine.Point{Benchmark: "VA", Config: config.Default().WithILP("DRSF"), DPUs: 1, Scale: prim.ScalePaper, Watchdog: 7}
+	p.Config.LinkBytesPerCycle *= 4
+	p.Config.NumTasklets = 3
+	p.Config.Mode = config.ModeCache
+	a, err := AnchorOf(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range cal.Signatures {
-		sig := &cal.Signatures[i]
-		e, err := est.Estimate(anchorPoint(t, sig))
-		if err != nil {
-			t.Fatalf("%s/%s/t%d: %v", sig.Benchmark, sig.Mode, sig.Tasklets, err)
-		}
-		cycles := float64(sig.Stats.Cycles)
+	want := p
+	want.Config.FreqMHz, want.Config.LinkBytesPerCycle = config.Default().FreqMHz, config.Default().LinkBytesPerCycle
+	want.Config.Forwarding, want.Config.UnifiedRF, want.Config.IssueWidth = false, false, 1
+	if a != want {
+		t.Fatalf("AnchorOf(%+v)\n = %+v\nwant %+v", p, a, want)
+	}
+	if again, _ := AnchorOf(a); again != a {
+		t.Fatal("an anchor is not its own anchor")
+	}
+}
+
+// TestAnchorExactness pins the issue-slot accounting identity: at its own
+// anchor configuration, every suite anchor's prediction — the plain sum of
+// its slot buckets — must equal the measured cycle count up to
+// floating-point rounding.
+func TestAnchorExactness(t *testing.T) {
+	const bound = 1e-12
+	est, err := New(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range suiteAnchors(t) {
+		e := est.Project(a.p, a.res)
+		cycles := float64(a.res.Stats.Cycles)
 		rel := math.Abs(e.KernelCycles-cycles) / cycles
 		if rel > bound {
 			t.Errorf("%s/%s/t%d: anchor prediction %.1f vs measured %.0f cycles (rel err %.3g > %g)",
-				sig.Benchmark, sig.Mode, sig.Tasklets, e.KernelCycles, cycles, rel, bound)
+				a.p.Benchmark, a.p.Config.Mode, a.p.Config.NumTasklets, e.KernelCycles, cycles, rel, bound)
 		}
 	}
 }
@@ -91,83 +123,157 @@ func TestSIMTLinkInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cal := Default()
 	n := 0
-	for i := range cal.Signatures {
-		sig := &cal.Signatures[i]
-		if sig.Mode != config.ModeSIMT.String() {
+	for _, a := range suiteAnchors(t) {
+		if a.p.Config.Mode != config.ModeSIMT {
 			continue
 		}
 		n++
-		p := anchorPoint(t, sig)
+		p := a.p
 		var want float64
 		for _, link := range []int{1, 2, 4, 8} {
 			p.Config.LinkBytesPerCycle = link
-			e, err := est.Estimate(p)
-			if err != nil {
-				t.Fatal(err)
-			}
+			e := est.Project(p, a.res)
 			if link == 1 {
 				want = e.KernelCycles
 			} else if e.KernelCycles != want {
 				t.Errorf("%s/simt/t%d: link x%d estimates %.0f cycles, link x1 %.0f",
-					sig.Benchmark, sig.Tasklets, link, e.KernelCycles, want)
+					p.Benchmark, p.Config.NumTasklets, link, e.KernelCycles, want)
 			}
 		}
 	}
 	if n != 3 {
-		t.Fatalf("committed calibration has %d SIMT signatures, want 3", n)
+		t.Fatalf("the calibration suite has %d SIMT anchors, want 3", n)
 	}
 }
 
+// TestEstimateDeterministic: an estimate is a pure function of the point —
+// repeated calls agree, and the anchor Estimate simulates for itself is the
+// run the suite recorded, so the memoised path and Project agree bit for
+// bit.
 func TestEstimateDeterministic(t *testing.T) {
 	est, err := New(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := anchorPoint(t, &Default().Signatures[0])
+	a := suiteAnchors(t)[0]
+	p := a.p
 	p.Config = p.Config.WithILP("DRSF")
 	p.Config.FreqMHz *= 2
-	a, err := est.Estimate(p)
+	first, err := est.Estimate(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := est.Estimate(p)
+	second, err := est.Estimate(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *a != *b {
-		t.Fatalf("estimates differ across calls:\n%+v\n%+v", a, b)
+	if *first != *second {
+		t.Fatalf("estimates differ across calls:\n%+v\n%+v", first, second)
 	}
-	if a.KernelCycles < 1 || a.TotalSeconds <= 0 || a.MicroJoules() <= 0 {
-		t.Fatalf("degenerate estimate: %+v", a)
+	if projected := est.Project(p, a.res); *projected != *first {
+		t.Fatalf("Estimate and Project disagree:\n%+v\n%+v", first, projected)
+	}
+	if first.KernelCycles < 1 || first.TotalSeconds <= 0 || first.MicroJoules() <= 0 {
+		t.Fatalf("degenerate estimate: %+v", first)
 	}
 }
 
-func TestEstimateNoSignature(t *testing.T) {
+// TestEstimateConcurrent: goroutines sharing one estimator and asking for
+// the same missing anchors at once get the estimates a lone caller gets, and
+// each anchor simulates once.
+func TestEstimateConcurrent(t *testing.T) {
+	var pts []engine.Point
+	for _, freq := range []int{350, 700} {
+		for _, tasklets := range []int{1, 4} {
+			p := engine.Point{Benchmark: "VA", Config: config.Default(), DPUs: 1, Scale: prim.ScaleTiny}
+			p.Config.FreqMHz, p.Config.NumTasklets = freq, tasklets
+			pts = append(pts, p)
+		}
+	}
+	lone, err := New(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]Estimate, len(pts))
+	for i, p := range pts {
+		e, err := lone.Estimate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = *e
+	}
+	shared, err := New(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range pts {
+				p := pts[(i+g)%len(pts)]
+				e, err := shared.Estimate(p)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if *e != want[(i+g)%len(pts)] {
+					t.Errorf("goroutine %d: %s tasklets=%d freq=%d estimates %+v, a lone caller %+v",
+						g, p.Benchmark, p.Config.NumTasklets, p.Config.FreqMHz, e, want[(i+g)%len(pts)])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := len(shared.anchors); n != 2 {
+		t.Fatalf("the shared estimator holds %d anchors, want the 2 of tasklets 1 and 4", n)
+	}
+}
+
+// TestEstimateRefusals: a point the model does not cover fails with an
+// error that says why, and any single-DPU UPMEM point has an anchor —
+// including a tasklet count no calibration ever ran.
+func TestEstimateRefusals(t *testing.T) {
 	est, err := New(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := engine.Point{Benchmark: "no-such-benchmark", Config: config.Default(), DPUs: 1, Scale: prim.ScaleTiny}
-	if _, err := est.Estimate(p); !errors.Is(err, ErrNoSignature) {
-		t.Fatalf("want ErrNoSignature, got %v", err)
+	va := engine.Point{Benchmark: "VA", Config: config.Default(), DPUs: 1, Scale: prim.ScaleTiny}
+
+	hbm, err := machine.Named(machine.ArchHBMPIM)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Known benchmark at an uncalibrated tasklet count is likewise a miss,
-	// not a silent extrapolation.
-	q := anchorPoint(t, &Default().Signatures[0])
-	q.Config.NumTasklets = 3
-	if _, err := est.Estimate(q); !errors.Is(err, ErrNoSignature) {
-		t.Fatalf("uncovered tasklet count: want ErrNoSignature, got %v", err)
+	p := va
+	p.Machine = hbm
+	if _, err := est.Estimate(p); !errors.Is(err, prim.ErrUnsupportedArch) {
+		t.Fatalf("hbm-pim point: want ErrUnsupportedArch, got %v", err)
+	}
+	p = va
+	p.DPUs = 2
+	if _, err := est.Estimate(p); !errors.Is(err, ErrMultiDPU) {
+		t.Fatalf("2-DPU point: want ErrMultiDPU, got %v", err)
+	}
+	p = va
+	p.Benchmark = "no-such-benchmark"
+	if _, err := est.Estimate(p); !errors.Is(err, prim.ErrUnknownBenchmark) {
+		t.Fatalf("unknown benchmark: want its anchor's ErrUnknownBenchmark, got %v", err)
+	}
+	p = va
+	p.Config.NumTasklets = 3
+	if _, err := est.Estimate(p); err != nil {
+		t.Fatalf("tasklets=3: %v", err)
 	}
 }
 
 // TestRefitReproducesCommitted is the in-tree mirror of the CI
 // calibration-check gate: a from-scratch refit of the full suite must
 // reproduce the committed artifact byte-for-byte (fit determinism + no
-// drift), its measured per-figure errors must stay within the committed
-// bounds, and estimates under the refit must equal estimates under the
-// committed calibration (estimate -> refit -> estimate stability).
+// drift), and its measured per-figure errors must stay within the committed
+// bounds. Every suite anchor an estimator simulates for itself projects
+// the same estimate as the anchor run the refit recorded.
 func TestRefitReproducesCommitted(t *testing.T) {
 	if testing.Short() {
 		t.Skip("refit simulates the full calibration suite; skipped under -short")
@@ -199,26 +305,37 @@ func TestRefitReproducesCommitted(t *testing.T) {
 		t.Fatalf("measured %d figures, committed %d bounds", len(errs), len(committed.Bounds))
 	}
 
-	estA, err := New(committed, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	estB, err := New(cal, nil)
+	est, err := New(committed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, o := range obs {
-		a, err := estA.Estimate(o.Point)
+		if a, _ := AnchorOf(o.Point); a != o.Point {
+			continue
+		}
+		got, err := est.Estimate(o.Point)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := estB.Estimate(o.Point)
-		if err != nil {
-			t.Fatal(err)
+		if want := est.Project(o.Point, o.Result); *got != *want {
+			t.Fatalf("anchor %s/%s/t%d: the estimator's own run estimates\n%+v\nthe refit's\n%+v",
+				o.Point.Benchmark, o.Point.Config.Mode, o.Point.Config.NumTasklets, got, want)
 		}
-		if *a != *b {
-			t.Fatalf("estimate for %s/%s diverges after refit:\n%+v\n%+v", o.Point.Benchmark, o.Point.Config.Mode, a, b)
-		}
+	}
+}
+
+// TestFigureErrorsNeedsAnchors: a probe whose anchor is not among the
+// observations is an error, not a silent simulation.
+func TestFigureErrorsNeedsAnchors(t *testing.T) {
+	a := suiteAnchors(t)[0]
+	probe := a.p
+	probe.Config = probe.Config.WithILP("D")
+	_, err := FigureErrors(Default(), []Observation{{Figure: "fig12", Point: probe, Result: a.res}})
+	if err == nil || !strings.Contains(err.Error(), "no anchor") {
+		t.Fatalf("probe without its anchor: %v", err)
+	}
+	if _, err := FigureErrors(Default(), []Observation{{Figure: "fig5", Point: a.p, Result: a.res}}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -25,30 +25,28 @@ type FitOptions struct {
 }
 
 // Observation is one calibration-suite run: a simulation point tagged with
-// the paper figure whose axis it probes, plus the cycle-exact measurements
-// the bounds are checked over.
+// the paper figure whose axis it probes, plus its cycle-exact result.
 type Observation struct {
 	// Figure tags the probe group (fig5 tasklet ladder, fig11 SIMT warps,
 	// fig12 ILP ladder, fig13 link width, fig15 cache-mode ladder).
 	Figure string
 	// Point is the simulated configuration.
 	Point engine.Point
-	// Cycles and Total are the cycle-exact kernel cycle count and end-to-end
-	// seconds the estimator's predictions are compared against.
-	Cycles float64
-	Total  float64
+	// Result is the cycle-exact run the estimator's predictions are compared
+	// against; where Point is its own anchor, the run every estimate of the
+	// anchor's group projects from.
+	Result *prim.Result
 }
 
 // suitePoint is one planned calibration run.
 type suitePoint struct {
-	fig    string
-	ep     engine.Point
-	anchor bool // anchors contribute workload signatures
+	fig string
+	ep  engine.Point
 }
 
 // suite plans the calibration runs for one benchmark: anchor ladders over
 // tasklets × {scratchpad, cache} (and SIMT warps where supported), plus
-// ILP/link probes at every anchor tasklet count — a miniature of the
+// ILP/link probes at every anchor — a miniature of the
 // paper's figure axes, which is what makes per-figure error bounds
 // meaningful.
 func suite(b *prim.Benchmark, scale prim.Scale) []suitePoint {
@@ -59,7 +57,7 @@ func suite(b *prim.Benchmark, scale prim.Scale) []suitePoint {
 	}
 	var pts []suitePoint
 
-	// Anchor ladders: one signature per (mode, tasklets).
+	// Anchor ladders: one anchor per (mode, tasklets).
 	for _, m := range []struct {
 		mode config.Mode
 		fig  string
@@ -68,7 +66,7 @@ func suite(b *prim.Benchmark, scale prim.Scale) []suitePoint {
 			cfg := base
 			cfg.Mode = m.mode
 			cfg.NumTasklets = t
-			pts = append(pts, suitePoint{fig: m.fig, ep: point(cfg), anchor: true})
+			pts = append(pts, suitePoint{fig: m.fig, ep: point(cfg)})
 		}
 	}
 	if b.SupportsSIMT {
@@ -76,13 +74,13 @@ func suite(b *prim.Benchmark, scale prim.Scale) []suitePoint {
 			cfg := base
 			cfg.Mode = config.ModeSIMT
 			cfg.NumTasklets = warps * cfg.SIMTWidth // lanes, matching Space's expansion
-			pts = append(pts, suitePoint{fig: "fig11", ep: point(cfg), anchor: true})
+			pts = append(pts, suitePoint{fig: "fig11", ep: point(cfg)})
 		}
 	}
 
-	// Timing probes at every anchor: each shares its anchor's workload
-	// signature and exercises the analytic scalings off the anchor. Nothing
-	// is fitted to them, so their errors are held-out errors.
+	// Timing probes at every anchor: each projects from its anchor's run
+	// and exercises the analytic scalings off the anchor. Nothing is fitted
+	// to them, so their errors are held-out errors.
 	for _, mode := range []config.Mode{config.ModeScratchpad, config.ModeCache} {
 		for _, t := range ladder {
 			anchor := base
@@ -106,9 +104,8 @@ func suite(b *prim.Benchmark, scale prim.Scale) []suitePoint {
 	return pts
 }
 
-// Fit simulates the calibration suite cycle-exactly, records workload
-// signatures from the anchor runs, and measures the committed per-figure
-// error bounds (maximum relative error plus deterministic 10% headroom,
+// Fit simulates the calibration suite cycle-exactly and measures the
+// committed per-figure error bounds (maximum relative error plus deterministic 10% headroom,
 // rounded up at 1e-4 granularity so a rerun reproduces the artifact
 // byte-for-byte). The model has no fitted parameters, so every probe is
 // held out: the bounds are validation errors, not training residuals. It
@@ -144,25 +141,11 @@ func Fit(ctx context.Context, opts FitOptions) (*Calibration, []Observation, err
 		return nil, nil, fmt.Errorf("estimate: calibration suite: %w", err)
 	}
 
-	cal := &Calibration{
-		Name:   name,
-		Format: CalibrationFormat,
-		Scales: []string{opts.Scale.String()},
-	}
+	cal := &Calibration{Name: name, Format: CalibrationFormat}
 	obs := make([]Observation, len(plan))
 	for i, sp := range plan {
-		res := outs[i].Result
-		if sp.anchor {
-			cal.Signatures = append(cal.Signatures, signatureOf(res, opts.Scale))
-		}
-		obs[i] = Observation{
-			Figure: sp.fig,
-			Point:  sp.ep,
-			Cycles: float64(res.Stats.Cycles),
-			Total:  res.Report.Total(),
-		}
+		obs[i] = Observation{Figure: sp.fig, Point: sp.ep, Result: outs[i].Result}
 	}
-	sortSignatures(cal.Signatures)
 
 	errs, err := FigureErrors(cal, obs)
 	if err != nil {
@@ -183,20 +166,35 @@ func Fit(ctx context.Context, opts FitOptions) (*Calibration, []Observation, err
 
 // FigureErrors evaluates the calibration against a set of cycle-exact
 // observations: for each figure group, the maximum relative error over both
-// the kernel-cycle and the end-to-end-time prediction.
+// the kernel-cycle and the end-to-end-time prediction. Each observation is
+// projected from its anchor's observation, so every anchor must be among
+// them (Fit's suite holds them all).
 func FigureErrors(cal *Calibration, obs []Observation) (map[string]float64, error) {
 	est, err := New(cal, nil)
 	if err != nil {
 		return nil, err
 	}
+	anchors := map[engine.Point]*prim.Result{}
+	for _, o := range obs {
+		if a, err := AnchorOf(o.Point); err == nil && a == o.Point {
+			anchors[a] = o.Result
+		}
+	}
 	errs := map[string]float64{}
 	for _, o := range obs {
-		e, err := est.Estimate(o.Point)
+		a, err := AnchorOf(o.Point)
 		if err != nil {
 			return nil, err
 		}
-		relCycles := math.Abs(e.KernelCycles-o.Cycles) / math.Max(o.Cycles, 1)
-		relTotal := math.Abs(e.TotalSeconds-o.Total) / math.Max(o.Total, 1e-12)
+		anchor := anchors[a]
+		if anchor == nil {
+			return nil, fmt.Errorf("estimate: %s observation %s/%s tasklets=%d has no anchor among the observations",
+				o.Figure, o.Point.Benchmark, o.Point.Config.Mode, o.Point.Config.NumTasklets)
+		}
+		e := est.Project(o.Point, anchor)
+		cycles, total := float64(o.Result.Stats.Cycles), o.Result.Report.Total()
+		relCycles := math.Abs(e.KernelCycles-cycles) / math.Max(cycles, 1)
+		relTotal := math.Abs(e.TotalSeconds-total) / math.Max(total, 1e-12)
 		errs[o.Figure] = math.Max(errs[o.Figure], math.Max(relCycles, relTotal))
 	}
 	return errs, nil

@@ -42,14 +42,15 @@ func TestLoadRejects(t *testing.T) {
 		{"unknown field", mutate(t, `"name": "default"`, `"name": "default", "surprise": 1`), "unknown field"},
 		{"weights key", mutate(t, `"bounds": [`, `"weights": {"issue": 1}, "bounds": [`), "unknown field"},
 		{"nan via string", mutate(t, `"max_rel_err": `, `"max_rel_err": "NaN", "was_max_rel_err": `), "cannot unmarshal string"},
-		{"stale format", mutate(t, `"format": 3`, `"format": 2`), "declares format"},
+		{"stale format", mutate(t, `"format": 4`, `"format": 3`), "declares format"},
+		{"signature table", mutate(t, `"bounds": [`, `"signatures": [], "bounds": [`), "unknown field"},
 		{"trailing content", append(committedArtifact(t), []byte("{}\n")...), "trailing content"},
 		{"trailing garbage", append(committedArtifact(t), []byte("not json")...), ""},
 		{"empty name", mutate(t, `"name": "default"`, `"name": ""`), "needs a name"},
 		{"negative bound", mutate(t, `"max_rel_err": 0`, `"max_rel_err": -1`), "negative or NaN"},
-		{"negative counter", mutate(t, `"Cycles": `, `"Cycles": -`), "cannot unmarshal"},
-		{"negative slot bucket", mutate(t, `"Issued": `, `"Issued": -`), "Issued is negative"},
-		{"truncated", committedArtifact(t)[:100], ""},
+		{"empty figure", mutate(t, `"figure": "fig5"`, `"figure": ""`), "empty figure name"},
+		{"duplicate figure", mutate(t, `"figure": "fig5"`, `"figure": "fig12"`), "duplicate bound"},
+		{"truncated", committedArtifact(t)[:60], ""},
 		{"empty", nil, ""},
 		{"not an object", []byte(`[1, 2, 3]`), ""},
 	}
@@ -97,8 +98,10 @@ func TestLoadRoundTrip(t *testing.T) {
 func FuzzLoadCalibration(f *testing.F) {
 	f.Add(committedArtifact(f))
 	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"name":"x","format":3}`))
-	f.Add([]byte(`{"name":"x","format":3,"bounds":[{"figure":"fig5","max_rel_err":1e308}]}`))
+	f.Add([]byte(`{"name":"x","format":4}`))
+	f.Add([]byte(`{"name":"x","format":4,"bounds":[{"figure":"fig5","max_rel_err":1e308}]}`))
+	f.Add([]byte(`{"name":"x","format":4,"bounds":[{"figure":"fig5","max_rel_err":0},{"figure":"fig5","max_rel_err":0}]}`))
+	f.Add([]byte(`{"name":"x","format":3,"scales":["tiny"],"bounds":[],"signatures":[]}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(``))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -2,7 +2,6 @@ package estimate_test
 
 import (
 	"bytes"
-	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -25,8 +24,8 @@ const goldenAxes = "tasklets=1,16;freq=350,700;link=1,4;ilp=base,DRSF;mode=scrat
 // TestEstimatesGolden pins every estimate of the tiered exploration space
 // bit for bit under the committed calibration and energy profile: kernel
 // cycles, transfer and total seconds and each energy component, as float64
-// bit patterns. A change to how the estimator stores or reads its signatures
-// must leave this file byte-identical; a model change rewrites it with
+// bit patterns. A change to how the estimator obtains or reads its anchor
+// runs must leave this file byte-identical; a model change rewrites it with
 // -update and says why.
 func TestEstimatesGolden(t *testing.T) {
 	axes, err := explore.ParseAxes(goldenAxes)
@@ -54,10 +53,6 @@ func TestEstimatesGolden(t *testing.T) {
 	for _, p := range pts {
 		fmt.Fprintf(&buf, "%s %s:", p.Benchmark, p.Design)
 		e, err := est.Estimate(p.EP)
-		if errors.Is(err, estimate.ErrNoSignature) {
-			buf.WriteString(" unestimable\n")
-			continue
-		}
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -152,13 +152,19 @@ func (e *Explorer) begin(p Point, i int, plan *bandPlan) (Outcome, engine.Point)
 	return o, ep
 }
 
-// resolve is the whole per-point step: an out-of-band point of a band plan
-// retires with the estimate-fidelity write that keeps the store a record of
-// the whole exploration at its actual fidelity; any other point is a store
-// hit (unless refreshing) or simulates and persists. A result that
+// resolve is the whole per-point step: an anchor of a band plan keeps the
+// outcome it resolved with before triage; an out-of-band point retires with
+// the estimate-fidelity write that keeps the store a record of the whole
+// exploration at its actual fidelity; any other point is a store hit
+// (unless refreshing) or simulates and persists. A result that
 // fails to persist is a failed point — its outcome carries the store error
 // and the next run re-simulates it.
 func (e *Explorer) resolve(ctx context.Context, p Point, i int, plan *bandPlan) Outcome {
+	if plan != nil && plan.Anchored[i] != nil {
+		o := *plan.Anchored[i]
+		o.Estimate = plan.Estimates[i]
+		return o
+	}
 	o, ep := e.begin(p, i, plan)
 	if plan != nil && !plan.InBand[i] {
 		if o.Err = e.store.PutEstimate(o.Key, ep, o.Estimate); o.Err == nil {

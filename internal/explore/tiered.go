@@ -6,15 +6,18 @@ import (
 	"math"
 
 	"upim/internal/artifact"
+	"upim/internal/engine"
 	"upim/internal/estimate"
+	"upim/internal/prim"
 )
 
 // TieredOptions parameterize a two-tier exploration: tier A estimates every
 // feasible point analytically, tier B re-simulates only the estimated Pareto
 // band cycle-exactly.
 type TieredOptions struct {
-	// Estimator produces the tier-A predictions (nil: the committed default
-	// calibration under the default energy profile).
+	// Estimator projects the tier-A predictions from the anchors' results
+	// (nil: the committed default calibration under the default energy
+	// profile).
 	Estimator *estimate.Estimator
 	// Band is the ε slack of the estimated Pareto band: a point is triaged
 	// out only when some point beats it by more than this relative margin on
@@ -30,15 +33,22 @@ type TieredOptions struct {
 
 // Triage summarizes the tier-A/tier-B split of a two-tier exploration. All
 // fields are pure functions of (space, calibration, goals, band slack) and
-// the deterministic simulator — independent of store contents — which is
-// what keeps resumed two-tier explorations byte-identical.
+// the deterministic simulator — an anchor read from the store is the run
+// the simulator would produce — which is what keeps resumed two-tier
+// explorations byte-identical.
 type Triage struct {
-	// Feasible counts the space's points; Estimable the points the
-	// calibration covers; Unestimable the rest (forced into the band).
+	// Anchors counts the distinct anchor points (estimate.AnchorOf) the
+	// estimates project from, each resolved through the store or simulated
+	// before triage, whether or not it is a point of the space.
+	Anchors int
+	// Feasible counts the space's points; Estimable the points with a
+	// successfully simulated anchor; Unestimable the rest (forced into the
+	// band).
 	Feasible, Estimable, Unestimable int
 	// Band counts the points selected for cycle-exact simulation (the
-	// ε-Pareto band plus every unestimable point); EstimateOnly the points
-	// resolved from the estimate alone (Feasible - Band).
+	// ε-Pareto band plus every anchor and every unestimable point);
+	// EstimateOnly the points resolved from the estimate alone (Feasible -
+	// Band).
 	Band, EstimateOnly int
 	// MaxRelErr/MeanRelErr measure predicted-vs-actual relative error on
 	// total time over the band points that have both an estimate and a
@@ -75,21 +85,21 @@ func resolveTiered(topts TieredOptions) (TieredOptions, error) {
 	return topts, nil
 }
 
-// triage runs tier A: estimate every point and select the simulation band.
-// It returns the per-point estimates (nil where unestimable), the band
-// membership mask, and the counts. Band membership is computed purely from
-// the estimates — never from store contents — so it is identical across
+// triage runs tier A: project every point from its anchor's result (nil:
+// unestimable) and select the simulation band. It returns the per-point
+// estimates (nil where unestimable), the band membership mask, and the
+// counts. Band membership is computed purely from the estimates and the
+// anchor mask — never from store contents — so it is identical across
 // resumed runs over the same space and calibration.
-func triage(pts []Point, topts TieredOptions) ([]*estimate.Estimate, []bool, *Triage) {
+func triage(pts []Point, anchorRes []*prim.Result, anchored []*Outcome, topts TieredOptions) ([]*estimate.Estimate, []bool, *Triage) {
 	ests := make([]*estimate.Estimate, len(pts))
 	tri := &Triage{Feasible: len(pts)}
 	for i, p := range pts {
-		e, err := topts.Estimator.Estimate(p.EP)
-		if err != nil {
+		if anchorRes[i] == nil {
 			tri.Unestimable++
 			continue
 		}
-		ests[i] = e
+		ests[i] = topts.Estimator.Project(p.EP, anchorRes[i])
 		tri.Estimable++
 	}
 
@@ -118,8 +128,10 @@ func triage(pts []Point, topts TieredOptions) ([]*estimate.Estimate, []bool, *Tr
 		}
 	}
 	for i := range pts {
-		if ests[i] == nil {
-			inBand[i] = true // unestimable: simulation is the only fidelity
+		if ests[i] == nil || anchored[i] != nil {
+			// Unestimable: simulation is the only fidelity. An anchor: it
+			// is already resolved.
+			inBand[i] = true
 			continue
 		}
 		dominated := false
@@ -141,10 +153,14 @@ func triage(pts []Point, topts TieredOptions) ([]*estimate.Estimate, []bool, *Tr
 	return ests, inBand, tri
 }
 
-// ExploreTiered runs the space in two fidelity tiers: tier A estimates every
-// feasible point analytically (~µs each, no simulation), tier B simulates
-// only the estimated ε-Pareto band over the active goals — typically a small
-// fraction of the space — through the store, exactly like Explore. Points
+// ExploreTiered runs the space in two fidelity tiers. First the space's
+// distinct anchors (estimate.AnchorOf) resolve like any point — a store hit,
+// or simulate and persist — on the engine's pool. Tier A then projects
+// every feasible point from its anchor's result analytically (~µs each),
+// and tier B simulates only the estimated ε-Pareto band over the active
+// goals — typically a small fraction of the space — through the store,
+// exactly like Explore. An anchor that is a point of the space is part of
+// the band and keeps the outcome it resolved with. Points
 // outside the band resolve at estimate fidelity: their outcomes carry the
 // estimate instead of a Result, and they persist to the store under the
 // estimate fidelity tag (never clobbering an exact entry) so the store
@@ -155,7 +171,7 @@ func triage(pts []Point, topts TieredOptions) ([]*estimate.Estimate, []bool, *Tr
 // exploration reproduces the same split, the same fidelity per point, and
 // byte-identical artifact tables.
 func (e *Explorer) ExploreTiered(ctx context.Context, space *Space, topts TieredOptions) (*Exploration, *Triage, error) {
-	plan, err := planBand(space, topts)
+	plan, err := e.planBand(ctx, space, topts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -175,11 +191,17 @@ type bandPlan struct {
 	// resolve from Estimates (out-of-band points always have a non-nil
 	// estimate — unestimable points are forced into the band).
 	InBand []bool
-	Triage *Triage
+	// Anchored holds, for each point that is its own anchor, the outcome it
+	// resolved with before triage (nil elsewhere); the sweep reuses it.
+	Anchored []*Outcome
+	Triage   *Triage
 }
 
-// planBand computes the tier-A plan without simulating or touching a store.
-func planBand(space *Space, topts TieredOptions) (*bandPlan, error) {
+// planBand resolves the space's anchors, then computes the tier-A plan.
+func (e *Explorer) planBand(ctx context.Context, space *Space, topts TieredOptions) (*bandPlan, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	topts, err := resolveTiered(topts)
 	if err != nil {
 		return nil, err
@@ -188,15 +210,76 @@ func planBand(space *Space, topts TieredOptions) (*bandPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	ests, inBand, tri := triage(pts, topts)
-	return &bandPlan{Points: pts, Estimates: ests, InBand: inBand, Triage: tri}, nil
+	anchored := make([]*Outcome, len(pts))
+	anchorRes, n, err := e.resolveAnchors(ctx, pts, anchored)
+	if err != nil {
+		return nil, err
+	}
+	ests, inBand, tri := triage(pts, anchorRes, anchored, topts)
+	tri.Anchors = n
+	return &bandPlan{Points: pts, Estimates: ests, InBand: inBand, Anchored: anchored, Triage: tri}, nil
 }
 
-// PlanTiered performs tier-A triage only — no simulation, no store access —
-// and returns the predicted estimate/simulate split for the space. This is
-// the `pathfind -plan -tier2` guard against launching week-long sweeps.
-func PlanTiered(space *Space, topts TieredOptions) (*Triage, error) {
-	plan, err := planBand(space, topts)
+// resolveAnchors resolves the distinct anchors of the points on the
+// engine's pool, each through the per-point step (a store hit, or simulate
+// and persist), in order of first use. An anchor that is a point of the
+// space resolves as that point, and its outcome lands in anchored. It
+// returns each point's anchor result (nil where the point has no anchor or
+// its anchor did not simulate) and the number of anchors.
+func (e *Explorer) resolveAnchors(ctx context.Context, pts []Point, anchored []*Outcome) ([]*prim.Result, int, error) {
+	type anchor struct {
+		p Point
+		i int // the anchor's index in pts, or -1 outside the space
+	}
+	var anchors []anchor
+	pos := map[engine.Point]int{}
+	of := make([]int, len(pts)) // each point's anchor, -1 for none
+	for i, p := range pts {
+		a, err := estimate.AnchorOf(p.EP)
+		if err != nil {
+			of[i] = -1
+			continue
+		}
+		k, ok := pos[a]
+		if !ok {
+			k = len(anchors)
+			pos[a] = k
+			anchors = append(anchors, anchor{Point{Benchmark: p.Benchmark, EP: a}, -1})
+		}
+		if a == p.EP {
+			anchors[k] = anchor{p, i}
+		}
+		of[i] = k
+	}
+	outs := make([]Outcome, len(anchors))
+	e.eng.Each(ctx, len(anchors), func(k int) {
+		outs[k] = e.resolve(ctx, anchors[k].p, anchors[k].i, nil)
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, 0, err
+	}
+	for k, a := range anchors {
+		if a.i >= 0 {
+			anchored[a.i] = &outs[k]
+		}
+	}
+	res := make([]*prim.Result, len(pts))
+	for i, k := range of {
+		if k >= 0 {
+			res[i] = outs[k].Result
+		}
+	}
+	return res, len(anchors), nil
+}
+
+// PlanTiered resolves the space's anchors — through the store, simulating
+// and persisting the ones it lacks — and performs tier-A triage, without
+// simulating anything else; it returns the predicted estimate/simulate
+// split. This is the `pathfind -plan -tier2` guard against launching
+// week-long sweeps; an exploration over the same store then finds its
+// anchors there.
+func (e *Explorer) PlanTiered(ctx context.Context, space *Space, topts TieredOptions) (*Triage, error) {
+	plan, err := e.planBand(ctx, space, topts)
 	if err != nil {
 		return nil, err
 	}

@@ -33,6 +33,9 @@ var (
 	// ErrUnsupportedMode reports a (benchmark, memory mode) combination with
 	// no kernel variant (e.g. SIMT on anything but GEMV).
 	ErrUnsupportedMode = errors.New("prim: unsupported mode")
+	// ErrUnsupportedArch reports a point on an architecture a model does
+	// not cover (e.g. an HBM-PIM point handed to the UPMEM estimator).
+	ErrUnsupportedArch = errors.New("prim: unsupported architecture")
 	// ErrTooManyTasklets reports a tasklet count above a benchmark's
 	// WRAM-footprint limit.
 	ErrTooManyTasklets = errors.New("prim: too many tasklets")
