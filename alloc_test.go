@@ -17,7 +17,7 @@ import (
 // counts are the one measurement that repeats across machines and sessions
 // (timings are benchmark/run.sh's job), so the ceilings are the counts
 // themselves: each row is measured with testing.AllocsPerRun — whose warm-up
-// call fills the build cache, the input cache, the process's DPU-shell free
+// call fills the build cache, the input memo, the process's DPU-shell free
 // list (internal/host) and the buffer pools — and committed as measured. A
 // row at parallelism 1 fails when its ceiling is lowered by one. The two
 // rows on two workers are not exact, because the workers reorder pool
@@ -120,6 +120,10 @@ func TestWarmRunHostAllocs(t *testing.T) {
 		}},
 		{"Run/GEMV", 15, run(tiny, "GEMV")}, // a multi-buffer host
 		{"Run/SEL", 16, run(tiny, "SEL")},   // verification walks per-tasklet regions
+		// Graph and sparse-matrix inputs come from the input memo, as the
+		// vectors do (3463 and 977 when every run rebuilt them).
+		{"Run/BFS", 37, run(tiny, "BFS")},
+		{"Run/SpMV", 15, run(tiny, "SpMV")},
 		{"Experiment/table1", 47, experiment("table1")},
 		{"Experiment/table2", 56, experiment("table2")},
 		{"Explore/hbm-pim", 79, func() error {

@@ -20,8 +20,9 @@
 // analytical estimator (internal/estimate) predicts every feasible point in
 // microseconds, and only the estimated Pareto band over the active goals —
 // widened by the -band slack — is simulated cycle-exactly. Points outside
-// the band resolve at estimate fidelity (tagged in every table and in the
-// store). -plan prints the feasible point count, the axis breakdown, and
+// the band resolve at estimate fidelity, tagged in every table; the store
+// keeps only exact results, from which every run re-derives the estimates.
+// -plan prints the feasible point count, the axis breakdown, and
 // (with -tier2) the predicted estimate/simulate split, then exits without
 // simulating anything.
 //

@@ -17,10 +17,7 @@ func runSuite(ctx context.Context, r *upim.Runner, scale, title string, energy b
 	for i, name := range names {
 		points[i] = upim.Point{Benchmark: name}
 	}
-	results := make([]upim.SweepResult, len(points)) // a point the sweep never reached stays zero
-	for sr := range r.Sweep(ctx, points) {
-		results[sr.Index] = sr
-	}
+	results, _ := r.Sweep(ctx, points) // each row reports its own error
 
 	fmt.Printf("%-10s %12s %10s %8s %10s", "benchmark", "instructions", "cycles", "IPC", "DRAM MB")
 	if energy {
@@ -29,11 +26,11 @@ func runSuite(ctx context.Context, r *upim.Runner, scale, title string, energy b
 	fmt.Printf(" %12s\n", "verified")
 	suite := make([]*upim.Result, 0, len(results))
 	for i, name := range names {
-		switch res := results[i].Result; {
-		case results[i].Err != nil:
-			fmt.Printf("%-10s %s\n", name, results[i].Err)
-		case res == nil:
+		switch res, err := results[i].Result, results[i].Err; {
+		case err != nil && err == ctx.Err():
 			fmt.Printf("%-10s cancelled\n", name)
+		case err != nil:
+			fmt.Printf("%-10s %s\n", name, err)
 		default:
 			suite = append(suite, res)
 			fmt.Printf("%-10s %12d %10d %8.3f %10.2f",

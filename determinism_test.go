@@ -33,17 +33,18 @@ func sweepCounters(t *testing.T, parallelism int) [][]float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([][]float64, len(determinismPoints))
-	for sr := range r.Sweep(context.Background(), determinismPoints) {
-		if sr.Err != nil {
-			t.Fatalf("point %d: %v", sr.Index, sr.Err)
-		}
+	srs, err := r.Sweep(context.Background(), determinismPoints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([][]float64, len(srs))
+	for k, sr := range srs {
 		counters := sr.Result.Stats.Counters()
 		vals := make([]float64, len(counters))
 		for i, c := range counters {
 			vals[i] = c.Value
 		}
-		out[sr.Index] = vals
+		out[k] = vals
 	}
 	return out
 }
@@ -76,12 +77,13 @@ func sweepEnergy(t *testing.T, parallelism int) []upim.EnergyReport {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]upim.EnergyReport, len(determinismPoints))
-	for sr := range r.Sweep(context.Background(), determinismPoints) {
-		if sr.Err != nil {
-			t.Fatalf("point %d: %v", sr.Index, sr.Err)
-		}
-		out[sr.Index] = upim.EnergyOf(sr.Result, nil)
+	srs, err := r.Sweep(context.Background(), determinismPoints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]upim.EnergyReport, len(srs))
+	for i, sr := range srs {
+		out[i] = upim.EnergyOf(sr.Result, nil)
 	}
 	return out
 }

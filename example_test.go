@@ -147,21 +147,19 @@ func ExampleRunner_Sweep() {
 			points = append(points, upim.Point{Benchmark: name, DPUs: dpus})
 		}
 	}
-	// Results stream in completion order; collect by index.
-	results := make([]*upim.Result, len(points))
-	for sr := range r.Sweep(context.Background(), points) {
-		if sr.Err != nil {
-			log.Fatal(sr.Err)
-		}
-		results[sr.Index] = sr.Result
+	// Results come back in input order: slot i holds points[i].
+	results, err := r.Sweep(context.Background(), points)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	for i, name := range names {
 		fmt.Printf("=== %s ===\n", name)
 		fmt.Printf("%6s %12s %12s %12s %12s %10s\n",
 			"DPUs", "kernel ms", "cpu->dpu ms", "dpu->cpu ms", "dpu<->dpu ms", "speedup")
-		base := results[i*len(dpuCounts)].Report.Total()
-		for _, res := range results[i*len(dpuCounts) : (i+1)*len(dpuCounts)] {
+		base := results[i*len(dpuCounts)].Result.Report.Total()
+		for _, sr := range results[i*len(dpuCounts) : (i+1)*len(dpuCounts)] {
+			res := sr.Result
 			rep := res.Report
 			fmt.Printf("%6d %12.3f %12.3f %12.3f %12.3f %9.2fx\n", res.DPUs, rep.KernelSeconds*1e3,
 				rep.TransferSeconds[0]*1e3, rep.TransferSeconds[1]*1e3, rep.TransferSeconds[2]*1e3, base/rep.Total())
@@ -220,12 +218,9 @@ func ExampleWithMode() {
 			points = append(points, upim.Point{Benchmark: name, Options: []upim.RunnerOption{upim.WithMode(mode)}})
 		}
 	}
-	results := make([]*upim.Result, len(points))
-	for sr := range r.Sweep(context.Background(), points) {
-		if sr.Err != nil {
-			log.Fatal(sr.Err)
-		}
-		results[sr.Index] = sr.Result
+	results, err := r.Sweep(context.Background(), points) // in input order
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// compare renders how cache (c) relates to scratchpad (s) as a factor
@@ -238,7 +233,8 @@ func ExampleWithMode() {
 	}
 	for i, name := range names {
 		fmt.Printf("=== %s (16 tasklets, small scale) ===\n", name)
-		for _, res := range results[2*i : 2*i+2] {
+		for _, sr := range results[2*i : 2*i+2] {
+			res := sr.Result
 			st := &res.Stats
 			fmt.Printf("  %-11s %10d cycles, %8.2f MB read from DRAM", res.Mode, st.Cycles, float64(st.DRAM.BytesRead)/1e6)
 			if res.Mode == upim.ModeCache {
@@ -246,7 +242,7 @@ func ExampleWithMode() {
 			}
 			fmt.Println()
 		}
-		spad, cache := &results[2*i].Stats, &results[2*i+1].Stats
+		spad, cache := &results[2*i].Result.Stats, &results[2*i+1].Result.Stats
 		bytesX, bytesWord := compare(float64(cache.DRAM.BytesRead), float64(spad.DRAM.BytesRead), "fewer", "more")
 		timeX, timeWord := compare(float64(cache.Cycles), float64(spad.Cycles), "faster", "slower")
 		fmt.Printf("  cache reads %.1fx %s DRAM bytes and runs %.2fx %s\n\n", bytesX, bytesWord, timeX, timeWord)

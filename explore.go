@@ -157,7 +157,7 @@ type ExploreTriage = explore.Triage
 // analytically from its anchor (~µs each), and only the estimated ε-Pareto
 // band over the active goals, plus the anchors, is simulated cycle-exactly
 // through the store. Points outside the band resolve at estimate fidelity
-// and persist under the estimate fidelity tag. Band membership depends
+// and write nothing to the store. Band membership depends
 // only on the space, calibration, goals, slack and simulator — never on
 // store contents — so resumed two-tier explorations reproduce
 // byte-identical artifacts.

@@ -10,11 +10,14 @@ import (
 
 // twinOp is one step of a twin-bank script: enqueue n bursts at addr, arriving
 // dArrival ticks after the previous arrival, then advance both banks to a
-// clock dNow ticks past the previous one.
+// clock dNow ticks past the previous one. perBurst asks a single bank to
+// enqueue the op as n Enqueue calls rather than one EnqueueRun (the twin
+// banks do both regardless).
 type twinOp struct {
 	addr     uint32
 	n        int
 	write    bool
+	perBurst bool
 	dArrival Tick
 	dNow     Tick
 }
@@ -168,7 +171,8 @@ func TestEnqueueRunRandomScripts(t *testing.T) {
 }
 
 // decodeTwinOps turns fuzz bytes into a script, six bytes per op: row (of
-// eight), burst column, length, flags, arrival step and clock step. Arrival
+// eight), burst column, length, flags (write, short, drain, per-burst),
+// arrival step and clock step. Arrival
 // and clock steps are in quarter-burst-times, so scripts reach both "several
 // runs queued at once" and "the clock stops inside a run".
 func decodeTwinOps(raw []byte, cfg config.Config) []twinOp {
@@ -178,9 +182,10 @@ func decodeTwinOps(raw []byte, cfg config.Config) []twinOp {
 		row := uint32(raw[0] % 8)
 		col := uint32(raw[1]) % uint32(cfg.RowBytes/8) * 8
 		op := twinOp{
-			addr:  row*uint32(cfg.RowBytes) + col,
-			n:     int(raw[2]),
-			write: raw[3]&1 != 0,
+			addr:     row*uint32(cfg.RowBytes) + col,
+			n:        int(raw[2]),
+			write:    raw[3]&1 != 0,
+			perBurst: raw[3]&8 != 0,
 		}
 		if raw[3]&2 != 0 {
 			op.n %= 9 // short runs: the single-burst and PTE-walk shapes

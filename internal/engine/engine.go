@@ -3,8 +3,7 @@
 // run their points on Each, which bounds concurrency, while the shared build
 // cache assembles and links every unique kernel exactly once, no matter how
 // many points reuse it. DPU shells are the host's to recycle, not the
-// engine's. Streaming results as they finish is the caller's business
-// (upim.Runner.Sweep); SweepAll collects them in input order.
+// engine's. SweepAll returns a sweep's outcomes as a slice in input order.
 //
 // Sweep-style characterization is the workhorse methodology of both the
 // source paper and PrIM (Gómez-Luna et al.), so the engine is deliberately
@@ -39,11 +38,9 @@ type Point struct {
 	Machine *machine.Desc `json:",omitempty"`
 }
 
-// Outcome is the result of one point. Index identifies the originating
-// point in the SweepAll input slice.
+// Outcome is the result of one point.
 type Outcome struct {
 	Point  Point
-	Index  int
 	Result *prim.Result
 	Err    error
 }
@@ -159,12 +156,12 @@ func (e *Engine) SweepAll(ctx context.Context, pts []Point) ([]Outcome, error) {
 	e.Each(ctx, len(pts), func(i int) {
 		res, err := e.Run(ctx, pts[i])
 		if ctx.Err() == nil {
-			outs[i], done[i] = Outcome{Point: pts[i], Index: i, Result: res, Err: err}, true
+			outs[i], done[i] = Outcome{Point: pts[i], Result: res, Err: err}, true
 		}
 	})
 	for i := range outs {
 		if !done[i] {
-			outs[i] = Outcome{Point: pts[i], Index: i, Err: ctx.Err()}
+			outs[i] = Outcome{Point: pts[i], Err: ctx.Err()}
 		}
 	}
 	for i := range outs {

@@ -7,9 +7,12 @@ import (
 )
 
 // Backend is the store abstraction behind resumable explorations: the
-// content-addressed result store reduced to the five operations the explorer
-// and the coordinator actually perform. The local-dir Store is the canonical
-// implementation; HTTPStore talks to a `pathfind serve` store server. Every
+// content-addressed result store reduced to the operations the explorer and
+// the coordinator perform (Get, Put, Stats, Count), plus GetEstimate and
+// PutEstimate, an estimate-fidelity record that no exploration writes (every
+// run re-derives its estimates) and the repo benchmark measures. The
+// local-dir Store is the canonical implementation; HTTPStore talks to a
+// `pathfind serve` store server. Every
 // implementation must preserve the store contract the conformance suite
 // (storetest) pins down:
 //

@@ -14,43 +14,65 @@ import (
 )
 
 // TestOnOutcomeIsSerialized pins the observer contract now that every point
-// resolves on the pool: OnOutcome is entered by one goroutine at a time, once
-// per point, cached or simulated. The counter is a plain int on purpose —
-// under -race a second concurrent entry is a reported data race.
+// resolves on the pool: OnOutcome is entered by one goroutine at a time and
+// sees each recorded outcome exactly once, as recorded, cached or simulated,
+// in an exhaustive and in a two-tier run. The flag and counters are plain
+// values on purpose — under -race a second concurrent entry is a reported
+// data race.
 func TestOnOutcomeIsSerialized(t *testing.T) {
 	ctx := context.Background()
-	space := resumeSpace()
-	store, err := OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pass, wantCached := range []bool{false, true} {
-		calls, inside := 0, false
-		x, err := New(Options{Parallelism: 4, Store: store, OnOutcome: func(o Outcome) {
-			if inside {
-				t.Error("OnOutcome entered concurrently")
+	for _, tiered := range []bool{false, true} {
+		t.Run(map[bool]string{false: "explore", true: "tiered"}[tiered], func(t *testing.T) {
+			store, err := OpenStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
 			}
-			inside = true
-			calls++
-			if o.Cached != wantCached {
-				t.Errorf("pass %d: outcome %d cached = %v", pass, o.Index, o.Cached)
+			for pass, wantCached := range []bool{false, true} {
+				var seen []Outcome
+				inside := false
+				ex := New(Options{Parallelism: 8, Store: store, OnOutcome: func(o Outcome) {
+					if inside {
+						t.Error("OnOutcome entered concurrently")
+					}
+					inside = true
+					seen = append(seen, o)
+					if o.Cached != wantCached && o.Fidelity == FidelityExact {
+						t.Errorf("pass %d: outcome %d cached = %v", pass, o.Index, o.Cached)
+					}
+					inside = false
+				}})
+				var x *Exploration
+				if tiered {
+					x, _, err = ex.ExploreTiered(ctx, resumeSpace(), TieredOptions{Band: acceptanceSlack})
+				} else {
+					x, err = ex.Explore(ctx, resumeSpace())
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(seen) != len(x.Outcomes) {
+					t.Fatalf("pass %d: OnOutcome ran %d times for %d points", pass, len(seen), len(x.Outcomes))
+				}
+				once := make([]bool, len(x.Outcomes))
+				for _, o := range seen {
+					if once[o.Index] {
+						t.Fatalf("pass %d: outcome %d observed twice", pass, o.Index)
+					}
+					once[o.Index] = true
+					if r := x.Outcomes[o.Index]; o.Key != r.Key || o.Fidelity != r.Fidelity || o.Result != r.Result {
+						t.Fatalf("pass %d: observed outcome %d differs from the recorded one", pass, o.Index)
+					}
+				}
 			}
-			inside = false
-		}}).Explore(ctx, space)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if calls != len(x.Outcomes) {
-			t.Fatalf("pass %d: OnOutcome ran %d times for %d points", pass, calls, len(x.Outcomes))
-		}
+		})
 	}
 }
 
 // TestCancelledRunKeepsEveryOutcomeIdentified pins what a cancelled run
 // still owes its caller: every outcome — finished or never started — carries
-// its point, index and key (SummaryTable renders SKIP rows from them), and a
-// point that reached the store is always a recorded outcome, so Simulated
-// equals what the store holds.
+// its point, index and key (SummaryTable renders SKIP rows from them), and
+// the outcomes recorded and observed are exactly the points the store holds,
+// so Simulated equals the store's count.
 func TestCancelledRunKeepsEveryOutcomeIdentified(t *testing.T) {
 	space := resumeSpace()
 	pts, err := space.Points()
@@ -63,8 +85,10 @@ func TestCancelledRunKeepsEveryOutcomeIdentified(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	observed := make([]bool, len(pts))
 	seen := 0
-	x, err := New(Options{Parallelism: 4, Store: store, Watchdog: 1 << 40, OnOutcome: func(Outcome) {
+	x, err := New(Options{Parallelism: 4, Store: store, Watchdog: 1 << 40, OnOutcome: func(o Outcome) {
+		observed[o.Index] = true
 		if seen++; seen == 3 {
 			cancel()
 		}
@@ -84,6 +108,10 @@ func TestCancelledRunKeepsEveryOutcomeIdentified(t *testing.T) {
 			if !errors.Is(o.Err, context.Canceled) {
 				t.Fatalf("skipped outcome %d error = %v", i, o.Err)
 			}
+		}
+		// The recorded outcomes are exactly the points the store holds.
+		if _, held := store.Get(o.Key); held != observed[i] || held != (o.Result != nil) {
+			t.Fatalf("point %d: stored %v, observed %v, result %v", i, held, observed[i], o.Result != nil)
 		}
 	}
 	if skipped == 0 {
@@ -200,11 +228,9 @@ func TestUnreadableEntryIsCorruptNotAbsent(t *testing.T) {
 	}
 }
 
-// TestResumedTieredRunWritesNothing pins PutEstimate's no-rewrite rule end
-// to end: a resumed two-tier pass over an unchanged store leaves every
-// file's bytes and mtime untouched, creates none and performs no Put, while
-// an estimate that did change (another calibration) still supersedes the
-// stored one, and an exact entry is still never downgraded.
+// TestResumedTieredRunWritesNothing: a two-tier run stores only its exact
+// records, and a resumed pass over an unchanged store leaves every file's
+// bytes and mtime untouched, creates none and performs no Put.
 func TestResumedTieredRunWritesNothing(t *testing.T) {
 	ctx := context.Background()
 	space := NewSpace([]string{"VA"}, Tasklets(1, 4, 16), LinkScale(1, 2), ILP("base", "DRSF"))
@@ -277,34 +303,13 @@ func TestResumedTieredRunWritesNothing(t *testing.T) {
 		}
 	}
 
-	// A different estimate for a stored key is new information: it replaces
-	// the entry. The same write against an exact entry is still discarded.
-	var estKey, exactKey string
+	// The store records the exact tier only: an estimate-fidelity point
+	// leaves no record at all, every exact one is served.
 	for _, o := range first.Outcomes {
-		if o.Fidelity == FidelityEstimate {
-			estKey = o.Key
-		} else {
-			exactKey = o.Key
+		_, exact := reopened.Get(o.Key)
+		_, est := reopened.GetEstimate(o.Key)
+		if est || exact != (o.Fidelity == FidelityExact) {
+			t.Fatalf("%s (%s): stored exact=%v estimate=%v", o.Point.Design, o.Fidelity, exact, est)
 		}
-	}
-	old, ok := reopened.GetEstimate(estKey)
-	if !ok {
-		t.Fatal("estimate entry missing")
-	}
-	changed := *old
-	changed.Calibration = "another-calibration"
-	for _, key := range []string{estKey, exactKey} {
-		if err := reopened.PutEstimate(key, first.Outcomes[0].Point.EP, &changed); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got, ok := reopened.GetEstimate(estKey); !ok || got.Calibration != changed.Calibration {
-		t.Fatalf("a changed estimate did not overwrite the stored one: %+v", got)
-	}
-	if reopened.Stats().Puts != 1 {
-		t.Fatalf("puts = %d, want exactly the one changed estimate", reopened.Stats().Puts)
-	}
-	if _, ok := reopened.Get(exactKey); !ok {
-		t.Fatal("an estimate downgraded a cycle-exact entry")
 	}
 }

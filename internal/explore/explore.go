@@ -16,6 +16,7 @@ package explore
 
 import (
 	"context"
+	"sync"
 
 	"upim/internal/engine"
 	"upim/internal/estimate"
@@ -153,12 +154,12 @@ func (e *Explorer) begin(p Point, i int, plan *bandPlan) (Outcome, engine.Point)
 }
 
 // resolve is the whole per-point step: an anchor of a band plan keeps the
-// outcome it resolved with before triage; an out-of-band point retires with
-// the estimate-fidelity write that keeps the store a record of the whole
-// exploration at its actual fidelity; any other point is a store hit
-// (unless refreshing) or simulates and persists. A result that
-// fails to persist is a failed point — its outcome carries the store error
-// and the next run re-simulates it.
+// outcome it resolved with before triage; an out-of-band point takes its
+// estimate from the plan and touches no store (every run re-derives it from
+// its anchor's stored result); any other point is a store hit (unless
+// refreshing) or simulates and persists. A result that fails to persist is
+// a failed point — its outcome carries the store error and the next run
+// re-simulates it.
 func (e *Explorer) resolve(ctx context.Context, p Point, i int, plan *bandPlan) Outcome {
 	if plan != nil && plan.Anchored[i] != nil {
 		o := *plan.Anchored[i]
@@ -167,9 +168,7 @@ func (e *Explorer) resolve(ctx context.Context, p Point, i int, plan *bandPlan) 
 	}
 	o, ep := e.begin(p, i, plan)
 	if plan != nil && !plan.InBand[i] {
-		if o.Err = e.store.PutEstimate(o.Key, ep, o.Estimate); o.Err == nil {
-			o.Fidelity = FidelityEstimate
-		}
+		o.Fidelity = FidelityEstimate
 		return o
 	}
 	if !e.refresh {
@@ -199,30 +198,30 @@ func (e *Explorer) Resolve(ctx context.Context, p Point, i int) Outcome {
 
 // run is the one exploration driver: one sweep of the per-point step over
 // every point on the engine's pool, so store reads, entry decodes and writes
-// run Parallelism at a time beside the simulations. This goroutine only
-// records the outcomes as they arrive, counts them and hands each to the
-// observer — OnOutcome is never entered concurrently. A completed tiered run
-// also fills the plan's predicted-vs-actual accuracy.
+// run Parallelism at a time beside the simulations. The worker that resolves
+// a point records its outcome and hands it to the observer under one mutex,
+// so OnOutcome is never entered concurrently; the counters are tallied once
+// the sweep is done. A completed tiered run also fills the plan's
+// predicted-vs-actual accuracy.
 func (e *Explorer) run(ctx context.Context, space *Space, pts []Point, plan *bandPlan) (*Exploration, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	x := &Exploration{Space: space, Points: pts, Outcomes: make([]Outcome, len(pts))}
-	done := make(chan Outcome)
-	go func() {
-		defer close(done)
-		e.eng.Each(ctx, len(pts), func(i int) {
-			o := e.resolve(ctx, pts[i], i, plan)
-			if o.Fidelity == "" && ctx.Err() != nil {
-				return // interrupted, not finished: left to the marking below
-			}
-			// Never abandoned on cancellation: a point that reached the
-			// store is always a recorded outcome.
-			done <- o
-		})
-	}()
-	for o := range done {
-		x.Outcomes[o.Index] = o
+	var mu sync.Mutex
+	e.eng.Each(ctx, len(pts), func(i int) {
+		o := e.resolve(ctx, pts[i], i, plan)
+		if o.Fidelity == "" && ctx.Err() != nil {
+			return // interrupted, not finished: left to the marking below
+		}
+		// Recorded even after a cancellation: a point that reached the
+		// store is always a recorded outcome.
+		mu.Lock()
+		defer mu.Unlock()
+		x.Outcomes[i] = o
+		e.emit(o)
+	})
+	for _, o := range x.Outcomes {
 		switch {
 		case o.Err != nil:
 			x.Failed++
@@ -233,7 +232,6 @@ func (e *Explorer) run(ctx context.Context, space *Space, pts []Point, plan *ban
 		case o.Result != nil:
 			x.Simulated++
 		}
-		e.emit(o)
 	}
 	if err := ctx.Err(); err != nil {
 		// Mark the points the cancelled sweep never finished.

@@ -463,7 +463,9 @@ var update = flag.Bool("update", false, "rewrite testdata/vocab.golden, testdata
 
 // TestFuzzSeedCorpora keeps the committed seeds of FuzzSegmentScan and
 // FuzzRecordCodec real: they are cut from a segment a Store wrote while a
-// two-tier exploration of VA ran through it. The segment is deterministic,
+// two-tier exploration of VA ran through it, its observer storing each
+// estimate as the point resolves so the segment holds both fidelities. The
+// segment is deterministic,
 // so the test is that the committed files are what this build writes — a
 // stored struct that gained a field (which needs a storeFormat bump too)
 // fails here until `go test ./internal/explore -run FuzzSeedCorpora -update`.
@@ -475,7 +477,16 @@ func TestFuzzSeedCorpora(t *testing.T) {
 	}
 	space := NewSpace([]string{"VA"}, Tasklets(1, 16), ILP("base", "DRSF"))
 	space.Scale = prim.ScaleTiny
-	x, _, err := New(Options{Parallelism: 1, Store: st}).ExploreTiered(context.Background(), space, TieredOptions{})
+	var putErr error
+	record := func(o Outcome) {
+		if o.Fidelity == FidelityEstimate && putErr == nil {
+			putErr = st.PutEstimate(o.Key, o.Point.EP, o.Estimate)
+		}
+	}
+	x, _, err := New(Options{Parallelism: 1, Store: st, OnOutcome: record}).ExploreTiered(context.Background(), space, TieredOptions{})
+	if err == nil {
+		err = putErr
+	}
 	if err != nil || x.Estimated == 0 || x.Simulated == 0 {
 		t.Fatalf("seed exploration: %v, %+v", err, x)
 	}

@@ -360,6 +360,18 @@ func TestStoreFidelityTags(t *testing.T) {
 	if got, ok := st.GetEstimate(key); !ok || got.KernelCycles != e.KernelCycles {
 		t.Fatalf("estimate round trip: ok=%v got=%+v", ok, got)
 	}
+	// The same estimate again writes nothing; a changed one supersedes it.
+	if err := st.PutEstimate(key, ep, e); err != nil || st.Stats().Puts != 1 {
+		t.Fatalf("re-putting the stored estimate: err %v, %d puts, want 1", err, st.Stats().Puts)
+	}
+	changed := *e
+	changed.Calibration = "another-calibration"
+	if err := st.PutEstimate(key, ep, &changed); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := st.GetEstimate(key); !ok || got.Calibration != changed.Calibration {
+		t.Fatalf("a changed estimate did not supersede the stored one: %+v", got)
+	}
 
 	// Exact upgrades the entry; a later estimate must not downgrade it.
 	res := &prim.Result{Benchmark: "VA", Tasklets: 16, DPUs: 1}

@@ -160,11 +160,10 @@ func triage(pts []Point, anchorRes []*prim.Result, anchored []*Outcome, topts Ti
 // and tier B simulates only the estimated ε-Pareto band over the active
 // goals — typically a small fraction of the space — through the store,
 // exactly like Explore. An anchor that is a point of the space is part of
-// the band and keeps the outcome it resolved with. Points
-// outside the band resolve at estimate fidelity: their outcomes carry the
-// estimate instead of a Result, and they persist to the store under the
-// estimate fidelity tag (never clobbering an exact entry) so the store
-// remains a complete, greppable record of the exploration.
+// the band and keeps the outcome it resolved with. Points outside the band
+// resolve at estimate fidelity: their outcomes carry the estimate instead of
+// a Result, and they write nothing to the store — every run re-derives them
+// from the anchors' stored results.
 //
 // Band membership depends only on the space, the calibration, the goals and
 // the slack — not on what the store already holds — so a resumed two-tier

@@ -293,9 +293,18 @@ type graph struct {
 	colidx []int32
 }
 
+type graphKey struct {
+	n, extra int
+	seed     int64
+}
+
 // genGraph builds a connected sparse graph: a ring plus random edges, with
-// both directions materialized and rows sorted.
+// both directions materialized and rows sorted (memoized: read-only).
 func genGraph(n, extra int, seed int64) *graph {
+	return memo(graphKey{n, extra, seed}, func() *graph { return newGraph(n, extra, seed) })
+}
+
+func newGraph(n, extra int, seed int64) *graph {
 	r := rand.New(rand.NewSource(seed))
 	adj := make([][]int32, n)
 	addEdge := func(a, b int32) {

@@ -271,13 +271,26 @@ func RunSpec(ctx context.Context, sp Spec) (*Result, error) {
 
 // --- shared host-side helpers -------------------------------------------
 
-// randCache memoizes workload input vectors. randI32s is a pure function
-// of (n, bound, seed) and a sweep's steady state regenerates identical
-// inputs at every point, so all runs share one immutable copy and input
-// generation is allocation-free after the first run of each shape. The
-// cache is never evicted; it holds one vector per distinct (benchmark,
-// scale) shape exercised by the process.
-var randCache sync.Map // randKey -> []int32
+// inputs memoizes generated workload inputs: randI32s's vectors, BFS's
+// graphs and SpMV's matrices. Each generator is a pure function of its key
+// and a sweep's steady state regenerates identical inputs at every point, so
+// all runs share one immutable copy and input generation is allocation-free
+// after the first run of each shape. Each generator keys by its own struct
+// type, so keys never collide across generators. The memo is never evicted;
+// it holds one input per distinct (benchmark, scale) shape exercised by the
+// process. A memoized input is shared across calls and MUST be treated as
+// read-only; copy before mutating.
+var inputs sync.Map
+
+// memo returns the input memoized under k, generating it with gen on first
+// use.
+func memo[K comparable, V any](k K, gen func() V) V {
+	if v, ok := inputs.Load(k); ok {
+		return v.(V)
+	}
+	v, _ := inputs.LoadOrStore(k, gen())
+	return v.(V)
+}
 
 type randKey struct {
 	n     int
@@ -285,21 +298,16 @@ type randKey struct {
 	seed  int64
 }
 
-// randI32s generates n values in [0, bound) from a seed. The result is
-// shared across calls and MUST be treated as read-only; copy before
-// mutating.
+// randI32s generates n values in [0, bound) from a seed (memoized: read-only).
 func randI32s(n int, bound int32, seed int64) []int32 {
-	k := randKey{n, bound, seed}
-	if v, ok := randCache.Load(k); ok {
-		return v.([]int32)
-	}
-	r := rand.New(rand.NewSource(seed))
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = r.Int31n(bound)
-	}
-	v, _ := randCache.LoadOrStore(k, out)
-	return v.([]int32)
+	return memo(randKey{n, bound, seed}, func() []int32 {
+		r := rand.New(rand.NewSource(seed))
+		out := make([]int32, n)
+		for i := range out {
+			out[i] = r.Int31n(bound)
+		}
+		return out
+	})
 }
 
 // ranges splits n items into parts contiguous ranges, each aligned to align

@@ -157,7 +157,18 @@ type csr struct {
 	vals   []int32
 }
 
+type csrKey struct {
+	m, n, nnzPerRow int
+	seed            int64
+}
+
+// genCSR builds an m x n sparse matrix with sorted rows of up to 2*nnzPerRow
+// entries (memoized: read-only).
 func genCSR(m, n, nnzPerRow int, seed int64) *csr {
+	return memo(csrKey{m, n, nnzPerRow, seed}, func() *csr { return newCSR(m, n, nnzPerRow, seed) })
+}
+
+func newCSR(m, n, nnzPerRow int, seed int64) *csr {
 	r := rand.New(rand.NewSource(seed))
 	c := &csr{m: m, n: n, rowptr: make([]int32, m+1)}
 	for row := 0; row < m; row++ {

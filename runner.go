@@ -156,11 +156,9 @@ type Point struct {
 	Options   []RunnerOption
 }
 
-// SweepResult is one streamed sweep outcome. Index identifies the
-// originating point in the Sweep input (results arrive in completion order).
+// SweepResult is one sweep outcome; Sweep returns them in input order.
 type SweepResult struct {
 	Point  Point
-	Index  int
 	Result *Result
 	Err    error
 }
@@ -212,64 +210,40 @@ func (r *Runner) RunSuite(ctx context.Context, names ...string) ([]*Result, erro
 	for i, n := range names {
 		pts[i] = Point{Benchmark: n}
 	}
-	results := make([]*Result, len(names))
-	errs := make([]error, len(names))
-	for sr := range r.Sweep(ctx, pts) {
-		results[sr.Index] = sr.Result
-		errs[sr.Index] = sr.Err
+	srs, err := r.Sweep(ctx, pts)
+	results := make([]*Result, len(srs))
+	for i := range srs {
+		results[i] = srs[i].Result
 	}
-	for i, err := range errs {
-		if err != nil {
-			return results, err
-		}
-		if results[i] == nil {
-			return results, ctx.Err()
-		}
-	}
-	return results, nil
+	return results, err
 }
 
 // Sweep executes every point concurrently on the Runner's bounded worker
-// pool, sharing kernel builds through the Runner's cache, and streams
-// results as points finish. Points whose options do not resolve are
-// delivered first, carrying that error. The channel closes when all points
-// are done or ctx is cancelled; after cancellation, queued points never
-// start, nothing more is delivered, and the stream ends early. The caller
-// must drain the channel or cancel ctx — abandoning it mid-stream (e.g.
-// breaking out of the range on the first error with a background context)
-// leaks the pool's goroutines.
-func (r *Runner) Sweep(ctx context.Context, points []Point) <-chan SweepResult {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	out := make(chan SweepResult)
-	// send delivers sr unless ctx is done. The unconditional check comes
-	// first: a select alone could pick the send over Done and deliver after
-	// cancellation.
-	send := func(sr SweepResult) {
-		if ctx.Err() == nil {
-			select {
-			case out <- sr:
-			case <-ctx.Done():
-			}
+// pool, sharing kernel builds through the Runner's cache, and returns one
+// result per point in input order: slot i holds points[i]. A point whose
+// options do not resolve carries that error; after ctx is cancelled, queued
+// points never start and every point that did not finish carries ctx.Err().
+// The error is the first failure in input order.
+func (r *Runner) Sweep(ctx context.Context, points []Point) ([]SweepResult, error) {
+	out := make([]SweepResult, len(points))
+	eps := make([]engine.Point, 0, len(points))
+	idx := make([]int, 0, len(points))
+	for i, p := range points {
+		out[i].Point = p
+		if ep, err := r.point(p); err != nil {
+			out[i].Err = err
+		} else {
+			eps, idx = append(eps, ep), append(idx, i)
 		}
 	}
-	go func() {
-		defer close(out)
-		eps := make([]engine.Point, 0, len(points))
-		idx := make([]int, 0, len(points))
-		for i, p := range points {
-			if ep, err := r.point(p); err != nil {
-				send(SweepResult{Point: p, Index: i, Err: err})
-			} else {
-				eps, idx = append(eps, ep), append(idx, i)
-			}
+	outs, _ := r.eng.SweepAll(ctx, eps) // the first failure is found below, over every point
+	for j, o := range outs {
+		out[idx[j]].Result, out[idx[j]].Err = o.Result, o.Err
+	}
+	for i := range out {
+		if out[i].Err != nil {
+			return out, out[i].Err
 		}
-		r.eng.Each(ctx, len(eps), func(j int) {
-			res, err := r.eng.Run(ctx, eps[j])
-			i := idx[j]
-			send(SweepResult{Point: points[i], Index: i, Result: res, Err: err})
-		})
-	}()
-	return out
+	}
+	return out, nil
 }

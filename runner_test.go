@@ -3,6 +3,7 @@ package upim_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -138,20 +139,15 @@ func TestRunnerSweep(t *testing.T) {
 			points = append(points, upim.Point{Benchmark: b, DPUs: d})
 		}
 	}
-	got := make([]*upim.Result, len(points))
-	for sr := range r.Sweep(context.Background(), points) {
-		if sr.Err != nil {
-			t.Fatalf("point %d (%s x%d): %v", sr.Index, sr.Point.Benchmark, sr.Point.DPUs, sr.Err)
-		}
-		if got[sr.Index] != nil {
-			t.Fatalf("point %d delivered twice", sr.Index)
-		}
-		got[sr.Index] = sr.Result
+	srs, err := r.Sweep(context.Background(), points)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, res := range got {
-		if res == nil {
-			t.Fatalf("point %d missing from sweep", i)
-		}
+	if len(srs) != len(points) {
+		t.Fatalf("sweep returned %d slots, want %d", len(srs), len(points))
+	}
+	for i, sr := range srs {
+		res := sr.Result
 		if res.Benchmark != points[i].Benchmark || res.DPUs != points[i].DPUs {
 			t.Fatalf("point %d: result (%s x%d) does not match point (%s x%d)",
 				i, res.Benchmark, res.DPUs, points[i].Benchmark, points[i].DPUs)
@@ -189,44 +185,87 @@ func TestRunnerSweepCacheAcrossCalls(t *testing.T) {
 	}
 }
 
-// TestRunnerSweepCancellation cancels mid-sweep and checks the stream ends
-// early without delivering every point.
+// TestRunnerSweepCancellation cancels mid-sweep: every point keeps its
+// slot, the points that finished keep their results, and every point that
+// did not carries ctx.Err().
 func TestRunnerSweepCancellation(t *testing.T) {
 	r := tinyRunner(t, upim.WithParallelism(1))
 	var points []upim.Point
 	for i := 0; i < 64; i++ {
-		points = append(points, upim.Point{Benchmark: "VA"})
+		points = append(points, upim.Point{Benchmark: "VA", DPUs: 1 + i%2})
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	delivered := 0
-	for sr := range r.Sweep(ctx, points) {
-		if sr.Err == nil {
-			delivered++
+	go func() {
+		// The first build-cache hit is the second point starting, so the
+		// first has finished.
+		for r.CacheStats().Hits == 0 {
+			runtime.Gosched()
 		}
-		cancel() // first outcome cancels the rest
+		cancel()
+	}()
+	srs, err := r.Sweep(ctx, points)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled sweep returned %v, want context.Canceled", err)
 	}
-	if delivered >= len(points) {
-		t.Fatalf("cancelled sweep still delivered all %d points", delivered)
+	if len(srs) != len(points) {
+		t.Fatalf("sweep returned %d slots, want %d", len(srs), len(points))
+	}
+	finished := 0
+	for i, sr := range srs {
+		if sr.Point.Benchmark != points[i].Benchmark || sr.Point.DPUs != points[i].DPUs {
+			t.Fatalf("slot %d holds %+v, want %+v", i, sr.Point, points[i])
+		}
+		switch {
+		case sr.Err == nil && sr.Result != nil:
+			// One worker takes points in input order, so the finished
+			// points are a prefix.
+			if finished != i {
+				t.Fatalf("slot %d finished after slot %d was cancelled", i, finished)
+			}
+			if sr.Result.DPUs != points[i].DPUs {
+				t.Fatalf("slot %d result ran %d DPUs, want %d", i, sr.Result.DPUs, points[i].DPUs)
+			}
+			finished++
+		case sr.Err != ctx.Err() || sr.Result != nil:
+			t.Fatalf("slot %d: result %v, err %v; want a result or exactly ctx.Err()", i, sr.Result != nil, sr.Err)
+		}
+	}
+	if finished == 0 || finished == len(points) {
+		t.Fatalf("%d of %d points finished, want some but not all", finished, len(points))
 	}
 }
 
 // TestRunnerSweepCancelledBeforeStart: a sweep whose context is already
-// cancelled delivers nothing — not a result, not an option-resolution error.
+// cancelled runs nothing; an option-resolution error still lands in its
+// point's slot, every other slot carries ctx.Err(), and the returned error is
+// the first in input order.
 func TestRunnerSweepCancelledBeforeStart(t *testing.T) {
 	r := tinyRunner(t, upim.WithParallelism(2))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	points := []upim.Point{{Benchmark: "VA", Options: []upim.RunnerOption{upim.WithILP("Z")}}}
+	var points []upim.Point
 	for i := 0; i < 8; i++ {
 		points = append(points, upim.Point{Benchmark: "VA"})
 	}
-	n := 0
-	for range r.Sweep(ctx, points) {
-		n++
+	points = append(points, upim.Point{Benchmark: "VA", Options: []upim.RunnerOption{upim.WithILP("Z")}})
+	srs, err := r.Sweep(ctx, points)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled sweep returned %v, want context.Canceled (slot 0's)", err)
 	}
-	if n != 0 {
-		t.Fatalf("pre-cancelled sweep delivered %d outcomes, want 0", n)
+	if len(srs) != len(points) {
+		t.Fatalf("sweep returned %d slots, want %d", len(srs), len(points))
+	}
+	for i, sr := range srs[:8] {
+		if sr.Result != nil || sr.Err != ctx.Err() {
+			t.Fatalf("slot %d: result %v, err %v; want exactly ctx.Err()", i, sr.Result != nil, sr.Err)
+		}
+	}
+	if last := srs[8]; last.Err == nil || errors.Is(last.Err, context.Canceled) {
+		t.Fatalf("bad-option slot carries %v, want its option error", last.Err)
+	}
+	if cs := r.CacheStats(); cs.Builds != 0 {
+		t.Fatalf("pre-cancelled sweep built %d kernels, want 0", cs.Builds)
 	}
 }
 
@@ -239,10 +278,7 @@ func TestRunnerSweepPointWatchdogDefault(t *testing.T) {
 		{Benchmark: "VA"},
 		{Benchmark: "VA", Options: []upim.RunnerOption{upim.WithWatchdog(0)}},
 	}
-	got := make([]upim.SweepResult, len(points))
-	for sr := range r.Sweep(context.Background(), points) {
-		got[sr.Index] = sr
-	}
+	got, _ := r.Sweep(context.Background(), points)
 	if !errors.Is(got[0].Err, upim.ErrWatchdogExpired) {
 		t.Fatalf("plain point on a 1000-cycle Runner returned %v, want ErrWatchdogExpired", got[0].Err)
 	}
@@ -260,13 +296,11 @@ func TestRunnerSweepPointOverrides(t *testing.T) {
 		{Benchmark: "BS", Options: []upim.RunnerOption{upim.WithMode(upim.ModeCache)}},
 		{Benchmark: "BS", Tasklets: 2},
 	}
-	got := make([]*upim.Result, len(points))
-	for sr := range r.Sweep(context.Background(), points) {
-		if sr.Err != nil {
-			t.Fatal(sr.Err)
-		}
-		got[sr.Index] = sr.Result
+	srs, err := r.Sweep(context.Background(), points)
+	if err != nil {
+		t.Fatal(err)
 	}
+	got := []*upim.Result{srs[0].Result, srs[1].Result, srs[2].Result}
 	if got[0].Mode != upim.ModeScratchpad || got[1].Mode != upim.ModeCache {
 		t.Fatalf("mode override leaked: %v / %v", got[0].Mode, got[1].Mode)
 	}
@@ -275,23 +309,20 @@ func TestRunnerSweepPointOverrides(t *testing.T) {
 	}
 	// A broken per-point option surfaces as that point's error.
 	bad := []upim.Point{{Benchmark: "VA", Options: []upim.RunnerOption{upim.WithILP("Z")}}}
-	for sr := range r.Sweep(context.Background(), bad) {
-		if sr.Err == nil {
-			t.Fatal("invalid per-point option must fail the point")
-		}
+	if srs, err := r.Sweep(context.Background(), bad); err == nil || srs[0].Err != err {
+		t.Fatalf("invalid per-point option returned %v, want it as the point's error", err)
 	}
 	// A per-point watchdog override applies to that point only.
 	mixed := []upim.Point{
 		{Benchmark: "VA"},
 		{Benchmark: "VA", Options: []upim.RunnerOption{upim.WithWatchdog(10)}},
 	}
-	for sr := range r.Sweep(context.Background(), mixed) {
-		if sr.Index == 0 && sr.Err != nil {
-			t.Fatalf("default-watchdog point failed: %v", sr.Err)
-		}
-		if sr.Index == 1 && !errors.Is(sr.Err, upim.ErrWatchdogExpired) {
-			t.Fatalf("10-cycle watchdog point returned %v, want ErrWatchdogExpired", sr.Err)
-		}
+	srs, _ = r.Sweep(context.Background(), mixed)
+	if srs[0].Err != nil {
+		t.Fatalf("default-watchdog point failed: %v", srs[0].Err)
+	}
+	if !errors.Is(srs[1].Err, upim.ErrWatchdogExpired) {
+		t.Fatalf("10-cycle watchdog point returned %v, want ErrWatchdogExpired", srs[1].Err)
 	}
 }
 

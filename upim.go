@@ -16,11 +16,11 @@
 //
 // Sweep-style characterization — the paper's methodology — runs many
 // (benchmark, config, #DPUs) points concurrently on a bounded worker pool,
-// building each unique kernel exactly once and streaming results as they
-// finish:
+// building each unique kernel exactly once, and returns the results in input
+// order:
 //
 //	points := []upim.Point{{Benchmark: "VA", DPUs: 1}, {Benchmark: "VA", DPUs: 16}, ...}
-//	for sr := range r.Sweep(ctx, points) { ... }
+//	results, err := r.Sweep(ctx, points) // results[i] holds points[i]
 //
 // Design-space exploration — the paper's pathfinding methodology — layers
 // typed axes and a persistent content-addressed result store on top of the
