@@ -144,7 +144,10 @@ paper-smoke:
 # A single-process run over the served store then merges the exploration: it
 # must simulate nothing, and its report must match a fresh single-process run
 # byte for byte. The server's and each worker's events logs must be
-# non-empty.
+# non-empty. Last, a store-only `pathfind serve` over the filled store serves
+# the same merge over HTTP: every point a GET hit (`, 0 simulated,`) and the
+# report the fresh run's byte for byte — a GET that degraded to a miss would
+# re-simulate and still match, so the grep is what checks the wire.
 coord-smoke:
 	rm -rf $(W)/coord
 	mkdir -p $(W)/coord/events
@@ -168,6 +171,14 @@ coord-smoke:
 	test -s $(W)/coord/events/serve.jsonl
 	test -s $(W)/coord/events/w0.jsonl
 	test -s $(W)/coord/events/w1.jsonl
+	@set -e; pf=$(W)/coord/pathfind; addr=127.0.0.1:17345; \
+	$$pf serve -addr $$addr -store $(W)/coord/store & srv=$$!; \
+	trap 'kill $$srv 2>/dev/null || true' EXIT; \
+	for i in $$(seq 50); do curl -sf http://$$addr/v1/count > /dev/null && break; sleep 0.2; done; \
+	$$pf -bench VA,BS -axes "tasklets=1,4;link=1,2" -scale tiny -store http://$$addr -pareto -goals energy,cost -energy -out $(W)/coord/remote 2> $(W)/coord/remote.log; \
+	cat $(W)/coord/remote.log; \
+	grep -q ", 0 simulated," $(W)/coord/remote.log; \
+	diff -r $(W)/coord/remote $(W)/coord/fresh
 
 # serve-smoke mirrors the CI job: a tiny multi-tenant serving run (Poisson
 # arrivals, two tenants, weighted-fair + FIFO load sweep) validated against

@@ -232,3 +232,35 @@ func TestWarmServeLoadSweepBytes(t *testing.T) {
 		t.Errorf("%.1f bytes per replayed request, ceiling %.0f", perRequest, ceiling)
 	}
 }
+
+// TestSpacePointsBytes is the bytes row of enumeration: the heap bytes one
+// Points call of tiered_triage's space (16 benchmarks over five two-level
+// axes, 512 points) allocates per point. Each point carries its design and
+// label strings, and the 512-byte points sit in one slice sized from Size:
+// that reads 1297.5 B a point on a 2-vCPU Xeon (2010.5 when the slice grew
+// by appending), and the ceiling is the reading plus 10 %.
+func TestSpacePointsBytes(t *testing.T) {
+	const ceiling = 1430.0 // bytes per point
+	axes, err := upim.ParseAxes("tasklets=1,16;freq=350,700;link=1,4;ilp=base,DRSF;mode=scratchpad,cache")
+	if err != nil {
+		t.Fatal(err)
+	}
+	space := upim.NewDesignSpace(upim.Benchmarks(), axes...)
+	space.Scale = upim.ScaleTiny
+	if _, err := space.Points(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pts, err := space.Points()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perPoint := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(pts))
+	if perPoint > ceiling {
+		t.Errorf("%.1f bytes per point, ceiling %.0f", perPoint, ceiling)
+	}
+}

@@ -3,6 +3,7 @@ package upim_test
 import (
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"log"
 	"maps"
@@ -309,6 +310,48 @@ func ExampleExplore() {
 	// VA    upmem    sites=2 cost=1  kernel=    68.5us total=   253.9us    17.47uJ (pim-2xnm-illustrative-v1)
 	// VA    hbm-pim  sites=1 cost=7  kernel=     0.4us total=     6.5us    12.89uJ (hbm-pim-bank-mac-illustrative-v1)
 	// VA    hbm-pim  sites=2 cost=8  kernel=     0.2us total=     3.3us    12.91uJ (hbm-pim-bank-mac-illustrative-v1)
+}
+
+// One stored record, read back as JSON: a design point's key is its content
+// address in the store, and Get serves the cycle-exact result held under it
+// — here by a second handle on the directory, as a later process would open
+// it. The record is binary on disk and on the HTTP store's wire; JSON is one
+// json.Marshal away.
+func ExampleResultStore_Get() {
+	dir, err := os.MkdirTemp("", "upim-record-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	space := upim.NewDesignSpace([]string{"VA"}, upim.AxisTasklets(16))
+	space.Scale = upim.ScaleTiny
+	writer, err := upim.OpenResultStore(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if _, err := upim.Explore(context.Background(), space, upim.ExploreOptions{Store: writer}); err != nil {
+		log.Fatal(err)
+	}
+
+	store, err := upim.OpenResultStore(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
+	pts, err := space.Points()
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, ok := store.Get(upim.PointKey(pts[0]))
+	if !ok {
+		log.Fatal("the point is not in the store")
+	}
+	b, err := json.Marshal(res.Report)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("%s %s: %s\n", pts[0].Benchmark, pts[0].Design, b)
+	// Output:
+	// VA tasklets=16: {"KernelSeconds":0.00012707428571428572,"TransferSeconds":[0.00011075675675675675,0.00026006349206349205,0],"Launches":1,"BytesIn":32784,"BytesOut":16384}
 }
 
 // Energy-aware pathfinding: the design space the paper judges by time

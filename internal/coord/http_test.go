@@ -3,7 +3,6 @@ package coord
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -114,20 +113,32 @@ func TestOversizedBodiesRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entry, err := json.Marshal(map[string]any{"point": ep, "result": res})
+	key := explore.KeyOf(ep)
+	// A record body as the store routes carry it: what another server
+	// answers for the key.
+	other, err := explore.OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := explore.KeyOf(ep)
+	if err := other.Put(key, ep, res); err != nil {
+		t.Fatal(err)
+	}
+	got := httptest.NewRecorder()
+	explore.NewStoreServer(other).ServeHTTP(got, httptest.NewRequest(http.MethodGet, "/v1/exact/"+key, nil))
+	if got.Code != http.StatusOK {
+		t.Fatalf("GET from the other store: %d", got.Code)
+	}
+	record := got.Body.Bytes()
 
-	// One byte past each route's cap (64 MiB store entries, 1 MiB lease
-	// bodies), padded with whitespace a JSON decoder would happily skip.
+	// One byte past each route's cap (a 64 MiB record behind its 8-byte
+	// fingerprint and 8-byte length and checksum; 1 MiB lease bodies),
+	// padded with bytes a truncating reader would never look at.
 	for _, tc := range []struct {
 		method, path string
 		lead         []byte
 		limit        int
 	}{
-		{http.MethodPut, "/v1/exact/" + key, entry, 64 << 20},
+		{http.MethodPut, "/v1/exact/" + key, record, 64<<20 + 16},
 		{http.MethodPost, "/v1/lease", []byte(`{"worker":"w0"}`), 1 << 20},
 	} {
 		body := io.MultiReader(bytes.NewReader(tc.lead), strings.NewReader(strings.Repeat(" ", tc.limit+1-len(tc.lead))))

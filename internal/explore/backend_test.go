@@ -155,7 +155,8 @@ func TestHTTPStoreDoesNotRetryClientErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Put("not-a-key", storetestPoint(), storetestResult()); err == nil {
+	key := "00000000000000000000000000000000000000000000000000000000000000cc"
+	if err := client.Put(key, storetestPoint(), storetestResult()); err == nil {
 		t.Fatal("Put to a rejecting server succeeded")
 	}
 	if got := calls.Load(); got != 1 {

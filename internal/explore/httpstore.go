@@ -2,6 +2,7 @@ package explore
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -16,29 +17,49 @@ import (
 // by `pathfind serve` and consumed by HTTPStore. One endpoint per Backend
 // method, keyed by the same content addresses as the local store:
 //
-//	GET    /v1/exact/{key}      200 {point,result} | 404
-//	PUT    /v1/exact/{key}      body {point,result}            -> 204
-//	GET    /v1/estimate/{key}   200 {point,estimate} | 404
-//	PUT    /v1/estimate/{key}   body {point,estimate}          -> 204
+//	GET    /v1/exact/{key}      200 record | 404
+//	PUT    /v1/exact/{key}      body record                    -> 204
+//	GET    /v1/estimate/{key}   200 record | 404
+//	PUT    /v1/estimate/{key}   body record                    -> 204
 //	GET    /v1/count            200 {"count":N}
 //	GET    /v1/stats            200 StoreStats (the server store's counters)
 //
-// Fidelity isolation and never-downgrade are enforced server-side by the
-// wrapped Backend, so a store shared by many workers keeps the same
-// semantics as a local directory shared by many processes.
+// A record is a segment's schema fingerprint, then one framed record
+// (segment.go), checked as a store read checks one on disk and for this
+// build's fingerprint, the path's key and the route's fidelity: a PUT that
+// fails is a 400 that stores nothing, a GET that fails is a miss. A GET's
+// point slot holds the zero point; every reader skips it. Fidelity isolation
+// and never-downgrade are enforced server-side by the wrapped Backend, so a
+// store shared by many workers keeps the semantics of a shared directory.
 
-// wireEntry is the request/response body of the exact and estimate
-// endpoints: the point for debuggability plus exactly one payload.
-type wireEntry struct {
-	Point    engine.Point       `json:"point"`
-	Result   *prim.Result       `json:"result,omitempty"`
-	Estimate *estimate.Estimate `json:"estimate,omitempty"`
+// maxEntryBody caps record bodies in both directions: the fingerprint and the
+// largest record a segment admits.
+const maxEntryBody = int64(len(schema) + recPrefixLen + maxRecord)
+
+// wire frames one record for the store routes.
+func wire(key string, fid byte, p *engine.Point, pl *plan, v any) ([]byte, error) {
+	_, rec, err := frame(key, fid, p, pl, v)
+	if err != nil {
+		return nil, err
+	}
+	defer recBufs.Put(rec)
+	return append(schema[:len(schema):len(schema)], *rec...), nil
 }
 
-// maxEntryBody caps store entry bodies in both directions: a full result
-// with per-DPU stats is a few hundred KiB, so 64 MiB is far above any honest
-// entry and far below what would hurt the server.
-const maxEntryBody = 64 << 20
+// unwire checks a record body for key at fid and decodes its value into
+// *dst and, when p is not nil, its point into *p.
+func unwire(body []byte, key string, fid byte, pl *plan, dst any, p *engine.Point) bool {
+	k, ok := parseKey(key)
+	if !ok || len(body) < len(schema) || [len(schema)]byte(body) != schema {
+		return false
+	}
+	pt, ok := decodeRecord(body[len(schema):], k, fid, pl, dst)
+	if !ok || p == nil {
+		return ok
+	}
+	rest, err := pointPlan.decode(pt, p)
+	return err == nil && len(rest) == 0
+}
 
 // StoreServer serves a Backend over the HTTP store protocol.
 type StoreServer struct {
@@ -51,10 +72,8 @@ type StoreServer struct {
 func NewStoreServer(b Backend) *StoreServer {
 	s := &StoreServer{backend: resolveBackend(b)}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("GET /v1/exact/{key}", s.getExact)
-	s.mux.HandleFunc("PUT /v1/exact/{key}", s.putExact)
-	s.mux.HandleFunc("GET /v1/estimate/{key}", s.getEstimate)
-	s.mux.HandleFunc("PUT /v1/estimate/{key}", s.putEstimate)
+	route(s.mux, "/v1/exact/", fidExact, resultPlan, s.backend.Get, s.backend.Put)
+	route(s.mux, "/v1/estimate/", fidEstimate, estimatePlan, s.backend.GetEstimate, s.backend.PutEstimate)
 	s.mux.HandleFunc("GET /v1/count", s.count)
 	s.mux.HandleFunc("GET /v1/stats", s.stats)
 	return s
@@ -73,64 +92,44 @@ func reqKey(w http.ResponseWriter, r *http.Request) (string, bool) {
 	return key, true
 }
 
-func (s *StoreServer) getExact(w http.ResponseWriter, r *http.Request) {
-	key, ok := reqKey(w, r)
-	if !ok {
-		return
-	}
-	res, ok := s.backend.Get(key)
-	if !ok {
-		http.Error(w, "no exact entry", http.StatusNotFound)
-		return
-	}
-	httpjson.Write(w, wireEntry{Result: res})
-}
-
-func (s *StoreServer) getEstimate(w http.ResponseWriter, r *http.Request) {
-	key, ok := reqKey(w, r)
-	if !ok {
-		return
-	}
-	est, ok := s.backend.GetEstimate(key)
-	if !ok {
-		http.Error(w, "no estimate entry", http.StatusNotFound)
-		return
-	}
-	httpjson.Write(w, wireEntry{Estimate: est})
-}
-
-func (s *StoreServer) putExact(w http.ResponseWriter, r *http.Request) {
-	key, ok := reqKey(w, r)
-	if !ok {
-		return
-	}
-	var e wireEntry
-	if err := httpjson.Decode(w, r, maxEntryBody, &e); err != nil || e.Result == nil {
-		http.Error(w, "want a JSON body with point and result", http.StatusBadRequest)
-		return
-	}
-	if err := s.backend.Put(key, e.Point, e.Result); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *StoreServer) putEstimate(w http.ResponseWriter, r *http.Request) {
-	key, ok := reqKey(w, r)
-	if !ok {
-		return
-	}
-	var e wireEntry
-	if err := httpjson.Decode(w, r, maxEntryBody, &e); err != nil || e.Estimate == nil {
-		http.Error(w, "want a JSON body with point and estimate", http.StatusBadRequest)
-		return
-	}
-	if err := s.backend.PutEstimate(key, e.Point, e.Estimate); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
+// route serves one fidelity's records under path.
+func route[T any](mux *http.ServeMux, path string, fid byte, pl *plan, get func(string) (*T, bool), put func(string, engine.Point, *T) error) {
+	mux.HandleFunc("GET "+path+"{key}", func(w http.ResponseWriter, r *http.Request) {
+		key, ok := reqKey(w, r)
+		if !ok {
+			return
+		}
+		v, ok := get(key)
+		if !ok {
+			http.Error(w, "no entry", http.StatusNotFound)
+			return
+		}
+		body, err := wire(key, fid, &engine.Point{}, pl, v)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		w.Header().Set("Content-Type", "application/octet-stream")
+		_, _ = w.Write(body) // a failed write means the client is gone
+	})
+	mux.HandleFunc("PUT "+path+"{key}", func(w http.ResponseWriter, r *http.Request) {
+		key, ok := reqKey(w, r)
+		if !ok {
+			return
+		}
+		p, v := engine.Point{}, new(T)
+		// An oversized body is refused, not truncated, and the connection closed.
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxEntryBody))
+		if err != nil || !unwire(body, key, fid, pl, v, &p) {
+			http.Error(w, "want the key's record at this route's fidelity under this build's schema", http.StatusBadRequest)
+			return
+		}
+		if err := put(key, p, v); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		w.WriteHeader(http.StatusNoContent)
+	})
 }
 
 func (s *StoreServer) count(w http.ResponseWriter, r *http.Request) {
@@ -173,67 +172,54 @@ func DialStore(baseURL string, opts HTTPStoreOptions) (*HTTPStore, error) {
 	return &HTTPStore{c: c}, nil
 }
 
-// do issues one store call. 404 returns (false, nil): a miss, not an error.
-func (h *HTTPStore) do(method, path string, body, out any) (bool, error) {
-	err := h.c.Do(method, path, body, out)
-	if httpjson.IsStatus(err, http.StatusNotFound) {
-		return false, nil
-	}
-	if err != nil {
-		return false, fmt.Errorf("explore: %w", err)
-	}
-	return true, nil
-}
-
-// Get implements Backend. Transport failures (after retries) and undecodable
-// responses degrade to misses — re-simulation is correct, serving nothing as
+// fetch serves key at one fidelity. A 404, a failed call or a body that
+// fails a check is a miss: re-simulating is correct, serving nothing as
 // something is not.
-func (h *HTTPStore) Get(key string) (*prim.Result, bool) {
-	var e wireEntry
-	ok, err := h.do(http.MethodGet, "/v1/exact/"+key, nil, &e)
-	if err != nil || !ok || e.Result == nil {
-		h.misses.Add(1)
-		return nil, false
+func fetch[T any](h *HTTPStore, path, key string, fid byte, pl *plan) (*T, bool) {
+	var body []byte
+	if v := new(T); h.c.Do(http.MethodGet, path+key, nil, &body) == nil && unwire(body, key, fid, pl, v, nil) {
+		h.hits.Add(1)
+		return v, true
 	}
-	h.hits.Add(1)
-	return e.Result, true
+	h.misses.Add(1)
+	return nil, false
 }
 
-// GetEstimate implements Backend with the same degradation as Get.
-func (h *HTTPStore) GetEstimate(key string) (*estimate.Estimate, bool) {
-	var e wireEntry
-	ok, err := h.do(http.MethodGet, "/v1/estimate/"+key, nil, &e)
-	if err != nil || !ok || e.Estimate == nil {
-		h.misses.Add(1)
-		return nil, false
+// send puts one record at one fidelity; failures surface so the point is
+// recorded as failed and retried by the next run.
+func send[T any](h *HTTPStore, path, key string, fid byte, p engine.Point, pl *plan, v *T) error {
+	if v == nil {
+		return fmt.Errorf("explore: refusing to store a nil %T for %s", v, key)
 	}
-	h.hits.Add(1)
-	return e.Estimate, true
-}
-
-// Put implements Backend; failures surface so the point is recorded as
-// failed and retried by the next run.
-func (h *HTTPStore) Put(key string, p engine.Point, res *prim.Result) error {
-	if res == nil {
-		return fmt.Errorf("explore: refusing to store a nil result for %s", key)
-	}
-	if _, err := h.do(http.MethodPut, "/v1/exact/"+key, wireEntry{Point: p, Result: res}, nil); err != nil {
+	body, err := wire(key, fid, &p, pl, v)
+	if err != nil {
 		return err
+	}
+	if err := h.c.Do(http.MethodPut, path+key, body, nil); err != nil {
+		return fmt.Errorf("explore: %w", err)
 	}
 	h.puts.Add(1)
 	return nil
+}
+
+// Get implements Backend.
+func (h *HTTPStore) Get(key string) (*prim.Result, bool) {
+	return fetch[prim.Result](h, "/v1/exact/", key, fidExact, resultPlan)
+}
+
+// GetEstimate implements Backend.
+func (h *HTTPStore) GetEstimate(key string) (*estimate.Estimate, bool) {
+	return fetch[estimate.Estimate](h, "/v1/estimate/", key, fidEstimate, estimatePlan)
+}
+
+// Put implements Backend.
+func (h *HTTPStore) Put(key string, p engine.Point, res *prim.Result) error {
+	return send(h, "/v1/exact/", key, fidExact, p, resultPlan, res)
 }
 
 // PutEstimate implements Backend; the server enforces never-downgrade.
 func (h *HTTPStore) PutEstimate(key string, p engine.Point, est *estimate.Estimate) error {
-	if est == nil {
-		return fmt.Errorf("explore: refusing to store a nil estimate for %s", key)
-	}
-	if _, err := h.do(http.MethodPut, "/v1/estimate/"+key, wireEntry{Point: p, Estimate: est}, nil); err != nil {
-		return err
-	}
-	h.puts.Add(1)
-	return nil
+	return send(h, "/v1/estimate/", key, fidEstimate, p, estimatePlan, est)
 }
 
 // Stats snapshots this client's counters (not the server store's — use
@@ -247,8 +233,8 @@ func (h *HTTPStore) Stats() StoreStats {
 // count the local client can never see.
 func (h *HTTPStore) ServerStats() (StoreStats, error) {
 	var st StoreStats
-	if _, err := h.do(http.MethodGet, "/v1/stats", nil, &st); err != nil {
-		return StoreStats{}, err
+	if err := h.c.Do(http.MethodGet, "/v1/stats", nil, &st); err != nil {
+		return StoreStats{}, fmt.Errorf("explore: %w", err)
 	}
 	return st, nil
 }
@@ -258,8 +244,8 @@ func (h *HTTPStore) Count() (int, error) {
 	var c struct {
 		Count int `json:"count"`
 	}
-	if _, err := h.do(http.MethodGet, "/v1/count", nil, &c); err != nil {
-		return 0, err
+	if err := h.c.Do(http.MethodGet, "/v1/count", nil, &c); err != nil {
+		return 0, fmt.Errorf("explore: %w", err)
 	}
 	return c.Count, nil
 }

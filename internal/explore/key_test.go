@@ -3,7 +3,6 @@ package explore
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"math"
 	"math/rand/v2"
 	"reflect"
@@ -12,6 +11,7 @@ import (
 	"upim/internal/config"
 	"upim/internal/engine"
 	"upim/internal/machine"
+	"upim/internal/prim"
 )
 
 // keyStrings are the strings JSON has a rule of its own for, which the codec
@@ -192,22 +192,25 @@ func TestKeyOfEveryLeafMovesKey(t *testing.T) {
 
 // TestKeyOfSurvivesWire: the points HTTPStore sends — the default
 // configuration, with and without each architecture's machine — keep their
-// key through a JSON round trip, so a server keys what its client keyed.
+// key through the record a PUT carries, so a server keys what its client
+// keyed.
 func TestKeyOfSurvivesWire(t *testing.T) {
 	base := engine.Point{Benchmark: "VA", Config: config.Default(), DPUs: 1}
+	res := &prim.Result{Benchmark: "VA"}
 	for _, d := range []*machine.Desc{nil, machine.UPMEM(), machine.HBMPIM()} {
 		p := base
 		p.Machine = d
-		data, err := json.Marshal(p)
+		key := KeyOf(p)
+		body, err := wire(key, fidExact, &p, resultPlan, res)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var q engine.Point
-		if err := json.Unmarshal(data, &q); err != nil {
-			t.Fatal(err)
+		if !unwire(body, key, fidExact, resultPlan, new(prim.Result), &q) {
+			t.Fatalf("machine %v: the record does not check", d)
 		}
-		if KeyOf(q) != KeyOf(p) {
-			t.Errorf("machine %v: the JSON round trip moved the key", d)
+		if KeyOf(q) != key {
+			t.Errorf("machine %v: the wire moved the key", d)
 		}
 	}
 }

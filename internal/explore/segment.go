@@ -37,8 +37,9 @@ const (
 	recPrefixLen = 8                     // n and crc
 	recHeaderLen = recPrefixLen + 32 + 1 // ... key and fidelity
 	// maxRecord bounds n, so that a damaged length cannot make a scan or a
-	// read trust (or allocate for) more than an honest entry could hold.
-	maxRecord = maxEntryBody
+	// read trust (or allocate for) more than an honest entry could hold: a
+	// full result with per-DPU stats is a few hundred KiB.
+	maxRecord = 64 << 20
 
 	fidExact    byte = 1
 	fidEstimate byte = 2
@@ -238,21 +239,36 @@ func (s *Store) lookup(k storeKey) (loc, bool) {
 	return l, ok
 }
 
-// readRecord reads the record at l into buf and returns it once its frame,
-// checksum, key and fidelity all check.
-func readRecord(k storeKey, l loc, buf *[]byte) ([]byte, bool) {
+// readAt reads the record at l into buf, or returns nil.
+func readAt(l loc, buf *[]byte) []byte {
 	if cap(*buf) < int(l.n) {
 		*buf = make([]byte, l.n)
 	}
 	b := (*buf)[:l.n]
 	if _, err := l.seg.f.ReadAt(b, l.off); err != nil {
+		return nil
+	}
+	return b
+}
+
+// decodeRecord checks a framed record — length, checksum, key, fidelity, and
+// a point length no longer than the record — and decodes its value into *dst
+// with no byte left over. It returns the point, which a store read skips. A
+// record read from disk and one sent to the HTTP store both pass through it.
+func decodeRecord(rec []byte, k storeKey, fid byte, pl *plan, dst any) (point []byte, ok bool) {
+	if len(rec) < recHeaderLen+4 || int(le.Uint32(rec))+recPrefixLen != len(rec) ||
+		le.Uint32(rec[4:]) != checksum(rec) || storeKey(rec[recPrefixLen:]) != k || rec[recHeaderLen-1] != fid {
 		return nil, false
 	}
-	if le.Uint32(b)+recPrefixLen != l.n || le.Uint32(b[4:]) != checksum(b) ||
-		storeKey(b[recPrefixLen:]) != k || b[recHeaderLen-1] != l.fid {
+	b := rec[recHeaderLen:]
+	n := le.Uint32(b)
+	if int(n) > len(b)-4 {
 		return nil, false
 	}
-	return b, true
+	if rest, err := pl.decode(b[4+n:], dst); err != nil || len(rest) != 0 {
+		return nil, false
+	}
+	return b[4 : 4+n], true
 }
 
 // read decodes the value of the record at l into *dst. A record that fails
@@ -261,14 +277,8 @@ func readRecord(k storeKey, l loc, buf *[]byte) ([]byte, bool) {
 func (s *Store) read(k storeKey, l loc, pl *plan, dst any) bool {
 	buf := recBufs.Get().(*[]byte)
 	defer recBufs.Put(buf)
-	if b, ok := readRecord(k, l, buf); ok {
-		// Skip the point; its length was covered by the checksum but is
-		// still only as honest as its writer.
-		if b = b[recHeaderLen:]; len(b) >= 4 && int(le.Uint32(b)) <= len(b)-4 {
-			if rest, err := pl.decode(b[4+le.Uint32(b):], dst); err == nil && len(rest) == 0 {
-				return true
-			}
-		}
+	if _, ok := decodeRecord(readAt(l, buf), k, l.fid, pl, dst); ok {
+		return true
 	}
 	s.corrupt.Add(1)
 	s.mu.Lock()
@@ -280,14 +290,10 @@ func (s *Store) read(k storeKey, l loc, pl *plan, dst any) bool {
 }
 
 // holds reports whether the record at l is, byte for byte, rec.
-func holds(k storeKey, l loc, rec []byte) bool {
-	if int(l.n) != len(rec) {
-		return false
-	}
+func holds(l loc, rec []byte) bool {
 	buf := recBufs.Get().(*[]byte)
 	defer recBufs.Put(buf)
-	b, ok := readRecord(k, l, buf)
-	return ok && bytes.Equal(b, rec)
+	return bytes.Equal(readAt(l, buf), rec)
 }
 
 // append writes one framed record to this handle's own segment — creating it

@@ -99,7 +99,7 @@ func (s *Space) Points() ([]Point, error) {
 		return nil, err
 	}
 	base := config.Default()
-	var pts []Point
+	pts := make([]Point, 0, s.Size())
 	for _, name := range s.Benchmarks {
 		combo := make([]int, len(s.Axes))
 		for {

@@ -175,7 +175,7 @@ func (s *Store) PutEstimate(key string, p engine.Point, est *estimate.Estimate) 
 	// would double-book a corrupt record the preceding GetEstimate already
 	// booked (and inflate Misses with probes that never served a read). The
 	// same key frames the same point, so equal bytes are an equal estimate.
-	if l, ok := s.lookup(k); ok && (l.fid == fidExact || holds(k, l, *rec)) {
+	if l, ok := s.lookup(k); ok && (l.fid == fidExact || holds(l, *rec)) {
 		return nil
 	}
 	return s.append(k, fidEstimate, *rec)

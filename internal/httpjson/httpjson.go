@@ -1,7 +1,7 @@
-// Package httpjson is the one JSON-over-HTTP transport under the result
-// store protocol (explore.HTTPStore / StoreServer) and the lease protocol
-// (coord.Client / Server). It owns the retry algorithm and the wire hygiene
-// both protocols share, so the two cannot drift:
+// Package httpjson is the one HTTP transport under the result store protocol
+// (explore.HTTPStore / StoreServer) and the lease protocol (coord.Client /
+// Server). It owns the retry algorithm and the wire hygiene both protocols
+// share, so the two cannot drift:
 //
 //   - every attempt carries its own timeout;
 //   - transport errors and 5xx responses retry with doubling backoff, 4xx
@@ -10,7 +10,8 @@
 //     error text, and callers map the statuses of their own vocabulary
 //     (404 = store miss, 409 = stale lease) with IsStatus;
 //   - bodies are capped in both directions and decoded strictly: unknown
-//     fields and trailing content are errors, never guesses.
+//     fields and trailing content are errors, never guesses; a []byte (the
+//     store's self-checking records) travels as it is.
 package httpjson
 
 import (
@@ -99,23 +100,24 @@ func IsStatus(err error, code int) bool {
 	return errors.As(err, &se) && se.Code == code
 }
 
-// Do runs one JSON round trip with per-attempt timeout and retry/backoff.
-// A nil body sends none; a nil out decodes nothing. The error names the call
-// and wraps the last attempt's failure.
+// Do runs one round trip with per-attempt timeout and retry/backoff. A nil
+// body or out is none; a []byte body and *[]byte out are raw bytes, anything
+// else JSON. The error names the call and wraps the last attempt's failure.
 func (c *Client) Do(method, path string, body, out any) error {
-	var payload []byte
-	if body != nil {
-		var err error
+	var err error
+	payload, ctype := []byte(nil), "application/json"
+	if b, ok := body.([]byte); ok {
+		payload, ctype = b, "application/octet-stream"
+	} else if body != nil {
 		if payload, err = json.Marshal(body); err != nil {
 			return fmt.Errorf("encoding %s %s: %w", method, path, err)
 		}
 	}
-	var err error
 	for attempt := 0; attempt <= c.retries; attempt++ {
 		if attempt > 0 {
 			time.Sleep(c.backoff << (attempt - 1))
 		}
-		if err = c.once(method, path, payload, out); err == nil {
+		if err = c.once(method, path, payload, ctype, out); err == nil {
 			return nil
 		}
 		var se *StatusError
@@ -126,7 +128,7 @@ func (c *Client) Do(method, path string, body, out any) error {
 	return fmt.Errorf("%s %s%s: %w", method, c.base, path, err)
 }
 
-func (c *Client) once(method, path string, payload []byte, out any) error {
+func (c *Client) once(method, path string, payload []byte, ctype string, out any) error {
 	ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
 	defer cancel()
 	var body io.Reader
@@ -138,7 +140,7 @@ func (c *Client) once(method, path string, payload []byte, out any) error {
 		return err
 	}
 	if payload != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", ctype)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
@@ -152,6 +154,10 @@ func (c *Client) once(method, path string, payload []byte, out any) error {
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
 		return &StatusError{Code: resp.StatusCode, Body: string(b)}
+	}
+	if raw, ok := out.(*[]byte); ok {
+		*raw, err = io.ReadAll(io.LimitReader(resp.Body, c.maxBody))
+		return err
 	}
 	if out == nil {
 		return nil
